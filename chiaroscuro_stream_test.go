@@ -245,8 +245,8 @@ func blobStream(n, dim, windows, slide int) (initial [][]float64, steps [][][]fl
 	return initial, steps
 }
 
-// TestStreamWarmStartConvergesFaster is the acceptance gate in miniature
-// (BenchmarkStreamRecluster measures it at scale): over a drifting
+// TestStreamWarmStartConvergesFaster is the warm-start gate (bench/'s
+// stream-warm workload times the same stream at N=1000): over a drifting
 // stream with early stopping, warm-starting every window from the
 // previous disclosure spends strictly fewer total k-means iterations
 // than cold restarts, at comparable quality. Everything is seeded, so
@@ -294,59 +294,5 @@ func TestStreamWarmStartConvergesFaster(t *testing.T) {
 	}
 	if warmInertia > coldInertia*1.25 {
 		t.Fatalf("warm-start quality regressed: mean inertia %.4f vs cold %.4f", warmInertia, coldInertia)
-	}
-}
-
-// BenchmarkStreamRecluster measures the streaming tentpole's payoff at
-// bench scale: N=10k participants over 8 windows, warm-start vs cold
-// restarts under early stopping. The iters/stream metric is the total
-// k-means iterations actually run (fewer = less budget spread, less
-// gossip, less wall-clock); run with -benchtime=1x for a single pass:
-//
-//	go test -bench StreamRecluster -benchtime=1x .
-func BenchmarkStreamRecluster(b *testing.B) {
-	const n, dim, windows, slide = 10000, 8, 8, 2
-	initial, steps := blobStream(n, dim, windows, slide)
-	for _, mode := range []struct {
-		name string
-		warm bool
-	}{{"warm", true}, {"cold", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			totalIters := 0
-			inertia := 0.0
-			for i := 0; i < b.N; i++ {
-				sess, err := chiaroscuro.OpenStream(initial, chiaroscuro.Config{
-					K:                 3,
-					Iterations:        10,
-					ConvergeThreshold: 0.08,
-					LifetimeEpsilon:   4000,
-					Windows:           windows,
-					WarmStart:         mode.warm,
-					Engine:            "sharded",
-					GossipRounds:      10,
-					DecryptThreshold:  8,
-					Seed:              9,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for w := 0; w < windows; w++ {
-					var pts [][]float64
-					if w > 0 {
-						pts = steps[w-1]
-					}
-					res, err := sess.Advance(pts)
-					if err != nil {
-						sess.Close()
-						b.Fatalf("window %d: %v", w, err)
-					}
-					totalIters += len(res.Trace)
-					inertia += res.Inertia / windows
-				}
-				sess.Close()
-			}
-			b.ReportMetric(float64(totalIters)/float64(b.N), "iters/stream")
-			b.ReportMetric(inertia/float64(b.N), "inertia")
-		})
 	}
 }

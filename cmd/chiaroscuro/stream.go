@@ -1,24 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"time"
 
 	"chiaroscuro"
 )
-
-// writeJSON writes v as indented JSON with a trailing newline — the
-// shape of every BENCH_*.json artifact.
-func writeJSON(path string, v any) error {
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
 
 // streamOptions collects the -stream mode's flag values.
 type streamOptions struct {
@@ -156,133 +143,4 @@ func orDefault(s, def string) string {
 		return def
 	}
 	return s
-}
-
-// streamBenchEntry is one mode (warm or cold) of the BENCH_stream.json
-// artifact: total k-means iterations actually run across the stream —
-// the quantity warm-starting exists to shrink — plus wall-clock and
-// quality, so a regression in any of the three shows up as a row diff.
-type streamBenchEntry struct {
-	Mode                string // "warm" | "cold"
-	N, Dim, K           int
-	Windows, Slide      int
-	LifetimeEpsilon     float64
-	TotalIterations     int
-	IterationsPerWindow []int
-	MeanInertia         float64
-	Elapsed             time.Duration
-}
-
-// streamBenchResult is the BENCH_stream.json schema.
-type streamBenchResult struct {
-	Schema    string             `json:"Schema"` // "chiaroscuro-bench-stream/v1"
-	Timestamp string             `json:"Timestamp"`
-	Entries   []streamBenchEntry `json:"Entries"`
-}
-
-// runBenchStream measures warm-start against cold restarts on a
-// drifting stream at bench scale (default N=10k over 8 windows): total
-// iterations to converge, wall-clock, and mean inertia. With a
-// non-empty out path it also writes the JSON artifact CI uploads.
-func runBenchStream(n int, out string) error {
-	const dim, windows, slide, k = 8, 8, 2, 3
-	total := dim + (windows-1)*slide
-	// A drifting well-separated blob population: the regime where early
-	// stopping makes iteration counts comparable (CER's overlapping
-	// archetypes keep the disclosed centroids wobbling above any usable
-	// convergence threshold).
-	full := make([][]float64, n)
-	for i := range full {
-		base := 0.12 + 0.72*float64(i%k)/k
-		s := make([]float64, total)
-		for t := range s {
-			v := base + 0.05*math.Sin(2*math.Pi*(float64(t)/float64(total)+float64(i%5)/5)) +
-				0.015*float64((i*7+t*3)%5-2)/5
-			s[t] = math.Min(1, math.Max(0, v))
-		}
-		full[i] = s
-	}
-	initial := make([][]float64, n)
-	for i := range initial {
-		initial[i] = append([]float64(nil), full[i][:dim]...)
-	}
-	steps := make([][][]float64, windows-1)
-	for w := range steps {
-		steps[w] = make([][]float64, n)
-		for i := range steps[w] {
-			steps[w][i] = append([]float64(nil), full[i][dim+w*slide:dim+(w+1)*slide]...)
-		}
-	}
-
-	res := streamBenchResult{
-		Schema:    "chiaroscuro-bench-stream/v1",
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, warm := range []bool{true, false} {
-		mode := "cold"
-		if warm {
-			mode = "warm"
-		}
-		start := time.Now()
-		sess, err := chiaroscuro.OpenStream(initial, chiaroscuro.Config{
-			K:                 k,
-			Iterations:        10,
-			ConvergeThreshold: 0.08,
-			LifetimeEpsilon:   4000,
-			Windows:           windows,
-			WarmStart:         warm,
-			Engine:            "sharded",
-			GossipRounds:      10,
-			DecryptThreshold:  8,
-			Seed:              9,
-		})
-		if err != nil {
-			return err
-		}
-		entry := streamBenchEntry{
-			Mode: mode, N: n, Dim: dim, K: k,
-			Windows: windows, Slide: slide, LifetimeEpsilon: 4000,
-		}
-		for w := 0; w < windows; w++ {
-			var pts [][]float64
-			if w > 0 {
-				pts = steps[w-1]
-			}
-			r, err := sess.Advance(pts)
-			if err != nil {
-				sess.Close()
-				return fmt.Errorf("%s window %d: %w", mode, w, err)
-			}
-			entry.TotalIterations += len(r.Trace)
-			entry.IterationsPerWindow = append(entry.IterationsPerWindow, len(r.Trace))
-			entry.MeanInertia += r.Inertia / windows
-		}
-		sess.Close()
-		entry.Elapsed = time.Since(start)
-		res.Entries = append(res.Entries, entry)
-	}
-
-	fmt.Printf("stream re-cluster, N=%d, %d windows (slide %d), early stop at 0.08\n\n", n, windows, slide)
-	fmt.Println("mode   total iters  per window               mean inertia  elapsed")
-	for _, e := range res.Entries {
-		fmt.Printf("%-6s %-12d %-24s %-13.4f %s\n",
-			e.Mode, e.TotalIterations, fmt.Sprint(e.IterationsPerWindow), e.MeanInertia,
-			e.Elapsed.Round(time.Millisecond))
-	}
-	warmE, coldE := res.Entries[0], res.Entries[1]
-	if warmE.TotalIterations >= coldE.TotalIterations {
-		return fmt.Errorf("warm start ran %d total iterations, cold %d — warm must be strictly fewer",
-			warmE.TotalIterations, coldE.TotalIterations)
-	}
-	fmt.Printf("\nwarm start saved %d of %d iterations (%.0f%%)\n",
-		coldE.TotalIterations-warmE.TotalIterations, coldE.TotalIterations,
-		100*float64(coldE.TotalIterations-warmE.TotalIterations)/float64(coldE.TotalIterations))
-	if out == "" {
-		return nil
-	}
-	if err := writeJSON(out, res); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
 }

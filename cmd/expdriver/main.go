@@ -1,6 +1,7 @@
-// Command expdriver regenerates every experiment table of EXPERIMENTS.md
-// (the reproduction of the paper's figures and claims; see DESIGN.md §3
-// for the experiment index).
+// Command expdriver regenerates every experiment table (the
+// reproduction of the paper's figures and claims; -h lists the
+// experiment ids, README.md "Reproducing the paper's experiments" says
+// what each one shows).
 //
 // Usage:
 //

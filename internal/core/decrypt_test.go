@@ -73,7 +73,12 @@ func decryptTestParticipant(t *testing.T, n int) (*runSetup, *participant) {
 		t.Fatal(err)
 	}
 	t.Cleanup(rs.close)
-	return rs, rs.newParticipant(0)
+	pt := rs.newParticipant(0)
+	// The request window's state, as stepGossip leaves it on entry to
+	// the decrypt phase.
+	pt.asked = make(map[p2p.NodeID]bool)
+	pt.outstanding = make(map[p2p.NodeID]int)
+	return rs, pt
 }
 
 // TestTopUpAsksRedrawsPastAskedPeers is the satellite-1 regression: a
@@ -83,7 +88,6 @@ func decryptTestParticipant(t *testing.T, n int) (*runSetup, *participant) {
 func TestTopUpAsksRedrawsPastAskedPeers(t *testing.T) {
 	_, pt := decryptTestParticipant(t, 12)
 	pt.asked = map[p2p.NodeID]bool{1: true, 2: true}
-	pt.outstanding = nil // also exercises the lazy re-init (restored snapshots)
 	env := &scriptedEnv{id: 0, n: 12, peers: []p2p.NodeID{1, 2, 1, 3, 2, 2, 4, 5}}
 	req := &decryptRequest{Iter: 0}
 	pt.topUpAsks(env, 2, req, 10)
@@ -109,7 +113,6 @@ func TestTopUpAsksRedrawsPastAskedPeers(t *testing.T) {
 // to new peers, and a slow quorum escalates the target by one.
 func TestTopUpAsksWindowDiscipline(t *testing.T) {
 	_, pt := decryptTestParticipant(t, 12)
-	pt.asked = make(map[p2p.NodeID]bool)
 	req := &decryptRequest{Iter: 0}
 
 	// First activation fills the window.
@@ -209,38 +212,34 @@ func TestServeDecryptMemoizesPartials(t *testing.T) {
 	}
 }
 
-// TestDecryptChurnSmallPopulation is the satellite-1 end-to-end
-// regression. The scenario is chosen where the old discipline's silent
-// wave shrinkage bites hardest: the quorum needs nearly the whole small
-// pool (9 of 11 peers) under crash/rejoin churn, so the legacy path
-// exhausts `asked` in its first waves and — unable to ever re-ask a
-// crashed-then-rejoined peer — burns the rest of the window drawing
-// already-asked peers. The window's redraws and expiry-release re-asks
-// must assemble quorums strictly more reliably here.
+// TestDecryptChurnSmallPopulation is the end-to-end liveness regression
+// for the outstanding-request window. The scenario is chosen where
+// quorum assembly is hardest: the quorum needs nearly the whole small
+// pool (9 of 11 peers) under crash/rejoin churn, so a participant that
+// could never re-ask a crashed-then-rejoined peer would exhaust its
+// candidates in the first waves. The window's redraws and
+// expiry-release re-asks keep the failure total at or below the figure
+// measured when the window replaced the threshold+1-blast discipline
+// (47 across these ten seeds; the blast scored 77).
 func TestDecryptChurnSmallPopulation(t *testing.T) {
+	const windowedFailures = 47
 	data := blobs(12, 2, 2)
-	failures := func(legacy bool) int {
-		total := 0
-		for seed := int64(0); seed < 10; seed++ {
-			p := Params{
-				K: 2, Epsilon: 50, Iterations: 3, Seed: seed,
-				GossipRounds: 5, DecryptThreshold: 9, DecryptWindow: 14,
-				ChurnCrashProb: 0.08, ChurnRejoinProb: 0.5,
-				legacyDecryptAsk: legacy,
-			}
-			tr, err := Run(data, p)
-			if err != nil {
-				total += 3 // an aborted run failed every iteration
-				continue
-			}
-			total += tr.DecryptFailures
+	total := 0
+	for seed := int64(0); seed < 10; seed++ {
+		tr, err := Run(data, Params{
+			K: 2, Epsilon: 50, Iterations: 3, Seed: seed,
+			GossipRounds: 5, DecryptThreshold: 9, DecryptWindow: 14,
+			ChurnCrashProb: 0.08, ChurnRejoinProb: 0.5,
+		})
+		if err != nil {
+			total += 3 // an aborted run failed every iteration
+			continue
 		}
-		return total
+		total += tr.DecryptFailures
 	}
-	legacy, windowed := failures(true), failures(false)
-	t.Logf("decrypt failures across 10 churn seeds: legacy=%d windowed=%d", legacy, windowed)
-	if windowed >= legacy {
-		t.Fatalf("windowed asks must out-assemble legacy in the near-full-quorum churn scenario: windowed=%d, legacy=%d", windowed, legacy)
+	t.Logf("decrypt failures across 10 churn seeds: %d", total)
+	if total > windowedFailures {
+		t.Fatalf("near-full-quorum churn scenario: %d decrypt failures, the window's recorded figure is %d", total, windowedFailures)
 	}
 }
 
@@ -281,57 +280,34 @@ func TestDecryptDeterministicResponderOrder(t *testing.T) {
 	}
 }
 
-// TestDecryptWindowStressTable is the satellite-4 A/B: quorum assembly
-// across the DecryptThreshold edges (tiny quorum, and quorum == n-1 where
-// every peer must answer), legacy vs windowed asks, fault-free. The
-// windowed path must never complete later and never send more decrypt
-// bytes.
+// TestDecryptWindowStressTable pins quorum assembly across the
+// DecryptThreshold edges (tiny quorum, and quorum == n-1 where every
+// peer must answer), fault-free: the window sends exactly threshold
+// requests per participant-iteration — none wasted on redundancy — never
+// fails, and needs no more than three decrypt activations (ask, serve,
+// combine) after the assign step and the gossip rounds.
 func TestDecryptWindowStressTable(t *testing.T) {
 	data := blobs(24, 2, 2)
-	type row struct {
-		threshold int
-		legacy    bool
-		cycles    int
-		requests  int
-		bytes     int64
-		fails     int
-	}
-	var rows []row
+	const iterations, gossipRounds = 2, 5
+	const wantCycles = iterations * (1 + gossipRounds + 3)
+	t.Log("threshold  cycles  requests  decryptBytes  fails")
 	for _, threshold := range []int{3, len(data) - 1} {
-		for _, legacy := range []bool{true, false} {
-			p := Params{
-				K: 2, Epsilon: 50, Iterations: 2, Seed: 3,
-				GossipRounds: 5, DecryptThreshold: threshold, DecryptWindow: 12,
-				legacyDecryptAsk: legacy,
-			}
-			tr, err := Run(data, p)
-			if err != nil {
-				t.Fatalf("threshold=%d legacy=%v: %v", threshold, legacy, err)
-			}
-			rows = append(rows, row{threshold, legacy, tr.CyclesRun, tr.DecryptRequests, tr.DecryptBytes, tr.DecryptFailures})
+		tr, err := Run(data, Params{
+			K: 2, Epsilon: 50, Iterations: iterations, Seed: 3,
+			GossipRounds: gossipRounds, DecryptThreshold: threshold, DecryptWindow: 12,
+		})
+		if err != nil {
+			t.Fatalf("threshold=%d: %v", threshold, err)
 		}
-	}
-	t.Log("threshold  discipline  cycles  requests  decryptBytes  fails")
-	for _, r := range rows {
-		name := "windowed"
-		if r.legacy {
-			name = "legacy"
+		t.Logf("%9d  %6d  %8d  %12d  %5d", threshold, tr.CyclesRun, tr.DecryptRequests, tr.DecryptBytes, tr.DecryptFailures)
+		if tr.DecryptFailures != 0 {
+			t.Errorf("threshold=%d: fault-free run reported %d decrypt failures", threshold, tr.DecryptFailures)
 		}
-		t.Logf("%9d  %-10s  %6d  %8d  %12d  %5d", r.threshold, name, r.cycles, r.requests, r.bytes, r.fails)
-	}
-	for i := 0; i < len(rows); i += 2 {
-		legacy, windowed := rows[i], rows[i+1]
-		if legacy.fails != 0 || windowed.fails != 0 {
-			t.Fatalf("fault-free run reported decrypt failures: %+v / %+v", legacy, windowed)
+		if want := len(data) * threshold * iterations; tr.DecryptRequests != want {
+			t.Errorf("threshold=%d: %d decrypt requests, want n·threshold·iterations = %d", threshold, tr.DecryptRequests, want)
 		}
-		if windowed.cycles > legacy.cycles {
-			t.Errorf("threshold=%d: windowed completes later (%d > %d cycles)", windowed.threshold, windowed.cycles, legacy.cycles)
-		}
-		if windowed.bytes > legacy.bytes {
-			t.Errorf("threshold=%d: windowed sends more decrypt bytes (%d > %d)", windowed.threshold, windowed.bytes, legacy.bytes)
-		}
-		if windowed.requests > legacy.requests {
-			t.Errorf("threshold=%d: windowed sends more requests (%d > %d)", windowed.threshold, windowed.requests, legacy.requests)
+		if tr.CyclesRun > wantCycles {
+			t.Errorf("threshold=%d: completed in %d cycles, want at most %d", threshold, tr.CyclesRun, wantCycles)
 		}
 	}
 }

@@ -173,7 +173,6 @@ func TestDJMaterialSparseShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer full.(interface{ Close() }).Close()
-	codec := full.(suiteWireCodec)
 	want := []int64{0, 1, 424242}
 	ciphers := make([]Cipher, len(want))
 	for i, v := range want {
@@ -181,11 +180,11 @@ func TestDJMaterialSparseShares(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	buf, err := codec.MarshalCipherVector(ciphers)
+	buf, err := full.MarshalCipherVector(ciphers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := codec.UnmarshalCipherVector(buf)
+	back, err := full.UnmarshalCipherVector(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +196,11 @@ func TestDJMaterialSparseShares(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		pbuf, err := codec.MarshalPartialValues(row)
+		pbuf, err := full.MarshalPartialValues(row)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if parts[p-1], err = codec.UnmarshalPartialValues(p, pbuf); err != nil {
+		if parts[p-1], err = full.UnmarshalPartialValues(p, pbuf); err != nil {
 			t.Fatal(err)
 		}
 	}

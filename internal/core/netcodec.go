@@ -27,27 +27,7 @@ const (
 	netDecryptResponse byte = 0x03
 )
 
-// suiteWireCodec is the optional CipherSuite extension a networked run
-// requires: stable byte encodings for cipher vectors and for
-// partial-decryption values. The accounted plain suite implements it
-// over the wire residue-vector artifact; the Damgård–Jurik suite over
-// the ciphertext-vector artifact (suite_dj.go) — its processes share a
-// key via the pre-epoch distributed key ceremony, each holding only its
-// own share (Params.DJMaterial).
-type suiteWireCodec interface {
-	// MarshalCipherVector encodes a vector of this suite's ciphers.
-	MarshalCipherVector(cs []Cipher) ([]byte, error)
-	// UnmarshalCipherVector decodes and validates a cipher vector.
-	UnmarshalCipherVector(buf []byte) ([]Cipher, error)
-	// MarshalPartialValues encodes the values of a partial-decryption
-	// vector (the shared responder index travels separately).
-	MarshalPartialValues(ps []Partial) ([]byte, error)
-	// UnmarshalPartialValues decodes partial values, stamping each with
-	// the responder's key-share index.
-	UnmarshalPartialValues(index int, buf []byte) ([]Partial, error)
-}
-
-// MarshalCipherVector implements suiteWireCodec: accounted ciphers are
+// MarshalCipherVector implements CipherSuite: accounted ciphers are
 // ring residues, encoded fixed-width against the plaintext modulus.
 func (s *plainSuite) MarshalCipherVector(cs []Cipher) ([]byte, error) {
 	vs := make([]*big.Int, len(cs))
@@ -61,7 +41,7 @@ func (s *plainSuite) MarshalCipherVector(cs []Cipher) ([]byte, error) {
 	return wire.MarshalResidueVector(s.m, vs)
 }
 
-// UnmarshalCipherVector implements suiteWireCodec. Every decoded
+// UnmarshalCipherVector implements CipherSuite. Every decoded
 // residue is ring-validated by the wire layer; the returned ciphers are
 // freshly allocated, never aliasing arena scratch.
 func (s *plainSuite) UnmarshalCipherVector(buf []byte) ([]Cipher, error) {
@@ -76,7 +56,7 @@ func (s *plainSuite) UnmarshalCipherVector(buf []byte) ([]Cipher, error) {
 	return out, nil
 }
 
-// MarshalPartialValues implements suiteWireCodec: accounted partials
+// MarshalPartialValues implements CipherSuite: accounted partials
 // are ring residues too (the shared plaintext under threshold
 // semantics).
 func (s *plainSuite) MarshalPartialValues(ps []Partial) ([]byte, error) {
@@ -90,7 +70,7 @@ func (s *plainSuite) MarshalPartialValues(ps []Partial) ([]byte, error) {
 	return wire.MarshalResidueVector(s.m, vs)
 }
 
-// UnmarshalPartialValues implements suiteWireCodec.
+// UnmarshalPartialValues implements CipherSuite.
 func (s *plainSuite) UnmarshalPartialValues(index int, buf []byte) ([]Partial, error) {
 	vs, err := wire.UnmarshalResidueVector(s.m, buf)
 	if err != nil {
@@ -151,7 +131,7 @@ func (nd *Node) EncodePayload(payload any) ([]byte, error) {
 		var wb [8]byte
 		binary.BigEndian.PutUint64(wb[:], math.Float64bits(pl.Msg.W))
 		buf = wire.AppendBytes(buf, wb[:])
-		cv, err := nd.codec.MarshalCipherVector(pl.Msg.V)
+		cv, err := nd.rs.suite.MarshalCipherVector(pl.Msg.V)
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +139,7 @@ func (nd *Node) EncodePayload(payload any) ([]byte, error) {
 	case *decryptRequest:
 		buf := []byte{netDecryptRequest}
 		buf = wire.AppendUint32(buf, uint32(pl.Iter))
-		cv, err := nd.codec.MarshalCipherVector(pl.Ciphers)
+		cv, err := nd.rs.suite.MarshalCipherVector(pl.Ciphers)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +151,7 @@ func (nd *Node) EncodePayload(payload any) ([]byte, error) {
 		buf := []byte{netDecryptResponse}
 		buf = wire.AppendUint32(buf, uint32(pl.Iter))
 		buf = wire.AppendUint32(buf, uint32(pl.Partials[0].Index))
-		pv, err := nd.codec.MarshalPartialValues(pl.Partials)
+		pv, err := nd.rs.suite.MarshalPartialValues(pl.Partials)
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +213,7 @@ func (nd *Node) DecodePayload(buf []byte) (any, error) {
 		if err := fr.Done(); err != nil {
 			return nil, err
 		}
-		cs, err := nd.codec.UnmarshalCipherVector(cv)
+		cs, err := nd.rs.suite.UnmarshalCipherVector(cv)
 		if err != nil {
 			return nil, err
 		}
@@ -253,7 +233,7 @@ func (nd *Node) DecodePayload(buf []byte) (any, error) {
 		if err := fr.Done(); err != nil {
 			return nil, err
 		}
-		cs, err := nd.codec.UnmarshalCipherVector(cv)
+		cs, err := nd.rs.suite.UnmarshalCipherVector(cv)
 		if err != nil {
 			return nil, err
 		}
@@ -277,7 +257,7 @@ func (nd *Node) DecodePayload(buf []byte) (any, error) {
 		if err := fr.Done(); err != nil {
 			return nil, err
 		}
-		ps, err := nd.codec.UnmarshalPartialValues(idx, pv)
+		ps, err := nd.rs.suite.UnmarshalPartialValues(idx, pv)
 		if err != nil {
 			return nil, err
 		}

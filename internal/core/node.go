@@ -19,9 +19,8 @@ import (
 // trajectory the sequential engine discloses at the same seed — the
 // property the conformance harness asserts.
 type Node struct {
-	rs    *runSetup
-	pt    *participant
-	codec suiteWireCodec
+	rs *runSetup
+	pt *participant
 }
 
 // NewNode builds the participant with the given id for a networked run
@@ -54,12 +53,7 @@ func NewNode(data [][]float64, params Params, id int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec, ok := rs.suite.(suiteWireCodec)
-	if !ok {
-		rs.close()
-		return nil, fmt.Errorf("core: backend %q has no wire codec", rs.suite.Name())
-	}
-	return &Node{rs: rs, pt: rs.newParticipant(p2p.NodeID(id)), codec: codec}, nil
+	return &Node{rs: rs, pt: rs.newParticipant(p2p.NodeID(id))}, nil
 }
 
 // ID returns the node's participant id.

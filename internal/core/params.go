@@ -187,13 +187,6 @@ type Params struct {
 	// (peers drift), so it gets a much larger pre-scaling allowance plus
 	// decode-time overflow detection.
 	asyncEngine bool
-
-	// legacyDecryptAsk restores the pre-window decrypt request
-	// discipline (threshold+1 fresh peers every waiting cycle, drawn
-	// without replacement). Only the package's A/B stress tests set it —
-	// it exists to keep the old discipline measurable next to the
-	// outstanding-request window.
-	legacyDecryptAsk bool
 }
 
 // withDefaults returns a copy with defaults applied for a population of n
@@ -499,7 +492,7 @@ type batchAdder interface {
 	AddAll(acc Cipher, vs []Cipher) (Cipher, error)
 }
 
-// AddAll implements gossip.BatchRing.
+// AddAll implements gossip.Ring.
 func (r *cipherRing) AddAll(acc Cipher, vs []Cipher) Cipher {
 	if ba, ok := r.suite.(batchAdder); ok {
 		out, err := ba.AddAll(acc, vs)
@@ -514,8 +507,6 @@ func (r *cipherRing) AddAll(acc Cipher, vs []Cipher) Cipher {
 	}
 	return out
 }
-
-var _ gossip.BatchRing[Cipher] = (*cipherRing)(nil)
 
 // mutCipherSuite is the optional CipherSuite extension behind the
 // zero-allocation gossip hot path: in-place variants of the ring

@@ -205,10 +205,10 @@ type runShared struct {
 	layout        *fixedpoint.SlotLayout // slot packing of the encrypted side (nil = unpacked)
 	decodeBound   float64                // max plausible |decoded| per coordinate
 	centroidBytes int
-	// validator is non-nil only when the fault plan contains byzantine
+	// validate is set only when the fault plan contains byzantine
 	// senders: incoming gossip messages are then validated cipher by
 	// cipher before absorption (the wire-hardening path).
-	validator cipherValidator
+	validate bool
 	// mut is the suite's in-place extension when the run qualifies for
 	// the zero-allocation gossip hot path (accounted backend,
 	// cycle-driven engine, no fault plan — see prepareRun); nil keeps
@@ -678,13 +678,13 @@ type byzForeignCipher struct{}
 // wireValid is the byzantine-hardening gate on incoming gossip: the
 // push-sum weight must be finite, non-negative and population-bounded,
 // and every cipher must validate under the suite. Only runs when the
-// fault plan declares byzantine senders (runShared.validator non-nil).
+// fault plan declares byzantine senders (runShared.validate).
 func (pt *participant) wireValid(m *gossip.Message[Cipher]) bool {
 	if math.IsNaN(m.W) || math.IsInf(m.W, 0) || m.W < 0 || m.W > float64(pt.run.population) {
 		return false
 	}
 	for _, c := range m.V {
-		if pt.run.validator.ValidateCipher(c) != nil {
+		if pt.run.suite.ValidateCipher(c) != nil {
 			return false
 		}
 	}
@@ -731,7 +731,7 @@ func (pt *participant) handleGossips(ctx Env, gs []*gossipPayload) {
 				pt.staleDrops++ // what Absorb would have rejected
 				continue
 			}
-			if r.validator != nil && !pt.wireValid(g.Msg) {
+			if r.validate && !pt.wireValid(g.Msg) {
 				pt.staleDrops++ // byzantine wire input: rejected
 				continue
 			}
@@ -747,7 +747,7 @@ func (pt *participant) handleGossips(ctx Env, gs []*gossipPayload) {
 			if g.Iter >= len(r.epsSched) || g.Msg == nil ||
 				len(g.Msg.V) != 2*r.sideCiphers ||
 				!validShape(g.Centroids, r.params.K, r.dim) ||
-				(r.validator != nil && !pt.wireValid(g.Msg)) {
+				(r.validate && !pt.wireValid(g.Msg)) {
 				// Malformed sync payloads (wrong-length vectors included)
 				// must not be able to force the iteration jump — the
 				// same-iteration path length-checks before absorbing, so
@@ -810,24 +810,11 @@ func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 		return
 	}
 	// Step 2d: ask peers for partial decryptions, keeping only `missing`
-	// asks in flight instead of blasting threshold+1 fresh peers every
-	// cycle (the legacy discipline, kept for A/B stress tests).
+	// asks in flight.
 	missing := r.suite.Threshold() - len(pt.partials)
 	req := &decryptRequest{Iter: pt.iter, Ciphers: pt.pendingCT}
 	bytes := len(pt.pendingCT)*r.suite.CipherBytes() + 8
-	if r.params.legacyDecryptAsk {
-		for _, peer := range ctx.RandomPeers(missing + 1) {
-			if pt.asked[peer] {
-				continue
-			}
-			pt.asked[peer] = true
-			pt.decryptReqs++
-			pt.decryptReqBytes += int64(bytes)
-			_ = ctx.Send(peer, req, bytes)
-		}
-	} else {
-		pt.topUpAsks(ctx, missing, req, bytes)
-	}
+	pt.topUpAsks(ctx, missing, req, bytes)
 	pt.waitCycles++
 	if pt.waitCycles > r.params.DecryptWindow {
 		// Could not assemble a quorum (heavy churn): degrade by keeping
@@ -849,11 +836,6 @@ const askTTL = 3
 // the window again holds `missing` asks (progressively more as the
 // quorum drags) or the candidate pool is exhausted.
 func (pt *participant) topUpAsks(ctx Env, missing int, req *decryptRequest, bytes int) {
-	if pt.outstanding == nil {
-		// Restored snapshots may re-enter the decrypt phase without a
-		// window (pre-v2 snapshots carry none).
-		pt.outstanding = make(map[p2p.NodeID]int)
-	}
 	for peer, ttl := range pt.outstanding {
 		if ttl <= 1 {
 			// Expired unanswered: the peer may have crashed, rejoined, or
@@ -869,9 +851,8 @@ func (pt *participant) topUpAsks(ctx Env, missing int, req *decryptRequest, byte
 	}
 	// Progressive escalation: each elapsed TTL without a settled quorum
 	// widens the window by one, so dead or slow responders cannot
-	// serialize the remaining waves — and a window burning toward its
-	// deadline converges on the legacy discipline's redundancy instead
-	// of failing lean.
+	// serialize the remaining waves, and a window burning toward its
+	// deadline grows redundant instead of failing lean.
 	target := missing + pt.waitCycles/askTTL
 	need := target - len(pt.outstanding)
 	if need <= 0 {
@@ -1048,32 +1029,10 @@ func (pt *participant) decodeAll() ([]float64, error) {
 	// Assemble the per-responder partial sets in ascending share-index
 	// order — the map's iteration order must never reach Combine, or the
 	// responder-set cache keys (and OpCounts profiles) go nondeterministic.
-	responders := pt.sortedResponders()
-	var plains []*big.Int
-	if cc, ok := r.suite.(columnCombiner); ok {
-		// Column fast path: the responder set is resolved once for the
-		// whole pending vector instead of per ciphertext.
-		var err error
-		plains, err = cc.CombineColumns(responders, len(pt.pendingCT))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Per-cipher fallback for suites without the extension. The column
-		// is one reused scratch across all pending ciphers — Combine never
-		// retains it.
-		plains = make([]*big.Int, len(pt.pendingCT))
-		parts := make([]Partial, len(responders))
-		for i := range pt.pendingCT {
-			for j, rp := range responders {
-				parts[j] = rp[i]
-			}
-			m, err := r.suite.Combine(parts)
-			if err != nil {
-				return nil, err
-			}
-			plains[i] = m
-		}
+	// The set is resolved once for the whole pending vector.
+	plains, err := r.suite.CombineColumns(pt.sortedResponders(), len(pt.pendingCT))
+	if err != nil {
+		return nil, err
 	}
 	if r.layout != nil {
 		return pt.decodePacked(plains, w, denom)

@@ -373,14 +373,6 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 	// by the largest coordinate bound plus noise, with slack. Anything
 	// beyond signals a broken gossip invariant and fails the decode.
 	decodeBound := 4 * (coordBound + noiseBound)
-	// Byzantine fault plans turn on wire validation of incoming gossip:
-	// every absorbed message's weight and ciphertexts are checked before
-	// they can touch the push-sum state. The honest-run hot path stays
-	// validation-free (trajectory and cost unchanged).
-	var validator cipherValidator
-	if p.Faults.HasByzantine() {
-		validator, _ = suite.(cipherValidator)
-	}
 	// The zero-allocation gossip hot path (arena residues mutated in
 	// place, double-buffered emit messages) requires the bulk-synchronous
 	// delivery guarantee that every message is consumed within one cycle
@@ -413,8 +405,12 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 		layout:        layout,
 		decodeBound:   decodeBound,
 		centroidBytes: p.K * dim * 8,
-		validator:     validator,
-		mut:           mut,
+		// Byzantine fault plans turn on wire validation of incoming gossip:
+		// every absorbed message's weight and ciphertexts are checked before
+		// they can touch the push-sum state. The honest-run hot path stays
+		// validation-free (trajectory and cost unchanged).
+		validate: p.Faults.HasByzantine(),
+		mut:      mut,
 	}
 
 	setupOK = true

@@ -45,7 +45,8 @@ type DecryptAllocReport struct {
 // accumulating runtime.MemStats deltas for the decrypt-classified
 // cycles only. Unlike the gossip measurement it cannot prove zero —
 // the decrypt phase's big.Int arithmetic allocates by nature — so it
-// reports the per-cycle average for the CI regression gate instead.
+// reports the per-cycle average (bench/'s core.decrypt_allocs_per_cycle;
+// TestMeasureDecryptAllocs holds it under a ceiling) instead.
 func MeasureDecryptAllocs(data [][]float64, params Params) (*DecryptAllocReport, error) {
 	rs, err := prepareRun(data, params)
 	if err != nil {
@@ -92,9 +93,9 @@ func MeasureDecryptAllocs(data [][]float64, params Params) (*DecryptAllocReport,
 // MeasureGossipAllocs builds a sequential cycle-driven run over data,
 // warms it into gossip steady state, and measures the heap allocations
 // of whole network cycles — every participant's emit and absorb — via
-// runtime.MemStats deltas. It is the measurement behind the
-// -bench-scale CLI mode and the CI allocation-regression gate; the
-// in-core test suite proves the same property with testing.AllocsPerRun.
+// runtime.MemStats deltas. It is the measurement bench/ prints beside
+// its per-layer table; the in-core test suite proves the same property
+// with testing.AllocsPerRun.
 //
 // params.GossipRounds must exceed warm+measure+1 so the whole window
 // stays inside the first iteration's gossip phase; the run is abandoned

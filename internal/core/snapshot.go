@@ -115,7 +115,7 @@ func (nd *Node) Snapshot() ([]byte, error) {
 	if p.diptych.Means != nil && (p.phase == phaseGossip || p.phase == phaseDecrypt) {
 		st = wire.AppendUint32(st, 1)
 		st = appendU64Field(st, math.Float64bits(p.diptych.Means.Weight()))
-		cv, err := nd.codec.MarshalCipherVector(p.diptych.Means.Values())
+		cv, err := nd.rs.suite.MarshalCipherVector(p.diptych.Means.Values())
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot push-sum state: %w", err)
 		}
@@ -129,7 +129,7 @@ func (nd *Node) Snapshot() ([]byte, error) {
 	// empty vector never occurs.
 	if p.pendingCT != nil {
 		st = wire.AppendUint32(st, 1)
-		cv, err := nd.codec.MarshalCipherVector(p.pendingCT)
+		cv, err := nd.rs.suite.MarshalCipherVector(p.pendingCT)
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot pending ciphertexts: %w", err)
 		}
@@ -148,7 +148,7 @@ func (nd *Node) Snapshot() ([]byte, error) {
 	st = wire.AppendUint32(st, uint32(len(idxs)))
 	for _, idx := range idxs {
 		st = wire.AppendUint32(st, uint32(idx))
-		pv, err := nd.codec.MarshalPartialValues(p.partials[idx])
+		pv, err := nd.rs.suite.MarshalPartialValues(p.partials[idx])
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot partials: %w", err)
 		}
@@ -388,7 +388,7 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if err != nil {
 			return snapErr("push-sum vector: %v", err)
 		}
-		cs, err := nd.codec.UnmarshalCipherVector(cv)
+		cs, err := nd.rs.suite.UnmarshalCipherVector(cv)
 		if err != nil {
 			return snapErr("push-sum vector: %v", err)
 		}
@@ -424,7 +424,7 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if err != nil {
 			return snapErr("pending ciphertexts: %v", err)
 		}
-		cs, err := nd.codec.UnmarshalCipherVector(cv)
+		cs, err := nd.rs.suite.UnmarshalCipherVector(cv)
 		if err != nil {
 			return snapErr("pending ciphertexts: %v", err)
 		}
@@ -464,7 +464,7 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if err != nil {
 			return snapErr("partial values: %v", err)
 		}
-		ps, err := nd.codec.UnmarshalPartialValues(idx, pv)
+		ps, err := nd.rs.suite.UnmarshalPartialValues(idx, pv)
 		if err != nil {
 			return snapErr("partial values: %v", err)
 		}

@@ -52,28 +52,6 @@ type OpCounts struct {
 	PartialCacheHits int64
 }
 
-// columnCombiner is the optional CipherSuite extension behind the
-// decrypt-phase fast path: open a whole pending-cipher vector against
-// one responder set, resolving the set (validation, Lagrange/multiexp
-// plan on the real backend) once instead of per ciphertext. sets[j] is
-// responder j's per-cipher partials — all carrying sets[j][0].Index —
-// ordered ascending by share index across j; count is the common cipher
-// count. Results and operation counts are identical to count separate
-// Combine calls over the per-cipher columns.
-type columnCombiner interface {
-	CombineColumns(sets [][]Partial, count int) ([]*big.Int, error)
-}
-
-// cipherValidator is the optional CipherSuite extension behind the wire
-// hardening: ValidateCipher rejects values that are not well-formed
-// ciphertexts of the suite (foreign types, out-of-ring residues,
-// out-of-range group elements) without touching any homomorphic state.
-// Byzantine fault plans (internal/simnet) enable per-message validation
-// of incoming gossip through it.
-type cipherValidator interface {
-	ValidateCipher(c Cipher) error
-}
-
 // CipherSuite is the encryption abstraction Chiaroscuro needs
 // (Sec. II.A): semantic security is the backend's concern; additive
 // homomorphism and collaborative decryption by any sufficiently large
@@ -104,6 +82,39 @@ type CipherSuite interface {
 	// Combine opens a ciphertext from at least Threshold distinct
 	// partials (all for the same ciphertext).
 	Combine(parts []Partial) (*big.Int, error)
+	// CombineColumns opens a whole pending-cipher vector against one
+	// responder set, resolving the set (validation, Lagrange/multiexp
+	// plan on the real backend) once instead of per ciphertext. sets[j]
+	// is responder j's per-cipher partials — all carrying
+	// sets[j][0].Index — ordered ascending by share index across j;
+	// count is the common cipher count. Results and operation counts are
+	// identical to count separate Combine calls over the per-cipher
+	// columns.
+	CombineColumns(sets [][]Partial, count int) ([]*big.Int, error)
+
+	// ValidateCipher rejects values that are not well-formed ciphertexts
+	// of the suite (foreign types, out-of-ring residues, out-of-range
+	// group elements) without touching any homomorphic state. Byzantine
+	// fault plans (internal/simnet) enable per-message validation of
+	// incoming gossip through it.
+	ValidateCipher(c Cipher) error
+
+	// The wire codec a networked run moves ciphers and partials with
+	// (netcodec.go): the accounted suite encodes residue vectors, the
+	// Damgård–Jurik suite ciphertext vectors — its processes share a key
+	// via the pre-epoch distributed key ceremony, each holding only its
+	// own share (Params.DJMaterial).
+	//
+	// MarshalCipherVector encodes a vector of this suite's ciphers.
+	MarshalCipherVector(cs []Cipher) ([]byte, error)
+	// UnmarshalCipherVector decodes and validates a cipher vector.
+	UnmarshalCipherVector(buf []byte) ([]Cipher, error)
+	// MarshalPartialValues encodes the values of a partial-decryption
+	// vector (the shared responder index travels separately).
+	MarshalPartialValues(ps []Partial) ([]byte, error)
+	// UnmarshalPartialValues decodes partial values, stamping each with
+	// the responder's key-share index.
+	UnmarshalPartialValues(index int, buf []byte) ([]Partial, error)
 
 	// Counts returns a snapshot of the operation counters.
 	Counts() OpCounts

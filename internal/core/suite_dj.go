@@ -96,10 +96,10 @@ func newDJSuite(tk *damgardjurik.ThresholdKey, shares []damgardjurik.KeyShare) (
 	}, nil
 }
 
-// ValidateCipher implements the cipherValidator extension: the value
-// must be a big.Int in the multiplicative ciphertext range (0, n^{s+1})
-// — the same bound the homomorphic operations enforce, checked here
-// without counting as an operation.
+// ValidateCipher implements CipherSuite: the value must be a big.Int in
+// the multiplicative ciphertext range (0, n^{s+1}) — the same bound the
+// homomorphic operations enforce, checked here without counting as an
+// operation.
 func (s *djSuite) ValidateCipher(c Cipher) error {
 	cc, ok := c.(*big.Int)
 	if !ok {
@@ -213,7 +213,7 @@ func (s *djSuite) Combine(parts []Partial) (*big.Int, error) {
 	return s.tk.Combine(djParts)
 }
 
-// CombineColumns implements columnCombiner: it opens count ciphertexts
+// CombineColumns implements CipherSuite: it opens count ciphertexts
 // against one responder set, resolving the set's combine plan (Lagrange
 // coefficients, sign split, multiexp digit schedule) once via
 // CombineContext and replaying it per ciphertext. sets beyond the
@@ -259,7 +259,7 @@ func (s *djSuite) CombineColumns(sets [][]Partial, count int) ([]*big.Int, error
 	return out, nil
 }
 
-// MarshalCipherVector implements suiteWireCodec: Damgård–Jurik ciphers
+// MarshalCipherVector implements CipherSuite: Damgård–Jurik ciphers
 // are units mod n^{s+1}, encoded fixed-width via the wire
 // ciphertext-vector artifact.
 func (s *djSuite) MarshalCipherVector(cs []Cipher) ([]byte, error) {
@@ -274,7 +274,7 @@ func (s *djSuite) MarshalCipherVector(cs []Cipher) ([]byte, error) {
 	return wire.MarshalCiphertextVector(&s.tk.PublicKey, vs)
 }
 
-// UnmarshalCipherVector implements suiteWireCodec. Every decoded value
+// UnmarshalCipherVector implements CipherSuite. Every decoded value
 // is range-checked against the ciphertext modulus by the wire layer.
 func (s *djSuite) UnmarshalCipherVector(buf []byte) ([]Cipher, error) {
 	vs, err := wire.UnmarshalCiphertextVector(&s.tk.PublicKey, buf)
@@ -288,7 +288,7 @@ func (s *djSuite) UnmarshalCipherVector(buf []byte) ([]Cipher, error) {
 	return out, nil
 }
 
-// MarshalPartialValues implements suiteWireCodec: partial decryptions
+// MarshalPartialValues implements CipherSuite: partial decryptions
 // c^{2Δ·s_i} live in the same group as ciphertexts, so they share the
 // ciphertext-vector artifact and its range validation.
 func (s *djSuite) MarshalPartialValues(ps []Partial) ([]byte, error) {
@@ -302,7 +302,7 @@ func (s *djSuite) MarshalPartialValues(ps []Partial) ([]byte, error) {
 	return wire.MarshalCiphertextVector(&s.tk.PublicKey, vs)
 }
 
-// UnmarshalPartialValues implements suiteWireCodec.
+// UnmarshalPartialValues implements CipherSuite.
 func (s *djSuite) UnmarshalPartialValues(index int, buf []byte) ([]Partial, error) {
 	vs, err := wire.UnmarshalCiphertextVector(&s.tk.PublicKey, buf)
 	if err != nil {

@@ -157,9 +157,8 @@ func (s *plainSuite) Halve(c Cipher) (Cipher, error) {
 	return plainCipher{v: out}, nil
 }
 
-// ValidateCipher implements the cipherValidator extension: a plain
-// "ciphertext" is valid iff it is this suite's residue type, reduced
-// into the ring.
+// ValidateCipher implements CipherSuite: a plain "ciphertext" is valid
+// iff it is this suite's residue type, reduced into the ring.
 func (s *plainSuite) ValidateCipher(c Cipher) error {
 	cc, ok := c.(plainCipher)
 	if !ok {
@@ -245,7 +244,7 @@ func (s *plainSuite) Combine(parts []Partial) (*big.Int, error) {
 	return new(big.Int).Set(parts[0].Value), nil
 }
 
-// CombineColumns implements columnCombiner: the accounted equivalent of
+// CombineColumns implements CipherSuite: the accounted equivalent of
 // count Combine calls over per-cipher columns of the given responder
 // sets. Validation matches Combine — index range, distinctness (here:
 // strictly ascending set order), nil values, and per-column agreement

@@ -13,8 +13,8 @@
 //
 // # Known drift against the simulator (E5b cross-check)
 //
-// scalecheck_test.go compares the projection against a real measured
-// N=100k run (the committed BENCH_scale.json v2). The structural counts
+// scalecheck_test.go compares the projection against a live sharded
+// simulator run of the scale workload's shape. The structural counts
 // — messages per participant and decrypt requests — are exact. The byte
 // totals under-project slightly: the projection charges 8 bytes of
 // envelope per gossip message (the push-sum weight) and none per
@@ -323,10 +323,9 @@ type Report struct {
 
 	// DecryptRequests and DecryptBytes are the decrypt-phase slice of
 	// the per-participant message and byte totals (requests sent plus
-	// responses served) — the columns the simulator records in
-	// BENCH_scale.json v2, broken out so the projection can be
-	// cross-checked against a real measured run (see
-	// scalecheck_test.go).
+	// responses served) — the simulator's Trace.DecryptRequests and
+	// Trace.DecryptBytes, broken out so the projection can be
+	// cross-checked against a live run (see scalecheck_test.go).
 	DecryptRequests int
 	DecryptBytes    int64
 }

@@ -1,51 +1,39 @@
 package costmodel
 
 import (
-	"encoding/json"
 	"math"
-	"os"
 	"testing"
 
-	"chiaroscuro/internal/benchcfg"
 	"chiaroscuro/internal/core"
+	"chiaroscuro/internal/datasets"
+	"chiaroscuro/internal/timeseries"
 )
 
-// scaleArtifact mirrors the BENCH_scale.json v2 fields the cross-check
-// needs (the full schema lives in cmd/chiaroscuro/benchscale.go).
-type scaleArtifact struct {
-	Schema string
-	Runs   []struct {
-		Name            string
-		Engine          string
-		N               int
-		Dim             int
-		K               int
-		Iterations      int
-		Packed          bool
-		MessagesSent    int
-		BytesSent       int64
-		DecryptRequests int
-		DecryptBytes    int64
-	}
-}
-
 // TestProjectionMatchesMeasuredScaleRun is experiment E5b's cross-check:
-// the cost projection, fed the exact benchcfg workload shape, must land
-// within a tolerance band of the real simulator's measured N=100k run
-// (the committed BENCH_scale.json v2) — messages and decrypt requests
-// exactly, bytes within 10% (see the package doc's drift note for where
-// the residual envelope-overhead difference comes from).
+// the cost projection, fed the scale workload's shape (the one bench/'s
+// sim-wide runs: accounted backend, sharded engine, CER-like series of 4
+// samples, K=2, 2 iterations, 12 gossip rounds, threshold 8), must land
+// within a tolerance band of a live simulator run of that shape, packed
+// and unpacked — messages and decrypt requests exactly, bytes within 10%
+// (see the package doc's drift note for where the residual
+// envelope-overhead difference comes from). Per-participant counts are
+// population-independent, so a tier-1-sized N checks what N=100k would.
 func TestProjectionMatchesMeasuredScaleRun(t *testing.T) {
-	buf, err := os.ReadFile("../../BENCH_scale.json")
-	if err != nil {
-		t.Skipf("no committed BENCH_scale.json: %v", err)
+	const n, dim = 2000, 4
+	params := core.Params{
+		K: 2, Epsilon: 50, Iterations: 2, Seed: 1,
+		GossipRounds: 12, DecryptThreshold: 8,
 	}
-	var art scaleArtifact
-	if err := json.Unmarshal(buf, &art); err != nil {
+	d, err := datasets.CER(datasets.CEROptions{N: n, Dim: dim, Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if art.Schema != "chiaroscuro-bench-scale/v2" {
-		t.Skipf("artifact schema %q, cross-check pins v2", art.Schema)
+	set := make([]timeseries.Series, n)
+	for i, s := range d.Series {
+		set[i] = s
+	}
+	if _, err := timeseries.NormalizeMinMax(set); err != nil {
+		t.Fatal(err)
 	}
 
 	// The accounted backend simulates 1024-bit Damgård–Jurik at s=1:
@@ -54,7 +42,7 @@ func TestProjectionMatchesMeasuredScaleRun(t *testing.T) {
 	prof := &CryptoProfile{KeyBits: modulusBits, CiphertextBytes: 2 * modulusBits / 8}
 	// The accounted backend's actual plaintext ring is NewPlainSuite's
 	// fixed 320-bit modulus (the key size only drives the wire-size
-	// accounting), so the measured run packed against 319 usable bits.
+	// accounting), so the run packs against 319 usable bits.
 	const plainBits = 320 - 1
 
 	within := func(t *testing.T, name string, got, want, tol float64) {
@@ -70,57 +58,54 @@ func TestProjectionMatchesMeasuredScaleRun(t *testing.T) {
 		}
 	}
 
-	checked := 0
-	for _, run := range art.Runs {
-		if run.Engine != benchcfg.ScaleEngine || run.N < 100000 {
-			continue
+	for _, packed := range []bool{false, true} {
+		name := "unpacked"
+		if packed {
+			name = "packed"
 		}
-		w := Workload{
-			Participants:     run.N,
-			K:                run.K,
-			Dim:              run.Dim,
-			Iterations:       run.Iterations,
-			GossipRounds:     benchcfg.ScaleGossipRounds,
-			DecryptThreshold: benchcfg.ScaleDecryptThreshold,
-		}
-		if run.Packed {
-			// Derive the packing factor from the identical rule the run
-			// itself used.
-			slots, err := core.PackedSlots(plainBits, run.N, run.Dim, core.Params{
-				K:                run.K,
-				Epsilon:          benchcfg.ScaleEpsilon,
-				Iterations:       run.Iterations,
-				Seed:             benchcfg.ScaleSeed,
-				GossipRounds:     benchcfg.ScaleGossipRounds,
-				DecryptThreshold: benchcfg.ScaleDecryptThreshold,
-			})
+		t.Run(name, func(t *testing.T) {
+			w := Workload{
+				Participants:     n,
+				K:                params.K,
+				Dim:              dim,
+				Iterations:       params.Iterations,
+				GossipRounds:     params.GossipRounds,
+				DecryptThreshold: params.DecryptThreshold,
+			}
+			p := params
+			p.Packed = packed
+			if packed {
+				// Derive the packing factor from the identical rule the
+				// run itself uses.
+				slots, err := core.PackedSlots(plainBits, n, dim, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.Slots = slots
+			}
+			rep, err := Project(prof, w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w.Slots = slots
-		}
-		rep, err := Project(prof, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(run.Name, func(t *testing.T) {
-			n := float64(run.N)
+			tr, err := core.RunSharded(d.Series, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Completed != n || tr.DecryptFailures != 0 {
+				t.Fatalf("live run: %d/%d completed, %d decrypt failures", tr.Completed, n, tr.DecryptFailures)
+			}
 			// Structural counts are exact: any deviation means the
 			// projection and the simulator disagree about the protocol.
-			if got, want := rep.MessagesSent*run.N, run.MessagesSent; got != want {
+			if got, want := rep.MessagesSent*n, tr.NetStats.MessagesSent; got != want {
 				t.Errorf("messages: projected %d, measured %d", got, want)
 			}
-			if got, want := rep.DecryptRequests*run.N, run.DecryptRequests; got != want {
+			if got, want := rep.DecryptRequests*n, tr.DecryptRequests; got != want {
 				t.Errorf("decrypt requests: projected %d, measured %d", got, want)
 			}
 			// Byte totals absorb per-message envelope overhead the
 			// projection only approximates — held to a 10% band.
-			within(t, "bytes sent", float64(rep.BytesSent)*n, float64(run.BytesSent), 0.10)
-			within(t, "decrypt bytes", float64(rep.DecryptBytes)*n, float64(run.DecryptBytes), 0.10)
+			within(t, "bytes sent", float64(rep.BytesSent)*n, float64(tr.NetStats.BytesSent), 0.10)
+			within(t, "decrypt bytes", float64(rep.DecryptBytes)*n, float64(tr.DecryptBytes), 0.10)
 		})
-		checked++
-	}
-	if checked == 0 {
-		t.Skip("no ≥100k sharded runs in the artifact")
 	}
 }

@@ -7,7 +7,7 @@
 // paper itself generates synthetically from the mathematical models of
 // Claret et al. (J. Clin. Onc. 2013).
 //
-// Following DESIGN.md §5, CER is substituted by an archetype-based
+// CER is therefore substituted by an archetype-based
 // synthetic generator producing household load curves with the same
 // dimensionality, value range and cluster structure (the demo clusters
 // load *shapes*), and NUMED is regenerated from the published Claret

@@ -1,12 +1,11 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment row of DESIGN.md §3 (E1–E11), each regenerating the
+// per experiment of the registry (E1–E11 and E13), each regenerating the
 // corresponding artefact of the demonstration paper — the Fig. 3 panels,
 // the quality-vs-centralized comparison, the cost measures, and the
 // gossip/churn/scaling behaviours the demo narrates.
 //
 // Each experiment returns a Table that cmd/expdriver prints as markdown
-// (the source of EXPERIMENTS.md) and that bench_test.go regenerates under
-// `go test -bench`.
+// and that experiments_test.go regenerates at a tiny scale.
 package experiments
 
 import (
@@ -45,7 +44,7 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// Scale reduces experiment sizes for quick runs (benchmarks use Quick).
+// Scale reduces experiment sizes for quick runs.
 type Scale struct {
 	// Population is the simulated population for protocol runs.
 	Population int
@@ -55,10 +54,10 @@ type Scale struct {
 	Repeats int
 }
 
-// Full is the scale used to produce EXPERIMENTS.md.
+// Full is the scale of a plain `go run ./cmd/expdriver`.
 var Full = Scale{Population: 500, Iterations: 6, Repeats: 2}
 
-// Quick is the scale used by benchmarks and smoke runs.
+// Quick is the scale of `expdriver -quick` smoke runs.
 var Quick = Scale{Population: 200, Iterations: 4, Repeats: 1}
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }

@@ -5,7 +5,7 @@ import "fmt"
 // Runner is one experiment entry point.
 type Runner func(Scale) (*Table, error)
 
-// Registry lists every experiment in DESIGN.md order.
+// Registry lists every experiment, in the order expdriver runs them.
 func Registry() []struct {
 	ID  string
 	Run Runner

@@ -40,17 +40,12 @@ type Ring[T any] interface {
 	Halve(a T) T
 	// Clone returns an independent copy of a.
 	Clone(a T) T
-}
-
-// BatchRing is an optional Ring extension for batched exchanges: AddAll
-// folds a whole column of message values into an accumulator in one
-// pass, sparing the intermediate results Add would allocate. The
-// arithmetic must be identical to left-folding Add over vs (same
-// operand order), so batched and sequential absorbs stay bit-identical.
-type BatchRing[T any] interface {
-	Ring[T]
 	// AddAll returns acc + vs[0] + vs[1] + ..., evaluated left to right,
-	// without mutating acc or any element of vs.
+	// without mutating acc or any element of vs. It folds a whole column
+	// of message values of a batched exchange in one pass, sparing the
+	// intermediate results Add would allocate; the arithmetic must be
+	// identical to left-folding Add over vs (same operand order), so
+	// batched and sequential absorbs stay bit-identical.
 	AddAll(acc T, vs []T) T
 }
 
@@ -233,12 +228,11 @@ func (s *State[T]) Absorb(m *Message[T]) error {
 
 // AbsorbAll merges a batch of received messages in one pass — the
 // batched exchange a shard worker performs when several same-iteration
-// messages are waiting in a node's inbox. When the ring implements
-// BatchRing, each coordinate is folded with a single accumulator
-// (allocation-free inner loop); otherwise it falls back to repeated
-// Adds. Either way the result is bit-identical to absorbing the
-// messages one by one in order, and the whole batch is validated before
-// any state is touched (all-or-nothing on malformed input).
+// messages are waiting in a node's inbox. Each coordinate is folded
+// with a single accumulator (Ring.AddAll). The result is bit-identical
+// to absorbing the messages one by one in order, and the whole batch is
+// validated before any state is touched (all-or-nothing on malformed
+// input).
 func (s *State[T]) AbsorbAll(ms []*Message[T]) error {
 	for _, m := range ms {
 		if m == nil {
@@ -254,34 +248,18 @@ func (s *State[T]) AbsorbAll(ms []*Message[T]) error {
 	case 1:
 		return s.Absorb(ms[0])
 	}
-	switch {
-	case s.mut != nil:
-		col := s.column(ms)
-		for i := range s.V {
-			for j, m := range ms {
-				col[j] = m.V[i]
-			}
-			s.mut.AddAllInPlace(s.V[i], col)
+	col := s.column(ms)
+	for i := range s.V {
+		for j, m := range ms {
+			col[j] = m.V[i]
 		}
-		s.releaseColumn(col)
-	default:
-		if br, ok := s.ring.(BatchRing[T]); ok {
-			col := s.column(ms)
-			for i := range s.V {
-				for j, m := range ms {
-					col[j] = m.V[i]
-				}
-				s.V[i] = br.AddAll(s.V[i], col)
-			}
-			s.releaseColumn(col)
+		if s.mut != nil {
+			s.mut.AddAllInPlace(s.V[i], col)
 		} else {
-			for _, m := range ms {
-				for i := range s.V {
-					s.V[i] = s.ring.Add(s.V[i], m.V[i])
-				}
-			}
+			s.V[i] = s.ring.AddAll(s.V[i], col)
 		}
 	}
+	s.releaseColumn(col)
 	for _, m := range ms {
 		s.W += m.W
 	}
@@ -345,7 +323,7 @@ func (FloatRing) Halve(a float64) float64 { return a / 2 }
 // Clone implements Ring.
 func (FloatRing) Clone(a float64) float64 { return a }
 
-// AddAll implements BatchRing. Float addition is not associative, so the
+// AddAll implements Ring. Float addition is not associative, so the
 // left-to-right order is load-bearing for bit-identity with sequential
 // absorbs.
 func (FloatRing) AddAll(acc float64, vs []float64) float64 {
@@ -354,8 +332,6 @@ func (FloatRing) AddAll(acc float64, vs []float64) float64 {
 	}
 	return acc
 }
-
-var _ BatchRing[float64] = FloatRing{}
 
 // uniformPeer draws a random peer for node i among n nodes, excluding i.
 func uniformPeer(rng *rand.Rand, n, i int) int {

@@ -190,7 +190,7 @@ func (r *ModRing) Halve(a *big.Int) *big.Int {
 // Clone implements Ring.
 func (r *ModRing) Clone(a *big.Int) *big.Int { return new(big.Int).Set(a) }
 
-// AddAll implements BatchRing with a single accumulator: operands are
+// AddAll implements Ring with a single accumulator: operands are
 // reduced residues, so each step needs only a conditional subtraction,
 // and the whole fold allocates one big.Int instead of one per addend.
 func (r *ModRing) AddAll(acc *big.Int, vs []*big.Int) *big.Int {
@@ -236,7 +236,4 @@ func (r *ModRing) AddAllInPlace(acc *big.Int, vs []*big.Int) {
 // SetInPlace implements MutRing.
 func (r *ModRing) SetInPlace(dst, src *big.Int) { dst.Set(src) }
 
-var (
-	_ BatchRing[*big.Int] = (*ModRing)(nil)
-	_ MutRing[*big.Int]   = (*ModRing)(nil)
-)
+var _ MutRing[*big.Int] = (*ModRing)(nil)
