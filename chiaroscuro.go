@@ -110,7 +110,7 @@ type Config struct {
 	// max(64, 4·GOMAXPROCS).
 	Workers int
 	// Packed packs multiple coordinates of the encrypted side into each
-	// ciphertext (slot packing): encrypts, gossip halvings, partial
+	// ciphertext (slot packing): encrypts, gossip refreshes, partial
 	// decryptions and wire bytes all shrink by the packing factor
 	// (~8–16× at a 1024-bit key). On the accounted backend, packed and
 	// unpacked runs disclose bit-identical centroids; see docs/CRYPTO.md
@@ -247,9 +247,17 @@ type NetworkCost struct {
 
 // CryptoOps counts homomorphic operations across all participants.
 type CryptoOps struct {
-	Encrypts        int64
-	Adds            int64
+	Encrypts int64
+	Adds     int64
+	// Halvings counts the cipher halvings of push-sum. Each is an
+	// increment of the exponent carried beside the ciphertexts plus one
+	// of Refreshes (the rerandomization of the copy that is sent) — not
+	// an operation inside the ciphertext. Doublings counts the modular
+	// squarings spent aligning exponents when shares halved a different
+	// number of times are merged (none in a synchronized round).
 	Halvings        int64
+	Doublings       int64
+	Refreshes       int64
 	PartialDecrypts int64
 	Combines        int64
 	// CombineCtxHits counts combines whose responder-set plan (Lagrange
@@ -362,6 +370,8 @@ func resultFromTrace(trace *core.Trace) *Result {
 			Encrypts:         trace.Ops.Encrypts,
 			Adds:             trace.Ops.Adds,
 			Halvings:         trace.Ops.Halvings,
+			Doublings:        trace.Ops.Doublings,
+			Refreshes:        trace.Ops.Refreshes,
 			PartialDecrypts:  trace.Ops.PartialDecrypts,
 			Combines:         trace.Ops.Combines,
 			CombineCtxHits:   trace.Ops.CombineCtxHits,

@@ -176,8 +176,8 @@ func main() {
 			res.Network.FaultDropped, res.Network.Duplicated, res.Network.Delayed,
 			res.Completed, *n)
 	}
-	fmt.Printf("crypto:   %d enc, %d add, %d halve, %d partial-dec, %d combine (%s)\n",
-		res.Crypto.Encrypts, res.Crypto.Adds, res.Crypto.Halvings,
+	fmt.Printf("crypto:   %d enc, %d add, %d refresh, %d double, %d partial-dec, %d combine (%s)\n",
+		res.Crypto.Encrypts, res.Crypto.Adds, res.Crypto.Refreshes, res.Crypto.Doublings,
 		res.Crypto.PartialDecrypts, res.Crypto.Combines, *backend)
 	if res.DecryptFailures > 0 {
 		fmt.Printf("warning:  %d decryption quorum failures (degraded iterations)\n", res.DecryptFailures)

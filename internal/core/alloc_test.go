@@ -246,12 +246,38 @@ func TestMeasureDecryptAllocs(t *testing.T) {
 // TestHotPathGateMatrix pins when the in-place hot path may engage:
 // never with a fault plan (delays and stalls break the message-
 // consumption bound the emit double-buffering relies on), never on the
-// async engine, never on the real backend.
+// async engine, never on the real backend. Where it does engage it is
+// an allocation profile, not a second protocol: the same run with the
+// path forced off discloses the same trace and counts the same
+// operations — encrypts, adds, the exponent's halvings, the doublings
+// that align skewed exponents (in place on one side, into fresh values
+// on the other) and the sent-copy refreshes.
 func TestHotPathGateMatrix(t *testing.T) {
 	data := allocTestData(t, 16)
 	base := allocTestParams(12)
 	base.DecryptThreshold = 3
+	base.Iterations = 3
 
+	run := func(name string, p Params, classic bool) *Trace {
+		t.Helper()
+		rs, err := prepareRun(data, p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		defer rs.close()
+		if classic {
+			rs.shared.mut = nil
+		}
+		d, err := newCycleDriver(data, rs, 1, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tr, err := d.run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return tr
+	}
 	check := func(name string, mutate func(*Params), want bool) {
 		t.Helper()
 		p := base
@@ -263,6 +289,20 @@ func TestHotPathGateMatrix(t *testing.T) {
 		defer rs.close()
 		if got := rs.shared.mut != nil; got != want {
 			t.Errorf("%s: hot path enabled = %v, want %v", name, got, want)
+		}
+		if !want {
+			return
+		}
+		hot, classic := run(name, p, false), run(name, p, true)
+		assertTracesBitIdentical(t, hot, classic, name+": in-place vs classic")
+		if hot.Ops != classic.Ops {
+			t.Errorf("%s: in-place path counted %+v, classic %+v", name, hot.Ops, classic.Ops)
+		}
+		if hot.Ops.Refreshes == 0 || hot.Ops.Halvings != hot.Ops.Refreshes {
+			t.Errorf("%s: %+v, want every halving the exponent's", name, hot.Ops)
+		}
+		if churn := p.ChurnCrashProb > 0; churn != (hot.Ops.Doublings > 0) {
+			t.Errorf("%s: %d doublings, want them exactly when churn skews the exponents", name, hot.Ops.Doublings)
 		}
 	}
 	check("plain fault-free", func(p *Params) {}, true)

@@ -322,21 +322,4 @@ func (e *asyncEnv) RandomPeer() (p2p.NodeID, bool) {
 	return p2p.NodeID(j), true
 }
 
-// RandomPeers implements Env.
-func (e *asyncEnv) RandomPeers(k int) []p2p.NodeID {
-	out := make([]p2p.NodeID, 0, k)
-	seen := map[p2p.NodeID]bool{e.id: true}
-	for attempts := 0; len(out) < k && attempts < 16*(k+1); attempts++ {
-		p, ok := e.RandomPeer()
-		if !ok {
-			break
-		}
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 var _ Env = (*asyncEnv)(nil)

@@ -378,8 +378,14 @@ func TestOpsCountedInPlainBackend(t *testing.T) {
 	if tr.Ops.Encrypts < wantEnc || tr.Ops.Encrypts > wantEnc+8 {
 		t.Fatalf("encrypts = %d, want ~%d", tr.Ops.Encrypts, wantEnc)
 	}
-	if tr.Ops.Halvings == 0 || tr.Ops.Adds == 0 || tr.Ops.PartialDecrypts == 0 || tr.Ops.Combines == 0 {
+	if tr.Ops.Refreshes == 0 || tr.Ops.Adds == 0 || tr.Ops.PartialDecrypts == 0 || tr.Ops.Combines == 0 {
 		t.Fatalf("ops not counted: %+v", tr.Ops)
+	}
+	// Every participant emits its 2·k·(dim+1)-cipher vector once per
+	// gossip round: that many halvings by the exponent, each refreshing
+	// the sent copy, none performed inside a ciphertext.
+	if want := int64(40 * 2 * 6 * 2 * 2 * (3 + 1)); tr.Ops.Refreshes != want || tr.Ops.Halvings != want {
+		t.Fatalf("refreshes = %d, halvings = %d, want %d each", tr.Ops.Refreshes, tr.Ops.Halvings, want)
 	}
 }
 

@@ -44,21 +44,6 @@ func (e *scriptedEnv) RandomPeer() (p2p.NodeID, bool) {
 	e.next++
 	return p, true
 }
-func (e *scriptedEnv) RandomPeers(k int) []p2p.NodeID {
-	out := make([]p2p.NodeID, 0, k)
-	seen := map[p2p.NodeID]bool{e.id: true}
-	for len(out) < k {
-		p, ok := e.RandomPeer()
-		if !ok {
-			break
-		}
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 var _ Env = (*scriptedEnv)(nil)
 
@@ -218,11 +203,16 @@ func TestServeDecryptMemoizesPartials(t *testing.T) {
 // pool (9 of 11 peers) under crash/rejoin churn, so a participant that
 // could never re-ask a crashed-then-rejoined peer would exhaust its
 // candidates in the first waves. The window's redraws and
-// expiry-release re-asks keep the failure total at or below the figure
-// measured when the window replaced the threshold+1-blast discipline
-// (47 across these ten seeds; the blast scored 77).
+// expiry-release re-asks keep every quorum alive: no iteration fails
+// across these ten seeds. (When the window replaced the
+// threshold+1-blast discipline the figure was 47 against the blast's 77,
+// but none of those 47 was a missed quorum: all were shares that a
+// crashed-and-rejoined participant had halved past the pre-scale budget,
+// decoding to implausible garbage. A participant no longer halves past
+// the budget — see stepGossip — so what is left is the window's own
+// failure count.)
 func TestDecryptChurnSmallPopulation(t *testing.T) {
-	const windowedFailures = 47
+	const windowedFailures = 0
 	data := blobs(12, 2, 2)
 	total := 0
 	for seed := int64(0); seed < 10; seed++ {

@@ -128,9 +128,12 @@ func (nd *Node) EncodePayload(payload any) ([]byte, error) {
 		buf := []byte{netGossip}
 		buf = wire.AppendUint32(buf, uint32(pl.Iter))
 		buf = appendFloats(buf, pl.Centroids)
-		var wb [8]byte
-		binary.BigEndian.PutUint64(wb[:], math.Float64bits(pl.Msg.W))
-		buf = wire.AppendBytes(buf, wb[:])
+		// Weight and halving exponent travel as one fixed 9-byte run, no
+		// length prefix: the exponent rides in one of the four bytes the
+		// weight's prefix used to take. It fits: a participant never emits
+		// past the halving budget, which NewNode caps at 255.
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(pl.Msg.W))
+		buf = append(buf, byte(pl.Msg.H))
 		cv, err := nd.rs.suite.MarshalCipherVector(pl.Msg.V)
 		if err != nil {
 			return nil, err
@@ -165,7 +168,8 @@ func (nd *Node) EncodePayload(payload any) ([]byte, error) {
 // Shape and range checks are strict against this node's run
 // configuration — iteration tags inside the schedule, centroid matrices
 // exactly K×dim of finite values, cipher vectors exactly the fused
-// length, push-sum weights finite and population-bounded — so a peer
+// length, push-sum weights finite and population-bounded, halving
+// exponents within the pre-scale budget — so a peer
 // that violates the protocol is rejected here with an error instead of
 // desynchronizing the participant state machine.
 func (nd *Node) DecodePayload(buf []byte) (any, error) {
@@ -195,16 +199,20 @@ func (nd *Node) DecodePayload(buf []byte) (any, error) {
 				}
 			}
 		}
-		wb, err := fr.Bytes()
+		wh, err := fr.Fixed(9)
 		if err != nil {
 			return nil, err
 		}
-		if len(wb) != 8 {
-			return nil, fmt.Errorf("core: weight field %d bytes, want 8", len(wb))
-		}
-		w := math.Float64frombits(binary.BigEndian.Uint64(wb))
+		w := math.Float64frombits(binary.BigEndian.Uint64(wh))
 		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 || w > float64(r.population) {
 			return nil, fmt.Errorf("core: implausible push-sum weight %g", w)
+		}
+		// The exponent prices the merge (up to h squarings per cipher) and
+		// past the budget the share decodes to nothing: a peer can buy
+		// neither.
+		h := uint(wh[8])
+		if h > r.preScale {
+			return nil, fmt.Errorf("core: halving exponent %d beyond the pre-scale budget %d", h, r.preScale)
 		}
 		cv, err := fr.Bytes()
 		if err != nil {
@@ -223,7 +231,7 @@ func (nd *Node) DecodePayload(buf []byte) (any, error) {
 		return &gossipPayload{
 			Iter:      iter,
 			Centroids: centroids,
-			Msg:       &gossip.Message[Cipher]{V: cs, W: w},
+			Msg:       &gossip.Message[Cipher]{V: cs, W: w, H: h},
 		}, nil
 	case netDecryptRequest:
 		cv, err := fr.Bytes()

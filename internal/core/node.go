@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 
 	"chiaroscuro/internal/p2p"
 )
@@ -48,6 +49,12 @@ func NewNode(data [][]float64, params Params, id int) (*Node, error) {
 	}
 	if params.Backend == BackendDamgardJurik && params.DJMaterial == nil {
 		return nil, errors.New("core: Damgård–Jurik daemons must run the key ceremony first (Params.DJMaterial)")
+	}
+	// The wire carries a share's halving exponent in one byte
+	// (EncodePayload), and the exponent never passes the halving budget.
+	if d := params.withDefaults(len(data)); d.preScaleBits() > math.MaxUint8 {
+		return nil, fmt.Errorf("core: gossip rounds %d need a halving budget of %d, networked runs carry at most %d",
+			d.GossipRounds, d.preScaleBits(), math.MaxUint8)
 	}
 	rs, err := prepareRun(data, params)
 	if err != nil {

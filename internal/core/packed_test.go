@@ -47,9 +47,9 @@ func TestPackedPlainBitIdenticalToUnpacked(t *testing.T) {
 		t.Fatalf("packing did not shrink wire bytes: %d vs %d",
 			seqPacked.NetStats.BytesSent, seq.NetStats.BytesSent)
 	}
-	if seqPacked.Ops.Halvings >= seq.Ops.Halvings {
-		t.Fatalf("packing did not shrink halvings: %d vs %d",
-			seqPacked.Ops.Halvings, seq.Ops.Halvings)
+	if seqPacked.Ops.Refreshes >= seq.Ops.Refreshes {
+		t.Fatalf("packing did not shrink sent-copy refreshes: %d vs %d",
+			seqPacked.Ops.Refreshes, seq.Ops.Refreshes)
 	}
 
 	for _, workers := range []int{1, 4} {
@@ -123,10 +123,12 @@ func TestPackedAsyncEngine(t *testing.T) {
 
 // TestPackedDamgardJurikOpReduction is the acceptance gate of ISSUE 3:
 // on the real Damgård–Jurik backend at a 512-bit key, packing must
-// perform at least 5× fewer Encrypt, Halve and PartialDecrypt operations
-// than the unpacked run — and still disclose the identical centroids
-// (threshold decryption is exact, so the packed integers decode to the
-// same aggregates).
+// perform at least 5× fewer Encrypt, Refresh (one per cipher per gossip
+// emission — what a halving costs now that the exponent does the
+// dividing) and PartialDecrypt operations than the unpacked run, no more
+// doublings — and still disclose the identical centroids (threshold
+// decryption is exact, so the packed integers decode to the same
+// aggregates).
 func TestPackedDamgardJurikOpReduction(t *testing.T) {
 	data := blobs(16, 4, 2)
 	base := Params{
@@ -151,8 +153,14 @@ func TestPackedDamgardJurikOpReduction(t *testing.T) {
 	if r := ratio(plain.Ops.Encrypts, pk.Ops.Encrypts); r < 5 {
 		t.Fatalf("encrypt reduction %.2fx < 5x (%d vs %d)", r, plain.Ops.Encrypts, pk.Ops.Encrypts)
 	}
-	if r := ratio(plain.Ops.Halvings, pk.Ops.Halvings); r < 5 {
-		t.Fatalf("halving reduction %.2fx < 5x (%d vs %d)", r, plain.Ops.Halvings, pk.Ops.Halvings)
+	if r := ratio(plain.Ops.Refreshes, pk.Ops.Refreshes); r < 5 {
+		t.Fatalf("refresh reduction %.2fx < 5x (%d vs %d)", r, plain.Ops.Refreshes, pk.Ops.Refreshes)
+	}
+	if plain.Ops.Halvings != plain.Ops.Refreshes || pk.Ops.Halvings != pk.Ops.Refreshes {
+		t.Fatalf("eager halvings on a run path: %+v, %+v", plain.Ops, pk.Ops)
+	}
+	if pk.Ops.Doublings > plain.Ops.Doublings {
+		t.Fatalf("packing raised the doublings: %d vs %d", pk.Ops.Doublings, plain.Ops.Doublings)
 	}
 	if r := ratio(plain.Ops.PartialDecrypts, pk.Ops.PartialDecrypts); r < 5 {
 		t.Fatalf("partial-decrypt reduction %.2fx < 5x (%d vs %d)", r, plain.Ops.PartialDecrypts, pk.Ops.PartialDecrypts)

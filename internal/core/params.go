@@ -123,7 +123,7 @@ type Params struct {
 	// Packed packs multiple coordinates of the encrypted Diptych side
 	// into each ciphertext (slot packing): the fused gossip vector
 	// shrinks from 2·K·(dim+1) ciphertexts to ⌈K·(dim+1)/slots⌉ groups
-	// per side, and encrypts, halvings, partial decryptions, combines
+	// per side, and encrypts, gossip refreshes, partial decryptions, combines
 	// and gossip bytes all shrink by the packing factor. The slot width
 	// is derived from the same headroom budget checkHeadroom charges the
 	// unpacked ring, so a configuration that fits unpacked fits packed;
@@ -324,11 +324,14 @@ func (p Params) validate(n, dim int) error {
 	return nil
 }
 
-// preScaleBits is the power-of-two budget every contribution carries for
-// gossip halvings: enough factors of two that the final decode is exact
-// (see internal/gossip). The asynchronous engine cannot bound a
-// contribution's halving count by the round budget (peers drift), so it
-// gets a much larger allowance plus decode-time overflow detection.
+// preScaleBits is the halving budget T every contribution is provisioned
+// for: a push-sum share (c, h) decodes as Dec(c)·2^(T-h), an integer —
+// and exactly the rational intended — as long as no contribution it
+// holds was halved more than T times (see internal/gossip). checkHeadroom
+// and packedLayout reserve T bits of every plaintext (and slot) for it.
+// The asynchronous engine cannot bound a contribution's halving count by
+// the round budget (peers drift), so it gets a much larger allowance;
+// either way decodeAll refuses a share whose exponent overran it.
 func (p Params) preScaleBits() uint {
 	if p.asyncEngine {
 		return uint(4*p.GossipRounds + 16)
@@ -471,11 +474,11 @@ func (r *cipherRing) Add(a, b Cipher) Cipher {
 	return out
 }
 
-// Halve implements gossip.Ring.
-func (r *cipherRing) Halve(a Cipher) Cipher {
-	out, err := r.suite.Halve(a)
+// Double implements gossip.Ring.
+func (r *cipherRing) Double(a Cipher, k uint) Cipher {
+	out, err := r.suite.Double(a, k)
 	if err != nil {
-		panic(fmt.Sprintf("core: cipher halve: %v", err))
+		panic(fmt.Sprintf("core: cipher double: %v", err))
 	}
 	return out
 }
@@ -520,8 +523,8 @@ type mutCipherSuite interface {
 	NewScratchVector(n int) ([]Cipher, error)
 	// EncryptInto is Encrypt writing into dst's storage.
 	EncryptInto(dst Cipher, m *big.Int) error
-	// HalveCipherInPlace is Halve mutating c.
-	HalveCipherInPlace(c Cipher) error
+	// DoubleCipherInPlace is Double mutating c.
+	DoubleCipherInPlace(c Cipher, k uint) error
 	// AddCipherInPlace sets acc += v, mutating only acc.
 	AddCipherInPlace(acc, v Cipher) error
 	// AddAllCipherInPlace left-folds vs into acc, mutating only acc.
@@ -538,10 +541,10 @@ type mutCipherRing struct {
 	ms mutCipherSuite
 }
 
-// HalveInPlace implements gossip.MutRing.
-func (r *mutCipherRing) HalveInPlace(a Cipher) {
-	if err := r.ms.HalveCipherInPlace(a); err != nil {
-		panic(fmt.Sprintf("core: cipher halve in place: %v", err))
+// DoubleInPlace implements gossip.MutRing.
+func (r *mutCipherRing) DoubleInPlace(a Cipher, k uint) {
+	if err := r.ms.DoubleCipherInPlace(a, k); err != nil {
+		panic(fmt.Sprintf("core: cipher double in place: %v", err))
 	}
 }
 

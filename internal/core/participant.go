@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -85,10 +86,13 @@ type IterationResult struct {
 }
 
 // Env is the execution environment a participant interacts with during
-// one activation. Two implementations exist: the cycle-driven simulator's
-// p2p.Context (Peersim semantics, deterministic) and the asynchronous
-// goroutine runtime's env (async.go — real concurrency, no global
-// synchronization, as the paper's deployment model).
+// one activation. Three implementations ship: the cycle-driven
+// simulator's p2p.Context (Peersim semantics, deterministic; Run and
+// RunSharded), the asynchronous goroutine runtime's asyncEnv (async.go —
+// real concurrency, no global synchronization, as the paper's deployment
+// model) and the networked daemon's epochEnv (internal/transport, which
+// encodes every payload onto a supervised TCP link). The benchmark's
+// node driver and the snapshot tests bring their own.
 type Env interface {
 	ID() p2p.NodeID
 	Cycle() int
@@ -97,7 +101,6 @@ type Env interface {
 	Inbox() []p2p.Message
 	Send(to p2p.NodeID, payload any, bytes int) error
 	RandomPeer() (p2p.NodeID, bool)
-	RandomPeers(k int) []p2p.NodeID
 }
 
 var _ Env = (*p2p.Context)(nil)
@@ -371,23 +374,33 @@ func (pt *participant) stepAssign(ctx Env) {
 		// programming error worth failing loudly in simulation.
 		panic(err)
 	}
-	st, err := gossip.NewState[Cipher](r.ring, values, 1)
+	st, err := r.newMeans(values, 1)
 	if err != nil {
 		panic(err)
-	}
-	if r.mut != nil {
-		// The state's values are this participant's own arena residues
-		// (encryptSides wrote them in place), so the in-place hot path
-		// is sound.
-		st.SetMutable()
-	}
-	if r.batchHint > 0 {
-		st.ReserveBatch(r.batchHint)
 	}
 	pt.diptych.Means = st
 	pt.diptych.Iteration = pt.iter
 	pt.roundsDone = 0
 	pt.phase = phaseGossip
+}
+
+// newMeans builds a push-sum state of weight w (and halving exponent 0)
+// over cipher values the caller owns exclusively — a participant's fresh
+// contribution (encryptSides wrote it into the participant's own arena
+// on the hot path) or a restored snapshot's freshly decoded vector — so
+// the in-place hot path is sound whenever the run has one.
+func (r *runShared) newMeans(values []Cipher, w float64) (*gossip.State[Cipher], error) {
+	st, err := gossip.NewState[Cipher](r.ring, values, w)
+	if err != nil {
+		return nil, err
+	}
+	if r.mut != nil {
+		st.SetMutable()
+	}
+	if r.batchHint > 0 {
+		st.ReserveBatch(r.batchHint)
+	}
+	return st, nil
 }
 
 // noiseScale returns the Laplace scale b_i = sensitivity / ε_i for the
@@ -496,10 +509,14 @@ func (pt *participant) encryptSidesInPlace(vals, noises []float64) ([]Cipher, er
 	return out, nil
 }
 
-// packSide fixed-point-encodes one side of the contribution (with
-// pre-scaling) and packs it into biased slot groups. Unlike the unpacked
-// path no modular sign wrap is needed: the per-slot bias keeps every
-// field non-negative.
+// packSide fixed-point-encodes one side of the contribution and packs it
+// into biased slot groups. Unlike the unpacked path no modular sign wrap
+// is needed: the per-slot bias keeps every field non-negative. The slot
+// layout budgets each coordinate at its pre-scaled magnitude v·2^T
+// (bias 2^magBits, magBits ≥ T), so the groups are packed at that scale
+// and the 2^T every slot and every bias shares is then shifted out —
+// exactly — leaving the plaintext whose exponent-0 share (Dec(c)·2^T)
+// is the packed integer the layout was sized for.
 func (pt *participant) packSide(xs []float64) ([]*big.Int, error) {
 	r := pt.run
 	enc := make([]*big.Int, len(xs))
@@ -510,27 +527,35 @@ func (pt *participant) packSide(xs []float64) ([]*big.Int, error) {
 		}
 		enc[i] = v.Lsh(v, r.preScale)
 	}
-	return r.layout.Pack(enc)
+	packed, err := r.layout.Pack(enc)
+	if err != nil {
+		return nil, err
+	}
+	for _, g := range packed {
+		g.Rsh(g, r.preScale)
+	}
+	return packed, nil
 }
 
-// encodeValue fixed-point-encodes x (with pre-scaling) into the
-// plaintext ring. The sign wrap runs in place against the cached M/2
-// (the per-coordinate hot form of fixedpoint.WrapSigned).
+// encodeValue fixed-point-encodes x into the plaintext ring. The 2^T
+// pre-scale is not applied: it is the T − 0 the fresh share's halving
+// exponent still owes (decodeAll shifts by whatever is left of it). The
+// sign wrap runs in place against the cached M/2 (the per-coordinate hot
+// form of fixedpoint.WrapSigned).
 func (pt *participant) encodeValue(x float64) (*big.Int, error) {
 	r := pt.run
 	v, err := r.codec.Encode(x)
 	if err != nil {
 		return nil, err
 	}
-	v.Lsh(v, r.preScale)
 	if err := fixedpoint.WrapSignedInPlace(v, r.plainMod, r.halfMod); err != nil {
 		return nil, err
 	}
 	return v, nil
 }
 
-// encryptValue fixed-point-encodes x (with pre-scaling) into the
-// plaintext ring and encrypts it.
+// encryptValue fixed-point-encodes x into the plaintext ring and
+// encrypts it.
 func (pt *participant) encryptValue(x float64) (Cipher, error) {
 	w, err := pt.encodeValue(x)
 	if err != nil {
@@ -544,7 +569,15 @@ func (pt *participant) encryptValue(x float64) (Cipher, error) {
 func (pt *participant) stepGossip(ctx Env) {
 	r := pt.run
 	peer, ok := ctx.RandomPeer()
-	if ok {
+	// A share that has used up the halving budget is held back whole: one
+	// more halving and it would decode to no integer (errHalvingBudget),
+	// here and at everyone it reaches. Not emitting conserves push-sum
+	// mass like a failed send does, the round still counts, and the
+	// participant keeps absorbing. Only a participant that synchronized
+	// late onto peers three or more rounds ahead of it gets here (the
+	// budget is GossipRounds+2); the peer draw above stays unconditional
+	// so the sampling stream does not depend on it.
+	if ok && pt.diptych.Means.H < r.preScale {
 		var payload *gossipPayload
 		if r.mut != nil {
 			payload = pt.emitReused(ctx)
@@ -554,6 +587,17 @@ func (pt *participant) stepGossip(ctx Env) {
 				Centroids: pt.diptych.Centroids,
 				Msg:       pt.diptych.Means.Emit(),
 			}
+		}
+		// The halving was the exponent's; what the ciphertexts cost is
+		// making the copy that leaves unlinkable to the one that stays
+		// (and to the copy sent last round, when nothing was absorbed in
+		// between).
+		for i, c := range payload.Msg.V {
+			sent, err := r.suite.Refresh(c)
+			if err != nil {
+				panic(err) // programmer error: mixed suites
+			}
+			payload.Msg.V[i] = sent
 		}
 		if pt.byz != nil {
 			// Byzantine senders only exist under a fault plan, which
@@ -604,7 +648,7 @@ func (pt *participant) emitReused(ctx Env) *gossipPayload {
 
 // byzantinePayload corrupts an outgoing gossip payload according to the
 // participant's planned byzantine behaviour. The honest Emit already
-// happened (the sender's own state halves either way), so a byzantine
+// happened (the sender's own share halves either way), so a byzantine
 // sender injects corruption into the network without gaining a
 // privileged view of anyone else's state.
 func (pt *participant) byzantinePayload(honest *gossipPayload) *gossipPayload {
@@ -626,7 +670,7 @@ func (pt *participant) byzantinePayload(honest *gossipPayload) *gossipPayload {
 		return &gossipPayload{
 			Iter:      honest.Iter,
 			Centroids: honest.Centroids,
-			Msg:       &gossip.Message[Cipher]{V: fake, W: honest.Msg.W},
+			Msg:       &gossip.Message[Cipher]{V: fake, W: honest.Msg.W, H: honest.Msg.H},
 		}
 	case simnet.FaultMalform:
 		// Malformed messages, alternating the failure mode per round:
@@ -637,7 +681,7 @@ func (pt *participant) byzantinePayload(honest *gossipPayload) *gossipPayload {
 			return &gossipPayload{
 				Iter:      honest.Iter,
 				Centroids: honest.Centroids,
-				Msg:       &gossip.Message[Cipher]{V: honest.Msg.V[:len(honest.Msg.V)-1], W: honest.Msg.W},
+				Msg:       &gossip.Message[Cipher]{V: honest.Msg.V[:len(honest.Msg.V)-1], W: honest.Msg.W, H: honest.Msg.H},
 			}
 		}
 		bad := make([]Cipher, len(honest.Msg.V))
@@ -661,7 +705,7 @@ func (pt *participant) byzantinePayload(honest *gossipPayload) *gossipPayload {
 			pt.replayPayload = &gossipPayload{
 				Iter:      honest.Iter,
 				Centroids: deepCopyMatrix(honest.Centroids),
-				Msg:       &gossip.Message[Cipher]{V: append([]Cipher(nil), honest.Msg.V...), W: honest.Msg.W},
+				Msg:       &gossip.Message[Cipher]{V: append([]Cipher(nil), honest.Msg.V...), W: honest.Msg.W, H: honest.Msg.H},
 			}
 			return honest
 		}
@@ -677,10 +721,14 @@ type byzForeignCipher struct{}
 
 // wireValid is the byzantine-hardening gate on incoming gossip: the
 // push-sum weight must be finite, non-negative and population-bounded,
-// and every cipher must validate under the suite. Only runs when the
-// fault plan declares byzantine senders (runShared.validate).
+// the halving exponent within the budget, and every cipher must validate
+// under the suite. Only runs when the fault plan declares byzantine
+// senders (runShared.validate).
 func (pt *participant) wireValid(m *gossip.Message[Cipher]) bool {
 	if math.IsNaN(m.W) || math.IsInf(m.W, 0) || m.W < 0 || m.W > float64(pt.run.population) {
+		return false
+	}
+	if m.H > pt.run.preScale {
 		return false
 	}
 	for _, c := range m.V {
@@ -731,6 +779,14 @@ func (pt *participant) handleGossips(ctx Env, gs []*gossipPayload) {
 				pt.staleDrops++ // what Absorb would have rejected
 				continue
 			}
+			if g.Msg.H > r.preScale {
+				// A share halved past the budget no longer decodes to an
+				// integer, and merging it could cost up to H squarings
+				// per cipher: its mass is lost instead, like any dropped
+				// message's.
+				pt.staleDrops++
+				continue
+			}
 			if r.validate && !pt.wireValid(g.Msg) {
 				pt.staleDrops++ // byzantine wire input: rejected
 				continue
@@ -745,11 +801,12 @@ func (pt *participant) handleGossips(ctx Env, gs []*gossipPayload) {
 			// to the abandoned iteration's state and is folded in before
 			// it is replaced.
 			if g.Iter >= len(r.epsSched) || g.Msg == nil ||
-				len(g.Msg.V) != 2*r.sideCiphers ||
+				len(g.Msg.V) != 2*r.sideCiphers || g.Msg.H > r.preScale ||
 				!validShape(g.Centroids, r.params.K, r.dim) ||
 				(r.validate && !pt.wireValid(g.Msg)) {
-				// Malformed sync payloads (wrong-length vectors included)
-				// must not be able to force the iteration jump — the
+				// Malformed sync payloads (wrong-length vectors and
+				// over-budget exponents included) must not be able to
+				// force the iteration jump — the
 				// same-iteration path length-checks before absorbing, so
 				// this path does too.
 				pt.staleDrops++
@@ -1017,15 +1074,19 @@ func (pt *participant) finishIteration(ctx Env, failed bool) {
 	pt.phase = phaseAssign
 }
 
+// errHalvingBudget reports a share whose halving exponent overran the
+// pre-scale budget T: Dec(c)·2^(T-h) is then not an integer, so there is
+// no exact value to disclose and the iteration is recorded as a failed
+// decryption.
+var errHalvingBudget = errors.New("core: push-sum share halved beyond the pre-scale budget")
+
 // decodeAll combines the collected partials for every pending ciphertext
 // and decodes the fixed-point plaintexts to floats, already divided by
 // the push-sum weight and the pre-scaling factor. It always returns
-// sideLen coordinates: unpacked ciphertexts decode one each, packed ones
-// unpack into their slots first.
+// sideLen coordinates.
 func (pt *participant) decodeAll() ([]float64, error) {
 	r := pt.run
-	w := pt.diptych.Means.Weight()
-	denom := w * math.Ldexp(1, int(r.preScale))
+	st := pt.diptych.Means
 	// Assemble the per-responder partial sets in ascending share-index
 	// order — the map's iteration order must never reach Combine, or the
 	// responder-set cache keys (and OpCounts profiles) go nondeterministic.
@@ -1034,21 +1095,16 @@ func (pt *participant) decodeAll() ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.layout != nil {
-		return pt.decodePacked(plains, w, denom)
+	signed, err := r.signedAggregates(plains, st.H, st.W)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]float64, len(plains))
-	for i, m := range plains {
-		// In-place sign unwrap against the cached M/2 (m is this call's
-		// fresh Combine output, so mutating it is safe).
-		if err := fixedpoint.UnwrapSignedInPlace(m, r.plainMod, r.halfMod); err != nil {
+	denom := st.W * math.Ldexp(1, int(r.preScale))
+	out := make([]float64, len(signed))
+	for i, v := range signed {
+		if out[i], err = pt.decodeSigned(v, denom, i); err != nil {
 			return nil, err
 		}
-		v, err := pt.decodeSigned(m, denom, i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
 	}
 	return out, nil
 }
@@ -1067,31 +1123,48 @@ func (pt *participant) sortedResponders() [][]Partial {
 	return responders
 }
 
-// decodePacked unpacks the opened group plaintexts into sideLen
-// coordinates. After the step-2c addition each slot holds
+// signedAggregates turns the opened plaintexts of a perturbed share with
+// halving exponent h and push-sum weight w into the exact signed
+// fixed-point aggregates, one per coordinate (sideLen of them), mutating
+// plains. The plaintexts are first shifted by what is left of the
+// halving budget, T − h: that makes them the integers eager halving of
+// 2^T-pre-scaled contributions would have left in the ciphertexts, and
+// everything downstream is oblivious to the exponent. Unpacked
+// plaintexts are sign-unwrapped against the cached M/2 before the shift;
+// packed ones are shifted whole (biased fields are non-negative) and
+// then split into slots. After the step-2c addition each slot holds
 // trueSum + 2·bias·w: the means and noise halves travelled under the
 // same push-sum coefficients (one fused state), each carrying one bias,
 // so Unbias with bias weight 2w recovers exactly the signed aggregate
 // the unpacked run would have decoded — which is why packed and unpacked
 // accounted runs disclose bit-identical centroids.
-func (pt *participant) decodePacked(plains []*big.Int, w, denom float64) ([]float64, error) {
-	r := pt.run
+func (r *runShared) signedAggregates(plains []*big.Int, h uint, w float64) ([]*big.Int, error) {
+	if h > r.preScale {
+		return nil, errHalvingBudget
+	}
+	owed := r.preScale - h
+	if r.layout == nil {
+		for _, m := range plains {
+			if err := fixedpoint.UnwrapSignedInPlace(m, r.plainMod, r.halfMod); err != nil {
+				return nil, err
+			}
+			m.Lsh(m, owed)
+		}
+		return plains, nil
+	}
+	for _, m := range plains {
+		m.Lsh(m, owed)
+	}
 	raw, err := r.layout.Unpack(plains, r.sideLen)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, r.sideLen)
 	for i, f := range raw {
-		signed, err := r.layout.Unbias(f, 2*w)
-		if err != nil {
-			return nil, err
-		}
-		out[i], err = pt.decodeSigned(signed, denom, i)
-		if err != nil {
+		if raw[i], err = r.layout.Unbias(f, 2*w); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return raw, nil
 }
 
 // decodeSigned converts an exact signed aggregate to its float64 mean

@@ -5,32 +5,41 @@ import (
 	"testing"
 )
 
-// TestDJHalveRerandomizes pins the traffic-analysis defence: halving the
-// same ciphertext twice must yield different ciphertexts (fresh
-// randomness per hop) that still decrypt to the same plaintext.
+// TestDJHalveRerandomizes pins the traffic-analysis defence on the path
+// a run takes. A push-sum halving no longer touches the ciphertexts — the
+// exponent beside them moves — so a participant that absorbed nothing
+// between two rounds holds the very same ciphertexts at both; what it
+// sends must nevertheless be unlinkable: two consecutive emissions of the
+// unchanged state are distinct ciphertexts, both distinct from the kept
+// one, and all three decrypt to the same plaintext.
 func TestDJHalveRerandomizes(t *testing.T) {
-	s, err := NewDamgardJurikSuite(128, 1, 3, 2)
-	if err != nil {
-		t.Fatal(err)
+	_, pt, env := budgetParticipant(t, Params{
+		K: 2, Epsilon: 100, Iterations: 1, Seed: 3, GossipRounds: 6, DecryptThreshold: 3,
+		Backend: BackendDamgardJurik, ModulusBits: 128,
+	}, 0)
+	s := pt.run.suite
+	pt.stepGossip(env)
+	pt.stepGossip(env)
+	if len(env.sent) != 2 {
+		t.Fatalf("%d emissions, want 2", len(env.sent))
 	}
-	c, err := s.Encrypt(big.NewInt(10))
-	if err != nil {
-		t.Fatal(err)
+	first, second := env.sent[0].payload.(*gossipPayload).Msg, env.sent[1].payload.(*gossipPayload).Msg
+	if first.H != 1 || second.H != 2 || pt.diptych.Means.H != 2 {
+		t.Fatalf("exponents %d, %d, kept %d; want 1, 2, 2", first.H, second.H, pt.diptych.Means.H)
 	}
-	h1, err := s.Halve(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := s.Halve(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1.(*big.Int).Cmp(h2.(*big.Int)) == 0 {
-		t.Fatal("two halvings of the same ciphertext are identical — hops are traceable")
-	}
-	for _, h := range []Cipher{h1, h2} {
-		if got := decryptVia(t, s, h, []int{1, 3}); got.Int64() != 5 {
-			t.Fatalf("rerandomized halve decrypts to %v, want 5", got)
+	for i, kept := range pt.diptych.Means.V {
+		k, a, b := kept.(*big.Int), first.V[i].(*big.Int), second.V[i].(*big.Int)
+		if a.Cmp(b) == 0 {
+			t.Fatalf("cipher %d: two emissions of an unchanged state are identical — hops are traceable", i)
+		}
+		if a.Cmp(k) == 0 || b.Cmp(k) == 0 {
+			t.Fatalf("cipher %d: an emission is the kept ciphertext itself", i)
+		}
+		want := decryptVia(t, s, kept, []int{1, 3, 5})
+		for _, c := range []Cipher{a, b} {
+			if got := decryptVia(t, s, c, []int{2, 3, 4}); got.Cmp(want) != 0 {
+				t.Fatalf("cipher %d: refreshed copy decrypts to %v, kept to %v", i, got, want)
+			}
 		}
 	}
 }

@@ -25,7 +25,7 @@ type poolSizer interface {
 
 // poolBurst sizes the randomizer pool from the run's concurrency and the
 // fused encrypted-vector length: each in-flight activation consumes up to
-// vectorLen randomizers (one rerandomization per halved ciphertext), and
+// vectorLen randomizers (one rerandomization per emitted ciphertext), and
 // up to the effective worker count of activations run concurrently in
 // the sharded engine (the sequential and async engines are bounded by
 // GOMAXPROCS). The requested Workers is clamped by the same rule the
@@ -356,7 +356,7 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 	}
 	// Size the Damgård–Jurik randomizer pool for the run's actual burst
 	// before the suite performs its first encryption: every activation in
-	// the gossip phase halves-and-rerandomizes the full fused vector,
+	// the gossip phase rerandomizes the full fused vector it emits,
 	// concurrently across shard workers, so the default capacity starves
 	// wide runs and over-provisions packed ones.
 	if ps, ok := suite.(poolSizer); ok {

@@ -446,6 +446,8 @@ func opCountsMinus(a, b OpCounts) OpCounts {
 	a.Encrypts -= b.Encrypts
 	a.Adds -= b.Adds
 	a.Halvings -= b.Halvings
+	a.Doublings -= b.Doublings
+	a.Refreshes -= b.Refreshes
 	a.PartialDecrypts -= b.PartialDecrypts
 	a.Combines -= b.Combines
 	a.CombineCtxHits -= b.CombineCtxHits

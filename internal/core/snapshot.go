@@ -37,8 +37,10 @@ const (
 	// snapVersion 2 added the decrypt-phase outstanding-request window
 	// (sorted (peer, ttl) pairs after the asked block). v1 snapshots are
 	// rejected — a pre-window checkpoint cannot resume the windowed
-	// trajectory bit-identically anyway.
-	snapVersion uint32 = 2
+	// trajectory bit-identically anyway. snapVersion 3 added the push-sum
+	// state's halving exponent beside its weight; a v2 state's values
+	// were halved in place and mean something else.
+	snapVersion uint32 = 3
 )
 
 // errSnapshot wraps every malformed-snapshot condition so callers can
@@ -115,6 +117,7 @@ func (nd *Node) Snapshot() ([]byte, error) {
 	if p.diptych.Means != nil && (p.phase == phaseGossip || p.phase == phaseDecrypt) {
 		st = wire.AppendUint32(st, 1)
 		st = appendU64Field(st, math.Float64bits(p.diptych.Means.Weight()))
+		st = wire.AppendUint32(st, uint32(p.diptych.Means.H))
 		cv, err := nd.rs.suite.MarshalCipherVector(p.diptych.Means.Values())
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot push-sum state: %w", err)
@@ -384,6 +387,15 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 || w > float64(r.population) {
 			return snapErr("implausible push-sum weight %g", w)
 		}
+		h, err := u32("push-sum exponent")
+		if err != nil {
+			return err
+		}
+		// DecodePayload's limit: a state adopts at most the budget from
+		// a message and stops emitting once it has reached it.
+		if h > int(r.preScale) {
+			return snapErr("push-sum exponent %d beyond the pre-scale budget %d", h, r.preScale)
+		}
 		cv, err := fr.Bytes()
 		if err != nil {
 			return snapErr("push-sum vector: %v", err)
@@ -395,19 +407,13 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if len(cs) != 2*r.sideCiphers {
 			return snapErr("push-sum vector of %d ciphers, want %d", len(cs), 2*r.sideCiphers)
 		}
-		means, err = gossip.NewState[Cipher](r.ring, cs, w)
+		// stepAssign's construction: the restored values are freshly
+		// decoded and exclusively owned.
+		means, err = r.newMeans(cs, w)
 		if err != nil {
 			return snapErr("push-sum state: %v", err)
 		}
-		// Mirror stepAssign's construction: the restored values are
-		// freshly cloned and exclusively owned, so the in-place hot path
-		// stays sound under the same conditions.
-		if r.mut != nil {
-			means.SetMutable()
-		}
-		if r.batchHint > 0 {
-			means.ReserveBatch(r.batchHint)
-		}
+		means.H = uint(h)
 	default:
 		return snapErr("means flag %d", hasMeans)
 	}

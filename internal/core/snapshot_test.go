@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"strings"
 	"testing"
 
 	"chiaroscuro/internal/p2p"
@@ -24,7 +27,7 @@ type memMesh struct {
 	pending []map[int][][]byte
 }
 
-func newMemMesh(t *testing.T, data [][]float64, params Params) *memMesh {
+func newMemMesh(t testing.TB, data [][]float64, params Params) *memMesh {
 	t.Helper()
 	m := &memMesh{
 		nodes:    make([]*Node, len(data)),
@@ -57,7 +60,7 @@ type memEnv struct {
 	epoch int
 	inbox []p2p.Message
 	next  []map[int][][]byte
-	t     *testing.T
+	t     testing.TB
 }
 
 func (e *memEnv) ID() p2p.NodeID       { return p2p.NodeID(e.id) }
@@ -67,9 +70,6 @@ func (e *memEnv) AliveCount() int      { return len(e.m.nodes) }
 func (e *memEnv) Inbox() []p2p.Message { return e.inbox }
 func (e *memEnv) RandomPeer() (p2p.NodeID, bool) {
 	return e.m.samplers[e.id].RandomPeer()
-}
-func (e *memEnv) RandomPeers(k int) []p2p.NodeID {
-	return e.m.samplers[e.id].RandomPeers(k)
 }
 func (e *memEnv) Send(to p2p.NodeID, payload any, bytes int) error {
 	raw, err := e.m.nodes[e.id].EncodePayload(payload)
@@ -82,7 +82,7 @@ func (e *memEnv) Send(to p2p.NodeID, payload any, bytes int) error {
 
 // stepEpoch advances the whole mesh one epoch, returning whether every
 // node is done.
-func (m *memMesh) stepEpoch(t *testing.T, epoch int) bool {
+func (m *memMesh) stepEpoch(t testing.TB, epoch int) bool {
 	t.Helper()
 	next := make([]map[int][][]byte, len(m.nodes))
 	for id := range next {
@@ -265,6 +265,82 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 	if _, err := RestoreNode(data, params, 1, mut); err == nil {
 		t.Fatal("restore accepted a corrupted snapshot")
 	}
+	// A checkpoint written before the push-sum state carried its halving
+	// exponent (format 2) holds values that mean something else: refused
+	// by version, not reinterpreted. The version is the second scalar
+	// field: 4 bytes of length prefix, then the value, after the magic's 8.
+	old := bytes.Clone(snap)
+	binary.BigEndian.PutUint32(old[12:], 2)
+	if _, err := RestoreNode(data, params, 1, old); err == nil || !strings.Contains(err.Error(), "version 2, want 3") {
+		t.Fatalf("restore of a format-2 snapshot: %v, want \"version 2, want 3\"", err)
+	}
+}
+
+// midGossipMesh runs the snapshot configuration's mesh into the gossip
+// phase of its first iteration, where every node's push-sum state has a
+// halving exponent above zero.
+func midGossipMesh(t testing.TB) ([][]float64, Params, *memMesh) {
+	t.Helper()
+	data, params := snapshotTestConfig()
+	m := newMemMesh(t, data, params)
+	for epoch := 0; epoch < 5; epoch++ {
+		m.stepEpoch(t, epoch)
+	}
+	for id, nd := range m.nodes {
+		if nd.pt.phase != phaseGossip || nd.pt.diptych.Means.H == 0 {
+			t.Fatalf("node %d at epoch 5: phase %d, exponent %d; want mid-gossip", id, nd.pt.phase, nd.pt.diptych.Means.H)
+		}
+	}
+	return data, params, m
+}
+
+// TestSnapshotCarriesTheExponent: the halving exponent is push-sum
+// state like the weight beside it — it survives the round trip, and a
+// snapshot claiming more halvings than a state can have undergone is
+// malformed.
+func TestSnapshotCarriesTheExponent(t *testing.T) {
+	data, params, m := midGossipMesh(t)
+	defer m.close()
+	nd := m.nodes[2]
+	snap, err := nd.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := RestoreNode(data, params, 2, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	got, want := back.pt.diptych.Means, nd.pt.diptych.Means
+	if got.H != want.H || got.W != want.W {
+		t.Fatalf("restored (h=%d, w=%v), snapshotted (h=%d, w=%v)", got.H, got.W, want.H, want.W)
+	}
+	again, err := back.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, again) {
+		t.Fatal("snapshot of the restored node differs from the snapshot it was restored from")
+	}
+	// The budget is the most a state ever holds (the wire's limit too).
+	nd.pt.diptych.Means.H = nd.pt.run.preScale
+	edge, err := nd.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	atBudget, err := RestoreNode(data, params, 2, edge)
+	if err != nil {
+		t.Fatalf("restore at the budget: %v", err)
+	}
+	atBudget.Close()
+	nd.pt.diptych.Means.H++
+	over, err := nd.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreNode(data, params, 2, over); !errors.Is(err, errSnapshot) {
+		t.Fatalf("restore of an impossible exponent: %v, want a malformed-snapshot error", err)
+	}
 }
 
 // FuzzRestoreNode hardens the snapshot decoder the way the wire
@@ -284,6 +360,21 @@ func FuzzRestoreNode(f *testing.F) {
 	f.Add(snap)
 	f.Add(snap[:len(snap)/2])
 	f.Add([]byte{})
+	// A mid-gossip state, halving exponent above zero — and the same state
+	// one halving past the budget, which the decoder refuses.
+	_, _, m := midGossipMesh(f)
+	mid, err := m.nodes[0].Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	m.nodes[0].pt.diptych.Means.H = m.nodes[0].pt.run.preScale + 1
+	over, err := m.nodes[0].Snapshot()
+	m.close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(mid)
+	f.Add(over)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if nd, err := RestoreNode(data, params, 0, b); err == nil {
 			nd.Close()

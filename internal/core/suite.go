@@ -37,9 +37,19 @@ type Partial struct {
 // OpCounts tallies homomorphic operations, the basis of the cost
 // projection in the accounted backend.
 type OpCounts struct {
-	Encrypts        int64
-	Adds            int64
-	Halvings        int64
+	Encrypts int64
+	Adds     int64
+	// Halvings counts cipher halvings however they were performed: by
+	// the exponent beside the ciphertext (every run; each is also one of
+	// Refreshes) or inside it by Halve (the eager oracle, which no run
+	// path calls — Halvings − Refreshes is the number of those).
+	Halvings int64
+	// Doublings counts the modular squarings spent aligning halving
+	// exponents before a merge: Double(c, k) adds k.
+	Doublings int64
+	// Refreshes counts sent-copy rerandomizations: one per ciphertext
+	// per gossip emission.
+	Refreshes       int64
 	PartialDecrypts int64
 	Combines        int64
 	// CombineCtxHits counts responder-set combine plans served from the
@@ -68,8 +78,20 @@ type CipherSuite interface {
 	Encrypt(m *big.Int) (Cipher, error)
 	// Add returns a Cipher of the sum of the two plaintexts.
 	Add(a, b Cipher) (Cipher, error)
-	// Halve returns a Cipher of the plaintext multiplied by 2^{-1} mod M
-	// (the gossip halving primitive).
+	// Double returns a fresh Cipher of the plaintext multiplied by 2^k —
+	// k modular squarings on the real backend. Gossip calls it to align
+	// the halving exponents of two shares before adding them.
+	Double(c Cipher, k uint) (Cipher, error)
+	// Refresh returns a ciphertext of the same plaintext that cannot be
+	// linked to c: the copy of a share that leaves the node. It is the
+	// whole per-cipher cost of a push-sum halving — the division itself
+	// is the exponent's (gossip.State.H).
+	Refresh(c Cipher) (Cipher, error)
+	// Halve returns a Cipher of the plaintext multiplied by 2^{-1} mod M:
+	// the eager halving the exponent replaced, a full-width modular
+	// exponentiation on the real backend. It is kept as the oracle the
+	// exponent path is property-tested against and as the probe bench/
+	// times; no run path calls it.
 	Halve(c Cipher) (Cipher, error)
 
 	// Parties and Threshold describe the key sharing: Threshold distinct

@@ -22,7 +22,8 @@ import (
 // The suite runs entirely on the package's precomputed fast paths
 // (docs/CRYPTO.md): encryption and noise-share encryption draw
 // randomizers from a shared RandomizerPool over a fixed-base table,
-// gossip halving rerandomizes from the same pool, partial decryptions
+// every gossip emission rerandomizes its sent copy from the same pool,
+// partial decryptions
 // go through the dealer-side CRT context the threshold key carries, and
 // share combination is one batched multi-exponentiation. The
 // EncContext's table is immutable and the pool is channel-based, so all
@@ -41,7 +42,9 @@ type djSuite struct {
 
 	encrypts        atomic.Int64
 	adds            atomic.Int64
-	halvings        atomic.Int64
+	halvings        atomic.Int64 // eager Halve calls only
+	doublings       atomic.Int64
+	refreshes       atomic.Int64
 	partialDecrypts atomic.Int64
 	combines        atomic.Int64
 }
@@ -162,11 +165,36 @@ func (s *djSuite) Add(a, b Cipher) (Cipher, error) {
 	return s.tk.Add(ca, cb)
 }
 
-// Halve implements CipherSuite: homomorphic multiplication by 2^{-1}
-// mod n^s, followed by re-randomization. The refresh matters because
-// halved shares travel to random peers: without it, an observer could
-// trace a contribution across gossip hops by recognizing the
-// deterministic c^(2^-1) relation between ciphertexts.
+// Double implements CipherSuite: c^(2^k) mod n^{s+1}, k modular
+// squarings. The result is not rerandomized — it is merged into the
+// caller's own state, and nothing leaves a node without a Refresh.
+func (s *djSuite) Double(c Cipher, k uint) (Cipher, error) {
+	cc, ok := c.(*big.Int)
+	if !ok {
+		return nil, errors.New("core: foreign cipher type in damgard-jurik suite")
+	}
+	s.doublings.Add(int64(k))
+	return s.tk.ScalarMul(cc, new(big.Int).Lsh(big.NewInt(1), k))
+}
+
+// Refresh implements CipherSuite: multiplication by a pooled encryption
+// of zero. The refresh matters because shares travel to random peers
+// while their sender keeps gossiping the same mass: without it, two
+// consecutive emissions of an unchanged state would be the same
+// ciphertext, and an observer could trace a contribution across gossip
+// hops by recognizing it.
+func (s *djSuite) Refresh(c Cipher) (Cipher, error) {
+	cc, ok := c.(*big.Int)
+	if !ok {
+		return nil, errors.New("core: foreign cipher type in damgard-jurik suite")
+	}
+	s.refreshes.Add(1)
+	return s.pool.Rerandomize(cc)
+}
+
+// Halve implements CipherSuite: the eager oracle — homomorphic
+// multiplication by 2^{-1} mod n^s (a full-width exponentiation),
+// followed by re-randomization.
 func (s *djSuite) Halve(c Cipher) (Cipher, error) {
 	cc, ok := c.(*big.Int)
 	if !ok {
@@ -317,10 +345,13 @@ func (s *djSuite) UnmarshalPartialValues(index int, buf []byte) ([]Partial, erro
 
 // Counts implements CipherSuite.
 func (s *djSuite) Counts() OpCounts {
+	refreshes := s.refreshes.Load()
 	return OpCounts{
 		Encrypts:        s.encrypts.Load(),
 		Adds:            s.adds.Load(),
-		Halvings:        s.halvings.Load(),
+		Halvings:        s.halvings.Load() + refreshes,
+		Doublings:       s.doublings.Load(),
+		Refreshes:       refreshes,
 		PartialDecrypts: s.partialDecrypts.Load(),
 		Combines:        s.combines.Load(),
 		CombineCtxHits:  s.tk.CombineContextHits(),

@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"sync/atomic"
 
+	"chiaroscuro/internal/gossip"
 	"chiaroscuro/internal/vecpool"
 )
 
@@ -18,7 +19,7 @@ import (
 // enabled or not (Sec. III.B, point 1).
 type plainSuite struct {
 	m         *big.Int
-	inv2      *big.Int
+	ring      *gossip.ModRing // Z_M's division-free doubling
 	parties   int
 	threshold int
 	// cipherBytes mimics the real backend's ciphertext size for the
@@ -27,7 +28,9 @@ type plainSuite struct {
 
 	encrypts        atomic.Int64
 	adds            atomic.Int64
-	halvings        atomic.Int64
+	halvings        atomic.Int64 // eager Halve calls only
+	doublings       atomic.Int64
+	refreshes       atomic.Int64
 	partialDecrypts atomic.Int64
 	combines        atomic.Int64
 }
@@ -61,13 +64,13 @@ func NewPlainSuite(modulusBits, degree, parties, threshold int) (CipherSuite, er
 	// An odd modulus: 2^ringBits - 1.
 	m := new(big.Int).Lsh(big.NewInt(1), uint(ringBits))
 	m.Sub(m, big.NewInt(1))
-	inv2 := new(big.Int).ModInverse(big.NewInt(2), m)
-	if inv2 == nil {
-		return nil, errors.New("core: 2 not invertible in plaintext ring")
+	ring, err := gossip.NewModRing(m)
+	if err != nil {
+		return nil, err
 	}
 	return &plainSuite{
 		m:           m,
-		inv2:        inv2,
+		ring:        ring,
 		parties:     parties,
 		threshold:   threshold,
 		cipherBytes: modulusBits * (degree + 1) / 8,
@@ -136,11 +139,40 @@ func (s *plainSuite) AddAll(acc Cipher, vs []Cipher) (Cipher, error) {
 	return plainCipher{v: out}, nil
 }
 
-// Halve implements CipherSuite: multiplication by 2^{-1} mod M. For odd
-// M this has a division-free form — even residues shift right, odd
-// residues become (v+M)/2 (exact, since v+M is even) — which is
-// arithmetically identical to out = v·inv2 mod M but an order of
-// magnitude cheaper on the gossip hot path.
+// double sets v = v·2^k mod M (in place and within the carry bit
+// NewScratchVector's arena provisions, see gossip.ModRing.DoubleInPlace),
+// accounted as the k squarings the real backend would perform.
+func (s *plainSuite) double(v *big.Int, k uint) {
+	s.doublings.Add(int64(k))
+	s.ring.DoubleInPlace(v, k)
+}
+
+// Double implements CipherSuite: v·2^k mod M into a fresh residue.
+func (s *plainSuite) Double(c Cipher, k uint) (Cipher, error) {
+	cc, ok := c.(plainCipher)
+	if !ok {
+		return nil, errors.New("core: foreign cipher type in plain suite")
+	}
+	out := new(big.Int).Set(cc.v)
+	s.double(out, k)
+	return plainCipher{v: out}, nil
+}
+
+// Refresh implements CipherSuite: there is no randomness to renew in a
+// plaintext residue, so c itself is the sent copy — counted, because
+// the encrypted run pays a rerandomization here.
+func (s *plainSuite) Refresh(c Cipher) (Cipher, error) {
+	if _, ok := c.(plainCipher); !ok {
+		return nil, errors.New("core: foreign cipher type in plain suite")
+	}
+	s.refreshes.Add(1)
+	return c, nil
+}
+
+// Halve implements CipherSuite: the eager oracle, multiplication by
+// 2^{-1} mod M. For odd M this has a division-free form — even residues
+// shift right, odd residues become (v+M)/2 (exact, since v+M is even) —
+// arithmetically identical to out = v·inv2 mod M.
 func (s *plainSuite) Halve(c Cipher) (Cipher, error) {
 	cc, ok := c.(plainCipher)
 	if !ok {
@@ -294,10 +326,13 @@ func (s *plainSuite) CombineColumns(sets [][]Partial, count int) ([]*big.Int, er
 
 // Counts implements CipherSuite.
 func (s *plainSuite) Counts() OpCounts {
+	refreshes := s.refreshes.Load()
 	return OpCounts{
 		Encrypts:        s.encrypts.Load(),
 		Adds:            s.adds.Load(),
-		Halvings:        s.halvings.Load(),
+		Halvings:        s.halvings.Load() + refreshes,
+		Doublings:       s.doublings.Load(),
+		Refreshes:       refreshes,
 		PartialDecrypts: s.partialDecrypts.Load(),
 		Combines:        s.combines.Load(),
 	}
@@ -306,7 +341,7 @@ func (s *plainSuite) Counts() OpCounts {
 // --- In-place extension (the zero-allocation gossip hot path) --------------
 //
 // The methods below implement mutCipherSuite: value-identical variants
-// of Encrypt/Add/AddAll/Halve that write into caller-owned scratch
+// of Encrypt/Add/AddAll/Double that write into caller-owned scratch
 // ciphers from NewScratchVector instead of allocating results. They
 // count operations exactly like their immutable counterparts, so
 // OpCounts (and every trajectory) is unchanged whichever path runs.
@@ -348,18 +383,14 @@ func (s *plainSuite) EncryptInto(dst Cipher, m *big.Int) error {
 	return nil
 }
 
-// HalveCipherInPlace implements mutCipherSuite: Halve's division-free
-// form mutating c's residue.
-func (s *plainSuite) HalveCipherInPlace(c Cipher) error {
+// DoubleCipherInPlace implements mutCipherSuite: Double mutating c's
+// residue.
+func (s *plainSuite) DoubleCipherInPlace(c Cipher, k uint) error {
 	cc, ok := c.(plainCipher)
 	if !ok {
 		return errors.New("core: foreign cipher type in plain suite")
 	}
-	s.halvings.Add(1)
-	if cc.v.Bit(0) != 0 {
-		cc.v.Add(cc.v, s.m)
-	}
-	cc.v.Rsh(cc.v, 1)
+	s.double(cc.v, k)
 	return nil
 }
 

@@ -64,6 +64,11 @@ func TestSuitesHomomorphicAdd(t *testing.T) {
 	}
 }
 
+// TestSuitesHalveIsExactRingHalf pins the three halving-related
+// operations against each other: Double(c, k) multiplies the plaintext
+// by 2^k, the eager oracle Halve is its inverse in the ring (even for odd
+// plaintexts, where no integer half exists), and Refresh changes nothing
+// a decryption can see.
 func TestSuitesHalveIsExactRingHalf(t *testing.T) {
 	for name, s := range suites(t) {
 		for _, v := range []int64{8, 7, 0, 1} {
@@ -73,12 +78,28 @@ func TestSuitesHalveIsExactRingHalf(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			// 2·halve(v) must equal v in the ring.
-			doubled, err := s.Add(h, h)
+			doubled, err := s.Double(h, 1)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if got := decryptVia(t, s, doubled, []int{1, 2, 3}); got.Int64() != v {
 				t.Fatalf("%s: 2·halve(%d) = %v", name, v, got)
+			}
+			for _, k := range []uint{0, 1, 5} {
+				d, err := s.Double(c, k)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := decryptVia(t, s, d, []int{2, 3, 4}); got.Int64() != v<<k {
+					t.Fatalf("%s: %d·2^%d = %v", name, v, k, got)
+				}
+			}
+			r, err := s.Refresh(c)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := decryptVia(t, s, r, []int{1, 4, 5}); got.Int64() != v {
+				t.Fatalf("%s: refresh(%d) decrypts to %v", name, v, got)
 			}
 		}
 	}
@@ -125,6 +146,18 @@ func TestSuitesForeignCipherRejected(t *testing.T) {
 	if _, err := plain.Halve(cd); err == nil {
 		t.Fatal("plain halve accepted a DJ cipher")
 	}
+	if _, err := plain.Double(cd, 1); err == nil {
+		t.Fatal("plain double accepted a DJ cipher")
+	}
+	if _, err := dj.Double(cp, 1); err == nil {
+		t.Fatal("dj double accepted a plain cipher")
+	}
+	if _, err := plain.Refresh(cd); err == nil {
+		t.Fatal("plain refresh accepted a DJ cipher")
+	}
+	if _, err := dj.Refresh(cp); err == nil {
+		t.Fatal("dj refresh accepted a plain cipher")
+	}
 	if _, err := dj.PartialDecrypt(1, cp); err == nil {
 		t.Fatal("dj partial decrypt accepted a plain cipher")
 	}
@@ -136,6 +169,9 @@ func TestSuitesOpCounting(t *testing.T) {
 		c, _ := s.Encrypt(big.NewInt(9))
 		_, _ = s.Add(c, c)
 		_, _ = s.Halve(c)
+		_, _ = s.Double(c, 3)
+		_, _ = s.Refresh(c)
+		_, _ = s.Refresh(c)
 		p, _ := s.PartialDecrypt(1, c)
 		p2, _ := s.PartialDecrypt(2, c)
 		p3, _ := s.PartialDecrypt(3, c)
@@ -143,7 +179,10 @@ func TestSuitesOpCounting(t *testing.T) {
 		after := s.Counts()
 		if after.Encrypts != before.Encrypts+1 ||
 			after.Adds != before.Adds+1 ||
-			after.Halvings != before.Halvings+1 ||
+			// One eager halving plus the two the refreshes stand for.
+			after.Halvings != before.Halvings+3 ||
+			after.Doublings != before.Doublings+3 ||
+			after.Refreshes != before.Refreshes+2 ||
 			after.PartialDecrypts != before.PartialDecrypts+3 ||
 			after.Combines != before.Combines+1 {
 			t.Fatalf("%s: counts before %+v after %+v", name, before, after)
@@ -208,9 +247,9 @@ func TestCipherRingAdapter(t *testing.T) {
 	if got := decryptVia(t, s, sum, []int{1}); got.Int64() != 6 {
 		t.Fatalf("ring add with zero = %v", got)
 	}
-	h := ring.Halve(a)
-	if got := decryptVia(t, s, h, []int{2}); got.Int64() != 3 {
-		t.Fatalf("ring halve(6) = %v", got)
+	d := ring.Double(a, 3)
+	if got := decryptVia(t, s, d, []int{2}); got.Int64() != 48 {
+		t.Fatalf("ring double(6, 3) = %v", got)
 	}
 	if ring.Clone(a) == nil {
 		t.Fatal("clone returned nil")

@@ -15,7 +15,8 @@
 //
 // scalecheck_test.go compares the projection against a live sharded
 // simulator run of the scale workload's shape. The structural counts
-// — messages per participant and decrypt requests — are exact. The byte
+// — messages per participant, decrypt requests, sent-copy
+// rerandomizations and exponent-aligning squarings — are exact. The byte
 // totals under-project slightly: the projection charges 8 bytes of
 // envelope per gossip message (the push-sum weight) and none per
 // decrypt request/response, while the simulator's wire format carries
@@ -54,10 +55,20 @@ type CryptoProfile struct {
 	Degree  int // Damgård–Jurik s
 
 	// Naive reference timings.
-	Encrypt        time.Duration
-	Decrypt        time.Duration
-	Add            time.Duration
-	ScalarMul      time.Duration // full-width exponent (gossip halving)
+	Encrypt time.Duration
+	Decrypt time.Duration
+	Add     time.Duration
+	// ScalarMul is a full-width exponent: what halving a ciphertext in
+	// place (multiplying by 2^{-1} mod n^s) costs. The protocol no longer
+	// does that — the halvings travel as an exponent beside the
+	// ciphertexts — so no projection charges it; it is kept as the price
+	// of what is avoided (E5a) and of core.CipherSuite.Halve, the eager
+	// oracle bench/ still times.
+	ScalarMul time.Duration
+	// Square is one modular squaring of a ciphertext, ScalarMul(c, 2):
+	// the unit aligning two halving exponents costs (core's Double(c, k)
+	// is k of them).
+	Square         time.Duration
 	PartialDecrypt time.Duration
 	Combine        time.Duration
 	Rerandomize    time.Duration
@@ -167,9 +178,16 @@ func MeasureProfile(keyBits, degree, parties, threshold, reps int) (*CryptoProfi
 		return nil, err
 	}
 
-	// ScalarMul (halving-style full-width exponent).
+	// ScalarMul (halving-style full-width exponent) and one squaring.
 	if prof.ScalarMul, err = avg(func(i int) error {
 		_, err := tk.ScalarMul(cts[i%len(cts)], half)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	two := big.NewInt(2)
+	if prof.Square, err = avg(func(i int) error {
+		_, err := tk.ScalarMul(cts[i%len(cts)], two)
 		return err
 	}); err != nil {
 		return nil, err
@@ -294,12 +312,13 @@ func (w Workload) VectorLen() int {
 type Report struct {
 	Workload Workload
 
-	// Per-participant operation counts over the whole run. Every gossip
-	// halving rerandomizes the halved ciphertext (the traffic-analysis
-	// defence of the real backend), so RerandomizeOps equals ScalarOps.
+	// Per-participant operation counts over the whole run. A gossip
+	// halving is an increment of the exponent beside the ciphertexts and
+	// costs no operation; every emitted ciphertext is rerandomized (the
+	// traffic-analysis defence of the real backend), so RerandomizeOps is
+	// one per ciphertext per round.
 	EncryptOps        int
 	AddOps            int
-	ScalarOps         int
 	RerandomizeOps    int
 	PartialDecryptOps int
 	CombineOps        int
@@ -336,17 +355,26 @@ type Report struct {
 //   - assignment: encrypt the K·(Dim+1) mean entries + K·(Dim+1) noise
 //     shares — one ciphertext per coordinate, or per Slots-coordinate
 //     group when the workload is packed;
-//   - gossip: GossipRounds rounds; each round halves the full vector
-//     (VectorLen scalar multiplications, each followed by a
-//     rerandomization so the half cannot be traced across hops), sends
-//     it (1 message of VectorLen ciphertexts), and absorbs an expected
-//     1 incoming message (VectorLen additions);
+//   - gossip: GossipRounds rounds; each round halves the full vector by
+//     incrementing the exponent that travels beside it (no operation),
+//     rerandomizes the copy it sends so the share cannot be traced
+//     across hops (VectorLen rerandomizations, 1 message of VectorLen
+//     ciphertexts), and absorbs an expected 1 incoming message
+//     (VectorLen additions) — so a round costs Rerandomize + Add per
+//     ciphertext;
 //   - collaborative decryption: the participant asks DecryptThreshold
 //     peers (request carries the SideCiphers perturbed-mean
 //     ciphertexts, response the same volume), serves on average
 //     DecryptThreshold requests from others (each costing SideCiphers
 //     partial decryptions), and combines its own (SideCiphers combine
 //     ops).
+//
+// The projection is of participants gossiping in step — every fault-free
+// run of the cycle engines and of the daemon's epoch clock — whose shares
+// merge at equal halving exponents. A participant that lags (crashed and
+// rejoined, then late-synchronized) additionally pays CryptoProfile.Square
+// per ciphertext per halving of gap when it merges; that is not priced
+// here.
 //
 // Every per-ciphertext count scales down by the packing factor, which is
 // how slot packing compounds across the whole projection.
@@ -363,20 +391,17 @@ func Project(p *CryptoProfile, w Workload) (*Report, error) {
 	r := &Report{Workload: w}
 	it := w.Iterations
 	r.EncryptOps = it * 2 * meanLen
-	r.ScalarOps = it * w.GossipRounds * vecLen
-	r.RerandomizeOps = r.ScalarOps                    // every halving is refreshed before it travels
+	r.RerandomizeOps = it * w.GossipRounds * vecLen   // every emitted copy is refreshed before it travels
 	r.AddOps = it * (w.GossipRounds*vecLen + meanLen) // gossip merges + noise-to-mean addition
 	r.PartialDecryptOps = it * w.DecryptThreshold * meanLen
 	r.CombineOps = it * meanLen
 
 	r.CPUTime = time.Duration(r.EncryptOps)*p.Encrypt +
-		time.Duration(r.ScalarOps)*p.ScalarMul +
 		time.Duration(r.RerandomizeOps)*p.Rerandomize +
 		time.Duration(r.AddOps)*p.Add +
 		time.Duration(r.PartialDecryptOps)*p.PartialDecrypt +
 		time.Duration(r.CombineOps)*p.Combine
 	r.CPUTimeFast = time.Duration(r.EncryptOps)*orElse(p.FastEncrypt, p.Encrypt) +
-		time.Duration(r.ScalarOps)*p.ScalarMul +
 		time.Duration(r.RerandomizeOps)*orElse(p.FastRerandomize, p.Rerandomize) +
 		time.Duration(r.AddOps)*p.Add +
 		time.Duration(r.PartialDecryptOps)*orElse(p.FastPartialDecrypt, p.PartialDecrypt) +

@@ -21,7 +21,7 @@ func TestMeasureProfilePopulatesEverything(t *testing.T) {
 	}
 	for name, d := range map[string]time.Duration{
 		"Encrypt": p.Encrypt, "Decrypt": p.Decrypt, "Add": p.Add,
-		"ScalarMul": p.ScalarMul, "PartialDecrypt": p.PartialDecrypt, "Combine": p.Combine,
+		"ScalarMul": p.ScalarMul, "Square": p.Square, "PartialDecrypt": p.PartialDecrypt, "Combine": p.Combine,
 	} {
 		if d <= 0 {
 			t.Errorf("%s duration = %v, want > 0", name, d)
@@ -105,11 +105,8 @@ func TestProjectOperationCounts(t *testing.T) {
 	if r.EncryptOps != w.Iterations*2*meanLen {
 		t.Fatalf("encrypts = %d", r.EncryptOps)
 	}
-	if r.ScalarOps != w.Iterations*w.GossipRounds*vecLen {
-		t.Fatalf("scalar ops = %d", r.ScalarOps)
-	}
-	if r.RerandomizeOps != r.ScalarOps {
-		t.Fatalf("rerandomize ops = %d, want %d (one per halving)", r.RerandomizeOps, r.ScalarOps)
+	if r.RerandomizeOps != w.Iterations*w.GossipRounds*vecLen {
+		t.Fatalf("rerandomize ops = %d, want one per ciphertext per round", r.RerandomizeOps)
 	}
 	if r.AddOps != w.Iterations*(w.GossipRounds*vecLen+meanLen) {
 		t.Fatalf("add ops = %d", r.AddOps)
@@ -152,7 +149,7 @@ func TestProjectPackedWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	if packed.EncryptOps*5 != base.EncryptOps ||
-		packed.ScalarOps*5 != base.ScalarOps ||
+		packed.RerandomizeOps*5 != base.RerandomizeOps ||
 		packed.PartialDecryptOps*5 != base.PartialDecryptOps ||
 		packed.CombineOps*5 != base.CombineOps {
 		t.Fatalf("packed op counts not 1/5th of unpacked: %+v vs %+v", packed, base)
@@ -178,6 +175,26 @@ func TestProjectPackedWorkload(t *testing.T) {
 	bad.Slots = -1
 	if _, err := Project(p, bad); err == nil {
 		t.Fatal("negative Slots must be rejected")
+	}
+}
+
+// TestProjectPricesGossipPerCipher pins what a gossip round costs: per
+// ciphertext one rerandomization and one addition — no full-width
+// exponentiation, and for participants gossiping in step no squaring.
+func TestProjectPricesGossipPerCipher(t *testing.T) {
+	p := measureSmall(t)
+	w := baseWorkload()
+	base, err := Project(p, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := time.Duration(w.Iterations * w.GossipRounds * w.VectorLen())
+	fixed := time.Duration(base.EncryptOps)*p.FastEncrypt +
+		time.Duration(w.Iterations*w.SideCiphers())*p.Add + // step 2c
+		time.Duration(base.PartialDecryptOps)*p.FastPartialDecrypt +
+		time.Duration(base.CombineOps)*p.FastCombine
+	if want := fixed + rounds*(p.FastRerandomize+p.Add); base.CPUTimeFast != want {
+		t.Fatalf("fast CPU = %v, want %v: encrypt/decrypt plus (rerandomize + add) per cipher per round", base.CPUTimeFast, want)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // sim-wide runs: accounted backend, sharded engine, CER-like series of 4
 // samples, K=2, 2 iterations, 12 gossip rounds, threshold 8), must land
 // within a tolerance band of a live simulator run of that shape, packed
-// and unpacked — messages and decrypt requests exactly, bytes within 10%
+// and unpacked — messages, decrypt requests and the gossip round's
+// ciphertext operations exactly, bytes within 10%
 // (see the package doc's drift note for where the residual
 // envelope-overhead difference comes from). Per-participant counts are
 // population-independent, so a tier-1-sized N checks what N=100k would.
@@ -101,6 +102,19 @@ func TestProjectionMatchesMeasuredScaleRun(t *testing.T) {
 			}
 			if got, want := rep.DecryptRequests*n, tr.DecryptRequests; got != want {
 				t.Errorf("decrypt requests: projected %d, measured %d", got, want)
+			}
+			// So is what a gossip round costs in ciphertext operations:
+			// one sent-copy rerandomization per ciphertext per round, no
+			// halving inside a ciphertext, and — the participants gossip
+			// in step — no squaring to align exponents.
+			if got, want := int64(rep.RerandomizeOps)*n, tr.Ops.Refreshes; got != want {
+				t.Errorf("rerandomizations: projected %d, measured %d refreshes", got, want)
+			}
+			if tr.Ops.Doublings != 0 {
+				t.Errorf("live run spent %d squarings aligning exponents, the projection prices none", tr.Ops.Doublings)
+			}
+			if eager := tr.Ops.Halvings - tr.Ops.Refreshes; eager != 0 {
+				t.Errorf("live run halved %d ciphertexts eagerly", eager)
 			}
 			// Byte totals absorb per-message envelope overhead the
 			// projection only approximates — held to a 10% band.

@@ -25,7 +25,17 @@ type fixedBaseTable struct {
 	maxBits int
 	rows    [][]*big.Int
 
-	scratch sync.Pool // *big.Int accumulators, reused across Exp calls
+	scratch sync.Pool // *fixedBaseScratch, reused across Exp calls
+}
+
+// fixedBaseScratch is the working set of one Exp call. The product and
+// the quotient get buffers of their own because math/big allocates a
+// fresh result whenever a receiver aliases an operand (acc.Mul(acc, x),
+// acc.Mod(acc, m)): with separate receivers every step of the
+// accumulation reuses storage, and an exponentiation allocates only its
+// result.
+type fixedBaseScratch struct {
+	acc, prod, quo big.Int
 }
 
 // fixedBaseWindow is the digit width w. 2^w table entries per row; w=6
@@ -47,7 +57,7 @@ func newFixedBaseTable(base, mod *big.Int, maxBits int) *fixedBaseTable {
 		maxBits: numRows * fixedBaseWindow,
 		rows:    make([][]*big.Int, numRows),
 	}
-	t.scratch.New = func() interface{} { return new(big.Int) }
+	t.scratch.New = func() interface{} { return new(fixedBaseScratch) }
 	entries := 1 << w
 	rowBase := new(big.Int).Mod(base, mod) // g^(2^(i·w)) for the current row
 	for i := 0; i < numRows; i++ {
@@ -76,9 +86,9 @@ func (t *fixedBaseTable) Exp(e *big.Int) *big.Int {
 	if e.BitLen() > t.maxBits {
 		return new(big.Int).Exp(t.rows[0][1], e, t.mod)
 	}
-	acc := t.scratch.Get().(*big.Int)
-	defer t.scratch.Put(acc)
-	acc.SetInt64(1)
+	s := t.scratch.Get().(*fixedBaseScratch)
+	defer t.scratch.Put(s)
+	s.acc.SetInt64(1)
 	mask := uint((1 << t.window) - 1)
 	words := e.Bits()
 	bits := e.BitLen()
@@ -87,10 +97,10 @@ func (t *fixedBaseTable) Exp(e *big.Int) *big.Int {
 		if digit == 0 {
 			continue
 		}
-		acc.Mul(acc, t.rows[i][digit])
-		acc.Mod(acc, t.mod)
+		s.prod.Mul(&s.acc, t.rows[i][digit])
+		s.quo.QuoRem(&s.prod, t.mod, &s.acc) // operands are non-negative: the remainder is the residue
 	}
-	return new(big.Int).Set(acc)
+	return new(big.Int).Set(&s.acc)
 }
 
 // extractWindow reads the w-bit digit (mask = 2^w − 1) of the

@@ -54,7 +54,7 @@ func E5CryptoCosts(sc Scale) (*Table, error) {
 	t := &Table{
 		ID:    "E5a",
 		Title: "Measured Damgård–Jurik per-operation times (this machine, s=1)",
-		Header: []string{"key bits", "encrypt", "encrypt (fast)", "hom. add", "scalar mul",
+		Header: []string{"key bits", "encrypt", "encrypt (fast)", "hom. add", "rerandomize (pooled)", "squaring", "halve in place (avoided)",
 			"partial dec", "partial dec (fast)", "combine", "combine (batched)", "ciphertext", "packed slots/ct"},
 	}
 	keyBits := []int{512, 1024, 2048}
@@ -74,6 +74,8 @@ func E5CryptoCosts(sc Scale) (*Table, error) {
 			p.Encrypt.Round(time.Microsecond).String(),
 			p.FastEncrypt.Round(time.Microsecond).String(),
 			p.Add.Round(time.Microsecond).String(),
+			p.FastRerandomize.Round(time.Microsecond).String(),
+			p.Square.Round(time.Microsecond).String(),
 			p.ScalarMul.Round(time.Microsecond).String(),
 			p.PartialDecrypt.Round(time.Microsecond).String(),
 			p.FastPartialDecrypt.Round(time.Microsecond).String(),
@@ -86,6 +88,7 @@ func E5CryptoCosts(sc Scale) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"these are the \"encryption/decryption/addition times\" the demo GUI scales up from (Sec. III.B point 2); threshold configuration 5-of-8.",
 		"\"fast\" columns are the precomputed paths of docs/CRYPTO.md: fixed-base table encryption, CRT partial decryption, batched multi-exponentiation combine — decrypt- resp. bit-identical to the naive reference.",
+		"a gossip round costs one pooled rerandomization (the copy that is sent) and one addition (the merge) per ciphertext: push-sum's halvings travel as an exponent beside the ciphertexts. \"squaring\" is what aligning two shares one halving apart costs per ciphertext — nothing when participants gossip in step; \"halve in place (avoided)\" is the full-width exponentiation by 2⁻¹ mod n^s each of those halvings cost per ciphertext while it was performed inside the ciphertext.",
 		"\"packed slots/ct\" is how many fused-vector coordinates slot packing fits per ciphertext at that key size for the E5b workload (docs/CRYPTO.md, \"Slot packing\") — every per-ciphertext cost divides by it.")
 	return t, nil
 }
@@ -98,6 +101,7 @@ func E5CostProjection(sc Scale) (*Table, error) {
 		ID:    "E5b",
 		Title: "Projected per-participant cost of a full run (k=5, 24 samples, 8 iterations, 20 gossip rounds, threshold 10)",
 		Header: []string{"key bits", "crypto CPU / participant", "crypto CPU (fast path)", "crypto CPU (packed+fast)",
+			"of which gossip (fast path)", "gossip if halved in place",
 			"network / participant", "network (packed)", "messages / participant",
 			"collaborative-decryption latency", "latency (packed+fast)"},
 	}
@@ -132,6 +136,8 @@ func E5CostProjection(sc Scale) (*Table, error) {
 			r.CPUTime.Round(time.Millisecond).String(),
 			r.CPUTimeFast.Round(time.Millisecond).String(),
 			pr.CPUTimeFast.Round(time.Millisecond).String(),
+			(time.Duration(r.RerandomizeOps) * (p.FastRerandomize + p.Add)).Round(time.Millisecond).String(),
+			(time.Duration(r.RerandomizeOps) * (p.ScalarMul + p.FastRerandomize + p.Add)).Round(time.Millisecond).String(),
 			fmt.Sprintf("%.1f MB", float64(r.BytesSent)/1e6),
 			fmt.Sprintf("%.1f MB", float64(pr.BytesSent)/1e6),
 			d(r.MessagesSent),
@@ -141,6 +147,7 @@ func E5CostProjection(sc Scale) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"per-participant costs are independent of the population size (they depend on k, d, rounds and the decryption threshold) — the scalability property behind the paper's claim 3 (\"costs remain affordable given the resources of today's personal devices\").",
+		"\"of which gossip\" is rounds × vector × (pooled rerandomization + addition): the halvings are increments of the exponent carried beside the ciphertexts and the projection is for participants gossiping in step (no exponent to align; a lagging participant pays E5a's squaring per ciphertext per halving of gap on top). \"gossip if halved in place\" adds the full-width exponentiation each halving cost per ciphertext before that.",
 		"\"packed\" columns project the slot-packed encrypted side (E5a's slots/ct at each key size): the same protocol with every per-ciphertext operation and byte divided by the packing factor.")
 	return t, nil
 }

@@ -33,13 +33,17 @@ import (
 // subtracts bias·w (an exact integer whenever the weight's dyadic
 // denominator divides the bias; see Unbias).
 //
-// Halving exactness. The gossip primitive multiplies by 2⁻¹ mod M, which
-// only equals integer halving when the true value is even. A slot's
-// per-contribution value is v + bias where v carries ≥ PreScaleBits
-// factors of two (the fixedpoint.PreScale contract) and bias = 2^magBits
-// with magBits ≥ PreScaleBits, so every slot — and hence the whole packed
-// integer — stays even for the full pre-scale budget, and the existing
-// Halve is exact and slot-aligned with no crypto-layer changes.
+// Halving exactness. Gossip never divides a packed plaintext: a share
+// travels as (ciphertext, h) and stands for Dec(c)·2^(T−h), T being the
+// pre-scale budget (internal/gossip, internal/core). That needs the
+// packed integer at exponent 0 to be a multiple of 2^T, so that
+// Dec(c) = packed >> T loses nothing. A slot's per-contribution value is
+// v + bias where v carries ≥ T factors of two (the fixedpoint.PreScale
+// contract) and bias = 2^magBits with magBits ≥ T, so every slot — and
+// hence the whole packed integer — does, and for every h ≤ T the
+// decoder's Dec(c) << (T−h) is the slot-aligned integer h exact halvings
+// would have produced: slot boundaries, bias bookkeeping and bit budget
+// are those of the pre-scaled plaintext, with no crypto-layer changes.
 type SlotLayout struct {
 	slotBits uint
 	magBits  uint

@@ -128,11 +128,14 @@ func TestSlotPackRandomized(t *testing.T) {
 	}
 }
 
-// TestSlotHalvingExactness checks the core contract: values carrying
-// preScale factors of two stay slot-aligned under up to preScale integer
-// halvings of the whole packed plaintext, and Unbias with the halved
-// weight recovers the halved values — the reason gossip's ×2⁻¹ needs no
-// crypto-layer change for packed ciphertexts.
+// TestSlotHalvingExactness checks the core contract: a packed plaintext
+// of values carrying preScale factors of two is itself a multiple of
+// 2^preScale (every slot is, and so is every bias), so the protocol can
+// encrypt packed>>preScale and carry the halvings as an exponent h beside
+// the ciphertext; for every h up to preScale the decoder's
+// (packed>>preScale)<<(preScale−h) is the slot-aligned integer h exact
+// halvings of the packed plaintext give, and Unbias with the halved
+// weight recovers the halved values.
 func TestSlotHalvingExactness(t *testing.T) {
 	const preScale = 12
 	l := mustLayout(t, 640, 40, 10)
@@ -150,16 +153,24 @@ func TestSlotHalvingExactness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shares := make([]*big.Int, len(packed)) // what is encrypted: exponent 0
+	for g, p := range packed {
+		if p.TrailingZeroBits() < preScale {
+			t.Fatalf("packed plaintext %d carries %d factors of two, want >= %d — shifting the pre-scale out would round", g, p.TrailingZeroBits(), preScale)
+		}
+		shares[g] = new(big.Int).Rsh(p, preScale)
+	}
 	weight := 1.0
 	for round := 1; round <= preScale; round++ {
-		for g := range packed {
-			if packed[g].Bit(0) != 0 {
-				t.Fatalf("round %d: packed plaintext %d odd — halving would wrap", round, g)
+		opened := make([]*big.Int, len(shares)) // what the decoder rebuilds at exponent = round
+		for g, s := range shares {
+			opened[g] = new(big.Int).Lsh(s, uint(preScale-round))
+			if want := new(big.Int).Rsh(packed[g], uint(round)); opened[g].Cmp(want) != 0 {
+				t.Fatalf("round %d: plaintext %d rebuilt as %s, %d exact halvings give %s", round, g, opened[g], round, want)
 			}
-			packed[g].Rsh(packed[g], 1) // what ×2⁻¹ mod M does to an even value
 		}
 		weight /= 2
-		raw, err := l.Unpack(packed, len(vs))
+		raw, err := l.Unpack(opened, len(vs))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,9 +26,16 @@ func TestAbsorbAllMatchesSequentialFloat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Senders at different depths of their own gossip: the batch carries
+	// exponents on both sides of the receiver's.
+	seq.Emit()
+	bat.Emit()
 	var ms []*Message[float64]
 	for k := 0; k < 7; k++ {
 		other, _ := NewState[float64](FloatRing{}, vals(), 1)
+		for e := 0; e < k%4; e++ {
+			other.Emit()
+		}
 		ms = append(ms, other.Emit())
 	}
 	for _, m := range ms {
@@ -39,8 +46,8 @@ func TestAbsorbAllMatchesSequentialFloat(t *testing.T) {
 	if err := bat.AbsorbAll(ms); err != nil {
 		t.Fatal(err)
 	}
-	if seq.W != bat.W {
-		t.Fatalf("weights diverge: %v vs %v", seq.W, bat.W)
+	if seq.W != bat.W || seq.H != bat.H {
+		t.Fatalf("weights/exponents diverge: (%v, %d) vs (%v, %d)", seq.W, seq.H, bat.W, bat.H)
 	}
 	for i := range seq.V {
 		if seq.V[i] != bat.V[i] {
@@ -76,9 +83,16 @@ func TestAbsorbAllMatchesSequentialMod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq.Emit()
+	seq.Emit()
+	bat.Emit()
+	bat.Emit()
 	var ms []*Message[*big.Int]
 	for k := 0; k < 6; k++ {
 		other, _ := NewState[*big.Int](ring, vals(), 1)
+		for e := 0; e < k%4; e++ {
+			other.Emit()
+		}
 		ms = append(ms, other.Emit())
 	}
 	for _, msg := range ms {
@@ -89,8 +103,8 @@ func TestAbsorbAllMatchesSequentialMod(t *testing.T) {
 	if err := bat.AbsorbAll(ms); err != nil {
 		t.Fatal(err)
 	}
-	if seq.W != bat.W {
-		t.Fatalf("weights diverge: %v vs %v", seq.W, bat.W)
+	if seq.W != bat.W || seq.H != bat.H {
+		t.Fatalf("weights/exponents diverge: (%v, %d) vs (%v, %d)", seq.W, seq.H, bat.W, bat.H)
 	}
 	for i := range seq.V {
 		if seq.V[i].Cmp(bat.V[i]) != 0 {
@@ -134,7 +148,7 @@ func TestEmitIntoReusesBuffer(t *testing.T) {
 	if got != buf {
 		t.Fatal("EmitInto did not return the provided buffer")
 	}
-	if got.W != want.W || got.V[0] != want.V[0] || got.V[1] != want.V[1] {
+	if got.W != want.W || got.H != want.H || got.V[0] != want.V[0] || got.V[1] != want.V[1] {
 		t.Fatalf("EmitInto diverges from Emit: %+v vs %+v", got, want)
 	}
 	// Second emission into the same buffer must not allocate a new V.
@@ -143,7 +157,7 @@ func TestEmitIntoReusesBuffer(t *testing.T) {
 	if &got2.V[0] != prev {
 		t.Fatal("EmitInto reallocated a reusable buffer")
 	}
-	if got2.V[0] != 2 { // 8 -> emitted 4, kept 4 -> emitted 2
-		t.Fatalf("second emission value %v, want 2", got2.V[0])
+	if got2.V[0] != 8 || got2.H != 2 { // 8 -> emitted 4, kept 4 -> emitted 2 = 8·2^-2
+		t.Fatalf("second emission (%v, %d), want (8, 2)", got2.V[0], got2.H)
 	}
 }

@@ -7,25 +7,40 @@
 // Chiaroscuro needs the sum protocol twice per iteration — once over
 // additively-homomorphic ciphertexts (the encrypted means) and once for
 // the encrypted Laplace noise shares. To serve both, the protocol state is
-// generic over a Ring: the value type only needs addition and exact
-// halving. Two rings are provided here (float64 and *big.Int residues);
+// generic over a Ring: the value type only needs addition and doubling.
+// Two rings are provided here (float64 and *big.Int residues);
 // internal/core adds the Damgård–Jurik ciphertext ring.
 //
-// # Exact halving over encrypted integers
+// # The halving exponent travels beside the values
 //
-// Halving a ciphertext is the homomorphic scalar multiplication by
-// 2^{-1} mod n^s, which is exact ring arithmetic. For the final decrypted
-// value to decode back to the intended rational, every plaintext is
-// pre-scaled by 2^T before the protocol starts (T = total number of
-// halvings a contribution can undergo, i.e. the number of rounds); each
-// contribution's coefficient then stays a non-negative integer multiple
-// of 2^{T-rounds} and the ring element never wraps into "fake negatives".
-// See internal/fixedpoint.PreScale.
+// Push-sum halves a node's share at every exchange. Dividing an
+// encrypted integer by two is a full-width modular exponentiation (the
+// scalar 2^{-1} mod n^s has as many bits as the modulus), so the division
+// is never performed on the values. A State — and every Message it
+// emits — is a pair (V, H): the share of coordinate j it represents is
+// V[j]·2^{-H}. Emit is H++ on both halves. Merging a message with a
+// smaller exponent first doubles its values up to the state's exponent
+// (and a state lagging behind a message doubles itself up to the
+// message's), which costs Δ = |H₁−H₂| ring doublings per value —
+// modular squarings of a ciphertext, zero in a synchronized round, a
+// handful after a late synchronization. The invariant, by induction over
+// Emit and Absorb: H is the maximum number of halvings undergone by any
+// contribution the state holds.
+//
+// For the share to be an integer that decodes back to the intended
+// rational, the caller decodes V·2^{T-H} where T is the halving budget
+// it provisioned (one factor of two per gossip round, see
+// internal/fixedpoint.PreScale): as long as H ≤ T no division ever
+// happens, anywhere, and the result is exactly what eager halving of a
+// 2^T-pre-scaled plaintext would have produced. H > T is the budget
+// breach eager halving would have turned into a wrapped residue; here it
+// is an integer comparison the decoder makes before trusting the value.
 package gossip
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -36,8 +51,9 @@ type Ring[T any] interface {
 	Zero() T
 	// Add returns a + b.
 	Add(a, b T) T
-	// Halve returns the exact half of a (for modular rings, a·2^{-1}).
-	Halve(a T) T
+	// Double returns a·2^k as a fresh value that never aliases a, even
+	// for k = 0 (mutable states rely on that to hand out copies).
+	Double(a T, k uint) T
 	// Clone returns an independent copy of a.
 	Clone(a T) T
 	// AddAll returns acc + vs[0] + vs[1] + ..., evaluated left to right,
@@ -52,11 +68,11 @@ type Ring[T any] interface {
 // MutRing is an optional Ring extension for rings whose values are
 // mutable handles (e.g. preallocated big.Int residues from
 // internal/vecpool): the push-sum state can then run its per-cycle hot
-// loops — halve-and-emit, absorb — entirely in place, allocating
-// nothing in steady state. Every operation must be value-identical to
-// its immutable counterpart (HalveInPlace to Halve, AddInPlace to Add,
-// AddAllInPlace to a left fold of Add), so enabling the in-place path
-// never changes a trajectory, only its allocation profile.
+// loops — emit, absorb — entirely in place, allocating nothing in steady
+// state. Every operation must be value-identical to its immutable
+// counterpart (DoubleInPlace to Double, AddInPlace to Add, AddAllInPlace
+// to a left fold of Add), so enabling the in-place path never changes a
+// trajectory, only its allocation profile.
 //
 // The path is opt-in per State (see State.SetMutable) because it
 // changes the aliasing contract: an in-place state mutates its own
@@ -64,8 +80,8 @@ type Ring[T any] interface {
 // the way Ring.Clone-style sharing otherwise allows.
 type MutRing[T any] interface {
 	Ring[T]
-	// HalveInPlace replaces a's value with its exact half.
-	HalveInPlace(a T)
+	// DoubleInPlace replaces a's value with a·2^k.
+	DoubleInPlace(a T, k uint)
 	// AddInPlace sets acc = acc + v. Only acc is mutated.
 	AddInPlace(acc, v T)
 	// AddAllInPlace sets acc = acc + vs[0] + vs[1] + ..., evaluated left
@@ -75,21 +91,27 @@ type MutRing[T any] interface {
 	SetInPlace(dst, src T)
 }
 
-// Message is the half-share a node pushes to a peer: the value vector and
-// the accompanying push-sum weight.
+// Message is the half-share a node pushes to a peer: the value vector,
+// its halving exponent (the share is V·2^{-H}) and the accompanying
+// push-sum weight.
 type Message[T any] struct {
 	V []T
 	W float64
+	H uint
 }
 
-// State is one node's push-sum accumulator: a vector of ring values plus
-// the scalar weight. The running estimate of the network-wide average of
-// coordinate j is V[j]/W (decoded by the caller; for ciphertext rings the
-// division happens after decryption).
+// State is one node's push-sum accumulator: a vector of ring values with
+// their common halving exponent, plus the scalar weight. The node's share
+// of coordinate j is V[j]·2^{-H}, and its running estimate of the
+// network-wide average is that share over W (decoded by the caller; for
+// ciphertext rings both divisions happen after decryption).
 type State[T any] struct {
 	ring Ring[T]
 	V    []T
 	W    float64
+	// H is the halving exponent: the maximum number of halvings any
+	// contribution held in V has undergone.
+	H uint
 	// mut, when non-nil, routes the hot loops through the ring's
 	// in-place operations (see SetMutable).
 	mut MutRing[T]
@@ -135,7 +157,8 @@ func (s *State[T]) SetMutable() bool {
 
 // Emit halves the node's state and returns the outgoing half as a
 // message. The remaining half stays in the state. Push-sum's mass
-// conservation invariant: state + message = previous state.
+// conservation invariant: state + message = previous state. No value is
+// touched: both halves keep the same V under an exponent one higher.
 func (s *State[T]) Emit() *Message[T] {
 	return s.EmitInto(nil)
 }
@@ -149,43 +172,20 @@ func (s *State[T]) Emit() *Message[T] {
 // On a mutable state (SetMutable) whose dst arrives fully prepared —
 // value vector already the state's length, every slot holding a
 // caller-owned mutable value — the emission is allocation-free: the
-// state's values are halved in place and copied into dst's existing
-// storage. The emitted values are then equal to, but never aliased
-// with, the state's (each side mutates only its own storage
-// afterwards).
+// state's values are copied into dst's existing storage. The emitted
+// values are then equal to, but never aliased with, the state's (each
+// side mutates only its own storage afterwards).
 func (s *State[T]) EmitInto(dst *Message[T]) *Message[T] {
 	if dst == nil {
 		dst = &Message[T]{}
 	}
-	if s.mut != nil {
-		if len(dst.V) == len(s.V) {
-			dst.W = s.W / 2
-			for i := range s.V {
-				s.mut.HalveInPlace(s.V[i])
-				s.mut.SetInPlace(dst.V[i], s.V[i])
-			}
-			s.W /= 2
-			return dst
-		}
-		// Unprepared destination on a mutable state: the immutable
-		// fallthrough below would be unsound here, because a sharing
-		// Clone (the cipher rings') would alias the emitted message
-		// with state values that later in-place operations mutate.
-		// Instead, halve into a fresh value for the message and copy it
-		// back into the state's own storage — allocating, never
-		// aliasing, value- and accounting-identical either way.
-		if cap(dst.V) >= len(s.V) {
-			dst.V = dst.V[:len(s.V)]
-		} else {
-			dst.V = make([]T, len(s.V))
-		}
-		dst.W = s.W / 2
+	s.H++
+	s.W /= 2
+	dst.H, dst.W = s.H, s.W
+	if s.mut != nil && len(dst.V) == len(s.V) {
 		for i := range s.V {
-			h := s.ring.Halve(s.V[i])
-			s.mut.SetInPlace(s.V[i], h)
-			dst.V[i] = h
+			s.mut.SetInPlace(dst.V[i], s.V[i])
 		}
-		s.W /= 2
 		return dst
 	}
 	if cap(dst.V) >= len(s.V) {
@@ -193,18 +193,39 @@ func (s *State[T]) EmitInto(dst *Message[T]) *Message[T] {
 	} else {
 		dst.V = make([]T, len(s.V))
 	}
-	dst.W = s.W / 2
 	for i := range s.V {
-		h := s.ring.Halve(s.V[i])
-		s.V[i] = h
-		dst.V[i] = s.ring.Clone(h)
+		if s.mut != nil {
+			// Unprepared destination on a mutable state: a sharing Clone
+			// (the cipher rings') would alias the emitted message with
+			// state values that later in-place operations mutate, so the
+			// copy is minted by Double, which never aliases.
+			dst.V[i] = s.ring.Double(s.V[i], 0)
+		} else {
+			dst.V[i] = s.ring.Clone(s.V[i])
+		}
 	}
-	s.W /= 2
 	return dst
 }
 
-// Absorb merges a received message into the state. On a mutable state
-// the fold happens in place (the message values are only read).
+// raise doubles the state's values up to exponent h ≥ s.H, leaving the
+// share V·2^{-H} unchanged.
+func (s *State[T]) raise(h uint) {
+	if h == s.H {
+		return
+	}
+	for i := range s.V {
+		if s.mut != nil {
+			s.mut.DoubleInPlace(s.V[i], h-s.H)
+		} else {
+			s.V[i] = s.ring.Double(s.V[i], h-s.H)
+		}
+	}
+	s.H = h
+}
+
+// Absorb merges a received message into the state. Whichever side has
+// the smaller exponent is doubled up to the other's first; on a mutable
+// state the fold happens in place (the message values are only read).
 func (s *State[T]) Absorb(m *Message[T]) error {
 	if m == nil {
 		return errors.New("gossip: nil message")
@@ -212,15 +233,20 @@ func (s *State[T]) Absorb(m *Message[T]) error {
 	if len(m.V) != len(s.V) {
 		return fmt.Errorf("gossip: message dimension %d != state dimension %d", len(m.V), len(s.V))
 	}
-	if s.mut != nil {
-		for i := range s.V {
-			s.mut.AddInPlace(s.V[i], m.V[i])
-		}
-		s.W += m.W
-		return nil
+	if m.H > s.H {
+		s.raise(m.H)
 	}
+	lag := s.H - m.H
 	for i := range s.V {
-		s.V[i] = s.ring.Add(s.V[i], m.V[i])
+		v := m.V[i]
+		if lag > 0 {
+			v = s.ring.Double(v, lag)
+		}
+		if s.mut != nil {
+			s.mut.AddInPlace(s.V[i], v)
+		} else {
+			s.V[i] = s.ring.Add(s.V[i], v)
+		}
 	}
 	s.W += m.W
 	return nil
@@ -228,18 +254,24 @@ func (s *State[T]) Absorb(m *Message[T]) error {
 
 // AbsorbAll merges a batch of received messages in one pass — the
 // batched exchange a shard worker performs when several same-iteration
-// messages are waiting in a node's inbox. Each coordinate is folded
-// with a single accumulator (Ring.AddAll). The result is bit-identical
-// to absorbing the messages one by one in order, and the whole batch is
-// validated before any state is touched (all-or-nothing on malformed
-// input).
+// messages are waiting in a node's inbox. The state is raised once to
+// the largest exponent in the batch and each coordinate is folded with a
+// single accumulator (Ring.AddAll). The result is bit-identical to
+// absorbing the messages one by one in order (doubling commutes exactly
+// with addition in every ring, float64 rounding included), and the whole
+// batch is validated before any state is touched (all-or-nothing on
+// malformed input).
 func (s *State[T]) AbsorbAll(ms []*Message[T]) error {
+	top := s.H
 	for _, m := range ms {
 		if m == nil {
 			return errors.New("gossip: nil message")
 		}
 		if len(m.V) != len(s.V) {
 			return fmt.Errorf("gossip: message dimension %d != state dimension %d", len(m.V), len(s.V))
+		}
+		if m.H > top {
+			top = m.H
 		}
 	}
 	switch len(ms) {
@@ -248,10 +280,14 @@ func (s *State[T]) AbsorbAll(ms []*Message[T]) error {
 	case 1:
 		return s.Absorb(ms[0])
 	}
+	s.raise(top)
 	col := s.column(ms)
 	for i := range s.V {
 		for j, m := range ms {
 			col[j] = m.V[i]
+			if m.H < top {
+				col[j] = s.ring.Double(m.V[i], top-m.H)
+			}
 		}
 		if s.mut != nil {
 			s.mut.AddAllInPlace(s.V[i], col)
@@ -298,7 +334,8 @@ func (s *State[T]) releaseColumn(col []T) {
 // Weight returns the current push-sum weight.
 func (s *State[T]) Weight() float64 { return s.W }
 
-// Values returns a copy of the current value vector.
+// Values returns a copy of the current value vector (to be read under
+// the exponent H).
 func (s *State[T]) Values() []T {
 	out := make([]T, len(s.V))
 	for i := range s.V {
@@ -317,8 +354,12 @@ func (FloatRing) Zero() float64 { return 0 }
 // Add implements Ring.
 func (FloatRing) Add(a, b float64) float64 { return a + b }
 
-// Halve implements Ring.
-func (FloatRing) Halve(a float64) float64 { return a / 2 }
+// Double implements Ring: scaling by a power of two is exact in
+// float64, so doubling commutes with every rounding Add performs and a
+// State over floats stays bit-identical to one that halved eagerly —
+// short of overflow, which is about a thousand unsettled halvings away
+// (SimulatePushSum folds the exponent back every round for that reason).
+func (FloatRing) Double(a float64, k uint) float64 { return math.Ldexp(a, int(k)) }
 
 // Clone implements Ring.
 func (FloatRing) Clone(a float64) float64 { return a }

@@ -21,6 +21,16 @@ func TestNewStateValidation(t *testing.T) {
 	}
 }
 
+// shares reads a float state's (or message's) represented shares
+// V·2^{-H}.
+func shares(v []float64, h uint) []float64 {
+	out := make([]float64, len(v))
+	for i, x := range v {
+		out[i] = math.Ldexp(x, -int(h))
+	}
+	return out
+}
+
 func TestEmitHalvesAndConservesMass(t *testing.T) {
 	ring := FloatRing{}
 	st, err := NewState[float64](ring, []float64{8, 4}, 1)
@@ -31,9 +41,13 @@ func TestEmitHalvesAndConservesMass(t *testing.T) {
 	if msg.W != 0.5 || st.Weight() != 0.5 {
 		t.Fatalf("weights after emit: msg=%v state=%v", msg.W, st.Weight())
 	}
-	v := st.Values()
-	if v[0] != 4 || v[1] != 2 || msg.V[0] != 4 || msg.V[1] != 2 {
-		t.Fatalf("values after emit: state=%v msg=%v", v, msg.V)
+	// The halving is the exponent's: no value moved.
+	if st.H != 1 || msg.H != 1 || st.V[0] != 8 || msg.V[1] != 4 {
+		t.Fatalf("after emit: state=(%v, %d) msg=(%v, %d), want the values untouched under exponent 1", st.V, st.H, msg.V, msg.H)
+	}
+	v, mv := shares(st.Values(), st.H), shares(msg.V, msg.H)
+	if v[0] != 4 || v[1] != 2 || mv[0] != 4 || mv[1] != 2 {
+		t.Fatalf("shares after emit: state=%v msg=%v", v, mv)
 	}
 }
 
@@ -45,9 +59,24 @@ func TestAbsorbAddsMass(t *testing.T) {
 	if err := b.Absorb(msg); err != nil {
 		t.Fatal(err)
 	}
-	v := b.Values()
+	v := shares(b.Values(), b.H)
 	if v[0] != 3.5 || v[1] != 5 || b.Weight() != 1.5 {
 		t.Fatalf("after absorb: v=%v w=%v", v, b.Weight())
+	}
+	// b lagged one halving behind the message: it doubled itself up.
+	if b.H != 1 || b.V[0] != 7 {
+		t.Fatalf("after absorb: (%v, %d), want ([7 10], 1)", b.V, b.H)
+	}
+	// And a message lagging behind the state is doubled up instead.
+	c, _ := NewState[float64](ring, []float64{16, 0}, 1)
+	c.Emit()
+	c.Emit()
+	c.Emit()
+	if err := c.Absorb(msg); err != nil {
+		t.Fatal(err)
+	}
+	if v := shares(c.Values(), c.H); c.H != 3 || v[0] != 2.5 || v[1] != 1 {
+		t.Fatalf("lagging message: shares %v under exponent %d, want [2.5 1] under 3", v, c.H)
 	}
 }
 
@@ -87,7 +116,8 @@ func TestPairMassConservation(t *testing.T) {
 	ring := FloatRing{}
 	st, _ := NewState[float64](ring, []float64{5, 3}, 1)
 	msg := st.Emit()
-	if st.Values()[0]+msg.V[0] != 5 || st.Values()[1]+msg.V[1] != 3 {
+	kept, sent := shares(st.Values(), st.H), shares(msg.V, msg.H)
+	if kept[0]+sent[0] != 5 || kept[1]+sent[1] != 3 {
 		t.Fatal("mass not conserved across emit")
 	}
 	if st.Weight()+msg.W != 1 {
@@ -106,17 +136,16 @@ func TestModRing(t *testing.T) {
 	if got := r.Add(a, b); got.Int64() != 1 {
 		t.Fatalf("(100+2) mod 101 = %v", got)
 	}
-	// Halving an even value is plain division.
-	if got := r.Halve(big.NewInt(10)); got.Int64() != 5 {
-		t.Fatalf("halve(10) = %v", got)
+	// Doubling below the modulus is a plain shift; above it, it wraps.
+	if got := r.Double(big.NewInt(10), 3); got.Int64() != 80 {
+		t.Fatalf("10·2^3 = %v", got)
 	}
-	// Halving an odd value x gives y with 2y ≡ x.
-	y := r.Halve(big.NewInt(7))
-	two := big.NewInt(2)
-	back := new(big.Int).Mul(y, two)
-	back.Mod(back, M)
-	if back.Int64() != 7 {
-		t.Fatalf("2·halve(7) = %v, want 7", back)
+	if got := r.Double(big.NewInt(60), 2); got.Int64() != 240%101 {
+		t.Fatalf("60·2^2 mod 101 = %v, want %d", got, 240%101)
+	}
+	// Double never aliases its argument, even for k = 0.
+	if got := r.Double(a, 0); got == a || got.Cmp(a) != 0 {
+		t.Fatalf("double(a, 0) = %v (aliased: %v)", got, got == a)
 	}
 	if r.Zero().Sign() != 0 {
 		t.Fatal("zero is not zero")
@@ -147,14 +176,19 @@ func TestModRingHalveInverseProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	two := big.NewInt(2)
-	f := func(raw int64) bool {
+	inv2 := new(big.Int).ModInverse(big.NewInt(2), M)
+	f := func(raw int64, k uint8) bool {
 		v := new(big.Int).SetInt64(raw)
 		v.Mod(v, M)
-		h := r.Halve(v)
-		back := new(big.Int).Mul(h, two)
-		back.Mod(back, M)
-		return back.Cmp(v) == 0
+		// Doubling undoes the ring's halving (multiplication by 2^{-1})
+		// step for step, in place and out of place.
+		h := new(big.Int).Set(v)
+		for i := uint8(0); i < k%70; i++ {
+			h.Mul(h, inv2).Mod(h, M)
+		}
+		back := r.Double(h, uint(k%70))
+		r.DoubleInPlace(h, uint(k%70))
+		return back.Cmp(v) == 0 && h.Cmp(v) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -170,10 +204,8 @@ func TestFloatAndModRingAgreeOnPreScaledGossip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const preScale = 12 // enough for the halvings below
-	encode := func(x int64) *big.Int {
-		return new(big.Int).Lsh(big.NewInt(x), preScale)
-	}
+	const preScale = 12 // the halving budget: enough for the exchanges below
+	encode := func(x int64) *big.Int { return big.NewInt(x) }
 	fa, _ := NewState[float64](FloatRing{}, []float64{48}, 1)
 	fb, _ := NewState[float64](FloatRing{}, []float64{16}, 1)
 	ma, _ := NewState[*big.Int](ring, []*big.Int{encode(48)}, 1)
@@ -191,10 +223,15 @@ func TestFloatAndModRingAgreeOnPreScaledGossip(t *testing.T) {
 		f *State[float64]
 		m *State[*big.Int]
 	}{"a": {fa, ma}, "b": {fb, mb}} {
-		fEst := pair.f.Values()[0] / pair.f.Weight()
-		raw := pair.m.Values()[0]
+		fEst := shares(pair.f.Values(), pair.f.H)[0] / pair.f.Weight()
+		if pair.m.H > preScale {
+			t.Fatalf("%s: exponent %d over the budget %d", name, pair.m.H, preScale)
+		}
+		// Decode as the protocol does: the pre-scaled integer V·2^{T-H},
+		// then the 2^T and the weight divided out.
+		raw := new(big.Int).Lsh(pair.m.Values()[0], preScale-pair.m.H)
 		mEst := float64(raw.Int64()) / math.Ldexp(1, preScale) / pair.m.Weight()
-		if math.Abs(fEst-mEst) > 1e-9 {
+		if fEst != mEst {
 			t.Fatalf("%s: float est %v != ring est %v", name, fEst, mEst)
 		}
 	}

@@ -73,8 +73,8 @@ func TestMutStateBitIdentical(t *testing.T) {
 
 	check := func(step int) {
 		t.Helper()
-		if plain.Weight() != mut.Weight() {
-			t.Fatalf("step %d: weight %v != %v", step, plain.Weight(), mut.Weight())
+		if plain.Weight() != mut.Weight() || plain.H != mut.H {
+			t.Fatalf("step %d: (weight, exponent) (%v, %d) != (%v, %d)", step, plain.Weight(), plain.H, mut.Weight(), mut.H)
 		}
 		for i := range plain.V {
 			if plain.V[i].Cmp(mut.V[i]) != 0 {
@@ -92,8 +92,8 @@ func TestMutStateBitIdentical(t *testing.T) {
 					t.Fatalf("step %d: emitted coord %d differs", step, i)
 				}
 			}
-			if mp.W != mm.W {
-				t.Fatalf("step %d: emitted weight differs", step)
+			if mp.W != mm.W || mp.H != mm.H {
+				t.Fatalf("step %d: emitted weight or exponent differs", step)
 			}
 		case 1: // absorb one message
 			m := randomMessage(rng, ring, len(plain.V))
@@ -124,7 +124,8 @@ func randomMessage(rng *rand.Rand, ring *ModRing, n int) *Message[*big.Int] {
 	for i := range v {
 		v[i] = new(big.Int).Rand(rng, ring.M)
 	}
-	return &Message[*big.Int]{V: v, W: rng.Float64()}
+	// Exponents on both sides of any state the schedules below reach.
+	return &Message[*big.Int]{V: v, W: rng.Float64(), H: uint(rng.Intn(90))}
 }
 
 // TestMutStateEmitNotAliased pins the anti-aliasing property of the
@@ -144,7 +145,7 @@ func TestMutStateEmitNotAliased(t *testing.T) {
 	dst := &Message[*big.Int]{V: []*big.Int{arena.Int(0)}}
 	m := mut.EmitInto(dst)
 	want := new(big.Int).Set(m.V[0])
-	mut.Absorb(&Message[*big.Int]{V: []*big.Int{big.NewInt(99)}, W: 0.1})
+	mut.Absorb(&Message[*big.Int]{V: []*big.Int{big.NewInt(99)}, W: 0.1, H: 1})
 	if m.V[0].Cmp(want) != 0 {
 		t.Fatal("state mutation leaked into the emitted message")
 	}
@@ -177,7 +178,9 @@ func TestMutStateEmitUnpreparedNotAliased(t *testing.T) {
 }
 
 // TestMutStateZeroAllocCycle is the package-level allocation contract:
-// a warmed emit/absorb cycle on an in-place state allocates nothing.
+// a warmed emit/absorb cycle on an in-place state allocates nothing. (A
+// message lagging behind the state is doubled into a fresh value, one
+// allocation per coordinate; a state lagging behind doubles in place.)
 func TestMutStateZeroAllocCycle(t *testing.T) {
 	ring, err := NewModRing(testModulus())
 	if err != nil {
@@ -192,9 +195,10 @@ func TestMutStateZeroAllocCycle(t *testing.T) {
 	for i := range dst.V {
 		dst.V[i] = arena.Int(i)
 	}
-	// A self-absorbing loop: emit into the prepared buffer, absorb it
-	// back (batch of 2 exercises the column scratch), forever touching
-	// only preallocated storage.
+	// A self-absorbing loop: emit into the prepared buffer, absorb a
+	// batch arriving at the state's own exponent — the synchronized round
+	// (batch of 2 exercises the column scratch) — forever touching only
+	// preallocated storage.
 	inArena, err := vecpool.NewResidueArena(len(mut.V), ring.M.BitLen())
 	if err != nil {
 		t.Fatal(err)
@@ -207,6 +211,7 @@ func TestMutStateZeroAllocCycle(t *testing.T) {
 	batch := []*Message[*big.Int]{in, in}
 	cycle := func() {
 		mut.EmitInto(dst)
+		in.H = mut.H
 		if err := mut.AbsorbAll(batch); err != nil {
 			t.Fatal(err)
 		}

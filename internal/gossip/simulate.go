@@ -97,6 +97,7 @@ func SimulatePushSum(values [][]float64, rounds int, failProb float64, rng *rand
 		}
 		maxErr, sumErr := 0.0, 0.0
 		for i := 0; i < n; i++ {
+			settle(states[i])
 			e := relErr(states[i], truth, truthNorm)
 			if e > maxErr {
 				maxErr = e
@@ -113,6 +114,19 @@ func SimulatePushSum(values [][]float64, rounds int, failProb float64, rng *rand
 	return res, nil
 }
 
+// settle folds a float state's exponent back into its values (V·2^{-H}
+// under H = 0). A float64 has only ~1000 doublings of range, and a
+// simulation may run longer than that, so SimulatePushSum settles every
+// state at the end of every round; scaling by a power of two is exact, so
+// the values are the ones eager halving would hold.
+func settle(s *State[float64]) {
+	for j, v := range s.V {
+		s.V[j] = math.Ldexp(v, -int(s.H))
+	}
+	s.H = 0
+}
+
+// estimate reads a settled state.
 func estimate(s *State[float64]) []float64 {
 	out := make([]float64, len(s.V))
 	if s.W == 0 {
@@ -145,13 +159,12 @@ func l2norm(v []float64) float64 {
 	return math.Sqrt(acc)
 }
 
-// ModRing is the ring of residues mod M with exact halving by 2^{-1}
-// mod M (M must be odd). It is the plaintext-space mirror of the
-// ciphertext ring and backs the accounted (crypto-disabled) backend so
-// that both backends execute bit-identical gossip arithmetic.
+// ModRing is the ring of residues mod M (M must be odd, as every
+// Damgård–Jurik plaintext modulus is). It is the plaintext-space mirror
+// of the ciphertext ring and backs the accounted (crypto-disabled)
+// backend so that both backends execute bit-identical gossip arithmetic.
 type ModRing struct {
-	M    *big.Int
-	inv2 *big.Int
+	M *big.Int
 }
 
 // NewModRing builds a ModRing for odd modulus M.
@@ -159,11 +172,7 @@ func NewModRing(M *big.Int) (*ModRing, error) {
 	if M == nil || M.Sign() <= 0 || M.Bit(0) == 0 {
 		return nil, errors.New("gossip: modulus must be positive and odd")
 	}
-	inv2 := new(big.Int).ModInverse(big.NewInt(2), M)
-	if inv2 == nil {
-		return nil, errors.New("gossip: 2 not invertible mod M")
-	}
-	return &ModRing{M: new(big.Int).Set(M), inv2: inv2}, nil
+	return &ModRing{M: new(big.Int).Set(M)}, nil
 }
 
 // Zero implements Ring.
@@ -175,16 +184,11 @@ func (r *ModRing) Add(a, b *big.Int) *big.Int {
 	return out.Mod(out, r.M)
 }
 
-// Halve implements Ring: multiplication by 2^{-1} mod M, computed in its
-// division-free form (even residues shift right; odd residues become
-// (a+M)/2, exact because M is odd).
-func (r *ModRing) Halve(a *big.Int) *big.Int {
-	out := new(big.Int)
-	if a.Bit(0) == 0 {
-		return out.Rsh(a, 1)
-	}
-	out.Add(a, r.M)
-	return out.Rsh(out, 1)
+// Double implements Ring: a·2^k mod M into a fresh residue.
+func (r *ModRing) Double(a *big.Int, k uint) *big.Int {
+	out := new(big.Int).Set(a)
+	r.DoubleInPlace(out, k)
+	return out
 }
 
 // Clone implements Ring.
@@ -204,13 +208,18 @@ func (r *ModRing) AddAll(acc *big.Int, vs []*big.Int) *big.Int {
 	return out
 }
 
-// HalveInPlace implements MutRing: the same division-free halving as
-// Halve, written into a's own storage.
-func (r *ModRing) HalveInPlace(a *big.Int) {
-	if a.Bit(0) != 0 {
-		a.Add(a, r.M)
+// DoubleInPlace implements MutRing in the division-free form: k
+// one-bit shifts, each followed by the reduced-residue conditional
+// subtraction. The intermediate 2a < 2M needs one bit above M's width —
+// the carry bit vecpool's residue arenas already provision for the
+// in-place add — so a's storage never grows.
+func (r *ModRing) DoubleInPlace(a *big.Int, k uint) {
+	for ; k > 0; k-- {
+		a.Lsh(a, 1)
+		if a.Cmp(r.M) >= 0 {
+			a.Sub(a, r.M)
+		}
 	}
-	a.Rsh(a, 1)
 }
 
 // AddInPlace implements MutRing. Operands must be reduced residues (the

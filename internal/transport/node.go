@@ -617,9 +617,6 @@ func (e *epochEnv) Inbox() []p2p.Message { return e.inbox }
 func (e *epochEnv) RandomPeer() (p2p.NodeID, bool) {
 	return e.n.sampler.RandomPeer()
 }
-func (e *epochEnv) RandomPeers(k int) []p2p.NodeID {
-	return e.n.sampler.RandomPeers(k)
-}
 
 // Send marshals the payload immediately (the participant may reuse its
 // buffers after Send returns) and hands one data frame to the peer's

@@ -18,7 +18,7 @@
 //   - ResidueArena backs n big.Int values with one []big.Int header slab
 //     and one flat []big.Word limb slab, each value pre-sized so the
 //     ring arithmetic of internal/core's accounted backend (Add with a
-//     conditional subtraction, division-free halving, Set) runs without
+//     conditional subtraction, division-free doubling, Set) runs without
 //     growing — the storage substrate of the zero-allocation gossip hot
 //     path (see internal/gossip.MutRing).
 //

@@ -96,6 +96,17 @@ func (fr *FieldReader) Uint32() (uint32, error) { return fr.r.uint32() }
 // aliases the input buffer.
 func (fr *FieldReader) Bytes() ([]byte, error) { return fr.r.field() }
 
+// Fixed reads n raw bytes — a run whose width the format fixes, so it
+// carries no length prefix. The returned slice aliases the input buffer.
+func (fr *FieldReader) Fixed(n int) ([]byte, error) {
+	if n < 0 || len(fr.r.buf) < n {
+		return nil, ErrTruncated
+	}
+	out := fr.r.buf[:n]
+	fr.r.buf = fr.r.buf[n:]
+	return out, nil
+}
+
 // Rest returns the unread remainder of the buffer.
 func (fr *FieldReader) Rest() []byte { return fr.r.buf }
 
