@@ -86,13 +86,13 @@ func (s *plainSuite) UnmarshalPartialValues(index int, buf []byte) ([]Partial, e
 // appendFloats appends one length-prefixed field of IEEE-754 bit
 // patterns (big-endian), one per coordinate, row-major.
 func appendFloats(buf []byte, rows [][]float64) []byte {
-	body := make([]byte, 0, 8*len(rows)*len(rows[0]))
+	buf, mark := wire.BeginField(buf)
 	for _, row := range rows {
 		for _, v := range row {
-			body = binary.BigEndian.AppendUint64(body, math.Float64bits(v))
+			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 	}
-	return wire.AppendBytes(buf, body)
+	return wire.EndField(buf, mark)
 }
 
 // readFloats reads one floats field of exactly rows×cols coordinates.

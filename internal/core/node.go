@@ -22,6 +22,9 @@ import (
 type Node struct {
 	rs *runSetup
 	pt *participant
+	fp uint64 // Fingerprint, digested once: every snapshot carries it
+
+	snapKeys []int // AppendSnapshot's scratch for a set's sorted keys
 }
 
 // NewNode builds the participant with the given id for a networked run
@@ -60,7 +63,9 @@ func NewNode(data [][]float64, params Params, id int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Node{rs: rs, pt: rs.newParticipant(p2p.NodeID(id))}, nil
+	nd := &Node{rs: rs, pt: rs.newParticipant(p2p.NodeID(id))}
+	nd.fp = fingerprint(rs.p, nd.pt.run.population, nd.pt.run.dim, rs.initial)
+	return nd, nil
 }
 
 // ID returns the node's participant id.
@@ -101,9 +106,7 @@ func (nd *Node) SamplingSeed() int64 { return nd.rs.p.Seed + 1 }
 // on — defaulted parameters, population and dimensionality — so the
 // transport handshake can reject a peer built from a different
 // configuration instead of silently diverging.
-func (nd *Node) Fingerprint() uint64 {
-	return fingerprint(nd.rs.p, nd.pt.run.population, nd.pt.run.dim, nd.rs.initial)
-}
+func (nd *Node) Fingerprint() uint64 { return nd.fp }
 
 // fingerprint is the digest behind Node.Fingerprint and
 // ConfigFingerprint, over a defaulted Params. Key material is

@@ -523,5 +523,7 @@ func TestSessionValidationErrors(t *testing.T) {
 // alwaysSkip is a test strategy that skips every window.
 type alwaysSkip struct{}
 
-func (alwaysSkip) Name() string                                 { return "always-skip" }
-func (alwaysSkip) Decide(dp.SpendState) (dp.SpendDecision, error) { return dp.SpendDecision{Skip: true}, nil }
+func (alwaysSkip) Name() string { return "always-skip" }
+func (alwaysSkip) Decide(dp.SpendState) (dp.SpendDecision, error) {
+	return dp.SpendDecision{Skip: true}, nil
+}

@@ -69,132 +69,131 @@ func readU64Field(fr *wire.FieldReader) (uint64, error) {
 	return binary.BigEndian.Uint64(b), nil
 }
 
-// Snapshot serializes the node's complete mutable state. The intended
-// call point is an epoch boundary (the transport checkpoints after a
-// barrier completes), but any quiescent moment between Step calls is
-// valid. The encoding is the wire package's length-prefixed field
-// format; floats travel as IEEE-754 bit patterns so a restore is
-// bit-exact, NaNs included.
-func (nd *Node) Snapshot() ([]byte, error) {
+// AppendSnapshot appends the node's complete mutable state to buf. The
+// intended call point is an epoch boundary (the transport checkpoints
+// after a barrier completes), but any quiescent moment between Step
+// calls is valid. The encoding is the wire package's length-prefixed
+// field format; floats travel as IEEE-754 bit patterns so a restore is
+// bit-exact, NaNs included. The two nested blobs are written in place
+// (wire.BeginField), so a caller that brings a buffer big enough pays
+// for the cipher vectors' intermediate encodings and nothing else.
+func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 	p := nd.pt
 
-	buf := wire.AppendUint32(nil, snapMagic)
+	buf = wire.AppendUint32(buf, snapMagic)
 	buf = wire.AppendUint32(buf, snapVersion)
 
 	// Header blob: everything RestoreNode needs BEFORE it can build the
 	// run setup — identity, RNG state, and the ceremony key material.
-	var hdr []byte
-	hdr = appendU64Field(hdr, nd.Fingerprint())
-	hdr = wire.AppendUint32(hdr, uint32(p.id))
-	hdr = appendU64Field(hdr, p.rngSrc.State())
+	buf, hdr := wire.BeginField(buf)
+	buf = appendU64Field(buf, nd.Fingerprint())
+	buf = wire.AppendUint32(buf, uint32(p.id))
+	buf = appendU64Field(buf, p.rngSrc.State())
 	if m := nd.rs.p.DJMaterial; m != nil {
 		var gb bytes.Buffer
 		if err := gob.NewEncoder(&gb).Encode(m); err != nil {
 			return nil, fmt.Errorf("core: snapshot key material: %w", err)
 		}
-		hdr = wire.AppendUint32(hdr, 1)
-		hdr = wire.AppendBytes(hdr, gb.Bytes())
+		buf = wire.AppendUint32(buf, 1)
+		buf = wire.AppendBytes(buf, gb.Bytes())
 	} else {
-		hdr = wire.AppendUint32(hdr, 0)
+		buf = wire.AppendUint32(buf, 0)
 	}
-	buf = wire.AppendBytes(buf, hdr)
+	buf = wire.EndField(buf, hdr)
 
 	// State blob: the participant's mutable protocol state.
-	var st []byte
-	st = wire.AppendUint32(st, uint32(p.phase))
-	st = wire.AppendUint32(st, uint32(p.iter))
-	st = wire.AppendUint32(st, uint32(p.roundsDone))
-	st = wire.AppendUint32(st, uint32(p.assignment))
-	st = wire.AppendUint32(st, uint32(p.waitCycles))
-	st = wire.AppendUint32(st, uint32(p.staleDrops))
-	st = wire.AppendUint32(st, uint32(p.decryptFail))
-	st = wire.AppendUint32(st, uint32(p.diptych.Iteration))
-	st = appendFloats(st, p.diptych.Centroids)
+	buf, st := wire.BeginField(buf)
+	buf = wire.AppendUint32(buf, uint32(p.phase))
+	buf = wire.AppendUint32(buf, uint32(p.iter))
+	buf = wire.AppendUint32(buf, uint32(p.roundsDone))
+	buf = wire.AppendUint32(buf, uint32(p.assignment))
+	buf = wire.AppendUint32(buf, uint32(p.waitCycles))
+	buf = wire.AppendUint32(buf, uint32(p.staleDrops))
+	buf = wire.AppendUint32(buf, uint32(p.decryptFail))
+	buf = wire.AppendUint32(buf, uint32(p.diptych.Iteration))
+	buf = appendFloats(buf, p.diptych.Centroids)
 
 	// The encrypted push-sum state only matters in the phases that read
 	// it before stepAssign rebuilds it (gossip and decrypt); elsewhere a
 	// stale Means is dead weight, so it is dropped.
 	if p.diptych.Means != nil && (p.phase == phaseGossip || p.phase == phaseDecrypt) {
-		st = wire.AppendUint32(st, 1)
-		st = appendU64Field(st, math.Float64bits(p.diptych.Means.Weight()))
-		st = wire.AppendUint32(st, uint32(p.diptych.Means.H))
-		cv, err := nd.rs.suite.MarshalCipherVector(p.diptych.Means.Values())
+		buf = wire.AppendUint32(buf, 1)
+		buf = appendU64Field(buf, math.Float64bits(p.diptych.Means.Weight()))
+		buf = wire.AppendUint32(buf, uint32(p.diptych.Means.H))
+		cv, err := nd.rs.suite.MarshalCipherVector(p.diptych.Means.V)
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot push-sum state: %w", err)
 		}
-		st = wire.AppendBytes(st, cv)
+		buf = wire.AppendBytes(buf, cv)
 	} else {
-		st = wire.AppendUint32(st, 0)
+		buf = wire.AppendUint32(buf, 0)
 	}
 
 	// pendingCT's nil-ness is protocol state: stepDecrypt runs step 2c
 	// exactly when it is nil, so the flag must round-trip even though an
 	// empty vector never occurs.
 	if p.pendingCT != nil {
-		st = wire.AppendUint32(st, 1)
+		buf = wire.AppendUint32(buf, 1)
 		cv, err := nd.rs.suite.MarshalCipherVector(p.pendingCT)
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot pending ciphertexts: %w", err)
 		}
-		st = wire.AppendBytes(st, cv)
+		buf = wire.AppendBytes(buf, cv)
 	} else {
-		st = wire.AppendUint32(st, 0)
+		buf = wire.AppendUint32(buf, 0)
 	}
 
 	// Partials and asked-peers are sets keyed by index/id; sorted so the
 	// snapshot bytes are deterministic (map order is not).
-	idxs := make([]int, 0, len(p.partials))
-	for idx := range p.partials {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	st = wire.AppendUint32(st, uint32(len(idxs)))
-	for _, idx := range idxs {
-		st = wire.AppendUint32(st, uint32(idx))
+	nd.snapKeys = sortedKeys(nd.snapKeys, p.partials)
+	buf = wire.AppendUint32(buf, uint32(len(nd.snapKeys)))
+	for _, idx := range nd.snapKeys {
+		buf = wire.AppendUint32(buf, uint32(idx))
 		pv, err := nd.rs.suite.MarshalPartialValues(p.partials[idx])
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot partials: %w", err)
 		}
-		st = wire.AppendBytes(st, pv)
+		buf = wire.AppendBytes(buf, pv)
 	}
-	asked := make([]int, 0, len(p.asked))
-	for id := range p.asked {
-		asked = append(asked, int(id))
+	nd.snapKeys = sortedKeys(nd.snapKeys, p.asked)
+	buf = wire.AppendUint32(buf, uint32(len(nd.snapKeys)))
+	for _, id := range nd.snapKeys {
+		buf = wire.AppendUint32(buf, uint32(id))
 	}
-	sort.Ints(asked)
-	st = wire.AppendUint32(st, uint32(len(asked)))
-	for _, id := range asked {
-		st = wire.AppendUint32(st, uint32(id))
-	}
-	outIDs := make([]int, 0, len(p.outstanding))
-	for id := range p.outstanding {
-		outIDs = append(outIDs, int(id))
-	}
-	sort.Ints(outIDs)
-	st = wire.AppendUint32(st, uint32(len(outIDs)))
-	for _, id := range outIDs {
-		st = wire.AppendUint32(st, uint32(id))
-		st = wire.AppendUint32(st, uint32(p.outstanding[p2p.NodeID(id)]))
+	nd.snapKeys = sortedKeys(nd.snapKeys, p.outstanding)
+	buf = wire.AppendUint32(buf, uint32(len(nd.snapKeys)))
+	for _, id := range nd.snapKeys {
+		buf = wire.AppendUint32(buf, uint32(id))
+		buf = wire.AppendUint32(buf, uint32(p.outstanding[p2p.NodeID(id)]))
 	}
 
-	st = wire.AppendUint32(st, uint32(len(p.history)))
+	buf = wire.AppendUint32(buf, uint32(len(p.history)))
 	for _, h := range p.history {
-		st = wire.AppendUint32(st, uint32(h.Iteration))
-		st = appendU64Field(st, math.Float64bits(h.Epsilon))
-		st = appendFloats(st, h.PerturbedCentroids)
-		st = appendFloats(st, [][]float64{h.PerturbedCounts})
-		st = appendU64Field(st, math.Float64bits(h.PerturbedInertia))
-		st = wire.AppendUint32(st, uint32(h.Assignment))
-		st = appendU64Field(st, math.Float64bits(h.Displacement))
+		buf = wire.AppendUint32(buf, uint32(h.Iteration))
+		buf = appendU64Field(buf, math.Float64bits(h.Epsilon))
+		buf = appendFloats(buf, h.PerturbedCentroids)
+		buf = appendFloats(buf, [][]float64{h.PerturbedCounts})
+		buf = appendU64Field(buf, math.Float64bits(h.PerturbedInertia))
+		buf = wire.AppendUint32(buf, uint32(h.Assignment))
+		buf = appendU64Field(buf, math.Float64bits(h.Displacement))
 		failed := uint32(0)
 		if h.DecryptFailed {
 			failed = 1
 		}
-		st = wire.AppendUint32(st, failed)
-		st = wire.AppendUint32(st, uint32(h.CompletedAtCycle))
+		buf = wire.AppendUint32(buf, failed)
+		buf = wire.AppendUint32(buf, uint32(h.CompletedAtCycle))
 	}
-	buf = wire.AppendBytes(buf, st)
-	return buf, nil
+	return wire.EndField(buf, st), nil
+}
+
+// sortedKeys returns m's keys in ascending order, in dst's storage.
+func sortedKeys[K ~int, V any](dst []int, m map[K]V) []int {
+	dst = dst[:0]
+	for k := range m {
+		dst = append(dst, int(k))
+	}
+	sort.Ints(dst)
+	return dst
 }
 
 // snapshotHeader is the pre-construction part of a snapshot.
@@ -274,7 +273,7 @@ func parseSnapshotHeader(snap []byte) (*snapshotHeader, []byte, error) {
 }
 
 // RestoreNode rebuilds a Node from the shared run configuration and a
-// snapshot taken by Node.Snapshot. The (data, params) must be the same
+// snapshot taken by Node.AppendSnapshot. The (data, params) must be the same
 // configuration the snapshotted node was built from — the snapshot's
 // fingerprint is checked against it, so a restart launched with
 // different flags fails loudly instead of diverging. Ceremony key

@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -209,7 +212,7 @@ func TestSnapshotRestoreMidRun(t *testing.T) {
 		}
 		// Crash the whole population: serialize, discard, restore.
 		for id, nd := range m.nodes {
-			snap, err := nd.Snapshot()
+			snap, err := nd.AppendSnapshot(nil)
 			if err != nil {
 				t.Fatalf("cut %d: snapshot node %d: %v", cut, id, err)
 			}
@@ -240,7 +243,7 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nd.Close()
-	snap, err := nd.Snapshot()
+	snap, err := nd.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +305,7 @@ func TestSnapshotCarriesTheExponent(t *testing.T) {
 	data, params, m := midGossipMesh(t)
 	defer m.close()
 	nd := m.nodes[2]
-	snap, err := nd.Snapshot()
+	snap, err := nd.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +318,7 @@ func TestSnapshotCarriesTheExponent(t *testing.T) {
 	if got.H != want.H || got.W != want.W {
 		t.Fatalf("restored (h=%d, w=%v), snapshotted (h=%d, w=%v)", got.H, got.W, want.H, want.W)
 	}
-	again, err := back.Snapshot()
+	again, err := back.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +327,7 @@ func TestSnapshotCarriesTheExponent(t *testing.T) {
 	}
 	// The budget is the most a state ever holds (the wire's limit too).
 	nd.pt.diptych.Means.H = nd.pt.run.preScale
-	edge, err := nd.Snapshot()
+	edge, err := nd.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,12 +337,159 @@ func TestSnapshotCarriesTheExponent(t *testing.T) {
 	}
 	atBudget.Close()
 	nd.pt.diptych.Means.H++
-	over, err := nd.Snapshot()
+	over, err := nd.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := RestoreNode(data, params, 2, over); !errors.Is(err, errSnapshot) {
 		t.Fatalf("restore of an impossible exponent: %v, want a malformed-snapshot error", err)
+	}
+}
+
+// djSnapshotTestConfig is the snapshot configuration on Damgård–Jurik at
+// 128 bits, keyed by an in-process ceremony.
+func djSnapshotTestConfig(t testing.TB) ([][]float64, Params) {
+	t.Helper()
+	data, params := snapshotTestConfig()
+	params.Backend, params.ModulusBits, params.DecryptThreshold = BackendDamgardJurik, 128, 2
+	params = params.Defaulted(len(data))
+	mat, err := RunDJKeyCeremony(params.ModulusBits, params.Degree, len(data), params.DecryptThreshold, params.Seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params.DJMaterial = mat
+	return data, params
+}
+
+// midDecryptNode steps the mesh into the decrypt phase of its second
+// iteration (asked and outstanding peers, pending ciphertexts, one
+// history entry) and gives node 0 two partial sets, out of index order —
+// with the mid-gossip state, every branch of the snapshot encoding.
+func midDecryptNode(t testing.TB, m *memMesh) *Node {
+	t.Helper()
+	for epoch := 5; epoch < 30; epoch++ {
+		m.stepEpoch(t, epoch)
+	}
+	nd := m.nodes[0]
+	p := nd.pt
+	if p.phase != phaseDecrypt || p.pendingCT == nil || len(p.asked) == 0 || len(p.history) == 0 {
+		t.Fatalf("node 0 at epoch 30: phase %d, pending %v, %d asked, %d disclosed; want mid-decrypt of iteration 2",
+			p.phase, p.pendingCT != nil, len(p.asked), len(p.history))
+	}
+	for _, party := range []int{3, 1} {
+		ps := make([]Partial, len(p.pendingCT))
+		for i, c := range p.pendingCT {
+			var err error
+			if ps[i], err = p.run.suite.PartialDecrypt(party, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.partials[party] = ps
+	}
+	return nd
+}
+
+// TestSnapshotBytesUnchanged pins AppendSnapshot against the Snapshot()
+// it replaced. testdata/snapshot_v3_*.hex are node 0's snapshots as that
+// function wrote them, for FuzzRestoreNode's seed states and a
+// mid-decrypt one, on both backends. The accounted states are a pure
+// function of the seed, so the same state built here must encode to the
+// recorded bytes. Damgård–Jurik ciphertexts are randomized per process,
+// so there the recorded snapshot is restored and written out again —
+// which is also the upgrade path: a checkpoint an older daemon wrote
+// resumes under this one.
+func TestSnapshotBytesUnchanged(t *testing.T) {
+	recorded := func(name string) []byte {
+		t.Helper()
+		text, err := os.ReadFile(filepath.Join("testdata", "snapshot_v3_"+name+".hex"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := hex.DecodeString(strings.TrimSpace(string(text)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	check := func(name string, data [][]float64, params Params, live *Node) {
+		t.Helper()
+		want := recorded(name)
+		if live != nil {
+			got, err := live.AppendSnapshot(nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: AppendSnapshot wrote %d bytes that differ from the %d Snapshot() wrote", name, len(got), len(want))
+			}
+		}
+		back, err := RestoreNode(data, params, 0, want)
+		if err != nil {
+			t.Fatalf("%s: restoring the recorded snapshot: %v", name, err)
+		}
+		defer back.Close()
+		// Behind a prefix: nothing in the encoding may depend on where in
+		// the caller's buffer it starts.
+		again, err := back.AppendSnapshot([]byte("prefix"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(again[len("prefix"):], want) {
+			t.Fatalf("%s: the restored node's snapshot differs from the recorded one it was restored from", name)
+		}
+	}
+
+	data, params := snapshotTestConfig()
+	fresh, err := NewNode(data, params, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	check("plain_fresh", data, params, fresh)
+	_, _, m := midGossipMesh(t)
+	defer m.close()
+	check("plain_midgossip", data, params, m.nodes[0])
+	check("plain_middecrypt", data, params, midDecryptNode(t, m))
+
+	data, params = djSnapshotTestConfig(t)
+	check("dj_midgossip", data, params, nil)
+	check("dj_middecrypt", data, params, nil)
+}
+
+// TestAppendSnapshotAllocations: into a buffer that is big enough, a
+// snapshot costs nothing between iterations and, while the node holds a
+// push-sum state, only the suite's intermediate encoding of that cipher
+// vector (MarshalCipherVector: the value slice, the artifact, one body)
+// — the two nested blobs and the float fields are written in place.
+func TestAppendSnapshotAllocations(t *testing.T) {
+	data, params := snapshotTestConfig()
+	fresh, err := NewNode(data, params, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	_, _, m := midGossipMesh(t)
+	defer m.close()
+	for _, c := range []struct {
+		name string
+		nd   *Node
+		want float64
+	}{
+		{"between iterations", fresh, 0},
+		{"mid-gossip", m.nodes[0], 3},
+	} {
+		buf, err := c.nd.AppendSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(50, func() {
+			if buf, err = c.nd.AppendSnapshot(buf[:0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%s: AppendSnapshot into a reused buffer allocates %v times, want %v", c.name, got, c.want)
+		}
 	}
 }
 
@@ -352,7 +502,7 @@ func FuzzRestoreNode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	snap, err := nd.Snapshot()
+	snap, err := nd.AppendSnapshot(nil)
 	nd.Close()
 	if err != nil {
 		f.Fatal(err)
@@ -363,12 +513,12 @@ func FuzzRestoreNode(f *testing.F) {
 	// A mid-gossip state, halving exponent above zero — and the same state
 	// one halving past the budget, which the decoder refuses.
 	_, _, m := midGossipMesh(f)
-	mid, err := m.nodes[0].Snapshot()
+	mid, err := m.nodes[0].AppendSnapshot(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
 	m.nodes[0].pt.diptych.Means.H = m.nodes[0].pt.run.preScale + 1
-	over, err := m.nodes[0].Snapshot()
+	over, err := m.nodes[0].AppendSnapshot(nil)
 	m.close()
 	if err != nil {
 		f.Fatal(err)

@@ -86,121 +86,107 @@ func readU64(fr *wire.FieldReader) (uint64, error) {
 	return binary.BigEndian.Uint64(b), nil
 }
 
-func encodeCheckpoint(ck *checkpoint) []byte {
-	buf := make([]byte, 0, 1024+len(ck.coreSnap))
-	buf = wire.AppendUint32(buf, ckptMagic)
-	buf = wire.AppendUint32(buf, ckptVersion)
-	buf = appendU64(buf, ck.fingerprint)
-	buf = wire.AppendUint32(buf, uint32(ck.id))
-	buf = wire.AppendUint32(buf, uint32(ck.population))
-	buf = wire.AppendUint32(buf, uint32(ck.nextEpoch))
-	flag := uint32(0)
-	if ck.barrierPending {
-		flag = 1
-	}
-	buf = wire.AppendUint32(buf, flag)
-	buf = appendU64(buf, ck.samplerState)
-	buf = wire.AppendBytes(buf, ck.coreSnap)
-
-	peers := make([]int, 0, len(ck.links))
-	for id := range ck.links {
-		peers = append(peers, id)
-	}
-	sort.Ints(peers)
-	buf = wire.AppendUint32(buf, uint32(len(peers)))
-	for _, id := range peers {
-		ls := ck.links[id]
-		buf = wire.AppendUint32(buf, uint32(id))
-		buf = appendU64(buf, ls.outSeq)
-		buf = appendU64(buf, ls.inSeq)
-		buf = appendU64(buf, ls.pruned)
-		buf = wire.AppendUint32(buf, uint32(len(ls.ring)))
-		for _, sf := range ls.ring {
-			buf = appendU64(buf, sf.seq)
-			buf = wire.AppendUint32(buf, uint32(sf.epoch))
-			buf = wire.AppendBytes(buf, sf.frame)
-		}
-	}
-
-	buf = appendEpochPayloads(buf, ck.pendingData)
-	buf = appendEpochTicks(buf, ck.ticks)
-
-	leftIDs := make([]int, 0, len(ck.left))
-	for id := range ck.left {
-		leftIDs = append(leftIDs, id)
-	}
-	sort.Ints(leftIDs)
-	buf = wire.AppendUint32(buf, uint32(len(leftIDs)))
-	for _, id := range leftIDs {
-		buf = wire.AppendUint32(buf, uint32(id))
-	}
-
-	buf = wire.AppendUint32(buf, uint32(len(ck.backlog)))
-	for _, m := range ck.backlog {
-		buf = wire.AppendUint32(buf, uint32(m.from))
-		buf = wire.AppendUint32(buf, uint32(m.kind))
-		buf = wire.AppendUint32(buf, uint32(m.epoch))
-		d := uint32(0)
-		if m.done {
-			d = 1
-		}
-		buf = wire.AppendUint32(buf, d)
-		buf = wire.AppendBytes(buf, m.payload)
-	}
-	return buf
+// ckptWriter builds checkpoint file images in storage it keeps: the
+// file buffer and the scratch its sorted map walks need are the node's
+// for the whole run, so the second and later checkpoints of a run
+// allocate nothing (TestCheckpointEncodeAllocatesNothing). The file is
+// head, core snapshot field, link count and links in ascending peer
+// order, barrier state.
+type ckptWriter struct {
+	buf         []byte
+	epochs, ids []int // a map's keys in ascending order
 }
 
-func appendEpochPayloads(buf []byte, data map[int]map[int][][]byte) []byte {
-	epochs := make([]int, 0, len(data))
-	for e := range data {
-		epochs = append(epochs, e)
+// sortedKeys returns m's keys in ascending order, in dst's storage.
+func sortedKeys[V any](dst []int, m map[int]V) []int {
+	dst = dst[:0]
+	for k := range m {
+		dst = append(dst, k)
 	}
-	sort.Ints(epochs)
-	buf = wire.AppendUint32(buf, uint32(len(epochs)))
-	for _, e := range epochs {
+	sort.Ints(dst)
+	return dst
+}
+
+func appendFlag(buf []byte, set bool) []byte {
+	if set {
+		return wire.AppendUint32(buf, 1)
+	}
+	return wire.AppendUint32(buf, 0)
+}
+
+// head starts a new image: everything before the core snapshot.
+func (w *ckptWriter) head(fingerprint uint64, id, population, nextEpoch int, barrierPending bool, samplerState uint64) {
+	buf := wire.AppendUint32(w.buf[:0], ckptMagic)
+	buf = wire.AppendUint32(buf, ckptVersion)
+	buf = appendU64(buf, fingerprint)
+	buf = wire.AppendUint32(buf, uint32(id))
+	buf = wire.AppendUint32(buf, uint32(population))
+	buf = wire.AppendUint32(buf, uint32(nextEpoch))
+	buf = appendFlag(buf, barrierPending)
+	w.buf = appendU64(buf, samplerState)
+}
+
+// link appends one link's sequencing state and retransmit ring. The
+// ring is only read, so the caller may pass a live link's under its lock.
+func (w *ckptWriter) link(peer int, ls linkState) {
+	buf := wire.AppendUint32(w.buf, uint32(peer))
+	buf = appendU64(buf, ls.outSeq)
+	buf = appendU64(buf, ls.inSeq)
+	buf = appendU64(buf, ls.pruned)
+	buf = wire.AppendUint32(buf, uint32(len(ls.ring)))
+	for _, sf := range ls.ring {
+		buf = appendU64(buf, sf.seq)
+		buf = wire.AppendUint32(buf, uint32(sf.epoch))
+		buf = wire.AppendBytes(buf, sf.frame)
+	}
+	w.buf = buf
+}
+
+// barrier appends the barrier buffers, which end the image.
+func (w *ckptWriter) barrier(pendingData map[int]map[int][][]byte, ticks map[int]map[int]bool, left map[int]bool, backlog []inMsg) {
+	buf := w.buf
+	w.epochs = sortedKeys(w.epochs, pendingData)
+	buf = wire.AppendUint32(buf, uint32(len(w.epochs)))
+	for _, e := range w.epochs {
 		buf = wire.AppendUint32(buf, uint32(e))
-		senders := make([]int, 0, len(data[e]))
-		for s := range data[e] {
-			senders = append(senders, s)
-		}
-		sort.Ints(senders)
-		buf = wire.AppendUint32(buf, uint32(len(senders)))
-		for _, s := range senders {
+		w.ids = sortedKeys(w.ids, pendingData[e])
+		buf = wire.AppendUint32(buf, uint32(len(w.ids)))
+		for _, s := range w.ids {
 			buf = wire.AppendUint32(buf, uint32(s))
-			buf = wire.AppendUint32(buf, uint32(len(data[e][s])))
-			for _, p := range data[e][s] {
+			buf = wire.AppendUint32(buf, uint32(len(pendingData[e][s])))
+			for _, p := range pendingData[e][s] {
 				buf = wire.AppendBytes(buf, p)
 			}
 		}
 	}
-	return buf
-}
 
-func appendEpochTicks(buf []byte, ticks map[int]map[int]bool) []byte {
-	epochs := make([]int, 0, len(ticks))
-	for e := range ticks {
-		epochs = append(epochs, e)
-	}
-	sort.Ints(epochs)
-	buf = wire.AppendUint32(buf, uint32(len(epochs)))
-	for _, e := range epochs {
+	w.epochs = sortedKeys(w.epochs, ticks)
+	buf = wire.AppendUint32(buf, uint32(len(w.epochs)))
+	for _, e := range w.epochs {
 		buf = wire.AppendUint32(buf, uint32(e))
-		senders := make([]int, 0, len(ticks[e]))
-		for s := range ticks[e] {
-			senders = append(senders, s)
-		}
-		sort.Ints(senders)
-		buf = wire.AppendUint32(buf, uint32(len(senders)))
-		for _, s := range senders {
+		w.ids = sortedKeys(w.ids, ticks[e])
+		buf = wire.AppendUint32(buf, uint32(len(w.ids)))
+		for _, s := range w.ids {
 			buf = wire.AppendUint32(buf, uint32(s))
-			d := uint32(0)
-			if ticks[e][s] {
-				d = 1
-			}
-			buf = wire.AppendUint32(buf, d)
+			buf = appendFlag(buf, ticks[e][s])
 		}
 	}
-	return buf
+
+	w.ids = sortedKeys(w.ids, left)
+	buf = wire.AppendUint32(buf, uint32(len(w.ids)))
+	for _, id := range w.ids {
+		buf = wire.AppendUint32(buf, uint32(id))
+	}
+
+	buf = wire.AppendUint32(buf, uint32(len(backlog)))
+	for _, m := range backlog {
+		buf = wire.AppendUint32(buf, uint32(m.from))
+		buf = wire.AppendUint32(buf, uint32(m.kind))
+		buf = wire.AppendUint32(buf, uint32(m.epoch))
+		buf = appendFlag(buf, m.done)
+		buf = wire.AppendBytes(buf, m.payload)
+	}
+	w.buf = buf
 }
 
 // decodeCheckpoint parses and validates one checkpoint file. It is
@@ -319,7 +305,7 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 			if sf.frame, err = fr.Bytes(); err != nil {
 				return nil, ckptErr("ring frame: %v", err)
 			}
-			if len(sf.frame) < 8 {
+			if len(sf.frame) < 8 || len(sf.frame) > wire.MaxFrameBytes {
 				return nil, ckptErr("ring frame of %d bytes", len(sf.frame))
 			}
 			if got := binary.BigEndian.Uint64(sf.frame); got != sf.seq {
@@ -513,27 +499,19 @@ func readEpochTicks(fr *wire.FieldReader, ck *checkpoint, pop uint32) error {
 	return nil
 }
 
-// writeCheckpoint captures the node's full resumable state and writes
-// it atomically to the checkpoint file.
-func (n *node) writeCheckpoint(nextEpoch int, barrierPending bool) error {
-	snap, err := n.core.Snapshot()
+// encodeCheckpoint captures the node's full resumable state as a
+// checkpoint file image in the node's ckptWriter. Nothing is copied out
+// first: the core snapshot is appended into the image and every ring is
+// encoded under its link's lock.
+func (n *node) encodeCheckpoint(nextEpoch int, barrierPending bool) ([]byte, error) {
+	w := &n.ckpt
+	w.head(n.fp, n.cfg.ID, n.cfg.Population, nextEpoch, barrierPending, n.sampler.State())
+	buf, snap := wire.BeginField(w.buf)
+	buf, err := n.core.AppendSnapshot(buf)
 	if err != nil {
-		return fmt.Errorf("transport: checkpoint: %w", err)
+		return nil, err
 	}
-	ck := &checkpoint{
-		fingerprint:    n.fp,
-		id:             n.cfg.ID,
-		population:     n.cfg.Population,
-		nextEpoch:      nextEpoch,
-		barrierPending: barrierPending,
-		samplerState:   n.sampler.State(),
-		coreSnap:       snap,
-		links:          map[int]linkState{},
-		pendingData:    n.pendingData,
-		ticks:          n.ticks,
-		left:           n.left,
-		backlog:        n.backlog,
-	}
+	w.buf = wire.AppendUint32(wire.EndField(buf, snap), uint32(n.cfg.Population-1))
 	for id, l := range n.links {
 		if l == nil {
 			continue
@@ -543,12 +521,22 @@ func (n *node) writeCheckpoint(nextEpoch int, barrierPending bool) error {
 		// watermark: frames accepted but still queued in n.in would be
 		// lost by a restart, so the resume handshake must re-request
 		// them from the peer's ring.
-		ls := linkState{outSeq: l.outSeq, inSeq: n.procSeq[id], pruned: l.pruned}
-		ls.ring = append(ls.ring, l.ring...)
+		w.link(id, linkState{outSeq: l.outSeq, inSeq: n.procSeq[id], pruned: l.pruned, ring: l.ring})
 		l.mu.Unlock()
-		ck.links[id] = ls
 	}
-	if err := writeFileAtomic(checkpointPath(n.cfg), encodeCheckpoint(ck)); err != nil {
+	w.barrier(n.pendingData, n.ticks, n.left, n.backlog)
+	return w.buf, nil
+}
+
+// writeCheckpoint encodes the node's state and writes it atomically to
+// the checkpoint file. It returns once the file is durable: the next
+// epoch does not start over a checkpoint that a crash could lose.
+func (n *node) writeCheckpoint(nextEpoch int, barrierPending bool) error {
+	image, err := n.encodeCheckpoint(nextEpoch, barrierPending)
+	if err == nil {
+		err = writeFileAtomic(checkpointPath(n.cfg), image)
+	}
+	if err != nil {
 		return fmt.Errorf("transport: checkpoint: %w", err)
 	}
 	n.cfg.logf("node %d checkpointed epoch %d (barrier pending: %v)", n.cfg.ID, nextEpoch, barrierPending)
@@ -636,9 +624,12 @@ func writeFileAtomic(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	// The rename is durable only once the directory entry is: a failure
+	// to open or sync the directory is a failed write, not a detail.
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	return nil
+	defer d.Close()
+	return d.Sync()
 }

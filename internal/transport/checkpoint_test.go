@@ -3,10 +3,17 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
+
+	"chiaroscuro/internal/core"
+	"chiaroscuro/internal/p2p"
+	"chiaroscuro/internal/wire"
 )
 
 // ringFrame builds a sequenced wire frame whose embedded seq prefix
@@ -49,6 +56,140 @@ func sampleCheckpoint() *checkpoint {
 		},
 		left:    map[int]bool{3: true},
 		backlog: []inMsg{{from: 1, kind: mtData, epoch: 7, payload: []byte("late")}, {from: 4, kind: mtTick, epoch: 7, done: true}},
+	}
+}
+
+// encodeCheckpoint writes a decoded checkpoint back out through the
+// pieces encodeCheckpoint on a live node is made of.
+func encodeCheckpoint(ck *checkpoint) []byte {
+	var w ckptWriter
+	w.head(ck.fingerprint, ck.id, ck.population, ck.nextEpoch, ck.barrierPending, ck.samplerState)
+	w.buf = wire.AppendBytes(w.buf, ck.coreSnap)
+	w.buf = wire.AppendUint32(w.buf, uint32(len(ck.links)))
+	for _, peer := range sortedKeys(nil, ck.links) {
+		w.link(peer, ck.links[peer])
+	}
+	w.barrier(ck.pendingData, ck.ticks, ck.left, ck.backlog)
+	return w.buf
+}
+
+// TestCheckpointBytesUnchanged pins the file format against the encoder
+// this one replaced: testdata/checkpoint_v1_sample.hex is what
+// sampleCheckpoint encoded to before ckptWriter existed, so a file
+// written by an older daemon decodes here and the other way round.
+func TestCheckpointBytesUnchanged(t *testing.T) {
+	text, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1_sample.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeCheckpoint(sampleCheckpoint()); !bytes.Equal(got, want) {
+		t.Fatalf("sampleCheckpoint encodes to %d bytes that differ from the %d recorded before the rewrite", len(got), len(want))
+	}
+	if _, err := decodeCheckpoint(want); err != nil {
+		t.Fatalf("recorded checkpoint no longer decodes: %v", err)
+	}
+}
+
+// TestCheckpointEncodeAllocatesNothing builds a node the way a run
+// leaves one at a checkpoint — a participant, a sampler, links with
+// populated rings, parked payloads and ticks — and holds its encoder to
+// the two halves of its contract: the image decodes to that state, and
+// from the second checkpoint on, encoding allocates nothing. The
+// participant is between iterations; one that holds a push-sum state
+// additionally pays the suite's MarshalCipherVector temporaries
+// (core.TestAppendSnapshotAllocations counts them).
+func TestCheckpointEncodeAllocatesNothing(t *testing.T) {
+	const pop, id = 4, 1
+	data, err := SyntheticSeries("cer", pop, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := core.Params{K: 2, Epsilon: 1.0, Iterations: 2, Seed: 3, Backend: core.BackendPlainAccounted}
+	cn, err := core.NewNode(data, params, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn.Close()
+	n := &node{
+		cfg:     Config{ID: id, Population: pop, Grace: time.Second}, // grace: a down link keeps frames in its ring
+		fp:      cn.Fingerprint(),
+		core:    cn,
+		sampler: p2p.NewSampler(cn.SamplingSeed(), p2p.NodeID(id), pop),
+		links:   make([]*link, pop),
+		procSeq: []uint64{7, 0, 0, 9},
+		pendingData: map[int]map[int][][]byte{
+			8: {0: {[]byte("a"), []byte("b")}, 3: {[]byte("c")}},
+			9: {2: {[]byte("d")}},
+		},
+		ticks:   map[int]map[int]bool{9: {0: false, 3: true}},
+		left:    map[int]bool{2: true},
+		backlog: []inMsg{{from: 3, kind: mtData, epoch: 9, payload: []byte("late")}},
+	}
+	n.sampler.RandomPeer()
+	for peer := range n.links {
+		if peer == id {
+			continue
+		}
+		l := newLink(n, peer)
+		n.links[peer] = l
+		for epoch := 5; epoch < 9; epoch++ {
+			if err := l.send(epoch, marshalData(epoch, bytes.Repeat([]byte{byte(peer)}, 100*(peer+1)))); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.send(epoch, marshalTick(epoch, false)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.prune(6)
+	}
+
+	image, err := n.encodeCheckpoint(9, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := decodeCheckpoint(image)
+	if err != nil {
+		t.Fatalf("a live node's checkpoint does not decode: %v", err)
+	}
+	snap, err := cn.AppendSnapshot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.fingerprint != n.fp || ck.id != id || ck.population != pop || ck.nextEpoch != 9 || !ck.barrierPending ||
+		ck.samplerState != n.sampler.State() || !bytes.Equal(ck.coreSnap, snap) {
+		t.Fatalf("head or participant snapshot differ from the node's: %+v", ck)
+	}
+	for peer, l := range n.links {
+		if l == nil {
+			continue
+		}
+		want := linkState{outSeq: 8, inSeq: n.procSeq[peer], pruned: 2, ring: l.ring}
+		if got := ck.links[peer]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("link %d: decoded %+v, the link holds %+v", peer, got, want)
+		}
+	}
+	if !reflect.DeepEqual(ck.pendingData, n.pendingData) || !reflect.DeepEqual(ck.ticks, n.ticks) || !reflect.DeepEqual(ck.left, n.left) {
+		t.Fatal("barrier buffers differ from the node's")
+	}
+	if len(ck.backlog) != 1 || ck.backlog[0].from != 3 || !bytes.Equal(ck.backlog[0].payload, []byte("late")) {
+		t.Fatalf("backlog differs from the node's: %+v", ck.backlog)
+	}
+
+	first := bytes.Clone(image)
+	allocs := testing.AllocsPerRun(50, func() {
+		if image, err = n.encodeCheckpoint(9, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a later checkpoint of the same node allocates %v times, want 0", allocs)
+	}
+	if !bytes.Equal(image, first) {
+		t.Error("the reused buffer holds a different image of the same state")
 	}
 }
 

@@ -11,12 +11,14 @@
 // The epoch clock works without any coordinator: after stepping its
 // participant at epoch e, every node broadcasts a tick(e) to all peers
 // and enters epoch e+1 only once it holds a tick(e) from everyone.
-// Because each TCP connection delivers in order, a peer's tick(e)
-// guarantees all of that peer's epoch-e payloads have already arrived —
-// the barrier needs no payload counts and no retransmission. Epoch e of
-// the mesh corresponds exactly to cycle e of the simulation: messages
-// sent at e become visible at e+1, and each node's inbox is ordered by
-// ascending sender id with per-sender FIFO, the simulator's contract.
+// Because each link delivers in order — a TCP connection does, and the
+// link's sequence numbers and retransmit ring keep it so across
+// reconnects (supervisor.go) — a peer's tick(e) guarantees all of that
+// peer's epoch-e payloads have already arrived: the barrier needs no
+// payload counts. Epoch e of the mesh corresponds exactly to cycle e of
+// the simulation: messages sent at e become visible at e+1, and each
+// node's inbox is ordered by ascending sender id with per-sender FIFO,
+// the simulator's contract.
 package transport
 
 import (
@@ -56,9 +58,10 @@ type Config struct {
 	// missing peer's link has been down for less than Grace. Zero keeps
 	// the legacy fail-fast behavior: the first link error is fatal.
 	Grace time.Duration
-	// WriteTimeout bounds a single frame write on a peer link, so a dead
-	// peer with a full socket buffer cannot block the sender forever.
-	// Zero defaults to EpochTimeout.
+	// WriteTimeout bounds one write on a peer link (an epoch's frames
+	// for that peer go out together), so a dead peer with a full socket
+	// buffer cannot block the sender forever. Zero defaults to
+	// EpochTimeout.
 	WriteTimeout time.Duration
 	// CheckpointDir, when non-empty, enables epoch checkpoints: the node
 	// atomically writes its full resumable state (core snapshot, sampler
@@ -133,7 +136,7 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// writeTimeout returns the effective per-frame write deadline.
+// writeTimeout returns the effective deadline of one link write.
 func (c *Config) writeTimeout() time.Duration {
 	if c.WriteTimeout > 0 {
 		return c.WriteTimeout

@@ -1,8 +1,11 @@
 package conformance
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -66,7 +69,7 @@ func TestLoopbackConformanceK5(t *testing.T) {
 	}
 
 	if testing.Short() {
-		got, err := RunInProcess(spec, t.TempDir())
+		got, err := RunInProcess(spec, t.TempDir(), nil)
 		if err != nil {
 			t.Fatalf("in-process mesh: %v", err)
 		}
@@ -117,7 +120,7 @@ func TestLoopbackConformanceDJK5(t *testing.T) {
 	}
 
 	if testing.Short() {
-		got, err := RunInProcess(spec, t.TempDir())
+		got, err := RunInProcess(spec, t.TempDir(), nil)
 		if err != nil {
 			t.Fatalf("in-process mesh: %v", err)
 		}
@@ -154,6 +157,32 @@ func stateDir(t *testing.T) string {
 	return t.TempDir()
 }
 
+// requireChaosBit fails unless the run's log lines show that the chaos
+// scenario actually happened: at least one injected reset in the plans'
+// tallies, and at least one link that came back through the resume
+// handshake. Bit-identical histories prove nothing about supervision if
+// no connection ever broke.
+func requireChaosBit(t *testing.T, log string) {
+	t.Helper()
+	resets, resumed := 0, 0
+	for _, line := range strings.Split(log, "\n") {
+		if _, tally, ok := strings.Cut(line, "chaos injected: "); ok {
+			var n int
+			if _, err := fmt.Sscanf(tally, "%d resets", &n); err != nil {
+				t.Fatalf("unreadable chaos tally %q: %v", line, err)
+			}
+			resets += n
+		}
+		if strings.Contains(line, "resumed (acked seq") {
+			resumed++
+		}
+	}
+	if resets == 0 || resumed == 0 {
+		t.Fatalf("the scenario did not bite: %d resets injected, %d links resumed", resets, resumed)
+	}
+	t.Logf("chaos: %d resets injected, %d link resumes logged", resets, resumed)
+}
+
 // TestLoopbackConformanceChaosK5 runs the five-member mesh with
 // deterministic network faults injected under every daemon's sockets —
 // connection resets mid-run, partial writes on every frame, read and
@@ -161,6 +190,13 @@ func stateDir(t *testing.T) string {
 // supervision layer (sequence numbers, retransmit rings, backoff
 // redial, resume handshake) must absorb every fault: chaos may cost
 // wall-clock, never a single disclosed bit.
+//
+// The thresholds count socket operations, and a link makes one write
+// per epoch (its batch) and about as many reads, over a run of some 33
+// epochs: reset@8 lands in a connection's writes 8–15, the stalls at
+// 10–19 and 12–23, so every directive is reached on every connection
+// long before the run ends (they were 25/30/35 when a link wrote twice
+// per frame). requireChaosBit holds the test to it.
 func TestLoopbackConformanceChaosK5(t *testing.T) {
 	spec := Spec{
 		N:            5,
@@ -170,7 +206,7 @@ func TestLoopbackConformanceChaosK5(t *testing.T) {
 		Iterations:   2,
 		EpochTimeout: 60 * time.Second,
 		Grace:        30 * time.Second,
-		Chaos:        "reset@25:2,partial,stall@30:50ms,rstall@35:50ms",
+		Chaos:        "reset@8:2,partial,stall@10:50ms,rstall@12:50ms",
 		ChaosSeed:    1601,
 	}
 	want, err := spec.Reference()
@@ -179,11 +215,18 @@ func TestLoopbackConformanceChaosK5(t *testing.T) {
 	}
 
 	if testing.Short() {
-		got, err := RunInProcess(spec, t.TempDir())
+		var mu sync.Mutex
+		var log strings.Builder
+		got, err := RunInProcess(spec, t.TempDir(), func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(&log, format+"\n", args...)
+		})
 		if err != nil {
 			t.Fatalf("in-process chaos mesh: %v", err)
 		}
 		assertConformance(t, spec, got, want)
+		requireChaosBit(t, log.String())
 		return
 	}
 
@@ -200,6 +243,15 @@ func TestLoopbackConformanceChaosK5(t *testing.T) {
 		t.Fatalf("multi-process chaos mesh: %v", err)
 	}
 	assertConformance(t, spec, got, want)
+	var log strings.Builder
+	for id := 0; id < spec.N; id++ {
+		b, err := os.ReadFile(filepath.Join(logDir, fmt.Sprintf("daemon-%d.log", id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		log.Write(b)
+	}
+	requireChaosBit(t, log.String())
 }
 
 // TestLoopbackConformanceKillRestartK5 is the crash-recovery headline
@@ -260,7 +312,7 @@ func TestInProcessMeshMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	got, err := RunInProcess(spec, t.TempDir())
+	got, err := RunInProcess(spec, t.TempDir(), nil)
 	if err != nil {
 		t.Fatalf("in-process mesh: %v", err)
 	}

@@ -122,8 +122,10 @@ func (s Spec) DaemonArgs(id int, addrDir, ckptDir, outFile string) []string {
 // RunInProcess runs the whole mesh inside the calling process: N
 // goroutines, each a full transport node with its own TCP listener on
 // loopback. Same wire traffic as the multi-process mode, minus the
-// process isolation — the -short configuration.
-func RunInProcess(s Spec, dir string) ([][]core.IterationResult, error) {
+// process isolation — the -short configuration. logf, when non-nil,
+// receives every node's progress lines (the daemons' -v output, chaos
+// tallies included) and must be safe for concurrent use.
+func RunInProcess(s Spec, dir string, logf func(format string, args ...any)) ([][]core.IterationResult, error) {
 	data, err := s.Data()
 	if err != nil {
 		return nil, err
@@ -148,6 +150,7 @@ func RunInProcess(s Spec, dir string) ([][]core.IterationResult, error) {
 				Listen:          "127.0.0.1:0",
 				AddrDir:         dir,
 				EpochTimeout:    s.EpochTimeout,
+				Logf:            logf,
 				Grace:           s.Grace,
 				CheckpointDir:   ckptDir,
 				CheckpointEvery: s.CheckpointEvery,
@@ -162,6 +165,9 @@ func RunInProcess(s Spec, dir string) ([][]core.IterationResult, error) {
 				}
 				cfg.Dialer = c.Dial
 				cfg.Listener = c.Listen
+				if logf != nil {
+					defer func() { logf("node %d chaos injected: %s", id, c.Injected()) }()
+				}
 			}
 			histories[id], errs[id] = transport.Run(cfg, data, s.Params())
 		}(id)

@@ -92,6 +92,9 @@ func DaemonMain(args []string, stdout, stderr io.Writer) int {
 		}
 		cfg.Dialer = net.Dial
 		cfg.Listener = net.Listen
+		// What the plan did to this process, however the run ends: a
+		// chaos run that injected nothing tested nothing.
+		defer func() { cfg.logf("node %d chaos injected: %s", cfg.ID, net.Injected()) }()
 	}
 
 	// A first SIGTERM/SIGINT requests a graceful shutdown (final

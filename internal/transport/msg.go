@@ -27,14 +27,14 @@ const (
 
 // Message types.
 const (
-	mtHello   byte = 0x01 // dialer's join handshake
-	mtWelcome byte = 0x02 // acceptor's join acknowledgment
-	mtReject  byte = 0x03 // acceptor's refusal (reason string)
-	mtTick    byte = 0x04 // epoch barrier: sender finished stepping this epoch
-	mtData    byte = 0x05 // protocol payload tagged with its send epoch
-	mtBye     byte = 0x06 // orderly leave after termination
-	mtKey     byte = 0x07 // key-ceremony artifact (round-tagged, pre-epoch)
-	mtResume  byte = 0x08 // dialer's reconnect handshake after a link drop
+	mtHello    byte = 0x01 // dialer's join handshake
+	mtWelcome  byte = 0x02 // acceptor's join acknowledgment
+	mtReject   byte = 0x03 // acceptor's refusal (reason string)
+	mtTick     byte = 0x04 // epoch barrier: sender finished stepping this epoch
+	mtData     byte = 0x05 // protocol payload tagged with its send epoch
+	mtBye      byte = 0x06 // orderly leave after termination
+	mtKey      byte = 0x07 // key-ceremony artifact (round-tagged, pre-epoch)
+	mtResume   byte = 0x08 // dialer's reconnect handshake after a link drop
 	mtResumeOK byte = 0x09 // acceptor's reconnect acknowledgment
 )
 

@@ -19,7 +19,13 @@
 // The exact operation hit by reset/stall is jittered per connection
 // from the seed (within [N, 2N)), so repeated connections do not fail
 // in lockstep; the schedule is a pure function of (scenario, seed,
-// connection index).
+// direction, index), where the index counts the plan's dialled
+// connections in dial order or its accepted ones in accept order —
+// separately, because a process that both dials and listens (every
+// daemon) interleaves the two as its goroutines happen to be scheduled.
+//
+// A plan counts what it injected (Net.Injected), so a test that relies
+// on a fault can check that the fault happened.
 package netchaos
 
 import (
@@ -29,6 +35,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -46,9 +53,29 @@ type Net struct {
 	rules []rule
 
 	mu          sync.Mutex
-	connIndex   int
+	dialled     int // connections wrapped by Dial
+	accepted    int // connections wrapped by a listener's Accept
 	resetBudget int
 	refuseLeft  int
+
+	resets, stalls, splits atomic.Int64
+}
+
+// Stats is what a plan has injected so far.
+type Stats struct {
+	Resets int // connections closed by a reset directive
+	Stalls int // read and write pauses
+	Splits int // writes split in two by partial
+}
+
+func (s Stats) String() string {
+	return fmt.Sprintf("%d resets, %d stalls, %d split writes", s.Resets, s.Stalls, s.Splits)
+}
+
+// Injected returns the faults injected so far, over all of the plan's
+// connections.
+func (c *Net) Injected() Stats {
+	return Stats{Resets: int(c.resets.Load()), Stalls: int(c.stalls.Load()), Splits: int(c.splits.Load())}
 }
 
 // New parses a scenario string into a chaos plan.
@@ -164,7 +191,7 @@ func (c *Net) Dial(network, addr string, timeout time.Duration) (net.Conn, error
 	if err != nil {
 		return nil, err
 	}
-	return c.wrap(conn), nil
+	return c.wrap(conn, false), nil
 }
 
 // Listen opens a real listener whose accepted connections are wrapped —
@@ -178,10 +205,18 @@ func (c *Net) Listen(network, addr string) (net.Listener, error) {
 	return &listener{Listener: ln, net: c}, nil
 }
 
-func (c *Net) wrap(inner net.Conn) net.Conn {
+// wrap gives inner the faults of the next connection of its direction.
+// Dialled connections take the even jitter indexes and accepted ones
+// the odd, so neither direction's schedule depends on the other's pace.
+func (c *Net) wrap(inner net.Conn, accepted bool) net.Conn {
 	c.mu.Lock()
-	idx := c.connIndex
-	c.connIndex++
+	idx := 2 * c.dialled
+	if accepted {
+		idx = 2*c.accepted + 1
+		c.accepted++
+	} else {
+		c.dialled++
+	}
 	c.mu.Unlock()
 	w := &conn{Conn: inner, net: c, resetAt: -1, stallAt: -1, rstallAt: -1}
 	for i, r := range c.rules {
@@ -239,7 +274,7 @@ func (l *listener) Accept() (net.Conn, error) {
 			conn.Close()
 			continue
 		}
-		return l.net.wrap(conn), nil
+		return l.net.wrap(conn, true), nil
 	}
 }
 
@@ -281,13 +316,16 @@ func (w *conn) Write(b []byte) (int, error) {
 	}
 	w.mu.Unlock()
 	if stall > 0 {
+		w.net.stalls.Add(1)
 		time.Sleep(stall)
 	}
 	if reset {
+		w.net.resets.Add(1)
 		w.Conn.Close()
 		return 0, errReset
 	}
 	if w.partial && len(b) > 1 {
+		w.net.splits.Add(1)
 		half := len(b) / 2
 		n1, err := w.Conn.Write(b[:half])
 		if err != nil {
@@ -313,6 +351,7 @@ func (w *conn) Read(b []byte) (int, error) {
 	}
 	w.mu.Unlock()
 	if stall > 0 {
+		w.net.stalls.Add(1)
 		time.Sleep(stall)
 	}
 	return w.Conn.Read(b)

@@ -134,6 +134,97 @@ func TestResetDeterministicAndBudgeted(t *testing.T) {
 	if err := dialOnce(); err != nil {
 		t.Fatalf("second connection reset after budget exhausted: %v", err)
 	}
+	if got := c.Injected(); got != (Stats{Resets: 1}) {
+		t.Fatalf("the plan counted %+v, want the one reset it injected", got)
+	}
+}
+
+// TestScheduleIgnoresTheOtherDirection: a daemon dials and accepts from
+// different goroutines, so which of the two happens first is up to the
+// scheduler. A dialled connection's faults must not depend on how many
+// connections the plan's listener accepted before it, nor an accepted
+// one's on the dials.
+func TestScheduleIgnoresTheOtherDirection(t *testing.T) {
+	sink, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	go func() {
+		for {
+			conn, err := sink.Accept()
+			if err != nil {
+				return
+			}
+			go io.Copy(io.Discard, conn)
+		}
+	}()
+	resetAt := func(conn net.Conn) int {
+		defer conn.Close()
+		buf := make([]byte, 8)
+		for i := 1; i <= 200; i++ {
+			if _, err := conn.Write(buf); err != nil {
+				return i
+			}
+		}
+		t.Fatal("no reset within 200 writes despite reset@50")
+		return 0
+	}
+	// firstOfEach reports the write that resets a fresh plan's first
+	// dialled and first accepted connection. One direction goes first
+	// and makes `extra` more connections before the other starts.
+	firstOfEach := func(dialFirst bool, extra int) (dialled, accepted int) {
+		c, err := New("reset@50:1000", 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := c.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		accept := func() net.Conn {
+			peer, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			go io.Copy(io.Discard, peer)
+			t.Cleanup(func() { peer.Close() })
+			conn, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return conn
+		}
+		dial := func() net.Conn {
+			conn, err := c.Dial("tcp", sink.Addr().String(), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return conn
+		}
+		if dialFirst {
+			d := dial()
+			for i := 0; i < extra; i++ {
+				dial().Close()
+			}
+			return resetAt(d), resetAt(accept())
+		}
+		a := accept()
+		for i := 0; i < extra; i++ {
+			accept().Close()
+		}
+		return resetAt(dial()), resetAt(a)
+	}
+	d0, a0 := firstOfEach(true, 0)
+	d1, a1 := firstOfEach(false, 3)
+	d2, a2 := firstOfEach(true, 4)
+	if d0 != d1 || d0 != d2 {
+		t.Errorf("first dialled connection reset at writes %d, %d and %d, depending on the accepts around it", d0, d1, d2)
+	}
+	if a0 != a1 || a0 != a2 {
+		t.Errorf("first accepted connection reset at writes %d, %d and %d, depending on the dials around it", a0, a1, a2)
+	}
 }
 
 // TestRefuseDropsEarlyConnections checks that refused connections never

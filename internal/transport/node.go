@@ -72,6 +72,8 @@ type node struct {
 
 	startEpoch     int  // first epoch to run (non-zero after resume)
 	barrierPending bool // resume directly into the barrier of startEpoch
+
+	ckpt ckptWriter // checkpoint image storage, reused across checkpoints
 }
 
 // inMsg is one parsed message (or terminal condition) from a peer's

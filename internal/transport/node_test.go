@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -75,6 +76,48 @@ func TestRendezvousIgnoresStaleEntries(t *testing.T) {
 	for id := range histories {
 		if !bytes.Equal(gobHistory(t, histories[id]), gobHistory(t, want[id])) {
 			t.Errorf("node %d history diverges from sequential reference", id)
+		}
+	}
+}
+
+// TestCheckpointFailureFailsTheRun: a checkpoint that cannot be written
+// is a loud refusal at the first checkpoint, not a run that carries on
+// without the durability it was asked for. The checkpoint "directory"
+// is a regular file — ENOTDIR, which unlike a permission bit also stops
+// root.
+func TestCheckpointFailureFailsTheRun(t *testing.T) {
+	const n = 2
+	data, err := SyntheticSeries("cer", n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := core.Params{K: 2, Epsilon: 1.0, Iterations: 1, Seed: 3, Backend: core.BackendPlainAccounted}
+	notADir := filepath.Join(t.TempDir(), "checkpoints")
+	if err := os.WriteFile(notADir, []byte("a file where the directory should be"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	addrDir := t.TempDir()
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for id := 0; id < n; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			_, errs[id] = Run(Config{
+				ID:              id,
+				Population:      n,
+				Listen:          "127.0.0.1:0",
+				AddrDir:         addrDir,
+				EpochTimeout:    30 * time.Second,
+				CheckpointDir:   notADir,
+				CheckpointEvery: 1,
+			}, data, params)
+		}(id)
+	}
+	wg.Wait()
+	for id, err := range errs {
+		if err == nil || !strings.HasPrefix(err.Error(), "transport: checkpoint:") {
+			t.Errorf("node %d: %v, want an error that starts \"transport: checkpoint:\"", id, err)
 		}
 	}
 }

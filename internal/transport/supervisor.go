@@ -16,6 +16,9 @@ import (
 //   - tags every post-handshake frame with a monotonic sequence number
 //     (an 8-byte big-endian prefix inside the wire frame), so delivery
 //     stays exactly-once and FIFO across reconnects;
+//   - hands the socket one Write per epoch: the epoch's data frames wait
+//     in the link's batch for the tick that follows them, and the read
+//     side parses whatever arrived together out of one Read;
 //   - keeps a bounded ring of sent frames for retransmission, pruned by
 //     epoch once the barrier protocol proves the peer must have them;
 //   - bounds every write with a deadline and every read with an idle
@@ -55,6 +58,15 @@ type link struct {
 	inSeq  uint64      // last sequence number delivered from the peer
 	pruned uint64      // highest sequence number dropped from the ring
 	ring   []sentFrame // unacknowledged frames, ascending seq
+
+	// batch is the wire image of the ring frames not yet handed to conn:
+	// data frames wait here for their epoch's tick, so the socket sees
+	// one Write per epoch. Every frame in it is in the ring too, which is
+	// why a link that goes down or is re-installed just drops it. It is
+	// released after every write, not kept for the next: a 16-node mesh
+	// in one process has 240 links, and a buffer grown for one payload
+	// would stay grown on each.
+	batch []byte
 }
 
 func newLink(n *node, peer int) *link {
@@ -70,11 +82,22 @@ func (l *link) state() (down bool, since, lastResume time.Time) {
 }
 
 // send assigns the next sequence number to the inner frame, records it
-// in the retransmit ring, and writes it under the configured write
-// deadline. Under grace a write failure (or an already-down link) is
-// not an error: the frame waits in the ring for the resume handshake.
+// in the retransmit ring and appends it to the link's batch. A data
+// frame waits there: the epoch's tick, which runEpochs sends to every
+// link right after Step, is what writes the batch — one Write under one
+// deadline for the whole epoch. Every other kind (the tick, a ceremony
+// frame) writes at once, so when the socket is written is a function of
+// the protocol alone. Under grace a write failure (or an already-down
+// link) is not an error: the frame waits in the ring for the resume
+// handshake.
 func (l *link) send(epoch int, inner []byte) error {
+	if 8+len(inner) > wire.MaxFrameBytes {
+		// Refused before it takes a sequence number: a frame no write
+		// can carry must not sit in the ring to be retransmitted.
+		return fmt.Errorf("transport: send to peer %d: %w", l.peer, wire.ErrFrameTooBig)
+	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.outSeq++
 	framed := make([]byte, 8+len(inner))
 	binary.BigEndian.PutUint64(framed, l.outSeq)
@@ -82,27 +105,32 @@ func (l *link) send(epoch int, inner []byte) error {
 	l.ring = append(l.ring, sentFrame{seq: l.outSeq, epoch: epoch, frame: framed})
 	if l.down || l.conn == nil {
 		if l.n.cfg.Grace > 0 {
-			l.mu.Unlock()
 			return nil
 		}
-		l.mu.Unlock()
 		return fmt.Errorf("transport: send to peer %d: link down", l.peer)
 	}
-	l.conn.SetWriteDeadline(time.Now().Add(l.n.cfg.writeTimeout()))
-	if err := wire.WriteFrame(l.conn, framed); err != nil {
-		if l.n.cfg.Grace > 0 {
-			redial := l.markDownLocked(err)
-			l.mu.Unlock()
-			if redial {
-				go l.redialLoop()
-			}
-			return nil
-		}
-		l.mu.Unlock()
+	l.batch, _ = wire.AppendFrame(l.batch, framed)
+	if inner[0] == mtData {
+		return nil
+	}
+	if err := l.flushLocked(); err != nil && l.n.cfg.Grace <= 0 {
 		return fmt.Errorf("transport: send to peer %d: %w", l.peer, err)
 	}
-	l.mu.Unlock()
 	return nil
+}
+
+// flushLocked writes the batch in one Write under the write deadline
+// (l.mu held, link up). A failure takes the link down — under grace the
+// redial loop is started here — and is returned for the fail-fast
+// callers to surface.
+func (l *link) flushLocked() error {
+	l.conn.SetWriteDeadline(time.Now().Add(l.n.cfg.writeTimeout()))
+	_, err := l.conn.Write(l.batch)
+	l.batch = nil
+	if err != nil && l.markDownLocked(err) {
+		go l.redialLoop()
+	}
+	return err
 }
 
 // sendBye writes the departure notice as an unsequenced link-control
@@ -119,8 +147,8 @@ func (l *link) sendBye() {
 	if l.down || l.conn == nil {
 		return
 	}
-	l.conn.SetWriteDeadline(time.Now().Add(l.n.cfg.writeTimeout()))
-	wire.WriteFrame(l.conn, marshalBye())
+	l.batch, _ = wire.AppendFrame(l.batch, marshalBye())
+	l.flushLocked()
 }
 
 // markDownLocked tears the current connection down (l.mu held) and
@@ -129,6 +157,7 @@ func (l *link) sendBye() {
 // and without grace the caller owns the error path.
 func (l *link) markDownLocked(cause error) (startRedial bool) {
 	l.gen++
+	l.batch = nil
 	if l.conn != nil {
 		l.conn.Close()
 		l.conn = nil
@@ -168,8 +197,10 @@ func (l *link) markDown(gen int, cause error) {
 
 // installConn adopts a fresh connection for this link (formation join
 // or completed resume handshake), retransmits every ring frame beyond
-// what the peer acknowledged, and starts the read loop. resumed marks a
-// post-outage reinstall, which grants the peer a fresh barrier budget.
+// what the peer acknowledged — as one batch, which replaces whatever
+// the old connection had pending — and starts the read loop. resumed
+// marks a post-outage reinstall, which grants the peer a fresh barrier
+// budget.
 func (l *link) installConn(conn net.Conn, peerLastSeq uint64, resumed bool) {
 	l.mu.Lock()
 	if l.n.stopped() {
@@ -189,18 +220,17 @@ func (l *link) installConn(conn net.Conn, peerLastSeq uint64, resumed bool) {
 	if resumed {
 		l.lastResume = time.Now()
 	}
+	l.batch = nil
 	for _, sf := range l.ring {
-		if sf.seq <= peerLastSeq {
-			continue
+		if sf.seq > peerLastSeq {
+			l.batch, _ = wire.AppendFrame(l.batch, sf.frame)
 		}
-		conn.SetWriteDeadline(time.Now().Add(l.n.cfg.writeTimeout()))
-		if err := wire.WriteFrame(conn, sf.frame); err != nil {
-			redial := l.markDownLocked(fmt.Errorf("retransmit seq %d: %w", sf.seq, err))
+	}
+	if len(l.batch) > 0 {
+		if err := l.flushLocked(); err != nil {
 			l.mu.Unlock()
 			if l.n.cfg.Grace <= 0 {
-				l.n.deliver(inMsg{from: l.peer, err: err})
-			} else if redial {
-				go l.redialLoop()
+				l.n.deliver(inMsg{from: l.peer, err: fmt.Errorf("retransmit after seq %d: %w", peerLastSeq, err)})
 			}
 			return
 		}
@@ -238,13 +268,16 @@ func (l *link) accept(gen int, framed []byte) (inner []byte, fresh bool, err err
 }
 
 // readLoop parses sequenced frames from one connection until it dies
-// or is replaced. Each read is bounded by an idle deadline generous
-// enough to cover a full barrier stall plus the grace window.
+// or is replaced, through a wire.FrameReader of its own: a tick costs
+// one Read, and a peer's batch is parsed out of as few as arrive. Each
+// read is bounded by an idle deadline generous enough to cover a full
+// barrier stall plus the grace window.
 func (l *link) readLoop(gen int, conn net.Conn) {
 	idle := 2*l.n.cfg.EpochTimeout + l.n.cfg.Grace
+	frames := wire.NewFrameReader(conn)
 	for {
 		conn.SetReadDeadline(time.Now().Add(idle))
-		framed, err := wire.ReadFrame(conn)
+		framed, err := frames.ReadFrame()
 		if err != nil {
 			l.markDown(gen, err)
 			return

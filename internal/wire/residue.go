@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
@@ -80,6 +81,24 @@ func AppendUint32(buf []byte, v uint32) []byte { return appendUint32(buf, v) }
 
 // AppendBytes appends one length-prefixed opaque field.
 func AppendBytes(buf, payload []byte) []byte { return appendField(buf, payload) }
+
+// BeginField opens a length-prefixed opaque field whose payload the
+// caller appends to the returned buffer next; EndField, given the
+// returned mark, closes it. The bytes are AppendBytes's, without
+// building the payload somewhere else first — how a message nests
+// another (a checkpoint its participant snapshot, a snapshot its state
+// blob) inside one buffer.
+func BeginField(buf []byte) (_ []byte, mark int) {
+	buf = append(buf, 0, 0, 0, 0)
+	return buf, len(buf)
+}
+
+// EndField writes the length of buf[mark:] into the prefix BeginField
+// reserved.
+func EndField(buf []byte, mark int) []byte {
+	binary.BigEndian.PutUint32(buf[mark-4:], uint32(len(buf)-mark))
+	return buf
+}
 
 // FieldReader walks the length-prefixed fields of a composite message.
 type FieldReader struct {
