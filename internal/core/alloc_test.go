@@ -6,7 +6,6 @@ import (
 	"chiaroscuro/internal/compactrng"
 	"chiaroscuro/internal/datasets"
 	"chiaroscuro/internal/p2p"
-	"chiaroscuro/internal/simnet"
 )
 
 // allocTestParams is a configuration whose first iteration holds every
@@ -36,53 +35,75 @@ func allocTestData(t testing.TB, n int) [][]float64 {
 	return d.Series
 }
 
-// TestGossipCycleZeroAlloc is the ISSUE 5 acceptance gate: on the
-// accounted backend, a warmed steady-state gossip cycle — all
-// participants' halve-and-emit plus batched absorbs, across the whole
-// simulated network — performs zero heap allocations, proven with
-// testing.AllocsPerRun. The run is deterministic (fixed seed), so the
-// buffer capacities the warm-up grows are the ones the measured window
-// needs.
+// TestGossipCycleZeroAlloc is the allocation gate of the gossip cycle:
+// a warmed steady-state cycle — all participants' halve-and-emit into
+// their parity buffers plus batched in-place absorbs, across the whole
+// simulated network — is measured with testing.AllocsPerRun. On the
+// accounted backend it allocates nothing. On Damgård–Jurik the in-place
+// arithmetic allocates nothing either, but every RefreshInPlace draws one
+// randomizer the pool mints on the heap (its random exponent from
+// crypto/rand.Int, then a fixed-base table exponentiation), so the
+// ceiling is counted per refresh: measured at 5.4–6.5 objects per
+// refresh over six runs (n=16, 256-bit key) and held at 8. The run is
+// deterministic (fixed seed), so the buffer capacities the warm-up grows
+// are the ones the measured window needs.
 func TestGossipCycleZeroAlloc(t *testing.T) {
-	const n, warm, measure = 48, 40, 40
-	data := allocTestData(t, n)
-	p := allocTestParams(warm + measure + 8)
-	rs, err := prepareRun(data, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.close()
-	if rs.shared.mut == nil {
-		t.Fatal("accounted fault-free run must qualify for the in-place hot path")
-	}
-	rs.shared.batchHint = n
-	d, err := newCycleDriver(data, rs, 1, len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < warm+1; i++ { // cycle 0 = assignment, then gossip
-		d.nw.RunCycle()
-	}
-	for _, pt := range d.participants {
-		if pt.phase != phaseGossip {
-			t.Fatalf("participant %d not in gossip phase after warm-up", pt.id)
-		}
-	}
-	allocs := testing.AllocsPerRun(measure, func() {
-		d.nw.RunCycle()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state gossip cycle allocates %.2f heap objects (network-wide, n=%d), want 0", allocs, n)
-	}
-	for _, pt := range d.participants {
-		if pt.phase != phaseGossip {
-			t.Fatalf("participant %d left the gossip phase during measurement", pt.id)
-		}
+	for _, tc := range []struct {
+		name             string
+		n, warm, measure int
+		backend          Backend
+		bits             int
+		allocsPerRefresh float64
+	}{
+		{"plain", 48, 40, 40, BackendPlainAccounted, 0, 0},
+		{"dj256", 16, 8, 8, BackendDamgardJurik, 256, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := allocTestData(t, tc.n)
+			p := allocTestParams(tc.warm + tc.measure + 8)
+			p.Backend, p.ModulusBits = tc.backend, tc.bits
+			rs, err := prepareRun(data, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rs.close()
+			if !rs.shared.parityEmits {
+				t.Fatal("a fault-free cycle-driven run must emit into parity buffers")
+			}
+			rs.shared.batchHint = tc.n
+			d, err := newCycleDriver(data, rs, 1, len(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.warm+1; i++ { // cycle 0 = assignment, then gossip
+				d.nw.RunCycle()
+			}
+			for _, pt := range d.participants {
+				if pt.phase != phaseGossip {
+					t.Fatalf("participant %d not in gossip phase after warm-up", pt.id)
+				}
+			}
+			before := rs.suite.Counts().Refreshes
+			allocs := testing.AllocsPerRun(tc.measure, func() {
+				d.nw.RunCycle()
+			})
+			// AllocsPerRun runs the cycle once more than it measures.
+			perCycle := float64(rs.suite.Counts().Refreshes-before) / float64(tc.measure+1)
+			t.Logf("%.2f heap objects per cycle, %.0f refreshes per cycle", allocs, perCycle)
+			if ceiling := tc.allocsPerRefresh * perCycle; allocs > ceiling {
+				t.Fatalf("steady-state gossip cycle allocates %.2f heap objects (network-wide, n=%d), ceiling %.0f", allocs, tc.n, ceiling)
+			}
+			for _, pt := range d.participants {
+				if pt.phase != phaseGossip {
+					t.Fatalf("participant %d left the gossip phase during measurement", pt.id)
+				}
+			}
+		})
 	}
 }
 
-// TestGossipCycleZeroAllocPacked re-proves the property with slot
-// packing on: the packed hot path shares the same arena machinery.
+// TestGossipCycleZeroAllocPacked re-proves the accounted property with
+// slot packing on: packed ciphers live in the same arenas.
 func TestGossipCycleZeroAllocPacked(t *testing.T) {
 	const n, warm, measure = 48, 40, 40
 	data := allocTestData(t, n)
@@ -110,8 +131,9 @@ func TestGossipCycleZeroAllocPacked(t *testing.T) {
 }
 
 // TestMeasureGossipAllocs exercises the CLI/CI measurement helper and
-// requires it to agree with the AllocsPerRun proof (zero on the hot
-// path) and to reject windows that would leak out of the gossip phase.
+// requires it to agree with the AllocsPerRun proof (zero on the
+// accounted backend) and to reject windows that would leak out of the
+// gossip phase.
 func TestMeasureGossipAllocs(t *testing.T) {
 	data := allocTestData(t, 32)
 	rep, err := MeasureGossipAllocs(data, allocTestParams(64), 25, 25)
@@ -119,7 +141,7 @@ func TestMeasureGossipAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.AllocsPerCycle != 0 {
-		t.Fatalf("MeasureGossipAllocs reports %.2f allocs/cycle on the hot path, want 0", rep.AllocsPerCycle)
+		t.Fatalf("MeasureGossipAllocs reports %.2f allocs/cycle, want 0", rep.AllocsPerCycle)
 	}
 	if rep.Population != 32 || rep.Cycles != 25 {
 		t.Fatalf("report shape = %+v", rep)
@@ -136,8 +158,8 @@ func TestMeasureGossipAllocs(t *testing.T) {
 // allocation-free once warm: sends land in the fixed ring, drains reuse
 // the env's pre-sized buffer, and no channel element churn remains. The
 // proof deliberately scopes to the fabric (send + drain), not whole
-// async participant activations — the async engine disables the
-// in-place gossip hot path by design, so its steps allocate.
+// async participant activations — async emissions take fresh storage by
+// design, so its steps allocate.
 func TestAsyncInboxZeroAlloc(t *testing.T) {
 	const n, capEach = 8, 64
 	net := &asyncNet{inboxes: make([]*asyncInbox, n)}
@@ -243,80 +265,61 @@ func TestMeasureDecryptAllocs(t *testing.T) {
 	}
 }
 
-// TestHotPathGateMatrix pins when the in-place hot path may engage:
-// never with a fault plan (delays and stalls break the message-
-// consumption bound the emit double-buffering relies on), never on the
-// async engine, never on the real backend. Where it does engage it is
-// an allocation profile, not a second protocol: the same run with the
-// path forced off discloses the same trace and counts the same
-// operations — encrypts, adds, the exponent's halvings, the doublings
-// that align skewed exponents (in place on one side, into fresh values
-// on the other) and the sent-copy refreshes.
+// TestHotPathGateMatrix pins the one storage decision the gossip path
+// makes — parity buffers only on a cycle-driven engine without a fault
+// plan, fresh storage on the async engine and under any fault plan — and
+// the operation invariants every configuration keeps on both backends:
+// every halving is the exponent's, paid as one refresh per emitted
+// cipher, and — on the bulk-synchronous configurations — doublings
+// happen exactly when churn skews the exponents.
 func TestHotPathGateMatrix(t *testing.T) {
 	data := allocTestData(t, 16)
 	base := allocTestParams(12)
 	base.DecryptThreshold = 3
 	base.Iterations = 3
+	dj := func(p *Params) { p.Backend, p.ModulusBits = BackendDamgardJurik, 256 }
+	churn := func(p *Params) { p.ChurnCrashProb, p.ChurnRejoinProb = 0.01, 0.2 }
 
-	run := func(name string, p Params, classic bool) *Trace {
-		t.Helper()
-		rs, err := prepareRun(data, p)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		defer rs.close()
-		if classic {
-			rs.shared.mut = nil
-		}
-		d, err := newCycleDriver(data, rs, 1, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		tr, err := d.run()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return tr
-	}
-	check := func(name string, mutate func(*Params), want bool) {
-		t.Helper()
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Params)
+		parity bool
+	}{
+		{"plain fault-free", func(*Params) {}, true},
+		{"plain with churn", churn, true},
+		{"plain fault plan", func(p *Params) { p.Faults = mustPlan(t, "drop=0.1") }, false},
+		{"plain async", func(p *Params) { p.asyncEngine = true }, false},
+		{"dj fault-free", dj, true},
+		{"dj with churn", func(p *Params) { dj(p); churn(p) }, true},
+		{"dj fault plan", func(p *Params) { dj(p); p.Faults = mustPlan(t, "drop=0.1") }, false},
+	} {
 		p := base
-		mutate(&p)
+		tc.mutate(&p)
 		rs, err := prepareRun(data, p)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		defer rs.close()
-		if got := rs.shared.mut != nil; got != want {
-			t.Errorf("%s: hot path enabled = %v, want %v", name, got, want)
+		if got := rs.shared.parityEmits; got != tc.parity {
+			t.Errorf("%s: parity emission buffers = %v, want %v", tc.name, got, tc.parity)
 		}
-		if !want {
-			return
+		rs.close()
+		var tr *Trace
+		if p.asyncEngine {
+			tr, err = RunAsync(data, p)
+		} else {
+			tr, err = Run(data, p)
 		}
-		hot, classic := run(name, p, false), run(name, p, true)
-		assertTracesBitIdentical(t, hot, classic, name+": in-place vs classic")
-		if hot.Ops != classic.Ops {
-			t.Errorf("%s: in-place path counted %+v, classic %+v", name, hot.Ops, classic.Ops)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if hot.Ops.Refreshes == 0 || hot.Ops.Halvings != hot.Ops.Refreshes {
-			t.Errorf("%s: %+v, want every halving the exponent's", name, hot.Ops)
+		if tr.Ops.Refreshes == 0 || tr.Ops.Halvings != tr.Ops.Refreshes {
+			t.Errorf("%s: %+v, want every halving the exponent's", tc.name, tr.Ops)
 		}
-		if churn := p.ChurnCrashProb > 0; churn != (hot.Ops.Doublings > 0) {
-			t.Errorf("%s: %d doublings, want them exactly when churn skews the exponents", name, hot.Ops.Doublings)
+		if !tc.parity {
+			continue // unsynchronized rounds and faulted deliveries skew exponents too
+		}
+		if churned := p.ChurnCrashProb > 0; churned != (tr.Ops.Doublings > 0) {
+			t.Errorf("%s: %d doublings, want them exactly when churn skews the exponents", tc.name, tr.Ops.Doublings)
 		}
 	}
-	check("plain fault-free", func(p *Params) {}, true)
-	check("plain with churn", func(p *Params) { p.ChurnCrashProb = 0.01; p.ChurnRejoinProb = 0.2 }, true)
-	check("async engine", func(p *Params) { p.asyncEngine = true }, false)
-	check("fault plan", func(p *Params) {
-		pl, err := simnet.ParsePlan("drop=0.1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Faults = pl
-	}, false)
-	check("damgard-jurik", func(p *Params) {
-		p.Backend = BackendDamgardJurik
-		p.ModulusBits = 256
-	}, false)
 }

@@ -372,11 +372,12 @@ func TestOpsCountedInPlainBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every participant encrypts 2·k·(dim+1) values per iteration.
+	// Every participant encrypts 2·k·(dim+1) values per iteration, and
+	// nothing else encrypts: setup performs no probe encryption (the
+	// cipher ring needs no cached zero), so the count is exact.
 	wantEnc := int64(40 * 2 * 2 * 2 * (3 + 1))
-	// The cipher ring's zero cache costs one extra encryption.
-	if tr.Ops.Encrypts < wantEnc || tr.Ops.Encrypts > wantEnc+8 {
-		t.Fatalf("encrypts = %d, want ~%d", tr.Ops.Encrypts, wantEnc)
+	if tr.Ops.Encrypts != wantEnc {
+		t.Fatalf("encrypts = %d, want %d", tr.Ops.Encrypts, wantEnc)
 	}
 	if tr.Ops.Refreshes == 0 || tr.Ops.Adds == 0 || tr.Ops.PartialDecrypts == 0 || tr.Ops.Combines == 0 {
 		t.Fatalf("ops not counted: %+v", tr.Ops)

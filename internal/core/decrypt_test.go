@@ -14,6 +14,7 @@ import (
 type scriptedEnv struct {
 	id    p2p.NodeID
 	n     int
+	cycle int
 	peers []p2p.NodeID // scripted RandomPeer draws, in order
 	next  int
 	sent  []scriptedSend
@@ -26,7 +27,7 @@ type scriptedSend struct {
 }
 
 func (e *scriptedEnv) ID() p2p.NodeID      { return e.id }
-func (e *scriptedEnv) Cycle() int          { return 0 }
+func (e *scriptedEnv) Cycle() int          { return e.cycle }
 func (e *scriptedEnv) PopulationSize() int { return e.n }
 func (e *scriptedEnv) AliveCount() int     { return e.n }
 func (e *scriptedEnv) Inbox() []p2p.Message {

@@ -116,7 +116,7 @@ type oracleHarness struct {
 	fresh int              // contributions minted so far (headroom budget)
 }
 
-func newOracleHarness(t *testing.T, params Params, classicPath bool, seed int64) *oracleHarness {
+func newOracleHarness(t *testing.T, params Params, seed int64) *oracleHarness {
 	t.Helper()
 	// The run is sized for 8 contributions; 4 nodes are driven, so up to
 	// 4 late synchronizations can mint a fresh contribution while the
@@ -127,9 +127,6 @@ func newOracleHarness(t *testing.T, params Params, classicPath bool, seed int64)
 		t.Fatal(err)
 	}
 	t.Cleanup(rs.close)
-	if classicPath {
-		rs.shared.mut = nil
-	}
 	h := &oracleHarness{t: t, r: rs.shared, rng: rand.New(rand.NewSource(seed)), held: make([][]oracleFlight, 4)}
 	for i := 0; i < 4; i++ {
 		n := &oracleNode{pt: rs.newParticipant(p2p.NodeID(i))}
@@ -175,13 +172,11 @@ func (h *oracleHarness) emit(from, to int) {
 	if n.lazy.H >= h.r.preScale {
 		return // the budget guard: a node never halves past T
 	}
-	msg := n.lazy.Emit()
-	for i, c := range msg.V {
-		sent, err := h.r.suite.Refresh(c)
-		if err != nil {
+	msg := n.lazy.Emit() // fresh storage: flights are held arbitrarily long
+	for _, c := range msg.V {
+		if err := h.r.suite.RefreshInPlace(c); err != nil {
 			h.t.Fatal(err)
 		}
-		msg.V[i] = sent
 	}
 	h.held[to] = append(h.held[to], oracleFlight{msg, n.eager.emit(h.t, h.r.suite)})
 }
@@ -300,81 +295,71 @@ func oracleConfigs() map[string]Params {
 }
 
 // TestExponentSharesMatchEagerOracle is the exactness property of the
-// tentpole: random emit / absorb / batched-absorb / late-synchronization
+// exponent representation: random emit / absorb / batched-absorb / late-synchronization
 // schedules, exponent skew from 0 to T in both directions, both suites
 // (Damgård–Jurik at 128 and 256 bits), both layouts, the inertia
 // aggregate tracked, noise shares of both signs — and after every phase
 // each node discloses the integer the eager oracle discloses.
 func TestExponentSharesMatchEagerOracle(t *testing.T) {
 	for name, params := range oracleConfigs() {
-		paths := []bool{false}
-		if params.Backend == BackendPlainAccounted {
-			paths = []bool{false, true} // in-place hot path, then classic
-		}
-		for _, classic := range paths {
-			label := name
-			if classic {
-				label += "-classic"
+		t.Run(name, func(t *testing.T) {
+			h := newOracleHarness(t, params, 17)
+			T := int(h.r.preScale)
+
+			// Skew at its limits first: node 0 emits the whole budget
+			// at node 1, which absorbs the last flight while still at
+			// exponent 0 (the state doubles itself T times), then the
+			// first (the message is doubled T−1 times), then the rest
+			// as one batch.
+			for k := 0; k < T; k++ {
+				h.emit(0, 1)
 			}
-			t.Run(label, func(t *testing.T) {
-				h := newOracleHarness(t, params, classic, 17)
-				T := int(h.r.preScale)
+			h.emit(0, 1) // guarded: the budget is spent
+			if got := len(h.held[1]); got != T {
+				t.Fatalf("%d flights after T+1 emissions, want %d", got, T)
+			}
+			h.deliver(1, T-1)
+			if h.nodes[1].lazy.H != uint(T) {
+				t.Fatalf("exponent %d after absorbing h=T into a fresh state", h.nodes[1].lazy.H)
+			}
+			h.deliver(1, 0)
+			rest := make([]int, len(h.held[1]))
+			for i := range rest {
+				rest[i] = i
+			}
+			h.deliver(1, rest...)
+			h.check("skew-T")
 
-				// Skew at its limits first: node 0 emits the whole budget
-				// at node 1, which absorbs the last flight while still at
-				// exponent 0 (the state doubles itself T times), then the
-				// first (the message is doubled T−1 times), then the rest
-				// as one batch.
-				for k := 0; k < T; k++ {
-					h.emit(0, 1)
-				}
-				h.emit(0, 1) // guarded: the budget is spent
-				if got := len(h.held[1]); got != T {
-					t.Fatalf("%d flights after T+1 emissions, want %d", got, T)
-				}
-				h.deliver(1, T-1)
-				if h.nodes[1].lazy.H != uint(T) {
-					t.Fatalf("exponent %d after absorbing h=T into a fresh state", h.nodes[1].lazy.H)
-				}
-				h.deliver(1, 0)
-				rest := make([]int, len(h.held[1]))
-				for i := range rest {
-					rest[i] = i
-				}
-				h.deliver(1, rest...)
-				h.check("skew-T")
-
-				// Then a random schedule with late synchronizations.
-				for step := 0; step < 40; step++ {
-					i := h.rng.Intn(len(h.nodes))
-					switch op := h.rng.Intn(4); {
-					case op == 0:
-						for k := 1 + h.rng.Intn(3); k > 0; k-- {
-							j := h.rng.Intn(len(h.nodes) - 1)
-							if j >= i {
-								j++
-							}
-							h.emit(i, j)
+			// Then a random schedule with late synchronizations.
+			for step := 0; step < 40; step++ {
+				i := h.rng.Intn(len(h.nodes))
+				switch op := h.rng.Intn(4); {
+				case op == 0:
+					for k := 1 + h.rng.Intn(3); k > 0; k-- {
+						j := h.rng.Intn(len(h.nodes) - 1)
+						if j >= i {
+							j++
 						}
-					case op == 1 && len(h.held[i]) > 0:
-						h.deliver(i, h.rng.Intn(len(h.held[i])))
-					case op == 2 && len(h.held[i]) > 1:
-						all := make([]int, len(h.held[i]))
-						for k := range all {
-							all[k] = k
-						}
-						h.deliver(i, all...)
-					case op == 3 && len(h.held[i]) > 0 && h.fresh < 8:
-						// Late synchronization: the state is rebuilt from
-						// a fresh contribution, then absorbs the message
-						// that triggered it.
-						h.contribute(h.nodes[i])
-						h.deliver(i, h.rng.Intn(len(h.held[i])))
+						h.emit(i, j)
 					}
+				case op == 1 && len(h.held[i]) > 0:
+					h.deliver(i, h.rng.Intn(len(h.held[i])))
+				case op == 2 && len(h.held[i]) > 1:
+					all := make([]int, len(h.held[i]))
+					for k := range all {
+						all[k] = k
+					}
+					h.deliver(i, all...)
+				case op == 3 && len(h.held[i]) > 0 && h.fresh < 8:
+					// Late synchronization: the state is rebuilt from
+					// a fresh contribution, then absorbs the message
+					// that triggered it.
+					h.contribute(h.nodes[i])
+					h.deliver(i, h.rng.Intn(len(h.held[i])))
 				}
-				h.check("random")
-			})
-		}
+			}
+			h.check("random")
+		})
 	}
 }
 
@@ -389,7 +374,7 @@ func TestHalvingBudgetBoundary(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			h := newOracleHarness(t, params, false, 29)
+			h := newOracleHarness(t, params, 29)
 			r := h.r
 			n := h.nodes[0]
 			for n.lazy.H < r.preScale {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"math/big"
 	"testing"
 
+	"chiaroscuro/internal/p2p"
 	"chiaroscuro/internal/simnet"
 )
 
@@ -294,5 +296,117 @@ func TestFaultPlanValidationSurfaces(t *testing.T) {
 		Faults: mustPlan(t, "crash@1=99")}
 	if _, err := Run(data, p); err == nil {
 		t.Fatal("plan targeting node 99 in a population of 10 must fail validation")
+	}
+}
+
+// sentRecorder wraps a participant so every gossip payload it sends is
+// captured by value at send time and every one it receives is compared
+// against that capture: a delayed or replayed message must still carry
+// exactly the ciphers that left its sender, however many emissions the
+// sender has made since.
+type sentRecorder struct {
+	pt   *participant
+	sent map[*gossipPayload][]*big.Int
+	late *int // deliveries two or more cycles after the first send
+	at   map[*gossipPayload]int
+	t    *testing.T
+}
+
+type recordingEnv struct {
+	*p2p.Context
+	r *sentRecorder
+}
+
+func cipherInt(c Cipher) *big.Int {
+	if pc, ok := c.(plainCipher); ok {
+		return pc.v
+	}
+	return c.(*big.Int)
+}
+
+func (e recordingEnv) Send(to p2p.NodeID, payload any, bytes int) error {
+	if pl, ok := payload.(*gossipPayload); ok {
+		if want, seen := e.r.sent[pl]; seen {
+			e.r.compare(pl, want, "re-sent")
+		} else {
+			vals := make([]*big.Int, len(pl.Msg.V))
+			for i, c := range pl.Msg.V {
+				vals[i] = new(big.Int).Set(cipherInt(c))
+			}
+			e.r.sent[pl] = vals
+			e.r.at[pl] = e.Cycle()
+		}
+	}
+	return e.Context.Send(to, payload, bytes)
+}
+
+func (e recordingEnv) Inbox() []p2p.Message {
+	in := e.Context.Inbox()
+	for _, m := range in {
+		if pl, ok := m.Payload.(*gossipPayload); ok {
+			e.r.compare(pl, e.r.sent[pl], "delivered")
+			if e.Cycle()-e.r.at[pl] >= 2 {
+				*e.r.late++
+			}
+		}
+	}
+	return in
+}
+
+func (r *sentRecorder) compare(pl *gossipPayload, want []*big.Int, how string) {
+	r.t.Helper()
+	if len(want) != len(pl.Msg.V) {
+		return // a malformed byzantine payload is rejected by length
+	}
+	for i, c := range pl.Msg.V {
+		if cipherInt(c).Cmp(want[i]) != 0 {
+			r.t.Fatalf("%s payload's cipher %d changed since it was sent", how, i)
+		}
+	}
+}
+
+func (r *sentRecorder) NextCycle(ctx *p2p.Context) { r.pt.step(recordingEnv{ctx, r}) }
+
+// TestFaultPlanEmissionsStayAsSent drives delayed and replayed gossip
+// (the fault plans under which a message outlives the next cycle) on
+// both backends and requires every payload to arrive, and to be replayed,
+// with the ciphers its sender emitted — which holds only because a fault
+// plan gives every emission fresh storage instead of the parity buffers.
+func TestFaultPlanEmissionsStayAsSent(t *testing.T) {
+	data := blobs(12, 3, 2)
+	for name, p := range map[string]Params{
+		"plain": {K: 2, Epsilon: 100, Iterations: 2, Seed: 9, GossipRounds: 8, DecryptThreshold: 3},
+		"dj256": {K: 2, Epsilon: 100, Iterations: 2, Seed: 9, GossipRounds: 8, DecryptThreshold: 3,
+			Backend: BackendDamgardJurik, ModulusBits: 256},
+	} {
+		p.Faults = mustPlan(t, "delay=0.5x3;replay=2")
+		rs, err := prepareRun(data, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		late := 0
+		sent := map[*gossipPayload][]*big.Int{}
+		at := map[*gossipPayload]int{}
+		participants := make([]*participant, len(data))
+		opts := p2p.Options{Seed: rs.p.Seed + 1, Workers: 1}
+		if opts.Conditioner, opts.Faults, err = bindFaults(rs.p, len(data)); err != nil {
+			t.Fatal(err)
+		}
+		nw, err := p2p.New(len(data), func(id p2p.NodeID) p2p.Protocol {
+			participants[id] = rs.newParticipant(id)
+			return &sentRecorder{pt: participants[id], sent: sent, late: &late, at: at, t: t}
+		}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < 2*p.Iterations*(3+p.GossipRounds+rs.p.DecryptWindow); c++ {
+			nw.RunCycle()
+		}
+		rs.close()
+		replayed := participants[2].replayPayload
+		if late == 0 || replayed == nil || len(sent) < 2*len(data) {
+			t.Fatalf("%s: the plan exercised too little (%d late deliveries, replay captured: %v, %d payloads)",
+				name, late, replayed != nil, len(sent))
+		}
 	}
 }

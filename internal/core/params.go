@@ -436,137 +436,36 @@ func checkHeadroom(M *big.Int, n, dim int, maxValue, noiseBound float64, fracBit
 }
 
 // cipherRing adapts a CipherSuite to the gossip.Ring interface so the
-// push-sum state machine can run over ciphertexts.
+// push-sum state machine runs over ciphertexts, in place on both
+// backends. Errors are programmer errors (mixed suites): panic.
 type cipherRing struct {
 	suite CipherSuite
-	zero  Cipher
 }
 
-// newCipherRing builds the ring adapter. Suites that implement the
-// mutCipherSuite extension (the accounted backend) get a ring that also
-// satisfies gossip.MutRing, unlocking the in-place hot path; the
-// returned static type stays gossip.Ring so the capability is carried
-// by the dynamic type alone — gossip.State only enables mutation when
-// the caller opts in via SetMutable.
-func newCipherRing(s CipherSuite) (gossip.Ring[Cipher], error) {
-	z, err := s.Encrypt(big.NewInt(0))
+func must(err error) {
 	if err != nil {
-		return nil, err
+		panic(fmt.Sprintf("core: cipher ring: %v", err))
 	}
-	base := &cipherRing{suite: s, zero: z}
-	if ms, ok := s.(mutCipherSuite); ok {
-		return &mutCipherRing{cipherRing: base, ms: ms}, nil
-	}
-	return base, nil
 }
-
-// Zero implements gossip.Ring. Note: reusing one encryption of zero is
-// sound here because Zero is only used as an additive identity inside a
-// node's own state, never transmitted alone.
-func (r *cipherRing) Zero() Cipher { return r.zero }
 
 // Add implements gossip.Ring.
-func (r *cipherRing) Add(a, b Cipher) Cipher {
-	out, err := r.suite.Add(a, b)
-	if err != nil {
-		panic(fmt.Sprintf("core: cipher add: %v", err)) // programmer error: mixed suites
-	}
-	return out
-}
-
-// Double implements gossip.Ring.
-func (r *cipherRing) Double(a Cipher, k uint) Cipher {
-	out, err := r.suite.Double(a, k)
-	if err != nil {
-		panic(fmt.Sprintf("core: cipher double: %v", err))
-	}
-	return out
-}
-
-// Clone implements gossip.Ring. Ciphers are immutable values in both
-// backends, so sharing is safe.
-func (r *cipherRing) Clone(a Cipher) Cipher { return a }
-
-// batchAdder is the optional CipherSuite extension behind the gossip
-// batch path: suites that can fold several addends into one accumulator
-// without intermediate allocations implement it (the accounted plain
-// suite does; the Damgård–Jurik suite falls back to chained Adds).
-type batchAdder interface {
-	AddAll(acc Cipher, vs []Cipher) (Cipher, error)
-}
+func (r cipherRing) Add(acc *Cipher, v Cipher) { must(r.suite.AddInPlace(*acc, v)) }
 
 // AddAll implements gossip.Ring.
-func (r *cipherRing) AddAll(acc Cipher, vs []Cipher) Cipher {
-	if ba, ok := r.suite.(batchAdder); ok {
-		out, err := ba.AddAll(acc, vs)
-		if err != nil {
-			panic(fmt.Sprintf("core: cipher batch add: %v", err))
-		}
-		return out
+func (r cipherRing) AddAll(acc *Cipher, vs []Cipher) { must(r.suite.AddAllInPlace(*acc, vs)) }
+
+// Double implements gossip.Ring.
+func (r cipherRing) Double(a *Cipher, k uint) { must(r.suite.DoubleInPlace(*a, k)) }
+
+// Set implements gossip.Ring: an empty slot gets a one-cipher vector of
+// its own.
+func (r cipherRing) Set(dst *Cipher, src Cipher) {
+	if *dst == nil {
+		v, err := r.suite.NewCipherVector(1)
+		must(err)
+		*dst = v[0]
 	}
-	out := acc
-	for _, v := range vs {
-		out = r.Add(out, v)
-	}
-	return out
+	must(r.suite.SetCipher(*dst, src))
 }
 
-// mutCipherSuite is the optional CipherSuite extension behind the
-// zero-allocation gossip hot path: in-place variants of the ring
-// operations over caller-owned scratch ciphers, value-identical and
-// identically accounted to their immutable counterparts. Only the
-// accounted plain suite implements it (real ciphertexts mint fresh
-// group elements on every operation).
-type mutCipherSuite interface {
-	// NewScratchVector returns n mutable zero ciphers backed by one
-	// contiguous residue arena (see internal/vecpool).
-	NewScratchVector(n int) ([]Cipher, error)
-	// EncryptInto is Encrypt writing into dst's storage.
-	EncryptInto(dst Cipher, m *big.Int) error
-	// DoubleCipherInPlace is Double mutating c.
-	DoubleCipherInPlace(c Cipher, k uint) error
-	// AddCipherInPlace sets acc += v, mutating only acc.
-	AddCipherInPlace(acc, v Cipher) error
-	// AddAllCipherInPlace left-folds vs into acc, mutating only acc.
-	AddAllCipherInPlace(acc Cipher, vs []Cipher) error
-	// SetCipher copies src's value into dst's storage.
-	SetCipher(dst, src Cipher) error
-}
-
-// mutCipherRing extends cipherRing with gossip.MutRing, delegating to
-// the suite's in-place extension. Errors are programmer errors (mixed
-// suites), handled like the immutable adapter's: panic.
-type mutCipherRing struct {
-	*cipherRing
-	ms mutCipherSuite
-}
-
-// DoubleInPlace implements gossip.MutRing.
-func (r *mutCipherRing) DoubleInPlace(a Cipher, k uint) {
-	if err := r.ms.DoubleCipherInPlace(a, k); err != nil {
-		panic(fmt.Sprintf("core: cipher double in place: %v", err))
-	}
-}
-
-// AddInPlace implements gossip.MutRing.
-func (r *mutCipherRing) AddInPlace(acc, v Cipher) {
-	if err := r.ms.AddCipherInPlace(acc, v); err != nil {
-		panic(fmt.Sprintf("core: cipher add in place: %v", err))
-	}
-}
-
-// AddAllInPlace implements gossip.MutRing.
-func (r *mutCipherRing) AddAllInPlace(acc Cipher, vs []Cipher) {
-	if err := r.ms.AddAllCipherInPlace(acc, vs); err != nil {
-		panic(fmt.Sprintf("core: cipher batch add in place: %v", err))
-	}
-}
-
-// SetInPlace implements gossip.MutRing.
-func (r *mutCipherRing) SetInPlace(dst, src Cipher) {
-	if err := r.ms.SetCipher(dst, src); err != nil {
-		panic(fmt.Sprintf("core: cipher set in place: %v", err))
-	}
-}
-
-var _ gossip.MutRing[Cipher] = (*mutCipherRing)(nil)
+var _ gossip.Ring[Cipher] = cipherRing{}

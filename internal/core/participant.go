@@ -171,17 +171,10 @@ type participant struct {
 	gossipScratch []*gossipPayload
 	respScratch   []*decryptResponse
 
-	// The remaining fields exist only on the zero-allocation hot path
-	// (runShared.mut non-nil). vals/noises are the per-iteration
-	// cleartext fused-contribution buffers; contrib is the arena-backed
-	// cipher vector each iteration's push-sum state is rebuilt over;
-	// emitMsgs/emitPayloads double-buffer the outgoing gossip message by
-	// cycle parity — sound because the engine is bulk-synchronous: a
-	// message emitted at cycle c is consumed (absorbed, dropped and
-	// counted, or cleared by a crash) by the end of cycle c+1, and the
-	// same-parity buffer is not written again before cycle c+2. The
-	// fault-plan features that would break that bound (delays, laggard
-	// stalls, replaying byzantines) disable the hot path in prepareRun.
+	// vals/noises are the per-iteration cleartext fused-contribution
+	// buffers; contrib is the owned cipher vector each iteration's
+	// push-sum state is rebuilt over; emitMsgs/emitPayloads are the two
+	// cycle-parity emission buffers (used when runShared.parityEmits).
 	vals, noises []float64
 	contrib      []Cipher
 	emitMsgs     [2]gossip.Message[Cipher]
@@ -212,11 +205,9 @@ type runShared struct {
 	// senders: incoming gossip messages are then validated cipher by
 	// cipher before absorption (the wire-hardening path).
 	validate bool
-	// mut is the suite's in-place extension when the run qualifies for
-	// the zero-allocation gossip hot path (accounted backend,
-	// cycle-driven engine, no fault plan — see prepareRun); nil keeps
-	// every participant on the classic allocating path.
-	mut mutCipherSuite
+	// parityEmits stores every emission in the sender's two cycle-parity
+	// buffers instead of fresh storage (see prepareRunOn and emit).
+	parityEmits bool
 	// batchHint, when positive, pre-sizes every participant's inbox
 	// classification and absorb-batch scratch (and the push-sum batch
 	// column) for that many messages, so no in-degree spike can ever
@@ -385,17 +376,13 @@ func (pt *participant) stepAssign(ctx Env) {
 }
 
 // newMeans builds a push-sum state of weight w (and halving exponent 0)
-// over cipher values the caller owns exclusively — a participant's fresh
-// contribution (encryptSides wrote it into the participant's own arena
-// on the hot path) or a restored snapshot's freshly decoded vector — so
-// the in-place hot path is sound whenever the run has one.
+// over cipher values it takes ownership of — a participant's fresh
+// contribution (encryptSides wrote it into the participant's own
+// vector) or a restored snapshot's freshly decoded vector.
 func (r *runShared) newMeans(values []Cipher, w float64) (*gossip.State[Cipher], error) {
 	st, err := gossip.NewState[Cipher](r.ring, values, w)
 	if err != nil {
 		return nil, err
-	}
-	if r.mut != nil {
-		st.SetMutable()
 	}
 	if r.batchHint > 0 {
 		st.ReserveBatch(r.batchHint)
@@ -417,59 +404,17 @@ func (pt *participant) noiseScale() float64 {
 	return sens / eps
 }
 
-// encryptSides encrypts the fused contribution [values | noise shares]:
-// one ciphertext per coordinate, or — when the run is packed — one per
-// slot group, with the two sides packed under the same layout so the
-// step-2c noise addition stays a slot-aligned homomorphic Add. On the
-// hot path the residues are written into the participant's own arena
-// vector (same values, same encryption order and count — only the
-// allocation profile differs).
+// encryptSides encrypts the fused contribution [values | noise shares]
+// into the participant's own cipher vector: one ciphertext per
+// coordinate, or — when the run is packed — one per slot group, with the
+// two sides packed under the same layout so the step-2c noise addition
+// stays a slot-aligned homomorphic Add. The previous iteration's state
+// owned these ciphers, but it is dropped in the same activation, and
+// every emission carries copies, so overwriting is safe.
 func (pt *participant) encryptSides(vals, noises []float64) ([]Cipher, error) {
 	r := pt.run
-	if r.mut != nil {
-		return pt.encryptSidesInPlace(vals, noises)
-	}
-	out := make([]Cipher, 2*r.sideCiphers)
-	if r.layout == nil {
-		for i := range vals {
-			ct, err := pt.encryptValue(vals[i])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = ct
-			nct, err := pt.encryptValue(noises[i])
-			if err != nil {
-				return nil, err
-			}
-			out[r.sideCiphers+i] = nct
-		}
-		return out, nil
-	}
-	for side, xs := range [2][]float64{vals, noises} {
-		packed, err := pt.packSide(xs)
-		if err != nil {
-			return nil, err
-		}
-		for g, m := range packed {
-			ct, err := r.suite.Encrypt(m)
-			if err != nil {
-				return nil, err
-			}
-			out[side*r.sideCiphers+g] = ct
-		}
-	}
-	return out, nil
-}
-
-// encryptSidesInPlace is encryptSides writing into the participant's
-// arena-backed contribution vector: the previous iteration's state
-// shared these residues, but it is dropped in the same activation, and
-// every in-flight message carries copies (EmitInto's anti-aliasing
-// contract), so overwriting is safe.
-func (pt *participant) encryptSidesInPlace(vals, noises []float64) ([]Cipher, error) {
-	r := pt.run
 	if pt.contrib == nil {
-		v, err := r.mut.NewScratchVector(2 * r.sideCiphers)
+		v, err := r.suite.NewCipherVector(2 * r.sideCiphers)
 		if err != nil {
 			return nil, err
 		}
@@ -478,19 +423,14 @@ func (pt *participant) encryptSidesInPlace(vals, noises []float64) ([]Cipher, er
 	out := pt.contrib
 	if r.layout == nil {
 		for i := range vals {
-			m, err := pt.encodeValue(vals[i])
-			if err != nil {
-				return nil, err
-			}
-			if err := r.mut.EncryptInto(out[i], m); err != nil {
-				return nil, err
-			}
-			m, err = pt.encodeValue(noises[i])
-			if err != nil {
-				return nil, err
-			}
-			if err := r.mut.EncryptInto(out[r.sideCiphers+i], m); err != nil {
-				return nil, err
+			for side, x := range [2]float64{vals[i], noises[i]} {
+				m, err := pt.encodeValue(x)
+				if err != nil {
+					return nil, err
+				}
+				if err := r.suite.EncryptInto(out[side*r.sideCiphers+i], m); err != nil {
+					return nil, err
+				}
 			}
 		}
 		return out, nil
@@ -501,7 +441,7 @@ func (pt *participant) encryptSidesInPlace(vals, noises []float64) ([]Cipher, er
 			return nil, err
 		}
 		for g, m := range packed {
-			if err := r.mut.EncryptInto(out[side*r.sideCiphers+g], m); err != nil {
+			if err := r.suite.EncryptInto(out[side*r.sideCiphers+g], m); err != nil {
 				return nil, err
 			}
 		}
@@ -554,16 +494,6 @@ func (pt *participant) encodeValue(x float64) (*big.Int, error) {
 	return v, nil
 }
 
-// encryptValue fixed-point-encodes x into the plaintext ring and
-// encrypts it.
-func (pt *participant) encryptValue(x float64) (Cipher, error) {
-	w, err := pt.encodeValue(x)
-	if err != nil {
-		return nil, err
-	}
-	return pt.run.suite.Encrypt(w)
-}
-
 // --- Step 2a/2b: gossip (distributed) --------------------------------------
 
 func (pt *participant) stepGossip(ctx Env) {
@@ -578,31 +508,11 @@ func (pt *participant) stepGossip(ctx Env) {
 	// budget is GossipRounds+2); the peer draw above stays unconditional
 	// so the sampling stream does not depend on it.
 	if ok && pt.diptych.Means.H < r.preScale {
-		var payload *gossipPayload
-		if r.mut != nil {
-			payload = pt.emitReused(ctx)
-		} else {
-			payload = &gossipPayload{
-				Iter:      pt.iter,
-				Centroids: pt.diptych.Centroids,
-				Msg:       pt.diptych.Means.Emit(),
-			}
-		}
-		// The halving was the exponent's; what the ciphertexts cost is
-		// making the copy that leaves unlinkable to the one that stays
-		// (and to the copy sent last round, when nothing was absorbed in
-		// between).
-		for i, c := range payload.Msg.V {
-			sent, err := r.suite.Refresh(c)
-			if err != nil {
-				panic(err) // programmer error: mixed suites
-			}
-			payload.Msg.V[i] = sent
-		}
+		payload := pt.emit(ctx)
 		if pt.byz != nil {
-			// Byzantine senders only exist under a fault plan, which
-			// forces the classic path — the corrupted payload may be
-			// retained (replay) and must not live in a reused buffer.
+			// Byzantine senders only exist under a fault plan, whose
+			// emissions get fresh storage: a replayed payload may be
+			// retained indefinitely.
 			payload = pt.byzantinePayload(payload)
 		}
 		// Byte accounting from the actual ciphertext count of the
@@ -622,24 +532,38 @@ func (pt *participant) stepGossip(ctx Env) {
 	}
 }
 
-// emitReused emits the push-sum half-share into the double-buffered
-// outgoing message selected by cycle parity — the allocation-free emit
-// of the hot path. The buffer written at cycle c was last written at
-// cycle c-2; its previous occupant was consumed by the end of cycle c-1
-// (the BSP bound documented on the participant fields), so the
-// overwrite can never race an in-flight read.
-func (pt *participant) emitReused(ctx Env) *gossipPayload {
-	idx := ctx.Cycle() & 1
-	msg := &pt.emitMsgs[idx]
+// emit halves the participant's share and returns the outgoing payload:
+// the state's values copied into the message's own storage, then
+// refreshed — the halving was the exponent's; what the ciphertexts cost
+// is making the copy that leaves unlinkable to the one that stays (and
+// to the copy sent last round, when nothing was absorbed in between).
+// Under parityEmits the message is the buffer of this cycle's parity:
+// written at cycle c, it was last written at c-2, and its previous
+// occupant was consumed by the end of c-1, so the overwrite never races
+// a read. Otherwise every emission gets fresh storage.
+func (pt *participant) emit(ctx Env) *gossipPayload {
+	r := pt.run
+	var msg *gossip.Message[Cipher]
+	var pl *gossipPayload
+	if r.parityEmits {
+		idx := ctx.Cycle() & 1
+		msg, pl = &pt.emitMsgs[idx], &pt.emitPayloads[idx]
+	} else {
+		msg, pl = &gossip.Message[Cipher]{}, &gossipPayload{}
+	}
 	if msg.V == nil {
-		v, err := pt.run.mut.NewScratchVector(len(pt.diptych.Means.V))
+		v, err := r.suite.NewCipherVector(len(pt.diptych.Means.V))
 		if err != nil {
-			panic(err) // arena sizing is validated at prepareRun time
+			panic(err) // vector sizing is validated at prepareRun time
 		}
 		msg.V = v
 	}
 	pt.diptych.Means.EmitInto(msg)
-	pl := &pt.emitPayloads[idx]
+	for _, c := range msg.V {
+		if err := r.suite.RefreshInPlace(c); err != nil {
+			panic(err) // programmer error: mixed suites
+		}
+	}
 	pl.Iter = pt.iter
 	pl.Centroids = pt.diptych.Centroids
 	pl.Msg = msg
@@ -836,7 +760,8 @@ func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 		// Step 2c: homomorphically add the gossiped encrypted noise to
 		// the gossiped encrypted means — the aggregate that will be
 		// disclosed is perturbed *before* anyone can decrypt it.
-		vals := pt.diptych.Means.Values()
+		// The sums are fresh ciphers: the state's own are only read.
+		vals := pt.diptych.Means.V
 		cts := make([]Cipher, r.sideCiphers)
 		for i := 0; i < r.sideCiphers; i++ {
 			c, err := r.suite.Add(vals[i], vals[r.sideCiphers+i])

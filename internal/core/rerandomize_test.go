@@ -19,6 +19,7 @@ func TestDJHalveRerandomizes(t *testing.T) {
 	}, 0)
 	s := pt.run.suite
 	pt.stepGossip(env)
+	env.cycle++ // one activation per cycle: the next emission's parity buffer
 	pt.stepGossip(env)
 	if len(env.sent) != 2 {
 		t.Fatalf("%d emissions, want 2", len(env.sent))

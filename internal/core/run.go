@@ -16,13 +16,6 @@ import (
 	"chiaroscuro/internal/vecpool"
 )
 
-// poolSizer is the optional CipherSuite extension for backends that keep
-// a precomputed-randomizer pool: prepareRun resizes it to the run's real
-// burst before any participant touches the suite.
-type poolSizer interface {
-	SizePool(capacity int)
-}
-
 // poolBurst sizes the randomizer pool from the run's concurrency and the
 // fused encrypted-vector length: each in-flight activation consumes up to
 // vectorLen randomizers (one rerandomization per emitted ciphertext), and
@@ -142,11 +135,8 @@ type runSetup struct {
 // once its prepareRun succeeds. Session-owned suites outlive the setup:
 // the session closes them once, at session close.
 func (rs *runSetup) close() {
-	if !rs.ownsSuite {
-		return
-	}
-	if c, ok := rs.suite.(interface{ Close() }); ok {
-		c.Close()
+	if rs.ownsSuite {
+		rs.suite.Close()
 	}
 }
 
@@ -320,9 +310,7 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 	setupOK := false
 	defer func() {
 		if !setupOK && ownsSuite {
-			if c, ok := suite.(interface{ Close() }); ok {
-				c.Close()
-			}
+			suite.Close()
 		}
 	}()
 
@@ -359,13 +347,7 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 	// the gossip phase rerandomizes the full fused vector it emits,
 	// concurrently across shard workers, so the default capacity starves
 	// wide runs and over-provisions packed ones.
-	if ps, ok := suite.(poolSizer); ok {
-		ps.SizePool(poolBurst(p, n, 2*sideCiphers))
-	}
-	ring, err := newCipherRing(suite)
-	if err != nil {
-		return nil, err
-	}
+	suite.SizePool(poolBurst(p, n, 2*sideCiphers))
 
 	// Public, data-independent initial centroids.
 	initial := initialCentroids(p, dim)
@@ -373,26 +355,19 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 	// by the largest coordinate bound plus noise, with slack. Anything
 	// beyond signals a broken gossip invariant and fails the decode.
 	decodeBound := 4 * (coordBound + noiseBound)
-	// The zero-allocation gossip hot path (arena residues mutated in
-	// place, double-buffered emit messages) requires the bulk-synchronous
-	// delivery guarantee that every message is consumed within one cycle
-	// of delivery: true for the cycle-driven engines with no fault plan
-	// (no delayed queues, no laggard stalls, no replaying byzantines;
-	// churn is fine — crashes clear queues). The async engine's channel
-	// fabric holds messages arbitrarily long, and only the accounted
-	// suite can mutate ciphers, so everything else keeps the classic
-	// allocating path. Either path computes bit-identical trajectories
-	// and operation counts.
-	var mut mutCipherSuite
-	if ms, ok := suite.(mutCipherSuite); ok && !p.asyncEngine && p.Faults.Empty() {
-		mut = ms
-	}
+	// Where emissions are stored (see participant.emit): a cycle-driven
+	// engine without a fault plan consumes every message by the end of
+	// the cycle after it was sent (no delayed queues, laggard stalls or
+	// replaying byzantines; churn is fine — crashes clear queues), so two
+	// cycle-parity buffers per participant suffice. The async engine's
+	// channels and a fault plan may hold a message arbitrarily long.
+	parityEmits := !p.asyncEngine && p.Faults.Empty()
 	shared := &runShared{
 		params:        p,
 		dim:           dim,
 		population:    n,
 		suite:         suite,
-		ring:          ring,
+		ring:          cipherRing{suite},
 		codec:         codec,
 		plainMod:      plainMod,
 		halfMod:       new(big.Int).Rsh(plainMod, 1),
@@ -409,8 +384,8 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 		// every absorbed message's weight and ciphertexts are checked before
 		// they can touch the push-sum state. The honest-run hot path stays
 		// validation-free (trajectory and cost unchanged).
-		validate: p.Faults.HasByzantine(),
-		mut:      mut,
+		validate:    p.Faults.HasByzantine(),
+		parityEmits: parityEmits,
 	}
 
 	setupOK = true

@@ -281,9 +281,7 @@ func (s *RunSession) Close() {
 		return
 	}
 	s.closed = true
-	if c, ok := s.suite.(interface{ Close() }); ok {
-		c.Close()
-	}
+	s.suite.Close()
 }
 
 // AdvanceWindow slides the population's series by one window step
@@ -387,9 +385,9 @@ func (s *RunSession) Advance(newPoints [][]float64) (*WindowResult, error) {
 	}
 	// Snapshot the shared suite's cumulative counters so the window's
 	// trace reports per-window operation deltas — identical to what a
-	// one-shot run over the same window would count. Taken before setup:
-	// the cipher-ring probe encrypt inside prepareRunOn belongs to the
-	// window, exactly as it does on a fresh suite.
+	// one-shot run over the same window would count. Taken before setup,
+	// so anything prepareRunOn ever counts belongs to the window, exactly
+	// as it does on a fresh suite.
 	opsBefore := s.suite.Counts()
 	rs, err := prepareRunOn(s.series, wp, s.suite)
 	if err != nil {

@@ -45,7 +45,7 @@ type OpCounts struct {
 	// path calls — Halvings − Refreshes is the number of those).
 	Halvings int64
 	// Doublings counts the modular squarings spent aligning halving
-	// exponents before a merge: Double(c, k) adds k.
+	// exponents before a merge: DoubleInPlace(c, k) adds k.
 	Doublings int64
 	// Refreshes counts sent-copy rerandomizations: one per ciphertext
 	// per gossip emission.
@@ -76,23 +76,43 @@ type CipherSuite interface {
 
 	// Encrypt maps a plaintext residue (0 <= m < M) to a fresh Cipher.
 	Encrypt(m *big.Int) (Cipher, error)
-	// Add returns a Cipher of the sum of the two plaintexts.
+	// Add returns a fresh Cipher of the sum of the two plaintexts (step
+	// 2c's noise addition).
 	Add(a, b Cipher) (Cipher, error)
-	// Double returns a fresh Cipher of the plaintext multiplied by 2^k —
-	// k modular squarings on the real backend. Gossip calls it to align
-	// the halving exponents of two shares before adding them.
-	Double(c Cipher, k uint) (Cipher, error)
-	// Refresh returns a ciphertext of the same plaintext that cannot be
-	// linked to c: the copy of a share that leaves the node. It is the
-	// whole per-cipher cost of a push-sum halving — the division itself
-	// is the exponent's (gossip.State.H).
-	Refresh(c Cipher) (Cipher, error)
 	// Halve returns a Cipher of the plaintext multiplied by 2^{-1} mod M:
 	// the eager halving the exponent replaced, a full-width modular
 	// exponentiation on the real backend. It is kept as the oracle the
 	// exponent path is property-tested against and as the probe bench/
 	// times; no run path calls it.
 	Halve(c Cipher) (Cipher, error)
+
+	// The push-sum arithmetic runs in place (see cipherRing). Each
+	// operation below mutates only its first argument, which must be a
+	// cipher its caller owns exclusively — from NewCipherVector or from
+	// one of the suite's constructors (Encrypt, UnmarshalCipherVector) —
+	// and counts exactly what its allocating counterpart would.
+	//
+	// NewCipherVector returns n owned ciphers in one contiguous slab,
+	// each sized so the in-place operations never grow it.
+	NewCipherVector(n int) ([]Cipher, error)
+	// EncryptInto is Encrypt writing into dst's storage.
+	EncryptInto(dst Cipher, m *big.Int) error
+	// SetCipher copies src's value into dst's storage (not an
+	// operation: nothing is counted).
+	SetCipher(dst, src Cipher) error
+	// AddInPlace sets acc to a Cipher of the sum of both plaintexts.
+	AddInPlace(acc, v Cipher) error
+	// AddAllInPlace left-folds vs into acc.
+	AddAllInPlace(acc Cipher, vs []Cipher) error
+	// DoubleInPlace multiplies c's plaintext by 2^k — k modular
+	// squarings on the real backend. Gossip calls it to align the
+	// halving exponents of two shares before adding them.
+	DoubleInPlace(c Cipher, k uint) error
+	// RefreshInPlace makes c a ciphertext of the same plaintext that
+	// cannot be linked to its previous value: the copy of a share that
+	// leaves the node. It is the whole per-cipher cost of a push-sum
+	// halving — the division itself is the exponent's (gossip.State.H).
+	RefreshInPlace(c Cipher) error
 
 	// Parties and Threshold describe the key sharing: Threshold distinct
 	// partial decryptions open a ciphertext.
@@ -140,4 +160,12 @@ type CipherSuite interface {
 
 	// Counts returns a snapshot of the operation counters.
 	Counts() OpCounts
+
+	// SizePool provisions the suite's randomizer pool for a burst of
+	// capacity draws; prepareRun calls it before the first encryption,
+	// while the suite is not yet shared. Close releases background
+	// resources (the pool's refill); the suite stays usable afterwards.
+	// Both are no-ops on the accounted backend.
+	SizePool(capacity int)
+	Close()
 }

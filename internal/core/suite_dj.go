@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync"
 	"sync/atomic"
 
 	"chiaroscuro/internal/crypto/damgardjurik"
+	"chiaroscuro/internal/vecpool"
 	"chiaroscuro/internal/wire"
 )
 
@@ -114,7 +116,7 @@ func (s *djSuite) ValidateCipher(c Cipher) error {
 	return nil
 }
 
-// SizePool implements the poolSizer extension: it replaces the
+// SizePool implements CipherSuite: it replaces the
 // randomizer pool with one sized for the caller's burst (clamped to
 // [djPoolCapacity, djPoolCapacityMax]). Only safe before the suite is
 // shared across goroutines — prepareRun calls it during construction,
@@ -134,8 +136,9 @@ func (s *djSuite) SizePool(capacity int) {
 	s.poolCap = capacity
 }
 
-// Close stops the randomizer pool's background refill. The suite remains
-// usable afterwards (randomizers are then computed synchronously).
+// Close implements CipherSuite: it stops the randomizer pool's
+// background refill. The suite remains usable afterwards (randomizers
+// are then computed synchronously).
 func (s *djSuite) Close() { s.pool.Close() }
 
 // Name implements CipherSuite.
@@ -163,33 +166,6 @@ func (s *djSuite) Add(a, b Cipher) (Cipher, error) {
 	}
 	s.adds.Add(1)
 	return s.tk.Add(ca, cb)
-}
-
-// Double implements CipherSuite: c^(2^k) mod n^{s+1}, k modular
-// squarings. The result is not rerandomized — it is merged into the
-// caller's own state, and nothing leaves a node without a Refresh.
-func (s *djSuite) Double(c Cipher, k uint) (Cipher, error) {
-	cc, ok := c.(*big.Int)
-	if !ok {
-		return nil, errors.New("core: foreign cipher type in damgard-jurik suite")
-	}
-	s.doublings.Add(int64(k))
-	return s.tk.ScalarMul(cc, new(big.Int).Lsh(big.NewInt(1), k))
-}
-
-// Refresh implements CipherSuite: multiplication by a pooled encryption
-// of zero. The refresh matters because shares travel to random peers
-// while their sender keeps gossiping the same mass: without it, two
-// consecutive emissions of an unchanged state would be the same
-// ciphertext, and an observer could trace a contribution across gossip
-// hops by recognizing it.
-func (s *djSuite) Refresh(c Cipher) (Cipher, error) {
-	cc, ok := c.(*big.Int)
-	if !ok {
-		return nil, errors.New("core: foreign cipher type in damgard-jurik suite")
-	}
-	s.refreshes.Add(1)
-	return s.pool.Rerandomize(cc)
 }
 
 // Halve implements CipherSuite: the eager oracle — homomorphic
@@ -285,6 +261,136 @@ func (s *djSuite) CombineColumns(sets [][]Partial, count int) ([]*big.Int, error
 	}
 	s.combines.Add(int64(count))
 	return out, nil
+}
+
+// --- In-place push-sum arithmetic ------------------------------------------
+//
+// Every operation is a modular product written into the operand's own
+// big.Int: the double-width product and the quotient its reduction
+// discards live in pooled scratch, and the operand's arena storage is
+// wide enough to serve as the division's working buffer, so nothing
+// grows. The values are those the allocating operations compute
+// (tk.Add, ScalarMul by 2^k, pool.Rerandomize); only the storage
+// differs. Operands are this suite's own values, so the range checks of
+// the allocating path are not repeated.
+
+// djTemps is the scratch of one in-place modular product.
+type djTemps struct{ prod, quo big.Int }
+
+var djScratch = sync.Pool{New: func() any { return new(djTemps) }}
+
+// mulMod sets z = x·y mod n^{s+1}; z may alias x or y.
+func (s *djSuite) mulMod(z, x, y *big.Int) {
+	t := djScratch.Get().(*djTemps)
+	t.prod.Mul(x, y)
+	t.quo.QuoRem(&t.prod, s.ctMod, z)
+	djScratch.Put(t)
+}
+
+// ciphertexts asserts this suite's cipher type on an in-place operand
+// and its argument.
+func ciphertexts(dst, src Cipher) (d, s *big.Int, err error) {
+	cd, ok1 := dst.(*big.Int)
+	cs, ok2 := src.(*big.Int)
+	if !ok1 || !ok2 {
+		return nil, nil, errors.New("core: foreign cipher type in damgard-jurik suite")
+	}
+	return cd, cs, nil
+}
+
+// NewCipherVector implements CipherSuite: n values in one vecpool arena,
+// each with room for a double-width product plus the division's carry.
+func (s *djSuite) NewCipherVector(n int) ([]Cipher, error) {
+	arena, err := vecpool.NewResidueArena(n, 2*s.ctMod.BitLen())
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Cipher, n)
+	for i := range out {
+		out[i] = arena.Int(i).SetInt64(1) // the unit: an encryption of zero
+	}
+	return out, nil
+}
+
+// EncryptInto implements CipherSuite: a pooled fast-path encryption
+// copied into dst.
+func (s *djSuite) EncryptInto(dst Cipher, m *big.Int) error {
+	d, ok := dst.(*big.Int)
+	if !ok {
+		return errors.New("core: foreign cipher type in damgard-jurik suite")
+	}
+	c, err := s.Encrypt(m)
+	if err != nil {
+		return err
+	}
+	d.Set(c.(*big.Int))
+	return nil
+}
+
+// SetCipher implements CipherSuite.
+func (s *djSuite) SetCipher(dst, src Cipher) error {
+	d, v, err := ciphertexts(dst, src)
+	if err != nil {
+		return err
+	}
+	d.Set(v)
+	return nil
+}
+
+// AddInPlace implements CipherSuite: acc·v mod n^{s+1}.
+func (s *djSuite) AddInPlace(acc, v Cipher) error {
+	a, x, err := ciphertexts(acc, v)
+	if err != nil {
+		return err
+	}
+	s.adds.Add(1)
+	s.mulMod(a, a, x)
+	return nil
+}
+
+// AddAllInPlace implements CipherSuite.
+func (s *djSuite) AddAllInPlace(acc Cipher, vs []Cipher) error {
+	for _, v := range vs {
+		if err := s.AddInPlace(acc, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// DoubleInPlace implements CipherSuite: c^(2^k) mod n^{s+1}, k modular
+// squarings. The result is not rerandomized — it is merged into the
+// caller's own state, and nothing leaves a node without a refresh.
+func (s *djSuite) DoubleInPlace(c Cipher, k uint) error {
+	v, _, err := ciphertexts(c, c)
+	if err != nil {
+		return err
+	}
+	s.doublings.Add(int64(k))
+	for ; k > 0; k-- {
+		s.mulMod(v, v, v)
+	}
+	return nil
+}
+
+// RefreshInPlace implements CipherSuite: multiplication by a pooled
+// encryption of zero. The refresh matters because shares travel to
+// random peers while their sender keeps gossiping the same mass:
+// without it, two consecutive emissions of an unchanged state would be
+// the same ciphertext, and an observer could trace a contribution across
+// gossip hops by recognizing it.
+func (s *djSuite) RefreshInPlace(c Cipher) error {
+	v, _, err := ciphertexts(c, c)
+	if err != nil {
+		return err
+	}
+	rz, err := s.pool.Get()
+	if err != nil {
+		return err
+	}
+	s.refreshes.Add(1)
+	s.mulMod(v, v, rz)
+	return nil
 }
 
 // MarshalCipherVector implements CipherSuite: Damgård–Jurik ciphers

@@ -19,7 +19,7 @@ import (
 // enabled or not (Sec. III.B, point 1).
 type plainSuite struct {
 	m         *big.Int
-	ring      *gossip.ModRing // Z_M's division-free doubling
+	ring      *gossip.ModRing // Z_M's conditional-subtraction arithmetic
 	parties   int
 	threshold int
 	// cipherBytes mimics the real backend's ciphertext size for the
@@ -112,61 +112,6 @@ func (s *plainSuite) Add(a, b Cipher) (Cipher, error) {
 		out.Sub(out, s.m)
 	}
 	return plainCipher{v: out}, nil
-}
-
-// AddAll implements the optional batch extension (see cipherRing): it
-// folds all addends into one freshly allocated accumulator with a
-// conditional subtraction per step — value-identical to a chain of Add
-// calls (operands are reduced residues), but without the intermediate
-// allocations, and it accounts the same number of homomorphic additions.
-func (s *plainSuite) AddAll(acc Cipher, vs []Cipher) (Cipher, error) {
-	ca, ok := acc.(plainCipher)
-	if !ok {
-		return nil, errors.New("core: foreign cipher type in plain suite")
-	}
-	out := new(big.Int).Set(ca.v)
-	for _, v := range vs {
-		cv, ok := v.(plainCipher)
-		if !ok {
-			return nil, errors.New("core: foreign cipher type in plain suite")
-		}
-		out.Add(out, cv.v)
-		if out.Cmp(s.m) >= 0 {
-			out.Sub(out, s.m)
-		}
-	}
-	s.adds.Add(int64(len(vs)))
-	return plainCipher{v: out}, nil
-}
-
-// double sets v = v·2^k mod M (in place and within the carry bit
-// NewScratchVector's arena provisions, see gossip.ModRing.DoubleInPlace),
-// accounted as the k squarings the real backend would perform.
-func (s *plainSuite) double(v *big.Int, k uint) {
-	s.doublings.Add(int64(k))
-	s.ring.DoubleInPlace(v, k)
-}
-
-// Double implements CipherSuite: v·2^k mod M into a fresh residue.
-func (s *plainSuite) Double(c Cipher, k uint) (Cipher, error) {
-	cc, ok := c.(plainCipher)
-	if !ok {
-		return nil, errors.New("core: foreign cipher type in plain suite")
-	}
-	out := new(big.Int).Set(cc.v)
-	s.double(out, k)
-	return plainCipher{v: out}, nil
-}
-
-// Refresh implements CipherSuite: there is no randomness to renew in a
-// plaintext residue, so c itself is the sent copy — counted, because
-// the encrypted run pays a rerandomization here.
-func (s *plainSuite) Refresh(c Cipher) (Cipher, error) {
-	if _, ok := c.(plainCipher); !ok {
-		return nil, errors.New("core: foreign cipher type in plain suite")
-	}
-	s.refreshes.Add(1)
-	return c, nil
 }
 
 // Halve implements CipherSuite: the eager oracle, multiplication by
@@ -338,21 +283,16 @@ func (s *plainSuite) Counts() OpCounts {
 	}
 }
 
-// --- In-place extension (the zero-allocation gossip hot path) --------------
+// --- In-place push-sum arithmetic ------------------------------------------
 //
-// The methods below implement mutCipherSuite: value-identical variants
-// of Encrypt/Add/AddAll/Double that write into caller-owned scratch
-// ciphers from NewScratchVector instead of allocating results. They
-// count operations exactly like their immutable counterparts, so
-// OpCounts (and every trajectory) is unchanged whichever path runs.
-// Only this suite implements the extension — real ciphertexts cannot be
-// mutated in place (rerandomization mints fresh group elements) — which
-// is what confines the in-place gossip path to the accounted backend.
+// The accounted values live in vecpool residue arenas sized for the
+// ring plus the carry limb of an in-place add or doubling, so a warmed
+// gossip cycle allocates nothing. Counting matches the real backend
+// operation for operation.
 
-// NewScratchVector implements mutCipherSuite: n mutable zero ciphers
-// whose residues live in one vecpool arena slab, pre-sized for the
-// ring's reduced values plus the carry of an in-place modular add.
-func (s *plainSuite) NewScratchVector(n int) ([]Cipher, error) {
+// NewCipherVector implements CipherSuite: n zero residues in one
+// vecpool arena slab.
+func (s *plainSuite) NewCipherVector(n int) ([]Cipher, error) {
 	arena, err := vecpool.NewResidueArena(n, s.m.BitLen())
 	if err != nil {
 		return nil, err
@@ -364,8 +304,18 @@ func (s *plainSuite) NewScratchVector(n int) ([]Cipher, error) {
 	return out, nil
 }
 
-// EncryptInto implements mutCipherSuite: Encrypt writing its residue
-// into dst's storage.
+// residues asserts this suite's cipher type on an in-place operand and
+// its argument.
+func residues(dst, src Cipher) (d, s *big.Int, err error) {
+	cd, ok1 := dst.(plainCipher)
+	cs, ok2 := src.(plainCipher)
+	if !ok1 || !ok2 {
+		return nil, nil, errors.New("core: foreign cipher type in plain suite")
+	}
+	return cd.v, cs.v, nil
+}
+
+// EncryptInto implements CipherSuite.
 func (s *plainSuite) EncryptInto(dst Cipher, m *big.Int) error {
 	cd, ok := dst.(plainCipher)
 	if !ok {
@@ -383,63 +333,72 @@ func (s *plainSuite) EncryptInto(dst Cipher, m *big.Int) error {
 	return nil
 }
 
-// DoubleCipherInPlace implements mutCipherSuite: Double mutating c's
-// residue.
-func (s *plainSuite) DoubleCipherInPlace(c Cipher, k uint) error {
-	cc, ok := c.(plainCipher)
-	if !ok {
-		return errors.New("core: foreign cipher type in plain suite")
+// SetCipher implements CipherSuite.
+func (s *plainSuite) SetCipher(dst, src Cipher) error {
+	d, v, err := residues(dst, src)
+	if err != nil {
+		return err
 	}
-	s.double(cc.v, k)
+	d.Set(v)
 	return nil
 }
 
-// AddCipherInPlace implements mutCipherSuite: acc += v with the reduced-
-// residue conditional subtraction, mutating only acc.
-func (s *plainSuite) AddCipherInPlace(acc, v Cipher) error {
-	ca, ok1 := acc.(plainCipher)
-	cv, ok2 := v.(plainCipher)
-	if !ok1 || !ok2 {
-		return errors.New("core: foreign cipher type in plain suite")
+// AddInPlace implements CipherSuite: the reduced-residue add with a
+// conditional subtraction.
+func (s *plainSuite) AddInPlace(acc, v Cipher) error {
+	a, x, err := residues(acc, v)
+	if err != nil {
+		return err
 	}
 	s.adds.Add(1)
-	ca.v.Add(ca.v, cv.v)
-	if ca.v.Cmp(s.m) >= 0 {
-		ca.v.Sub(ca.v, s.m)
-	}
+	s.ring.Add(&a, x)
 	return nil
 }
 
-// AddAllCipherInPlace implements mutCipherSuite: AddAll folded into
-// acc's storage.
-func (s *plainSuite) AddAllCipherInPlace(acc Cipher, vs []Cipher) error {
-	ca, ok := acc.(plainCipher)
-	if !ok {
-		return errors.New("core: foreign cipher type in plain suite")
+// AddAllInPlace implements CipherSuite, counting the column's adds in
+// one atomic update.
+func (s *plainSuite) AddAllInPlace(acc Cipher, vs []Cipher) error {
+	a, _, err := residues(acc, acc)
+	if err != nil {
+		return err
 	}
 	for _, v := range vs {
 		cv, ok := v.(plainCipher)
 		if !ok {
 			return errors.New("core: foreign cipher type in plain suite")
 		}
-		ca.v.Add(ca.v, cv.v)
-		if ca.v.Cmp(s.m) >= 0 {
-			ca.v.Sub(ca.v, s.m)
-		}
+		s.ring.Add(&a, cv.v)
 	}
 	s.adds.Add(int64(len(vs)))
 	return nil
 }
 
-// SetCipher implements mutCipherSuite: dst's residue becomes a copy of
-// src's, reusing dst's storage. Not an accounted operation (the
-// immutable path's Clone shares, which costs nothing either).
-func (s *plainSuite) SetCipher(dst, src Cipher) error {
-	cd, ok1 := dst.(plainCipher)
-	cs, ok2 := src.(plainCipher)
-	if !ok1 || !ok2 {
-		return errors.New("core: foreign cipher type in plain suite")
+// DoubleInPlace implements CipherSuite: v·2^k mod M by k shifts and
+// conditional subtractions, accounted as the k squarings the real
+// backend performs.
+func (s *plainSuite) DoubleInPlace(c Cipher, k uint) error {
+	v, _, err := residues(c, c)
+	if err != nil {
+		return err
 	}
-	cd.v.Set(cs.v)
+	s.doublings.Add(int64(k))
+	s.ring.Double(&v, k)
 	return nil
 }
+
+// RefreshInPlace implements CipherSuite: there is no randomness to
+// renew in a plaintext residue — counted, because the encrypted run
+// pays a rerandomization here.
+func (s *plainSuite) RefreshInPlace(c Cipher) error {
+	if _, ok := c.(plainCipher); !ok {
+		return errors.New("core: foreign cipher type in plain suite")
+	}
+	s.refreshes.Add(1)
+	return nil
+}
+
+// SizePool implements CipherSuite: there is no randomizer pool.
+func (s *plainSuite) SizePool(int) {}
+
+// Close implements CipherSuite: nothing to release.
+func (s *plainSuite) Close() {}

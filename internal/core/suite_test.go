@@ -3,6 +3,9 @@ package core
 import (
 	"math/big"
 	"testing"
+
+	"chiaroscuro/internal/gossip"
+	"chiaroscuro/internal/p2p"
 )
 
 func suites(t *testing.T) map[string]CipherSuite {
@@ -64,11 +67,26 @@ func TestSuitesHomomorphicAdd(t *testing.T) {
 	}
 }
 
-// TestSuitesHalveIsExactRingHalf pins the three halving-related
-// operations against each other: Double(c, k) multiplies the plaintext
-// by 2^k, the eager oracle Halve is its inverse in the ring (even for odd
-// plaintexts, where no integer half exists), and Refresh changes nothing
-// a decryption can see.
+// owned returns a copy of c in storage the caller owns — the operand
+// the in-place operations require.
+func owned(t *testing.T, s CipherSuite, c Cipher) Cipher {
+	t.Helper()
+	v, err := s.NewCipherVector(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetCipher(v[0], c); err != nil {
+		t.Fatal(err)
+	}
+	return v[0]
+}
+
+// TestSuitesHalveIsExactRingHalf pins the halving-related operations
+// against each other: DoubleInPlace(c, k) multiplies the plaintext by
+// 2^k, the eager oracle Halve is its inverse in the ring (even for odd
+// plaintexts, where no integer half exists), and RefreshInPlace changes
+// nothing a decryption can see — while on the real backend it does
+// change the ciphertext.
 func TestSuitesHalveIsExactRingHalf(t *testing.T) {
 	for name, s := range suites(t) {
 		for _, v := range []int64{8, 7, 0, 1} {
@@ -78,28 +96,30 @@ func TestSuitesHalveIsExactRingHalf(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			// 2·halve(v) must equal v in the ring.
-			doubled, err := s.Double(h, 1)
-			if err != nil {
+			if err := s.DoubleInPlace(h, 1); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if got := decryptVia(t, s, doubled, []int{1, 2, 3}); got.Int64() != v {
+			if got := decryptVia(t, s, h, []int{1, 2, 3}); got.Int64() != v {
 				t.Fatalf("%s: 2·halve(%d) = %v", name, v, got)
 			}
 			for _, k := range []uint{0, 1, 5} {
-				d, err := s.Double(c, k)
-				if err != nil {
+				d := owned(t, s, c)
+				if err := s.DoubleInPlace(d, k); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if got := decryptVia(t, s, d, []int{2, 3, 4}); got.Int64() != v<<k {
 					t.Fatalf("%s: %d·2^%d = %v", name, v, k, got)
 				}
 			}
-			r, err := s.Refresh(c)
-			if err != nil {
+			r := owned(t, s, c)
+			if err := s.RefreshInPlace(r); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if got := decryptVia(t, s, r, []int{1, 4, 5}); got.Int64() != v {
 				t.Fatalf("%s: refresh(%d) decrypts to %v", name, v, got)
+			}
+			if rc, ok := r.(*big.Int); ok && rc.Cmp(c.(*big.Int)) == 0 {
+				t.Fatalf("%s: refresh left the ciphertext unchanged", name)
 			}
 		}
 	}
@@ -146,17 +166,17 @@ func TestSuitesForeignCipherRejected(t *testing.T) {
 	if _, err := plain.Halve(cd); err == nil {
 		t.Fatal("plain halve accepted a DJ cipher")
 	}
-	if _, err := plain.Double(cd, 1); err == nil {
-		t.Fatal("plain double accepted a DJ cipher")
-	}
-	if _, err := dj.Double(cp, 1); err == nil {
-		t.Fatal("dj double accepted a plain cipher")
-	}
-	if _, err := plain.Refresh(cd); err == nil {
-		t.Fatal("plain refresh accepted a DJ cipher")
-	}
-	if _, err := dj.Refresh(cp); err == nil {
-		t.Fatal("dj refresh accepted a plain cipher")
+	for _, tc := range []struct {
+		name          string
+		s             CipherSuite
+		mine, foreign Cipher
+	}{{"plain", plain, owned(t, plain, cp), cd}, {"dj", dj, owned(t, dj, cd), cp}} {
+		foreign := tc.foreign
+		if tc.s.DoubleInPlace(foreign, 1) == nil || tc.s.RefreshInPlace(foreign) == nil ||
+			tc.s.AddInPlace(tc.mine, foreign) == nil || tc.s.AddAllInPlace(tc.mine, []Cipher{foreign}) == nil ||
+			tc.s.SetCipher(tc.mine, foreign) == nil || tc.s.EncryptInto(foreign, big.NewInt(1)) == nil {
+			t.Fatalf("%s: an in-place operation accepted a foreign cipher", tc.name)
+		}
 	}
 	if _, err := dj.PartialDecrypt(1, cp); err == nil {
 		t.Fatal("dj partial decrypt accepted a plain cipher")
@@ -169,16 +189,21 @@ func TestSuitesOpCounting(t *testing.T) {
 		c, _ := s.Encrypt(big.NewInt(9))
 		_, _ = s.Add(c, c)
 		_, _ = s.Halve(c)
-		_, _ = s.Double(c, 3)
-		_, _ = s.Refresh(c)
-		_, _ = s.Refresh(c)
+		v, _ := s.NewCipherVector(1)
+		_ = s.EncryptInto(v[0], big.NewInt(2))
+		_ = s.SetCipher(v[0], c)
+		_ = s.AddInPlace(v[0], c)
+		_ = s.AddAllInPlace(v[0], []Cipher{c, c})
+		_ = s.DoubleInPlace(v[0], 3)
+		_ = s.RefreshInPlace(v[0])
+		_ = s.RefreshInPlace(v[0])
 		p, _ := s.PartialDecrypt(1, c)
 		p2, _ := s.PartialDecrypt(2, c)
 		p3, _ := s.PartialDecrypt(3, c)
 		_, _ = s.Combine([]Partial{p, p2, p3})
 		after := s.Counts()
-		if after.Encrypts != before.Encrypts+1 ||
-			after.Adds != before.Adds+1 ||
+		if after.Encrypts != before.Encrypts+2 ||
+			after.Adds != before.Adds+4 ||
 			// One eager halving plus the two the refreshes stand for.
 			after.Halvings != before.Halvings+3 ||
 			after.Doublings != before.Doublings+3 ||
@@ -234,24 +259,79 @@ func TestPlainSuiteDisagreeingPartialsRejected(t *testing.T) {
 }
 
 func TestCipherRingAdapter(t *testing.T) {
-	s, err := NewPlainSuite(1024, 1, 2, 1)
-	if err != nil {
-		t.Fatal(err)
+	for name, s := range suites(t) {
+		ring := cipherRing{s}
+		enc := func(v int64) Cipher {
+			c, err := s.Encrypt(big.NewInt(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		six := enc(6)
+		var a Cipher
+		ring.Set(&a, six) // empty slot: a cipher of its own
+		ring.Add(&a, enc(0))
+		if got := decryptVia(t, s, a, []int{1, 2, 3}); got.Int64() != 6 {
+			t.Fatalf("%s: ring add with zero = %v", name, got)
+		}
+		ring.Double(&a, 3)
+		if got := decryptVia(t, s, a, []int{2, 3, 4}); got.Int64() != 48 {
+			t.Fatalf("%s: ring double(6, 3) = %v", name, got)
+		}
+		held := a
+		ring.AddAll(&a, []Cipher{enc(1), enc(2)})
+		if got := decryptVia(t, s, a, []int{1, 3, 5}); got.Int64() != 51 || a != held {
+			t.Fatalf("%s: ring add-all = %v (slot replaced: %v)", name, got, a != held)
+		}
+		if got := decryptVia(t, s, six, []int{1, 2, 3}); got.Int64() != 6 {
+			t.Fatalf("%s: in-place arithmetic on a copy reached the source: %v", name, got)
+		}
 	}
-	ring, err := newCipherRing(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := s.Encrypt(big.NewInt(6))
-	sum := ring.Add(a, ring.Zero())
-	if got := decryptVia(t, s, sum, []int{1}); got.Int64() != 6 {
-		t.Fatalf("ring add with zero = %v", got)
-	}
-	d := ring.Double(a, 3)
-	if got := decryptVia(t, s, d, []int{2}); got.Int64() != 48 {
-		t.Fatalf("ring double(6, 3) = %v", got)
-	}
-	if ring.Clone(a) == nil {
-		t.Fatal("clone returned nil")
+}
+
+// TestMeansValuesAreCopies pins State.Values on a participant's cipher
+// state: the returned vector is a copy, so absorbing a message afterwards
+// (in place, on either backend) leaves the captured values unchanged.
+func TestMeansValuesAreCopies(t *testing.T) {
+	for name, p := range map[string]Params{
+		"plain": {K: 2, Epsilon: 50, Iterations: 1, Seed: 5, GossipRounds: 4},
+		"dj":    {K: 2, Epsilon: 50, Iterations: 1, Seed: 5, GossipRounds: 4, Backend: BackendDamgardJurik, ModulusBits: 128},
+	} {
+		rs, err := prepareRun(blobs(4, 3, 2), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rs.close()
+		r := rs.shared
+		means := func(id p2p.NodeID, x float64) *gossip.State[Cipher] {
+			vals, noises := make([]float64, r.sideLen), make([]float64, r.sideLen)
+			for i := range vals {
+				vals[i] = x
+			}
+			values, err := rs.newParticipant(id).encryptSides(vals, noises)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := r.newMeans(values, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		a, b := means(0, 0.25), means(1, 0.5)
+		captured := a.Values()
+		want := make([]*big.Int, len(captured))
+		for i, c := range captured {
+			want[i] = decryptVia(t, rs.suite, c, []int{1, 2, 3})
+		}
+		if err := a.Absorb(b.Emit()); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range captured {
+			if got := decryptVia(t, rs.suite, c, []int{1, 2, 3}); got.Cmp(want[i]) != 0 {
+				t.Fatalf("%s: coordinate %d of a Values() copy changed under Absorb: %v, was %v", name, i, got, want[i])
+			}
+		}
 	}
 }

@@ -62,8 +62,8 @@ func E4QualityVsPrivacy(sc Scale) (*Table, error) {
 			"inertia ratio", "ARI vs centralized", "final noise RMSE"},
 	}
 	type variant struct {
-		name string
-		mut  func(*core.Params)
+		name  string
+		apply func(*core.Params)
 	}
 	variants := []variant{
 		{"off", func(p *core.Params) {}},
@@ -88,7 +88,7 @@ func E4QualityVsPrivacy(sc Scale) (*Table, error) {
 						Iterations: sc.Iterations,
 						Seed:       seed,
 					}
-					v.mut(&params)
+					v.apply(&params)
 					k := 5
 					if dsName == "tumor" {
 						k = 4

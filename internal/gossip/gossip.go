@@ -44,51 +44,26 @@ import (
 	"math/rand"
 )
 
-// Ring is the additive structure push-sum requires of its values.
-// Implementations must not mutate their arguments.
+// Ring is the additive structure push-sum requires of its values, in
+// place: every operation writes into a slot the caller owns (a State's
+// value, a Message's) and only reads its other arguments. Handle types
+// (*big.Int residues, ciphertexts) are mutated through the slot's
+// handle; plain values (float64) are overwritten in the slot.
 type Ring[T any] interface {
-	// Zero returns the additive identity.
-	Zero() T
-	// Add returns a + b.
-	Add(a, b T) T
-	// Double returns a·2^k as a fresh value that never aliases a, even
-	// for k = 0 (mutable states rely on that to hand out copies).
-	Double(a T, k uint) T
-	// Clone returns an independent copy of a.
-	Clone(a T) T
-	// AddAll returns acc + vs[0] + vs[1] + ..., evaluated left to right,
-	// without mutating acc or any element of vs. It folds a whole column
-	// of message values of a batched exchange in one pass, sparing the
-	// intermediate results Add would allocate; the arithmetic must be
-	// identical to left-folding Add over vs (same operand order), so
-	// batched and sequential absorbs stay bit-identical.
-	AddAll(acc T, vs []T) T
-}
-
-// MutRing is an optional Ring extension for rings whose values are
-// mutable handles (e.g. preallocated big.Int residues from
-// internal/vecpool): the push-sum state can then run its per-cycle hot
-// loops — emit, absorb — entirely in place, allocating nothing in steady
-// state. Every operation must be value-identical to its immutable
-// counterpart (DoubleInPlace to Double, AddInPlace to Add, AddAllInPlace
-// to a left fold of Add), so enabling the in-place path never changes a
-// trajectory, only its allocation profile.
-//
-// The path is opt-in per State (see State.SetMutable) because it
-// changes the aliasing contract: an in-place state mutates its own
-// values, so they must be exclusively owned — never shared with callers
-// the way Ring.Clone-style sharing otherwise allows.
-type MutRing[T any] interface {
-	Ring[T]
-	// DoubleInPlace replaces a's value with a·2^k.
-	DoubleInPlace(a T, k uint)
-	// AddInPlace sets acc = acc + v. Only acc is mutated.
-	AddInPlace(acc, v T)
-	// AddAllInPlace sets acc = acc + vs[0] + vs[1] + ..., evaluated left
-	// to right. Only acc is mutated.
-	AddAllInPlace(acc T, vs []T)
-	// SetInPlace copies src's value into dst, reusing dst's storage.
-	SetInPlace(dst, src T)
+	// Add sets *acc = *acc + v.
+	Add(acc *T, v T)
+	// AddAll sets *acc = *acc + vs[0] + vs[1] + ..., evaluated left to
+	// right. It folds a whole column of message values of a batched
+	// exchange in one pass; the arithmetic must be identical to
+	// left-folding Add over vs (same operand order), so batched and
+	// sequential absorbs stay bit-identical.
+	AddAll(acc *T, vs []T)
+	// Double sets *a = *a·2^k.
+	Double(a *T, k uint)
+	// Set copies src's value into the slot dst, reusing the storage dst
+	// already holds. An empty slot (the zero T) receives a fresh value
+	// that shares nothing with src: the ring's only allocation.
+	Set(dst *T, src T)
 }
 
 // Message is the half-share a node pushes to a peer: the value vector,
@@ -104,7 +79,8 @@ type Message[T any] struct {
 // their common halving exponent, plus the scalar weight. The node's share
 // of coordinate j is V[j]·2^{-H}, and its running estimate of the
 // network-wide average is that share over W (decoded by the caller; for
-// ciphertext rings both divisions happen after decryption).
+// ciphertext rings both divisions happen after decryption). Every
+// operation mutates V in place; nothing else may hold V's values.
 type State[T any] struct {
 	ring Ring[T]
 	V    []T
@@ -112,9 +88,6 @@ type State[T any] struct {
 	// H is the halving exponent: the maximum number of halvings any
 	// contribution held in V has undergone.
 	H uint
-	// mut, when non-nil, routes the hot loops through the ring's
-	// in-place operations (see SetMutable).
-	mut MutRing[T]
 	// col is the AbsorbAll column scratch, retained across batches so a
 	// steady-state cycle reuses it instead of allocating.
 	col []T
@@ -123,7 +96,9 @@ type State[T any] struct {
 // NewState initializes a node's state with its own contribution and
 // initial weight (1 for averaging; see package doc of internal/core for
 // how Chiaroscuro derives cluster means from averages so that the
-// population size cancels).
+// population size cancels). The state takes ownership of the values —
+// the slice is copied, handle values are not — so the caller must not
+// read or write them afterwards.
 func NewState[T any](ring Ring[T], values []T, weight float64) (*State[T], error) {
 	if ring == nil {
 		return nil, errors.New("gossip: nil ring")
@@ -134,47 +109,25 @@ func NewState[T any](ring Ring[T], values []T, weight float64) (*State[T], error
 	if weight < 0 {
 		return nil, fmt.Errorf("gossip: negative weight %v", weight)
 	}
-	v := make([]T, len(values))
-	for i := range values {
-		v[i] = ring.Clone(values[i])
-	}
-	return &State[T]{ring: ring, V: v, W: weight}, nil
-}
-
-// SetMutable enables the in-place hot path when the ring implements
-// MutRing, and reports whether it did. The caller thereby asserts the
-// state's values are exclusively owned (NewState's Clone did not share
-// them with anyone who will observe later mutations) — internal/core
-// arranges this by building each participant's contribution in its own
-// arena. Has no effect on rings without MutRing.
-func (s *State[T]) SetMutable() bool {
-	if mr, ok := s.ring.(MutRing[T]); ok {
-		s.mut = mr
-		return true
-	}
-	return false
+	return &State[T]{ring: ring, V: append([]T(nil), values...), W: weight}, nil
 }
 
 // Emit halves the node's state and returns the outgoing half as a
-// message. The remaining half stays in the state. Push-sum's mass
-// conservation invariant: state + message = previous state. No value is
-// touched: both halves keep the same V under an exponent one higher.
+// message in fresh storage. The remaining half stays in the state.
+// Push-sum's mass conservation invariant: state + message = previous
+// state. No value is touched: both halves keep the same V under an
+// exponent one higher.
 func (s *State[T]) Emit() *Message[T] {
 	return s.EmitInto(nil)
 }
 
-// EmitInto is Emit writing into a caller-owned message, reusing its
-// value buffer when the capacity allows (nil behaves like Emit). Reuse
-// is only sound once the previous occupant of dst has been absorbed —
-// e.g. the synchronous-round pattern of SimulatePushSum, or any schedule
-// where a message is consumed before its sender emits again.
-//
-// On a mutable state (SetMutable) whose dst arrives fully prepared —
-// value vector already the state's length, every slot holding a
-// caller-owned mutable value — the emission is allocation-free: the
-// state's values are copied into dst's existing storage. The emitted
-// values are then equal to, but never aliased with, the state's (each
-// side mutates only its own storage afterwards).
+// EmitInto is Emit writing into a caller-owned message (nil behaves like
+// Emit): the state's values are copied into the storage dst's slots
+// already hold, so a message reused across emissions allocates nothing.
+// Reuse is only sound once the previous occupant of dst has been
+// consumed — e.g. the synchronous-round pattern of SimulatePushSum, or
+// any schedule where a message is absorbed before its sender emits into
+// it again.
 func (s *State[T]) EmitInto(dst *Message[T]) *Message[T] {
 	if dst == nil {
 		dst = &Message[T]{}
@@ -182,27 +135,13 @@ func (s *State[T]) EmitInto(dst *Message[T]) *Message[T] {
 	s.H++
 	s.W /= 2
 	dst.H, dst.W = s.H, s.W
-	if s.mut != nil && len(dst.V) == len(s.V) {
-		for i := range s.V {
-			s.mut.SetInPlace(dst.V[i], s.V[i])
-		}
-		return dst
-	}
 	if cap(dst.V) >= len(s.V) {
 		dst.V = dst.V[:len(s.V)]
 	} else {
 		dst.V = make([]T, len(s.V))
 	}
 	for i := range s.V {
-		if s.mut != nil {
-			// Unprepared destination on a mutable state: a sharing Clone
-			// (the cipher rings') would alias the emitted message with
-			// state values that later in-place operations mutate, so the
-			// copy is minted by Double, which never aliases.
-			dst.V[i] = s.ring.Double(s.V[i], 0)
-		} else {
-			dst.V[i] = s.ring.Clone(s.V[i])
-		}
+		s.ring.Set(&dst.V[i], s.V[i])
 	}
 	return dst
 }
@@ -214,18 +153,23 @@ func (s *State[T]) raise(h uint) {
 		return
 	}
 	for i := range s.V {
-		if s.mut != nil {
-			s.mut.DoubleInPlace(s.V[i], h-s.H)
-		} else {
-			s.V[i] = s.ring.Double(s.V[i], h-s.H)
-		}
+		s.ring.Double(&s.V[i], h-s.H)
 	}
 	s.H = h
 }
 
+// lifted returns v·2^k in fresh storage: a message value lagging behind
+// the state, aligned without touching the message.
+func (s *State[T]) lifted(v T, k uint) T {
+	var out T
+	s.ring.Set(&out, v)
+	s.ring.Double(&out, k)
+	return out
+}
+
 // Absorb merges a received message into the state. Whichever side has
-// the smaller exponent is doubled up to the other's first; on a mutable
-// state the fold happens in place (the message values are only read).
+// the smaller exponent is doubled up to the other's first; the message
+// values are only read.
 func (s *State[T]) Absorb(m *Message[T]) error {
 	if m == nil {
 		return errors.New("gossip: nil message")
@@ -240,13 +184,9 @@ func (s *State[T]) Absorb(m *Message[T]) error {
 	for i := range s.V {
 		v := m.V[i]
 		if lag > 0 {
-			v = s.ring.Double(v, lag)
+			v = s.lifted(v, lag)
 		}
-		if s.mut != nil {
-			s.mut.AddInPlace(s.V[i], v)
-		} else {
-			s.V[i] = s.ring.Add(s.V[i], v)
-		}
+		s.ring.Add(&s.V[i], v)
 	}
 	s.W += m.W
 	return nil
@@ -286,14 +226,10 @@ func (s *State[T]) AbsorbAll(ms []*Message[T]) error {
 		for j, m := range ms {
 			col[j] = m.V[i]
 			if m.H < top {
-				col[j] = s.ring.Double(m.V[i], top-m.H)
+				col[j] = s.lifted(m.V[i], top-m.H)
 			}
 		}
-		if s.mut != nil {
-			s.mut.AddAllInPlace(s.V[i], col)
-		} else {
-			s.V[i] = s.ring.AddAll(s.V[i], col)
-		}
+		s.ring.AddAll(&s.V[i], col)
 	}
 	s.releaseColumn(col)
 	for _, m := range ms {
@@ -335,44 +271,41 @@ func (s *State[T]) releaseColumn(col []T) {
 func (s *State[T]) Weight() float64 { return s.W }
 
 // Values returns a copy of the current value vector (to be read under
-// the exponent H).
+// the exponent H) in fresh storage: later operations on the state never
+// reach it.
 func (s *State[T]) Values() []T {
 	out := make([]T, len(s.V))
 	for i := range s.V {
-		out[i] = s.ring.Clone(s.V[i])
+		s.ring.Set(&out[i], s.V[i])
 	}
 	return out
 }
 
 // FloatRing is the cleartext ring over float64, used by the baseline
-// simulations and by the accounted (non-encrypted) cipher backend.
+// simulations: its slots are the float64 values themselves.
 type FloatRing struct{}
 
-// Zero implements Ring.
-func (FloatRing) Zero() float64 { return 0 }
-
 // Add implements Ring.
-func (FloatRing) Add(a, b float64) float64 { return a + b }
+func (FloatRing) Add(acc *float64, v float64) { *acc += v }
+
+// AddAll implements Ring. Float addition is not associative, so the
+// left-to-right order is load-bearing for bit-identity with sequential
+// absorbs.
+func (FloatRing) AddAll(acc *float64, vs []float64) {
+	for _, v := range vs {
+		*acc += v
+	}
+}
 
 // Double implements Ring: scaling by a power of two is exact in
 // float64, so doubling commutes with every rounding Add performs and a
 // State over floats stays bit-identical to one that halved eagerly —
 // short of overflow, which is about a thousand unsettled halvings away
 // (SimulatePushSum folds the exponent back every round for that reason).
-func (FloatRing) Double(a float64, k uint) float64 { return math.Ldexp(a, int(k)) }
+func (FloatRing) Double(a *float64, k uint) { *a = math.Ldexp(*a, int(k)) }
 
-// Clone implements Ring.
-func (FloatRing) Clone(a float64) float64 { return a }
-
-// AddAll implements Ring. Float addition is not associative, so the
-// left-to-right order is load-bearing for bit-identity with sequential
-// absorbs.
-func (FloatRing) AddAll(acc float64, vs []float64) float64 {
-	for _, v := range vs {
-		acc += v
-	}
-	return acc
-}
+// Set implements Ring.
+func (FloatRing) Set(dst *float64, src float64) { *dst = src }
 
 // uniformPeer draws a random peer for node i among n nodes, excluding i.
 func uniformPeer(rng *rand.Rand, n, i int) int {

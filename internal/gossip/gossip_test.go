@@ -132,28 +132,31 @@ func TestModRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := big.NewInt(100)
-	b := big.NewInt(2)
-	if got := r.Add(a, b); got.Int64() != 1 {
-		t.Fatalf("(100+2) mod 101 = %v", got)
+	if r.Add(&a, big.NewInt(2)); a.Int64() != 1 {
+		t.Fatalf("(100+2) mod 101 = %v", a)
 	}
 	// Doubling below the modulus is a plain shift; above it, it wraps.
-	if got := r.Double(big.NewInt(10), 3); got.Int64() != 80 {
-		t.Fatalf("10·2^3 = %v", got)
+	d := big.NewInt(10)
+	if r.Double(&d, 3); d.Int64() != 80 {
+		t.Fatalf("10·2^3 = %v", d)
 	}
-	if got := r.Double(big.NewInt(60), 2); got.Int64() != 240%101 {
-		t.Fatalf("60·2^2 mod 101 = %v, want %d", got, 240%101)
+	d.SetInt64(60)
+	if r.Double(&d, 2); d.Int64() != 240%101 {
+		t.Fatalf("60·2^2 mod 101 = %v, want %d", d, 240%101)
 	}
-	// Double never aliases its argument, even for k = 0.
-	if got := r.Double(a, 0); got == a || got.Cmp(a) != 0 {
-		t.Fatalf("double(a, 0) = %v (aliased: %v)", got, got == a)
+	// AddAll is the left fold of Add.
+	acc := big.NewInt(50)
+	if r.AddAll(&acc, []*big.Int{big.NewInt(40), big.NewInt(30), big.NewInt(0)}); acc.Int64() != 120%101 {
+		t.Fatalf("50+40+30 mod 101 = %v", acc)
 	}
-	if r.Zero().Sign() != 0 {
-		t.Fatal("zero is not zero")
+	// Set reuses the slot's storage; an empty slot gets its own.
+	kept := acc
+	if r.Set(&acc, a); acc != kept || acc.Int64() != 1 {
+		t.Fatalf("set into a held slot: %v (slot replaced: %v)", acc, acc != kept)
 	}
-	c := r.Clone(a)
-	c.SetInt64(5)
-	if a.Int64() != 100 {
-		t.Fatal("clone aliases")
+	var c *big.Int
+	if r.Set(&c, a); c == nil || c == a || c.Cmp(a) != 0 {
+		t.Fatalf("set into an empty slot: %v (aliased: %v)", c, c == a)
 	}
 }
 
@@ -181,14 +184,13 @@ func TestModRingHalveInverseProperty(t *testing.T) {
 		v := new(big.Int).SetInt64(raw)
 		v.Mod(v, M)
 		// Doubling undoes the ring's halving (multiplication by 2^{-1})
-		// step for step, in place and out of place.
+		// step for step.
 		h := new(big.Int).Set(v)
 		for i := uint8(0); i < k%70; i++ {
 			h.Mul(h, inv2).Mod(h, M)
 		}
-		back := r.Double(h, uint(k%70))
-		r.DoubleInPlace(h, uint(k%70))
-		return back.Cmp(v) == 0 && h.Cmp(v) == 0
+		r.Double(&h, uint(k%70))
+		return h.Cmp(v) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

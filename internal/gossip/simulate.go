@@ -175,74 +175,43 @@ func NewModRing(M *big.Int) (*ModRing, error) {
 	return &ModRing{M: new(big.Int).Set(M)}, nil
 }
 
-// Zero implements Ring.
-func (r *ModRing) Zero() *big.Int { return new(big.Int) }
-
-// Add implements Ring.
-func (r *ModRing) Add(a, b *big.Int) *big.Int {
-	out := new(big.Int).Add(a, b)
-	return out.Mod(out, r.M)
-}
-
-// Double implements Ring: a·2^k mod M into a fresh residue.
-func (r *ModRing) Double(a *big.Int, k uint) *big.Int {
-	out := new(big.Int).Set(a)
-	r.DoubleInPlace(out, k)
-	return out
-}
-
-// Clone implements Ring.
-func (r *ModRing) Clone(a *big.Int) *big.Int { return new(big.Int).Set(a) }
-
-// AddAll implements Ring with a single accumulator: operands are
-// reduced residues, so each step needs only a conditional subtraction,
-// and the whole fold allocates one big.Int instead of one per addend.
-func (r *ModRing) AddAll(acc *big.Int, vs []*big.Int) *big.Int {
-	out := new(big.Int).Set(acc)
-	for _, v := range vs {
-		out.Add(out, v)
-		if out.Cmp(r.M) >= 0 {
-			out.Sub(out, r.M)
-		}
+// Add implements Ring. Operands must be reduced residues (every value
+// the ring produces is), so the reduction is one conditional
+// subtraction.
+func (r *ModRing) Add(acc **big.Int, v *big.Int) {
+	a := *acc
+	a.Add(a, v)
+	if a.Cmp(r.M) >= 0 {
+		a.Sub(a, r.M)
 	}
-	return out
 }
 
-// DoubleInPlace implements MutRing in the division-free form: k
-// one-bit shifts, each followed by the reduced-residue conditional
-// subtraction. The intermediate 2a < 2M needs one bit above M's width —
-// the carry bit vecpool's residue arenas already provision for the
-// in-place add — so a's storage never grows.
-func (r *ModRing) DoubleInPlace(a *big.Int, k uint) {
+// AddAll implements Ring: a left fold of Add into one accumulator.
+func (r *ModRing) AddAll(acc **big.Int, vs []*big.Int) {
+	for _, v := range vs {
+		r.Add(acc, v)
+	}
+}
+
+// Double implements Ring in the division-free form: k one-bit shifts,
+// each followed by the reduced-residue conditional subtraction. The
+// intermediate 2a < 2M needs one bit above M's width — the carry limb
+// vecpool's residue arenas provision for the add — so a value living in
+// an arena never grows.
+func (r *ModRing) Double(a **big.Int, k uint) {
+	v := *a
 	for ; k > 0; k-- {
-		a.Lsh(a, 1)
-		if a.Cmp(r.M) >= 0 {
-			a.Sub(a, r.M)
+		v.Lsh(v, 1)
+		if v.Cmp(r.M) >= 0 {
+			v.Sub(v, r.M)
 		}
 	}
 }
 
-// AddInPlace implements MutRing. Operands must be reduced residues (the
-// State invariant), so the conditional subtraction is value-identical
-// to Add's full reduction.
-func (r *ModRing) AddInPlace(acc, v *big.Int) {
-	acc.Add(acc, v)
-	if acc.Cmp(r.M) >= 0 {
-		acc.Sub(acc, r.M)
+// Set implements Ring.
+func (r *ModRing) Set(dst **big.Int, src *big.Int) {
+	if *dst == nil {
+		*dst = new(big.Int)
 	}
+	(*dst).Set(src)
 }
-
-// AddAllInPlace implements MutRing: AddAll folded into acc's storage.
-func (r *ModRing) AddAllInPlace(acc *big.Int, vs []*big.Int) {
-	for _, v := range vs {
-		acc.Add(acc, v)
-		if acc.Cmp(r.M) >= 0 {
-			acc.Sub(acc, r.M)
-		}
-	}
-}
-
-// SetInPlace implements MutRing.
-func (r *ModRing) SetInPlace(dst, src *big.Int) { dst.Set(src) }
-
-var _ MutRing[*big.Int] = (*ModRing)(nil)

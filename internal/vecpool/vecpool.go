@@ -1,7 +1,7 @@
 // Package vecpool provides the contiguous memory layouts behind the
 // simulator's million-participant scale: flat strided float64 matrices
 // (series, centroids, fused contributions) and preallocated big.Int
-// residue arenas (the accounted backend's ciphertext values).
+// residue arenas (the cipher suites' push-sum values).
 //
 // The motivation is GC pressure, not micro-optimization. A run over N
 // participants with per-node [][]float64 state and per-cycle big.Int
@@ -17,10 +17,10 @@
 //
 //   - ResidueArena backs n big.Int values with one []big.Int header slab
 //     and one flat []big.Word limb slab, each value pre-sized so the
-//     ring arithmetic of internal/core's accounted backend (Add with a
-//     conditional subtraction, division-free doubling, Set) runs without
-//     growing — the storage substrate of the zero-allocation gossip hot
-//     path (see internal/gossip.MutRing).
+//     in-place push-sum arithmetic (internal/gossip.Ring) runs without
+//     growing: every gossip state and emission buffer of internal/core
+//     lives in one, whether it is emitted into cycle-parity buffers or
+//     into fresh storage.
 //
 // Arenas are plain memory, not pools: there is no free list and no
 // locking. Ownership is the caller's concern — internal/core gives each
