@@ -20,7 +20,13 @@ func allocTestParams(rounds int) Params {
 
 func allocTestData(t testing.TB, n int) [][]float64 {
 	t.Helper()
-	d, err := datasets.CER(datasets.CEROptions{N: n, Dim: 4, Seed: 3})
+	return allocTestSeries(t, n, 4)
+}
+
+// allocTestSeries is allocTestData at any series length.
+func allocTestSeries(t testing.TB, n, dim int) [][]float64 {
+	t.Helper()
+	d, err := datasets.CER(datasets.CEROptions{N: n, Dim: dim, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,41 +233,57 @@ func TestAsyncInboxOverflow(t *testing.T) {
 
 // TestMeasureDecryptAllocs exercises the decrypt-phase counterpart of
 // the measurement helper: a complete small run must classify at least
-// one cycle as decrypt-dominant and report a finite per-cycle average —
-// and at the shape bench/ reports as core.decrypt_allocs_per_cycle
-// (N=512, K=2, ε=50, 2 iterations, 12 rounds, threshold 8) the figure
-// must stay under the recorded ceiling. Unlike the gossip hot path it is
-// not zero (quorum assembly and Combine allocate), so the gate is the
-// recorded 22,528 allocs/cycle with 30% headroom.
+// one cycle as decrypt-dominant and report a finite per-cycle average,
+// and two shapes must stay under ceilings recorded at 1.30× their
+// measurement. Unlike the gossip hot path the figure is not zero: the
+// opened plaintexts, the responder sets, the request windows and the
+// served partials are fresh per iteration; the fixed-point encode and
+// decode allocate nothing once their pooled scratch is warm.
+//
+//   - unpacked, the shape bench/ reports as core.decrypt_allocs_per_cycle
+//     (N=512, CER dim=4, K=2, ε=50, 2 iterations, 12 rounds, threshold
+//     8): 15,244 allocs/cycle on this data, where decoding through
+//     math/big temporaries measured 23,948 (bench/ printed 24,064 on its
+//     own data; the previous ceiling was 22,528×1.30);
+//   - packed, sim-deep's shape at a tier-1 size (N=128, CER dim=24, K=5,
+//     ε=1, 22 rounds, threshold 16, moving-average smoothing): 8,518
+//     allocs/cycle, where opening the slots through math/big temporaries
+//     measured 115,269. Under -race, where sync.Pool drops a quarter of
+//     its Puts, 8,586–8,612: a fresh scratch block is one arena.
 func TestMeasureDecryptAllocs(t *testing.T) {
-	const ceiling = 22528 * 1.30
 	for _, tc := range []struct {
-		n       int
-		p       Params
-		ceiling float64 // 0 = shape checks only
+		name     string
+		n, dim   int
+		p        Params
+		measured float64 // 0 = shape checks only
 	}{
-		{24, Params{K: 2, Epsilon: 50, Iterations: 1, Seed: 11, GossipRounds: 6, DecryptThreshold: 3}, 0},
-		{512, Params{K: 2, Epsilon: 50, Iterations: 2, Seed: 11, GossipRounds: 12, DecryptThreshold: 8}, ceiling},
+		{"small", 24, 4, Params{K: 2, Epsilon: 50, Iterations: 1, Seed: 11, GossipRounds: 6, DecryptThreshold: 3}, 0},
+		{"unpacked", 512, 4, Params{K: 2, Epsilon: 50, Iterations: 2, Seed: 11, GossipRounds: 12, DecryptThreshold: 8}, 15244},
+		{"packed", 128, 24, Params{K: 5, Epsilon: 1, Iterations: 2, Seed: 11, GossipRounds: 22, DecryptThreshold: 16,
+			Packed: true, Smoothing: SmoothingSpec{Method: SmoothingMovingAverage}}, 8518},
 	} {
-		rep, err := MeasureDecryptAllocs(allocTestData(t, tc.n), tc.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.DecryptCycles < 1 {
-			t.Fatalf("n=%d: no decrypt-classified cycles in report %+v", tc.n, rep)
-		}
-		if rep.Population != tc.n {
-			t.Fatalf("report population = %d, want %d", rep.Population, tc.n)
-		}
-		if rep.AllocsPerCycle < 0 || rep.BytesPerCycle < 0 {
-			t.Fatalf("n=%d: negative averages in report %+v", tc.n, rep)
-		}
-		if tc.ceiling > 0 {
-			t.Logf("n=%d: %.0f allocs/cycle over %d decrypt cycles (ceiling %.0f)", tc.n, rep.AllocsPerCycle, rep.DecryptCycles, tc.ceiling)
-			if rep.AllocsPerCycle > tc.ceiling {
-				t.Errorf("n=%d: decrypt phase allocates %.0f objects/cycle, ceiling is %.0f", tc.n, rep.AllocsPerCycle, tc.ceiling)
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := MeasureDecryptAllocs(allocTestSeries(t, tc.n, tc.dim), tc.p)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if rep.DecryptCycles < 1 {
+				t.Fatalf("no decrypt-classified cycles in report %+v", rep)
+			}
+			if rep.Population != tc.n {
+				t.Fatalf("report population = %d, want %d", rep.Population, tc.n)
+			}
+			if rep.AllocsPerCycle < 0 || rep.BytesPerCycle < 0 {
+				t.Fatalf("negative averages in report %+v", rep)
+			}
+			if tc.measured > 0 {
+				ceiling := tc.measured * 1.30
+				t.Logf("n=%d: %.0f allocs/cycle over %d decrypt cycles (ceiling %.0f)", tc.n, rep.AllocsPerCycle, rep.DecryptCycles, ceiling)
+				if rep.AllocsPerCycle > ceiling {
+					t.Errorf("decrypt phase allocates %.0f objects/cycle, ceiling is %.0f", rep.AllocsPerCycle, ceiling)
+				}
+			}
+		})
 	}
 }
 

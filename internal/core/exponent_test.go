@@ -155,7 +155,7 @@ func (h *oracleHarness) contribute(n *oracleNode) {
 	noises[0] = -r.noiseBound // the extremes, always
 	noises[1] = r.noiseBound
 	n.eager = &oracleState{v: oracleEncrypt(h.t, r, vals, noises), w: 1}
-	values, err := n.pt.encryptSides(vals, noises)
+	values, err := n.pt.encryptSides(r.newCodecScratch(), vals, noises)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -251,12 +251,12 @@ func (h *oracleHarness) check(label string) {
 		if n.lazy.H > r.preScale {
 			h.t.Fatalf("%s node %d: exponent %d over the budget %d on an honest schedule", label, id, n.lazy.H, r.preScale)
 		}
-		got, err := r.signedAggregates(h.open(n.lazy.Values()), n.lazy.H, n.lazy.W)
+		got, err := r.signedAggregates(r.newCodecScratch(), h.open(n.lazy.Values()), n.lazy.H, n.lazy.W)
 		if err != nil {
 			h.t.Fatalf("%s node %d (h=%d): %v", label, id, n.lazy.H, err)
 		}
 		// The oracle's plaintexts are what they are: no shift left to do.
-		want, err := r.signedAggregates(h.open(n.eager.v), r.preScale, n.eager.w)
+		want, err := r.signedAggregates(r.newCodecScratch(), h.open(n.eager.v), r.preScale, n.eager.w)
 		if err != nil {
 			h.t.Fatalf("%s node %d: oracle: %v", label, id, err)
 		}
@@ -384,7 +384,7 @@ func TestHalvingBudgetBoundary(t *testing.T) {
 
 			// One more halving, forced past the guard.
 			n.lazy.Emit()
-			if _, err := r.signedAggregates(h.open(n.lazy.Values()), n.lazy.H, n.lazy.W); !errors.Is(err, errHalvingBudget) {
+			if _, err := r.signedAggregates(r.newCodecScratch(), h.open(n.lazy.Values()), n.lazy.H, n.lazy.W); !errors.Is(err, errHalvingBudget) {
 				t.Fatalf("h=T+1 decoded with %v, want errHalvingBudget", err)
 			}
 		})

@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"chiaroscuro/internal/compactrng"
 	"chiaroscuro/internal/dp"
@@ -208,6 +209,9 @@ type runShared struct {
 	// parityEmits stores every emission in the sender's two cycle-parity
 	// buffers instead of fresh storage (see prepareRunOn and emit).
 	parityEmits bool
+	// scratch pools the codecScratch blocks the encode and decode ends of
+	// an activation work in.
+	scratch sync.Pool
 	// batchHint, when positive, pre-sizes every participant's inbox
 	// classification and absorb-batch scratch (and the push-sum batch
 	// column) for that many messages, so no in-degree spike can ever
@@ -216,6 +220,33 @@ type runShared struct {
 	// harnesses pay the O(population·hint) to make "zero allocations"
 	// provable rather than amortized.
 	batchHint int
+}
+
+// codecScratch is the fixed-point working storage of one activation's
+// encode (stepAssign) or decode (finishIteration): sideLen coordinate
+// integers, sideCiphers group integers, the bias offset and sideLen
+// decoded floats. It holds nothing across activations — it is taken from
+// runShared.scratch and returned before the step ends — so per-participant
+// memory stays flat in the population and snapshots never see it.
+type codecScratch struct {
+	coords  []*big.Int
+	groups  []*big.Int
+	offset  big.Int
+	decoded []float64
+}
+
+// newCodecScratch builds a block whose integers live in one arena wide
+// enough for an opened plaintext shifted by the whole halving budget, so
+// a block the pool mints after a collection costs a handful of
+// allocations, not two per integer.
+func (r *runShared) newCodecScratch() *codecScratch {
+	// The only error is a non-positive size, and both are positive.
+	arena, _ := vecpool.NewResidueArena(r.sideLen+r.sideCiphers, r.plainMod.BitLen()+int(r.preScale))
+	ints := make([]*big.Int, arena.Len())
+	for i := range ints {
+		ints[i] = arena.Int(i)
+	}
+	return &codecScratch{coords: ints[:r.sideLen], groups: ints[r.sideLen:], decoded: make([]float64, r.sideLen)}
 }
 
 // NextCycle implements p2p.Protocol — the entry point Peersim (here
@@ -359,7 +390,9 @@ func (pt *participant) stepAssign(ctx Env) {
 	if r.params.TrackInertia {
 		fill(r.sideLen-1, bestSq)
 	}
-	values, err := pt.encryptSides(vals, noises)
+	s := r.scratch.Get().(*codecScratch)
+	values, err := pt.encryptSides(s, vals, noises)
+	r.scratch.Put(s)
 	if err != nil {
 		// Headroom was validated up front; an error here is a
 		// programming error worth failing loudly in simulation.
@@ -410,8 +443,9 @@ func (pt *participant) noiseScale() float64 {
 // two sides packed under the same layout so the step-2c noise addition
 // stays a slot-aligned homomorphic Add. The previous iteration's state
 // owned these ciphers, but it is dropped in the same activation, and
-// every emission carries copies, so overwriting is safe.
-func (pt *participant) encryptSides(vals, noises []float64) ([]Cipher, error) {
+// every emission carries copies, so overwriting is safe. The plaintexts
+// are encoded into s, which EncryptInto copies out of.
+func (pt *participant) encryptSides(s *codecScratch, vals, noises []float64) ([]Cipher, error) {
 	r := pt.run
 	if pt.contrib == nil {
 		v, err := r.suite.NewCipherVector(2 * r.sideCiphers)
@@ -424,7 +458,7 @@ func (pt *participant) encryptSides(vals, noises []float64) ([]Cipher, error) {
 	if r.layout == nil {
 		for i := range vals {
 			for side, x := range [2]float64{vals[i], noises[i]} {
-				m, err := pt.encodeValue(x)
+				m, err := pt.encodeValue(s.coords[i], x)
 				if err != nil {
 					return nil, err
 				}
@@ -436,7 +470,7 @@ func (pt *participant) encryptSides(vals, noises []float64) ([]Cipher, error) {
 		return out, nil
 	}
 	for side, xs := range [2][]float64{vals, noises} {
-		packed, err := pt.packSide(xs)
+		packed, err := pt.packSide(s, xs)
 		if err != nil {
 			return nil, err
 		}
@@ -456,35 +490,34 @@ func (pt *participant) encryptSides(vals, noises []float64) ([]Cipher, error) {
 // (bias 2^magBits, magBits ≥ T), so the groups are packed at that scale
 // and the 2^T every slot and every bias shares is then shifted out —
 // exactly — leaving the plaintext whose exponent-0 share (Dec(c)·2^T)
-// is the packed integer the layout was sized for.
-func (pt *participant) packSide(xs []float64) ([]*big.Int, error) {
+// is the packed integer the layout was sized for. The coordinates and
+// the groups are s's; the groups are returned.
+func (pt *participant) packSide(s *codecScratch, xs []float64) ([]*big.Int, error) {
 	r := pt.run
-	enc := make([]*big.Int, len(xs))
 	for i, x := range xs {
-		v, err := r.codec.Encode(x)
+		v, err := r.codec.EncodeInto(s.coords[i], x)
 		if err != nil {
 			return nil, err
 		}
-		enc[i] = v.Lsh(v, r.preScale)
+		v.Lsh(v, r.preScale)
 	}
-	packed, err := r.layout.Pack(enc)
-	if err != nil {
+	if err := r.layout.PackInto(s.groups, s.coords[:len(xs)]); err != nil {
 		return nil, err
 	}
-	for _, g := range packed {
+	for _, g := range s.groups {
 		g.Rsh(g, r.preScale)
 	}
-	return packed, nil
+	return s.groups, nil
 }
 
 // encodeValue fixed-point-encodes x into the plaintext ring. The 2^T
 // pre-scale is not applied: it is the T − 0 the fresh share's halving
 // exponent still owes (decodeAll shifts by whatever is left of it). The
-// sign wrap runs in place against the cached M/2 (the per-coordinate hot
-// form of fixedpoint.WrapSigned).
-func (pt *participant) encodeValue(x float64) (*big.Int, error) {
+// value is encoded into dst and sign-wrapped in place against the cached
+// M/2.
+func (pt *participant) encodeValue(dst *big.Int, x float64) (*big.Int, error) {
 	r := pt.run
-	v, err := r.codec.Encode(x)
+	v, err := r.codec.EncodeInto(dst, x)
 	if err != nil {
 		return nil, err
 	}
@@ -914,7 +947,9 @@ func (pt *participant) finishIteration(ctx Env, failed bool) {
 	inertia := math.NaN()
 
 	if !failed {
-		decoded, err := pt.decodeAll()
+		s := r.scratch.Get().(*codecScratch)
+		defer r.scratch.Put(s)
+		decoded, err := pt.decodeAll(s)
 		if err != nil {
 			failed = true
 			pt.decryptFail++
@@ -1008,8 +1043,8 @@ var errHalvingBudget = errors.New("core: push-sum share halved beyond the pre-sc
 // decodeAll combines the collected partials for every pending ciphertext
 // and decodes the fixed-point plaintexts to floats, already divided by
 // the push-sum weight and the pre-scaling factor. It always returns
-// sideLen coordinates.
-func (pt *participant) decodeAll() ([]float64, error) {
+// sideLen coordinates, in s's storage.
+func (pt *participant) decodeAll(s *codecScratch) ([]float64, error) {
 	r := pt.run
 	st := pt.diptych.Means
 	// Assemble the per-responder partial sets in ascending share-index
@@ -1020,12 +1055,12 @@ func (pt *participant) decodeAll() ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	signed, err := r.signedAggregates(plains, st.H, st.W)
+	signed, err := r.signedAggregates(s, plains, st.H, st.W)
 	if err != nil {
 		return nil, err
 	}
 	denom := st.W * math.Ldexp(1, int(r.preScale))
-	out := make([]float64, len(signed))
+	out := s.decoded[:len(signed)]
 	for i, v := range signed {
 		if out[i], err = pt.decodeSigned(v, denom, i); err != nil {
 			return nil, err
@@ -1051,7 +1086,8 @@ func (pt *participant) sortedResponders() [][]Partial {
 // signedAggregates turns the opened plaintexts of a perturbed share with
 // halving exponent h and push-sum weight w into the exact signed
 // fixed-point aggregates, one per coordinate (sideLen of them), mutating
-// plains. The plaintexts are first shifted by what is left of the
+// plains; packed aggregates are written into s's coordinates. The
+// plaintexts are first shifted by what is left of the
 // halving budget, T − h: that makes them the integers eager halving of
 // 2^T-pre-scaled contributions would have left in the ciphertexts, and
 // everything downstream is oblivious to the exponent. Unpacked
@@ -1060,10 +1096,11 @@ func (pt *participant) sortedResponders() [][]Partial {
 // then split into slots. After the step-2c addition each slot holds
 // trueSum + 2·bias·w: the means and noise halves travelled under the
 // same push-sum coefficients (one fused state), each carrying one bias,
-// so Unbias with bias weight 2w recovers exactly the signed aggregate
-// the unpacked run would have decoded — which is why packed and unpacked
-// accounted runs disclose bit-identical centroids.
-func (r *runShared) signedAggregates(plains []*big.Int, h uint, w float64) ([]*big.Int, error) {
+// so subtracting the one BiasOffset of bias weight 2w from every slot
+// recovers exactly the signed aggregate the unpacked run would have
+// decoded — which is why packed and unpacked accounted runs disclose
+// bit-identical centroids.
+func (r *runShared) signedAggregates(s *codecScratch, plains []*big.Int, h uint, w float64) ([]*big.Int, error) {
 	if h > r.preScale {
 		return nil, errHalvingBudget
 	}
@@ -1080,16 +1117,16 @@ func (r *runShared) signedAggregates(plains []*big.Int, h uint, w float64) ([]*b
 	for _, m := range plains {
 		m.Lsh(m, owed)
 	}
-	raw, err := r.layout.Unpack(plains, r.sideLen)
-	if err != nil {
+	if err := r.layout.UnpackInto(s.coords, plains); err != nil {
 		return nil, err
 	}
-	for i, f := range raw {
-		if raw[i], err = r.layout.Unbias(f, 2*w); err != nil {
-			return nil, err
-		}
+	if err := r.layout.BiasOffset(&s.offset, 2*w); err != nil {
+		return nil, err
 	}
-	return raw, nil
+	for _, f := range s.coords {
+		f.Sub(f, &s.offset)
+	}
+	return s.coords, nil
 }
 
 // decodeSigned converts an exact signed aggregate to its float64 mean

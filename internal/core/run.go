@@ -387,6 +387,7 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 		validate:    p.Faults.HasByzantine(),
 		parityEmits: parityEmits,
 	}
+	shared.scratch.New = func() any { return shared.newCodecScratch() }
 
 	setupOK = true
 	return &runSetup{

@@ -43,10 +43,11 @@ type DecryptAllocReport struct {
 // and executes it to completion, classifying every cycle by its
 // dominant phase (the same classification Trace.Phases uses) and
 // accumulating runtime.MemStats deltas for the decrypt-classified
-// cycles only. Unlike the gossip measurement it cannot prove zero —
-// the decrypt phase's big.Int arithmetic allocates by nature — so it
-// reports the per-cycle average (bench/'s core.decrypt_allocs_per_cycle;
-// TestMeasureDecryptAllocs holds it under a ceiling) instead.
+// cycles only. Unlike the gossip measurement it does not prove zero —
+// the opened plaintexts, responder sets and served partials are fresh
+// per iteration — so it reports the per-cycle average (bench/'s
+// core.decrypt_allocs_per_cycle; TestMeasureDecryptAllocs holds it under
+// a ceiling) instead.
 func MeasureDecryptAllocs(data [][]float64, params Params) (*DecryptAllocReport, error) {
 	rs, err := prepareRun(data, params)
 	if err != nil {

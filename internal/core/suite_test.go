@@ -309,7 +309,7 @@ func TestMeansValuesAreCopies(t *testing.T) {
 			for i := range vals {
 				vals[i] = x
 			}
-			values, err := rs.newParticipant(id).encryptSides(vals, noises)
+			values, err := rs.newParticipant(id).encryptSides(r.newCodecScratch(), vals, noises)
 			if err != nil {
 				t.Fatal(err)
 			}

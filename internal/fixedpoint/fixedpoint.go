@@ -11,11 +11,13 @@
 //     M/2 (the protocol's plaintext-headroom budget, documented in
 //     internal/core).
 //
-// The codec additionally supports power-of-two pre-scaling (PreScaleBits):
-// the gossip push-sum protocol repeatedly halves values, and halving in
-// Z_M is exact ring arithmetic but only decodes back to the intended
-// rational if the initial encoding carries enough factors of two. See
-// internal/gossip for the contract.
+// Every operation has a form that writes into storage its caller owns
+// (EncodeInto, SlotLayout.PackInto/UnpackInto/BiasOffset, the in-place
+// sign wrap), and Decode keeps its scratch in a pool, so a warmed caller
+// encodes and opens whole vectors without allocating.
+//
+// The power-of-two pre-scaling gossip halving consumes is the caller's:
+// see internal/gossip for the contract and internal/core for its use.
 package fixedpoint
 
 import (
@@ -23,14 +25,15 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"sync"
 )
 
 // Codec converts between float64 and scaled big.Int representations.
-// The zero value is unusable; use New.
+// The zero value is unusable; use New. A Codec holds no scratch: it is
+// shared by concurrent callers.
 type Codec struct {
 	fracBits uint
-	scale    *big.Int // 2^fracBits
-	scaleF   float64  // float64(2^fracBits)
+	scaleF   float64 // float64(2^fracBits)
 }
 
 // ErrNotFinite is returned when encoding NaN or ±Inf.
@@ -45,10 +48,8 @@ func New(fracBits uint) (*Codec, error) {
 	if fracBits > 128 {
 		return nil, fmt.Errorf("fixedpoint: fracBits %d > 128", fracBits)
 	}
-	scale := new(big.Int).Lsh(big.NewInt(1), fracBits)
 	return &Codec{
 		fracBits: fracBits,
-		scale:    scale,
 		scaleF:   math.Ldexp(1, int(fracBits)),
 	}, nil
 }
@@ -62,85 +63,62 @@ func MustNew(fracBits uint) *Codec {
 	return c
 }
 
-// FracBits reports the codec's fractional precision.
-func (c *Codec) FracBits() uint { return c.fracBits }
-
-// Encode converts x into a signed scaled integer round(x * 2^fracBits).
+// Encode converts x into a signed scaled integer round(x * 2^fracBits)
+// in fresh storage.
 func (c *Codec) Encode(x float64) (*big.Int, error) {
+	return c.EncodeInto(new(big.Int), x)
+}
+
+// EncodeInto sets dst to round(x * 2^fracBits) (nearest-even) and
+// returns it; dst's storage is reused.
+func (c *Codec) EncodeInto(dst *big.Int, x float64) (*big.Int, error) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		return nil, fmt.Errorf("%w: %v", ErrNotFinite, x)
 	}
 	scaled := x * c.scaleF
-	// For magnitudes within int64, the fast path is exact enough.
 	if math.Abs(scaled) < (1 << 62) {
-		return big.NewInt(int64(math.RoundToEven(scaled))), nil
+		return dst.SetInt64(int64(math.RoundToEven(scaled))), nil
 	}
-	// Slow path via big.Float for extreme magnitudes.
-	f := new(big.Float).SetPrec(256).SetFloat64(x)
-	f.Mul(f, new(big.Float).SetInt(c.scale))
-	out, _ := f.Int(nil)
-	return out, nil
+	// |x·2^fracBits| ≥ 2^62 (or past the float64 range): a 53-bit
+	// significand that large is an integer, so the product is exact —
+	// x's integer mantissa shifted left by at least 10 bits.
+	frac, exp := math.Frexp(x)
+	dst.SetInt64(int64(frac * (1 << 53)))
+	return dst.Lsh(dst, uint(exp-53+int(c.fracBits))), nil
 }
 
-// Decode converts a signed scaled integer back to float64.
+// decodeFloats holds the 256-bit big.Float of Decode's wide-input
+// branch: the Codec is shared by concurrent callers, so the scratch is
+// pooled rather than owned.
+var decodeFloats = sync.Pool{New: func() any { return new(big.Float).SetPrec(256) }}
+
+// Decode converts a signed scaled integer back to float64, v·2^-fracBits
+// correctly rounded, nearest-even. Inputs wider than 256 bits are first
+// rounded to 256 bits, nearest-even. It allocates nothing once warm.
 func (c *Codec) Decode(v *big.Int) float64 {
-	f := new(big.Float).SetPrec(256).SetInt(v)
-	f.Quo(f, new(big.Float).SetInt(c.scale))
-	out, _ := f.Float64()
-	return out
+	if v.IsInt64() {
+		// The int64 → float64 conversion is the one rounding: with
+		// fracBits ≤ 128 a non-zero result is at least 2^-128, a normal
+		// number, so the power-of-two scaling is exact.
+		return math.Ldexp(float64(v.Int64()), -int(c.fracBits))
+	}
+	// big.Float.Float64 rounds through a fresh mantissa, so the rounding
+	// to 53 bits happens here, in place, and the significand leaves as an
+	// int64: |v|·2^-fracBits is a normal number, where rounding commutes
+	// with the power-of-two scaling.
+	f := decodeFloats.Get().(*big.Float)
+	f.SetInt(v).SetPrec(53)
+	exp := f.MantExp(nil)
+	mant, _ := f.SetMantExp(f, 53-exp).Int64()
+	f.SetPrec(256)
+	decodeFloats.Put(f)
+	return math.Ldexp(float64(mant), exp-53-int(c.fracBits))
 }
 
-// EncodeMod encodes x into the ring Z_M, wrapping negatives as M - |v|.
-// It fails if the magnitude reaches M/2 (no unambiguous sign).
-func (c *Codec) EncodeMod(x float64, M *big.Int) (*big.Int, error) {
-	v, err := c.Encode(x)
-	if err != nil {
-		return nil, err
-	}
-	return WrapSigned(v, M)
-}
-
-// DecodeMod decodes a ring element of Z_M produced by EncodeMod (or by
-// homomorphic arithmetic on such encodings) back to float64.
-func (c *Codec) DecodeMod(v, M *big.Int) (float64, error) {
-	s, err := UnwrapSigned(v, M)
-	if err != nil {
-		return 0, err
-	}
-	return c.Decode(s), nil
-}
-
-// WrapSigned maps a signed integer v into Z_M (negatives become M-|v|).
-// |v| must be < M/2 so the sign stays recoverable.
-func WrapSigned(v, M *big.Int) (*big.Int, error) {
-	if M.Sign() <= 0 {
-		return nil, errors.New("fixedpoint: modulus must be positive")
-	}
-	out := new(big.Int).Set(v)
-	if err := WrapSignedInPlace(out, M, new(big.Int).Rsh(M, 1)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// UnwrapSigned maps a ring element of Z_M back to a signed integer,
-// interpreting residues above M/2 as negative.
-func UnwrapSigned(v, M *big.Int) (*big.Int, error) {
-	if M.Sign() <= 0 {
-		return nil, errors.New("fixedpoint: modulus must be positive")
-	}
-	out := new(big.Int).Set(v)
-	if err := UnwrapSignedInPlace(out, M, new(big.Int).Rsh(M, 1)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// WrapSignedInPlace is WrapSigned mutating v with a caller-cached
-// half = M >> 1: the allocation-light form the protocol hot path uses
-// (one sign wrap per encoded coordinate). The sign convention — reject
-// |v| >= M/2, map negatives to M-|v| — is defined here, next to
-// WrapSigned, so the two can never diverge.
+// WrapSignedInPlace maps a signed integer v into Z_M in place (negatives
+// become M-|v|), with a caller-cached half = M >> 1. |v| must be below
+// M/2 so the sign stays recoverable; a magnitude at or above it is
+// ErrOverflow.
 func WrapSignedInPlace(v, M, half *big.Int) error {
 	if v.CmpAbs(half) >= 0 {
 		// The error path may allocate: report the magnitude without a
@@ -153,8 +131,9 @@ func WrapSignedInPlace(v, M, half *big.Int) error {
 	return nil
 }
 
-// UnwrapSignedInPlace is UnwrapSigned mutating v with a caller-cached
-// half = M >> 1 (residues strictly above M/2 become negative).
+// UnwrapSignedInPlace maps a ring element of Z_M back to a signed
+// integer in place, with a caller-cached half = M >> 1: residues strictly
+// above M/2 become negative.
 func UnwrapSignedInPlace(v, M, half *big.Int) error {
 	if v.Sign() < 0 || v.Cmp(M) >= 0 {
 		return fmt.Errorf("fixedpoint: %s not reduced mod M", v.String())
@@ -163,57 +142,4 @@ func UnwrapSignedInPlace(v, M, half *big.Int) error {
 		v.Sub(v, M)
 	}
 	return nil
-}
-
-// EncodeSeries encodes each element of xs (signed representation).
-func (c *Codec) EncodeSeries(xs []float64) ([]*big.Int, error) {
-	out := make([]*big.Int, len(xs))
-	for i, x := range xs {
-		v, err := c.Encode(x)
-		if err != nil {
-			return nil, fmt.Errorf("fixedpoint: element %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// DecodeSeries decodes a slice of signed scaled integers.
-func (c *Codec) DecodeSeries(vs []*big.Int) []float64 {
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		out[i] = c.Decode(v)
-	}
-	return out
-}
-
-// PreScale multiplies v by 2^bits (in place on a copy), providing the
-// factors of two that gossip halving will consume.
-func PreScale(v *big.Int, bits uint) *big.Int {
-	return new(big.Int).Lsh(v, bits)
-}
-
-// PostScale divides v by 2^bits with round-to-nearest, undoing PreScale
-// after all halvings are accounted for.
-func PostScale(v *big.Int, bits uint) *big.Int {
-	if bits == 0 {
-		return new(big.Int).Set(v)
-	}
-	half := new(big.Int).Lsh(big.NewInt(1), bits-1)
-	out := new(big.Int).Set(v)
-	if out.Sign() >= 0 {
-		out.Add(out, half)
-	} else {
-		out.Sub(out, half)
-	}
-	return out.Quo(out, new(big.Int).Lsh(big.NewInt(1), bits))
-}
-
-// HeadroomBits reports how many bits of |value| headroom remain below M/2
-// for an encoding with the given worst-case magnitude bound. It helps the
-// protocol validate that population * bound * 2^(frac+prescale) fits the
-// plaintext space. Returns a negative number if the bound already
-// overflows.
-func HeadroomBits(M *big.Int, boundBits int) int {
-	return M.BitLen() - 1 - boundBits
 }

@@ -13,7 +13,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(129); err == nil {
 		t.Fatal("fracBits > 128 should error")
 	}
-	if c, err := New(0); err != nil || c.FracBits() != 0 {
+	if c, err := New(0); err != nil || c.fracBits != 0 {
 		t.Fatalf("fracBits 0 should be allowed: %v", err)
 	}
 }
@@ -84,113 +84,115 @@ func TestEncodeAdditivityProperty(t *testing.T) {
 	}
 }
 
+// TestWrapUnwrapSigned pins the ring's sign convention: |v| < M/2
+// round-trips through the in-place wrap and unwrap, negatives as M-|v|.
 func TestWrapUnwrapSigned(t *testing.T) {
 	M := big.NewInt(1000)
+	half := new(big.Int).Rsh(M, 1)
 	for _, v := range []int64{0, 1, -1, 499, -499} {
-		w, err := WrapSigned(big.NewInt(v), M)
-		if err != nil {
+		w := big.NewInt(v)
+		if err := WrapSignedInPlace(w, M, half); err != nil {
 			t.Fatalf("wrap(%d): %v", v, err)
 		}
 		if w.Sign() < 0 || w.Cmp(M) >= 0 {
 			t.Fatalf("wrap(%d) = %v not reduced", v, w)
 		}
-		u, err := UnwrapSigned(w, M)
-		if err != nil {
+		if err := UnwrapSignedInPlace(w, M, half); err != nil {
 			t.Fatal(err)
 		}
-		if u.Int64() != v {
-			t.Fatalf("unwrap(wrap(%d)) = %v", v, u)
+		if w.Int64() != v {
+			t.Fatalf("unwrap(wrap(%d)) = %v", v, w)
 		}
 	}
 }
 
+// TestWrapSignedOverflow pins the rejection at M/2: a magnitude that
+// reaches it has no recoverable sign, and the value is left untouched.
 func TestWrapSignedOverflow(t *testing.T) {
 	M := big.NewInt(1000)
-	if _, err := WrapSigned(big.NewInt(500), M); !errors.Is(err, ErrOverflow) {
-		t.Fatalf("wrap(M/2): err = %v", err)
-	}
-	if _, err := WrapSigned(big.NewInt(-500), M); !errors.Is(err, ErrOverflow) {
-		t.Fatalf("wrap(-M/2): err = %v", err)
-	}
-	if _, err := WrapSigned(big.NewInt(1), big.NewInt(-5)); err == nil {
-		t.Fatal("negative modulus should error")
+	half := new(big.Int).Rsh(M, 1)
+	for _, v := range []int64{500, -500, 501, -999} {
+		w := big.NewInt(v)
+		if err := WrapSignedInPlace(w, M, half); !errors.Is(err, ErrOverflow) {
+			t.Fatalf("wrap(%d): err = %v", v, err)
+		}
+		if w.Int64() != v {
+			t.Fatalf("a rejected wrap(%d) changed the value to %v", v, w)
+		}
 	}
 }
 
 func TestUnwrapSignedValidation(t *testing.T) {
 	M := big.NewInt(1000)
-	if _, err := UnwrapSigned(big.NewInt(-1), M); err == nil {
+	half := new(big.Int).Rsh(M, 1)
+	if err := UnwrapSignedInPlace(big.NewInt(-1), M, half); err == nil {
 		t.Fatal("negative residue should error")
 	}
-	if _, err := UnwrapSigned(big.NewInt(1000), M); err == nil {
+	if err := UnwrapSignedInPlace(big.NewInt(1000), M, half); err == nil {
 		t.Fatal("residue >= M should error")
 	}
-	if _, err := UnwrapSigned(big.NewInt(0), big.NewInt(0)); err == nil {
+	if err := UnwrapSignedInPlace(big.NewInt(0), big.NewInt(0), big.NewInt(0)); err == nil {
 		t.Fatal("zero modulus should error")
 	}
 }
 
-// TestWrapUnwrapInPlaceAgreement pins the in-place cached-half variants
-// to the allocating originals across the sign boundaries — the
-// single-convention guarantee the protocol hot path relies on.
+// TestWrapUnwrapInPlaceAgreement pins the in-place sign wrap and unwrap
+// to the ring's definition across the sign boundaries of an odd modulus,
+// like the protocol rings: wrap(v) = v mod M for |v| < M/2, unwrap is its
+// inverse on [0, M), and residues strictly above M/2 are the negatives.
 func TestWrapUnwrapInPlaceAgreement(t *testing.T) {
-	M := big.NewInt(1001) // odd, like the protocol rings
+	M := big.NewInt(1001)
 	half := new(big.Int).Rsh(M, 1)
 	for v := int64(-520); v <= 520; v++ {
-		want, wantErr := WrapSigned(big.NewInt(v), M)
 		got := big.NewInt(v)
-		gotErr := WrapSignedInPlace(got, M, half)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("wrap(%d): error disagreement: %v vs %v", v, wantErr, gotErr)
+		err := WrapSignedInPlace(got, M, half)
+		if inRange := v > -500 && v < 500; inRange != (err == nil) {
+			t.Fatalf("wrap(%d): error %v", v, err)
 		}
-		if wantErr != nil {
-			if !errors.Is(gotErr, ErrOverflow) {
-				t.Fatalf("wrap(%d): in-place error %v is not ErrOverflow", v, gotErr)
+		if err != nil {
+			if !errors.Is(err, ErrOverflow) {
+				t.Fatalf("wrap(%d): error %v is not ErrOverflow", v, err)
 			}
 			continue
 		}
-		if want.Cmp(got) != 0 {
-			t.Fatalf("wrap(%d): %v vs %v", v, want, got)
+		if want := new(big.Int).Mod(big.NewInt(v), M); want.Cmp(got) != 0 {
+			t.Fatalf("wrap(%d): %v, want %v", v, got, want)
 		}
 	}
 	for r := int64(0); r < 1001; r++ {
-		want, err := UnwrapSigned(big.NewInt(r), M)
-		if err != nil {
-			t.Fatalf("unwrap(%d): %v", r, err)
-		}
 		got := big.NewInt(r)
 		if err := UnwrapSignedInPlace(got, M, half); err != nil {
-			t.Fatalf("unwrap in place(%d): %v", r, err)
+			t.Fatalf("unwrap(%d): %v", r, err)
 		}
-		if want.Cmp(got) != 0 {
-			t.Fatalf("unwrap(%d): %v vs %v", r, want, got)
+		want := r
+		if r > 500 {
+			want = r - 1001
 		}
-	}
-	if err := UnwrapSignedInPlace(big.NewInt(-1), M, half); err == nil {
-		t.Fatal("in-place unwrap must reject unreduced input")
-	}
-	if err := UnwrapSignedInPlace(big.NewInt(1001), M, half); err == nil {
-		t.Fatal("in-place unwrap must reject residue >= M")
+		if got.Int64() != want {
+			t.Fatalf("unwrap(%d): %v, want %d", r, got, want)
+		}
 	}
 }
 
+// TestModRoundTripProperty is the encode → wrap → unwrap → decode
+// composition the unpacked protocol runs on every coordinate.
 func TestModRoundTripProperty(t *testing.T) {
 	c := MustNew(20)
 	M := new(big.Int).Lsh(big.NewInt(1), 64)
 	M.Sub(M, big.NewInt(59)) // arbitrary odd modulus
+	half := new(big.Int).Rsh(M, 1)
+	v := new(big.Int)
 	f := func(x float64) bool {
 		if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e9 {
 			return true
 		}
-		w, err := c.EncodeMod(x, M)
-		if err != nil {
+		if _, err := c.EncodeInto(v, x); err != nil {
 			return false
 		}
-		back, err := c.DecodeMod(w, M)
-		if err != nil {
+		if WrapSignedInPlace(v, M, half) != nil || UnwrapSignedInPlace(v, M, half) != nil {
 			return false
 		}
-		return math.Abs(back-x) <= math.Ldexp(1, -20)
+		return math.Abs(c.Decode(v)-x) <= math.Ldexp(1, -20)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -202,69 +204,41 @@ func TestModularAdditionWithSigns(t *testing.T) {
 	c := MustNew(16)
 	M := big.NewInt(1 << 40)
 	M.Sub(M, big.NewInt(1))
-	a, _ := c.EncodeMod(100.5, M)
-	b, _ := c.EncodeMod(-40.25, M)
+	half := new(big.Int).Rsh(M, 1)
+	a, _ := c.Encode(100.5)
+	b, _ := c.Encode(-40.25)
+	if WrapSignedInPlace(a, M, half) != nil || WrapSignedInPlace(b, M, half) != nil {
+		t.Fatal("wrap failed")
+	}
 	sum := new(big.Int).Add(a, b)
 	sum.Mod(sum, M)
-	got, err := c.DecodeMod(sum, M)
-	if err != nil {
+	if err := UnwrapSignedInPlace(sum, M, half); err != nil {
 		t.Fatal(err)
 	}
-	if got != 60.25 {
+	if got := c.Decode(sum); got != 60.25 {
 		t.Fatalf("(-40.25 + 100.5) via ring = %v", got)
 	}
 }
 
+// TestEncodeDecodeSeries encodes a series element by element into one
+// reused integer, as the protocol encodes a contribution vector.
 func TestEncodeDecodeSeries(t *testing.T) {
 	c := MustNew(12)
-	xs := []float64{1.5, -2.25, 0}
-	vs, err := c.EncodeSeries(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := c.DecodeSeries(vs)
-	for i := range xs {
-		if back[i] != xs[i] {
-			t.Fatalf("series roundtrip = %v", back)
+	v := new(big.Int)
+	for _, x := range []float64{1.5, -2.25, 0, 3e30, -7} {
+		got, err := c.EncodeInto(v, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != v {
+			t.Fatal("EncodeInto must return its destination")
+		}
+		if back := c.Decode(v); back != x {
+			t.Fatalf("series roundtrip(%v) = %v", x, back)
 		}
 	}
-	if _, err := c.EncodeSeries([]float64{math.NaN()}); err == nil {
+	if _, err := c.EncodeInto(v, math.NaN()); err == nil {
 		t.Fatal("NaN in series should error")
-	}
-}
-
-func TestPreScalePostScaleInverse(t *testing.T) {
-	for _, v := range []int64{0, 7, -7, 123456} {
-		for _, bits := range []uint{0, 1, 8, 30} {
-			up := PreScale(big.NewInt(v), bits)
-			down := PostScale(up, bits)
-			if down.Int64() != v {
-				t.Fatalf("postScale(preScale(%d, %d)) = %v", v, bits, down)
-			}
-		}
-	}
-}
-
-func TestPostScaleRounds(t *testing.T) {
-	// 5/4 rounds to 1, 7/4 rounds to 2, -5/4 rounds to -1.
-	if got := PostScale(big.NewInt(5), 2).Int64(); got != 1 {
-		t.Fatalf("PostScale(5,2) = %d", got)
-	}
-	if got := PostScale(big.NewInt(7), 2).Int64(); got != 2 {
-		t.Fatalf("PostScale(7,2) = %d", got)
-	}
-	if got := PostScale(big.NewInt(-5), 2).Int64(); got != -1 {
-		t.Fatalf("PostScale(-5,2) = %d", got)
-	}
-}
-
-func TestHeadroomBits(t *testing.T) {
-	M := new(big.Int).Lsh(big.NewInt(1), 100)
-	if got := HeadroomBits(M, 60); got != 40 {
-		t.Fatalf("headroom = %d, want 40", got)
-	}
-	if got := HeadroomBits(M, 120); got >= 0 {
-		t.Fatalf("overflowing bound should be negative, got %d", got)
 	}
 }
 

@@ -3,7 +3,9 @@ package fixedpoint
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 )
 
 // SlotLayout packs several fixed-point coordinates into one plaintext of
@@ -31,15 +33,16 @@ import (
 // exact — a push-sum state holds Σᵢ cᵢ·(vᵢ + bias) per slot, where the
 // dyadic coefficients cᵢ sum to the state's weight w, so the decoder
 // subtracts bias·w (an exact integer whenever the weight's dyadic
-// denominator divides the bias; see Unbias).
+// denominator divides the bias; see BiasOffset).
 //
 // Halving exactness. Gossip never divides a packed plaintext: a share
 // travels as (ciphertext, h) and stands for Dec(c)·2^(T−h), T being the
 // pre-scale budget (internal/gossip, internal/core). That needs the
 // packed integer at exponent 0 to be a multiple of 2^T, so that
 // Dec(c) = packed >> T loses nothing. A slot's per-contribution value is
-// v + bias where v carries ≥ T factors of two (the fixedpoint.PreScale
-// contract) and bias = 2^magBits with magBits ≥ T, so every slot — and
+// v + bias where v carries ≥ T factors of two (the caller packs every
+// coordinate at its pre-scaled magnitude, a multiple of 2^T) and
+// bias = 2^magBits with magBits ≥ T, so every slot — and
 // hence the whole packed integer — does, and for every h ≤ T the
 // decoder's Dec(c) << (T−h) is the slot-aligned integer h exact halvings
 // would have produced: slot boundaries, bias bookkeeping and bit budget
@@ -86,99 +89,129 @@ func NewSlotLayout(plainBits int, magBits, headBits uint) (*SlotLayout, error) {
 // Slots reports how many coordinates fit one plaintext.
 func (l *SlotLayout) Slots() int { return l.slots }
 
-// SlotBits reports the width of one slot.
-func (l *SlotLayout) SlotBits() uint { return l.slotBits }
-
-// Bias returns the per-slot sign bias 2^magBits (a fresh copy).
-func (l *SlotLayout) Bias() *big.Int { return new(big.Int).Set(l.bias) }
-
 // Groups reports how many packed plaintexts carry coords coordinates:
 // ⌈coords/slots⌉.
 func (l *SlotLayout) Groups(coords int) int {
 	return (coords + l.slots - 1) / l.slots
 }
 
-// Pack maps per-coordinate signed scaled integers into packed plaintexts:
-// plaintext g holds vs[g·slots+j] + bias in slot j. Each |v| must be
-// strictly below the bias (overflow accounting: a violation means the
-// caller's magnitude budget was wrong, not a recoverable input). Slots
-// beyond len(vs) in the last group are zero — they never held a bias and
-// decode must not read them.
+// Pack maps per-coordinate signed scaled integers into fresh packed
+// plaintexts; see PackInto.
 func (l *SlotLayout) Pack(vs []*big.Int) ([]*big.Int, error) {
 	if len(vs) == 0 {
 		return nil, nil
 	}
 	out := make([]*big.Int, l.Groups(len(vs)))
-	field := new(big.Int)
-	for g := range out {
-		packed := new(big.Int)
-		lo := g * l.slots
-		hi := lo + l.slots
-		if hi > len(vs) {
-			hi = len(vs)
-		}
-		for j, v := range vs[lo:hi] {
-			if v == nil {
-				return nil, fmt.Errorf("fixedpoint: nil coordinate %d", lo+j)
-			}
-			if v.CmpAbs(l.bias) >= 0 {
-				return nil, fmt.Errorf("%w: |coordinate %d| >= 2^%d", ErrSlotOverflow, lo+j, l.magBits)
-			}
-			field.Add(v, l.bias)
-			field.Lsh(field, uint(j)*l.slotBits)
-			packed.Add(packed, field)
-		}
-		out[g] = packed
+	for g := range out { // a group's full width up front: Horner's rule grows it
+		out[g] = new(big.Int).SetBits(make([]big.Word, 0, len(l.limit.Bits())+1))
+	}
+	if err := l.PackInto(out, vs); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// Unpack splits packed plaintexts back into coords raw slot fields, bias
-// still included (the aggregated bias is weight-dependent; see Unbias).
-// It fails when a plaintext has overflowed past its top slot — the only
-// carry the layout can detect; carries between interior slots are caught
-// by the caller's plausibility bound on the decoded values.
-func (l *SlotLayout) Unpack(packed []*big.Int, coords int) ([]*big.Int, error) {
-	if need := l.Groups(coords); len(packed) != need {
-		return nil, fmt.Errorf("fixedpoint: %d packed plaintexts for %d coordinates, want %d", len(packed), coords, need)
+// PackInto maps per-coordinate signed scaled integers into the packed
+// plaintexts dst, one non-nil integer per group (Groups(len(vs)) of them,
+// none aliasing vs): plaintext g holds vs[g·slots+j] + bias in slot j.
+// Each |v| must be strictly below the bias (overflow accounting: a
+// violation means the caller's magnitude budget was wrong, not a
+// recoverable input). Slots beyond len(vs) in the last group are zero —
+// they never held a bias and decode must not read them. A group is built
+// by Horner's rule from its top slot down, so it needs no temporary and
+// a warmed dst is reused without allocating.
+func (l *SlotLayout) PackInto(dst, vs []*big.Int) error {
+	if need := l.Groups(len(vs)); len(dst) != need {
+		return fmt.Errorf("fixedpoint: %d packed plaintexts for %d coordinates, want %d", len(dst), len(vs), need)
 	}
+	for g, p := range dst {
+		lo := g * l.slots
+		hi := min(lo+l.slots, len(vs))
+		for j, v := range vs[lo:hi] {
+			if v == nil {
+				return fmt.Errorf("fixedpoint: nil coordinate %d", lo+j)
+			}
+			if v.CmpAbs(l.bias) >= 0 {
+				return fmt.Errorf("%w: |coordinate %d| >= 2^%d", ErrSlotOverflow, lo+j, l.magBits)
+			}
+		}
+		p.SetInt64(0)
+		for j := hi - 1; j >= lo; j-- {
+			p.Lsh(p, l.slotBits)
+			p.Add(p, vs[j])
+			p.Add(p, l.bias)
+		}
+	}
+	return nil
+}
+
+// Unpack splits packed plaintexts into coords fresh raw slot fields; see
+// UnpackInto.
+func (l *SlotLayout) Unpack(packed []*big.Int, coords int) ([]*big.Int, error) {
 	out := make([]*big.Int, coords)
+	for i := range out {
+		out[i] = new(big.Int)
+	}
+	if err := l.UnpackInto(out, packed); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// UnpackInto splits packed plaintexts back into len(dst) raw slot fields,
+// written into dst's non-nil integers with the bias still included (the
+// aggregated bias is weight-dependent; see BiasOffset). It fails when a
+// plaintext has overflowed past its top slot — the only carry the layout
+// can detect; carries between interior slots are caught by the caller's
+// plausibility bound on the decoded values.
+func (l *SlotLayout) UnpackInto(dst, packed []*big.Int) error {
+	coords := len(dst)
+	if need := l.Groups(coords); len(packed) != need {
+		return fmt.Errorf("fixedpoint: %d packed plaintexts for %d coordinates, want %d", len(packed), coords, need)
+	}
 	for g, p := range packed {
 		if p == nil || p.Sign() < 0 {
-			return nil, fmt.Errorf("fixedpoint: invalid packed plaintext %d", g)
+			return fmt.Errorf("fixedpoint: invalid packed plaintext %d", g)
 		}
 		if p.Cmp(l.limit) >= 0 {
-			return nil, fmt.Errorf("%w: packed plaintext %d beyond %d slots", ErrSlotOverflow, g, l.slots)
+			return fmt.Errorf("%w: packed plaintext %d beyond %d slots", ErrSlotOverflow, g, l.slots)
 		}
 		lo := g * l.slots
 		for j := 0; lo+j < coords && j < l.slots; j++ {
-			f := new(big.Int).Rsh(p, uint(j)*l.slotBits)
-			out[lo+j] = f.And(f, l.mask)
+			f := dst[lo+j]
+			f.Rsh(p, uint(j)*l.slotBits)
+			f.And(f, l.mask)
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// Unbias removes the aggregated sign bias from a raw slot field: the slot
-// holds trueSum + bias·biasWeight, where biasWeight is the sum of the
-// dyadic push-sum coefficients of every biased contribution folded into
-// the slot (the state's weight, times the number of biased vectors added
-// slot-wise — e.g. 2 after the means+noise addition). The product
-// bias·biasWeight is computed exactly over rationals; a non-integer
-// product means a contribution was halved more often than the bias has
-// factors of two — the same budget breach the pre-scale contract guards
-// against — and is reported as an error rather than rounded.
-func (l *SlotLayout) Unbias(raw *big.Int, biasWeight float64) (*big.Int, error) {
-	if raw == nil || raw.Sign() < 0 {
-		return nil, errors.New("fixedpoint: invalid raw slot field")
+// BiasOffset sets dst to the aggregated sign bias bias·biasWeight that
+// every raw slot field of one opened vector carries: a slot holds
+// trueSum + bias·biasWeight, where biasWeight is the sum of the dyadic
+// push-sum coefficients of every biased contribution folded into it (the
+// state's weight, times the number of biased vectors added slot-wise —
+// e.g. 2 after the means+noise addition). One offset serves the whole
+// vector; the caller subtracts it from each field.
+//
+// The product is exact. A float64 weight is m·2^e for an odd integer m
+// (m = 0 for a zero weight), so bias·biasWeight = m·2^(e+magBits) is an
+// integer iff e+magBits ≥ 0. A non-integer product means a contribution
+// was halved more often than the bias has factors of two — the same
+// budget breach the pre-scale contract guards against — and is reported
+// as an error rather than rounded; so are NaN, ±Inf and negative weights.
+func (l *SlotLayout) BiasOffset(dst *big.Int, biasWeight float64) error {
+	if math.IsNaN(biasWeight) || math.IsInf(biasWeight, 0) || biasWeight < 0 {
+		return fmt.Errorf("fixedpoint: invalid bias weight %v", biasWeight)
 	}
-	r := new(big.Rat).SetFloat64(biasWeight)
-	if r == nil || r.Sign() < 0 {
-		return nil, fmt.Errorf("fixedpoint: invalid bias weight %v", biasWeight)
+	frac, exp := math.Frexp(biasWeight) // ±0: mant 0, so dst is 0
+	mant := uint64(frac * (1 << 53))
+	tz := bits.TrailingZeros64(mant)
+	shift := exp - 53 + int(l.magBits) + tz
+	if shift < 0 {
+		return fmt.Errorf("fixedpoint: bias weight %v exceeds the bias' halving budget", biasWeight)
 	}
-	r.Mul(r, new(big.Rat).SetInt(l.bias))
-	if !r.IsInt() {
-		return nil, fmt.Errorf("fixedpoint: bias weight %v exceeds the bias' halving budget", biasWeight)
-	}
-	return new(big.Int).Sub(raw, r.Num()), nil
+	dst.SetUint64(mant >> tz)
+	dst.Lsh(dst, uint(shift))
+	return nil
 }

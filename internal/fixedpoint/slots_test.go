@@ -1,6 +1,7 @@
 package fixedpoint
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -17,8 +18,8 @@ func mustLayout(t *testing.T, plainBits int, magBits, headBits uint) *SlotLayout
 
 func TestSlotLayoutGeometry(t *testing.T) {
 	l := mustLayout(t, 320, 40, 9) // slotBits = 50
-	if l.SlotBits() != 50 {
-		t.Fatalf("slotBits = %d, want 50", l.SlotBits())
+	if l.slotBits != 50 {
+		t.Fatalf("slotBits = %d, want 50", l.slotBits)
 	}
 	if l.Slots() != 6 {
 		t.Fatalf("slots = %d, want 6", l.Slots())
@@ -39,11 +40,11 @@ func TestSlotLayoutGeometry(t *testing.T) {
 }
 
 // TestSlotPackUnpackRoundTrip packs signed values across the sign and
-// magnitude edges and checks Unpack+Unbias(1) recovers them exactly.
+// magnitude edges and checks Unpack minus BiasOffset(1) recovers them
+// exactly.
 func TestSlotPackUnpackRoundTrip(t *testing.T) {
 	l := mustLayout(t, 512, 32, 8)
-	bias := l.Bias()
-	edge := new(big.Int).Sub(bias, big.NewInt(1))
+	edge := new(big.Int).Sub(l.bias, big.NewInt(1))
 	vs := []*big.Int{
 		big.NewInt(0),
 		big.NewInt(1),
@@ -64,24 +65,30 @@ func TestSlotPackUnpackRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	off := new(big.Int)
+	if err := l.BiasOffset(off, 1); err != nil {
+		t.Fatal(err)
+	}
 	for i, r := range raw {
-		got, err := l.Unbias(r, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(vs[i]) != 0 {
+		if got := new(big.Int).Sub(r, off); got.Cmp(vs[i]) != 0 {
 			t.Fatalf("coordinate %d: %s, want %s", i, got, vs[i])
 		}
 	}
 }
 
 // TestSlotPackRandomized is the property test: random signed vectors of
-// random lengths round-trip through Pack/Unpack/Unbias, and slot-wise
+// random lengths round-trip through Pack/Unpack/BiasOffset, slot-wise
 // sums of packed vectors equal the pack of the sums (the additive
-// homomorphism packing must preserve).
+// homomorphism packing must preserve), and PackInto/UnpackInto into
+// storage reused across trials of every length agree with Pack/Unpack.
 func TestSlotPackRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	l := mustLayout(t, 1023, 48, 12)
+	reused := make([]*big.Int, 3*l.Slots())
+	for i := range reused {
+		reused[i] = new(big.Int)
+	}
+	off := new(big.Int)
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(3*l.Slots())
 		vs := make([]*big.Int, n)
@@ -93,7 +100,7 @@ func TestSlotPackRandomized(t *testing.T) {
 		}
 		for rep := 0; rep < adds; rep++ {
 			for i := range vs {
-				v := new(big.Int).Rand(rng, l.Bias())
+				v := new(big.Int).Rand(rng, l.bias)
 				if rng.Intn(2) == 0 {
 					v.Neg(v)
 				}
@@ -108,7 +115,14 @@ func TestSlotPackRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			into := reused[:len(packed)]
+			if err := l.PackInto(into, vs); err != nil {
+				t.Fatal(err)
+			}
 			for g := range packed {
+				if into[g].Cmp(packed[g]) != 0 {
+					t.Fatalf("trial %d group %d: PackInto %s, Pack %s", trial, g, into[g], packed[g])
+				}
 				acc[g].Add(acc[g], packed[g])
 			}
 		}
@@ -116,12 +130,17 @@ func TestSlotPackRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := l.UnpackInto(reused[:n], acc); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.BiasOffset(off, float64(adds)); err != nil {
+			t.Fatal(err)
+		}
 		for i, r := range raw {
-			got, err := l.Unbias(r, float64(adds))
-			if err != nil {
-				t.Fatal(err)
+			if reused[i].Cmp(r) != 0 {
+				t.Fatalf("trial %d coordinate %d: UnpackInto %s, Unpack %s", trial, i, reused[i], r)
 			}
-			if got.Cmp(sum[i]) != 0 {
+			if got := new(big.Int).Sub(r, off); got.Cmp(sum[i]) != 0 {
 				t.Fatalf("trial %d coordinate %d: %s, want %s", trial, i, got, sum[i])
 			}
 		}
@@ -134,7 +153,7 @@ func TestSlotPackRandomized(t *testing.T) {
 // encrypt packed>>preScale and carry the halvings as an exponent h beside
 // the ciphertext; for every h up to preScale the decoder's
 // (packed>>preScale)<<(preScale−h) is the slot-aligned integer h exact
-// halvings of the packed plaintext give, and Unbias with the halved
+// halvings of the packed plaintext give, and the BiasOffset of the halved
 // weight recovers the halved values.
 func TestSlotHalvingExactness(t *testing.T) {
 	const preScale = 12
@@ -147,7 +166,7 @@ func TestSlotHalvingExactness(t *testing.T) {
 		if i%2 == 1 {
 			v.Neg(v)
 		}
-		vs[i] = v.Lsh(v, preScale) // the PreScale contract
+		vs[i] = v.Lsh(v, preScale) // packed at the pre-scaled magnitude
 	}
 	packed, err := l.Pack(vs)
 	if err != nil {
@@ -174,11 +193,12 @@ func TestSlotHalvingExactness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		off := new(big.Int)
+		if err := l.BiasOffset(off, weight); err != nil {
+			t.Fatal(err)
+		}
 		for i, r := range raw {
-			got, err := l.Unbias(r, weight)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := new(big.Int).Sub(r, off)
 			want := new(big.Int).Rsh(vs[i], uint(round))
 			if got.Cmp(want) != 0 {
 				t.Fatalf("round %d coordinate %d: %s, want %s", round, i, got, want)
@@ -191,21 +211,26 @@ func TestSlotOverflowAccounting(t *testing.T) {
 	l := mustLayout(t, 256, 16, 6)
 
 	// Pack rejects magnitudes at the bias.
-	if _, err := l.Pack([]*big.Int{l.Bias()}); err == nil {
+	if _, err := l.Pack([]*big.Int{l.bias}); err == nil {
 		t.Fatal("Pack must reject |v| >= bias")
 	}
-	if _, err := l.Pack([]*big.Int{new(big.Int).Neg(l.Bias())}); err == nil {
+	if _, err := l.Pack([]*big.Int{new(big.Int).Neg(l.bias)}); err == nil {
 		t.Fatal("Pack must reject |v| >= bias (negative)")
 	}
 	if _, err := l.Pack([]*big.Int{nil}); err == nil {
 		t.Fatal("Pack must reject nil coordinates")
 	}
 
+	// PackInto rejects a destination of the wrong group count.
+	if err := l.PackInto([]*big.Int{new(big.Int)}, make([]*big.Int, l.Slots()+1)); err == nil {
+		t.Fatal("PackInto must reject a group-count mismatch")
+	}
+
 	// Unpack rejects group-count mismatches and top-slot overflow.
 	if _, err := l.Unpack([]*big.Int{big.NewInt(1)}, 2*l.Slots()); err == nil {
 		t.Fatal("Unpack must reject a group-count mismatch")
 	}
-	over := new(big.Int).Lsh(big.NewInt(1), uint(l.Slots())*l.SlotBits())
+	over := new(big.Int).Lsh(big.NewInt(1), uint(l.Slots())*l.slotBits)
 	if _, err := l.Unpack([]*big.Int{over}, 1); err == nil {
 		t.Fatal("Unpack must reject values past the top slot")
 	}
@@ -213,20 +238,21 @@ func TestSlotOverflowAccounting(t *testing.T) {
 		t.Fatal("Unpack must reject negative plaintexts")
 	}
 
-	// Unbias rejects weights whose dyadic denominator exceeds the bias'
-	// halving budget, and invalid fields.
+	// BiasOffset rejects weights whose dyadic denominator exceeds the
+	// bias' halving budget, and invalid weights.
 	tiny := 1.0
 	for i := 0; i < 20; i++ { // 2^-20 < 2^-16 = 1/bias
 		tiny /= 2
 	}
-	if _, err := l.Unbias(big.NewInt(1), tiny); err == nil {
-		t.Fatal("Unbias must reject weights beyond the bias' factors of two")
+	off := new(big.Int)
+	if err := l.BiasOffset(off, tiny); err == nil {
+		t.Fatal("BiasOffset must reject weights beyond the bias' factors of two")
 	}
-	if _, err := l.Unbias(nil, 1); err == nil {
-		t.Fatal("Unbias must reject nil fields")
+	if err := l.BiasOffset(off, -0.5); err == nil {
+		t.Fatal("BiasOffset must reject negative weights")
 	}
-	if _, err := l.Unbias(big.NewInt(1), -0.5); err == nil {
-		t.Fatal("Unbias must reject negative weights")
+	if err := l.BiasOffset(off, math.NaN()); err == nil {
+		t.Fatal("BiasOffset must reject NaN")
 	}
 
 	// Empty input packs to nothing.

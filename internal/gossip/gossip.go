@@ -29,8 +29,8 @@
 //
 // For the share to be an integer that decodes back to the intended
 // rational, the caller decodes V·2^{T-H} where T is the halving budget
-// it provisioned (one factor of two per gossip round, see
-// internal/fixedpoint.PreScale): as long as H ≤ T no division ever
+// it provisioned (one factor of two per gossip round plus slack, the
+// halving budget of internal/core): as long as H ≤ T no division ever
 // happens, anywhere, and the result is exactly what eager halving of a
 // 2^T-pre-scaled plaintext would have produced. H > T is the budget
 // breach eager halving would have turned into a wrapped residue; here it
