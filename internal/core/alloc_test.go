@@ -52,7 +52,12 @@ func allocTestSeries(t testing.TB, n, dim int) [][]float64 {
 // ceiling is counted per refresh: measured at 5.4–6.5 objects per
 // refresh over six runs (n=16, 256-bit key) and held at 8. The run is
 // deterministic (fixed seed), so the buffer capacities the warm-up grows
-// are the ones the measured window needs.
+// are the ones the measured window needs. Under -race the Damgård–Jurik
+// figure is logged but not held to its ceiling: the race detector makes
+// sync.Pool drop Puts on purpose, and the in-place products' scratch and
+// the randomizer path are pooled, so their temporaries then reach the heap
+// (some 20,000 objects per cycle). The accounted backend pools nothing on
+// this path and keeps its exact 0.
 func TestGossipCycleZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
@@ -96,7 +101,7 @@ func TestGossipCycleZeroAlloc(t *testing.T) {
 			// AllocsPerRun runs the cycle once more than it measures.
 			perCycle := float64(rs.suite.Counts().Refreshes-before) / float64(tc.measure+1)
 			t.Logf("%.2f heap objects per cycle, %.0f refreshes per cycle", allocs, perCycle)
-			if ceiling := tc.allocsPerRefresh * perCycle; allocs > ceiling {
+			if ceiling := tc.allocsPerRefresh * perCycle; allocs > ceiling && !(raceEnabled && tc.backend == BackendDamgardJurik) {
 				t.Fatalf("steady-state gossip cycle allocates %.2f heap objects (network-wide, n=%d), ceiling %.0f", allocs, tc.n, ceiling)
 			}
 			for _, pt := range d.participants {

@@ -219,9 +219,9 @@ func TestFaultsComposeWithChurnDeterministically(t *testing.T) {
 }
 
 // TestByzantineRealCrypto runs garbled, malformed and replayed
-// ciphertexts against genuine Damgård–Jurik arithmetic: out-of-range
-// group elements and foreign types must be rejected by the wire
-// validation before any homomorphic operation can panic on them.
+// ciphertexts against genuine Damgård–Jurik arithmetic: nil and
+// out-of-range group elements must be rejected by the wire validation
+// before any homomorphic operation can panic on them.
 func TestByzantineRealCrypto(t *testing.T) {
 	data := blobs(16, 3, 2)
 	p := Params{
@@ -317,13 +317,6 @@ type recordingEnv struct {
 	r *sentRecorder
 }
 
-func cipherInt(c Cipher) *big.Int {
-	if pc, ok := c.(plainCipher); ok {
-		return pc.v
-	}
-	return c.(*big.Int)
-}
-
 func (e recordingEnv) Send(to p2p.NodeID, payload any, bytes int) error {
 	if pl, ok := payload.(*gossipPayload); ok {
 		if want, seen := e.r.sent[pl]; seen {
@@ -331,7 +324,7 @@ func (e recordingEnv) Send(to p2p.NodeID, payload any, bytes int) error {
 		} else {
 			vals := make([]*big.Int, len(pl.Msg.V))
 			for i, c := range pl.Msg.V {
-				vals[i] = new(big.Int).Set(cipherInt(c))
+				vals[i] = new(big.Int).Set(c)
 			}
 			e.r.sent[pl] = vals
 			e.r.at[pl] = e.Cycle()
@@ -359,7 +352,7 @@ func (r *sentRecorder) compare(pl *gossipPayload, want []*big.Int, how string) {
 		return // a malformed byzantine payload is rejected by length
 	}
 	for i, c := range pl.Msg.V {
-		if cipherInt(c).Cmp(want[i]) != 0 {
+		if c.Cmp(want[i]) != 0 {
 			r.t.Fatalf("%s payload's cipher %d changed since it was sent", how, i)
 		}
 	}

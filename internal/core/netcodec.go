@@ -30,30 +30,14 @@ const (
 // MarshalCipherVector implements CipherSuite: accounted ciphers are
 // ring residues, encoded fixed-width against the plaintext modulus.
 func (s *plainSuite) MarshalCipherVector(cs []Cipher) ([]byte, error) {
-	vs := make([]*big.Int, len(cs))
-	for i, c := range cs {
-		cc, ok := c.(plainCipher)
-		if !ok {
-			return nil, errors.New("core: foreign cipher type in plain suite")
-		}
-		vs[i] = cc.v
-	}
-	return wire.MarshalResidueVector(s.m, vs)
+	return wire.MarshalResidueVector(s.m, cs)
 }
 
 // UnmarshalCipherVector implements CipherSuite. Every decoded
 // residue is ring-validated by the wire layer; the returned ciphers are
 // freshly allocated, never aliasing arena scratch.
 func (s *plainSuite) UnmarshalCipherVector(buf []byte) ([]Cipher, error) {
-	vs, err := wire.UnmarshalResidueVector(s.m, buf)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Cipher, len(vs))
-	for i, v := range vs {
-		out[i] = plainCipher{v: v}
-	}
-	return out, nil
+	return wire.UnmarshalResidueVector(s.m, buf)
 }
 
 // MarshalPartialValues implements CipherSuite: accounted partials

@@ -156,16 +156,7 @@ func (nd *Node) Close() { nd.rs.close() }
 // completion cycles differ node by node) — the Trace only carries the
 // population-level disclosure.
 func RunSequentialHistories(data [][]float64, params Params) (*Trace, [][]IterationResult, error) {
-	rs, err := prepareRun(data, params)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer rs.close()
-	d, err := newCycleDriver(data, rs, 1, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	trace, err := d.run()
+	d, trace, err := runCycles(data, params, 1)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -437,35 +437,32 @@ func checkHeadroom(M *big.Int, n, dim int, maxValue, noiseBound float64, fracBit
 
 // cipherRing adapts a CipherSuite to the gossip.Ring interface so the
 // push-sum state machine runs over ciphertexts, in place on both
-// backends. Errors are programmer errors (mixed suites): panic.
+// backends.
 type cipherRing struct {
 	suite CipherSuite
 }
 
-func must(err error) {
-	if err != nil {
-		panic(fmt.Sprintf("core: cipher ring: %v", err))
-	}
-}
-
 // Add implements gossip.Ring.
-func (r cipherRing) Add(acc *Cipher, v Cipher) { must(r.suite.AddInPlace(*acc, v)) }
+func (r cipherRing) Add(acc *Cipher, v Cipher) { r.suite.AddInPlace(*acc, v) }
 
 // AddAll implements gossip.Ring.
-func (r cipherRing) AddAll(acc *Cipher, vs []Cipher) { must(r.suite.AddAllInPlace(*acc, vs)) }
+func (r cipherRing) AddAll(acc *Cipher, vs []Cipher) { r.suite.AddAllInPlace(*acc, vs) }
 
 // Double implements gossip.Ring.
-func (r cipherRing) Double(a *Cipher, k uint) { must(r.suite.DoubleInPlace(*a, k)) }
+func (r cipherRing) Double(a *Cipher, k uint) { r.suite.DoubleInPlace(*a, k) }
 
 // Set implements gossip.Ring: an empty slot gets a one-cipher vector of
-// its own.
+// its own, sized so the in-place operations never grow it. Copying a
+// value is not an operation: nothing is counted.
 func (r cipherRing) Set(dst *Cipher, src Cipher) {
 	if *dst == nil {
 		v, err := r.suite.NewCipherVector(1)
-		must(err)
+		if err != nil {
+			panic(fmt.Sprintf("core: cipher ring: %v", err))
+		}
 		*dst = v[0]
 	}
-	must(r.suite.SetCipher(*dst, src))
+	(*dst).Set(src)
 }
 
 var _ gossip.Ring[Cipher] = cipherRing{}

@@ -633,7 +633,7 @@ func (pt *participant) byzantinePayload(honest *gossipPayload) *gossipPayload {
 		// Malformed messages, alternating the failure mode per round:
 		// wrong vector lengths (rejected by the dimension check), and
 		// right-length vectors of invalid values under a non-finite
-		// weight (rejected by the wire validation).
+		// weight (rejected by the wire validation, weight first).
 		if pt.roundsDone%2 == 0 {
 			return &gossipPayload{
 				Iter:      honest.Iter,
@@ -643,10 +643,8 @@ func (pt *participant) byzantinePayload(honest *gossipPayload) *gossipPayload {
 		}
 		bad := make([]Cipher, len(honest.Msg.V))
 		for i := range bad {
-			if i%2 == 0 {
-				bad[i] = byzForeignCipher{} // foreign type for every suite
-			} else {
-				bad[i] = big.NewInt(0) // out of range for DJ, foreign for plain
+			if i%2 == 1 {
+				bad[i] = big.NewInt(0) // out of range for DJ; even slots stay nil
 			}
 		}
 		return &gossipPayload{
@@ -671,10 +669,6 @@ func (pt *participant) byzantinePayload(honest *gossipPayload) *gossipPayload {
 		return honest
 	}
 }
-
-// byzForeignCipher is a value no cipher suite recognizes — the
-// malformed-sender probe for the type-validation path.
-type byzForeignCipher struct{}
 
 // wireValid is the byzantine-hardening gate on incoming gossip: the
 // push-sum weight must be finite, non-negative and population-bounded,

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math/big"
-	"testing"
-)
+import "testing"
 
 // TestDJHalveRerandomizes pins the traffic-analysis defence on the path
 // a run takes. A push-sum halving no longer touches the ciphertexts — the
@@ -29,7 +26,7 @@ func TestDJHalveRerandomizes(t *testing.T) {
 		t.Fatalf("exponents %d, %d, kept %d; want 1, 2, 2", first.H, second.H, pt.diptych.Means.H)
 	}
 	for i, kept := range pt.diptych.Means.V {
-		k, a, b := kept.(*big.Int), first.V[i].(*big.Int), second.V[i].(*big.Int)
+		k, a, b := kept, first.V[i], second.V[i]
 		if a.Cmp(b) == 0 {
 			t.Fatalf("cipher %d: two emissions of an unchanged state are identical — hops are traceable", i)
 		}

@@ -178,16 +178,29 @@ func (rs *runSetup) newParticipant(id p2p.NodeID) *participant {
 // simulation across shard workers and produces a bit-identical trace;
 // RunAsync trades determinism for real unsynchronized concurrency.
 func Run(data [][]float64, params Params) (*Trace, error) {
+	_, tr, err := runCycles(data, params, 1)
+	return tr, err
+}
+
+// runCycles is the one body of the cycle-driven engines: prepare the
+// run, drive it to completion on the given number of shard workers (1 is
+// the sequential engine) and return the driver beside the trace, for a
+// caller that reads the participants afterwards.
+func runCycles(data [][]float64, params Params, workers int) (*cycleDriver, *Trace, error) {
 	rs, err := prepareRun(data, params)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer rs.close()
-	d, err := newCycleDriver(data, rs, 1, 0)
-	if err != nil {
-		return nil, err
+	if workers < 1 {
+		return nil, nil, fmt.Errorf("core: invalid worker count %d", workers)
 	}
-	return d.run()
+	d, err := newCycleDriver(data, rs, workers, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr, err := d.run()
+	return d, tr, err
 }
 
 // initialCentroids returns the run's public iteration-1 centroids for a

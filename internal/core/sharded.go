@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"runtime"
-)
+import "runtime"
 
 // RunSharded executes the same cycle-driven simulation as Run, but each
 // cycle's local phases — assignment and noise-share encryption, gossip
@@ -29,21 +26,10 @@ import (
 // of choice for large reproducible experiments: same results as Run,
 // wall-clock divided by the available cores.
 func RunSharded(data [][]float64, params Params) (*Trace, error) {
-	rs, err := prepareRun(data, params)
-	if err != nil {
-		return nil, err
-	}
-	defer rs.close()
-	workers := rs.p.Workers
+	workers := params.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers < 1 {
-		return nil, fmt.Errorf("core: invalid worker count %d", workers)
-	}
-	d, err := newCycleDriver(data, rs, workers, 0)
-	if err != nil {
-		return nil, err
-	}
-	return d.run()
+	_, tr, err := runCycles(data, params, workers)
+	return tr, err
 }

@@ -459,8 +459,8 @@ func TestSnapshotBytesUnchanged(t *testing.T) {
 // TestAppendSnapshotAllocations: into a buffer that is big enough, a
 // snapshot costs nothing between iterations and, while the node holds a
 // push-sum state, only the suite's intermediate encoding of that cipher
-// vector (MarshalCipherVector: the value slice, the artifact, one body)
-// — the two nested blobs and the float fields are written in place.
+// vector (MarshalCipherVector: the artifact and one body) — the two
+// nested blobs and the float fields are written in place.
 func TestAppendSnapshotAllocations(t *testing.T) {
 	data, params := snapshotTestConfig()
 	fresh, err := NewNode(data, params, 0)
@@ -476,7 +476,7 @@ func TestAppendSnapshotAllocations(t *testing.T) {
 		want float64
 	}{
 		{"between iterations", fresh, 0},
-		{"mid-gossip", m.nodes[0], 3},
+		{"mid-gossip", m.nodes[0], 2},
 	} {
 		buf, err := c.nd.AppendSnapshot(nil)
 		if err != nil {

@@ -7,7 +7,8 @@
 // (privacy-budget distribution and smoothing of perturbed means).
 //
 // The protocol code is written against the CipherSuite interface, with
-// two interchangeable backends:
+// two interchangeable backends over the same value type, one big integer
+// per Cipher:
 //
 //   - the real Damgård–Jurik backend (suite_dj.go), running genuine
 //     homomorphic arithmetic and threshold decryptions;
@@ -21,10 +22,14 @@ package core
 
 import (
 	"math/big"
+	"sync/atomic"
 )
 
-// Cipher is an opaque encrypted (or accounted-plaintext) ring element.
-type Cipher interface{}
+// Cipher is one encrypted (or accounted-plaintext) ring element: on the
+// Damgård–Jurik backend a unit mod n^{s+1}, on the accounted backend a
+// residue of Z_M, the plaintext ring itself. Which one is the suite's
+// business; ValidateCipher checks a value against it.
+type Cipher = *big.Int
 
 // Partial is one party's contribution to a collaborative decryption.
 type Partial struct {
@@ -62,6 +67,32 @@ type OpCounts struct {
 	PartialCacheHits int64
 }
 
+// opCounters is the counter block both suites embed; the atomics make it
+// safe under the sharded engine's parallel workers.
+type opCounters struct {
+	encrypts        atomic.Int64
+	adds            atomic.Int64
+	halvings        atomic.Int64 // eager Halve calls only
+	doublings       atomic.Int64
+	refreshes       atomic.Int64
+	partialDecrypts atomic.Int64
+	combines        atomic.Int64
+}
+
+// Counts implements CipherSuite: every refresh is also a halving.
+func (c *opCounters) Counts() OpCounts {
+	refreshes := c.refreshes.Load()
+	return OpCounts{
+		Encrypts:        c.encrypts.Load(),
+		Adds:            c.adds.Load(),
+		Halvings:        c.halvings.Load() + refreshes,
+		Doublings:       c.doublings.Load(),
+		Refreshes:       refreshes,
+		PartialDecrypts: c.partialDecrypts.Load(),
+		Combines:        c.combines.Load(),
+	}
+}
+
 // CipherSuite is the encryption abstraction Chiaroscuro needs
 // (Sec. II.A): semantic security is the backend's concern; additive
 // homomorphism and collaborative decryption by any sufficiently large
@@ -97,17 +128,14 @@ type CipherSuite interface {
 	NewCipherVector(n int) ([]Cipher, error)
 	// EncryptInto is Encrypt writing into dst's storage.
 	EncryptInto(dst Cipher, m *big.Int) error
-	// SetCipher copies src's value into dst's storage (not an
-	// operation: nothing is counted).
-	SetCipher(dst, src Cipher) error
 	// AddInPlace sets acc to a Cipher of the sum of both plaintexts.
-	AddInPlace(acc, v Cipher) error
+	AddInPlace(acc, v Cipher)
 	// AddAllInPlace left-folds vs into acc.
-	AddAllInPlace(acc Cipher, vs []Cipher) error
+	AddAllInPlace(acc Cipher, vs []Cipher)
 	// DoubleInPlace multiplies c's plaintext by 2^k — k modular
 	// squarings on the real backend. Gossip calls it to align the
 	// halving exponents of two shares before adding them.
-	DoubleInPlace(c Cipher, k uint) error
+	DoubleInPlace(c Cipher, k uint)
 	// RefreshInPlace makes c a ciphertext of the same plaintext that
 	// cannot be linked to its previous value: the copy of a share that
 	// leaves the node. It is the whole per-cipher cost of a push-sum
@@ -135,8 +163,8 @@ type CipherSuite interface {
 	CombineColumns(sets [][]Partial, count int) ([]*big.Int, error)
 
 	// ValidateCipher rejects values that are not well-formed ciphertexts
-	// of the suite (foreign types, out-of-ring residues, out-of-range
-	// group elements) without touching any homomorphic state. Byzantine
+	// of the suite (nil, out-of-ring residues, out-of-range group
+	// elements) without touching any homomorphic state. Byzantine
 	// fault plans (internal/simnet) enable per-message validation of
 	// incoming gossip through it.
 	ValidateCipher(c Cipher) error

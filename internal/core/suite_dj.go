@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
-	"sync/atomic"
 
 	"chiaroscuro/internal/crypto/damgardjurik"
 	"chiaroscuro/internal/vecpool"
@@ -42,13 +41,7 @@ type djSuite struct {
 	pool    *damgardjurik.RandomizerPool
 	poolCap int
 
-	encrypts        atomic.Int64
-	adds            atomic.Int64
-	halvings        atomic.Int64 // eager Halve calls only
-	doublings       atomic.Int64
-	refreshes       atomic.Int64
-	partialDecrypts atomic.Int64
-	combines        atomic.Int64
+	opCounters
 }
 
 // djPoolCapacity is the default randomizer-pool size for standalone
@@ -101,16 +94,12 @@ func newDJSuite(tk *damgardjurik.ThresholdKey, shares []damgardjurik.KeyShare) (
 	}, nil
 }
 
-// ValidateCipher implements CipherSuite: the value must be a big.Int in
-// the multiplicative ciphertext range (0, n^{s+1}) — the same bound the
+// ValidateCipher implements CipherSuite: the value must lie in the
+// multiplicative ciphertext range (0, n^{s+1}) — the same bound the
 // homomorphic operations enforce, checked here without counting as an
 // operation.
 func (s *djSuite) ValidateCipher(c Cipher) error {
-	cc, ok := c.(*big.Int)
-	if !ok {
-		return errors.New("core: foreign cipher type in damgard-jurik suite")
-	}
-	if cc == nil || cc.Sign() <= 0 || cc.Cmp(s.ctMod) >= 0 {
+	if c == nil || c.Sign() <= 0 || c.Cmp(s.ctMod) >= 0 {
 		return errors.New("core: damgard-jurik ciphertext out of range")
 	}
 	return nil
@@ -159,25 +148,16 @@ func (s *djSuite) Encrypt(m *big.Int) (Cipher, error) {
 
 // Add implements CipherSuite.
 func (s *djSuite) Add(a, b Cipher) (Cipher, error) {
-	ca, ok1 := a.(*big.Int)
-	cb, ok2 := b.(*big.Int)
-	if !ok1 || !ok2 {
-		return nil, errors.New("core: foreign cipher type in damgard-jurik suite")
-	}
 	s.adds.Add(1)
-	return s.tk.Add(ca, cb)
+	return s.tk.Add(a, b)
 }
 
 // Halve implements CipherSuite: the eager oracle — homomorphic
 // multiplication by 2^{-1} mod n^s (a full-width exponentiation),
 // followed by re-randomization.
 func (s *djSuite) Halve(c Cipher) (Cipher, error) {
-	cc, ok := c.(*big.Int)
-	if !ok {
-		return nil, errors.New("core: foreign cipher type in damgard-jurik suite")
-	}
 	s.halvings.Add(1)
-	h, err := s.tk.ScalarMul(cc, s.inv2)
+	h, err := s.tk.ScalarMul(c, s.inv2)
 	if err != nil {
 		return nil, err
 	}
@@ -192,15 +172,11 @@ func (s *djSuite) Threshold() int { return s.tk.Threshold }
 
 // PartialDecrypt implements CipherSuite.
 func (s *djSuite) PartialDecrypt(party int, c Cipher) (Partial, error) {
-	cc, ok := c.(*big.Int)
-	if !ok {
-		return Partial{}, errors.New("core: foreign cipher type in damgard-jurik suite")
-	}
 	if party < 1 || party > len(s.shares) || s.shares[party-1].Value == nil {
 		return Partial{}, fmt.Errorf("core: party %d has no key share", party)
 	}
 	s.partialDecrypts.Add(1)
-	pd, err := s.tk.PartialDecrypt(s.shares[party-1], cc)
+	pd, err := s.tk.PartialDecrypt(s.shares[party-1], c)
 	if err != nil {
 		return Partial{}, err
 	}
@@ -287,17 +263,6 @@ func (s *djSuite) mulMod(z, x, y *big.Int) {
 	djScratch.Put(t)
 }
 
-// ciphertexts asserts this suite's cipher type on an in-place operand
-// and its argument.
-func ciphertexts(dst, src Cipher) (d, s *big.Int, err error) {
-	cd, ok1 := dst.(*big.Int)
-	cs, ok2 := src.(*big.Int)
-	if !ok1 || !ok2 {
-		return nil, nil, errors.New("core: foreign cipher type in damgard-jurik suite")
-	}
-	return cd, cs, nil
-}
-
 // NewCipherVector implements CipherSuite: n values in one vecpool arena,
 // each with room for a double-width product plus the division's carry.
 func (s *djSuite) NewCipherVector(n int) ([]Cipher, error) {
@@ -315,62 +280,35 @@ func (s *djSuite) NewCipherVector(n int) ([]Cipher, error) {
 // EncryptInto implements CipherSuite: a pooled fast-path encryption
 // copied into dst.
 func (s *djSuite) EncryptInto(dst Cipher, m *big.Int) error {
-	d, ok := dst.(*big.Int)
-	if !ok {
-		return errors.New("core: foreign cipher type in damgard-jurik suite")
-	}
 	c, err := s.Encrypt(m)
 	if err != nil {
 		return err
 	}
-	d.Set(c.(*big.Int))
-	return nil
-}
-
-// SetCipher implements CipherSuite.
-func (s *djSuite) SetCipher(dst, src Cipher) error {
-	d, v, err := ciphertexts(dst, src)
-	if err != nil {
-		return err
-	}
-	d.Set(v)
+	dst.Set(c)
 	return nil
 }
 
 // AddInPlace implements CipherSuite: acc·v mod n^{s+1}.
-func (s *djSuite) AddInPlace(acc, v Cipher) error {
-	a, x, err := ciphertexts(acc, v)
-	if err != nil {
-		return err
-	}
+func (s *djSuite) AddInPlace(acc, v Cipher) {
 	s.adds.Add(1)
-	s.mulMod(a, a, x)
-	return nil
+	s.mulMod(acc, acc, v)
 }
 
 // AddAllInPlace implements CipherSuite.
-func (s *djSuite) AddAllInPlace(acc Cipher, vs []Cipher) error {
+func (s *djSuite) AddAllInPlace(acc Cipher, vs []Cipher) {
 	for _, v := range vs {
-		if err := s.AddInPlace(acc, v); err != nil {
-			return err
-		}
+		s.AddInPlace(acc, v)
 	}
-	return nil
 }
 
 // DoubleInPlace implements CipherSuite: c^(2^k) mod n^{s+1}, k modular
 // squarings. The result is not rerandomized — it is merged into the
 // caller's own state, and nothing leaves a node without a refresh.
-func (s *djSuite) DoubleInPlace(c Cipher, k uint) error {
-	v, _, err := ciphertexts(c, c)
-	if err != nil {
-		return err
-	}
+func (s *djSuite) DoubleInPlace(c Cipher, k uint) {
 	s.doublings.Add(int64(k))
 	for ; k > 0; k-- {
-		s.mulMod(v, v, v)
+		s.mulMod(c, c, c)
 	}
-	return nil
 }
 
 // RefreshInPlace implements CipherSuite: multiplication by a pooled
@@ -380,16 +318,12 @@ func (s *djSuite) DoubleInPlace(c Cipher, k uint) error {
 // the same ciphertext, and an observer could trace a contribution across
 // gossip hops by recognizing it.
 func (s *djSuite) RefreshInPlace(c Cipher) error {
-	v, _, err := ciphertexts(c, c)
-	if err != nil {
-		return err
-	}
 	rz, err := s.pool.Get()
 	if err != nil {
 		return err
 	}
 	s.refreshes.Add(1)
-	s.mulMod(v, v, rz)
+	s.mulMod(c, c, rz)
 	return nil
 }
 
@@ -397,29 +331,13 @@ func (s *djSuite) RefreshInPlace(c Cipher) error {
 // are units mod n^{s+1}, encoded fixed-width via the wire
 // ciphertext-vector artifact.
 func (s *djSuite) MarshalCipherVector(cs []Cipher) ([]byte, error) {
-	vs := make([]*big.Int, len(cs))
-	for i, c := range cs {
-		cc, ok := c.(*big.Int)
-		if !ok {
-			return nil, errors.New("core: foreign cipher type in damgard-jurik suite")
-		}
-		vs[i] = cc
-	}
-	return wire.MarshalCiphertextVector(&s.tk.PublicKey, vs)
+	return wire.MarshalCiphertextVector(&s.tk.PublicKey, cs)
 }
 
 // UnmarshalCipherVector implements CipherSuite. Every decoded value
 // is range-checked against the ciphertext modulus by the wire layer.
 func (s *djSuite) UnmarshalCipherVector(buf []byte) ([]Cipher, error) {
-	vs, err := wire.UnmarshalCiphertextVector(&s.tk.PublicKey, buf)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Cipher, len(vs))
-	for i, v := range vs {
-		out[i] = v
-	}
-	return out, nil
+	return wire.UnmarshalCiphertextVector(&s.tk.PublicKey, buf)
 }
 
 // MarshalPartialValues implements CipherSuite: partial decryptions
@@ -449,17 +367,9 @@ func (s *djSuite) UnmarshalPartialValues(index int, buf []byte) ([]Partial, erro
 	return out, nil
 }
 
-// Counts implements CipherSuite.
+// Counts implements CipherSuite, adding the combine-plan cache hits.
 func (s *djSuite) Counts() OpCounts {
-	refreshes := s.refreshes.Load()
-	return OpCounts{
-		Encrypts:        s.encrypts.Load(),
-		Adds:            s.adds.Load(),
-		Halvings:        s.halvings.Load() + refreshes,
-		Doublings:       s.doublings.Load(),
-		Refreshes:       refreshes,
-		PartialDecrypts: s.partialDecrypts.Load(),
-		Combines:        s.combines.Load(),
-		CombineCtxHits:  s.tk.CombineContextHits(),
-	}
+	c := s.opCounters.Counts()
+	c.CombineCtxHits = s.tk.CombineContextHits()
+	return c
 }

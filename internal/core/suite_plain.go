@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sync/atomic"
 
 	"chiaroscuro/internal/gossip"
 	"chiaroscuro/internal/vecpool"
@@ -26,18 +25,7 @@ type plainSuite struct {
 	// declared key size, so network accounting matches an encrypted run.
 	cipherBytes int
 
-	encrypts        atomic.Int64
-	adds            atomic.Int64
-	halvings        atomic.Int64 // eager Halve calls only
-	doublings       atomic.Int64
-	refreshes       atomic.Int64
-	partialDecrypts atomic.Int64
-	combines        atomic.Int64
-}
-
-// plainCipher wraps a residue so foreign types are still detected.
-type plainCipher struct {
-	v *big.Int
+	opCounters
 }
 
 // NewPlainSuite builds the accounted backend. modulusBits drives the
@@ -93,25 +81,20 @@ func (s *plainSuite) Encrypt(m *big.Int) (Cipher, error) {
 	}
 	s.encrypts.Add(1)
 	if m.Sign() >= 0 && m.Cmp(s.m) < 0 {
-		return plainCipher{v: new(big.Int).Set(m)}, nil
+		return new(big.Int).Set(m), nil
 	}
-	return plainCipher{v: new(big.Int).Mod(m, s.m)}, nil
+	return new(big.Int).Mod(m, s.m), nil
 }
 
 // Add implements CipherSuite. Operands are reduced residues, so the mod
 // is a single conditional subtraction — no division.
 func (s *plainSuite) Add(a, b Cipher) (Cipher, error) {
-	ca, ok1 := a.(plainCipher)
-	cb, ok2 := b.(plainCipher)
-	if !ok1 || !ok2 {
-		return nil, errors.New("core: foreign cipher type in plain suite")
-	}
 	s.adds.Add(1)
-	out := new(big.Int).Add(ca.v, cb.v)
+	out := new(big.Int).Add(a, b)
 	if out.Cmp(s.m) >= 0 {
 		out.Sub(out, s.m)
 	}
-	return plainCipher{v: out}, nil
+	return out, nil
 }
 
 // Halve implements CipherSuite: the eager oracle, multiplication by
@@ -119,29 +102,21 @@ func (s *plainSuite) Add(a, b Cipher) (Cipher, error) {
 // shift right, odd residues become (v+M)/2 (exact, since v+M is even) —
 // arithmetically identical to out = v·inv2 mod M.
 func (s *plainSuite) Halve(c Cipher) (Cipher, error) {
-	cc, ok := c.(plainCipher)
-	if !ok {
-		return nil, errors.New("core: foreign cipher type in plain suite")
-	}
 	s.halvings.Add(1)
 	out := new(big.Int)
-	if cc.v.Bit(0) == 0 {
-		out.Rsh(cc.v, 1)
+	if c.Bit(0) == 0 {
+		out.Rsh(c, 1)
 	} else {
-		out.Add(cc.v, s.m)
+		out.Add(c, s.m)
 		out.Rsh(out, 1)
 	}
-	return plainCipher{v: out}, nil
+	return out, nil
 }
 
 // ValidateCipher implements CipherSuite: a plain "ciphertext" is valid
-// iff it is this suite's residue type, reduced into the ring.
+// iff it is a residue reduced into the ring.
 func (s *plainSuite) ValidateCipher(c Cipher) error {
-	cc, ok := c.(plainCipher)
-	if !ok {
-		return errors.New("core: foreign cipher type in plain suite")
-	}
-	if cc.v == nil || cc.v.Sign() < 0 || cc.v.Cmp(s.m) >= 0 {
+	if c == nil || c.Sign() < 0 || c.Cmp(s.m) >= 0 {
 		return errors.New("core: plain cipher residue outside ring")
 	}
 	return nil
@@ -155,17 +130,15 @@ func (s *plainSuite) Threshold() int { return s.threshold }
 
 // PartialDecrypt implements CipherSuite.
 func (s *plainSuite) PartialDecrypt(party int, c Cipher) (Partial, error) {
-	cc, ok := c.(plainCipher)
-	if !ok {
-		return Partial{}, errors.New("core: foreign cipher type in plain suite")
-	}
 	if party < 1 || party > s.parties {
 		return Partial{}, fmt.Errorf("core: party %d has no key share", party)
 	}
 	s.partialDecrypts.Add(1)
-	// Cipher values are immutable by convention across the suite, so the
-	// partial can share the residue instead of copying it.
-	return Partial{Index: party, Value: cc.v}, nil
+	// The partial shares the residue instead of copying it. The ciphers a
+	// run decrypts are its pending vector, fresh from step 2c's Add and
+	// never mutated after — the in-place arithmetic only touches push-sum
+	// state.
+	return Partial{Index: party, Value: c}, nil
 }
 
 // Combine implements CipherSuite. It enforces the same threshold
@@ -269,20 +242,6 @@ func (s *plainSuite) CombineColumns(sets [][]Partial, count int) ([]*big.Int, er
 	return out, nil
 }
 
-// Counts implements CipherSuite.
-func (s *plainSuite) Counts() OpCounts {
-	refreshes := s.refreshes.Load()
-	return OpCounts{
-		Encrypts:        s.encrypts.Load(),
-		Adds:            s.adds.Load(),
-		Halvings:        s.halvings.Load() + refreshes,
-		Doublings:       s.doublings.Load(),
-		Refreshes:       refreshes,
-		PartialDecrypts: s.partialDecrypts.Load(),
-		Combines:        s.combines.Load(),
-	}
-}
-
 // --- In-place push-sum arithmetic ------------------------------------------
 //
 // The accounted values live in vecpool residue arenas sized for the
@@ -299,100 +258,51 @@ func (s *plainSuite) NewCipherVector(n int) ([]Cipher, error) {
 	}
 	out := make([]Cipher, n)
 	for i := range out {
-		out[i] = plainCipher{v: arena.Int(i)}
+		out[i] = arena.Int(i)
 	}
 	return out, nil
 }
 
-// residues asserts this suite's cipher type on an in-place operand and
-// its argument.
-func residues(dst, src Cipher) (d, s *big.Int, err error) {
-	cd, ok1 := dst.(plainCipher)
-	cs, ok2 := src.(plainCipher)
-	if !ok1 || !ok2 {
-		return nil, nil, errors.New("core: foreign cipher type in plain suite")
-	}
-	return cd.v, cs.v, nil
-}
-
 // EncryptInto implements CipherSuite.
 func (s *plainSuite) EncryptInto(dst Cipher, m *big.Int) error {
-	cd, ok := dst.(plainCipher)
-	if !ok {
-		return errors.New("core: foreign cipher type in plain suite")
-	}
 	if m == nil {
 		return errors.New("core: nil plaintext")
 	}
 	s.encrypts.Add(1)
 	if m.Sign() >= 0 && m.Cmp(s.m) < 0 {
-		cd.v.Set(m)
+		dst.Set(m)
 		return nil
 	}
-	cd.v.Mod(m, s.m)
-	return nil
-}
-
-// SetCipher implements CipherSuite.
-func (s *plainSuite) SetCipher(dst, src Cipher) error {
-	d, v, err := residues(dst, src)
-	if err != nil {
-		return err
-	}
-	d.Set(v)
+	dst.Mod(m, s.m)
 	return nil
 }
 
 // AddInPlace implements CipherSuite: the reduced-residue add with a
 // conditional subtraction.
-func (s *plainSuite) AddInPlace(acc, v Cipher) error {
-	a, x, err := residues(acc, v)
-	if err != nil {
-		return err
-	}
+func (s *plainSuite) AddInPlace(acc, v Cipher) {
 	s.adds.Add(1)
-	s.ring.Add(&a, x)
-	return nil
+	s.ring.Add(&acc, v)
 }
 
 // AddAllInPlace implements CipherSuite, counting the column's adds in
 // one atomic update.
-func (s *plainSuite) AddAllInPlace(acc Cipher, vs []Cipher) error {
-	a, _, err := residues(acc, acc)
-	if err != nil {
-		return err
-	}
-	for _, v := range vs {
-		cv, ok := v.(plainCipher)
-		if !ok {
-			return errors.New("core: foreign cipher type in plain suite")
-		}
-		s.ring.Add(&a, cv.v)
-	}
+func (s *plainSuite) AddAllInPlace(acc Cipher, vs []Cipher) {
+	s.ring.AddAll(&acc, vs)
 	s.adds.Add(int64(len(vs)))
-	return nil
 }
 
 // DoubleInPlace implements CipherSuite: v·2^k mod M by k shifts and
 // conditional subtractions, accounted as the k squarings the real
 // backend performs.
-func (s *plainSuite) DoubleInPlace(c Cipher, k uint) error {
-	v, _, err := residues(c, c)
-	if err != nil {
-		return err
-	}
+func (s *plainSuite) DoubleInPlace(c Cipher, k uint) {
 	s.doublings.Add(int64(k))
-	s.ring.Double(&v, k)
-	return nil
+	s.ring.Double(&c, k)
 }
 
 // RefreshInPlace implements CipherSuite: there is no randomness to
 // renew in a plaintext residue — counted, because the encrypted run
 // pays a rerandomization here.
-func (s *plainSuite) RefreshInPlace(c Cipher) error {
-	if _, ok := c.(plainCipher); !ok {
-		return errors.New("core: foreign cipher type in plain suite")
-	}
+func (s *plainSuite) RefreshInPlace(Cipher) error {
 	s.refreshes.Add(1)
 	return nil
 }

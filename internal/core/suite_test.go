@@ -75,10 +75,7 @@ func owned(t *testing.T, s CipherSuite, c Cipher) Cipher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetCipher(v[0], c); err != nil {
-		t.Fatal(err)
-	}
-	return v[0]
+	return v[0].Set(c)
 }
 
 // TestSuitesHalveIsExactRingHalf pins the halving-related operations
@@ -86,7 +83,7 @@ func owned(t *testing.T, s CipherSuite, c Cipher) Cipher {
 // 2^k, the eager oracle Halve is its inverse in the ring (even for odd
 // plaintexts, where no integer half exists), and RefreshInPlace changes
 // nothing a decryption can see — while on the real backend it does
-// change the ciphertext.
+// change the ciphertext (the accounted refresh is a counted no-op).
 func TestSuitesHalveIsExactRingHalf(t *testing.T) {
 	for name, s := range suites(t) {
 		for _, v := range []int64{8, 7, 0, 1} {
@@ -96,17 +93,13 @@ func TestSuitesHalveIsExactRingHalf(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			// 2·halve(v) must equal v in the ring.
-			if err := s.DoubleInPlace(h, 1); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+			s.DoubleInPlace(h, 1)
 			if got := decryptVia(t, s, h, []int{1, 2, 3}); got.Int64() != v {
 				t.Fatalf("%s: 2·halve(%d) = %v", name, v, got)
 			}
 			for _, k := range []uint{0, 1, 5} {
 				d := owned(t, s, c)
-				if err := s.DoubleInPlace(d, k); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
+				s.DoubleInPlace(d, k)
 				if got := decryptVia(t, s, d, []int{2, 3, 4}); got.Int64() != v<<k {
 					t.Fatalf("%s: %d·2^%d = %v", name, v, k, got)
 				}
@@ -118,7 +111,7 @@ func TestSuitesHalveIsExactRingHalf(t *testing.T) {
 			if got := decryptVia(t, s, r, []int{1, 4, 5}); got.Int64() != v {
 				t.Fatalf("%s: refresh(%d) decrypts to %v", name, v, got)
 			}
-			if rc, ok := r.(*big.Int); ok && rc.Cmp(c.(*big.Int)) == 0 {
+			if name == "dj" && r.Cmp(c) == 0 {
 				t.Fatalf("%s: refresh left the ciphertext unchanged", name)
 			}
 		}
@@ -152,34 +145,46 @@ func TestSuitesPartyValidation(t *testing.T) {
 	}
 }
 
-func TestSuitesForeignCipherRejected(t *testing.T) {
+// TestValidateCipherBounds pins ValidateCipher, the gate byzantine fault
+// plans put on incoming gossip, at the edges of each backend's range:
+// the residues [0, M) of the accounted ring, the units (0, n^{s+1}) of
+// Damgård–Jurik.
+func TestValidateCipherBounds(t *testing.T) {
 	all := suites(t)
 	plain, dj := all["plain"], all["dj"]
-	cp, _ := plain.Encrypt(big.NewInt(1))
-	cd, _ := dj.Encrypt(big.NewInt(1))
-	if _, err := plain.Add(cd, cd); err == nil {
-		t.Fatal("plain suite accepted a DJ cipher")
-	}
-	if _, err := dj.Add(cp, cp); err == nil {
-		t.Fatal("dj suite accepted a plain cipher")
-	}
-	if _, err := plain.Halve(cd); err == nil {
-		t.Fatal("plain halve accepted a DJ cipher")
-	}
-	for _, tc := range []struct {
-		name          string
-		s             CipherSuite
-		mine, foreign Cipher
-	}{{"plain", plain, owned(t, plain, cp), cd}, {"dj", dj, owned(t, dj, cd), cp}} {
-		foreign := tc.foreign
-		if tc.s.DoubleInPlace(foreign, 1) == nil || tc.s.RefreshInPlace(foreign) == nil ||
-			tc.s.AddInPlace(tc.mine, foreign) == nil || tc.s.AddAllInPlace(tc.mine, []Cipher{foreign}) == nil ||
-			tc.s.SetCipher(tc.mine, foreign) == nil || tc.s.EncryptInto(foreign, big.NewInt(1)) == nil {
-			t.Fatalf("%s: an in-place operation accepted a foreign cipher", tc.name)
+	m := plain.PlainModulus()
+	ct := dj.(*djSuite).ctMod
+	encrypted := func(s CipherSuite) Cipher {
+		c, err := s.Encrypt(big.NewInt(42))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return c
 	}
-	if _, err := dj.PartialDecrypt(1, cp); err == nil {
-		t.Fatal("dj partial decrypt accepted a plain cipher")
+	minus := func(x *big.Int, d int64) *big.Int { return new(big.Int).Sub(x, big.NewInt(d)) }
+	for _, tc := range []struct {
+		suite string
+		value string
+		c     Cipher
+		ok    bool
+	}{
+		{"plain", "nil", nil, false},
+		{"plain", "0", big.NewInt(0), true},
+		{"plain", "-1", big.NewInt(-1), false},
+		{"plain", "a ciphertext", encrypted(plain), true},
+		{"plain", "M-1", minus(m, 1), true},
+		{"plain", "M", m, false},
+		{"dj", "nil", nil, false},
+		{"dj", "0", big.NewInt(0), false},
+		{"dj", "-1", big.NewInt(-1), false},
+		{"dj", "a ciphertext", encrypted(dj), true},
+		{"dj", "1", big.NewInt(1), true},
+		{"dj", "n^{s+1}-1", minus(ct, 1), true},
+		{"dj", "n^{s+1}", ct, false},
+	} {
+		if err := all[tc.suite].ValidateCipher(tc.c); (err == nil) != tc.ok {
+			t.Errorf("%s: ValidateCipher(%s) = %v, want valid=%v", tc.suite, tc.value, err, tc.ok)
+		}
 	}
 }
 
@@ -191,10 +196,10 @@ func TestSuitesOpCounting(t *testing.T) {
 		_, _ = s.Halve(c)
 		v, _ := s.NewCipherVector(1)
 		_ = s.EncryptInto(v[0], big.NewInt(2))
-		_ = s.SetCipher(v[0], c)
-		_ = s.AddInPlace(v[0], c)
-		_ = s.AddAllInPlace(v[0], []Cipher{c, c})
-		_ = s.DoubleInPlace(v[0], 3)
+		v[0].Set(c) // a copy, not an operation
+		s.AddInPlace(v[0], c)
+		s.AddAllInPlace(v[0], []Cipher{c, c})
+		s.DoubleInPlace(v[0], 3)
 		_ = s.RefreshInPlace(v[0])
 		_ = s.RefreshInPlace(v[0])
 		p, _ := s.PartialDecrypt(1, c)

@@ -55,7 +55,7 @@ const (
 	// residues) under its true push-sum weight.
 	FaultGarble
 	// FaultMalform makes the node a byzantine sender of malformed gossip
-	// messages: wrong-length vectors, foreign or out-of-range cipher
+	// messages: wrong-length vectors, missing or out-of-range cipher
 	// values, and non-finite push-sum weights — the inputs the wire
 	// hardening must reject.
 	FaultMalform
