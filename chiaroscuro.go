@@ -99,14 +99,15 @@ type Config struct {
 	//     reduction. Bit-identical to "cycles" at any worker count, and
 	//     the engine of choice for large populations: wall-clock divides
 	//     by the available cores.
-	//   - "async": one goroutine per participant, channel messaging,
-	//     periodical jittered activations, no global synchronization —
-	//     the paper's deployment model; not deterministic.
+	//
+	// The real deployment, one process per participant over TCP, is the
+	// chiaroscurod daemon, not an engine here; it discloses the same
+	// trajectory as "cycles".
 	Engine string
 	// Workers is the shard-worker count of the "sharded" engine
-	// (default GOMAXPROCS; ignored by the other engines). Any value
-	// yields the same results — it only trades wall-clock for cores —
-	// and the effective count is capped at the population size and at
+	// (default GOMAXPROCS; ignored by "cycles"). Any value yields the
+	// same results — it only trades wall-clock for cores — and the
+	// effective count is capped at the population size and at
 	// max(64, 4·GOMAXPROCS).
 	Workers int
 	// Packed packs multiple coordinates of the encrypted side into each
@@ -143,12 +144,8 @@ type Config struct {
 	InitialCentroids [][]float64
 	// Seed makes the whole run deterministic.
 	Seed int64
-	// ChurnCrashProb / ChurnRejoinProb inject per-cycle node failures.
-	// Churn is a cycle-driven feature: it is supported by the "cycles"
-	// and "sharded" engines only, and rejected up front for "async"
-	// (the asynchronous runtime has no global cycle clock to apply the
-	// per-cycle probabilities against — model failures there with a
-	// Faults scenario's scheduled outages instead).
+	// ChurnCrashProb / ChurnRejoinProb inject per-cycle node failures,
+	// replayed identically by both engines at the same Seed.
 	ChurnCrashProb  float64
 	ChurnRejoinProb float64
 	// Faults is a deterministic fault-injection scenario in the
@@ -271,8 +268,8 @@ type CryptoOps struct {
 // DecryptPhaseCost breaks the collaborative-decryption phase (paper
 // steps 2c/2d) out of the aggregate network and timing figures.
 type DecryptPhaseCost struct {
-	// Cycles and Wall are the decrypt-classified share of the cycle
-	// engines' schedule and wall clock (zero for the async engine).
+	// Cycles and Wall are the decrypt-classified share of the engine's
+	// schedule and wall clock.
 	Cycles int
 	Wall   time.Duration
 	// Requests and Bytes are the decrypt requests sent and the request
@@ -329,10 +326,8 @@ func Cluster(series [][]float64, cfg Config) (*Result, error) {
 		trace, err = core.Run(series, params)
 	case "sharded":
 		trace, err = core.RunSharded(series, params)
-	case "async":
-		trace, err = core.RunAsync(series, params)
 	default:
-		return nil, fmt.Errorf("chiaroscuro: unknown engine %q (want cycles, sharded or async)", cfg.Engine)
+		return nil, fmt.Errorf("chiaroscuro: unknown engine %q (want cycles or sharded)", cfg.Engine)
 	}
 	if err != nil {
 		return nil, err
@@ -418,13 +413,6 @@ func (cfg Config) toParams() (core.Params, error) {
 	}
 	if cfg.Epsilon <= 0 {
 		return p, errors.New("chiaroscuro: Config.Epsilon must be positive")
-	}
-	if cfg.Engine == "async" && (cfg.ChurnCrashProb != 0 || cfg.ChurnRejoinProb != 0) {
-		// Validated here, not deep inside core.RunAsync, so a bad
-		// configuration fails before any setup work with an error that
-		// names the fields: churn is cycles/sharded-only (see the Config
-		// field docs).
-		return p, errors.New("chiaroscuro: churn (Config.ChurnCrashProb/ChurnRejoinProb) is not supported by the async engine — use the cycles or sharded engine, or model failures with Config.Faults")
 	}
 	p, err := cfg.baseParams()
 	if err != nil {

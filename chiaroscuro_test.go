@@ -207,25 +207,6 @@ func TestSyntheticGeneratorsDisjointSeeds(t *testing.T) {
 	}
 }
 
-func TestClusterAsyncEngine(t *testing.T) {
-	series, _, _ := SyntheticCER(60, 8, 5)
-	_, _, _ = Normalize01(series)
-	res, err := Cluster(series, Config{
-		K: 3, Epsilon: 500, Iterations: 3, Seed: 2,
-		Engine: "async", GossipRounds: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Centroids) != 3 || res.Network.MessagesSent == 0 {
-		t.Fatalf("async engine result: %d centroids, %d messages",
-			len(res.Centroids), res.Network.MessagesSent)
-	}
-	if _, err := Cluster(series, Config{K: 2, Epsilon: 1, Engine: "quantum"}); err == nil {
-		t.Fatal("unknown engine should error")
-	}
-}
-
 func TestScaleEpsilonForPopulation(t *testing.T) {
 	eps, err := ScaleEpsilonForPopulation(2, 1000000, 500)
 	if err != nil || eps != 4000 {

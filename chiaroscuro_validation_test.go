@@ -1,6 +1,7 @@
 package chiaroscuro_test
 
 import (
+	"math"
 	"testing"
 
 	"chiaroscuro"
@@ -26,7 +27,12 @@ func TestConfigValidationErrors(t *testing.T) {
 		{
 			name: "unknown engine",
 			cfg:  chiaroscuro.Config{K: 3, Epsilon: 1, Engine: "warp"},
-			want: `chiaroscuro: unknown engine "warp" (want cycles, sharded or async)`,
+			want: `chiaroscuro: unknown engine "warp" (want cycles or sharded)`,
+		},
+		{
+			name: "async engine",
+			cfg:  chiaroscuro.Config{K: 3, Epsilon: 1, Engine: "async"},
+			want: `chiaroscuro: unknown engine "async" (want cycles or sharded)`,
 		},
 		{
 			name: "malformed faults clause",
@@ -71,16 +77,6 @@ func TestConfigValidationErrors(t *testing.T) {
 			want: "chiaroscuro: Config.Workers must be non-negative, got -2",
 		},
 		{
-			name: "churn on the async engine",
-			cfg:  chiaroscuro.Config{K: 3, Epsilon: 1, Engine: "async", ChurnCrashProb: 0.1},
-			want: "chiaroscuro: churn (Config.ChurnCrashProb/ChurnRejoinProb) is not supported by the async engine — use the cycles or sharded engine, or model failures with Config.Faults",
-		},
-		{
-			name: "rejoin-only churn on the async engine",
-			cfg:  chiaroscuro.Config{K: 3, Epsilon: 1, Engine: "async", ChurnRejoinProb: 0.3},
-			want: "chiaroscuro: churn (Config.ChurnCrashProb/ChurnRejoinProb) is not supported by the async engine — use the cycles or sharded engine, or model failures with Config.Faults",
-		},
-		{
 			name: "unknown strategy",
 			cfg:  chiaroscuro.Config{K: 3, Epsilon: 1, Strategy: "nope"},
 			want: `dp: unknown budget strategy "nope"`,
@@ -89,6 +85,26 @@ func TestConfigValidationErrors(t *testing.T) {
 			name: "unknown smoothing method",
 			cfg:  chiaroscuro.Config{K: 3, Epsilon: 1, Smoothing: chiaroscuro.Smoothing{Method: "box"}},
 			want: `chiaroscuro: unknown smoothing method "box"`,
+		},
+		{
+			name: "exponential smoothing alpha above 1",
+			cfg:  chiaroscuro.Config{K: 3, Epsilon: 1, Smoothing: chiaroscuro.Smoothing{Method: "exponential", Alpha: 1.5}},
+			want: "core: exponential smoothing alpha 1.5 outside (0, 1]",
+		},
+		{
+			name: "negative exponential smoothing alpha",
+			cfg:  chiaroscuro.Config{K: 3, Epsilon: 1, Smoothing: chiaroscuro.Smoothing{Method: "exponential", Alpha: -0.5}},
+			want: "core: exponential smoothing alpha -0.5 outside (0, 1]",
+		},
+		{
+			name: "NaN exponential smoothing alpha",
+			cfg:  chiaroscuro.Config{K: 3, Epsilon: 1, Smoothing: chiaroscuro.Smoothing{Method: "exponential", Alpha: math.NaN()}},
+			want: "core: exponential smoothing alpha NaN outside (0, 1]",
+		},
+		{
+			name: "negative moving-average window",
+			cfg:  chiaroscuro.Config{K: 3, Epsilon: 1, Smoothing: chiaroscuro.Smoothing{Method: "moving-average", Window: -3}},
+			want: "core: moving-average smoothing window -3 < 1",
 		},
 		{
 			name: "unknown backend",
@@ -190,12 +206,12 @@ func TestStreamConfigValidationErrors(t *testing.T) {
 		{
 			name: "async engine",
 			cfg:  chiaroscuro.Config{K: 3, LifetimeEpsilon: 8, Engine: "async"},
-			want: `chiaroscuro: streaming requires a deterministic engine — use "cycles" or "sharded"`,
+			want: `chiaroscuro: unknown engine "async" (want cycles or sharded)`,
 		},
 		{
 			name: "unknown engine",
 			cfg:  chiaroscuro.Config{K: 3, LifetimeEpsilon: 8, Engine: "warp"},
-			want: `chiaroscuro: unknown engine "warp" (want cycles, sharded or async)`,
+			want: `chiaroscuro: unknown engine "warp" (want cycles or sharded)`,
 		},
 		{
 			name: "faults on stream",
@@ -206,6 +222,26 @@ func TestStreamConfigValidationErrors(t *testing.T) {
 			name: "churn on stream",
 			cfg:  chiaroscuro.Config{K: 3, LifetimeEpsilon: 8, ChurnCrashProb: 0.1},
 			want: "chiaroscuro: churn is not supported in streaming sessions yet",
+		},
+		{
+			name: "exponential smoothing alpha above 1",
+			cfg:  chiaroscuro.Config{K: 3, LifetimeEpsilon: 8, Smoothing: chiaroscuro.Smoothing{Method: "exponential", Alpha: 1.5}},
+			want: "core: exponential smoothing alpha 1.5 outside (0, 1]",
+		},
+		{
+			name: "negative exponential smoothing alpha",
+			cfg:  chiaroscuro.Config{K: 3, LifetimeEpsilon: 8, Smoothing: chiaroscuro.Smoothing{Method: "exponential", Alpha: -0.5}},
+			want: "core: exponential smoothing alpha -0.5 outside (0, 1]",
+		},
+		{
+			name: "NaN exponential smoothing alpha",
+			cfg:  chiaroscuro.Config{K: 3, LifetimeEpsilon: 8, Smoothing: chiaroscuro.Smoothing{Method: "exponential", Alpha: math.NaN()}},
+			want: "core: exponential smoothing alpha NaN outside (0, 1]",
+		},
+		{
+			name: "negative moving-average window",
+			cfg:  chiaroscuro.Config{K: 3, LifetimeEpsilon: 8, Smoothing: chiaroscuro.Smoothing{Method: "moving-average", Window: -3}},
+			want: "core: moving-average smoothing window -3 < 1",
 		},
 		{
 			name: "missing K",
@@ -227,8 +263,8 @@ func TestStreamConfigValidationErrors(t *testing.T) {
 	}
 }
 
-// TestChurnStillSupportedOnCycleEngines guards the flip side of the
-// async-churn rejection: the cycle-driven engines keep accepting churn.
+// TestChurnStillSupportedOnCycleEngines guards the one-shot churn path:
+// both engines accept churn (streaming sessions refuse it, above).
 func TestChurnStillSupportedOnCycleEngines(t *testing.T) {
 	series, _, _, err := chiaroscuro.SyntheticCERErr(30, 6, 2)
 	if err != nil {

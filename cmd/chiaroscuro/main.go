@@ -45,7 +45,7 @@ func main() {
 		strategy  = flag.String("strategy", "uniform", "budget strategy: uniform | geo-increasing | geo-decreasing | final-boost")
 		smoothing = flag.String("smoothing", "moving-average", "perturbed-mean smoothing: none | moving-average | exponential")
 		backend   = flag.String("backend", "accounted", "cipher backend: accounted | damgard-jurik")
-		engine    = flag.String("engine", "cycles", "execution engine: cycles | sharded | async (sharded is bit-identical to cycles, parallelized)")
+		engine    = flag.String("engine", "cycles", "execution engine: cycles | sharded (sharded is bit-identical to cycles, parallelized)")
 		workers   = flag.Int("workers", 0, "shard workers for -engine sharded (0 = GOMAXPROCS)")
 		packed    = flag.Bool("packed", false, "pack multiple coordinates per ciphertext on the encrypted side (slot packing)")
 		modulus   = flag.Int("modulus", 0, "key size in bits (0 = default)")

@@ -3,9 +3,7 @@ package core
 import (
 	"testing"
 
-	"chiaroscuro/internal/compactrng"
 	"chiaroscuro/internal/datasets"
-	"chiaroscuro/internal/p2p"
 )
 
 // allocTestParams is a configuration whose first iteration holds every
@@ -165,77 +163,6 @@ func TestMeasureGossipAllocs(t *testing.T) {
 	}
 }
 
-// TestAsyncInboxZeroAlloc proves the async message fabric itself is
-// allocation-free once warm: sends land in the fixed ring, drains reuse
-// the env's pre-sized buffer, and no channel element churn remains. The
-// proof deliberately scopes to the fabric (send + drain), not whole
-// async participant activations — async emissions take fresh storage by
-// design, so its steps allocate.
-func TestAsyncInboxZeroAlloc(t *testing.T) {
-	const n, capEach = 8, 64
-	net := &asyncNet{inboxes: make([]*asyncInbox, n)}
-	for i := range net.inboxes {
-		net.inboxes[i] = newAsyncInbox(capEach)
-	}
-	envs := make([]*asyncEnv, n)
-	for i := range envs {
-		envs[i] = &asyncEnv{
-			net:   net,
-			id:    p2p.NodeID(i),
-			rng:   compactrng.NewRand(int64(i) + 5),
-			drain: make([]p2p.Message, 0, capEach),
-		}
-	}
-	payload := &gossipPayload{} // pointer payload: interface boxing is free
-	cycle := func() {
-		for _, e := range envs {
-			for k := 0; k < 4; k++ {
-				peer, ok := e.RandomPeer()
-				if !ok {
-					t.Fatal("no peer")
-				}
-				if err := e.Send(peer, payload, 16); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for _, e := range envs {
-			for range e.Inbox() {
-			}
-		}
-	}
-	for i := 0; i < 8; i++ {
-		cycle()
-	}
-	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-		t.Fatalf("warmed async send+drain cycle allocates %.2f heap objects (fabric-wide, n=%d), want 0", allocs, n)
-	}
-	if net.dropped.Load() != 0 {
-		t.Fatalf("ring overflow during measurement: %d drops", net.dropped.Load())
-	}
-}
-
-// TestAsyncInboxOverflow pins the saturated-peer semantics: a full ring
-// rejects the push and the sender counts the drop, exactly like the
-// buffered channel it replaced.
-func TestAsyncInboxOverflow(t *testing.T) {
-	ib := newAsyncInbox(2)
-	m := p2p.Message{Bytes: 1}
-	if !ib.push(m) || !ib.push(m) {
-		t.Fatal("pushes under capacity must succeed")
-	}
-	if ib.push(m) {
-		t.Fatal("push into a full ring must fail")
-	}
-	got := ib.drainInto(nil)
-	if len(got) != 2 {
-		t.Fatalf("drained %d messages, want 2", len(got))
-	}
-	if !ib.push(m) {
-		t.Fatal("push after drain must succeed (ring wrapped)")
-	}
-}
-
 // TestMeasureDecryptAllocs exercises the decrypt-phase counterpart of
 // the measurement helper: a complete small run must classify at least
 // one cycle as decrypt-dominant and report a finite per-cycle average,
@@ -293,11 +220,10 @@ func TestMeasureDecryptAllocs(t *testing.T) {
 }
 
 // TestHotPathGateMatrix pins the one storage decision the gossip path
-// makes — parity buffers only on a cycle-driven engine without a fault
-// plan, fresh storage on the async engine and under any fault plan — and
-// the operation invariants every configuration keeps on both backends:
-// every halving is the exponent's, paid as one refresh per emitted
-// cipher, and — on the bulk-synchronous configurations — doublings
+// makes — parity buffers without a fault plan, fresh storage under any
+// fault plan — and the operation invariants every configuration keeps on
+// both backends: every halving is the exponent's, paid as one refresh
+// per emitted cipher, and — on the fault-free configurations — doublings
 // happen exactly when churn skews the exponents.
 func TestHotPathGateMatrix(t *testing.T) {
 	data := allocTestData(t, 16)
@@ -315,7 +241,6 @@ func TestHotPathGateMatrix(t *testing.T) {
 		{"plain fault-free", func(*Params) {}, true},
 		{"plain with churn", churn, true},
 		{"plain fault plan", func(p *Params) { p.Faults = mustPlan(t, "drop=0.1") }, false},
-		{"plain async", func(p *Params) { p.asyncEngine = true }, false},
 		{"dj fault-free", dj, true},
 		{"dj with churn", func(p *Params) { dj(p); churn(p) }, true},
 		{"dj fault plan", func(p *Params) { dj(p); p.Faults = mustPlan(t, "drop=0.1") }, false},
@@ -330,12 +255,7 @@ func TestHotPathGateMatrix(t *testing.T) {
 			t.Errorf("%s: parity emission buffers = %v, want %v", tc.name, got, tc.parity)
 		}
 		rs.close()
-		var tr *Trace
-		if p.asyncEngine {
-			tr, err = RunAsync(data, p)
-		} else {
-			tr, err = Run(data, p)
-		}
+		tr, err := Run(data, p)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -343,7 +263,7 @@ func TestHotPathGateMatrix(t *testing.T) {
 			t.Errorf("%s: %+v, want every halving the exponent's", tc.name, tr.Ops)
 		}
 		if !tc.parity {
-			continue // unsynchronized rounds and faulted deliveries skew exponents too
+			continue // faulted deliveries skew exponents too
 		}
 		if churned := p.ChurnCrashProb > 0; churned != (tr.Ops.Doublings > 0) {
 			t.Errorf("%s: %d doublings, want them exactly when churn skews the exponents", tc.name, tr.Ops.Doublings)

@@ -17,14 +17,15 @@ import (
 //   - RunSharded — the same cycle-driven simulation executed by P shard
 //     workers per cycle with a deterministic reduction
 //     (bit-identical to Run at any worker count; see
-//     sharded.go and the internal/p2p determinism contract);
-//   - RunAsync   — one goroutine per participant, channel messaging, no
-//     global synchronization (the paper's deployment model;
-//     not deterministic).
+//     sharded.go and the internal/p2p determinism contract).
 //
-// cycleDriver is the shared harness for the two cycle-driven schedulers:
-// it owns the simulated network, steps it until every alive participant
-// has terminated, and assembles the trace.
+// The real deployment, one process per participant over TCP, is the
+// networked daemon (internal/transport): it steps one Node per process
+// against its own Env and discloses the same trajectory.
+//
+// cycleDriver is the shared harness for both schedulers: it owns the
+// simulated network, steps it until every alive participant has
+// terminated, and assembles the trace.
 type cycleDriver struct {
 	rs           *runSetup
 	data         [][]float64
@@ -72,10 +73,9 @@ func newCycleDriver(data [][]float64, rs *runSetup, workers, queueHint int) (*cy
 const faultSeedOffset = 2
 
 // bindFaults binds the run's fault plan for a population of n,
-// returning the message-path and lifecycle hooks (shared by the
-// cycle-driven drivers and RunAsync). Hooks stay nil — and the hot
-// paths untouched — for the fault classes the plan does not use; an
-// empty plan binds nothing at all.
+// returning the message-path and lifecycle hooks of the cycle-driven
+// network. Hooks stay nil — and the hot paths untouched — for the fault
+// classes the plan does not use; an empty plan binds nothing at all.
 func bindFaults(p Params, n int) (p2p.Conditioner, p2p.FaultScheduler, error) {
 	if p.Faults.Empty() {
 		return nil, nil, nil
@@ -95,14 +95,6 @@ func bindFaults(p Params, n int) (p2p.Conditioner, p2p.FaultScheduler, error) {
 	return cond, sched, nil
 }
 
-// maxCycles bounds the simulation: the protocol schedule length per
-// iteration (assignment + gossip rounds + decryption window) with a 2x
-// slack for churn-induced retries, plus a fixed tail.
-func (d *cycleDriver) maxCycles() int {
-	p := d.rs.p
-	return 2*p.Iterations*(3+p.GossipRounds+p.DecryptWindow) + 100
-}
-
 // PhaseProfile is the per-phase breakdown of a cycle-driven run's wall
 // clock: each cycle is classified by the dominant phase of the alive,
 // unterminated participants before it runs, then its elapsed time lands
@@ -120,7 +112,7 @@ type PhaseProfile struct {
 // run steps the network cycle by cycle until every alive participant has
 // terminated (or the cycle bound is hit), then builds the trace.
 func (d *cycleDriver) run() (*Trace, error) {
-	limit := d.maxCycles()
+	limit := d.rs.p.maxCycles()
 	var prof PhaseProfile
 	for cycle := 0; cycle < limit; cycle++ {
 		ph := d.dominantPhase()
@@ -175,8 +167,8 @@ func (d *cycleDriver) dominantPhase() phase {
 }
 
 // allAliveDone reports whether every alive participant has terminated.
-// A direct loop (no ForEachAlive closure) keeps the per-cycle
-// termination check allocation-free.
+// A direct loop (no closure) keeps the per-cycle termination check
+// allocation-free.
 func (d *cycleDriver) allAliveDone() bool {
 	for i := range d.participants {
 		if d.nw.Alive(p2p.NodeID(i)) && d.participants[i].phase != phaseDone {

@@ -268,26 +268,6 @@ func TestByzantinePackedSurvives(t *testing.T) {
 	}
 }
 
-// TestAsyncEngineAcceptsFaultPlan: the asynchronous engine applies link
-// faults, laggards/outages (against per-participant activation clocks)
-// and byzantine behaviours without panicking or deadlocking.
-func TestAsyncEngineAcceptsFaultPlan(t *testing.T) {
-	data := blobs(24, 3, 2)
-	p := Params{
-		K: 2, Epsilon: 100, Iterations: 2, Seed: 3,
-		GossipRounds: 8,
-		Faults:       mustPlan(t, "drop=0.1;dup=0.05;lag@4+6=1;outage@6+10=2:reset;garble=5;malform=6"),
-	}
-	tr, err := RunAsync(data, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTraceInvariants(t, tr, p, len(data), "async-faults")
-	if tr.NetStats.FaultDrops == 0 {
-		t.Fatal("async link faults never fired")
-	}
-}
-
 // TestFaultPlanValidationSurfaces: an out-of-population fault plan must
 // be rejected at validation, not at runtime.
 func TestFaultPlanValidationSurfaces(t *testing.T) {

@@ -91,10 +91,7 @@ func (nd *Node) History() []IterationResult { return nd.pt.history }
 // MaxCycles returns the engine's cycle bound for this configuration:
 // the networked run uses the same bound as the simulation, so a wedged
 // mesh terminates instead of spinning.
-func (nd *Node) MaxCycles() int {
-	p := nd.rs.p
-	return 2*p.Iterations*(3+p.GossipRounds+p.DecryptWindow) + 100
-}
+func (nd *Node) MaxCycles() int { return nd.rs.p.maxCycles() }
 
 // SamplingSeed returns the seed the peer sampler must use: the
 // simulation engine seeds its network at Params.Seed+1, so the

@@ -90,37 +90,6 @@ func TestPackedPlainBitIdenticalWithInertia(t *testing.T) {
 	assertDisclosuresIdentical(t, seq, seqPacked, "inertia packed-vs-unpacked")
 }
 
-// TestPackedAsyncEngine runs the packed decode path under the
-// asynchronous engine. Goroutine scheduling makes async runs
-// non-deterministic run to run, so unlike the cycle engines there is no
-// bit-level cross-run comparison to make; the contract here is that the
-// packed slot decode survives the async engine's drifting halving counts
-// (larger pre-scale budget, weight-dependent bias removal) without a
-// single decode failure and still finds the cluster structure.
-func TestPackedAsyncEngine(t *testing.T) {
-	data := blobs(60, 3, 2)
-	// Blob levels are 0.1 and 0.5; seed the centroids near them so the
-	// quality expectation below is about the decode path, not about a
-	// random init landing badly.
-	init := [][]float64{{0.12, 0.12, 0.12}, {0.48, 0.48, 0.48}}
-	tr, err := RunAsync(data, Params{
-		K: 2, Epsilon: 1000, Iterations: 3, Seed: 11,
-		GossipRounds: 12, Packed: true, InitialCentroids: init,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Iterations) == 0 {
-		t.Fatal("no iterations completed")
-	}
-	if tr.DecryptFailures > 0 {
-		t.Fatalf("%d decode failures under packed async run", tr.DecryptFailures)
-	}
-	if tr.Inertia > 2 {
-		t.Fatalf("packed async run lost the cluster structure: inertia %v", tr.Inertia)
-	}
-}
-
 // TestPackedDamgardJurikOpReduction is the acceptance gate of ISSUE 3:
 // on the real Damgård–Jurik backend at a 512-bit key, packing must
 // perform at least 5× fewer Encrypt, Refresh (one per cipher per gossip

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"time"
 
 	"chiaroscuro/internal/dp"
 	"chiaroscuro/internal/fixedpoint"
@@ -113,9 +112,9 @@ type Params struct {
 	// Seed drives every random choice (simulation, noise, init).
 	Seed int64
 
-	// Workers is the shard-worker count of RunSharded (ignored by Run
-	// and RunAsync). 0 defaults to GOMAXPROCS. Any value produces
-	// bit-identical results; Workers only trades wall-clock for cores.
+	// Workers is the shard-worker count of RunSharded (ignored by Run).
+	// 0 defaults to GOMAXPROCS. Any value produces bit-identical
+	// results; Workers only trades wall-clock for cores.
 	// The effective count is capped at the population size and at
 	// max(64, 4·GOMAXPROCS) (see internal/p2p).
 	Workers int
@@ -135,11 +134,6 @@ type Params struct {
 	// [0, MaxValue]. Default 1. The DP sensitivity derives from it.
 	MaxValue float64
 
-	// AsyncInterval is the period between a participant's activations in
-	// RunAsync (the paper's "periodical point-to-point exchanges").
-	// Default 200µs of simulated device cadence; ignored by Run.
-	AsyncInterval time.Duration
-
 	// Churn configures per-cycle crash/rejoin probabilities (see
 	// internal/p2p).
 	ChurnCrashProb  float64
@@ -154,13 +148,11 @@ type Params struct {
 	// internal/simnet): per-link drop/duplicate/delay probabilities plus
 	// scheduled participant faults — crash-stop, crash-recovery with
 	// optional state loss, laggards, and byzantine senders (garbled,
-	// malformed or replayed ciphertexts, skewed noise shares). All three
-	// engines accept it; the cycle-driven engines replay the identical
-	// fault trajectory for the same (Seed, Faults) pair at any worker
-	// count, while RunAsync applies link and lifecycle faults against
-	// its own per-participant activation clocks (byzantine behaviours
-	// are engine-independent). A byzantine plan additionally enables
-	// wire validation of incoming gossip messages. Nil injects nothing.
+	// malformed or replayed ciphertexts, skewed noise shares). Both
+	// engines replay the identical fault trajectory for the same (Seed,
+	// Faults) pair at any worker count. A byzantine plan additionally
+	// enables wire validation of incoming gossip messages. Nil injects
+	// nothing.
 	Faults *simnet.Plan
 
 	// DKG replaces the Damgård–Jurik backend's trusted dealer with the
@@ -181,12 +173,6 @@ type Params struct {
 	// share. Requires BackendDamgardJurik; Parties/Threshold must match
 	// the run's population and DecryptThreshold.
 	DJMaterial *DJKeyMaterial
-
-	// asyncEngine is set internally by RunAsync: the asynchronous engine
-	// cannot bound a contribution's halving count by the round budget
-	// (peers drift), so it gets a much larger pre-scaling allowance plus
-	// decode-time overflow detection.
-	asyncEngine bool
 }
 
 // withDefaults returns a copy with defaults applied for a population of n
@@ -321,6 +307,19 @@ func (p Params) validate(n, dim int) error {
 	if p.InertiaStopThreshold > 0 && !p.TrackInertia {
 		return errors.New("core: InertiaStopThreshold requires TrackInertia")
 	}
+	switch sm := p.Smoothing; sm.Method {
+	case SmoothingNone:
+	case SmoothingMovingAverage:
+		if sm.Window < 1 {
+			return fmt.Errorf("core: moving-average smoothing window %d < 1", sm.Window)
+		}
+	case SmoothingExponential:
+		if !(sm.Alpha > 0 && sm.Alpha <= 1) { // refuses NaN too
+			return fmt.Errorf("core: exponential smoothing alpha %v outside (0, 1]", sm.Alpha)
+		}
+	default:
+		return fmt.Errorf("core: unknown smoothing method %d", sm.Method)
+	}
 	return nil
 }
 
@@ -328,15 +327,19 @@ func (p Params) validate(n, dim int) error {
 // for: a push-sum share (c, h) decodes as Dec(c)·2^(T-h), an integer —
 // and exactly the rational intended — as long as no contribution it
 // holds was halved more than T times (see internal/gossip). checkHeadroom
-// and packedLayout reserve T bits of every plaintext (and slot) for it.
-// The asynchronous engine cannot bound a contribution's halving count by
-// the round budget (peers drift), so it gets a much larger allowance;
-// either way decodeAll refuses a share whose exponent overran it.
+// and packedLayout reserve T bits of every plaintext (and slot) for it,
+// and decodeAll refuses a share whose exponent overran it.
 func (p Params) preScaleBits() uint {
-	if p.asyncEngine {
-		return uint(4*p.GossipRounds + 16)
-	}
 	return uint(p.GossipRounds + 2)
+}
+
+// maxCycles bounds a run's schedule: the protocol schedule length per
+// iteration (assignment + gossip rounds + decryption window) with a 2x
+// slack for churn-induced retries, plus a fixed tail. The simulation
+// engines and the networked daemon (Node.MaxCycles) share it, so a
+// wedged mesh terminates where the simulation would.
+func (p Params) maxCycles() int {
+	return 2*p.Iterations*(3+p.GossipRounds+p.DecryptWindow) + 100
 }
 
 // noiseEnvelope derives the per-coordinate magnitude bounds of a

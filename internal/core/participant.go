@@ -87,13 +87,12 @@ type IterationResult struct {
 }
 
 // Env is the execution environment a participant interacts with during
-// one activation. Three implementations ship: the cycle-driven
+// one activation. Two implementations ship: the cycle-driven
 // simulator's p2p.Context (Peersim semantics, deterministic; Run and
-// RunSharded), the asynchronous goroutine runtime's asyncEnv (async.go —
-// real concurrency, no global synchronization, as the paper's deployment
-// model) and the networked daemon's epochEnv (internal/transport, which
-// encodes every payload onto a supervised TCP link). The benchmark's
-// node driver and the snapshot tests bring their own.
+// RunSharded) and the networked daemon's epochEnv (internal/transport,
+// which encodes every payload onto a supervised TCP link and discloses
+// the same trajectory). The benchmark's node driver and the snapshot
+// tests bring their own.
 type Env interface {
 	ID() p2p.NodeID
 	Cycle() int
@@ -1143,7 +1142,7 @@ func smooth(c []float64, spec SmoothingSpec) []float64 {
 	case SmoothingExponential:
 		out, err := timeseries.ExponentialSmoothing(c, spec.Alpha)
 		if err != nil {
-			return c
+			panic(err) // Params.validate bounds Alpha to (0, 1]
 		}
 		return out
 	default:

@@ -20,17 +20,16 @@ import (
 // fused encrypted-vector length: each in-flight activation consumes up to
 // vectorLen randomizers (one rerandomization per emitted ciphertext), and
 // up to the effective worker count of activations run concurrently in
-// the sharded engine (the sequential and async engines are bounded by
-// GOMAXPROCS). The requested Workers is clamped by the same rule the
-// p2p scheduler applies — population size and max(64, 4·GOMAXPROCS) —
-// so an oversized Workers request cannot balloon the pool past the true
-// concurrency. Doubled so the background refill has a cycle of slack.
+// the sharded engine (GOMAXPROCS when Workers is unset). The requested
+// Workers is clamped by the same rule the p2p scheduler applies —
+// population size and max(64, 4·GOMAXPROCS) — so an oversized Workers
+// request cannot balloon the pool past the true concurrency. Doubled so the background refill has a cycle of slack.
 // Even the sequential engine warrants the full buffer: all n
 // participants share the suite, so the single-threaded consumer drains
 // vectorLen randomizers per activation while the filler pipelines ahead.
 func poolBurst(p Params, population, vectorLen int) int {
 	workers := p.Workers
-	if workers <= 0 || p.asyncEngine {
+	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	lim := 4 * runtime.GOMAXPROCS(0)
@@ -99,9 +98,7 @@ type Trace struct {
 	// response bytes — the figure the outstanding-request window shrinks.
 	DecryptRequests int
 	DecryptBytes    int64
-	// Phases breaks the cycle-driven engines' wall clock down by
-	// protocol phase (zero for RunAsync, which has no global cycles to
-	// classify).
+	// Phases breaks the engines' wall clock down by protocol phase.
 	Phases PhaseProfile
 	// Completed counts participants that finished their full iteration
 	// schedule — the quorum-liveness measure of the fault experiments
@@ -109,9 +106,9 @@ type Trace struct {
 	Completed int
 }
 
-// runSetup bundles everything prepareRun validates and constructs; both
-// execution engines (the cycle-driven Run and the goroutine-based
-// RunAsync) start from it.
+// runSetup bundles everything prepareRun validates and constructs; the
+// cycle-driven engines, streaming sessions and networked Nodes all start
+// from it.
 type runSetup struct {
 	p          Params
 	epsSched   []float64
@@ -175,8 +172,7 @@ func (rs *runSetup) newParticipant(id p2p.NodeID) *participant {
 // series (one per participant, all in [0, MaxValue]^dim) on the simulated
 // network, sequentially, and returns the trace. Everything is
 // deterministic given Params.Seed. RunSharded executes the identical
-// simulation across shard workers and produces a bit-identical trace;
-// RunAsync trades determinism for real unsynchronized concurrency.
+// simulation across shard workers and produces a bit-identical trace.
 func Run(data [][]float64, params Params) (*Trace, error) {
 	_, tr, err := runCycles(data, params, 1)
 	return tr, err
@@ -294,24 +290,10 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 		}
 	}
 
-	// Cipher suite. The Damgård–Jurik backend takes its key from (in
-	// precedence order) pre-computed ceremony material (networked
-	// daemons), an in-process key ceremony (Params.DKG), or the trusted
-	// dealer — kept as the oracle the ceremony paths are tested against.
 	suite := reuseSuite
 	ownsSuite := suite == nil
 	if suite == nil {
-		switch {
-		case p.Backend == BackendDamgardJurik && p.DJMaterial != nil:
-			suite, err = NewDamgardJurikSuiteFromMaterial(p.DJMaterial)
-		case p.Backend == BackendDamgardJurik && p.DKG:
-			suite, err = NewDamgardJurikDKGSuite(p.ModulusBits, p.Degree, n, p.DecryptThreshold, p.Seed, p.Faults)
-		case p.Backend == BackendDamgardJurik:
-			suite, err = NewDamgardJurikSuite(p.ModulusBits, p.Degree, n, p.DecryptThreshold)
-		default:
-			suite, err = NewPlainSuite(p.ModulusBits, p.Degree, n, p.DecryptThreshold)
-		}
-		if err != nil {
+		if suite, err = buildSuite(p, n); err != nil {
 			return nil, err
 		}
 	}
@@ -368,13 +350,6 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 	// by the largest coordinate bound plus noise, with slack. Anything
 	// beyond signals a broken gossip invariant and fails the decode.
 	decodeBound := 4 * (coordBound + noiseBound)
-	// Where emissions are stored (see participant.emit): a cycle-driven
-	// engine without a fault plan consumes every message by the end of
-	// the cycle after it was sent (no delayed queues, laggard stalls or
-	// replaying byzantines; churn is fine — crashes clear queues), so two
-	// cycle-parity buffers per participant suffice. The async engine's
-	// channels and a fault plan may hold a message arbitrarily long.
-	parityEmits := !p.asyncEngine && p.Faults.Empty()
 	shared := &runShared{
 		params:        p,
 		dim:           dim,
@@ -397,8 +372,14 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 		// every absorbed message's weight and ciphertexts are checked before
 		// they can touch the push-sum state. The honest-run hot path stays
 		// validation-free (trajectory and cost unchanged).
-		validate:    p.Faults.HasByzantine(),
-		parityEmits: parityEmits,
+		validate: p.Faults.HasByzantine(),
+		// Where emissions are stored (see participant.emit): without a
+		// fault plan every message is consumed by the end of the cycle
+		// after it was sent (no delayed queues, laggard stalls or
+		// replaying byzantines; churn is fine — crashes clear queues), so
+		// two cycle-parity buffers per participant suffice. A fault plan
+		// may hold a message arbitrarily long.
+		parityEmits: p.Faults.Empty(),
 	}
 	shared.scratch.New = func() any { return shared.newCodecScratch() }
 

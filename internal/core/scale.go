@@ -63,7 +63,7 @@ func MeasureDecryptAllocs(data [][]float64, params Params) (*DecryptAllocReport,
 	var before, after runtime.MemStats
 	var allocs, bytes uint64
 	cycles := 0
-	limit := d.maxCycles()
+	limit := rs.p.maxCycles()
 	for cycle := 0; cycle < limit; cycle++ {
 		decrypt := d.dominantPhase() == phaseDecrypt
 		if decrypt {

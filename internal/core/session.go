@@ -233,8 +233,11 @@ func newRunSession(mat *vecpool.Matrix, sp SessionParams, shared bool) (*RunSess
 	}, nil
 }
 
-// buildSuite constructs the cipher suite for a defaulted Params — the
-// same precedence order as prepareRunOn's fresh-suite path.
+// buildSuite constructs the cipher suite for a defaulted Params. The
+// Damgård–Jurik backend takes its key from (in precedence order)
+// pre-computed ceremony material (networked daemons), an in-process key
+// ceremony (Params.DKG), or the trusted dealer — kept as the oracle the
+// ceremony paths are tested against.
 func buildSuite(p Params, n int) (CipherSuite, error) {
 	switch {
 	case p.Backend == BackendDamgardJurik && p.DJMaterial != nil:
@@ -253,15 +256,6 @@ func (s *RunSession) Window() int { return s.window }
 
 // Ledger returns the session's longitudinal budget ledger.
 func (s *RunSession) Ledger() *dp.Ledger { return s.ledger }
-
-// LastCentroids returns the most recent disclosed centroids (nil before
-// the first window), as a deep copy.
-func (s *RunSession) LastCentroids() [][]float64 {
-	if s.prev == nil {
-		return nil
-	}
-	return deepCopyMatrix(s.prev)
-}
 
 // SetSpend switches the spend strategy mid-stream (tightening the
 // budget discipline of a long-lived session is an operational need, not

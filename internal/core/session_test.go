@@ -459,6 +459,12 @@ func TestSessionValidationErrors(t *testing.T) {
 			sp:   SessionParams{Base: base, LifetimeEpsilon: 10, Engine: SessionEngine(9)},
 			want: "core: unknown session engine 9",
 		},
+		{
+			name: "unknown smoothing method",
+			sp: SessionParams{Base: func() Params { p := base; p.Smoothing.Method = SmoothingMethod(7); return p }(),
+				LifetimeEpsilon: 10},
+			want: "core: unknown smoothing method 7",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

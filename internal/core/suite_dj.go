@@ -31,7 +31,7 @@ import (
 // of it is shared safely by the sharded engine's parallel workers;
 // per-worker scratch state lives in sync.Pools inside the crypto
 // package, keeping workers contention-free. Close releases the pool's
-// background refill (Run/RunSharded/RunAsync call it on completion).
+// background refill (Run/RunSharded call it on completion).
 type djSuite struct {
 	tk      *damgardjurik.ThresholdKey
 	shares  []damgardjurik.KeyShare
@@ -62,16 +62,6 @@ const djPoolCapacityMax = 8192
 // threshold.
 func NewDamgardJurikSuite(modulusBits, degree, parties, threshold int) (CipherSuite, error) {
 	tk, shares, err := damgardjurik.FixtureThresholdKey(modulusBits, degree, parties, threshold)
-	if err != nil {
-		return nil, err
-	}
-	return newDJSuite(tk, shares)
-}
-
-// NewDamgardJurikSuiteFreshKey is NewDamgardJurikSuite with a freshly
-// generated (non-fixture) safe-prime modulus; slow at large bit sizes.
-func NewDamgardJurikSuiteFreshKey(modulusBits, degree, parties, threshold int) (CipherSuite, error) {
-	tk, shares, err := damgardjurik.GenerateThresholdKey(nil, modulusBits, degree, parties, threshold)
 	if err != nil {
 		return nil, err
 	}

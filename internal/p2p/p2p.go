@@ -382,21 +382,6 @@ func (nw *Network) Alive(id NodeID) bool {
 // AliveCount returns the number of alive nodes.
 func (nw *Network) AliveCount() int { return nw.alive }
 
-// Protocol exposes a node's protocol instance for inspection by
-// harnesses. It panics on an out-of-range id (programmer error).
-func (nw *Network) Protocol(id NodeID) Protocol {
-	return nw.nodes[id].proto
-}
-
-// ForEachAlive invokes f for every alive node.
-func (nw *Network) ForEachAlive(f func(NodeID, Protocol)) {
-	for i := range nw.nodes {
-		if nw.nodes[i].alive {
-			f(NodeID(i), nw.nodes[i].proto)
-		}
-	}
-}
-
 // RunCycle advances the simulation by one cycle: delivers the previous
 // cycle's messages, applies churn, then activates each alive node once in
 // ascending id order — sequentially, or across shard workers when the

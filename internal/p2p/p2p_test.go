@@ -63,6 +63,12 @@ func TestEveryAliveNodeActivatedOncePerCycle(t *testing.T) {
 	if nw.Cycle() != 5 {
 		t.Fatalf("cycle = %d", nw.Cycle())
 	}
+	if nw.Size() != 10 {
+		t.Fatalf("size = %d", nw.Size())
+	}
+	if !nw.Alive(0) || nw.Alive(-1) || nw.Alive(99) {
+		t.Fatal("Alive bounds checks failed")
+	}
 }
 
 func TestMessagesDeliveredNextCycle(t *testing.T) {
@@ -302,25 +308,5 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("same seed, different stats: %+v vs %+v", a, b)
-	}
-}
-
-func TestForEachAliveAndProtocolAccess(t *testing.T) {
-	nw, protos := newEchoNet(t, 5, Options{Seed: 14})
-	count := 0
-	nw.ForEachAlive(func(id NodeID, p Protocol) {
-		if p != protos[id] {
-			t.Fatalf("protocol mismatch for %d", id)
-		}
-		count++
-	})
-	if count != 5 {
-		t.Fatalf("visited %d nodes", count)
-	}
-	if nw.Size() != 5 {
-		t.Fatalf("size = %d", nw.Size())
-	}
-	if !nw.Alive(0) || nw.Alive(-1) || nw.Alive(99) {
-		t.Fatal("Alive bounds checks failed")
 	}
 }

@@ -126,10 +126,8 @@ func (cfg Config) streamParams() (core.SessionParams, error) {
 		engine = core.SessionSequential
 	case "sharded":
 		engine = core.SessionSharded
-	case "async":
-		return sp, errors.New("chiaroscuro: streaming requires a deterministic engine — use \"cycles\" or \"sharded\"")
 	default:
-		return sp, fmt.Errorf("chiaroscuro: unknown engine %q (want cycles, sharded or async)", cfg.Engine)
+		return sp, fmt.Errorf("chiaroscuro: unknown engine %q (want cycles or sharded)", cfg.Engine)
 	}
 	spend, err := dp.SpendStrategyByName(cfg.BudgetStrategy, cfg.DriftThreshold)
 	if err != nil {
