@@ -180,12 +180,15 @@ func TestDJMaterialSparseShares(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	buf, err := full.MarshalCipherVector(ciphers)
+	buf, err := full.AppendCipherVector(nil, ciphers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := full.UnmarshalCipherVector(buf)
+	back, err := full.NewCipherVector(len(ciphers))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.UnmarshalCipherVectorInto(back, buf); err != nil {
 		t.Fatal(err)
 	}
 	parts := make([][]Partial, threshold)
@@ -196,7 +199,7 @@ func TestDJMaterialSparseShares(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		pbuf, err := full.MarshalPartialValues(row)
+		pbuf, err := full.AppendPartialValues(nil, row)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 
 	"chiaroscuro/internal/gossip"
 	"chiaroscuro/internal/wire"
@@ -27,31 +28,22 @@ const (
 	netDecryptResponse byte = 0x03
 )
 
-// MarshalCipherVector implements CipherSuite: accounted ciphers are
-// ring residues, encoded fixed-width against the plaintext modulus.
-func (s *plainSuite) MarshalCipherVector(cs []Cipher) ([]byte, error) {
-	return wire.MarshalResidueVector(s.m, cs)
+// AppendCipherVector implements CipherSuite: accounted ciphers are ring
+// residues, encoded fixed-width against the plaintext modulus.
+func (s *plainSuite) AppendCipherVector(dst []byte, cs []Cipher) ([]byte, error) {
+	return wire.AppendResidueVector(dst, s.m, cs, cipherValue)
 }
 
-// UnmarshalCipherVector implements CipherSuite. Every decoded
-// residue is ring-validated by the wire layer; the returned ciphers are
-// freshly allocated, never aliasing arena scratch.
-func (s *plainSuite) UnmarshalCipherVector(buf []byte) ([]Cipher, error) {
-	return wire.UnmarshalResidueVector(s.m, buf)
+// UnmarshalCipherVectorInto implements CipherSuite. Every decoded
+// residue is ring-validated by the wire layer.
+func (s *plainSuite) UnmarshalCipherVectorInto(dst []Cipher, buf []byte) error {
+	return wire.UnmarshalResidueVectorInto(s.m, dst, buf)
 }
 
-// MarshalPartialValues implements CipherSuite: accounted partials
-// are ring residues too (the shared plaintext under threshold
-// semantics).
-func (s *plainSuite) MarshalPartialValues(ps []Partial) ([]byte, error) {
-	vs := make([]*big.Int, len(ps))
-	for i, p := range ps {
-		if p.Value == nil {
-			return nil, errors.New("core: partial with nil value")
-		}
-		vs[i] = p.Value
-	}
-	return wire.MarshalResidueVector(s.m, vs)
+// AppendPartialValues implements CipherSuite: accounted partials are
+// ring residues too (the shared plaintext under threshold semantics).
+func (s *plainSuite) AppendPartialValues(dst []byte, ps []Partial) ([]byte, error) {
+	return wire.AppendResidueVector(dst, s.m, ps, partialValue)
 }
 
 // UnmarshalPartialValues implements CipherSuite.
@@ -60,11 +52,22 @@ func (s *plainSuite) UnmarshalPartialValues(index int, buf []byte) ([]Partial, e
 	if err != nil {
 		return nil, err
 	}
+	return stampPartials(index, vs), nil
+}
+
+// cipherValue and partialValue are the wire codecs' value accessors for
+// cipher and partial vectors.
+func cipherValue(c Cipher) *big.Int   { return c }
+func partialValue(p Partial) *big.Int { return p.Value }
+
+// stampPartials pairs decoded partial values with their responder's
+// key-share index.
+func stampPartials(index int, vs []*big.Int) []Partial {
 	out := make([]Partial, len(vs))
 	for i, v := range vs {
 		out[i] = Partial{Index: index, Value: v}
 	}
-	return out, nil
+	return out
 }
 
 // appendFloats appends one length-prefixed field of IEEE-754 bit
@@ -79,7 +82,17 @@ func appendFloats(buf []byte, rows [][]float64) []byte {
 	return wire.EndField(buf, mark)
 }
 
-// readFloats reads one floats field of exactly rows×cols coordinates.
+// floatsBytes is appendFloats's encoded size for rows.
+func floatsBytes(rows [][]float64) int {
+	n := 4
+	for _, row := range rows {
+		n += 8 * len(row)
+	}
+	return n
+}
+
+// readFloats reads one floats field of exactly rows×cols coordinates,
+// into rows carved from one backing array.
 func readFloats(fr *wire.FieldReader, rows, cols int) ([][]float64, error) {
 	body, err := fr.Bytes()
 	if err != nil {
@@ -89,8 +102,9 @@ func readFloats(fr *wire.FieldReader, rows, cols int) ([][]float64, error) {
 		return nil, fmt.Errorf("core: centroid field %d bytes, want %d", len(body), 8*rows*cols)
 	}
 	out := make([][]float64, rows)
+	flat := make([]float64, rows*cols)
 	for j := range out {
-		row := make([]float64, cols)
+		row := flat[j*cols : (j+1)*cols : (j+1)*cols]
 		for t := range row {
 			row[t] = math.Float64frombits(binary.BigEndian.Uint64(body))
 			body = body[8:]
@@ -100,16 +114,57 @@ func readFloats(fr *wire.FieldReader, rows, cols int) ([][]float64, error) {
 	return out, nil
 }
 
-// EncodePayload serializes one protocol payload (as passed to
-// Env.Send) for the network transport. It accepts exactly the payload
-// types the participant emits.
+// vectorShape reads the suite's cipher-vector encoding off its own
+// encoder, once per Node: an n-cipher vector (or n partial values, which
+// share it on both suites) encodes to head + n·width bytes. width is the
+// suite's wire width, which on the accounted suite is the ring's, not
+// CipherBytes (that one mimics the real backend for the accounting).
+func vectorShape(s CipherSuite) (head, width int, err error) {
+	one, err := s.NewCipherVector(1)
+	if err != nil {
+		return 0, 0, err
+	}
+	empty, err := s.AppendCipherVector(nil, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	full, err := s.AppendCipherVector(nil, one)
+	if err != nil {
+		return 0, 0, err
+	}
+	return len(empty), len(full) - len(empty), nil
+}
+
+// vectorField is the encoded size of a length-prefixed field holding an
+// n-element cipher or partial-value vector.
+func (nd *Node) vectorField(n int) int { return 4 + nd.vecHead + n*nd.vecWidth }
+
+// EncodePayload serializes one protocol payload (as passed to Env.Send)
+// into a buffer of its own: AppendPayload(nil, payload).
 func (nd *Node) EncodePayload(payload any) ([]byte, error) {
+	return nd.AppendPayload(nil, payload)
+}
+
+// AppendPayload appends the wire encoding of one protocol payload (as
+// passed to Env.Send) to dst. It accepts exactly the payload types the
+// participant emits. dst grows at most once, to the exact encoded size,
+// and every field — the cipher vector included, inside a
+// wire.BeginField/EndField field — is written in place, so a caller
+// that reuses its buffer encodes without allocating. On error dst comes
+// back unextended.
+func (nd *Node) AppendPayload(dst []byte, payload any) ([]byte, error) {
+	s := nd.rs.suite
+	var (
+		buf []byte
+		err error
+	)
 	switch pl := payload.(type) {
 	case *gossipPayload:
 		if pl.Msg == nil {
-			return nil, errors.New("core: gossip payload without message")
+			return dst, errors.New("core: gossip payload without message")
 		}
-		buf := []byte{netGossip}
+		buf = slices.Grow(dst, 1+8+floatsBytes(pl.Centroids)+9+nd.vectorField(len(pl.Msg.V)))
+		buf = append(buf, netGossip)
 		buf = wire.AppendUint32(buf, uint32(pl.Iter))
 		buf = appendFloats(buf, pl.Centroids)
 		// Weight and halving exponent travel as one fixed 9-byte run, no
@@ -118,34 +173,57 @@ func (nd *Node) EncodePayload(payload any) ([]byte, error) {
 		// past the halving budget, which NewNode caps at 255.
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(pl.Msg.W))
 		buf = append(buf, byte(pl.Msg.H))
-		cv, err := nd.rs.suite.MarshalCipherVector(pl.Msg.V)
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendBytes(buf, cv), nil
+		buf, err = appendVectorField(buf, pl.Msg.V, s.AppendCipherVector)
 	case *decryptRequest:
-		buf := []byte{netDecryptRequest}
+		buf = slices.Grow(dst, 1+8+nd.vectorField(len(pl.Ciphers)))
+		buf = append(buf, netDecryptRequest)
 		buf = wire.AppendUint32(buf, uint32(pl.Iter))
-		cv, err := nd.rs.suite.MarshalCipherVector(pl.Ciphers)
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendBytes(buf, cv), nil
+		buf, err = appendVectorField(buf, pl.Ciphers, s.AppendCipherVector)
 	case *decryptResponse:
 		if len(pl.Partials) == 0 {
-			return nil, errors.New("core: empty decrypt response")
+			return dst, errors.New("core: empty decrypt response")
 		}
-		buf := []byte{netDecryptResponse}
+		buf = slices.Grow(dst, 1+8+8+nd.vectorField(len(pl.Partials)))
+		buf = append(buf, netDecryptResponse)
 		buf = wire.AppendUint32(buf, uint32(pl.Iter))
 		buf = wire.AppendUint32(buf, uint32(pl.Partials[0].Index))
-		pv, err := nd.rs.suite.MarshalPartialValues(pl.Partials)
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendBytes(buf, pv), nil
+		buf, err = appendVectorField(buf, pl.Partials, s.AppendPartialValues)
 	default:
-		return nil, fmt.Errorf("core: unencodable payload type %T", payload)
+		return dst, fmt.Errorf("core: unencodable payload type %T", payload)
 	}
+	if err != nil {
+		return buf[:len(dst)], err
+	}
+	return buf, nil
+}
+
+// appendVectorField appends one length-prefixed field holding the
+// vector es, which enc (a suite's append codec) writes in place.
+func appendVectorField[E any](buf []byte, es []E, enc func([]byte, []E) ([]byte, error)) ([]byte, error) {
+	buf, mark := wire.BeginField(buf)
+	buf, err := enc(buf, es)
+	return wire.EndField(buf, mark), err
+}
+
+// gossipSlab lends DecodePayload the storage for one gossip vector:
+// a recycled slab when one is free, a new one while fewer than
+// population−1 exist — a fault-free peer emits at most one gossip per
+// epoch, so that is the largest in-degree a step can see — and beyond
+// that fresh storage nobody recycles (a hostile peer, or decoding
+// without ever stepping). lent reports a recycled or new slab, which
+// Step hands back.
+func (nd *Node) gossipSlab() (cs []Cipher, lent bool, err error) {
+	if n := len(nd.freeSlabs); n > 0 {
+		cs, nd.freeSlabs = nd.freeSlabs[n-1], nd.freeSlabs[:n-1]
+		return cs, true, nil
+	}
+	r := nd.pt.run
+	cs, err = r.suite.NewCipherVector(2 * r.sideCiphers)
+	if err != nil || len(nd.slabs) >= r.population-1 {
+		return cs, false, err
+	}
+	nd.slabs = append(nd.slabs, cs)
+	return cs, true, nil
 }
 
 // DecodePayload parses and validates one payload received from a peer.
@@ -156,6 +234,14 @@ func (nd *Node) EncodePayload(payload any) ([]byte, error) {
 // exponents within the pre-scale budget — so a peer
 // that violates the protocol is rejected here with an error instead of
 // desynchronizing the participant state machine.
+//
+// A gossip payload's ciphers live in one of the node's receive slabs:
+// the payload is valid until this node's next Step returns, which
+// recycles every slab (Absorb only reads a message, so nothing the
+// step keeps aliases one). Decrypt requests and responses decode into
+// fresh storage: a responder memoizes its partials by the identity of
+// the request's cipher slice (serveDecrypt), which a recycled slab
+// could alias.
 func (nd *Node) DecodePayload(buf []byte) (any, error) {
 	if len(buf) < 1 {
 		return nil, errors.New("core: empty payload")
@@ -205,12 +291,15 @@ func (nd *Node) DecodePayload(buf []byte) (any, error) {
 		if err := fr.Done(); err != nil {
 			return nil, err
 		}
-		cs, err := nd.rs.suite.UnmarshalCipherVector(cv)
+		cs, lent, err := nd.gossipSlab()
 		if err != nil {
 			return nil, err
 		}
-		if len(cs) != 2*r.sideCiphers {
-			return nil, fmt.Errorf("core: gossip vector of %d ciphers, want %d", len(cs), 2*r.sideCiphers)
+		if err := nd.rs.suite.UnmarshalCipherVectorInto(cs, cv); err != nil {
+			if lent {
+				nd.freeSlabs = append(nd.freeSlabs, cs)
+			}
+			return nil, fmt.Errorf("core: gossip vector: %w", err)
 		}
 		return &gossipPayload{
 			Iter:      iter,
@@ -225,12 +314,12 @@ func (nd *Node) DecodePayload(buf []byte) (any, error) {
 		if err := fr.Done(); err != nil {
 			return nil, err
 		}
-		cs, err := nd.rs.suite.UnmarshalCipherVector(cv)
+		cs, err := nd.rs.suite.NewCipherVector(r.sideCiphers)
 		if err != nil {
 			return nil, err
 		}
-		if len(cs) != r.sideCiphers {
-			return nil, fmt.Errorf("core: decrypt request of %d ciphers, want %d", len(cs), r.sideCiphers)
+		if err := nd.rs.suite.UnmarshalCipherVectorInto(cs, cv); err != nil {
+			return nil, fmt.Errorf("core: decrypt request: %w", err)
 		}
 		return &decryptRequest{Iter: iter, Ciphers: cs}, nil
 	case netDecryptResponse:

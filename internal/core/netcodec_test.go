@@ -34,8 +34,9 @@ func codecNodes(t testing.TB) map[string]*Node {
 	return out
 }
 
-// codecPayloads encodes one payload of each kind from the node's state.
-func codecPayloads(t testing.TB, nd *Node) map[string][]byte {
+// codecPayloadValues mints one payload of each kind from the node's
+// state.
+func codecPayloadValues(t testing.TB, nd *Node) map[string]any {
 	t.Helper()
 	pt := nd.pt
 	r := pt.run
@@ -49,12 +50,18 @@ func codecPayloads(t testing.TB, nd *Node) map[string][]byte {
 		}
 		parts[i] = p
 	}
-	out := map[string][]byte{}
-	for kind, payload := range map[string]any{
+	return map[string]any{
 		"gossip":   &gossipPayload{Iter: 1, Centroids: pt.diptych.Centroids, Msg: msg},
 		"request":  &decryptRequest{Iter: 0, Ciphers: ciphers},
 		"response": &decryptResponse{Iter: 1, Partials: parts},
-	} {
+	}
+}
+
+// codecPayloads encodes one payload of each kind from the node's state.
+func codecPayloads(t testing.TB, nd *Node) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for kind, payload := range codecPayloadValues(t, nd) {
 		raw, err := nd.EncodePayload(payload)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -73,7 +80,7 @@ func TestGossipPayloadCarriesTheExponent(t *testing.T) {
 	for name, nd := range codecNodes(t) {
 		r := nd.pt.run
 		raw := codecPayloads(t, nd)["gossip"]
-		cv, err := r.suite.MarshalCipherVector(nd.pt.diptych.Means.V)
+		cv, err := r.suite.AppendCipherVector(nil, nd.pt.diptych.Means.V)
 		if err != nil {
 			t.Fatal(err)
 		}

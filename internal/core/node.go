@@ -25,6 +25,13 @@ type Node struct {
 	fp uint64 // Fingerprint, digested once: every snapshot carries it
 
 	snapKeys []int // AppendSnapshot's scratch for a set's sorted keys
+
+	// vecHead and vecWidth size an encoded cipher vector (vectorShape).
+	vecHead, vecWidth int
+	// slabs are the gossip receive slabs this node minted (gossipSlab),
+	// at most population−1; freeSlabs the ones no decoded payload holds.
+	// Step frees them all when it returns.
+	slabs, freeSlabs [][]Cipher
 }
 
 // NewNode builds the participant with the given id for a networked run
@@ -65,6 +72,10 @@ func NewNode(data [][]float64, params Params, id int) (*Node, error) {
 	}
 	nd := &Node{rs: rs, pt: rs.newParticipant(p2p.NodeID(id))}
 	nd.fp = fingerprint(rs.p, nd.pt.run.population, nd.pt.run.dim, rs.initial)
+	if nd.vecHead, nd.vecWidth, err = vectorShape(rs.suite); err != nil {
+		rs.close()
+		return nil, err
+	}
 	return nd, nil
 }
 
@@ -74,8 +85,17 @@ func (nd *Node) ID() int { return int(nd.pt.id) }
 // Population returns the run's population size.
 func (nd *Node) Population() int { return nd.pt.run.population }
 
-// Step runs one protocol activation against the given environment.
-func (nd *Node) Step(env Env) { nd.pt.step(env) }
+// Step runs one protocol activation against the given environment. When
+// it returns, every gossip payload DecodePayload produced since the last
+// Step is spent: its receive slab is free for the next one.
+func (nd *Node) Step(env Env) {
+	nd.pt.step(env)
+	nd.recycleSlabs()
+}
+
+// recycleSlabs frees every receive slab: the payloads decoded into them
+// are spent.
+func (nd *Node) recycleSlabs() { nd.freeSlabs = append(nd.freeSlabs[:0], nd.slabs...) }
 
 // Done reports whether the participant has terminated (converged or
 // exhausted its iteration schedule). A done participant still answers

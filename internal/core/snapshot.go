@@ -75,8 +75,8 @@ func readU64Field(fr *wire.FieldReader) (uint64, error) {
 // calls is valid. The encoding is the wire package's length-prefixed
 // field format; floats travel as IEEE-754 bit patterns so a restore is
 // bit-exact, NaNs included. The two nested blobs are written in place
-// (wire.BeginField), so a caller that brings a buffer big enough pays
-// for the cipher vectors' intermediate encodings and nothing else.
+// (wire.BeginField), and so are the cipher vectors inside them, so a
+// caller that brings a buffer big enough allocates nothing.
 func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 	p := nd.pt
 
@@ -120,11 +120,10 @@ func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 		buf = wire.AppendUint32(buf, 1)
 		buf = appendU64Field(buf, math.Float64bits(p.diptych.Means.Weight()))
 		buf = wire.AppendUint32(buf, uint32(p.diptych.Means.H))
-		cv, err := nd.rs.suite.MarshalCipherVector(p.diptych.Means.V)
-		if err != nil {
+		var err error
+		if buf, err = appendVectorField(buf, p.diptych.Means.V, nd.rs.suite.AppendCipherVector); err != nil {
 			return nil, fmt.Errorf("core: snapshot push-sum state: %w", err)
 		}
-		buf = wire.AppendBytes(buf, cv)
 	} else {
 		buf = wire.AppendUint32(buf, 0)
 	}
@@ -134,11 +133,10 @@ func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 	// empty vector never occurs.
 	if p.pendingCT != nil {
 		buf = wire.AppendUint32(buf, 1)
-		cv, err := nd.rs.suite.MarshalCipherVector(p.pendingCT)
-		if err != nil {
+		var err error
+		if buf, err = appendVectorField(buf, p.pendingCT, nd.rs.suite.AppendCipherVector); err != nil {
 			return nil, fmt.Errorf("core: snapshot pending ciphertexts: %w", err)
 		}
-		buf = wire.AppendBytes(buf, cv)
 	} else {
 		buf = wire.AppendUint32(buf, 0)
 	}
@@ -149,11 +147,10 @@ func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 	buf = wire.AppendUint32(buf, uint32(len(nd.snapKeys)))
 	for _, idx := range nd.snapKeys {
 		buf = wire.AppendUint32(buf, uint32(idx))
-		pv, err := nd.rs.suite.MarshalPartialValues(p.partials[idx])
-		if err != nil {
+		var err error
+		if buf, err = appendVectorField(buf, p.partials[idx], nd.rs.suite.AppendPartialValues); err != nil {
 			return nil, fmt.Errorf("core: snapshot partials: %w", err)
 		}
-		buf = wire.AppendBytes(buf, pv)
 	}
 	nd.snapKeys = sortedKeys(nd.snapKeys, p.asked)
 	buf = wire.AppendUint32(buf, uint32(len(nd.snapKeys)))
@@ -399,12 +396,12 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if err != nil {
 			return snapErr("push-sum vector: %v", err)
 		}
-		cs, err := nd.rs.suite.UnmarshalCipherVector(cv)
+		cs, err := nd.rs.suite.NewCipherVector(2 * r.sideCiphers)
 		if err != nil {
-			return snapErr("push-sum vector: %v", err)
+			return err
 		}
-		if len(cs) != 2*r.sideCiphers {
-			return snapErr("push-sum vector of %d ciphers, want %d", len(cs), 2*r.sideCiphers)
+		if err := nd.rs.suite.UnmarshalCipherVectorInto(cs, cv); err != nil {
+			return snapErr("push-sum vector: %v", err)
 		}
 		// stepAssign's construction: the restored values are freshly
 		// decoded and exclusively owned.
@@ -429,12 +426,12 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if err != nil {
 			return snapErr("pending ciphertexts: %v", err)
 		}
-		cs, err := nd.rs.suite.UnmarshalCipherVector(cv)
+		cs, err := nd.rs.suite.NewCipherVector(r.sideCiphers)
 		if err != nil {
-			return snapErr("pending ciphertexts: %v", err)
+			return err
 		}
-		if len(cs) != r.sideCiphers {
-			return snapErr("pending vector of %d ciphers, want %d", len(cs), r.sideCiphers)
+		if err := nd.rs.suite.UnmarshalCipherVectorInto(cs, cv); err != nil {
+			return snapErr("pending ciphertexts: %v", err)
 		}
 		pendingCT = cs
 	default:

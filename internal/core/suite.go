@@ -120,8 +120,8 @@ type CipherSuite interface {
 	// The push-sum arithmetic runs in place (see cipherRing). Each
 	// operation below mutates only its first argument, which must be a
 	// cipher its caller owns exclusively — from NewCipherVector or from
-	// one of the suite's constructors (Encrypt, UnmarshalCipherVector) —
-	// and counts exactly what its allocating counterpart would.
+	// one of the suite's constructors (Encrypt) — and counts exactly what
+	// its allocating counterpart would.
 	//
 	// NewCipherVector returns n owned ciphers in one contiguous slab,
 	// each sized so the in-place operations never grow it.
@@ -173,17 +173,27 @@ type CipherSuite interface {
 	// (netcodec.go): the accounted suite encodes residue vectors, the
 	// Damgård–Jurik suite ciphertext vectors — its processes share a key
 	// via the pre-epoch distributed key ceremony, each holding only its
-	// own share (Params.DJMaterial).
+	// own share (Params.DJMaterial). Encoding appends to the caller's
+	// buffer, writing every body in place, so a message is built in one
+	// buffer with no intermediate encoding (the daemon's one copy of it
+	// is the retransmit-ring entry). Decoding fills the caller's ciphers,
+	// so a receiver can reuse storage across messages: Node decodes
+	// gossip into receive slabs, and a decoded gossip payload is valid
+	// until that node's next Step returns.
 	//
-	// MarshalCipherVector encodes a vector of this suite's ciphers.
-	MarshalCipherVector(cs []Cipher) ([]byte, error)
-	// UnmarshalCipherVector decodes and validates a cipher vector.
-	UnmarshalCipherVector(buf []byte) ([]Cipher, error)
-	// MarshalPartialValues encodes the values of a partial-decryption
-	// vector (the shared responder index travels separately).
-	MarshalPartialValues(ps []Partial) ([]byte, error)
-	// UnmarshalPartialValues decodes partial values, stamping each with
-	// the responder's key-share index.
+	// AppendCipherVector appends the encoding of a vector of this suite's
+	// ciphers to dst; on error dst comes back unextended.
+	AppendCipherVector(dst []byte, cs []Cipher) ([]byte, error)
+	// UnmarshalCipherVectorInto decodes and validates a vector of exactly
+	// len(dst) ciphers into dst's storage (ciphers from NewCipherVector
+	// decode without allocating). On error dst's values are unspecified.
+	UnmarshalCipherVectorInto(dst []Cipher, buf []byte) error
+	// AppendPartialValues appends the encoding of the values of a
+	// partial-decryption vector (the shared responder index travels
+	// separately) to dst.
+	AppendPartialValues(dst []byte, ps []Partial) ([]byte, error)
+	// UnmarshalPartialValues decodes partial values into fresh storage,
+	// stamping each with the responder's key-share index.
 	UnmarshalPartialValues(index int, buf []byte) ([]Partial, error)
 
 	// Counts returns a snapshot of the operation counters.

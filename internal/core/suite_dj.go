@@ -317,31 +317,24 @@ func (s *djSuite) RefreshInPlace(c Cipher) error {
 	return nil
 }
 
-// MarshalCipherVector implements CipherSuite: Damgård–Jurik ciphers
-// are units mod n^{s+1}, encoded fixed-width via the wire
-// ciphertext-vector artifact.
-func (s *djSuite) MarshalCipherVector(cs []Cipher) ([]byte, error) {
-	return wire.MarshalCiphertextVector(&s.tk.PublicKey, cs)
+// AppendCipherVector implements CipherSuite: Damgård–Jurik ciphers are
+// units mod n^{s+1}, encoded fixed-width via the wire ciphertext-vector
+// artifact.
+func (s *djSuite) AppendCipherVector(dst []byte, cs []Cipher) ([]byte, error) {
+	return wire.AppendCiphertextVector(dst, &s.tk.PublicKey, cs, cipherValue)
 }
 
-// UnmarshalCipherVector implements CipherSuite. Every decoded value
+// UnmarshalCipherVectorInto implements CipherSuite. Every decoded value
 // is range-checked against the ciphertext modulus by the wire layer.
-func (s *djSuite) UnmarshalCipherVector(buf []byte) ([]Cipher, error) {
-	return wire.UnmarshalCiphertextVector(&s.tk.PublicKey, buf)
+func (s *djSuite) UnmarshalCipherVectorInto(dst []Cipher, buf []byte) error {
+	return wire.UnmarshalCiphertextVectorInto(&s.tk.PublicKey, dst, buf)
 }
 
-// MarshalPartialValues implements CipherSuite: partial decryptions
+// AppendPartialValues implements CipherSuite: partial decryptions
 // c^{2Δ·s_i} live in the same group as ciphertexts, so they share the
 // ciphertext-vector artifact and its range validation.
-func (s *djSuite) MarshalPartialValues(ps []Partial) ([]byte, error) {
-	vs := make([]*big.Int, len(ps))
-	for i, p := range ps {
-		if p.Value == nil {
-			return nil, errors.New("core: partial with nil value")
-		}
-		vs[i] = p.Value
-	}
-	return wire.MarshalCiphertextVector(&s.tk.PublicKey, vs)
+func (s *djSuite) AppendPartialValues(dst []byte, ps []Partial) ([]byte, error) {
+	return wire.AppendCiphertextVector(dst, &s.tk.PublicKey, ps, partialValue)
 }
 
 // UnmarshalPartialValues implements CipherSuite.
@@ -350,11 +343,7 @@ func (s *djSuite) UnmarshalPartialValues(index int, buf []byte) ([]Partial, erro
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Partial, len(vs))
-	for i, v := range vs {
-		out[i] = Partial{Index: index, Value: v}
-	}
-	return out, nil
+	return stampPartials(index, vs), nil
 }
 
 // Counts implements CipherSuite, adding the combine-plan cache hits.

@@ -124,10 +124,10 @@ func (pk *PublicKey) EncryptInt64(rnd io.Reader, m int64) (*big.Int, error) {
 // The double-width product lives in pooled scratch; only the reduced
 // result is freshly allocated (callers retain it).
 func (pk *PublicKey) Add(c1, c2 *big.Int) (*big.Int, error) {
-	if err := pk.checkCiphertext(c1); err != nil {
+	if err := pk.CheckCiphertext(c1); err != nil {
 		return nil, err
 	}
-	if err := pk.checkCiphertext(c2); err != nil {
+	if err := pk.CheckCiphertext(c2); err != nil {
 		return nil, err
 	}
 	prod := getInt()
@@ -141,7 +141,7 @@ func (pk *PublicKey) Add(c1, c2 *big.Int) (*big.Int, error) {
 // E(a)^k = E(k·a mod n^s). Negative k uses the modular inverse of the
 // ciphertext (always a unit).
 func (pk *PublicKey) ScalarMul(c, k *big.Int) (*big.Int, error) {
-	if err := pk.checkCiphertext(c); err != nil {
+	if err := pk.CheckCiphertext(c); err != nil {
 		return nil, err
 	}
 	kk := getInt()
@@ -153,10 +153,10 @@ func (pk *PublicKey) ScalarMul(c, k *big.Int) (*big.Int, error) {
 
 // Sub homomorphically subtracts: E(a)·E(b)^{-1} = E(a-b mod n^s).
 func (pk *PublicKey) Sub(c1, c2 *big.Int) (*big.Int, error) {
-	if err := pk.checkCiphertext(c1); err != nil {
+	if err := pk.CheckCiphertext(c1); err != nil {
 		return nil, err
 	}
-	if err := pk.checkCiphertext(c2); err != nil {
+	if err := pk.CheckCiphertext(c2); err != nil {
 		return nil, err
 	}
 	inv := new(big.Int).ModInverse(c2, pk.ns1)
@@ -171,7 +171,7 @@ func (pk *PublicKey) Sub(c1, c2 *big.Int) (*big.Int, error) {
 // plaintext: c · r^{n^s} mod n^{s+1}. Used by gossip exchanges to prevent
 // ciphertext-equality tracing.
 func (pk *PublicKey) Rerandomize(rnd io.Reader, c *big.Int) (*big.Int, error) {
-	if err := pk.checkCiphertext(c); err != nil {
+	if err := pk.CheckCiphertext(c); err != nil {
 		return nil, err
 	}
 	r, err := pk.randomUnit(rnd)
@@ -183,8 +183,10 @@ func (pk *PublicKey) Rerandomize(rnd io.Reader, c *big.Int) (*big.Int, error) {
 	return out.Mod(out, pk.ns1), nil
 }
 
-// checkCiphertext validates that c lies in the ciphertext ring.
-func (pk *PublicKey) checkCiphertext(c *big.Int) error {
+// CheckCiphertext validates that c lies in the ciphertext ring
+// (0 < c < n^{s+1}) without allocating: decoders reject a peer's
+// out-of-range values with it.
+func (pk *PublicKey) CheckCiphertext(c *big.Int) error {
 	if c == nil || c.Sign() <= 0 || c.Cmp(pk.ns1) >= 0 {
 		return ErrInvalidCiphertext
 	}

@@ -23,7 +23,10 @@ type fixedBaseTable struct {
 	mod     *big.Int
 	window  uint
 	maxBits int
-	rows    [][]*big.Int
+	// tab holds rows[i][j] at tab[i<<window+j]: every entry in one
+	// []big.Int whose limbs are carved from one []big.Word slab, so a
+	// table costs two allocations however many entries it has.
+	tab []big.Int
 
 	scratch sync.Pool // *fixedBaseScratch, reused across Exp calls
 }
@@ -44,33 +47,43 @@ type fixedBaseScratch struct {
 const fixedBaseWindow = 6
 
 // newFixedBaseTable precomputes the windowed table for base^e mod mod,
-// for exponents of up to maxBits bits.
+// for exponents of up to maxBits bits. Each entry is reduced through
+// scratch product/quotient/remainder integers (Exp's scheme) and then
+// copied into its slot of the slab, which is sized for any residue of
+// mod, so no entry allocates.
 func newFixedBaseTable(base, mod *big.Int, maxBits int) *fixedBaseTable {
 	w := uint(fixedBaseWindow)
 	numRows := (maxBits + fixedBaseWindow - 1) / fixedBaseWindow
 	if numRows < 1 {
 		numRows = 1
 	}
+	entries := 1 << w
 	t := &fixedBaseTable{
 		mod:     new(big.Int).Set(mod),
 		window:  w,
 		maxBits: numRows * fixedBaseWindow,
-		rows:    make([][]*big.Int, numRows),
+		tab:     make([]big.Int, numRows*entries),
 	}
 	t.scratch.New = func() interface{} { return new(fixedBaseScratch) }
-	entries := 1 << w
+	const wordBits = 32 << (^big.Word(0) >> 63) // 32 or 64
+	wordsPer := (mod.BitLen() + wordBits - 1) / wordBits
+	words := make([]big.Word, len(t.tab)*wordsPer)
+	for k := range t.tab {
+		t.tab[k].SetBits(words[k*wordsPer : k*wordsPer : (k+1)*wordsPer])
+	}
+	var prod, quo, rem big.Int
 	rowBase := new(big.Int).Mod(base, mod) // g^(2^(i·w)) for the current row
 	for i := 0; i < numRows; i++ {
-		row := make([]*big.Int, entries)
-		row[0] = one
+		row := t.tab[i*entries : (i+1)*entries]
+		row[0].SetInt64(1)
 		for j := 1; j < entries; j++ {
-			row[j] = new(big.Int).Mul(row[j-1], rowBase)
-			row[j].Mod(row[j], mod)
+			prod.Mul(&row[j-1], rowBase)
+			quo.QuoRem(&prod, mod, &rem) // operands are non-negative: the remainder is the residue
+			row[j].Set(&rem)
 		}
-		t.rows[i] = row
 		if i < numRows-1 {
-			next := new(big.Int).Mul(row[entries-1], rowBase)
-			rowBase = next.Mod(next, mod)
+			prod.Mul(&row[entries-1], rowBase)
+			quo.QuoRem(&prod, mod, rowBase)
 		}
 	}
 	return t
@@ -84,7 +97,7 @@ func (t *fixedBaseTable) Exp(e *big.Int) *big.Int {
 		return nil
 	}
 	if e.BitLen() > t.maxBits {
-		return new(big.Int).Exp(t.rows[0][1], e, t.mod)
+		return new(big.Int).Exp(&t.tab[1], e, t.mod)
 	}
 	s := t.scratch.Get().(*fixedBaseScratch)
 	defer t.scratch.Put(s)
@@ -97,7 +110,7 @@ func (t *fixedBaseTable) Exp(e *big.Int) *big.Int {
 		if digit == 0 {
 			continue
 		}
-		s.prod.Mul(&s.acc, t.rows[i][digit])
+		s.prod.Mul(&s.acc, &t.tab[i<<t.window+int(digit)])
 		s.quo.QuoRem(&s.prod, t.mod, &s.acc) // operands are non-negative: the remainder is the residue
 	}
 	return new(big.Int).Set(&s.acc)

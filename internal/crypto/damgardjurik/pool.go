@@ -89,7 +89,7 @@ func (p *RandomizerPool) Get() (*big.Int, error) {
 
 // Rerandomize refreshes c with a pooled randomizer: c · H^α mod n^{s+1}.
 func (p *RandomizerPool) Rerandomize(c *big.Int) (*big.Int, error) {
-	if err := p.ctx.pk.checkCiphertext(c); err != nil {
+	if err := p.ctx.pk.CheckCiphertext(c); err != nil {
 		return nil, err
 	}
 	rz, err := p.Get()

@@ -91,7 +91,7 @@ func (sk *PrivateKey) Decrypt(c *big.Int) (*big.Int, error) {
 	if sk.crt == nil {
 		return sk.DecryptNaive(c)
 	}
-	if err := sk.checkCiphertext(c); err != nil {
+	if err := sk.CheckCiphertext(c); err != nil {
 		return nil, err
 	}
 	return sk.dLog(sk.crt.exp(c, sk.d))
@@ -101,7 +101,7 @@ func (sk *PrivateKey) Decrypt(c *big.Int) (*big.Int, error) {
 // full-width exponentiation modulo n^{s+1}. Benchmark baseline and
 // bit-identity oracle for the CRT route.
 func (sk *PrivateKey) DecryptNaive(c *big.Int) (*big.Int, error) {
-	if err := sk.checkCiphertext(c); err != nil {
+	if err := sk.CheckCiphertext(c); err != nil {
 		return nil, err
 	}
 	a := new(big.Int).Exp(c, sk.d, sk.ns1)

@@ -235,7 +235,7 @@ func (tk *ThresholdKey) PartialDecrypt(share KeyShare, c *big.Int) (PartialDecry
 	if share.Index < 1 || share.Index > tk.Parties {
 		return PartialDecryption{}, ErrShareOutOfRange
 	}
-	if err := tk.checkCiphertext(c); err != nil {
+	if err := tk.CheckCiphertext(c); err != nil {
 		return PartialDecryption{}, err
 	}
 	e := new(big.Int).Mul(two, tk.delta)
@@ -258,7 +258,7 @@ func (tk *ThresholdKey) PartialDecryptNaive(share KeyShare, c *big.Int) (Partial
 	if share.Index < 1 || share.Index > tk.Parties {
 		return PartialDecryption{}, ErrShareOutOfRange
 	}
-	if err := tk.checkCiphertext(c); err != nil {
+	if err := tk.CheckCiphertext(c); err != nil {
 		return PartialDecryption{}, err
 	}
 	e := new(big.Int).Mul(two, tk.delta)

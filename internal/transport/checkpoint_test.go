@@ -41,7 +41,7 @@ func sampleCheckpoint() *checkpoint {
 				outSeq: 12, inSeq: 11, pruned: 9,
 				ring: []sentFrame{
 					{seq: 10, epoch: 5, frame: ringFrame(10, marshalTick(5, false))},
-					{seq: 12, epoch: 6, frame: ringFrame(12, marshalData(6, []byte("payload")))},
+					{seq: 12, epoch: 6, frame: ringFrame(12, dataFrame(6, []byte("payload")))},
 				},
 			},
 			1: {outSeq: 3, inSeq: 8, pruned: 0},
@@ -100,8 +100,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 // the two halves of its contract: the image decodes to that state, and
 // from the second checkpoint on, encoding allocates nothing. The
 // participant is between iterations; one that holds a push-sum state
-// additionally pays the suite's MarshalCipherVector temporaries
-// (core.TestAppendSnapshotAllocations counts them).
+// allocates nothing either (core.TestAppendSnapshotAllocations).
 func TestCheckpointEncodeAllocatesNothing(t *testing.T) {
 	const pop, id = 4, 1
 	data, err := SyntheticSeries("cer", pop, 3)
@@ -137,7 +136,7 @@ func TestCheckpointEncodeAllocatesNothing(t *testing.T) {
 		l := newLink(n, peer)
 		n.links[peer] = l
 		for epoch := 5; epoch < 9; epoch++ {
-			if err := l.send(epoch, marshalData(epoch, bytes.Repeat([]byte{byte(peer)}, 100*(peer+1)))); err != nil {
+			if err := l.send(epoch, dataFrame(epoch, bytes.Repeat([]byte{byte(peer)}, 100*(peer+1)))); err != nil {
 				t.Fatal(err)
 			}
 			if err := l.send(epoch, marshalTick(epoch, false)); err != nil {

@@ -171,9 +171,12 @@ func parseTick(body []byte) (epoch int, done bool, err error) {
 	}
 }
 
-func marshalData(epoch int, payload []byte) []byte {
-	buf := wire.AppendUint32([]byte{mtData}, uint32(epoch))
-	return wire.AppendBytes(buf, payload)
+// beginData appends the head of a data frame for epoch to buf: the
+// payload is appended next, in place, and wire.EndField(buf, mark)
+// closes the frame.
+func beginData(buf []byte, epoch int) (_ []byte, mark int) {
+	buf = wire.AppendUint32(append(buf, mtData), uint32(epoch))
+	return wire.BeginField(buf)
 }
 
 func parseData(body []byte) (epoch int, payload []byte, err error) {

@@ -74,6 +74,10 @@ type node struct {
 	barrierPending bool // resume directly into the barrier of startEpoch
 
 	ckpt ckptWriter // checkpoint image storage, reused across checkpoints
+
+	// sendBuf is the scratch every outgoing data frame is built in
+	// (epochEnv.Send); link.send copies it into the retransmit ring.
+	sendBuf []byte
 }
 
 // inMsg is one parsed message (or terminal condition) from a peer's
@@ -620,21 +624,24 @@ func (e *epochEnv) RandomPeer() (p2p.NodeID, bool) {
 	return e.n.sampler.RandomPeer()
 }
 
-// Send marshals the payload immediately (the participant may reuse its
-// buffers after Send returns) and hands one data frame to the peer's
-// supervised link. Under grace a down link absorbs the frame into its
-// retransmit ring instead of failing the send.
+// Send encodes the data frame immediately (the participant may reuse
+// its buffers after Send returns) into the node's scratch, and hands it
+// to the peer's supervised link, which copies it once, into the
+// retransmit-ring entry it keeps. Under grace a down link absorbs the
+// frame into its ring instead of failing the send.
 func (e *epochEnv) Send(to p2p.NodeID, payload any, bytes int) error {
 	l := e.n.links[int(to)]
 	if l == nil {
 		return fmt.Errorf("transport: send to unknown peer %d", to)
 	}
-	raw, err := e.n.core.EncodePayload(payload)
+	buf, mark := beginData(e.n.sendBuf[:0], e.epoch)
+	buf, err := e.n.core.AppendPayload(buf, payload)
 	if err != nil {
 		e.sendErr = err
 		return err
 	}
-	if err := l.send(e.epoch, marshalData(e.epoch, raw)); err != nil {
+	e.n.sendBuf = wire.EndField(buf, mark)
+	if err := l.send(e.epoch, e.n.sendBuf); err != nil {
 		e.sendErr = err
 		return err
 	}

@@ -59,14 +59,40 @@ type link struct {
 	pruned uint64      // highest sequence number dropped from the ring
 	ring   []sentFrame // unacknowledged frames, ascending seq
 
-	// batch is the wire image of the ring frames not yet handed to conn:
-	// data frames wait here for their epoch's tick, so the socket sees
-	// one Write per epoch. Every frame in it is in the ring too, which is
-	// why a link that goes down or is re-installed just drops it. It is
-	// released after every write, not kept for the next: a 16-node mesh
-	// in one process has 240 links, and a buffer grown for one payload
-	// would stay grown on each.
-	batch []byte
+	// batch is the wire image of the ring frames not yet handed to conn
+	// (nil when none are pending): data frames wait here for their
+	// epoch's tick, so the socket sees one Write per epoch. Every frame in
+	// it is in the ring too, which is why a link that goes down or is
+	// re-installed just drops it. It comes from batchPool and goes back
+	// after every write, not kept for the next: a 16-node mesh in one
+	// process has 240 links, and a buffer grown for one payload would
+	// stay grown on each.
+	batch *[]byte
+}
+
+// batchPool recycles link batches. A batch is held only from the first
+// frame an epoch queues to the Write that flushes it, so a process needs
+// about as many as it has links flushing at once.
+var batchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// queueLocked appends one sequenced frame to the link's batch, taking a
+// batch from the pool when none is pending (l.mu held).
+func (l *link) queueLocked(framed []byte) {
+	if l.batch == nil {
+		l.batch = batchPool.Get().(*[]byte)
+	}
+	*l.batch, _ = wire.AppendFrame(*l.batch, framed)
+}
+
+// dropBatchLocked returns the pending batch, if any, to the pool
+// (l.mu held).
+func (l *link) dropBatchLocked() {
+	if l.batch == nil {
+		return
+	}
+	*l.batch = (*l.batch)[:0]
+	batchPool.Put(l.batch)
+	l.batch = nil
 }
 
 func newLink(n *node, peer int) *link {
@@ -82,7 +108,9 @@ func (l *link) state() (down bool, since, lastResume time.Time) {
 }
 
 // send assigns the next sequence number to the inner frame, records it
-// in the retransmit ring and appends it to the link's batch. A data
+// in the retransmit ring — the one copy of inner that send makes, since
+// the ring must keep the frame for retransmission while the caller
+// reuses its buffer — and appends it to the link's batch. A data
 // frame waits there: the epoch's tick, which runEpochs sends to every
 // link right after Step, is what writes the batch — one Write under one
 // deadline for the whole epoch. Every other kind (the tick, a ceremony
@@ -109,7 +137,7 @@ func (l *link) send(epoch int, inner []byte) error {
 		}
 		return fmt.Errorf("transport: send to peer %d: link down", l.peer)
 	}
-	l.batch, _ = wire.AppendFrame(l.batch, framed)
+	l.queueLocked(framed)
 	if inner[0] == mtData {
 		return nil
 	}
@@ -120,13 +148,13 @@ func (l *link) send(epoch int, inner []byte) error {
 }
 
 // flushLocked writes the batch in one Write under the write deadline
-// (l.mu held, link up). A failure takes the link down — under grace the
-// redial loop is started here — and is returned for the fail-fast
-// callers to surface.
+// and returns it to the pool (l.mu held, link up, batch pending). A
+// failure takes the link down — under grace the redial loop is started
+// here — and is returned for the fail-fast callers to surface.
 func (l *link) flushLocked() error {
 	l.conn.SetWriteDeadline(time.Now().Add(l.n.cfg.writeTimeout()))
-	_, err := l.conn.Write(l.batch)
-	l.batch = nil
+	_, err := l.conn.Write(*l.batch)
+	l.dropBatchLocked()
 	if err != nil && l.markDownLocked(err) {
 		go l.redialLoop()
 	}
@@ -147,7 +175,7 @@ func (l *link) sendBye() {
 	if l.down || l.conn == nil {
 		return
 	}
-	l.batch, _ = wire.AppendFrame(l.batch, marshalBye())
+	l.queueLocked(marshalBye())
 	l.flushLocked()
 }
 
@@ -157,7 +185,7 @@ func (l *link) sendBye() {
 // and without grace the caller owns the error path.
 func (l *link) markDownLocked(cause error) (startRedial bool) {
 	l.gen++
-	l.batch = nil
+	l.dropBatchLocked()
 	if l.conn != nil {
 		l.conn.Close()
 		l.conn = nil
@@ -220,13 +248,13 @@ func (l *link) installConn(conn net.Conn, peerLastSeq uint64, resumed bool) {
 	if resumed {
 		l.lastResume = time.Now()
 	}
-	l.batch = nil
+	l.dropBatchLocked()
 	for _, sf := range l.ring {
 		if sf.seq > peerLastSeq {
-			l.batch, _ = wire.AppendFrame(l.batch, sf.frame)
+			l.queueLocked(sf.frame)
 		}
 	}
-	if len(l.batch) > 0 {
+	if l.batch != nil {
 		if err := l.flushLocked(); err != nil {
 			l.mu.Unlock()
 			if l.n.cfg.Grace <= 0 {

@@ -64,6 +64,12 @@ func newLinkPair(t *testing.T, aEnd, bEnd net.Conn) *linkPair {
 	return p
 }
 
+// dataFrame is the data frame epochEnv.Send builds for payload.
+func dataFrame(epoch int, payload []byte) []byte {
+	buf, mark := beginData(nil, epoch)
+	return wire.EndField(append(buf, payload...), mark)
+}
+
 // recordingConn keeps a copy of every Write it passes on.
 type recordingConn struct {
 	net.Conn
@@ -120,8 +126,8 @@ func (c *cutConn) Write(p []byte) (int, error) {
 // payloads and the tick that flushes them.
 func epochFrames(epoch int) [][]byte {
 	return [][]byte{
-		marshalData(epoch, []byte("first payload")),
-		marshalData(epoch, bytes.Repeat([]byte{0xAB}, 70)), // does not fit the 64-byte read buffer
+		dataFrame(epoch, []byte("first payload")),
+		dataFrame(epoch, bytes.Repeat([]byte{0xAB}, 70)), // does not fit the 64-byte read buffer
 		marshalTick(epoch, false),
 	}
 }
@@ -208,7 +214,7 @@ func TestLinkWritesOncePerEpoch(t *testing.T) {
 		t.Fatalf("%d writes, want 3", len(rec.recorded()))
 	}
 	if p.la.batch != nil {
-		t.Fatalf("the link kept a %d-byte batch between epochs", cap(p.la.batch))
+		t.Fatalf("the link kept a %d-byte batch between epochs", cap(*p.la.batch))
 	}
 }
 

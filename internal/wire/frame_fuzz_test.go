@@ -89,7 +89,10 @@ func FuzzFrame(f *testing.F) {
 }
 
 // FuzzUnmarshalResidueVector hardens the accounted-backend artifact the
-// same way the ciphertext targets harden the real one.
+// same way the ciphertext targets harden the real one: the decoder the
+// protocol runs (UnmarshalResidueVectorInto) accepts exactly what the
+// allocating oracle accepts, with the same values, and what it accepts
+// re-encodes to the input.
 func FuzzUnmarshalResidueVector(f *testing.F) {
 	m := new(big.Int).Lsh(big.NewInt(1), 320)
 	m.Sub(m, big.NewInt(1))
@@ -99,11 +102,14 @@ func FuzzUnmarshalResidueVector(f *testing.F) {
 	}
 	seedMutations(f, buf)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vs, err := UnmarshalResidueVector(m, data)
+		want, oerr := oracleUnmarshalResidueVector(m, data)
+		got := freshInts(impliedCount(data, residueWidth(m)))
+		err := UnmarshalResidueVectorInto(m, got, data)
+		requireParity(t, got, err, want, oerr)
 		if err != nil {
 			return
 		}
-		out, err := MarshalResidueVector(m, vs)
+		out, err := MarshalResidueVector(m, got)
 		if err != nil {
 			t.Fatalf("re-marshal of accepted residue vector failed: %v", err)
 		}

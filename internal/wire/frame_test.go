@@ -226,12 +226,9 @@ func TestResidueVectorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalResidueVector(m, buf)
-	if err != nil {
+	got := freshInts(len(vs))
+	if err := UnmarshalResidueVectorInto(m, got, buf); err != nil {
 		t.Fatal(err)
-	}
-	if len(got) != len(vs) {
-		t.Fatalf("got %d residues, want %d", len(got), len(vs))
 	}
 	for i := range vs {
 		if got[i].Cmp(vs[i]) != 0 {
@@ -254,7 +251,7 @@ func TestResidueVectorRejectsOutOfRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[len(buf)-1] = 98
-	if _, err := UnmarshalResidueVector(m, buf); err == nil {
+	if err := UnmarshalResidueVectorInto(m, freshInts(1), buf); err == nil {
 		t.Fatal("unmarshal accepted out-of-ring residue")
 	}
 }
@@ -265,10 +262,13 @@ func TestResidueVectorRejectsBadShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnmarshalResidueVector(m, buf[:len(buf)-1]); err == nil {
+	if err := UnmarshalResidueVectorInto(m, freshInts(2), buf[:len(buf)-1]); err == nil {
 		t.Fatal("unmarshal accepted truncated body")
 	}
-	if _, err := UnmarshalResidueVector(big.NewInt(1<<20), buf); err == nil {
+	if err := UnmarshalResidueVectorInto(m, freshInts(1), buf); err == nil {
+		t.Fatal("unmarshal accepted a count other than the destination's")
+	}
+	if err := UnmarshalResidueVectorInto(big.NewInt(1<<20), freshInts(2), buf); err == nil {
 		t.Fatal("unmarshal accepted width mismatch")
 	}
 }

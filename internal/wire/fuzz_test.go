@@ -100,12 +100,17 @@ func FuzzUnmarshalCiphertextVector(f *testing.F) {
 		f.Fatal(err)
 	}
 	seedMutations(f, buf)
+	pk := &tk.PublicKey
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vs, err := UnmarshalCiphertextVector(&tk.PublicKey, data)
+		want, oerr := oracleUnmarshalCiphertextVector(pk, data)
+		got := freshInts(impliedCount(data, pk.CiphertextBytes()))
+		requireParity(t, got, UnmarshalCiphertextVectorInto(pk, got, data), want, oerr)
+		vs, err := UnmarshalCiphertextVector(pk, data)
+		requireParity(t, vs, err, want, oerr)
 		if err != nil {
 			return
 		}
-		back, err := MarshalCiphertextVector(&tk.PublicKey, vs)
+		back, err := MarshalCiphertextVector(pk, vs)
 		if err != nil {
 			t.Fatalf("accepted vector does not re-marshal: %v", err)
 		}

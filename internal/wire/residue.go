@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 )
 
 // residue.go encodes vectors of plaintext-ring residues — the accounted
@@ -26,52 +27,69 @@ func residueWidth(m *big.Int) int { return (m.BitLen() + 7) / 8 }
 // [0, m)), fixed-width against the modulus. Unlike real ciphertexts,
 // zero is a valid residue.
 func MarshalResidueVector(m *big.Int, vs []*big.Int) ([]byte, error) {
+	return AppendResidueVector(nil, m, vs, self)
+}
+
+// AppendResidueVector appends MarshalResidueVector's encoding of the
+// residues value(es[0]), value(es[1]), … to dst (see
+// AppendCiphertextVector). dst grows at most once and every body is
+// written in place; on error it is returned unextended.
+func AppendResidueVector[E any](dst []byte, m *big.Int, es []E, value func(E) *big.Int) ([]byte, error) {
 	if m == nil || m.Sign() <= 0 {
-		return nil, errors.New("wire: invalid residue modulus")
+		return dst, errors.New("wire: invalid residue modulus")
 	}
 	width := residueWidth(m)
-	buf := make([]byte, 0, 2+4+4+len(vs)*width)
-	buf = append(buf, header(kindResidueVec)...)
-	buf = appendUint32(buf, uint32(len(vs)))
-	body := make([]byte, width)
-	for i, v := range vs {
+	start := len(dst)
+	buf := slices.Grow(dst, vectorBytes(width, len(es)))
+	buf = append(buf, kindResidueVec, version)
+	buf = appendUint32(buf, uint32(len(es)))
+	for i, e := range es {
+		v := value(e)
 		if v == nil || v.Sign() < 0 || v.Cmp(m) >= 0 {
-			return nil, fmt.Errorf("wire: residue %d outside ring", i)
+			return buf[:start], fmt.Errorf("wire: residue %d outside ring", i)
 		}
-		v.FillBytes(body)
-		buf = append(buf, body...)
+		n := len(buf)
+		buf = buf[:n+width] // inside the capacity reserved above
+		v.FillBytes(buf[n:])
 	}
 	return buf, nil
 }
 
-// UnmarshalResidueVector decodes a residue vector and validates every
-// element against the modulus.
+// UnmarshalResidueVector decodes a residue vector into fresh integers.
 func UnmarshalResidueVector(m *big.Int, buf []byte) ([]*big.Int, error) {
 	if m == nil || m.Sign() <= 0 {
 		return nil, errors.New("wire: invalid residue modulus")
 	}
-	r, err := checkHeader(buf, kindResidueVec)
+	out, err := freshVector(buf, kindResidueVec, residueWidth(m))
 	if err != nil {
 		return nil, err
 	}
-	count, err := r.uint32()
-	if err != nil {
+	if err := UnmarshalResidueVectorInto(m, out, buf); err != nil {
 		return nil, err
-	}
-	width := residueWidth(m)
-	if uint64(len(r.buf)) != uint64(count)*uint64(width) {
-		return nil, fmt.Errorf("wire: residue vector body %d bytes, want %d", len(r.buf), int(count)*width)
-	}
-	out := make([]*big.Int, count)
-	for i := range out {
-		v := new(big.Int).SetBytes(r.buf[:width])
-		r.buf = r.buf[width:]
-		if v.Cmp(m) >= 0 {
-			return nil, fmt.Errorf("wire: residue %d outside ring", i)
-		}
-		out[i] = v
 	}
 	return out, nil
+}
+
+// UnmarshalResidueVectorInto decodes a residue vector of exactly len(dst)
+// elements into dst's integers (SetBytes, so an integer with room for
+// the residue width does not allocate), validating every element against
+// the modulus. On error dst's values are unspecified.
+func UnmarshalResidueVectorInto(m *big.Int, dst []*big.Int, buf []byte) error {
+	if m == nil || m.Sign() <= 0 {
+		return errors.New("wire: invalid residue modulus")
+	}
+	width := residueWidth(m)
+	body, err := vectorInto(buf, kindResidueVec, width, dst)
+	if err != nil {
+		return err
+	}
+	for i, v := range dst {
+		v.SetBytes(body[i*width : (i+1)*width])
+		if v.Cmp(m) >= 0 {
+			return fmt.Errorf("wire: residue %d outside ring", i)
+		}
+	}
+	return nil
 }
 
 // AppendUint32 appends a length-prefixed 4-byte big-endian scalar — the

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"chiaroscuro/internal/crypto/damgardjurik"
 )
@@ -114,17 +115,19 @@ func (r *reader) done() error {
 
 func header(kind byte) []byte { return []byte{kind, version} }
 
-func checkHeader(buf []byte, kind byte) (*reader, error) {
+// checkHeader returns a reader over the fields after an artifact's
+// header, by value so that a decode allocates nothing for it.
+func checkHeader(buf []byte, kind byte) (reader, error) {
 	if len(buf) < 2 {
-		return nil, ErrTruncated
+		return reader{}, ErrTruncated
 	}
 	if buf[0] != kind {
-		return nil, fmt.Errorf("%w: got 0x%02x, want 0x%02x", ErrBadKind, buf[0], kind)
+		return reader{}, fmt.Errorf("%w: got 0x%02x, want 0x%02x", ErrBadKind, buf[0], kind)
 	}
 	if buf[1] != version {
-		return nil, fmt.Errorf("%w: %d", ErrBadVer, buf[1])
+		return reader{}, fmt.Errorf("%w: %d", ErrBadVer, buf[1])
 	}
-	return &reader{buf: buf[2:]}, nil
+	return reader{buf: buf[2:]}, nil
 }
 
 // MarshalPublicKey encodes (n, s).
@@ -237,7 +240,7 @@ func MarshalCiphertext(pk *damgardjurik.PublicKey, c *big.Int) ([]byte, error) {
 	if pk == nil {
 		return nil, errors.New("wire: nil public key")
 	}
-	if c == nil || c.Sign() <= 0 || c.Cmp(pk.CiphertextModulus()) >= 0 {
+	if pk.CheckCiphertext(c) != nil {
 		return nil, errors.New("wire: ciphertext out of range")
 	}
 	width := pk.CiphertextBytes()
@@ -266,7 +269,7 @@ func UnmarshalCiphertext(pk *damgardjurik.PublicKey, buf []byte) (*big.Int, erro
 		return nil, fmt.Errorf("wire: ciphertext width %d, want %d", len(f), pk.CiphertextBytes())
 	}
 	c := new(big.Int).SetBytes(f)
-	if c.Sign() <= 0 || c.Cmp(pk.CiphertextModulus()) >= 0 {
+	if pk.CheckCiphertext(c) != nil {
 		return nil, errors.New("wire: ciphertext out of range")
 	}
 	return c, nil
@@ -275,46 +278,112 @@ func UnmarshalCiphertext(pk *damgardjurik.PublicKey, buf []byte) (*big.Int, erro
 // MarshalCiphertextVector encodes a vector of ciphertexts (one gossip
 // message's payload) compactly: header, count, then fixed-width bodies.
 func MarshalCiphertextVector(pk *damgardjurik.PublicKey, cs []*big.Int) ([]byte, error) {
+	return AppendCiphertextVector(nil, pk, cs, self)
+}
+
+// AppendCiphertextVector appends MarshalCiphertextVector's encoding of
+// the ciphertexts value(es[0]), value(es[1]), … to dst — es is the
+// ciphertexts themselves (value returns its argument) or elements that
+// carry one, such as partial decryptions. dst grows at most once and
+// every body is written in place; on error it is returned unextended.
+func AppendCiphertextVector[E any](dst []byte, pk *damgardjurik.PublicKey, es []E, value func(E) *big.Int) ([]byte, error) {
 	if pk == nil {
-		return nil, errors.New("wire: nil public key")
+		return dst, errors.New("wire: nil public key")
 	}
 	width := pk.CiphertextBytes()
-	buf := make([]byte, 0, 2+4+len(cs)*width)
-	buf = append(buf, header(kindCipher)...)
-	buf = appendUint32(buf, uint32(len(cs)))
-	body := make([]byte, width)
-	for i, c := range cs {
-		if c == nil || c.Sign() <= 0 || c.Cmp(pk.CiphertextModulus()) >= 0 {
-			return nil, fmt.Errorf("wire: ciphertext %d out of range", i)
+	start := len(dst)
+	buf := slices.Grow(dst, vectorBytes(width, len(es)))
+	buf = append(buf, kindCipher, version)
+	buf = appendUint32(buf, uint32(len(es)))
+	for i, e := range es {
+		c := value(e)
+		if pk.CheckCiphertext(c) != nil {
+			return buf[:start], fmt.Errorf("wire: ciphertext %d out of range", i)
 		}
-		c.FillBytes(body)
-		buf = append(buf, body...)
+		n := len(buf)
+		buf = buf[:n+width] // inside the capacity reserved above
+		c.FillBytes(buf[n:])
 	}
 	return buf, nil
 }
 
-// UnmarshalCiphertextVector decodes a ciphertext vector.
+// self is the value accessor of a vector of plain integers.
+func self(v *big.Int) *big.Int { return v }
+
+// UnmarshalCiphertextVector decodes a ciphertext vector into fresh
+// integers.
 func UnmarshalCiphertextVector(pk *damgardjurik.PublicKey, buf []byte) ([]*big.Int, error) {
-	r, err := checkHeader(buf, kindCipher)
+	out, err := freshVector(buf, kindCipher, pk.CiphertextBytes())
 	if err != nil {
 		return nil, err
 	}
-	count, err := r.uint32()
-	if err != nil {
+	if err := UnmarshalCiphertextVectorInto(pk, out, buf); err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// UnmarshalCiphertextVectorInto decodes a ciphertext vector of exactly
+// len(dst) elements into dst's integers (SetBytes, so an integer with
+// room for the ciphertext width does not allocate), validating every
+// element against the key. On error dst's values are unspecified.
+func UnmarshalCiphertextVectorInto(pk *damgardjurik.PublicKey, dst []*big.Int, buf []byte) error {
 	width := pk.CiphertextBytes()
-	if uint64(len(r.buf)) != uint64(count)*uint64(width) {
-		return nil, fmt.Errorf("wire: vector body %d bytes, want %d", len(r.buf), int(count)*width)
+	body, err := vectorInto(buf, kindCipher, width, dst)
+	if err != nil {
+		return err
+	}
+	for i, c := range dst {
+		c.SetBytes(body[i*width : (i+1)*width])
+		if pk.CheckCiphertext(c) != nil {
+			return fmt.Errorf("wire: ciphertext %d out of range", i)
+		}
+	}
+	return nil
+}
+
+// vectorBytes is the encoded size of a vector (ciphertext or residue) of
+// count elements of the given fixed width: the artifact header, the
+// count field and the bodies.
+func vectorBytes(width, count int) int { return 2 + 4 + 4 + count*width }
+
+// readVector checks a vector artifact's header and that its body holds
+// exactly the declared count of width-byte elements, and returns both.
+func readVector(buf []byte, kind byte, width int) (count int, body []byte, err error) {
+	r, err := checkHeader(buf, kind)
+	if err != nil {
+		return 0, nil, err
+	}
+	c, err := r.uint32()
+	if err != nil {
+		return 0, nil, err
+	}
+	if uint64(len(r.buf)) != uint64(c)*uint64(width) {
+		return 0, nil, fmt.Errorf("wire: vector body %d bytes, want %d", len(r.buf), uint64(c)*uint64(width))
+	}
+	return int(c), r.buf, nil
+}
+
+// vectorInto is readVector for a decode into dst: the vector must hold
+// exactly len(dst) elements.
+func vectorInto(buf []byte, kind byte, width int, dst []*big.Int) ([]byte, error) {
+	count, body, err := readVector(buf, kind, width)
+	if err == nil && count != len(dst) {
+		err = fmt.Errorf("wire: vector of %d elements, want %d", count, len(dst))
+	}
+	return body, err
+}
+
+// freshVector returns fresh integers for the vector buf holds. The body
+// length is checked first, so a hostile count allocates nothing.
+func freshVector(buf []byte, kind byte, width int) ([]*big.Int, error) {
+	count, _, err := readVector(buf, kind, width)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]*big.Int, count)
 	for i := range out {
-		c := new(big.Int).SetBytes(r.buf[:width])
-		r.buf = r.buf[width:]
-		if c.Sign() <= 0 || c.Cmp(pk.CiphertextModulus()) >= 0 {
-			return nil, fmt.Errorf("wire: ciphertext %d out of range", i)
-		}
-		out[i] = c
+		out[i] = new(big.Int)
 	}
 	return out, nil
 }
