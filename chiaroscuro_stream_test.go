@@ -3,6 +3,7 @@ package chiaroscuro_test
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"chiaroscuro"
@@ -212,6 +213,130 @@ func TestStreamBudgetExhaustion(t *testing.T) {
 	}
 	if _, err := sess.Advance(steps[1]); !errors.Is(err, chiaroscuro.ErrBudgetExhausted) {
 		t.Fatalf("past-horizon advance: err = %v, want ErrBudgetExhausted", err)
+	}
+}
+
+// TestStreamAdvanceRejectsNaN checks that a NaN among a window's new
+// points is refused with the range error (a NaN compares false against
+// both bounds), that the refused slide leaves the population untouched,
+// and that the session stays usable.
+func TestStreamAdvanceRejectsNaN(t *testing.T) {
+	initial, steps := streamData(t, 24, 6, 2, 1)
+	cfg := chiaroscuro.Config{K: 2, LifetimeEpsilon: 40, Windows: 4, Seed: 5}
+	drive := func(poison bool) *chiaroscuro.Result {
+		t.Helper()
+		sess, err := chiaroscuro.OpenStream(initial, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		if _, err := sess.Advance(nil); err != nil {
+			t.Fatal(err)
+		}
+		if poison {
+			bad := make([][]float64, len(steps[0]))
+			for i, row := range steps[0] {
+				bad[i] = append([]float64(nil), row...)
+			}
+			bad[7][0] = math.NaN()
+			_, err := sess.Advance(bad)
+			want := "core: series 7 new value NaN at 0 outside [0, 1] — normalize first"
+			if err == nil || err.Error() != want {
+				t.Fatalf("NaN advance: err = %v, want %q", err, want)
+			}
+			if sess.Window() != 1 {
+				t.Fatalf("refused advance moved the window to %d", sess.Window())
+			}
+		}
+		res, err := sess.Advance(steps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	clean, after := drive(false), drive(true)
+	for j := range clean.Centroids {
+		for tt := range clean.Centroids[j] {
+			if math.Float64bits(clean.Centroids[j][tt]) != math.Float64bits(after.Centroids[j][tt]) {
+				t.Fatalf("a refused NaN slide changed the next window at centroid %d[%d]", j, tt)
+			}
+		}
+	}
+}
+
+// TestStreamSessionsAreIndependent is the supported form of several
+// studies over one population: one OpenStream per study. Two sessions
+// with different K and lifetime budgets read the same input slices and
+// advance concurrently; each must disclose exactly what it discloses
+// when run alone.
+func TestStreamSessionsAreIndependent(t *testing.T) {
+	const windows, slide = 3, 2
+	initial, steps := streamData(t, 30, 8, windows, slide)
+	cfgs := []chiaroscuro.Config{
+		{K: 2, LifetimeEpsilon: 60, Windows: windows, WarmStart: true, Seed: 11},
+		{K: 4, LifetimeEpsilon: 150, Windows: windows, BudgetStrategy: "decaying", Seed: 11},
+	}
+	type outcome struct {
+		centroids [][][]float64
+		budget    chiaroscuro.BudgetReport
+		err       error
+	}
+	drive := func(cfg chiaroscuro.Config) (out outcome) {
+		sess, err := chiaroscuro.OpenStream(initial, cfg)
+		if err != nil {
+			return outcome{err: err}
+		}
+		defer sess.Close()
+		for w := 0; w < windows; w++ {
+			var pts [][]float64
+			if w > 0 {
+				pts = steps[w-1]
+			}
+			res, err := sess.Advance(pts)
+			if err != nil {
+				return outcome{err: err}
+			}
+			out.centroids = append(out.centroids, res.Centroids)
+		}
+		out.budget = sess.Budget()
+		return out
+	}
+
+	alone := make([]outcome, len(cfgs))
+	for i, cfg := range cfgs {
+		alone[i] = drive(cfg)
+	}
+	together := make([]outcome, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i] = drive(cfg)
+		}()
+	}
+	wg.Wait()
+
+	for i := range cfgs {
+		a, b := alone[i], together[i]
+		if a.err != nil || b.err != nil {
+			t.Fatalf("session %d: alone err %v, concurrent err %v", i, a.err, b.err)
+		}
+		if a.budget != b.budget {
+			t.Fatalf("session %d: budget alone %+v, concurrent %+v", i, a.budget, b.budget)
+		}
+		for w := range a.centroids {
+			for j := range a.centroids[w] {
+				for tt := range a.centroids[w][j] {
+					if math.Float64bits(a.centroids[w][j][tt]) != math.Float64bits(b.centroids[w][j][tt]) {
+						t.Fatalf("session %d window %d: centroid %d[%d] differs when run beside the other session", i, w, j, tt)
+					}
+				}
+			}
+		}
+	}
+	if len(alone[0].centroids[0]) == len(alone[1].centroids[0]) {
+		t.Fatal("the two sessions should cluster with different K")
 	}
 }
 

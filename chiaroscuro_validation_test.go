@@ -18,12 +18,20 @@ func TestConfigValidationErrors(t *testing.T) {
 	if _, _, err := chiaroscuro.Normalize01(series); err != nil {
 		t.Fatal(err)
 	}
+	withNaN := nanAt(series, 3, 5)
 
 	cases := []struct {
 		name string
 		cfg  chiaroscuro.Config
+		data [][]float64 // nil: series
 		want string
 	}{
+		{
+			name: "NaN series value",
+			cfg:  chiaroscuro.Config{K: 3, Epsilon: 1},
+			data: withNaN,
+			want: "core: participant 3 value NaN at 5 outside [0, 1] — normalize first",
+		},
 		{
 			name: "unknown engine",
 			cfg:  chiaroscuro.Config{K: 3, Epsilon: 1, Engine: "warp"},
@@ -139,7 +147,11 @@ func TestConfigValidationErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := chiaroscuro.Cluster(series, tc.cfg)
+			data := series
+			if tc.data != nil {
+				data = tc.data
+			}
+			_, err := chiaroscuro.Cluster(data, tc.cfg)
 			if err == nil {
 				t.Fatalf("want error %q, got success", tc.want)
 			}
@@ -162,12 +174,20 @@ func TestStreamConfigValidationErrors(t *testing.T) {
 	if _, _, err := chiaroscuro.Normalize01(series); err != nil {
 		t.Fatal(err)
 	}
+	withNaN := nanAt(series, 3, 5)
 
 	cases := []struct {
 		name string
 		cfg  chiaroscuro.Config
+		data [][]float64 // nil: series
 		want string
 	}{
+		{
+			name: "NaN series value",
+			cfg:  chiaroscuro.Config{K: 3, LifetimeEpsilon: 8},
+			data: withNaN,
+			want: "core: participant 3 value NaN at 5 outside [0, 1] — normalize first",
+		},
 		{
 			name: "epsilon set on stream",
 			cfg:  chiaroscuro.Config{K: 3, Epsilon: 1, LifetimeEpsilon: 8},
@@ -251,7 +271,11 @@ func TestStreamConfigValidationErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sess, err := chiaroscuro.OpenStream(series, tc.cfg)
+			data := series
+			if tc.data != nil {
+				data = tc.data
+			}
+			sess, err := chiaroscuro.OpenStream(data, tc.cfg)
 			if err == nil {
 				sess.Close()
 				t.Fatalf("want error %q, got success", tc.want)
@@ -261,6 +285,18 @@ func TestStreamConfigValidationErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// nanAt returns a copy of series with series[i][t] set to NaN. A NaN
+// compares false against both ends of the value range, so a range check
+// must be written to reject it explicitly.
+func nanAt(series [][]float64, i, t int) [][]float64 {
+	out := make([][]float64, len(series))
+	for j, s := range series {
+		out[j] = append([]float64(nil), s...)
+	}
+	out[i][t] = math.NaN()
+	return out
 }
 
 // TestChurnStillSupportedOnCycleEngines guards the one-shot churn path:

@@ -348,7 +348,7 @@ func TestProvidedInitialCentroidsUsed(t *testing.T) {
 
 func TestEmptyClusterKeepsCentroid(t *testing.T) {
 	// One centroid starts far from all data and must keep its position
-	// (perturbed count ~ 0 -> EmptyKeep policy), modulo smoothing off.
+	// (perturbed count ~ 0 -> keep-previous policy), modulo smoothing off.
 	data := make([][]float64, 50)
 	for i := range data {
 		data[i] = []float64{0.1, 0.1}

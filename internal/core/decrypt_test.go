@@ -26,10 +26,9 @@ type scriptedSend struct {
 	bytes   int
 }
 
-func (e *scriptedEnv) ID() p2p.NodeID      { return e.id }
-func (e *scriptedEnv) Cycle() int          { return e.cycle }
-func (e *scriptedEnv) PopulationSize() int { return e.n }
-func (e *scriptedEnv) AliveCount() int     { return e.n }
+func (e *scriptedEnv) ID() p2p.NodeID  { return e.id }
+func (e *scriptedEnv) Cycle() int      { return e.cycle }
+func (e *scriptedEnv) AliveCount() int { return e.n }
 func (e *scriptedEnv) Inbox() []p2p.Message {
 	return nil
 }

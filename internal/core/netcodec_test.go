@@ -133,6 +133,20 @@ func TestNewNodeRejectsABudgetTheWireCannotCarry(t *testing.T) {
 	}
 }
 
+// TestNewNodeRejectsNaNSeries pins the daemon path's range check: a NaN
+// sample compares false against both bounds, and used to pass it and
+// panic the first assignment step instead of failing NewNode.
+func TestNewNodeRejectsNaNSeries(t *testing.T) {
+	data, params := snapshotTestConfig()
+	data[2] = append([]float64(nil), data[2]...)
+	data[2][1] = math.NaN()
+	_, err := NewNode(data, params, 0)
+	const want = "core: participant 2 value NaN at 1 outside [0, 1] — normalize first"
+	if err == nil || err.Error() != want {
+		t.Fatalf("NewNode over a NaN sample: %v, want %q", err, want)
+	}
+}
+
 // FuzzDecodePayload hardens the decoder transport/node.go feeds peer
 // bytes: arbitrary input must produce an error or a payload — never a
 // panic — and an accepted payload is canonical (it re-encodes to the

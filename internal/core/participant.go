@@ -96,7 +96,6 @@ type IterationResult struct {
 type Env interface {
 	ID() p2p.NodeID
 	Cycle() int
-	PopulationSize() int
 	AliveCount() int
 	Inbox() []p2p.Message
 	Send(to p2p.NodeID, payload any, bytes int) error
@@ -954,11 +953,11 @@ func (pt *participant) finishIteration(ctx Env, failed bool) {
 				}
 			}
 			// A cluster whose perturbed relative count is too small gets
-			// its previous centroid kept (EmptyKeep policy): dividing by
-			// a tiny count turns the Laplace noise on the sums into an
-			// arbitrarily large distortion of the "mean". The guard is
-			// noise-aware: the std of the noise on a relative sum
-			// coordinate is √2·b/N, so requiring
+			// its previous centroid kept (kmeans' default empty policy):
+			// dividing by a tiny count turns the Laplace noise on the
+			// sums into an arbitrarily large distortion of the "mean".
+			// The guard is noise-aware: the std of the noise on a
+			// relative sum coordinate is √2·b/N, so requiring
 			// count ≥ √2·b/(N·tol) caps the expected per-coordinate
 			// noise of a disclosed mean at ~tol.
 			minCount := 0.5 / float64(r.population)

@@ -237,10 +237,8 @@ func prepareRun(data [][]float64, params Params) (*runSetup, error) {
 		if len(s) != dim {
 			return nil, fmt.Errorf("core: participant %d has dim %d, want %d", i, len(s), dim)
 		}
-		for t, v := range s {
-			if v < -1e-9 || v > p.MaxValue+1e-9 {
-				return nil, fmt.Errorf("core: participant %d value %v at %d outside [0, %v] — normalize first", i, v, t, p.MaxValue)
-			}
+		if t, v, bad := firstOutOfRange(s, p.MaxValue); bad {
+			return nil, fmt.Errorf("core: participant %d value %v at %d outside [0, %v] — normalize first", i, v, t, p.MaxValue)
 		}
 	}
 	// Flatten the population's series into one contiguous arena; every
@@ -251,6 +249,18 @@ func prepareRun(data [][]float64, params Params) (*runSetup, error) {
 		return nil, err
 	}
 	return prepareRunOn(seriesMat, p, nil)
+}
+
+// firstOutOfRange returns the first sample of row outside [0, max] (with
+// a 1e-9 tolerance), and whether there is one. The comparison is written
+// so that NaN counts as out of range.
+func firstOutOfRange(row []float64, max float64) (t int, v float64, bad bool) {
+	for t, v := range row {
+		if !(v >= -1e-9 && v <= max+1e-9) {
+			return t, v, true
+		}
+	}
+	return 0, 0, false
 }
 
 // prepareRunOn constructs the run-wide state over an existing series

@@ -115,11 +115,6 @@ type RunSession struct {
 	suite   CipherSuite
 	n, dim  int
 
-	// shared marks a cohort session: the series arena belongs to the
-	// cohort scheduler (which advances it once for all cohorts), so
-	// Advance refuses newPoints.
-	shared bool
-
 	window int
 	skips  int
 	prev   [][]float64 // last disclosed centroids (warm-start seed)
@@ -149,22 +144,7 @@ func NewRunSession(data [][]float64, sp SessionParams) (*RunSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newRunSession(mat, sp, false)
-}
-
-// NewSharedRunSession builds a session over a series arena owned by
-// someone else — the cohort scheduler, which advances one shared
-// population for many sessions. The session reads the arena but never
-// slides it: Advance(newPoints) with non-nil points is refused.
-func NewSharedRunSession(mat *vecpool.Matrix, sp SessionParams) (*RunSession, error) {
-	return newRunSession(mat, sp, true)
-}
-
-func newRunSession(mat *vecpool.Matrix, sp SessionParams, shared bool) (*RunSession, error) {
 	n, dim := mat.NumRows(), mat.Cols()
-	if n < 2 {
-		return nil, errors.New("core: need at least 2 participants")
-	}
 	if sp.Base.Epsilon != 0 {
 		return nil, errors.New("core: session windows draw epsilon from the lifetime budget — leave Params.Epsilon zero")
 	}
@@ -193,10 +173,8 @@ func newRunSession(mat *vecpool.Matrix, sp SessionParams, shared bool) (*RunSess
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		for t, v := range mat.Row(i) {
-			if v < -1e-9 || v > base.MaxValue+1e-9 {
-				return nil, fmt.Errorf("core: participant %d value %v at %d outside [0, %v] — normalize first", i, v, t, base.MaxValue)
-			}
+		if t, v, bad := firstOutOfRange(mat.Row(i), base.MaxValue); bad {
+			return nil, fmt.Errorf("core: participant %d value %v at %d outside [0, %v] — normalize first", i, v, t, base.MaxValue)
 		}
 	}
 	planned := sp.Windows
@@ -228,7 +206,6 @@ func newRunSession(mat *vecpool.Matrix, sp SessionParams, shared bool) (*RunSess
 		suite:   suite,
 		n:       n,
 		dim:     dim,
-		shared:  shared,
 		drift:   math.NaN(),
 	}, nil
 }
@@ -257,17 +234,6 @@ func (s *RunSession) Window() int { return s.window }
 // Ledger returns the session's longitudinal budget ledger.
 func (s *RunSession) Ledger() *dp.Ledger { return s.ledger }
 
-// SetSpend switches the spend strategy mid-stream (tightening the
-// budget discipline of a long-lived session is an operational need, not
-// a restart). The ledger — and everything already spent — carries over.
-func (s *RunSession) SetSpend(strategy dp.SpendStrategy) error {
-	if strategy == nil {
-		return errors.New("core: nil spend strategy")
-	}
-	s.spend = strategy
-	return nil
-}
-
 // Close releases the session's suite resources. Further Advance calls
 // are refused.
 func (s *RunSession) Close() {
@@ -278,19 +244,11 @@ func (s *RunSession) Close() {
 	s.suite.Close()
 }
 
-// AdvanceWindow slides the population's series by one window step
+// advanceWindow slides the population's series by one window step
 // without running a clustering: each participant's oldest samples are
 // evicted and newPoints[i] lands at its tail (all rows the same width,
-// between 1 and the series dimension, values in [0, MaxValue]). Advance
-// with non-nil points does this automatically; the separate entry point
-// exists for callers that interleave several slides per clustering.
-func (s *RunSession) AdvanceWindow(newPoints [][]float64) error {
-	if s.closed {
-		return errors.New("core: session is closed")
-	}
-	if s.shared {
-		return errors.New("core: shared-population session — the cohort scheduler advances the window")
-	}
+// between 1 and the series dimension, values in [0, MaxValue]).
+func (s *RunSession) advanceWindow(newPoints [][]float64) error {
 	if len(newPoints) != s.n {
 		return fmt.Errorf("core: window advance has %d series, population is %d", len(newPoints), s.n)
 	}
@@ -302,10 +260,8 @@ func (s *RunSession) AdvanceWindow(newPoints [][]float64) error {
 		if len(row) != w {
 			return fmt.Errorf("core: ragged window advance — series %d has %d samples, want %d", i, len(row), w)
 		}
-		for t, v := range row {
-			if v < -1e-9 || v > s.base.MaxValue+1e-9 {
-				return fmt.Errorf("core: series %d new value %v at %d outside [0, %v] — normalize first", i, v, t, s.base.MaxValue)
-			}
+		if t, v, bad := firstOutOfRange(row, s.base.MaxValue); bad {
+			return fmt.Errorf("core: series %d new value %v at %d outside [0, %v] — normalize first", i, v, t, s.base.MaxValue)
 		}
 	}
 	for i, row := range newPoints {
@@ -330,7 +286,7 @@ func (s *RunSession) Advance(newPoints [][]float64) (*WindowResult, error) {
 		return nil, errors.New("core: session is closed")
 	}
 	if newPoints != nil {
-		if err := s.AdvanceWindow(newPoints); err != nil {
+		if err := s.advanceWindow(newPoints); err != nil {
 			return nil, err
 		}
 	}

@@ -356,11 +356,11 @@ func TestStreamThresholdSkipsAndForcedRecluster(t *testing.T) {
 	}
 }
 
-// TestStreamStrategySwitchMidStream covers the operational path of
-// tightening the budget discipline on a live session: the switch keeps
-// the ledger, and a twin session making the identical switch discloses
-// bit-identical windows (strategy switching is part of the deterministic
-// surface).
+// TestStreamStrategySwitchMidStream covers tightening the budget
+// discipline of a live session: a strategy that switches rule at window 2
+// keeps spending from the same ledger, and a twin session making the
+// identical switch discloses bit-identical windows (strategy switching is
+// part of the deterministic surface).
 func TestStreamStrategySwitchMidStream(t *testing.T) {
 	const windows = 4
 	initial, steps, _ := streamFeed(24, 4, windows, 1, 2)
@@ -373,6 +373,7 @@ func TestStreamStrategySwitchMidStream(t *testing.T) {
 			LifetimeEpsilon: 80,
 			Windows:         8,
 			WarmStart:       true,
+			Spend:           switchAt{window: 2, before: dp.SpendUniform{}, after: dp.SpendDecaying{Factor: 0.5}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -380,11 +381,6 @@ func TestStreamStrategySwitchMidStream(t *testing.T) {
 		defer s.Close()
 		var out []*WindowResult
 		for w := 0; w < windows; w++ {
-			if w == 2 {
-				if err := s.SetSpend(dp.SpendDecaying{Factor: 0.5}); err != nil {
-					t.Fatal(err)
-				}
-			}
 			var pts [][]float64
 			if w > 0 {
 				pts = steps[w-1]
@@ -410,16 +406,21 @@ func TestStreamStrategySwitchMidStream(t *testing.T) {
 	if math.Abs(a[2].EpsilonDrawn-30) > 1e-9 {
 		t.Fatalf("decaying phase drew %v, want 30 (half of the remaining 60)", a[2].EpsilonDrawn)
 	}
-	if err := func() error {
-		s, err := NewRunSession(initial, SessionParams{Base: base, LifetimeEpsilon: 10})
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		return s.SetSpend(nil)
-	}(); err == nil {
-		t.Fatal("SetSpend(nil) must fail")
+}
+
+// switchAt is a test strategy that decides with before until the given
+// window and with after from then on.
+type switchAt struct {
+	window        int
+	before, after dp.SpendStrategy
+}
+
+func (s switchAt) Name() string { return "switch-at" }
+func (s switchAt) Decide(st dp.SpendState) (dp.SpendDecision, error) {
+	if st.Window < s.window {
+		return s.before.Decide(st)
 	}
+	return s.after.Decide(st)
 }
 
 // TestSessionValidationErrors pins the session-layer validation paths.
@@ -478,15 +479,15 @@ func TestSessionValidationErrors(t *testing.T) {
 		})
 	}
 
-	s, err := NewRunSession(initial, SessionParams{Base: base, LifetimeEpsilon: 40, Windows: 2})
+	s, err := NewRunSession(initial, SessionParams{Base: base, LifetimeEpsilon: 40, Windows: 2, Spend: alwaysSkip{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Advance-time shape violations.
-	if err := s.AdvanceWindow(steps[0][:3]); err == nil {
+	if err := s.advanceWindow(steps[0][:3]); err == nil {
 		t.Fatal("wrong series count must fail")
 	}
-	if err := s.AdvanceWindow(make([][]float64, 10)); err == nil {
+	if err := s.advanceWindow(make([][]float64, 10)); err == nil {
 		t.Fatal("empty rows must fail")
 	}
 	bad := make([][]float64, 10)
@@ -494,28 +495,22 @@ func TestSessionValidationErrors(t *testing.T) {
 		bad[i] = []float64{0.5}
 	}
 	bad[3] = []float64{0.5, 0.5}
-	if err := s.AdvanceWindow(bad); err == nil {
+	if err := s.advanceWindow(bad); err == nil {
 		t.Fatal("ragged advance must fail")
 	}
 	bad[3] = []float64{7}
 	bad[0] = []float64{0.5}
-	if err := s.AdvanceWindow(bad); err == nil {
+	if err := s.advanceWindow(bad); err == nil {
 		t.Fatal("out-of-range value must fail")
 	}
 	wide := make([][]float64, 10)
 	for i := range wide {
 		wide[i] = []float64{0.1, 0.2, 0.3, 0.4, 0.5}
 	}
-	if err := s.AdvanceWindow(wide); err == nil {
+	if err := s.advanceWindow(wide); err == nil {
 		t.Fatal("over-wide advance must fail")
 	}
 	// Skipping the very first window has nothing to carry forward.
-	if err := s.SetSpend(dp.SpendThreshold{Drift: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetSpend(alwaysSkip{}); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.Advance(nil); err == nil {
 		t.Fatal("skip of the first window must fail")
 	}

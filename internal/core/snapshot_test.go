@@ -68,7 +68,6 @@ type memEnv struct {
 
 func (e *memEnv) ID() p2p.NodeID       { return p2p.NodeID(e.id) }
 func (e *memEnv) Cycle() int           { return e.epoch }
-func (e *memEnv) PopulationSize() int  { return len(e.m.nodes) }
 func (e *memEnv) AliveCount() int      { return len(e.m.nodes) }
 func (e *memEnv) Inbox() []p2p.Message { return e.inbox }
 func (e *memEnv) RandomPeer() (p2p.NodeID, bool) {

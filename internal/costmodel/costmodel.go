@@ -85,29 +85,6 @@ type CryptoProfile struct {
 	CiphertextBytes int
 }
 
-// Speedups reports naive/fast ratios per accelerated operation (values
-// > 1 mean the fast path wins); operations without both measurements
-// are omitted.
-func (p *CryptoProfile) Speedups() map[string]float64 {
-	out := make(map[string]float64, 5)
-	pairs := []struct {
-		name        string
-		naive, fast time.Duration
-	}{
-		{"encrypt", p.Encrypt, p.FastEncrypt},
-		{"decrypt", p.Decrypt, p.FastDecrypt},
-		{"partial-decrypt", p.PartialDecrypt, p.FastPartialDecrypt},
-		{"combine", p.Combine, p.FastCombine},
-		{"rerandomize", p.Rerandomize, p.FastRerandomize},
-	}
-	for _, pr := range pairs {
-		if pr.naive > 0 && pr.fast > 0 {
-			out[pr.name] = float64(pr.naive) / float64(pr.fast)
-		}
-	}
-	return out
-}
-
 // MeasureProfile times the real implementation over reps repetitions per
 // operation, using fixture moduli (so the measurement is instant to set
 // up). parties/threshold configure the threshold operations. Both the

@@ -43,12 +43,6 @@ func TestMeasureProfilePopulatesFastPaths(t *testing.T) {
 			t.Errorf("%s duration = %v, want > 0", name, d)
 		}
 	}
-	sp := p.Speedups()
-	for _, op := range []string{"encrypt", "decrypt", "partial-decrypt", "combine", "rerandomize"} {
-		if sp[op] <= 0 {
-			t.Errorf("speedup for %s missing: %v", op, sp)
-		}
-	}
 }
 
 func TestProjectReportsBothNaiveAndFastCosts(t *testing.T) {

@@ -115,11 +115,6 @@ func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*big.Int, error) {
 	return c.Mod(c, pk.ns1), nil
 }
 
-// EncryptInt64 is a convenience wrapper around Encrypt.
-func (pk *PublicKey) EncryptInt64(rnd io.Reader, m int64) (*big.Int, error) {
-	return pk.Encrypt(rnd, big.NewInt(m))
-}
-
 // Add homomorphically adds two ciphertexts: E(a)·E(b) = E(a+b mod n^s).
 // The double-width product lives in pooled scratch; only the reduced
 // result is freshly allocated (callers retain it).

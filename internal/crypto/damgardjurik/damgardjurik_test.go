@@ -92,7 +92,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestHomomorphicAddition(t *testing.T) {
 	sk := testKey(t, 128, 1)
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	a, b := big.NewInt(123456), big.NewInt(654321)
 	ca, _ := pk.Encrypt(rand.Reader, a)
 	cb, _ := pk.Encrypt(rand.Reader, b)
@@ -111,7 +111,7 @@ func TestHomomorphicAddition(t *testing.T) {
 
 func TestHomomorphicAdditionWrapsModNs(t *testing.T) {
 	sk := testKey(t, 64, 1)
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	ns := pk.PlaintextModulus()
 	a := new(big.Int).Sub(ns, big.NewInt(1))
 	ca, _ := pk.Encrypt(rand.Reader, a)
@@ -128,7 +128,7 @@ func TestHomomorphicAdditionWrapsModNs(t *testing.T) {
 
 func TestHomomorphicScalarMul(t *testing.T) {
 	sk := testKey(t, 128, 1)
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	c, _ := pk.Encrypt(rand.Reader, big.NewInt(1111))
 	for _, k := range []int64{0, 1, 2, 77} {
 		ck, err := pk.ScalarMul(c, big.NewInt(k))
@@ -147,7 +147,7 @@ func TestHomomorphicScalarMul(t *testing.T) {
 
 func TestHomomorphicScalarMulNegative(t *testing.T) {
 	sk := testKey(t, 128, 1)
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	ns := pk.PlaintextModulus()
 	c, _ := pk.Encrypt(rand.Reader, big.NewInt(10))
 	ck, err := pk.ScalarMul(c, big.NewInt(-3))
@@ -166,7 +166,7 @@ func TestHomomorphicScalarMulNegative(t *testing.T) {
 
 func TestHomomorphicSub(t *testing.T) {
 	sk := testKey(t, 128, 1)
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	ca, _ := pk.Encrypt(rand.Reader, big.NewInt(500))
 	cb, _ := pk.Encrypt(rand.Reader, big.NewInt(123))
 	diff, err := pk.Sub(ca, cb)
@@ -185,7 +185,7 @@ func TestHomomorphicSub(t *testing.T) {
 func TestHomomorphicLawsProperty(t *testing.T) {
 	// E(a)·E(b) ~ E(a+b) and E(a)^k ~ E(ka), over random inputs, s=2.
 	sk := testKey(t, 96, 2)
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	ns := pk.PlaintextModulus()
 	rng := mrand.New(mrand.NewSource(13))
 	for i := 0; i < 25; i++ {
@@ -211,7 +211,7 @@ func TestHomomorphicLawsProperty(t *testing.T) {
 
 func TestEncryptIsRandomized(t *testing.T) {
 	sk := testKey(t, 128, 1)
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	m := big.NewInt(42)
 	c1, _ := pk.Encrypt(rand.Reader, m)
 	c2, _ := pk.Encrypt(rand.Reader, m)
@@ -222,7 +222,7 @@ func TestEncryptIsRandomized(t *testing.T) {
 
 func TestEncryptWithNonceDeterministic(t *testing.T) {
 	sk := testKey(t, 128, 1)
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	r := big.NewInt(12345)
 	c1, err := pk.EncryptWithNonce(big.NewInt(7), r)
 	if err != nil {
@@ -236,7 +236,7 @@ func TestEncryptWithNonceDeterministic(t *testing.T) {
 
 func TestEncryptWithNonceValidation(t *testing.T) {
 	sk := testKey(t, 128, 1)
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	if _, err := pk.EncryptWithNonce(big.NewInt(1), big.NewInt(0)); err == nil {
 		t.Fatal("zero nonce should error")
 	}
@@ -255,7 +255,7 @@ func TestEncryptWithNonceValidation(t *testing.T) {
 
 func TestRerandomizePreservesPlaintext(t *testing.T) {
 	sk := testKey(t, 128, 1)
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	m := big.NewInt(31337)
 	c, _ := pk.Encrypt(rand.Reader, m)
 	c2, err := pk.Rerandomize(rand.Reader, c)
@@ -276,7 +276,7 @@ func TestRerandomizePreservesPlaintext(t *testing.T) {
 
 func TestCiphertextValidation(t *testing.T) {
 	sk := testKey(t, 128, 1)
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	bad := []*big.Int{nil, big.NewInt(0), big.NewInt(-5), pk.CiphertextModulus()}
 	for _, c := range bad {
 		if _, err := pk.Add(c, c); !errors.Is(err, ErrInvalidCiphertext) {
@@ -293,7 +293,7 @@ func TestCiphertextValidation(t *testing.T) {
 
 func TestNegativePlaintextReducedModNs(t *testing.T) {
 	sk := testKey(t, 128, 1)
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	ns := pk.PlaintextModulus()
 	c, err := pk.Encrypt(rand.Reader, big.NewInt(-1))
 	if err != nil {
@@ -337,7 +337,7 @@ func TestCiphertextBytes(t *testing.T) {
 func TestPowOnePlusNMatchesExp(t *testing.T) {
 	// The binomial shortcut must agree with naive modular exponentiation.
 	sk := testKey(t, 96, 2)
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	onePlusN := new(big.Int).Add(pk.N, big.NewInt(1))
 	rng := mrand.New(mrand.NewSource(17))
 	for i := 0; i < 20; i++ {
@@ -352,7 +352,7 @@ func TestPowOnePlusNMatchesExp(t *testing.T) {
 
 func TestDLogInverseOfPow(t *testing.T) {
 	sk := testKey(t, 96, 3)
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	rng := mrand.New(mrand.NewSource(19))
 	for i := 0; i < 20; i++ {
 		m := new(big.Int).Rand(rng, pk.PlaintextModulus())

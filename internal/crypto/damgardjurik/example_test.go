@@ -60,7 +60,7 @@ func ExamplePublicKey_ScalarMul() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	c, _ := pk.Encrypt(nil, big.NewInt(21))
 	doubled, err := pk.ScalarMul(c, big.NewInt(2))
 	if err != nil {
@@ -81,7 +81,7 @@ func ExamplePublicKey_NewEncContext() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	ec, err := pk.NewEncContext(nil)
 	if err != nil {
 		log.Fatal(err)
@@ -106,7 +106,7 @@ func ExampleRandomizerPool() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pk := sk.Public()
+	pk := &sk.PublicKey
 	ec, err := pk.NewEncContext(nil)
 	if err != nil {
 		log.Fatal(err)

@@ -18,7 +18,7 @@ func racePoolFixture(t *testing.T) (*PrivateKey, *EncContext) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec, err := sk.Public().NewEncContext(nil)
+	ec, err := sk.PublicKey.NewEncContext(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

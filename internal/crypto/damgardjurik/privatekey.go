@@ -112,12 +112,6 @@ func (sk *PrivateKey) DecryptNaive(c *big.Int) (*big.Int, error) {
 	return m, nil
 }
 
-// Public returns the public key.
-func (sk *PrivateKey) Public() *PublicKey {
-	pk := sk.PublicKey
-	return &pk
-}
-
 // Validate performs internal consistency checks (used by tests and when
 // loading fixture keys).
 func (sk *PrivateKey) Validate() error {

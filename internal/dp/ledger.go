@@ -16,8 +16,7 @@ import (
 // when the lifetime budget would overrun) and settles down to what the
 // run actually disclosed when it converges early.
 //
-// Ledger is safe for concurrent use (the cohort scheduler reads sibling
-// cohorts' reports while windows run).
+// Ledger is safe for concurrent use.
 type Ledger struct {
 	mu       sync.Mutex
 	lifetime float64

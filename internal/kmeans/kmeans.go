@@ -11,13 +11,13 @@ import (
 	"math/rand"
 )
 
-// InitMethod selects how initial centroids are chosen.
+// InitMethod selects how initial centroids are chosen. The zero value
+// picks k distinct data points uniformly at random — the paper's "chosen
+// at random" default.
 type InitMethod int
 
 const (
-	// InitRandom picks k distinct data points uniformly at random — the
-	// paper's "chosen at random" default.
-	InitRandom InitMethod = iota
+	_ InitMethod = iota
 	// InitKMeansPP uses the k-means++ D² weighting.
 	InitKMeansPP
 	// InitProvided uses Options.Initial as given.
@@ -25,13 +25,13 @@ const (
 )
 
 // EmptyPolicy selects the reaction to a cluster losing all its members.
+// The zero value keeps the previous centroid (Chiaroscuro's behaviour: a
+// perturbed mean over zero members is pure noise, so the core protocol
+// keeps the old centroid instead).
 type EmptyPolicy int
 
 const (
-	// EmptyKeep keeps the previous centroid (Chiaroscuro's behaviour:
-	// a perturbed mean over zero members is pure noise, so the core
-	// protocol keeps the old centroid instead).
-	EmptyKeep EmptyPolicy = iota
+	_ EmptyPolicy = iota
 	// EmptyReseed moves the centroid onto the point farthest from its
 	// assigned centroid.
 	EmptyReseed

@@ -138,7 +138,7 @@ func TestEmptyClusterKeepPolicy(t *testing.T) {
 	// Two coincident points + far centroid: one cluster will be empty.
 	data := [][]float64{{0, 0}, {0, 0}, {0, 0}}
 	initial := [][]float64{{0, 0}, {100, 100}}
-	res, err := Run(data, Options{K: 2, Init: InitProvided, Initial: initial, MaxIter: 5, Empty: EmptyKeep})
+	res, err := Run(data, Options{K: 2, Init: InitProvided, Initial: initial, MaxIter: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestKMeansPPBeatsRandomOnAverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rnd, err := Run(data, Options{K: 3, Init: InitRandom, Seed: seed, MaxIter: 30})
+		rnd, err := Run(data, Options{K: 3, Seed: seed, MaxIter: 30})
 		if err != nil {
 			t.Fatal(err)
 		}

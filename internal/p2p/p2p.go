@@ -8,8 +8,8 @@
 //
 // The engine provides:
 //
-//   - a uniform peer-sampling oracle (optionally restricted by a
-//     Topology), as Peersim's idealized membership service;
+//   - a uniform peer-sampling oracle over the complete graph, as
+//     Peersim's idealized membership service;
 //   - asynchronous point-to-point messages with per-message byte
 //     accounting (delivered into the destination's inbox, drained at its
 //     next activation — there is no global synchronization, matching
@@ -150,14 +150,6 @@ type FaultScheduler interface {
 	Directive(id NodeID, cycle int) NodeDirective
 }
 
-// Topology restricts which peers a node may sample. A nil Topology means
-// the complete graph (Peersim's idealized oracle).
-type Topology interface {
-	// Neighbors returns the candidate peer set of id in a population of
-	// size n. The returned slice must not be mutated by callers.
-	Neighbors(id NodeID, n int) []NodeID
-}
-
 // Stats aggregates the cost counters of a run — the quantities behind the
 // demo's network-cost displays.
 type Stats struct {
@@ -176,9 +168,8 @@ type Stats struct {
 
 // Options configures a Network.
 type Options struct {
-	Seed     int64
-	Churn    ChurnModel
-	Topology Topology
+	Seed  int64
+	Churn ChurnModel
 	// Workers is the number of shard workers activating nodes in
 	// parallel each cycle. 0 or 1 selects the sequential scheduler. Any
 	// value yields bit-identical results (see the package determinism
@@ -274,7 +265,6 @@ type Network struct {
 	cycle    int
 	churnRng *rand.Rand
 	churn    ChurnModel
-	topo     Topology
 	cond     Conditioner
 	sched    FaultScheduler
 	stats    Stats
@@ -310,7 +300,6 @@ func New(n int, factory func(NodeID) Protocol, opts Options) (*Network, error) {
 		nodes:    make([]nodeSlot, n),
 		churnRng: rand.New(rand.NewSource(opts.Seed)),
 		churn:    opts.Churn,
-		topo:     opts.Topology,
 		cond:     opts.Conditioner,
 		sched:    opts.Faults,
 		alive:    n,
@@ -345,13 +334,6 @@ func New(n int, factory func(NodeID) Protocol, opts Options) (*Network, error) {
 	}
 	if nw.workers > 1 {
 		nw.shards = makeShards(n, nw.workers)
-	}
-	if nw.topo != nil {
-		// Warm any lazy per-node neighbor caches sequentially, so that
-		// Neighbors calls from concurrent shard workers are pure reads.
-		for i := 0; i < n; i++ {
-			nw.topo.Neighbors(NodeID(i), n)
-		}
 	}
 	return nw, nil
 }
@@ -582,26 +564,10 @@ func (nw *Network) enqueue(slot *nodeSlot, m Message, delay int) {
 	slot.delayed = append(slot.delayed, delayedMessage{due: nw.cycle + 1 + delay, msg: m})
 }
 
-// randomPeer samples a uniform alive peer of id (excluding id itself),
-// respecting the topology, from the node's private RNG. ok is false when
-// no candidate is alive.
+// randomPeer samples a uniform alive peer of id (excluding id itself)
+// from the node's private RNG. ok is false when no other node is alive.
 func (nw *Network) randomPeer(id NodeID) (NodeID, bool) {
 	rng := nw.nodes[id].rng
-	if nw.topo != nil {
-		cands := nw.topo.Neighbors(id, len(nw.nodes))
-		// Reservoir-sample an alive candidate.
-		picked, count := NodeID(-1), 0
-		for _, c := range cands {
-			if c == id || !nw.Alive(c) {
-				continue
-			}
-			count++
-			if rng.Intn(count) == 0 {
-				picked = c
-			}
-		}
-		return picked, picked >= 0
-	}
 	if nw.alive < 2 {
 		return -1, false
 	}
@@ -626,9 +592,6 @@ func (c *Context) ID() NodeID { return c.id }
 
 // Cycle returns the current cycle number (0-based).
 func (c *Context) Cycle() int { return c.nw.cycle }
-
-// PopulationSize returns the total number of nodes.
-func (c *Context) PopulationSize() int { return len(c.nw.nodes) }
 
 // AliveCount returns the number of currently alive nodes.
 func (c *Context) AliveCount() int { return c.nw.alive }

@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 )
 
@@ -98,41 +97,6 @@ func TestShardedBitIdenticalUnderChurn(t *testing.T) {
 		if stats != seqStats {
 			t.Fatalf("%s: stats %+v vs sequential %+v", label, stats, seqStats)
 		}
-	}
-}
-
-// TestShardedRespectsTopology checks the restricted-membership path under
-// the parallel scheduler.
-func TestShardedRespectsTopology(t *testing.T) {
-	ring := &Ring{K: 2}
-	n := 12
-	var bad atomic.Bool
-	nw, err := New(n, func(id NodeID) Protocol {
-		return protoFunc(func(ctx *Context) {
-			for i := 0; i < 5; i++ {
-				p, ok := ctx.RandomPeer()
-				if !ok {
-					continue
-				}
-				d := int(p) - int(ctx.ID())
-				if d < 0 {
-					d = -d
-				}
-				if dd := n - d; dd < d {
-					d = dd
-				}
-				if d > 2 {
-					bad.Store(true)
-				}
-			}
-		})
-	}, Options{Seed: 9, Topology: ring, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.Run(4)
-	if bad.Load() {
-		t.Fatal("topology violated under sharded scheduler")
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package quality provides the clustering-quality metrics displayed by the
-// demonstration: intra-cluster inertia (the paper's example objective
-// function, Sec. II.A), distances between centroid sets (the noise-impact
-// graphs of Fig. 3 panel 5), and partition-agreement scores (Adjusted Rand
-// Index, Normalized Mutual Information) used to compare Chiaroscuro's
-// result against the centralized baseline and the ground-truth archetypes.
+// demonstration: distances between centroid sets (the noise-impact graphs
+// of Fig. 3 panel 5) and the Adjusted Rand Index, used to compare
+// Chiaroscuro's result against the centralized baseline and the
+// ground-truth archetypes. Intra-cluster inertia, the paper's example
+// objective (Sec. II.A), is computed by kmeans.AssignAll.
 package quality
 
 import (
@@ -14,28 +14,6 @@ import (
 
 // ErrMismatch is returned when inputs have incompatible shapes.
 var ErrMismatch = errors.New("quality: input shape mismatch")
-
-// Inertia computes the within-cluster sum of squared distances of data to
-// its closest centroid (the "intra-cluster inertia" objective).
-func Inertia(data, centroids [][]float64) (float64, error) {
-	if len(data) == 0 || len(centroids) == 0 {
-		return 0, fmt.Errorf("%w: empty data or centroids", ErrMismatch)
-	}
-	var total float64
-	for i, p := range data {
-		best := math.Inf(1)
-		for _, c := range centroids {
-			if len(c) != len(p) {
-				return 0, fmt.Errorf("%w: point %d dim %d vs centroid dim %d", ErrMismatch, i, len(p), len(c))
-			}
-			if sq := sqDist(p, c); sq < best {
-				best = sq
-			}
-		}
-		total += best
-	}
-	return total, nil
-}
 
 // MatchCentroids returns, for each centroid in a, the index of the
 // centroid of b it is matched to, minimizing the total squared distance.
@@ -169,56 +147,6 @@ func ARI(x, y []int) (float64, error) {
 		return 1, nil
 	}
 	return (sumComb - expected) / (maxIdx - expected), nil
-}
-
-// NMI computes the Normalized Mutual Information (arithmetic-mean
-// normalization) between two partitions.
-func NMI(x, y []int) (float64, error) {
-	ct, nx, ny, n, err := contingency(x, y)
-	if err != nil {
-		return 0, err
-	}
-	if n == 0 {
-		return 1, nil
-	}
-	fn := float64(n)
-	var mi float64
-	for i, row := range ct {
-		for j, v := range row {
-			if v == 0 {
-				continue
-			}
-			p := float64(v) / fn
-			mi += p * math.Log(p*fn*fn/(float64(nx[i])*float64(ny[j])))
-		}
-	}
-	hx := entropy(nx, fn)
-	hy := entropy(ny, fn)
-	if hx == 0 && hy == 0 {
-		return 1, nil
-	}
-	denom := (hx + hy) / 2
-	if denom == 0 {
-		return 0, nil
-	}
-	v := mi / denom
-	// Clamp tiny negative values from floating point.
-	if v < 0 && v > -1e-12 {
-		v = 0
-	}
-	return v, nil
-}
-
-func entropy(counts []int, n float64) float64 {
-	var h float64
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / n
-		h -= p * math.Log(p)
-	}
-	return h
 }
 
 func contingency(x, y []int) (ct [][]int, nx, ny []int, n int, err error) {

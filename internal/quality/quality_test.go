@@ -8,39 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestInertiaBasic(t *testing.T) {
-	data := [][]float64{{0}, {2}, {10}}
-	centroids := [][]float64{{1}, {10}}
-	got, err := Inertia(data, centroids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (0-1)² + (2-1)² + 0 = 2.
-	if got != 2 {
-		t.Fatalf("inertia = %v, want 2", got)
-	}
-}
-
-func TestInertiaErrors(t *testing.T) {
-	if _, err := Inertia(nil, [][]float64{{1}}); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := Inertia([][]float64{{1}}, nil); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := Inertia([][]float64{{1, 2}}, [][]float64{{1}}); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestInertiaZeroWhenCentroidsCoverData(t *testing.T) {
-	data := [][]float64{{1, 2}, {3, 4}}
-	got, err := Inertia(data, data)
-	if err != nil || got != 0 {
-		t.Fatalf("inertia = %v, err = %v", got, err)
-	}
-}
-
 func TestMatchCentroidsIdentity(t *testing.T) {
 	a := [][]float64{{0, 0}, {1, 1}, {2, 2}}
 	m, err := MatchCentroids(a, a)
@@ -195,53 +162,9 @@ func TestARIKnownValue(t *testing.T) {
 	}
 }
 
-func TestNMIPerfectAndIndependent(t *testing.T) {
-	x := []int{0, 0, 1, 1, 2, 2}
-	got, err := NMI(x, x)
-	if err != nil || math.Abs(got-1) > 1e-12 {
-		t.Fatalf("NMI(x,x) = %v", got)
-	}
-	rng := rand.New(rand.NewSource(33))
-	n := 5000
-	a := make([]int, n)
-	b := make([]int, n)
-	for i := range a {
-		a[i] = rng.Intn(3)
-		b[i] = rng.Intn(3)
-	}
-	got, err = NMI(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got > 0.01 {
-		t.Fatalf("NMI of independent labelings = %v, want ~0", got)
-	}
-}
-
-func TestNMISingleClusterEdgeCases(t *testing.T) {
-	// Both partitions trivial: defined as 1 (identical information).
-	x := []int{0, 0, 0}
-	got, err := NMI(x, x)
-	if err != nil || got != 1 {
-		t.Fatalf("NMI trivial = %v", got)
-	}
-	// One trivial, one informative: zero shared information.
-	y := []int{0, 1, 2}
-	got, err = NMI(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Fatalf("NMI(trivial, informative) = %v, want 0", got)
-	}
-}
-
 func TestPartitionMetricErrors(t *testing.T) {
 	if _, err := ARI([]int{0}, []int{0, 1}); !errors.Is(err, ErrMismatch) {
 		t.Fatalf("ARI length: %v", err)
-	}
-	if _, err := NMI([]int{0}, []int{0, 1}); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("NMI length: %v", err)
 	}
 	if _, err := ARI([]int{-1}, []int{0}); err == nil {
 		t.Fatal("negative label should error")
@@ -277,7 +200,7 @@ func TestARISymmetryProperty(t *testing.T) {
 
 // TestPartitionMetricsSingletonAndDegenerate is the table-driven edge
 // battery over empty and singleton clusterings: one point, one cluster,
-// all-singletons — every metric must return a finite, well-defined
+// all-singletons — ARI must return a finite, well-defined
 // value (degenerate agreement is defined as perfect, matching the
 // standard convention) instead of NaN from a zero denominator.
 func TestPartitionMetricsSingletonAndDegenerate(t *testing.T) {
@@ -285,13 +208,12 @@ func TestPartitionMetricsSingletonAndDegenerate(t *testing.T) {
 		name    string
 		x, y    []int
 		wantARI float64
-		wantNMI float64
 	}{
-		{name: "single point", x: []int{0}, y: []int{0}, wantARI: 1, wantNMI: 1},
-		{name: "two points one cluster", x: []int{0, 0}, y: []int{0, 0}, wantARI: 1, wantNMI: 1},
-		{name: "all singletons agree", x: []int{0, 1, 2}, y: []int{2, 0, 1}, wantARI: 1, wantNMI: 1},
-		{name: "one cluster vs singletons", x: []int{0, 0, 0}, y: []int{0, 1, 2}, wantARI: 0, wantNMI: 0},
-		{name: "single point distinct labels", x: []int{0}, y: []int{3}, wantARI: 1, wantNMI: 1},
+		{name: "single point", x: []int{0}, y: []int{0}, wantARI: 1},
+		{name: "two points one cluster", x: []int{0, 0}, y: []int{0, 0}, wantARI: 1},
+		{name: "all singletons agree", x: []int{0, 1, 2}, y: []int{2, 0, 1}, wantARI: 1},
+		{name: "one cluster vs singletons", x: []int{0, 0, 0}, y: []int{0, 1, 2}, wantARI: 0},
+		{name: "single point distinct labels", x: []int{0}, y: []int{3}, wantARI: 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -302,35 +224,13 @@ func TestPartitionMetricsSingletonAndDegenerate(t *testing.T) {
 			if math.IsNaN(ari) || math.Abs(ari-tc.wantARI) > 1e-12 {
 				t.Fatalf("ARI = %v, want %v", ari, tc.wantARI)
 			}
-			nmi, err := NMI(tc.x, tc.y)
-			if err != nil {
-				t.Fatalf("NMI: %v", err)
-			}
-			if math.IsNaN(nmi) || math.Abs(nmi-tc.wantNMI) > 1e-12 {
-				t.Fatalf("NMI = %v, want %v", nmi, tc.wantNMI)
-			}
 		})
 	}
 }
 
-// TestInertiaAndRMSEEmptySingletonClusters pins the empty/singleton
-// centroid-set behaviour of the distance metrics.
-func TestInertiaAndRMSEEmptySingletonClusters(t *testing.T) {
-	// Empty inputs are shape errors, not zeros.
-	if _, err := Inertia(nil, [][]float64{{0}}); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("empty data: %v", err)
-	}
-	if _, err := Inertia([][]float64{{0}}, nil); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("empty centroids: %v", err)
-	}
-	// A singleton cluster set: inertia is the distance to that centroid.
-	got, err := Inertia([][]float64{{0, 0}, {2, 0}}, [][]float64{{1, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-2) > 1e-12 {
-		t.Fatalf("singleton-centroid inertia = %v, want 2", got)
-	}
+// TestRMSEEmptySingletonClusters pins the empty/singleton centroid-set
+// behaviour of the centroid distance.
+func TestRMSEEmptySingletonClusters(t *testing.T) {
 	// Singleton centroid sets through matching + RMSE.
 	rmse, err := CentroidRMSE([][]float64{{1, 2}}, [][]float64{{1, 2}})
 	if err != nil || rmse != 0 {

@@ -54,64 +54,3 @@ func NormalizeMinMax(set []Series) (Normalization, error) {
 	}
 	return n, nil
 }
-
-// Apply maps a raw value into the normalized domain.
-func (n Normalization) Apply(v float64) float64 {
-	return (v - n.Offset) * n.Scale
-}
-
-// Invert maps a normalized value back to the raw domain.
-func (n Normalization) Invert(v float64) float64 {
-	if n.Scale == 0 {
-		return n.Offset
-	}
-	return v/n.Scale + n.Offset
-}
-
-// ApplySeries maps a whole raw series into the normalized domain,
-// returning a new series.
-func (n Normalization) ApplySeries(s Series) Series {
-	out := make(Series, len(s))
-	for i, v := range s {
-		out[i] = n.Apply(v)
-	}
-	return out
-}
-
-// InvertSeries maps a normalized series back to the raw domain, returning
-// a new series.
-func (n Normalization) InvertSeries(s Series) Series {
-	out := make(Series, len(s))
-	for i, v := range s {
-		out[i] = n.Invert(v)
-	}
-	return out
-}
-
-// ZScoreEach standardizes each series independently to zero mean and unit
-// variance (constant series become all-zero). It returns the per-series
-// (mean, std) pairs so callers can invert the transform.
-func ZScoreEach(set []Series) (means, stds []float64, err error) {
-	if len(set) == 0 {
-		return nil, nil, ErrEmpty
-	}
-	means = make([]float64, len(set))
-	stds = make([]float64, len(set))
-	for i, s := range set {
-		if len(s) == 0 {
-			return nil, nil, fmt.Errorf("timeseries: series %d: %w", i, ErrEmpty)
-		}
-		m, sd := s.Mean(), s.Std()
-		means[i], stds[i] = m, sd
-		if sd == 0 {
-			for j := range s {
-				s[j] = 0
-			}
-			continue
-		}
-		for j := range s {
-			s[j] = (s[j] - m) / sd
-		}
-	}
-	return means, stds, nil
-}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -39,34 +40,21 @@ func TestNormalizeInvertRoundTrip(t *testing.T) {
 		for j := range s {
 			s[j] = rng.NormFloat64() * 100
 		}
-		orig[i] = s.Clone()
+		orig[i] = slices.Clone(s)
 		set[i] = s
 	}
 	n, err := NormalizeMinMax(set)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The documented transform normalized = (raw - Offset) * Scale
+	// inverts to raw = normalized/Scale + Offset.
 	for i := range set {
-		back := n.InvertSeries(set[i])
-		for j := range back {
-			if !almostEq(back[j], orig[i][j], 1e-9) {
-				t.Fatalf("roundtrip mismatch at [%d][%d]: %v vs %v", i, j, back[j], orig[i][j])
+		for j, v := range set[i] {
+			if back := v/n.Scale + n.Offset; !almostEq(back, orig[i][j], 1e-9) {
+				t.Fatalf("roundtrip mismatch at [%d][%d]: %v vs %v", i, j, back, orig[i][j])
 			}
 		}
-	}
-}
-
-func TestNormalizeApplyInvertScalar(t *testing.T) {
-	n := Normalization{Offset: 10, Scale: 0.5}
-	if got := n.Apply(12); !almostEq(got, 1, 1e-12) {
-		t.Fatalf("apply = %v", got)
-	}
-	if got := n.Invert(1); !almostEq(got, 12, 1e-12) {
-		t.Fatalf("invert = %v", got)
-	}
-	z := Normalization{Offset: 3, Scale: 0}
-	if got := z.Invert(0.7); got != 3 {
-		t.Fatalf("zero-scale invert = %v, want offset", got)
 	}
 }
 
@@ -143,7 +131,7 @@ func TestNormalizeMinMaxEdgeCases(t *testing.T) {
 			// partially scaled).
 			set := make([]Series, len(tc.set))
 			for i, s := range tc.set {
-				set[i] = s.Clone()
+				set[i] = slices.Clone(s)
 			}
 			n, err := NormalizeMinMax(set)
 			if tc.wantErr {
@@ -173,49 +161,5 @@ func TestNormalizeMinMaxEdgeCases(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestApplySeriesDoesNotMutate(t *testing.T) {
-	n := Normalization{Offset: 1, Scale: 2}
-	s := Series{1, 2}
-	out := n.ApplySeries(s)
-	if s[0] != 1 || s[1] != 2 {
-		t.Fatalf("ApplySeries mutated input: %v", s)
-	}
-	if out[0] != 0 || out[1] != 2 {
-		t.Fatalf("ApplySeries = %v", out)
-	}
-}
-
-func TestZScoreEach(t *testing.T) {
-	set := []Series{{1, 2, 3}, {10, 10, 10}}
-	means, stds, err := ZScoreEach(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(means[0], 2, 1e-12) || !almostEq(means[1], 10, 1e-12) {
-		t.Fatalf("means = %v", means)
-	}
-	if !almostEq(set[0].Mean(), 0, 1e-12) || !almostEq(set[0].Std(), 1, 1e-12) {
-		t.Fatalf("standardized series 0: mean=%v std=%v", set[0].Mean(), set[0].Std())
-	}
-	// Constant series maps to zeros, std reported as 0.
-	if stds[1] != 0 {
-		t.Fatalf("constant std = %v", stds[1])
-	}
-	for _, v := range set[1] {
-		if v != 0 {
-			t.Fatalf("constant series should map to zeros: %v", set[1])
-		}
-	}
-}
-
-func TestZScoreEachErrors(t *testing.T) {
-	if _, _, err := ZScoreEach(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("nil: %v", err)
-	}
-	if _, _, err := ZScoreEach([]Series{{1}, {}}); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("one empty: %v", err)
 	}
 }

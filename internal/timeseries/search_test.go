@@ -3,6 +3,7 @@ package timeseries
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -20,7 +21,7 @@ func TestBestAlignmentExactMatch(t *testing.T) {
 
 func TestBestAlignmentFullLength(t *testing.T) {
 	s := Series{1, 2, 3}
-	off, d, err := BestAlignment(s, s.Clone())
+	off, d, err := BestAlignment(s, slices.Clone(s))
 	if err != nil {
 		t.Fatal(err)
 	}

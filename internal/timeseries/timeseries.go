@@ -1,7 +1,8 @@
 // Package timeseries provides the time-series kernel used throughout the
-// Chiaroscuro reproduction: a Series value type, distance functions,
-// normalization, resampling, and subsequence matching (the "Bob finds the
-// closest profiles" use case of the demonstration, Fig. 3 panel 6).
+// Chiaroscuro reproduction: a Series value type, the squared Euclidean
+// distance, min-max normalization, smoothing, and subsequence matching
+// (the "Bob finds the closest profiles" use case of the demonstration,
+// Fig. 3 panel 6).
 //
 // A Series is a plain []float64: one value per time step, uniformly
 // sampled. All functions treat series as immutable unless their name says
@@ -24,18 +25,6 @@ var ErrLengthMismatch = errors.New("timeseries: length mismatch")
 // ErrEmpty is returned when an operation needs a non-empty series.
 var ErrEmpty = errors.New("timeseries: empty series")
 
-// Clone returns a deep copy of s.
-func (s Series) Clone() Series {
-	out := make(Series, len(s))
-	copy(out, s)
-	return out
-}
-
-// Zero returns a series of n zeros.
-func Zero(n int) Series {
-	return make(Series, n)
-}
-
 // AddInPlace adds t to s element-wise, modifying s.
 func (s Series) AddInPlace(t Series) error {
 	if len(s) != len(t) {
@@ -47,24 +36,6 @@ func (s Series) AddInPlace(t Series) error {
 	return nil
 }
 
-// SubInPlace subtracts t from s element-wise, modifying s.
-func (s Series) SubInPlace(t Series) error {
-	if len(s) != len(t) {
-		return fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(s), len(t))
-	}
-	for i := range s {
-		s[i] -= t[i]
-	}
-	return nil
-}
-
-// ScaleInPlace multiplies every element of s by f.
-func (s Series) ScaleInPlace(f float64) {
-	for i := range s {
-		s[i] *= f
-	}
-}
-
 // Sum returns the sum of the elements of s.
 func (s Series) Sum() float64 {
 	var sum float64
@@ -72,28 +43,6 @@ func (s Series) Sum() float64 {
 		sum += v
 	}
 	return sum
-}
-
-// Mean returns the arithmetic mean of s. It returns 0 for an empty series.
-func (s Series) Mean() float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	return s.Sum() / float64(len(s))
-}
-
-// Std returns the population standard deviation of s.
-func (s Series) Std() float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	m := s.Mean()
-	var acc float64
-	for _, v := range s {
-		d := v - m
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(len(s)))
 }
 
 // Min returns the smallest element of s, or +Inf for an empty series.
@@ -129,76 +78,6 @@ func SquaredL2(a, b Series) (float64, error) {
 		acc += d * d
 	}
 	return acc, nil
-}
-
-// L2 returns the Euclidean distance between a and b.
-func L2(a, b Series) (float64, error) {
-	sq, err := SquaredL2(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(sq), nil
-}
-
-// L1 returns the Manhattan distance between a and b.
-func L1(a, b Series) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(a), len(b))
-	}
-	var acc float64
-	for i := range a {
-		acc += math.Abs(a[i] - b[i])
-	}
-	return acc, nil
-}
-
-// LInf returns the Chebyshev distance between a and b.
-func LInf(a, b Series) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(a), len(b))
-	}
-	var max float64
-	for i := range a {
-		d := math.Abs(a[i] - b[i])
-		if d > max {
-			max = d
-		}
-	}
-	return max, nil
-}
-
-// Resample linearly interpolates s onto m uniformly spaced points covering
-// the same time span. m must be >= 1 and s non-empty.
-func Resample(s Series, m int) (Series, error) {
-	if len(s) == 0 {
-		return nil, ErrEmpty
-	}
-	if m < 1 {
-		return nil, fmt.Errorf("timeseries: resample target %d < 1", m)
-	}
-	if m == 1 {
-		return Series{s.Mean()}, nil
-	}
-	if len(s) == 1 {
-		out := make(Series, m)
-		for i := range out {
-			out[i] = s[0]
-		}
-		return out, nil
-	}
-	out := make(Series, m)
-	scale := float64(len(s)-1) / float64(m-1)
-	for i := range out {
-		pos := float64(i) * scale
-		lo := int(math.Floor(pos))
-		if lo >= len(s)-1 {
-			out[i] = s[len(s)-1]
-			continue
-		}
-		frac := pos - float64(lo)
-		out[i] = s[lo]*(1-frac) + s[lo+1]*frac
-	}
-	return out, nil
 }
 
 // MovingAverage returns s smoothed with a centered moving-average window of

@@ -617,7 +617,6 @@ type epochEnv struct {
 
 func (e *epochEnv) ID() p2p.NodeID       { return p2p.NodeID(e.n.cfg.ID) }
 func (e *epochEnv) Cycle() int           { return e.epoch }
-func (e *epochEnv) PopulationSize() int  { return e.n.cfg.Population }
 func (e *epochEnv) AliveCount() int      { return e.n.cfg.Population }
 func (e *epochEnv) Inbox() []p2p.Message { return e.inbox }
 func (e *epochEnv) RandomPeer() (p2p.NodeID, bool) {

@@ -19,7 +19,6 @@ type captureEnv struct {
 
 func (e *captureEnv) ID() p2p.NodeID       { return p2p.NodeID(e.id) }
 func (e *captureEnv) Cycle() int           { return e.cycle }
-func (e *captureEnv) PopulationSize() int  { return e.n }
 func (e *captureEnv) AliveCount() int      { return e.n }
 func (e *captureEnv) Inbox() []p2p.Message { return nil }
 func (e *captureEnv) RandomPeer() (p2p.NodeID, bool) {

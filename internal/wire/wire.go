@@ -1,15 +1,13 @@
-// Package wire provides stable binary encodings for the protocol's
-// transportable artifacts: public keys, threshold key material, key
-// shares, ciphertexts and partial decryptions. A real Chiaroscuro
-// deployment moves these between devices; the demonstration platform
-// stores them. The format is deliberately simple and self-describing:
+// Package wire provides stable binary encodings for what the protocol
+// moves between devices: vectors of ciphertexts or partial decryptions,
+// vectors of accounted-backend residues, the length-prefixed fields of
+// composite messages, and stream framing. A vector artifact is
 //
-//	[1 byte kind] [1 byte version] { [4-byte big-endian length] [payload] }*
+//	[1 byte kind] [1 byte version] [4-byte length = 4] [4-byte count] [count fixed-width bodies]
 //
-// where each payload is the minimal big-endian two's-complement-free
-// magnitude of a non-negative big.Int, or a 4-byte big-endian integer for
-// scalar fields. All values in the protocol are non-negative residues, so
-// no sign bytes are needed.
+// where each body is the big-endian magnitude of a non-negative residue,
+// zero-padded to the width its modulus fixes. All values in the protocol
+// are non-negative residues, so no sign bytes are needed.
 package wire
 
 import (
@@ -22,13 +20,9 @@ import (
 	"chiaroscuro/internal/crypto/damgardjurik"
 )
 
-// Artifact kind tags.
-const (
-	kindPublicKey byte = 0x01
-	kindKeyShare  byte = 0x02
-	kindPartial   byte = 0x03
-	kindCipher    byte = 0x04
-)
+// Artifact kind tags. Kinds 0x01–0x03 (single public key, key share and
+// partial decryption) are retired and must not be reused.
+const kindCipher byte = 0x04
 
 const version byte = 1
 
@@ -39,27 +33,12 @@ var (
 	ErrBadVer    = errors.New("wire: unsupported version")
 )
 
-// maxDegree bounds the Damgård–Jurik degree accepted from the wire.
-// Building a public key materializes n^{s+1}, so an adversarial s would
-// otherwise turn a few input bytes into unbounded computation; no
-// supported protocol configuration comes near this bound.
-const maxDegree = 16
-
 // appendField appends a length-prefixed big-endian field.
 func appendField(buf []byte, payload []byte) []byte {
 	var l [4]byte
 	binary.BigEndian.PutUint32(l[:], uint32(len(payload)))
 	buf = append(buf, l[:]...)
 	return append(buf, payload...)
-}
-
-func appendInt(buf []byte, v *big.Int) []byte {
-	if v == nil || v.Sign() < 0 {
-		// Negative values never occur in valid artifacts; encode as
-		// empty, which round-trips to zero and fails validation later.
-		return appendField(buf, nil)
-	}
-	return appendField(buf, v.Bytes())
 }
 
 func appendUint32(buf []byte, v uint32) []byte {
@@ -87,14 +66,6 @@ func (r *reader) field() ([]byte, error) {
 	return out, nil
 }
 
-func (r *reader) bigInt() (*big.Int, error) {
-	f, err := r.field()
-	if err != nil {
-		return nil, err
-	}
-	return new(big.Int).SetBytes(f), nil
-}
-
 func (r *reader) uint32() (uint32, error) {
 	f, err := r.field()
 	if err != nil {
@@ -113,8 +84,6 @@ func (r *reader) done() error {
 	return nil
 }
 
-func header(kind byte) []byte { return []byte{kind, version} }
-
 // checkHeader returns a reader over the fields after an artifact's
 // header, by value so that a decode allocates nothing for it.
 func checkHeader(buf []byte, kind byte) (reader, error) {
@@ -128,151 +97,6 @@ func checkHeader(buf []byte, kind byte) (reader, error) {
 		return reader{}, fmt.Errorf("%w: %d", ErrBadVer, buf[1])
 	}
 	return reader{buf: buf[2:]}, nil
-}
-
-// MarshalPublicKey encodes (n, s).
-func MarshalPublicKey(pk *damgardjurik.PublicKey) ([]byte, error) {
-	if pk == nil || pk.N == nil {
-		return nil, errors.New("wire: nil public key")
-	}
-	buf := header(kindPublicKey)
-	buf = appendInt(buf, pk.N)
-	buf = appendUint32(buf, uint32(pk.S))
-	return buf, nil
-}
-
-// UnmarshalPublicKey decodes a public key and rebuilds its caches.
-func UnmarshalPublicKey(buf []byte) (*damgardjurik.PublicKey, error) {
-	r, err := checkHeader(buf, kindPublicKey)
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.bigInt()
-	if err != nil {
-		return nil, err
-	}
-	s, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	if s < 1 || s > maxDegree {
-		return nil, fmt.Errorf("wire: degree %d outside [1, %d]", s, maxDegree)
-	}
-	return damgardjurik.NewPublicKey(n, int(s))
-}
-
-// MarshalKeyShare encodes a secret key share. Treat the output as secret
-// material.
-func MarshalKeyShare(ks damgardjurik.KeyShare) ([]byte, error) {
-	if ks.Value == nil || ks.Index < 1 {
-		return nil, errors.New("wire: invalid key share")
-	}
-	buf := header(kindKeyShare)
-	buf = appendUint32(buf, uint32(ks.Index))
-	buf = appendInt(buf, ks.Value)
-	return buf, nil
-}
-
-// UnmarshalKeyShare decodes a key share.
-func UnmarshalKeyShare(buf []byte) (damgardjurik.KeyShare, error) {
-	r, err := checkHeader(buf, kindKeyShare)
-	if err != nil {
-		return damgardjurik.KeyShare{}, err
-	}
-	idx, err := r.uint32()
-	if err != nil {
-		return damgardjurik.KeyShare{}, err
-	}
-	v, err := r.bigInt()
-	if err != nil {
-		return damgardjurik.KeyShare{}, err
-	}
-	if err := r.done(); err != nil {
-		return damgardjurik.KeyShare{}, err
-	}
-	if idx < 1 {
-		return damgardjurik.KeyShare{}, errors.New("wire: key share index 0")
-	}
-	return damgardjurik.KeyShare{Index: int(idx), Value: v}, nil
-}
-
-// MarshalPartial encodes a partial decryption.
-func MarshalPartial(p damgardjurik.PartialDecryption) ([]byte, error) {
-	if p.Value == nil || p.Index < 1 {
-		return nil, errors.New("wire: invalid partial decryption")
-	}
-	buf := header(kindPartial)
-	buf = appendUint32(buf, uint32(p.Index))
-	buf = appendInt(buf, p.Value)
-	return buf, nil
-}
-
-// UnmarshalPartial decodes a partial decryption.
-func UnmarshalPartial(buf []byte) (damgardjurik.PartialDecryption, error) {
-	r, err := checkHeader(buf, kindPartial)
-	if err != nil {
-		return damgardjurik.PartialDecryption{}, err
-	}
-	idx, err := r.uint32()
-	if err != nil {
-		return damgardjurik.PartialDecryption{}, err
-	}
-	v, err := r.bigInt()
-	if err != nil {
-		return damgardjurik.PartialDecryption{}, err
-	}
-	if err := r.done(); err != nil {
-		return damgardjurik.PartialDecryption{}, err
-	}
-	if idx < 1 {
-		return damgardjurik.PartialDecryption{}, errors.New("wire: partial index 0")
-	}
-	return damgardjurik.PartialDecryption{Index: int(idx), Value: v}, nil
-}
-
-// MarshalCiphertext encodes one ciphertext, fixed-width against the given
-// public key so message sizes are predictable (the basis of the cost
-// accounting).
-func MarshalCiphertext(pk *damgardjurik.PublicKey, c *big.Int) ([]byte, error) {
-	if pk == nil {
-		return nil, errors.New("wire: nil public key")
-	}
-	if pk.CheckCiphertext(c) != nil {
-		return nil, errors.New("wire: ciphertext out of range")
-	}
-	width := pk.CiphertextBytes()
-	buf := make([]byte, 0, 2+4+width)
-	buf = append(buf, header(kindCipher)...)
-	payload := make([]byte, width)
-	c.FillBytes(payload)
-	return appendField(buf, payload), nil
-}
-
-// UnmarshalCiphertext decodes a ciphertext and validates it against the
-// public key.
-func UnmarshalCiphertext(pk *damgardjurik.PublicKey, buf []byte) (*big.Int, error) {
-	r, err := checkHeader(buf, kindCipher)
-	if err != nil {
-		return nil, err
-	}
-	f, err := r.field()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	if len(f) != pk.CiphertextBytes() {
-		return nil, fmt.Errorf("wire: ciphertext width %d, want %d", len(f), pk.CiphertextBytes())
-	}
-	c := new(big.Int).SetBytes(f)
-	if pk.CheckCiphertext(c) != nil {
-		return nil, errors.New("wire: ciphertext out of range")
-	}
-	return c, nil
 }
 
 // MarshalCiphertextVector encodes a vector of ciphertexts (one gossip

@@ -19,104 +19,6 @@ func testKey(t *testing.T) (*damgardjurik.ThresholdKey, []damgardjurik.KeyShare)
 	return tk, shares
 }
 
-func TestPublicKeyRoundTrip(t *testing.T) {
-	tk, _ := testKey(t)
-	pk := &tk.PublicKey
-	buf, err := MarshalPublicKey(pk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalPublicKey(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.N.Cmp(pk.N) != 0 || back.S != pk.S {
-		t.Fatal("public key round trip mismatch")
-	}
-	// The rebuilt key must be fully functional.
-	c, err := back.Encrypt(rand.Reader, big.NewInt(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := back.Add(c, c); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestKeyShareRoundTrip(t *testing.T) {
-	_, shares := testKey(t)
-	for _, ks := range shares {
-		buf, err := MarshalKeyShare(ks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := UnmarshalKeyShare(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.Index != ks.Index || back.Value.Cmp(ks.Value) != 0 {
-			t.Fatal("key share round trip mismatch")
-		}
-	}
-}
-
-func TestPartialRoundTripAndUse(t *testing.T) {
-	tk, shares := testKey(t)
-	m := big.NewInt(31337)
-	c, err := tk.Encrypt(rand.Reader, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Serialize both partials, deserialize, and combine the copies.
-	var parts []damgardjurik.PartialDecryption
-	for _, ks := range shares[:2] {
-		p, err := tk.PartialDecrypt(ks, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf, err := MarshalPartial(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := UnmarshalPartial(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, back)
-	}
-	got, err := tk.Combine(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(m) != 0 {
-		t.Fatalf("combined deserialized partials = %v", got)
-	}
-}
-
-func TestCiphertextRoundTrip(t *testing.T) {
-	tk, _ := testKey(t)
-	pk := &tk.PublicKey
-	c, err := pk.Encrypt(rand.Reader, big.NewInt(424242))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := MarshalCiphertext(pk, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fixed width: every ciphertext serializes to the same size.
-	if len(buf) != 2+4+pk.CiphertextBytes() {
-		t.Fatalf("serialized size %d", len(buf))
-	}
-	back, err := UnmarshalCiphertext(pk, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Cmp(c) != 0 {
-		t.Fatal("ciphertext round trip mismatch")
-	}
-}
-
 func TestCiphertextVectorRoundTrip(t *testing.T) {
 	tk, shares := testKey(t)
 	pk := &tk.PublicKey
@@ -156,70 +58,138 @@ func TestCiphertextVectorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsGarbage feeds both vector decoders, allocating
+// and into a destination, the header and framing refusals of
+// checkHeader and readVector. Each case is written after the decoder's
+// own kind byte, except the kind-less ones.
 func TestUnmarshalRejectsGarbage(t *testing.T) {
 	tk, _ := testKey(t)
 	pk := &tk.PublicKey
-	cases := [][]byte{
-		nil,
-		{},
-		{0x01},
-		{0xFF, 0x01, 0, 0, 0, 0}, // wrong kind
-		{0x01, 0x99},             // wrong version
-		{0x01, 0x01, 0, 0, 0, 9}, // truncated field
+	m := big.NewInt(1 << 20)
+	cases := []struct {
+		name   string
+		noKind bool
+		rest   []byte
+		want   error // nil: any error
+	}{
+		{"nil", true, nil, ErrTruncated},
+		{"kind only", false, nil, ErrTruncated},
+		{"wrong kind", true, []byte{0xFF, version, 0, 0, 0, 4, 0, 0, 0, 0}, ErrBadKind},
+		{"wrong version", false, []byte{0x99, 0, 0, 0, 4, 0, 0, 0, 0}, ErrBadVer},
+		{"truncated count field", false, []byte{version, 0, 0, 0, 9}, ErrTruncated},
+		{"short count prefix", false, []byte{version, 0, 0}, ErrTruncated},
+		{"undersized body", false, []byte{version, 0, 0, 0, 4, 0, 0, 0, 1, 0x00}, nil},
 	}
-	for i, buf := range cases {
-		if _, err := UnmarshalPublicKey(buf); err == nil {
-			t.Errorf("case %d: garbage accepted", i)
+	for _, tc := range cases {
+		build := func(kind byte) []byte {
+			if tc.noKind {
+				return tc.rest
+			}
+			return append([]byte{kind}, tc.rest...)
 		}
-	}
-	if _, err := UnmarshalCiphertext(pk, []byte{0x04, 0x01, 0, 0, 0, 1, 0x00}); err == nil {
-		t.Error("undersized ciphertext accepted")
+		cbuf, rbuf := build(kindCipher), build(kindResidueVec)
+		_, e1 := UnmarshalCiphertextVector(pk, cbuf)
+		_, e3 := UnmarshalResidueVector(m, rbuf)
+		errs := []error{
+			e1,
+			UnmarshalCiphertextVectorInto(pk, freshInts(1), cbuf),
+			e3,
+			UnmarshalResidueVectorInto(m, freshInts(1), rbuf),
+		}
+		for i, err := range errs {
+			if err == nil {
+				t.Errorf("%s: decoder %d accepted garbage", tc.name, i)
+			} else if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Errorf("%s: decoder %d: %v, want %v", tc.name, i, err, tc.want)
+			}
+		}
 	}
 }
 
+// TestUnmarshalKindMismatch checks that neither vector decoder accepts
+// the other's artifact.
 func TestUnmarshalKindMismatch(t *testing.T) {
-	_, shares := testKey(t)
-	buf, err := MarshalKeyShare(shares[0])
+	tk, _ := testKey(t)
+	pk := &tk.PublicKey
+	c, err := pk.Encrypt(rand.Reader, big.NewInt(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnmarshalPublicKey(buf); !errors.Is(err, ErrBadKind) {
-		t.Fatalf("kind confusion not detected: %v", err)
+	cbuf, err := MarshalCiphertextVector(pk, []*big.Int{c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := pk.CiphertextModulus()
+	if _, err := UnmarshalResidueVector(m, cbuf); !errors.Is(err, ErrBadKind) {
+		t.Fatalf("ciphertext vector read as residues: %v", err)
+	}
+	rbuf, err := MarshalResidueVector(m, []*big.Int{c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := UnmarshalCiphertextVectorInto(pk, freshInts(1), rbuf); !errors.Is(err, ErrBadKind) {
+		t.Fatalf("residue vector read as ciphertexts: %v", err)
 	}
 }
 
+// TestTrailingBytesRejected checks that a byte past an artifact's end is
+// refused: by the vector decoders, whose body must be exactly the
+// declared count, and by a composite message's FieldReader.Done.
 func TestTrailingBytesRejected(t *testing.T) {
 	tk, _ := testKey(t)
-	buf, err := MarshalPublicKey(&tk.PublicKey)
+	pk := &tk.PublicKey
+	c, err := pk.Encrypt(rand.Reader, big.NewInt(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := MarshalCiphertextVector(pk, []*big.Int{c})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf = append(buf, 0xAB)
-	if _, err := UnmarshalPublicKey(buf); err == nil {
-		t.Fatal("trailing bytes accepted")
+	if _, err := UnmarshalCiphertextVector(pk, buf); err == nil {
+		t.Fatal("trailing bytes accepted by the ciphertext vector decoder")
+	}
+	m := big.NewInt(1000)
+	rbuf, err := MarshalResidueVector(m, []*big.Int{big.NewInt(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := UnmarshalResidueVectorInto(m, freshInts(1), append(rbuf, 0)); err == nil {
+		t.Fatal("trailing bytes accepted by the residue vector decoder")
+	}
+	fr := NewFieldReader(append(AppendUint32(nil, 3), 0xAB))
+	if v, err := fr.Uint32(); err != nil || v != 3 {
+		t.Fatalf("field = %d, %v", v, err)
+	}
+	if err := fr.Done(); err == nil {
+		t.Fatal("trailing bytes accepted by FieldReader.Done")
 	}
 }
 
 func TestMarshalValidation(t *testing.T) {
 	tk, _ := testKey(t)
 	pk := &tk.PublicKey
-	if _, err := MarshalPublicKey(nil); err == nil {
+	if _, err := MarshalCiphertextVector(nil, nil); err == nil {
 		t.Error("nil public key accepted")
 	}
-	if _, err := MarshalKeyShare(damgardjurik.KeyShare{Index: 0, Value: big.NewInt(1)}); err == nil {
-		t.Error("index-0 share accepted")
-	}
-	if _, err := MarshalPartial(damgardjurik.PartialDecryption{Index: 1}); err == nil {
-		t.Error("nil-value partial accepted")
-	}
-	if _, err := MarshalCiphertext(pk, big.NewInt(0)); err == nil {
+	if _, err := MarshalCiphertextVector(pk, []*big.Int{big.NewInt(0)}); err == nil {
 		t.Error("zero ciphertext accepted")
 	}
-	if _, err := MarshalCiphertext(pk, pk.CiphertextModulus()); err == nil {
+	if _, err := MarshalCiphertextVector(pk, []*big.Int{pk.CiphertextModulus()}); err == nil {
 		t.Error("out-of-range ciphertext accepted")
 	}
 	if _, err := MarshalCiphertextVector(pk, []*big.Int{nil}); err == nil {
 		t.Error("nil element accepted")
+	}
+	m := big.NewInt(1000)
+	if _, err := MarshalResidueVector(nil, nil); err == nil {
+		t.Error("nil modulus accepted")
+	}
+	for _, v := range []*big.Int{nil, big.NewInt(-1), big.NewInt(1000)} {
+		if _, err := MarshalResidueVector(m, []*big.Int{v}); err == nil {
+			t.Errorf("residue %v outside the ring accepted", v)
+		}
 	}
 }
 
@@ -243,9 +213,20 @@ func TestVectorOutOfRangeElementRejected(t *testing.T) {
 
 func TestDeterministicEncoding(t *testing.T) {
 	tk, _ := testKey(t)
-	a, _ := MarshalPublicKey(&tk.PublicKey)
-	b, _ := MarshalPublicKey(&tk.PublicKey)
+	pk := &tk.PublicKey
+	c, err := pk.Encrypt(rand.Reader, big.NewInt(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := MarshalCiphertextVector(pk, []*big.Int{c, c})
+	b, _ := MarshalCiphertextVector(pk, []*big.Int{c, c})
 	if !bytes.Equal(a, b) {
-		t.Fatal("encoding is not deterministic")
+		t.Fatal("ciphertext vector encoding is not deterministic")
+	}
+	m := big.NewInt(1000)
+	ra, _ := MarshalResidueVector(m, []*big.Int{big.NewInt(1), big.NewInt(999)})
+	rb, _ := MarshalResidueVector(m, []*big.Int{big.NewInt(1), big.NewInt(999)})
+	if !bytes.Equal(ra, rb) {
+		t.Fatal("residue vector encoding is not deterministic")
 	}
 }
