@@ -213,14 +213,7 @@ func (h *oracleHarness) deliver(to int, idx ...int) {
 func (h *oracleHarness) open(fused []Cipher) []*big.Int {
 	h.t.Helper()
 	r := h.r
-	cts := make([]Cipher, r.sideCiphers)
-	for i := range cts {
-		c, err := r.suite.Add(fused[i], fused[r.sideCiphers+i])
-		if err != nil {
-			h.t.Fatal(err)
-		}
-		cts[i] = c
-	}
+	cts := r.perturbedOpening(fused)
 	sets := make([][]Partial, r.suite.Threshold())
 	for j := range sets {
 		sets[j] = make([]Partial, len(cts))

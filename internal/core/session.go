@@ -395,6 +395,7 @@ func opCountsMinus(a, b OpCounts) OpCounts {
 	a.Adds -= b.Adds
 	a.Halvings -= b.Halvings
 	a.Doublings -= b.Doublings
+	a.OpeningSquarings -= b.OpeningSquarings
 	a.Refreshes -= b.Refreshes
 	a.PartialDecrypts -= b.PartialDecrypts
 	a.Combines -= b.Combines

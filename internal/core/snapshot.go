@@ -39,8 +39,10 @@ const (
 	// rejected — a pre-window checkpoint cannot resume the windowed
 	// trajectory bit-identically anyway. snapVersion 3 added the push-sum
 	// state's halving exponent beside its weight; a v2 state's values
-	// were halved in place and mean something else.
-	snapVersion uint32 = 3
+	// were halved in place and mean something else. snapVersion 4 packs
+	// an unpacked run's opening: its pending ciphertexts and partial sets
+	// hold ⌈sideLen/slots⌉ packed values, where a v3 one held sideLen.
+	snapVersion uint32 = 4
 )
 
 // errSnapshot wraps every malformed-snapshot condition so callers can
@@ -426,7 +428,7 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if err != nil {
 			return snapErr("pending ciphertexts: %v", err)
 		}
-		cs, err := nd.rs.suite.NewCipherVector(r.sideCiphers)
+		cs, err := nd.rs.suite.NewCipherVector(r.openCiphers)
 		if err != nil {
 			return err
 		}
@@ -470,8 +472,8 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if err != nil {
 			return snapErr("partial values: %v", err)
 		}
-		if len(ps) != r.sideCiphers {
-			return snapErr("partial set of %d values, want %d", len(ps), r.sideCiphers)
+		if len(ps) != r.openCiphers {
+			return snapErr("partial set of %d values, want %d", len(ps), r.openCiphers)
 		}
 		if _, dup := partials[idx]; dup {
 			return snapErr("duplicate partial index %d", idx)

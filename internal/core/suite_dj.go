@@ -296,6 +296,19 @@ func (s *djSuite) AddAllInPlace(acc Cipher, vs []Cipher) {
 // caller's own state, and nothing leaves a node without a refresh.
 func (s *djSuite) DoubleInPlace(c Cipher, k uint) {
 	s.doublings.Add(int64(k))
+	s.square(c, k)
+}
+
+// ShiftInPlace implements CipherSuite: DoubleInPlace's k squarings,
+// counted as opening squarings. The packed opening is not rerandomized,
+// as the per-coordinate sums it replaces were not.
+func (s *djSuite) ShiftInPlace(c Cipher, k uint) {
+	s.openSquarings.Add(int64(k))
+	s.square(c, k)
+}
+
+// square sets c to c^(2^k) mod n^{s+1}.
+func (s *djSuite) square(c Cipher, k uint) {
 	for ; k > 0; k-- {
 		s.mulMod(c, c, c)
 	}

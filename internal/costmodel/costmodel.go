@@ -16,22 +16,22 @@
 // scalecheck_test.go compares the projection against a live sharded
 // simulator run of the scale workload's shape. The structural counts
 // — messages per participant, decrypt requests, sent-copy
-// rerandomizations and exponent-aligning squarings — are exact. The byte
-// totals under-project slightly: the projection charges 8 bytes of
-// envelope per gossip message (the push-sum weight) and none per
-// decrypt request/response, while the simulator's wire format carries
-// ~80 bytes per gossip message and 8 per decrypt message of
-// weight-plus-header overhead. At the benchmark shape (20-ciphertext
-// gossip vectors of 256-byte ciphertexts) that is ~1% on total bytes;
-// packing shrinks the ciphertext payload while the envelope stays
-// fixed, so the packed run drifts more (~3% gossip, ~1% decrypt at
-// slots=4). A second subtlety: the accounted backend's plaintext ring
-// is NewPlainSuite's fixed 320-bit modulus regardless of the declared
-// key size, so packing factors must be derived from 319 usable bits,
-// not from the key's nominal plaintext space. The cross-check pins the
-// drift inside a 10% band so a structural change in either side
-// surfaces as a test failure rather than silently invalidating the
-// projections.
+// rerandomizations, exponent-aligning squarings and the squarings that
+// pack an opening — are exact. The byte totals under-project slightly:
+// the projection charges 8 bytes of envelope per gossip message (the
+// push-sum weight) and none per decrypt request/response, while the
+// simulator's wire format carries ~80 bytes per gossip message and 8
+// per decrypt message of weight-plus-header overhead. At the benchmark
+// shape (20-ciphertext gossip vectors of 256-byte ciphertexts, openings
+// of 3) that is ~1.5% on total and on decrypt bytes; packing shrinks the
+// ciphertext payload while the envelope stays fixed, so the packed run
+// drifts more (~3% gossip, ~1% decrypt at slots=4). A second subtlety:
+// the accounted backend's plaintext ring is NewPlainSuite's fixed
+// 320-bit modulus regardless of the declared key size, so packing
+// factors must be derived from 319 usable bits, not from the key's
+// nominal plaintext space. The cross-check pins the drift inside a 10%
+// band so a structural change in either side surfaces as a test failure
+// rather than silently invalidating the projections.
 package costmodel
 
 import (
@@ -253,10 +253,21 @@ type Workload struct {
 	// encrypted side (core.PackedSlots derives it from the key size and
 	// the headroom budget); 0 or 1 projects the unpacked protocol.
 	Slots int
+
+	// OpenSlots and OpenWidth describe how an unpacked workload opens its
+	// perturbed means: OpenSlots coordinates per opened ciphertext, packed
+	// OpenWidth bits apart by that many squarings per coordinate after a
+	// group's first (core.OpeningSlots derives both from the key size and
+	// the headroom budget). OpenSlots 0 or 1 projects one opened
+	// ciphertext per coordinate; a packed workload opens its slot groups
+	// and ignores both.
+	OpenSlots int
+	OpenWidth int
 }
 
 func (w Workload) validate() error {
-	if w.Participants < 2 || w.K < 1 || w.Dim < 1 || w.Iterations < 1 || w.GossipRounds < 1 || w.DecryptThreshold < 1 || w.Slots < 0 {
+	if w.Participants < 2 || w.K < 1 || w.Dim < 1 || w.Iterations < 1 || w.GossipRounds < 1 || w.DecryptThreshold < 1 ||
+		w.Slots < 0 || w.OpenSlots < 0 || w.OpenWidth < 0 {
 		return fmt.Errorf("costmodel: invalid workload %+v", w)
 	}
 	return nil
@@ -276,6 +287,24 @@ func (w Workload) SideCiphers() int {
 		return (side + w.Slots - 1) / w.Slots
 	}
 	return side
+}
+
+// OpenedCiphers is the number of ciphertexts a participant opens per
+// iteration: SideCiphers packed, ⌈SideLen/OpenSlots⌉ unpacked.
+func (w Workload) OpenedCiphers() int {
+	if w.Slots <= 1 && w.OpenSlots > 1 {
+		return (w.SideLen() + w.OpenSlots - 1) / w.OpenSlots
+	}
+	return w.SideCiphers()
+}
+
+// openingSquarings is the squarings an unpacked workload spends packing
+// one opening: OpenWidth for every coordinate but each group's first.
+func (w Workload) openingSquarings() int {
+	if w.Slots > 1 || w.OpenSlots <= 1 {
+		return 0
+	}
+	return w.OpenWidth * (w.SideLen() - w.OpenedCiphers())
 }
 
 // VectorLen is the number of ciphertexts gossiped per message: the means
@@ -299,6 +328,9 @@ type Report struct {
 	RerandomizeOps    int
 	PartialDecryptOps int
 	CombineOps        int
+	// OpeningSquareOps are the squarings of packing an unpacked
+	// workload's openings (Horner's rule; CryptoProfile.Square each).
+	OpeningSquareOps int
 
 	// Per-participant totals. CPUTime is projected from the naive
 	// reference timings (the historical baseline the demo scaled up
@@ -339,11 +371,17 @@ type Report struct {
 //     ciphertexts), and absorbs an expected 1 incoming message
 //     (VectorLen additions) — so a round costs Rerandomize + Add per
 //     ciphertext;
+//   - noise addition and opening: a packed workload adds its noise
+//     groups to its mean groups (SideCiphers additions) and opens those;
+//     an unpacked one packs its SideLen sums into OpenedCiphers
+//     ciphertexts by Horner's rule (two additions per coordinate but
+//     each group's first, which takes one, and OpenWidth squarings per
+//     coordinate but each group's first);
 //   - collaborative decryption: the participant asks DecryptThreshold
-//     peers (request carries the SideCiphers perturbed-mean
+//     peers (request carries the OpenedCiphers perturbed-mean
 //     ciphertexts, response the same volume), serves on average
-//     DecryptThreshold requests from others (each costing SideCiphers
-//     partial decryptions), and combines its own (SideCiphers combine
+//     DecryptThreshold requests from others (each costing OpenedCiphers
+//     partial decryptions), and combines its own (OpenedCiphers combine
 //     ops).
 //
 // The projection is of participants gossiping in step — every fault-free
@@ -362,25 +400,34 @@ func Project(p *CryptoProfile, w Workload) (*Report, error) {
 	if p == nil {
 		return nil, fmt.Errorf("costmodel: nil profile")
 	}
-	meanLen := w.SideCiphers() // ciphertexts holding means (or noise)
+	meanLen := w.SideCiphers()     // ciphertexts holding means (or noise)
+	opened := w.OpenedCiphers()    // ciphertexts opened per iteration
+	square := w.openingSquarings() // squarings packing one opening
 	vecLen := w.VectorLen()
 
 	r := &Report{Workload: w}
 	it := w.Iterations
+	noiseAdds := meanLen // slot groups added pairwise
+	if w.Slots <= 1 {
+		noiseAdds = 2*w.SideLen() - opened // Horner's rule over mean + noise
+	}
 	r.EncryptOps = it * 2 * meanLen
-	r.RerandomizeOps = it * w.GossipRounds * vecLen   // every emitted copy is refreshed before it travels
-	r.AddOps = it * (w.GossipRounds*vecLen + meanLen) // gossip merges + noise-to-mean addition
-	r.PartialDecryptOps = it * w.DecryptThreshold * meanLen
-	r.CombineOps = it * meanLen
+	r.RerandomizeOps = it * w.GossipRounds * vecLen     // every emitted copy is refreshed before it travels
+	r.AddOps = it * (w.GossipRounds*vecLen + noiseAdds) // gossip merges + noise-to-mean addition
+	r.PartialDecryptOps = it * w.DecryptThreshold * opened
+	r.CombineOps = it * opened
+	r.OpeningSquareOps = it * square
 
 	r.CPUTime = time.Duration(r.EncryptOps)*p.Encrypt +
 		time.Duration(r.RerandomizeOps)*p.Rerandomize +
 		time.Duration(r.AddOps)*p.Add +
+		time.Duration(r.OpeningSquareOps)*p.Square +
 		time.Duration(r.PartialDecryptOps)*p.PartialDecrypt +
 		time.Duration(r.CombineOps)*p.Combine
 	r.CPUTimeFast = time.Duration(r.EncryptOps)*orElse(p.FastEncrypt, p.Encrypt) +
 		time.Duration(r.RerandomizeOps)*orElse(p.FastRerandomize, p.Rerandomize) +
 		time.Duration(r.AddOps)*p.Add +
+		time.Duration(r.OpeningSquareOps)*p.Square +
 		time.Duration(r.PartialDecryptOps)*orElse(p.FastPartialDecrypt, p.PartialDecrypt) +
 		time.Duration(r.CombineOps)*orElse(p.FastCombine, p.Combine)
 
@@ -388,9 +435,9 @@ func Project(p *CryptoProfile, w Workload) (*Report, error) {
 	gossipMsgs := it * w.GossipRounds
 	gossipBytes := int64(gossipMsgs) * (int64(vecLen)*cb + 8) // +8: push-sum weight
 	decReqMsgs := it * w.DecryptThreshold
-	decReqBytes := int64(decReqMsgs) * int64(meanLen) * cb
+	decReqBytes := int64(decReqMsgs) * int64(opened) * cb
 	decRespMsgs := it * w.DecryptThreshold // served for others
-	decRespBytes := int64(decRespMsgs) * int64(meanLen) * cb
+	decRespBytes := int64(decRespMsgs) * int64(opened) * cb
 
 	r.MessagesSent = gossipMsgs + decReqMsgs + decRespMsgs
 	r.BytesSent = gossipBytes + decReqBytes + decRespBytes
@@ -398,9 +445,10 @@ func Project(p *CryptoProfile, w Workload) (*Report, error) {
 	r.DecryptRequests = decReqMsgs
 	r.DecryptBytes = decReqBytes + decRespBytes
 
-	r.DecryptLatency = time.Duration(meanLen)*p.PartialDecrypt + time.Duration(meanLen)*p.Combine
-	r.DecryptLatencyFast = time.Duration(meanLen)*orElse(p.FastPartialDecrypt, p.PartialDecrypt) +
-		time.Duration(meanLen)*orElse(p.FastCombine, p.Combine)
+	packing := time.Duration(square) * p.Square
+	r.DecryptLatency = packing + time.Duration(opened)*p.PartialDecrypt + time.Duration(opened)*p.Combine
+	r.DecryptLatencyFast = packing + time.Duration(opened)*orElse(p.FastPartialDecrypt, p.PartialDecrypt) +
+		time.Duration(opened)*orElse(p.FastCombine, p.Combine)
 	return r, nil
 }
 

@@ -84,17 +84,22 @@ func baseWorkload() Workload {
 	}
 }
 
+// TestProjectOperationCounts pins the unpacked projection, whose
+// openings are packed: 125 coordinates, 20 to an opened ciphertext,
+// open as 7.
 func TestProjectOperationCounts(t *testing.T) {
 	p := measureSmall(t)
 	w := baseWorkload()
+	w.OpenSlots, w.OpenWidth = 20, 50
 	r, err := Project(p, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	meanLen := w.K * (w.Dim + 1) // 125
 	vecLen := 2 * meanLen        // 250
-	if w.VectorLen() != vecLen {
-		t.Fatalf("VectorLen = %d, want %d", w.VectorLen(), vecLen)
+	const opened = 7             // ⌈125/20⌉
+	if w.VectorLen() != vecLen || w.OpenedCiphers() != opened {
+		t.Fatalf("VectorLen = %d, OpenedCiphers = %d, want %d and %d", w.VectorLen(), w.OpenedCiphers(), vecLen, opened)
 	}
 	if r.EncryptOps != w.Iterations*2*meanLen {
 		t.Fatalf("encrypts = %d", r.EncryptOps)
@@ -102,14 +107,35 @@ func TestProjectOperationCounts(t *testing.T) {
 	if r.RerandomizeOps != w.Iterations*w.GossipRounds*vecLen {
 		t.Fatalf("rerandomize ops = %d, want one per ciphertext per round", r.RerandomizeOps)
 	}
-	if r.AddOps != w.Iterations*(w.GossipRounds*vecLen+meanLen) {
+	// Horner's rule: a mean and a noise addition per coordinate, but one
+	// for each group's first.
+	if r.AddOps != w.Iterations*(w.GossipRounds*vecLen+2*meanLen-opened) {
 		t.Fatalf("add ops = %d", r.AddOps)
 	}
-	if r.PartialDecryptOps != w.Iterations*w.DecryptThreshold*meanLen {
+	if r.OpeningSquareOps != w.Iterations*w.OpenWidth*(meanLen-opened) {
+		t.Fatalf("opening squarings = %d, want OpenWidth per coordinate but each group's first", r.OpeningSquareOps)
+	}
+	if r.PartialDecryptOps != w.Iterations*w.DecryptThreshold*opened {
 		t.Fatalf("partial decrypts = %d", r.PartialDecryptOps)
 	}
-	if r.CombineOps != w.Iterations*meanLen {
+	if r.CombineOps != w.Iterations*opened {
 		t.Fatalf("combines = %d", r.CombineOps)
+	}
+	if want := int64(2*w.Iterations*w.DecryptThreshold*opened) * int64(p.CiphertextBytes); r.DecryptBytes != want {
+		t.Fatalf("decrypt bytes = %d, want %d", r.DecryptBytes, want)
+	}
+	// One opened ciphertext per coordinate is OpenSlots 0 or 1.
+	for _, slots := range []int{0, 1} {
+		uw := w
+		uw.OpenSlots = slots
+		u, err := Project(p, uw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u.PartialDecryptOps != w.Iterations*w.DecryptThreshold*meanLen || u.OpeningSquareOps != 0 ||
+			u.AddOps != w.Iterations*(w.GossipRounds*vecLen+meanLen) {
+			t.Fatalf("OpenSlots=%d must project per-coordinate openings: %+v", slots, u)
+		}
 	}
 	if r.CPUTime <= 0 {
 		t.Fatal("CPU time should be positive")
@@ -135,6 +161,7 @@ func TestProjectPackedWorkload(t *testing.T) {
 	}
 	pw := w
 	pw.Slots = 5 // divides SideLen = 125 exactly
+	pw.OpenSlots, pw.OpenWidth = 20, 50
 	if got := pw.SideCiphers(); got != 25 {
 		t.Fatalf("SideCiphers = %d, want 25", got)
 	}
@@ -143,10 +170,14 @@ func TestProjectPackedWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	if packed.EncryptOps*5 != base.EncryptOps ||
-		packed.RerandomizeOps*5 != base.RerandomizeOps ||
-		packed.PartialDecryptOps*5 != base.PartialDecryptOps ||
-		packed.CombineOps*5 != base.CombineOps {
+		packed.RerandomizeOps*5 != base.RerandomizeOps {
 		t.Fatalf("packed op counts not 1/5th of unpacked: %+v vs %+v", packed, base)
+	}
+	// A packed workload opens its slot groups as they are, whatever its
+	// opening fields say.
+	if packed.PartialDecryptOps != w.Iterations*w.DecryptThreshold*25 ||
+		packed.CombineOps != w.Iterations*25 || packed.OpeningSquareOps != 0 {
+		t.Fatalf("packed openings: %+v, want the 25 slot groups opened unshifted", packed)
 	}
 	if packed.MessagesSent != base.MessagesSent {
 		t.Fatalf("packing must not change message counts: %d vs %d", packed.MessagesSent, base.MessagesSent)

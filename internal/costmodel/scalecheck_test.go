@@ -14,8 +14,9 @@ import (
 // sim-wide runs: accounted backend, sharded engine, CER-like series of 4
 // samples, K=2, 2 iterations, 12 gossip rounds, threshold 8), must land
 // within a tolerance band of a live simulator run of that shape, packed
-// and unpacked — messages, decrypt requests and the gossip round's
-// ciphertext operations exactly, bytes within 10%
+// and unpacked — messages, decrypt requests, the gossip round's
+// ciphertext operations and the squarings that pack an unpacked run's
+// openings exactly, bytes within 10%
 // (see the package doc's drift note for where the residual
 // envelope-overhead difference comes from). Per-participant counts are
 // population-independent, so a tier-1-sized N checks what N=100k would.
@@ -75,14 +76,20 @@ func TestProjectionMatchesMeasuredScaleRun(t *testing.T) {
 			}
 			p := params
 			p.Packed = packed
+			// Derive the packing factor, or how the unpacked run packs
+			// its openings, from the identical rule the run itself uses.
 			if packed {
-				// Derive the packing factor from the identical rule the
-				// run itself uses.
 				slots, err := core.PackedSlots(plainBits, n, dim, params)
 				if err != nil {
 					t.Fatal(err)
 				}
 				w.Slots = slots
+			} else {
+				slots, width, err := core.OpeningSlots(plainBits, n, dim, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.OpenSlots, w.OpenWidth = slots, width
 			}
 			rep, err := Project(prof, w)
 			if err != nil {
@@ -112,6 +119,10 @@ func TestProjectionMatchesMeasuredScaleRun(t *testing.T) {
 			}
 			if tr.Ops.Doublings != 0 {
 				t.Errorf("live run spent %d squarings aligning exponents, the projection prices none", tr.Ops.Doublings)
+			}
+			// And so is what packing the openings costs.
+			if got, want := int64(rep.OpeningSquareOps)*n, tr.Ops.OpeningSquarings; got != want {
+				t.Errorf("opening squarings: projected %d, measured %d", got, want)
 			}
 			if eager := tr.Ops.Halvings - tr.Ops.Refreshes; eager != 0 {
 				t.Errorf("live run halved %d ciphertexts eagerly", eager)

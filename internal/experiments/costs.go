@@ -45,6 +45,13 @@ func e5PackedSlots(keyBits int) (int, error) {
 	return slots, nil
 }
 
+// e5Opening is how the unpacked demo workload opens its perturbed means
+// at the given key size: coordinates per opened ciphertext and the
+// squarings between them.
+func e5Opening(keyBits int) (slots, width int, err error) {
+	return core.OpeningSlots(keyBits-1, e5Participants, e5Dim, e5DemoParams())
+}
+
 // E5CryptoCosts reproduces the demonstration's cost methodology
 // (Sec. III.B): measure the real per-operation Damgård–Jurik timings on
 // this machine ("actual average measures performed beforehand") and
@@ -55,7 +62,7 @@ func E5CryptoCosts(sc Scale) (*Table, error) {
 		ID:    "E5a",
 		Title: "Measured Damgård–Jurik per-operation times (this machine, s=1)",
 		Header: []string{"key bits", "encrypt", "encrypt (fast)", "hom. add", "rerandomize (pooled)", "squaring", "halve in place (avoided)",
-			"partial dec", "partial dec (fast)", "combine", "combine (batched)", "ciphertext", "packed slots/ct"},
+			"partial dec", "partial dec (fast)", "combine", "combine (batched)", "ciphertext", "packed slots/ct", "opening slots/ct"},
 	}
 	keyBits := []int{512, 1024, 2048}
 	profiles := map[int]*costmodel.CryptoProfile{}
@@ -66,6 +73,10 @@ func E5CryptoCosts(sc Scale) (*Table, error) {
 		}
 		profiles[bits] = p
 		slots, err := e5PackedSlots(bits)
+		if err != nil {
+			return nil, err
+		}
+		openSlots, _, err := e5Opening(bits)
 		if err != nil {
 			return nil, err
 		}
@@ -83,13 +94,15 @@ func E5CryptoCosts(sc Scale) (*Table, error) {
 			p.FastCombine.Round(time.Microsecond).String(),
 			fmt.Sprintf("%d B", p.CiphertextBytes),
 			d(slots),
+			d(openSlots),
 		})
 	}
 	t.Notes = append(t.Notes,
 		"these are the \"encryption/decryption/addition times\" the demo GUI scales up from (Sec. III.B point 2); threshold configuration 5-of-8.",
 		"\"fast\" columns are the precomputed paths of docs/CRYPTO.md: fixed-base table encryption, CRT partial decryption, batched multi-exponentiation combine — decrypt- resp. bit-identical to the naive reference.",
 		"a gossip round costs one pooled rerandomization (the copy that is sent) and one addition (the merge) per ciphertext: push-sum's halvings travel as an exponent beside the ciphertexts. \"squaring\" is what aligning two shares one halving apart costs per ciphertext — nothing when participants gossip in step; \"halve in place (avoided)\" is the full-width exponentiation by 2⁻¹ mod n^s each of those halvings cost per ciphertext while it was performed inside the ciphertext.",
-		"\"packed slots/ct\" is how many fused-vector coordinates slot packing fits per ciphertext at that key size for the E5b workload (docs/CRYPTO.md, \"Slot packing\") — every per-ciphertext cost divides by it.")
+		"\"packed slots/ct\" is how many fused-vector coordinates slot packing fits per ciphertext at that key size for the E5b workload (docs/CRYPTO.md, \"Slot packing\") — every per-ciphertext cost divides by it.",
+		"\"opening slots/ct\" is how many perturbed means an unpacked run packs into each ciphertext it opens (docs/CRYPTO.md, \"Packed openings\") — its partial decryptions and combines divide by it.")
 	return t, nil
 }
 
@@ -103,6 +116,7 @@ func E5CostProjection(sc Scale) (*Table, error) {
 		Header: []string{"key bits", "crypto CPU / participant", "crypto CPU (fast path)", "crypto CPU (packed+fast)",
 			"of which gossip (fast path)", "gossip if halved in place",
 			"network / participant", "network (packed)", "messages / participant",
+			"opened / iteration", "opened (packed)",
 			"collaborative-decryption latency", "latency (packed+fast)"},
 	}
 	w := costmodel.Workload{
@@ -118,7 +132,11 @@ func E5CostProjection(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := costmodel.Project(p, w)
+		uw := w
+		if uw.OpenSlots, uw.OpenWidth, err = e5Opening(bits); err != nil {
+			return nil, err
+		}
+		r, err := costmodel.Project(p, uw)
 		if err != nil {
 			return nil, err
 		}
@@ -141,6 +159,8 @@ func E5CostProjection(sc Scale) (*Table, error) {
 			fmt.Sprintf("%.1f MB", float64(r.BytesSent)/1e6),
 			fmt.Sprintf("%.1f MB", float64(pr.BytesSent)/1e6),
 			d(r.MessagesSent),
+			d(uw.OpenedCiphers()),
+			d(pw.OpenedCiphers()),
 			r.DecryptLatency.Round(time.Millisecond).String(),
 			pr.DecryptLatencyFast.Round(time.Millisecond).String(),
 		})
@@ -148,6 +168,7 @@ func E5CostProjection(sc Scale) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"per-participant costs are independent of the population size (they depend on k, d, rounds and the decryption threshold) — the scalability property behind the paper's claim 3 (\"costs remain affordable given the resources of today's personal devices\").",
 		"\"of which gossip\" is rounds × vector × (pooled rerandomization + addition): the halvings are increments of the exponent carried beside the ciphertexts and the projection is for participants gossiping in step (no exponent to align; a lagging participant pays E5a's squaring per ciphertext per halving of gap on top). \"gossip if halved in place\" adds the full-width exponentiation each halving cost per ciphertext before that.",
-		"\"packed\" columns project the slot-packed encrypted side (E5a's slots/ct at each key size): the same protocol with every per-ciphertext operation and byte divided by the packing factor.")
+		"\"packed\" columns project the slot-packed encrypted side (E5a's slots/ct at each key size): the same protocol with every per-ciphertext operation and byte divided by the packing factor.",
+		"\"opened / iteration\" is the ciphertexts a participant opens per iteration — each costs threshold partial decryptions and one combine: the unpacked run packs its perturbed means into them (E5a's opening slots/ct, paid for in squarings), the packed run opens its slot groups.")
 	return t, nil
 }

@@ -35,6 +35,18 @@ func TestFixedPointAllocationFree(t *testing.T) {
 		groups[g] = new(big.Int)
 	}
 	enc, off := new(big.Int), new(big.Int)
+	dl, err := NewDigitLayout(1023, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digits := make([]*big.Int, 22)
+	for i := range digits {
+		digits[i] = new(big.Int).Rsh(vs[i], 13) // inside the 2^48 budget
+		if i%2 == 1 {
+			digits[i].Neg(digits[i])
+		}
+	}
+	opened := hornerPack(dl, digits)
 
 	for _, tc := range []struct {
 		name string
@@ -47,6 +59,7 @@ func TestFixedPointAllocationFree(t *testing.T) {
 		{"PackInto", func() { sinkErr = l.PackInto(groups, vs) }},
 		{"UnpackInto", func() { sinkErr = l.UnpackInto(raw, groups) }},
 		{"BiasOffset", func() { sinkErr = l.BiasOffset(off, 2*0.4375) }},
+		{"SplitInto", func() { sinkErr = dl.SplitInto(digits, opened) }},
 	} {
 		tc.op() // warm the destinations (and Decode's pool)
 		if sinkErr != nil {

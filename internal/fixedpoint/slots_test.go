@@ -1,6 +1,7 @@
 package fixedpoint
 
 import (
+	"errors"
 	"math"
 	"math/big"
 	"math/rand"
@@ -258,5 +259,153 @@ func TestSlotOverflowAccounting(t *testing.T) {
 	// Empty input packs to nothing.
 	if out, err := l.Pack(nil); err != nil || out != nil {
 		t.Fatalf("Pack(nil) = %v, %v", out, err)
+	}
+}
+
+func mustDigits(t *testing.T, plainBits int, width uint) *DigitLayout {
+	t.Helper()
+	l, err := NewDigitLayout(plainBits, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// hornerPack is what a caller runs on ciphertexts, on plain integers:
+// acc = v_hi, then acc = acc·2^width + v_j down to the group's first
+// coordinate.
+func hornerPack(l *DigitLayout, vs []*big.Int) []*big.Int {
+	out := make([]*big.Int, l.Groups(len(vs)))
+	for g := range out {
+		lo := g * l.Slots()
+		hi := min(lo+l.Slots(), len(vs))
+		acc := new(big.Int).Set(vs[hi-1])
+		for j := hi - 2; j >= lo; j-- {
+			acc.Lsh(acc, l.Width())
+			acc.Add(acc, vs[j])
+		}
+		out[g] = acc
+	}
+	return out
+}
+
+func splitFresh(l *DigitLayout, packed []*big.Int, coords int) ([]*big.Int, error) {
+	out := make([]*big.Int, coords)
+	for i := range out {
+		out[i] = new(big.Int)
+	}
+	return out, l.SplitInto(out, packed)
+}
+
+func TestDigitLayoutGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		plainBits int
+		width     uint
+		slots     int
+	}{
+		{1023, 50, 20}, // 1024-bit Damgård–Jurik, crypto-dj's budget
+		{319, 65, 4},   // the accounted 320-bit ring
+		{127, 64, 1},
+		{127, 63, 2},
+	} {
+		l := mustDigits(t, tc.plainBits, tc.width)
+		if l.Slots() != tc.slots || l.Width() != tc.width {
+			t.Fatalf("(%d, %d): %d slots of %d bits, want %d", tc.plainBits, tc.width, l.Slots(), l.Width(), tc.slots)
+		}
+	}
+	if g := mustDigits(t, 1023, 50).Groups(22); g != 2 {
+		t.Fatalf("Groups(22) = %d, want 2", g)
+	}
+	if _, err := NewDigitLayout(40, 41); err == nil {
+		t.Fatal("a plaintext narrower than one digit must fail")
+	}
+	if _, err := NewDigitLayout(40, 2); err == nil {
+		t.Fatal("a digit with no magnitude bits must fail")
+	}
+}
+
+// TestDigitSplitRoundTrip packs signed integers across the budget's
+// edges, takes them through the ring's sign wrap, and splits them back
+// exactly, for full and partial last groups.
+func TestDigitSplitRoundTrip(t *testing.T) {
+	const plainBits = 319
+	M := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), plainBits+1), big.NewInt(1))
+	half := new(big.Int).Rsh(M, 1)
+	rng := rand.New(rand.NewSource(5))
+	for _, width := range []uint{3, 17, 50, 65, 106, 160, 319} {
+		l := mustDigits(t, plainBits, width)
+		edge := new(big.Int).Sub(l.bound, big.NewInt(1))
+		for _, coords := range []int{1, l.Slots(), l.Slots() + 1, 3*l.Slots() - 1} {
+			for trial := 0; trial < 20; trial++ {
+				vs := make([]*big.Int, coords)
+				for i := range vs {
+					switch trial {
+					case 0:
+						vs[i] = new(big.Int).Set(edge)
+					case 1:
+						vs[i] = new(big.Int).Neg(edge)
+					case 2:
+						vs[i] = new(big.Int).Set(edge)
+						if i%2 == 1 {
+							vs[i].Neg(vs[i])
+						}
+					default:
+						vs[i] = new(big.Int).Rand(rng, new(big.Int).Lsh(l.bound, 1))
+						vs[i].Sub(vs[i], l.bound)
+						if vs[i].CmpAbs(l.bound) >= 0 {
+							vs[i].Set(edge)
+						}
+					}
+				}
+				packed := hornerPack(l, vs)
+				for _, p := range packed {
+					if err := WrapSignedInPlace(p, M, half); err != nil {
+						t.Fatalf("width %d: %v", width, err)
+					}
+					if err := UnwrapSignedInPlace(p, M, half); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, err := splitFresh(l, packed, coords)
+				if err != nil {
+					t.Fatalf("width %d, %d coords, trial %d: %v", width, coords, trial, err)
+				}
+				for i := range vs {
+					if got[i].Cmp(vs[i]) != 0 {
+						t.Fatalf("width %d, %d coords, trial %d: coordinate %d = %s, want %s", width, coords, trial, i, got[i], vs[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDigitSplitOutOfBudget: a coordinate beyond ±2^(width−2) fails the
+// split instead of carrying into its neighbour, and so does a plaintext
+// with more than its group's digits.
+func TestDigitSplitOutOfBudget(t *testing.T) {
+	l := mustDigits(t, 319, 50)
+	for _, over := range []*big.Int{
+		new(big.Int).Set(l.bound),
+		new(big.Int).Neg(l.bound),
+		new(big.Int).Add(new(big.Int).Lsh(l.bound, 1), big.NewInt(1)), // 2^(w−1)+1: would carry
+		new(big.Int).Neg(new(big.Int).Lsh(l.bound, 1)),
+		new(big.Int).Sub(new(big.Int).Mul(l.bound, big.NewInt(3)), big.NewInt(1)),
+	} {
+		for pos := 0; pos < 3; pos++ {
+			vs := []*big.Int{big.NewInt(7), big.NewInt(-7), big.NewInt(11)}
+			vs[pos] = over
+			if _, err := splitFresh(l, hornerPack(l, vs), len(vs)); !errors.Is(err, ErrSlotOverflow) {
+				t.Fatalf("coordinate %d = %s: split error %v, want ErrSlotOverflow", pos, over, err)
+			}
+		}
+	}
+	// A third digit in a group of two.
+	three := hornerPack(l, []*big.Int{big.NewInt(1), big.NewInt(2), big.NewInt(3)})
+	if _, err := splitFresh(l, three, 2); !errors.Is(err, ErrSlotOverflow) {
+		t.Fatalf("extra digit: %v, want ErrSlotOverflow", err)
+	}
+	if _, err := splitFresh(l, three, l.Slots()+1); err == nil {
+		t.Fatal("a group-count mismatch must fail")
 	}
 }

@@ -21,8 +21,11 @@ const (
 	// allocated for it.
 	helloMagic uint32 = 0xC1A805C0
 	// meshVersion is the envelope protocol version. Version 2 added
-	// per-link frame sequencing and the resume handshake.
-	meshVersion uint32 = 2
+	// per-link frame sequencing and the resume handshake. Version 3
+	// carries packed openings: an unpacked run's decrypt requests and
+	// responses hold ⌈sideLen/slots⌉ ciphertexts, where version 2 sent
+	// one per coordinate.
+	meshVersion uint32 = 3
 )
 
 // Message types.

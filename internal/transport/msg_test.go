@@ -1,8 +1,51 @@
 package transport
 
 import (
+	"encoding/binary"
+	"net"
+	"strings"
 	"testing"
+	"time"
+
+	"chiaroscuro/internal/wire"
 )
+
+// TestOlderMeshVersionRefusedAtDial: a hello of mesh version 2, whose
+// unpacked runs open one ciphertext per coordinate, is answered with a
+// reject naming both versions — the dialer's join fails at once instead
+// of its decrypt frames failing mid-run.
+func TestOlderMeshVersionRefusedAtDial(t *testing.T) {
+	old := marshalHello(hello{ID: 1, Population: 2, Fingerprint: 7})
+	// Each field is [4-byte length][payload] after the type byte: the
+	// version value occupies bytes 13-16.
+	binary.BigEndian.PutUint32(old[13:], 2)
+	const want = "transport: peer speaks mesh version 2, want 3"
+	if _, err := parseHello(old[1:]); err == nil || err.Error() != want {
+		t.Fatalf("parse of a version-2 hello: %v, want %q", err, want)
+	}
+	n := &node{cfg: Config{ID: 0, Population: 2, EpochTimeout: time.Second}}
+	dialer, acceptor := net.Pipe()
+	defer dialer.Close()
+	done := make(chan struct{})
+	go func() {
+		n.handleInbound(acceptor)
+		close(done)
+	}()
+	if err := wire.WriteFrame(dialer, old); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.ReadFrame(dialer)
+	if err != nil {
+		t.Fatalf("no answer to a version-2 hello: %v", err)
+	}
+	<-done
+	if len(frame) == 0 || frame[0] != mtReject {
+		t.Fatalf("a version-2 hello was answered with frame %x, want a reject", frame)
+	}
+	if reason, err := parseReject(frame[1:]); err != nil || !strings.Contains(reason, want) {
+		t.Fatalf("reject reason %q (%v), want %q", reason, err, want)
+	}
+}
 
 func TestResumeRoundTrip(t *testing.T) {
 	want := resume{ID: 3, Population: 7, Fingerprint: 0xFEEDFACE12345678, LastSeq: 42}

@@ -536,6 +536,9 @@ func (n *node) handleInbound(conn net.Conn) {
 		}
 		h, err := parseHello(frame[1:])
 		if err != nil {
+			// A stray or older-version dialer is refused with the reason,
+			// without failing this node's formation.
+			wire.WriteFrame(conn, marshalReject(err.Error()))
 			conn.Close()
 			return
 		}
