@@ -40,9 +40,9 @@ func ExampleCluster() {
 // backend: every aggregate is genuinely encrypted, gossiped, and opened
 // by collaborative decryption (4 partial decryptions here). The
 // homomorphic arithmetic runs on the package's precomputed fast paths
-// (fixed-base encryption, CRT partial decryption, pooled
-// rerandomization — see docs/CRYPTO.md), which is what makes even this
-// small end-to-end run quick. Key sizing: 128-bit fixture modulus for
+// (fixed-base encryption, pooled rerandomization — see
+// docs/CRYPTO.md), which is what makes even this small end-to-end run
+// quick. Key sizing: 128-bit fixture modulus for
 // example speed; docs/CRYPTO.md and the README discuss the
 // Backend/ModulusBits/Degree trade-offs for real use.
 func ExampleCluster_damgardJurikBackend() {

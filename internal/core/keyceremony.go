@@ -160,8 +160,8 @@ func DJMaterialFromResult(res *dkg.Result) (*DJKeyMaterial, error) {
 
 // NewDamgardJurikSuiteFromMaterial wraps ceremony material as a
 // CipherSuite. The threshold key is reconstructed from public
-// parameters only (no CRT dealer state); partial decryption is
-// available exactly for the parties whose shares the material holds.
+// parameters only; partial decryption is available exactly for the
+// parties whose shares the material holds.
 func NewDamgardJurikSuiteFromMaterial(m *DJKeyMaterial) (CipherSuite, error) {
 	if m == nil {
 		return nil, errors.New("core: nil key material")

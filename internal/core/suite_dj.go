@@ -24,9 +24,9 @@ import (
 // (docs/CRYPTO.md): encryption and noise-share encryption draw
 // randomizers from a shared RandomizerPool over a fixed-base table,
 // every gossip emission rerandomizes its sent copy from the same pool,
-// partial decryptions
-// go through the dealer-side CRT context the threshold key carries, and
-// share combination is one batched multi-exponentiation. The
+// and share combination is one batched multi-exponentiation. A partial
+// decryption is a share holder's full-width exponentiation: no
+// participant holds the factorization a CRT split would need. The
 // EncContext's table is immutable and the pool is channel-based, so all
 // of it is shared safely by the sharded engine's parallel workers;
 // per-worker scratch state lives in sync.Pools inside the crypto
@@ -59,9 +59,14 @@ const djPoolCapacityMax = 8192
 // NewDamgardJurikSuite deals a fresh threshold key over fixture safe
 // primes of the given modulus size and wraps it as a CipherSuite for a
 // population of `parties` share holders with the given decryption
-// threshold.
+// threshold. Every participant gets what a ceremony would hand it: the
+// key rebuilt from public parameters, plus its own share.
 func NewDamgardJurikSuite(modulusBits, degree, parties, threshold int) (CipherSuite, error) {
-	tk, shares, err := damgardjurik.FixtureThresholdKey(modulusBits, degree, parties, threshold)
+	dealt, shares, err := damgardjurik.FixtureThresholdKey(modulusBits, degree, parties, threshold)
+	if err != nil {
+		return nil, err
+	}
+	tk, err := damgardjurik.NewThresholdKeyPublic(dealt.N, degree, parties, threshold, dealt.Scale())
 	if err != nil {
 		return nil, err
 	}

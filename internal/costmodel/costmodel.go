@@ -73,9 +73,11 @@ type CryptoProfile struct {
 	Combine        time.Duration
 	Rerandomize    time.Duration
 
-	// Fast-path timings: fixed-base table encryption, CRT decryption and
-	// partial decryption, batched multi-exponentiation combine, pooled
-	// rerandomization.
+	// Fast-path timings: fixed-base table encryption, CRT decryption (a
+	// single holder's, who has the factorization), batched
+	// multi-exponentiation combine, pooled rerandomization. A share
+	// holder has no faster partial decryption than the one it has, so
+	// FastPartialDecrypt is PartialDecrypt.
 	FastEncrypt        time.Duration
 	FastDecrypt        time.Duration
 	FastPartialDecrypt time.Duration
@@ -202,19 +204,14 @@ func MeasureProfile(keyBits, degree, parties, threshold, reps int) (*CryptoProfi
 		return nil, err
 	}
 
-	// Partial decryption: naive vs CRT.
+	// Partial decryption: the share holder's one route.
 	if prof.PartialDecrypt, err = avg(func(i int) error {
-		_, err := tk.PartialDecryptNaive(shares[i%threshold], cts[0])
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if prof.FastPartialDecrypt, err = avg(func(i int) error {
 		_, err := tk.PartialDecrypt(shares[i%threshold], cts[0])
 		return err
 	}); err != nil {
 		return nil, err
 	}
+	prof.FastPartialDecrypt = prof.PartialDecrypt
 
 	// Combine: per-partial exponentiations vs batched multi-exponentiation.
 	parts := make([]damgardjurik.PartialDecryption, threshold)

@@ -6,10 +6,10 @@ import (
 )
 
 // crtContext accelerates exponentiations modulo n^{s+1} for holders of
-// the factorization n = p·q (the single-holder key, and the trusted
-// dealer of the threshold variant — in Chiaroscuro's simulation the
-// dealer hands every simulated party its share, so the suite can carry
-// the context). Two classic savings compose:
+// the factorization n = p·q: the single-holder PrivateKey. A threshold
+// share holder never has the primes, so ThresholdKey carries no context;
+// the dealer's CRT route survives only as the tests' bit-identity oracle
+// for partial decryption. Two classic savings compose:
 //
 //  1. work modulo the half-size prime powers p^{s+1} and q^{s+1}
 //     separately and recombine by Garner's CRT formula — modular
@@ -25,8 +25,7 @@ import (
 // TestCRTExpMatchesNaive); only the route differs.
 //
 // SECURITY: a crtContext embeds the factorization. It must never travel
-// to simulated adversarial parties; see docs/CRYPTO.md ("dealer-side
-// state").
+// to a share holder; see docs/CRYPTO.md ("dealer-side state").
 type crtContext struct {
 	p, q     *big.Int // the primes
 	pS1, qS1 *big.Int // p^{s+1}, q^{s+1}

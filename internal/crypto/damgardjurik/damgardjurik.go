@@ -22,8 +22,9 @@
 // proofs of correct partial decryption (used against active adversaries)
 // are out of scope and documented as such in docs/CRYPTO.md, along with
 // the scheme description, the precomputed fast paths (fixed-base
-// encryption, CRT decryption, pooled rerandomization, batched share
-// combination) and the remaining security caveats.
+// encryption, a single holder's CRT decryption, pooled
+// rerandomization, batched share combination) and the remaining
+// security caveats.
 package damgardjurik
 
 import (

@@ -92,30 +92,42 @@ func TestCRTExpMatchesNaive(t *testing.T) {
 	}
 }
 
+// dealerPartial is the dealer's CRT route to share's partial decryption
+// of c under the fixture key of the given size, kept as the bit-identity
+// oracle of ThresholdKey.PartialDecrypt: only a dealer holds the primes
+// the split needs, so no share holder can take it.
+func dealerPartial(t *testing.T, tk *ThresholdKey, bits, s int, share KeyShare, c *big.Int) *big.Int {
+	t.Helper()
+	p, q, err := FixturePrimes(bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crt, err := newCRTContext(p, q, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := new(big.Int).Mul(two, tk.delta)
+	e.Mul(e, share.Value)
+	return crt.exp(c, e)
+}
+
 // TestPartialDecryptCRTBitIdentical pins the acceptance contract: the
-// CRT route must produce exactly the bytes of the naive route, at every
-// cross-check key size.
+// share holder's route must produce exactly the bytes of the dealer's
+// CRT route, at every cross-check key size.
 func TestPartialDecryptCRTBitIdentical(t *testing.T) {
 	for _, bits := range crossCheckBits {
 		tk, shares := testThresholdKey(t, bits, 1, 5, 3)
-		if tk.crt == nil {
-			t.Fatalf("%d bits: dealt key should carry a CRT context", bits)
-		}
 		c, err := tk.Encrypt(rand.Reader, big.NewInt(987654))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, sh := range shares {
-			fast, err := tk.PartialDecrypt(sh, c)
+			got, err := tk.PartialDecrypt(sh, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive, err := tk.PartialDecryptNaive(sh, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast.Value.Cmp(naive.Value) != 0 || fast.Index != naive.Index {
-				t.Fatalf("%d bits, share %d: CRT partial != naive partial", bits, sh.Index)
+			if got.Value.Cmp(dealerPartial(t, tk, bits, 1, sh, c)) != 0 || got.Index != sh.Index {
+				t.Fatalf("%d bits, share %d: partial != the dealer's CRT partial", bits, sh.Index)
 			}
 		}
 	}
@@ -308,7 +320,8 @@ func TestDecryptCRTBitIdentical(t *testing.T) {
 }
 
 // TestFastPathsDegreeS2Threshold exercises the whole fast stack at
-// degree s=2: table encryption, CRT partials, batched combine.
+// degree s=2: table encryption, partials against the dealer's CRT
+// route, batched combine.
 func TestFastPathsDegreeS2Threshold(t *testing.T) {
 	tk, shares := testThresholdKey(t, 96, 2, 4, 3)
 	ec, err := tk.NewEncContext(rand.Reader)
@@ -325,18 +338,14 @@ func TestFastPathsDegreeS2Threshold(t *testing.T) {
 		}
 		parts := make([]PartialDecryption, 3)
 		for j, id := range []int{1, 2, 4} {
-			fast, err := tk.PartialDecrypt(shares[id-1], c)
+			part, err := tk.PartialDecrypt(shares[id-1], c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive, err := tk.PartialDecryptNaive(shares[id-1], c)
-			if err != nil {
-				t.Fatal(err)
+			if part.Value.Cmp(dealerPartial(t, tk, 96, 2, shares[id-1], c)) != 0 {
+				t.Fatalf("s=2: partial diverges from the dealer's CRT partial at share %d", id)
 			}
-			if fast.Value.Cmp(naive.Value) != 0 {
-				t.Fatalf("s=2: CRT partial diverges from naive at share %d", id)
-			}
-			parts[j] = fast
+			parts[j] = part
 		}
 		got, err := tk.Combine(parts)
 		if err != nil {

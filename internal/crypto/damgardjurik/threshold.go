@@ -36,11 +36,10 @@ var (
 )
 
 // ThresholdKey is the public material of a threshold deployment. Every
-// participant holds a copy; it contains no secrets — except that keys
-// dealt by NewThresholdKeyFromPrimes additionally carry the dealer-side
-// CRT acceleration context (crt.go), which embeds the factorization and
-// is deliberately dropped by a key rebuilt from transported public
-// parameters.
+// participant holds a copy; it contains no secrets. In particular it
+// carries no factorization, so a partial decryption costs a share holder
+// one full-width exponentiation whichever way the key was made: the CRT
+// split (crt.go) belongs to a single holder's PrivateKey.
 type ThresholdKey struct {
 	PublicKey
 	Parties   int // l: total number of key-share holders
@@ -49,8 +48,6 @@ type ThresholdKey struct {
 	delta      *big.Int // Δ = l!
 	scale      *big.Int // σ: public scale of the shared secret (1 for dealt keys)
 	invCombine *big.Int // (4Δ²σ)^{-1} mod n^s
-
-	crt *crtContext // dealer-side fast path; nil on share-holder copies
 
 	lagMu    sync.Mutex
 	lagCache map[string][]*big.Int // combine-subset -> Lagrange coefficients
@@ -163,9 +160,6 @@ func NewThresholdKeyFromPrimes(rnd io.Reader, p, q *big.Int, s, parties, thresho
 		Parties:   parties,
 		Threshold: threshold,
 	}
-	if crt, err := newCRTContext(p, q, s); err == nil {
-		tk.crt = crt
-	}
 	tk.delta = factorial(parties)
 	tk.scale = big.NewInt(1)
 	if err := tk.initCombine(); err != nil {
@@ -177,9 +171,7 @@ func NewThresholdKeyFromPrimes(rnd io.Reader, p, q *big.Int, s, parties, thresho
 // NewThresholdKeyPublic rebuilds a share holder's threshold key from
 // transported public parameters alone: modulus, degree, deployment
 // shape, and the public scale σ of the shared secret. This is the
-// constructor the DKG ceremony (internal/crypto/dkg) finishes with —
-// no factorization, hence crt == nil and every partial decryption
-// takes the naive route.
+// constructor the DKG ceremony (internal/crypto/dkg) finishes with.
 //
 // scale is 1 for a fresh DKG (the dealt constant terms sum to d
 // exactly); each reshare multiplies it by the Δ of the deployment
@@ -224,37 +216,14 @@ func (tk *ThresholdKey) initCombine() error {
 }
 
 // PartialDecrypt computes party share.Index's contribution for ciphertext
-// c: c^{2Δ·s_i} mod n^{s+1}. Keys dealt from known primes route the
-// exponentiation through the CRT fast path (crt.go) — bit-identical to
-// the naive route, ~4× faster at 1024-bit moduli; keys rebuilt from
-// public parameters fall back to PartialDecryptNaive.
-func (tk *ThresholdKey) PartialDecrypt(share KeyShare, c *big.Int) (PartialDecryption, error) {
-	if tk.crt == nil {
-		return tk.PartialDecryptNaive(share, c)
-	}
-	if share.Index < 1 || share.Index > tk.Parties {
-		return PartialDecryption{}, ErrShareOutOfRange
-	}
-	if err := tk.CheckCiphertext(c); err != nil {
-		return PartialDecryption{}, err
-	}
-	e := new(big.Int).Mul(two, tk.delta)
-	e.Mul(e, share.Value)
-	return PartialDecryption{Index: share.Index, Value: tk.crt.exp(c, e)}, nil
-}
-
-// PartialDecryptNaive is the retained reference implementation of
-// PartialDecrypt: one full-width exponentiation modulo n^{s+1}. It is
-// the route share holders without the factorization take, the baseline
-// of the fast-path benchmarks, and the oracle of the bit-identity
-// property tests.
+// c: c^{2Δ·s_i} mod n^{s+1}, one full-width exponentiation — what a share
+// holder, who never sees the factorization, pays.
 //
 // Negative shares (resharing applies signed Lagrange weights to old
 // shares) are handled explicitly — invert c mod n^{s+1}, exponentiate
 // by |2Δ·s_i| — rather than through big.Int.Exp's negative-exponent
-// path, so the route stays deterministic and mirrors what the CRT path
-// would have to do.
-func (tk *ThresholdKey) PartialDecryptNaive(share KeyShare, c *big.Int) (PartialDecryption, error) {
+// path, so the route stays deterministic.
+func (tk *ThresholdKey) PartialDecrypt(share KeyShare, c *big.Int) (PartialDecryption, error) {
 	if share.Index < 1 || share.Index > tk.Parties {
 		return PartialDecryption{}, ErrShareOutOfRange
 	}

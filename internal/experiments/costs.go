@@ -62,7 +62,7 @@ func E5CryptoCosts(sc Scale) (*Table, error) {
 		ID:    "E5a",
 		Title: "Measured Damgård–Jurik per-operation times (this machine, s=1)",
 		Header: []string{"key bits", "encrypt", "encrypt (fast)", "hom. add", "rerandomize (pooled)", "squaring", "halve in place (avoided)",
-			"partial dec", "partial dec (fast)", "combine", "combine (batched)", "ciphertext", "packed slots/ct", "opening slots/ct"},
+			"partial dec", "combine", "combine (batched)", "ciphertext", "packed slots/ct", "opening slots/ct"},
 	}
 	keyBits := []int{512, 1024, 2048}
 	profiles := map[int]*costmodel.CryptoProfile{}
@@ -89,7 +89,6 @@ func E5CryptoCosts(sc Scale) (*Table, error) {
 			p.Square.Round(time.Microsecond).String(),
 			p.ScalarMul.Round(time.Microsecond).String(),
 			p.PartialDecrypt.Round(time.Microsecond).String(),
-			p.FastPartialDecrypt.Round(time.Microsecond).String(),
 			p.Combine.Round(time.Microsecond).String(),
 			p.FastCombine.Round(time.Microsecond).String(),
 			fmt.Sprintf("%d B", p.CiphertextBytes),
@@ -99,7 +98,7 @@ func E5CryptoCosts(sc Scale) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"these are the \"encryption/decryption/addition times\" the demo GUI scales up from (Sec. III.B point 2); threshold configuration 5-of-8.",
-		"\"fast\" columns are the precomputed paths of docs/CRYPTO.md: fixed-base table encryption, CRT partial decryption, batched multi-exponentiation combine — decrypt- resp. bit-identical to the naive reference.",
+		"\"fast\" columns are the precomputed paths of docs/CRYPTO.md: fixed-base table encryption, batched multi-exponentiation combine — decrypt- resp. bit-identical to the naive reference. \"partial dec\" is a share holder's price: the CRT split that makes a decryption ~3× cheaper needs the factorization, which only the dealer (or a single key holder) has.",
 		"a gossip round costs one pooled rerandomization (the copy that is sent) and one addition (the merge) per ciphertext: push-sum's halvings travel as an exponent beside the ciphertexts. \"squaring\" is what aligning two shares one halving apart costs per ciphertext — nothing when participants gossip in step; \"halve in place (avoided)\" is the full-width exponentiation by 2⁻¹ mod n^s each of those halvings cost per ciphertext while it was performed inside the ciphertext.",
 		"\"packed slots/ct\" is how many fused-vector coordinates slot packing fits per ciphertext at that key size for the E5b workload (docs/CRYPTO.md, \"Slot packing\") — every per-ciphertext cost divides by it.",
 		"\"opening slots/ct\" is how many perturbed means an unpacked run packs into each ciphertext it opens (docs/CRYPTO.md, \"Packed openings\") — its partial decryptions and combines divide by it.")
