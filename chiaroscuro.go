@@ -110,12 +110,9 @@ type Config struct {
 	// effective count is capped at the population size and at
 	// max(64, 4·GOMAXPROCS).
 	Workers int
-	// Packed packs multiple coordinates of the encrypted side into each
-	// ciphertext (slot packing): encrypts, gossip refreshes, partial
-	// decryptions and wire bytes all shrink by the packing factor
-	// (~8–16× at a 1024-bit key). On the accounted backend, packed and
-	// unpacked runs disclose bit-identical centroids; see docs/CRYPTO.md
-	// ("Slot packing") for the slot layout and its exactness argument.
+	// Packed is ignored: every run packs several coordinates into each
+	// ciphertext (see docs/CRYPTO.md, "Slot packing"). It stays until the
+	// benchmark, which sets it, stops doing so.
 	Packed bool
 	// ModulusBits is the encryption key size (default 1024 accounted /
 	// 256 real; fixtures exist for 64–2048).
@@ -482,7 +479,6 @@ func (cfg Config) baseParams() (core.Params, error) {
 		InitialCentroids:     cfg.InitialCentroids,
 		Seed:                 cfg.Seed,
 		Workers:              cfg.Workers,
-		Packed:               cfg.Packed,
 		MaxValue:             1,
 		ChurnCrashProb:       cfg.ChurnCrashProb,
 		ChurnRejoinProb:      cfg.ChurnRejoinProb,

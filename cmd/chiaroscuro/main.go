@@ -47,7 +47,6 @@ func main() {
 		backend   = flag.String("backend", "accounted", "cipher backend: accounted | damgard-jurik")
 		engine    = flag.String("engine", "cycles", "execution engine: cycles | sharded (sharded is bit-identical to cycles, parallelized)")
 		workers   = flag.Int("workers", 0, "shard workers for -engine sharded (0 = GOMAXPROCS)")
-		packed    = flag.Bool("packed", false, "pack multiple coordinates per ciphertext on the encrypted side (slot packing)")
 		modulus   = flag.Int("modulus", 0, "key size in bits (0 = default)")
 		seed      = flag.Int64("seed", 2016, "random seed (whole run is deterministic)")
 		churn     = flag.Float64("churn", 0, "per-cycle crash probability")
@@ -119,7 +118,6 @@ func main() {
 		Backend:          chiaroscuro.Backend(*backend),
 		Engine:           *engine,
 		Workers:          *workers,
-		Packed:           *packed,
 		ModulusBits:      *modulus,
 		Strategy:         *strategy,
 		Smoothing:        chiaroscuro.Smoothing{Method: *smoothing},
@@ -136,9 +134,6 @@ func main() {
 		fmt.Printf(" (ε=%.2g at %d devices)", *epsilon, *targetPop)
 	}
 	fmt.Printf(", backend=%s, engine=%s", *backend, *engine)
-	if *packed {
-		fmt.Printf(", packed")
-	}
 	fmt.Println()
 	fmt.Printf("archetypes in the generator: %v\n\n", archetypes)
 

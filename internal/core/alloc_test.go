@@ -42,7 +42,8 @@ func allocTestSeries(t testing.TB, n, dim int) [][]float64 {
 // TestGossipCycleZeroAlloc is the allocation gate of the gossip cycle:
 // a warmed steady-state cycle — all participants' halve-and-emit into
 // their parity buffers plus batched in-place absorbs, across the whole
-// simulated network — is measured with testing.AllocsPerRun. On the
+// simulated network — is measured with testing.AllocsPerRun. Every run
+// packs its sides, so the ciphers measured are slot groups. On the
 // accounted backend it allocates nothing. On Damgård–Jurik the in-place
 // arithmetic allocates nothing either, but every RefreshInPlace draws one
 // randomizer the pool mints on the heap (its random exponent from
@@ -111,34 +112,6 @@ func TestGossipCycleZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestGossipCycleZeroAllocPacked re-proves the accounted property with
-// slot packing on: packed ciphers live in the same arenas.
-func TestGossipCycleZeroAllocPacked(t *testing.T) {
-	const n, warm, measure = 48, 40, 40
-	data := allocTestData(t, n)
-	p := allocTestParams(warm + measure + 8)
-	p.Packed = true
-	rs, err := prepareRun(data, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.close()
-	rs.shared.batchHint = n
-	d, err := newCycleDriver(data, rs, 1, len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < warm+1; i++ {
-		d.nw.RunCycle()
-	}
-	allocs := testing.AllocsPerRun(measure, func() {
-		d.nw.RunCycle()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state packed gossip cycle allocates %.2f heap objects, want 0", allocs)
-	}
-}
-
 // TestMeasureGossipAllocs exercises the CLI/CI measurement helper and
 // requires it to agree with the AllocsPerRun proof (zero on the
 // accounted backend) and to reject windows that would leak out of the
@@ -172,16 +145,20 @@ func TestMeasureGossipAllocs(t *testing.T) {
 // served partials are fresh per iteration; the fixed-point encode and
 // decode allocate nothing once their pooled scratch is warm.
 //
+// The two shapes keep the names they had when a run could leave its
+// sides unpacked; both now pack at encryption, so each opens one
+// ciphertext per slot group:
+//
 //   - unpacked, the shape bench/ reports as core.decrypt_allocs_per_cycle
 //     (N=512, CER dim=4, K=2, ε=50, 2 iterations, 12 rounds, threshold
-//     8): 15,244 allocs/cycle on this data, where decoding through
-//     math/big temporaries measured 23,948 (bench/ printed 24,064 on its
-//     own data; the previous ceiling was 22,528×1.30);
+//     8): 7,606 allocs/cycle on this data (15,244 when it opened packed
+//     sums of per-coordinate ciphertexts, 23,948 when it decoded through
+//     math/big temporaries);
 //   - packed, sim-deep's shape at a tier-1 size (N=128, CER dim=24, K=5,
-//     ε=1, 22 rounds, threshold 16, moving-average smoothing): 8,518
-//     allocs/cycle, where opening the slots through math/big temporaries
-//     measured 115,269. Under -race, where sync.Pool drops a quarter of
-//     its Puts, 8,586–8,612: a fresh scratch block is one arena.
+//     ε=1, 22 rounds, threshold 16, moving-average smoothing): 4,032
+//     allocs/cycle (8,518 with biased slots in a 320-bit ring, 115,269
+//     through math/big temporaries). Under -race, where sync.Pool drops
+//     a quarter of its Puts, 4,097: a fresh scratch block is one arena.
 func TestMeasureDecryptAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -190,9 +167,9 @@ func TestMeasureDecryptAllocs(t *testing.T) {
 		measured float64 // 0 = shape checks only
 	}{
 		{"small", 24, 4, Params{K: 2, Epsilon: 50, Iterations: 1, Seed: 11, GossipRounds: 6, DecryptThreshold: 3}, 0},
-		{"unpacked", 512, 4, Params{K: 2, Epsilon: 50, Iterations: 2, Seed: 11, GossipRounds: 12, DecryptThreshold: 8}, 15244},
+		{"unpacked", 512, 4, Params{K: 2, Epsilon: 50, Iterations: 2, Seed: 11, GossipRounds: 12, DecryptThreshold: 8}, 7606},
 		{"packed", 128, 24, Params{K: 5, Epsilon: 1, Iterations: 2, Seed: 11, GossipRounds: 22, DecryptThreshold: 16,
-			Packed: true, Smoothing: SmoothingSpec{Method: SmoothingMovingAverage}}, 8518},
+			Smoothing: SmoothingSpec{Method: SmoothingMovingAverage}}, 4032},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rep, err := MeasureDecryptAllocs(allocTestSeries(t, tc.n, tc.dim), tc.p)

@@ -368,24 +368,33 @@ func TestEmptyClusterKeepsCentroid(t *testing.T) {
 
 func TestOpsCountedInPlainBackend(t *testing.T) {
 	data := blobs(40, 3, 2)
-	tr, err := Run(data, Params{K: 2, Epsilon: 10, Iterations: 2, Seed: 37, GossipRounds: 6})
+	p := Params{K: 2, Epsilon: 10, Iterations: 2, Seed: 37, GossipRounds: 6}
+	tr, err := Run(data, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every participant encrypts 2·k·(dim+1) values per iteration, and
+	// A side of k·(dim+1) coordinates travels in ⌈k·(dim+1)/slots⌉
+	// ciphertexts, over the 1023 usable bits of the default 1024-bit
+	// key's ring.
+	slots, err := PackedSlots(1023, 40, 3, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	side := int64((2*(3+1) + slots - 1) / slots)
+	// Every participant encrypts its two sides per iteration, and
 	// nothing else encrypts: setup performs no probe encryption (the
 	// cipher ring needs no cached zero), so the count is exact.
-	wantEnc := int64(40 * 2 * 2 * 2 * (3 + 1))
+	wantEnc := 40 * 2 * 2 * side
 	if tr.Ops.Encrypts != wantEnc {
 		t.Fatalf("encrypts = %d, want %d", tr.Ops.Encrypts, wantEnc)
 	}
 	if tr.Ops.Refreshes == 0 || tr.Ops.Adds == 0 || tr.Ops.PartialDecrypts == 0 || tr.Ops.Combines == 0 {
 		t.Fatalf("ops not counted: %+v", tr.Ops)
 	}
-	// Every participant emits its 2·k·(dim+1)-cipher vector once per
-	// gossip round: that many halvings by the exponent, each refreshing
-	// the sent copy, none performed inside a ciphertext.
-	if want := int64(40 * 2 * 6 * 2 * 2 * (3 + 1)); tr.Ops.Refreshes != want || tr.Ops.Halvings != want {
+	// Every participant emits its 2·side-cipher vector once per gossip
+	// round: that many halvings by the exponent, each refreshing the sent
+	// copy, none performed inside a ciphertext.
+	if want := 40 * 2 * 6 * 2 * side; tr.Ops.Refreshes != want || tr.Ops.Halvings != want {
 		t.Fatalf("refreshes = %d, halvings = %d, want %d each", tr.Ops.Refreshes, tr.Ops.Halvings, want)
 	}
 }

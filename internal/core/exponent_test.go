@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"chiaroscuro/internal/fixedpoint"
 	"chiaroscuro/internal/gossip"
 	"chiaroscuro/internal/p2p"
 )
@@ -71,19 +70,7 @@ func oracleEncrypt(t *testing.T, r *runShared, vals, noises []float64) []Cipher 
 			}
 			enc[i] = v.Lsh(v, r.preScale)
 		}
-		if r.layout != nil {
-			var err error
-			if enc, err = r.layout.Pack(enc); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			for _, v := range enc {
-				if err := fixedpoint.WrapSignedInPlace(v, r.plainMod, r.halfMod); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for g, m := range enc {
+		for g, m := range packWide(t, r, enc) {
 			ct, err := r.suite.Encrypt(m)
 			if err != nil {
 				t.Fatal(err)
@@ -116,17 +103,20 @@ type oracleHarness struct {
 	fresh int              // contributions minted so far (headroom budget)
 }
 
-func newOracleHarness(t *testing.T, params Params, seed int64) *oracleHarness {
+func newOracleHarness(t *testing.T, cfg oracleConfig, seed int64) *oracleHarness {
 	t.Helper()
 	// The run is sized for 8 contributions; 4 nodes are driven, so up to
 	// 4 late synchronizations can mint a fresh contribution while the
 	// abandoned one still circulates without breaching the headroom the
 	// run was validated for.
-	rs, err := prepareRun(blobs(8, 3, 2), params)
+	rs, err := prepareRun(blobs(8, 3, 2), cfg.params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rs.close)
+	if cfg.perCoord {
+		swapPerCoordinate(t, rs.shared)
+	}
 	h := &oracleHarness{t: t, r: rs.shared, rng: rand.New(rand.NewSource(seed)), held: make([][]oracleFlight, 4)}
 	for i := 0; i < 4; i++ {
 		n := &oracleNode{pt: rs.newParticipant(p2p.NodeID(i))}
@@ -270,9 +260,16 @@ func (h *oracleHarness) check(label string) {
 	}
 }
 
-func oracleConfigs() map[string]Params {
+// oracleConfig is one shape the exponent is held to the oracle on: a
+// run's own packing ("-packed"), or one coordinate per ciphertext.
+type oracleConfig struct {
+	params   Params
+	perCoord bool
+}
+
+func oracleConfigs() map[string]oracleConfig {
 	base := Params{K: 2, Epsilon: 100, Iterations: 1, Seed: 3, GossipRounds: 6, DecryptThreshold: 3, TrackInertia: true}
-	out := map[string]Params{}
+	out := map[string]oracleConfig{}
 	for name, backend := range map[string]Params{
 		"plain": {Backend: BackendPlainAccounted},
 		"dj128": {Backend: BackendDamgardJurik, ModulusBits: 128},
@@ -280,9 +277,8 @@ func oracleConfigs() map[string]Params {
 	} {
 		p := base
 		p.Backend, p.ModulusBits = backend.Backend, backend.ModulusBits
-		out[name] = p
-		p.Packed = true
-		out[name+"-packed"] = p
+		out[name] = oracleConfig{params: p, perCoord: true}
+		out[name+"-packed"] = oracleConfig{params: p}
 	}
 	return out
 }
@@ -290,13 +286,14 @@ func oracleConfigs() map[string]Params {
 // TestExponentSharesMatchEagerOracle is the exactness property of the
 // exponent representation: random emit / absorb / batched-absorb / late-synchronization
 // schedules, exponent skew from 0 to T in both directions, both suites
-// (Damgård–Jurik at 128 and 256 bits), both layouts, the inertia
+// (Damgård–Jurik at 128 and 256 bits), packed and one coordinate per
+// ciphertext, the inertia
 // aggregate tracked, noise shares of both signs — and after every phase
 // each node discloses the integer the eager oracle discloses.
 func TestExponentSharesMatchEagerOracle(t *testing.T) {
-	for name, params := range oracleConfigs() {
+	for name, cfg := range oracleConfigs() {
 		t.Run(name, func(t *testing.T) {
-			h := newOracleHarness(t, params, 17)
+			h := newOracleHarness(t, cfg, 17)
 			T := int(h.r.preScale)
 
 			// Skew at its limits first: node 0 emits the whole budget
@@ -362,12 +359,12 @@ func TestExponentSharesMatchEagerOracle(t *testing.T) {
 // decoder, by the sender's guard, by the receiver's drop and by the wire
 // validation — never disclosed wrong.
 func TestHalvingBudgetBoundary(t *testing.T) {
-	for name, params := range oracleConfigs() {
-		if params.ModulusBits == 256 {
+	for name, cfg := range oracleConfigs() {
+		if cfg.params.ModulusBits == 256 {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			h := newOracleHarness(t, params, 29)
+			h := newOracleHarness(t, cfg, 29)
 			r := h.r
 			n := h.nodes[0]
 			for n.lazy.H < r.preScale {

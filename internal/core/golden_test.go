@@ -36,9 +36,11 @@ type goldenRun struct {
 	Final [][]string
 }
 
-// goldenConfigs are the pinned runs: both backends, packed and
-// unpacked, plus the inertia-tracking disclosure variant. Populations
-// and key sizes are small enough for CI but exercise the full protocol.
+// goldenConfigs are the pinned runs: both backends plus the
+// inertia-tracking disclosure variant. Populations and key sizes are
+// small enough for CI but exercise the full protocol. The names predate
+// packing at encryption, when a run could also be "packed"; the fixture
+// keeps them.
 func goldenConfigs() []struct {
 	name   string
 	data   [][]float64
@@ -47,8 +49,6 @@ func goldenConfigs() []struct {
 	plain := blobs(48, 4, 3)
 	dj := blobs(16, 3, 2)
 	base := Params{K: 3, Epsilon: 20, Iterations: 3, Seed: 41, GossipRounds: 10, DecryptThreshold: 4}
-	packed := base
-	packed.Packed = true
 	inertia := base
 	inertia.TrackInertia = true
 	djBase := Params{
@@ -56,18 +56,14 @@ func goldenConfigs() []struct {
 		GossipRounds: 8, DecryptThreshold: 4,
 		Backend: BackendDamgardJurik, ModulusBits: 128,
 	}
-	djPacked := djBase
-	djPacked.Packed = true
 	return []struct {
 		name   string
 		data   [][]float64
 		params Params
 	}{
 		{"plain-unpacked", plain, base},
-		{"plain-packed", plain, packed},
 		{"plain-inertia", plain, inertia},
 		{"dj-unpacked", dj, djBase},
-		{"dj-packed", dj, djPacked},
 	}
 }
 

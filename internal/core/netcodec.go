@@ -314,7 +314,7 @@ func (nd *Node) DecodePayload(buf []byte) (any, error) {
 		if err := fr.Done(); err != nil {
 			return nil, err
 		}
-		cs, err := nd.rs.suite.NewCipherVector(r.openCiphers)
+		cs, err := nd.rs.suite.NewCipherVector(r.sideCiphers)
 		if err != nil {
 			return nil, err
 		}
@@ -342,8 +342,8 @@ func (nd *Node) DecodePayload(buf []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(ps) != r.openCiphers {
-			return nil, fmt.Errorf("core: decrypt response of %d partials, want %d", len(ps), r.openCiphers)
+		if len(ps) != r.sideCiphers {
+			return nil, fmt.Errorf("core: decrypt response of %d partials, want %d", len(ps), r.sideCiphers)
 		}
 		return &decryptResponse{Iter: iter, Partials: ps}, nil
 	default:

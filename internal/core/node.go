@@ -131,11 +131,11 @@ func (nd *Node) Fingerprint() uint64 { return nd.fp }
 // from the digested (seed, backend, modulus) configuration.
 func fingerprint(p Params, population, dim int, initial [][]float64) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "chiaroscuro|n=%d|dim=%d|k=%d|eps=%b|iters=%d|conv=%b|rounds=%d|thresh=%d|window=%d|backend=%d|modbits=%d|degree=%d|frac=%d|strategy=%T|smoothing=%+v|inertia=%t|istop=%b|seed=%d|packed=%t|max=%b|dkg=%t",
+	fmt.Fprintf(h, "chiaroscuro|n=%d|dim=%d|k=%d|eps=%b|iters=%d|conv=%b|rounds=%d|thresh=%d|window=%d|backend=%d|modbits=%d|degree=%d|frac=%d|strategy=%T|smoothing=%+v|inertia=%t|istop=%b|seed=%d|max=%b|dkg=%t",
 		population, dim, p.K, p.Epsilon, p.Iterations,
 		p.ConvergeThreshold, p.GossipRounds, p.DecryptThreshold, p.DecryptWindow,
 		p.Backend, p.ModulusBits, p.Degree, p.FracBits, p.Strategy, p.Smoothing,
-		p.TrackInertia, p.InertiaStopThreshold, p.Seed, p.Packed, p.MaxValue, p.DKG)
+		p.TrackInertia, p.InertiaStopThreshold, p.Seed, p.MaxValue, p.DKG)
 	for _, row := range initial {
 		for _, v := range row {
 			fmt.Fprintf(h, "|%b", v)

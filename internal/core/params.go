@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 
 	"chiaroscuro/internal/dp"
 	"chiaroscuro/internal/fixedpoint"
@@ -119,15 +118,9 @@ type Params struct {
 	// max(64, 4·GOMAXPROCS) (see internal/p2p).
 	Workers int
 
-	// Packed packs multiple coordinates of the encrypted Diptych side
-	// into each ciphertext (slot packing): the fused gossip vector
-	// shrinks from 2·K·(dim+1) ciphertexts to ⌈K·(dim+1)/slots⌉ groups
-	// per side, and encrypts, gossip refreshes, partial decryptions, combines
-	// and gossip bytes all shrink by the packing factor. The slot width
-	// is derived from the same headroom budget checkHeadroom charges the
-	// unpacked ring, so a configuration that fits unpacked fits packed;
-	// on the accounted backend packed and unpacked runs disclose
-	// bit-identical centroids. See docs/CRYPTO.md ("Slot packing").
+	// Packed is ignored: every run packs its encrypted side (see
+	// docs/CRYPTO.md, "Slot packing"). It stays until the benchmark,
+	// which sets it, stops doing so.
 	Packed bool
 
 	// MaxValue bounds the (normalized) data domain; inputs must lie in
@@ -326,9 +319,9 @@ func (p Params) validate(n, dim int) error {
 // preScaleBits is the halving budget T every contribution is provisioned
 // for: a push-sum share (c, h) decodes as Dec(c)·2^(T-h), an integer —
 // and exactly the rational intended — as long as no contribution it
-// holds was halved more than T times (see internal/gossip). checkHeadroom
-// and packedLayout reserve T bits of every plaintext (and slot) for it,
-// and decodeAll refuses a share whose exponent overran it.
+// holds was halved more than T times (see internal/gossip). slotLayout
+// reserves T bits of every slot for it, and decodeAll refuses a share
+// whose exponent overran it.
 func (p Params) preScaleBits() uint {
 	return uint(p.GossipRounds + 2)
 }
@@ -368,52 +361,37 @@ func (p Params) noiseEnvelope(dim int, epsSched []float64) (coordBound, noiseBou
 	return coordBound, 64 * sens / minEps
 }
 
-// ErrPackingInfeasible reports that the plaintext space cannot fit even
-// one slot at the configuration's headroom budget — the expected,
-// recoverable failure mode of packing at small moduli, as opposed to a
-// misconfiguration error. Callers projecting costs fall back to the
-// unpacked protocol on it.
-var ErrPackingInfeasible = errors.New("core: packing infeasible — increase ModulusBits or Degree, or reduce GossipRounds/FracBits")
-
-// packedLayout derives the slot packing of the encrypted side for a
-// plaintext space of plainBits usable bits: per-slot magnitude bits from
-// the same value/noise/fixed-point/pre-scale budget checkHeadroom
-// charges the unpacked ring, plus a sign-bias bit, plus aggregation
-// headroom (population bits — all n contributions can land on one
-// holder — the slot-wise means+noise addition of step 2c, and guard
-// bits).
-func packedLayout(plainBits, n int, bound float64, fracBits, preScale uint) (*fixedpoint.SlotLayout, error) {
-	magBits := boundBits(bound) + fracBits + preScale
-	headBits := boundBits(float64(n)) + 3
-	l, err := fixedpoint.NewSlotLayout(plainBits, magBits, headBits)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrPackingInfeasible, err)
+// slotLayout is a run's packing of its encrypted side over a plaintext
+// space of plainBits usable bits. Coordinates travel need bits apart,
+// the bits one disclosed coordinate needs: the worst-case aggregate
+// population · (bound + clamped noise share) · 2^frac · 2^T, plus a sign
+// bit and a guard bit. Every such aggregate then has magnitude at most
+// 2^(need−3), inside the layout's 2^(need−2), and it is refused when the
+// plaintext space cannot hold even one coordinate: the aggregate must
+// stay below M/2. need splits into one contribution's magnitude bits —
+// the bound PackInto enforces on a fresh encoding — and the aggregation
+// headroom above them.
+func slotLayout(plainBits, n int, bound, noiseBound float64, fracBits, preScale uint) (*fixedpoint.SlotLayout, error) {
+	worst := float64(n) * (bound + noiseBound)
+	need := int(math.Ceil(math.Log2(worst))) + 1 + int(fracBits) + int(preScale) + 2
+	if plainBits < need {
+		return nil, fmt.Errorf("core: plaintext space too small: need %d bits, modulus has %d — increase ModulusBits or Degree, or reduce GossipRounds/FracBits", need, plainBits)
 	}
-	return l, nil
+	mag := max(int(math.Ceil(math.Log2(bound+noiseBound)))+1+int(fracBits), 1)
+	return fixedpoint.NewSlotLayout(plainBits, uint(mag), uint(max(need-1-mag, 1)))
 }
 
-// boundBits is the number of bits needed to hold magnitudes up to bound,
-// with round-up slack (at least 1).
-func boundBits(bound float64) uint {
-	b := int(math.Ceil(math.Log2(bound))) + 1
-	if b < 1 {
-		b = 1
-	}
-	return uint(b)
-}
-
-// PackedSlots reports the slots-per-ciphertext a packed run
-// (Params.Packed) would use over a plaintext space of plainBits usable
-// bits, for a population of n participants with series of the given
-// dimension — the packing factor, exported for the cost projections
-// (internal/costmodel, experiment E5). prepareRun derives the actual
-// layout from the identical rule.
+// PackedSlots reports the coordinates per ciphertext a run uses over a
+// plaintext space of plainBits usable bits, for a population of n
+// participants with series of the given dimension — the packing factor,
+// exported for the cost projections (internal/costmodel, experiment E5).
+// prepareRun derives the actual layout from the identical rule.
 func PackedSlots(plainBits, n, dim int, params Params) (int, error) {
 	p, coordBound, noiseBound, err := envelope(n, dim, params)
 	if err != nil {
 		return 0, err
 	}
-	l, err := packedLayout(plainBits, n, coordBound+noiseBound, p.FracBits, p.preScaleBits())
+	l, err := slotLayout(plainBits, n, coordBound, noiseBound, p.FracBits, p.preScaleBits())
 	if err != nil {
 		return 0, err
 	}
@@ -422,7 +400,7 @@ func PackedSlots(plainBits, n, dim int, params Params) (int, error) {
 
 // envelope defaults and validates params for n participants with series
 // of the given dimension, and derives the magnitude bounds prepareRun
-// sizes its layouts from.
+// sizes its layout from.
 func envelope(n, dim int, params Params) (p Params, coordBound, noiseBound float64, err error) {
 	p = params.withDefaults(n)
 	if err := p.validate(n, dim); err != nil {
@@ -434,56 +412,6 @@ func envelope(n, dim int, params Params) (p Params, coordBound, noiseBound float
 	}
 	coordBound, noiseBound = p.noiseEnvelope(dim, epsSched)
 	return p, coordBound, noiseBound, nil
-}
-
-// OpeningSlots reports how an unpacked run (Params.Packed false) opens
-// its perturbed means over a plaintext space of plainBits usable bits,
-// for a population of n participants with series of the given
-// dimension: slots coordinates per opened ciphertext, packed width bits
-// apart (see openingLayout) — the sibling of PackedSlots, exported for
-// the cost projections. prepareRun derives the actual layout from the
-// identical rule.
-func OpeningSlots(plainBits, n, dim int, params Params) (slots, width int, err error) {
-	p, coordBound, noiseBound, err := envelope(n, dim, params)
-	if err != nil {
-		return 0, 0, err
-	}
-	l, err := openingLayout(plainBits, headroomBits(n, coordBound, noiseBound, p.FracBits, p.preScaleBits()))
-	if err != nil {
-		return 0, 0, err
-	}
-	return l.Slots(), int(l.Width()), nil
-}
-
-// openingLayout is how an unpacked run opens its step-2c sums: packed
-// need bits apart, the per-coordinate budget checkHeadroom validated.
-// Every opened coordinate has magnitude at most 2^(need−3) — inside the
-// digit layout's 2^(need−2) — so ⌊plainBits/need⌋ of them share one
-// plaintext, and checkHeadroom already guarantees one fits.
-func openingLayout(plainBits, need int) (*fixedpoint.DigitLayout, error) {
-	return fixedpoint.NewDigitLayout(plainBits, uint(max(need, 3)))
-}
-
-// headroomBits is the bits one disclosed coordinate needs: the
-// worst-case aggregate population · (bound + clamped noise share) ·
-// 2^frac · 2^T, plus a sign bit and a guard bit.
-func headroomBits(n int, maxValue, noiseBound float64, fracBits, preScaleBits uint) int {
-	worst := float64(n) * (maxValue + noiseBound)
-	worstBits := int(math.Ceil(math.Log2(worst))) + 1
-	return worstBits + int(fracBits) + int(preScaleBits) + 2
-}
-
-// checkHeadroom verifies the plaintext space can absorb the worst-case
-// aggregate: population · (bound + clamped noise share) · 2^frac · 2^T
-// must stay below M/2. noiseBound is the clamp applied to noise shares.
-// It returns the bits one coordinate needs, the width of an unpacked
-// run's opening (openingLayout).
-func checkHeadroom(M *big.Int, n, dim int, maxValue, noiseBound float64, fracBits, preScaleBits uint) (int, error) {
-	need := headroomBits(n, maxValue, noiseBound, fracBits, preScaleBits)
-	if M.BitLen()-1 < need {
-		return 0, fmt.Errorf("core: plaintext space too small: need %d bits, modulus has %d — increase ModulusBits or Degree, or reduce GossipRounds/FracBits", need, M.BitLen()-1)
-	}
-	return need, nil
 }
 
 // cipherRing adapts a CipherSuite to the gossip.Ring interface so the

@@ -194,13 +194,11 @@ type runShared struct {
 	preScale      uint
 	epsSched      []float64
 	noiseBound    float64
-	vecLen        int                     // k*(dim+1): cluster sums and counts
-	sideLen       int                     // vecLen (+1 when the inertia aggregate is tracked)
-	sideCiphers   int                     // ciphertexts per side: sideLen, or ⌈sideLen/slots⌉ when packed
-	openCiphers   int                     // ciphertexts opened per iteration: sideCiphers packed, ⌈sideLen/opening slots⌉ unpacked
-	layout        *fixedpoint.SlotLayout  // slot packing of the encrypted side (nil = unpacked)
-	opening       *fixedpoint.DigitLayout // how an unpacked run packs its opening (nil = packed)
-	decodeBound   float64                 // max plausible |decoded| per coordinate
+	vecLen        int                    // k*(dim+1): cluster sums and counts
+	sideLen       int                    // vecLen (+1 when the inertia aggregate is tracked)
+	sideCiphers   int                    // ciphertexts per side, and opened per iteration: ⌈sideLen/slots⌉
+	layout        *fixedpoint.SlotLayout // how each side packs into its ciphertexts
+	decodeBound   float64                // max plausible |decoded| per coordinate
 	centroidBytes int
 	// validate is set only when the fault plan contains byzantine
 	// senders: incoming gossip messages are then validated cipher by
@@ -224,14 +222,13 @@ type runShared struct {
 
 // codecScratch is the fixed-point working storage of one activation's
 // encode (stepAssign) or decode (finishIteration): sideLen coordinate
-// integers, sideCiphers group integers, the bias offset and sideLen
-// decoded floats. It holds nothing across activations — it is taken from
-// runShared.scratch and returned before the step ends — so per-participant
-// memory stays flat in the population and snapshots never see it.
+// integers, sideCiphers group integers and sideLen decoded floats. It
+// holds nothing across activations — it is taken from runShared.scratch
+// and returned before the step ends — so per-participant memory stays
+// flat in the population and snapshots never see it.
 type codecScratch struct {
 	coords  []*big.Int
 	groups  []*big.Int
-	offset  big.Int
 	decoded []float64
 }
 
@@ -336,11 +333,9 @@ func (pt *participant) stepAssign(ctx Env) {
 	//   [0 .. vecLen)            means side (sums then count per cluster)
 	//   [vecLen .. sideLen)      optional inertia aggregate (footnote 2)
 	//   [sideLen .. 2*sideLen)   noise shares for the same layout
-	// The cleartext coordinates are assembled first and encrypted after —
-	// per coordinate, or per slot group when the run is packed — so the
-	// coordinate order (and hence the noise-share RNG consumption) is
-	// identical either way, keeping packed and unpacked runs on the same
-	// gossip trajectory.
+	// The cleartext coordinates are assembled first and packed and
+	// encrypted after, so the noise-share RNG consumption is the
+	// coordinate order, whatever the packing.
 	r := pt.run
 	k := r.params.K
 	per := r.dim + 1
@@ -438,13 +433,16 @@ func (pt *participant) noiseScale() float64 {
 }
 
 // encryptSides encrypts the fused contribution [values | noise shares]
-// into the participant's own cipher vector: one ciphertext per
-// coordinate, or — when the run is packed — one per slot group, with the
-// two sides packed under the same layout so the step-2c noise addition
-// stays a slot-aligned homomorphic Add. The previous iteration's state
-// owned these ciphers, but it is dropped in the same activation, and
-// every emission carries copies, so overwriting is safe. The plaintexts
-// are encoded into s, which EncryptInto copies out of.
+// into the participant's own cipher vector: each side fixed-point-encoded
+// into s's coordinates, packed into s's groups by Horner's rule,
+// sign-wrapped against the cached M/2 (a packed integer is a signed
+// value like any other) and encrypted group by group — both sides under
+// the one layout, so the step-2c noise addition is a slot-aligned
+// homomorphic Add. The 2^T pre-scale is not applied: it is the T − 0 the
+// fresh share's halving exponent still owes (signedAggregates shifts by
+// whatever is left of it). The previous iteration's state owned these
+// ciphers, but it is dropped in the same activation, and every emission
+// carries copies, so overwriting is safe.
 func (pt *participant) encryptSides(s *codecScratch, vals, noises []float64) ([]Cipher, error) {
 	r := pt.run
 	if pt.contrib == nil {
@@ -454,77 +452,25 @@ func (pt *participant) encryptSides(s *codecScratch, vals, noises []float64) ([]
 		}
 		pt.contrib = v
 	}
-	out := pt.contrib
-	if r.layout == nil {
-		for i := range vals {
-			for side, x := range [2]float64{vals[i], noises[i]} {
-				m, err := pt.encodeValue(s.coords[i], x)
-				if err != nil {
-					return nil, err
-				}
-				if err := r.suite.EncryptInto(out[side*r.sideCiphers+i], m); err != nil {
-					return nil, err
-				}
+	for side, xs := range [2][]float64{vals, noises} {
+		for i, x := range xs {
+			if _, err := r.codec.EncodeInto(s.coords[i], x); err != nil {
+				return nil, err
 			}
 		}
-		return out, nil
-	}
-	for side, xs := range [2][]float64{vals, noises} {
-		packed, err := pt.packSide(s, xs)
-		if err != nil {
+		if err := r.layout.PackInto(s.groups, s.coords[:len(xs)]); err != nil {
 			return nil, err
 		}
-		for g, m := range packed {
-			if err := r.suite.EncryptInto(out[side*r.sideCiphers+g], m); err != nil {
+		for g, m := range s.groups {
+			if err := fixedpoint.WrapSignedInPlace(m, r.plainMod, r.halfMod); err != nil {
+				return nil, err
+			}
+			if err := r.suite.EncryptInto(pt.contrib[side*r.sideCiphers+g], m); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return out, nil
-}
-
-// packSide fixed-point-encodes one side of the contribution and packs it
-// into biased slot groups. Unlike the unpacked path no modular sign wrap
-// is needed: the per-slot bias keeps every field non-negative. The slot
-// layout budgets each coordinate at its pre-scaled magnitude v·2^T
-// (bias 2^magBits, magBits ≥ T), so the groups are packed at that scale
-// and the 2^T every slot and every bias shares is then shifted out —
-// exactly — leaving the plaintext whose exponent-0 share (Dec(c)·2^T)
-// is the packed integer the layout was sized for. The coordinates and
-// the groups are s's; the groups are returned.
-func (pt *participant) packSide(s *codecScratch, xs []float64) ([]*big.Int, error) {
-	r := pt.run
-	for i, x := range xs {
-		v, err := r.codec.EncodeInto(s.coords[i], x)
-		if err != nil {
-			return nil, err
-		}
-		v.Lsh(v, r.preScale)
-	}
-	if err := r.layout.PackInto(s.groups, s.coords[:len(xs)]); err != nil {
-		return nil, err
-	}
-	for _, g := range s.groups {
-		g.Rsh(g, r.preScale)
-	}
-	return s.groups, nil
-}
-
-// encodeValue fixed-point-encodes x into the plaintext ring. The 2^T
-// pre-scale is not applied: it is the T − 0 the fresh share's halving
-// exponent still owes (decodeAll shifts by whatever is left of it). The
-// value is encoded into dst and sign-wrapped in place against the cached
-// M/2.
-func (pt *participant) encodeValue(dst *big.Int, x float64) (*big.Int, error) {
-	r := pt.run
-	v, err := r.codec.EncodeInto(dst, x)
-	if err != nil {
-		return nil, err
-	}
-	if err := fixedpoint.WrapSignedInPlace(v, r.plainMod, r.halfMod); err != nil {
-		return nil, err
-	}
-	return v, nil
+	return pt.contrib, nil
 }
 
 // --- Step 2a/2b: gossip (distributed) --------------------------------------
@@ -822,38 +768,21 @@ func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 
 // perturbedOpening runs step 2c on a frozen fused vector: it
 // homomorphically adds the gossiped encrypted noise to the gossiped
-// encrypted means — the aggregate that will be disclosed is perturbed
-// *before* anyone can decrypt it — and returns the openCiphers
-// ciphertexts the participant asks its quorum to open. A packed run
-// opens its slot groups' sums as they are. An unpacked run packs its
-// sums first, opening.Slots() to a ciphertext, by Horner's rule from each
-// group's top coordinate down: shift the accumulator by the digit width,
-// add the next coordinate's mean and noise. Each partial decryption then
-// serves a whole group, and signedAggregates splits the opened
-// plaintexts back into the very integers per-coordinate openings would
-// have disclosed. The opening is fresh storage (responders memoize
+// encrypted means, group by group — the aggregate that will be disclosed
+// is perturbed *before* anyone can decrypt it — and returns the
+// sideCiphers sums the participant asks its quorum to open. Each partial
+// decryption serves a whole group, and signedAggregates splits the
+// opened plaintexts back into the very integers per-coordinate openings
+// would disclose. The opening is fresh storage (responders memoize
 // partials by its identity); vals is only read.
 func (r *runShared) perturbedOpening(vals []Cipher) []Cipher {
-	cts, err := r.suite.NewCipherVector(r.openCiphers)
+	cts, err := r.suite.NewCipherVector(r.sideCiphers)
 	if err != nil {
 		panic(err) // vector sizing is validated at prepareRun time
 	}
-	// A packed run opens its sideCiphers slot groups one for one; an
-	// unpacked run's sideLen coordinates go opening.Slots() to a group.
-	per, width, coords := 1, uint(0), r.sideCiphers
-	if r.opening != nil {
-		per, width, coords = r.opening.Slots(), r.opening.Width(), r.sideLen
-	}
 	for g, acc := range cts {
-		lo := g * per
-		hi := min(lo+per, coords)
-		acc.Set(vals[hi-1])
-		r.suite.AddInPlace(acc, vals[r.sideCiphers+hi-1])
-		for j := hi - 2; j >= lo; j-- {
-			r.suite.ShiftInPlace(acc, width)
-			r.suite.AddInPlace(acc, vals[j])
-			r.suite.AddInPlace(acc, vals[r.sideCiphers+j])
-		}
+		acc.Set(vals[g])
+		r.suite.AddInPlace(acc, vals[r.sideCiphers+g])
 	}
 	return cts
 }
@@ -1059,14 +988,14 @@ func (pt *participant) finishIteration(ctx Env, failed bool) {
 // decryption.
 var errHalvingBudget = errors.New("core: push-sum share halved beyond the pre-scale budget")
 
-// errOpeningWeight reports an unpacked run's share whose push-sum weight
-// exceeds the population while its opening packs several digits to a
-// plaintext. The digit width B is sized for at most all n contributions
-// on one holder, |v| ≤ 2^(B−3) when w ≤ n; mass inflated past that by
-// duplicated or replayed gossip could carry a digit into its neighbour
-// undetected, so the share is recorded as a failed decryption instead
-// of being split. A one-digit plaintext has no neighbour: SplitInto
-// refuses its overrun on its own.
+// errOpeningWeight reports a share whose push-sum weight exceeds the
+// population while the run packs several slots to a plaintext. The slot
+// width B is sized for at most all n contributions on one holder,
+// |v| ≤ 2^(B−3) when w ≤ n; mass inflated past that by duplicated or
+// replayed gossip could carry a slot into its neighbour undetected, so
+// the share is recorded as a failed decryption instead of being split.
+// A one-slot plaintext has no neighbour: UnpackInto refuses its overrun
+// on its own.
 var errOpeningWeight = errors.New("core: push-sum weight exceeds the population the opening is sized for")
 
 // decodeAll combines the collected partials for every pending ciphertext
@@ -1115,56 +1044,31 @@ func (pt *participant) sortedResponders() [][]Partial {
 // signedAggregates turns the opened plaintexts of a perturbed share with
 // halving exponent h and push-sum weight w into the exact signed
 // fixed-point aggregates, one per coordinate (sideLen of them), written
-// into s's coordinates; plains may be mutated. Every aggregate is
-// shifted by what is left of the halving budget, T − h: that makes it
-// the integer eager halving of 2^T-pre-scaled contributions would have
-// left in the ciphertexts, and everything downstream is oblivious to the
-// exponent. An unpacked run's plaintexts are sign-unwrapped against the
-// cached M/2, split into their balanced digits (perturbedOpening packed
-// them; a digit out of budget fails the decode) and the digits shifted;
-// when a plaintext packs several digits, a share heavier than the
-// population is refused first (see errOpeningWeight).
-// A packed run's are shifted whole (biased fields are non-negative) and
-// then split into slots. After the step-2c addition each slot holds
-// trueSum + 2·bias·w: the means and noise halves travelled under the
-// same push-sum coefficients (one fused state), each carrying one bias,
-// so subtracting the one BiasOffset of bias weight 2w from every slot
-// recovers exactly the signed aggregate the unpacked run would have
-// decoded — which is why packed and unpacked accounted runs disclose
-// bit-identical centroids.
+// into s's coordinates; plains may be mutated. A share heavier than the
+// population is refused first when a plaintext packs several slots (see
+// errOpeningWeight). The plaintexts are sign-unwrapped against the
+// cached M/2 and split into their balanced digits (a digit out of budget
+// fails the decode), and every digit is shifted by what is left of the
+// halving budget, T − h: that makes it the integer eager halving of
+// 2^T-pre-scaled contributions would have left in the ciphertexts, and
+// everything downstream is oblivious to the exponent.
 func (r *runShared) signedAggregates(s *codecScratch, plains []*big.Int, h uint, w float64) ([]*big.Int, error) {
 	if h > r.preScale {
 		return nil, errHalvingBudget
 	}
-	owed := r.preScale - h
-	if r.layout == nil {
-		if w > float64(r.population) && r.opening.Slots() > 1 {
-			return nil, errOpeningWeight
-		}
-		for _, m := range plains {
-			if err := fixedpoint.UnwrapSignedInPlace(m, r.plainMod, r.halfMod); err != nil {
-				return nil, err
-			}
-		}
-		if err := r.opening.SplitInto(s.coords, plains); err != nil {
-			return nil, err
-		}
-		for _, f := range s.coords {
-			f.Lsh(f, owed)
-		}
-		return s.coords, nil
+	if w > float64(r.population) && r.layout.Slots() > 1 {
+		return nil, errOpeningWeight
 	}
 	for _, m := range plains {
-		m.Lsh(m, owed)
+		if err := fixedpoint.UnwrapSignedInPlace(m, r.plainMod, r.halfMod); err != nil {
+			return nil, err
+		}
 	}
 	if err := r.layout.UnpackInto(s.coords, plains); err != nil {
 		return nil, err
 	}
-	if err := r.layout.BiasOffset(&s.offset, 2*w); err != nil {
-		return nil, err
-	}
 	for _, f := range s.coords {
-		f.Sub(f, &s.offset)
+		f.Lsh(f, r.preScale-h)
 	}
 	return s.coords, nil
 }

@@ -308,10 +308,9 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 		}
 	}
 	// From here on a freshly built suite owns background resources (the
-	// DJ randomizer pool); release them on every failed setup path —
-	// notably the recoverable ErrPackingInfeasible return, after which
-	// callers are expected to retry unpacked. A reused (session-owned)
-	// suite stays alive regardless: the session closes it once.
+	// DJ randomizer pool); release them on every failed setup path. A
+	// reused (session-owned) suite stays alive regardless: the session
+	// closes it once.
 	setupOK := false
 	defer func() {
 		if !setupOK && ownsSuite {
@@ -319,7 +318,9 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 		}
 	}()
 
-	// Fixed-point layout and headroom.
+	// Fixed-point codec and the one packing of the encrypted side: each
+	// side travels as ⌈sideLen/slots⌉ ciphertexts, its coordinates the
+	// headroom budget's width apart.
 	codec, err := fixedpoint.New(p.FracBits)
 	if err != nil {
 		return nil, err
@@ -327,41 +328,20 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 	preScale := p.preScaleBits()
 	coordBound, noiseBound := p.noiseEnvelope(dim, epsSched)
 	plainMod := suite.PlainModulus()
-	need, err := checkHeadroom(plainMod, n, dim, coordBound, noiseBound, p.FracBits, preScale)
+	layout, err := slotLayout(plainMod.BitLen()-1, n, coordBound, noiseBound, p.FracBits, preScale)
 	if err != nil {
 		return nil, err
 	}
-
 	sideLen := p.K * (dim + 1)
 	if p.TrackInertia {
 		sideLen++
 	}
-	// Slot packing: the encrypted side carries ⌈sideLen/slots⌉ packed
-	// ciphertexts per side instead of sideLen, with the layout derived
-	// from the same magnitude budget checkHeadroom just validated.
-	// An unpacked run packs its step-2c sums before opening them, need
-	// bits apart; a packed run opens its slot groups as they are.
-	sideCiphers, openCiphers := sideLen, 0
-	var layout *fixedpoint.SlotLayout
-	var opening *fixedpoint.DigitLayout
-	if p.Packed {
-		layout, err = packedLayout(plainMod.BitLen()-1, n, coordBound+noiseBound, p.FracBits, preScale)
-		if err != nil {
-			return nil, err
-		}
-		sideCiphers = layout.Groups(sideLen)
-		openCiphers = sideCiphers
-	} else {
-		if opening, err = openingLayout(plainMod.BitLen()-1, need); err != nil {
-			return nil, err
-		}
-		openCiphers = opening.Groups(sideLen)
-	}
+	sideCiphers := layout.Groups(sideLen)
 	// Size the Damgård–Jurik randomizer pool for the run's actual burst
 	// before the suite performs its first encryption: every activation in
 	// the gossip phase rerandomizes the full fused vector it emits,
 	// concurrently across shard workers, so the default capacity starves
-	// wide runs and over-provisions packed ones.
+	// wide runs and over-provisions narrow ones.
 	suite.SizePool(poolBurst(p, n, 2*sideCiphers))
 
 	// Public, data-independent initial centroids.
@@ -385,9 +365,7 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 		vecLen:        p.K * (dim + 1),
 		sideLen:       sideLen,
 		sideCiphers:   sideCiphers,
-		openCiphers:   openCiphers,
 		layout:        layout,
-		opening:       opening,
 		decodeBound:   decodeBound,
 		centroidBytes: p.K * dim * 8,
 		// Byzantine fault plans turn on wire validation of incoming gossip:

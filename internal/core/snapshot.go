@@ -39,10 +39,12 @@ const (
 	// rejected — a pre-window checkpoint cannot resume the windowed
 	// trajectory bit-identically anyway. snapVersion 3 added the push-sum
 	// state's halving exponent beside its weight; a v2 state's values
-	// were halved in place and mean something else. snapVersion 4 packs
-	// an unpacked run's opening: its pending ciphertexts and partial sets
-	// hold ⌈sideLen/slots⌉ packed values, where a v3 one held sideLen.
-	snapVersion uint32 = 4
+	// were halved in place and mean something else. snapVersion 4 packed
+	// an unpacked run's opening. snapVersion 5 packs at encryption: every
+	// run's push-sum vector, pending ciphertexts and partial sets hold
+	// ⌈sideLen/slots⌉ balanced-digit groups per side, where a v4 one held
+	// sideLen ciphertexts per side or biased slot groups.
+	snapVersion uint32 = 5
 )
 
 // errSnapshot wraps every malformed-snapshot condition so callers can
@@ -428,7 +430,7 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if err != nil {
 			return snapErr("pending ciphertexts: %v", err)
 		}
-		cs, err := nd.rs.suite.NewCipherVector(r.openCiphers)
+		cs, err := nd.rs.suite.NewCipherVector(r.sideCiphers)
 		if err != nil {
 			return err
 		}
@@ -472,8 +474,8 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if err != nil {
 			return snapErr("partial values: %v", err)
 		}
-		if len(ps) != r.openCiphers {
-			return snapErr("partial set of %d values, want %d", len(ps), r.openCiphers)
+		if len(ps) != r.sideCiphers {
+			return snapErr("partial set of %d values, want %d", len(ps), r.sideCiphers)
 		}
 		if _, dup := partials[idx]; dup {
 			return snapErr("duplicate partial index %d", idx)

@@ -270,15 +270,15 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 	}
 	// A checkpoint written before the push-sum state carried its halving
 	// exponent (format 2) holds values that mean something else, and one
-	// written before unpacked runs packed their openings (format 3) holds
-	// pending ciphertexts and partial sets of the wrong shape: both are
-	// refused by version, not reinterpreted. The version is the second
-	// scalar field: 4 bytes of length prefix, then the value, after the
-	// magic's 8.
-	for _, version := range []uint32{2, 3} {
+	// written before every run packed at encryption (formats 3 and 4)
+	// holds push-sum vectors, pending ciphertexts and partial sets of the
+	// wrong shape: all are refused by version, not reinterpreted. The
+	// version is the second scalar field: 4 bytes of length prefix, then
+	// the value, after the magic's 8.
+	for _, version := range []uint32{2, 3, 4} {
 		old := bytes.Clone(snap)
 		binary.BigEndian.PutUint32(old[12:], version)
-		want := fmt.Sprintf("version %d, want 4", version)
+		want := fmt.Sprintf("version %d, want 5", version)
 		if _, err := RestoreNode(data, params, 1, old); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("restore of a format-%d snapshot: %v, want %q", version, err, want)
 		}
@@ -396,11 +396,10 @@ func midDecryptNode(t testing.TB, m *memMesh) *Node {
 }
 
 // TestSnapshotBytesUnchanged pins AppendSnapshot against the Snapshot()
-// it replaced. testdata/snapshot_v4_*.hex are node 0's snapshots as that
-// function wrote them (the fresh and mid-gossip ones differ from their
-// format-3 recordings only in the version word; the mid-decrypt ones
-// were recorded when unpacked openings were packed), for
-// FuzzRestoreNode's seed states and a mid-decrypt one, on both backends. The accounted states are a pure
+// it replaced. testdata/snapshot_v5_*.hex are node 0's snapshots as that
+// function wrote them (recorded when every run began packing at
+// encryption), for FuzzRestoreNode's seed states and a mid-decrypt one,
+// on both backends. The accounted states are a pure
 // function of the seed, so the same state built here must encode to the
 // recorded bytes. Damgård–Jurik ciphertexts are randomized per process,
 // so there the recorded snapshot is restored and written out again —
@@ -409,7 +408,7 @@ func midDecryptNode(t testing.TB, m *memMesh) *Node {
 func TestSnapshotBytesUnchanged(t *testing.T) {
 	recorded := func(name string) []byte {
 		t.Helper()
-		text, err := os.ReadFile(filepath.Join("testdata", "snapshot_v4_"+name+".hex"))
+		text, err := os.ReadFile(filepath.Join("testdata", "snapshot_v5_"+name+".hex"))
 		if err != nil {
 			t.Fatal(err)
 		}

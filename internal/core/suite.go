@@ -52,10 +52,6 @@ type OpCounts struct {
 	// Doublings counts the modular squarings spent aligning halving
 	// exponents before a merge: DoubleInPlace(c, k) adds k.
 	Doublings int64
-	// OpeningSquarings counts the modular squarings spent packing an
-	// unpacked run's step-2c sums into its opening: ShiftInPlace(c, k)
-	// adds k.
-	OpeningSquarings int64
 	// Refreshes counts sent-copy rerandomizations: one per ciphertext
 	// per gossip emission.
 	Refreshes       int64
@@ -78,7 +74,6 @@ type opCounters struct {
 	adds            atomic.Int64
 	halvings        atomic.Int64 // eager Halve calls only
 	doublings       atomic.Int64
-	openSquarings   atomic.Int64
 	refreshes       atomic.Int64
 	partialDecrypts atomic.Int64
 	combines        atomic.Int64
@@ -88,14 +83,13 @@ type opCounters struct {
 func (c *opCounters) Counts() OpCounts {
 	refreshes := c.refreshes.Load()
 	return OpCounts{
-		Encrypts:         c.encrypts.Load(),
-		Adds:             c.adds.Load(),
-		Halvings:         c.halvings.Load() + refreshes,
-		Doublings:        c.doublings.Load(),
-		OpeningSquarings: c.openSquarings.Load(),
-		Refreshes:        refreshes,
-		PartialDecrypts:  c.partialDecrypts.Load(),
-		Combines:         c.combines.Load(),
+		Encrypts:        c.encrypts.Load(),
+		Adds:            c.adds.Load(),
+		Halvings:        c.halvings.Load() + refreshes,
+		Doublings:       c.doublings.Load(),
+		Refreshes:       refreshes,
+		PartialDecrypts: c.partialDecrypts.Load(),
+		Combines:        c.combines.Load(),
 	}
 }
 
@@ -142,10 +136,6 @@ type CipherSuite interface {
 	// squarings on the real backend. Gossip calls it to align the
 	// halving exponents of two shares before adding them.
 	DoubleInPlace(c Cipher, k uint)
-	// ShiftInPlace is DoubleInPlace for packing an opening (Horner's
-	// rule in perturbedOpening), counted apart as OpeningSquarings so
-	// that Doublings stays the gossip's exponent alignment.
-	ShiftInPlace(c Cipher, k uint)
 	// RefreshInPlace makes c a ciphertext of the same plaintext that
 	// cannot be linked to its previous value: the copy of a share that
 	// leaves the node. It is the whole per-cipher cost of a push-sum

@@ -304,14 +304,6 @@ func (s *djSuite) DoubleInPlace(c Cipher, k uint) {
 	s.square(c, k)
 }
 
-// ShiftInPlace implements CipherSuite: DoubleInPlace's k squarings,
-// counted as opening squarings. The packed opening is not rerandomized,
-// as the per-coordinate sums it replaces were not.
-func (s *djSuite) ShiftInPlace(c Cipher, k uint) {
-	s.openSquarings.Add(int64(k))
-	s.square(c, k)
-}
-
 // square sets c to c^(2^k) mod n^{s+1}.
 func (s *djSuite) square(c Cipher, k uint) {
 	for ; k > 0; k-- {

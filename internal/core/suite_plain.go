@@ -28,16 +28,13 @@ type plainSuite struct {
 	opCounters
 }
 
-// NewPlainSuite builds the accounted backend. modulusBits drives the
-// cost accounting only (the simulated ciphertext size is
-// modulusBits·(degree+1) bits, matching a real Damgård–Jurik key of that
-// size); the actual plaintext ring is a fixed 320-bit odd modulus —
-// plenty of headroom for any supported protocol configuration (validated
-// by checkHeadroom) while keeping the plaintext big.Int arithmetic cheap,
-// since no cryptographic hardness is needed when the values are not
-// actually encrypted. modulusBits of at least the ring size select a
-// ring as wide as a real key's plaintext space (used by the
-// backend-equivalence tests, which need identical wraparound behaviour).
+// NewPlainSuite builds the accounted backend for a Damgård–Jurik key of
+// modulusBits bits at the given degree: the simulated ciphertext size is
+// modulusBits·(degree+1) bits, and the plaintext ring Z_M with
+// M = 2^(modulusBits·degree) − 1 is as wide as that key's plaintext
+// space n^degree, so a run packs as many coordinates per ciphertext — and
+// performs as many operations and sends as many bytes — as the modelled
+// key would. M is odd, like n^degree.
 func NewPlainSuite(modulusBits, degree, parties, threshold int) (CipherSuite, error) {
 	if modulusBits < 8 {
 		return nil, fmt.Errorf("core: modulus of %d bits is too small", modulusBits)
@@ -45,12 +42,7 @@ func NewPlainSuite(modulusBits, degree, parties, threshold int) (CipherSuite, er
 	if parties < 1 || threshold < 1 || threshold > parties {
 		return nil, fmt.Errorf("core: invalid (parties=%d, threshold=%d)", parties, threshold)
 	}
-	ringBits := 320
-	if modulusBits*degree < ringBits {
-		ringBits = modulusBits * degree
-	}
-	// An odd modulus: 2^ringBits - 1.
-	m := new(big.Int).Lsh(big.NewInt(1), uint(ringBits))
+	m := new(big.Int).Lsh(big.NewInt(1), uint(modulusBits*degree))
 	m.Sub(m, big.NewInt(1))
 	ring, err := gossip.NewModRing(m)
 	if err != nil {
@@ -295,13 +287,6 @@ func (s *plainSuite) AddAllInPlace(acc Cipher, vs []Cipher) {
 // Double), accounted as the k squarings the real backend performs.
 func (s *plainSuite) DoubleInPlace(c Cipher, k uint) {
 	s.doublings.Add(int64(k))
-	s.ring.Double(&c, k)
-}
-
-// ShiftInPlace implements CipherSuite: DoubleInPlace's arithmetic,
-// counted as opening squarings.
-func (s *plainSuite) ShiftInPlace(c Cipher, k uint) {
-	s.openSquarings.Add(int64(k))
 	s.ring.Double(&c, k)
 }
 

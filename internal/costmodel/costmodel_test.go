@@ -84,36 +84,29 @@ func baseWorkload() Workload {
 	}
 }
 
-// TestProjectOperationCounts pins the unpacked projection, whose
-// openings are packed: 125 coordinates, 20 to an opened ciphertext,
-// open as 7.
+// TestProjectOperationCounts pins the projection at 20 coordinates to a
+// ciphertext: 125 coordinates a side travel, and open, as 7.
 func TestProjectOperationCounts(t *testing.T) {
 	p := measureSmall(t)
 	w := baseWorkload()
-	w.OpenSlots, w.OpenWidth = 20, 50
+	w.Slots = 20
 	r, err := Project(p, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meanLen := w.K * (w.Dim + 1) // 125
-	vecLen := 2 * meanLen        // 250
-	const opened = 7             // ⌈125/20⌉
-	if w.VectorLen() != vecLen || w.OpenedCiphers() != opened {
-		t.Fatalf("VectorLen = %d, OpenedCiphers = %d, want %d and %d", w.VectorLen(), w.OpenedCiphers(), vecLen, opened)
+	const opened = 7 // ⌈125/20⌉
+	if w.VectorLen() != 2*opened || w.SideCiphers() != opened {
+		t.Fatalf("VectorLen = %d, SideCiphers = %d, want %d and %d", w.VectorLen(), w.SideCiphers(), 2*opened, opened)
 	}
-	if r.EncryptOps != w.Iterations*2*meanLen {
+	if r.EncryptOps != w.Iterations*2*opened {
 		t.Fatalf("encrypts = %d", r.EncryptOps)
 	}
-	if r.RerandomizeOps != w.Iterations*w.GossipRounds*vecLen {
+	if r.RerandomizeOps != w.Iterations*w.GossipRounds*2*opened {
 		t.Fatalf("rerandomize ops = %d, want one per ciphertext per round", r.RerandomizeOps)
 	}
-	// Horner's rule: a mean and a noise addition per coordinate, but one
-	// for each group's first.
-	if r.AddOps != w.Iterations*(w.GossipRounds*vecLen+2*meanLen-opened) {
+	// Gossip merges, and one noise-to-mean addition per group.
+	if r.AddOps != w.Iterations*(w.GossipRounds*2*opened+opened) {
 		t.Fatalf("add ops = %d", r.AddOps)
-	}
-	if r.OpeningSquareOps != w.Iterations*w.OpenWidth*(meanLen-opened) {
-		t.Fatalf("opening squarings = %d, want OpenWidth per coordinate but each group's first", r.OpeningSquareOps)
 	}
 	if r.PartialDecryptOps != w.Iterations*w.DecryptThreshold*opened {
 		t.Fatalf("partial decrypts = %d", r.PartialDecryptOps)
@@ -121,20 +114,21 @@ func TestProjectOperationCounts(t *testing.T) {
 	if r.CombineOps != w.Iterations*opened {
 		t.Fatalf("combines = %d", r.CombineOps)
 	}
-	if want := int64(2*w.Iterations*w.DecryptThreshold*opened) * int64(p.CiphertextBytes); r.DecryptBytes != want {
+	if want := int64(2*w.Iterations*w.DecryptThreshold) * int64(opened*p.CiphertextBytes+8); r.DecryptBytes != want {
 		t.Fatalf("decrypt bytes = %d, want %d", r.DecryptBytes, want)
 	}
-	// One opened ciphertext per coordinate is OpenSlots 0 or 1.
+	// One ciphertext per coordinate is Slots 0 or 1.
+	meanLen := w.K * (w.Dim + 1) // 125
 	for _, slots := range []int{0, 1} {
 		uw := w
-		uw.OpenSlots = slots
+		uw.Slots = slots
 		u, err := Project(p, uw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if u.PartialDecryptOps != w.Iterations*w.DecryptThreshold*meanLen || u.OpeningSquareOps != 0 ||
-			u.AddOps != w.Iterations*(w.GossipRounds*vecLen+meanLen) {
-			t.Fatalf("OpenSlots=%d must project per-coordinate openings: %+v", slots, u)
+		if u.PartialDecryptOps != w.Iterations*w.DecryptThreshold*meanLen ||
+			u.AddOps != w.Iterations*(w.GossipRounds*2*meanLen+meanLen) {
+			t.Fatalf("Slots=%d must project per-coordinate ciphertexts: %+v", slots, u)
 		}
 	}
 	if r.CPUTime <= 0 {
@@ -149,9 +143,9 @@ func TestProjectOperationCounts(t *testing.T) {
 }
 
 // TestProjectPackedWorkload checks the slot-packed projection: every
-// per-ciphertext operation and byte count divides by the packing factor
-// (here an exact divisor of the side length, so ratios are exact), and
-// Slots 0/1 are the unpacked projection.
+// per-ciphertext operation — openings included — and byte count divides
+// by the packing factor (here an exact divisor of the side length, so
+// ratios are exact), and Slots 0/1 are one ciphertext per coordinate.
 func TestProjectPackedWorkload(t *testing.T) {
 	p := measureSmall(t)
 	w := baseWorkload()
@@ -161,7 +155,6 @@ func TestProjectPackedWorkload(t *testing.T) {
 	}
 	pw := w
 	pw.Slots = 5 // divides SideLen = 125 exactly
-	pw.OpenSlots, pw.OpenWidth = 20, 50
 	if got := pw.SideCiphers(); got != 25 {
 		t.Fatalf("SideCiphers = %d, want 25", got)
 	}
@@ -170,14 +163,11 @@ func TestProjectPackedWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	if packed.EncryptOps*5 != base.EncryptOps ||
-		packed.RerandomizeOps*5 != base.RerandomizeOps {
+		packed.RerandomizeOps*5 != base.RerandomizeOps ||
+		packed.AddOps*5 != base.AddOps ||
+		packed.PartialDecryptOps*5 != base.PartialDecryptOps ||
+		packed.CombineOps*5 != base.CombineOps {
 		t.Fatalf("packed op counts not 1/5th of unpacked: %+v vs %+v", packed, base)
-	}
-	// A packed workload opens its slot groups as they are, whatever its
-	// opening fields say.
-	if packed.PartialDecryptOps != w.Iterations*w.DecryptThreshold*25 ||
-		packed.CombineOps != w.Iterations*25 || packed.OpeningSquareOps != 0 {
-		t.Fatalf("packed openings: %+v, want the 25 slot groups opened unshifted", packed)
 	}
 	if packed.MessagesSent != base.MessagesSent {
 		t.Fatalf("packing must not change message counts: %d vs %d", packed.MessagesSent, base.MessagesSent)

@@ -1,7 +1,6 @@
 package costmodel
 
 import (
-	"math"
 	"testing"
 
 	"chiaroscuro/internal/core"
@@ -12,13 +11,13 @@ import (
 // TestProjectionMatchesMeasuredScaleRun is experiment E5b's cross-check:
 // the cost projection, fed the scale workload's shape (the one bench/'s
 // sim-wide runs: accounted backend, sharded engine, CER-like series of 4
-// samples, K=2, 2 iterations, 12 gossip rounds, threshold 8), must land
-// within a tolerance band of a live simulator run of that shape, packed
-// and unpacked — messages, decrypt requests, the gossip round's
-// ciphertext operations and the squarings that pack an unpacked run's
-// openings exactly, bytes within 10%
-// (see the package doc's drift note for where the residual
-// envelope-overhead difference comes from). Per-participant counts are
+// samples, K=2, 2 iterations, 12 gossip rounds, threshold 8) at the
+// packing factor core.PackedSlots derives, must land within a tolerance
+// band of a live simulator run of that shape — messages, decrypt
+// requests, the gossip round's ciphertext operations, partial
+// decryptions and bytes exactly — at a 1024-bit key,
+// which packs many coordinates per ciphertext, and at a 96-bit one,
+// where one coordinate fills a plaintext. Per-participant counts are
 // population-independent, so a tier-1-sized N checks what N=100k would.
 func TestProjectionMatchesMeasuredScaleRun(t *testing.T) {
 	const n, dim = 2000, 4
@@ -38,34 +37,25 @@ func TestProjectionMatchesMeasuredScaleRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The accounted backend simulates 1024-bit Damgård–Jurik at s=1:
-	// ciphertexts live mod n², i.e. 2048 bits on the wire.
-	const modulusBits = 1024
-	prof := &CryptoProfile{KeyBits: modulusBits, CiphertextBytes: 2 * modulusBits / 8}
-	// The accounted backend's actual plaintext ring is NewPlainSuite's
-	// fixed 320-bit modulus (the key size only drives the wire-size
-	// accounting), so the run packs against 319 usable bits.
-	const plainBits = 320 - 1
-
-	within := func(t *testing.T, name string, got, want, tol float64) {
-		t.Helper()
-		if want == 0 {
-			t.Fatalf("%s: measured value is zero", name)
-		}
-		rel := math.Abs(got-want) / want
-		t.Logf("%s: projected %.4g vs measured %.4g (drift %.2f%%)", name, got, want, 100*rel)
-		if rel > tol {
-			t.Errorf("%s: projection %.4g drifted %.1f%% from measured %.4g (band %.0f%%)",
-				name, got, 100*rel, want, 100*tol)
-		}
-	}
-
-	for _, packed := range []bool{false, true} {
-		name := "unpacked"
-		if packed {
-			name = "packed"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		modulusBits int
+	}{{"unpacked", 96}, {"packed", 1024}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The accounted backend simulates Damgård–Jurik at s=1:
+			// ciphertexts live mod n², twice the key's bits on the wire,
+			// and the plaintext ring is as wide as the key's.
+			prof := &CryptoProfile{KeyBits: tc.modulusBits, CiphertextBytes: 2 * tc.modulusBits / 8}
+			p := params
+			p.ModulusBits = tc.modulusBits
+			// The packing factor, from the identical rule the run uses.
+			slots, err := core.PackedSlots(tc.modulusBits-1, n, dim, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (slots > 1) != (tc.name == "packed") {
+				t.Fatalf("a %d-bit key packs %d coordinates per ciphertext", tc.modulusBits, slots)
+			}
 			w := Workload{
 				Participants:     n,
 				K:                params.K,
@@ -73,23 +63,7 @@ func TestProjectionMatchesMeasuredScaleRun(t *testing.T) {
 				Iterations:       params.Iterations,
 				GossipRounds:     params.GossipRounds,
 				DecryptThreshold: params.DecryptThreshold,
-			}
-			p := params
-			p.Packed = packed
-			// Derive the packing factor, or how the unpacked run packs
-			// its openings, from the identical rule the run itself uses.
-			if packed {
-				slots, err := core.PackedSlots(plainBits, n, dim, params)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w.Slots = slots
-			} else {
-				slots, width, err := core.OpeningSlots(plainBits, n, dim, params)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w.OpenSlots, w.OpenWidth = slots, width
+				Slots:            slots,
 			}
 			rep, err := Project(prof, w)
 			if err != nil {
@@ -120,17 +94,19 @@ func TestProjectionMatchesMeasuredScaleRun(t *testing.T) {
 			if tr.Ops.Doublings != 0 {
 				t.Errorf("live run spent %d squarings aligning exponents, the projection prices none", tr.Ops.Doublings)
 			}
-			// And so is what packing the openings costs.
-			if got, want := int64(rep.OpeningSquareOps)*n, tr.Ops.OpeningSquarings; got != want {
-				t.Errorf("opening squarings: projected %d, measured %d", got, want)
+			if got, want := int64(rep.PartialDecryptOps)*n, tr.Ops.PartialDecrypts; got != want {
+				t.Errorf("partial decryptions: projected %d, measured %d", got, want)
 			}
 			if eager := tr.Ops.Halvings - tr.Ops.Refreshes; eager != 0 {
 				t.Errorf("live run halved %d ciphertexts eagerly", eager)
 			}
-			// Byte totals absorb per-message envelope overhead the
-			// projection only approximates — held to a 10% band.
-			within(t, "bytes sent", float64(rep.BytesSent)*n, float64(tr.NetStats.BytesSent), 0.10)
-			within(t, "decrypt bytes", float64(rep.DecryptBytes)*n, float64(tr.DecryptBytes), 0.10)
+			// So are the byte totals, envelopes included.
+			if got, want := rep.BytesSent*n, tr.NetStats.BytesSent; got != want {
+				t.Errorf("bytes sent: projected %d, measured %d", got, want)
+			}
+			if got, want := rep.DecryptBytes*n, tr.DecryptBytes; got != want {
+				t.Errorf("decrypt bytes: projected %d, measured %d", got, want)
+			}
 		})
 	}
 }

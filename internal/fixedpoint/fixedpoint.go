@@ -12,8 +12,7 @@
 //     internal/core).
 //
 // Every operation has a form that writes into storage its caller owns
-// (EncodeInto, SlotLayout.PackInto/UnpackInto/BiasOffset,
-// DigitLayout.SplitInto, the in-place sign wrap), and Decode keeps its
+// (EncodeInto, SlotLayout.PackInto/UnpackInto, the in-place sign wrap), and Decode keeps its
 // scratch in a pool, so a warmed caller encodes and opens whole vectors
 // without allocating.
 //

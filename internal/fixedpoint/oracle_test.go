@@ -1,7 +1,6 @@
 package fixedpoint
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -12,8 +11,7 @@ import (
 
 // The fixed-point arithmetic as it was computed through math/big
 // temporaries — a 256-bit big.Float quotient per decoded coordinate, a
-// big.Rat product per unbiased slot, a big.Float product for wide
-// encodings — kept as the oracle the allocation-free forms must match:
+// big.Float product for wide encodings — kept as the oracle the allocation-free forms must match:
 // the same integers, the same Float64bits, the same errors.
 
 // oracleDecode is v / 2^fracBits through 256-bit big.Float arithmetic.
@@ -39,23 +37,6 @@ func oracleEncode(c *Codec, x float64) (*big.Int, error) {
 	f.Mul(f, new(big.Float).SetInt(new(big.Int).Lsh(big.NewInt(1), c.fracBits)))
 	out, _ := f.Int(nil)
 	return out, nil
-}
-
-// oracleUnbias removes the aggregated bias bias·biasWeight from a raw
-// slot field, the product taken exactly over the rationals.
-func oracleUnbias(l *SlotLayout, raw *big.Int, biasWeight float64) (*big.Int, error) {
-	if raw == nil || raw.Sign() < 0 {
-		return nil, errors.New("fixedpoint: invalid raw slot field")
-	}
-	r := new(big.Rat).SetFloat64(biasWeight)
-	if r == nil || r.Sign() < 0 {
-		return nil, fmt.Errorf("fixedpoint: invalid bias weight %v", biasWeight)
-	}
-	r.Mul(r, new(big.Rat).SetInt(l.bias))
-	if !r.IsInt() {
-		return nil, fmt.Errorf("fixedpoint: bias weight %v exceeds the bias' halving budget", biasWeight)
-	}
-	return new(big.Int).Sub(raw, r.Num()), nil
 }
 
 // decodeEdges are the integers where a float64 conversion can go wrong:
@@ -185,60 +166,6 @@ func TestEncodeMatchesOracle(t *testing.T) {
 			x = -x
 		}
 		check(MustNew(uint(rng.Intn(129))), x)
-	}
-}
-
-// biasWeightEdges are the weights BiasOffset must treat exactly as the
-// rational product does: dyadic at and past the bias' halving budget,
-// non-dyadic, zero of both signs, subnormal, huge, negative and
-// non-finite.
-func biasWeightEdges(magBits uint) []float64 {
-	m := int(magBits)
-	return []float64{
-		1, 2, 3, 0.5, 0.75, 1.75, 1e6, 1 << 40, 1e300, math.MaxFloat64,
-		math.Ldexp(1, -m), math.Ldexp(1, -m-1), math.Ldexp(3, -m), math.Ldexp(3, -m-1),
-		math.Ldexp(1<<52+1, -m-52), math.Ldexp(1<<52+1, -m-53),
-		0.1, 1.0 / 3, math.Pi, 2.2,
-		0, math.Copysign(0, -1),
-		math.SmallestNonzeroFloat64, 2.5e-310, math.Ldexp(1, -1022),
-		-0.5, -1, -math.SmallestNonzeroFloat64,
-		math.NaN(), math.Inf(1), math.Inf(-1),
-	}
-}
-
-func requireBiasOffsetMatches(t *testing.T, l *SlotLayout, raw, off *big.Int, w float64) {
-	t.Helper()
-	want, werr := oracleUnbias(l, raw, w)
-	gerr := l.BiasOffset(off, w)
-	if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
-		t.Fatalf("BiasOffset(%v) at magBits %d: error %v, oracle %v", w, l.magBits, gerr, werr)
-	}
-	if werr != nil {
-		return
-	}
-	if got := new(big.Int).Sub(raw, off); got.Cmp(want) != 0 {
-		t.Fatalf("raw − BiasOffset(%v) at magBits %d = %s, oracle %s", w, l.magBits, got, want)
-	}
-}
-
-// TestBiasOffsetMatchesOracle demands that subtracting one BiasOffset is
-// exactly the rational Unbias, in value and in accept/reject with the
-// same message, on the edge table and on random dyadic weights around
-// each layout's halving budget.
-func TestBiasOffsetMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	off := new(big.Int)
-	for _, magBits := range []uint{0, 1, 16, 40, 64, 100} {
-		l := mustLayout(t, 1024, magBits, 12)
-		raw := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 900))
-		for _, w := range biasWeightEdges(magBits) {
-			requireBiasOffsetMatches(t, l, raw, off, w)
-		}
-		for i := 0; i < 20000; i++ {
-			mant := rng.Int63n(1 << uint(1+rng.Intn(53)))
-			w := math.Ldexp(float64(mant), rng.Intn(2*int(magBits)+80)-int(magBits)-60)
-			requireBiasOffsetMatches(t, l, raw, off, w)
-		}
 	}
 }
 

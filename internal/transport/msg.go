@@ -22,10 +22,11 @@ const (
 	helloMagic uint32 = 0xC1A805C0
 	// meshVersion is the envelope protocol version. Version 2 added
 	// per-link frame sequencing and the resume handshake. Version 3
-	// carries packed openings: an unpacked run's decrypt requests and
-	// responses hold ⌈sideLen/slots⌉ ciphertexts, where version 2 sent
-	// one per coordinate.
-	meshVersion uint32 = 3
+	// carried packed openings. Version 4 packs at encryption: every
+	// run's gossip vectors, decrypt requests and responses hold
+	// ⌈sideLen/slots⌉ balanced-digit groups per side, where version 3
+	// sent one ciphertext per coordinate or biased slot groups.
+	meshVersion uint32 = 4
 )
 
 // Message types.
