@@ -48,7 +48,7 @@ type djSuite struct {
 // suite construction. It is only a starting point: prepareRun resizes
 // the pool via SizePool to the run's actual burst — shard workers times
 // the fused-vector length — so wide sharded runs don't starve the pool
-// and packed runs don't over-provision it.
+// and narrow runs don't over-provision it.
 const djPoolCapacity = 256
 
 // djPoolCapacityMax caps SizePool requests: beyond this the background

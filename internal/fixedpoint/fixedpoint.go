@@ -12,9 +12,9 @@
 //     internal/core).
 //
 // Every operation has a form that writes into storage its caller owns
-// (EncodeInto, SlotLayout.PackInto/UnpackInto, the in-place sign wrap), and Decode keeps its
-// scratch in a pool, so a warmed caller encodes and opens whole vectors
-// without allocating.
+// (EncodeInto, SlotLayout.PackInto/UnpackInto, the in-place sign wrap),
+// and Decode keeps its scratch in a pool, so a warmed caller encodes and
+// opens whole vectors without allocating.
 //
 // The power-of-two pre-scaling gossip halving consumes is the caller's:
 // see internal/gossip for the contract and internal/core for its use.

@@ -175,7 +175,7 @@ func TestWrapUnwrapInPlaceAgreement(t *testing.T) {
 }
 
 // TestModRoundTripProperty is the encode → wrap → unwrap → decode
-// composition the unpacked protocol runs on every coordinate.
+// composition the protocol runs on every one-slot group.
 func TestModRoundTripProperty(t *testing.T) {
 	c := MustNew(20)
 	M := new(big.Int).Lsh(big.NewInt(1), 64)
