@@ -38,6 +38,7 @@ package chiaroscuro
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"chiaroscuro/internal/core"
@@ -344,10 +345,10 @@ func resultFromTrace(trace *core.Trace) *Result {
 		Inertia:              trace.Inertia,
 		ConvergedAtIteration: trace.ConvergedAtIteration,
 		Privacy: PrivacyReport{
-			EpsilonBudget: trace.Privacy.TotalEpsilon,
-			EpsilonSpent:  trace.Privacy.SpentEpsilon,
-			Disclosures:   trace.Privacy.Disclosures,
-			GossipRelErr:  trace.Privacy.MaxGossipRelErr,
+			EpsilonBudget: trace.Privacy.Total,
+			EpsilonSpent:  trace.Privacy.Spent,
+			Disclosures:   trace.Privacy.Spends,
+			GossipRelErr:  trace.GossipRelErr,
 		},
 		Network: NetworkCost{
 			MessagesSent:    trace.NetStats.MessagesSent,
@@ -408,8 +409,8 @@ func (cfg Config) toParams() (core.Params, error) {
 	case cfg.DriftThreshold != 0:
 		return p, errors.New("chiaroscuro: Config.DriftThreshold is a streaming option — use OpenStream")
 	}
-	if cfg.Epsilon <= 0 {
-		return p, errors.New("chiaroscuro: Config.Epsilon must be positive")
+	if !(cfg.Epsilon > 0) || math.IsInf(cfg.Epsilon, 0) {
+		return p, errors.New("chiaroscuro: Config.Epsilon must be positive and finite")
 	}
 	p, err := cfg.baseParams()
 	if err != nil {

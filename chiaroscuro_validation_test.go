@@ -60,12 +60,22 @@ func TestConfigValidationErrors(t *testing.T) {
 		{
 			name: "negative epsilon",
 			cfg:  chiaroscuro.Config{K: 3, Epsilon: -0.5},
-			want: "chiaroscuro: Config.Epsilon must be positive",
+			want: "chiaroscuro: Config.Epsilon must be positive and finite",
 		},
 		{
 			name: "zero epsilon",
 			cfg:  chiaroscuro.Config{K: 3},
-			want: "chiaroscuro: Config.Epsilon must be positive",
+			want: "chiaroscuro: Config.Epsilon must be positive and finite",
+		},
+		{
+			name: "NaN epsilon",
+			cfg:  chiaroscuro.Config{K: 3, Epsilon: math.NaN()},
+			want: "chiaroscuro: Config.Epsilon must be positive and finite",
+		},
+		{
+			name: "infinite epsilon",
+			cfg:  chiaroscuro.Config{K: 3, Epsilon: math.Inf(1)},
+			want: "chiaroscuro: Config.Epsilon must be positive and finite",
 		},
 		{
 			name: "initial centroid dimension mismatch",

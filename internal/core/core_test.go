@@ -151,8 +151,8 @@ func TestEpsilonScheduleFollowsStrategy(t *testing.T) {
 			t.Fatalf("iteration %d ε = %v, want %v", i, it.Epsilon, want[i])
 		}
 	}
-	if math.Abs(tr.Privacy.SpentEpsilon-1) > 1e-9 {
-		t.Fatalf("spent = %v, want full budget", tr.Privacy.SpentEpsilon)
+	if math.Abs(tr.Privacy.Spent-1) > 1e-9 {
+		t.Fatalf("spent = %v, want full budget", tr.Privacy.Spent)
 	}
 }
 
@@ -226,7 +226,7 @@ func TestConvergenceEarlyStop(t *testing.T) {
 		t.Fatalf("ran %d iterations despite convergence", len(tr.Iterations))
 	}
 	// Early stop keeps unspent budget.
-	if tr.Privacy.SpentEpsilon >= tr.Privacy.TotalEpsilon {
+	if tr.Privacy.Spent >= tr.Privacy.Total {
 		t.Fatalf("early stop should leave budget: %+v", tr.Privacy)
 	}
 }
@@ -283,6 +283,8 @@ func TestValidationErrors(t *testing.T) {
 		{"k too large", good, Params{K: 21, Epsilon: 1}},
 		{"k zero", good, Params{K: 0, Epsilon: 1}},
 		{"epsilon zero", good, Params{K: 2, Epsilon: 0}},
+		{"epsilon NaN", good, Params{K: 2, Epsilon: math.NaN()}},
+		{"epsilon infinite", good, Params{K: 2, Epsilon: math.Inf(1)}},
 		{"bad churn", good, Params{K: 2, Epsilon: 1, ChurnCrashProb: 1.5}},
 		{"bad initial count", good, Params{K: 2, Epsilon: 1, InitialCentroids: [][]float64{{0, 0, 0}}}},
 		{"bad initial dim", good, Params{K: 2, Epsilon: 1, InitialCentroids: [][]float64{{0}, {0}}}},
@@ -431,10 +433,10 @@ func TestGossipErrorRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Privacy.MaxGossipRelErr <= 0 {
-		t.Fatalf("gossip error not recorded: %+v", tr.Privacy)
+	if tr.GossipRelErr <= 0 {
+		t.Fatalf("gossip error not recorded: %v", tr.GossipRelErr)
 	}
-	if tr.Privacy.MaxGossipRelErr > 0.2 {
-		t.Fatalf("gossip error suspiciously large: %v", tr.Privacy.MaxGossipRelErr)
+	if tr.GossipRelErr > 0.2 {
+		t.Fatalf("gossip error suspiciously large: %v", tr.GossipRelErr)
 	}
 }

@@ -134,7 +134,7 @@ func (d *cycleDriver) run() (*Trace, error) {
 			break
 		}
 	}
-	tr, err := buildTrace(d.data, d.rs.p, d.participants, d.nw.Cycle(), d.nw.Stats(), d.rs.suite, d.rs.accountant)
+	tr, err := buildTrace(d.data, d.rs.p, d.participants, d.nw.Cycle(), d.nw.Stats(), d.rs.suite)
 	if err != nil {
 		return nil, err
 	}

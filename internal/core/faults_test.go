@@ -46,11 +46,11 @@ func checkTraceInvariants(t *testing.T, tr *Trace, p Params, n int, label string
 	if tr.Completed < 0 || tr.Completed > n {
 		t.Fatalf("%s: Completed=%d outside [0,%d]", label, tr.Completed, n)
 	}
-	if tr.Privacy.SpentEpsilon > p.Epsilon*(1+1e-9) {
-		t.Fatalf("%s: budget overspent: %v > %v", label, tr.Privacy.SpentEpsilon, p.Epsilon)
+	if tr.Privacy.Spent > p.Epsilon*(1+1e-9) {
+		t.Fatalf("%s: budget overspent: %v > %v", label, tr.Privacy.Spent, p.Epsilon)
 	}
-	if tr.Privacy.Disclosures != len(tr.Iterations) {
-		t.Fatalf("%s: %d disclosures vs %d iterations", label, tr.Privacy.Disclosures, len(tr.Iterations))
+	if tr.Privacy.Spends != len(tr.Iterations) {
+		t.Fatalf("%s: %d disclosures vs %d iterations", label, tr.Privacy.Spends, len(tr.Iterations))
 	}
 	maxV := p.MaxValue
 	if maxV == 0 {

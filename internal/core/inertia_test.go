@@ -84,7 +84,7 @@ func TestInertiaStopTerminatesEarly(t *testing.T) {
 		t.Fatal("early stop not reported as convergence")
 	}
 	// Unused budget preserved.
-	if tr.Privacy.SpentEpsilon >= tr.Privacy.TotalEpsilon-1e-9 {
+	if tr.Privacy.Spent >= tr.Privacy.Total-1e-9 {
 		t.Fatalf("no budget saved: %+v", tr.Privacy)
 	}
 }

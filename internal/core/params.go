@@ -248,8 +248,8 @@ func (p Params) validate(n, dim int) error {
 	if p.K < 1 || p.K > n {
 		return fmt.Errorf("core: k=%d outside [1, %d]", p.K, n)
 	}
-	if p.Epsilon <= 0 {
-		return fmt.Errorf("core: epsilon %v must be positive", p.Epsilon)
+	if !(p.Epsilon > 0) || math.IsInf(p.Epsilon, 0) {
+		return fmt.Errorf("core: epsilon %v must be positive and finite", p.Epsilon)
 	}
 	if p.Iterations < 1 {
 		return fmt.Errorf("core: iterations %d < 1", p.Iterations)
@@ -349,16 +349,23 @@ func (p Params) noiseEnvelope(dim int, epsSched []float64) (coordBound, noiseBou
 			minEps = e
 		}
 	}
-	sens := dp.SumSensitivity(dim, p.MaxValue)
 	coordBound = p.MaxValue
 	if p.TrackInertia {
-		inertiaBound := float64(dim) * p.MaxValue * p.MaxValue
-		sens += inertiaBound
-		if inertiaBound > coordBound {
-			coordBound = inertiaBound
-		}
+		coordBound = max(coordBound, float64(dim)*p.MaxValue*p.MaxValue)
 	}
-	return coordBound, 64 * sens / minEps
+	return coordBound, 64 * p.sensitivity(dim) / minEps
+}
+
+// sensitivity returns the L1 sensitivity of one iteration's disclosure
+// at dimension dim: the per-cluster sums and count (dp.SumSensitivity)
+// and, when the inertia aggregate is tracked, the dim·MaxValue² one
+// individual can move it by.
+func (p Params) sensitivity(dim int) float64 {
+	sens := dp.SumSensitivity(dim, p.MaxValue)
+	if p.TrackInertia {
+		sens += float64(dim) * p.MaxValue * p.MaxValue
+	}
+	return sens
 }
 
 // slotLayout is a run's packing of its encrypted side over a plaintext

@@ -419,17 +419,10 @@ func (r *runShared) newMeans(values []Cipher, w float64) (*gossip.State[Cipher],
 }
 
 // noiseScale returns the Laplace scale b_i = sensitivity / ε_i for the
-// current iteration. When the inertia aggregate is tracked, one
-// individual additionally moves that aggregate by at most dim·MaxValue²,
-// which enters the L1 sensitivity.
+// current iteration.
 func (pt *participant) noiseScale() float64 {
 	r := pt.run
-	eps := r.epsSched[pt.iter]
-	sens := dp.SumSensitivity(r.dim, r.params.MaxValue)
-	if r.params.TrackInertia {
-		sens += float64(r.dim) * r.params.MaxValue * r.params.MaxValue
-	}
-	return sens / eps
+	return r.params.sensitivity(r.dim) / r.epsSched[pt.iter]
 }
 
 // encryptSides encrypts the fused contribution [values | noise shares]

@@ -86,9 +86,16 @@ type Trace struct {
 	// observer converged, or -1 if it ran all iterations.
 	ConvergedAtIteration int
 
-	Privacy  dp.Report
-	NetStats p2p.Stats
-	Ops      OpCounts
+	Privacy dp.Report
+	// GossipRelErr is the deviation of the last iteration's disclosed
+	// relative counts from their ideal sum of 1: the distortion under
+	// which the ε guarantee holds (the paper's probabilistic variant of
+	// ε-DP). It mixes gossip error with realized count noise — an
+	// observable sanity bound, not a pure gossip error (E10 isolates the
+	// latter with a noise-free run).
+	GossipRelErr float64
+	NetStats     p2p.Stats
+	Ops          OpCounts
 
 	CyclesRun       int
 	DecryptFailures int
@@ -110,12 +117,11 @@ type Trace struct {
 // cycle-driven engines, streaming sessions and networked Nodes all start
 // from it.
 type runSetup struct {
-	p          Params
-	epsSched   []float64
-	accountant *dp.Accountant
-	suite      CipherSuite
-	shared     *runShared
-	initial    [][]float64
+	p        Params
+	epsSched []float64
+	suite    CipherSuite
+	shared   *runShared
+	initial  [][]float64
 	// series is the population's data in one flat arena (row i is
 	// participant i's series): at large N the contiguous layout replaces
 	// N separate slice objects with two slabs, which both the garbage
@@ -276,27 +282,21 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 	n := seriesMat.NumRows()
 	dim := seriesMat.Cols()
 
-	// Privacy schedule and accounting. The full schedule is validated
-	// against the budget up front (a misbehaving strategy must fail fast)
-	// but actual spending is recorded per completed iteration, so early
+	// Privacy schedule. The full schedule is validated against the
+	// budget up front (a misbehaving strategy must fail fast) but actual
+	// spending is recorded per completed iteration (buildTrace), so early
 	// convergence leaves budget unspent.
-	accountant, err := dp.NewAccountant(p.Epsilon)
-	if err != nil {
-		return nil, err
-	}
 	epsSched, err := p.Strategy.Allocate(p.Epsilon, p.Iterations)
 	if err != nil {
 		return nil, err
 	}
-	{
-		dryRun, err := dp.NewAccountant(p.Epsilon)
-		if err != nil {
-			return nil, err
-		}
-		for i, e := range epsSched {
-			if err := dryRun.Spend(fmt.Sprintf("iteration-%d", i), e); err != nil {
-				return nil, fmt.Errorf("core: budget strategy overruns: %w", err)
-			}
+	dryRun, err := dp.NewBudget(p.Epsilon)
+	if err != nil {
+		return nil, err
+	}
+	for i, e := range epsSched {
+		if err := dryRun.Spend(i, e); err != nil {
+			return nil, fmt.Errorf("core: budget strategy overruns: %w", err)
 		}
 	}
 
@@ -385,18 +385,17 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 
 	setupOK = true
 	return &runSetup{
-		p:          p,
-		epsSched:   epsSched,
-		accountant: accountant,
-		suite:      suite,
-		shared:     shared,
-		initial:    initial,
-		series:     seriesMat,
-		ownsSuite:  ownsSuite,
+		p:         p,
+		epsSched:  epsSched,
+		suite:     suite,
+		shared:    shared,
+		initial:   initial,
+		series:    seriesMat,
+		ownsSuite: ownsSuite,
 	}, nil
 }
 
-func buildTrace(data [][]float64, p Params, participants []*participant, cycles int, stats p2p.Stats, suite CipherSuite, accountant *dp.Accountant) (*Trace, error) {
+func buildTrace(data [][]float64, p Params, participants []*participant, cycles int, stats p2p.Stats, suite CipherSuite) (*Trace, error) {
 	n := len(data)
 	dim := len(data[0])
 
@@ -418,8 +417,12 @@ func buildTrace(data [][]float64, p Params, participants []*participant, cycles 
 		NetStats:             stats,
 	}
 
+	budget, err := dp.NewBudget(p.Epsilon)
+	if err != nil {
+		return nil, err
+	}
 	for i, rec := range observer.history {
-		if err := accountant.Spend(fmt.Sprintf("iteration-%d", rec.Iteration), rec.Epsilon); err != nil {
+		if err := budget.Spend(rec.Iteration, rec.Epsilon); err != nil {
 			return nil, fmt.Errorf("core: accounting: %w", err)
 		}
 		ti := TraceIteration{
@@ -479,15 +482,13 @@ func buildTrace(data [][]float64, p Params, participants []*participant, cycles 
 
 	// Disclosure-distortion indicator: the perturbed relative counts of
 	// the last iteration should sum to ~1 (each is N_j/N plus scaled
-	// noise). Note the deviation mixes gossip error with realized count
-	// noise — it is an observable sanity bound, not a pure gossip error
-	// (E10 isolates the latter with a noise-free run).
+	// noise).
 	last := tr.Iterations[len(tr.Iterations)-1]
 	var countSum float64
 	for _, c := range last.PerturbedCounts {
 		countSum += c
 	}
-	accountant.RecordGossipError(math.Abs(countSum - 1))
+	tr.GossipRelErr = math.Abs(countSum - 1)
 
 	// Final clustering quality over the cleartext data (harness-side).
 	tr.FinalCentroids = deepCopyMatrix(last.PerturbedCentroids)
@@ -509,7 +510,7 @@ func buildTrace(data [][]float64, p Params, participants []*participant, cycles 
 		inertia += bestSq
 	}
 	tr.Inertia = inertia
-	tr.Privacy = accountant.Report()
+	tr.Privacy = budget.Report()
 	tr.Ops = suite.Counts()
 	for _, pt := range participants {
 		tr.DecryptFailures += pt.decryptFail

@@ -13,7 +13,7 @@ import (
 // session.go turns the one-shot run lifecycle into a resumable streaming
 // session: one RunSession owns the population's series arena, the cipher
 // suite (key material, randomizer pool, operation counters) and the
-// longitudinal privacy ledger across many clustering windows, instead of
+// longitudinal privacy budget across many clustering windows, instead of
 // rebuilding all of it per Cluster() call. Each window is still a full,
 // independently seeded protocol run — prepareRunOn re-binds the reused
 // resources into a fresh runSetup — so every per-window determinism
@@ -69,8 +69,8 @@ type WindowResult struct {
 	// Window is the 0-based window index.
 	Window int
 	// EpsilonDrawn is the budget reserved for this window (0 when
-	// skipped); the ledger settles it down to the actually disclosed
-	// amount when the window converges early.
+	// skipped); the session's budget settles it down to the actually
+	// disclosed amount when the window converges early.
 	EpsilonDrawn float64
 	// Skipped marks a window the spend strategy elected not to
 	// re-cluster: Trace is nil and Centroids carry the previous
@@ -88,14 +88,14 @@ type WindowResult struct {
 	// Drift is the maximum centroid displacement between this window's
 	// disclosure and the previous one (NaN for the first window).
 	Drift float64
-	// Ledger is the longitudinal budget position after this window.
-	Ledger dp.LedgerReport
+	// Budget is the longitudinal budget position after this window.
+	Budget dp.Report
 }
 
 // RunSession is a resumable clustering session over an evolving
 // population: the core tentpole of the streaming refactor. It owns the
 // flat series arena (advanced in place between windows), the cipher
-// suite, and the longitudinal dp.Ledger; each Advance slides the window
+// suite, and the longitudinal dp.Budget; each Advance slides the window
 // (optionally), draws budget, and executes one full protocol run.
 //
 // Determinism: window w of a session is bit-identical to a one-shot run
@@ -110,7 +110,7 @@ type RunSession struct {
 	warm    bool
 	engine  SessionEngine
 	spend   dp.SpendStrategy
-	ledger  *dp.Ledger
+	budget  *dp.Budget
 	series  *vecpool.Matrix
 	suite   CipherSuite
 	n, dim  int
@@ -165,7 +165,7 @@ func NewRunSession(data [][]float64, sp SessionParams) (*RunSession, error) {
 	}
 	base := sp.Base.withDefaults(n)
 	// Validate the per-window shape once, with a placeholder epsilon
-	// (the real one is drawn per window and is positive by the ledger's
+	// (the real one is drawn per window and is positive by the budget's
 	// construction).
 	probe := base
 	probe.Epsilon = 1
@@ -185,7 +185,7 @@ func NewRunSession(data [][]float64, sp SessionParams) (*RunSession, error) {
 	if spend == nil {
 		spend = dp.SpendUniform{}
 	}
-	ledger, err := dp.NewLedger(sp.LifetimeEpsilon)
+	budget, err := dp.NewBudget(sp.LifetimeEpsilon)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +201,7 @@ func NewRunSession(data [][]float64, sp SessionParams) (*RunSession, error) {
 		warm:    sp.WarmStart,
 		engine:  sp.Engine,
 		spend:   spend,
-		ledger:  ledger,
+		budget:  budget,
 		series:  mat,
 		suite:   suite,
 		n:       n,
@@ -231,8 +231,8 @@ func buildSuite(p Params, n int) (CipherSuite, error) {
 // Window returns the index of the next window Advance would run.
 func (s *RunSession) Window() int { return s.window }
 
-// Ledger returns the session's longitudinal budget ledger.
-func (s *RunSession) Ledger() *dp.Ledger { return s.ledger }
+// Budget returns the session's longitudinal privacy budget.
+func (s *RunSession) Budget() *dp.Budget { return s.budget }
 
 // Close releases the session's suite resources. Further Advance calls
 // are refused.
@@ -274,7 +274,7 @@ func (s *RunSession) advanceWindow(newPoints [][]float64) error {
 
 // Advance runs the next streaming window: slide the population by
 // newPoints (nil re-clusters the current window), let the spend
-// strategy draw this window's epsilon from the lifetime ledger (or
+// strategy draw this window's epsilon from the lifetime budget (or
 // skip), and execute one full protocol run — warm-started from the
 // previous disclosure when the session is configured for it. A session
 // whose lifetime budget cannot fund the window refuses with
@@ -292,7 +292,7 @@ func (s *RunSession) Advance(newPoints [][]float64) (*WindowResult, error) {
 	}
 
 	dec, err := s.spend.Decide(dp.SpendState{
-		Remaining:        s.ledger.Remaining(),
+		Remaining:        s.budget.Remaining(),
 		Window:           s.window,
 		PlannedWindows:   s.planned,
 		Drift:            s.drift,
@@ -305,24 +305,24 @@ func (s *RunSession) Advance(newPoints [][]float64) (*WindowResult, error) {
 		if s.prev == nil {
 			return nil, errors.New("core: spend strategy skipped the first window — nothing disclosed yet to carry forward")
 		}
-		s.ledger.RecordSkip(s.window)
+		s.budget.Skip(s.window)
 		res := &WindowResult{
 			Window:    s.window,
 			Skipped:   true,
 			Centroids: deepCopyMatrix(s.prev),
 			Drift:     s.drift,
-			Ledger:    s.ledger.Report(),
+			Budget:    s.budget.Report(),
 		}
 		s.window++
 		s.skips++
 		return res, nil
 	}
 	// A draw at (or below) floating-point dust of the lifetime budget
-	// means the ledger is exhausted for any useful disclosure: hard
+	// means the budget is exhausted for any useful disclosure: hard
 	// refusal, in error text and in behaviour.
-	if dec.Epsilon <= s.ledger.Lifetime()*1e-9 {
+	if dec.Epsilon <= s.budget.Total()*1e-9 {
 		return nil, fmt.Errorf("%w: window %d — lifetime budget %.6g has %.6g left",
-			dp.ErrBudgetExhausted, s.window, s.ledger.Lifetime(), s.ledger.Remaining())
+			dp.ErrBudgetExhausted, s.window, s.budget.Total(), s.budget.Remaining())
 	}
 
 	wp := s.base
@@ -344,7 +344,7 @@ func (s *RunSession) Advance(newPoints [][]float64) (*WindowResult, error) {
 		return nil, err
 	}
 	defer rs.close() // no-op for the session-owned suite, kept for symmetry
-	if err := s.ledger.Draw(s.window, dec.Epsilon); err != nil {
+	if err := s.budget.Spend(s.window, dec.Epsilon); err != nil {
 		return nil, err
 	}
 	workers := 1
@@ -360,13 +360,13 @@ func (s *RunSession) Advance(newPoints [][]float64) (*WindowResult, error) {
 	}
 	tr, err := d.run()
 	if err != nil {
-		// The draw stays on the ledger: a window that failed mid-run may
+		// The draw stays spent: a window that failed mid-run may
 		// already have disclosed iterations, so refunding would
 		// under-count the longitudinal spend.
 		return nil, err
 	}
 	tr.Ops = opCountsMinus(tr.Ops, opsBefore)
-	s.ledger.Settle(s.window, tr.Privacy.SpentEpsilon)
+	s.budget.Settle(s.window, tr.Privacy.Spent)
 
 	drift := math.NaN()
 	if s.prev != nil {
@@ -379,7 +379,7 @@ func (s *RunSession) Advance(newPoints [][]float64) (*WindowResult, error) {
 		Trace:        tr,
 		Centroids:    deepCopyMatrix(tr.FinalCentroids),
 		Drift:        drift,
-		Ledger:       s.ledger.Report(),
+		Budget:       s.budget.Report(),
 	}
 	s.prev = deepCopyMatrix(tr.FinalCentroids)
 	s.drift = drift

@@ -71,8 +71,8 @@ func assertWindowsBitIdentical(t *testing.T, a, b *WindowResult, label string) {
 	if !bothNaN && a.Drift != b.Drift {
 		t.Fatalf("%s: drift %v vs %v", label, a.Drift, b.Drift)
 	}
-	if a.Ledger != b.Ledger {
-		t.Fatalf("%s: ledger %+v vs %+v", label, a.Ledger, b.Ledger)
+	if a.Budget != b.Budget {
+		t.Fatalf("%s: budget %+v vs %+v", label, a.Budget, b.Budget)
 	}
 	for j := range a.Centroids {
 		for tt := range a.Centroids[j] {
@@ -288,9 +288,9 @@ func TestStreamBudgetExhaustionRefusal(t *testing.T) {
 		t.Fatalf("past-horizon window: err = %v, want ErrBudgetExhausted", err)
 	}
 	// The refusal is stable: the session did not wedge or spend.
-	rep := s.Ledger().Report()
-	if rep.Windows != 2 || rep.Remaining > 40*1e-9 {
-		t.Fatalf("ledger after refusal: %+v", rep)
+	rep := s.Budget().Report()
+	if rep.Spends != 2 || rep.Remaining > 40*1e-9 {
+		t.Fatalf("budget after refusal: %+v", rep)
 	}
 	if _, err := s.Advance(nil); !errors.Is(err, dp.ErrBudgetExhausted) {
 		t.Fatalf("repeat refusal: err = %v", err)
@@ -347,9 +347,9 @@ func TestStreamThresholdSkipsAndForcedRecluster(t *testing.T) {
 			}
 		}
 	}
-	rep := s.Ledger().Report()
-	if rep.Windows != 3 || rep.Skips != 3 {
-		t.Fatalf("ledger = %+v, want 3 windows / 3 skips", rep)
+	rep := s.Budget().Report()
+	if rep.Spends != 3 || rep.Skips != 3 {
+		t.Fatalf("budget = %+v, want 3 windows / 3 skips", rep)
 	}
 	if results[2].EpsilonDrawn != 0 {
 		t.Fatalf("skipped window drew %v, want 0", results[2].EpsilonDrawn)
@@ -358,7 +358,7 @@ func TestStreamThresholdSkipsAndForcedRecluster(t *testing.T) {
 
 // TestStreamStrategySwitchMidStream covers tightening the budget
 // discipline of a live session: a strategy that switches rule at window 2
-// keeps spending from the same ledger, and a twin session making the
+// keeps spending from the same budget, and a twin session making the
 // identical switch discloses bit-identical windows (strategy switching is
 // part of the deterministic surface).
 func TestStreamStrategySwitchMidStream(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -55,24 +54,6 @@ func snapErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errSnapshot, fmt.Sprintf(format, args...))
 }
 
-// appendU64Field appends one 8-byte big-endian scalar field.
-func appendU64Field(buf []byte, v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return wire.AppendBytes(buf, b[:])
-}
-
-func readU64Field(fr *wire.FieldReader) (uint64, error) {
-	b, err := fr.Bytes()
-	if err != nil {
-		return 0, err
-	}
-	if len(b) != 8 {
-		return 0, snapErr("scalar field %d bytes, want 8", len(b))
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
 // AppendSnapshot appends the node's complete mutable state to buf. The
 // intended call point is an epoch boundary (the transport checkpoints
 // after a barrier completes), but any quiescent moment between Step
@@ -90,9 +71,9 @@ func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 	// Header blob: everything RestoreNode needs BEFORE it can build the
 	// run setup — identity, RNG state, and the ceremony key material.
 	buf, hdr := wire.BeginField(buf)
-	buf = appendU64Field(buf, nd.Fingerprint())
+	buf = wire.AppendUint64(buf, nd.Fingerprint())
 	buf = wire.AppendUint32(buf, uint32(p.id))
-	buf = appendU64Field(buf, p.rngSrc.State())
+	buf = wire.AppendUint64(buf, p.rngSrc.State())
 	if m := nd.rs.p.DJMaterial; m != nil {
 		var gb bytes.Buffer
 		if err := gob.NewEncoder(&gb).Encode(m); err != nil {
@@ -122,7 +103,7 @@ func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 	// stale Means is dead weight, so it is dropped.
 	if p.diptych.Means != nil && (p.phase == phaseGossip || p.phase == phaseDecrypt) {
 		buf = wire.AppendUint32(buf, 1)
-		buf = appendU64Field(buf, math.Float64bits(p.diptych.Means.Weight()))
+		buf = wire.AppendUint64(buf, math.Float64bits(p.diptych.Means.Weight()))
 		buf = wire.AppendUint32(buf, uint32(p.diptych.Means.H))
 		var err error
 		if buf, err = appendVectorField(buf, p.diptych.Means.V, nd.rs.suite.AppendCipherVector); err != nil {
@@ -171,12 +152,12 @@ func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 	buf = wire.AppendUint32(buf, uint32(len(p.history)))
 	for _, h := range p.history {
 		buf = wire.AppendUint32(buf, uint32(h.Iteration))
-		buf = appendU64Field(buf, math.Float64bits(h.Epsilon))
+		buf = wire.AppendUint64(buf, math.Float64bits(h.Epsilon))
 		buf = appendFloats(buf, h.PerturbedCentroids)
 		buf = appendFloats(buf, [][]float64{h.PerturbedCounts})
-		buf = appendU64Field(buf, math.Float64bits(h.PerturbedInertia))
+		buf = wire.AppendUint64(buf, math.Float64bits(h.PerturbedInertia))
 		buf = wire.AppendUint32(buf, uint32(h.Assignment))
-		buf = appendU64Field(buf, math.Float64bits(h.Displacement))
+		buf = wire.AppendUint64(buf, math.Float64bits(h.Displacement))
 		failed := uint32(0)
 		if h.DecryptFailed {
 			failed = 1
@@ -237,16 +218,16 @@ func parseSnapshotHeader(snap []byte) (*snapshotHeader, []byte, error) {
 
 	h := &snapshotHeader{}
 	hr := wire.NewFieldReader(hdrBytes)
-	if h.fingerprint, err = readU64Field(hr); err != nil {
-		return nil, nil, err
+	if h.fingerprint, err = hr.Uint64(); err != nil {
+		return nil, nil, snapErr("fingerprint: %v", err)
 	}
 	idU, err := hr.Uint32()
 	if err != nil {
 		return nil, nil, snapErr("id: %v", err)
 	}
 	h.id = int(idU)
-	if h.rngState, err = readU64Field(hr); err != nil {
-		return nil, nil, err
+	if h.rngState, err = hr.Uint64(); err != nil {
+		return nil, nil, snapErr("rng state: %v", err)
 	}
 	hasMat, err := hr.Uint32()
 	if err != nil {
@@ -325,6 +306,13 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		}
 		return int(v), nil
 	}
+	f64 := func(name string) (float64, error) {
+		v, err := fr.Uint64()
+		if err != nil {
+			return 0, snapErr("%s: %v", name, err)
+		}
+		return math.Float64frombits(v), nil
+	}
 	phaseV, err := u32("phase")
 	if err != nil {
 		return err
@@ -379,11 +367,10 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 	switch hasMeans {
 	case 0:
 	case 1:
-		wBits, err := readU64Field(fr)
+		w, err := f64("push-sum weight")
 		if err != nil {
 			return err
 		}
-		w := math.Float64frombits(wBits)
 		if math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 || w > float64(r.population) {
 			return snapErr("implausible push-sum weight %g", w)
 		}
@@ -557,11 +544,9 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if rec.Iteration, err = u32("history iteration"); err != nil {
 			return err
 		}
-		epsBits, err := readU64Field(fr)
-		if err != nil {
+		if rec.Epsilon, err = f64("history epsilon"); err != nil {
 			return err
 		}
-		rec.Epsilon = math.Float64frombits(epsBits)
 		if rec.PerturbedCentroids, err = readFloats(fr, r.params.K, r.dim); err != nil {
 			return snapErr("history centroids: %v", err)
 		}
@@ -570,22 +555,18 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 			return snapErr("history counts: %v", err)
 		}
 		rec.PerturbedCounts = counts[0]
-		inBits, err := readU64Field(fr)
-		if err != nil {
+		if rec.PerturbedInertia, err = f64("history inertia"); err != nil {
 			return err
 		}
-		rec.PerturbedInertia = math.Float64frombits(inBits)
 		if rec.Assignment, err = u32("history assignment"); err != nil {
 			return err
 		}
 		if rec.Assignment >= r.params.K {
 			return snapErr("history assignment %d outside K=%d", rec.Assignment, r.params.K)
 		}
-		dBits, err := readU64Field(fr)
-		if err != nil {
+		if rec.Displacement, err = f64("history displacement"); err != nil {
 			return err
 		}
-		rec.Displacement = math.Float64frombits(dBits)
 		failed, err := u32("history failed flag")
 		if err != nil {
 			return err

@@ -9,25 +9,23 @@
 //     Σ_i (G1_i − G2_i) ~ Laplace(b). Each participant contributes one
 //     share pair, so the noise is assembled collectively and no single
 //     party knows (or controls) the total noise;
-//   - a privacy accountant implementing self-composition: the global
-//     privacy budget ε is split across the iterations' disclosures and
-//     exhausting it is an error;
+//   - one privacy budget implementing self-composition at both horizons:
+//     a run's ε is split across its iterations' disclosures, a streaming
+//     session's lifetime ε across its windows, and overrunning either is
+//     an error;
 //   - budget-distribution strategies (the paper's "smart privacy budget
-//     distribution" quality-enhancing heuristics);
-//   - the probabilistic-DP bookkeeping: gossip aggregation is approximate,
-//     so the guarantee is a probabilistic variant of ε-DP. The accountant
-//     records the gossip error bound δ under which the ε holds.
+//     distribution" quality-enhancing heuristics) for the iterations of
+//     a run and the windows of a stream.
 package dp
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 )
 
-// ErrBudgetExhausted is returned by the Accountant when a disclosure would
-// exceed the global privacy budget.
+// ErrBudgetExhausted is returned by Budget.Spend when a disclosure would
+// exceed the privacy budget.
 var ErrBudgetExhausted = errors.New("dp: privacy budget exhausted")
 
 // Laplace draws one Laplace(0, scale) variate from rng using inverse
@@ -41,19 +39,6 @@ func Laplace(rng *rand.Rand, scale float64) float64 {
 		return -scale * math.Log(1-2*u)
 	}
 	return scale * math.Log(1+2*u)
-}
-
-// LaplaceScale returns the noise scale b = sensitivity/epsilon of the
-// Laplace mechanism for an ε-DP disclosure of a query with the given L1
-// sensitivity.
-func LaplaceScale(sensitivity, epsilon float64) (float64, error) {
-	if sensitivity < 0 {
-		return 0, fmt.Errorf("dp: negative sensitivity %v", sensitivity)
-	}
-	if epsilon <= 0 {
-		return 0, fmt.Errorf("dp: epsilon %v must be positive", epsilon)
-	}
-	return sensitivity / epsilon, nil
 }
 
 // Gamma draws one Gamma(shape, scale) variate. Marsaglia–Tsang for
@@ -101,16 +86,6 @@ func NoiseShare(rng *rand.Rand, n int, scale float64) float64 {
 	}
 	shape := 1 / float64(n)
 	return Gamma(rng, shape, scale) - Gamma(rng, shape, scale)
-}
-
-// NoiseShareVector draws one share per coordinate for a d-dimensional
-// aggregate.
-func NoiseShareVector(rng *rand.Rand, n, dim int, scale float64) []float64 {
-	out := make([]float64, dim)
-	for i := range out {
-		out[i] = NoiseShare(rng, n, scale)
-	}
-	return out
 }
 
 // SumSensitivity returns the L1 sensitivity of the per-cluster disclosure

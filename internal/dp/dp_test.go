@@ -6,22 +6,6 @@ import (
 	"testing"
 )
 
-func TestLaplaceScale(t *testing.T) {
-	b, err := LaplaceScale(10, 2)
-	if err != nil || b != 5 {
-		t.Fatalf("scale = %v, err = %v", b, err)
-	}
-	if _, err := LaplaceScale(-1, 1); err == nil {
-		t.Fatal("negative sensitivity should error")
-	}
-	if _, err := LaplaceScale(1, 0); err == nil {
-		t.Fatal("epsilon 0 should error")
-	}
-	if _, err := LaplaceScale(1, -2); err == nil {
-		t.Fatal("negative epsilon should error")
-	}
-}
-
 func TestLaplaceMoments(t *testing.T) {
 	// Laplace(b): mean 0, variance 2b².
 	rng := rand.New(rand.NewSource(42))
@@ -117,23 +101,6 @@ func TestNoiseShareDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if NoiseShare(rng, 0, 1) != 0 || NoiseShare(rng, 5, 0) != 0 {
 		t.Fatal("degenerate share parameters should give 0")
-	}
-}
-
-func TestNoiseShareVector(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	v := NoiseShareVector(rng, 10, 7, 1.5)
-	if len(v) != 7 {
-		t.Fatalf("len = %d", len(v))
-	}
-	allZero := true
-	for _, x := range v {
-		if x != 0 {
-			allZero = false
-		}
-	}
-	if allZero {
-		t.Fatal("vector of shares should not be all zeros")
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // SpendState is the public information a SpendStrategy decides from
 // before a streaming window runs. Everything in it is already disclosed
 // (or configuration): strategies never see raw data, so the decision
-// itself leaks nothing beyond what the ledger and previous disclosures
+// itself leaks nothing beyond what the budget and previous disclosures
 // already did.
 type SpendState struct {
 	// Remaining is the unspent lifetime budget.

@@ -90,7 +90,7 @@ func runStreamSession(full [][]float64, dim, windows, slide int, spend dp.SpendS
 			out.meanDrift += res.Drift
 			driftWindows++
 		}
-		out.spent = res.Ledger.SpentEpsilon
+		out.spent = res.Budget.Spent
 	}
 	if driftWindows > 0 {
 		out.meanDrift /= float64(driftWindows)

@@ -69,23 +69,6 @@ func checkpointPath(cfg Config) string {
 	return filepath.Join(cfg.CheckpointDir, fmt.Sprintf("%d.ckpt", cfg.ID))
 }
 
-func appendU64(buf []byte, v uint64) []byte {
-	var u [8]byte
-	binary.BigEndian.PutUint64(u[:], v)
-	return wire.AppendBytes(buf, u[:])
-}
-
-func readU64(fr *wire.FieldReader) (uint64, error) {
-	b, err := fr.Bytes()
-	if err != nil {
-		return 0, err
-	}
-	if len(b) != 8 {
-		return 0, ckptErr("u64 field is %d bytes", len(b))
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
 // ckptWriter builds checkpoint file images in storage it keeps: the
 // file buffer and the scratch its sorted map walks need are the node's
 // for the whole run, so the second and later checkpoints of a run
@@ -118,24 +101,24 @@ func appendFlag(buf []byte, set bool) []byte {
 func (w *ckptWriter) head(fingerprint uint64, id, population, nextEpoch int, barrierPending bool, samplerState uint64) {
 	buf := wire.AppendUint32(w.buf[:0], ckptMagic)
 	buf = wire.AppendUint32(buf, ckptVersion)
-	buf = appendU64(buf, fingerprint)
+	buf = wire.AppendUint64(buf, fingerprint)
 	buf = wire.AppendUint32(buf, uint32(id))
 	buf = wire.AppendUint32(buf, uint32(population))
 	buf = wire.AppendUint32(buf, uint32(nextEpoch))
 	buf = appendFlag(buf, barrierPending)
-	w.buf = appendU64(buf, samplerState)
+	w.buf = wire.AppendUint64(buf, samplerState)
 }
 
 // link appends one link's sequencing state and retransmit ring. The
 // ring is only read, so the caller may pass a live link's under its lock.
 func (w *ckptWriter) link(peer int, ls linkState) {
 	buf := wire.AppendUint32(w.buf, uint32(peer))
-	buf = appendU64(buf, ls.outSeq)
-	buf = appendU64(buf, ls.inSeq)
-	buf = appendU64(buf, ls.pruned)
+	buf = wire.AppendUint64(buf, ls.outSeq)
+	buf = wire.AppendUint64(buf, ls.inSeq)
+	buf = wire.AppendUint64(buf, ls.pruned)
 	buf = wire.AppendUint32(buf, uint32(len(ls.ring)))
 	for _, sf := range ls.ring {
-		buf = appendU64(buf, sf.seq)
+		buf = wire.AppendUint64(buf, sf.seq)
 		buf = wire.AppendUint32(buf, uint32(sf.epoch))
 		buf = wire.AppendBytes(buf, sf.frame)
 	}
@@ -214,8 +197,8 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 		ticks:       map[int]map[int]bool{},
 		left:        map[int]bool{},
 	}
-	if ck.fingerprint, err = readU64(fr); err != nil {
-		return nil, err
+	if ck.fingerprint, err = fr.Uint64(); err != nil {
+		return nil, ckptErr("%v", err)
 	}
 	id, err := fr.Uint32()
 	if err != nil {
@@ -245,8 +228,8 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 		return nil, ckptErr("barrier flag %d", flag)
 	}
 	ck.barrierPending = flag == 1
-	if ck.samplerState, err = readU64(fr); err != nil {
-		return nil, err
+	if ck.samplerState, err = fr.Uint64(); err != nil {
+		return nil, ckptErr("%v", err)
 	}
 	if ck.coreSnap, err = fr.Bytes(); err != nil {
 		return nil, ckptErr("core snapshot: %v", err)
@@ -271,14 +254,14 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 			return nil, ckptErr("duplicate link peer %d", peer)
 		}
 		var ls linkState
-		if ls.outSeq, err = readU64(fr); err != nil {
-			return nil, err
+		if ls.outSeq, err = fr.Uint64(); err != nil {
+			return nil, ckptErr("%v", err)
 		}
-		if ls.inSeq, err = readU64(fr); err != nil {
-			return nil, err
+		if ls.inSeq, err = fr.Uint64(); err != nil {
+			return nil, ckptErr("%v", err)
 		}
-		if ls.pruned, err = readU64(fr); err != nil {
-			return nil, err
+		if ls.pruned, err = fr.Uint64(); err != nil {
+			return nil, ckptErr("%v", err)
 		}
 		nRing, err := fr.Uint32()
 		if err != nil {
@@ -290,8 +273,8 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 		prev := ls.pruned
 		for j := uint32(0); j < nRing; j++ {
 			var sf sentFrame
-			if sf.seq, err = readU64(fr); err != nil {
-				return nil, err
+			if sf.seq, err = fr.Uint64(); err != nil {
+				return nil, ckptErr("%v", err)
 			}
 			if sf.seq <= prev {
 				return nil, ckptErr("ring seq %d not ascending past %d", sf.seq, prev)

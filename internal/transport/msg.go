@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -66,9 +65,7 @@ func marshalHello(h hello) []byte {
 	buf = wire.AppendUint32(buf, meshVersion)
 	buf = wire.AppendUint32(buf, uint32(h.ID))
 	buf = wire.AppendUint32(buf, uint32(h.Population))
-	var fp [8]byte
-	binary.BigEndian.PutUint64(fp[:], h.Fingerprint)
-	return wire.AppendBytes(buf, fp[:])
+	return wire.AppendUint64(buf, h.Fingerprint)
 }
 
 func parseHello(body []byte) (hello, error) {
@@ -95,21 +92,14 @@ func parseHello(body []byte) (hello, error) {
 	if err != nil {
 		return hello{}, err
 	}
-	fp, err := fr.Bytes()
+	fp, err := fr.Uint64()
 	if err != nil {
-		return hello{}, err
-	}
-	if len(fp) != 8 {
-		return hello{}, fmt.Errorf("transport: fingerprint field %d bytes, want 8", len(fp))
+		return hello{}, fmt.Errorf("transport: fingerprint: %w", err)
 	}
 	if err := fr.Done(); err != nil {
 		return hello{}, err
 	}
-	return hello{
-		ID:          int(id),
-		Population:  int(pop),
-		Fingerprint: binary.BigEndian.Uint64(fp),
-	}, nil
+	return hello{ID: int(id), Population: int(pop), Fingerprint: fp}, nil
 }
 
 func marshalWelcome(id int) []byte {
@@ -227,11 +217,8 @@ func marshalResume(r resume) []byte {
 	buf = wire.AppendUint32(buf, meshVersion)
 	buf = wire.AppendUint32(buf, uint32(r.ID))
 	buf = wire.AppendUint32(buf, uint32(r.Population))
-	var u [8]byte
-	binary.BigEndian.PutUint64(u[:], r.Fingerprint)
-	buf = wire.AppendBytes(buf, u[:])
-	binary.BigEndian.PutUint64(u[:], r.LastSeq)
-	return wire.AppendBytes(buf, u[:])
+	buf = wire.AppendUint64(buf, r.Fingerprint)
+	return wire.AppendUint64(buf, r.LastSeq)
 }
 
 func parseResume(body []byte) (resume, error) {
@@ -258,38 +245,25 @@ func parseResume(body []byte) (resume, error) {
 	if err != nil {
 		return resume{}, err
 	}
-	fp, err := fr.Bytes()
+	fp, err := fr.Uint64()
 	if err != nil {
-		return resume{}, err
+		return resume{}, fmt.Errorf("transport: fingerprint: %w", err)
 	}
-	if len(fp) != 8 {
-		return resume{}, fmt.Errorf("transport: fingerprint field %d bytes, want 8", len(fp))
-	}
-	seq, err := fr.Bytes()
+	seq, err := fr.Uint64()
 	if err != nil {
-		return resume{}, err
-	}
-	if len(seq) != 8 {
-		return resume{}, fmt.Errorf("transport: resume seq field %d bytes, want 8", len(seq))
+		return resume{}, fmt.Errorf("transport: resume seq: %w", err)
 	}
 	if err := fr.Done(); err != nil {
 		return resume{}, err
 	}
-	return resume{
-		ID:          int(id),
-		Population:  int(pop),
-		Fingerprint: binary.BigEndian.Uint64(fp),
-		LastSeq:     binary.BigEndian.Uint64(seq),
-	}, nil
+	return resume{ID: int(id), Population: int(pop), Fingerprint: fp, LastSeq: seq}, nil
 }
 
 // marshalResumeOK acknowledges a resume: the acceptor identifies
 // itself and announces its own lastSeqSeen so both sides retransmit.
 func marshalResumeOK(id int, lastSeq uint64) []byte {
 	buf := wire.AppendUint32([]byte{mtResumeOK}, uint32(id))
-	var u [8]byte
-	binary.BigEndian.PutUint64(u[:], lastSeq)
-	return wire.AppendBytes(buf, u[:])
+	return wire.AppendUint64(buf, lastSeq)
 }
 
 func parseResumeOK(body []byte) (id int, lastSeq uint64, err error) {
@@ -298,17 +272,14 @@ func parseResumeOK(body []byte) (id int, lastSeq uint64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	seq, err := fr.Bytes()
+	seq, err := fr.Uint64()
 	if err != nil {
-		return 0, 0, err
-	}
-	if len(seq) != 8 {
-		return 0, 0, fmt.Errorf("transport: resume-ok seq field %d bytes, want 8", len(seq))
+		return 0, 0, fmt.Errorf("transport: resume-ok seq: %w", err)
 	}
 	if err := fr.Done(); err != nil {
 		return 0, 0, err
 	}
-	return int(i), binary.BigEndian.Uint64(seq), nil
+	return int(i), seq, nil
 }
 
 func parseKey(body []byte) (round int, payload []byte, err error) {

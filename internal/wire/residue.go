@@ -97,6 +97,13 @@ func UnmarshalResidueVectorInto(m *big.Int, dst []*big.Int, buf []byte) error {
 // (the transport envelope) that embed scalars next to wire artifacts.
 func AppendUint32(buf []byte, v uint32) []byte { return appendUint32(buf, v) }
 
+// AppendUint64 appends a length-prefixed 8-byte big-endian scalar — the
+// fingerprints, sequence numbers, RNG states and float bit patterns of
+// the transport envelope, checkpoints and snapshots.
+func AppendUint64(buf []byte, v uint64) []byte {
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(buf, 8), v)
+}
+
 // AppendBytes appends one length-prefixed opaque field.
 func AppendBytes(buf, payload []byte) []byte { return appendField(buf, payload) }
 
@@ -128,6 +135,15 @@ func NewFieldReader(buf []byte) *FieldReader { return &FieldReader{r: reader{buf
 
 // Uint32 reads one length-prefixed 4-byte scalar field.
 func (fr *FieldReader) Uint32() (uint32, error) { return fr.r.uint32() }
+
+// Uint64 reads one length-prefixed 8-byte scalar field.
+func (fr *FieldReader) Uint64() (uint64, error) {
+	f, err := fr.r.scalar(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint64(f), nil
+}
 
 // Bytes reads one length-prefixed opaque field. The returned slice
 // aliases the input buffer.

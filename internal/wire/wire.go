@@ -67,14 +67,23 @@ func (r *reader) field() ([]byte, error) {
 }
 
 func (r *reader) uint32() (uint32, error) {
-	f, err := r.field()
+	f, err := r.scalar(4)
 	if err != nil {
 		return 0, err
 	}
-	if len(f) != 4 {
-		return 0, fmt.Errorf("wire: scalar field of %d bytes", len(f))
-	}
 	return binary.BigEndian.Uint32(f), nil
+}
+
+// scalar reads one length-prefixed field of exactly n bytes.
+func (r *reader) scalar(n int) ([]byte, error) {
+	f, err := r.field()
+	if err != nil {
+		return nil, err
+	}
+	if len(f) != n {
+		return nil, fmt.Errorf("wire: scalar field of %d bytes, want %d", len(f), n)
+	}
+	return f, nil
 }
 
 func (r *reader) done() error {

@@ -167,6 +167,30 @@ func TestTrailingBytesRejected(t *testing.T) {
 	}
 }
 
+// TestUint64Field checks the 8-byte scalar field: it is byte-identical
+// to an 8-byte opaque field, it round-trips, and a field of any other
+// width or a truncated one is refused.
+func TestUint64Field(t *testing.T) {
+	const v = 0x0123456789ABCDEF
+	buf := AppendUint64([]byte{0xEE}, v)
+	if want := AppendBytes([]byte{0xEE}, []byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF}); !bytes.Equal(buf, want) {
+		t.Fatalf("AppendUint64 = %x, want %x", buf, want)
+	}
+	fr := NewFieldReader(buf[1:])
+	if got, err := fr.Uint64(); err != nil || got != v {
+		t.Fatalf("Uint64 = %#x, %v", got, err)
+	}
+	if err := fr.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFieldReader(AppendUint32(nil, 7)).Uint64(); err == nil {
+		t.Fatal("4-byte field read as an 8-byte scalar")
+	}
+	if _, err := NewFieldReader(buf[1 : len(buf)-1]).Uint64(); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("truncated field: err = %v, want ErrTruncated", err)
+	}
+}
+
 func TestMarshalValidation(t *testing.T) {
 	tk, _ := testKey(t)
 	pk := &tk.PublicKey

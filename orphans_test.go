@@ -20,10 +20,6 @@ var orphanAllowlist = map[string]string{
 	"internal/crypto/damgardjurik.GenerateKey":          "fresh-prime key generation, needed by the daemon's planned set-up step",
 	"internal/crypto/damgardjurik.GenerateThresholdKey": "fresh-prime threshold keys, needed by the daemon's planned set-up step",
 	"internal/crypto/dkg.RunReshareCeremony":            "resharing is parked, not abandoned",
-	"internal/dp.LaplaceScale":                          "kept until the budget types are rebuilt",
-	"internal/dp.NoiseShareVector":                      "kept until the budget types are rebuilt",
-	"internal/dp.Accountant.Total":                      "kept until the budget types are rebuilt",
-	"internal/dp.Ledger.Draws":                          "kept until the budget types are rebuilt",
 	"internal/dp.Laplace":                               "the reference distribution of the noise-share tests",
 	"internal/gossip.State.Emit":                        "the allocating push-sum step the in-place one is tested against",
 	"internal/gossip.State.Values":                      "the copying read the gossip tests compare estimates with",

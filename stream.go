@@ -3,8 +3,8 @@ package chiaroscuro
 // stream.go is the public face of the streaming tentpole: a Session is
 // a long-lived clustering stream over an evolving population, re-using
 // one set of protocol resources (series arena, cipher suite, key
-// material) across many windows while a longitudinal privacy ledger
-// meters every disclosure against a lifetime budget.
+// material) across many windows while one longitudinal privacy budget
+// meters every disclosure against a lifetime epsilon.
 //
 // Quick start:
 //
@@ -166,13 +166,7 @@ func (s *Session) Advance(newPoints [][]float64) (*Result, error) {
 		Skipped:      wr.Skipped,
 		WarmStarted:  wr.WarmStarted,
 		Drift:        wr.Drift,
-		Budget: BudgetReport{
-			LifetimeEpsilon: wr.Ledger.LifetimeEpsilon,
-			SpentEpsilon:    wr.Ledger.SpentEpsilon,
-			Remaining:       wr.Ledger.Remaining,
-			Windows:         wr.Ledger.Windows,
-			Skips:           wr.Ledger.Skips,
-		},
+		Budget:       budgetReport(wr.Budget),
 	}
 	if wr.Skipped {
 		return &Result{
@@ -183,9 +177,9 @@ func (s *Session) Advance(newPoints [][]float64) (*Result, error) {
 			Stream:               info,
 		}, nil
 	}
-	// The window consumed what the ledger settled, not the upfront
+	// The window consumed what the budget settled, not the upfront
 	// reservation.
-	info.EpsilonDrawn = wr.Trace.Privacy.SpentEpsilon
+	info.EpsilonDrawn = wr.Trace.Privacy.Spent
 	res := resultFromTrace(wr.Trace)
 	res.Elapsed = time.Since(start)
 	res.Stream = info
@@ -196,13 +190,14 @@ func (s *Session) Advance(newPoints [][]float64) (*Result, error) {
 func (s *Session) Window() int { return s.inner.Window() }
 
 // Budget returns the stream's current longitudinal budget position.
-func (s *Session) Budget() BudgetReport {
-	rep := s.inner.Ledger().Report()
+func (s *Session) Budget() BudgetReport { return budgetReport(s.inner.Budget().Report()) }
+
+func budgetReport(rep dp.Report) BudgetReport {
 	return BudgetReport{
-		LifetimeEpsilon: rep.LifetimeEpsilon,
-		SpentEpsilon:    rep.SpentEpsilon,
+		LifetimeEpsilon: rep.Total,
+		SpentEpsilon:    rep.Spent,
 		Remaining:       rep.Remaining,
-		Windows:         rep.Windows,
+		Windows:         rep.Spends,
 		Skips:           rep.Skips,
 	}
 }
