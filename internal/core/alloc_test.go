@@ -45,18 +45,19 @@ func allocTestSeries(t testing.TB, n, dim int) [][]float64 {
 // simulated network — is measured with testing.AllocsPerRun. Every run
 // packs its sides, so the ciphers measured are slot groups. On the
 // accounted backend it allocates nothing. On Damgård–Jurik the in-place
-// arithmetic allocates nothing either, but every RefreshInPlace draws one
-// randomizer the pool mints on the heap (its random exponent from
-// crypto/rand.Int, then a fixed-base table exponentiation), so the
-// ceiling is counted per refresh: measured at 5.4–6.5 objects per
-// refresh over six runs (n=16, 256-bit key) and held at 8. The run is
-// deterministic (fixed seed), so the buffer capacities the warm-up grows
-// are the ones the measured window needs. Under -race the Damgård–Jurik
-// figure is logged but not held to its ceiling: the race detector makes
-// sync.Pool drop Puts on purpose, and the in-place products' scratch and
-// the randomizer path are pooled, so their temporaries then reach the heap
-// (some 20,000 objects per cycle). The accounted backend pools nothing on
-// this path and keeps its exact 0.
+// arithmetic allocates nothing either, and neither does the randomizer
+// every RefreshInPlace draws: the pool mints it — a random exponent read
+// into reused bytes, then a fixed-base table exponentiation — into
+// storage carved when the run provisioned the pool, and the refresh
+// hands that storage back. The ceiling is still counted per refresh:
+// 0 objects per cycle in 99 of 100 runs and 1 in the other (n=16,
+// 256-bit key, 128 refreshes per cycle), held at 0.05 per refresh. The run is deterministic (fixed seed), so
+// the buffer capacities the warm-up grows are the ones the measured
+// window needs. Under -race the Damgård–Jurik figure is logged but not
+// held to its ceiling: the race detector makes sync.Pool drop Puts on
+// purpose, and the in-place products' scratch and the exponent draw are
+// pooled, so their temporaries then reach the heap. The accounted
+// backend pools nothing on this path and keeps its exact 0.
 func TestGossipCycleZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
@@ -66,7 +67,7 @@ func TestGossipCycleZeroAlloc(t *testing.T) {
 		allocsPerRefresh float64
 	}{
 		{"plain", 48, 40, 40, BackendPlainAccounted, 0, 0},
-		{"dj256", 16, 8, 8, BackendDamgardJurik, 256, 8},
+		{"dj256", 16, 8, 8, BackendDamgardJurik, 256, 0.05},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := allocTestData(t, tc.n)

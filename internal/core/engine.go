@@ -65,6 +65,7 @@ func newCycleDriver(data [][]float64, rs *runSetup, workers, queueHint int) (*cy
 	if err != nil {
 		return nil, err
 	}
+	rs.provision(n)
 	return &cycleDriver{rs: rs, data: data, nw: nw, participants: participants}, nil
 }
 

@@ -19,8 +19,9 @@ import (
 const gossipDecodeAllocs = 4
 
 // quietCodecNodes is codecNodes with every node's randomizer pool
-// closed: a pool refills in a background goroutine, whose allocations
-// testing.AllocsPerRun would count against whichever node is measured.
+// closed: a provisioned pool mints in a background goroutine, whose
+// allocations testing.AllocsPerRun would count against whichever node
+// is measured.
 // Nothing measured here draws a randomizer.
 func quietCodecNodes(t *testing.T) map[string]*Node {
 	nodes := codecNodes(t)

@@ -76,6 +76,7 @@ func NewNode(data [][]float64, params Params, id int) (*Node, error) {
 		rs.close()
 		return nil, err
 	}
+	rs.provision(1)
 	return nd, nil
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestDJHalveRerandomizes pins the traffic-analysis defence on the path
 // a run takes. A push-sum halving no longer touches the ciphertexts — the
@@ -39,5 +42,51 @@ func TestDJHalveRerandomizes(t *testing.T) {
 				t.Fatalf("cipher %d: refreshed copy decrypts to %v, kept to %v", i, got, want)
 			}
 		}
+	}
+}
+
+// TestRandomizersMatchSchedule: on a fault-free Damgård–Jurik run each
+// host's randomizer pool mints exactly the randomizers the run draws —
+// one per encryption and one per refresh — and that is exactly what the
+// host provisioned for the participants it hosts: all n on the
+// sequential and sharded engines, one on a networked Node. Nothing is
+// minted only to be thrown away, and nothing is drawn past the
+// provision.
+func TestRandomizersMatchSchedule(t *testing.T) {
+	check := func(label string, rs *runSetup, hosted int) {
+		t.Helper()
+		minted, misses := rs.suite.(*djSuite).pool.Stats()
+		ops := rs.suite.Counts()
+		want := int64(hosted * rs.p.Iterations * (rs.p.GossipRounds + 1) * 2 * rs.shared.sideCiphers)
+		if minted != ops.Encrypts+ops.Refreshes || minted != want || misses != 0 {
+			t.Fatalf("%s: minted %d randomizers (%d past the provision) for %d encryptions + %d refreshes; provisioned %d",
+				label, minted, misses, ops.Encrypts, ops.Refreshes, want)
+		}
+	}
+	data := blobs(5, 10, 2)
+	p := Params{
+		K: 2, Epsilon: 100, Iterations: 2, Seed: 5, GossipRounds: 8, DecryptThreshold: 3,
+		Backend: BackendDamgardJurik, ModulusBits: 128,
+	}
+	for _, workers := range []int{1, 4} {
+		d, tr, err := runCycles(data, p, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.Iterations) != p.Iterations {
+			t.Fatalf("workers=%d: %d iterations, want the whole schedule of %d", workers, len(tr.Iterations), p.Iterations)
+		}
+		check(fmt.Sprintf("workers=%d", workers), d.rs, len(data))
+	}
+
+	data, p = djSnapshotTestConfig(t)
+	m := newMemMesh(t, data, p)
+	m.run(t, 0)
+	m.close()
+	for id, nd := range m.nodes {
+		if len(nd.History()) != p.Iterations {
+			t.Fatalf("node %d disclosed %d iterations, want %d", id, len(nd.History()), p.Iterations)
+		}
+		check(fmt.Sprintf("node %d", id), nd.rs, 1)
 	}
 }

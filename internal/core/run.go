@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
-	"runtime"
 
 	"chiaroscuro/internal/compactrng"
 	"chiaroscuro/internal/dp"
@@ -15,35 +14,6 @@ import (
 	"chiaroscuro/internal/p2p"
 	"chiaroscuro/internal/vecpool"
 )
-
-// poolBurst sizes the randomizer pool from the run's concurrency and the
-// fused encrypted-vector length: each in-flight activation consumes up to
-// vectorLen randomizers (one rerandomization per emitted ciphertext), and
-// up to the effective worker count of activations run concurrently in
-// the sharded engine (GOMAXPROCS when Workers is unset). The requested
-// Workers is clamped by the same rule the p2p scheduler applies —
-// population size and max(64, 4·GOMAXPROCS) — so an oversized Workers
-// request cannot balloon the pool past the true concurrency. Doubled so the background refill has a cycle of slack.
-// Even the sequential engine warrants the full buffer: all n
-// participants share the suite, so the single-threaded consumer drains
-// vectorLen randomizers per activation while the filler pipelines ahead.
-func poolBurst(p Params, population, vectorLen int) int {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	lim := 4 * runtime.GOMAXPROCS(0)
-	if lim < 64 {
-		lim = 64
-	}
-	if workers > lim {
-		workers = lim
-	}
-	if workers > population {
-		workers = population
-	}
-	return 2 * workers * vectorLen
-}
 
 // TraceIteration is the per-iteration record of a run, pairing what was
 // actually disclosed (perturbed centroids/counts) with oracle quantities
@@ -134,13 +104,22 @@ type runSetup struct {
 }
 
 // close releases suite-held resources — today the Damgård–Jurik
-// backend's randomizer-pool background refill. Each engine defers it
+// backend's randomizer-pool background fill. Each engine defers it
 // once its prepareRun succeeds. Session-owned suites outlive the setup:
 // the session closes them once, at session close.
 func (rs *runSetup) close() {
 	if rs.ownsSuite {
 		rs.suite.Close()
 	}
+}
+
+// provision tells the suite what the hosted participants draw from its
+// randomizer pool in a fault-free run: per iteration, each encrypts its
+// two sides' groups and refreshes them once per gossip emission. A
+// fault, churn or early convergence only leaves the pool short (drawn
+// on the spot) or over (minted ahead, at most its buffer).
+func (rs *runSetup) provision(hosted int) {
+	rs.suite.Provision(hosted * rs.p.Iterations * (rs.p.GossipRounds + 1) * 2 * rs.shared.sideCiphers)
 }
 
 // newParticipant builds one participant over the shared run state (its
@@ -337,12 +316,6 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 		sideLen++
 	}
 	sideCiphers := layout.Groups(sideLen)
-	// Size the Damgård–Jurik randomizer pool for the run's actual burst
-	// before the suite performs its first encryption: every activation in
-	// the gossip phase rerandomizes the full fused vector it emits,
-	// concurrently across shard workers, so the default capacity starves
-	// wide runs and over-provisions narrow ones.
-	suite.SizePool(poolBurst(p, n, 2*sideCiphers))
 
 	// Public, data-independent initial centroids.
 	initial := initialCentroids(p, dim)

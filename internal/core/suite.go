@@ -199,11 +199,13 @@ type CipherSuite interface {
 	// Counts returns a snapshot of the operation counters.
 	Counts() OpCounts
 
-	// SizePool provisions the suite's randomizer pool for a burst of
-	// capacity draws; prepareRun calls it before the first encryption,
-	// while the suite is not yet shared. Close releases background
-	// resources (the pool's refill); the suite stays usable afterwards.
-	// Both are no-ops on the accounted backend.
-	SizePool(capacity int)
+	// Provision adds that many draws to what the suite's randomizer
+	// pool mints ahead of use: each host provisions its participants'
+	// fault-free draws (runSetup.provision), so the pool computes
+	// nothing the run does not consume, and a draw past the provision
+	// is computed on the spot. Close releases background resources (the
+	// pool's fill); the suite stays usable afterwards. Both are no-ops
+	// on the accounted backend.
+	Provision(randomizers int)
 	Close()
 }

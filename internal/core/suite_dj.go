@@ -26,35 +26,28 @@ import (
 // every gossip emission rerandomizes its sent copy from the same pool,
 // and share combination is one batched multi-exponentiation. A partial
 // decryption is a share holder's full-width exponentiation: no
-// participant holds the factorization a CRT split would need. The
-// EncContext's table is immutable and the pool is channel-based, so all
+// participant holds the factorization a CRT split would need. The pool
+// starts empty and mints only what its host provisions — each hosted
+// participant's fault-free draws (runSetup.provision) — and takes back
+// every randomizer's storage once its product is taken. The
+// EncContext's table is immutable and the pool is lock-guarded, so all
 // of it is shared safely by the sharded engine's parallel workers;
 // per-worker scratch state lives in sync.Pools inside the crypto
 // package, keeping workers contention-free. Close releases the pool's
-// background refill (Run/RunSharded call it on completion).
+// background fill (Run/RunSharded call it on completion).
 type djSuite struct {
-	tk      *damgardjurik.ThresholdKey
-	shares  []damgardjurik.KeyShare
-	inv2    *big.Int
-	ctMod   *big.Int // cached n^{s+1} for ValidateCipher range checks
-	enc     *damgardjurik.EncContext
-	pool    *damgardjurik.RandomizerPool
-	poolCap int
+	tk     *damgardjurik.ThresholdKey
+	shares []damgardjurik.KeyShare
+	inv2   *big.Int
+	ctMod  *big.Int // cached n^{s+1} for ValidateCipher range checks
+	pool   *damgardjurik.RandomizerPool
 
 	opCounters
 }
 
-// djPoolCapacity is the default randomizer-pool size for standalone
-// suite construction. It is only a starting point: prepareRun resizes
-// the pool via SizePool to the run's actual burst — shard workers times
-// the fused-vector length — so wide sharded runs don't starve the pool
-// and narrow runs don't over-provision it.
-const djPoolCapacity = 256
-
-// djPoolCapacityMax caps SizePool requests: beyond this the background
-// refill stops paying for itself (memory plus fill latency) and misses
-// degrade gracefully to synchronous randomizers anyway.
-const djPoolCapacityMax = 8192
+// djPoolBuffer bounds how many randomizers the pool's filler mints
+// ahead of use; what it mints in total is what the run provisions.
+const djPoolBuffer = 1024
 
 // NewDamgardJurikSuite deals a fresh threshold key over fixture safe
 // primes of the given modulus size and wraps it as a CipherSuite for a
@@ -82,10 +75,9 @@ func newDJSuite(tk *damgardjurik.ThresholdKey, shares []damgardjurik.KeyShare) (
 	if err != nil {
 		return nil, err
 	}
-	pool := damgardjurik.NewRandomizerPool(enc, djPoolCapacity, nil)
 	return &djSuite{
 		tk: tk, shares: shares, inv2: inv2, ctMod: tk.CiphertextModulus(),
-		enc: enc, pool: pool, poolCap: djPoolCapacity,
+		pool: damgardjurik.NewRandomizerPool(enc, djPoolBuffer),
 	}, nil
 }
 
@@ -100,28 +92,12 @@ func (s *djSuite) ValidateCipher(c Cipher) error {
 	return nil
 }
 
-// SizePool implements CipherSuite: it replaces the
-// randomizer pool with one sized for the caller's burst (clamped to
-// [djPoolCapacity, djPoolCapacityMax]). Only safe before the suite is
-// shared across goroutines — prepareRun calls it during construction,
-// before any participant exists.
-func (s *djSuite) SizePool(capacity int) {
-	if capacity < djPoolCapacity {
-		capacity = djPoolCapacity
-	}
-	if capacity > djPoolCapacityMax {
-		capacity = djPoolCapacityMax
-	}
-	if capacity == s.poolCap {
-		return
-	}
-	s.pool.Close()
-	s.pool = damgardjurik.NewRandomizerPool(s.enc, capacity, nil)
-	s.poolCap = capacity
-}
+// Provision implements CipherSuite: the pool mints that many more
+// randomizers ahead of use.
+func (s *djSuite) Provision(randomizers int) { s.pool.Provision(randomizers) }
 
 // Close implements CipherSuite: it stops the randomizer pool's
-// background refill. The suite remains usable afterwards (randomizers
+// background fill. The suite remains usable afterwards (randomizers
 // are then computed synchronously).
 func (s *djSuite) Close() { s.pool.Close() }
 
@@ -318,12 +294,10 @@ func (s *djSuite) square(c Cipher, k uint) {
 // the same ciphertext, and an observer could trace a contribution across
 // gossip hops by recognizing it.
 func (s *djSuite) RefreshInPlace(c Cipher) error {
-	rz, err := s.pool.Get()
-	if err != nil {
-		return err
-	}
+	rz := s.pool.Get()
 	s.refreshes.Add(1)
 	s.mulMod(c, c, rz)
+	s.pool.Recycle(rz)
 	return nil
 }
 

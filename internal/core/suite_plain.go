@@ -298,8 +298,8 @@ func (s *plainSuite) RefreshInPlace(Cipher) error {
 	return nil
 }
 
-// SizePool implements CipherSuite: there is no randomizer pool.
-func (s *plainSuite) SizePool(int) {}
+// Provision implements CipherSuite: there is no randomizer pool.
+func (s *plainSuite) Provision(int) {}
 
 // Close implements CipherSuite: nothing to release.
 func (s *plainSuite) Close() {}

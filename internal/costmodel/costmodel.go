@@ -87,9 +87,10 @@ type CryptoProfile struct {
 // naive references and the precomputed fast paths are measured; the
 // one-time fixed-base table construction happens outside the timed
 // regions (the protocol amortizes it across a whole run), and the fast
-// randomized ops are timed synchronously — the RandomizerPool only
-// shifts that work off the latency path, it does not shrink the CPU
-// cost a projection must charge.
+// randomized ops are timed synchronously — the RandomizerPool mints
+// exactly the randomizers a run provisions, ahead of use, so it moves
+// that work off the latency path but not out of the CPU cost a
+// projection must charge.
 func MeasureProfile(keyBits, degree, parties, threshold, reps int) (*CryptoProfile, error) {
 	if reps < 1 {
 		reps = 8
@@ -106,6 +107,7 @@ func MeasureProfile(keyBits, degree, parties, threshold, reps int) (*CryptoProfi
 	if err != nil {
 		return nil, err
 	}
+	pool := damgardjurik.NewRandomizerPool(ec, 1) // unprovisioned: every draw mints
 	prof := &CryptoProfile{
 		KeyBits:         keyBits,
 		Degree:          degree,
@@ -136,7 +138,7 @@ func MeasureProfile(keyBits, degree, parties, threshold, reps int) (*CryptoProfi
 		return nil, err
 	}
 	if prof.FastEncrypt, err = avg(func(int) error {
-		_, err := ec.Encrypt(rand.Reader, msg)
+		_, err := pool.Encrypt(msg)
 		return err
 	}); err != nil {
 		return nil, err
@@ -174,7 +176,7 @@ func MeasureProfile(keyBits, degree, parties, threshold, reps int) (*CryptoProfi
 		return nil, err
 	}
 	if prof.FastRerandomize, err = avg(func(i int) error {
-		_, err := ec.Rerandomize(rand.Reader, cts[i%len(cts)])
+		_, err := pool.Rerandomize(cts[i%len(cts)])
 		return err
 	}); err != nil {
 		return nil, err

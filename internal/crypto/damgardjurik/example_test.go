@@ -73,9 +73,10 @@ func ExamplePublicKey_ScalarMul() {
 }
 
 // ExamplePublicKey_NewEncContext demonstrates the precomputed fast
-// path: ciphertexts produced through an EncContext (fixed-base windowed
-// table, short exponent) are drop-in compatible with naive ones — they
-// decrypt identically and mix homomorphically.
+// path: ciphertexts encrypted through an EncContext's pool (fixed-base
+// windowed table, short exponent) are drop-in compatible with naive
+// ones — they decrypt identically and mix homomorphically. An
+// unprovisioned pool computes each randomizer when it is drawn.
 func ExamplePublicKey_NewEncContext() {
 	sk, err := damgardjurik.FixturePrivateKey(128, 1)
 	if err != nil {
@@ -86,7 +87,7 @@ func ExamplePublicKey_NewEncContext() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fast, _ := ec.Encrypt(nil, big.NewInt(19))
+	fast, _ := damgardjurik.NewRandomizerPool(ec, 1).Encrypt(big.NewInt(19))
 	naive, _ := pk.Encrypt(nil, big.NewInt(23))
 	sum, err := pk.Add(fast, naive)
 	if err != nil {
@@ -100,7 +101,8 @@ func ExamplePublicKey_NewEncContext() {
 
 // ExampleRandomizerPool shows pooled rerandomization — the hot-path
 // refresh the gossip exchange applies so ciphertexts cannot be traced
-// across hops.
+// across hops. The pool mints only what it is provisioned for: here
+// one randomizer, minted in the background ahead of the refresh.
 func ExampleRandomizerPool() {
 	sk, err := damgardjurik.FixturePrivateKey(128, 1)
 	if err != nil {
@@ -111,8 +113,9 @@ func ExampleRandomizerPool() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pool := damgardjurik.NewRandomizerPool(ec, 16, nil)
+	pool := damgardjurik.NewRandomizerPool(ec, 16)
 	defer pool.Close()
+	pool.Provision(1)
 
 	c, _ := pk.Encrypt(nil, big.NewInt(7))
 	refreshed, err := pool.Rerandomize(c)

@@ -21,21 +21,21 @@ func TestFixedBaseTableMatchesExp(t *testing.T) {
 		bits := rng.Intn(200) + 1
 		e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
 		want := new(big.Int).Exp(base, e, mod)
-		if got := table.Exp(e); got.Cmp(want) != 0 {
-			t.Fatalf("table.Exp(%v) = %v, want %v", e, got, want)
+		if got := table.expInto(new(big.Int), e); got.Cmp(want) != 0 {
+			t.Fatalf("table.expInto(%v) = %v, want %v", e, got, want)
 		}
 	}
 	// Oversized exponents fall back to big.Int.Exp.
 	e := new(big.Int).Lsh(big.NewInt(3), 300)
 	want := new(big.Int).Exp(base, e, mod)
-	if got := table.Exp(e); got.Cmp(want) != 0 {
+	if got := table.expInto(new(big.Int), e); got.Cmp(want) != 0 {
 		t.Fatal("oversized-exponent fallback mismatch")
 	}
 	// Zero exponent.
-	if got := table.Exp(new(big.Int)); got.Cmp(big.NewInt(1)) != 0 {
-		t.Fatalf("table.Exp(0) = %v, want 1", got)
+	if got := table.expInto(new(big.Int), new(big.Int)); got.Cmp(big.NewInt(1)) != 0 {
+		t.Fatalf("table.expInto(0) = %v, want 1", got)
 	}
-	if table.Exp(big.NewInt(-1)) != nil {
+	if table.expInto(new(big.Int), big.NewInt(-1)) != nil {
 		t.Fatal("negative exponent should return nil")
 	}
 }
@@ -177,10 +177,11 @@ func TestFastEncryptDecryptsIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pool := NewRandomizerPool(ec, 1)
 		rng := mrand.New(mrand.NewSource(int64(41 + bits)))
 		for i := 0; i < 5; i++ {
 			m := new(big.Int).Rand(rng, tk.PlaintextModulus())
-			fastCT, err := ec.Encrypt(rand.Reader, m)
+			fastCT, err := pool.Encrypt(m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,9 +218,10 @@ func TestFastEncryptIsRandomized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool := NewRandomizerPool(ec, 1)
 	m := big.NewInt(42)
-	c1, _ := ec.Encrypt(rand.Reader, m)
-	c2, _ := ec.Encrypt(rand.Reader, m)
+	c1, _ := pool.Encrypt(m)
+	c2, _ := pool.Encrypt(m)
 	if c1.Cmp(c2) == 0 {
 		t.Fatal("two fast encryptions of the same plaintext must differ")
 	}
@@ -233,7 +235,7 @@ func TestEncContextRerandomizePreservesPlaintext(t *testing.T) {
 	}
 	m := big.NewInt(5150)
 	c, _ := tk.Encrypt(rand.Reader, m)
-	r, err := ec.Rerandomize(rand.Reader, c)
+	r, err := NewRandomizerPool(ec, 1).Rerandomize(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +253,9 @@ func TestRandomizerPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewRandomizerPool(ec, 8, nil)
+	pool := NewRandomizerPool(ec, 8)
 	defer pool.Close()
+	pool.Provision(16)
 
 	m := big.NewInt(2025)
 	c, _ := tk.Encrypt(rand.Reader, m)
@@ -277,12 +280,11 @@ func TestRandomizerPool(t *testing.T) {
 	if got := decryptWith(t, tk, shares, ct, []int{2, 3}); got.Cmp(m) != 0 {
 		t.Fatalf("pooled encrypt decrypt = %v, want %v", got, m)
 	}
-	hits, misses := pool.Stats()
-	if hits+misses != 33 {
-		t.Fatalf("stats: hits %d + misses %d != 33 draws", hits, misses)
-	}
 	// Close is idempotent and leaves the pool usable (synchronously).
 	pool.Close()
+	if minted, misses := pool.Stats(); minted != 33 || misses != 17 {
+		t.Fatalf("stats: minted %d, misses %d; want 33 draws, 17 past a provision of 16", minted, misses)
+	}
 	pool.Close()
 	if _, err := pool.Rerandomize(c); err != nil {
 		t.Fatalf("post-close rerandomize: %v", err)
@@ -328,11 +330,12 @@ func TestFastPathsDegreeS2Threshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool := NewRandomizerPool(ec, 1)
 	ns := tk.PlaintextModulus()
 	rng := mrand.New(mrand.NewSource(47))
 	for i := 0; i < 8; i++ {
 		m := new(big.Int).Rand(rng, ns)
-		c, err := ec.Encrypt(rand.Reader, m)
+		c, err := pool.Encrypt(m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ import (
 // bit for the generic square-and-multiply in big.Int.Exp.
 //
 // The table is immutable after construction and safe for concurrent use;
-// per-call scratch accumulators come from a sync.Pool so parallel shard
+// per-call scratch products come from a sync.Pool so parallel shard
 // workers do not contend on allocations.
 type fixedBaseTable struct {
 	mod     *big.Int
@@ -28,17 +28,17 @@ type fixedBaseTable struct {
 	// table costs two allocations however many entries it has.
 	tab []big.Int
 
-	scratch sync.Pool // *fixedBaseScratch, reused across Exp calls
+	scratch sync.Pool // *fixedBaseScratch, reused across expInto calls
 }
 
-// fixedBaseScratch is the working set of one Exp call. The product and
-// the quotient get buffers of their own because math/big allocates a
-// fresh result whenever a receiver aliases an operand (acc.Mul(acc, x),
-// acc.Mod(acc, m)): with separate receivers every step of the
-// accumulation reuses storage, and an exponentiation allocates only its
-// result.
+// fixedBaseScratch is the working set of one exponentiation. The
+// product and the quotient get buffers of their own because math/big
+// allocates a fresh result whenever a receiver aliases an operand
+// (acc.Mul(acc, x), acc.Mod(acc, m)): with separate receivers every
+// step of the accumulation reuses storage, and an exponentiation into
+// a result that already has room allocates nothing.
 type fixedBaseScratch struct {
-	acc, prod, quo big.Int
+	prod, quo big.Int
 }
 
 // fixedBaseWindow is the digit width w. 2^w table entries per row; w=6
@@ -89,19 +89,21 @@ func newFixedBaseTable(base, mod *big.Int, maxBits int) *fixedBaseTable {
 	return t
 }
 
-// Exp returns base^e mod mod using the precomputed table. Exponents wider
-// than the table fall back to big.Int.Exp (correct, just slow); negative
-// exponents are not supported and return nil.
-func (t *fixedBaseTable) Exp(e *big.Int) *big.Int {
+// expInto sets z to base^e mod mod using the precomputed table and
+// returns it; z is the accumulator, so storage it already has is
+// reused. Exponents wider than the table fall back to big.Int.Exp
+// (correct, just slow); negative exponents are not supported and
+// return nil.
+func (t *fixedBaseTable) expInto(z, e *big.Int) *big.Int {
 	if e.Sign() < 0 {
 		return nil
 	}
 	if e.BitLen() > t.maxBits {
-		return new(big.Int).Exp(&t.tab[1], e, t.mod)
+		return z.Exp(&t.tab[1], e, t.mod)
 	}
 	s := t.scratch.Get().(*fixedBaseScratch)
 	defer t.scratch.Put(s)
-	s.acc.SetInt64(1)
+	z.SetInt64(1)
 	mask := uint((1 << t.window) - 1)
 	words := e.Bits()
 	bits := e.BitLen()
@@ -110,10 +112,10 @@ func (t *fixedBaseTable) Exp(e *big.Int) *big.Int {
 		if digit == 0 {
 			continue
 		}
-		s.prod.Mul(&s.acc, &t.tab[i<<t.window+int(digit)])
-		s.quo.QuoRem(&s.prod, t.mod, &s.acc) // operands are non-negative: the remainder is the residue
+		s.prod.Mul(z, &t.tab[i<<t.window+int(digit)])
+		s.quo.QuoRem(&s.prod, t.mod, z) // operands are non-negative: the remainder is the residue
 	}
-	return new(big.Int).Set(&s.acc)
+	return z
 }
 
 // extractWindow reads the w-bit digit (mask = 2^w − 1) of the

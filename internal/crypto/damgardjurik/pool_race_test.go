@@ -8,9 +8,10 @@ import (
 
 // pool_race_test.go is the concurrency property suite of the
 // RandomizerPool, designed to run under -race (CI does): many
-// concurrent Encrypt/Rerandomize callers racing the background refill
-// and racing Close must never panic, deadlock, produce an undecryptable
-// ciphertext, or leave a filler goroutine behind.
+// concurrent Encrypt/Rerandomize callers racing the background fill,
+// each other over the shared provision, and Close must never panic,
+// deadlock, produce an undecryptable ciphertext, or leave a filler
+// goroutine behind.
 
 func racePoolFixture(t *testing.T) (*PrivateKey, *EncContext) {
 	t.Helper()
@@ -26,14 +27,16 @@ func racePoolFixture(t *testing.T) (*PrivateKey, *EncContext) {
 }
 
 // TestRandomizerPoolConcurrentEncryptDecryptable: concurrent pooled
-// encryptions interleaved with refills stay correct — every ciphertext
-// decrypts to its plaintext.
+// encryptions interleaved with fills stay correct — every ciphertext
+// decrypts to its plaintext — and the provision shared by the workers
+// is minted exactly once.
 func TestRandomizerPoolConcurrentEncryptDecryptable(t *testing.T) {
 	sk, ec := racePoolFixture(t)
-	pool := NewRandomizerPool(ec, 8, nil)
+	pool := NewRandomizerPool(ec, 8)
 	defer pool.Close()
 
 	const workers, perWorker = 8, 40
+	pool.Provision(workers * perWorker)
 	type pair struct {
 		m  int64
 		ct *big.Int
@@ -67,9 +70,10 @@ func TestRandomizerPoolConcurrentEncryptDecryptable(t *testing.T) {
 			}
 		}
 	}
-	hits, misses := pool.Stats()
-	if hits+misses != workers*perWorker {
-		t.Fatalf("stats account %d draws, want %d", hits+misses, workers*perWorker)
+	pool.Close()
+	if minted, misses := pool.Stats(); minted != workers*perWorker || misses != 0 || len(pool.buf) != 0 {
+		t.Fatalf("%d draws against an equal provision: minted %d, misses %d, %d left buffered",
+			workers*perWorker, minted, misses, len(pool.buf))
 	}
 }
 
@@ -80,7 +84,8 @@ func TestRandomizerPoolConcurrentEncryptDecryptable(t *testing.T) {
 func TestRandomizerPoolCloseRacesEncrypters(t *testing.T) {
 	sk, ec := racePoolFixture(t)
 	for round := 0; round < 6; round++ {
-		pool := NewRandomizerPool(ec, 4, nil)
+		pool := NewRandomizerPool(ec, 4)
+		pool.Provision(6 * 25)
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for w := 0; w < 6; w++ {
@@ -116,22 +121,20 @@ func TestRandomizerPoolCloseRacesEncrypters(t *testing.T) {
 	}
 }
 
-// TestRandomizerPoolRefillCloseInterleaving hammers the refill
-// spawn/Close handshake specifically: drain-to-empty (forcing refill
+// TestRandomizerPoolRefillCloseInterleaving hammers the fill
+// spawn/Close handshake specifically: drain-to-empty (forcing fill
 // spawns) while another goroutine closes, repeatedly.
 func TestRandomizerPoolRefillCloseInterleaving(t *testing.T) {
 	_, ec := racePoolFixture(t)
 	for round := 0; round < 20; round++ {
-		pool := NewRandomizerPool(ec, 2, nil)
+		pool := NewRandomizerPool(ec, 2)
+		pool.Provision(10)
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, err := pool.Get(); err != nil {
-					t.Errorf("get: %v", err)
-					return
-				}
+				pool.Get()
 			}
 		}()
 		go func() {
@@ -141,8 +144,8 @@ func TestRandomizerPoolRefillCloseInterleaving(t *testing.T) {
 		wg.Wait()
 		// After Close has returned no filler may be running: a Get must
 		// still work (synchronously) and the pool must stay closed.
-		if _, err := pool.Get(); err != nil {
-			t.Fatalf("get after close: %v", err)
+		if pool.Get() == nil {
+			t.Fatal("get after close returned no randomizer")
 		}
 	}
 }

@@ -111,7 +111,8 @@ type Node struct {
 	poly      []*big.Int // dealing polynomial, constant term first; nil if receive-only
 	myCommits []*big.Int
 
-	deals     map[int]*Deal          // dealer id -> deal addressed to this node
+	deals     map[int]*Deal          // dealer id -> own copy of the deal addressed to this node
+	valid     map[int]bool           // dealer id -> verdict on its deal's share, once verified
 	responses map[int]*Response      // receiver index -> response
 	justs     map[int]*Justification // dealer id -> justification
 }
@@ -164,6 +165,7 @@ func NewNode(cfg Config) (*Node, error) {
 		g:         generator(cfg.PK),
 		mod:       cfg.PK.CiphertextModulus(),
 		deals:     make(map[int]*Deal, len(cfg.Dealers)),
+		valid:     make(map[int]bool, len(cfg.Dealers)),
 		responses: make(map[int]*Response, cfg.Parties),
 		justs:     make(map[int]*Justification, len(cfg.Dealers)),
 	}
@@ -231,7 +233,9 @@ func (nd *Node) Deals() []*Deal {
 // foreign deals (wrong receiver, unknown dealer, duplicate, wrong
 // commitment count) are rejected with an error; a deal whose share
 // fails verification is STORED — the complaint surfaces in Response,
-// which is the protocol path, not an ingestion failure.
+// which is the protocol path, not an ingestion failure. The node keeps
+// its own copy of the share and commitments, so the caller may reuse d
+// and the verdict always describes what is stored.
 func (nd *Node) HandleDeal(d *Deal) error {
 	if d == nil || d.Receiver != nd.cfg.Index {
 		return fmt.Errorf("%w: deal not addressed to receiver %d", ErrPhase, nd.cfg.Index)
@@ -253,15 +257,32 @@ func (nd *Node) HandleDeal(d *Deal) error {
 	if d.Share == nil {
 		return fmt.Errorf("%w: deal without share", ErrPhase)
 	}
-	nd.deals[d.Dealer] = d
+	own := &Deal{Dealer: d.Dealer, Receiver: d.Receiver, Share: new(big.Int).Set(d.Share), Commits: make([]*big.Int, len(d.Commits))}
+	for k, c := range d.Commits {
+		own.Commits[k] = new(big.Int).Set(c)
+	}
+	nd.deals[d.Dealer] = own
 	return nil
+}
+
+// shareValid reports whether the stored deal from dealer verifies
+// against its commitments. Response and Finish both ask, and verifying
+// costs one exponentiation per commitment, so it is done once.
+func (nd *Node) shareValid(dealer int, d *Deal) bool {
+	ok, done := nd.valid[dealer]
+	if !done {
+		ok = verifyShare(nd.g, nd.mod, d.Commits, nd.cfg.Index, d.Share)
+		nd.valid[dealer] = ok
+	}
+	return ok
 }
 
 // Response produces this node's broadcast verdict list: one entry per
 // expected dealer, ascending. Missing deals carry the zero digest and
 // a complaint; present deals carry the commitment digest and a
 // complaint iff the share fails verification. The own response is
-// recorded so Finish sees the same broadcast set as every peer.
+// recorded so Finish sees the same broadcast set as every peer, and
+// each verdict is kept so Finish does not verify the share again.
 func (nd *Node) Response() *Response {
 	r := &Response{From: nd.cfg.Index, Verdicts: make([]DealerVerdict, len(nd.cfg.Dealers))}
 	for i, dealer := range nd.cfg.Dealers {
@@ -271,7 +292,7 @@ func (nd *Node) Response() *Response {
 			v.Complaint = true
 		} else {
 			v.Digest = commitDigest(d.Commits)
-			v.Complaint = !verifyShare(nd.g, nd.mod, d.Commits, nd.cfg.Index, d.Share)
+			v.Complaint = !nd.shareValid(dealer, d)
 		}
 		r.Verdicts[i] = v
 	}
@@ -504,8 +525,7 @@ func (nd *Node) dealerShare(dealer int, agreed [32]byte) (*big.Int, bool) {
 		}
 	}
 
-	if d, ok := nd.deals[dealer]; ok && commitDigest(d.Commits) == agreed &&
-		verifyShare(nd.g, nd.mod, d.Commits, nd.cfg.Index, d.Share) {
+	if d, ok := nd.deals[dealer]; ok && commitDigest(d.Commits) == agreed && nd.shareValid(dealer, d) {
 		return d.Share, true
 	}
 	// Own deal was bad, missing, or equivocated-away: adopt the

@@ -455,3 +455,134 @@ func TestJustificationRehabilitates(t *testing.T) {
 		t.Fatalf("decrypted %v, want %v", got, m)
 	}
 }
+
+// handDrive runs a fresh four-party, threshold-two ceremony over the
+// fixture primes by driving the state machines directly. tamper, when
+// set, edits each deal before its receiver handles it; after edits the
+// caller's deal once handled. Dealers in mute withhold their
+// justification. It returns every node's response and Finish outcome.
+func handDrive(t *testing.T, tamper, after func(*Deal), mute map[int]bool) ([]*Response, []*Result, []error) {
+	t.Helper()
+	p, q, err := damgardjurik.FixturePrimes(fixtureBits)
+	if err != nil {
+		t.Fatalf("fixture primes: %v", err)
+	}
+	const parties, threshold, s, seed = 4, 2, 1, 55
+	pieces, pk, err := GenesisPieces(p, q, s, parties, seed)
+	if err != nil {
+		t.Fatalf("genesis: %v", err)
+	}
+	nodes := make([]*Node, parties)
+	for j := 1; j <= parties; j++ {
+		if nodes[j-1], err = NewNode(Config{
+			PK: pk, Parties: parties, Threshold: threshold,
+			Index: j, Dealers: []int{1, 2, 3, 4}, DealerIndex: j, Secret: pieces[j-1],
+			Rand: NewDeterministicRand(fmt.Sprintf("hand-%d", j), seed),
+		}); err != nil {
+			t.Fatalf("node %d: %v", j, err)
+		}
+	}
+	for _, nd := range nodes {
+		for _, d := range nd.Deals() {
+			if tamper != nil {
+				tamper(d)
+			}
+			if err := nodes[d.Receiver-1].HandleDeal(d); err != nil {
+				t.Fatalf("deal: %v", err)
+			}
+			if after != nil {
+				after(d)
+			}
+		}
+	}
+	responses := make([]*Response, parties)
+	for i, nd := range nodes {
+		responses[i] = nd.Response()
+		for _, peer := range nodes {
+			if peer != nd {
+				if err := peer.HandleResponse(responses[i]); err != nil {
+					t.Fatalf("response: %v", err)
+				}
+			}
+		}
+	}
+	for _, nd := range nodes {
+		if mute[nd.cfg.DealerIndex] {
+			continue
+		}
+		j, err := nd.Justification()
+		if err != nil {
+			t.Fatalf("justification: %v", err)
+		}
+		for _, peer := range nodes {
+			if err := peer.HandleJustification(j); err != nil {
+				t.Fatalf("handle justification: %v", err)
+			}
+		}
+	}
+	results := make([]*Result, parties)
+	errs := make([]error, parties)
+	for i, nd := range nodes {
+		results[i], errs[i] = nd.Finish()
+	}
+	return responses, results, errs
+}
+
+// TestBadDealComplainedAndDisqualified: a share that fails verification
+// draws its receiver's complaint in Response, and — its dealer not
+// justifying — every node's Finish disqualifies that dealer, with the
+// verdict Response recorded.
+func TestBadDealComplainedAndDisqualified(t *testing.T) {
+	misdeal := func(d *Deal) {
+		if d.Dealer == 2 && d.Receiver == 3 {
+			d.Share.Add(d.Share, big.NewInt(5))
+		}
+	}
+	responses, results, errs := handDrive(t, misdeal, nil, map[int]bool{2: true})
+	for i, r := range responses {
+		for _, v := range r.Verdicts {
+			if want := i+1 == 3 && v.Dealer == 2; v.Complaint != want {
+				t.Fatalf("receiver %d on dealer %d: complaint %v, want %v", i+1, v.Dealer, v.Complaint, want)
+			}
+		}
+	}
+	for i, res := range results {
+		if !errors.Is(errs[i], ErrDisqualified) || len(res.Disqualified) != 1 || res.Disqualified[0] != 2 {
+			t.Fatalf("node %d: disqualified %v (%v), want [2] and ErrDisqualified", i+1, res.Disqualified, errs[i])
+		}
+	}
+}
+
+// TestHandleDealKeepsItsOwnCopy: mutating the caller's Deal after
+// HandleDeal changes neither the Response verdicts nor Finish's
+// result — the node verifies and keeps what it was handed.
+func TestHandleDealKeepsItsOwnCopy(t *testing.T) {
+	_, want, errs := handDrive(t, nil, nil, nil)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("control node %d: %v", i+1, err)
+		}
+	}
+	scribble := func(d *Deal) {
+		d.Share.Add(d.Share, big.NewInt(1))
+		for _, c := range d.Commits {
+			c.SetInt64(2)
+		}
+	}
+	responses, got, errs := handDrive(t, nil, scribble, nil)
+	for i, r := range responses {
+		for _, v := range r.Verdicts {
+			if v.Complaint {
+				t.Fatalf("receiver %d complained about dealer %d after the caller scribbled on a handled deal", i+1, v.Dealer)
+			}
+		}
+	}
+	for i := range want {
+		if errs[i] != nil {
+			t.Fatalf("node %d: %v", i+1, errs[i])
+		}
+		if got[i].Share.Value.Cmp(want[i].Share.Value) != 0 || !equalInts(got[i].Qualified, want[i].Qualified) {
+			t.Fatalf("node %d: share or qualified set differs from the untouched ceremony's", i+1)
+		}
+	}
+}
