@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"chiaroscuro/internal/core"
@@ -91,15 +92,14 @@ type Config struct {
 	DecryptThreshold int
 	// Backend selects BackendAccounted (default) or BackendDamgardJurik.
 	Backend Backend
-	// Engine selects the execution engine:
+	// Engine only picks the worker count of the one cycle-driven,
+	// Peersim-like simulator (deterministic given Seed):
 	//
-	//   - "cycles" (default): the Peersim-like cycle-driven simulator,
-	//     one sequential pass per cycle. Deterministic given Seed.
-	//   - "sharded": the same cycle-driven simulation executed by
-	//     Workers shard workers per cycle with a deterministic
-	//     reduction. Bit-identical to "cycles" at any worker count, and
-	//     the engine of choice for large populations: wall-clock divides
-	//     by the available cores.
+	//   - "cycles" (default): one worker, a sequential pass per cycle.
+	//   - "sharded": Workers shard workers per cycle with a
+	//     deterministic reduction — bit-identical to "cycles" at any
+	//     worker count, and the choice for large populations:
+	//     wall-clock divides by the available cores.
 	//
 	// The real deployment, one process per participant over TCP, is the
 	// chiaroscurod daemon, not an engine here; it discloses the same
@@ -318,15 +318,7 @@ func Cluster(series [][]float64, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	var trace *core.Trace
-	switch cfg.Engine {
-	case "", "cycles":
-		trace, err = core.Run(series, params)
-	case "sharded":
-		trace, err = core.RunSharded(series, params)
-	default:
-		return nil, fmt.Errorf("chiaroscuro: unknown engine %q (want cycles or sharded)", cfg.Engine)
-	}
+	trace, err := core.Run(series, params)
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +414,8 @@ func (cfg Config) toParams() (core.Params, error) {
 
 // baseParams maps the protocol-shape part of Config — everything shared
 // by the one-shot and streaming paths — onto core.Params, leaving the
-// budget (Epsilon) to the caller.
+// budget (Epsilon) to the caller. It is the one place Config.Engine is
+// resolved: to the Workers of core.Params.
 func (cfg Config) baseParams() (core.Params, error) {
 	var p core.Params
 	if cfg.K < 1 {
@@ -464,6 +457,17 @@ func (cfg Config) baseParams() (core.Params, error) {
 			return p, fmt.Errorf("chiaroscuro: Config.Faults: %w", err)
 		}
 	}
+	workers := 1
+	switch cfg.Engine {
+	case "", "cycles":
+	case "sharded":
+		workers = cfg.Workers
+		if workers == 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+	default:
+		return p, fmt.Errorf("chiaroscuro: unknown engine %q (want cycles or sharded)", cfg.Engine)
+	}
 	return core.Params{
 		K:                    cfg.K,
 		Iterations:           cfg.Iterations,
@@ -479,7 +483,7 @@ func (cfg Config) baseParams() (core.Params, error) {
 		InertiaStopThreshold: cfg.InertiaStopThreshold,
 		InitialCentroids:     cfg.InitialCentroids,
 		Seed:                 cfg.Seed,
-		Workers:              cfg.Workers,
+		Workers:              workers,
 		MaxValue:             1,
 		ChurnCrashProb:       cfg.ChurnCrashProb,
 		ChurnRejoinProb:      cfg.ChurnRejoinProb,

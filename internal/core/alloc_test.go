@@ -73,16 +73,11 @@ func TestGossipCycleZeroAlloc(t *testing.T) {
 			data := allocTestData(t, tc.n)
 			p := allocTestParams(tc.warm + tc.measure + 8)
 			p.Backend, p.ModulusBits = tc.backend, tc.bits
-			rs, err := prepareRun(data, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rs.close()
-			if !rs.shared.parityEmits {
+			r := openTestRun(t, data, p)
+			if !r.parityEmits {
 				t.Fatal("a fault-free cycle-driven run must emit into parity buffers")
 			}
-			rs.shared.batchHint = tc.n
-			d, err := newCycleDriver(data, rs, 1, len(data))
+			d, err := newCycleDriver(r, len(data))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,12 +89,12 @@ func TestGossipCycleZeroAlloc(t *testing.T) {
 					t.Fatalf("participant %d not in gossip phase after warm-up", pt.id)
 				}
 			}
-			before := rs.suite.Counts().Refreshes
+			before := r.suite.Counts().Refreshes
 			allocs := testing.AllocsPerRun(tc.measure, func() {
 				d.nw.RunCycle()
 			})
 			// AllocsPerRun runs the cycle once more than it measures.
-			perCycle := float64(rs.suite.Counts().Refreshes-before) / float64(tc.measure+1)
+			perCycle := float64(r.suite.Counts().Refreshes-before) / float64(tc.measure+1)
 			t.Logf("%.2f heap objects per cycle, %.0f refreshes per cycle", allocs, perCycle)
 			if ceiling := tc.allocsPerRefresh * perCycle; allocs > ceiling && !(raceEnabled && tc.backend == BackendDamgardJurik) {
 				t.Fatalf("steady-state gossip cycle allocates %.2f heap objects (network-wide, n=%d), ceiling %.0f", allocs, tc.n, ceiling)
@@ -225,14 +220,9 @@ func TestHotPathGateMatrix(t *testing.T) {
 	} {
 		p := base
 		tc.mutate(&p)
-		rs, err := prepareRun(data, p)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got := rs.shared.parityEmits; got != tc.parity {
+		if got := openTestRun(t, data, p).parityEmits; got != tc.parity {
 			t.Errorf("%s: parity emission buffers = %v, want %v", tc.name, got, tc.parity)
 		}
-		rs.close()
 		tr, err := Run(data, p)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -23,6 +23,22 @@ func blobs(n, dim, nblobs int) [][]float64 {
 	return data
 }
 
+// openTestRun opens a population over data, binds one run at its
+// defaulted params and closes the population when the test ends.
+func openTestRun(t *testing.T, data [][]float64, p Params) *runShared {
+	t.Helper()
+	pop, err := openPopulation(data, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pop.close)
+	r, err := pop.bind(pop.p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestRunRecoversClustersWithWeakNoise(t *testing.T) {
 	data := blobs(300, 4, 3)
 	// Blob levels are 0.1, 0.3667, 0.6333; seed the centroids near them
@@ -278,21 +294,32 @@ func TestValidationErrors(t *testing.T) {
 		name string
 		data [][]float64
 		p    Params
+		want string // the pinned error text, when set
 	}{
-		{"too few participants", blobs(1, 3, 1), Params{K: 1, Epsilon: 1}},
-		{"k too large", good, Params{K: 21, Epsilon: 1}},
-		{"k zero", good, Params{K: 0, Epsilon: 1}},
-		{"epsilon zero", good, Params{K: 2, Epsilon: 0}},
-		{"epsilon NaN", good, Params{K: 2, Epsilon: math.NaN()}},
-		{"epsilon infinite", good, Params{K: 2, Epsilon: math.Inf(1)}},
-		{"bad churn", good, Params{K: 2, Epsilon: 1, ChurnCrashProb: 1.5}},
-		{"bad initial count", good, Params{K: 2, Epsilon: 1, InitialCentroids: [][]float64{{0, 0, 0}}}},
-		{"bad initial dim", good, Params{K: 2, Epsilon: 1, InitialCentroids: [][]float64{{0}, {0}}}},
-		{"threshold too large", good, Params{K: 2, Epsilon: 1, DecryptThreshold: 20}},
+		{"too few participants", blobs(1, 3, 1), Params{K: 1, Epsilon: 1}, ""},
+		{"k too large", good, Params{K: 21, Epsilon: 1}, ""},
+		{"k zero", good, Params{K: 0, Epsilon: 1}, ""},
+		{"epsilon zero", good, Params{K: 2, Epsilon: 0}, ""},
+		{"epsilon NaN", good, Params{K: 2, Epsilon: math.NaN()}, ""},
+		{"epsilon infinite", good, Params{K: 2, Epsilon: math.Inf(1)}, ""},
+		{"bad churn", good, Params{K: 2, Epsilon: 1, ChurnCrashProb: 1.5}, ""},
+		{"bad initial count", good, Params{K: 2, Epsilon: 1, InitialCentroids: [][]float64{{0, 0, 0}}}, ""},
+		{"bad initial dim", good, Params{K: 2, Epsilon: 1, InitialCentroids: [][]float64{{0}, {0}}}, ""},
+		{"threshold too large", good, Params{K: 2, Epsilon: 1, DecryptThreshold: 20}, ""},
+		{"negative decrypt window", good, Params{K: 2, Epsilon: 1, DecryptWindow: -1},
+			"core: decrypt window -1 < 1"},
+		{"max value infinite", good, Params{K: 2, Epsilon: 1, MaxValue: math.Inf(1)},
+			"core: max value +Inf must be positive and finite"},
+		{"max value NaN", good, Params{K: 2, Epsilon: 1, MaxValue: math.NaN()},
+			"core: max value NaN must be positive and finite"},
 	}
 	for _, tc := range cases {
-		if _, err := Run(tc.data, tc.p); err == nil {
+		_, err := Run(tc.data, tc.p)
+		switch {
+		case err == nil:
 			t.Errorf("%s: expected error", tc.name)
+		case tc.want != "" && err.Error() != tc.want:
+			t.Errorf("%s: error %q, want %q", tc.name, err, tc.want)
 		}
 	}
 }

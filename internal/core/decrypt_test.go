@@ -47,23 +47,18 @@ func (e *scriptedEnv) RandomPeer() (p2p.NodeID, bool) {
 
 var _ Env = (*scriptedEnv)(nil)
 
-func decryptTestParticipant(t *testing.T, n int) (*runSetup, *participant) {
+func decryptTestParticipant(t *testing.T, n int) (*runShared, *participant) {
 	t.Helper()
-	data := blobs(n, 2, 2)
-	rs, err := prepareRun(data, Params{
+	r := openTestRun(t, blobs(n, 2, 2), Params{
 		K: 2, Epsilon: 50, Iterations: 1, Seed: 1,
 		GossipRounds: 4, DecryptThreshold: 3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rs.close)
-	pt := rs.newParticipant(0)
+	pt := r.newParticipant(0)
 	// The request window's state, as stepGossip leaves it on entry to
 	// the decrypt phase.
 	pt.asked = make(map[p2p.NodeID]bool)
 	pt.outstanding = make(map[p2p.NodeID]int)
-	return rs, pt
+	return r, pt
 }
 
 // TestTopUpAsksRedrawsPastAskedPeers is the satellite-1 regression: a
@@ -149,12 +144,12 @@ func TestTopUpAsksWindowDiscipline(t *testing.T) {
 // without recomputing the per-cipher partial decryptions, and anything
 // else misses.
 func TestServeDecryptMemoizesPartials(t *testing.T) {
-	rs, pt := decryptTestParticipant(t, 12)
-	c1, err := rs.suite.Encrypt(big.NewInt(5))
+	r, pt := decryptTestParticipant(t, 12)
+	c1, err := r.suite.Encrypt(big.NewInt(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := rs.suite.Encrypt(big.NewInt(9))
+	c2, err := r.suite.Encrypt(big.NewInt(9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,57 +7,52 @@ import (
 	"chiaroscuro/internal/simnet"
 )
 
-// engine.go is the per-cycle step API shared by the execution engines.
-// The protocol itself lives in participant.step (one activation against
-// any Env); what distinguishes the engines is only the scheduler that
-// drives those steps:
-//
-//   - Run        — the cycle-driven simulator, one sequential pass per
-//     cycle (Peersim semantics; deterministic);
-//   - RunSharded — the same cycle-driven simulation executed by P shard
-//     workers per cycle with a deterministic reduction
-//     (bit-identical to Run at any worker count; see
-//     sharded.go and the internal/p2p determinism contract).
+// engine.go drives the cycle-driven simulator. The protocol itself
+// lives in participant.step (one activation against any Env); the
+// simulator steps every participant once per cycle on the internal/p2p
+// network, sequentially or across Params.Workers shard workers with a
+// deterministic reduction — bit-identical at any worker count (see Run
+// and the internal/p2p determinism contract).
 //
 // The real deployment, one process per participant over TCP, is the
 // networked daemon (internal/transport): it steps one Node per process
 // against its own Env and discloses the same trajectory.
 //
-// cycleDriver is the shared harness for both schedulers: it owns the
-// simulated network, steps it until every alive participant has
-// terminated, and assembles the trace.
+// cycleDriver owns the simulated network of one bound run, steps it
+// until every alive participant has terminated, and assembles the
+// trace.
 type cycleDriver struct {
-	rs           *runSetup
-	data         [][]float64
+	shared       *runShared
 	nw           *p2p.Network
 	participants []*participant
 }
 
 // newCycleDriver builds the simulated network around one participant per
-// series. workers selects the p2p scheduler: 1 for the sequential
-// engine, >1 for the sharded engine. queueHint, when positive,
-// preallocates the per-node message queues (allocation-measurement
-// harnesses only; ordinary runs pass 0).
-func newCycleDriver(data [][]float64, rs *runSetup, workers, queueHint int) (*cycleDriver, error) {
-	n := len(data)
+// series of the bound run, scheduled on r.params.Workers shard workers.
+// hint, when positive, preallocates the per-node message queues and
+// every participant's batch scratch for that many messages
+// (allocation-measurement harnesses only; ordinary runs pass 0).
+func newCycleDriver(r *runShared, hint int) (*cycleDriver, error) {
+	n := r.population
+	r.batchHint = hint
 	participants := make([]*participant, n)
 	factory := func(id p2p.NodeID) p2p.Protocol {
-		pt := rs.newParticipant(id)
+		pt := r.newParticipant(id)
 		participants[id] = pt
 		return pt
 	}
 	opts := p2p.Options{
-		Seed:      rs.p.Seed + 1,
-		Workers:   workers,
-		QueueHint: queueHint,
+		Seed:      r.params.Seed + 1,
+		Workers:   r.params.Workers,
+		QueueHint: hint,
 		Churn: p2p.ChurnModel{
-			CrashProb:     rs.p.ChurnCrashProb,
-			RejoinProb:    rs.p.ChurnRejoinProb,
-			ResetOnRejoin: rs.p.ChurnResetOnRejoin,
+			CrashProb:     r.params.ChurnCrashProb,
+			RejoinProb:    r.params.ChurnRejoinProb,
+			ResetOnRejoin: r.params.ChurnResetOnRejoin,
 		},
 	}
 	var err error
-	opts.Conditioner, opts.Faults, err = bindFaults(rs.p, n)
+	opts.Conditioner, opts.Faults, err = bindFaults(r.params, n)
 	if err != nil {
 		return nil, err
 	}
@@ -65,8 +60,8 @@ func newCycleDriver(data [][]float64, rs *runSetup, workers, queueHint int) (*cy
 	if err != nil {
 		return nil, err
 	}
-	rs.provision(n)
-	return &cycleDriver{rs: rs, data: data, nw: nw, participants: participants}, nil
+	r.provision(n)
+	return &cycleDriver{shared: r, nw: nw, participants: participants}, nil
 }
 
 // faultSeedOffset derives the fault-hash seed from the run seed (the
@@ -113,7 +108,7 @@ type PhaseProfile struct {
 // run steps the network cycle by cycle until every alive participant has
 // terminated (or the cycle bound is hit), then builds the trace.
 func (d *cycleDriver) run() (*Trace, error) {
-	limit := d.rs.p.maxCycles()
+	limit := d.shared.params.maxCycles()
 	var prof PhaseProfile
 	for cycle := 0; cycle < limit; cycle++ {
 		ph := d.dominantPhase()
@@ -135,7 +130,7 @@ func (d *cycleDriver) run() (*Trace, error) {
 			break
 		}
 	}
-	tr, err := buildTrace(d.data, d.rs.p, d.participants, d.nw.Cycle(), d.nw.Stats(), d.rs.suite)
+	tr, err := buildTrace(d.shared.series.Rows(), d.shared.params, d.participants, d.nw.Cycle(), d.nw.Stats(), d.shared.suite)
 	if err != nil {
 		return nil, err
 	}

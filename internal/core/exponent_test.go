@@ -93,7 +93,7 @@ type oracleFlight struct {
 	eager *oracleState
 }
 
-// oracleHarness is a population of oracleNodes over one run setup.
+// oracleHarness is a population of oracleNodes over one bound run.
 type oracleHarness struct {
 	t     *testing.T
 	r     *runShared
@@ -109,17 +109,13 @@ func newOracleHarness(t *testing.T, cfg oracleConfig, seed int64) *oracleHarness
 	// 4 late synchronizations can mint a fresh contribution while the
 	// abandoned one still circulates without breaching the headroom the
 	// run was validated for.
-	rs, err := prepareRun(blobs(8, 3, 2), cfg.params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rs.close)
+	r := openTestRun(t, blobs(8, 3, 2), cfg.params)
 	if cfg.perCoord {
-		swapPerCoordinate(t, rs.shared)
+		swapPerCoordinate(t, r)
 	}
-	h := &oracleHarness{t: t, r: rs.shared, rng: rand.New(rand.NewSource(seed)), held: make([][]oracleFlight, 4)}
+	h := &oracleHarness{t: t, r: r, rng: rand.New(rand.NewSource(seed)), held: make([][]oracleFlight, 4)}
 	for i := 0; i < 4; i++ {
-		n := &oracleNode{pt: rs.newParticipant(p2p.NodeID(i))}
+		n := &oracleNode{pt: r.newParticipant(p2p.NodeID(i))}
 		h.contribute(n)
 		h.nodes = append(h.nodes, n)
 	}
@@ -383,20 +379,16 @@ func TestHalvingBudgetBoundary(t *testing.T) {
 
 // budgetParticipant is a participant mid-gossip whose push-sum state
 // has been halved h times.
-func budgetParticipant(t *testing.T, params Params, h uint) (*runSetup, *participant, *scriptedEnv) {
+func budgetParticipant(t *testing.T, params Params, h uint) (*runShared, *participant, *scriptedEnv) {
 	t.Helper()
-	rs, err := prepareRun(blobs(8, 3, 2), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rs.close)
-	pt := rs.newParticipant(0)
+	r := openTestRun(t, blobs(8, 3, 2), params)
+	pt := r.newParticipant(0)
 	env := &scriptedEnv{id: 0, n: 8, peers: []p2p.NodeID{1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5, 6, 7}}
 	pt.stepAssign(env)
 	for pt.diptych.Means.H < h {
 		pt.diptych.Means.Emit()
 	}
-	return rs, pt, env
+	return r, pt, env
 }
 
 // TestHalvingBudgetFailsTheIteration drives the participant state
@@ -405,8 +397,7 @@ func budgetParticipant(t *testing.T, params Params, h uint) (*runSetup, *partici
 func TestHalvingBudgetFailsTheIteration(t *testing.T) {
 	params := Params{K: 2, Epsilon: 100, Iterations: 2, Seed: 3, GossipRounds: 6, DecryptThreshold: 3}
 	for _, over := range []uint{0, 1} {
-		rs, pt, env := budgetParticipant(t, params, 0)
-		r := rs.shared
+		r, pt, env := budgetParticipant(t, params, 0)
 		for pt.diptych.Means.H < r.preScale+over {
 			pt.diptych.Means.Emit()
 		}
@@ -455,8 +446,8 @@ func TestHalvingBudgetFailsTheIteration(t *testing.T) {
 // gate rejects it.
 func TestHalvingBudgetGuards(t *testing.T) {
 	params := Params{K: 2, Epsilon: 100, Iterations: 2, Seed: 3, GossipRounds: 6, DecryptThreshold: 3}
-	rs, pt, env := budgetParticipant(t, params, 0)
-	T := rs.shared.preScale
+	r, pt, env := budgetParticipant(t, params, 0)
+	T := r.preScale
 
 	// Sender: at T−1 it still emits (to exactly T), at T it does not.
 	for pt.diptych.Means.H < T-1 {

@@ -183,7 +183,7 @@ func TestFaultScenariosBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		p := base
 		p.Workers = workers
-		sh, err := RunSharded(data, p)
+		sh, err := Run(data, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestFaultsComposeWithChurnDeterministically(t *testing.T) {
 	}
 	p := base
 	p.Workers = 5
-	sh, err := RunSharded(data, p)
+	sh, err := Run(data, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestByzantineRealCrypto(t *testing.T) {
 	// (ciphertexts differ run to run, decoded plaintexts must not).
 	sh := p
 	sh.Workers = 4
-	tr2, err := RunSharded(data, sh)
+	tr2, err := Run(data, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,29 +353,26 @@ func TestFaultPlanEmissionsStayAsSent(t *testing.T) {
 			Backend: BackendDamgardJurik, ModulusBits: 256},
 	} {
 		p.Faults = mustPlan(t, "delay=0.5x3;replay=2")
-		rs, err := prepareRun(data, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := openTestRun(t, data, p)
 		late := 0
 		sent := map[*gossipPayload][]*big.Int{}
 		at := map[*gossipPayload]int{}
 		participants := make([]*participant, len(data))
-		opts := p2p.Options{Seed: rs.p.Seed + 1, Workers: 1}
-		if opts.Conditioner, opts.Faults, err = bindFaults(rs.p, len(data)); err != nil {
+		opts := p2p.Options{Seed: r.params.Seed + 1, Workers: 1}
+		var err error
+		if opts.Conditioner, opts.Faults, err = bindFaults(r.params, len(data)); err != nil {
 			t.Fatal(err)
 		}
 		nw, err := p2p.New(len(data), func(id p2p.NodeID) p2p.Protocol {
-			participants[id] = rs.newParticipant(id)
+			participants[id] = r.newParticipant(id)
 			return &sentRecorder{pt: participants[id], sent: sent, late: &late, at: at, t: t}
 		}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for c := 0; c < 2*p.Iterations*(3+p.GossipRounds+rs.p.DecryptWindow); c++ {
+		for c := 0; c < 2*p.Iterations*(3+p.GossipRounds+r.params.DecryptWindow); c++ {
 			nw.RunCycle()
 		}
-		rs.close()
 		replayed := participants[2].replayPayload
 		if late == 0 || replayed == nil || len(sent) < 2*len(data) {
 			t.Fatalf("%s: the plan exercised too little (%d late deliveries, replay captured: %v, %d payloads)",

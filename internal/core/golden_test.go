@@ -111,7 +111,7 @@ func TestGoldenTrajectories(t *testing.T) {
 		}
 		shParams := cfg.params
 		shParams.Workers = 5
-		sh, err := RunSharded(cfg.data, shParams)
+		sh, err := Run(cfg.data, shParams)
 		if err != nil {
 			t.Fatalf("%s sharded: %v", cfg.name, err)
 		}

@@ -153,7 +153,7 @@ func (nd *Node) EncodePayload(payload any) ([]byte, error) {
 // that reuses its buffer encodes without allocating. On error dst comes
 // back unextended.
 func (nd *Node) AppendPayload(dst []byte, payload any) ([]byte, error) {
-	s := nd.rs.suite
+	s := nd.pop.suite
 	var (
 		buf []byte
 		err error
@@ -295,7 +295,7 @@ func (nd *Node) DecodePayload(buf []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := nd.rs.suite.UnmarshalCipherVectorInto(cs, cv); err != nil {
+		if err := nd.pop.suite.UnmarshalCipherVectorInto(cs, cv); err != nil {
 			if lent {
 				nd.freeSlabs = append(nd.freeSlabs, cs)
 			}
@@ -314,11 +314,11 @@ func (nd *Node) DecodePayload(buf []byte) (any, error) {
 		if err := fr.Done(); err != nil {
 			return nil, err
 		}
-		cs, err := nd.rs.suite.NewCipherVector(r.sideCiphers)
+		cs, err := nd.pop.suite.NewCipherVector(r.sideCiphers)
 		if err != nil {
 			return nil, err
 		}
-		if err := nd.rs.suite.UnmarshalCipherVectorInto(cs, cv); err != nil {
+		if err := nd.pop.suite.UnmarshalCipherVectorInto(cs, cv); err != nil {
 			return nil, fmt.Errorf("core: decrypt request: %w", err)
 		}
 		return &decryptRequest{Iter: iter, Ciphers: cs}, nil
@@ -338,7 +338,7 @@ func (nd *Node) DecodePayload(buf []byte) (any, error) {
 		if err := fr.Done(); err != nil {
 			return nil, err
 		}
-		ps, err := nd.rs.suite.UnmarshalPartialValues(idx, pv)
+		ps, err := nd.pop.suite.UnmarshalPartialValues(idx, pv)
 		if err != nil {
 			return nil, err
 		}

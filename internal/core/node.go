@@ -11,18 +11,18 @@ import (
 
 // Node is one Chiaroscuro participant packaged for an external
 // execution environment — the seam the networked daemon
-// (internal/transport) drives. Every daemon process constructs the
-// identical runSetup from the shared (data, params) configuration and
-// then steps only its own participant; the transport's epoch clock
-// supplies the Env. Because the participant logic, the RNG derivation
-// and the peer sampler are byte-for-byte the ones the in-process
-// engines use, a fault-free networked run discloses the exact
-// trajectory the sequential engine discloses at the same seed — the
-// property the conformance harness asserts.
+// (internal/transport) drives. Every daemon process opens the identical
+// population and binds the identical run from the shared (data, params)
+// configuration, then steps only its own participant; the transport's
+// epoch clock supplies the Env. Because the participant logic, the RNG
+// derivation and the peer sampler are byte-for-byte the ones the
+// in-process simulator uses, a fault-free networked run discloses the
+// exact trajectory the sequential engine discloses at the same seed —
+// the property the conformance harness asserts.
 type Node struct {
-	rs *runSetup
-	pt *participant
-	fp uint64 // Fingerprint, digested once: every snapshot carries it
+	pop *population // opened by NewNode, closed by Close
+	pt  *participant
+	fp  uint64 // Fingerprint, digested once: every snapshot carries it
 
 	snapKeys []int // AppendSnapshot's scratch for a set's sorted keys
 
@@ -66,17 +66,22 @@ func NewNode(data [][]float64, params Params, id int) (*Node, error) {
 		return nil, fmt.Errorf("core: gossip rounds %d need a halving budget of %d, networked runs carry at most %d",
 			d.GossipRounds, d.preScaleBits(), math.MaxUint8)
 	}
-	rs, err := prepareRun(data, params)
+	pop, err := openPopulation(data, params)
 	if err != nil {
 		return nil, err
 	}
-	nd := &Node{rs: rs, pt: rs.newParticipant(p2p.NodeID(id))}
-	nd.fp = fingerprint(rs.p, nd.pt.run.population, nd.pt.run.dim, rs.initial)
-	if nd.vecHead, nd.vecWidth, err = vectorShape(rs.suite); err != nil {
-		rs.close()
+	r, err := pop.bind(pop.p)
+	if err != nil {
+		pop.close()
 		return nil, err
 	}
-	rs.provision(1)
+	nd := &Node{pop: pop, pt: r.newParticipant(p2p.NodeID(id))}
+	nd.fp = fingerprint(r.params, r.population, r.dim, r.initial)
+	if nd.vecHead, nd.vecWidth, err = vectorShape(r.suite); err != nil {
+		pop.close()
+		return nil, err
+	}
+	r.provision(1)
 	return nd, nil
 }
 
@@ -112,13 +117,13 @@ func (nd *Node) History() []IterationResult { return nd.pt.history }
 // MaxCycles returns the engine's cycle bound for this configuration:
 // the networked run uses the same bound as the simulation, so a wedged
 // mesh terminates instead of spinning.
-func (nd *Node) MaxCycles() int { return nd.rs.p.maxCycles() }
+func (nd *Node) MaxCycles() int { return nd.pop.p.maxCycles() }
 
 // SamplingSeed returns the seed the peer sampler must use: the
 // simulation engine seeds its network at Params.Seed+1, so the
 // transport's p2p.NewSampler(SamplingSeed(), id, n) reproduces the
 // engine's per-node draw streams.
-func (nd *Node) SamplingSeed() int64 { return nd.rs.p.Seed + 1 }
+func (nd *Node) SamplingSeed() int64 { return nd.pop.p.Seed + 1 }
 
 // Fingerprint digests the run configuration every process must agree
 // on — defaulted parameters, population and dimensionality — so the
@@ -152,29 +157,39 @@ func fingerprint(p Params, population, dim int, initial [][]float64) uint64 {
 // still keyless — and the digest is guaranteed equal to the one the
 // Node built from the same configuration reports afterwards.
 func ConfigFingerprint(data [][]float64, params Params) (uint64, error) {
-	n := len(data)
-	if n < 2 {
-		return 0, errors.New("core: need at least 2 participants")
-	}
-	dim := len(data[0])
-	p := params.withDefaults(n)
-	if err := p.validate(n, dim); err != nil {
+	p, err := checkPopulation(data, params)
+	if err != nil {
 		return 0, err
 	}
-	return fingerprint(p, n, dim, initialCentroids(p, dim)), nil
+	dim := len(data[0])
+	return fingerprint(p, len(data), dim, initialCentroids(p, dim)), nil
 }
 
 // Close releases suite-held resources.
-func (nd *Node) Close() { nd.rs.close() }
+func (nd *Node) Close() { nd.pop.close() }
 
-// RunSequentialHistories runs the sequential reference engine and
-// returns, alongside the trace, every participant's private
-// per-iteration history. The conformance harness needs the
+// RunSequentialHistories runs the reference engine — Run, sequential
+// at the default Params.Workers; any worker count discloses the same
+// histories — and returns, alongside the trace, every participant's
+// private per-iteration history. The conformance harness needs the
 // per-participant view (assignments, displacement readings and
 // completion cycles differ node by node) — the Trace only carries the
 // population-level disclosure.
 func RunSequentialHistories(data [][]float64, params Params) (*Trace, [][]IterationResult, error) {
-	d, trace, err := runCycles(data, params, 1)
+	pop, err := openPopulation(data, params)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer pop.close()
+	r, err := pop.bind(pop.p)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, err := newCycleDriver(r, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	trace, err := d.run()
 	if err != nil {
 		return nil, nil, err
 	}

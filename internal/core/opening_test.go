@@ -70,13 +70,9 @@ func slotWidth(t *testing.T, l *fixedpoint.SlotLayout) uint {
 
 // setup prepares the case's run and, if asked, swaps in its layout; it
 // returns the run and its slot width.
-func (tc openingCase) setup(t *testing.T) (*runSetup, uint) {
+func (tc openingCase) setup(t *testing.T) (*runShared, uint) {
 	t.Helper()
-	rs, err := prepareRun(tc.data, tc.params)
-	if err != nil {
-		t.Fatalf("%s: %v", tc.name, err)
-	}
-	r := rs.shared
+	r := openTestRun(t, tc.data, tc.params)
 	if tc.width > 0 {
 		l, err := fixedpoint.NewSlotLayout(tc.plainBits, tc.width-2, 1)
 		if err != nil {
@@ -88,9 +84,9 @@ func (tc openingCase) setup(t *testing.T) (*runSetup, uint) {
 		t.Fatalf("%s: layout of %d slots, want %d", tc.name, r.layout.Slots(), tc.slots)
 	}
 	if tc.width > 0 {
-		return rs, tc.width
+		return r, tc.width
 	}
-	return rs, slotWidth(t, r.layout)
+	return r, slotWidth(t, r.layout)
 }
 
 // summands splits each step-2c sum ys[j] into a mean and a noise share,
@@ -213,9 +209,7 @@ func perCoordinate(t *testing.T, r *runShared, ys []*big.Int) []*big.Int {
 func TestOpeningMatchesPerCoordinate(t *testing.T) {
 	for _, tc := range openingCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			rs, width := tc.setup(t)
-			defer rs.close()
-			r := rs.shared
+			r, width := tc.setup(t)
 			edge := new(big.Int).Lsh(big.NewInt(1), width-3)
 			const w = 0.75
 			for pattern := 0; pattern < 3; pattern++ {
@@ -272,9 +266,7 @@ func TestOpeningMatchesPerCoordinate(t *testing.T) {
 func TestOpeningOutOfBudgetFails(t *testing.T) {
 	for _, tc := range openingCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			rs, width := tc.setup(t)
-			defer rs.close()
-			r := rs.shared
+			r, width := tc.setup(t)
 			ys := make([]*big.Int, r.sideLen)
 			for j := range ys {
 				ys[j] = big.NewInt(int64(j) - 5)
@@ -302,9 +294,7 @@ func TestOpeningRefusesInflatedWeight(t *testing.T) {
 			continue // a one-slot plaintext has no neighbour to carry into
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			rs, width := tc.setup(t)
-			defer rs.close()
-			r := rs.shared
+			r, width := tc.setup(t)
 			ys := make([]*big.Int, r.sideLen)
 			for j := range ys {
 				ys[j] = big.NewInt(int64(j) - 5)

@@ -40,16 +40,12 @@ func swapPerCoordinate(t *testing.T, r *runShared) {
 // shard workers, per coordinate if asked (swapPerCoordinate).
 func layoutRun(t *testing.T, data [][]float64, p Params, workers int, perCoord bool) (*Trace, []*participant, int) {
 	t.Helper()
-	rs, err := prepareRun(data, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.close()
-	r := rs.shared
+	p.Workers = workers
+	r := openTestRun(t, data, p)
 	if perCoord {
 		swapPerCoordinate(t, r)
 	}
-	d, err := newCycleDriver(data, rs, workers, 0)
+	d, err := newCycleDriver(r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +81,7 @@ func TestPackedPlainBitIdenticalToUnpacked(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		sp := p
 		sp.Workers = workers
-		sh, err := RunSharded(data, sp)
+		sh, err := Run(data, sp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,9 +111,10 @@ type Params struct {
 	// Seed drives every random choice (simulation, noise, init).
 	Seed int64
 
-	// Workers is the shard-worker count of RunSharded (ignored by Run).
-	// 0 defaults to GOMAXPROCS. Any value produces bit-identical
-	// results; Workers only trades wall-clock for cores.
+	// Workers picks the cycle-driven scheduler: 0 or 1 activates the
+	// participants one after another each cycle, a larger value across
+	// that many shard workers (see Run). Any value produces
+	// bit-identical results; Workers only trades wall-clock for cores.
 	// The effective count is capped at the population size and at
 	// max(64, 4·GOMAXPROCS) (see internal/p2p).
 	Workers int
@@ -160,11 +161,11 @@ type Params struct {
 	DKG bool
 
 	// DJMaterial supplies pre-computed key-ceremony output instead of
-	// running a ceremony (or a dealer) inside prepareRun — the networked
-	// daemon path: internal/transport runs the wire ceremony before the
-	// first epoch and hands each process material holding only its own
-	// share. Requires BackendDamgardJurik; Parties/Threshold must match
-	// the run's population and DecryptThreshold.
+	// running a ceremony (or a dealer) when the population opens — the
+	// networked daemon path: internal/transport runs the wire ceremony
+	// before the first epoch and hands each process material holding
+	// only its own share. Requires BackendDamgardJurik; Parties/Threshold
+	// must match the run's population and DecryptThreshold.
 	DJMaterial *DJKeyMaterial
 }
 
@@ -260,8 +261,14 @@ func (p Params) validate(n, dim int) error {
 	if p.DecryptThreshold < 1 || p.DecryptThreshold >= n {
 		return fmt.Errorf("core: decrypt threshold %d outside [1, %d)", p.DecryptThreshold, n)
 	}
-	if p.MaxValue <= 0 {
-		return fmt.Errorf("core: max value %v must be positive", p.MaxValue)
+	if p.DecryptWindow < 1 {
+		return fmt.Errorf("core: decrypt window %d < 1", p.DecryptWindow)
+	}
+	if !(p.MaxValue > 0) || math.IsInf(p.MaxValue, 0) {
+		return fmt.Errorf("core: max value %v must be positive and finite", p.MaxValue)
+	}
+	if p.Workers < 0 {
+		return fmt.Errorf("core: worker count %d must be non-negative", p.Workers)
 	}
 	if p.InitialCentroids != nil {
 		if len(p.InitialCentroids) != p.K {
@@ -392,7 +399,7 @@ func slotLayout(plainBits, n int, bound, noiseBound float64, fracBits, preScale 
 // plaintext space of plainBits usable bits, for a population of n
 // participants with series of the given dimension — the packing factor,
 // exported for the cost projections (internal/costmodel, experiment E5).
-// prepareRun derives the actual layout from the identical rule.
+// population.bind derives the actual layout from the identical rule.
 func PackedSlots(plainBits, n, dim int, params Params) (int, error) {
 	p, coordBound, noiseBound, err := envelope(n, dim, params)
 	if err != nil {
@@ -406,8 +413,8 @@ func PackedSlots(plainBits, n, dim int, params Params) (int, error) {
 }
 
 // envelope defaults and validates params for n participants with series
-// of the given dimension, and derives the magnitude bounds prepareRun
-// sizes its layout from.
+// of the given dimension, and derives the magnitude bounds
+// population.bind sizes its layout from.
 func envelope(n, dim int, params Params) (p Params, coordBound, noiseBound float64, err error) {
 	p = params.withDefaults(n)
 	if err := p.validate(n, dim); err != nil {

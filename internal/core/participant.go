@@ -88,11 +88,11 @@ type IterationResult struct {
 
 // Env is the execution environment a participant interacts with during
 // one activation. Two implementations ship: the cycle-driven
-// simulator's p2p.Context (Peersim semantics, deterministic; Run and
-// RunSharded) and the networked daemon's epochEnv (internal/transport,
-// which encodes every payload onto a supervised TCP link and discloses
-// the same trajectory). The benchmark's node driver and the snapshot
-// tests bring their own.
+// simulator's p2p.Context (Peersim semantics, deterministic; Run at any
+// Params.Workers) and the networked daemon's epochEnv
+// (internal/transport, which encodes every payload onto a supervised
+// TCP link and discloses the same trajectory). The benchmark's node
+// driver and the snapshot tests bring their own.
 type Env interface {
 	ID() p2p.NodeID
 	Cycle() int
@@ -181,11 +181,14 @@ type participant struct {
 }
 
 // runShared is configuration and services shared by all participants of
-// one run (read-only after construction, except the thread-safe suite).
+// one run (read-only after construction, except the thread-safe suite),
+// bound over an opened population (population.bind).
 type runShared struct {
 	params        Params
 	dim           int
 	population    int
+	series        *vecpool.Matrix // the population's arena; row i is participant i's series
+	initial       [][]float64     // the public iteration-1 centroids
 	suite         CipherSuite
 	ring          gossip.Ring[Cipher]
 	codec         *fixedpoint.Codec
@@ -205,7 +208,7 @@ type runShared struct {
 	// cipher before absorption (the wire-hardening path).
 	validate bool
 	// parityEmits stores every emission in the sender's two cycle-parity
-	// buffers instead of fresh storage (see prepareRunOn and emit).
+	// buffers instead of fresh storage (see population.bind and emit).
 	parityEmits bool
 	// scratch pools the codecScratch blocks the encode and decode ends of
 	// an activation work in.
@@ -526,7 +529,7 @@ func (pt *participant) emit(ctx Env) *gossipPayload {
 	if msg.V == nil {
 		v, err := r.suite.NewCipherVector(len(pt.diptych.Means.V))
 		if err != nil {
-			panic(err) // vector sizing is validated at prepareRun time
+			panic(err) // vector sizing is validated at bind time
 		}
 		msg.V = v
 	}
@@ -771,7 +774,7 @@ func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 func (r *runShared) perturbedOpening(vals []Cipher) []Cipher {
 	cts, err := r.suite.NewCipherVector(r.sideCiphers)
 	if err != nil {
-		panic(err) // vector sizing is validated at prepareRun time
+		panic(err) // vector sizing is validated at bind time
 	}
 	for g, acc := range cts {
 		acc.Set(vals[g])

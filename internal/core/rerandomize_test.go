@@ -49,19 +49,22 @@ func TestDJHalveRerandomizes(t *testing.T) {
 // host's randomizer pool mints exactly the randomizers the run draws —
 // one per encryption and one per refresh — and that is exactly what the
 // host provisioned for the participants it hosts: all n on the
-// sequential and sharded engines, one on a networked Node. Nothing is
-// minted only to be thrown away, and nothing is drawn past the
-// provision.
+// sequential and sharded schedulers, one on a networked Node, and each
+// window's n on the one pool a session keeps across its windows.
+// Nothing is minted only to be thrown away, and nothing is drawn past
+// the provision.
 func TestRandomizersMatchSchedule(t *testing.T) {
-	check := func(label string, rs *runSetup, hosted int) {
+	check := func(label string, s CipherSuite, provisioned int64) {
 		t.Helper()
-		minted, misses := rs.suite.(*djSuite).pool.Stats()
-		ops := rs.suite.Counts()
-		want := int64(hosted * rs.p.Iterations * (rs.p.GossipRounds + 1) * 2 * rs.shared.sideCiphers)
-		if minted != ops.Encrypts+ops.Refreshes || minted != want || misses != 0 {
+		minted, misses := s.(*djSuite).pool.Stats()
+		ops := s.Counts()
+		if minted != ops.Encrypts+ops.Refreshes || minted != provisioned || misses != 0 {
 			t.Fatalf("%s: minted %d randomizers (%d past the provision) for %d encryptions + %d refreshes; provisioned %d",
-				label, minted, misses, ops.Encrypts, ops.Refreshes, want)
+				label, minted, misses, ops.Encrypts, ops.Refreshes, provisioned)
 		}
+	}
+	schedule := func(r *runShared, hosted int) int64 {
+		return int64(hosted * r.params.Iterations * (r.params.GossipRounds + 1) * 2 * r.sideCiphers)
 	}
 	data := blobs(5, 10, 2)
 	p := Params{
@@ -69,14 +72,45 @@ func TestRandomizersMatchSchedule(t *testing.T) {
 		Backend: BackendDamgardJurik, ModulusBits: 128,
 	}
 	for _, workers := range []int{1, 4} {
-		d, tr, err := runCycles(data, p, workers)
+		p.Workers = workers
+		r := openTestRun(t, data, p)
+		d, err := newCycleDriver(r, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := d.run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(tr.Iterations) != p.Iterations {
 			t.Fatalf("workers=%d: %d iterations, want the whole schedule of %d", workers, len(tr.Iterations), p.Iterations)
 		}
-		check(fmt.Sprintf("workers=%d", workers), d.rs, len(data))
+		check(fmt.Sprintf("workers=%d", workers), r.suite, schedule(r, len(data)))
+	}
+
+	// A session keeps one suite across its windows, and each window
+	// provisions its own draws on that suite's pool.
+	for _, workers := range []int{1, 3} {
+		base := p
+		base.Epsilon, base.Workers = 0, workers
+		s, err := NewRunSession(data, SessionParams{Base: base, LifetimeEpsilon: 2 * p.Epsilon, Windows: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var drawn int64
+		for w := 0; w < 2; w++ {
+			res, err := s.Advance(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Trace.Iterations) != p.Iterations {
+				t.Fatalf("session workers=%d window %d: %d iterations, want the whole schedule of %d",
+					workers, w, len(res.Trace.Iterations), p.Iterations)
+			}
+			drawn += res.Trace.Ops.Encrypts + res.Trace.Ops.Refreshes
+		}
+		check(fmt.Sprintf("session workers=%d", workers), s.pop.suite, drawn)
+		s.Close()
 	}
 
 	data, p = djSnapshotTestConfig(t)
@@ -87,6 +121,6 @@ func TestRandomizersMatchSchedule(t *testing.T) {
 		if len(nd.History()) != p.Iterations {
 			t.Fatalf("node %d disclosed %d iterations, want %d", id, len(nd.History()), p.Iterations)
 		}
-		check(fmt.Sprintf("node %d", id), nd.rs, 1)
+		check(fmt.Sprintf("node %d", id), nd.pop.suite, schedule(nd.pt.run, 1))
 	}
 }

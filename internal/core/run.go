@@ -83,158 +83,86 @@ type Trace struct {
 	Completed int
 }
 
-// runSetup bundles everything prepareRun validates and constructs; the
-// cycle-driven engines, streaming sessions and networked Nodes all start
-// from it.
-type runSetup struct {
-	p        Params
-	epsSched []float64
-	suite    CipherSuite
-	shared   *runShared
-	initial  [][]float64
+// population is an opened population: its defaulted, validated
+// parameters, its series in one flat arena and the cipher suite every
+// run bound over it shares. Whoever opens a population closes it, once:
+// Run, RunSequentialHistories, the Measure* probes and NewNode around
+// their one run, a RunSession around all of its windows.
+type population struct {
+	p Params
 	// series is the population's data in one flat arena (row i is
 	// participant i's series): at large N the contiguous layout replaces
 	// N separate slice objects with two slabs, which both the garbage
 	// collector and the assignment step's linear scans prefer.
 	series *vecpool.Matrix
-	// ownsSuite is false when the suite was handed in by a RunSession
-	// (which keeps it — and its randomizer pool — alive across windows);
-	// close then leaves it alone.
-	ownsSuite bool
+	suite  CipherSuite
 }
 
-// close releases suite-held resources — today the Damgård–Jurik
-// backend's randomizer-pool background fill. Each engine defers it
-// once its prepareRun succeeds. Session-owned suites outlive the setup:
-// the session closes them once, at session close.
-func (rs *runSetup) close() {
-	if rs.ownsSuite {
-		rs.suite.Close()
-	}
-}
-
-// provision tells the suite what the hosted participants draw from its
-// randomizer pool in a fault-free run: per iteration, each encrypts its
-// two sides' groups and refreshes them once per gossip emission. A
-// fault, churn or early convergence only leaves the pool short (drawn
-// on the spot) or over (minted ahead, at most its buffer).
-func (rs *runSetup) provision(hosted int) {
-	rs.suite.Provision(hosted * rs.p.Iterations * (rs.p.GossipRounds + 1) * 2 * rs.shared.sideCiphers)
-}
-
-// newParticipant builds one participant over the shared run state (its
-// series is the participant's row of the flat series arena). A node the
-// fault plan marks byzantine carries its corruption behaviour.
-func (rs *runSetup) newParticipant(id p2p.NodeID) *participant {
-	// A compact splitmix64 source: 16 bytes instead of the standard
-	// source's ~5 KB, which at large N made per-participant RNG state
-	// the single biggest heap consumer. Retained beside the rand.Rand
-	// so Snapshot can read it.
-	src := compactrng.New(rs.p.Seed ^ (int64(id)+1)*0x5851F42D4C957F2D)
-	pt := &participant{
-		id:     id,
-		series: rs.series.Row(int(id)),
-		run:    rs.shared,
-		rng:    rand.New(src),
-		rngSrc: src,
-		byz:    rs.p.Faults.ByzantineOf(int(id)),
-		diptych: Diptych{
-			Centroids: deepCopyMatrix(rs.initial),
-		},
-	}
-	if h := rs.shared.batchHint; h > 0 {
-		// Allocation-measurement mode: pre-size the per-activation
-		// scratch so no in-degree spike can ever grow it (the per-
-		// iteration push-sum column is reserved in stepAssign).
-		pt.absorbBatch = make([]*gossip.Message[Cipher], 0, h)
-		pt.gossipScratch = make([]*gossipPayload, 0, h)
-		pt.respScratch = make([]*decryptResponse, 0, h)
-	}
-	return pt
-}
-
-// Run executes the full Chiaroscuro protocol over the given cleartext
-// series (one per participant, all in [0, MaxValue]^dim) on the simulated
-// network, sequentially, and returns the trace. Everything is
-// deterministic given Params.Seed. RunSharded executes the identical
-// simulation across shard workers and produces a bit-identical trace.
-func Run(data [][]float64, params Params) (*Trace, error) {
-	_, tr, err := runCycles(data, params, 1)
-	return tr, err
-}
-
-// runCycles is the one body of the cycle-driven engines: prepare the
-// run, drive it to completion on the given number of shard workers (1 is
-// the sequential engine) and return the driver beside the trace, for a
-// caller that reads the participants afterwards.
-func runCycles(data [][]float64, params Params, workers int) (*cycleDriver, *Trace, error) {
-	rs, err := prepareRun(data, params)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer rs.close()
-	if workers < 1 {
-		return nil, nil, fmt.Errorf("core: invalid worker count %d", workers)
-	}
-	d, err := newCycleDriver(data, rs, workers, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr, err := d.run()
-	return d, tr, err
-}
-
-// initialCentroids returns the run's public iteration-1 centroids for a
-// defaulted Params: the caller-supplied matrix, or K data-independent
-// uniform random vectors drawn from Seed. Factored out of prepareRun so
-// ConfigFingerprint can digest the identical matrix without building a
-// suite.
-func initialCentroids(p Params, dim int) [][]float64 {
-	if p.InitialCentroids != nil {
-		return p.InitialCentroids
-	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	initial := make([][]float64, p.K)
-	for j := range initial {
-		c := make([]float64, dim)
-		for t := range c {
-			c[t] = rng.Float64() * p.MaxValue
-		}
-		initial[j] = c
-	}
-	return initial
-}
-
-// prepareRun validates the inputs and constructs the run-wide state for
-// a one-shot run: data checks, then a fresh flat series arena, then the
-// suite-and-shared-state construction of prepareRunOn.
-func prepareRun(data [][]float64, params Params) (*runSetup, error) {
+// checkPopulation defaults params for the population of data and
+// validates both: at least 2 participants, a valid Params, every series
+// of the first one's width and inside [0, MaxValue]. It returns the
+// defaulted Params.
+func checkPopulation(data [][]float64, params Params) (Params, error) {
 	n := len(data)
 	if n < 2 {
-		return nil, errors.New("core: need at least 2 participants")
+		return params, errors.New("core: need at least 2 participants")
 	}
 	dim := len(data[0])
 	p := params.withDefaults(n)
 	if err := p.validate(n, dim); err != nil {
-		return nil, err
+		return p, err
 	}
 	for i, s := range data {
 		if len(s) != dim {
-			return nil, fmt.Errorf("core: participant %d has dim %d, want %d", i, len(s), dim)
+			return p, fmt.Errorf("core: participant %d has dim %d, want %d", i, len(s), dim)
 		}
 		if t, v, bad := firstOutOfRange(s, p.MaxValue); bad {
-			return nil, fmt.Errorf("core: participant %d value %v at %d outside [0, %v] — normalize first", i, v, t, p.MaxValue)
+			return p, fmt.Errorf("core: participant %d value %v at %d outside [0, %v] — normalize first", i, v, t, p.MaxValue)
 		}
 	}
-	// Flatten the population's series into one contiguous arena; every
-	// participant gets a row view (values unchanged, so trajectories
-	// are too).
-	seriesMat, err := vecpool.FromRows(data)
+	return p, nil
+}
+
+// openPopulation is the one constructor of a population: it checks it
+// (checkPopulation), flattens its series into one arena (values
+// unchanged, so trajectories are too) and builds its suite.
+func openPopulation(data [][]float64, params Params) (*population, error) {
+	p, err := checkPopulation(data, params)
 	if err != nil {
 		return nil, err
 	}
-	return prepareRunOn(seriesMat, p, nil)
+	series, err := vecpool.FromRows(data)
+	if err != nil {
+		return nil, err
+	}
+	suite, err := buildSuite(p, len(data))
+	if err != nil {
+		return nil, err
+	}
+	return &population{p: p, series: series, suite: suite}, nil
 }
+
+// buildSuite constructs the cipher suite for a defaulted Params. The
+// Damgård–Jurik backend takes its key from (in precedence order)
+// pre-computed ceremony material (networked daemons), an in-process key
+// ceremony (Params.DKG), or the trusted dealer — kept as the oracle the
+// ceremony paths are tested against.
+func buildSuite(p Params, n int) (CipherSuite, error) {
+	switch {
+	case p.Backend == BackendDamgardJurik && p.DJMaterial != nil:
+		return NewDamgardJurikSuiteFromMaterial(p.DJMaterial)
+	case p.Backend == BackendDamgardJurik && p.DKG:
+		return NewDamgardJurikDKGSuite(p.ModulusBits, p.Degree, n, p.DecryptThreshold, p.Seed, p.Faults)
+	case p.Backend == BackendDamgardJurik:
+		return NewDamgardJurikSuite(p.ModulusBits, p.Degree, n, p.DecryptThreshold)
+	default:
+		return NewPlainSuite(p.ModulusBits, p.Degree, n, p.DecryptThreshold)
+	}
+}
+
+// close releases suite-held resources — today the Damgård–Jurik
+// backend's randomizer pool.
+func (pop *population) close() { pop.suite.Close() }
 
 // firstOutOfRange returns the first sample of row outside [0, max] (with
 // a 1e-9 tolerance), and whether there is one. The comparison is written
@@ -248,18 +176,12 @@ func firstOutOfRange(row []float64, max float64) (t int, v float64, bad bool) {
 	return 0, 0, false
 }
 
-// prepareRunOn constructs the run-wide state over an existing series
-// arena — the reusable half of prepareRun. p must already be defaulted
-// and validated, and the series values already range-checked (prepareRun
-// does both for one-shot runs; a RunSession does them at open and on
-// every window advance). reuseSuite, when non-nil, is re-bound instead
-// of building a fresh suite — the session path, which keeps one suite
-// (key material, randomizer pool, operation counters) alive across
-// windows; the returned setup then does not own it and close leaves it
-// running.
-func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (*runSetup, error) {
-	n := seriesMat.NumRows()
-	dim := seriesMat.Cols()
+// bind builds the run-wide state of one run over the population at p:
+// pop.p for a one-shot run, or a session window's copy of it with its
+// own epsilon, seed and initial centroids.
+func (pop *population) bind(p Params) (*runShared, error) {
+	n := pop.series.NumRows()
+	dim := pop.series.Cols()
 
 	// Privacy schedule. The full schedule is validated against the
 	// budget up front (a misbehaving strategy must fail fast) but actual
@@ -279,24 +201,6 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 		}
 	}
 
-	suite := reuseSuite
-	ownsSuite := suite == nil
-	if suite == nil {
-		if suite, err = buildSuite(p, n); err != nil {
-			return nil, err
-		}
-	}
-	// From here on a freshly built suite owns background resources (the
-	// DJ randomizer pool); release them on every failed setup path. A
-	// reused (session-owned) suite stays alive regardless: the session
-	// closes it once.
-	setupOK := false
-	defer func() {
-		if !setupOK && ownsSuite {
-			suite.Close()
-		}
-	}()
-
 	// Fixed-point codec and the one packing of the encrypted side: each
 	// side travels as ⌈sideLen/slots⌉ ciphertexts, its coordinates the
 	// headroom budget's width apart.
@@ -306,7 +210,7 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 	}
 	preScale := p.preScaleBits()
 	coordBound, noiseBound := p.noiseEnvelope(dim, epsSched)
-	plainMod := suite.PlainModulus()
+	plainMod := pop.suite.PlainModulus()
 	layout, err := slotLayout(plainMod.BitLen()-1, n, coordBound, noiseBound, p.FracBits, preScale)
 	if err != nil {
 		return nil, err
@@ -317,18 +221,18 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 	}
 	sideCiphers := layout.Groups(sideLen)
 
-	// Public, data-independent initial centroids.
-	initial := initialCentroids(p, dim)
 	// Decoded per-coordinate magnitudes are relative aggregates: bounded
 	// by the largest coordinate bound plus noise, with slack. Anything
 	// beyond signals a broken gossip invariant and fails the decode.
 	decodeBound := 4 * (coordBound + noiseBound)
-	shared := &runShared{
+	r := &runShared{
 		params:        p,
 		dim:           dim,
 		population:    n,
-		suite:         suite,
-		ring:          cipherRing{suite},
+		series:        pop.series,
+		initial:       initialCentroids(p, dim),
+		suite:         pop.suite,
+		ring:          cipherRing{pop.suite},
 		codec:         codec,
 		plainMod:      plainMod,
 		halfMod:       new(big.Int).Rsh(plainMod, 1),
@@ -354,18 +258,112 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 		// may hold a message arbitrarily long.
 		parityEmits: p.Faults.Empty(),
 	}
-	shared.scratch.New = func() any { return shared.newCodecScratch() }
+	r.scratch.New = func() any { return r.newCodecScratch() }
+	return r, nil
+}
 
-	setupOK = true
-	return &runSetup{
-		p:         p,
-		epsSched:  epsSched,
-		suite:     suite,
-		shared:    shared,
-		initial:   initial,
-		series:    seriesMat,
-		ownsSuite: ownsSuite,
-	}, nil
+// provision tells the suite what the hosted participants draw from its
+// randomizer pool in a fault-free run: per iteration, each encrypts its
+// two sides' groups and refreshes them once per gossip emission. A
+// fault, churn or early convergence only leaves the pool short (drawn
+// on the spot) or over (minted ahead, at most its buffer).
+func (r *runShared) provision(hosted int) {
+	r.suite.Provision(hosted * r.params.Iterations * (r.params.GossipRounds + 1) * 2 * r.sideCiphers)
+}
+
+// newParticipant builds one participant over the shared run state (its
+// series is the participant's row of the flat series arena). A node the
+// fault plan marks byzantine carries its corruption behaviour.
+func (r *runShared) newParticipant(id p2p.NodeID) *participant {
+	// A compact splitmix64 source: 16 bytes instead of the standard
+	// source's ~5 KB, which at large N made per-participant RNG state
+	// the single biggest heap consumer. Retained beside the rand.Rand
+	// so Snapshot can read it.
+	src := compactrng.New(r.params.Seed ^ (int64(id)+1)*0x5851F42D4C957F2D)
+	pt := &participant{
+		id:     id,
+		series: r.series.Row(int(id)),
+		run:    r,
+		rng:    rand.New(src),
+		rngSrc: src,
+		byz:    r.params.Faults.ByzantineOf(int(id)),
+		diptych: Diptych{
+			Centroids: deepCopyMatrix(r.initial),
+		},
+	}
+	if h := r.batchHint; h > 0 {
+		// Allocation-measurement mode: pre-size the per-activation
+		// scratch so no in-degree spike can ever grow it (the per-
+		// iteration push-sum column is reserved in stepAssign).
+		pt.absorbBatch = make([]*gossip.Message[Cipher], 0, h)
+		pt.gossipScratch = make([]*gossipPayload, 0, h)
+		pt.respScratch = make([]*decryptResponse, 0, h)
+	}
+	return pt
+}
+
+// Run executes the full Chiaroscuro protocol over the given cleartext
+// series (one per participant, all in [0, MaxValue]^dim) on the simulated
+// network and returns the trace. Everything is deterministic given
+// Params.Seed.
+//
+// Params.Workers picks the scheduler: 0 or 1 activates the participants
+// one after another each cycle (Peersim semantics); a larger value
+// partitions them into that many contiguous shards whose activations —
+// assignment and noise-share encryption, gossip push-sum emission and
+// absorption, partial decryption service and quorum assembly — run in
+// parallel, in ascending participant order within a shard, and merges
+// the per-shard message queues and cost counters through a
+// deterministic reduction in stable shard order after a per-cycle
+// barrier (see internal/p2p).
+//
+// # Determinism contract
+//
+// For any worker count — including counts exceeding the core count or
+// the population — Run produces a bit-identical trace: identical
+// centroids at every iteration, identical network statistics, identical
+// operation counts. This holds because the simulation is
+// bulk-synchronous (messages sent in cycle c are delivered in cycle c+1,
+// so same-cycle activations are independent), every participant draws
+// from RNG streams derived from (Seed, id) alone, and the reduction
+// fixes the per-destination delivery order to ascending sender id
+// regardless of scheduling. Workers only trades wall-clock for cores.
+func Run(data [][]float64, params Params) (*Trace, error) {
+	pop, err := openPopulation(data, params)
+	if err != nil {
+		return nil, err
+	}
+	defer pop.close()
+	r, err := pop.bind(pop.p)
+	if err != nil {
+		return nil, err
+	}
+	d, err := newCycleDriver(r, 0)
+	if err != nil {
+		return nil, err
+	}
+	return d.run()
+}
+
+// initialCentroids returns the run's public iteration-1 centroids for a
+// defaulted Params: the caller-supplied matrix, or K data-independent
+// uniform random vectors drawn from Seed. Factored out of bind so
+// ConfigFingerprint can digest the identical matrix without building a
+// suite.
+func initialCentroids(p Params, dim int) [][]float64 {
+	if p.InitialCentroids != nil {
+		return p.InitialCentroids
+	}
+	rng := rand.New(rand.NewSource(p.Seed))
+	initial := make([][]float64, p.K)
+	for j := range initial {
+		c := make([]float64, dim)
+		for t := range c {
+			c[t] = rng.Float64() * p.MaxValue
+		}
+		initial[j] = c
+	}
+	return initial
 }
 
 func buildTrace(data [][]float64, p Params, participants []*participant, cycles int, stats p2p.Stats, suite CipherSuite) (*Trace, error) {

@@ -39,23 +39,22 @@ type DecryptAllocReport struct {
 	Population int
 }
 
-// MeasureDecryptAllocs builds a sequential cycle-driven run over data
-// and executes it to completion, classifying every cycle by its
-// dominant phase (the same classification Trace.Phases uses) and
-// accumulating runtime.MemStats deltas for the decrypt-classified
-// cycles only. Unlike the gossip measurement it does not prove zero —
-// the opened plaintexts, responder sets and served partials are fresh
-// per iteration — so it reports the per-cycle average (bench/'s
-// core.decrypt_allocs_per_cycle; TestMeasureDecryptAllocs holds it under
-// a ceiling) instead.
+// MeasureDecryptAllocs builds a cycle-driven run over data (sequential
+// unless Params.Workers > 1) and executes it to completion, classifying
+// every cycle by its dominant phase (the same classification
+// Trace.Phases uses) and accumulating runtime.MemStats deltas for the
+// decrypt-classified cycles only. Unlike the gossip measurement it does
+// not prove zero — the opened plaintexts, responder sets and served
+// partials are fresh per iteration — so it reports the per-cycle average
+// (bench/'s core.decrypt_allocs_per_cycle; TestMeasureDecryptAllocs
+// holds it under a ceiling) instead.
 func MeasureDecryptAllocs(data [][]float64, params Params) (*DecryptAllocReport, error) {
-	rs, err := prepareRun(data, params)
+	pop, err := openPopulation(data, params)
 	if err != nil {
 		return nil, err
 	}
-	defer rs.close()
-	rs.shared.batchHint = len(data)
-	d, err := newCycleDriver(data, rs, 1, len(data))
+	defer pop.close()
+	d, err := newProbeDriver(pop)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +62,7 @@ func MeasureDecryptAllocs(data [][]float64, params Params) (*DecryptAllocReport,
 	var before, after runtime.MemStats
 	var allocs, bytes uint64
 	cycles := 0
-	limit := rs.p.maxCycles()
+	limit := pop.p.maxCycles()
 	for cycle := 0; cycle < limit; cycle++ {
 		decrypt := d.dominantPhase() == phaseDecrypt
 		if decrypt {
@@ -91,12 +90,12 @@ func MeasureDecryptAllocs(data [][]float64, params Params) (*DecryptAllocReport,
 	}, nil
 }
 
-// MeasureGossipAllocs builds a sequential cycle-driven run over data,
-// warms it into gossip steady state, and measures the heap allocations
-// of whole network cycles — every participant's emit and absorb — via
-// runtime.MemStats deltas. It is the measurement bench/ prints beside
-// its per-layer table; the in-core test suite proves the same property
-// with testing.AllocsPerRun.
+// MeasureGossipAllocs builds a cycle-driven run over data (sequential
+// unless Params.Workers > 1), warms it into gossip steady state, and
+// measures the heap allocations of whole network cycles — every
+// participant's emit and absorb — via runtime.MemStats deltas. It is
+// the measurement bench/ prints beside its per-layer table; the in-core
+// test suite proves the same property with testing.AllocsPerRun.
 //
 // params.GossipRounds must exceed warm+measure+1 so the whole window
 // stays inside the first iteration's gossip phase; the run is abandoned
@@ -105,19 +104,15 @@ func MeasureGossipAllocs(data [][]float64, params Params, warm, measure int) (*G
 	if warm < 1 || measure < 1 {
 		return nil, fmt.Errorf("core: invalid measurement window (warm=%d, measure=%d)", warm, measure)
 	}
-	rs, err := prepareRun(data, params)
+	pop, err := openPopulation(data, params)
 	if err != nil {
 		return nil, err
 	}
-	defer rs.close()
-	if rs.p.GossipRounds <= warm+measure+1 {
-		return nil, fmt.Errorf("core: GossipRounds=%d too short for a warm=%d measure=%d window", rs.p.GossipRounds, warm, measure)
+	defer pop.close()
+	if rounds := pop.p.GossipRounds; rounds <= warm+measure+1 {
+		return nil, fmt.Errorf("core: GossipRounds=%d too short for a warm=%d measure=%d window", rounds, warm, measure)
 	}
-	// Full-population queue and batch hints: no in-degree spike can grow
-	// a buffer, so the measurement proves zero rather than amortized
-	//-zero (the preallocation is O(n²) — measurement scales only).
-	rs.shared.batchHint = len(data)
-	d, err := newCycleDriver(data, rs, 1, len(data))
+	d, err := newProbeDriver(pop)
 	if err != nil {
 		return nil, err
 	}
@@ -146,4 +141,16 @@ func MeasureGossipAllocs(data [][]float64, params Params, warm, measure int) (*G
 		Cycles:         measure,
 		Population:     len(data),
 	}, nil
+}
+
+// newProbeDriver binds a measurement probe's one run over pop with
+// full-population queue and batch hints: no in-degree spike can grow a
+// buffer, so a measurement proves zero rather than amortized-zero (the
+// preallocation is O(n²) — measurement scales only).
+func newProbeDriver(pop *population) (*cycleDriver, error) {
+	r, err := pop.bind(pop.p)
+	if err != nil {
+		return nil, err
+	}
+	return newCycleDriver(r, r.population)
 }

@@ -4,36 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"chiaroscuro/internal/dp"
-	"chiaroscuro/internal/vecpool"
 )
 
 // session.go turns the one-shot run lifecycle into a resumable streaming
-// session: one RunSession owns the population's series arena, the cipher
-// suite (key material, randomizer pool, operation counters) and the
-// longitudinal privacy budget across many clustering windows, instead of
-// rebuilding all of it per Cluster() call. Each window is still a full,
-// independently seeded protocol run — prepareRunOn re-binds the reused
-// resources into a fresh runSetup — so every per-window determinism
-// contract of the one-shot engines carries over unchanged.
-
-// SessionEngine selects the execution engine of a session's windows.
-// Only the deterministic cycle-driven engines are eligible: streaming
-// warm-starts every window from the previous disclosure, and a
-// nondeterministic window would poison every window after it.
-type SessionEngine int
-
-const (
-	// SessionSequential drives each window with the sequential
-	// cycle-driven engine (Run's scheduler).
-	SessionSequential SessionEngine = iota
-	// SessionSharded drives each window with the sharded engine
-	// (RunSharded's scheduler) at Base.Workers workers — bit-identical
-	// to SessionSequential at any worker count, per window.
-	SessionSharded
-)
+// session: one RunSession opens the population once — its series arena
+// and cipher suite (key material, randomizer pool, operation counters)
+// — and keeps it, with the longitudinal privacy budget, across many
+// clustering windows instead of rebuilding all of it per Cluster() call.
+// Each window binds one full, independently seeded protocol run over
+// that population (population.bind), scheduled on Base.Workers exactly
+// as Run schedules it, so every per-window determinism contract of the
+// one-shot run carries over unchanged.
 
 // SessionParams configures a streaming RunSession.
 type SessionParams struct {
@@ -60,8 +43,6 @@ type SessionParams struct {
 	// and only the starting centroids change — the per-window
 	// determinism contracts are untouched.
 	WarmStart bool
-	// Engine selects the per-window execution engine.
-	Engine SessionEngine
 }
 
 // WindowResult is the outcome of one RunSession.Advance.
@@ -94,26 +75,24 @@ type WindowResult struct {
 
 // RunSession is a resumable clustering session over an evolving
 // population: the core tentpole of the streaming refactor. It owns the
-// flat series arena (advanced in place between windows), the cipher
-// suite, and the longitudinal dp.Budget; each Advance slides the window
-// (optionally), draws budget, and executes one full protocol run.
+// opened population (its flat series arena, advanced in place between
+// windows, and its cipher suite) and the longitudinal dp.Budget; each
+// Advance slides the window (optionally), draws budget, and executes one
+// full protocol run.
 //
 // Determinism: window w of a session is bit-identical to a one-shot run
 // over the same (slid) data with the same drawn epsilon, the derived
 // window seed, and — under WarmStart — the previous window's disclosure
-// as initial centroids. In particular SessionSequential and
-// SessionSharded sessions disclose bit-identical trajectories at any
-// worker count, window by window.
+// as initial centroids. In particular sessions disclose bit-identical
+// trajectories at any Base.Workers, window by window.
 type RunSession struct {
-	base    Params // defaulted; Epsilon stays zero between windows
+	// pop.p is the defaulted Base with a placeholder epsilon: every
+	// window replaces it with its own draw.
+	pop     *population
 	planned int
 	warm    bool
-	engine  SessionEngine
 	spend   dp.SpendStrategy
 	budget  *dp.Budget
-	series  *vecpool.Matrix
-	suite   CipherSuite
-	n, dim  int
 
 	window int
 	skips  int
@@ -133,18 +112,10 @@ func sessionWindowSeed(base int64, window int) int64 {
 	return base ^ (int64(window) * sessionSeedStride)
 }
 
-// NewRunSession validates the configuration, range-checks and flattens
-// the population's series into the session arena, and builds the suite
-// the windows will share. Close the session to release it.
+// NewRunSession validates the configuration and opens the population the
+// windows will share: its series arena and its suite. Close the session
+// to release it.
 func NewRunSession(data [][]float64, sp SessionParams) (*RunSession, error) {
-	if len(data) < 2 {
-		return nil, errors.New("core: need at least 2 participants")
-	}
-	mat, err := vecpool.FromRows(data)
-	if err != nil {
-		return nil, err
-	}
-	n, dim := mat.NumRows(), mat.Cols()
 	if sp.Base.Epsilon != 0 {
 		return nil, errors.New("core: session windows draw epsilon from the lifetime budget — leave Params.Epsilon zero")
 	}
@@ -154,28 +125,11 @@ func NewRunSession(data [][]float64, sp SessionParams) (*RunSession, error) {
 	if sp.Windows < 0 {
 		return nil, fmt.Errorf("core: planned windows %d must be non-negative", sp.Windows)
 	}
-	if sp.Engine != SessionSequential && sp.Engine != SessionSharded {
-		return nil, fmt.Errorf("core: unknown session engine %d", sp.Engine)
-	}
 	if !sp.Base.Faults.Empty() {
 		return nil, errors.New("core: fault plans are not supported in streaming sessions yet")
 	}
 	if sp.Base.ChurnCrashProb != 0 || sp.Base.ChurnRejoinProb != 0 {
 		return nil, errors.New("core: churn is not supported in streaming sessions yet")
-	}
-	base := sp.Base.withDefaults(n)
-	// Validate the per-window shape once, with a placeholder epsilon
-	// (the real one is drawn per window and is positive by the budget's
-	// construction).
-	probe := base
-	probe.Epsilon = 1
-	if err := probe.validate(n, dim); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		if t, v, bad := firstOutOfRange(mat.Row(i), base.MaxValue); bad {
-			return nil, fmt.Errorf("core: participant %d value %v at %d outside [0, %v] — normalize first", i, v, t, base.MaxValue)
-		}
 	}
 	planned := sp.Windows
 	if planned == 0 {
@@ -189,43 +143,23 @@ func NewRunSession(data [][]float64, sp SessionParams) (*RunSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Build the shared suite once, exactly as prepareRunOn would for the
-	// first window: every window re-binds it instead of re-keying.
-	suite, err := buildSuite(base, n)
+	// Validate the per-window shape once, with a placeholder epsilon
+	// (the real one is drawn per window and is positive by the budget's
+	// construction).
+	probe := sp.Base
+	probe.Epsilon = 1
+	pop, err := openPopulation(data, probe)
 	if err != nil {
 		return nil, err
 	}
 	return &RunSession{
-		base:    base,
+		pop:     pop,
 		planned: planned,
 		warm:    sp.WarmStart,
-		engine:  sp.Engine,
 		spend:   spend,
 		budget:  budget,
-		series:  mat,
-		suite:   suite,
-		n:       n,
-		dim:     dim,
 		drift:   math.NaN(),
 	}, nil
-}
-
-// buildSuite constructs the cipher suite for a defaulted Params. The
-// Damgård–Jurik backend takes its key from (in precedence order)
-// pre-computed ceremony material (networked daemons), an in-process key
-// ceremony (Params.DKG), or the trusted dealer — kept as the oracle the
-// ceremony paths are tested against.
-func buildSuite(p Params, n int) (CipherSuite, error) {
-	switch {
-	case p.Backend == BackendDamgardJurik && p.DJMaterial != nil:
-		return NewDamgardJurikSuiteFromMaterial(p.DJMaterial)
-	case p.Backend == BackendDamgardJurik && p.DKG:
-		return NewDamgardJurikDKGSuite(p.ModulusBits, p.Degree, n, p.DecryptThreshold, p.Seed, p.Faults)
-	case p.Backend == BackendDamgardJurik:
-		return NewDamgardJurikSuite(p.ModulusBits, p.Degree, n, p.DecryptThreshold)
-	default:
-		return NewPlainSuite(p.ModulusBits, p.Degree, n, p.DecryptThreshold)
-	}
 }
 
 // Window returns the index of the next window Advance would run.
@@ -241,7 +175,7 @@ func (s *RunSession) Close() {
 		return
 	}
 	s.closed = true
-	s.suite.Close()
+	s.pop.close()
 }
 
 // advanceWindow slides the population's series by one window step
@@ -249,23 +183,24 @@ func (s *RunSession) Close() {
 // evicted and newPoints[i] lands at its tail (all rows the same width,
 // between 1 and the series dimension, values in [0, MaxValue]).
 func (s *RunSession) advanceWindow(newPoints [][]float64) error {
-	if len(newPoints) != s.n {
-		return fmt.Errorf("core: window advance has %d series, population is %d", len(newPoints), s.n)
+	n, dim := s.pop.series.NumRows(), s.pop.series.Cols()
+	if len(newPoints) != n {
+		return fmt.Errorf("core: window advance has %d series, population is %d", len(newPoints), n)
 	}
 	w := len(newPoints[0])
-	if w < 1 || w > s.dim {
-		return fmt.Errorf("core: window advance width %d outside [1, %d]", w, s.dim)
+	if w < 1 || w > dim {
+		return fmt.Errorf("core: window advance width %d outside [1, %d]", w, dim)
 	}
 	for i, row := range newPoints {
 		if len(row) != w {
 			return fmt.Errorf("core: ragged window advance — series %d has %d samples, want %d", i, len(row), w)
 		}
-		if t, v, bad := firstOutOfRange(row, s.base.MaxValue); bad {
-			return fmt.Errorf("core: series %d new value %v at %d outside [0, %v] — normalize first", i, v, t, s.base.MaxValue)
+		if t, v, bad := firstOutOfRange(row, s.pop.p.MaxValue); bad {
+			return fmt.Errorf("core: series %d new value %v at %d outside [0, %v] — normalize first", i, v, t, s.pop.p.MaxValue)
 		}
 	}
 	for i, row := range newPoints {
-		if err := s.series.SlideRow(i, row); err != nil {
+		if err := s.pop.series.SlideRow(i, row); err != nil {
 			return err
 		}
 	}
@@ -325,9 +260,9 @@ func (s *RunSession) Advance(newPoints [][]float64) (*WindowResult, error) {
 			dp.ErrBudgetExhausted, s.window, s.budget.Total(), s.budget.Remaining())
 	}
 
-	wp := s.base
+	wp := s.pop.p
 	wp.Epsilon = dec.Epsilon
-	wp.Seed = sessionWindowSeed(s.base.Seed, s.window)
+	wp.Seed = sessionWindowSeed(s.pop.p.Seed, s.window)
 	warmed := false
 	if s.warm && s.prev != nil {
 		wp.InitialCentroids = s.prev
@@ -335,26 +270,18 @@ func (s *RunSession) Advance(newPoints [][]float64) (*WindowResult, error) {
 	}
 	// Snapshot the shared suite's cumulative counters so the window's
 	// trace reports per-window operation deltas — identical to what a
-	// one-shot run over the same window would count. Taken before setup,
-	// so anything prepareRunOn ever counts belongs to the window, exactly
-	// as it does on a fresh suite.
-	opsBefore := s.suite.Counts()
-	rs, err := prepareRunOn(s.series, wp, s.suite)
+	// one-shot run over the same window would count. Taken before the
+	// bind, so anything binding ever counts belongs to the window,
+	// exactly as it does on a fresh suite.
+	opsBefore := s.pop.suite.Counts()
+	r, err := s.pop.bind(wp)
 	if err != nil {
 		return nil, err
 	}
-	defer rs.close() // no-op for the session-owned suite, kept for symmetry
 	if err := s.budget.Spend(s.window, dec.Epsilon); err != nil {
 		return nil, err
 	}
-	workers := 1
-	if s.engine == SessionSharded {
-		workers = s.base.Workers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-	}
-	d, err := newCycleDriver(s.series.Rows(), rs, workers, 0)
+	d, err := newCycleDriver(r, 0)
 	if err != nil {
 		return nil, err
 	}

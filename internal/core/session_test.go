@@ -98,11 +98,11 @@ func assertWindowsBitIdentical(t *testing.T, a, b *WindowResult, label string) {
 const streamGoldenPath = "testdata/golden_stream.json"
 
 // TestStreamGoldenTrajectories is the streaming golden test: an 8-window
-// warm-start session must (a) disclose bit-identical trajectories under
-// the sequential and the sharded engine at any worker count, window by
-// window — the determinism contract survives the session refactor — and
-// (b) match the committed fixture bit for bit, so a refactor anywhere in
-// the stack cannot silently change what a stream discloses.
+// warm-start session must (a) disclose bit-identical trajectories at
+// Base.Workers 0 and at every sharded worker count, window by window —
+// the determinism contract survives the session refactor — and (b)
+// match the committed fixture bit for bit, so a refactor anywhere in the
+// stack cannot silently change what a stream discloses.
 //
 // Regenerate the fixture after an intentional disclosure change with:
 //
@@ -111,7 +111,7 @@ func TestStreamGoldenTrajectories(t *testing.T) {
 	const windows, slide = 8, 2
 	initial, steps, _ := streamFeed(48, 6, windows, slide, 3)
 
-	runStream := func(engine SessionEngine, workers int) []*WindowResult {
+	runStream := func(workers int) []*WindowResult {
 		t.Helper()
 		base := streamBase()
 		base.Workers = workers
@@ -120,7 +120,6 @@ func TestStreamGoldenTrajectories(t *testing.T) {
 			LifetimeEpsilon: 160,
 			Windows:         windows,
 			WarmStart:       true,
-			Engine:          engine,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -141,9 +140,9 @@ func TestStreamGoldenTrajectories(t *testing.T) {
 		return out
 	}
 
-	seq := runStream(SessionSequential, 0)
+	seq := runStream(0)
 	for _, workers := range []int{1, 3, 7, 16} {
-		sh := runStream(SessionSharded, workers)
+		sh := runStream(workers)
 		for w := range seq {
 			assertWindowsBitIdentical(t, seq[w], sh[w],
 				"sharded("+string(rune('0'+workers))+") window "+string(rune('0'+w)))
@@ -454,11 +453,6 @@ func TestSessionValidationErrors(t *testing.T) {
 			sp: SessionParams{Base: func() Params { p := base; p.ChurnCrashProb = 0.1; return p }(),
 				LifetimeEpsilon: 10},
 			want: "core: churn is not supported in streaming sessions yet",
-		},
-		{
-			name: "bad engine",
-			sp:   SessionParams{Base: base, LifetimeEpsilon: 10, Engine: SessionEngine(9)},
-			want: "core: unknown session engine 9",
 		},
 		{
 			name: "unknown smoothing method",

@@ -64,10 +64,11 @@ func assertTracesBitIdentical(t *testing.T, a, b *Trace, label string) {
 	}
 }
 
-// TestShardedEngineBitIdenticalToRun is the cross-engine determinism
-// contract of RunSharded: for the same seed, Run, RunSharded(Workers=1)
-// and RunSharded(Workers=8) must disclose bit-identical centroids at
-// every iteration, with identical network and crypto accounting.
+// TestShardedEngineBitIdenticalToRun is the cross-scheduler determinism
+// contract of Run: for the same seed, the sequential scheduler (Workers
+// 0) and the sharded one at any Workers must disclose bit-identical
+// centroids at every iteration, with identical network and crypto
+// accounting.
 func TestShardedEngineBitIdenticalToRun(t *testing.T) {
 	data := blobs(150, 4, 3)
 	base := Params{K: 3, Epsilon: 5, Iterations: 3, Seed: 7}
@@ -79,7 +80,7 @@ func TestShardedEngineBitIdenticalToRun(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 64} {
 		p := base
 		p.Workers = workers
-		sh, err := RunSharded(data, p)
+		sh, err := Run(data, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func TestShardedEngineBitIdenticalUnderChurn(t *testing.T) {
 	}
 	p := base
 	p.Workers = 6
-	sh, err := RunSharded(data, p)
+	sh, err := Run(data, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,22 +133,28 @@ func TestShardedEngineBitIdenticalRealCrypto(t *testing.T) {
 	}
 	p := base
 	p.Workers = 4
-	sh, err := RunSharded(data, p)
+	sh, err := Run(data, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertTracesBitIdentical(t, seq, sh, "damgard-jurik workers=4")
 }
 
-// TestShardedDefaultsAndValidation pins the Workers defaulting and error
-// paths.
+// TestShardedDefaultsAndValidation pins the Workers default and error
+// paths: a negative count is refused by validation, before any suite is
+// built, by a one-shot run and a session alike.
 func TestShardedDefaultsAndValidation(t *testing.T) {
 	data := blobs(40, 3, 2)
-	if _, err := RunSharded(data, Params{K: 2, Epsilon: 10, Workers: -3}); err == nil {
-		t.Fatal("negative workers should error")
+	const want = "core: worker count -3 must be non-negative"
+	if _, err := Run(data, Params{K: 2, Epsilon: 10, Workers: -3}); err == nil || err.Error() != want {
+		t.Fatalf("Run with Workers -3: error %v, want %q", err, want)
 	}
-	// Workers=0 defaults to GOMAXPROCS and must succeed.
-	if _, err := RunSharded(data, Params{K: 2, Epsilon: 10, Iterations: 2, Seed: 1}); err != nil {
+	sp := SessionParams{Base: Params{K: 2, Workers: -3}, LifetimeEpsilon: 10}
+	if _, err := NewRunSession(data, sp); err == nil || err.Error() != want {
+		t.Fatalf("NewRunSession with Workers -3: error %v, want %q", err, want)
+	}
+	// Workers=0 runs the sequential scheduler and must succeed.
+	if _, err := Run(data, Params{K: 2, Epsilon: 10, Iterations: 2, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -69,12 +69,12 @@ func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 	buf = wire.AppendUint32(buf, snapVersion)
 
 	// Header blob: everything RestoreNode needs BEFORE it can build the
-	// run setup — identity, RNG state, and the ceremony key material.
+	// run — identity, RNG state, and the ceremony key material.
 	buf, hdr := wire.BeginField(buf)
 	buf = wire.AppendUint64(buf, nd.Fingerprint())
 	buf = wire.AppendUint32(buf, uint32(p.id))
 	buf = wire.AppendUint64(buf, p.rngSrc.State())
-	if m := nd.rs.p.DJMaterial; m != nil {
+	if m := nd.pop.p.DJMaterial; m != nil {
 		var gb bytes.Buffer
 		if err := gob.NewEncoder(&gb).Encode(m); err != nil {
 			return nil, fmt.Errorf("core: snapshot key material: %w", err)
@@ -106,7 +106,7 @@ func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 		buf = wire.AppendUint64(buf, math.Float64bits(p.diptych.Means.Weight()))
 		buf = wire.AppendUint32(buf, uint32(p.diptych.Means.H))
 		var err error
-		if buf, err = appendVectorField(buf, p.diptych.Means.V, nd.rs.suite.AppendCipherVector); err != nil {
+		if buf, err = appendVectorField(buf, p.diptych.Means.V, nd.pop.suite.AppendCipherVector); err != nil {
 			return nil, fmt.Errorf("core: snapshot push-sum state: %w", err)
 		}
 	} else {
@@ -119,7 +119,7 @@ func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 	if p.pendingCT != nil {
 		buf = wire.AppendUint32(buf, 1)
 		var err error
-		if buf, err = appendVectorField(buf, p.pendingCT, nd.rs.suite.AppendCipherVector); err != nil {
+		if buf, err = appendVectorField(buf, p.pendingCT, nd.pop.suite.AppendCipherVector); err != nil {
 			return nil, fmt.Errorf("core: snapshot pending ciphertexts: %w", err)
 		}
 	} else {
@@ -133,7 +133,7 @@ func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 	for _, idx := range nd.snapKeys {
 		buf = wire.AppendUint32(buf, uint32(idx))
 		var err error
-		if buf, err = appendVectorField(buf, p.partials[idx], nd.rs.suite.AppendPartialValues); err != nil {
+		if buf, err = appendVectorField(buf, p.partials[idx], nd.pop.suite.AppendPartialValues); err != nil {
 			return nil, fmt.Errorf("core: snapshot partials: %w", err)
 		}
 	}
@@ -387,11 +387,11 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if err != nil {
 			return snapErr("push-sum vector: %v", err)
 		}
-		cs, err := nd.rs.suite.NewCipherVector(2 * r.sideCiphers)
+		cs, err := nd.pop.suite.NewCipherVector(2 * r.sideCiphers)
 		if err != nil {
 			return err
 		}
-		if err := nd.rs.suite.UnmarshalCipherVectorInto(cs, cv); err != nil {
+		if err := nd.pop.suite.UnmarshalCipherVectorInto(cs, cv); err != nil {
 			return snapErr("push-sum vector: %v", err)
 		}
 		// stepAssign's construction: the restored values are freshly
@@ -417,11 +417,11 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if err != nil {
 			return snapErr("pending ciphertexts: %v", err)
 		}
-		cs, err := nd.rs.suite.NewCipherVector(r.sideCiphers)
+		cs, err := nd.pop.suite.NewCipherVector(r.sideCiphers)
 		if err != nil {
 			return err
 		}
-		if err := nd.rs.suite.UnmarshalCipherVectorInto(cs, cv); err != nil {
+		if err := nd.pop.suite.UnmarshalCipherVectorInto(cs, cv); err != nil {
 			return snapErr("pending ciphertexts: %v", err)
 		}
 		pendingCT = cs
@@ -436,8 +436,8 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 	if err != nil {
 		return err
 	}
-	if nPartials > nd.rs.suite.Parties() {
-		return snapErr("%d partial sets for %d parties", nPartials, nd.rs.suite.Parties())
+	if nPartials > nd.pop.suite.Parties() {
+		return snapErr("%d partial sets for %d parties", nPartials, nd.pop.suite.Parties())
 	}
 	var partials map[int][]Partial
 	if phase(phaseV) == phaseDecrypt {
@@ -450,14 +450,14 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if err != nil {
 			return err
 		}
-		if idx < 1 || idx > nd.rs.suite.Parties() {
-			return snapErr("partial index %d outside [1, %d]", idx, nd.rs.suite.Parties())
+		if idx < 1 || idx > nd.pop.suite.Parties() {
+			return snapErr("partial index %d outside [1, %d]", idx, nd.pop.suite.Parties())
 		}
 		pv, err := fr.Bytes()
 		if err != nil {
 			return snapErr("partial values: %v", err)
 		}
-		ps, err := nd.rs.suite.UnmarshalPartialValues(idx, pv)
+		ps, err := nd.pop.suite.UnmarshalPartialValues(idx, pv)
 		if err != nil {
 			return snapErr("partial values: %v", err)
 		}

@@ -201,7 +201,7 @@ type CipherSuite interface {
 
 	// Provision adds that many draws to what the suite's randomizer
 	// pool mints ahead of use: each host provisions its participants'
-	// fault-free draws (runSetup.provision), so the pool computes
+	// fault-free draws (runShared.provision), so the pool computes
 	// nothing the run does not consume, and a draw past the provision
 	// is computed on the spot. Close releases background resources (the
 	// pool's fill); the suite stays usable afterwards. Both are no-ops

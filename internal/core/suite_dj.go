@@ -28,13 +28,14 @@ import (
 // decryption is a share holder's full-width exponentiation: no
 // participant holds the factorization a CRT split would need. The pool
 // starts empty and mints only what its host provisions — each hosted
-// participant's fault-free draws (runSetup.provision) — and takes back
+// participant's fault-free draws (runShared.provision) — and takes back
 // every randomizer's storage once its product is taken. The
 // EncContext's table is immutable and the pool is lock-guarded, so all
-// of it is shared safely by the sharded engine's parallel workers;
+// of it is shared safely by the sharded scheduler's parallel workers;
 // per-worker scratch state lives in sync.Pools inside the crypto
 // package, keeping workers contention-free. Close releases the pool's
-// background fill (Run/RunSharded call it on completion).
+// background fill (whoever opened the population calls it once, when
+// its last run is done).
 type djSuite struct {
 	tk     *damgardjurik.ThresholdKey
 	shares []damgardjurik.KeyShare

@@ -303,18 +303,13 @@ func TestMeansValuesAreCopies(t *testing.T) {
 		"plain": {K: 2, Epsilon: 50, Iterations: 1, Seed: 5, GossipRounds: 4},
 		"dj":    {K: 2, Epsilon: 50, Iterations: 1, Seed: 5, GossipRounds: 4, Backend: BackendDamgardJurik, ModulusBits: 128},
 	} {
-		rs, err := prepareRun(blobs(4, 3, 2), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rs.close()
-		r := rs.shared
+		r := openTestRun(t, blobs(4, 3, 2), p)
 		means := func(id p2p.NodeID, x float64) *gossip.State[Cipher] {
 			vals, noises := make([]float64, r.sideLen), make([]float64, r.sideLen)
 			for i := range vals {
 				vals[i] = x
 			}
-			values, err := rs.newParticipant(id).encryptSides(r.newCodecScratch(), vals, noises)
+			values, err := r.newParticipant(id).encryptSides(r.newCodecScratch(), vals, noises)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,13 +323,13 @@ func TestMeansValuesAreCopies(t *testing.T) {
 		captured := a.Values()
 		want := make([]*big.Int, len(captured))
 		for i, c := range captured {
-			want[i] = decryptVia(t, rs.suite, c, []int{1, 2, 3})
+			want[i] = decryptVia(t, r.suite, c, []int{1, 2, 3})
 		}
 		if err := a.Absorb(b.Emit()); err != nil {
 			t.Fatal(err)
 		}
 		for i, c := range captured {
-			if got := decryptVia(t, rs.suite, c, []int{1, 2, 3}); got.Cmp(want[i]) != 0 {
+			if got := decryptVia(t, r.suite, c, []int{1, 2, 3}); got.Cmp(want[i]) != 0 {
 				t.Fatalf("%s: coordinate %d of a Values() copy changed under Absorb: %v, was %v", name, i, got, want[i])
 			}
 		}

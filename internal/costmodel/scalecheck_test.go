@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"runtime"
 	"testing"
 
 	"chiaroscuro/internal/core"
@@ -69,7 +70,8 @@ func TestProjectionMatchesMeasuredScaleRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, err := core.RunSharded(d.Series, p)
+			p.Workers = runtime.GOMAXPROCS(0)
+			tr, err := core.Run(d.Series, p)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -120,15 +120,6 @@ func (cfg Config) streamParams() (core.SessionParams, error) {
 	case cfg.ChurnCrashProb != 0 || cfg.ChurnRejoinProb != 0:
 		return sp, errors.New("chiaroscuro: churn is not supported in streaming sessions yet")
 	}
-	var engine core.SessionEngine
-	switch cfg.Engine {
-	case "", "cycles":
-		engine = core.SessionSequential
-	case "sharded":
-		engine = core.SessionSharded
-	default:
-		return sp, fmt.Errorf("chiaroscuro: unknown engine %q (want cycles or sharded)", cfg.Engine)
-	}
 	spend, err := dp.SpendStrategyByName(cfg.BudgetStrategy, cfg.DriftThreshold)
 	if err != nil {
 		return sp, err
@@ -143,7 +134,6 @@ func (cfg Config) streamParams() (core.SessionParams, error) {
 		Windows:         cfg.Windows,
 		Spend:           spend,
 		WarmStart:       cfg.WarmStart,
-		Engine:          engine,
 	}, nil
 }
 
