@@ -51,7 +51,7 @@ func allocTestSeries(t testing.TB, n, dim int) [][]float64 {
 // storage carved when the run provisioned the pool, and the refresh
 // hands that storage back. The ceiling is still counted per refresh:
 // 0 objects per cycle in 99 of 100 runs and 1 in the other (n=16,
-// 256-bit key, 128 refreshes per cycle), held at 0.05 per refresh. The run is deterministic (fixed seed), so
+// 256-bit key, 64 refreshes per cycle), held at 0.05 per refresh. The run is deterministic (fixed seed), so
 // the buffer capacities the warm-up grows are the ones the measured
 // window needs. Under -race the Damgård–Jurik figure is logged but not
 // held to its ceiling: the race detector makes sync.Pool drop Puts on

@@ -312,6 +312,18 @@ func TestValidationErrors(t *testing.T) {
 			"core: max value +Inf must be positive and finite"},
 		{"max value NaN", good, Params{K: 2, Epsilon: 1, MaxValue: math.NaN()},
 			"core: max value NaN must be positive and finite"},
+		{"crash probability NaN", good, Params{K: 2, Epsilon: 1, ChurnCrashProb: math.NaN()},
+			"core: churn probabilities outside [0,1]"},
+		{"rejoin probability NaN", good, Params{K: 2, Epsilon: 1, ChurnCrashProb: 0.1, ChurnRejoinProb: math.NaN()},
+			"core: churn probabilities outside [0,1]"},
+		{"converge threshold NaN", good, Params{K: 2, Epsilon: 1, ConvergeThreshold: math.NaN()},
+			"core: converge threshold NaN must be non-negative and finite"},
+		{"converge threshold negative", good, Params{K: 2, Epsilon: 1, ConvergeThreshold: -1},
+			"core: converge threshold -1 must be non-negative and finite"},
+		{"inertia stop threshold NaN", good, Params{K: 2, Epsilon: 1, TrackInertia: true, InertiaStopThreshold: math.NaN()},
+			"core: inertia stop threshold NaN must be non-negative and finite"},
+		{"inertia stop threshold infinite", good, Params{K: 2, Epsilon: 1, TrackInertia: true, InertiaStopThreshold: math.Inf(1)},
+			"core: inertia stop threshold +Inf must be non-negative and finite"},
 	}
 	for _, tc := range cases {
 		_, err := Run(tc.data, tc.p)
@@ -402,28 +414,28 @@ func TestOpsCountedInPlainBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A side of k·(dim+1) coordinates travels in ⌈k·(dim+1)/slots⌉
-	// ciphertexts, over the 1023 usable bits of the default 1024-bit
-	// key's ring.
+	// The encrypted side's k·(dim+1) coordinates travel in
+	// ⌈k·(dim+1)/slots⌉ ciphertexts, over the 1023 usable bits of the
+	// default 1024-bit key's ring.
 	slots, err := PackedSlots(1023, 40, 3, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	side := int64((2*(3+1) + slots - 1) / slots)
-	// Every participant encrypts its two sides per iteration, and
+	// Every participant encrypts its one side per iteration, and
 	// nothing else encrypts: setup performs no probe encryption (the
 	// cipher ring needs no cached zero), so the count is exact.
-	wantEnc := 40 * 2 * 2 * side
+	wantEnc := 40 * 2 * side
 	if tr.Ops.Encrypts != wantEnc {
 		t.Fatalf("encrypts = %d, want %d", tr.Ops.Encrypts, wantEnc)
 	}
 	if tr.Ops.Refreshes == 0 || tr.Ops.Adds == 0 || tr.Ops.PartialDecrypts == 0 || tr.Ops.Combines == 0 {
 		t.Fatalf("ops not counted: %+v", tr.Ops)
 	}
-	// Every participant emits its 2·side-cipher vector once per gossip
+	// Every participant emits its side-cipher vector once per gossip
 	// round: that many halvings by the exponent, each refreshing the sent
 	// copy, none performed inside a ciphertext.
-	if want := 40 * 2 * 6 * 2 * side; tr.Ops.Refreshes != want || tr.Ops.Halvings != want {
+	if want := 40 * 2 * 6 * side; tr.Ops.Refreshes != want || tr.Ops.Halvings != want {
 		t.Fatalf("refreshes = %d, halvings = %d, want %d each", tr.Ops.Refreshes, tr.Ops.Halvings, want)
 	}
 }

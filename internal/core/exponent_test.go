@@ -56,27 +56,30 @@ func (o *oracleState) absorb(t *testing.T, s CipherSuite, ms ...*oracleState) {
 	}
 }
 
-// oracleEncrypt is the pre-exponent encoding of a fused contribution:
-// every coordinate carries its 2^T inside the plaintext.
+// oracleEncrypt is the pre-exponent encoding of a perturbed
+// contribution: every coordinate is its value's and its noise share's
+// encodings added, and carries its 2^T inside the plaintext.
 func oracleEncrypt(t *testing.T, r *runShared, vals, noises []float64) []Cipher {
 	t.Helper()
-	out := make([]Cipher, 2*r.sideCiphers)
-	for side, xs := range [2][]float64{vals, noises} {
-		enc := make([]*big.Int, len(xs))
-		for i, x := range xs {
-			v, err := r.codec.Encode(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			enc[i] = v.Lsh(v, r.preScale)
+	enc := make([]*big.Int, len(vals))
+	for i := range vals {
+		v, err := r.codec.Encode(vals[i])
+		if err != nil {
+			t.Fatal(err)
 		}
-		for g, m := range packWide(t, r, enc) {
-			ct, err := r.suite.Encrypt(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[side*r.sideCiphers+g] = ct
+		e, err := r.codec.Encode(noises[i])
+		if err != nil {
+			t.Fatal(err)
 		}
+		enc[i] = v.Lsh(v.Add(v, e), r.preScale)
+	}
+	out := make([]Cipher, r.sideCiphers)
+	for g, m := range packWide(t, r, enc) {
+		ct, err := r.suite.Encrypt(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[g] = ct
 	}
 	return out
 }
@@ -141,7 +144,7 @@ func (h *oracleHarness) contribute(n *oracleNode) {
 	noises[0] = -r.noiseBound // the extremes, always
 	noises[1] = r.noiseBound
 	n.eager = &oracleState{v: oracleEncrypt(h.t, r, vals, noises), w: 1}
-	values, err := n.pt.encryptSides(r.newCodecScratch(), vals, noises)
+	values, err := n.pt.encryptSide(r.newCodecScratch(), vals, noises)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -194,12 +197,12 @@ func (h *oracleHarness) deliver(to int, idx ...int) {
 	n.eager.absorb(h.t, h.r.suite, es...)
 }
 
-// open runs step 2c and the threshold decryption on a fused vector and
-// returns the opened plaintexts.
-func (h *oracleHarness) open(fused []Cipher) []*big.Int {
+// open runs step 2c and the threshold decryption on a push-sum vector
+// and returns the opened plaintexts.
+func (h *oracleHarness) open(vals []Cipher) []*big.Int {
 	h.t.Helper()
 	r := h.r
-	cts := r.perturbedOpening(fused)
+	cts := r.perturbedOpening(vals)
 	sets := make([][]Partial, r.suite.Threshold())
 	for j := range sets {
 		sets[j] = make([]Partial, len(cts))
@@ -494,8 +497,9 @@ func TestHalvingBudgetGuards(t *testing.T) {
 // TestRunNeverHalvesEagerly: a full run on either backend performs every
 // halving by the exponent. OpCounts.Halvings counts halvings however
 // performed and Refreshes the exponent's, so their difference is the
-// number of eager CipherSuite.Halve calls — zero — and each emission
-// refreshed exactly its vector.
+// number of eager CipherSuite.Halve calls — zero — and each of the
+// n·iterations·rounds emissions refreshed exactly its sideCiphers-long
+// vector.
 func TestRunNeverHalvesEagerly(t *testing.T) {
 	data := blobs(10, 3, 2)
 	for name, p := range map[string]Params{
@@ -510,9 +514,9 @@ func TestRunNeverHalvesEagerly(t *testing.T) {
 		if eager := tr.Ops.Halvings - tr.Ops.Refreshes; eager != 0 {
 			t.Fatalf("%s: %d eager halvings on a run path (%+v)", name, eager, tr.Ops)
 		}
-		vector := int64(2 * 2 * (3 + 1))
-		if tr.Ops.Refreshes == 0 || tr.Ops.Refreshes%vector != 0 {
-			t.Fatalf("%s: %d refreshes, want a positive multiple of the %d-cipher vector", name, tr.Ops.Refreshes, vector)
+		vector := int64(openTestRun(t, data, p).sideCiphers)
+		if want := int64(len(data)*p.Iterations*p.GossipRounds) * vector; tr.Ops.Refreshes != want {
+			t.Fatalf("%s: %d refreshes, want %d: one per emission of the %d-cipher vector", name, tr.Ops.Refreshes, want, vector)
 		}
 		if tr.DecryptFailures != 0 {
 			t.Fatalf("%s: %d decrypt failures", name, tr.DecryptFailures)

@@ -218,7 +218,7 @@ func (nd *Node) gossipSlab() (cs []Cipher, lent bool, err error) {
 		return cs, true, nil
 	}
 	r := nd.pt.run
-	cs, err = r.suite.NewCipherVector(2 * r.sideCiphers)
+	cs, err = r.suite.NewCipherVector(r.sideCiphers)
 	if err != nil || len(nd.slabs) >= r.population-1 {
 		return cs, false, err
 	}
@@ -229,8 +229,8 @@ func (nd *Node) gossipSlab() (cs []Cipher, lent bool, err error) {
 // DecodePayload parses and validates one payload received from a peer.
 // Shape and range checks are strict against this node's run
 // configuration — iteration tags inside the schedule, centroid matrices
-// exactly K×dim of finite values, cipher vectors exactly the fused
-// length, push-sum weights finite and population-bounded, halving
+// exactly K×dim of finite values, cipher vectors exactly the encrypted
+// side's length, push-sum weights finite and population-bounded, halving
 // exponents within the pre-scale budget — so a peer
 // that violates the protocol is rejected here with an error instead of
 // desynchronizing the participant state machine.

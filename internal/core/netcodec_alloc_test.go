@@ -149,9 +149,18 @@ func (e *inboxEnv) Inbox() []p2p.Message { return e.inbox }
 func TestDecryptRequestsNeverShareStorage(t *testing.T) {
 	for name, nd := range codecNodes(t) {
 		r := nd.pt.run
-		vals := nd.pt.diptych.Means.V
+		// Two same-length requests of different ciphertexts: the node's
+		// push-sum vector, and fresh encryptions of 1, 2, ….
+		other := make([]Cipher, r.sideCiphers)
+		for i := range other {
+			c, err := r.suite.Encrypt(big.NewInt(int64(i + 1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			other[i] = c
+		}
 		var prev *big.Int
-		for step, ciphers := range [][]Cipher{vals[:r.sideCiphers], vals[r.sideCiphers : 2*r.sideCiphers]} {
+		for step, ciphers := range [][]Cipher{nd.pt.diptych.Means.V, other} {
 			want := make([]Partial, len(ciphers))
 			for i, c := range ciphers {
 				p, err := r.suite.PartialDecrypt(1, c)

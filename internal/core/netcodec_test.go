@@ -151,7 +151,8 @@ func TestNewNodeRejectsNaNSeries(t *testing.T) {
 // bytes: arbitrary input must produce an error or a payload — never a
 // panic — and an accepted payload is canonical (it re-encodes to the
 // bytes it came from, so no two encodings mean the same thing) and within
-// the bounds the participant relies on: a vector of the fused length, a
+// the bounds the participant relies on: a vector of the encrypted side's
+// length, a
 // finite population-bounded weight, a halving exponent inside the
 // pre-scale budget.
 func FuzzDecodePayload(f *testing.F) {
@@ -189,7 +190,7 @@ func FuzzDecodePayload(f *testing.F) {
 			if math.IsNaN(m.W) || m.W < 0 || m.W > float64(r.population) {
 				t.Fatalf("accepted weight %v", m.W)
 			}
-			if len(m.V) != 2*r.sideCiphers || g.Iter >= r.params.Iterations {
+			if len(m.V) != r.sideCiphers || g.Iter >= r.params.Iterations {
 				t.Fatalf("accepted a %d-cipher vector at iteration %d", len(m.V), g.Iter)
 			}
 		}

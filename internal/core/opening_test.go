@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
+	"math/rand"
 	"testing"
 
 	"chiaroscuro/internal/fixedpoint"
@@ -48,8 +50,8 @@ func openingCases(t *testing.T) []openingCase {
 	}
 }
 
-// swapLayout makes r pack its sides with l instead of its own layout.
-// Only for a run none of whose ciphertexts exist yet.
+// swapLayout makes r pack its encrypted side with l instead of its own
+// layout. Only for a run none of whose ciphertexts exist yet.
 func swapLayout(r *runShared, l *fixedpoint.SlotLayout) {
 	r.layout, r.sideCiphers = l, l.Groups(r.sideLen)
 }
@@ -89,21 +91,10 @@ func (tc openingCase) setup(t *testing.T) (*runShared, uint) {
 	return r, slotWidth(t, r.layout)
 }
 
-// summands splits each step-2c sum ys[j] into a mean and a noise share,
-// so the homomorphic addition matters.
-func summands(ys []*big.Int) (means, noises []*big.Int) {
-	for j, y := range ys {
-		noise := big.NewInt(int64(3*j - 17))
-		means = append(means, new(big.Int).Sub(y, noise))
-		noises = append(noises, noise)
-	}
-	return means, noises
-}
-
-// packWide packs one side's signed integers as the run packs them at
-// encryption — Horner's rule at the layout's width, sign-wrapped — but
-// without PackInto's bound on one contribution: the integers may be sums,
-// or pre-scaled.
+// packWide packs signed integers as the run packs them at encryption —
+// Horner's rule at the layout's width, sign-wrapped — but without
+// PackInto's bound on one contribution: the integers may be sums, or
+// pre-scaled.
 func packWide(t *testing.T, r *runShared, vs []*big.Int) []*big.Int {
 	t.Helper()
 	width := slotWidth(t, r.layout)
@@ -124,20 +115,17 @@ func packWide(t *testing.T, r *runShared, vs []*big.Int) []*big.Int {
 	return out
 }
 
-// fusedVector encrypts [means | noise] packed as the run packs them,
-// where the step-2c sums are ys.
-func fusedVector(t *testing.T, r *runShared, ys []*big.Int) []Cipher {
+// packedVector encrypts ys packed as the run packs them: the push-sum
+// vector whose opening holds the sums ys.
+func packedVector(t *testing.T, r *runShared, ys []*big.Int) []Cipher {
 	t.Helper()
-	vals, err := r.suite.NewCipherVector(2 * r.sideCiphers)
+	vals, err := r.suite.NewCipherVector(r.sideCiphers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	means, noises := summands(ys)
-	for side, vs := range [2][]*big.Int{means, noises} {
-		for g, m := range packWide(t, r, vs) {
-			if err := r.suite.EncryptInto(vals[side*r.sideCiphers+g], m); err != nil {
-				t.Fatal(err)
-			}
+	for g, m := range packWide(t, r, ys) {
+		if err := r.suite.EncryptInto(vals[g], m); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return vals
@@ -165,24 +153,14 @@ func openAll(t *testing.T, r *runShared, cts []Cipher) []*big.Int {
 }
 
 // perCoordinate is the protocol packing replaced, kept as the oracle:
-// the means and noise shares of ys encrypted one ciphertext per
-// coordinate, one step-2c sum and one threshold decryption per
-// coordinate, sign-unwrapped (decoding then shifts by what is left of
-// the halving budget).
+// the sums ys encrypted one ciphertext per coordinate, one threshold
+// decryption per coordinate, sign-unwrapped (decoding then shifts by
+// what is left of the halving budget).
 func perCoordinate(t *testing.T, r *runShared, ys []*big.Int) []*big.Int {
 	t.Helper()
-	means, noises := summands(ys)
 	cts := make([]Cipher, len(ys))
-	for j := range cts {
-		var sides [2]Cipher
-		for side, v := range [2]*big.Int{means[j], noises[j]} {
-			c, err := r.suite.Encrypt(new(big.Int).Mod(v, r.plainMod))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sides[side] = c
-		}
-		c, err := r.suite.Add(sides[0], sides[1])
+	for j, y := range ys {
+		c, err := r.suite.Encrypt(new(big.Int).Mod(y, r.plainMod))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,9 +181,9 @@ func perCoordinate(t *testing.T, r *runShared, ys []*big.Int) []*big.Int {
 // and at 20 (a 1024-bit key at crypto-dj's budget, 50 bits a slot):
 // with every step-2c sum at the edge of the budget, ±2^(width−3), in
 // mixed sign patterns, and at every halving exponent h ∈ [0, T], the
-// packed sides' opening discloses the integers — and the Float64bits —
-// per-coordinate ciphertexts disclose, for one addition per group and no
-// squaring.
+// packed vector's opening discloses the integers — and the Float64bits —
+// per-coordinate ciphertexts disclose, for no homomorphic operation at
+// all: the opening is a copy.
 func TestOpeningMatchesPerCoordinate(t *testing.T) {
 	for _, tc := range openingCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -221,15 +199,15 @@ func TestOpeningMatchesPerCoordinate(t *testing.T) {
 					}
 				}
 				ref := perCoordinate(t, r, ys)
-				vals := fusedVector(t, r, ys)
+				vals := packedVector(t, r, ys)
 				before := r.suite.Counts()
 				opening := r.perturbedOpening(vals)
 				ops := opCountsMinus(r.suite.Counts(), before)
-				if len(opening) != r.sideCiphers {
-					t.Fatalf("opening of %d ciphertexts, want %d", len(opening), r.sideCiphers)
+				if len(opening) != r.sideCiphers || &opening[0] == &vals[0] || opening[0] == vals[0] {
+					t.Fatalf("opening of %d ciphertexts, want a fresh copy of the %d", len(opening), r.sideCiphers)
 				}
-				if ops.Adds != int64(r.sideCiphers) || ops.Doublings != 0 {
-					t.Fatalf("opening cost %d additions and %d doublings, want %d and 0", ops.Adds, ops.Doublings, r.sideCiphers)
+				if ops != (OpCounts{}) {
+					t.Fatalf("opening cost %+v, want nothing", ops)
 				}
 				opened := openAll(t, r, opening)
 				// The opened plaintexts do not depend on the exponent; the
@@ -275,7 +253,7 @@ func TestOpeningOutOfBudgetFails(t *testing.T) {
 			// carry of one into the coordinate above.
 			ys[0] = new(big.Int).Lsh(big.NewInt(1), width-1)
 			ys[0].Add(ys[0], big.NewInt(1))
-			plains := openAll(t, r, r.perturbedOpening(fusedVector(t, r, ys)))
+			plains := openAll(t, r, r.perturbedOpening(packedVector(t, r, ys)))
 			if _, err := r.signedAggregates(r.newCodecScratch(), plains, 0, 1); !errors.Is(err, fixedpoint.ErrSlotOverflow) {
 				t.Fatalf("an out-of-budget sum decoded with error %v, want ErrSlotOverflow", err)
 			}
@@ -301,7 +279,7 @@ func TestOpeningRefusesInflatedWeight(t *testing.T) {
 			}
 			ys[0] = new(big.Int).Lsh(big.NewInt(3), width-2)
 			ys[0].Add(ys[0], big.NewInt(1))
-			plains := openAll(t, r, r.perturbedOpening(fusedVector(t, r, ys)))
+			plains := openAll(t, r, r.perturbedOpening(packedVector(t, r, ys)))
 			split := make([]*big.Int, r.sideLen)
 			for j := range split {
 				split[j] = new(big.Int)
@@ -402,4 +380,128 @@ func sameBits(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// twoSided is the encoding the noise fold replaced, kept as the oracle:
+// the values and the noise shares each fixed-point-encoded, packed and
+// sign-wrapped as a side of their own, and the two sides added modulo M
+// — the plaintexts step 2c's homomorphic addition of the two sides
+// opened.
+func twoSided(t *testing.T, r *runShared, vals, noises []float64) []*big.Int {
+	t.Helper()
+	sums := make([]*big.Int, r.sideCiphers)
+	for g := range sums {
+		sums[g] = new(big.Int)
+	}
+	for _, xs := range [2][]float64{vals, noises} {
+		coords := make([]*big.Int, len(xs))
+		for i, x := range xs {
+			v, err := r.codec.Encode(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coords[i] = v
+		}
+		side, err := r.layout.Pack(coords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g, m := range side {
+			if err := fixedpoint.WrapSignedInPlace(m, r.plainMod, r.halfMod); err != nil {
+				t.Fatal(err)
+			}
+			sums[g].Add(sums[g], m).Mod(sums[g], r.plainMod)
+		}
+	}
+	return sums
+}
+
+// foldContributions are the (values, noise shares) pairs the fold is
+// checked on: the envelope's four corners — every value at 0 or at
+// coordBound, every share at ±noiseBound — the corners mixed coordinate
+// by coordinate, and random draws inside the envelope.
+func foldContributions(r *runShared, coordBound float64, rng *rand.Rand) [][2][]float64 {
+	pair := func(f func(i int) (float64, float64)) [2][]float64 {
+		vals, noises := make([]float64, r.sideLen), make([]float64, r.sideLen)
+		for i := range vals {
+			vals[i], noises[i] = f(i)
+		}
+		return [2][]float64{vals, noises}
+	}
+	corner := func(i int) (float64, float64) {
+		return float64(i/2%2) * coordBound, float64(2*(i%2)-1) * r.noiseBound
+	}
+	out := [][2][]float64{
+		pair(func(int) (float64, float64) { return 0, -r.noiseBound }),
+		pair(func(int) (float64, float64) { return 0, r.noiseBound }),
+		pair(func(int) (float64, float64) { return coordBound, -r.noiseBound }),
+		pair(func(int) (float64, float64) { return coordBound, r.noiseBound }),
+		pair(corner),
+		pair(func(i int) (float64, float64) { return corner(i + 1) }),
+	}
+	for k := 0; k < 2; k++ {
+		out = append(out, pair(func(int) (float64, float64) {
+			return rng.Float64() * coordBound, (2*rng.Float64() - 1) * r.noiseBound
+		}))
+	}
+	return out
+}
+
+// TestNoiseFoldMatchesTwoSided is the exactness property of adding each
+// noise share to its contribution before encryption: on both backends,
+// with and without the inertia aggregate, at 1, 2 and 20 slots per
+// ciphertext under the run's own slot width, every contribution in the
+// envelope — its corners included — encrypts without a slot overflow
+// (stepAssign panics on one) and decrypts to exactly the plaintexts the
+// two-sided encoding's step-2c sum opened.
+func TestNoiseFoldMatchesTwoSided(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, base := range []struct {
+		name   string
+		params Params
+		slots  []int // the slot counts checked on this key
+	}{
+		{"plain", Params{K: 2, Epsilon: 100, Iterations: 2, GossipRounds: 8, DecryptThreshold: 2}, []int{1, 2, 20}},
+		{"dj256", Params{K: 2, Epsilon: 100, Iterations: 2, GossipRounds: 8, DecryptThreshold: 2,
+			Backend: BackendDamgardJurik, ModulusBits: 256}, []int{1, 2}},
+		{"dj1024", Params{K: 2, Epsilon: 100, Iterations: 2, GossipRounds: 8, DecryptThreshold: 2,
+			Backend: BackendDamgardJurik, ModulusBits: 1024}, []int{20}},
+	} {
+		for _, inertia := range []bool{false, true} {
+			p := base.params
+			p.TrackInertia = inertia
+			for _, slots := range base.slots {
+				t.Run(fmt.Sprintf("%s inertia=%v S=%d", base.name, inertia, slots), func(t *testing.T) {
+					r := openTestRun(t, blobs(5, 10, 2), p)
+					width := slotWidth(t, r.layout)
+					if r.layout.Slots() < slots {
+						t.Fatalf("the run packs %d slots per ciphertext, want at least %d", r.layout.Slots(), slots)
+					}
+					coordBound, _ := r.params.noiseEnvelope(r.dim, r.epsSched)
+					l, err := slotLayout(slots*int(width), r.population, coordBound, r.noiseBound, r.params.FracBits, r.preScale)
+					if err != nil || l.Slots() != slots {
+						t.Fatalf("layout of %d slots at width %d: %v", slots, width, err)
+					}
+					swapLayout(r, l)
+					pt := r.newParticipant(0)
+					s := r.newCodecScratch()
+					for k, c := range foldContributions(r, coordBound, rng) {
+						got, err := pt.encryptSide(s, c[0], c[1])
+						if err != nil {
+							t.Fatalf("contribution %d: %v", k, err)
+						}
+						if len(got) != r.sideCiphers {
+							t.Fatalf("contribution %d: %d ciphertexts, want %d", k, len(got), r.sideCiphers)
+						}
+						want := twoSided(t, r, c[0], c[1])
+						for g, m := range openAll(t, r, got) {
+							if m.Cmp(want[g]) != 0 {
+								t.Fatalf("contribution %d group %d: plaintext %s, two-sided %s", k, g, m, want[g])
+							}
+						}
+					}
+				})
+			}
+		}
+	}
 }

@@ -118,8 +118,9 @@ func TestPackedPlainBitIdenticalWithInertia(t *testing.T) {
 // fewer wire bytes — and still discloses the identical centroids
 // (threshold decryption is exact, so the packed integers decode to the
 // same aggregates). Its counts are pinned exactly: every participant
-// encrypts its two sides once per iteration, 2·sideCiphers ciphertexts,
-// and serves n·t·sideCiphers partial decryptions per iteration in all.
+// encrypts its perturbed contribution once per iteration, sideCiphers
+// ciphertexts, and serves n·t·sideCiphers partial decryptions per
+// iteration in all.
 func TestPackedDamgardJurikOpReduction(t *testing.T) {
 	data := blobs(16, 4, 2)
 	p := Params{
@@ -134,8 +135,8 @@ func TestPackedDamgardJurikOpReduction(t *testing.T) {
 	sideLen := p.K * (4 + 1)
 	sideCiphers := int64((sideLen + slots - 1) / slots)
 	n, iters := int64(len(data)), int64(p.Iterations)
-	if want := n * iters * 2 * sideCiphers; pk.Ops.Encrypts != want {
-		t.Fatalf("%d encryptions, want n·iterations·2·sideCiphers = %d", pk.Ops.Encrypts, want)
+	if want := n * iters * sideCiphers; pk.Ops.Encrypts != want {
+		t.Fatalf("%d encryptions, want n·iterations·sideCiphers = %d", pk.Ops.Encrypts, want)
 	}
 	if want := n * int64(p.DecryptThreshold) * sideCiphers * iters; pk.Ops.PartialDecrypts != want {
 		t.Fatalf("%d partial decryptions, want n·t·sideCiphers·iterations = %d", pk.Ops.PartialDecrypts, want)

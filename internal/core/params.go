@@ -280,8 +280,11 @@ func (p Params) validate(n, dim int) error {
 			}
 		}
 	}
-	if p.ChurnCrashProb < 0 || p.ChurnCrashProb > 1 || p.ChurnRejoinProb < 0 || p.ChurnRejoinProb > 1 {
+	if !(p.ChurnCrashProb >= 0 && p.ChurnCrashProb <= 1) || !(p.ChurnRejoinProb >= 0 && p.ChurnRejoinProb <= 1) { // refuses NaN too
 		return errors.New("core: churn probabilities outside [0,1]")
+	}
+	if !(p.ConvergeThreshold >= 0) || math.IsInf(p.ConvergeThreshold, 0) {
+		return fmt.Errorf("core: converge threshold %v must be non-negative and finite", p.ConvergeThreshold)
 	}
 	if err := p.Faults.Validate(n); err != nil {
 		return fmt.Errorf("core: fault plan: %w", err)
@@ -301,8 +304,8 @@ func (p Params) validate(n, dim int) error {
 				p.DJMaterial.Parties, p.DJMaterial.Threshold, n, p.DecryptThreshold)
 		}
 	}
-	if p.InertiaStopThreshold < 0 {
-		return fmt.Errorf("core: inertia stop threshold %v negative", p.InertiaStopThreshold)
+	if !(p.InertiaStopThreshold >= 0) || math.IsInf(p.InertiaStopThreshold, 0) {
+		return fmt.Errorf("core: inertia stop threshold %v must be non-negative and finite", p.InertiaStopThreshold)
 	}
 	if p.InertiaStopThreshold > 0 && !p.TrackInertia {
 		return errors.New("core: InertiaStopThreshold requires TrackInertia")

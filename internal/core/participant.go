@@ -26,16 +26,16 @@ type phase int
 const (
 	phaseAssign  phase = iota // Step 1 (local)
 	phaseGossip               // Step 2a+2b (distributed)
-	phaseDecrypt              // Step 2c+2d (noise addition + collaborative decryption)
+	phaseDecrypt              // Step 2c+2d (opening + collaborative decryption)
 	phaseDone                 // terminated (converged or out of iterations)
 )
 
 // gossipPayload is one push-sum exchange. It carries the iteration tag and
 // the perturbed centroids of that iteration so that late participants can
 // synchronize (Sec. II.B: "the late participants simply synchronize on
-// the latest iteration during their gossip exchanges"). The fused vector
-// transports the encrypted means and the encrypted noise shares together
-// under a single push-sum weight.
+// the latest iteration during their gossip exchanges"). The vector
+// carries the encrypted sums and counts, each participant's noise shares
+// already added to its own contribution, under one push-sum weight.
 type gossipPayload struct {
 	Iter      int
 	Centroids [][]float64
@@ -64,8 +64,8 @@ type Diptych struct {
 	Iteration int
 	// Centroids is the perturbed, publicly disclosed side.
 	Centroids [][]float64
-	// Means is the encrypted side: the fused push-sum state over
-	// [cluster sums+counts | noise shares], never disclosed.
+	// Means is the encrypted side: the push-sum state over the cluster
+	// sums and counts with the noise shares added, never disclosed.
 	Means *gossip.State[Cipher]
 }
 
@@ -170,7 +170,7 @@ type participant struct {
 	gossipScratch []*gossipPayload
 	respScratch   []*decryptResponse
 
-	// vals/noises are the per-iteration cleartext fused-contribution
+	// vals/noises are the per-iteration cleartext contribution and noise
 	// buffers; contrib is the owned cipher vector each iteration's
 	// push-sum state is rebuilt over; emitMsgs/emitPayloads are the two
 	// cycle-parity emission buffers (used when runShared.parityEmits).
@@ -199,8 +199,8 @@ type runShared struct {
 	noiseBound    float64
 	vecLen        int                    // k*(dim+1): cluster sums and counts
 	sideLen       int                    // vecLen (+1 when the inertia aggregate is tracked)
-	sideCiphers   int                    // ciphertexts per side, and opened per iteration: ⌈sideLen/slots⌉
-	layout        *fixedpoint.SlotLayout // how each side packs into its ciphertexts
+	sideCiphers   int                    // ciphertexts gossiped, and opened per iteration: ⌈sideLen/slots⌉
+	layout        *fixedpoint.SlotLayout // how the encrypted side packs into its ciphertexts
 	decodeBound   float64                // max plausible |decoded| per coordinate
 	centroidBytes int
 	// validate is set only when the fault plan contains byzantine
@@ -332,10 +332,9 @@ func (pt *participant) stepAssign(ctx Env) {
 	}
 	pt.assignment = best
 
-	// Build the fused contribution vector:
-	//   [0 .. vecLen)            means side (sums then count per cluster)
+	// Build the contribution and one noise share per coordinate:
+	//   [0 .. vecLen)            sums then count per cluster
 	//   [vecLen .. sideLen)      optional inertia aggregate (footnote 2)
-	//   [sideLen .. 2*sideLen)   noise shares for the same layout
 	// The cleartext coordinates are assembled first and packed and
 	// encrypted after, so the noise-share RNG consumption is the
 	// coordinate order, whatever the packing.
@@ -389,7 +388,7 @@ func (pt *participant) stepAssign(ctx Env) {
 		fill(r.sideLen-1, bestSq)
 	}
 	s := r.scratch.Get().(*codecScratch)
-	values, err := pt.encryptSides(s, vals, noises)
+	values, err := pt.encryptSide(s, vals, noises)
 	r.scratch.Put(s)
 	if err != nil {
 		// Headroom was validated up front; an error here is a
@@ -408,7 +407,7 @@ func (pt *participant) stepAssign(ctx Env) {
 
 // newMeans builds a push-sum state of weight w (and halving exponent 0)
 // over cipher values it takes ownership of — a participant's fresh
-// contribution (encryptSides wrote it into the participant's own
+// contribution (encryptSide wrote it into the participant's own
 // vector) or a restored snapshot's freshly decoded vector.
 func (r *runShared) newMeans(values []Cipher, w float64) (*gossip.State[Cipher], error) {
 	st, err := gossip.NewState[Cipher](r.ring, values, w)
@@ -428,42 +427,51 @@ func (pt *participant) noiseScale() float64 {
 	return r.params.sensitivity(r.dim) / r.epsSched[pt.iter]
 }
 
-// encryptSides encrypts the fused contribution [values | noise shares]
-// into the participant's own cipher vector: each side fixed-point-encoded
-// into s's coordinates, packed into s's groups by Horner's rule,
-// sign-wrapped against the cached M/2 (a packed integer is a signed
-// value like any other) and encrypted group by group — both sides under
-// the one layout, so the step-2c noise addition is a slot-aligned
-// homomorphic Add. The 2^T pre-scale is not applied: it is the T − 0 the
-// fresh share's halving exponent still owes (signedAggregates shifts by
-// whatever is left of it). The previous iteration's state owned these
-// ciphers, but it is dropped in the same activation, and every emission
-// carries copies, so overwriting is safe.
-func (pt *participant) encryptSides(s *codecScratch, vals, noises []float64) ([]Cipher, error) {
+// encryptSide encrypts the perturbed contribution into the participant's
+// own cipher vector: each value and its noise share fixed-point-encoded
+// on their own and added as integers in s's coordinates, packed into s's
+// groups by Horner's rule, sign-wrapped against the cached M/2 (a packed
+// integer is a signed value like any other) and encrypted group by
+// group. Step 2c's noise addition is done here, in the clear and on the
+// participant's own share: push-sum is linear, so the gossiped sum of
+// perturbed contributions is the sum of the gossiped contributions and
+// the gossiped noise, integer for integer, and the layout already sizes
+// one contribution for value plus clamped noise. The 2^T pre-scale is
+// not applied: it is the T − 0 the fresh share's halving exponent still
+// owes (signedAggregates shifts by whatever is left of it). The previous
+// iteration's state owned these ciphers, but it is dropped in the same
+// activation, and every emission carries copies, so overwriting is safe.
+func (pt *participant) encryptSide(s *codecScratch, vals, noises []float64) ([]Cipher, error) {
 	r := pt.run
 	if pt.contrib == nil {
-		v, err := r.suite.NewCipherVector(2 * r.sideCiphers)
+		v, err := r.suite.NewCipherVector(r.sideCiphers)
 		if err != nil {
 			return nil, err
 		}
 		pt.contrib = v
 	}
-	for side, xs := range [2][]float64{vals, noises} {
-		for i, x := range xs {
-			if _, err := r.codec.EncodeInto(s.coords[i], x); err != nil {
-				return nil, err
-			}
-		}
-		if err := r.layout.PackInto(s.groups, s.coords[:len(xs)]); err != nil {
+	// The first group integer is free until PackInto writes it: it holds
+	// each noise share's encoding on its way into the coordinate.
+	noise := s.groups[0]
+	coords := s.coords[:len(vals)]
+	for i, c := range coords {
+		if _, err := r.codec.EncodeInto(c, vals[i]); err != nil {
 			return nil, err
 		}
-		for g, m := range s.groups {
-			if err := fixedpoint.WrapSignedInPlace(m, r.plainMod, r.halfMod); err != nil {
-				return nil, err
-			}
-			if err := r.suite.EncryptInto(pt.contrib[side*r.sideCiphers+g], m); err != nil {
-				return nil, err
-			}
+		if _, err := r.codec.EncodeInto(noise, noises[i]); err != nil {
+			return nil, err
+		}
+		c.Add(c, noise)
+	}
+	if err := r.layout.PackInto(s.groups, coords); err != nil {
+		return nil, err
+	}
+	for g, m := range s.groups {
+		if err := fixedpoint.WrapSignedInPlace(m, r.plainMod, r.halfMod); err != nil {
+			return nil, err
+		}
+		if err := r.suite.EncryptInto(pt.contrib[g], m); err != nil {
+			return nil, err
 		}
 	}
 	return pt.contrib, nil
@@ -491,8 +499,8 @@ func (pt *participant) stepGossip(ctx Env) {
 			payload = pt.byzantinePayload(payload)
 		}
 		// Byte accounting from the actual ciphertext count of the
-		// emitted message — not a recomputed 2·sideLen — so packed and
-		// inertia-tracking runs report true wire bytes.
+		// emitted message — not one recomputed from sideLen — so packed
+		// and inertia-tracking runs report true wire bytes.
 		bytes := len(payload.Msg.V)*r.suite.CipherBytes() + r.centroidBytes + 16
 		_ = ctx.Send(peer, payload, bytes)
 	}
@@ -694,7 +702,7 @@ func (pt *participant) handleGossips(ctx Env, gs []*gossipPayload) {
 			// to the abandoned iteration's state and is folded in before
 			// it is replaced.
 			if g.Iter >= len(r.epsSched) || g.Msg == nil ||
-				len(g.Msg.V) != 2*r.sideCiphers || g.Msg.H > r.preScale ||
+				len(g.Msg.V) != r.sideCiphers || g.Msg.H > r.preScale ||
 				!validShape(g.Centroids, r.params.K, r.dim) ||
 				(r.validate && !pt.wireValid(g.Msg)) {
 				// Malformed sync payloads (wrong-length vectors and
@@ -721,7 +729,7 @@ func (pt *participant) handleGossips(ctx Env, gs []*gossipPayload) {
 	pt.absorbBatch = batch[:0]
 }
 
-// --- Step 2c/2d: noise addition + collaborative decryption ----------------
+// --- Step 2c/2d: opening + collaborative decryption -----------------------
 
 func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 	r := pt.run
@@ -762,23 +770,23 @@ func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 	}
 }
 
-// perturbedOpening runs step 2c on a frozen fused vector: it
-// homomorphically adds the gossiped encrypted noise to the gossiped
-// encrypted means, group by group — the aggregate that will be disclosed
-// is perturbed *before* anyone can decrypt it — and returns the
-// sideCiphers sums the participant asks its quorum to open. Each partial
-// decryption serves a whole group, and signedAggregates splits the
-// opened plaintexts back into the very integers per-coordinate openings
-// would disclose. The opening is fresh storage (responders memoize
-// partials by its identity); vals is only read.
+// perturbedOpening runs step 2c on a frozen push-sum vector: the
+// sideCiphers ciphertexts the participant asks its quorum to open. Every
+// contribution was perturbed at encryption (see encryptSide), so the
+// aggregate is perturbed *before* anyone can decrypt it and the opening
+// is the vector itself. Each partial decryption serves a whole group,
+// and signedAggregates splits the opened plaintexts back into the very
+// integers per-coordinate openings would disclose. The opening is a
+// fresh copy, never vals: responders memoize partials by its identity,
+// and a sharded responder may still be reading a request while its
+// sender's next stepAssign rewrites vals.
 func (r *runShared) perturbedOpening(vals []Cipher) []Cipher {
 	cts, err := r.suite.NewCipherVector(r.sideCiphers)
 	if err != nil {
 		panic(err) // vector sizing is validated at bind time
 	}
-	for g, acc := range cts {
-		acc.Set(vals[g])
-		r.suite.AddInPlace(acc, vals[r.sideCiphers+g])
+	for g, c := range cts {
+		c.Set(vals[g])
 	}
 	return cts
 }

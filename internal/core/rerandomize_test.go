@@ -64,7 +64,7 @@ func TestRandomizersMatchSchedule(t *testing.T) {
 		}
 	}
 	schedule := func(r *runShared, hosted int) int64 {
-		return int64(hosted * r.params.Iterations * (r.params.GossipRounds + 1) * 2 * r.sideCiphers)
+		return int64(hosted * r.params.Iterations * (r.params.GossipRounds + 1) * r.sideCiphers)
 	}
 	data := blobs(5, 10, 2)
 	p := Params{

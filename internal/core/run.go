@@ -201,8 +201,8 @@ func (pop *population) bind(p Params) (*runShared, error) {
 		}
 	}
 
-	// Fixed-point codec and the one packing of the encrypted side: each
-	// side travels as ⌈sideLen/slots⌉ ciphertexts, its coordinates the
+	// Fixed-point codec and the one packing of the encrypted side: it
+	// travels as ⌈sideLen/slots⌉ ciphertexts, its coordinates the
 	// headroom budget's width apart.
 	codec, err := fixedpoint.New(p.FracBits)
 	if err != nil {
@@ -264,11 +264,11 @@ func (pop *population) bind(p Params) (*runShared, error) {
 
 // provision tells the suite what the hosted participants draw from its
 // randomizer pool in a fault-free run: per iteration, each encrypts its
-// two sides' groups and refreshes them once per gossip emission. A
+// sideCiphers groups and refreshes them once per gossip emission. A
 // fault, churn or early convergence only leaves the pool short (drawn
 // on the spot) or over (minted ahead, at most its buffer).
 func (r *runShared) provision(hosted int) {
-	r.suite.Provision(hosted * r.params.Iterations * (r.params.GossipRounds + 1) * 2 * r.sideCiphers)
+	r.suite.Provision(hosted * r.params.Iterations * (r.params.GossipRounds + 1) * r.sideCiphers)
 }
 
 // newParticipant builds one participant over the shared run state (its

@@ -43,7 +43,9 @@ const (
 	// run's push-sum vector, pending ciphertexts and partial sets hold
 	// ⌈sideLen/slots⌉ balanced-digit groups per side, where a v4 one held
 	// sideLen ciphertexts per side or biased slot groups.
-	snapVersion uint32 = 5
+	// snapVersion 6 adds the noise before encryption: the push-sum vector
+	// is one side of ⌈sideLen/slots⌉ groups, where a v5 one held two.
+	snapVersion uint32 = 6
 )
 
 // errSnapshot wraps every malformed-snapshot condition so callers can
@@ -387,7 +389,7 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if err != nil {
 			return snapErr("push-sum vector: %v", err)
 		}
-		cs, err := nd.pop.suite.NewCipherVector(2 * r.sideCiphers)
+		cs, err := nd.pop.suite.NewCipherVector(r.sideCiphers)
 		if err != nil {
 			return err
 		}

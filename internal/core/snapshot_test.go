@@ -269,16 +269,18 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 		t.Fatal("restore accepted a corrupted snapshot")
 	}
 	// A checkpoint written before the push-sum state carried its halving
-	// exponent (format 2) holds values that mean something else, and one
+	// exponent (format 2) holds values that mean something else, one
 	// written before every run packed at encryption (formats 3 and 4)
 	// holds push-sum vectors, pending ciphertexts and partial sets of the
-	// wrong shape: all are refused by version, not reinterpreted. The
-	// version is the second scalar field: 4 bytes of length prefix, then
-	// the value, after the magic's 8.
-	for _, version := range []uint32{2, 3, 4} {
+	// wrong shape, and one written before the noise was added at
+	// encryption (format 5) holds a push-sum vector of two sides: all are
+	// refused by version, not reinterpreted. The version is the second
+	// scalar field: 4 bytes of length prefix, then the value, after the
+	// magic's 8.
+	for _, version := range []uint32{2, 3, 4, 5} {
 		old := bytes.Clone(snap)
 		binary.BigEndian.PutUint32(old[12:], version)
-		want := fmt.Sprintf("version %d, want 5", version)
+		want := fmt.Sprintf("version %d, want 6", version)
 		if _, err := RestoreNode(data, params, 1, old); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("restore of a format-%d snapshot: %v, want %q", version, err, want)
 		}
@@ -395,10 +397,10 @@ func midDecryptNode(t testing.TB, m *memMesh) *Node {
 	return nd
 }
 
-// TestSnapshotBytesUnchanged pins AppendSnapshot against the Snapshot()
-// it replaced. testdata/snapshot_v5_*.hex are node 0's snapshots as that
-// function wrote them (recorded when every run began packing at
-// encryption), for FuzzRestoreNode's seed states and a mid-decrypt one,
+// TestSnapshotBytesUnchanged pins AppendSnapshot against recorded bytes.
+// testdata/snapshot_v6_*.hex are node 0's snapshots as AppendSnapshot
+// wrote them when every run began adding its noise shares before
+// encryption, for FuzzRestoreNode's seed states and a mid-decrypt one,
 // on both backends. The accounted states are a pure
 // function of the seed, so the same state built here must encode to the
 // recorded bytes. Damgård–Jurik ciphertexts are randomized per process,
@@ -408,7 +410,7 @@ func midDecryptNode(t testing.TB, m *memMesh) *Node {
 func TestSnapshotBytesUnchanged(t *testing.T) {
 	recorded := func(name string) []byte {
 		t.Helper()
-		text, err := os.ReadFile(filepath.Join("testdata", "snapshot_v5_"+name+".hex"))
+		text, err := os.ReadFile(filepath.Join("testdata", "snapshot_v6_"+name+".hex"))
 		if err != nil {
 			t.Fatal(err)
 		}

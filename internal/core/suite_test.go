@@ -309,7 +309,7 @@ func TestMeansValuesAreCopies(t *testing.T) {
 			for i := range vals {
 				vals[i] = x
 			}
-			values, err := r.newParticipant(id).encryptSides(r.newCodecScratch(), vals, noises)
+			values, err := r.newParticipant(id).encryptSide(r.newCodecScratch(), vals, noises)
 			if err != nil {
 				t.Fatal(err)
 			}

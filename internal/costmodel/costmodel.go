@@ -256,23 +256,18 @@ func (w Workload) validate() error {
 	return nil
 }
 
-// SideLen is the number of coordinates per side of the fused vector: per
+// SideLen is the number of coordinates of the encrypted side: per
 // cluster, the d-dimensional sum plus the count.
 func (w Workload) SideLen() int {
 	return w.K * (w.Dim + 1)
 }
 
-// SideCiphers is the number of ciphertexts carrying one side, and the
-// number a participant opens per iteration: ⌈SideLen/Slots⌉.
+// SideCiphers is the number of ciphertexts carrying the encrypted side:
+// the vector gossiped per message, and the number a participant opens
+// per iteration, ⌈SideLen/Slots⌉.
 func (w Workload) SideCiphers() int {
 	slots := max(w.Slots, 1)
 	return (w.SideLen() + slots - 1) / slots
-}
-
-// VectorLen is the number of ciphertexts gossiped per message: the means
-// side and the noise side of the fused vector.
-func (w Workload) VectorLen() int {
-	return 2 * w.SideCiphers()
 }
 
 // Report is the projected per-participant cost of a full run — the
@@ -320,18 +315,18 @@ type Report struct {
 // Project derives the per-participant cost report of the workload under
 // the measured profile. Counting (per participant, per iteration):
 //
-//   - assignment: encrypt the K·(Dim+1) mean entries + K·(Dim+1) noise
-//     shares, packed Slots coordinates to a ciphertext (SideCiphers per
-//     side);
-//   - gossip: GossipRounds rounds; each round halves the full vector by
+//   - assignment: add a noise share to each of the K·(Dim+1) mean
+//     entries in the clear and encrypt the sums, packed Slots
+//     coordinates to a ciphertext (SideCiphers encryptions);
+//   - gossip: GossipRounds rounds; each round halves the vector by
 //     incrementing the exponent that travels beside it (no operation),
 //     rerandomizes the copy it sends so the share cannot be traced
-//     across hops (VectorLen rerandomizations, 1 message of VectorLen
-//     ciphertexts), and absorbs an expected 1 incoming message
-//     (VectorLen additions) — so a round costs Rerandomize + Add per
-//     ciphertext;
-//   - noise addition: the noise groups are added to the mean groups
-//     (SideCiphers additions), and those sums are the opening;
+//     across hops (SideCiphers rerandomizations, 1 message of
+//     SideCiphers ciphertexts), and absorbs an expected 1 incoming
+//     message (SideCiphers additions) — so a round costs Rerandomize +
+//     Add per ciphertext;
+//   - opening: the gossiped vector is already perturbed, and it is what
+//     the participant opens (no operation);
 //   - collaborative decryption: the participant asks DecryptThreshold
 //     peers (request carries the SideCiphers perturbed-mean ciphertexts,
 //     response the same volume), serves on average DecryptThreshold
@@ -354,14 +349,13 @@ func Project(p *CryptoProfile, w Workload) (*Report, error) {
 	if p == nil {
 		return nil, fmt.Errorf("costmodel: nil profile")
 	}
-	opened := w.SideCiphers() // ciphertexts per side, and opened per iteration
-	vecLen := w.VectorLen()
+	opened := w.SideCiphers() // ciphertexts gossiped, and opened per iteration
 
 	r := &Report{Workload: w}
 	it := w.Iterations
-	r.EncryptOps = it * 2 * opened
-	r.RerandomizeOps = it * w.GossipRounds * vecLen  // every emitted copy is refreshed before it travels
-	r.AddOps = it * (w.GossipRounds*vecLen + opened) // gossip merges + noise-to-mean addition
+	r.EncryptOps = it * opened
+	r.RerandomizeOps = it * w.GossipRounds * opened // every emitted copy is refreshed before it travels
+	r.AddOps = it * w.GossipRounds * opened         // gossip merges
 	r.PartialDecryptOps = it * w.DecryptThreshold * opened
 	r.CombineOps = it * opened
 
@@ -379,7 +373,7 @@ func Project(p *CryptoProfile, w Workload) (*Report, error) {
 	cb := int64(p.CiphertextBytes)
 	gossipMsgs := it * w.GossipRounds
 	// +K·Dim·8: the public centroids; +16: iteration tag, weight, exponent.
-	gossipBytes := int64(gossipMsgs) * (int64(vecLen)*cb + int64(w.K*w.Dim*8) + 16)
+	gossipBytes := int64(gossipMsgs) * (int64(opened)*cb + int64(w.K*w.Dim*8) + 16)
 	decReqMsgs := it * w.DecryptThreshold
 	decReqBytes := int64(decReqMsgs) * (int64(opened)*cb + 8) // +8: iteration tag
 	decRespMsgs := it * w.DecryptThreshold                    // served for others

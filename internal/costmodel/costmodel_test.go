@@ -85,7 +85,8 @@ func baseWorkload() Workload {
 }
 
 // TestProjectOperationCounts pins the projection at 20 coordinates to a
-// ciphertext: 125 coordinates a side travel, and open, as 7.
+// ciphertext: the 125 coordinates of the encrypted side travel, and
+// open, as 7.
 func TestProjectOperationCounts(t *testing.T) {
 	p := measureSmall(t)
 	w := baseWorkload()
@@ -95,17 +96,17 @@ func TestProjectOperationCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	const opened = 7 // ⌈125/20⌉
-	if w.VectorLen() != 2*opened || w.SideCiphers() != opened {
-		t.Fatalf("VectorLen = %d, SideCiphers = %d, want %d and %d", w.VectorLen(), w.SideCiphers(), 2*opened, opened)
+	if w.SideCiphers() != opened {
+		t.Fatalf("SideCiphers = %d, want %d", w.SideCiphers(), opened)
 	}
-	if r.EncryptOps != w.Iterations*2*opened {
+	if r.EncryptOps != w.Iterations*opened {
 		t.Fatalf("encrypts = %d", r.EncryptOps)
 	}
-	if r.RerandomizeOps != w.Iterations*w.GossipRounds*2*opened {
+	if r.RerandomizeOps != w.Iterations*w.GossipRounds*opened {
 		t.Fatalf("rerandomize ops = %d, want one per ciphertext per round", r.RerandomizeOps)
 	}
-	// Gossip merges, and one noise-to-mean addition per group.
-	if r.AddOps != w.Iterations*(w.GossipRounds*2*opened+opened) {
+	// Gossip merges only: the noise is added before encryption.
+	if r.AddOps != w.Iterations*w.GossipRounds*opened {
 		t.Fatalf("add ops = %d", r.AddOps)
 	}
 	if r.PartialDecryptOps != w.Iterations*w.DecryptThreshold*opened {
@@ -127,7 +128,7 @@ func TestProjectOperationCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if u.PartialDecryptOps != w.Iterations*w.DecryptThreshold*meanLen ||
-			u.AddOps != w.Iterations*(w.GossipRounds*2*meanLen+meanLen) {
+			u.AddOps != w.Iterations*w.GossipRounds*meanLen {
 			t.Fatalf("Slots=%d must project per-coordinate ciphertexts: %+v", slots, u)
 		}
 	}
@@ -203,9 +204,8 @@ func TestProjectPricesGossipPerCipher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := time.Duration(w.Iterations * w.GossipRounds * w.VectorLen())
+	rounds := time.Duration(w.Iterations * w.GossipRounds * w.SideCiphers())
 	fixed := time.Duration(base.EncryptOps)*p.FastEncrypt +
-		time.Duration(w.Iterations*w.SideCiphers())*p.Add + // step 2c
 		time.Duration(base.PartialDecryptOps)*p.FastPartialDecrypt +
 		time.Duration(base.CombineOps)*p.FastCombine
 	if want := fixed + rounds*(p.FastRerandomize+p.Add); base.CPUTimeFast != want {

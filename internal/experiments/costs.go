@@ -75,7 +75,7 @@ func E5CryptoCosts(sc Scale) (*Table, error) {
 		"these are the \"encryption/decryption/addition times\" the demo GUI scales up from (Sec. III.B point 2); threshold configuration 5-of-8.",
 		"\"fast\" columns are the precomputed paths of docs/CRYPTO.md: fixed-base table encryption, batched multi-exponentiation combine — decrypt- resp. bit-identical to the naive reference. \"partial dec\" is a share holder's price: the CRT split that makes a decryption ~3× cheaper needs the factorization, which only the dealer (or a single key holder) has.",
 		"a gossip round costs one pooled rerandomization (the copy that is sent) and one addition (the merge) per ciphertext: push-sum's halvings travel as an exponent beside the ciphertexts. \"squaring\" is what aligning two shares one halving apart costs per ciphertext — nothing when participants gossip in step; \"halve in place (avoided)\" is the full-width exponentiation by 2⁻¹ mod n^s each of those halvings cost per ciphertext while it was performed inside the ciphertext.",
-		"\"slots/ct\" is how many fused-vector coordinates a run packs per ciphertext at that key size for the E5b workload (docs/CRYPTO.md, \"Slot packing\") — every per-ciphertext cost, openings included, divides by it.")
+		"\"slots/ct\" is how many coordinates of the encrypted side a run packs per ciphertext at that key size for the E5b workload (docs/CRYPTO.md, \"Slot packing\") — every per-ciphertext cost, openings included, divides by it.")
 	return t, nil
 }
 

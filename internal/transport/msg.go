@@ -24,8 +24,10 @@ const (
 	// carried packed openings. Version 4 packs at encryption: every
 	// run's gossip vectors, decrypt requests and responses hold
 	// ⌈sideLen/slots⌉ balanced-digit groups per side, where version 3
-	// sent one ciphertext per coordinate or biased slot groups.
-	meshVersion uint32 = 4
+	// sent one ciphertext per coordinate or biased slot groups. Version 5
+	// adds the noise before encryption: a gossip vector is one side of
+	// ⌈sideLen/slots⌉ groups, where version 4 sent two.
+	meshVersion uint32 = 5
 )
 
 // Message types.

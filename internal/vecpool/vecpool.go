@@ -1,6 +1,6 @@
 // Package vecpool provides the contiguous memory layouts behind the
 // simulator's million-participant scale: flat strided float64 matrices
-// (series, centroids, fused contributions) and preallocated big.Int
+// (series, centroids, contributions) and preallocated big.Int
 // residue arenas (the cipher suites' push-sum values).
 //
 // The motivation is GC pressure, not micro-optimization. A run over N

@@ -24,7 +24,7 @@ import (
 // MaxFrameBytes bounds the payload length accepted from a stream. A
 // frame carries one protocol message — a gossip vector, a decryption
 // exchange or a handshake — whose size is a few ciphertext widths times
-// the fused vector length; even a packed 2048-bit run at large K stays
+// the gossip vector length; even a packed 2048-bit run at large K stays
 // orders of magnitude below this. Without the bound, four adversarial
 // header bytes could demand a 4 GiB allocation.
 const MaxFrameBytes = 16 << 20
