@@ -142,22 +142,20 @@ type Config struct {
 	InitialCentroids [][]float64
 	// Seed makes the whole run deterministic.
 	Seed int64
-	// ChurnCrashProb / ChurnRejoinProb inject per-cycle node failures,
-	// replayed identically by both engines at the same Seed.
-	ChurnCrashProb  float64
-	ChurnRejoinProb float64
 	// Faults is a deterministic fault-injection scenario in the
 	// internal/simnet grammar — semicolon-separated clauses:
 	//
 	//	drop=P  dup=P  delay=PxD          per-message link faults
+	//	churn=P/R                         per-cycle crash probability P,
+	//	                                  rejoin probability R (state kept)
 	//	crash@C=ids                       crash-stop at cycle C
 	//	outage@C+D=ids[:reset]            down D cycles (optional state loss)
 	//	lag@C+D=ids                       laggards stalled D cycles
 	//	garble=ids  malform=ids  replay=ids  noise*F=ids   byzantine senders
 	//	seed=S                            pin the fault seed
 	//
-	// e.g. "drop=0.05;delay=0.2x3;outage@10+8=1,2:reset;garble=7". The
-	// same seed and scenario replay the identical fault trajectory on
+	// e.g. "drop=0.05;churn=0.02/0.3;outage@10+8=1,2:reset;garble=7".
+	// The same seed and scenario replay the identical fault trajectory on
 	// the cycles and sharded engines at any worker count, so a failing
 	// scenario is a replayable regression test. Empty injects nothing.
 	Faults string
@@ -485,8 +483,6 @@ func (cfg Config) baseParams() (core.Params, error) {
 		Seed:                 cfg.Seed,
 		Workers:              workers,
 		MaxValue:             1,
-		ChurnCrashProb:       cfg.ChurnCrashProb,
-		ChurnRejoinProb:      cfg.ChurnRejoinProb,
 		Faults:               faults,
 	}, nil
 }

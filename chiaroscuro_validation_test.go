@@ -53,6 +53,11 @@ func TestConfigValidationErrors(t *testing.T) {
 			want: `chiaroscuro: Config.Faults: simnet: bad probability "2"`,
 		},
 		{
+			name: "churn probability NaN",
+			cfg:  chiaroscuro.Config{K: 3, Epsilon: 1, Faults: "churn=0.1/NaN"},
+			want: `chiaroscuro: Config.Faults: simnet: bad probability "NaN"`,
+		},
+		{
 			name: "missing K",
 			cfg:  chiaroscuro.Config{Epsilon: 1},
 			want: "chiaroscuro: Config.K is required",
@@ -250,8 +255,8 @@ func TestStreamConfigValidationErrors(t *testing.T) {
 		},
 		{
 			name: "churn on stream",
-			cfg:  chiaroscuro.Config{K: 3, LifetimeEpsilon: 8, ChurnCrashProb: 0.1},
-			want: "chiaroscuro: churn is not supported in streaming sessions yet",
+			cfg:  chiaroscuro.Config{K: 3, LifetimeEpsilon: 8, Faults: "churn=0.1/0"},
+			want: "chiaroscuro: Config.Faults is not supported in streaming sessions yet",
 		},
 		{
 			name: "exponential smoothing alpha above 1",
@@ -323,7 +328,7 @@ func TestChurnStillSupportedOnCycleEngines(t *testing.T) {
 		res, err := chiaroscuro.Cluster(series, chiaroscuro.Config{
 			K: 2, Epsilon: 20, Iterations: 2, Seed: 5, Engine: engine,
 			GossipRounds: 8, DecryptThreshold: 3,
-			ChurnCrashProb: 0.01, ChurnRejoinProb: 0.3,
+			Faults: "churn=0.01/0.3",
 		})
 		if err != nil {
 			t.Fatalf("%s engine with churn: %v", engine, err)

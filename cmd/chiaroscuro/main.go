@@ -9,11 +9,12 @@
 //	go run ./cmd/chiaroscuro
 //	go run ./cmd/chiaroscuro -dataset tumor -n 1000 -k 4 -epsilon 1
 //	go run ./cmd/chiaroscuro -backend damgard-jurik -n 20 -modulus 256
-//	go run ./cmd/chiaroscuro -churn 0.02 -strategy geo-increasing
+//	go run ./cmd/chiaroscuro -faults 'churn=0.02/0.3' -strategy geo-increasing
 //
 // The -faults flag injects a deterministic fault scenario (simnet
 // grammar; see docs/ARCHITECTURE.md "The simnet fault layer") into a
-// normal run:
+// normal run — churn=P/R crashes each node with probability P per cycle
+// and rejoins it with probability R:
 //
 //	go run ./cmd/chiaroscuro -faults 'drop=0.1;outage@10+8=1,2:reset'
 //
@@ -49,8 +50,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "shard workers for -engine sharded (0 = GOMAXPROCS)")
 		modulus   = flag.Int("modulus", 0, "key size in bits (0 = default)")
 		seed      = flag.Int64("seed", 2016, "random seed (whole run is deterministic)")
-		churn     = flag.Float64("churn", 0, "per-cycle crash probability")
-		faults    = flag.String("faults", "", "deterministic fault scenario, e.g. 'drop=0.05;delay=0.2x3;outage@10+8=1,2:reset;garble=7' (see docs/ARCHITECTURE.md)")
+		faults    = flag.String("faults", "", "deterministic fault scenario, e.g. 'drop=0.05;delay=0.2x3;churn=0.02/0.3;outage@10+8=1,2:reset;garble=7' (see docs/ARCHITECTURE.md)")
 		quiet     = flag.Bool("quiet", false, "suppress the per-iteration log")
 
 		stream          = flag.Bool("stream", false, "streaming mode: cluster a sliding window of the workload repeatedly, drawing each window's ε from -lifetime-epsilon")
@@ -123,10 +123,6 @@ func main() {
 		Smoothing:        chiaroscuro.Smoothing{Method: *smoothing},
 		InitialCentroids: init,
 		Seed:             *seed,
-		ChurnCrashProb:   *churn,
-	}
-	if *churn > 0 {
-		cfg.ChurnRejoinProb = 0.3
 	}
 
 	fmt.Printf("chiaroscuro: %s workload, %d participants, k=%d, ε=%.4g", *dataset, *n, *k, eps)

@@ -194,17 +194,18 @@ func TestMeasureDecryptAllocs(t *testing.T) {
 
 // TestHotPathGateMatrix pins the one storage decision the gossip path
 // makes — parity buffers without a fault plan, fresh storage under any
-// fault plan — and the operation invariants every configuration keeps on
-// both backends: every halving is the exponent's, paid as one refresh
-// per emitted cipher, and — on the fault-free configurations — doublings
-// happen exactly when churn skews the exponents.
+// fault plan other than churn alone — and the operation invariants every
+// configuration keeps on both backends: every halving is the exponent's,
+// paid as one refresh per emitted cipher, and — on the parity
+// configurations — doublings happen exactly when churn skews the
+// exponents.
 func TestHotPathGateMatrix(t *testing.T) {
 	data := allocTestData(t, 16)
 	base := allocTestParams(12)
 	base.DecryptThreshold = 3
 	base.Iterations = 3
 	dj := func(p *Params) { p.Backend, p.ModulusBits = BackendDamgardJurik, 256 }
-	churn := func(p *Params) { p.ChurnCrashProb, p.ChurnRejoinProb = 0.01, 0.2 }
+	churn := func(p *Params) { p.Faults = mustPlan(t, "churn=0.01/0.2") }
 
 	for _, tc := range []struct {
 		name   string
@@ -233,7 +234,7 @@ func TestHotPathGateMatrix(t *testing.T) {
 		if !tc.parity {
 			continue // faulted deliveries skew exponents too
 		}
-		if churned := p.ChurnCrashProb > 0; churned != (tr.Ops.Doublings > 0) {
+		if churned := !p.Faults.Empty(); churned != (tr.Ops.Doublings > 0) {
 			t.Errorf("%s: %d doublings, want them exactly when churn skews the exponents", tc.name, tr.Ops.Doublings)
 		}
 	}

@@ -251,7 +251,7 @@ func TestChurnRunCompletes(t *testing.T) {
 	data := blobs(150, 3, 2)
 	tr, err := Run(data, Params{
 		K: 2, Epsilon: 100, Iterations: 3, Seed: 19,
-		ChurnCrashProb: 0.02, ChurnRejoinProb: 0.3,
+		Faults: mustPlan(t, "churn=0.02/0.3"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestHeavyChurnDegradesButReports(t *testing.T) {
 	data := blobs(100, 3, 2)
 	tr, err := Run(data, Params{
 		K: 2, Epsilon: 100, Iterations: 2, Seed: 23,
-		ChurnCrashProb: 0.10, ChurnRejoinProb: 0.2, DecryptThreshold: 20,
+		Faults: mustPlan(t, "churn=0.1/0.2"), DecryptThreshold: 20,
 		DecryptWindow: 2,
 	})
 	if err != nil {
@@ -302,7 +302,6 @@ func TestValidationErrors(t *testing.T) {
 		{"epsilon zero", good, Params{K: 2, Epsilon: 0}, ""},
 		{"epsilon NaN", good, Params{K: 2, Epsilon: math.NaN()}, ""},
 		{"epsilon infinite", good, Params{K: 2, Epsilon: math.Inf(1)}, ""},
-		{"bad churn", good, Params{K: 2, Epsilon: 1, ChurnCrashProb: 1.5}, ""},
 		{"bad initial count", good, Params{K: 2, Epsilon: 1, InitialCentroids: [][]float64{{0, 0, 0}}}, ""},
 		{"bad initial dim", good, Params{K: 2, Epsilon: 1, InitialCentroids: [][]float64{{0}, {0}}}, ""},
 		{"threshold too large", good, Params{K: 2, Epsilon: 1, DecryptThreshold: 20}, ""},
@@ -312,10 +311,6 @@ func TestValidationErrors(t *testing.T) {
 			"core: max value +Inf must be positive and finite"},
 		{"max value NaN", good, Params{K: 2, Epsilon: 1, MaxValue: math.NaN()},
 			"core: max value NaN must be positive and finite"},
-		{"crash probability NaN", good, Params{K: 2, Epsilon: 1, ChurnCrashProb: math.NaN()},
-			"core: churn probabilities outside [0,1]"},
-		{"rejoin probability NaN", good, Params{K: 2, Epsilon: 1, ChurnCrashProb: 0.1, ChurnRejoinProb: math.NaN()},
-			"core: churn probabilities outside [0,1]"},
 		{"converge threshold NaN", good, Params{K: 2, Epsilon: 1, ConvergeThreshold: math.NaN()},
 			"core: converge threshold NaN must be non-negative and finite"},
 		{"converge threshold negative", good, Params{K: 2, Epsilon: 1, ConvergeThreshold: -1},

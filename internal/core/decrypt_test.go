@@ -214,7 +214,7 @@ func TestDecryptChurnSmallPopulation(t *testing.T) {
 		tr, err := Run(data, Params{
 			K: 2, Epsilon: 50, Iterations: 3, Seed: seed,
 			GossipRounds: 5, DecryptThreshold: 9, DecryptWindow: 14,
-			ChurnCrashProb: 0.08, ChurnRejoinProb: 0.5,
+			Faults: mustPlan(t, "churn=0.08/0.5"),
 		})
 		if err != nil {
 			total += 3 // an aborted run failed every iteration

@@ -10,9 +10,9 @@ import (
 // engine.go drives the cycle-driven simulator. The protocol itself
 // lives in participant.step (one activation against any Env); the
 // simulator steps every participant once per cycle on the internal/p2p
-// network, sequentially or across Params.Workers shard workers with a
-// deterministic reduction — bit-identical at any worker count (see Run
-// and the internal/p2p determinism contract).
+// network, across Params.Workers shard workers with a deterministic
+// reduction — bit-identical at any worker count (see Run and the
+// internal/p2p determinism contract).
 //
 // The real deployment, one process per participant over TCP, is the
 // networked daemon (internal/transport): it steps one Node per process
@@ -45,11 +45,6 @@ func newCycleDriver(r *runShared, hint int) (*cycleDriver, error) {
 		Seed:      r.params.Seed + 1,
 		Workers:   r.params.Workers,
 		QueueHint: hint,
-		Churn: p2p.ChurnModel{
-			CrashProb:     r.params.ChurnCrashProb,
-			RejoinProb:    r.params.ChurnRejoinProb,
-			ResetOnRejoin: r.params.ChurnResetOnRejoin,
-		},
 	}
 	var err error
 	opts.Conditioner, opts.Faults, err = bindFaults(r.params, n)
@@ -64,10 +59,6 @@ func newCycleDriver(r *runShared, hint int) (*cycleDriver, error) {
 	return &cycleDriver{shared: r, nw: nw, participants: participants}, nil
 }
 
-// faultSeedOffset derives the fault-hash seed from the run seed (the
-// p2p simulation uses Seed+1; the plan may override with its own Seed).
-const faultSeedOffset = 2
-
 // bindFaults binds the run's fault plan for a population of n,
 // returning the message-path and lifecycle hooks of the cycle-driven
 // network. Hooks stay nil — and the hot paths untouched — for the fault
@@ -76,7 +67,7 @@ func bindFaults(p Params, n int) (p2p.Conditioner, p2p.FaultScheduler, error) {
 	if p.Faults.Empty() {
 		return nil, nil, nil
 	}
-	net, err := simnet.NewNet(p.Faults, n, p.Seed+faultSeedOffset)
+	net, err := simnet.NewNet(p.Faults, n, p.Seed)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -18,8 +18,7 @@ func TestDecryptQuorumFailureDegradesGracefully(t *testing.T) {
 			DecryptThreshold: 40, // needs 40 of 59 peers
 			DecryptWindow:    1,  // nearly no retries
 			GossipRounds:     6,
-			ChurnCrashProb:   0.08,
-			ChurnRejoinProb:  0.5,
+			Faults:           mustPlan(t, "churn=0.08/0.5"),
 		})
 		if err != nil {
 			// A fully hostile network may legitimately abort; that is
@@ -38,17 +37,16 @@ func TestDecryptQuorumFailureDegradesGracefully(t *testing.T) {
 	}
 }
 
-// TestPermanentFailuresWithReset exercises the ChurnResetOnRejoin path:
-// rejoining nodes restart from scratch and resynchronize via gossip (the
-// paper's "late participants" rule). The run must complete and the reset
-// nodes must not corrupt the observer's trace.
+// TestPermanentFailuresWithReset exercises the state-loss path under
+// churn: nodes coming back from a :reset outage restart from scratch and
+// resynchronize via gossip (the paper's "late participants" rule). The
+// run must complete and the reset nodes must not corrupt the observer's
+// trace.
 func TestPermanentFailuresWithReset(t *testing.T) {
 	data := blobs(120, 3, 2)
 	tr, err := Run(data, Params{
 		K: 2, Epsilon: 200, Iterations: 3, Seed: 3,
-		ChurnCrashProb:     0.03,
-		ChurnRejoinProb:    0.5,
-		ChurnResetOnRejoin: true,
+		Faults: mustPlan(t, "churn=0.03/0.5;outage@6+10=5,17,40,77:reset;outage@25+6=90,101:reset"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +71,7 @@ func TestLateSyncPullsLaggardsForward(t *testing.T) {
 	data := blobs(100, 3, 2)
 	tr, err := Run(data, Params{
 		K: 2, Epsilon: 200, Iterations: 4, Seed: 9,
-		ChurnCrashProb:  0.05,
-		ChurnRejoinProb: 0.6,
+		Faults: mustPlan(t, "churn=0.05/0.6"),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -202,8 +202,7 @@ func TestFaultsComposeWithChurnDeterministically(t *testing.T) {
 	data := blobs(60, 3, 2)
 	base := Params{
 		K: 2, Epsilon: 100, Iterations: 3, Seed: 19,
-		ChurnCrashProb: 0.02, ChurnRejoinProb: 0.4,
-		Faults: mustPlan(t, "drop=0.05;outage@2+8=5,6;lag@3+4=7"),
+		Faults: mustPlan(t, "drop=0.05;outage@2+8=5,6;lag@3+4=7;churn=0.02/0.4"),
 	}
 	ref, err := Run(data, base)
 	if err != nil {

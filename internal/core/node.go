@@ -39,8 +39,8 @@ type Node struct {
 // (data, params); Fingerprint lets the transport handshake detect when
 // they did not.
 //
-// Networked runs are the determinism-contract configuration: no churn
-// and no fault plan (fault injection lives in the simulation engines,
+// Networked runs are the determinism-contract configuration: no fault
+// plan, churn included (fault injection lives in the simulation engines,
 // where a global scheduler exists to replay it), and a cipher suite
 // whose artifacts are wire-portable — the accounted plain backend, or
 // the Damgård–Jurik backend keyed by a distributed key ceremony: the
@@ -53,9 +53,6 @@ func NewNode(data [][]float64, params Params, id int) (*Node, error) {
 	}
 	if !params.Faults.Empty() {
 		return nil, errors.New("core: networked runs do not support fault plans")
-	}
-	if params.ChurnCrashProb != 0 || params.ChurnRejoinProb != 0 {
-		return nil, errors.New("core: networked runs do not support churn")
 	}
 	if params.Backend == BackendDamgardJurik && params.DJMaterial == nil {
 		return nil, errors.New("core: Damgård–Jurik daemons must run the key ceremony first (Params.DJMaterial)")

@@ -47,7 +47,7 @@ const (
 )
 
 // Params configures a Chiaroscuro run. Zero values take the documented
-// defaults in Validate.
+// defaults (see withDefaults).
 type Params struct {
 	// K is the number of clusters.
 	K int
@@ -111,9 +111,9 @@ type Params struct {
 	// Seed drives every random choice (simulation, noise, init).
 	Seed int64
 
-	// Workers picks the cycle-driven scheduler: 0 or 1 activates the
-	// participants one after another each cycle, a larger value across
-	// that many shard workers (see Run). Any value produces
+	// Workers is the shard count of the cycle-driven scheduler: 0 or 1
+	// activates the participants one after another each cycle, a larger
+	// value across that many shard workers (see Run). Any value produces
 	// bit-identical results; Workers only trades wall-clock for cores.
 	// The effective count is capped at the population size and at
 	// max(64, 4·GOMAXPROCS) (see internal/p2p).
@@ -128,25 +128,17 @@ type Params struct {
 	// [0, MaxValue]. Default 1. The DP sensitivity derives from it.
 	MaxValue float64
 
-	// Churn configures per-cycle crash/rejoin probabilities (see
-	// internal/p2p).
-	ChurnCrashProb  float64
-	ChurnRejoinProb float64
-	// ChurnResetOnRejoin makes failures permanent-loss: a rejoining node
-	// restarts from scratch and late-syncs on the next gossip message
-	// (the paper's "late participants" path). Default false = transient
-	// outage, state kept.
-	ChurnResetOnRejoin bool
-
 	// Faults is the deterministic fault-injection plan (see
-	// internal/simnet): per-link drop/duplicate/delay probabilities plus
-	// scheduled participant faults — crash-stop, crash-recovery with
-	// optional state loss, laggards, and byzantine senders (garbled,
-	// malformed or replayed ciphertexts, skewed noise shares). Both
-	// engines replay the identical fault trajectory for the same (Seed,
-	// Faults) pair at any worker count. A byzantine plan additionally
-	// enables wire validation of incoming gossip messages. Nil injects
-	// nothing.
+	// internal/simnet): per-link drop/duplicate/delay probabilities,
+	// per-cycle churn (crash and rejoin probabilities), and scheduled
+	// participant faults — crash-stop, crash-recovery with optional state
+	// loss (a node reset this way late-syncs on the next gossip message,
+	// the paper's "late participants" path), laggards, and byzantine
+	// senders (garbled, malformed or replayed ciphertexts, skewed noise
+	// shares). The simulator replays the identical fault trajectory for
+	// the same (Seed, Faults) pair at any worker count. A byzantine plan
+	// additionally enables wire validation of incoming gossip messages.
+	// Nil injects nothing.
 	Faults *simnet.Plan
 
 	// DKG replaces the Damgård–Jurik backend's trusted dealer with the
@@ -279,9 +271,6 @@ func (p Params) validate(n, dim int) error {
 				return fmt.Errorf("core: initial centroid %d has dim %d, want %d", i, len(c), dim)
 			}
 		}
-	}
-	if !(p.ChurnCrashProb >= 0 && p.ChurnCrashProb <= 1) || !(p.ChurnRejoinProb >= 0 && p.ChurnRejoinProb <= 1) { // refuses NaN too
-		return errors.New("core: churn probabilities outside [0,1]")
 	}
 	if !(p.ConvergeThreshold >= 0) || math.IsInf(p.ConvergeThreshold, 0) {
 		return fmt.Errorf("core: converge threshold %v must be non-negative and finite", p.ConvergeThreshold)

@@ -254,9 +254,9 @@ func (pop *population) bind(p Params) (*runShared, error) {
 		// fault plan every message is consumed by the end of the cycle
 		// after it was sent (no delayed queues, laggard stalls or
 		// replaying byzantines; churn is fine — crashes clear queues), so
-		// two cycle-parity buffers per participant suffice. A fault plan
-		// may hold a message arbitrarily long.
-		parityEmits: p.Faults.Empty(),
+		// two cycle-parity buffers per participant suffice. Any other
+		// fault plan may hold a message arbitrarily long.
+		parityEmits: p.Faults.Empty() || p.Faults.ChurnOnly(),
 	}
 	r.scratch.New = func() any { return r.newCodecScratch() }
 	return r, nil
@@ -307,9 +307,10 @@ func (r *runShared) newParticipant(id p2p.NodeID) *participant {
 // network and returns the trace. Everything is deterministic given
 // Params.Seed.
 //
-// Params.Workers picks the scheduler: 0 or 1 activates the participants
-// one after another each cycle (Peersim semantics); a larger value
-// partitions them into that many contiguous shards whose activations —
+// Params.Workers sets the shard count of the one scheduler: 0 or 1
+// activates the participants one after another each cycle on the
+// calling goroutine (Peersim semantics); a larger value partitions them
+// into that many contiguous shards whose activations —
 // assignment and noise-share encryption, gossip push-sum emission and
 // absorption, partial decryption service and quorum assembly — run in
 // parallel, in ascending participant order within a shard, and merges

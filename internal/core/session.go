@@ -128,9 +128,6 @@ func NewRunSession(data [][]float64, sp SessionParams) (*RunSession, error) {
 	if !sp.Base.Faults.Empty() {
 		return nil, errors.New("core: fault plans are not supported in streaming sessions yet")
 	}
-	if sp.Base.ChurnCrashProb != 0 || sp.Base.ChurnRejoinProb != 0 {
-		return nil, errors.New("core: churn is not supported in streaming sessions yet")
-	}
 	planned := sp.Windows
 	if planned == 0 {
 		planned = 8

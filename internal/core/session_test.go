@@ -450,9 +450,9 @@ func TestSessionValidationErrors(t *testing.T) {
 		},
 		{
 			name: "churn rejected",
-			sp: SessionParams{Base: func() Params { p := base; p.ChurnCrashProb = 0.1; return p }(),
+			sp: SessionParams{Base: func() Params { p := base; p.Faults = mustPlan(t, "churn=0.1/0"); return p }(),
 				LifetimeEpsilon: 10},
-			want: "core: churn is not supported in streaming sessions yet",
+			want: "core: fault plans are not supported in streaming sessions yet",
 		},
 		{
 			name: "unknown smoothing method",

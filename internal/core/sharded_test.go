@@ -92,13 +92,13 @@ func TestShardedEngineBitIdenticalToRun(t *testing.T) {
 }
 
 // TestShardedEngineBitIdenticalUnderChurn repeats the contract with
-// crashes, rejoins and resets: churn decisions are drawn sequentially at
-// cycle start and must not depend on the worker count.
+// crashes, rejoins and resets: lifecycle directives are drawn
+// sequentially at cycle start and must not depend on the worker count.
 func TestShardedEngineBitIdenticalUnderChurn(t *testing.T) {
 	data := blobs(120, 3, 2)
 	base := Params{
 		K: 2, Epsilon: 100, Iterations: 3, Seed: 19,
-		ChurnCrashProb: 0.03, ChurnRejoinProb: 0.4, ChurnResetOnRejoin: true,
+		Faults: mustPlan(t, "churn=0.03/0.4;outage@6+10=3,7,11,60:reset"),
 	}
 	seq, err := Run(data, base)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"chiaroscuro/internal/core"
 	"chiaroscuro/internal/datasets"
+	"chiaroscuro/internal/simnet"
 )
 
 // E8ChurnResilience reproduces the fault-tolerance side of the paper's
@@ -24,12 +25,15 @@ func E8ChurnResilience(sc Scale) (*Table, error) {
 			"decrypt failures", "final noise RMSE", "inertia ratio"},
 	}
 	for _, crash := range []float64{0, 0.01, 0.03, 0.05} {
+		plan, err := simnet.ParsePlan(fmt.Sprintf("churn=%g/0.3", crash))
+		if err != nil {
+			return nil, err
+		}
 		pt, tr, err := runQualityPointWithTrace(ds, 5, core.Params{
-			Epsilon:         scaledEps(1.0, sc.Population),
-			Iterations:      sc.Iterations,
-			Seed:            41,
-			ChurnCrashProb:  crash,
-			ChurnRejoinProb: 0.3,
+			Epsilon:    scaledEps(1.0, sc.Population),
+			Iterations: sc.Iterations,
+			Seed:       41,
+			Faults:     plan,
 		})
 		if err != nil {
 			return nil, err

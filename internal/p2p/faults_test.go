@@ -115,9 +115,9 @@ func TestConditionerDropDupDelay(t *testing.T) {
 	}
 }
 
-// stallSched stalls node 1 on cycles [1,3) and crashes node 2 from
-// cycle 2 through 3 with reset.
-type stallSched struct{ resets *int }
+// stallSched stalls node 1 on cycles [1,3) and takes node 2 down for
+// cycles 2 and 3, resetting it on its revival at cycle 4.
+type stallSched struct{}
 
 func (s *stallSched) Directive(id NodeID, cycle int) NodeDirective {
 	var d NodeDirective
@@ -125,10 +125,8 @@ func (s *stallSched) Directive(id NodeID, cycle int) NodeDirective {
 		d.Stall = true
 	}
 	if id == 2 {
-		d.Reset = true
-		if cycle >= 2 && cycle < 4 {
-			d.Down = true
-		}
+		d.Down = cycle >= 2 && cycle < 4
+		d.Reset = cycle == 4
 	}
 	return d
 }
@@ -181,7 +179,7 @@ func TestFaultSchedulerStallAndOutage(t *testing.T) {
 
 // TestConditionerShardedBitIdentical runs a deterministic hash
 // conditioner (per-sender sequence keyed, like simnet's) under the
-// sequential and sharded schedulers and demands identical stats and
+// one-shard and multi-shard schedulers and demands identical stats and
 // per-node delivery sequences.
 func TestConditionerShardedBitIdentical(t *testing.T) {
 	mkCond := func() Conditioner { return &hashCond{} }
@@ -239,56 +237,4 @@ func (h *hashCond) Condition(from, to NodeID, cycle, bytes int) Verdict {
 		return Verdict{Delay: 1 + int(z>>16)%3}
 	}
 	return Verdict{}
-}
-
-// windowSched emits Down for cycles [2,6) where only cycles [2,4) carry
-// Reset (a :reset window swallowed by a longer outage), and stalls the
-// node exactly on its revival cycle 6.
-type windowSched struct{}
-
-func (windowSched) Directive(id NodeID, cycle int) NodeDirective {
-	var d NodeDirective
-	if id != 2 {
-		return d
-	}
-	if cycle >= 2 && cycle < 6 {
-		d.Down = true
-		if cycle < 4 {
-			d.Reset = true
-		}
-	}
-	if cycle == 6 {
-		d.Stall = true
-	}
-	return d
-}
-
-// TestFaultSchedulerResetLatchAndStallOnRevival: a Reset directive seen
-// mid-outage is latched and applied at the eventual revival even if the
-// revival-cycle directive no longer carries it, and a Stall directive
-// on the revival cycle itself is honored (the node revives but does not
-// activate).
-func TestFaultSchedulerResetLatchAndStallOnRevival(t *testing.T) {
-	n := 4
-	protos := make([]*resettable, n)
-	nw, err := New(n, func(id NodeID) Protocol {
-		p := &resettable{chatterProto: chatterProto{peer: (id + 1) % NodeID(n)}}
-		protos[id] = p
-		return p
-	}, Options{Seed: 9, Faults: windowSched{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.Run(8)
-	if protos[2].resets != 1 {
-		t.Fatalf("latched reset applied %d times, want 1", protos[2].resets)
-	}
-	// Down cycles 2..5, stalled on 6: active cycles are 0, 1, 7.
-	if protos[2].sent != 3 {
-		t.Fatalf("node 2 sent %d times, want 3 (down 4 cycles + stalled on revival)", protos[2].sent)
-	}
-	st := nw.Stats()
-	if st.Crashes != 1 || st.Rejoins != 1 {
-		t.Fatalf("lifecycle stats %+v", st)
-	}
 }

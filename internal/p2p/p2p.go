@@ -14,7 +14,8 @@
 //     accounting (delivered into the destination's inbox, drained at its
 //     next activation — there is no global synchronization, matching
 //     Sec. II.B);
-//   - a churn model: per-cycle crash and rejoin probabilities, with
+//   - node lifecycle faults driven by a FaultScheduler (internal/simnet:
+//     scheduled crashes, outages and stalls, and per-cycle churn), with
 //     messages to crashed nodes dropped (the "possibly faulty computing
 //     nodes" of the paper's challenge statement);
 //   - deterministic execution given a seed, at ANY worker count.
@@ -31,17 +32,18 @@
 //   - every node owns a private peer-sampling RNG derived from
 //     (Options.Seed, node id), so the random choices a node makes depend
 //     only on its own activation history, never on scheduling;
-//   - churn is applied sequentially in node-id order at the start of each
-//     cycle from a dedicated RNG;
+//   - lifecycle directives are applied sequentially in node-id order at
+//     the start of each cycle, before any activation;
 //   - nodes are activated in ascending id order, and each destination's
 //     queue receives messages in ascending sender-id order (per-sender
 //     send order preserved).
 //
 // Because the per-destination delivery order is defined by sender id and
-// not by scheduling, the sharded parallel scheduler (shard.go) reproduces
-// the sequential execution bit for bit: it partitions the id space into
-// contiguous shards, buffers sends in per-(source,destination)-shard
-// buckets, and merges them in stable shard order after a barrier.
+// not by scheduling, the one scheduler (shard.go) gives the same result
+// at every worker count: it partitions the id space into contiguous
+// shards (one when Workers is 0 or 1), buffers sends in
+// per-(source,destination)-shard buckets, and merges them in stable
+// shard order after a barrier.
 package p2p
 
 import (
@@ -49,6 +51,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 
 	"chiaroscuro/internal/compactrng"
 )
@@ -73,7 +76,7 @@ type Protocol interface {
 }
 
 // Resetter is optionally implemented by protocols whose state must be
-// cleared when a node rejoins after a crash with ResetOnRejoin set.
+// cleared when a FaultScheduler directive says so.
 type Resetter interface {
 	Reset()
 }
@@ -85,30 +88,6 @@ type Message struct {
 	// Bytes is the caller-declared serialized size, used for cost
 	// accounting only.
 	Bytes int
-}
-
-// ChurnModel configures per-cycle failures.
-type ChurnModel struct {
-	// CrashProb is the probability that an alive node crashes at the
-	// start of a cycle (losing its inbox).
-	CrashProb float64
-	// RejoinProb is the probability that a crashed node comes back at
-	// the start of a cycle.
-	RejoinProb float64
-	// ResetOnRejoin clears protocol state on rejoin (permanent loss);
-	// otherwise the node resumes with its pre-crash state (transient
-	// outage).
-	ResetOnRejoin bool
-}
-
-func (c ChurnModel) validate() error {
-	if c.CrashProb < 0 || c.CrashProb > 1 {
-		return fmt.Errorf("p2p: crash probability %v outside [0,1]", c.CrashProb)
-	}
-	if c.RejoinProb < 0 || c.RejoinProb > 1 {
-		return fmt.Errorf("p2p: rejoin probability %v outside [0,1]", c.RejoinProb)
-	}
-	return nil
 }
 
 // Verdict is a Conditioner's decision about one message: whether it is
@@ -134,18 +113,22 @@ type Conditioner interface {
 }
 
 // NodeDirective is a FaultScheduler's instruction for one node at one
-// cycle: Down takes (or keeps) the node crashed, Stall keeps it alive
-// but skips its activation (messages still accumulate in its inbox),
-// and Reset wipes protocol state when the node recovers from Down.
+// cycle: Down is the node's state for the cycle (an up node crashes, a
+// crashed one revives when it clears), Stall keeps an up node alive but
+// skips its activation (messages still accumulate in its inbox), and
+// Reset wipes its protocol state (a scheduler reports it on the cycle
+// the node comes back from an outage that lost its state).
 type NodeDirective struct {
 	Down  bool
 	Reset bool
 	Stall bool
 }
 
-// FaultScheduler drives scheduled (non-probabilistic) node lifecycle
-// faults: crash-stop, crash-recovery and laggard stalls at fixed cycles.
-// Directive is called sequentially at cycle start, node-id order.
+// FaultScheduler drives every node lifecycle fault (internal/simnet's
+// Net: scheduled crashes, outages and stalls, and probabilistic churn).
+// Directive is called once per node per cycle, sequentially in node-id
+// order at cycle start, so a scheduler may keep per-node state and draw
+// from one random stream.
 type FaultScheduler interface {
 	Directive(id NodeID, cycle int) NodeDirective
 }
@@ -168,12 +151,12 @@ type Stats struct {
 
 // Options configures a Network.
 type Options struct {
-	Seed  int64
-	Churn ChurnModel
+	Seed int64
 	// Workers is the number of shard workers activating nodes in
-	// parallel each cycle. 0 or 1 selects the sequential scheduler. Any
-	// value yields bit-identical results (see the package determinism
-	// contract); Workers only trades wall-clock time for cores. The
+	// parallel each cycle; 0 or 1 runs one shard on the calling
+	// goroutine. Any value yields bit-identical results (see the package
+	// determinism contract); Workers only trades wall-clock time for
+	// cores. The
 	// effective count is capped at the population size and at
 	// maxWorkers = max(64, 4·GOMAXPROCS) — the outbox bucketing is
 	// O(workers²), so uncapped worker counts would cost memory without
@@ -184,18 +167,18 @@ type Options struct {
 	// destination (drop/duplicate/delay). Deterministic implementations
 	// keep the engine's bit-identity contract (see internal/simnet).
 	Conditioner Conditioner
-	// Faults, when non-nil, schedules node lifecycle faults at cycle
-	// start (applied before probabilistic churn; churn never rejoins a
-	// scheduler-downed node).
+	// Faults, when non-nil, directs every node's lifecycle at cycle
+	// start.
 	Faults FaultScheduler
-	// QueueHint preallocates every node's inbox and pending queues for
-	// this many messages (0 grows them on demand). Ordinary runs leave
-	// it 0 — queues converge to their working capacity within a few
-	// cycles and stay there. Allocation-measurement harnesses set it to
-	// the population size so that no in-degree spike can ever grow a
-	// queue, making steady-state cycles provably allocation-free rather
-	// than amortized-allocation-free. The preallocation is O(n·hint),
-	// which is why it is opt-in.
+	// QueueHint preallocates every node's inbox and pending queues, and
+	// each shard's outbox bucket for as many messages per destination
+	// node (0 grows them on demand). Ordinary runs leave it 0 — queues
+	// converge to their working capacity within a few cycles and stay
+	// there. Allocation-measurement harnesses set it to the population
+	// size so that no in-degree spike can ever grow a queue, making
+	// steady-state cycles provably allocation-free rather than
+	// amortized-allocation-free. The preallocation is
+	// O(workers·n·hint), which is why it is opt-in.
 	QueueHint int
 }
 
@@ -230,17 +213,11 @@ type nodeSlot struct {
 	// delayed holds Conditioner-delayed messages with their delivery
 	// cycle; deliver moves due entries into the inbox. Queue order is
 	// ascending sender id (same discipline as pending), which keeps
-	// sequential and sharded execution bit-identical.
+	// execution bit-identical at every shard count.
 	delayed []delayedMessage
 	// stalled marks a laggard for the current cycle: alive, receiving,
 	// but not activated.
 	stalled bool
-	// schedDown records that the current crash was ordered by the
-	// FaultScheduler, so probabilistic churn does not rejoin the node
-	// mid-outage; schedReset latches a Reset directive seen while down,
-	// applied at the eventual revival.
-	schedDown  bool
-	schedReset bool
 	// ctx is the node's reusable activation context. Handing the
 	// protocol a pointer into the slot instead of a stack value keeps
 	// the per-activation context off the heap (the pointer escapes
@@ -261,16 +238,15 @@ type delayedMessage struct {
 
 // Network is the simulation engine.
 type Network struct {
-	nodes    []nodeSlot
-	cycle    int
-	churnRng *rand.Rand
-	churn    ChurnModel
-	cond     Conditioner
-	sched    FaultScheduler
-	stats    Stats
-	alive    int // cached count, fixed between churn applications
-	workers  int
-	shards   []shardRunner
+	nodes  []nodeSlot
+	cycle  int
+	cond   Conditioner
+	sched  FaultScheduler
+	stats  Stats
+	alive  int // cached count, fixed between lifecycle passes
+	shards []shardRunner
+	// wg is the cycle barrier of the shard workers beyond shard 0.
+	wg sync.WaitGroup
 }
 
 // nodeSeed derives a node-private RNG seed from the run seed via a
@@ -290,23 +266,17 @@ func New(n int, factory func(NodeID) Protocol, opts Options) (*Network, error) {
 	if factory == nil {
 		return nil, errors.New("p2p: nil protocol factory")
 	}
-	if err := opts.Churn.validate(); err != nil {
-		return nil, err
-	}
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("p2p: negative worker count %d", opts.Workers)
 	}
-	nw := &Network{
-		nodes:    make([]nodeSlot, n),
-		churnRng: rand.New(rand.NewSource(opts.Seed)),
-		churn:    opts.Churn,
-		cond:     opts.Conditioner,
-		sched:    opts.Faults,
-		alive:    n,
-		workers:  opts.Workers,
-	}
 	if opts.QueueHint < 0 {
 		return nil, fmt.Errorf("p2p: negative queue hint %d", opts.QueueHint)
+	}
+	nw := &Network{
+		nodes: make([]nodeSlot, n),
+		cond:  opts.Conditioner,
+		sched: opts.Faults,
+		alive: n,
 	}
 	for i := range nw.nodes {
 		p := factory(NodeID(i))
@@ -326,35 +296,15 @@ func New(n int, factory func(NodeID) Protocol, opts Options) (*Network, error) {
 			nw.nodes[i].pending = make([]Message, 0, opts.QueueHint)
 		}
 	}
-	if nw.workers > n {
-		nw.workers = n
-	}
-	if m := maxWorkers(); nw.workers > m {
-		nw.workers = m
-	}
-	if nw.workers > 1 {
-		nw.shards = makeShards(n, nw.workers)
-	}
+	nw.shards = makeShards(n, min(max(1, opts.Workers), n, maxWorkers()), opts.QueueHint)
 	return nw, nil
 }
-
-// Size returns the population size (alive or not).
-func (nw *Network) Size() int { return len(nw.nodes) }
 
 // Cycle returns the number of completed cycles.
 func (nw *Network) Cycle() int { return nw.cycle }
 
 // Stats returns a copy of the accumulated counters.
 func (nw *Network) Stats() Stats { return nw.stats }
-
-// Workers returns the effective worker count of the scheduler (1 for the
-// sequential engine).
-func (nw *Network) Workers() int {
-	if nw.workers > 1 {
-		return nw.workers
-	}
-	return 1
-}
 
 // Alive reports whether a node is currently up.
 func (nw *Network) Alive(id NodeID) bool {
@@ -365,26 +315,13 @@ func (nw *Network) Alive(id NodeID) bool {
 func (nw *Network) AliveCount() int { return nw.alive }
 
 // RunCycle advances the simulation by one cycle: delivers the previous
-// cycle's messages, applies churn, then activates each alive node once in
-// ascending id order — sequentially, or across shard workers when the
-// network was built with Options.Workers > 1 (bit-identical either way).
+// cycle's messages, applies the lifecycle directives, then activates
+// each alive node once, in ascending id order within its shard (see
+// runCycleSharded; bit-identical at any worker count).
 func (nw *Network) RunCycle() {
 	nw.deliver()
-	nw.applyScheduledFaults()
-	nw.applyChurn()
-	if nw.workers > 1 {
-		nw.runCycleSharded()
-	} else {
-		for idx := range nw.nodes {
-			slot := &nw.nodes[idx]
-			if !slot.alive || slot.stalled {
-				continue
-			}
-			slot.ctx = Context{nw: nw, id: NodeID(idx)}
-			slot.proto.NextCycle(&slot.ctx)
-			slot.ctx = Context{} // invalidate escaped contexts
-		}
-	}
+	nw.applyLifecycle()
+	nw.runCycleSharded()
 	nw.cycle++
 	nw.stats.Cycles = nw.cycle
 }
@@ -450,73 +387,36 @@ func (nw *Network) crashSlot(slot *nodeSlot) {
 	nw.alive--
 }
 
-// applyScheduledFaults executes the FaultScheduler's directives for the
-// cycle about to run: deterministic crash/outage transitions and laggard
-// stalls, sequentially in node-id order.
-func (nw *Network) applyScheduledFaults() {
+// applyLifecycle executes the FaultScheduler's directives for the cycle
+// about to run, sequentially in node-id order: crash or revive the node
+// to match Down, wipe its state on Reset, and stall it on Stall (after
+// the transition, so a stall starting on the revival cycle is honored).
+func (nw *Network) applyLifecycle() {
 	if nw.sched == nil {
 		return
 	}
 	for i := range nw.nodes {
 		slot := &nw.nodes[i]
 		d := nw.sched.Directive(NodeID(i), nw.cycle)
-		if d.Down {
-			if slot.alive {
-				nw.crashSlot(slot)
-			}
-			slot.schedDown = true
-			if d.Reset {
-				slot.schedReset = true
-			}
-		} else if slot.schedDown {
-			slot.schedDown = false
-			if !slot.alive {
-				slot.alive = true
-				nw.stats.Rejoins++
-				nw.alive++
-				if d.Reset || slot.schedReset {
-					if r, ok := slot.proto.(Resetter); ok {
-						r.Reset()
-					}
-				}
-			}
-			slot.schedReset = false
+		if d.Down && slot.alive {
+			nw.crashSlot(slot)
+		} else if !d.Down && !slot.alive {
+			slot.alive = true
+			nw.stats.Rejoins++
+			nw.alive++
 		}
-		// After the lifecycle transition, so a laggard window starting
-		// on the revival cycle is honored.
+		if d.Reset {
+			if r, ok := slot.proto.(Resetter); ok {
+				r.Reset()
+			}
+		}
 		slot.stalled = slot.alive && d.Stall
 	}
 }
 
-func (nw *Network) applyChurn() {
-	if nw.churn.CrashProb == 0 && nw.churn.RejoinProb == 0 {
-		return
-	}
-	for i := range nw.nodes {
-		slot := &nw.nodes[i]
-		if slot.alive {
-			if nw.churnRng.Float64() < nw.churn.CrashProb {
-				nw.crashSlot(slot)
-			}
-		} else if nw.churnRng.Float64() < nw.churn.RejoinProb && !slot.schedDown {
-			// A scheduler-downed node still consumes its churn draw (the
-			// stream stays aligned) but only the scheduler may revive it.
-			slot.alive = true
-			nw.stats.Rejoins++
-			nw.alive++
-			if nw.churn.ResetOnRejoin {
-				if r, ok := slot.proto.(Resetter); ok {
-					r.Reset()
-				}
-			}
-		}
-	}
-}
-
-// send delivers a message, dropping it if the destination is down. When
-// the sender is being activated by a shard worker, the message is
-// buffered in the shard's outbox and merged deterministically after the
-// cycle barrier (see shard.go).
+// send validates a message and hands it to the sending shard's outbox;
+// it is merged into the destination's queue after the cycle barrier
+// (see shard.go).
 func (nw *Network) send(sh *shardRunner, from, to NodeID, payload any, bytes int) error {
 	if to < 0 || int(to) >= len(nw.nodes) {
 		return fmt.Errorf("p2p: destination %d out of range", to)
@@ -524,44 +424,7 @@ func (nw *Network) send(sh *shardRunner, from, to NodeID, payload any, bytes int
 	if bytes < 0 {
 		return fmt.Errorf("p2p: negative message size %d", bytes)
 	}
-	if sh != nil {
-		return sh.send(nw, from, to, payload, bytes)
-	}
-	nw.stats.MessagesSent++
-	nw.stats.BytesSent += int64(bytes)
-	slot := &nw.nodes[to]
-	if !slot.alive {
-		nw.stats.MessagesDropped++
-		return nil
-	}
-	m := Message{From: from, Payload: payload, Bytes: bytes}
-	if nw.cond != nil {
-		v := nw.cond.Condition(from, to, nw.cycle, bytes)
-		if v.Drop {
-			nw.stats.FaultDrops++
-			nw.stats.MessagesDropped++
-			return nil
-		}
-		nw.enqueue(slot, m, v.Delay)
-		if v.Duplicate {
-			nw.stats.Duplicates++
-			nw.enqueue(slot, m, v.DupDelay)
-		}
-		return nil
-	}
-	slot.pending = append(slot.pending, m)
-	return nil
-}
-
-// enqueue places one delivered copy: the pending queue for next-cycle
-// visibility, or the delayed queue when the Conditioner added latency.
-func (nw *Network) enqueue(slot *nodeSlot, m Message, delay int) {
-	if delay <= 0 {
-		slot.pending = append(slot.pending, m)
-		return
-	}
-	nw.stats.Delayed++
-	slot.delayed = append(slot.delayed, delayedMessage{due: nw.cycle + 1 + delay, msg: m})
+	return sh.send(nw, from, to, payload, bytes)
 }
 
 // randomPeer samples a uniform alive peer of id (excluding id itself)
@@ -584,7 +447,7 @@ func (nw *Network) randomPeer(id NodeID) (NodeID, bool) {
 type Context struct {
 	nw    *Network
 	id    NodeID
-	shard *shardRunner // nil under the sequential scheduler
+	shard *shardRunner // the shard activating the node
 }
 
 // ID returns the node being activated.
@@ -617,27 +480,3 @@ func (c *Context) Send(to NodeID, payload any, bytes int) error {
 func (c *Context) RandomPeer() (NodeID, bool) {
 	return c.nw.randomPeer(c.id)
 }
-
-// RandomPeers samples up to k distinct alive peers (excluding the node).
-// Fewer are returned when the alive population is small.
-func (c *Context) RandomPeers(k int) []NodeID {
-	out := make([]NodeID, 0, k)
-	seen := map[NodeID]bool{c.id: true}
-	// Bounded attempts so a mostly-dead network terminates.
-	for attempts := 0; len(out) < k && attempts < 16*(k+1); attempts++ {
-		p, ok := c.nw.randomPeer(c.id)
-		if !ok {
-			break
-		}
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Rand exposes the node's private deterministic RNG (e.g. for protocols
-// that need extra coin flips while staying reproducible at any worker
-// count).
-func (c *Context) Rand() *rand.Rand { return c.nw.nodes[c.id].rng }

@@ -10,7 +10,6 @@ type echoProto struct {
 	id          NodeID
 	activations int
 	received    []Message
-	resets      int
 }
 
 func (e *echoProto) NextCycle(ctx *Context) {
@@ -20,8 +19,6 @@ func (e *echoProto) NextCycle(ctx *Context) {
 		_ = ctx.Send(0, "ping", 10)
 	}
 }
-
-func (e *echoProto) Reset() { e.resets++ }
 
 func newEchoNet(t *testing.T, n int, opts Options) (*Network, []*echoProto) {
 	t.Helper()
@@ -47,8 +44,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(3, func(NodeID) Protocol { return nil }, Options{}); err == nil {
 		t.Fatal("factory returning nil should error")
 	}
-	if _, err := New(3, func(NodeID) Protocol { return &echoProto{} }, Options{Churn: ChurnModel{CrashProb: 2}}); err == nil {
-		t.Fatal("invalid churn should error")
+	if _, err := New(3, func(NodeID) Protocol { return &echoProto{} }, Options{QueueHint: -1}); err == nil {
+		t.Fatal("negative queue hint should error")
 	}
 }
 
@@ -63,8 +60,8 @@ func TestEveryAliveNodeActivatedOncePerCycle(t *testing.T) {
 	if nw.Cycle() != 5 {
 		t.Fatalf("cycle = %d", nw.Cycle())
 	}
-	if nw.Size() != 10 {
-		t.Fatalf("size = %d", nw.Size())
+	if nw.AliveCount() != 10 {
+		t.Fatalf("alive = %d", nw.AliveCount())
 	}
 	if !nw.Alive(0) || nw.Alive(-1) || nw.Alive(99) {
 		t.Fatal("Alive bounds checks failed")
@@ -160,153 +157,48 @@ func TestRandomPeerNeverSelfAlwaysAlive(t *testing.T) {
 	}
 }
 
+// TestRandomPeersDistinct: Sampler.RandomPeers draws k distinct peers,
+// never the node itself.
 func TestRandomPeersDistinct(t *testing.T) {
-	nw, err := New(10, func(id NodeID) Protocol {
-		return protoFunc(func(ctx *Context) {
-			if ctx.ID() != 0 || ctx.Cycle() != 0 {
-				return
+	s := NewSampler(5, 0, 10)
+	for draw := 0; draw < 20; draw++ {
+		peers := s.RandomPeers(5)
+		if len(peers) != 5 {
+			t.Fatalf("got %d peers, want 5", len(peers))
+		}
+		seen := map[NodeID]bool{0: true}
+		for _, p := range peers {
+			if seen[p] {
+				t.Fatalf("duplicate or self peer %d in %v", p, peers)
 			}
-			peers := ctx.RandomPeers(5)
-			if len(peers) != 5 {
-				t.Errorf("got %d peers, want 5", len(peers))
-			}
-			seen := map[NodeID]bool{0: true}
-			for _, p := range peers {
-				if seen[p] {
-					t.Errorf("duplicate or self peer %d", p)
-				}
-				seen[p] = true
-			}
-		})
-	}, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
+			seen[p] = true
+		}
 	}
-	nw.RunCycle()
 }
 
+// TestRandomPeersMoreThanPopulation: asking for more peers than exist
+// returns everyone else.
 func TestRandomPeersMoreThanPopulation(t *testing.T) {
-	nw, err := New(3, func(id NodeID) Protocol {
-		return protoFunc(func(ctx *Context) {
-			if ctx.ID() != 0 || ctx.Cycle() != 0 {
-				return
-			}
-			peers := ctx.RandomPeers(10)
-			if len(peers) != 2 {
-				t.Errorf("got %d peers, want 2 (everyone else)", len(peers))
-			}
-		})
-	}, Options{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.RunCycle()
-}
-
-func TestChurnCrashesAndRejoins(t *testing.T) {
-	nw, _ := newEchoNet(t, 50, Options{
-		Seed:  7,
-		Churn: ChurnModel{CrashProb: 0.2, RejoinProb: 0.5},
-	})
-	nw.Run(20)
-	st := nw.Stats()
-	if st.Crashes == 0 {
-		t.Fatal("no crashes with 20% crash probability")
-	}
-	if st.Rejoins == 0 {
-		t.Fatal("no rejoins with 50% rejoin probability")
-	}
-	if nw.AliveCount() == 50 || nw.AliveCount() == 0 {
-		// Statistically all-alive or all-dead after 20 cycles of this
-		// churn is (almost) impossible; treat as failure signal.
-		t.Fatalf("suspicious alive count %d", nw.AliveCount())
+	if peers := NewSampler(6, 0, 3).RandomPeers(10); len(peers) != 2 {
+		t.Fatalf("got %d peers, want 2 (everyone else)", len(peers))
 	}
 }
 
-func TestCrashedNodesNotActivatedAndDropMessages(t *testing.T) {
-	// CrashProb=1: everyone dies at cycle start; nobody is activated.
-	nw, protos := newEchoNet(t, 4, Options{
-		Seed:  8,
-		Churn: ChurnModel{CrashProb: 1},
-	})
-	nw.Run(3)
-	for i, p := range protos {
-		if p.activations != 0 {
-			t.Fatalf("dead node %d was activated %d times", i, p.activations)
+// TestWorkerValidationAndClamp pins the Workers option edge cases: a
+// negative count is refused, 0 and 1 run one shard, and a count above
+// the population is clamped to one node per shard.
+func TestWorkerValidationAndClamp(t *testing.T) {
+	if _, err := New(4, func(NodeID) Protocol { return &echoProto{} }, Options{Workers: -1}); err == nil {
+		t.Fatal("negative workers should error")
+	}
+	for _, tc := range []struct{ workers, shards int }{{0, 1}, {1, 1}, {3, 3}, {99, 4}} {
+		nw, err := New(4, func(NodeID) Protocol { return &echoProto{} }, Options{Workers: tc.workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if nw.AliveCount() != 0 {
-		t.Fatalf("alive = %d, want 0", nw.AliveCount())
-	}
-}
-
-func TestMessagesToDeadNodesDropped(t *testing.T) {
-	// Nodes continuously message node 0; node 0 crashes under heavy
-	// churn at some point, and sends during its dead cycles must be
-	// counted as dropped.
-	nw, err := New(20, func(id NodeID) Protocol {
-		return protoFunc(func(ctx *Context) {
-			if ctx.ID() != 0 {
-				_ = ctx.Send(0, "x", 5)
-			}
-		})
-	}, Options{Seed: 10, Churn: ChurnModel{CrashProb: 0.3, RejoinProb: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.Run(25)
-	st := nw.Stats()
-	if st.MessagesDropped == 0 {
-		t.Fatalf("no drops despite crashes: %+v", st)
-	}
-	if st.MessagesDropped > st.MessagesSent {
-		t.Fatalf("dropped > sent: %+v", st)
-	}
-}
-
-func TestResetOnRejoin(t *testing.T) {
-	nw, protos := newEchoNet(t, 30, Options{
-		Seed:  11,
-		Churn: ChurnModel{CrashProb: 0.3, RejoinProb: 0.9, ResetOnRejoin: true},
-	})
-	nw.Run(20)
-	st := nw.Stats()
-	if st.Rejoins == 0 {
-		t.Fatal("expected rejoins")
-	}
-	resets := 0
-	for _, p := range protos {
-		resets += p.resets
-	}
-	if resets != st.Rejoins {
-		t.Fatalf("resets = %d, rejoins = %d — must match", resets, st.Rejoins)
-	}
-}
-
-func TestKeepStateOnRejoinByDefault(t *testing.T) {
-	nw, protos := newEchoNet(t, 30, Options{
-		Seed:  12,
-		Churn: ChurnModel{CrashProb: 0.3, RejoinProb: 0.9},
-	})
-	nw.Run(20)
-	for _, p := range protos {
-		if p.resets != 0 {
-			t.Fatal("Reset called despite ResetOnRejoin=false")
+		if len(nw.shards) != tc.shards {
+			t.Fatalf("workers=%d: %d shards, want %d", tc.workers, len(nw.shards), tc.shards)
 		}
-	}
-}
-
-func TestDeterminismAcrossRuns(t *testing.T) {
-	run := func() Stats {
-		nw, _ := newEchoNet(t, 20, Options{
-			Seed:  13,
-			Churn: ChurnModel{CrashProb: 0.1, RejoinProb: 0.3},
-		})
-		nw.Run(15)
-		return nw.Stats()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("same seed, different stats: %+v vs %+v", a, b)
+		nw.Run(3) // must not panic with more shards than messages
 	}
 }

@@ -67,9 +67,8 @@ func (s *Sampler) RandomPeer() (NodeID, bool) {
 	}
 }
 
-// RandomPeers draws up to k distinct peers, mirroring Context.
-// RandomPeers draw for draw: repeated RandomPeer calls with a seen-set
-// and the same bounded attempt budget.
+// RandomPeers draws up to k distinct peers: repeated RandomPeer calls
+// with a seen-set and a bounded attempt budget of 16·(k+1) draws.
 func (s *Sampler) RandomPeers(k int) []NodeID {
 	out := make([]NodeID, 0, k)
 	seen := map[NodeID]bool{s.id: true}

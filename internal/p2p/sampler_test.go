@@ -7,15 +7,18 @@ import (
 // samplerProbe is a protocol that records the peer draws the engine
 // hands it — the reference stream the Sampler must reproduce.
 type samplerProbe struct {
-	singles []NodeID
-	batches [][]NodeID
+	draws []NodeID
 }
 
+// drawsPerCycle is how many peers a probe draws per activation.
+const drawsPerCycle = 4
+
 func (p *samplerProbe) NextCycle(ctx *Context) {
-	if peer, ok := ctx.RandomPeer(); ok {
-		p.singles = append(p.singles, peer)
+	for range drawsPerCycle {
+		if peer, ok := ctx.RandomPeer(); ok {
+			p.draws = append(p.draws, peer)
+		}
 	}
-	p.batches = append(p.batches, ctx.RandomPeers(3))
 }
 
 // TestSamplerMatchesEngineStream pins the daemon-side determinism
@@ -42,33 +45,12 @@ func TestSamplerMatchesEngineStream(t *testing.T) {
 	for id := 0; id < n; id++ {
 		s := NewSampler(seed, NodeID(id), n)
 		probe := probes[id]
-		var singles []NodeID
-		var batches [][]NodeID
-		for c := 0; c < cycles; c++ {
-			if peer, ok := s.RandomPeer(); ok {
-				singles = append(singles, peer)
-			}
-			batches = append(batches, s.RandomPeers(3))
+		if len(probe.draws) != cycles*drawsPerCycle {
+			t.Fatalf("node %d: engine drew %d peers, want %d", id, len(probe.draws), cycles*drawsPerCycle)
 		}
-		if len(singles) != len(probe.singles) {
-			t.Fatalf("node %d: %d singles, engine drew %d", id, len(singles), len(probe.singles))
-		}
-		for i := range singles {
-			if singles[i] != probe.singles[i] {
-				t.Fatalf("node %d single draw %d: sampler %d, engine %d", id, i, singles[i], probe.singles[i])
-			}
-		}
-		if len(batches) != len(probe.batches) {
-			t.Fatalf("node %d: batch count mismatch", id)
-		}
-		for i := range batches {
-			if len(batches[i]) != len(probe.batches[i]) {
-				t.Fatalf("node %d batch %d: len %d vs engine %d", id, i, len(batches[i]), len(probe.batches[i]))
-			}
-			for j := range batches[i] {
-				if batches[i][j] != probe.batches[i][j] {
-					t.Fatalf("node %d batch %d draw %d: sampler %d, engine %d", id, i, j, batches[i][j], probe.batches[i][j])
-				}
+		for i, want := range probe.draws {
+			if got, _ := s.RandomPeer(); got != want {
+				t.Fatalf("node %d draw %d: sampler %d, engine %d", id, i, got, want)
 			}
 		}
 	}

@@ -1,18 +1,17 @@
 package p2p
 
-import "sync"
-
-// shard.go implements the parallel cycle scheduler: the node id space is
-// partitioned into contiguous shards, one worker goroutine activates each
-// shard's alive nodes in ascending id order, and the messages they send
-// are buffered in per-(source shard, destination shard) buckets. After
-// the barrier, buckets are merged into the destination pending queues in
-// stable (source-shard, send-order) order — which, because shards are
-// contiguous and activations within a shard run in id order, is exactly
-// the ascending-sender-id delivery order the sequential scheduler
-// produces. Combined with the per-node RNGs (see the package determinism
-// contract in p2p.go), a sharded cycle is bit-identical to a sequential
-// one.
+// shard.go implements the cycle scheduler: the node id space is
+// partitioned into contiguous shards, shard 0 is activated on the
+// calling goroutine and every other shard on a worker goroutine, each
+// activating its alive nodes in ascending id order, and the messages
+// they send are buffered in per-(source shard, destination shard)
+// buckets. After the barrier, buckets are merged into the destination
+// pending queues in stable (source-shard, send-order) order — which,
+// because shards are contiguous and activations within a shard run in
+// id order, is the ascending-sender-id delivery order at every shard
+// count. Combined with the per-node RNGs (see the package determinism
+// contract in p2p.go), one shard and k shards run bit-identical cycles;
+// with one shard (Workers 0 or 1) no goroutine is started.
 //
 // All buffers are retained and reused across cycles (truncated, never
 // reallocated), so a steady-state cycle allocates nothing on the
@@ -56,20 +55,22 @@ type shardRunner struct {
 }
 
 // makeShards partitions n nodes into p contiguous shards of near-equal
-// size.
-func makeShards(n, p int) []shardRunner {
+// size. A positive hint preallocates every bucket for hint messages per
+// destination node (see Options.QueueHint).
+func makeShards(n, p, hint int) []shardRunner {
 	q := (n + p - 1) / p
 	shards := make([]shardRunner, p)
 	for s := range shards {
-		lo := s * q
-		hi := lo + q
-		if hi > n {
-			hi = n
-		}
-		if lo > n {
-			lo = n
-		}
+		lo := min(s*q, n)
+		hi := min(lo+q, n)
 		shards[s] = shardRunner{lo: lo, hi: hi, out: make([][]routed, p), delayedOut: make([][]delayedRouted, p)}
+	}
+	if hint > 0 {
+		for s := range shards {
+			for d := range shards {
+				shards[s].out[d] = make([]routed, 0, hint*(shards[d].hi-shards[d].lo))
+			}
+		}
 	}
 	return shards
 }
@@ -89,8 +90,8 @@ func (nw *Network) shardOf(id NodeID) int {
 
 // send buffers a message in the shard's outbox. Destination validation
 // already happened in Network.send; liveness is stable for the whole
-// cycle (churn applies only at cycle start), so dropping here is
-// equivalent to dropping at merge time.
+// cycle (lifecycle directives apply only at cycle start), so dropping
+// here is equivalent to dropping at merge time.
 func (sh *shardRunner) send(nw *Network, from, to NodeID, payload any, bytes int) error {
 	sh.sent++
 	sh.bytes += int64(bytes)
@@ -132,45 +133,34 @@ func (sh *shardRunner) enqueue(nw *Network, to NodeID, m Message, delay int) {
 	sh.delayedOut[d] = append(sh.delayedOut[d], delayedRouted{to: to, due: nw.cycle + 1 + delay, msg: m})
 }
 
-// runCycleSharded activates all alive nodes across the shard workers and
-// then performs the deterministic reduction: stats and outboxes are
-// folded in ascending shard order.
+// runCycleSharded activates all alive nodes, shard 0 on the calling
+// goroutine and the others on workers, and then performs the
+// deterministic reduction: stats and outboxes are folded in ascending
+// shard order.
 func (nw *Network) runCycleSharded() {
-	var wg sync.WaitGroup
-	for s := range nw.shards {
-		wg.Add(1)
+	for s := 1; s < len(nw.shards); s++ {
+		nw.wg.Add(1)
 		go func(sh *shardRunner) {
-			defer wg.Done()
-			for id := sh.lo; id < sh.hi; id++ {
-				slot := &nw.nodes[id]
-				if !slot.alive || slot.stalled {
-					continue
-				}
-				// The slot's reusable context (see nodeSlot.ctx): each
-				// node belongs to exactly one shard, so no other worker
-				// touches it.
-				slot.ctx = Context{nw: nw, id: NodeID(id), shard: sh}
-				slot.proto.NextCycle(&slot.ctx)
-				slot.ctx = Context{}
-			}
+			defer nw.wg.Done()
+			nw.activate(sh)
 		}(&nw.shards[s])
 	}
-	wg.Wait()
+	nw.activate(&nw.shards[0])
+	nw.wg.Wait()
 
 	// Deterministic merge. The destination loop can run in parallel
 	// (distinct d touch disjoint pending queues), but the source loop
 	// order is what defines the canonical ascending-sender-id delivery
 	// order and must stay ascending.
 	if len(nw.shards) >= 4 {
-		var mg sync.WaitGroup
 		for d := range nw.shards {
-			mg.Add(1)
+			nw.wg.Add(1)
 			go func(d int) {
-				defer mg.Done()
+				defer nw.wg.Done()
 				nw.mergeInto(d)
 			}(d)
 		}
-		mg.Wait()
+		nw.wg.Wait()
 	} else {
 		for d := range nw.shards {
 			nw.mergeInto(d)
@@ -186,6 +176,22 @@ func (nw *Network) runCycleSharded() {
 		nw.stats.Delayed += sh.delayed
 		sh.sent, sh.dropped, sh.bytes = 0, 0, 0
 		sh.faultDrops, sh.duplicates, sh.delayed = 0, 0, 0
+	}
+}
+
+// activate runs one activation of each alive, unstalled node of the
+// shard, in ascending id order.
+func (nw *Network) activate(sh *shardRunner) {
+	for id := sh.lo; id < sh.hi; id++ {
+		slot := &nw.nodes[id]
+		if !slot.alive || slot.stalled {
+			continue
+		}
+		// The slot's reusable context (see nodeSlot.ctx): each node
+		// belongs to exactly one shard, so no other worker touches it.
+		slot.ctx = Context{nw: nw, id: NodeID(id), shard: sh}
+		slot.proto.NextCycle(&slot.ctx)
+		slot.ctx = Context{} // invalidate escaped contexts
 	}
 }
 

@@ -3,7 +3,12 @@ package simnet
 import (
 	"reflect"
 	"testing"
+
+	"chiaroscuro/internal/p2p"
 )
+
+// maxFuzzPopulation bounds the population FuzzParsePlan binds a plan to.
+const maxFuzzPopulation = 1 << 12
 
 // FuzzParsePlan hammers the scenario decoder with arbitrary input — the
 // fault-plan analogue of the internal/wire unmarshal fuzzers. Whatever
@@ -26,6 +31,7 @@ func FuzzParsePlan(f *testing.F) {
 	f.Add("drop=1;dup=1;delay=1x1")
 	f.Add("outage@0+1=0:reset;outage@0+1=0")
 	f.Add(";;;drop=0.5;;")
+	f.Add("churn=0.3/0.5;outage@1+2=0:reset;lag@2+1=1")
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := ParsePlan(spec)
 		if err != nil {
@@ -50,13 +56,21 @@ func FuzzParsePlan(f *testing.F) {
 		if err := p.Validate(maxNode + 1); err != nil {
 			t.Fatalf("parsed plan %q fails validation: %v", spec, err)
 		}
-		// Binding and exercising the hooks must not panic either.
+		// Binding and exercising the hooks must not panic either. The
+		// lifecycle is stepped as p2p steps it: every node once per
+		// cycle, in id order, cycles in order. Binding is O(population),
+		// so plans naming a node beyond a small population stop here.
+		if maxNode >= maxFuzzPopulation {
+			return
+		}
 		net, err := NewNet(p, maxNode+1, 1)
 		if err != nil {
 			t.Fatalf("NewNet on parsed plan %q: %v", spec, err)
 		}
 		for cycle := 0; cycle < 4; cycle++ {
-			net.Directive(0, cycle)
+			for id := 0; id <= maxNode; id++ {
+				net.Directive(p2p.NodeID(id), cycle)
+			}
 			net.Condition(0, 0, cycle, 64)
 		}
 	})

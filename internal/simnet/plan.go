@@ -19,6 +19,9 @@ import (
 //	dup=P               duplicate each message with probability P
 //	delay=PxD           delay each delivered copy with probability P by
 //	                    a uniform 1..D extra cycles
+//	churn=P/R           each cycle, crash an up node with probability P
+//	                    and rejoin a churn-downed node (state kept) with
+//	                    probability R
 //	crash@C=ids         crash-stop the listed nodes at cycle C
 //	outage@C+D=ids[:reset]
 //	                    take the listed nodes down for D cycles starting
@@ -35,7 +38,7 @@ import (
 //
 // where ids is a comma-separated list of node ids. Example:
 //
-//	drop=0.05;delay=0.2x3;outage@10+8=1,2:reset;garble=7
+//	drop=0.05;delay=0.2x3;churn=0.02/0.3;outage@10+8=1,2:reset;garble=7
 //
 // ParsePlan and (*Plan).String round-trip: parsing the String of a
 // parsed plan yields an identical plan (the fuzz target's invariant).
@@ -45,7 +48,7 @@ import (
 // Plan.Validate / NewNet.
 func ParsePlan(spec string) (*Plan, error) {
 	p := &Plan{}
-	seenLink := map[string]bool{}
+	seen := map[string]bool{}
 	for _, raw := range strings.Split(spec, ";") {
 		clause := strings.TrimSpace(raw)
 		if clause == "" {
@@ -64,10 +67,10 @@ func ParsePlan(spec string) (*Plan, error) {
 			}
 			p.Seed = s
 		case key == "drop" || key == "dup":
-			if seenLink[key] {
+			if seen[key] {
 				return nil, fmt.Errorf("simnet: duplicate %s clause", key)
 			}
-			seenLink[key] = true
+			seen[key] = true
 			pr, err := parseProb(val)
 			if err != nil {
 				return nil, err
@@ -78,10 +81,10 @@ func ParsePlan(spec string) (*Plan, error) {
 				p.Links.DupProb = pr
 			}
 		case key == "delay":
-			if seenLink[key] {
+			if seen[key] {
 				return nil, fmt.Errorf("simnet: duplicate delay clause")
 			}
-			seenLink[key] = true
+			seen[key] = true
 			probStr, maxStr, ok := strings.Cut(val, "x")
 			if !ok {
 				return nil, fmt.Errorf("simnet: delay wants PROBxMAX, got %q", val)
@@ -98,6 +101,24 @@ func ParsePlan(spec string) (*Plan, error) {
 			if pr > 0 { // normalize: a zero-probability delay carries no bound
 				p.Links.MaxDelay = max
 			}
+		case key == "churn":
+			if seen[key] {
+				return nil, fmt.Errorf("simnet: duplicate churn clause")
+			}
+			seen[key] = true
+			crashStr, rejoinStr, ok := strings.Cut(val, "/")
+			if !ok {
+				return nil, fmt.Errorf("simnet: churn wants CRASH/REJOIN, got %q", val)
+			}
+			crash, err := parseProb(crashStr)
+			if err != nil {
+				return nil, err
+			}
+			rejoin, err := parseProb(rejoinStr)
+			if err != nil {
+				return nil, err
+			}
+			p.churn = churn{crash: crash, rejoin: rejoin}
 		case strings.HasPrefix(key, "crash@"):
 			at, err := parseSmallInt(key[len("crash@"):])
 			if err != nil {
@@ -238,6 +259,9 @@ func (p *Plan) String() string {
 			max = 1
 		}
 		parts = append(parts, fmt.Sprintf("delay=%sx%d", formatProb(p.Links.DelayProb), max))
+	}
+	if p.churn.active() {
+		parts = append(parts, fmt.Sprintf("churn=%s/%s", formatProb(p.churn.crash), formatProb(p.churn.rejoin)))
 	}
 	for _, f := range p.Nodes {
 		switch f.Kind {

@@ -8,8 +8,10 @@
 //     cycle, per-sender sequence number), never from shared RNG state,
 //     so the same plan produces the same verdicts at any worker count;
 //   - a FaultScheduler on the node lifecycle — crash-stop, crash-recovery
-//     (with or without state loss), and laggards that stall for a window
-//     of cycles, all triggered at fixed cycles rather than by coin flips.
+//     (with or without state loss) and laggards that stall for a window
+//     of cycles, all triggered at fixed cycles, plus probabilistic churn
+//     (per-cycle crash and rejoin draws from one seeded stream). Net owns
+//     every node's lifecycle state; p2p only obeys its directives.
 //
 // Byzantine participant behaviours (garbled or malformed ciphertexts,
 // replayed gossip messages, skewed noise shares) are declared here as
@@ -19,19 +21,22 @@
 // # Determinism contract
 //
 // Every fault decision is a pure function of the plan and the message's
-// coordinates. Link verdicts key on the sender's private send counter,
-// which advances only inside the sender's own activation — exactly the
-// isolation the p2p determinism contract already guarantees for node
-// RNGs — so a run with a given (seed, plan) pair reproduces bit-identical
-// trajectories under the sequential and sharded schedulers at any worker
-// count. Every discovered failure is therefore a replayable regression
-// test: re-running the same scenario spec replays the same faults.
+// coordinates, except churn, whose draws come from one stream consumed
+// in node-id order at cycle start. Link verdicts key on the sender's
+// private send counter, which advances only inside the sender's own
+// activation — exactly the isolation the p2p determinism contract
+// already guarantees for node RNGs — and lifecycle directives run
+// sequentially before any activation, so a run with a given (seed, plan)
+// pair reproduces bit-identical trajectories at any worker count. Every
+// discovered failure is therefore a replayable regression test:
+// re-running the same scenario spec replays the same faults.
 package simnet
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 
 	"chiaroscuro/internal/p2p"
 )
@@ -134,8 +139,9 @@ func (k FaultKind) DealerFault() bool {
 	return false
 }
 
-// Lifecycle reports whether the kind is scheduled by the p2p fault
-// scheduler (crash/outage/laggard) rather than executed by core.
+// Lifecycle reports whether the kind is a node lifecycle fault
+// (crash/outage/laggard) that Net.Directive applies, rather than one
+// executed by core.
 func (k FaultKind) Lifecycle() bool {
 	return !k.Byzantine() && !k.DealerFault()
 }
@@ -176,20 +182,39 @@ func (l LinkFaults) active() bool {
 	return l.DropProb > 0 || l.DupProb > 0 || l.DelayProb > 0
 }
 
-// Plan is a complete fault scenario: link-level probabilistic faults
-// plus scheduled and byzantine node faults. The zero Plan (and a nil
-// *Plan) injects nothing.
+// churn is the probabilistic lifecycle model of the churn=P/R clause:
+// each cycle an up node crashes with probability crash, and a node its
+// churn draw took down rejoins with probability rejoin, keeping its
+// protocol state.
+type churn struct {
+	crash, rejoin float64
+}
+
+func (c churn) active() bool { return c.crash > 0 || c.rejoin > 0 }
+
+// Plan is a complete fault scenario: link-level probabilistic faults,
+// churn, and scheduled and byzantine node faults. The zero Plan (and a
+// nil *Plan) injects nothing.
 type Plan struct {
-	// Seed drives the per-message fault hashes. 0 means "derive from the
-	// run seed" (the engines pass their own fallback).
+	// Seed drives the per-message fault hashes and the churn stream. 0
+	// means "derive from the run seed" (see NewNet).
 	Seed  int64
 	Links LinkFaults
 	Nodes []NodeFault
+	// churn is set only by the churn= clause of ParsePlan.
+	churn churn
 }
 
 // Empty reports whether the plan (possibly nil) injects no fault at all.
 func (p *Plan) Empty() bool {
-	return p == nil || (!p.Links.active() && len(p.Nodes) == 0)
+	return p == nil || (!p.Links.active() && !p.churn.active() && len(p.Nodes) == 0)
+}
+
+// ChurnOnly reports whether churn is the plan's only fault: nodes crash
+// and rejoin, but no message is held past the cycle after it was sent
+// (a crash clears the queues it strands).
+func (p *Plan) ChurnOnly() bool {
+	return p != nil && p.churn.active() && !p.Links.active() && len(p.Nodes) == 0
 }
 
 // HasByzantine reports whether any node fault is a byzantine sender
@@ -207,10 +232,14 @@ func (p *Plan) HasByzantine() bool {
 	return false
 }
 
-// hasSchedule reports whether any node fault is a lifecycle fault.
+// hasSchedule reports whether the plan drives the node lifecycle: churn
+// or any scheduled lifecycle fault.
 func (p *Plan) hasSchedule() bool {
 	if p == nil {
 		return false
+	}
+	if p.churn.active() {
+		return true
 	}
 	for _, f := range p.Nodes {
 		if f.Kind.Lifecycle() {
@@ -308,8 +337,8 @@ func (p *Plan) Validate(n int) error {
 
 // Net binds a validated Plan to a population: it implements both
 // p2p.Conditioner and p2p.FaultScheduler. One Net serves exactly one
-// run — its per-sender sequence counters are part of the deterministic
-// replay state.
+// run — its per-sender sequence counters, lifecycle states and churn
+// stream are part of the deterministic replay state.
 type Net struct {
 	plan *Plan
 	seed int64
@@ -320,26 +349,48 @@ type Net struct {
 	seq []uint64
 	// perNode[i] indexes the lifecycle faults of node i.
 	perNode [][]*NodeFault
+	// life[i] is node i's lifecycle state, advanced by Directive.
+	life []lifecycle
+	// churn draws the churn= clause's crash and rejoin coins; nil
+	// without one.
+	churn *rand.Rand
 }
 
-// NewNet validates plan for a population of n and binds it. fallbackSeed
-// is used when the plan does not pin its own seed.
-func NewNet(plan *Plan, n int, fallbackSeed int64) (*Net, error) {
+// lifecycle is one node's state between Directive calls.
+type lifecycle struct {
+	// down is the node's state after its last directive.
+	down bool
+	// schedDown records that the current outage was ordered by the
+	// schedule, so a churn draw does not revive the node mid-outage;
+	// resetDue latches a scheduled Reset seen while down, reported at
+	// the eventual revival.
+	schedDown bool
+	resetDue  bool
+}
+
+// NewNet validates plan for a population of n and binds it. Unless the
+// plan pins its own seed, the fault hashes are seeded with runSeed+2 and
+// the churn stream with runSeed+1.
+func NewNet(plan *Plan, n int, runSeed int64) (*Net, error) {
 	if plan == nil {
 		return nil, errors.New("simnet: nil plan")
 	}
 	if err := plan.Validate(n); err != nil {
 		return nil, err
 	}
-	seed := plan.Seed
-	if seed == 0 {
-		seed = fallbackSeed
+	seed, churnSeed := runSeed+2, runSeed+1
+	if plan.Seed != 0 {
+		seed, churnSeed = plan.Seed, plan.Seed
 	}
 	net := &Net{
 		plan:    plan,
 		seed:    seed,
 		seq:     make([]uint64, n),
 		perNode: make([][]*NodeFault, n),
+		life:    make([]lifecycle, n),
+	}
+	if plan.churn.active() {
+		net.churn = rand.New(rand.NewSource(churnSeed))
 	}
 	for i := range plan.Nodes {
 		f := &plan.Nodes[i]
@@ -354,7 +405,8 @@ func NewNet(plan *Plan, n int, fallbackSeed int64) (*Net, error) {
 // all (engines skip the Conditioner hook entirely otherwise).
 func (net *Net) HasLinkFaults() bool { return net.plan.Links.active() }
 
-// HasSchedule reports whether the bound plan schedules lifecycle faults.
+// HasSchedule reports whether the bound plan drives the node lifecycle
+// (churn or scheduled lifecycle faults).
 func (net *Net) HasSchedule() bool { return net.plan.hasSchedule() }
 
 // splitmix64 is the finalizer behind every per-message fault draw.
@@ -410,9 +462,52 @@ func (net *Net) Condition(from, to p2p.NodeID, cycle, bytes int) p2p.Verdict {
 	return v
 }
 
-// Directive implements p2p.FaultScheduler: the scheduled lifecycle state
-// of a node at a cycle.
+// Directive implements p2p.FaultScheduler. p2p calls it once per node
+// per cycle, in id order, at cycle start; it advances the node's
+// lifecycle by the schedule first and its churn draw second:
+//
+//   - the schedule takes the node down inside a crash or outage window
+//     and revives it when the window ends, reporting Reset if a :reset
+//     window covered the outage;
+//   - then an up node draws for a crash, and a down node draws for a
+//     rejoin that only a churn-downed node (not a scheduler-downed one)
+//     takes;
+//   - Stall is the scheduled stall of a node that was up after its
+//     schedule and is still up after its draw.
+//
+// A revival reports Reset even when the churn draw takes the node down
+// again in the same cycle: its state was lost with that outage.
 func (net *Net) Directive(id p2p.NodeID, cycle int) p2p.NodeDirective {
+	s := net.schedule(id, cycle)
+	lc := &net.life[id]
+	var d p2p.NodeDirective
+	if s.Down {
+		lc.down, lc.schedDown = true, true
+		lc.resetDue = lc.resetDue || s.Reset
+	} else if lc.schedDown {
+		lc.down, lc.schedDown = false, false
+		d.Reset = s.Reset || lc.resetDue
+		lc.resetDue = false
+	}
+	up := !lc.down
+	if net.churn != nil {
+		// Every node draws, so the stream stays aligned whatever the
+		// schedule does.
+		if !lc.down {
+			lc.down = net.churn.Float64() < net.plan.churn.crash
+		} else if net.churn.Float64() < net.plan.churn.rejoin && !lc.schedDown {
+			lc.down = false
+		}
+	}
+	d.Down = lc.down
+	d.Stall = up && !lc.down && s.Stall
+	return d
+}
+
+// schedule is the plan's scheduled lifecycle state of a node at a
+// cycle: a pure function of the plan, with Reset marking every cycle of
+// a :reset outage window through its recovery boundary.
+func (net *Net) schedule(id p2p.NodeID, cycle int) p2p.NodeDirective {
 	var d p2p.NodeDirective
 	for _, f := range net.perNode[id] {
 		switch f.Kind {
@@ -426,8 +521,8 @@ func (net *Net) Directive(id p2p.NodeID, cycle int) p2p.NodeDirective {
 			}
 			// Reset is scoped to this outage's own window (including its
 			// recovery boundary): a node that also has a state-kept
-			// outage must not lose state when *that* window ends. The
-			// p2p layer latches Reset seen while down, so a :reset
+			// outage must not lose state when *that* window ends.
+			// Directive latches Reset seen while down, so a :reset
 			// window swallowed by a longer overlapping outage still
 			// wipes state at the eventual recovery.
 			if f.Reset && cycle >= f.AtCycle && cycle <= f.AtCycle+f.Duration {

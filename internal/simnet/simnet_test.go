@@ -21,6 +21,9 @@ func TestParsePlanRoundTrip(t *testing.T) {
 		"badshare=1",
 		"equivocate=2;silentdealer=3",
 		"badshare=0,4;crash@9=2",
+		"churn=0.02/0.3",
+		"seed=5;churn=0.1/0;outage@3+2=1:reset;lag@1+2=2",
+		"churn=0/0",
 	}
 	for _, spec := range specs {
 		p1, err := ParsePlan(spec)
@@ -71,6 +74,10 @@ func TestParsePlanErrors(t *testing.T) {
 		"noise*Inf=0",       // non-finite factor
 		"drop=0.1;drop=0.2", // duplicate link clause
 		"seed=abc",
+		"churn=0.1",                   // missing /REJOIN
+		"churn=1.5/0.3",               // crash probability out of range
+		"churn=0.1/NaN",               // rejoin probability not a number
+		"churn=0.1/0.3;churn=0.2/0.3", // duplicate churn clause
 	}
 	for _, spec := range bad {
 		if _, err := ParsePlan(spec); err == nil {
@@ -114,6 +121,14 @@ func TestPlanEmptyAndClassification(t *testing.T) {
 	p, _ = ParsePlan("lag@1+2=0")
 	if p.HasByzantine() || !p.hasSchedule() {
 		t.Fatalf("lifecycle-only plan misclassified: %+v", p)
+	}
+	p, _ = ParsePlan("churn=0.1/0.3")
+	if p.Empty() || p.HasByzantine() || !p.hasSchedule() || !p.ChurnOnly() {
+		t.Fatalf("churn-only plan misclassified: %+v", p)
+	}
+	p, _ = ParsePlan("churn=0.1/0.3;drop=0.1")
+	if p.ChurnOnly() {
+		t.Fatalf("churn with link faults is not churn-only: %+v", p)
 	}
 	p, _ = ParsePlan("badshare=2")
 	if p.Empty() || p.HasByzantine() || p.hasSchedule() || !p.HasDealerFaults() {
@@ -179,7 +194,8 @@ func TestConditionDeterministicPerSequence(t *testing.T) {
 	}
 }
 
-// TestDirectiveSchedules pins the lifecycle schedule semantics.
+// TestDirectiveSchedules pins the lifecycle schedule semantics, stepping
+// every node through the cycles in order as p2p does.
 func TestDirectiveSchedules(t *testing.T) {
 	plan, err := ParsePlan("crash@5=0;outage@3+4=1:reset;lag@2+3=2;outage@2+2=3;outage@10+2=3:reset")
 	if err != nil {
@@ -189,35 +205,28 @@ func TestDirectiveSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type row struct {
-		id    p2p.NodeID
-		cycle int
-		want  p2p.NodeDirective
-	}
-	rows := []row{
-		{0, 4, p2p.NodeDirective{}},
-		{0, 5, p2p.NodeDirective{Down: true}},
-		{0, 500, p2p.NodeDirective{Down: true}},
-		{1, 2, p2p.NodeDirective{}}, // Reset is scoped to the outage window
-		{1, 3, p2p.NodeDirective{Down: true, Reset: true}},
-		{1, 6, p2p.NodeDirective{Down: true, Reset: true}},
-		{1, 7, p2p.NodeDirective{Reset: true}}, // recovery boundary
-		{1, 8, p2p.NodeDirective{}},
-		{2, 1, p2p.NodeDirective{}},
-		{2, 2, p2p.NodeDirective{Stall: true}},
-		{2, 4, p2p.NodeDirective{Stall: true}},
-		{2, 5, p2p.NodeDirective{}},
+	var (
+		down  = p2p.NodeDirective{Down: true}
+		reset = p2p.NodeDirective{Reset: true}
+		stall = p2p.NodeDirective{Stall: true}
+		up    = p2p.NodeDirective{}
+	)
+	want := [][]p2p.NodeDirective{
+		// Node 0 crash-stops at cycle 5.
+		{up, up, up, up, up, down, down, down, down, down, down, down, down, down},
+		// Node 1 is down for cycles 3-6 and reset on its revival at 7.
+		{up, up, up, down, down, down, down, reset, up, up, up, up, up, up},
+		// Node 2 stalls for cycles 2-4.
+		{up, up, stall, stall, stall, up, up, up, up, up, up, up, up, up},
 		// Node 3 mixes a state-kept outage (cycles 2-3) with a :reset
 		// outage (cycles 10-11): recovery from the first must not reset.
-		{3, 2, p2p.NodeDirective{Down: true}},
-		{3, 4, p2p.NodeDirective{}},
-		{3, 10, p2p.NodeDirective{Down: true, Reset: true}},
-		{3, 12, p2p.NodeDirective{Reset: true}},
-		{3, 13, p2p.NodeDirective{}},
+		{up, up, down, down, up, up, up, up, up, up, down, down, reset, up},
 	}
-	for _, r := range rows {
-		if got := net.Directive(r.id, r.cycle); got != r.want {
-			t.Errorf("Directive(%d, %d) = %+v, want %+v", r.id, r.cycle, got, r.want)
+	for cycle := range want[0] {
+		for id := range want {
+			if got := net.Directive(p2p.NodeID(id), cycle); got != want[id][cycle] {
+				t.Errorf("Directive(%d, %d) = %+v, want %+v", id, cycle, got, want[id][cycle])
+			}
 		}
 	}
 }

@@ -117,8 +117,6 @@ func (cfg Config) streamParams() (core.SessionParams, error) {
 		return sp, errors.New("chiaroscuro: Config.DriftThreshold applies to the \"threshold\" budget strategy only")
 	case cfg.Faults != "":
 		return sp, errors.New("chiaroscuro: Config.Faults is not supported in streaming sessions yet")
-	case cfg.ChurnCrashProb != 0 || cfg.ChurnRejoinProb != 0:
-		return sp, errors.New("chiaroscuro: churn is not supported in streaming sessions yet")
 	}
 	spend, err := dp.SpendStrategyByName(cfg.BudgetStrategy, cfg.DriftThreshold)
 	if err != nil {
