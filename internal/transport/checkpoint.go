@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,9 +22,23 @@ import (
 // the resume handshake against the survivors, and continues the run
 // with disclosed histories bit-identical to an uninterrupted one.
 //
-// The file is written atomically (temp + fsync + rename + directory
-// fsync), so a crash during the write leaves the previous checkpoint
-// intact, never a torn file.
+// The image goes into one of two slots of "<id>.ckpt", a file the node
+// keeps open for the whole run:
+//
+//	page 0    header: ckptFileMagic, slot capacity (image bytes per slot)
+//	slot 0    generation, image length, CRC-32C, image    (page-aligned)
+//	slot 1    the same, at slot 0's offset plus one slot size
+//
+// Every header field is a big-endian uint32 except the uint64
+// generation; the CRC (Castagnoli) covers generation, length and image.
+// A steady-state checkpoint is one positioned write into the slot that
+// does not hold the newest generation, then one fsync. A crash can tear
+// only that slot, whose write had not returned yet; the other slot still
+// holds the previous durable checkpoint, and resume takes the valid slot
+// with the highest generation. A run's first checkpoint, and one whose
+// image outgrows a slot, lays out a new file instead and writes it
+// through writeFileAtomic, so "<id>.ckpt" never exists without a valid
+// slot.
 
 const (
 	ckptMagic   uint32 = 0xC1A8C4B7
@@ -32,7 +47,18 @@ const (
 	// before allocation, so corrupt or adversarial length fields cannot
 	// demand unbounded memory.
 	ckptMaxCount = 1 << 20
+
+	// ckptFileMagic opens the two-slot file; it differs from ckptMagic,
+	// so a bare image written before the slots existed is told apart.
+	ckptFileMagic uint32 = 0xC1A8C5D2
+	// ckptPage is the header's size and the unit slot sizes round up
+	// to: a slot write touches neither the header nor the other slot.
+	ckptPage = 4096
+	// ckptSlotHead is a slot's header: generation, length, CRC-32C.
+	ckptSlotHead = 16
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // errCheckpoint prefixes every decode failure.
 var errCheckpoint = errors.New("transport: invalid checkpoint")
@@ -69,15 +95,134 @@ func checkpointPath(cfg Config) string {
 	return filepath.Join(cfg.CheckpointDir, fmt.Sprintf("%d.ckpt", cfg.ID))
 }
 
-// ckptWriter builds checkpoint file images in storage it keeps: the
-// file buffer and the scratch its sorted map walks need are the node's
-// for the whole run, so the second and later checkpoints of a run
-// allocate nothing (TestCheckpointEncodeAllocatesNothing). The file is
+// ckptWriter builds checkpoint images in storage it keeps and writes
+// them into the slots of the checkpoint file it holds open. The buffer
+// and the scratch its sorted map walks need are the node's for the
+// whole run, so from the third checkpoint of a run on, encoding and the
+// slot write allocate nothing (TestCheckpointEncodeAllocatesNothing).
+// The buffer reserves the slot header in front of the image, which is
 // head, core snapshot field, link count and links in ascending peer
-// order, barrier state.
+// order, barrier state: a slot is one write of the buffer, no copy.
 type ckptWriter struct {
 	buf         []byte
 	epochs, ids []int // a map's keys in ascending order
+
+	f        *os.File // the open checkpoint file; nil until the first store
+	capacity int      // image bytes one slot of f holds
+	gen      uint64   // generation of f's newest slot
+}
+
+// image returns the encoded checkpoint, without the slot header.
+func (w *ckptWriter) image() []byte { return w.buf[ckptSlotHead:] }
+
+// seal stamps the slot header in front of the image for generation gen
+// and returns the whole slot write.
+func (w *ckptWriter) seal(gen uint64) []byte {
+	binary.BigEndian.PutUint64(w.buf, gen)
+	binary.BigEndian.PutUint32(w.buf[8:], uint32(len(w.buf)-ckptSlotHead))
+	binary.BigEndian.PutUint32(w.buf[12:], slotSum(w.buf, w.image()))
+	return w.buf
+}
+
+// slotSum is the CRC-32C a slot header stores: over the header's
+// generation and length, then the image.
+func slotSum(head, image []byte) uint32 {
+	return crc32.Update(crc32.Update(0, castagnoli, head[:12]), castagnoli, image)
+}
+
+// store makes the encoded image durable. Once the file is open, that is
+// one WriteAt into the slot not holding the newest generation (g lives
+// in slot (g-1)%2) and one Sync: no open, rename or directory sync.
+func (w *ckptWriter) store(path string) error {
+	if w.f == nil || len(w.buf)-ckptSlotHead > w.capacity {
+		return w.create(path)
+	}
+	slotSize := int64(ckptSlotHead + w.capacity)
+	if _, err := w.f.WriteAt(w.seal(w.gen+1), ckptPage+int64(w.gen%2)*slotSize); err != nil {
+		return err
+	}
+	if err := w.f.Sync(); err != nil {
+		return err
+	}
+	w.gen++
+	return nil
+}
+
+// create replaces the checkpoint file with a new one holding the image
+// as generation 1 in slot 0, and keeps it open for the overwrites.
+func (w *ckptWriter) create(path string) error {
+	if err := w.close(); err != nil {
+		return err
+	}
+	if err := writeFileAtomic(path, w.layout()); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	w.f = f
+	return nil
+}
+
+// layout seals the image as generation 1 and returns a new file around
+// it: the header page, slot 0, and slot 1 zeroed. A slot holds about
+// twice the image, so a growing run seldom lays out a file again.
+func (w *ckptWriter) layout() []byte {
+	slotSize := (2*len(w.buf) + ckptPage - 1) / ckptPage * ckptPage
+	w.capacity, w.gen = slotSize-ckptSlotHead, 1
+	file := make([]byte, ckptPage+2*slotSize)
+	binary.BigEndian.PutUint32(file, ckptFileMagic)
+	binary.BigEndian.PutUint32(file[4:], uint32(w.capacity))
+	copy(file[ckptPage:], w.seal(1))
+	return file
+}
+
+// close closes the checkpoint file, if one is open.
+func (w *ckptWriter) close() error {
+	if w.f == nil {
+		return nil
+	}
+	err := w.f.Close()
+	w.f = nil
+	return err
+}
+
+// readCheckpointFile returns the image in the valid slot of a
+// checkpoint file with the highest generation. A slot is valid when its
+// length fits the capacity and its CRC matches; zeroed and torn slots
+// are not.
+func readCheckpointFile(b []byte) (image []byte, gen uint64, err error) {
+	if len(b) < ckptPage || binary.BigEndian.Uint32(b) != ckptFileMagic {
+		// An image opens with ckptMagic as a length-prefixed scalar.
+		if len(b) >= 8 && binary.BigEndian.Uint32(b[4:]) == ckptMagic {
+			return nil, 0, ckptErr("bare image without the two-slot envelope")
+		}
+		if len(b) < ckptPage {
+			return nil, 0, ckptErr("%d-byte file, shorter than its header", len(b))
+		}
+		return nil, 0, ckptErr("bad file magic 0x%08x", binary.BigEndian.Uint32(b))
+	}
+	capacity := int64(binary.BigEndian.Uint32(b[4:]))
+	slotSize := ckptSlotHead + capacity
+	if int64(len(b)) != ckptPage+2*slotSize {
+		return nil, 0, ckptErr("%d-byte file for slot capacity %d", len(b), capacity)
+	}
+	for i := int64(0); i < 2; i++ {
+		slot := b[ckptPage+i*slotSize : ckptPage+(i+1)*slotSize]
+		g := binary.BigEndian.Uint64(slot)
+		n := int64(binary.BigEndian.Uint32(slot[8:]))
+		if g == 0 || g <= gen || n > capacity {
+			continue
+		}
+		if img := slot[ckptSlotHead : ckptSlotHead+n]; slotSum(slot, img) == binary.BigEndian.Uint32(slot[12:]) {
+			image, gen = img, g
+		}
+	}
+	if gen == 0 {
+		return nil, 0, ckptErr("neither slot holds a valid checkpoint")
+	}
+	return image, gen, nil
 }
 
 // sortedKeys returns m's keys in ascending order, in dst's storage.
@@ -97,9 +242,11 @@ func appendFlag(buf []byte, set bool) []byte {
 	return wire.AppendUint32(buf, 0)
 }
 
-// head starts a new image: everything before the core snapshot.
+// head starts a new image behind the reserved slot header: everything
+// before the core snapshot.
 func (w *ckptWriter) head(fingerprint uint64, id, population, nextEpoch int, barrierPending bool, samplerState uint64) {
-	buf := wire.AppendUint32(w.buf[:0], ckptMagic)
+	var slotHead [ckptSlotHead]byte
+	buf := wire.AppendUint32(append(w.buf[:0], slotHead[:]...), ckptMagic)
 	buf = wire.AppendUint32(buf, ckptVersion)
 	buf = wire.AppendUint64(buf, fingerprint)
 	buf = wire.AppendUint32(buf, uint32(id))
@@ -172,7 +319,7 @@ func (w *ckptWriter) barrier(pendingData map[int]map[int][][]byte, ticks map[int
 	w.buf = buf
 }
 
-// decodeCheckpoint parses and validates one checkpoint file. It is
+// decodeCheckpoint parses and validates one checkpoint image. It is
 // hardened like the wire decoders: arbitrary bytes produce an error,
 // never a panic or unbounded allocation (FuzzDecodeCheckpoint).
 func decodeCheckpoint(b []byte) (*checkpoint, error) {
@@ -483,7 +630,7 @@ func readEpochTicks(fr *wire.FieldReader, ck *checkpoint, pop uint32) error {
 }
 
 // encodeCheckpoint captures the node's full resumable state as a
-// checkpoint file image in the node's ckptWriter. Nothing is copied out
+// checkpoint image in the node's ckptWriter. Nothing is copied out
 // first: the core snapshot is appended into the image and every ring is
 // encoded under its link's lock.
 func (n *node) encodeCheckpoint(nextEpoch int, barrierPending bool) ([]byte, error) {
@@ -508,16 +655,16 @@ func (n *node) encodeCheckpoint(nextEpoch int, barrierPending bool) ([]byte, err
 		l.mu.Unlock()
 	}
 	w.barrier(n.pendingData, n.ticks, n.left, n.backlog)
-	return w.buf, nil
+	return w.image(), nil
 }
 
-// writeCheckpoint encodes the node's state and writes it atomically to
-// the checkpoint file. It returns once the file is durable: the next
+// writeCheckpoint encodes the node's state and stores it in a slot of
+// the checkpoint file. It returns once the slot is durable: the next
 // epoch does not start over a checkpoint that a crash could lose.
 func (n *node) writeCheckpoint(nextEpoch int, barrierPending bool) error {
-	image, err := n.encodeCheckpoint(nextEpoch, barrierPending)
+	_, err := n.encodeCheckpoint(nextEpoch, barrierPending)
 	if err == nil {
-		err = writeFileAtomic(checkpointPath(n.cfg), image)
+		err = n.ckpt.store(checkpointPath(n.cfg))
 	}
 	if err != nil {
 		return fmt.Errorf("transport: checkpoint: %w", err)
@@ -526,14 +673,18 @@ func (n *node) writeCheckpoint(nextEpoch int, barrierPending bool) error {
 	return nil
 }
 
-// loadCheckpoint reads and validates the checkpoint for this node and
-// run configuration.
+// loadCheckpoint reads the newest valid slot of the checkpoint file and
+// validates it for this node and run configuration.
 func loadCheckpoint(path string, cfg Config, fp uint64) (*checkpoint, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("transport: resume: %w", err)
 	}
-	ck, err := decodeCheckpoint(b)
+	image, _, err := readCheckpointFile(b)
+	if err != nil {
+		return nil, err
+	}
+	ck, err := decodeCheckpoint(image)
 	if err != nil {
 		return nil, err
 	}
@@ -581,7 +732,8 @@ func (n *node) restoreFromCheckpoint(ck *checkpoint) {
 // bytes are written to a temp file in the same directory, fsynced,
 // renamed over the target, and the directory entry itself fsynced. A
 // reader therefore sees either the old complete file or the new one —
-// never a torn write.
+// never a torn write. It creates every checkpoint file and writes every
+// history file (WriteHistory).
 func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp := path + ".tmp"

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -59,10 +61,10 @@ func sampleCheckpoint() *checkpoint {
 	}
 }
 
-// encodeCheckpoint writes a decoded checkpoint back out through the
-// pieces encodeCheckpoint on a live node is made of.
-func encodeCheckpoint(ck *checkpoint) []byte {
-	var w ckptWriter
+// encodeInto writes a decoded checkpoint back out into w through the
+// pieces encodeCheckpoint on a live node is made of, and returns the
+// image.
+func encodeInto(w *ckptWriter, ck *checkpoint) []byte {
 	w.head(ck.fingerprint, ck.id, ck.population, ck.nextEpoch, ck.barrierPending, ck.samplerState)
 	w.buf = wire.AppendBytes(w.buf, ck.coreSnap)
 	w.buf = wire.AppendUint32(w.buf, uint32(len(ck.links)))
@@ -70,13 +72,51 @@ func encodeCheckpoint(ck *checkpoint) []byte {
 		w.link(peer, ck.links[peer])
 	}
 	w.barrier(ck.pendingData, ck.ticks, ck.left, ck.backlog)
-	return w.buf
+	return w.image()
 }
 
-// TestCheckpointBytesUnchanged pins the file format against the encoder
-// this one replaced: testdata/checkpoint_v1_sample.hex is what
-// sampleCheckpoint encoded to before ckptWriter existed, so a file
-// written by an older daemon decodes here and the other way round.
+func encodeCheckpoint(ck *checkpoint) []byte { return encodeInto(new(ckptWriter), ck) }
+
+// generation returns the state sampleCheckpoint's node holds at
+// generation g of a run's checkpoints: a later epoch, and a longer core
+// snapshot, so every generation's image differs from the others in
+// length as well as in bytes.
+func generation(g int) *checkpoint {
+	ck := sampleCheckpoint()
+	ck.nextEpoch += g
+	ck.coreSnap = bytes.Repeat([]byte("snap"), g)
+	return ck
+}
+
+// storeGenerations writes generations 1..gens through one slot writer
+// into path, returning the writer (still holding the file open) and the
+// file as each generation left it.
+func storeGenerations(t testing.TB, path string, gens int) (*ckptWriter, [][]byte) {
+	t.Helper()
+	w := new(ckptWriter)
+	files := make([][]byte, gens+1)
+	for g := 1; g <= gens; g++ {
+		encodeInto(w, generation(g))
+		if err := w.store(path); err != nil {
+			t.Fatal(err)
+		}
+		if w.gen != uint64(g) {
+			t.Fatalf("store %d left generation %d", g, w.gen)
+		}
+		var err error
+		if files[g], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w, files
+}
+
+// TestCheckpointBytesUnchanged pins the image format against the
+// encoder this one replaced: testdata/checkpoint_v1_sample.hex is what
+// sampleCheckpoint encoded to before ckptWriter existed, so an image
+// written by an older daemon decodes here and the other way round. The
+// image is what is pinned; the two-slot file around it is newer than
+// the sample (TestCheckpointTornSlot, TestCheckpointFileRefusals).
 func TestCheckpointBytesUnchanged(t *testing.T) {
 	text, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1_sample.hex"))
 	if err != nil {
@@ -96,11 +136,13 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 
 // TestCheckpointEncodeAllocatesNothing builds a node the way a run
 // leaves one at a checkpoint — a participant, a sampler, links with
-// populated rings, parked payloads and ticks — and holds its encoder to
-// the two halves of its contract: the image decodes to that state, and
-// from the second checkpoint on, encoding allocates nothing. The
-// participant is between iterations; one that holds a push-sum state
-// allocates nothing either (core.TestAppendSnapshotAllocations).
+// populated rings, parked payloads and ticks — and holds its checkpoint
+// writer to the two halves of its contract: the image decodes to that
+// state, and from the third checkpoint on (the second is the first
+// overwrite, AllocsPerRun's warm-up), encoding plus the slot write
+// allocates nothing. The participant is between iterations; one that
+// holds a push-sum state allocates nothing either
+// (core.TestAppendSnapshotAllocations).
 func TestCheckpointEncodeAllocatesNothing(t *testing.T) {
 	const pop, id = 4, 1
 	data, err := SyntheticSeries("cer", pop, 3)
@@ -114,7 +156,8 @@ func TestCheckpointEncodeAllocatesNothing(t *testing.T) {
 	}
 	defer cn.Close()
 	n := &node{
-		cfg:     Config{ID: id, Population: pop, Grace: time.Second}, // grace: a down link keeps frames in its ring
+		// grace: a down link keeps frames in its ring
+		cfg:     Config{ID: id, Population: pop, Grace: time.Second, CheckpointDir: t.TempDir()},
 		fp:      cn.Fingerprint(),
 		core:    cn,
 		sampler: p2p.NewSampler(cn.SamplingSeed(), p2p.NodeID(id), pop),
@@ -179,8 +222,16 @@ func TestCheckpointEncodeAllocatesNothing(t *testing.T) {
 	}
 
 	first := bytes.Clone(image)
+	path := checkpointPath(n.cfg)
+	defer n.ckpt.close()
+	if err := n.ckpt.store(path); err != nil {
+		t.Fatal(err)
+	}
 	allocs := testing.AllocsPerRun(50, func() {
 		if image, err = n.encodeCheckpoint(9, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.ckpt.store(path); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -189,6 +240,12 @@ func TestCheckpointEncodeAllocatesNothing(t *testing.T) {
 	}
 	if !bytes.Equal(image, first) {
 		t.Error("the reused buffer holds a different image of the same state")
+	}
+	if n.ckpt.gen != 52 {
+		t.Errorf("52 checkpoints left generation %d", n.ckpt.gen)
+	}
+	if got, err := loadCheckpoint(path, n.cfg, n.fp); err != nil || !reflect.DeepEqual(got, ck) {
+		t.Errorf("the overwritten file loads %+v, %v; want the node's state", got, err)
 	}
 }
 
@@ -282,7 +339,10 @@ func TestLoadCheckpointRejectsMismatch(t *testing.T) {
 	ck := sampleCheckpoint()
 	cfg := Config{ID: ck.id, Population: ck.population, CheckpointDir: dir}
 	path := checkpointPath(cfg)
-	if err := writeFileAtomic(path, encodeCheckpoint(ck)); err != nil {
+	var w ckptWriter
+	defer w.close()
+	encodeInto(&w, ck)
+	if err := w.store(path); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := loadCheckpoint(path, cfg, ck.fingerprint); err != nil {
@@ -300,6 +360,84 @@ func TestLoadCheckpointRejectsMismatch(t *testing.T) {
 	wrongPop.Population = ck.population + 1
 	if _, err := loadCheckpoint(path, wrongPop, ck.fingerprint); err == nil {
 		t.Error("population mismatch accepted")
+	}
+}
+
+// TestCheckpointTornSlot models a crash during the newest slot's write
+// cut at every byte: the first i bytes of generation 3's write have
+// landed in slot 0 and the rest of the slot still holds generation 1.
+// Resume must restore generation 3's state if and only if the slot
+// holds the complete write, and generation 2's (slot 1) otherwise:
+// never an error, never a mix.
+func TestCheckpointTornSlot(t *testing.T) {
+	ck := sampleCheckpoint()
+	cfg := Config{ID: ck.id, Population: ck.population, CheckpointDir: t.TempDir()}
+	path := checkpointPath(cfg)
+	w, files := storeGenerations(t, path, 3)
+	w.close()
+	write := w.buf // generation 3's slot write, at slot 0
+	var want [4]*checkpoint
+	for g := 2; g <= 3; g++ {
+		var err error
+		if want[g], err = decodeCheckpoint(encodeCheckpoint(generation(g))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(files[1]) != len(files[3]) {
+		t.Fatalf("generation 3 laid out a new file (%d bytes, was %d)", len(files[3]), len(files[1]))
+	}
+	for i := 0; i <= len(write); i++ {
+		torn := bytes.Clone(files[3])
+		slot := torn[ckptPage : ckptPage+len(write)]
+		copy(slot, files[1][ckptPage:])
+		copy(slot, write[:i])
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := loadCheckpoint(path, cfg, ck.fingerprint)
+		if err != nil {
+			t.Fatalf("write cut at byte %d: %v", i, err)
+		}
+		g := 2
+		if bytes.Equal(slot, write) {
+			g = 3
+		}
+		if !reflect.DeepEqual(got, want[g]) {
+			t.Fatalf("write cut at byte %d: resumed to epoch %d, want generation %d's state", i, got.nextEpoch, g)
+		}
+	}
+}
+
+// TestCheckpointFileRefusals pins what resume says about a file it
+// cannot restore from.
+func TestCheckpointFileRefusals(t *testing.T) {
+	ck := sampleCheckpoint()
+	cfg := Config{ID: ck.id, Population: ck.population, CheckpointDir: t.TempDir()}
+	path := checkpointPath(cfg)
+	w, files := storeGenerations(t, path, 2)
+	w.close()
+	bothTorn := bytes.Clone(files[2])
+	slotSize := ckptSlotHead + w.capacity
+	bothTorn[ckptPage+ckptSlotHead] ^= 1
+	bothTorn[ckptPage+slotSize+ckptSlotHead] ^= 1
+	for _, tc := range []struct {
+		name string
+		file []byte
+		want string
+	}{
+		{"bare v1 image", encodeCheckpoint(ck), "transport: invalid checkpoint: bare image without the two-slot envelope"},
+		{"both slots invalid", bothTorn, "transport: invalid checkpoint: neither slot holds a valid checkpoint"},
+		{"zeroed header", make([]byte, len(files[2])), "transport: invalid checkpoint: bad file magic 0x00000000"},
+		{"truncated", files[2][:len(files[2])-1], fmt.Sprintf("transport: invalid checkpoint: %d-byte file for slot capacity %d", len(files[2])-1, w.capacity)},
+		{"empty", nil, "transport: invalid checkpoint: 0-byte file, shorter than its header"},
+	} {
+		if err := writeFileAtomic(path, tc.file); err != nil {
+			t.Fatal(err)
+		}
+		_, err := loadCheckpoint(path, cfg, ck.fingerprint)
+		if err == nil || err.Error() != tc.want || !errors.Is(err, errCheckpoint) {
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -340,19 +478,45 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
-// FuzzDecodeCheckpoint hardens the decoder: arbitrary bytes must error
-// cleanly, and anything accepted must re-encode to a decodable form.
+// FuzzDecodeCheckpoint hardens the file reader and the decoder behind
+// it. Each input is read twice: as a whole checkpoint file, where
+// anything accepted must be the image of one of its two slots; and as
+// an image in a freshly laid out file, which the reader must hand back
+// unchanged. Either way arbitrary bytes must error cleanly, and an
+// image the decoder accepts must re-encode to a decodable form.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(encodeCheckpoint(sampleCheckpoint()))
 	f.Add([]byte{})
 	f.Add([]byte{0xC1, 0xA8, 0xC4, 0xB7})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		ck, err := decodeCheckpoint(b)
+	w, files := storeGenerations(f, filepath.Join(f.TempDir(), "0.ckpt"), 2)
+	w.close()
+	f.Add(files[2])
+	torn := bytes.Clone(files[2])
+	torn[ckptPage+ckptSlotHead+w.capacity+len(w.buf)/2] ^= 0xFF // generation 2, in slot 1
+	f.Add(torn)
+	decodes := func(t *testing.T, image []byte) {
+		ck, err := decodeCheckpoint(image)
 		if err != nil {
 			return
 		}
 		if _, err := decodeCheckpoint(encodeCheckpoint(ck)); err != nil {
 			t.Fatalf("accepted checkpoint does not round-trip: %v", err)
 		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if image, _, err := readCheckpointFile(b); err == nil {
+			slotSize := ckptSlotHead + int(binary.BigEndian.Uint32(b[4:]))
+			if at := cap(b) - cap(image); at != ckptPage+ckptSlotHead && at != ckptPage+slotSize+ckptSlotHead {
+				t.Fatalf("accepted image at offset %d is no slot's", at)
+			}
+			decodes(t, image)
+		}
+		var w ckptWriter
+		w.buf = append(make([]byte, ckptSlotHead), b...)
+		image, gen, err := readCheckpointFile(w.layout())
+		if err != nil || gen != 1 || !bytes.Equal(image, b) {
+			t.Fatalf("a fresh file hands back generation %d, %v, %d bytes; want generation 1, the %d bytes stored", gen, err, len(image), len(b))
+		}
+		decodes(t, image)
 	})
 }

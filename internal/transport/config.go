@@ -64,10 +64,13 @@ type Config struct {
 	// EpochTimeout.
 	WriteTimeout time.Duration
 	// CheckpointDir, when non-empty, enables epoch checkpoints: the node
-	// atomically writes its full resumable state (core snapshot, sampler
+	// durably writes its full resumable state (core snapshot, sampler
 	// RNG, per-link sequence numbers and retransmit rings, barrier
 	// buffers) to "<id>.ckpt" in this directory every CheckpointEvery
-	// epochs, and on interruption.
+	// epochs, and on interruption. The file has two checksummed slots,
+	// each checkpoint overwrites the older one in place, and resume takes
+	// the newest valid slot, so a crash mid-write loses at most the
+	// checkpoint being written.
 	CheckpointDir string
 	// CheckpointEvery is the epoch interval between checkpoints. Zero
 	// defaults to 1 (every epoch) when CheckpointDir is set.

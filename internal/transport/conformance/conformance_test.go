@@ -256,8 +256,9 @@ func TestLoopbackConformanceChaosK5(t *testing.T) {
 
 // TestLoopbackConformanceKillRestartK5 is the crash-recovery headline
 // check: five daemon processes checkpoint every epoch; one of them is
-// SIGKILLed the moment its first checkpoint lands (in-flight frames and
-// kernel socket buffers destroyed with it) and restarted with -resume.
+// SIGKILLed once it has logged its second checkpoint — after, and often
+// during, an in-place slot overwrite — (in-flight frames and kernel
+// socket buffers destroyed with it) and restarted with -resume.
 // The survivors park on their grace windows, the resume handshake
 // replays what the crash lost, and every disclosed history — including
 // the restarted daemon's — must be bit-identical (Float64bits) to the

@@ -9,6 +9,7 @@
 package conformance
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -293,11 +294,14 @@ func (m *processMesh) histories() ([][]core.IterationResult, error) {
 }
 
 // RunProcessesKillRestart runs the mesh as processes, SIGKILLs the
-// victim daemon the moment its first epoch checkpoint appears (no
-// cleanup of any kind — kernel socket buffers and all in-flight frames
-// are destroyed), restarts it with -resume, and returns every daemon's
-// disclosed history. The spec must enable checkpointing and a grace
-// window generous enough to cover the restart.
+// victim daemon as soon as its -v log reports a second epoch checkpoint
+// (no cleanup of any kind — kernel socket buffers and all in-flight
+// frames are destroyed), restarts it with -resume, and returns every
+// daemon's disclosed history. A run's first checkpoint lays out the
+// checkpoint file and every later one overwrites a slot in place, so
+// the kill lands after, and often during, an overwrite. The spec must
+// enable checkpointing and a grace window generous enough to cover the
+// restart.
 func RunProcessesKillRestart(s Spec, exe string, extraEnv []string, workDir, logDir string, victim int) ([][]core.IterationResult, error) {
 	if s.CheckpointEvery <= 0 {
 		return nil, fmt.Errorf("kill-restart requires CheckpointEvery > 0")
@@ -315,17 +319,17 @@ func RunProcessesKillRestart(s Spec, exe string, extraEnv []string, workDir, log
 		}
 	}
 
-	// Kill the victim as soon as it has durable state to resume from.
-	// The mesh advances in lockstep, so the run cannot complete before
-	// the victim (killed within its first epochs) is back.
-	ckptFile := filepath.Join(mesh.ckptDir, fmt.Sprintf("%d.ckpt", victim))
+	// Kill the victim once its in-place overwrites have begun. The mesh
+	// advances in lockstep, so the run cannot complete before the victim
+	// (killed within its first epochs) is back.
+	victimLog := filepath.Join(mesh.logDir, mesh.logNames[victim])
 	deadline := time.Now().Add(s.EpochTimeout)
 	for {
-		if _, err := os.Stat(ckptFile); err == nil {
+		if b, err := os.ReadFile(victimLog); err == nil && bytes.Count(b, []byte("checkpointed epoch")) >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("victim %d wrote no checkpoint within %v", victim, s.EpochTimeout)
+			return nil, fmt.Errorf("victim %d logged no second checkpoint within %v", victim, s.EpochTimeout)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -198,9 +198,10 @@ func SyntheticSeries(name string, n int, seed int64) ([][]float64, error) {
 // WriteHistory gob-encodes a participant's disclosed history. Gob
 // rather than JSON because PerturbedInertia is NaN when inertia
 // tracking is off, and the comparison consumer needs the exact bits
-// anyway. The file is written atomically (temp + fsync + rename), so a
-// daemon killed mid-write leaves either no history file or a complete
-// one — never a torn file that gob would misparse.
+// anyway. The file is written atomically (temp + fsync + rename +
+// directory fsync), so a daemon killed mid-write leaves either no
+// history file or a complete one — never a torn file that gob would
+// misparse.
 func WriteHistory(path string, history []core.IterationResult) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(history); err != nil {

@@ -73,7 +73,7 @@ type node struct {
 	startEpoch     int  // first epoch to run (non-zero after resume)
 	barrierPending bool // resume directly into the barrier of startEpoch
 
-	ckpt ckptWriter // checkpoint image storage, reused across checkpoints
+	ckpt ckptWriter // checkpoint image storage and open file, kept across checkpoints
 
 	// sendBuf is the scratch every outgoing data frame is built in
 	// (epochEnv.Send); link.send copies it into the retransmit ring.
@@ -146,6 +146,7 @@ func Run(cfg Config, data [][]float64, params core.Params) ([]core.IterationResu
 	}
 	defer close(n.stop)
 	defer n.closeConns()
+	defer n.ckpt.close()
 
 	if cfg.Resume {
 		ck, err := loadCheckpoint(checkpointPath(cfg), cfg, fp)

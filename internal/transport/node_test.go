@@ -5,10 +5,12 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,13 +159,45 @@ func TestWriteHistoryAtomic(t *testing.T) {
 
 // TestInterruptResumeInProcess drives the graceful interrupt/resume
 // cycle without process machinery: a three-node mesh where one node is
-// interrupted the moment the mesh forms (its Interrupt channel is
-// already closed), checkpoints, says bye, and is then restarted with
+// interrupted, checkpoints, says bye, and is then restarted with
 // Resume. The survivors ride out the outage on their grace windows, the
 // resume handshake replays what was lost, and every disclosed history —
 // including the victim's — must be bit-identical to the sequential
 // reference.
+//
+// In the "final slot" row the victim is interrupted the moment the mesh
+// forms (its Interrupt channel is already closed) and resumes from the
+// checkpoint its shutdown wrote. In the "torn final slot" row it
+// checkpoints every second epoch and is interrupted by its first socket
+// write after the first checkpoint, so the shutdown checkpoint holds a
+// later state than the slot before it; the test then tears the shutdown
+// checkpoint's slot — the file a crash during that final write leaves —
+// and the victim resumes from the older slot, re-stepping epochs whose
+// frames the survivors already hold.
 func TestInterruptResumeInProcess(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tear bool
+	}{
+		{"final slot", false},
+		{"torn final slot", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { interruptResume(t, tc.tear) })
+	}
+}
+
+// hookedConn runs hook before every Write.
+type hookedConn struct {
+	net.Conn
+	hook func()
+}
+
+func (c hookedConn) Write(b []byte) (int, error) {
+	c.hook()
+	return c.Conn.Write(b)
+}
+
+func interruptResume(t *testing.T, tear bool) {
 	const n = 3
 	const victim = 2
 	data, err := SyntheticSeries("cer", n, 5)
@@ -178,7 +212,6 @@ func TestInterruptResumeInProcess(t *testing.T) {
 
 	addrDir, ckptDir := t.TempDir(), t.TempDir()
 	interrupted := make(chan struct{})
-	close(interrupted)
 
 	baseCfg := func(id int) Config {
 		return Config{
@@ -207,13 +240,40 @@ func TestInterruptResumeInProcess(t *testing.T) {
 
 	vcfg := baseCfg(victim)
 	vcfg.CheckpointDir = ckptDir
-	vcfg.CheckpointEvery = 1
 	vcfg.Interrupt = interrupted
+	if !tear {
+		vcfg.CheckpointEvery = 1
+		close(interrupted)
+	} else {
+		vcfg.CheckpointEvery = 2
+		var armed atomic.Bool
+		var once sync.Once
+		vcfg.Logf = func(format string, args ...any) {
+			if strings.HasPrefix(format, "node %d checkpointed epoch") {
+				armed.Store(true)
+			}
+		}
+		vcfg.Dialer = func(network, addr string, timeout time.Duration) (net.Conn, error) {
+			conn, err := net.DialTimeout(network, addr, timeout)
+			if err != nil {
+				return nil, err
+			}
+			return hookedConn{conn, func() {
+				if armed.Load() {
+					once.Do(func() { close(interrupted) })
+				}
+			}}, nil
+		}
+	}
 	if _, err := Run(vcfg, data, params); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
 	}
-	if _, err := os.Stat(checkpointPath(vcfg)); err != nil {
+	path := checkpointPath(vcfg)
+	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("no checkpoint after interrupt: %v", err)
+	}
+	if tear {
+		tearNewestSlot(t, path)
 	}
 
 	vcfg.Interrupt = nil
@@ -230,5 +290,40 @@ func TestInterruptResumeInProcess(t *testing.T) {
 		if !bytes.Equal(gobHistory(t, histories[id]), gobHistory(t, want[id])) {
 			t.Errorf("node %d history diverges from sequential reference after interrupt/resume", id)
 		}
+	}
+}
+
+// tearNewestSlot cuts the newest slot's write at half its image, as a
+// crash during it would, after checking that the older slot holds an
+// earlier state: the file must then resume from the older slot.
+func tearNewestSlot(t *testing.T, path string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest, gen, err := readCheckpointFile(b)
+	if err != nil || gen != 2 {
+		t.Fatalf("interrupted run left generation %d (%v), want 2: the periodic checkpoint, then the shutdown's", gen, err)
+	}
+	newCk, err := decodeCheckpoint(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(newest[len(newest)/2:]) // slot 1 was zeroed when the file was laid out
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	older, gen, err := readCheckpointFile(b)
+	if err != nil || gen != 1 {
+		t.Fatalf("torn file resumes from generation %d (%v), want 1", gen, err)
+	}
+	oldCk, err := decodeCheckpoint(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oldCk.nextEpoch != 2 || oldCk.barrierPending || (newCk.nextEpoch == 2 && !newCk.barrierPending) {
+		t.Fatalf("older slot at epoch %d (pending %v), newest at %d (pending %v): the older slot must hold the earlier state",
+			oldCk.nextEpoch, oldCk.barrierPending, newCk.nextEpoch, newCk.barrierPending)
 	}
 }
