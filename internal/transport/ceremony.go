@@ -176,6 +176,8 @@ func (n *node) collectKeyRound(round, want int, handle func([]byte) error) error
 			if m.seq > 0 {
 				n.procSeq[m.from] = m.seq
 			}
+		case err := <-n.rejected:
+			return err
 		case <-timeout.C:
 			return fmt.Errorf("transport: key-ceremony round %d timed out after %v (%d artifacts missing)", round, n.cfg.EpochTimeout, want)
 		}

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"chiaroscuro/internal/wire"
 )
@@ -107,6 +106,12 @@ type ckptWriter struct {
 	buf         []byte
 	epochs, ids []int // a map's keys in ascending order
 
+	// Ring accounting of the image in buf, for sizing a new file: rings
+	// is the bytes its retransmit rings take, held the epochs they hold
+	// (the image's next epoch), window the epochs they hold once pruning
+	// keeps them steady (0: no estimate, size by the image alone).
+	rings, held, window int
+
 	f        *os.File // the open checkpoint file; nil until the first store
 	capacity int      // image bytes one slot of f holds
 	gen      uint64   // generation of f's newest slot
@@ -167,9 +172,15 @@ func (w *ckptWriter) create(path string) error {
 
 // layout seals the image as generation 1 and returns a new file around
 // it: the header page, slot 0, and slot 1 zeroed. A slot holds about
-// twice the image, so a growing run seldom lays out a file again.
+// twice the image the run settles at — this one, with its rings grown
+// to their whole retention window — so a run lays its file out once;
+// an image that still outgrows its slot lays out another.
 func (w *ckptWriter) layout() []byte {
-	slotSize := (2*len(w.buf) + ckptPage - 1) / ckptPage * ckptPage
+	settled := len(w.buf)
+	if held := max(w.held, 1); held < w.window {
+		settled += w.rings * (w.window - held) / held
+	}
+	slotSize := (2*settled + ckptPage - 1) / ckptPage * ckptPage
 	w.capacity, w.gen = slotSize-ckptSlotHead, 1
 	file := make([]byte, ckptPage+2*slotSize)
 	binary.BigEndian.PutUint32(file, ckptFileMagic)
@@ -254,6 +265,7 @@ func (w *ckptWriter) head(fingerprint uint64, id, population, nextEpoch int, bar
 	buf = wire.AppendUint32(buf, uint32(nextEpoch))
 	buf = appendFlag(buf, barrierPending)
 	w.buf = wire.AppendUint64(buf, samplerState)
+	w.rings, w.held = 0, nextEpoch
 }
 
 // link appends one link's sequencing state and retransmit ring. The
@@ -264,11 +276,13 @@ func (w *ckptWriter) link(peer int, ls linkState) {
 	buf = wire.AppendUint64(buf, ls.inSeq)
 	buf = wire.AppendUint64(buf, ls.pruned)
 	buf = wire.AppendUint32(buf, uint32(len(ls.ring)))
+	start := len(buf)
 	for _, sf := range ls.ring {
 		buf = wire.AppendUint64(buf, sf.seq)
 		buf = wire.AppendUint32(buf, uint32(sf.epoch))
 		buf = wire.AppendBytes(buf, sf.frame)
 	}
+	w.rings += len(buf) - start
 	w.buf = buf
 }
 
@@ -635,6 +649,7 @@ func readEpochTicks(fr *wire.FieldReader, ck *checkpoint, pop uint32) error {
 // encoded under its link's lock.
 func (n *node) encodeCheckpoint(nextEpoch int, barrierPending bool) ([]byte, error) {
 	w := &n.ckpt
+	w.window = n.cfg.ringRetention() + 1
 	w.head(n.fp, n.cfg.ID, n.cfg.Population, nextEpoch, barrierPending, n.sampler.State())
 	buf, snap := wire.BeginField(w.buf)
 	buf, err := n.core.AppendSnapshot(buf)
@@ -701,8 +716,8 @@ func loadCheckpoint(path string, cfg Config, fp uint64) (*checkpoint, error) {
 }
 
 // restoreFromCheckpoint installs the checkpointed transport state into
-// a freshly built node (links exist but carry no connections yet).
-// Every link starts down: formMeshResume reconnects them all.
+// a freshly built node (links exist, down, and carry no connections
+// yet: formMesh reconnects them all).
 func (n *node) restoreFromCheckpoint(ck *checkpoint) {
 	n.startEpoch = ck.nextEpoch
 	n.barrierPending = ck.barrierPending
@@ -710,7 +725,6 @@ func (n *node) restoreFromCheckpoint(ck *checkpoint) {
 	n.ticks = ck.ticks
 	n.left = ck.left
 	n.backlog = ck.backlog
-	now := time.Now()
 	for id, l := range n.links {
 		if l == nil {
 			continue
@@ -721,8 +735,6 @@ func (n *node) restoreFromCheckpoint(ck *checkpoint) {
 		l.inSeq = ls.inSeq
 		l.pruned = ls.pruned
 		l.ring = ls.ring
-		l.down = true
-		l.downSince = now
 		l.mu.Unlock()
 		n.procSeq[id] = ls.inSeq
 	}

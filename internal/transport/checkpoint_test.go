@@ -10,10 +10,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"chiaroscuro/internal/core"
+	"chiaroscuro/internal/datasets"
 	"chiaroscuro/internal/p2p"
 	"chiaroscuro/internal/wire"
 )
@@ -246,6 +248,68 @@ func TestCheckpointEncodeAllocatesNothing(t *testing.T) {
 	}
 	if got, err := loadCheckpoint(path, n.cfg, n.fp); err != nil || !reflect.DeepEqual(got, ck) {
 		t.Errorf("the overwritten file loads %+v, %v; want the node's state", got, err)
+	}
+}
+
+// TestCheckpointFileLaidOutOnce runs a mesh of the benchmark's
+// mesh-plain shape (16 nodes, tumor series of 10 weeks, K = 2, 32
+// iterations, a checkpoint every 4 epochs), whose first checkpoint image
+// is taken before the retransmit rings fill. The first layout must be
+// sized for the rings' whole retention window, so that no later image
+// outgrows its slot: the file each node holds after its first
+// checkpoint is the file it holds at the end, not one laid out again.
+func TestCheckpointFileLaidOutOnce(t *testing.T) {
+	const n, every, dim = 16, 4, 10
+	ds, err := datasets.TumorGrowth(datasets.TumorOptions{N: n, Weeks: dim, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.NormalizeTo01()
+	level := func(v float64) []float64 {
+		c := make([]float64, dim)
+		for i := range c {
+			c[i] = v
+		}
+		return c
+	}
+	params := core.Params{K: 2, Epsilon: 100, Iterations: 32, GossipRounds: 8, DecryptThreshold: 4, MaxValue: 1, Seed: 1,
+		InitialCentroids: [][]float64{level(0.25), level(0.75)}, Backend: core.BackendPlainAccounted}
+	addrDir, ckptDir := t.TempDir(), t.TempDir()
+	first := make([]os.FileInfo, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for id := 0; id < n; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			cfg := Config{ID: id, Population: n, Listen: "127.0.0.1:0", AddrDir: addrDir, EpochTimeout: 60 * time.Second,
+				CheckpointDir: ckptDir, CheckpointEvery: every}
+			cfg.Logf = func(format string, args ...any) {
+				// Only Run's own goroutine logs checkpoints.
+				if strings.HasPrefix(format, "node %d checkpointed epoch") && first[id] == nil {
+					first[id], errs[id] = os.Stat(checkpointPath(cfg))
+				}
+			}
+			if _, err := Run(cfg, ds.Series, params); err != nil {
+				errs[id] = err
+			}
+		}(id)
+	}
+	wg.Wait()
+	for id := 0; id < n; id++ {
+		if errs[id] != nil {
+			t.Fatalf("node %d: %v", id, errs[id])
+		}
+		if first[id] == nil {
+			t.Fatalf("node %d never checkpointed", id)
+		}
+		last, err := os.Stat(filepath.Join(ckptDir, fmt.Sprintf("%d.ckpt", id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(first[id], last) {
+			t.Errorf("node %d laid its checkpoint file out again after the first checkpoint (%d bytes, then %d)", id, first[id].Size(), last.Size())
+		}
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package transport runs Chiaroscuro participants as real networked
 // processes: TCP connections carrying the internal/wire artifact format
-// inside length-prefixed frames, a join/leave handshake, and a
-// coordinator-free epoch clock that reproduces the simulation engines'
-// message-visibility discipline. The participant logic itself is
-// internal/core's — the daemon and the in-process engines share one
-// protocol implementation, which is what lets the conformance harness
+// inside length-prefixed frames, one link handshake (a join is a resume
+// from sequence 0) and a leave notice, and a coordinator-free epoch
+// clock that reproduces the simulation engines' message-visibility
+// discipline. The participant logic itself is internal/core's — the
+// daemon and the in-process engines share one protocol implementation,
+// which is what lets the conformance harness
 // (internal/transport/conformance) demand bit-identical disclosed
 // trajectories across the process boundary.
 //
@@ -51,12 +52,14 @@ type Config struct {
 	// handshake results). Nil discards them.
 	Logf func(format string, args ...any)
 
-	// Grace, when positive, makes the node crash-tolerant: a read or
-	// write error on a peer link marks the link down and triggers a
-	// supervised redial (with deterministic capped backoff) instead of
-	// failing the run, and epoch barriers keep waiting as long as any
-	// missing peer's link has been down for less than Grace. Zero keeps
-	// the legacy fail-fast behavior: the first link error is fatal.
+	// Grace is how long beyond EpochTimeout an epoch barrier keeps
+	// waiting for a peer whose link is down, or who said bye before
+	// ticking: it waits as long as that link has been down for less than
+	// Grace. Every link is supervised whatever Grace says — a read or
+	// write error marks it down and the dialer side redials with
+	// deterministic capped backoff and resumes — so Grace only sets the
+	// barrier's extra patience (zero: none). It also lengthens the mesh
+	// formation deadline and the links' idle-read deadline.
 	Grace time.Duration
 	// WriteTimeout bounds one write on a peer link (an epoch's frames
 	// for that peer go out together), so a dead peer with a full socket
@@ -145,6 +148,19 @@ func (c *Config) writeTimeout() time.Duration {
 		return c.WriteTimeout
 	}
 	return c.EpochTimeout
+}
+
+// formTimeout bounds mesh formation, rendezvous included: an epoch
+// timeout, plus the grace a restarting peer may take to come back.
+func (c *Config) formTimeout() time.Duration {
+	return c.EpochTimeout + c.Grace
+}
+
+// ringRetention is how many epochs before the current one the
+// retransmit rings keep (pruneRings): enough for a peer resuming from
+// its oldest possible checkpoint.
+func (c *Config) ringRetention() int {
+	return 2*c.checkpointEvery() + 4
 }
 
 // checkpointEvery returns the effective checkpoint cadence in epochs,

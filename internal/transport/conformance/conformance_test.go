@@ -297,6 +297,40 @@ func TestLoopbackConformanceKillRestartK5(t *testing.T) {
 	assertConformance(t, spec, got, want)
 }
 
+// TestInProcessMeshResetAtGraceZero: every link is supervised whatever
+// Grace says. A mesh at Grace 0 whose nodes each have one connection
+// reset under them (netchaos reset@8) redials, resumes, and still
+// discloses histories bit-identical to the sequential reference; the
+// log must show the resets and the resumes.
+func TestInProcessMeshResetAtGraceZero(t *testing.T) {
+	spec := Spec{
+		N:            4,
+		Dataset:      "cer",
+		Seed:         77,
+		K:            2,
+		Iterations:   2,
+		EpochTimeout: 60 * time.Second,
+		Chaos:        "reset@8",
+		ChaosSeed:    4501,
+	}
+	want, err := spec.Reference()
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	var mu sync.Mutex
+	var log strings.Builder
+	got, err := RunInProcess(spec, t.TempDir(), func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(&log, format+"\n", args...)
+	})
+	if err != nil {
+		t.Fatalf("in-process mesh at Grace 0: %v", err)
+	}
+	assertConformance(t, spec, got, want)
+	requireChaosBit(t, log.String())
+}
+
 // TestInProcessMeshMatchesReference exercises the in-process mesh even
 // outside -short, at a different seed, population and dataset, so the
 // plain `go test ./...` tier always covers the transport end to end.

@@ -51,7 +51,7 @@ func DaemonMain(args []string, stdout, stderr io.Writer) int {
 		modBits = fs.Int("modulus-bits", 0, "dj modulus size in bits (0 = default)")
 		degree  = fs.Int("degree", 0, "dj generalization degree s (0 = default)")
 
-		grace     = fs.Duration("grace", 0, "tolerate peer link outages up to this long (0 = fail fast)")
+		grace     = fs.Duration("grace", 0, "how much longer than -epoch-timeout a barrier waits for a peer whose link is down (links are always redialed and resumed)")
 		ckptDir   = fs.String("checkpoint-dir", "", "write epoch checkpoints to this directory")
 		ckptEvery = fs.Int("checkpoint-every", 0, "epochs between checkpoints (0 = every epoch when -checkpoint-dir is set)")
 		resume    = fs.Bool("resume", false, "restore state from the checkpoint in -checkpoint-dir and rejoin the mesh")

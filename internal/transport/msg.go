@@ -8,17 +8,18 @@ import (
 )
 
 // Envelope layer: every frame on a mesh connection carries one message,
-// tagged with a one-byte type. Handshake messages (hello/welcome/
-// reject) appear once per connection at dial time; tick, data and bye
-// flow for the lifetime of the mesh. Field encoding reuses the wire
-// package's length-prefixed field primitives, so the fuzzed hardening
-// of that layer covers the envelope too.
+// tagged with a one-byte type. The link handshake (resume, answered by
+// resume-ok or reject) opens every connection, a first join as much as
+// a reconnect; tick, data and bye flow for the lifetime of the mesh.
+// Field encoding reuses the wire package's length-prefixed field
+// primitives, so the fuzzed hardening of that layer covers the envelope
+// too.
 
 const (
-	// helloMagic identifies a Chiaroscuro mesh connection; a dialer
-	// that opens with anything else is rejected before any state is
+	// meshMagic identifies a Chiaroscuro mesh connection; a dialer that
+	// opens with anything else is rejected before any state is
 	// allocated for it.
-	helloMagic uint32 = 0xC1A805C0
+	meshMagic uint32 = 0xC1A805C0
 	// meshVersion is the envelope protocol version. Version 2 added
 	// per-link frame sequencing and the resume handshake. Version 3
 	// carried packed openings. Version 4 packs at encryption: every
@@ -26,21 +27,22 @@ const (
 	// ⌈sideLen/slots⌉ balanced-digit groups per side, where version 3
 	// sent one ciphertext per coordinate or biased slot groups. Version 5
 	// adds the noise before encryption: a gossip vector is one side of
-	// ⌈sideLen/slots⌉ groups, where version 4 sent two.
-	meshVersion uint32 = 5
+	// ⌈sideLen/slots⌉ groups, where version 4 sent two. Version 6 has one
+	// handshake: a join is a resume from sequence 0, where version 5
+	// joined through a handshake of its own (types 0x01 and 0x02, now
+	// unused).
+	meshVersion uint32 = 6
 )
 
 // Message types.
 const (
-	mtHello    byte = 0x01 // dialer's join handshake
-	mtWelcome  byte = 0x02 // acceptor's join acknowledgment
-	mtReject   byte = 0x03 // acceptor's refusal (reason string)
+	mtReject   byte = 0x03 // acceptor's refusal of a resume (reason string)
 	mtTick     byte = 0x04 // epoch barrier: sender finished stepping this epoch
 	mtData     byte = 0x05 // protocol payload tagged with its send epoch
 	mtBye      byte = 0x06 // orderly leave after termination
 	mtKey      byte = 0x07 // key-ceremony artifact (round-tagged, pre-epoch)
-	mtResume   byte = 0x08 // dialer's reconnect handshake after a link drop
-	mtResumeOK byte = 0x09 // acceptor's reconnect acknowledgment
+	mtResume   byte = 0x08 // dialer's link handshake: a join or a reconnect
+	mtResumeOK byte = 0x09 // acceptor's acknowledgment of a resume
 )
 
 // Key-ceremony rounds inside an mtKey frame, mirroring the dkg
@@ -50,75 +52,6 @@ const (
 	keyRoundResponse      = 2
 	keyRoundJustification = 3
 )
-
-// hello is the join handshake: who is dialing, how big the dialer
-// thinks the run is, and a fingerprint of its full run configuration.
-// Population and fingerprint mismatches are rejected at accept time —
-// a process built from different parameters must not join the mesh.
-type hello struct {
-	ID          int
-	Population  int
-	Fingerprint uint64
-}
-
-func marshalHello(h hello) []byte {
-	buf := []byte{mtHello}
-	buf = wire.AppendUint32(buf, helloMagic)
-	buf = wire.AppendUint32(buf, meshVersion)
-	buf = wire.AppendUint32(buf, uint32(h.ID))
-	buf = wire.AppendUint32(buf, uint32(h.Population))
-	return wire.AppendUint64(buf, h.Fingerprint)
-}
-
-func parseHello(body []byte) (hello, error) {
-	fr := wire.NewFieldReader(body)
-	magic, err := fr.Uint32()
-	if err != nil {
-		return hello{}, err
-	}
-	if magic != helloMagic {
-		return hello{}, fmt.Errorf("transport: bad hello magic 0x%08x", magic)
-	}
-	version, err := fr.Uint32()
-	if err != nil {
-		return hello{}, err
-	}
-	if version != meshVersion {
-		return hello{}, fmt.Errorf("transport: peer speaks mesh version %d, want %d", version, meshVersion)
-	}
-	id, err := fr.Uint32()
-	if err != nil {
-		return hello{}, err
-	}
-	pop, err := fr.Uint32()
-	if err != nil {
-		return hello{}, err
-	}
-	fp, err := fr.Uint64()
-	if err != nil {
-		return hello{}, fmt.Errorf("transport: fingerprint: %w", err)
-	}
-	if err := fr.Done(); err != nil {
-		return hello{}, err
-	}
-	return hello{ID: int(id), Population: int(pop), Fingerprint: fp}, nil
-}
-
-func marshalWelcome(id int) []byte {
-	return wire.AppendUint32([]byte{mtWelcome}, uint32(id))
-}
-
-func parseWelcome(body []byte) (int, error) {
-	fr := wire.NewFieldReader(body)
-	id, err := fr.Uint32()
-	if err != nil {
-		return 0, err
-	}
-	if err := fr.Done(); err != nil {
-		return 0, err
-	}
-	return int(id), nil
-}
 
 func marshalReject(reason string) []byte {
 	return wire.AppendBytes([]byte{mtReject}, []byte(reason))
@@ -201,11 +134,13 @@ func marshalKey(round int, payload []byte) []byte {
 	return wire.AppendBytes(buf, payload)
 }
 
-// resume is the reconnect handshake: after a link drop, the dialing
-// side re-identifies itself (same magic/version/fingerprint checks as
-// hello) and announces the highest frame sequence number it has seen
-// from the peer, so the peer can retransmit exactly the frames that
-// were lost in flight. LastSeq is 0 when nothing has been received.
+// resume is the one link handshake: the dialing side identifies
+// itself, says how big it thinks the run is, digests its full run
+// configuration, and announces the highest frame sequence number it has
+// seen from the peer, so the peer can retransmit exactly the frames that
+// were lost in flight. A first join is a resume with LastSeq 0. A
+// population or fingerprint mismatch is rejected at accept time: a
+// process built from different parameters must not join the mesh.
 type resume struct {
 	ID          int
 	Population  int
@@ -215,7 +150,7 @@ type resume struct {
 
 func marshalResume(r resume) []byte {
 	buf := []byte{mtResume}
-	buf = wire.AppendUint32(buf, helloMagic)
+	buf = wire.AppendUint32(buf, meshMagic)
 	buf = wire.AppendUint32(buf, meshVersion)
 	buf = wire.AppendUint32(buf, uint32(r.ID))
 	buf = wire.AppendUint32(buf, uint32(r.Population))
@@ -229,7 +164,7 @@ func parseResume(body []byte) (resume, error) {
 	if err != nil {
 		return resume{}, err
 	}
-	if magic != helloMagic {
+	if magic != meshMagic {
 		return resume{}, fmt.Errorf("transport: bad resume magic 0x%08x", magic)
 	}
 	version, err := fr.Uint32()

@@ -10,18 +10,18 @@ import (
 	"chiaroscuro/internal/wire"
 )
 
-// TestOlderMeshVersionRefusedAtDial: a hello of mesh version 4, whose
-// runs gossip a vector of two sides (sums and noise shares encrypted
-// apart), is answered with a reject naming both versions — the dialer's
-// join fails at once instead of its gossip frames failing mid-run.
+// TestOlderMeshVersionRefusedAtDial: a join from a mesh-version-5
+// dialer, which still spoke a join handshake of its own, arrives as a
+// version-5 resume and is answered with a reject naming both versions —
+// the dialer's join fails at once instead of its frames failing mid-run.
 func TestOlderMeshVersionRefusedAtDial(t *testing.T) {
-	old := marshalHello(hello{ID: 1, Population: 2, Fingerprint: 7})
+	old := marshalResume(resume{ID: 1, Population: 2, Fingerprint: 7})
 	// Each field is [4-byte length][payload] after the type byte: the
 	// version value occupies bytes 13-16.
-	binary.BigEndian.PutUint32(old[13:], 4)
-	const want = "transport: peer speaks mesh version 4, want 5"
-	if _, err := parseHello(old[1:]); err == nil || err.Error() != want {
-		t.Fatalf("parse of a version-4 hello: %v, want %q", err, want)
+	binary.BigEndian.PutUint32(old[13:], 5)
+	const want = "transport: peer speaks mesh version 5, want 6"
+	if _, err := parseResume(old[1:]); err == nil || err.Error() != want {
+		t.Fatalf("parse of a version-5 resume: %v, want %q", err, want)
 	}
 	n := &node{cfg: Config{ID: 0, Population: 2, EpochTimeout: time.Second}}
 	dialer, acceptor := net.Pipe()
@@ -36,11 +36,11 @@ func TestOlderMeshVersionRefusedAtDial(t *testing.T) {
 	}
 	frame, err := wire.ReadFrame(dialer)
 	if err != nil {
-		t.Fatalf("no answer to a version-4 hello: %v", err)
+		t.Fatalf("no answer to a version-5 resume: %v", err)
 	}
 	<-done
 	if len(frame) == 0 || frame[0] != mtReject {
-		t.Fatalf("a version-4 hello was answered with frame %x, want a reject", frame)
+		t.Fatalf("a version-5 resume was answered with frame %x, want a reject", frame)
 	}
 	if reason, err := parseReject(frame[1:]); err != nil || !strings.Contains(reason, want) {
 		t.Fatalf("reject reason %q (%v), want %q", reason, err, want)
@@ -100,8 +100,8 @@ func TestParseResumeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// FuzzParseResume hardens the reconnect handshake decoders the same way
-// the hello/tick/data decoders already are: arbitrary bytes from a
+// FuzzParseResume hardens the link handshake decoders the same way the
+// tick/data decoders already are: arbitrary bytes from a
 // half-open or malicious connection must never panic, and anything
 // parseResume accepts must re-marshal byte-identically.
 func FuzzParseResume(f *testing.F) {

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"chiaroscuro/internal/core"
@@ -40,14 +39,15 @@ type node struct {
 	core    *core.Node
 	sampler *p2p.Sampler
 	ln      net.Listener
-	links   []*link  // indexed by peer id; nil at cfg.ID
-	addrs   []string // dial addresses from formation (AddrDir mode re-reads live)
+	links   []*link // indexed by peer id; nil at cfg.ID
 	in      chan inMsg
 	stop    chan struct{} // closed on Run exit; unblocks reader sends
 
-	meshFormed atomic.Bool
-	formJoin   chan int
-	formErr    chan error
+	// linkUp wakes formation when a link comes up (one pending signal is
+	// enough: formation recounts the links). rejected carries a peer's
+	// refusal of a dialer-side link's resume, fatal in every phase.
+	linkUp   chan struct{}
+	rejected chan error
 
 	// Key-ceremony buffers: peers progress through the ceremony (and
 	// into epoch 0) at their own pace, so frames from rounds or epochs
@@ -108,8 +108,8 @@ type inMsg struct {
 //
 // With cfg.Resume, the node instead restores its participant, sampler
 // and link state from the checkpoint in cfg.CheckpointDir, re-forms the
-// mesh with the resume handshake (replaying whatever frames were lost),
-// and rejoins the run at the checkpointed barrier. The disclosed
+// mesh the same way (its resume handshakes replay whatever frames were
+// lost), and rejoins the run at the checkpointed barrier. The disclosed
 // histories are bit-identical to an uninterrupted run.
 func Run(cfg Config, data [][]float64, params core.Params) ([]core.IterationResult, error) {
 	if err := cfg.Validate(); err != nil {
@@ -131,8 +131,8 @@ func Run(cfg Config, data [][]float64, params core.Params) ([]core.IterationResu
 		// traffic without blocking readers mid-epoch.
 		in:          make(chan inMsg, 8*cfg.Population),
 		stop:        make(chan struct{}),
-		formJoin:    make(chan int, cfg.Population),
-		formErr:     make(chan error, cfg.Population),
+		linkUp:      make(chan struct{}, 1),
+		rejected:    make(chan error, cfg.Population),
 		keyPending:  make(map[int][][]byte),
 		pendingData: map[int]map[int][][]byte{},
 		ticks:       map[int]map[int]bool{},
@@ -148,27 +148,20 @@ func Run(cfg Config, data [][]float64, params core.Params) ([]core.IterationResu
 	defer n.closeConns()
 	defer n.ckpt.close()
 
+	var ck *checkpoint
 	if cfg.Resume {
-		ck, err := loadCheckpoint(checkpointPath(cfg), cfg, fp)
-		if err != nil {
+		if ck, err = loadCheckpoint(checkpointPath(cfg), cfg, fp); err != nil {
 			return nil, err
 		}
 		n.restoreFromCheckpoint(ck)
-		cn, err := core.RestoreNode(data, params, cfg.ID, ck.coreSnap)
-		if err != nil {
-			return nil, err
-		}
-		defer cn.Close()
-		n.core = cn
-		n.sampler = p2p.NewSampler(cn.SamplingSeed(), p2p.NodeID(cfg.ID), cfg.Population)
-		n.sampler.SetState(ck.samplerState)
-		if err := n.formMeshResume(); err != nil {
-			return nil, err
-		}
+	}
+	if err := n.formMesh(); err != nil {
+		return nil, err
+	}
+	var cn *core.Node
+	if ck != nil {
+		cn, err = core.RestoreNode(data, params, cfg.ID, ck.coreSnap)
 	} else {
-		if err := n.formMesh(); err != nil {
-			return nil, err
-		}
 		if params.Backend == core.BackendDamgardJurik && params.DJMaterial == nil {
 			m, err := n.runCeremony(cfg.Population, params)
 			if err != nil {
@@ -176,13 +169,16 @@ func Run(cfg Config, data [][]float64, params core.Params) ([]core.IterationResu
 			}
 			params.DJMaterial = m
 		}
-		cn, err := core.NewNode(data, params, cfg.ID)
-		if err != nil {
-			return nil, err
-		}
-		defer cn.Close()
-		n.core = cn
-		n.sampler = p2p.NewSampler(cn.SamplingSeed(), p2p.NodeID(cfg.ID), cfg.Population)
+		cn, err = core.NewNode(data, params, cfg.ID)
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer cn.Close()
+	n.core = cn
+	n.sampler = p2p.NewSampler(cn.SamplingSeed(), p2p.NodeID(cfg.ID), cfg.Population)
+	if ck != nil {
+		n.sampler.SetState(ck.samplerState)
 	}
 	if err := n.runEpochs(); err != nil {
 		return nil, err
@@ -280,103 +276,87 @@ func (n *node) peerAddr(peer int) (string, error) {
 	return addr, nil
 }
 
-// formMesh joins the full mesh: listen, publish/collect addresses, dial
-// every lower-id peer with a hello, and wait for the persistent accept
-// loop to install one connection from every higher-id peer.
+// formMesh brings the node into the mesh, on a fresh run and on a
+// resumed one alike: listen, publish and collect addresses (or take
+// Peers), then every link — all of them start down — comes up through
+// the resume handshake. Each lower-id link's connect loop dials its
+// peer at once; the accept loop serves the higher ids' dials for the
+// life of the node. The mesh is formed when every link is up. A peer
+// that rejects this node's resume fails formation at once, with its
+// reason; a stray dialer this node rejects changes nothing here.
 func (n *node) formMesh() error {
 	if err := n.listen(); err != nil {
 		return err
 	}
-	deadline := time.Now().Add(n.cfg.EpochTimeout)
-
-	addrs := n.cfg.Peers
+	deadline := time.Now().Add(n.cfg.formTimeout())
 	if n.cfg.AddrDir != "" {
-		var err error
-		addrs, err = n.rendezvous(n.ln.Addr().String(), deadline)
-		if err != nil {
+		if err := n.rendezvous(n.ln.Addr().String(), deadline); err != nil {
 			return err
 		}
 	}
-	n.addrs = addrs
-	n.cfg.logf("node %d listening on %s", n.cfg.ID, n.ln.Addr())
-
-	// Accept from higher ids concurrently with dialing lower ids —
-	// every pair (i < j) connects exactly once, j dialing i.
-	go n.acceptLoop()
-	for j := 0; j < n.cfg.ID; j++ {
-		if err := n.dialPeer(j, addrs[j], deadline); err != nil {
-			return err
-		}
-	}
-	want := n.cfg.Population - 1 - n.cfg.ID
-	for got := 0; got < want; {
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return fmt.Errorf("transport: mesh formation timed out (%d/%d peers joined)", got, want)
-		}
-		select {
-		case <-n.formJoin:
-			got++
-		case err := <-n.formErr:
-			return err
-		case <-time.After(wait):
-			return fmt.Errorf("transport: mesh formation timed out (%d/%d peers joined)", got, want)
-		}
-	}
-	n.meshFormed.Store(true)
-	n.cfg.logf("node %d mesh complete (%d peers)", n.cfg.ID, n.cfg.Population-1)
-	return nil
-}
-
-// formMeshResume re-forms the mesh after a crash restart: republish the
-// (new) listen address, resume-dial every lower-id peer, and wait for
-// every higher-id survivor's redial loop to find us. All links start
-// down; the mesh is re-formed when every link is back up.
-func (n *node) formMeshResume() error {
-	if err := n.listen(); err != nil {
-		return err
-	}
-	deadline := time.Now().Add(n.cfg.EpochTimeout + n.cfg.Grace)
-	if n.cfg.AddrDir != "" {
-		if _, err := n.rendezvous(n.ln.Addr().String(), deadline); err != nil {
-			return err
-		}
+	if n.cfg.Resume {
+		n.cfg.logf("node %d resuming at epoch %d, listening on %s", n.cfg.ID, n.startEpoch, n.ln.Addr())
 	} else {
-		n.addrs = n.cfg.Peers
+		n.cfg.logf("node %d listening on %s", n.cfg.ID, n.ln.Addr())
 	}
-	n.cfg.logf("node %d resuming at epoch %d, listening on %s", n.cfg.ID, n.startEpoch, n.ln.Addr())
-	n.meshFormed.Store(true)
 	go n.acceptLoop()
 	for _, l := range n.links {
 		if l != nil && l.dialerSide {
-			l.mu.Lock()
-			l.redialing = true
-			l.mu.Unlock()
-			go l.redialLoop()
+			go l.connectLoop(true)
 		}
 	}
-	for {
-		up := 0
-		for _, l := range n.links {
-			if l == nil {
-				continue
-			}
-			l.mu.Lock()
-			if !l.down && l.conn != nil {
-				up++
-			}
-			l.mu.Unlock()
+	timeout := time.NewTimer(time.Until(deadline))
+	defer timeout.Stop()
+	want := n.cfg.Population - 1
+	for up := n.linksUp(); up < want; up = n.linksUp() {
+		select {
+		case <-n.linkUp:
+		case err := <-n.rejected:
+			return err
+		case <-timeout.C:
+			return fmt.Errorf("transport: mesh formation timed out after %v (%d/%d links up)", n.cfg.formTimeout(), up, want)
 		}
-		if up == n.cfg.Population-1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: resume: mesh not re-formed within %v (%d/%d links up)", n.cfg.EpochTimeout+n.cfg.Grace, up, n.cfg.Population-1)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	n.cfg.logf("node %d mesh resumed (%d peers)", n.cfg.ID, n.cfg.Population-1)
+	if n.cfg.Resume {
+		n.cfg.logf("node %d mesh resumed (%d peers)", n.cfg.ID, want)
+	} else {
+		n.cfg.logf("node %d mesh complete (%d peers)", n.cfg.ID, want)
+	}
 	return nil
+}
+
+// linksUp counts the links that hold a live connection.
+func (n *node) linksUp() int {
+	up := 0
+	for _, l := range n.links {
+		if l == nil {
+			continue
+		}
+		l.mu.Lock()
+		if !l.down && l.conn != nil {
+			up++
+		}
+		l.mu.Unlock()
+	}
+	return up
+}
+
+// signalLinkUp wakes formation after a link came up.
+func (n *node) signalLinkUp() {
+	select {
+	case n.linkUp <- struct{}{}:
+	default:
+	}
+}
+
+// reject reports a peer's refusal of a dialer-side link. A connect loop
+// ends at its reject and a link starts one only when none is running,
+// so the buffer of one per peer never fills.
+func (n *node) reject(err error) {
+	select {
+	case n.rejected <- err:
+	default:
+	}
 }
 
 // rendezvous publishes this node's bound address in the shared
@@ -384,41 +364,36 @@ func (n *node) formMeshResume() error {
 // the run fingerprint, so entries left behind by an earlier run in the
 // same directory (or by this node's own previous incarnation under a
 // different configuration) are ignored rather than dialed.
-func (n *node) rendezvous(self string, deadline time.Time) ([]string, error) {
+func (n *node) rendezvous(self string, deadline time.Time) error {
 	tmp := filepath.Join(n.cfg.AddrDir, fmt.Sprintf(".%d.addr.tmp", n.cfg.ID))
 	if err := os.WriteFile(tmp, []byte(fmt.Sprintf("%016x %s", n.fp, self)), 0o644); err != nil {
-		return nil, fmt.Errorf("transport: rendezvous publish: %w", err)
+		return fmt.Errorf("transport: rendezvous publish: %w", err)
 	}
 	final := filepath.Join(n.cfg.AddrDir, fmt.Sprintf("%d.addr", n.cfg.ID))
 	if err := os.Rename(tmp, final); err != nil {
-		return nil, fmt.Errorf("transport: rendezvous publish: %w", err)
+		return fmt.Errorf("transport: rendezvous publish: %w", err)
 	}
-	addrs := make([]string, n.cfg.Population)
-	addrs[n.cfg.ID] = self
+	published := make([]bool, n.cfg.Population)
+	published[n.cfg.ID] = true
 	for missing := n.cfg.Population - 1; missing > 0; {
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("transport: rendezvous: %d peers unpublished after %v", missing, n.cfg.EpochTimeout)
+			return fmt.Errorf("transport: rendezvous: %d peers unpublished after %v", missing, n.cfg.formTimeout())
 		}
-		for id := range addrs {
-			if addrs[id] != "" {
+		for id := range published {
+			if published[id] {
 				continue
 			}
-			b, err := os.ReadFile(filepath.Join(n.cfg.AddrDir, fmt.Sprintf("%d.addr", id)))
-			if err != nil {
-				continue
+			if _, err := n.peerAddr(id); err != nil {
+				continue // unpublished, or a stale entry from another run
 			}
-			addr, ok := parseAddrFile(b, n.fp)
-			if !ok {
-				continue // stale entry from another run; ignore
-			}
-			addrs[id] = addr
+			published[id] = true
 			missing--
 		}
 		if missing > 0 {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	return addrs, nil
+	return nil
 }
 
 // parseAddrFile decodes one rendezvous entry ("%016x %s": fingerprint
@@ -440,58 +415,8 @@ func parseAddrFile(b []byte, fp uint64) (string, bool) {
 	return addr, true
 }
 
-// dialPeer connects to a lower-id peer and runs the join handshake.
-func (n *node) dialPeer(id int, addr string, deadline time.Time) error {
-	var conn net.Conn
-	var err error
-	for {
-		conn, err = n.dial(addr, time.Until(deadline))
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: dial peer %d (%s): %w", id, addr, err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	conn.SetDeadline(deadline)
-	h := hello{ID: n.cfg.ID, Population: n.cfg.Population, Fingerprint: n.fp}
-	if err := wire.WriteFrame(conn, marshalHello(h)); err != nil {
-		conn.Close()
-		return fmt.Errorf("transport: hello to peer %d: %w", id, err)
-	}
-	frame, err := wire.ReadFrame(conn)
-	if err != nil {
-		conn.Close()
-		return fmt.Errorf("transport: handshake with peer %d: %w", id, err)
-	}
-	switch {
-	case len(frame) > 0 && frame[0] == mtWelcome:
-		got, err := parseWelcome(frame[1:])
-		if err != nil {
-			conn.Close()
-			return err
-		}
-		if got != id {
-			conn.Close()
-			return fmt.Errorf("transport: dialed peer %d but %d answered", id, got)
-		}
-	case len(frame) > 0 && frame[0] == mtReject:
-		reason, _ := parseReject(frame[1:])
-		conn.Close()
-		return fmt.Errorf("transport: peer %d rejected join: %s", id, reason)
-	default:
-		conn.Close()
-		return fmt.Errorf("transport: peer %d sent unexpected handshake frame", id)
-	}
-	conn.SetDeadline(time.Time{})
-	n.links[id].installConn(conn, 0, false)
-	return nil
-}
-
-// acceptLoop accepts inbound connections for the life of the node:
-// formation hellos while the mesh is forming, resume handshakes from
-// reconnecting peers afterwards.
+// acceptLoop accepts inbound connections for the life of the node: the
+// resume handshakes of higher-id peers joining the mesh or reconnecting.
 func (n *node) acceptLoop() {
 	for {
 		conn, err := n.ln.Accept()
@@ -508,104 +433,37 @@ func (n *node) acceptLoop() {
 	}
 }
 
-// formFail reports a fatal mesh-formation problem to formMesh.
-func (n *node) formFail(err error) {
-	select {
-	case n.formErr <- err:
-	default:
-	}
-}
-
-// handleInbound classifies one inbound connection by its first frame: a
-// formation hello or a resume handshake. A hello that does not match
-// this node's run configuration is answered with a reject frame and
-// fails the mesh (the legacy formation contract); a bad resume is
-// rejected without disturbing the run.
+// handleInbound serves the acceptor side of the link handshake on one
+// inbound connection. A resume that does not match this node's run —
+// another mesh version, an id outside the dialer range, another
+// population or configuration fingerprint — is answered with a reject
+// naming the reason and changes nothing here: a stray dialer cannot
+// disturb a forming or running mesh.
 func (n *node) handleInbound(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(n.cfg.EpochTimeout))
 	frame, err := wire.ReadFrame(conn)
-	if err != nil || len(frame) == 0 {
+	if err != nil || len(frame) == 0 || frame[0] != mtResume {
 		conn.Close()
 		return
 	}
-	switch frame[0] {
-	case mtHello:
-		if n.meshFormed.Load() {
-			wire.WriteFrame(conn, marshalReject("mesh already formed"))
-			conn.Close()
-			return
-		}
-		h, err := parseHello(frame[1:])
-		if err != nil {
-			// A stray or older-version dialer is refused with the reason,
-			// without failing this node's formation.
-			wire.WriteFrame(conn, marshalReject(err.Error()))
-			conn.Close()
-			return
-		}
-		reason := ""
-		switch {
-		case h.ID <= n.cfg.ID || h.ID >= n.cfg.Population:
-			reason = fmt.Sprintf("id %d out of dialer range", h.ID)
-		case n.links[h.ID].hasConn():
-			reason = fmt.Sprintf("id %d already joined", h.ID)
-		case h.Population != n.cfg.Population:
-			reason = fmt.Sprintf("population %d, want %d", h.Population, n.cfg.Population)
-		case h.Fingerprint != n.fp:
-			reason = "run configuration fingerprint mismatch"
-		}
-		if reason != "" {
-			wire.WriteFrame(conn, marshalReject(reason))
-			conn.Close()
-			n.formFail(fmt.Errorf("transport: rejected join from %d: %s", h.ID, reason))
-			return
-		}
-		if err := wire.WriteFrame(conn, marshalWelcome(n.cfg.ID)); err != nil {
-			conn.Close()
-			n.formFail(fmt.Errorf("transport: welcome to %d: %w", h.ID, err))
-			return
-		}
-		conn.SetDeadline(time.Time{})
-		n.links[h.ID].installConn(conn, 0, false)
-		select {
-		case n.formJoin <- h.ID:
-		case <-n.stop:
-		}
-	case mtResume:
-		r, err := parseResume(frame[1:])
-		if err != nil {
-			conn.Close()
-			return
-		}
-		reason := ""
-		switch {
-		case n.cfg.Grace <= 0:
-			reason = "grace disabled"
-		case r.ID <= n.cfg.ID || r.ID >= n.cfg.Population:
-			reason = fmt.Sprintf("id %d out of dialer range", r.ID)
-		case r.Population != n.cfg.Population:
-			reason = fmt.Sprintf("population %d, want %d", r.Population, n.cfg.Population)
-		case r.Fingerprint != n.fp:
-			reason = "run configuration fingerprint mismatch"
-		}
-		if reason != "" {
-			wire.WriteFrame(conn, marshalReject(reason))
-			conn.Close()
-			return
-		}
-		if reason := n.links[r.ID].handleResume(conn, r); reason != "" {
-			wire.WriteFrame(conn, marshalReject(reason))
-			conn.Close()
-		}
+	r, err := parseResume(frame[1:])
+	reason := ""
+	switch {
+	case err != nil:
+		reason = err.Error()
+	case r.ID <= n.cfg.ID || r.ID >= n.cfg.Population:
+		reason = fmt.Sprintf("id %d out of dialer range", r.ID)
+	case r.Population != n.cfg.Population:
+		reason = fmt.Sprintf("population %d, want %d", r.Population, n.cfg.Population)
+	case r.Fingerprint != n.fp:
+		reason = "run configuration fingerprint mismatch"
 	default:
+		reason = n.links[r.ID].handleResume(conn, r)
+	}
+	if reason != "" {
+		wire.WriteFrame(conn, marshalReject(reason))
 		conn.Close()
 	}
-}
-
-func (l *link) hasConn() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.conn != nil
 }
 
 // epochEnv adapts one epoch of the mesh to core.Env: the inbox holds
@@ -630,8 +488,8 @@ func (e *epochEnv) RandomPeer() (p2p.NodeID, bool) {
 // Send encodes the data frame immediately (the participant may reuse
 // its buffers after Send returns) into the node's scratch, and hands it
 // to the peer's supervised link, which copies it once, into the
-// retransmit-ring entry it keeps. Under grace a down link absorbs the
-// frame into its ring instead of failing the send.
+// retransmit-ring entry it keeps. A down link absorbs the frame into its
+// ring.
 func (e *epochEnv) Send(to p2p.NodeID, payload any, bytes int) error {
 	l := e.n.links[int(to)]
 	if l == nil {
@@ -744,8 +602,7 @@ func (n *node) finishRun(epoch int) error {
 // received them. While a peer is down the barrier stalls, so epochs
 // stop advancing and pruning naturally pauses with them.
 func (n *node) pruneRings(epoch int) {
-	retention := 2*n.cfg.checkpointEvery() + 4
-	before := epoch - retention
+	before := epoch - n.cfg.ringRetention()
 	if before <= 0 {
 		return
 	}
@@ -762,11 +619,11 @@ func (n *node) pruneRings(epoch int) {
 // that arrived while this node was still in the key ceremony (backlog)
 // is replayed first, preserving per-sender FIFO order.
 //
-// Under grace the barrier outlasts the epoch timeout as long as a down
-// link is still within its grace window (a recovering peer also gets a
-// fresh epoch timeout from the moment its link resumes); when the
-// barrier finally fails, the error names every peer whose tick is
-// missing and the state of its link.
+// The barrier outlasts the epoch timeout as long as a down link is still
+// within its grace window (a recovering peer also gets a fresh epoch
+// timeout from the moment its link resumes); when the barrier finally
+// fails, the error names every peer whose tick is missing and the state
+// of its link.
 func (n *node) awaitBarrier(epoch int, selfDone bool) (bool, error) {
 	timeout := time.NewTimer(n.cfg.EpochTimeout)
 	defer timeout.Stop()
@@ -783,6 +640,8 @@ func (n *node) awaitBarrier(epoch int, selfDone bool) (bool, error) {
 				}
 			case <-n.cfg.Interrupt:
 				return false, errBarrierInterrupted
+			case err := <-n.rejected:
+				return false, err
 			case <-timeout.C:
 				wait, state := n.barrierState(epoch)
 				if wait {
@@ -817,35 +676,34 @@ func (n *node) awaitBarrier(epoch int, selfDone bool) (bool, error) {
 			}
 			ed[m.from] = append(ed[m.from], m.payload)
 		case mtBye:
-			// A leave is orderly only after this barrier shows the
-			// whole population done. Under grace, a mid-run bye is an
-			// interrupted peer that may come back (its link is torn
-			// down and the grace window takes over); without grace it
-			// breaks the fault-free contract.
+			// A leave is orderly only once a barrier shows the whole
+			// population done. A bye before the peer's tick is an
+			// interrupted peer that may come back: its link goes down,
+			// and the barrier waits for it as for any down link.
 			n.left[m.from] = true
 			if _, ticked := n.ticks[epoch][m.from]; !ticked {
-				if n.cfg.Grace > 0 {
-					continue
-				}
-				return false, fmt.Errorf("transport: peer %d left the mesh at epoch %d", m.from, epoch)
+				n.links[m.from].dropLeft()
 			}
 		case mtKey:
 			return false, fmt.Errorf("transport: peer %d sent a key-ceremony frame at epoch %d", m.from, epoch)
 		}
 	}
-	if !selfDone {
-		return false, nil
-	}
+	allDone := selfDone
 	for _, done := range n.ticks[epoch] {
-		if !done {
-			return false, nil
+		allDone = allDone && done
+	}
+	if !allDone {
+		// The run goes on, so a peer that said bye after its tick was
+		// interrupted too.
+		for id := range n.left {
+			n.links[id].dropLeft()
 		}
 	}
-	return true, nil
+	return allDone, nil
 }
 
 // barrierState decides whether a timed-out barrier should keep waiting
-// (grace) and describes the missing peers' link states for the failure
+// and describes the missing peers' link states for the failure
 // diagnostic either way.
 func (n *node) barrierState(epoch int) (wait bool, state string) {
 	now := time.Now()
@@ -860,7 +718,7 @@ func (n *node) barrierState(epoch int) (wait bool, state string) {
 			// A down link within its grace window explains any missing
 			// tick — including ticks from healthy peers that are
 			// themselves parked waiting for the same down peer.
-			if n.cfg.Grace > 0 && now.Sub(since) < n.cfg.Grace {
+			if now.Sub(since) < n.cfg.Grace {
 				wait = true
 			}
 			if !ticked {
@@ -871,7 +729,7 @@ func (n *node) barrierState(epoch int) (wait bool, state string) {
 		if !ticked {
 			// A recently resumed link gets a fresh epoch timeout: its
 			// backlog replay and catch-up stepping take time.
-			if n.cfg.Grace > 0 && !lastResume.IsZero() && now.Sub(lastResume) < n.cfg.EpochTimeout {
+			if !lastResume.IsZero() && now.Sub(lastResume) < n.cfg.EpochTimeout {
 				wait = true
 			}
 			missing = append(missing, fmt.Sprintf("peer %d (link up)", id))

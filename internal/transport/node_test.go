@@ -82,6 +82,68 @@ func TestRendezvousIgnoresStaleEntries(t *testing.T) {
 	}
 }
 
+// TestMismatchedJoinRejectedAtOnce: a dialer built from another run
+// configuration joins with a resume whose fingerprint does not match.
+// The acceptor's reject reaches it with the reason, failing its
+// formation at once rather than at the end of its formation deadline;
+// the acceptor refuses it and keeps forming, so the right peer, dialing
+// next, still completes the run.
+func TestMismatchedJoinRejectedAtOnce(t *testing.T) {
+	const n = 2
+	data, err := SyntheticSeries("cer", n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := core.Params{K: 2, Epsilon: 1.0, Iterations: 1, Seed: 3, Backend: core.BackendPlainAccounted}
+	_, want, err := core.RunSequentialHistories(data, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 30 * time.Second
+	cfg := func(id int) Config {
+		return Config{ID: id, Population: n, Listen: "127.0.0.1:0", Peers: []string{ln.Addr().String(), "unused"}, EpochTimeout: timeout}
+	}
+
+	var acceptor []core.IterationResult
+	acceptorErr := make(chan error, 1)
+	go func() {
+		c := cfg(0)
+		c.Listener = func(string, string) (net.Listener, error) { return ln, nil }
+		var err error
+		acceptor, err = Run(c, data, params)
+		acceptorErr <- err
+	}()
+
+	stray := params
+	stray.Seed = 4
+	start := time.Now()
+	_, err = Run(cfg(1), data, stray)
+	const reason = "transport: peer 0 rejected the link: run configuration fingerprint mismatch"
+	if err == nil || err.Error() != reason {
+		t.Fatalf("stray dialer: %v, want %q", err, reason)
+	}
+	if took := time.Since(start); took > timeout/10 {
+		t.Fatalf("the reject took %v to reach the dialer, within an epoch timeout of %v", took, timeout)
+	}
+
+	got, err := Run(cfg(1), data, params)
+	if err != nil {
+		t.Fatalf("right peer after the stray one: %v", err)
+	}
+	if err := <-acceptorErr; err != nil {
+		t.Fatalf("acceptor: %v", err)
+	}
+	for id, h := range [][]core.IterationResult{acceptor, got} {
+		if !bytes.Equal(gobHistory(t, h), gobHistory(t, want[id])) {
+			t.Errorf("node %d history diverges from sequential reference", id)
+		}
+	}
+}
+
 // TestCheckpointFailureFailsTheRun: a checkpoint that cannot be written
 // is a loud refusal at the first checkpoint, not a run that carries on
 // without the durability it was asked for. The checkpoint "directory"

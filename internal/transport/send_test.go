@@ -62,7 +62,7 @@ func TestSendAllocatesTheRingEntry(t *testing.T) {
 
 	n := &node{cfg: Config{ID: id, Population: pop}, core: cn, links: make([]*link, pop)}
 	l := newLink(n, peer)
-	l.conn = discardConn{}
+	l.conn, l.down = discardConn{}, false // up, as the handshake leaves it
 	n.links[peer] = l
 	env := &epochEnv{n: n, epoch: 3}
 	send := func() {

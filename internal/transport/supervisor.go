@@ -13,6 +13,8 @@ import (
 // supervisor.go is the per-peer link layer that makes the mesh
 // crash-tolerant. Every peer connection is owned by a link, which
 //
+//   - starts down and comes up through the resume handshake, a first
+//     join being a resume from sequence 0 (the dialer is the higher id);
 //   - tags every post-handshake frame with a monotonic sequence number
 //     (an 8-byte big-endian prefix inside the wire frame), so delivery
 //     stays exactly-once and FIFO across reconnects;
@@ -29,8 +31,8 @@ import (
 //     the mtResume handshake and retransmitting whatever the peer
 //     missed.
 //
-// With Config.Grace == 0 none of the tolerance engages: the first link
-// error is delivered as a fatal inMsg, the legacy fail-fast contract.
+// A link error is never fatal by itself: how long a peer may stay away
+// is the epoch barrier's decision (Config.Grace), not the link's.
 
 // sentFrame is one retransmittable frame: the fully framed bytes (seq
 // prefix included) plus the epoch it belongs to, which drives pruning.
@@ -52,7 +54,9 @@ type link struct {
 	down       bool
 	downSince  time.Time
 	lastResume time.Time // when the link last came back up via resume
-	redialing  bool
+	redialing  bool      // a connect loop is running (dialer side)
+	joined     bool      // the link has been up before in this process
+	left       bool      // the peer said bye on the current connection
 
 	outSeq uint64      // last sequence number assigned to an outgoing frame
 	inSeq  uint64      // last sequence number delivered from the peer
@@ -95,8 +99,11 @@ func (l *link) dropBatchLocked() {
 	l.batch = nil
 }
 
+// newLink returns a link that is down, as every link starts: on the
+// dialer side, formation starts its connect loop.
 func newLink(n *node, peer int) *link {
-	return &link{n: n, peer: peer, dialerSide: peer < n.cfg.ID}
+	dialer := peer < n.cfg.ID
+	return &link{n: n, peer: peer, dialerSide: dialer, down: true, downSince: time.Now(), redialing: dialer}
 }
 
 // state returns a snapshot of the link's liveness for barrier
@@ -115,9 +122,8 @@ func (l *link) state() (down bool, since, lastResume time.Time) {
 // link right after Step, is what writes the batch — one Write under one
 // deadline for the whole epoch. Every other kind (the tick, a ceremony
 // frame) writes at once, so when the socket is written is a function of
-// the protocol alone. Under grace a write failure (or an already-down
-// link) is not an error: the frame waits in the ring for the resume
-// handshake.
+// the protocol alone. A write failure (or an already-down link) is not
+// an error: the frame waits in the ring for the resume handshake.
 func (l *link) send(epoch int, inner []byte) error {
 	if 8+len(inner) > wire.MaxFrameBytes {
 		// Refused before it takes a sequence number: a frame no write
@@ -132,31 +138,26 @@ func (l *link) send(epoch int, inner []byte) error {
 	copy(framed[8:], inner)
 	l.ring = append(l.ring, sentFrame{seq: l.outSeq, epoch: epoch, frame: framed})
 	if l.down || l.conn == nil {
-		if l.n.cfg.Grace > 0 {
-			return nil
-		}
-		return fmt.Errorf("transport: send to peer %d: link down", l.peer)
-	}
-	l.queueLocked(framed)
-	if inner[0] == mtData {
 		return nil
 	}
-	if err := l.flushLocked(); err != nil && l.n.cfg.Grace <= 0 {
-		return fmt.Errorf("transport: send to peer %d: %w", l.peer, err)
+	l.queueLocked(framed)
+	if inner[0] != mtData {
+		l.flushLocked()
 	}
 	return nil
 }
 
 // flushLocked writes the batch in one Write under the write deadline
 // and returns it to the pool (l.mu held, link up, batch pending). A
-// failure takes the link down — under grace the redial loop is started
-// here — and is returned for the fail-fast callers to surface.
+// failure takes the link down, starts the redial on the dialer side,
+// and is reported so installConn does not read from the dead
+// connection.
 func (l *link) flushLocked() error {
 	l.conn.SetWriteDeadline(time.Now().Add(l.n.cfg.writeTimeout()))
 	_, err := l.conn.Write(*l.batch)
 	l.dropBatchLocked()
 	if err != nil && l.markDownLocked(err) {
-		go l.redialLoop()
+		go l.connectLoop(false)
 	}
 	return err
 }
@@ -180,9 +181,7 @@ func (l *link) sendBye() {
 }
 
 // markDownLocked tears the current connection down (l.mu held) and
-// reports whether the caller should start a redial loop. It never
-// delivers the fatal error itself — under grace there is nothing fatal,
-// and without grace the caller owns the error path.
+// reports whether the caller should start a redial loop.
 func (l *link) markDownLocked(cause error) (startRedial bool) {
 	l.gen++
 	l.dropBatchLocked()
@@ -195,7 +194,7 @@ func (l *link) markDownLocked(cause error) (startRedial bool) {
 		l.downSince = time.Now()
 		l.n.cfg.logf("node %d: link to peer %d down: %v", l.n.cfg.ID, l.peer, cause)
 	}
-	if l.n.cfg.Grace > 0 && l.dialerSide && !l.redialing {
+	if l.dialerSide && !l.redialing {
 		l.redialing = true
 		return true
 	}
@@ -203,9 +202,7 @@ func (l *link) markDownLocked(cause error) (startRedial bool) {
 }
 
 // markDown is the unlocked entry point used by read loops. gen fences
-// out loops reading from a connection that was already replaced. With
-// grace disabled the error is delivered as fatal, preserving the
-// legacy behavior.
+// out loops reading from a connection that was already replaced.
 func (l *link) markDown(gen int, cause error) {
 	l.mu.Lock()
 	if l.gen != gen || l.n.stopped() {
@@ -214,22 +211,36 @@ func (l *link) markDown(gen int, cause error) {
 	}
 	redial := l.markDownLocked(cause)
 	l.mu.Unlock()
-	if l.n.cfg.Grace <= 0 {
-		l.n.deliver(inMsg{from: l.peer, err: cause})
-		return
-	}
 	if redial {
-		go l.redialLoop()
+		go l.connectLoop(false)
 	}
 }
 
-// installConn adopts a fresh connection for this link (formation join
-// or completed resume handshake), retransmits every ring frame beyond
-// what the peer acknowledged — as one batch, which replaces whatever
-// the old connection had pending — and starts the read loop. resumed
-// marks a post-outage reinstall, which grants the peer a fresh barrier
-// budget.
-func (l *link) installConn(conn net.Conn, peerLastSeq uint64, resumed bool) {
+// dropLeft takes the link down if its peer said bye on the current
+// connection — called by the barrier once the bye proves to be a mid-run
+// leave — so the dialer side probes for the peer's restart and the
+// barrier's grace window runs from now.
+func (l *link) dropLeft() {
+	l.mu.Lock()
+	if !l.left || l.down {
+		l.mu.Unlock()
+		return
+	}
+	redial := l.markDownLocked(errPeerLeft)
+	l.mu.Unlock()
+	if redial {
+		go l.connectLoop(false)
+	}
+}
+
+// installConn adopts the connection of a completed resume handshake,
+// retransmits every ring frame beyond what the peer acknowledged — as
+// one batch, which replaces whatever the old connection had pending —
+// and starts the read loop. A link that was up before, or any link of a
+// node resuming from its checkpoint, comes back resumed: it is logged
+// as such and grants the peer a fresh barrier budget. A first join is
+// neither.
+func (l *link) installConn(conn net.Conn, peerLastSeq uint64) {
 	l.mu.Lock()
 	if l.n.stopped() {
 		l.mu.Unlock()
@@ -245,6 +256,9 @@ func (l *link) installConn(conn net.Conn, peerLastSeq uint64, resumed bool) {
 	l.down = false
 	l.downSince = time.Time{}
 	l.redialing = false
+	l.left = false
+	resumed := l.joined || l.n.cfg.Resume
+	l.joined = true
 	if resumed {
 		l.lastResume = time.Now()
 	}
@@ -254,16 +268,12 @@ func (l *link) installConn(conn net.Conn, peerLastSeq uint64, resumed bool) {
 			l.queueLocked(sf.frame)
 		}
 	}
-	if l.batch != nil {
-		if err := l.flushLocked(); err != nil {
-			l.mu.Unlock()
-			if l.n.cfg.Grace <= 0 {
-				l.n.deliver(inMsg{from: l.peer, err: fmt.Errorf("retransmit after seq %d: %w", peerLastSeq, err)})
-			}
-			return
-		}
+	if l.batch != nil && l.flushLocked() != nil {
+		l.mu.Unlock()
+		return
 	}
 	l.mu.Unlock()
+	l.n.signalLinkUp()
 	if resumed {
 		l.n.cfg.logf("node %d: link to peer %d resumed (acked seq %d)", l.n.cfg.ID, l.peer, peerLastSeq)
 	}
@@ -313,20 +323,17 @@ func (l *link) readLoop(gen int, conn net.Conn) {
 		if len(framed) == 1 && framed[0] == mtBye {
 			// Unsequenced link-control bye: the peer is leaving — either
 			// the run ended or the peer was interrupted and may come
-			// back. Under grace, tear the link down so the dialer side
-			// starts probing for a restart (at an orderly end of run the
-			// probe dies with n.stop); without grace, just stop reading,
-			// so the peer's subsequent close is never surfaced as an
-			// error — the barrier decides whether the bye was orderly.
+			// back. Stop reading, so the peer's close is never taken for
+			// a fault: the barrier decides which it was (dropLeft). A
+			// link stays up through an orderly end of run, so whether
+			// this node's own bye is written never depends on which of
+			// the two arrived first.
 			l.mu.Lock()
 			stale := l.gen != gen
+			l.left = !stale
 			l.mu.Unlock()
-			if stale {
-				return
-			}
-			l.n.deliver(inMsg{from: l.peer, kind: mtBye})
-			if l.n.cfg.Grace > 0 {
-				l.markDown(gen, errPeerLeft)
+			if !stale {
+				l.n.deliver(inMsg{from: l.peer, kind: mtBye})
 			}
 			return
 		}
@@ -403,19 +410,25 @@ func (l *link) prune(beforeEpoch int) {
 	l.ring = l.ring[:keep]
 }
 
-// redialLoop re-establishes a broken dialer-side link: deterministic
-// capped backoff, re-resolved peer address each attempt (a restarted
-// peer publishes a new port in rendezvous mode), then the mtResume
-// handshake. It runs until it succeeds, the peer rejects the resume
-// (fatal), or the node stops; giving up on a peer that stays dead is
-// the barrier's job (grace expiry), not the dialer's.
-func (l *link) redialLoop() {
+// connectLoop brings a dialer-side link up: it re-resolves the peer's
+// address each attempt (a restarted peer publishes a new port in
+// rendezvous mode), dials, and runs the mtResume handshake, announcing
+// the last sequence number seen from the peer (0 on a first join). A
+// join makes its first attempt at once; a redial after a drop or a bye
+// waits out the link's deterministic capped backoff before each
+// attempt. The loop runs until the link is up, the peer rejects the
+// resume (fatal: the reason goes to n.rejected), or the node stops;
+// giving up on a peer that stays dead is the barrier's job, not the
+// dialer's.
+func (l *link) connectLoop(join bool) {
 	seed := backoffSeed(l.n.fp, l.n.cfg.ID, l.peer)
 	for attempt := 0; ; attempt++ {
-		select {
-		case <-time.After(backoffDelay(seed, attempt)):
-		case <-l.n.stop:
-			return
+		if !join || attempt > 0 {
+			select {
+			case <-time.After(backoffDelay(seed, attempt)):
+			case <-l.n.stop:
+				return
+			}
 		}
 		l.mu.Lock()
 		lastSeq := l.inSeq
@@ -451,12 +464,12 @@ func (l *link) redialLoop() {
 				continue
 			}
 			conn.SetDeadline(time.Time{})
-			l.installConn(conn, peerLast, true)
+			l.installConn(conn, peerLast)
 			return
 		case mtReject:
 			reason, _ := parseReject(frame[1:])
 			conn.Close()
-			l.n.deliver(inMsg{from: l.peer, err: fmt.Errorf("transport: peer %d rejected resume: %s", l.peer, reason)})
+			l.n.reject(fmt.Errorf("transport: peer %d rejected the link: %s", l.peer, reason))
 			return
 		default:
 			conn.Close()
@@ -482,6 +495,6 @@ func (l *link) handleResume(conn net.Conn, r resume) string {
 		return "" // handshake write failed; peer will redial
 	}
 	conn.SetDeadline(time.Time{})
-	l.installConn(conn, r.LastSeq, true)
+	l.installConn(conn, r.LastSeq)
 	return ""
 }

@@ -28,7 +28,6 @@ func bareNode(id int) *node {
 			Population:   2,
 			Peers:        []string{"node0", "node1"}, // never dialed: the Dialer hook answers
 			EpochTimeout: 5 * time.Second,
-			Grace:        5 * time.Second,
 		},
 		fp:      testFingerprint,
 		links:   make([]*link, 2),
@@ -37,7 +36,6 @@ func bareNode(id int) *node {
 		procSeq: make([]uint64, 2),
 	}
 	n.links[1-id] = newLink(n, 1-id)
-	n.meshFormed.Store(true)
 	return n
 }
 
@@ -48,7 +46,7 @@ type linkPair struct {
 }
 
 // newLinkPair joins two bare nodes over the given connection ends, as
-// the formation handshake would have.
+// their join handshake would have.
 func newLinkPair(t *testing.T, aEnd, bEnd net.Conn) *linkPair {
 	t.Helper()
 	p := &linkPair{a: bareNode(1), b: bareNode(0)}
@@ -59,8 +57,8 @@ func newLinkPair(t *testing.T, aEnd, bEnd net.Conn) *linkPair {
 		p.a.closeConns()
 		p.b.closeConns()
 	})
-	p.la.installConn(aEnd, 0, false)
-	p.lb.installConn(bEnd, 0, false)
+	p.la.installConn(aEnd, 0)
+	p.lb.installConn(bEnd, 0)
 	return p
 }
 
@@ -251,7 +249,7 @@ func TestLinkBatchThroughPartialWrites(t *testing.T) {
 
 // TestLinkBatchCutAnywhereResumes loses the connection after every
 // possible number of bytes of an epoch's batch. Each time the real
-// resume handshake runs (redialLoop against handleInbound), the ring
+// resume handshake runs (connectLoop against handleInbound), the ring
 // retransmits — in one write — exactly the frames beyond the sequence
 // number the receiver acknowledged, and the receiver delivers every
 // frame exactly once, in order.
