@@ -157,8 +157,8 @@ func (n *node) broadcastKey(round int, marshal func() ([]byte, error)) error {
 // parked payloads first, then the shared inbox. Frames from later
 // rounds are parked for their own collection pass; epoch traffic from
 // peers already past the ceremony goes to the backlog (preserving
-// per-sender FIFO order for awaitBarrier); a replayed earlier round or
-// an orderly leave fails the ceremony.
+// per-sender FIFO order for awaitBarrier); a bye takes its link down;
+// a replayed earlier round fails the ceremony.
 func (n *node) collectKeyRound(round, want int, handle func([]byte) error) error {
 	for _, payload := range n.keyPending[round] {
 		if err := handle(payload); err != nil {
@@ -173,9 +173,6 @@ func (n *node) collectKeyRound(round, want int, handle func([]byte) error) error
 		var m inMsg
 		select {
 		case m = <-n.in:
-			if m.seq > 0 {
-				n.procSeq[m.from] = m.seq
-			}
 		case err := <-n.rejected:
 			return err
 		case <-timeout.C:
@@ -186,6 +183,9 @@ func (n *node) collectKeyRound(round, want int, handle func([]byte) error) error
 		}
 		switch m.kind {
 		case mtKey:
+			// Frames arrive in each peer's order, so the last one read is
+			// the peer's last ceremony frame: what epoch 0 consumed.
+			n.consumed[m.from] = m.seq
 			switch {
 			case m.epoch == round: // epoch slot carries the round tag
 				if err := handle(m.payload); err != nil {
@@ -200,7 +200,11 @@ func (n *node) collectKeyRound(round, want int, handle func([]byte) error) error
 		case mtTick, mtData:
 			n.backlog = append(n.backlog, m)
 		case mtBye:
-			return fmt.Errorf("transport: peer %d left during the key ceremony", m.from)
+			// Only an interrupted peer says bye this early, and it is
+			// interrupted only once its own ceremony is over: its frames
+			// all came before the bye. Its link goes down, and the first
+			// barrier waits for it as for any down link.
+			n.links[m.from].dropLeft()
 		}
 	}
 	return nil

@@ -7,19 +7,26 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"chiaroscuro/internal/wire"
 )
 
-// checkpoint.go persists a node's complete resumable state between
-// epochs: the core participant snapshot (which embeds this node's key
-// share on the Damgård–Jurik backend), the peer sampler's RNG state,
-// every link's sequence numbers and retransmit ring, and the barrier
-// buffers (parked payloads, ticks, leftover ceremony backlog). A daemon
-// SIGKILLed mid-run restarts with -resume, restores this file, replays
-// the resume handshake against the survivors, and continues the run
-// with disclosed histories bit-identical to an uninterrupted one.
+// checkpoint.go persists a node's resumable state between epochs. Every
+// checkpoint has one shape: the core has stepped epoch s, and a resume
+// waits at barrier s. The image holds the core participant snapshot
+// (which embeds this node's key share on the Damgård–Jurik backend), the
+// peer sampler's RNG state, and every link's sequence numbers and
+// retransmit ring; for each link it records consumedSeq, the seq of the
+// peer's last frame the core snapshot has absorbed — the peer's
+// tick(s−1), or its last ceremony frame when s = 0. Nothing that
+// arrived after it is kept: a resumed node's receive watermark is
+// consumedSeq, so the resume handshake makes every peer retransmit
+// data(s), tick(s) and anything later from its ring, and the ordinary
+// read path refills the barrier buffers from them, as per-link FIFO
+// order fills them in a run that never stopped. A daemon SIGKILLed
+// mid-run restarts with -resume, restores this file, re-forms the mesh
+// and continues the run with disclosed histories bit-identical to an
+// uninterrupted one.
 //
 // The image goes into one of two slots of "<id>.ckpt", a file the node
 // keeps open for the whole run:
@@ -41,7 +48,7 @@ import (
 
 const (
 	ckptMagic   uint32 = 0xC1A8C4B7
-	ckptVersion uint32 = 1
+	ckptVersion uint32 = 2
 	// ckptMaxCount bounds every element count read from a checkpoint
 	// before allocation, so corrupt or adversarial length fields cannot
 	// demand unbounded memory.
@@ -59,6 +66,11 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// zeroPage is what writeFileAtomic pads a file with. The zeroes are
+// written, not left as a hole (File.Truncate): the first overwrites of
+// a sparse slot allocate its blocks under the fsync that follows them.
+var zeroPage [ckptPage]byte
+
 // errCheckpoint prefixes every decode failure.
 var errCheckpoint = errors.New("transport: invalid checkpoint")
 
@@ -68,26 +80,23 @@ func ckptErr(format string, args ...any) error {
 
 // linkState is one link's checkpointed sequencing state.
 type linkState struct {
-	outSeq uint64
-	inSeq  uint64
-	pruned uint64
-	ring   []sentFrame
+	outSeq      uint64
+	consumedSeq uint64 // the peer's last frame the core snapshot absorbed
+	pruned      uint64
+	ring        []sentFrame
 }
 
 // checkpoint is the decoded form of one checkpoint file.
 type checkpoint struct {
-	fingerprint    uint64
-	id             int
-	population     int
-	nextEpoch      int
-	barrierPending bool
-	samplerState   uint64
-	coreSnap       []byte
-	links          map[int]linkState
-	pendingData    map[int]map[int][][]byte
-	ticks          map[int]map[int]bool
-	left           map[int]bool
-	backlog        []inMsg
+	fingerprint uint64
+	id          int
+	population  int
+	// nextEpoch is the first epoch the core has not stepped: a resume
+	// waits at barrier nextEpoch−1, or steps epoch 0 when it is 0.
+	nextEpoch    int
+	samplerState uint64
+	coreSnap     []byte
+	links        map[int]linkState // one per peer
 }
 
 func checkpointPath(cfg Config) string {
@@ -96,15 +105,14 @@ func checkpointPath(cfg Config) string {
 
 // ckptWriter builds checkpoint images in storage it keeps and writes
 // them into the slots of the checkpoint file it holds open. The buffer
-// and the scratch its sorted map walks need are the node's for the
-// whole run, so from the third checkpoint of a run on, encoding and the
-// slot write allocate nothing (TestCheckpointEncodeAllocatesNothing).
-// The buffer reserves the slot header in front of the image, which is
-// head, core snapshot field, link count and links in ascending peer
-// order, barrier state: a slot is one write of the buffer, no copy.
+// is the node's for the whole run, so from the third checkpoint of a
+// run on, encoding and the slot write allocate nothing
+// (TestCheckpointEncodeAllocatesNothing). The buffer reserves the slot
+// header in front of the image, which is head, core snapshot field,
+// link count and links in ascending peer order: a slot is one write of
+// the buffer, no copy.
 type ckptWriter struct {
-	buf         []byte
-	epochs, ids []int // a map's keys in ascending order
+	buf []byte
 
 	// Ring accounting of the image in buf, for sizing a new file: rings
 	// is the bytes its retransmit rings take, held the epochs they hold
@@ -159,7 +167,8 @@ func (w *ckptWriter) create(path string) error {
 	if err := w.close(); err != nil {
 		return err
 	}
-	if err := writeFileAtomic(path, w.layout()); err != nil {
+	head, size := w.layout()
+	if err := writeFileAtomic(path, head, size); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
@@ -170,23 +179,24 @@ func (w *ckptWriter) create(path string) error {
 	return nil
 }
 
-// layout seals the image as generation 1 and returns a new file around
-// it: the header page, slot 0, and slot 1 zeroed. A slot holds about
-// twice the image the run settles at — this one, with its rings grown
-// to their whole retention window — so a run lays its file out once;
-// an image that still outgrows its slot lays out another.
-func (w *ckptWriter) layout() []byte {
+// layout seals the image as generation 1 and returns the start of a
+// new file around it — the header page and slot 0 — and the file's
+// length, which writeFileAtomic pads to with zeroes: the rest of slot 0
+// and slot 1 are never built in memory. A slot holds about twice the
+// image the run settles at — this one, with its rings grown to their
+// whole retention window — so a run lays its file out once; an image
+// that still outgrows its slot lays out another.
+func (w *ckptWriter) layout() (head []byte, size int64) {
 	settled := len(w.buf)
 	if held := max(w.held, 1); held < w.window {
 		settled += w.rings * (w.window - held) / held
 	}
 	slotSize := (2*settled + ckptPage - 1) / ckptPage * ckptPage
 	w.capacity, w.gen = slotSize-ckptSlotHead, 1
-	file := make([]byte, ckptPage+2*slotSize)
-	binary.BigEndian.PutUint32(file, ckptFileMagic)
-	binary.BigEndian.PutUint32(file[4:], uint32(w.capacity))
-	copy(file[ckptPage:], w.seal(1))
-	return file
+	head = make([]byte, ckptPage, ckptPage+len(w.buf))
+	binary.BigEndian.PutUint32(head, ckptFileMagic)
+	binary.BigEndian.PutUint32(head[4:], uint32(w.capacity))
+	return append(head, w.seal(1)...), int64(ckptPage + 2*slotSize)
 }
 
 // close closes the checkpoint file, if one is open.
@@ -236,26 +246,9 @@ func readCheckpointFile(b []byte) (image []byte, gen uint64, err error) {
 	return image, gen, nil
 }
 
-// sortedKeys returns m's keys in ascending order, in dst's storage.
-func sortedKeys[V any](dst []int, m map[int]V) []int {
-	dst = dst[:0]
-	for k := range m {
-		dst = append(dst, k)
-	}
-	sort.Ints(dst)
-	return dst
-}
-
-func appendFlag(buf []byte, set bool) []byte {
-	if set {
-		return wire.AppendUint32(buf, 1)
-	}
-	return wire.AppendUint32(buf, 0)
-}
-
 // head starts a new image behind the reserved slot header: everything
 // before the core snapshot.
-func (w *ckptWriter) head(fingerprint uint64, id, population, nextEpoch int, barrierPending bool, samplerState uint64) {
+func (w *ckptWriter) head(fingerprint uint64, id, population, nextEpoch int, samplerState uint64) {
 	var slotHead [ckptSlotHead]byte
 	buf := wire.AppendUint32(append(w.buf[:0], slotHead[:]...), ckptMagic)
 	buf = wire.AppendUint32(buf, ckptVersion)
@@ -263,7 +256,6 @@ func (w *ckptWriter) head(fingerprint uint64, id, population, nextEpoch int, bar
 	buf = wire.AppendUint32(buf, uint32(id))
 	buf = wire.AppendUint32(buf, uint32(population))
 	buf = wire.AppendUint32(buf, uint32(nextEpoch))
-	buf = appendFlag(buf, barrierPending)
 	w.buf = wire.AppendUint64(buf, samplerState)
 	w.rings, w.held = 0, nextEpoch
 }
@@ -273,7 +265,7 @@ func (w *ckptWriter) head(fingerprint uint64, id, population, nextEpoch int, bar
 func (w *ckptWriter) link(peer int, ls linkState) {
 	buf := wire.AppendUint32(w.buf, uint32(peer))
 	buf = wire.AppendUint64(buf, ls.outSeq)
-	buf = wire.AppendUint64(buf, ls.inSeq)
+	buf = wire.AppendUint64(buf, ls.consumedSeq)
 	buf = wire.AppendUint64(buf, ls.pruned)
 	buf = wire.AppendUint32(buf, uint32(len(ls.ring)))
 	start := len(buf)
@@ -283,53 +275,6 @@ func (w *ckptWriter) link(peer int, ls linkState) {
 		buf = wire.AppendBytes(buf, sf.frame)
 	}
 	w.rings += len(buf) - start
-	w.buf = buf
-}
-
-// barrier appends the barrier buffers, which end the image.
-func (w *ckptWriter) barrier(pendingData map[int]map[int][][]byte, ticks map[int]map[int]bool, left map[int]bool, backlog []inMsg) {
-	buf := w.buf
-	w.epochs = sortedKeys(w.epochs, pendingData)
-	buf = wire.AppendUint32(buf, uint32(len(w.epochs)))
-	for _, e := range w.epochs {
-		buf = wire.AppendUint32(buf, uint32(e))
-		w.ids = sortedKeys(w.ids, pendingData[e])
-		buf = wire.AppendUint32(buf, uint32(len(w.ids)))
-		for _, s := range w.ids {
-			buf = wire.AppendUint32(buf, uint32(s))
-			buf = wire.AppendUint32(buf, uint32(len(pendingData[e][s])))
-			for _, p := range pendingData[e][s] {
-				buf = wire.AppendBytes(buf, p)
-			}
-		}
-	}
-
-	w.epochs = sortedKeys(w.epochs, ticks)
-	buf = wire.AppendUint32(buf, uint32(len(w.epochs)))
-	for _, e := range w.epochs {
-		buf = wire.AppendUint32(buf, uint32(e))
-		w.ids = sortedKeys(w.ids, ticks[e])
-		buf = wire.AppendUint32(buf, uint32(len(w.ids)))
-		for _, s := range w.ids {
-			buf = wire.AppendUint32(buf, uint32(s))
-			buf = appendFlag(buf, ticks[e][s])
-		}
-	}
-
-	w.ids = sortedKeys(w.ids, left)
-	buf = wire.AppendUint32(buf, uint32(len(w.ids)))
-	for _, id := range w.ids {
-		buf = wire.AppendUint32(buf, uint32(id))
-	}
-
-	buf = wire.AppendUint32(buf, uint32(len(backlog)))
-	for _, m := range backlog {
-		buf = wire.AppendUint32(buf, uint32(m.from))
-		buf = wire.AppendUint32(buf, uint32(m.kind))
-		buf = wire.AppendUint32(buf, uint32(m.epoch))
-		buf = appendFlag(buf, m.done)
-		buf = wire.AppendBytes(buf, m.payload)
-	}
 	w.buf = buf
 }
 
@@ -352,12 +297,7 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 	if version != ckptVersion {
 		return nil, ckptErr("version %d, want %d", version, ckptVersion)
 	}
-	ck := &checkpoint{
-		links:       map[int]linkState{},
-		pendingData: map[int]map[int][][]byte{},
-		ticks:       map[int]map[int]bool{},
-		left:        map[int]bool{},
-	}
+	ck := &checkpoint{links: map[int]linkState{}}
 	if ck.fingerprint, err = fr.Uint64(); err != nil {
 		return nil, ckptErr("%v", err)
 	}
@@ -381,14 +321,6 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 		return nil, ckptErr("%v", err)
 	}
 	ck.nextEpoch = int(epoch)
-	flag, err := fr.Uint32()
-	if err != nil {
-		return nil, ckptErr("%v", err)
-	}
-	if flag > 1 {
-		return nil, ckptErr("barrier flag %d", flag)
-	}
-	ck.barrierPending = flag == 1
 	if ck.samplerState, err = fr.Uint64(); err != nil {
 		return nil, ckptErr("%v", err)
 	}
@@ -400,7 +332,7 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 	if err != nil {
 		return nil, ckptErr("%v", err)
 	}
-	if nLinks >= pop {
+	if nLinks != pop-1 {
 		return nil, ckptErr("%d links for population %d", nLinks, pop)
 	}
 	for i := uint32(0); i < nLinks; i++ {
@@ -418,7 +350,7 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 		if ls.outSeq, err = fr.Uint64(); err != nil {
 			return nil, ckptErr("%v", err)
 		}
-		if ls.inSeq, err = fr.Uint64(); err != nil {
+		if ls.consumedSeq, err = fr.Uint64(); err != nil {
 			return nil, ckptErr("%v", err)
 		}
 		if ls.pruned, err = fr.Uint64(); err != nil {
@@ -463,194 +395,21 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 		ck.links[int(peer)] = ls
 	}
 
-	if err := readEpochPayloads(fr, ck, pop); err != nil {
-		return nil, err
-	}
-	if err := readEpochTicks(fr, ck, pop); err != nil {
-		return nil, err
-	}
-
-	nLeft, err := fr.Uint32()
-	if err != nil {
-		return nil, ckptErr("%v", err)
-	}
-	if nLeft >= pop {
-		return nil, ckptErr("%d departed peers for population %d", nLeft, pop)
-	}
-	for i := uint32(0); i < nLeft; i++ {
-		peer, err := fr.Uint32()
-		if err != nil {
-			return nil, ckptErr("%v", err)
-		}
-		if peer >= pop {
-			return nil, ckptErr("departed peer %d out of range", peer)
-		}
-		ck.left[int(peer)] = true
-	}
-
-	nBacklog, err := fr.Uint32()
-	if err != nil {
-		return nil, ckptErr("%v", err)
-	}
-	if nBacklog > ckptMaxCount {
-		return nil, ckptErr("backlog of %d messages", nBacklog)
-	}
-	for i := uint32(0); i < nBacklog; i++ {
-		var m inMsg
-		from, err := fr.Uint32()
-		if err != nil {
-			return nil, ckptErr("%v", err)
-		}
-		if from >= pop || from == id {
-			return nil, ckptErr("backlog sender %d out of range", from)
-		}
-		m.from = int(from)
-		kind, err := fr.Uint32()
-		if err != nil {
-			return nil, ckptErr("%v", err)
-		}
-		if kind != uint32(mtTick) && kind != uint32(mtData) {
-			return nil, ckptErr("backlog kind 0x%02x", kind)
-		}
-		m.kind = byte(kind)
-		e, err := fr.Uint32()
-		if err != nil {
-			return nil, ckptErr("%v", err)
-		}
-		m.epoch = int(e)
-		d, err := fr.Uint32()
-		if err != nil {
-			return nil, ckptErr("%v", err)
-		}
-		if d > 1 {
-			return nil, ckptErr("backlog done flag %d", d)
-		}
-		m.done = d == 1
-		if m.payload, err = fr.Bytes(); err != nil {
-			return nil, ckptErr("backlog payload: %v", err)
-		}
-		ck.backlog = append(ck.backlog, m)
-	}
 	if err := fr.Done(); err != nil {
 		return nil, ckptErr("%v", err)
 	}
 	return ck, nil
 }
 
-func readEpochPayloads(fr *wire.FieldReader, ck *checkpoint, pop uint32) error {
-	nEpochs, err := fr.Uint32()
-	if err != nil {
-		return ckptErr("%v", err)
-	}
-	if nEpochs > ckptMaxCount {
-		return ckptErr("%d payload epochs", nEpochs)
-	}
-	for i := uint32(0); i < nEpochs; i++ {
-		e, err := fr.Uint32()
-		if err != nil {
-			return ckptErr("%v", err)
-		}
-		if _, dup := ck.pendingData[int(e)]; dup {
-			return ckptErr("duplicate payload epoch %d", e)
-		}
-		nSenders, err := fr.Uint32()
-		if err != nil {
-			return ckptErr("%v", err)
-		}
-		if nSenders >= pop {
-			return ckptErr("%d payload senders", nSenders)
-		}
-		bySender := map[int][][]byte{}
-		for j := uint32(0); j < nSenders; j++ {
-			s, err := fr.Uint32()
-			if err != nil {
-				return ckptErr("%v", err)
-			}
-			if s >= pop {
-				return ckptErr("payload sender %d out of range", s)
-			}
-			if _, dup := bySender[int(s)]; dup {
-				return ckptErr("duplicate payload sender %d", s)
-			}
-			nPayloads, err := fr.Uint32()
-			if err != nil {
-				return ckptErr("%v", err)
-			}
-			if nPayloads > ckptMaxCount {
-				return ckptErr("%d payloads", nPayloads)
-			}
-			var payloads [][]byte
-			for k := uint32(0); k < nPayloads; k++ {
-				p, err := fr.Bytes()
-				if err != nil {
-					return ckptErr("payload: %v", err)
-				}
-				payloads = append(payloads, p)
-			}
-			bySender[int(s)] = payloads
-		}
-		ck.pendingData[int(e)] = bySender
-	}
-	return nil
-}
-
-func readEpochTicks(fr *wire.FieldReader, ck *checkpoint, pop uint32) error {
-	nEpochs, err := fr.Uint32()
-	if err != nil {
-		return ckptErr("%v", err)
-	}
-	if nEpochs > ckptMaxCount {
-		return ckptErr("%d tick epochs", nEpochs)
-	}
-	for i := uint32(0); i < nEpochs; i++ {
-		e, err := fr.Uint32()
-		if err != nil {
-			return ckptErr("%v", err)
-		}
-		if _, dup := ck.ticks[int(e)]; dup {
-			return ckptErr("duplicate tick epoch %d", e)
-		}
-		nSenders, err := fr.Uint32()
-		if err != nil {
-			return ckptErr("%v", err)
-		}
-		if nSenders >= pop {
-			return ckptErr("%d tick senders", nSenders)
-		}
-		bySender := map[int]bool{}
-		for j := uint32(0); j < nSenders; j++ {
-			s, err := fr.Uint32()
-			if err != nil {
-				return ckptErr("%v", err)
-			}
-			if s >= pop {
-				return ckptErr("tick sender %d out of range", s)
-			}
-			if _, dup := bySender[int(s)]; dup {
-				return ckptErr("duplicate tick sender %d", s)
-			}
-			d, err := fr.Uint32()
-			if err != nil {
-				return ckptErr("%v", err)
-			}
-			if d > 1 {
-				return ckptErr("tick done flag %d", d)
-			}
-			bySender[int(s)] = d == 1
-		}
-		ck.ticks[int(e)] = bySender
-	}
-	return nil
-}
-
-// encodeCheckpoint captures the node's full resumable state as a
-// checkpoint image in the node's ckptWriter. Nothing is copied out
-// first: the core snapshot is appended into the image and every ring is
-// encoded under its link's lock.
-func (n *node) encodeCheckpoint(nextEpoch int, barrierPending bool) ([]byte, error) {
+// encodeCheckpoint captures the node's resumable state, the core having
+// stepped every epoch before nextEpoch, as a checkpoint image in the
+// node's ckptWriter. Nothing is copied out first: the core snapshot is
+// appended into the image and every ring is encoded under its link's
+// lock.
+func (n *node) encodeCheckpoint(nextEpoch int) ([]byte, error) {
 	w := &n.ckpt
 	w.window = n.cfg.ringRetention() + 1
-	w.head(n.fp, n.cfg.ID, n.cfg.Population, nextEpoch, barrierPending, n.sampler.State())
+	w.head(n.fp, n.cfg.ID, n.cfg.Population, nextEpoch, n.sampler.State())
 	buf, snap := wire.BeginField(w.buf)
 	buf, err := n.core.AppendSnapshot(buf)
 	if err != nil {
@@ -662,29 +421,24 @@ func (n *node) encodeCheckpoint(nextEpoch int, barrierPending bool) ([]byte, err
 			continue
 		}
 		l.mu.Lock()
-		// inSeq is the PROCESSED watermark, not the read loop's accept
-		// watermark: frames accepted but still queued in n.in would be
-		// lost by a restart, so the resume handshake must re-request
-		// them from the peer's ring.
-		w.link(id, linkState{outSeq: l.outSeq, inSeq: n.procSeq[id], pruned: l.pruned, ring: l.ring})
+		w.link(id, linkState{outSeq: l.outSeq, consumedSeq: n.consumed[id], pruned: l.pruned, ring: l.ring})
 		l.mu.Unlock()
 	}
-	w.barrier(n.pendingData, n.ticks, n.left, n.backlog)
 	return w.image(), nil
 }
 
 // writeCheckpoint encodes the node's state and stores it in a slot of
 // the checkpoint file. It returns once the slot is durable: the next
 // epoch does not start over a checkpoint that a crash could lose.
-func (n *node) writeCheckpoint(nextEpoch int, barrierPending bool) error {
-	_, err := n.encodeCheckpoint(nextEpoch, barrierPending)
+func (n *node) writeCheckpoint(nextEpoch int) error {
+	_, err := n.encodeCheckpoint(nextEpoch)
 	if err == nil {
 		err = n.ckpt.store(checkpointPath(n.cfg))
 	}
 	if err != nil {
 		return fmt.Errorf("transport: checkpoint: %w", err)
 	}
-	n.cfg.logf("node %d checkpointed epoch %d (barrier pending: %v)", n.cfg.ID, nextEpoch, barrierPending)
+	n.cfg.logf("node %d checkpointed epoch %d", n.cfg.ID, nextEpoch)
 	return nil
 }
 
@@ -717,57 +471,53 @@ func loadCheckpoint(path string, cfg Config, fp uint64) (*checkpoint, error) {
 
 // restoreFromCheckpoint installs the checkpointed transport state into
 // a freshly built node (links exist, down, and carry no connections
-// yet: formMesh reconnects them all).
+// yet: formMesh reconnects them all). Each link's receive watermark is
+// the seq the core consumed, so the resume handshake asks every peer
+// for whatever the barrier buffers held. Departures need no restoring:
+// a bye is unsequenced and never retransmitted, and formMesh returns
+// only once every link is up again, so the resumed node rightly knows
+// of no peer that left.
 func (n *node) restoreFromCheckpoint(ck *checkpoint) {
 	n.startEpoch = ck.nextEpoch
-	n.barrierPending = ck.barrierPending
-	n.pendingData = ck.pendingData
-	n.ticks = ck.ticks
-	n.left = ck.left
-	n.backlog = ck.backlog
 	for id, l := range n.links {
 		if l == nil {
 			continue
 		}
 		ls := ck.links[id]
 		l.mu.Lock()
-		l.outSeq = ls.outSeq
-		l.inSeq = ls.inSeq
-		l.pruned = ls.pruned
-		l.ring = ls.ring
+		l.outSeq, l.inSeq, l.pruned, l.ring = ls.outSeq, ls.consumedSeq, ls.pruned, ls.ring
 		l.mu.Unlock()
-		n.procSeq[id] = ls.inSeq
+		n.consumed[id] = ls.consumedSeq
 	}
 }
 
 // writeFileAtomic writes data to path with crash-safe durability: the
-// bytes are written to a temp file in the same directory, fsynced,
-// renamed over the target, and the directory entry itself fsynced. A
-// reader therefore sees either the old complete file or the new one —
-// never a torn write. It creates every checkpoint file and writes every
-// history file (WriteHistory).
-func writeFileAtomic(path string, data []byte) error {
+// bytes are written to a temp file in the same directory, followed by
+// zeroes up to size bytes, fsynced, renamed over the target, and the
+// directory entry itself fsynced. A reader therefore sees either the
+// old complete file or the new one — never a torn write. It creates
+// every checkpoint file and writes every history file (WriteHistory).
+func writeFileAtomic(path string, data []byte, size int64) error {
 	dir := filepath.Dir(path)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	_, err = f.Write(data)
+	for pad := size - int64(len(data)); err == nil && pad > 0; pad -= ckptPage {
+		_, err = f.Write(zeroPage[:min(pad, ckptPage)])
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}

@@ -6,9 +6,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -28,38 +30,28 @@ func ringFrame(seq uint64, inner []byte) []byte {
 	return append(buf, inner...)
 }
 
-// sampleCheckpoint builds a fully populated checkpoint: multiple links
-// with retransmit rings, parked barrier state, departed peers, and a
-// leftover ceremony backlog — every branch of the codec.
+// sampleCheckpoint builds a fully populated checkpoint: a link per
+// peer, with and without retransmit rings — every branch of the codec.
 func sampleCheckpoint() *checkpoint {
 	return &checkpoint{
-		fingerprint:    0xDEADBEEFCAFEF00D,
-		id:             2,
-		population:     5,
-		nextEpoch:      7,
-		barrierPending: true,
-		samplerState:   0x1234567890ABCDEF,
-		coreSnap:       []byte("core-participant-snapshot-bytes"),
+		fingerprint:  0xDEADBEEFCAFEF00D,
+		id:           2,
+		population:   5,
+		nextEpoch:    7,
+		samplerState: 0x1234567890ABCDEF,
+		coreSnap:     []byte("core-participant-snapshot-bytes"),
 		links: map[int]linkState{
 			0: {
-				outSeq: 12, inSeq: 11, pruned: 9,
+				outSeq: 12, consumedSeq: 11, pruned: 9,
 				ring: []sentFrame{
 					{seq: 10, epoch: 5, frame: ringFrame(10, marshalTick(5, false))},
 					{seq: 12, epoch: 6, frame: ringFrame(12, dataFrame(6, []byte("payload")))},
 				},
 			},
-			1: {outSeq: 3, inSeq: 8, pruned: 0},
-			4: {outSeq: 0, inSeq: 0, pruned: 0},
+			1: {outSeq: 3, consumedSeq: 8, pruned: 0},
+			3: {outSeq: 14, consumedSeq: 13, pruned: 13, ring: []sentFrame{{seq: 14, epoch: 6, frame: ringFrame(14, marshalTick(6, true))}}},
+			4: {outSeq: 0, consumedSeq: 0, pruned: 0},
 		},
-		pendingData: map[int]map[int][][]byte{
-			6: {0: {[]byte("a"), []byte("b")}, 4: {[]byte("c")}},
-			7: {1: {[]byte("d")}},
-		},
-		ticks: map[int]map[int]bool{
-			7: {0: false, 1: true, 4: false},
-		},
-		left:    map[int]bool{3: true},
-		backlog: []inMsg{{from: 1, kind: mtData, epoch: 7, payload: []byte("late")}, {from: 4, kind: mtTick, epoch: 7, done: true}},
 	}
 }
 
@@ -67,17 +59,30 @@ func sampleCheckpoint() *checkpoint {
 // pieces encodeCheckpoint on a live node is made of, and returns the
 // image.
 func encodeInto(w *ckptWriter, ck *checkpoint) []byte {
-	w.head(ck.fingerprint, ck.id, ck.population, ck.nextEpoch, ck.barrierPending, ck.samplerState)
+	w.head(ck.fingerprint, ck.id, ck.population, ck.nextEpoch, ck.samplerState)
 	w.buf = wire.AppendBytes(w.buf, ck.coreSnap)
 	w.buf = wire.AppendUint32(w.buf, uint32(len(ck.links)))
-	for _, peer := range sortedKeys(nil, ck.links) {
+	for _, peer := range slices.Sorted(maps.Keys(ck.links)) {
 		w.link(peer, ck.links[peer])
 	}
-	w.barrier(ck.pendingData, ck.ticks, ck.left, ck.backlog)
 	return w.image()
 }
 
 func encodeCheckpoint(ck *checkpoint) []byte { return encodeInto(new(ckptWriter), ck) }
+
+// readHex reads a recorded byte string from testdata.
+func readHex(t testing.TB, name string) []byte {
+	t.Helper()
+	text, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 // generation returns the state sampleCheckpoint's node holds at
 // generation g of a run's checkpoints: a later epoch, and a longer core
@@ -113,32 +118,31 @@ func storeGenerations(t testing.TB, path string, gens int) (*ckptWriter, [][]byt
 	return w, files
 }
 
-// TestCheckpointBytesUnchanged pins the image format against the
-// encoder this one replaced: testdata/checkpoint_v1_sample.hex is what
-// sampleCheckpoint encoded to before ckptWriter existed, so an image
-// written by an older daemon decodes here and the other way round. The
-// image is what is pinned; the two-slot file around it is newer than
-// the sample (TestCheckpointTornSlot, TestCheckpointFileRefusals).
+// TestCheckpointBytesUnchanged pins the image format:
+// testdata/checkpoint_v2_sample.hex is what sampleCheckpoint encodes to,
+// so an image written by another build of this version decodes here and
+// the other way round. testdata/checkpoint_v1_sample.hex is the same
+// sample as the first version wrote it, with its barrier buffers; it is
+// refused by version, not misread. The image is what is pinned; the
+// two-slot file around it is TestCheckpointTornSlot's and
+// TestCheckpointFileRefusals'.
 func TestCheckpointBytesUnchanged(t *testing.T) {
-	text, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1_sample.hex"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := hex.DecodeString(strings.TrimSpace(string(text)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := readHex(t, "checkpoint_v2_sample.hex")
 	if got := encodeCheckpoint(sampleCheckpoint()); !bytes.Equal(got, want) {
-		t.Fatalf("sampleCheckpoint encodes to %d bytes that differ from the %d recorded before the rewrite", len(got), len(want))
+		t.Fatalf("sampleCheckpoint encodes to %d bytes that differ from the %d recorded", len(got), len(want))
 	}
 	if _, err := decodeCheckpoint(want); err != nil {
 		t.Fatalf("recorded checkpoint no longer decodes: %v", err)
+	}
+	const refusal = "transport: invalid checkpoint: version 1, want 2"
+	if _, err := decodeCheckpoint(readHex(t, "checkpoint_v1_sample.hex")); err == nil || err.Error() != refusal {
+		t.Fatalf("version-1 checkpoint: %v, want %q", err, refusal)
 	}
 }
 
 // TestCheckpointEncodeAllocatesNothing builds a node the way a run
 // leaves one at a checkpoint — a participant, a sampler, links with
-// populated rings, parked payloads and ticks — and holds its checkpoint
+// populated rings and consumed watermarks — and holds its checkpoint
 // writer to the two halves of its contract: the image decodes to that
 // state, and from the third checkpoint on (the second is the first
 // overwrite, AllocsPerRun's warm-up), encoding plus the slot write
@@ -159,19 +163,12 @@ func TestCheckpointEncodeAllocatesNothing(t *testing.T) {
 	defer cn.Close()
 	n := &node{
 		// grace: a down link keeps frames in its ring
-		cfg:     Config{ID: id, Population: pop, Grace: time.Second, CheckpointDir: t.TempDir()},
-		fp:      cn.Fingerprint(),
-		core:    cn,
-		sampler: p2p.NewSampler(cn.SamplingSeed(), p2p.NodeID(id), pop),
-		links:   make([]*link, pop),
-		procSeq: []uint64{7, 0, 0, 9},
-		pendingData: map[int]map[int][][]byte{
-			8: {0: {[]byte("a"), []byte("b")}, 3: {[]byte("c")}},
-			9: {2: {[]byte("d")}},
-		},
-		ticks:   map[int]map[int]bool{9: {0: false, 3: true}},
-		left:    map[int]bool{2: true},
-		backlog: []inMsg{{from: 3, kind: mtData, epoch: 9, payload: []byte("late")}},
+		cfg:      Config{ID: id, Population: pop, Grace: time.Second, CheckpointDir: t.TempDir()},
+		fp:       cn.Fingerprint(),
+		core:     cn,
+		sampler:  p2p.NewSampler(cn.SamplingSeed(), p2p.NodeID(id), pop),
+		links:    make([]*link, pop),
+		consumed: []uint64{7, 0, 0, 9},
 	}
 	n.sampler.RandomPeer()
 	for peer := range n.links {
@@ -191,7 +188,7 @@ func TestCheckpointEncodeAllocatesNothing(t *testing.T) {
 		l.prune(6)
 	}
 
-	image, err := n.encodeCheckpoint(9, true)
+	image, err := n.encodeCheckpoint(9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +200,7 @@ func TestCheckpointEncodeAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.fingerprint != n.fp || ck.id != id || ck.population != pop || ck.nextEpoch != 9 || !ck.barrierPending ||
+	if ck.fingerprint != n.fp || ck.id != id || ck.population != pop || ck.nextEpoch != 9 ||
 		ck.samplerState != n.sampler.State() || !bytes.Equal(ck.coreSnap, snap) {
 		t.Fatalf("head or participant snapshot differ from the node's: %+v", ck)
 	}
@@ -211,16 +208,10 @@ func TestCheckpointEncodeAllocatesNothing(t *testing.T) {
 		if l == nil {
 			continue
 		}
-		want := linkState{outSeq: 8, inSeq: n.procSeq[peer], pruned: 2, ring: l.ring}
+		want := linkState{outSeq: 8, consumedSeq: n.consumed[peer], pruned: 2, ring: l.ring}
 		if got := ck.links[peer]; !reflect.DeepEqual(got, want) {
 			t.Fatalf("link %d: decoded %+v, the link holds %+v", peer, got, want)
 		}
-	}
-	if !reflect.DeepEqual(ck.pendingData, n.pendingData) || !reflect.DeepEqual(ck.ticks, n.ticks) || !reflect.DeepEqual(ck.left, n.left) {
-		t.Fatal("barrier buffers differ from the node's")
-	}
-	if len(ck.backlog) != 1 || ck.backlog[0].from != 3 || !bytes.Equal(ck.backlog[0].payload, []byte("late")) {
-		t.Fatalf("backlog differs from the node's: %+v", ck.backlog)
 	}
 
 	first := bytes.Clone(image)
@@ -230,7 +221,7 @@ func TestCheckpointEncodeAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if image, err = n.encodeCheckpoint(9, true); err != nil {
+		if image, err = n.encodeCheckpoint(9); err != nil {
 			t.Fatal(err)
 		}
 		if err := n.ckpt.store(path); err != nil {
@@ -319,38 +310,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.fingerprint != want.fingerprint || got.id != want.id || got.population != want.population {
-		t.Fatalf("identity fields differ: %+v", got)
-	}
-	if got.nextEpoch != want.nextEpoch || got.barrierPending != want.barrierPending {
-		t.Fatalf("epoch fields differ: nextEpoch=%d pending=%v", got.nextEpoch, got.barrierPending)
-	}
-	if got.samplerState != want.samplerState {
-		t.Fatalf("sampler state %x, want %x", got.samplerState, want.samplerState)
-	}
-	if !bytes.Equal(got.coreSnap, want.coreSnap) {
-		t.Fatal("core snapshot bytes differ")
-	}
-	if !reflect.DeepEqual(got.links, want.links) {
-		t.Fatalf("links differ:\n got %+v\nwant %+v", got.links, want.links)
-	}
-	if !reflect.DeepEqual(got.pendingData, want.pendingData) {
-		t.Fatalf("pendingData differ:\n got %+v\nwant %+v", got.pendingData, want.pendingData)
-	}
-	if !reflect.DeepEqual(got.ticks, want.ticks) {
-		t.Fatalf("ticks differ:\n got %+v\nwant %+v", got.ticks, want.ticks)
-	}
-	if !reflect.DeepEqual(got.left, want.left) {
-		t.Fatalf("left differ: %+v", got.left)
-	}
-	if len(got.backlog) != len(want.backlog) {
-		t.Fatalf("backlog length %d, want %d", len(got.backlog), len(want.backlog))
-	}
-	for i := range want.backlog {
-		g, w := got.backlog[i], want.backlog[i]
-		if g.from != w.from || g.kind != w.kind || g.epoch != w.epoch || g.done != w.done || !bytes.Equal(g.payload, w.payload) {
-			t.Fatalf("backlog[%d] = %+v, want %+v", i, g, w)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip differs:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -384,6 +345,15 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	ck.links[0] = ls
 	if _, err := decodeCheckpoint(encodeCheckpoint(ck)); err == nil {
 		t.Error("ring frame seq mismatch accepted")
+	}
+	// A link per peer, no fewer: a missing one would restore as a link
+	// that never sent or received, and fail later as a pruned resume or
+	// a stale frame.
+	ck = sampleCheckpoint()
+	delete(ck.links, 4)
+	const missing = "transport: invalid checkpoint: 3 links for population 5"
+	if _, err := decodeCheckpoint(encodeCheckpoint(ck)); err == nil || err.Error() != missing {
+		t.Errorf("missing link: %v, want %q", err, missing)
 	}
 	// Ring seqs not ascending past the pruned watermark.
 	ck = sampleCheckpoint()
@@ -489,13 +459,13 @@ func TestCheckpointFileRefusals(t *testing.T) {
 		file []byte
 		want string
 	}{
-		{"bare v1 image", encodeCheckpoint(ck), "transport: invalid checkpoint: bare image without the two-slot envelope"},
+		{"bare image", encodeCheckpoint(ck), "transport: invalid checkpoint: bare image without the two-slot envelope"},
 		{"both slots invalid", bothTorn, "transport: invalid checkpoint: neither slot holds a valid checkpoint"},
 		{"zeroed header", make([]byte, len(files[2])), "transport: invalid checkpoint: bad file magic 0x00000000"},
 		{"truncated", files[2][:len(files[2])-1], fmt.Sprintf("transport: invalid checkpoint: %d-byte file for slot capacity %d", len(files[2])-1, w.capacity)},
 		{"empty", nil, "transport: invalid checkpoint: 0-byte file, shorter than its header"},
 	} {
-		if err := writeFileAtomic(path, tc.file); err != nil {
+		if err := writeFileAtomic(path, tc.file, int64(len(tc.file))); err != nil {
 			t.Fatal(err)
 		}
 		_, err := loadCheckpoint(path, cfg, ck.fingerprint)
@@ -506,8 +476,9 @@ func TestCheckpointFileRefusals(t *testing.T) {
 }
 
 // TestWriteFileAtomic: the write leaves no temp residue, replaces prior
-// content wholesale, and a pre-existing stale temp file does not break
-// it — the invariants WriteHistory and the checkpoint writer rely on.
+// content wholesale, extends it with zeroes to the size asked for, and a
+// pre-existing stale temp file does not break it — the invariants
+// WriteHistory and the checkpoint writer rely on.
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.bin")
@@ -519,8 +490,8 @@ func TestWriteFileAtomic(t *testing.T) {
 	if err := os.WriteFile(path+".tmp", []byte("stale"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want := []byte("complete-new-content")
-	if err := writeFileAtomic(path, want); err != nil {
+	want := []byte("complete-new-content\x00\x00\x00")
+	if err := writeFileAtomic(path, want[:len(want)-3], int64(len(want))); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -549,7 +520,8 @@ func TestWriteFileAtomic(t *testing.T) {
 // unchanged. Either way arbitrary bytes must error cleanly, and an
 // image the decoder accepts must re-encode to a decodable form.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	f.Add(encodeCheckpoint(sampleCheckpoint()))
+	f.Add(readHex(f, "checkpoint_v2_sample.hex"))
+	f.Add(readHex(f, "checkpoint_v1_sample.hex"))
 	f.Add([]byte{})
 	f.Add([]byte{0xC1, 0xA8, 0xC4, 0xB7})
 	w, files := storeGenerations(f, filepath.Join(f.TempDir(), "0.ckpt"), 2)
@@ -577,7 +549,8 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		var w ckptWriter
 		w.buf = append(make([]byte, ckptSlotHead), b...)
-		image, gen, err := readCheckpointFile(w.layout())
+		head, size := w.layout()
+		image, gen, err := readCheckpointFile(append(head, make([]byte, size-int64(len(head)))...))
 		if err != nil || gen != 1 || !bytes.Equal(image, b) {
 			t.Fatalf("a fresh file hands back generation %d, %v, %d bytes; want generation 1, the %d bytes stored", gen, err, len(image), len(b))
 		}

@@ -67,10 +67,11 @@ type Config struct {
 	// EpochTimeout.
 	WriteTimeout time.Duration
 	// CheckpointDir, when non-empty, enables epoch checkpoints: the node
-	// durably writes its full resumable state (core snapshot, sampler
-	// RNG, per-link sequence numbers and retransmit rings, barrier
-	// buffers) to "<id>.ckpt" in this directory every CheckpointEvery
-	// epochs, and on interruption. The file has two checksummed slots,
+	// durably writes its resumable state as of the last epoch it stepped
+	// (core snapshot, sampler RNG, per-link sequence numbers, the last
+	// frame it consumed from each peer, retransmit rings) to "<id>.ckpt"
+	// in this directory every CheckpointEvery epochs, and on
+	// interruption. The file has two checksummed slots,
 	// each checkpoint overwrites the older one in place, and resume takes
 	// the newest valid slot, so a crash mid-write loses at most the
 	// checkpoint being written.
@@ -80,8 +81,9 @@ type Config struct {
 	CheckpointEvery int
 	// Resume makes the node restore from the checkpoint in CheckpointDir
 	// instead of starting fresh: it reconnects to the surviving peers
-	// with a resume handshake, replays lost frames, and rejoins the mesh
-	// at the checkpointed barrier.
+	// with a resume handshake, which has them retransmit every frame
+	// after the ones it consumed, and rejoins the mesh at the barrier of
+	// the epoch it last stepped.
 	Resume bool
 	// Interrupt, when non-nil, requests a graceful shutdown when it
 	// becomes readable: the node writes a final checkpoint (if

@@ -207,7 +207,7 @@ func WriteHistory(path string, history []core.IterationResult) error {
 	if err := gob.NewEncoder(&buf).Encode(history); err != nil {
 		return fmt.Errorf("transport: encode history: %w", err)
 	}
-	return writeFileAtomic(path, buf.Bytes())
+	return writeFileAtomic(path, buf.Bytes(), int64(buf.Len()))
 }
 
 // ReadHistory reads a history file written by WriteHistory.

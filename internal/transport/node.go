@@ -22,11 +22,6 @@ import (
 // resumed from the checkpoint.
 var ErrInterrupted = errors.New("transport: interrupted")
 
-// errBarrierInterrupted is the internal signal that the interrupt
-// arrived while parked at an epoch barrier (the checkpoint must then
-// record the barrier as pending, not the epoch as unstarted).
-var errBarrierInterrupted = errors.New("transport: barrier interrupted")
-
 // gracePollInterval is how often a grace-extended barrier re-examines
 // link states while waiting for a down peer to come back.
 const gracePollInterval = 250 * time.Millisecond
@@ -55,29 +50,35 @@ type node struct {
 	keyPending map[int][][]byte // ceremony round -> payloads
 	backlog    []inMsg          // epoch traffic that arrived mid-ceremony
 
-	// Barrier state, hoisted into the node so checkpoints can capture
-	// and restore it.
+	// Barrier buffers: what peers sent for epochs this node has not
+	// stepped past yet.
 	pendingData map[int]map[int][][]byte // epoch -> sender -> payloads
-	ticks       map[int]map[int]bool     // epoch -> sender -> done flag
+	ticks       map[int]map[int]tick     // epoch -> sender -> its tick
 	left        map[int]bool             // peers that sent bye
 
-	// procSeq[peer] is the sequence number of the last frame from that
-	// peer actually popped from the inbox. Everything popped lands in a
-	// checkpointed buffer (ticks, pendingData, keyPending, backlog), so
-	// this — not the read loop's accept watermark — is what a checkpoint
-	// may safely record as inSeq: frames still queued in n.in at
-	// checkpoint time are re-requested through the resume handshake
-	// instead of being silently lost.
-	procSeq []uint64
+	// consumed[peer] is the seq of the peer's last frame the core has
+	// absorbed: its tick(e−1) once epoch e is stepped, its last ceremony
+	// frame before that. A checkpoint records it as the link's receive
+	// watermark, so that a resume has the peer retransmit everything
+	// after it and the barrier buffers refill from the wire.
+	consumed []uint64
 
-	startEpoch     int  // first epoch to run (non-zero after resume)
-	barrierPending bool // resume directly into the barrier of startEpoch
+	// startEpoch is the first epoch to step; a node resumed from a
+	// checkpoint first waits at barrier startEpoch−1.
+	startEpoch int
 
 	ckpt ckptWriter // checkpoint image storage and open file, kept across checkpoints
 
 	// sendBuf is the scratch every outgoing data frame is built in
 	// (epochEnv.Send); link.send copies it into the retransmit ring.
 	sendBuf []byte
+}
+
+// tick is one peer's tick as the barrier keeps it: the sequence number
+// of its frame, and whether the peer's participant is done.
+type tick struct {
+	seq  uint64
+	done bool
 }
 
 // inMsg is one parsed message (or terminal condition) from a peer's
@@ -108,9 +109,10 @@ type inMsg struct {
 //
 // With cfg.Resume, the node instead restores its participant, sampler
 // and link state from the checkpoint in cfg.CheckpointDir, re-forms the
-// mesh the same way (its resume handshakes replay whatever frames were
-// lost), and rejoins the run at the checkpointed barrier. The disclosed
-// histories are bit-identical to an uninterrupted run.
+// mesh the same way — its resume handshakes have the peers retransmit
+// every frame after the ones the checkpointed core consumed — and
+// rejoins the run at the barrier of the last epoch it stepped. The
+// disclosed histories are bit-identical to an uninterrupted run.
 func Run(cfg Config, data [][]float64, params core.Params) ([]core.IterationResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -135,9 +137,9 @@ func Run(cfg Config, data [][]float64, params core.Params) ([]core.IterationResu
 		rejected:    make(chan error, cfg.Population),
 		keyPending:  make(map[int][][]byte),
 		pendingData: map[int]map[int][][]byte{},
-		ticks:       map[int]map[int]bool{},
+		ticks:       map[int]map[int]tick{},
 		left:        map[int]bool{},
-		procSeq:     make([]uint64, cfg.Population),
+		consumed:    make([]uint64, cfg.Population),
 	}
 	for id := range n.links {
 		if id != cfg.ID {
@@ -511,74 +513,78 @@ func (e *epochEnv) Send(to p2p.NodeID, payload any, bytes int) error {
 
 // runEpochs drives the coordinator-free epoch clock until the whole
 // population has terminated. Epoch e of the mesh is cycle e of the
-// simulation contract: payloads sent at e are stepped at e+1.
+// simulation contract: payloads sent at e are stepped at e+1. Each pass
+// waits at the barrier of the epoch stepped last, then steps the next,
+// so a node resumed from a checkpoint enters the loop as a running one
+// passes through it.
 func (n *node) runEpochs() error {
 	limit := n.core.MaxCycles()
 	every := n.cfg.checkpointEvery()
-	skipStep := n.barrierPending
-	for epoch := n.startEpoch; epoch < limit; epoch++ {
-		if !skipStep {
-			if n.interrupted() {
-				return n.shutdown(epoch, false)
-			}
-			inbox, err := n.buildInbox(n.pendingData[epoch-1])
+	for epoch := n.startEpoch; ; epoch++ {
+		if epoch > 0 {
+			allDone, err := n.awaitBarrier(epoch-1, n.core.Done())
 			if err != nil {
 				return err
 			}
-			delete(n.pendingData, epoch-1)
-
-			env := &epochEnv{n: n, epoch: epoch, inbox: inbox}
-			n.core.Step(env)
-			if env.sendErr != nil {
-				return env.sendErr
+			n.pruneRings(epoch - 1)
+			if allDone {
+				return n.finishRun(epoch - 1)
 			}
-
-			done := n.core.Done()
-			for _, l := range n.links {
-				if l == nil {
-					continue
-				}
-				if err := l.send(epoch, marshalTick(epoch, done)); err != nil {
-					return fmt.Errorf("transport: tick broadcast: %w", err)
+			if every > 0 && epoch%every == 0 {
+				if err := n.writeCheckpoint(epoch); err != nil {
+					return err
 				}
 			}
 		}
-		skipStep = false
-
-		allDone, err := n.awaitBarrier(epoch, n.core.Done())
-		if errors.Is(err, errBarrierInterrupted) {
-			return n.shutdown(epoch, true)
+		if epoch == limit {
+			return fmt.Errorf("transport: no termination within %d epochs", limit)
 		}
+		if n.interrupted() {
+			return n.shutdown(epoch)
+		}
+
+		for id, tk := range n.ticks[epoch-1] {
+			n.consumed[id] = tk.seq
+		}
+		delete(n.ticks, epoch-1)
+		inbox, err := n.buildInbox(n.pendingData[epoch-1])
 		if err != nil {
 			return err
 		}
-		delete(n.ticks, epoch)
-		n.pruneRings(epoch)
-		if allDone {
-			return n.finishRun(epoch)
+		delete(n.pendingData, epoch-1)
+
+		env := &epochEnv{n: n, epoch: epoch, inbox: inbox}
+		n.core.Step(env)
+		if env.sendErr != nil {
+			return env.sendErr
 		}
-		if every > 0 && (epoch+1)%every == 0 {
-			if err := n.writeCheckpoint(epoch+1, false); err != nil {
-				return err
+
+		done := n.core.Done()
+		for _, l := range n.links {
+			if l == nil {
+				continue
+			}
+			if err := l.send(epoch, marshalTick(epoch, done)); err != nil {
+				return fmt.Errorf("transport: tick broadcast: %w", err)
 			}
 		}
 	}
-	return fmt.Errorf("transport: no termination within %d epochs", limit)
 }
 
-// shutdown performs a graceful interrupt exit: final checkpoint (when
-// configured), bye to every peer, ErrInterrupted to the caller.
-func (n *node) shutdown(epoch int, barrierPending bool) error {
+// shutdown performs a graceful interrupt exit, the core having stepped
+// every epoch before nextEpoch: final checkpoint (when configured), bye
+// to every peer, ErrInterrupted to the caller.
+func (n *node) shutdown(nextEpoch int) error {
 	var ckErr error
 	if n.cfg.CheckpointDir != "" {
-		ckErr = n.writeCheckpoint(epoch, barrierPending)
+		ckErr = n.writeCheckpoint(nextEpoch)
 	}
 	for _, l := range n.links {
 		if l != nil {
 			l.sendBye()
 		}
 	}
-	n.cfg.logf("node %d interrupted at epoch %d (barrier pending: %v)", n.cfg.ID, epoch, barrierPending)
+	n.cfg.logf("node %d interrupted before epoch %d", n.cfg.ID, nextEpoch)
 	if ckErr != nil {
 		return fmt.Errorf("%w (checkpoint failed: %v)", ErrInterrupted, ckErr)
 	}
@@ -617,7 +623,8 @@ func (n *node) pruneRings(epoch int) {
 // arrived, buffering any messages for later epochs. It reports whether
 // the entire population (peers and self) has terminated. Epoch traffic
 // that arrived while this node was still in the key ceremony (backlog)
-// is replayed first, preserving per-sender FIFO order.
+// is replayed first, preserving per-sender FIFO order. An interrupt
+// here shuts the node down with the epoch stepped.
 //
 // The barrier outlasts the epoch timeout as long as a down link is still
 // within its grace window (a recovering peer also gets a fresh epoch
@@ -635,11 +642,8 @@ func (n *node) awaitBarrier(epoch int, selfDone bool) (bool, error) {
 		} else {
 			select {
 			case m = <-n.in:
-				if m.seq > 0 {
-					n.procSeq[m.from] = m.seq
-				}
 			case <-n.cfg.Interrupt:
-				return false, errBarrierInterrupted
+				return false, n.shutdown(epoch + 1)
 			case err := <-n.rejected:
 				return false, err
 			case <-timeout.C:
@@ -661,10 +665,10 @@ func (n *node) awaitBarrier(epoch int, selfDone bool) (bool, error) {
 			}
 			et := n.ticks[m.epoch]
 			if et == nil {
-				et = map[int]bool{}
+				et = make(map[int]tick, n.cfg.Population-1)
 				n.ticks[m.epoch] = et
 			}
-			et[m.from] = m.done
+			et[m.from] = tick{seq: m.seq, done: m.done}
 		case mtData:
 			if m.epoch < epoch {
 				return false, fmt.Errorf("transport: peer %d sent stale data for epoch %d at barrier %d", m.from, m.epoch, epoch)
@@ -689,8 +693,8 @@ func (n *node) awaitBarrier(epoch int, selfDone bool) (bool, error) {
 		}
 	}
 	allDone := selfDone
-	for _, done := range n.ticks[epoch] {
-		allDone = allDone && done
+	for _, tk := range n.ticks[epoch] {
+		allDone = allDone && tk.done
 	}
 	if !allDone {
 		// The run goes on, so a peer that said bye after its tick was

@@ -50,7 +50,8 @@ type link struct {
 
 	mu         sync.Mutex
 	conn       net.Conn
-	gen        int // bumped on every conn install/teardown; gates stale readLoops
+	gen        int           // bumped on every conn install/teardown; gates stale readLoops
+	readDone   chan struct{} // closed when the newest conn's readLoop returns
 	down       bool
 	downSince  time.Time
 	lastResume time.Time // when the link last came back up via resume
@@ -272,12 +273,14 @@ func (l *link) installConn(conn net.Conn, peerLastSeq uint64) {
 		l.mu.Unlock()
 		return
 	}
+	prev, done := l.readDone, make(chan struct{})
+	l.readDone = done
 	l.mu.Unlock()
 	l.n.signalLinkUp()
 	if resumed {
 		l.n.cfg.logf("node %d: link to peer %d resumed (acked seq %d)", l.n.cfg.ID, l.peer, peerLastSeq)
 	}
-	go l.readLoop(gen, conn)
+	go l.readLoop(gen, conn, prev, done)
 }
 
 // accept applies the sequencing rules to one received frame (l.mu
@@ -310,7 +313,18 @@ func (l *link) accept(gen int, framed []byte) (inner []byte, fresh bool, err err
 // one Read, and a peer's batch is parsed out of as few as arrive. Each
 // read is bounded by an idle deadline generous enough to cover a full
 // barrier stall plus the grace window.
-func (l *link) readLoop(gen int, conn net.Conn) {
+//
+// It starts once prev, the previous connection's loop, has returned: a
+// frame that loop accepted just before the switch may not be delivered
+// yet, and the frames after it, which this connection carries, must
+// not overtake it — a tick delivered before its epoch's data would
+// pass the barrier without them. The old connection is closed by then,
+// so the wait is short. done is closed when this loop returns.
+func (l *link) readLoop(gen int, conn net.Conn, prev <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	if prev != nil {
+		<-prev
+	}
 	idle := 2*l.n.cfg.EpochTimeout + l.n.cfg.Grace
 	frames := wire.NewFrameReader(conn)
 	for {

@@ -29,11 +29,10 @@ func bareNode(id int) *node {
 			Peers:        []string{"node0", "node1"}, // never dialed: the Dialer hook answers
 			EpochTimeout: 5 * time.Second,
 		},
-		fp:      testFingerprint,
-		links:   make([]*link, 2),
-		in:      make(chan inMsg, 64), // the tests read it only after the sends
-		stop:    make(chan struct{}),
-		procSeq: make([]uint64, 2),
+		fp:    testFingerprint,
+		links: make([]*link, 2),
+		in:    make(chan inMsg, 64), // the tests read it only after the sends
+		stop:  make(chan struct{}),
 	}
 	n.links[1-id] = newLink(n, 1-id)
 	return n
