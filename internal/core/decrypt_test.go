@@ -56,9 +56,21 @@ func decryptTestParticipant(t *testing.T, n int) (*runShared, *participant) {
 	pt := r.newParticipant(0)
 	// The request window's state, as stepGossip leaves it on entry to
 	// the decrypt phase.
-	pt.asked = make(map[p2p.NodeID]bool)
-	pt.outstanding = make(map[p2p.NodeID]int)
+	pt.openWindow()
 	return r, pt
+}
+
+// window returns pt's request window as the set of asked peers and the
+// remaining TTL of each in-flight ask.
+func window(pt *participant) (asked map[p2p.NodeID]bool, inFlight map[p2p.NodeID]int) {
+	asked, inFlight = map[p2p.NodeID]bool{}, map[p2p.NodeID]int{}
+	for _, a := range pt.asks {
+		asked[a.peer] = true
+		if a.ttl > 0 {
+			inFlight[a.peer] = a.ttl
+		}
+	}
+	return asked, inFlight
 }
 
 // TestTopUpAsksRedrawsPastAskedPeers is the satellite-1 regression: a
@@ -67,7 +79,7 @@ func decryptTestParticipant(t *testing.T, n int) (*runShared, *participant) {
 // with fresh peers; the window must still reach `missing` asks.
 func TestTopUpAsksRedrawsPastAskedPeers(t *testing.T) {
 	_, pt := decryptTestParticipant(t, 12)
-	pt.asked = map[p2p.NodeID]bool{1: true, 2: true}
+	pt.asks = []ask{{peer: 1}, {peer: 2}} // asked and answered
 	env := &scriptedEnv{id: 0, n: 12, peers: []p2p.NodeID{1, 2, 1, 3, 2, 2, 4, 5}}
 	req := &decryptRequest{Iter: 0}
 	pt.topUpAsks(env, 2, req, 10)
@@ -77,10 +89,11 @@ func TestTopUpAsksRedrawsPastAskedPeers(t *testing.T) {
 	if env.sent[0].to != 3 || env.sent[1].to != 4 {
 		t.Fatalf("asked %v and %v, want the first two un-asked draws 3 and 4", env.sent[0].to, env.sent[1].to)
 	}
-	if len(pt.outstanding) != 2 || pt.outstanding[3] != askTTL || pt.outstanding[4] != askTTL {
-		t.Fatalf("outstanding = %v, want {3:%d 4:%d}", pt.outstanding, askTTL, askTTL)
+	asked, outstanding := window(pt)
+	if len(outstanding) != 2 || outstanding[3] != askTTL || outstanding[4] != askTTL {
+		t.Fatalf("outstanding = %v, want {3:%d 4:%d}", outstanding, askTTL, askTTL)
 	}
-	if !pt.asked[3] || !pt.asked[4] {
+	if !asked[3] || !asked[4] {
 		t.Fatal("fresh asks must be recorded in asked")
 	}
 	if pt.decryptReqs != 2 || pt.decryptReqBytes != 20 {
@@ -106,8 +119,8 @@ func TestTopUpAsksWindowDiscipline(t *testing.T) {
 	if len(env.sent) != 2 {
 		t.Fatalf("full window must not send; sent %d", len(env.sent))
 	}
-	if pt.outstanding[3] != askTTL-1 || pt.outstanding[4] != askTTL-1 {
-		t.Fatalf("TTLs not aged: %v", pt.outstanding)
+	if _, outstanding := window(pt); outstanding[3] != askTTL-1 || outstanding[4] != askTTL-1 {
+		t.Fatalf("TTLs not aged: %v", outstanding)
 	}
 	pt.topUpAsks(env, 2, req, 10)
 	// Fourth activation: both initial asks expire and are re-provisioned.
@@ -115,14 +128,13 @@ func TestTopUpAsksWindowDiscipline(t *testing.T) {
 	if len(env.sent) != 4 {
 		t.Fatalf("expired asks must be re-provisioned; sent %d, want 4", len(env.sent))
 	}
-	if _, stale := pt.outstanding[3]; stale {
+	if _, outstanding := window(pt); outstanding[3] != 0 {
 		t.Fatal("expired ask still outstanding")
 	}
 
 	// Escalation: with waitCycles at the TTL, the target is missing+1.
 	pt2 := pt
-	pt2.outstanding = make(map[p2p.NodeID]int)
-	pt2.asked = make(map[p2p.NodeID]bool)
+	pt2.asks = pt2.asks[:0]
 	pt2.waitCycles = askTTL
 	env2 := &scriptedEnv{id: 0, n: 12, peers: []p2p.NodeID{1, 2, 3, 4, 5}}
 	pt2.topUpAsks(env2, 2, req, 10)
@@ -142,17 +154,23 @@ func TestTopUpAsksWindowDiscipline(t *testing.T) {
 // TestServeDecryptMemoizesPartials is the satellite-3 property: replays
 // of the same (iteration, cipher-set) request are served from the memo
 // without recomputing the per-cipher partial decryptions, and anything
-// else misses.
+// else misses. Responses are answered in the responder's cycle-parity
+// buffers, recycled two cycles later: a request served after that must
+// carry its own partials, whether it hits the memo or misses it.
 func TestServeDecryptMemoizesPartials(t *testing.T) {
 	r, pt := decryptTestParticipant(t, 12)
-	c1, err := r.suite.Encrypt(big.NewInt(5))
-	if err != nil {
-		t.Fatal(err)
+	if !r.parityEmits {
+		t.Fatal("a fault-free run must answer into parity buffers")
 	}
-	c2, err := r.suite.Encrypt(big.NewInt(9))
-	if err != nil {
-		t.Fatal(err)
+	var cs []Cipher
+	for _, v := range []int64{5, 9, 11, 13} {
+		c, err := r.suite.Encrypt(big.NewInt(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, c)
 	}
+	c1, c2 := cs[0], cs[1]
 	env := &scriptedEnv{id: 0, n: 12}
 	req := &decryptRequest{Iter: 0, Ciphers: []Cipher{c1, c2}}
 
@@ -160,15 +178,16 @@ func TestServeDecryptMemoizesPartials(t *testing.T) {
 	if pt.servedHits != 0 {
 		t.Fatalf("first request hit the memo (%d hits)", pt.servedHits)
 	}
+	computed := r.suite.Counts().PartialDecrypts
 	pt.serveDecrypt(env, 8, req) // replay: same iteration, same cipher slice
 	if pt.servedHits != 1 {
 		t.Fatalf("replay missed the memo (%d hits)", pt.servedHits)
 	}
+	if got := r.suite.Counts().PartialDecrypts; got != computed {
+		t.Fatalf("memo hit recomputed %d partial decryptions", got-computed)
+	}
 	r1 := env.sent[0].payload.(*decryptResponse)
 	r2 := env.sent[1].payload.(*decryptResponse)
-	if &r1.Partials[0] != &r2.Partials[0] {
-		t.Fatal("memo hit must reuse the cached partials")
-	}
 	if !reflect.DeepEqual(r1.Partials, r2.Partials) {
 		t.Fatal("cached partials differ from the originals")
 	}
@@ -189,6 +208,114 @@ func TestServeDecryptMemoizesPartials(t *testing.T) {
 	}
 	if pt.decryptRespBytes == 0 {
 		t.Fatal("response bytes not accounted")
+	}
+
+	// Recycling. At cycle 6 the responder reuses cycle 4's buffers, which
+	// answered c and then a: a duplicate of a, the memoized request, hits
+	// the memo, b then misses, and a duplicate of c misses (the memo moved
+	// on). Each must carry the partials of its own ciphertexts — a memo
+	// pointing at a's cycle-4 buffer would hand it to b or c.
+	a := &decryptRequest{Iter: 2, Ciphers: []Cipher{cs[2], cs[3]}}
+	b := &decryptRequest{Iter: 2, Ciphers: []Cipher{c1, c2}}
+	c := &decryptRequest{Iter: 2, Ciphers: []Cipher{cs[3], c1}}
+	env.cycle = 4
+	pt.serveDecrypt(env, 9, c)
+	pt.serveDecrypt(env, 9, a)
+	env.cycle = 6
+	hits := pt.servedHits
+	first := len(env.sent)
+	for _, q := range []*decryptRequest{a, b, c} {
+		pt.serveDecrypt(env, 10, q)
+	}
+	if pt.servedHits != hits+1 {
+		t.Fatalf("%d memo hits after recycling, want 1 (the duplicate of the memoized request)", pt.servedHits-hits)
+	}
+	for i, q := range []*decryptRequest{a, b, c} {
+		got := env.sent[first+i].payload.(*decryptResponse)
+		if got.Iter != q.Iter || len(got.Partials) != len(q.Ciphers) {
+			t.Fatalf("response %d: iteration %d with %d partials, want %d with %d", i, got.Iter, len(got.Partials), q.Iter, len(q.Ciphers))
+		}
+		for j, ct := range q.Ciphers {
+			want, err := r.suite.PartialDecrypt(1, ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Partials[j].Index != want.Index || got.Partials[j].Value.Cmp(want.Value) != 0 {
+				t.Fatalf("response %d, partial %d is not the partial of its own ciphertext", i, j)
+			}
+		}
+	}
+}
+
+// TestLateSyncOpensAnEmptyWindow: a participant collecting partials for
+// iteration i that late-synchronizes onto a gossip of iteration i+1
+// leaves the decrypt phase without finishIteration. Its i+1 window must
+// open empty — no responder set, asked peer or in-flight ask left over
+// from i — so it asks a full quorum again, the peers it asked for i
+// included.
+func TestLateSyncOpensAnEmptyWindow(t *testing.T) {
+	const rounds, threshold = 2, 3
+	r := openTestRun(t, blobs(12, 2, 2), Params{
+		K: 2, Epsilon: 50, Iterations: 3, Seed: 1,
+		GossipRounds: rounds, DecryptThreshold: threshold,
+	})
+	pt := r.newParticipant(0)
+	peers := []p2p.NodeID{4, 5, 6}
+	env := &scriptedEnv{id: 0, n: 12}
+	gossipRounds := func() {
+		for i := 0; i < rounds; i++ {
+			env.peers, env.next = []p2p.NodeID{1}, 0
+			pt.stepGossip(env)
+		}
+	}
+
+	// Iteration 0: ask three peers, collect one set, one ask settled.
+	pt.stepAssign(env)
+	gossipRounds()
+	env.peers, env.next = peers, 0
+	pt.stepDecrypt(env, nil)
+	parts := make([]Partial, len(pt.pendingCT))
+	for i, c := range pt.pendingCT {
+		p, err := r.suite.PartialDecrypt(int(peers[0])+1, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[i] = p
+	}
+	pt.stepDecrypt(env, []*decryptResponse{{Iter: 0, Partials: parts}})
+	if asked, inFlight := window(pt); len(pt.partials) != 1 || len(asked) != 3 || len(inFlight) != 2 {
+		t.Fatalf("iteration 0 window: %d sets, asked %v, in flight %v; want 1 set, 3 asked, 2 in flight", len(pt.partials), asked, inFlight)
+	}
+
+	// A gossip of iteration 1 arrives: late synchronization.
+	q := r.newParticipant(1)
+	q.iter = 1
+	q.stepAssign(env)
+	pt.handleGossips(env, []*gossipPayload{{Iter: 1, Centroids: q.diptych.Centroids, Msg: q.diptych.Means.Emit()}})
+	if pt.iter != 1 || pt.phase != phaseGossip {
+		t.Fatalf("late sync left iteration %d in phase %d, want iteration 1 in the gossip phase", pt.iter, pt.phase)
+	}
+	gossipRounds()
+	if pt.phase != phaseDecrypt {
+		t.Fatalf("phase %d after the gossip rounds, want the decrypt phase", pt.phase)
+	}
+	if len(pt.partials) != 0 || len(pt.asks) != 0 || pt.pendingCT != nil {
+		t.Fatalf("iteration 1 window opened with %d partial sets and %d asks left over (opening frozen: %v)",
+			len(pt.partials), len(pt.asks), pt.pendingCT != nil)
+	}
+	sent := len(env.sent)
+	env.peers, env.next = peers, 0
+	pt.stepDecrypt(env, nil)
+	var asked []p2p.NodeID
+	for _, s := range env.sent[sent:] {
+		req, ok := s.payload.(*decryptRequest)
+		if !ok || req.Iter != 1 {
+			t.Fatalf("iteration 1 window sent %T %+v, want iteration-1 decrypt requests", s.payload, s.payload)
+		}
+		asked = append(asked, s.to)
+	}
+	if !reflect.DeepEqual(asked, peers) {
+		t.Fatalf("iteration 1 window asked %v, want the full quorum %v", asked, peers)
 	}
 }
 

@@ -201,24 +201,7 @@ func (h *oracleHarness) deliver(to int, idx ...int) {
 // and returns the opened plaintexts.
 func (h *oracleHarness) open(vals []Cipher) []*big.Int {
 	h.t.Helper()
-	r := h.r
-	cts := r.perturbedOpening(vals)
-	sets := make([][]Partial, r.suite.Threshold())
-	for j := range sets {
-		sets[j] = make([]Partial, len(cts))
-		for i, c := range cts {
-			p, err := r.suite.PartialDecrypt(j+1, c)
-			if err != nil {
-				h.t.Fatal(err)
-			}
-			sets[j][i] = p
-		}
-	}
-	plains, err := r.suite.CombineColumns(sets, len(cts))
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	return plains
+	return openAll(h.t, h.r, openingOf(vals))
 }
 
 // check opens every node both ways and requires the same signed integer
@@ -404,10 +387,7 @@ func TestHalvingBudgetFailsTheIteration(t *testing.T) {
 		for pt.diptych.Means.H < r.preScale+over {
 			pt.diptych.Means.Emit()
 		}
-		pt.phase = phaseDecrypt
-		pt.partials = make(map[int][]Partial)
-		pt.asked = make(map[p2p.NodeID]bool)
-		pt.outstanding = make(map[p2p.NodeID]int)
+		pt.openWindow()
 		pt.stepDecrypt(env, nil) // step 2c: freezes pendingCT, asks
 		var responses []*decryptResponse
 		for share := 2; share < 2+r.suite.Threshold(); share++ {

@@ -24,8 +24,6 @@ type Node struct {
 	pt  *participant
 	fp  uint64 // Fingerprint, digested once: every snapshot carries it
 
-	snapKeys []int // AppendSnapshot's scratch for a set's sorted keys
-
 	// vecHead and vecWidth size an encoded cipher vector (vectorShape).
 	vecHead, vecWidth int
 	// slabs are the gossip receive slabs this node minted (gossipSlab),
@@ -108,7 +106,9 @@ func (nd *Node) Done() bool { return nd.pt.phase == phaseDone }
 
 // History returns the participant's per-iteration disclosures — the
 // trajectory the conformance harness compares bit-for-bit against the
-// sequential engine's.
+// sequential engine's. The records are the participant's own (the
+// latest one's centroids are those it is clustering with): read them,
+// never modify them.
 func (nd *Node) History() []IterationResult { return nd.pt.history }
 
 // MaxCycles returns the engine's cycle bound for this configuration:

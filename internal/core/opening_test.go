@@ -131,6 +131,76 @@ func packedVector(t *testing.T, r *runShared, ys []*big.Int) []Cipher {
 	return vals
 }
 
+// openingOf is a copy of a frozen push-sum vector, for the tests that
+// open one without a participant (frozenOpening drives freezeOpening).
+func openingOf(vals []Cipher) []Cipher {
+	cts := make([]Cipher, len(vals))
+	for i, v := range vals {
+		cts[i] = new(big.Int).Set(v)
+	}
+	return cts
+}
+
+// frozenOpening runs step 2c (freezeOpening) twice on a participant
+// whose push-sum vector is vals, with r.parityEmits set to parity, and
+// returns the first opening. Each must be a copy of vals that aliases
+// none of its ciphertexts and costs no homomorphic operation, carried
+// by the request of the participant's iteration. Under parityEmits both
+// are the participant's own opening and request; otherwise each freeze
+// gets fresh storage and leaves the earlier request intact.
+func frozenOpening(t *testing.T, r *runShared, vals []Cipher, parity bool) []Cipher {
+	t.Helper()
+	saved := r.parityEmits
+	defer func() { r.parityEmits = saved }()
+	r.parityEmits = parity
+	pt := r.newParticipant(0)
+	means, err := r.newMeans(vals, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt.diptych.Means = means
+	var first []Cipher
+	var firstReq *decryptRequest
+	for freeze := 0; freeze < 2; freeze++ {
+		before := r.suite.Counts()
+		pt.freezeOpening()
+		if ops := opCountsMinus(r.suite.Counts(), before); ops != (OpCounts{}) {
+			t.Fatalf("parity=%v freeze %d: opening cost %+v, want nothing", parity, freeze, ops)
+		}
+		opening := pt.pendingCT
+		if len(opening) != r.sideCiphers || &opening[0] == &vals[0] {
+			t.Fatalf("parity=%v freeze %d: opening of %d ciphertexts, want a copy of the %d", parity, freeze, len(opening), r.sideCiphers)
+		}
+		for g, c := range opening {
+			for _, v := range vals {
+				if c == v {
+					t.Fatalf("parity=%v freeze %d: opening ciphertext %d is a push-sum ciphertext", parity, freeze, g)
+				}
+			}
+			if c.Cmp(vals[g]) != 0 {
+				t.Fatalf("parity=%v freeze %d: opening ciphertext %d differs from the push-sum vector", parity, freeze, g)
+			}
+		}
+		if pt.req == nil || pt.req.Iter != pt.iter || &pt.req.Ciphers[0] != &opening[0] {
+			t.Fatalf("parity=%v freeze %d: the request does not carry the opening of iteration %d", parity, freeze, pt.iter)
+		}
+		if parity != (pt.req == &pt.ownReq) {
+			t.Fatalf("parity=%v freeze %d: request is the participant's own: %v", parity, freeze, pt.req == &pt.ownReq)
+		}
+		if freeze == 0 {
+			first, firstReq = opening, pt.req
+			continue
+		}
+		if parity != (&opening[0] == &first[0]) || parity != (opening[0] == first[0]) || parity != (pt.req == firstReq) {
+			t.Fatalf("parity=%v: the second freeze reused the first's storage: %v, want %v", parity, &opening[0] == &first[0], parity)
+		}
+		if !parity && &firstReq.Ciphers[0] != &first[0] {
+			t.Fatal("a fresh freeze rewrote the earlier request")
+		}
+	}
+	return first
+}
+
 // openAll has the run's first Threshold share holders open cts.
 func openAll(t *testing.T, r *runShared, cts []Cipher) []*big.Int {
 	t.Helper()
@@ -145,8 +215,11 @@ func openAll(t *testing.T, r *runShared, cts []Cipher) []*big.Int {
 			sets[j][i] = p
 		}
 	}
-	plains, err := r.suite.CombineColumns(sets, len(cts))
-	if err != nil {
+	plains := make([]*big.Int, len(cts))
+	for i := range plains {
+		plains[i] = new(big.Int)
+	}
+	if err := r.suite.CombineColumnsInto(plains, sets); err != nil {
 		t.Fatal(err)
 	}
 	return plains
@@ -183,7 +256,7 @@ func perCoordinate(t *testing.T, r *runShared, ys []*big.Int) []*big.Int {
 // mixed sign patterns, and at every halving exponent h ∈ [0, T], the
 // packed vector's opening discloses the integers — and the Float64bits —
 // per-coordinate ciphertexts disclose, for no homomorphic operation at
-// all: the opening is a copy.
+// all: freezeOpening copies the vector (see frozenOpening).
 func TestOpeningMatchesPerCoordinate(t *testing.T) {
 	for _, tc := range openingCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,14 +273,9 @@ func TestOpeningMatchesPerCoordinate(t *testing.T) {
 				}
 				ref := perCoordinate(t, r, ys)
 				vals := packedVector(t, r, ys)
-				before := r.suite.Counts()
-				opening := r.perturbedOpening(vals)
-				ops := opCountsMinus(r.suite.Counts(), before)
-				if len(opening) != r.sideCiphers || &opening[0] == &vals[0] || opening[0] == vals[0] {
-					t.Fatalf("opening of %d ciphertexts, want a fresh copy of the %d", len(opening), r.sideCiphers)
-				}
-				if ops != (OpCounts{}) {
-					t.Fatalf("opening cost %+v, want nothing", ops)
+				var opening []Cipher
+				for _, parity := range []bool{true, false} {
+					opening = frozenOpening(t, r, vals, parity)
 				}
 				opened := openAll(t, r, opening)
 				// The opened plaintexts do not depend on the exponent; the
@@ -253,7 +321,7 @@ func TestOpeningOutOfBudgetFails(t *testing.T) {
 			// carry of one into the coordinate above.
 			ys[0] = new(big.Int).Lsh(big.NewInt(1), width-1)
 			ys[0].Add(ys[0], big.NewInt(1))
-			plains := openAll(t, r, r.perturbedOpening(packedVector(t, r, ys)))
+			plains := openAll(t, r, openingOf(packedVector(t, r, ys)))
 			if _, err := r.signedAggregates(r.newCodecScratch(), plains, 0, 1); !errors.Is(err, fixedpoint.ErrSlotOverflow) {
 				t.Fatalf("an out-of-budget sum decoded with error %v, want ErrSlotOverflow", err)
 			}
@@ -279,7 +347,7 @@ func TestOpeningRefusesInflatedWeight(t *testing.T) {
 			}
 			ys[0] = new(big.Int).Lsh(big.NewInt(3), width-2)
 			ys[0].Add(ys[0], big.NewInt(1))
-			plains := openAll(t, r, r.perturbedOpening(packedVector(t, r, ys)))
+			plains := openAll(t, r, openingOf(packedVector(t, r, ys)))
 			split := make([]*big.Int, r.sideLen)
 			for j := range split {
 				split[j] = new(big.Int)

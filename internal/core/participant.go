@@ -1,12 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"chiaroscuro/internal/compactrng"
@@ -124,14 +125,17 @@ type participant struct {
 	diptych    Diptych
 	assignment int
 	waitCycles int
-	partials   map[int][]Partial // responder share index -> per-cipher partials
-	pendingCT  []Cipher          // perturbed ciphertexts awaiting decryption
-	asked      map[p2p.NodeID]bool
-	// outstanding tracks the in-flight decrypt asks of the request
-	// window: peer -> remaining patience in decrypt activations. An ask
-	// leaves the window when its response arrives or its TTL runs out
-	// (the peer stays in asked either way — it is never re-asked).
-	outstanding map[p2p.NodeID]int
+	pendingCT  []Cipher // perturbed ciphertexts awaiting decryption
+	// partials are the collected per-responder partial sets, ascending
+	// by share index: the order the combine path takes them in.
+	partials [][]Partial
+	// asks is the request window: every peer asked this window,
+	// ascending by id, with the remaining patience of its in-flight ask
+	// in decrypt activations. An ask leaves the flight when its response
+	// arrives (ttl 0: the peer stays asked, it is not asked again) or
+	// when its TTL runs out (the peer leaves the list and may be asked
+	// again).
+	asks        []ask
 	history     []IterationResult
 	staleDrops  int
 	decryptFail int
@@ -178,6 +182,42 @@ type participant struct {
 	contrib      []Cipher
 	emitMsgs     [2]gossip.Message[Cipher]
 	emitPayloads [2]gossipPayload
+
+	// The decrypt phase's storage, reused across iterations.
+	//
+	// opening and req are the iteration's frozen ciphertexts and the
+	// request that carries them, built once per decrypt window (see
+	// freezeOpening); under runShared.parityEmits req is ownReq. kept is
+	// the slab the partial sets collected in pt.partials are copied into
+	// (nKept of them in use this window). responses are the two
+	// cycle-parity response buffers serveDecrypt answers into (used when
+	// runShared.parityEmits).
+	opening   []Cipher
+	req       *decryptRequest
+	ownReq    decryptRequest
+	kept      [][]Partial
+	nKept     int
+	responses [2]responseBuffers
+
+	// meanRow holds one cluster's decoded mean on its way through the
+	// smoothing.
+	meanRow []float64
+}
+
+// ask is one entry of the decrypt request window (participant.asks).
+type ask struct {
+	peer p2p.NodeID
+	ttl  int // 0 once the peer's response has arrived
+}
+
+// responseBuffers is one cycle parity's decrypt responses: used of bufs
+// have been sent at cycle. Under parityEmits a response sent at cycle c
+// is consumed by the end of c+1, so the buffers of c's parity are free
+// again at c+2.
+type responseBuffers struct {
+	cycle int
+	used  int
+	bufs  []*decryptResponse
 }
 
 // runShared is configuration and services shared by all participants of
@@ -306,13 +346,12 @@ func (pt *participant) Reset() {
 	pt.phase = phaseAssign
 	pt.roundsDone = 0
 	pt.diptych.Means = nil
-	pt.partials = nil
-	pt.pendingCT = nil
-	pt.asked = nil
-	pt.outstanding = nil
+	pt.clearWindow()
 	pt.waitCycles = 0
 	pt.servedCiphers = nil
-	pt.servedParts = nil
+	// The iteration may be redone with a different opening: it must not
+	// reuse the address responders memoized the old one's partials by.
+	pt.opening = nil
 }
 
 // --- Step 1: assignment (local) -------------------------------------------
@@ -506,13 +545,31 @@ func (pt *participant) stepGossip(ctx Env) {
 	}
 	pt.roundsDone++
 	if pt.roundsDone >= r.params.GossipRounds {
-		pt.phase = phaseDecrypt
-		pt.waitCycles = 0
-		pt.partials = make(map[int][]Partial)
-		pt.asked = make(map[p2p.NodeID]bool)
-		pt.outstanding = make(map[p2p.NodeID]int)
-		pt.pendingCT = nil
+		pt.openWindow()
 	}
+}
+
+// openWindow enters the decrypt phase with an empty window. It clears
+// the window itself rather than trusting the previous one to have been
+// closed: a late synchronization leaves a decrypt phase without
+// finishIteration.
+func (pt *participant) openWindow() {
+	pt.phase = phaseDecrypt
+	pt.waitCycles = 0
+	pt.clearWindow()
+}
+
+// clearWindow empties the decrypt window in place — the frozen opening,
+// the request window, the collected partial sets and the slab they were
+// copied into — keeping its storage for the next one.
+func (pt *participant) clearWindow() {
+	pt.pendingCT = nil
+	pt.partials = pt.partials[:0]
+	pt.asks = pt.asks[:0]
+	for _, set := range pt.kept[:pt.nKept] {
+		clear(set) // release the partial values
+	}
+	pt.nKept = 0
 }
 
 // emit halves the participant's share and returns the outgoing payload:
@@ -734,7 +791,7 @@ func (pt *participant) handleGossips(ctx Env, gs []*gossipPayload) {
 func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 	r := pt.run
 	if pt.pendingCT == nil {
-		pt.pendingCT = r.perturbedOpening(pt.diptych.Means.V)
+		pt.freezeOpening()
 	}
 	for _, resp := range responses {
 		if resp.Iter != pt.iter || len(resp.Partials) != len(pt.pendingCT) {
@@ -743,13 +800,12 @@ func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 		if len(resp.Partials) == 0 {
 			continue
 		}
-		idx := resp.Partials[0].Index
 		// The responder's node id is its share index - 1: its ask (if
 		// still in flight) is now settled.
-		delete(pt.outstanding, p2p.NodeID(idx-1))
-		if _, dup := pt.partials[idx]; !dup {
-			pt.partials[idx] = resp.Partials
+		if i, ok := pt.findAsk(p2p.NodeID(resp.Partials[0].Index - 1)); ok {
+			pt.asks[i].ttl = 0
 		}
+		pt.collect(resp.Partials)
 	}
 	if len(pt.partials) >= r.suite.Threshold() {
 		pt.finishIteration(ctx, false)
@@ -758,9 +814,8 @@ func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 	// Step 2d: ask peers for partial decryptions, keeping only `missing`
 	// asks in flight.
 	missing := r.suite.Threshold() - len(pt.partials)
-	req := &decryptRequest{Iter: pt.iter, Ciphers: pt.pendingCT}
 	bytes := len(pt.pendingCT)*r.suite.CipherBytes() + 8
-	pt.topUpAsks(ctx, missing, req, bytes)
+	pt.topUpAsks(ctx, missing, pt.req, bytes)
 	pt.waitCycles++
 	if pt.waitCycles > r.params.DecryptWindow {
 		// Could not assemble a quorum (heavy churn): degrade by keeping
@@ -770,26 +825,84 @@ func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 	}
 }
 
-// perturbedOpening runs step 2c on a frozen push-sum vector: the
-// sideCiphers ciphertexts the participant asks its quorum to open. Every
+// freezeOpening runs step 2c on the frozen push-sum vector: the
+// sideCiphers ciphertexts the participant asks its quorum to open, and
+// the request that carries them, built once per iteration. Every
 // contribution was perturbed at encryption (see encryptSide), so the
 // aggregate is perturbed *before* anyone can decrypt it and the opening
 // is the vector itself. Each partial decryption serves a whole group,
 // and signedAggregates splits the opened plaintexts back into the very
-// integers per-coordinate openings would disclose. The opening is a
-// fresh copy, never vals: responders memoize partials by its identity,
-// and a sharded responder may still be reading a request while its
-// sender's next stepAssign rewrites vals.
-func (r *runShared) perturbedOpening(vals []Cipher) []Cipher {
-	cts, err := r.suite.NewCipherVector(r.sideCiphers)
-	if err != nil {
-		panic(err) // vector sizing is validated at bind time
+// integers per-coordinate openings would disclose.
+//
+// The opening is a copy, never the push-sum vector: a sharded responder
+// may still be reading a request while its sender's next stepAssign
+// rewrites that. Under parityEmits the copy goes into the participant's
+// own opening, rewritten each iteration: a request sent at cycle c is
+// consumed by the end of c+1, and the next window freezes its opening
+// two cycles after this one's last ask at the earliest. A responder's
+// memo cannot confuse the two iterations' openings, which share an
+// address but not an iteration tag (Reset drops the opening, so a
+// redone iteration opens into new storage). Under any other fault plan
+// a request may be held and read later, and every iteration gets fresh
+// storage. At steady state under parityEmits it allocates nothing.
+func (pt *participant) freezeOpening() {
+	r := pt.run
+	if pt.opening == nil || !r.parityEmits {
+		cts, err := r.suite.NewCipherVector(r.sideCiphers)
+		if err != nil {
+			panic(err) // vector sizing is validated at bind time
+		}
+		pt.opening = cts
 	}
-	for g, c := range cts {
-		c.Set(vals[g])
+	for g, c := range pt.opening {
+		c.Set(pt.diptych.Means.V[g])
 	}
-	return cts
+	if r.parityEmits {
+		pt.req = &pt.ownReq
+	} else {
+		pt.req = &decryptRequest{}
+	}
+	pt.req.Iter, pt.req.Ciphers = pt.iter, pt.opening
+	pt.pendingCT = pt.opening
 }
+
+// collect adds a responder's partial set to the window, in share-index
+// order, unless that index already has one (the first set is kept). The
+// set is copied into the participant's slab: the response's storage is
+// the responder's, and under parityEmits it is overwritten two cycles
+// after it was sent, while a window may collect for longer.
+func (pt *participant) collect(parts []Partial) {
+	i, dup := slices.BinarySearchFunc(pt.partials, parts[0].Index, bySetIndex)
+	if dup {
+		return
+	}
+	if pt.nKept == len(pt.kept) {
+		// One chunk of sets per growth; the first holds a quorum.
+		n, grow := pt.run.sideCiphers, max(pt.run.suite.Threshold(), len(pt.kept))
+		slab := make([]Partial, grow*n)
+		pt.kept = slices.Grow(pt.kept, grow)
+		for j := 0; j < grow; j++ {
+			pt.kept = append(pt.kept, slab[j*n:(j+1)*n:(j+1)*n])
+		}
+	}
+	set := append(pt.kept[pt.nKept][:0], parts...)
+	pt.kept[pt.nKept] = set
+	pt.nKept++
+	if pt.partials == nil {
+		pt.partials = make([][]Partial, 0, pt.run.suite.Threshold())
+	}
+	pt.partials = slices.Insert(pt.partials, i, set)
+}
+
+// findAsk locates peer in the request window.
+func (pt *participant) findAsk(peer p2p.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(pt.asks, peer, byAskPeer)
+}
+
+// bySetIndex and byAskPeer order the decrypt window's partial sets and
+// asks for binary search.
+func bySetIndex(set []Partial, idx int) int { return cmp.Compare(set[0].Index, idx) }
+func byAskPeer(a ask, peer p2p.NodeID) int  { return cmp.Compare(a.peer, peer) }
 
 // askTTL is the patience of one in-flight decrypt ask, in decrypt
 // activations. Fault-free, a request sent at cycle c is answered by the
@@ -803,43 +916,52 @@ const askTTL = 3
 // the window again holds `missing` asks (progressively more as the
 // quorum drags) or the candidate pool is exhausted.
 func (pt *participant) topUpAsks(ctx Env, missing int, req *decryptRequest, bytes int) {
-	for peer, ttl := range pt.outstanding {
-		if ttl <= 1 {
+	inFlight := 0
+	asks := pt.asks[:0]
+	for _, a := range pt.asks {
+		switch a.ttl {
+		case 0: // answered
+		case 1:
 			// Expired unanswered: the peer may have crashed, rejoined, or
 			// the messages may have dropped. Release it for re-asking —
-			// duplicate responses are idempotent (the partials map keeps
-			// the first) — so a small pool under churn keeps its liveness
+			// duplicate responses are idempotent (collect keeps the
+			// first) — so a small pool under churn keeps its liveness
 			// instead of exhausting permanently.
-			delete(pt.outstanding, peer)
-			delete(pt.asked, peer)
-		} else {
-			pt.outstanding[peer] = ttl - 1
+			continue
+		default:
+			a.ttl--
+			inFlight++
 		}
+		asks = append(asks, a)
 	}
+	pt.asks = asks
 	// Progressive escalation: each elapsed TTL without a settled quorum
 	// widens the window by one, so dead or slow responders cannot
 	// serialize the remaining waves, and a window burning toward its
 	// deadline grows redundant instead of failing lean.
 	target := missing + pt.waitCycles/askTTL
-	need := target - len(pt.outstanding)
+	need := target - inFlight
 	if need <= 0 {
 		return
+	}
+	if pt.asks == nil {
+		pt.asks = make([]ask, 0, 2*pt.run.suite.Threshold())
 	}
 	// Redraw budget: generous enough to find `need` fresh peers even when
 	// most draws land on already-asked ones (small populations, long
 	// waits), finite so an exhausted pool cannot loop forever.
-	budget := 16*(need+1) + 8*len(pt.asked)
+	budget := 16*(need+1) + 8*len(pt.asks)
 	for need > 0 && budget > 0 {
 		budget--
 		peer, ok := ctx.RandomPeer()
 		if !ok {
 			return
 		}
-		if pt.asked[peer] {
+		i, asked := pt.findAsk(peer)
+		if asked {
 			continue
 		}
-		pt.asked[peer] = true
-		pt.outstanding[peer] = askTTL
+		pt.asks = slices.Insert(pt.asks, i, ask{peer: peer, ttl: askTTL})
 		pt.decryptReqs++
 		pt.decryptReqBytes += int64(bytes)
 		_ = ctx.Send(peer, req, bytes)
@@ -854,48 +976,88 @@ func (pt *participant) topUpAsks(ctx Env, missing int, req *decryptRequest, byte
 // answered without redoing the per-cipher exponentiations. The memo key
 // is the identity of the request's cipher slice — servedCiphers keeps
 // that slice alive, so a match guarantees the cached partials belong to
-// exactly these ciphertexts.
+// exactly these ciphertexts. The memo's partials are the participant's
+// own copy, and every response is a copy of them in response storage:
+// the memo never points at a response buffer, which is recycled. Under
+// parityEmits a warmed serve allocates nothing on the accounted backend
+// (TestDecryptCycleZeroAlloc).
 func (pt *participant) serveDecrypt(ctx Env, from p2p.NodeID, req *decryptRequest) {
 	r := pt.run
 	share := int(pt.id) + 1
 	if share > r.suite.Parties() {
 		return
 	}
-	var parts []Partial
+	resp := pt.response(ctx.Cycle(), len(req.Ciphers))
 	if len(req.Ciphers) > 0 && pt.servedCiphers != nil &&
 		pt.servedIter == req.Iter &&
 		len(pt.servedCiphers) == len(req.Ciphers) &&
 		&pt.servedCiphers[0] == &req.Ciphers[0] {
 		pt.servedHits++
-		parts = pt.servedParts
+		copy(resp.Partials, pt.servedParts)
 	} else {
-		parts = make([]Partial, len(req.Ciphers))
 		for i, c := range req.Ciphers {
 			p, err := r.suite.PartialDecrypt(share, c)
 			if err != nil {
 				return
 			}
-			parts[i] = p
+			resp.Partials[i] = p
 		}
 		pt.servedIter = req.Iter
 		pt.servedCiphers = req.Ciphers
-		pt.servedParts = parts
+		pt.servedParts = append(pt.servedParts[:0], resp.Partials...)
 	}
-	respBytes := len(parts)*r.suite.CipherBytes() + 8
-	resp := &decryptResponse{Iter: req.Iter, Partials: parts}
+	resp.Iter = req.Iter
+	respBytes := len(resp.Partials)*r.suite.CipherBytes() + 8
 	if ctx.Send(from, resp, respBytes) == nil {
 		pt.decryptRespBytes += int64(respBytes)
 	}
 }
 
+// response returns the storage of one response of n partials sent at
+// cycle. Under parityEmits it is the next buffer of the cycle's parity,
+// whose previous occupant was sent at cycle-2 and consumed by the end of
+// cycle-1 (see responseBuffers); otherwise a response may be held and
+// read later, and it gets fresh storage.
+func (pt *participant) response(cycle, n int) *decryptResponse {
+	if !pt.run.parityEmits {
+		return &decryptResponse{Partials: make([]Partial, n)}
+	}
+	rb := &pt.responses[cycle&1]
+	if rb.cycle != cycle {
+		rb.cycle, rb.used = cycle, 0
+	}
+	if rb.used == len(rb.bufs) {
+		// One chunk of buffers per growth; the first holds as many as a
+		// participant serves on average, one per asker of a quorum (or the
+		// batch hint's in-degree, see runShared.batchHint).
+		k, grow := pt.run.sideCiphers, max(pt.run.suite.Threshold(), len(rb.bufs), pt.run.batchHint)
+		resps, parts := make([]decryptResponse, grow), make([]Partial, grow*k)
+		rb.bufs = slices.Grow(rb.bufs, grow)
+		for i := range resps {
+			resps[i].Partials = parts[i*k : (i+1)*k : (i+1)*k]
+			rb.bufs = append(rb.bufs, &resps[i])
+		}
+	}
+	resp := rb.bufs[rb.used]
+	rb.used++
+	resp.Partials = slices.Grow(resp.Partials[:0], n)[:n]
+	return resp
+}
+
 // finishIteration completes Step 3 (convergence, local): decode the
 // perturbed means, apply smoothing, decide and either iterate or stop.
+// The next centroids are built in the disclosed IterationResult, which
+// becomes the participant's centroids: that record is all it allocates,
+// and no centroid matrix is ever overwritten, so a gossip payload may
+// hold the one it was sent with for as long as it likes.
 func (pt *participant) finishIteration(ctx Env, failed bool) {
 	r := pt.run
 	k := r.params.K
 	per := r.dim + 1
-	newCentroids := deepCopyMatrix(pt.diptych.Centroids)
-	counts := make([]float64, k)
+	newCentroids, counts := newRecord(k, r.dim)
+	for j, row := range pt.diptych.Centroids {
+		copy(newCentroids[j], row)
+	}
 	inertia := math.NaN()
 
 	if !failed {
@@ -936,13 +1098,9 @@ func (pt *participant) finishIteration(ctx Env, failed bool) {
 				if cnt < minCount {
 					continue
 				}
-				c := make([]float64, r.dim)
-				for t := 0; t < r.dim; t++ {
-					c[t] = decoded[j*per+t] / cnt
-				}
-				newCentroids[j] = smooth(c, r.params.Smoothing)
+				pt.smoothMean(newCentroids[j], decoded[j*per:j*per+r.dim], cnt)
 				if r.params.MaxValue > 0 {
-					newCentroids[j] = timeseries.Clamp(newCentroids[j], 0, r.params.MaxValue)
+					timeseries.Clamp(newCentroids[j], 0, r.params.MaxValue)
 				}
 			}
 		}
@@ -953,10 +1111,13 @@ func (pt *participant) finishIteration(ctx Env, failed bool) {
 	if n := len(pt.history); n > 0 {
 		prevInertia = pt.history[n-1].PerturbedInertia
 	}
+	if pt.history == nil {
+		pt.history = make([]IterationResult, 0, r.params.Iterations)
+	}
 	pt.history = append(pt.history, IterationResult{
 		Iteration:          pt.iter,
 		Epsilon:            r.epsSched[pt.iter],
-		PerturbedCentroids: deepCopyMatrix(newCentroids),
+		PerturbedCentroids: newCentroids,
 		PerturbedCounts:    counts,
 		PerturbedInertia:   inertia,
 		Assignment:         pt.assignment,
@@ -966,10 +1127,7 @@ func (pt *participant) finishIteration(ctx Env, failed bool) {
 	})
 
 	pt.diptych.Centroids = newCentroids
-	pt.pendingCT = nil
-	pt.partials = nil
-	pt.asked = nil
-	pt.outstanding = nil
+	pt.clearWindow()
 
 	converged := r.params.ConvergeThreshold > 0 && disp <= r.params.ConvergeThreshold && !failed
 	// Footnote-2 criterion: stop when the tracked quality plateaus.
@@ -1009,12 +1167,12 @@ var errOpeningWeight = errors.New("core: push-sum weight exceeds the population 
 func (pt *participant) decodeAll(s *codecScratch) ([]float64, error) {
 	r := pt.run
 	st := pt.diptych.Means
-	// Assemble the per-responder partial sets in ascending share-index
-	// order — the map's iteration order must never reach Combine, or the
-	// responder-set cache keys (and OpCounts profiles) go nondeterministic.
-	// The set is resolved once for the whole pending vector.
-	plains, err := r.suite.CombineColumns(pt.sortedResponders(), len(pt.pendingCT))
-	if err != nil {
+	// The partial sets are in ascending share-index order (collect), so
+	// the responder-set cache keys and OpCounts profiles are
+	// deterministic; the set is resolved once for the whole pending
+	// vector, which opens into s's group integers.
+	plains := s.groups[:len(pt.pendingCT)]
+	if err := r.suite.CombineColumnsInto(plains, pt.partials); err != nil {
 		return nil, err
 	}
 	signed, err := r.signedAggregates(s, plains, st.H, st.W)
@@ -1029,20 +1187,6 @@ func (pt *participant) decodeAll(s *codecScratch) ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// sortedResponders lists the collected per-responder partial sets in
-// ascending share-index order, the deterministic layout decodeAll feeds
-// to the combine path.
-func (pt *participant) sortedResponders() [][]Partial {
-	responders := make([][]Partial, 0, len(pt.partials))
-	for _, parts := range pt.partials {
-		responders = append(responders, parts)
-	}
-	sort.Slice(responders, func(a, b int) bool {
-		return responders[a][0].Index < responders[b][0].Index
-	})
-	return responders
 }
 
 // signedAggregates turns the opened plaintexts of a perturbed share with
@@ -1088,22 +1232,31 @@ func (pt *participant) decodeSigned(signed *big.Int, denom float64, i int) (floa
 	return v, nil
 }
 
-// --- helpers ---------------------------------------------------------------
-
-func smooth(c []float64, spec SmoothingSpec) []float64 {
+// smoothMean writes the smoothed mean of one cluster, sums/cnt, into
+// dst.
+func (pt *participant) smoothMean(dst, sums []float64, cnt float64) {
+	spec := pt.run.params.Smoothing
+	mean := dst
+	if spec.Method == SmoothingMovingAverage || spec.Method == SmoothingExponential {
+		if pt.meanRow == nil {
+			pt.meanRow = make([]float64, len(sums))
+		}
+		mean = pt.meanRow
+	}
+	for t, v := range sums {
+		mean[t] = v / cnt
+	}
 	switch spec.Method {
 	case SmoothingMovingAverage:
-		return timeseries.MovingAverage(c, spec.Window)
+		timeseries.MovingAverageInto(dst, mean, spec.Window)
 	case SmoothingExponential:
-		out, err := timeseries.ExponentialSmoothing(c, spec.Alpha)
-		if err != nil {
+		if err := timeseries.ExponentialSmoothingInto(dst, mean, spec.Alpha); err != nil {
 			panic(err) // Params.validate bounds Alpha to (0, 1]
 		}
-		return out
-	default:
-		return c
 	}
 }
+
+// --- helpers ---------------------------------------------------------------
 
 func maxDisplacement(a, b [][]float64) float64 {
 	var max float64
@@ -1133,6 +1286,17 @@ func validShape(m [][]float64, k, dim int) bool {
 		}
 	}
 	return true
+}
+
+// newRecord allocates the disclosed side of an IterationResult: k
+// centroid rows of dim values and k counts, all in one block of floats.
+func newRecord(k, dim int) (centroids [][]float64, counts []float64) {
+	flat := make([]float64, k*dim+k)
+	centroids = make([][]float64, k)
+	for j := range centroids {
+		centroids[j] = flat[j*dim : (j+1)*dim : (j+1)*dim]
+	}
+	return centroids, flat[k*dim:]
 }
 
 // deepCopyMatrix copies a centroid matrix into flat-backed row views:

@@ -43,11 +43,14 @@ type DecryptAllocReport struct {
 // unless Params.Workers > 1) and executes it to completion, classifying
 // every cycle by its dominant phase (the same classification
 // Trace.Phases uses) and accumulating runtime.MemStats deltas for the
-// decrypt-classified cycles only. Unlike the gossip measurement it does
-// not prove zero — the opened plaintexts, responder sets and served
-// partials are fresh per iteration — so it reports the per-cycle average
-// (bench/'s core.decrypt_allocs_per_cycle; TestMeasureDecryptAllocs
-// holds it under a ceiling) instead.
+// decrypt-classified cycles only. It reports the per-cycle average over
+// the whole run (bench/'s core.decrypt_allocs_per_cycle;
+// TestMeasureDecryptAllocs holds it under a ceiling), which includes
+// the first iteration laying out each participant's decrypt storage and
+// the disclosed records. The steady state itself is absolute, proved by
+// TestDecryptCycleZeroAlloc: on the accounted backend a warmed decrypt
+// cycle allocates nothing but one record per participant completing in
+// it.
 func MeasureDecryptAllocs(data [][]float64, params Params) (*DecryptAllocReport, error) {
 	pop, err := openPopulation(data, params)
 	if err != nil {

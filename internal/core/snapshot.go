@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"chiaroscuro/internal/gossip"
 	"chiaroscuro/internal/p2p"
@@ -128,27 +128,33 @@ func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 		buf = wire.AppendUint32(buf, 0)
 	}
 
-	// Partials and asked-peers are sets keyed by index/id; sorted so the
-	// snapshot bytes are deterministic (map order is not).
-	nd.snapKeys = sortedKeys(nd.snapKeys, p.partials)
-	buf = wire.AppendUint32(buf, uint32(len(nd.snapKeys)))
-	for _, idx := range nd.snapKeys {
-		buf = wire.AppendUint32(buf, uint32(idx))
+	// The partial sets by share index, the asked peers by id, then the
+	// in-flight asks (peer, ttl) by id: the window keeps all three in
+	// ascending order, so the bytes are deterministic.
+	buf = wire.AppendUint32(buf, uint32(len(p.partials)))
+	for _, set := range p.partials {
+		buf = wire.AppendUint32(buf, uint32(set[0].Index))
 		var err error
-		if buf, err = appendVectorField(buf, p.partials[idx], nd.pop.suite.AppendPartialValues); err != nil {
+		if buf, err = appendVectorField(buf, set, nd.pop.suite.AppendPartialValues); err != nil {
 			return nil, fmt.Errorf("core: snapshot partials: %w", err)
 		}
 	}
-	nd.snapKeys = sortedKeys(nd.snapKeys, p.asked)
-	buf = wire.AppendUint32(buf, uint32(len(nd.snapKeys)))
-	for _, id := range nd.snapKeys {
-		buf = wire.AppendUint32(buf, uint32(id))
+	buf = wire.AppendUint32(buf, uint32(len(p.asks)))
+	for _, a := range p.asks {
+		buf = wire.AppendUint32(buf, uint32(a.peer))
 	}
-	nd.snapKeys = sortedKeys(nd.snapKeys, p.outstanding)
-	buf = wire.AppendUint32(buf, uint32(len(nd.snapKeys)))
-	for _, id := range nd.snapKeys {
-		buf = wire.AppendUint32(buf, uint32(id))
-		buf = wire.AppendUint32(buf, uint32(p.outstanding[p2p.NodeID(id)]))
+	inFlight := 0
+	for _, a := range p.asks {
+		if a.ttl > 0 {
+			inFlight++
+		}
+	}
+	buf = wire.AppendUint32(buf, uint32(inFlight))
+	for _, a := range p.asks {
+		if a.ttl > 0 {
+			buf = wire.AppendUint32(buf, uint32(a.peer))
+			buf = wire.AppendUint32(buf, uint32(a.ttl))
+		}
 	}
 
 	buf = wire.AppendUint32(buf, uint32(len(p.history)))
@@ -168,16 +174,6 @@ func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 		buf = wire.AppendUint32(buf, uint32(h.CompletedAtCycle))
 	}
 	return wire.EndField(buf, st), nil
-}
-
-// sortedKeys returns m's keys in ascending order, in dst's storage.
-func sortedKeys[K ~int, V any](dst []int, m map[K]V) []int {
-	dst = dst[:0]
-	for k := range m {
-		dst = append(dst, int(k))
-	}
-	sort.Ints(dst)
-	return dst
 }
 
 // snapshotHeader is the pre-construction part of a snapshot.
@@ -441,12 +437,10 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 	if nPartials > nd.pop.suite.Parties() {
 		return snapErr("%d partial sets for %d parties", nPartials, nd.pop.suite.Parties())
 	}
-	var partials map[int][]Partial
-	if phase(phaseV) == phaseDecrypt {
-		partials = make(map[int][]Partial, nPartials)
-	} else if nPartials > 0 {
+	if phase(phaseV) != phaseDecrypt && nPartials > 0 {
 		return snapErr("partials outside decrypt phase")
 	}
+	var partials [][]Partial
 	for i := 0; i < nPartials; i++ {
 		idx, err := u32("partial index")
 		if err != nil {
@@ -466,10 +460,11 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if len(ps) != r.sideCiphers {
 			return snapErr("partial set of %d values, want %d", len(ps), r.sideCiphers)
 		}
-		if _, dup := partials[idx]; dup {
+		at, dup := slices.BinarySearchFunc(partials, idx, bySetIndex)
+		if dup {
 			return snapErr("duplicate partial index %d", idx)
 		}
-		partials[idx] = ps
+		partials = slices.Insert(partials, at, ps)
 	}
 
 	nAsked, err := u32("asked count")
@@ -479,12 +474,10 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 	if nAsked > r.population {
 		return snapErr("%d asked peers in population %d", nAsked, r.population)
 	}
-	var asked map[p2p.NodeID]bool
-	if phase(phaseV) == phaseDecrypt {
-		asked = make(map[p2p.NodeID]bool, nAsked)
-	} else if nAsked > 0 {
+	if phase(phaseV) != phaseDecrypt && nAsked > 0 {
 		return snapErr("asked peers outside decrypt phase")
 	}
+	var asks []ask
 	for i := 0; i < nAsked; i++ {
 		id, err := u32("asked id")
 		if err != nil {
@@ -493,7 +486,9 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if id >= r.population {
 			return snapErr("asked id %d outside population %d", id, r.population)
 		}
-		asked[p2p.NodeID(id)] = true
+		if at, dup := slices.BinarySearchFunc(asks, p2p.NodeID(id), byAskPeer); !dup {
+			asks = slices.Insert(asks, at, ask{peer: p2p.NodeID(id)})
+		}
 	}
 
 	nOut, err := u32("outstanding count")
@@ -503,10 +498,7 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 	if nOut > nAsked {
 		return snapErr("%d outstanding asks for %d asked peers", nOut, nAsked)
 	}
-	var outstanding map[p2p.NodeID]int
-	if phase(phaseV) == phaseDecrypt {
-		outstanding = make(map[p2p.NodeID]int, nOut)
-	} else if nOut > 0 {
+	if phase(phaseV) != phaseDecrypt && nOut > 0 {
 		return snapErr("outstanding asks outside decrypt phase")
 	}
 	for i := 0; i < nOut; i++ {
@@ -524,13 +516,14 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if ttl < 1 || ttl > askTTL {
 			return snapErr("outstanding ttl %d outside [1, %d]", ttl, askTTL)
 		}
-		if !asked[p2p.NodeID(id)] {
+		at, asked := slices.BinarySearchFunc(asks, p2p.NodeID(id), byAskPeer)
+		if !asked {
 			return snapErr("outstanding ask for un-asked peer %d", id)
 		}
-		if _, dup := outstanding[p2p.NodeID(id)]; dup {
+		if asks[at].ttl > 0 {
 			return snapErr("duplicate outstanding id %d", id)
 		}
-		outstanding[p2p.NodeID(id)] = ttl
+		asks[at].ttl = ttl
 	}
 
 	nHistory, err := u32("history count")
@@ -540,7 +533,7 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 	if nHistory > r.params.Iterations {
 		return snapErr("%d history entries for %d iterations", nHistory, r.params.Iterations)
 	}
-	history := make([]IterationResult, 0, nHistory)
+	history := make([]IterationResult, 0, r.params.Iterations)
 	for i := 0; i < nHistory; i++ {
 		var rec IterationResult
 		if rec.Iteration, err = u32("history iteration"); err != nil {
@@ -599,9 +592,14 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 	p.diptych.Centroids = centroids
 	p.diptych.Means = means
 	p.pendingCT = pendingCT
+	if pendingCT != nil {
+		// The restored opening is the participant's own, and so is the
+		// request stepDecrypt keeps asking with (see freezeOpening).
+		p.opening, p.req = pendingCT, &p.ownReq
+		p.ownReq = decryptRequest{Iter: iter, Ciphers: pendingCT}
+	}
 	p.partials = partials
-	p.asked = asked
-	p.outstanding = outstanding
+	p.asks = asks
 	p.history = history
 	return nil
 }

@@ -380,9 +380,9 @@ func midDecryptNode(t testing.TB, m *memMesh) *Node {
 	}
 	nd := m.nodes[0]
 	p := nd.pt
-	if p.phase != phaseDecrypt || p.pendingCT == nil || len(p.asked) == 0 || len(p.history) == 0 {
+	if p.phase != phaseDecrypt || p.pendingCT == nil || len(p.asks) == 0 || len(p.history) == 0 {
 		t.Fatalf("node 0 at epoch 30: phase %d, pending %v, %d asked, %d disclosed; want mid-decrypt of iteration 2",
-			p.phase, p.pendingCT != nil, len(p.asked), len(p.history))
+			p.phase, p.pendingCT != nil, len(p.asks), len(p.history))
 	}
 	for _, party := range []int{3, 1} {
 		ps := make([]Partial, len(p.pendingCT))
@@ -392,7 +392,7 @@ func midDecryptNode(t testing.TB, m *memMesh) *Node {
 				t.Fatal(err)
 			}
 		}
-		p.partials[party] = ps
+		p.collect(ps)
 	}
 	return nd
 }

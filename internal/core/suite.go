@@ -152,15 +152,15 @@ type CipherSuite interface {
 	// Combine opens a ciphertext from at least Threshold distinct
 	// partials (all for the same ciphertext).
 	Combine(parts []Partial) (*big.Int, error)
-	// CombineColumns opens a whole pending-cipher vector against one
+	// CombineColumnsInto opens a whole pending-cipher vector against one
 	// responder set, resolving the set (validation, Lagrange/multiexp
-	// plan on the real backend) once instead of per ciphertext. sets[j]
-	// is responder j's per-cipher partials — all carrying
-	// sets[j][0].Index — ordered ascending by share index across j;
-	// count is the common cipher count. Results and operation counts are
-	// identical to count separate Combine calls over the per-cipher
-	// columns.
-	CombineColumns(sets [][]Partial, count int) ([]*big.Int, error)
+	// plan on the real backend) once instead of per ciphertext, into
+	// dst's integers. sets[j] is responder j's per-cipher partials — all
+	// carrying sets[j][0].Index — ordered ascending by share index
+	// across j; the common cipher count is len(dst). Results and
+	// operation counts are identical to len(dst) separate Combine calls
+	// over the per-cipher columns.
+	CombineColumnsInto(dst []*big.Int, sets [][]Partial) error
 
 	// ValidateCipher rejects values that are not well-formed ciphertexts
 	// of the suite (nil, out-of-ring residues, out-of-range group

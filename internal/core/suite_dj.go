@@ -165,49 +165,62 @@ func (s *djSuite) Combine(parts []Partial) (*big.Int, error) {
 	return s.tk.Combine(djParts)
 }
 
-// CombineColumns implements CipherSuite: it opens count ciphertexts
-// against one responder set, resolving the set's combine plan (Lagrange
-// coefficients, sign split, multiexp digit schedule) once via
-// CombineContext and replaying it per ciphertext. sets beyond the
+// CombineColumnsInto implements CipherSuite: it opens len(dst)
+// ciphertexts against one responder set, resolving the set's combine
+// plan (Lagrange coefficients, sign split, multiexp digit schedule) once
+// via CombineContext and replaying it per ciphertext. sets beyond the
 // threshold are ignored — ascending order means the lowest indices win,
 // exactly the subset Combine's selectPartials would pick.
-func (s *djSuite) CombineColumns(sets [][]Partial, count int) ([]*big.Int, error) {
+func (s *djSuite) CombineColumnsInto(dst []*big.Int, sets [][]Partial) error {
+	count := len(dst)
 	if count < 1 {
-		return nil, errors.New("core: empty cipher column")
+		return errors.New("core: empty cipher column")
 	}
 	if len(sets) < s.tk.Threshold {
-		return nil, fmt.Errorf("core: have %d responder sets, need %d", len(sets), s.tk.Threshold)
+		return fmt.Errorf("core: have %d responder sets, need %d", len(sets), s.tk.Threshold)
 	}
 	use := sets[:s.tk.Threshold]
 	indices := make([]int, len(use))
 	for j, set := range use {
 		if len(set) != count {
-			return nil, fmt.Errorf("core: responder set %d has %d partials, want %d", j, len(set), count)
+			return fmt.Errorf("core: responder set %d has %d partials, want %d", j, len(set), count)
 		}
 		indices[j] = set[0].Index
 	}
 	// CombineContext validates ascending/distinct/in-range indices.
 	ctx, err := s.tk.CombineContext(indices)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]*big.Int, count)
 	col := make([]damgardjurik.PartialDecryption, len(use))
-	for i := 0; i < count; i++ {
+	for i, d := range dst {
 		for j, set := range use {
 			p := set[i]
 			if p.Value == nil {
-				return nil, errors.New("core: partial with nil value")
+				return errors.New("core: partial with nil value")
 			}
 			col[j] = damgardjurik.PartialDecryption{Index: p.Index, Value: p.Value}
 		}
 		v, err := s.tk.CombineWith(ctx, col)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[i] = v
+		d.Set(v)
 	}
 	s.combines.Add(int64(count))
+	return nil
+}
+
+// CombineColumns is CombineColumnsInto returning count fresh integers:
+// the form the suite-level combine probe times.
+func (s *djSuite) CombineColumns(sets [][]Partial, count int) ([]*big.Int, error) {
+	out := make([]*big.Int, max(count, 0))
+	for i := range out {
+		out[i] = new(big.Int)
+	}
+	if err := s.CombineColumnsInto(out, sets); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

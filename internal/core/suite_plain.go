@@ -186,52 +186,53 @@ func (s *plainSuite) Combine(parts []Partial) (*big.Int, error) {
 	return new(big.Int).Set(parts[0].Value), nil
 }
 
-// CombineColumns implements CipherSuite: the accounted equivalent of
-// count Combine calls over per-cipher columns of the given responder
-// sets. Validation matches Combine — index range, distinctness (here:
-// strictly ascending set order), nil values, and per-column agreement
-// across every responder — and it accounts the same count combines.
-func (s *plainSuite) CombineColumns(sets [][]Partial, count int) ([]*big.Int, error) {
+// CombineColumnsInto implements CipherSuite: the accounted equivalent
+// of len(dst) Combine calls over per-cipher columns of the given
+// responder sets. Validation matches Combine — index range,
+// distinctness (here: strictly ascending set order), nil values, and
+// per-column agreement across every responder — and it accounts the
+// same count combines.
+func (s *plainSuite) CombineColumnsInto(dst []*big.Int, sets [][]Partial) error {
+	count := len(dst)
 	if count < 1 {
-		return nil, errors.New("core: empty cipher column")
+		return errors.New("core: empty cipher column")
 	}
 	if len(sets) < s.threshold {
-		return nil, fmt.Errorf("core: have %d partial decryptions, need %d", len(sets), s.threshold)
+		return fmt.Errorf("core: have %d partial decryptions, need %d", len(sets), s.threshold)
 	}
 	prev := 0
 	for j, set := range sets {
 		if len(set) != count {
-			return nil, fmt.Errorf("core: responder set %d has %d partials, want %d", j, len(set), count)
+			return fmt.Errorf("core: responder set %d has %d partials, want %d", j, len(set), count)
 		}
 		idx := set[0].Index
 		if idx < 1 || idx > s.parties {
-			return nil, fmt.Errorf("core: partial with invalid index %d", idx)
+			return fmt.Errorf("core: partial with invalid index %d", idx)
 		}
 		if idx <= prev {
-			return nil, fmt.Errorf("core: responder sets not ascending at index %d", idx)
+			return fmt.Errorf("core: responder sets not ascending at index %d", idx)
 		}
 		prev = idx
 		for _, p := range set {
 			if p.Index != idx {
-				return nil, fmt.Errorf("core: mixed indices in responder set %d", j)
+				return fmt.Errorf("core: mixed indices in responder set %d", j)
 			}
 			if p.Value == nil {
-				return nil, errors.New("core: partial with nil value")
+				return errors.New("core: partial with nil value")
 			}
 		}
 	}
-	out := make([]*big.Int, count)
-	for i := 0; i < count; i++ {
+	for i, d := range dst {
 		ref := sets[0][i].Value
 		for _, set := range sets {
 			if set[i].Value.Cmp(ref) != 0 {
-				return nil, errors.New("core: partial decryptions disagree")
+				return errors.New("core: partial decryptions disagree")
 			}
 		}
-		out[i] = new(big.Int).Set(ref)
+		d.Set(ref)
 	}
 	s.combines.Add(int64(count))
-	return out, nil
+	return nil
 }
 
 // --- In-place push-sum arithmetic ------------------------------------------

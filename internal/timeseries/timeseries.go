@@ -86,9 +86,17 @@ func SquaredL2(a, b Series) (float64, error) {
 // quality-enhancing heuristic of the paper (Sec. II.B).
 func MovingAverage(s Series, width int) Series {
 	out := make(Series, len(s))
+	MovingAverageInto(out, s, width)
+	return out
+}
+
+// MovingAverageInto is MovingAverage writing into dst, which must be as
+// long as s and must not overlap it.
+func MovingAverageInto(dst, s Series, width int) {
+	out := dst[:len(s)]
 	if width <= 1 {
 		copy(out, s)
-		return out
+		return
 	}
 	half := width / 2
 	for i := range s {
@@ -106,38 +114,35 @@ func MovingAverage(s Series, width int) Series {
 		}
 		out[i] = acc / float64(hi-lo+1)
 	}
-	return out
 }
 
-// ExponentialSmoothing returns the exponentially smoothed version of s with
-// factor alpha in (0, 1]: out[0]=s[0], out[i]=alpha*s[i]+(1-alpha)*out[i-1].
-func ExponentialSmoothing(s Series, alpha float64) (Series, error) {
+// ExponentialSmoothingInto writes the exponentially smoothed version of
+// s with factor alpha in (0, 1] into dst, which must be as long as s (it
+// may be s itself): out[0]=s[0], out[i]=alpha*s[i]+(1-alpha)*out[i-1].
+func ExponentialSmoothingInto(dst, s Series, alpha float64) error {
 	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("timeseries: smoothing factor %v outside (0,1]", alpha)
+		return fmt.Errorf("timeseries: smoothing factor %v outside (0,1]", alpha)
 	}
-	out := make(Series, len(s))
 	if len(s) == 0 {
-		return out, nil
+		return nil
 	}
+	out := dst[:len(s)]
 	out[0] = s[0]
 	for i := 1; i < len(s); i++ {
 		out[i] = alpha*s[i] + (1-alpha)*out[i-1]
 	}
-	return out, nil
+	return nil
 }
 
-// Clamp limits every element of s into [lo, hi], returning a new series.
+// Clamp limits every element of s into [lo, hi] in place and returns s.
 func Clamp(s Series, lo, hi float64) Series {
-	out := make(Series, len(s))
 	for i, v := range s {
 		switch {
 		case v < lo:
-			out[i] = lo
+			s[i] = lo
 		case v > hi:
-			out[i] = hi
-		default:
-			out[i] = v
+			s[i] = hi
 		}
 	}
-	return out
+	return s
 }

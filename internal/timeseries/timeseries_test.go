@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -146,24 +147,28 @@ func TestMovingAverageSmooths(t *testing.T) {
 
 func TestExponentialSmoothing(t *testing.T) {
 	s := Series{0, 1, 1, 1}
-	out, err := ExponentialSmoothing(s, 0.5)
-	if err != nil {
+	want := Series{0, 0.5, 0.75, 0.875}
+	out := make(Series, len(s))
+	if err := ExponentialSmoothingInto(out, s, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	want := Series{0, 0.5, 0.75, 0.875}
 	for i := range want {
 		if !almostEq(out[i], want[i], 1e-12) {
 			t.Fatalf("out = %v, want %v", out, want)
 		}
 	}
-	if _, err := ExponentialSmoothing(s, 0); err == nil {
+	// In place, dst being s itself.
+	if err := ExponentialSmoothingInto(s, s, 0.5); err != nil || !reflect.DeepEqual(s, out) {
+		t.Fatalf("in place = %v (%v), want %v", s, err, out)
+	}
+	if err := ExponentialSmoothingInto(out, s, 0); err == nil {
 		t.Fatal("alpha=0 should error")
 	}
-	if _, err := ExponentialSmoothing(s, 1.5); err == nil {
+	if err := ExponentialSmoothingInto(out, s, 1.5); err == nil {
 		t.Fatal("alpha>1 should error")
 	}
-	if out, err := ExponentialSmoothing(nil, 0.5); err != nil || len(out) != 0 {
-		t.Fatalf("empty input should be fine: %v, %v", out, err)
+	if err := ExponentialSmoothingInto(nil, nil, 0.5); err != nil {
+		t.Fatalf("empty input should be fine: %v", err)
 	}
 }
 
