@@ -7,8 +7,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
+
+	"chiaroscuro/internal/p2p"
 )
 
 // golden_test.go pins the disclosed trajectories of seeded small runs as
@@ -191,4 +194,123 @@ func diffHexMatrix(want, got [][]string) error {
 		}
 	}
 	return nil
+}
+
+const goldenFaultsPath = "testdata/golden_faults.json"
+
+// goldenFaultRun is one pinned faulted run: its disclosures and the
+// counters the fault paths move (drops, failures, liveness, network and
+// operation counts, decrypt traffic).
+type goldenFaultRun struct {
+	goldenRun
+	StaleDrops      int
+	DecryptFailures int
+	Completed       int
+	DecryptRequests int
+	DecryptBytes    int64
+	NetStats        p2p.Stats
+	Ops             OpCounts
+}
+
+// goldenFaultConfigs are the pinned faulted runs: the kitchen-sink plan
+// of TestFaultScenariosBitIdenticalAcrossWorkers, the noise-skew senders
+// of TestFaultScenarioSuite, and the byzantine senders of
+// TestByzantineRealCrypto on the 128-bit Damgård–Jurik key.
+func goldenFaultConfigs(t *testing.T) []struct {
+	name   string
+	data   [][]float64
+	params Params
+} {
+	blobs60 := blobs(60, 4, 3)
+	scenario := func(spec string, seed int64) Params {
+		return Params{K: 3, Epsilon: 50, Iterations: 3, Seed: seed, Faults: mustPlan(t, spec)}
+	}
+	return []struct {
+		name   string
+		data   [][]float64
+		params Params
+	}{
+		{"kitchen-sink", blobs60, scenario("drop=0.1;dup=0.05;delay=0.25x3;crash@6=0;outage@3+5=1,2:reset;lag@2+6=3,4;garble=40;malform=41;replay=42;noise*20=43", 23)},
+		{"noise-freeride", blobs60, scenario("noise*0=25,26", 11)},
+		{"noise-poison", blobs60, scenario("noise*40=27", 11)},
+		{"dj-byzantine", blobs(16, 3, 2), Params{
+			K: 2, Epsilon: 100, Iterations: 2, Seed: 5,
+			GossipRounds: 8, DecryptThreshold: 4,
+			Backend: BackendDamgardJurik, ModulusBits: 128,
+			Faults: mustPlan(t, "garble=3;malform=4;replay=5"),
+		}},
+	}
+}
+
+func goldenFaultFromTrace(name string, tr *Trace) goldenFaultRun {
+	return goldenFaultRun{
+		goldenRun:       goldenFromTrace(name, tr),
+		StaleDrops:      tr.StaleDrops,
+		DecryptFailures: tr.DecryptFailures,
+		Completed:       tr.Completed,
+		DecryptRequests: tr.DecryptRequests,
+		DecryptBytes:    tr.DecryptBytes,
+		NetStats:        tr.NetStats,
+		Ops:             tr.Ops,
+	}
+}
+
+// TestGoldenFaults compares every pinned faulted run — sequential and at
+// five workers — against the committed fixture: the disclosed bits and
+// every counter. The fault scenario tests check invariants and replay;
+// this one holds the faulted trajectories themselves.
+func TestGoldenFaults(t *testing.T) {
+	var got []goldenFaultRun
+	for _, cfg := range goldenFaultConfigs(t) {
+		seq, err := Run(cfg.data, cfg.params)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.name, err)
+		}
+		run := goldenFaultFromTrace(cfg.name, seq)
+		shParams := cfg.params
+		shParams.Workers = 5
+		sh, err := Run(cfg.data, shParams)
+		if err != nil {
+			t.Fatalf("%s sharded: %v", cfg.name, err)
+		}
+		assertTracesBitIdentical(t, seq, sh, cfg.name+" sharded-vs-seq")
+		if shRun := goldenFaultFromTrace(cfg.name, sh); !reflect.DeepEqual(run, shRun) {
+			t.Fatalf("%s: sharded counters differ:\n  %+v\n  %+v", cfg.name, run, shRun)
+		}
+		got = append(got, run)
+	}
+
+	if *updateGolden {
+		buf, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFaultsPath, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s with %d runs", goldenFaultsPath, len(got))
+		return
+	}
+
+	buf, err := os.ReadFile(goldenFaultsPath)
+	if err != nil {
+		t.Fatalf("missing fixture (run with -update-golden to create): %v", err)
+	}
+	var want []goldenFaultRun
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("fixture has %d runs, produced %d", len(want), len(got))
+	}
+	for i := range want {
+		if err := diffGolden(want[i].goldenRun, got[i].goldenRun); err != nil {
+			t.Errorf("%s: disclosed trajectory changed: %v", want[i].Name, err)
+		}
+		w, g := want[i], got[i]
+		w.goldenRun, g.goldenRun = goldenRun{}, goldenRun{}
+		if !reflect.DeepEqual(w, g) {
+			t.Errorf("%s: counters changed:\n  want %+v\n  got  %+v", want[i].Name, w, g)
+		}
+	}
 }
