@@ -39,7 +39,7 @@ func newCycleDriver(r *runShared, hint int) (*cycleDriver, error) {
 	factory := func(id p2p.NodeID) p2p.Protocol {
 		pt := r.newParticipant(id)
 		participants[id] = pt
-		return pt
+		return r.adversary(pt)
 	}
 	opts := p2p.Options{
 		Seed:      r.params.Seed + 1,

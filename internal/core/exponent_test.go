@@ -9,6 +9,7 @@ import (
 
 	"chiaroscuro/internal/gossip"
 	"chiaroscuro/internal/p2p"
+	"chiaroscuro/internal/vecpool"
 )
 
 // The exponent beside the ciphertext is held against an oracle: push-sum
@@ -401,7 +402,7 @@ func TestHalvingBudgetFailsTheIteration(t *testing.T) {
 			}
 			responses = append(responses, &decryptResponse{Iter: 0, Partials: parts})
 		}
-		before := deepCopyMatrix(pt.diptych.Centroids)
+		before := vecpool.CloneRows(pt.diptych.Centroids)
 		pt.stepDecrypt(env, responses)
 		if len(pt.history) != 1 {
 			t.Fatalf("h=T+%d: %d iterations recorded, want 1", over, len(pt.history))
@@ -425,8 +426,8 @@ func TestHalvingBudgetFailsTheIteration(t *testing.T) {
 
 // TestHalvingBudgetGuards pins the three places an over-budget exponent
 // is stopped before it can cost anything: the sender does not halve past
-// T, the receiver drops what claims to have been, and the byzantine wire
-// gate rejects it.
+// T, the receiver drops what claims to have been, and the share check
+// (the daemon's decoder, a byzantine plan's receivers) rejects it.
 func TestHalvingBudgetGuards(t *testing.T) {
 	params := Params{K: 2, Epsilon: 100, Iterations: 2, Seed: 3, GossipRounds: 6, DecryptThreshold: 3}
 	r, pt, env := budgetParticipant(t, params, 0)
@@ -463,14 +464,14 @@ func TestHalvingBudgetGuards(t *testing.T) {
 		t.Fatalf("over-budget messages: %d drops, state (h=%d, w=%v), iter %d", pt.staleDrops-drops, pt.diptych.Means.H, pt.diptych.Means.W, pt.iter)
 	}
 
-	// Wire gate.
-	over.H = T
-	if !pt.wireValid(&over) {
-		t.Fatal("wireValid rejected an exponent at the budget")
-	}
-	over.H = T + 1
-	if pt.wireValid(&over) {
-		t.Fatal("wireValid accepted an exponent over the budget")
+	// The share check, honest and hostile.
+	for _, hostile := range []bool{false, true} {
+		if err := r.checkShare(over.W, T, over.V, hostile); err != nil {
+			t.Fatalf("hostile=%v: checkShare rejected an exponent at the budget: %v", hostile, err)
+		}
+		if r.checkShare(over.W, T+1, over.V, hostile) == nil {
+			t.Fatalf("hostile=%v: checkShare accepted an exponent over the budget", hostile)
+		}
 	}
 }
 

@@ -278,13 +278,13 @@ func TestFaultPlanValidationSurfaces(t *testing.T) {
 	}
 }
 
-// sentRecorder wraps a participant so every gossip payload it sends is
-// captured by value at send time and every one it receives is compared
-// against that capture: a delayed or replayed message must still carry
-// exactly the ciphers that left its sender, however many emissions the
-// sender has made since.
+// sentRecorder wraps a participant — or the byzantine sender around
+// one — so every gossip payload it sends is captured by value at send
+// time and every one it receives is compared against that capture: a
+// delayed or replayed message must still carry exactly the ciphers that
+// left its sender, however many emissions the sender has made since.
 type sentRecorder struct {
-	pt   *participant
+	pt   interface{ step(Env) }
 	sent map[*gossipPayload][]*big.Int
 	late *int // deliveries two or more cycles after the first send
 	at   map[*gossipPayload]int
@@ -356,15 +356,15 @@ func TestFaultPlanEmissionsStayAsSent(t *testing.T) {
 		late := 0
 		sent := map[*gossipPayload][]*big.Int{}
 		at := map[*gossipPayload]int{}
-		participants := make([]*participant, len(data))
+		protocols := make([]p2p.Protocol, len(data))
 		opts := p2p.Options{Seed: r.params.Seed + 1, Workers: 1}
 		var err error
 		if opts.Conditioner, opts.Faults, err = bindFaults(r.params, len(data)); err != nil {
 			t.Fatal(err)
 		}
 		nw, err := p2p.New(len(data), func(id p2p.NodeID) p2p.Protocol {
-			participants[id] = r.newParticipant(id)
-			return &sentRecorder{pt: participants[id], sent: sent, late: &late, at: at, t: t}
+			protocols[id] = r.adversary(r.newParticipant(id))
+			return &sentRecorder{pt: protocols[id].(interface{ step(Env) }), sent: sent, late: &late, at: at, t: t}
 		}, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -372,7 +372,7 @@ func TestFaultPlanEmissionsStayAsSent(t *testing.T) {
 		for c := 0; c < 2*p.Iterations*(3+p.GossipRounds+r.params.DecryptWindow); c++ {
 			nw.RunCycle()
 		}
-		replayed := participants[2].replayPayload
+		replayed := protocols[2].(*byzantine).replay
 		if late == 0 || replayed == nil || len(sent) < 2*len(data) {
 			t.Fatalf("%s: the plan exercised too little (%d late deliveries, replay captured: %v, %d payloads)",
 				name, late, replayed != nil, len(sent))

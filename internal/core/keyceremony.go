@@ -46,20 +46,6 @@ type DJKeyMaterial struct {
 	Disqualified []int
 }
 
-// behaviourOf maps a simnet dealer-fault kind to the dkg ceremony
-// behaviour that scripts it.
-func behaviourOf(k simnet.FaultKind) dkg.Behaviour {
-	switch k {
-	case simnet.FaultDealerBadShare:
-		return dkg.BehaviourBadShare
-	case simnet.FaultDealerEquivocate:
-		return dkg.BehaviourEquivocate
-	case simnet.FaultDealerSilent:
-		return dkg.BehaviourSilent
-	}
-	return dkg.BehaviourHonest
-}
-
 // ceremonyRand derives the deterministic coefficient randomness of one
 // ceremony participant, keyed so restarts after a disqualification draw
 // fresh polynomials while the whole trajectory stays a pure function of
@@ -84,12 +70,7 @@ func RunDJKeyCeremony(modulusBits, degree, parties, threshold int, seed int64, p
 	if err != nil {
 		return nil, err
 	}
-	byz := map[int]dkg.Behaviour{}
-	for node := 0; node < parties; node++ {
-		if f := plan.DealerFaultOf(node); f != nil {
-			byz[node+1] = behaviourOf(f.Kind)
-		}
-	}
+	byz := dealerBehaviours(plan, parties)
 	dealers := make([]int, parties)
 	for i := range dealers {
 		dealers[i] = i + 1

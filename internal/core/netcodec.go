@@ -226,6 +226,31 @@ func (nd *Node) gossipSlab() (cs []Cipher, lent bool, err error) {
 	return cs, true, nil
 }
 
+// checkShare is the one check of an incoming push-sum share (weight w,
+// halving exponent h, ciphers vs). The exponent prices the merge (up to
+// h squarings per cipher) and past the budget the share decodes to
+// nothing: a peer can buy neither. A hostile share must also have a
+// finite weight in [0, population] and valid ciphers. The daemon's
+// decoder treats every peer as hostile, a simulation only under a
+// byzantine plan (runShared.validate): honest duplication pushes
+// push-sum weight past the population.
+func (r *runShared) checkShare(w float64, h uint, vs []Cipher, hostile bool) error {
+	if hostile && (math.IsNaN(w) || math.IsInf(w, 0) || w < 0 || w > float64(r.population)) {
+		return fmt.Errorf("core: implausible push-sum weight %g", w)
+	}
+	if h > r.preScale {
+		return fmt.Errorf("core: halving exponent %d beyond the pre-scale budget %d", h, r.preScale)
+	}
+	if hostile {
+		for _, c := range vs {
+			if err := r.suite.ValidateCipher(c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // DecodePayload parses and validates one payload received from a peer.
 // Shape and range checks are strict against this node's run
 // configuration — iteration tags inside the schedule, centroid matrices
@@ -273,16 +298,11 @@ func (nd *Node) DecodePayload(buf []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		w := math.Float64frombits(binary.BigEndian.Uint64(wh))
-		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 || w > float64(r.population) {
-			return nil, fmt.Errorf("core: implausible push-sum weight %g", w)
-		}
-		// The exponent prices the merge (up to h squarings per cipher) and
-		// past the budget the share decodes to nothing: a peer can buy
-		// neither.
-		h := uint(wh[8])
-		if h > r.preScale {
-			return nil, fmt.Errorf("core: halving exponent %d beyond the pre-scale budget %d", h, r.preScale)
+		// A peer is hostile until checked; its ciphers are checked by
+		// the vector decode below.
+		w, h := math.Float64frombits(binary.BigEndian.Uint64(wh)), uint(wh[8])
+		if err := r.checkShare(w, h, nil, true); err != nil {
+			return nil, err
 		}
 		cv, err := fr.Bytes()
 		if err != nil {

@@ -165,9 +165,9 @@ func ConfigFingerprint(data [][]float64, params Params) (uint64, error) {
 // Close releases suite-held resources.
 func (nd *Node) Close() { nd.pop.close() }
 
-// RunSequentialHistories runs the reference engine — Run, sequential
-// at the default Params.Workers; any worker count discloses the same
-// histories — and returns, alongside the trace, every participant's
+// RunSequentialHistories is Run — the reference engine, sequential at
+// the default Params.Workers; any worker count discloses the same
+// histories — returning, alongside the trace, every participant's
 // private per-iteration history. The conformance harness needs the
 // per-participant view (assignments, displacement readings and
 // completion cycles differ node by node) — the Trace only carries the

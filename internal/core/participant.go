@@ -15,7 +15,6 @@ import (
 	"chiaroscuro/internal/fixedpoint"
 	"chiaroscuro/internal/gossip"
 	"chiaroscuro/internal/p2p"
-	"chiaroscuro/internal/simnet"
 	"chiaroscuro/internal/timeseries"
 	"chiaroscuro/internal/vecpool"
 )
@@ -117,6 +116,11 @@ type participant struct {
 	// draw algorithms the participant uses buffer nothing on top of the
 	// source, so one word IS the whole noise-randomness state.
 	rngSrc *compactrng.Source
+	// noiseFactor scales every noise share the participant draws: 1 for
+	// an honest participant (multiplying by 1 is exact, so its shares are
+	// unchanged), the plan's factor for a simulated noise-skew sender
+	// (see adversary).
+	noiseFactor float64
 
 	// Mutable protocol state.
 	phase      phase
@@ -155,12 +159,6 @@ type participant struct {
 	servedCiphers []Cipher
 	servedParts   []Partial
 	servedHits    int64
-
-	// byz, when non-nil, makes this participant a byzantine sender of
-	// the planned kind (internal/simnet); replayPayload caches the first
-	// gossip emission of a FaultReplay sender.
-	byz           *simnet.NodeFault
-	replayPayload *gossipPayload
 
 	// absorbBatch is the reusable scratch for the batched gossip
 	// exchange: same-iteration messages drained from one inbox are
@@ -244,8 +242,9 @@ type runShared struct {
 	decodeBound   float64                // max plausible |decoded| per coordinate
 	centroidBytes int
 	// validate is set only when the fault plan contains byzantine
-	// senders: incoming gossip messages are then validated cipher by
-	// cipher before absorption (the wire-hardening path).
+	// senders: incoming gossip messages then get checkShare's hostile
+	// checks, weight and cipher by cipher, before absorption. An honest
+	// run's hot path checks the exponent alone.
 	validate bool
 	// parityEmits stores every emission in the sender's two cycle-parity
 	// buffers instead of fresh storage (see population.bind and emit).
@@ -324,12 +323,8 @@ func (pt *participant) step(ctx Env) {
 	case phaseDone:
 	}
 	// Retain the grown capacity, release the payload references.
-	for i := range gossips {
-		gossips[i] = nil
-	}
-	for i := range responses {
-		responses[i] = nil
-	}
+	clear(gossips)
+	clear(responses)
 	pt.gossipScratch = gossips[:0]
 	pt.respScratch = responses[:0]
 }
@@ -395,14 +390,7 @@ func (pt *participant) stepAssign(ctx Env) {
 	}
 	fill := func(idx int, x float64) {
 		vals[idx] = x
-		noise := dp.NoiseShare(pt.rng, nShares, scale)
-		if pt.byz != nil && pt.byz.Kind == simnet.FaultSkewNoise {
-			// Byzantine noise skew: the share is scaled before the clamp,
-			// so it stays wire-plausible (honest receivers cannot tell) —
-			// factor 0 freerides on everyone else's noise, large factors
-			// poison the disclosed aggregate.
-			noise *= pt.byz.Factor
-		}
+		noise := dp.NoiseShare(pt.rng, nShares, scale) * pt.noiseFactor
 		if noise > r.noiseBound {
 			noise = r.noiseBound
 		} else if noise < -r.noiseBound {
@@ -531,17 +519,7 @@ func (pt *participant) stepGossip(ctx Env) {
 	// so the sampling stream does not depend on it.
 	if ok && pt.diptych.Means.H < r.preScale {
 		payload := pt.emit(ctx)
-		if pt.byz != nil {
-			// Byzantine senders only exist under a fault plan, whose
-			// emissions get fresh storage: a replayed payload may be
-			// retained indefinitely.
-			payload = pt.byzantinePayload(payload)
-		}
-		// Byte accounting from the actual ciphertext count of the
-		// emitted message — not one recomputed from sideLen — so packed
-		// and inertia-tracking runs report true wire bytes.
-		bytes := len(payload.Msg.V)*r.suite.CipherBytes() + r.centroidBytes + 16
-		_ = ctx.Send(peer, payload, bytes)
+		_ = ctx.Send(peer, payload, r.gossipBytes(payload))
 	}
 	pt.roundsDone++
 	if pt.roundsDone >= r.params.GossipRounds {
@@ -549,14 +527,21 @@ func (pt *participant) stepGossip(ctx Env) {
 	}
 }
 
-// openWindow enters the decrypt phase with an empty window. It clears
-// the window itself rather than trusting the previous one to have been
-// closed: a late synchronization leaves a decrypt phase without
-// finishIteration.
+// gossipBytes is the byte count a gossip payload is accounted at: from
+// the actual ciphertext count of its message — not one recomputed from
+// sideLen — so packed and inertia-tracking runs, and a payload a
+// wrapper rewrote, report true wire bytes.
+func (r *runShared) gossipBytes(pl *gossipPayload) int {
+	return len(pl.Msg.V)*r.suite.CipherBytes() + r.centroidBytes + 16
+}
+
+// openWindow enters the decrypt phase. Its window is empty: every way
+// out of the previous one — finishIteration, Reset, a late
+// synchronization — clears it, so no window outlives its decrypt phase
+// and a checkpoint taken outside one holds none.
 func (pt *participant) openWindow() {
 	pt.phase = phaseDecrypt
 	pt.waitCycles = 0
-	pt.clearWindow()
 }
 
 // clearWindow empties the decrypt window in place — the frozen opening,
@@ -610,100 +595,14 @@ func (pt *participant) emit(ctx Env) *gossipPayload {
 	return pl
 }
 
-// byzantinePayload corrupts an outgoing gossip payload according to the
-// participant's planned byzantine behaviour. The honest Emit already
-// happened (the sender's own share halves either way), so a byzantine
-// sender injects corruption into the network without gaining a
-// privileged view of anyone else's state.
-func (pt *participant) byzantinePayload(honest *gossipPayload) *gossipPayload {
-	r := pt.run
-	switch pt.byz.Kind {
-	case simnet.FaultGarble:
-		// Structurally valid ciphertexts of random residues under the
-		// true weight: passes every wire check, poisons the aggregate —
-		// receivers survive via the decode plausibility bound.
-		fake := make([]Cipher, len(honest.Msg.V))
-		for i := range fake {
-			v := new(big.Int).Rand(pt.rng, r.plainMod)
-			ct, err := r.suite.Encrypt(v)
-			if err != nil {
-				ct = honest.Msg.V[i]
-			}
-			fake[i] = ct
-		}
-		return &gossipPayload{
-			Iter:      honest.Iter,
-			Centroids: honest.Centroids,
-			Msg:       &gossip.Message[Cipher]{V: fake, W: honest.Msg.W, H: honest.Msg.H},
-		}
-	case simnet.FaultMalform:
-		// Malformed messages, alternating the failure mode per round:
-		// wrong vector lengths (rejected by the dimension check), and
-		// right-length vectors of invalid values under a non-finite
-		// weight (rejected by the wire validation, weight first).
-		if pt.roundsDone%2 == 0 {
-			return &gossipPayload{
-				Iter:      honest.Iter,
-				Centroids: honest.Centroids,
-				Msg:       &gossip.Message[Cipher]{V: honest.Msg.V[:len(honest.Msg.V)-1], W: honest.Msg.W, H: honest.Msg.H},
-			}
-		}
-		bad := make([]Cipher, len(honest.Msg.V))
-		for i := range bad {
-			if i%2 == 1 {
-				bad[i] = big.NewInt(0) // out of range for DJ; even slots stay nil
-			}
-		}
-		return &gossipPayload{
-			Iter:      honest.Iter,
-			Centroids: honest.Centroids,
-			Msg:       &gossip.Message[Cipher]{V: bad, W: math.NaN()},
-		}
-	case simnet.FaultReplay:
-		// Capture the first emission, then replay it verbatim forever:
-		// same-iteration replays inflate push-sum mass, later ones hit
-		// the stale-iteration drop path.
-		if pt.replayPayload == nil {
-			pt.replayPayload = &gossipPayload{
-				Iter:      honest.Iter,
-				Centroids: deepCopyMatrix(honest.Centroids),
-				Msg:       &gossip.Message[Cipher]{V: append([]Cipher(nil), honest.Msg.V...), W: honest.Msg.W, H: honest.Msg.H},
-			}
-			return honest
-		}
-		return pt.replayPayload
-	default: // FaultSkewNoise corrupts at assignment time, not here.
-		return honest
-	}
-}
-
-// wireValid is the byzantine-hardening gate on incoming gossip: the
-// push-sum weight must be finite, non-negative and population-bounded,
-// the halving exponent within the budget, and every cipher must validate
-// under the suite. Only runs when the fault plan declares byzantine
-// senders (runShared.validate).
-func (pt *participant) wireValid(m *gossip.Message[Cipher]) bool {
-	if math.IsNaN(m.W) || math.IsInf(m.W, 0) || m.W < 0 || m.W > float64(pt.run.population) {
-		return false
-	}
-	if m.H > pt.run.preScale {
-		return false
-	}
-	for _, c := range m.V {
-		if pt.run.suite.ValidateCipher(c) != nil {
-			return false
-		}
-	}
-	return true
-}
-
 // handleGossips processes one activation's gossip inflow as a batched
-// exchange: runs of messages absorbable under the current state are
-// validated up front and folded into the push-sum state by a single
-// AbsorbAll pass (which the accounted ring turns into allocation-free
-// accumulator folds); a late-synchronization message flushes the run
-// first, so the observable behaviour — including staleDrops accounting —
-// is identical to absorbing the messages one by one in arrival order.
+// exchange: every message is checked once on arrival (runShared.checkShare)
+// and, when absorbable under the current state, folded into the push-sum
+// state with the rest of its run by a single AbsorbAll pass (which the
+// accounted ring turns into allocation-free accumulator folds); a
+// late-synchronization message flushes the run first, so the observable
+// behaviour — including staleDrops accounting — is identical to absorbing
+// the messages one by one in arrival order.
 func (pt *participant) handleGossips(ctx Env, gs []*gossipPayload) {
 	if len(gs) == 0 || pt.phase == phaseDone {
 		return
@@ -719,12 +618,19 @@ func (pt *participant) handleGossips(ctx Env, gs []*gossipPayload) {
 			// below. Counted defensively rather than panicking.
 			pt.staleDrops += len(batch)
 		}
-		for i := range batch {
-			batch[i] = nil // do not pin absorbed messages until next use
-		}
+		clear(batch) // do not pin absorbed messages until next use
 		batch = batch[:0]
 	}
 	for _, g := range gs {
+		// A message of the wrong length, halved past the budget or (under
+		// a byzantine plan) hostile is rejected whatever its iteration: it
+		// could neither be absorbed nor force a late synchronization, and
+		// its mass is lost like any dropped message's.
+		if g.Msg == nil || len(g.Msg.V) != r.sideCiphers ||
+			r.checkShare(g.Msg.W, g.Msg.H, g.Msg.V, r.validate) != nil {
+			pt.staleDrops++
+			continue
+		}
 		switch {
 		case g.Iter == pt.iter && (pt.phase == phaseGossip || pt.phase == phaseDecrypt):
 			if pt.phase == phaseDecrypt && pt.pendingCT != nil {
@@ -733,46 +639,23 @@ func (pt *participant) handleGossips(ctx Env, gs []*gossipPayload) {
 				pt.staleDrops++
 				continue
 			}
-			if g.Msg == nil || len(g.Msg.V) != len(pt.diptych.Means.V) {
-				pt.staleDrops++ // what Absorb would have rejected
-				continue
-			}
-			if g.Msg.H > r.preScale {
-				// A share halved past the budget no longer decodes to an
-				// integer, and merging it could cost up to H squarings
-				// per cipher: its mass is lost instead, like any dropped
-				// message's.
-				pt.staleDrops++
-				continue
-			}
-			if r.validate && !pt.wireValid(g.Msg) {
-				pt.staleDrops++ // byzantine wire input: rejected
-				continue
-			}
 			batch = append(batch, g.Msg)
 		case g.Iter > pt.iter:
 			// Late synchronization: adopt the newer iteration's
-			// centroids, redo the local assignment step, then absorb the
-			// message. The payload is validated first — a malformed
+			// centroids, leave any decrypt window, redo the local
+			// assignment step, then absorb the message. A malformed
 			// iteration tag or centroid matrix must not be able to desync
 			// (or panic) an honest node. Anything batched so far belongs
 			// to the abandoned iteration's state and is folded in before
 			// it is replaced.
-			if g.Iter >= len(r.epsSched) || g.Msg == nil ||
-				len(g.Msg.V) != r.sideCiphers || g.Msg.H > r.preScale ||
-				!validShape(g.Centroids, r.params.K, r.dim) ||
-				(r.validate && !pt.wireValid(g.Msg)) {
-				// Malformed sync payloads (wrong-length vectors and
-				// over-budget exponents included) must not be able to
-				// force the iteration jump — the
-				// same-iteration path length-checks before absorbing, so
-				// this path does too.
+			if g.Iter >= len(r.epsSched) || !validShape(g.Centroids, r.params.K, r.dim) {
 				pt.staleDrops++
 				continue
 			}
 			flush()
 			pt.iter = g.Iter
-			pt.diptych.Centroids = deepCopyMatrix(g.Centroids)
+			pt.diptych.Centroids = vecpool.CloneRows(g.Centroids)
+			pt.clearWindow()
 			pt.phase = phaseAssign
 			pt.stepAssign(ctx)
 			if err := pt.diptych.Means.Absorb(g.Msg); err != nil {
@@ -1297,13 +1180,4 @@ func newRecord(k, dim int) (centroids [][]float64, counts []float64) {
 		centroids[j] = flat[j*dim : (j+1)*dim : (j+1)*dim]
 	}
 	return centroids, flat[k*dim:]
-}
-
-// deepCopyMatrix copies a centroid matrix into flat-backed row views:
-// two allocations regardless of k (see internal/vecpool), down from
-// k+1 with per-row copies — it runs once per iteration per participant
-// (history entries, centroid adoption), which at large populations made
-// it the dominant small-object source after the gossip hot path.
-func deepCopyMatrix(m [][]float64) [][]float64 {
-	return vecpool.CloneRows(m)
 }

@@ -11,6 +11,7 @@ import (
 	"chiaroscuro/internal/dp"
 	"chiaroscuro/internal/fixedpoint"
 	"chiaroscuro/internal/gossip"
+	"chiaroscuro/internal/kmeans"
 	"chiaroscuro/internal/p2p"
 	"chiaroscuro/internal/vecpool"
 )
@@ -245,11 +246,7 @@ func (pop *population) bind(p Params) (*runShared, error) {
 		layout:        layout,
 		decodeBound:   decodeBound,
 		centroidBytes: p.K * dim * 8,
-		// Byzantine fault plans turn on wire validation of incoming gossip:
-		// every absorbed message's weight and ciphertexts are checked before
-		// they can touch the push-sum state. The honest-run hot path stays
-		// validation-free (trajectory and cost unchanged).
-		validate: p.Faults.HasByzantine(),
+		validate:      p.Faults.HasByzantine(),
 		// Where emissions are stored (see participant.emit): without a
 		// fault plan every message is consumed by the end of the cycle
 		// after it was sent (no delayed queues, laggard stalls or
@@ -272,8 +269,8 @@ func (r *runShared) provision(hosted int) {
 }
 
 // newParticipant builds one participant over the shared run state (its
-// series is the participant's row of the flat series arena). A node the
-// fault plan marks byzantine carries its corruption behaviour.
+// series is the participant's row of the flat series arena), honest: a
+// simulated byzantine behaviour is put around it (adversary).
 func (r *runShared) newParticipant(id p2p.NodeID) *participant {
 	// A compact splitmix64 source: 16 bytes instead of the standard
 	// source's ~5 KB, which at large N made per-participant RNG state
@@ -281,14 +278,14 @@ func (r *runShared) newParticipant(id p2p.NodeID) *participant {
 	// so Snapshot can read it.
 	src := compactrng.New(r.params.Seed ^ (int64(id)+1)*0x5851F42D4C957F2D)
 	pt := &participant{
-		id:     id,
-		series: r.series.Row(int(id)),
-		run:    r,
-		rng:    rand.New(src),
-		rngSrc: src,
-		byz:    r.params.Faults.ByzantineOf(int(id)),
+		id:          id,
+		series:      r.series.Row(int(id)),
+		run:         r,
+		rng:         rand.New(src),
+		rngSrc:      src,
+		noiseFactor: 1,
 		diptych: Diptych{
-			Centroids: deepCopyMatrix(r.initial),
+			Centroids: vecpool.CloneRows(r.initial),
 		},
 	}
 	if h := r.batchHint; h > 0 {
@@ -330,20 +327,8 @@ func (r *runShared) newParticipant(id p2p.NodeID) *participant {
 // fixes the per-destination delivery order to ascending sender id
 // regardless of scheduling. Workers only trades wall-clock for cores.
 func Run(data [][]float64, params Params) (*Trace, error) {
-	pop, err := openPopulation(data, params)
-	if err != nil {
-		return nil, err
-	}
-	defer pop.close()
-	r, err := pop.bind(pop.p)
-	if err != nil {
-		return nil, err
-	}
-	d, err := newCycleDriver(r, 0)
-	if err != nil {
-		return nil, err
-	}
-	return d.run()
+	tr, _, err := RunSequentialHistories(data, params)
+	return tr, err
 }
 
 // initialCentroids returns the run's public iteration-1 centroids for a
@@ -463,25 +448,9 @@ func buildTrace(data [][]float64, p Params, participants []*participant, cycles 
 	tr.GossipRelErr = math.Abs(countSum - 1)
 
 	// Final clustering quality over the cleartext data (harness-side).
-	tr.FinalCentroids = deepCopyMatrix(last.PerturbedCentroids)
+	tr.FinalCentroids = vecpool.CloneRows(last.PerturbedCentroids)
 	tr.Assignments = make([]int, n)
-	var inertia float64
-	for i, s := range data {
-		best, bestSq := 0, math.Inf(1)
-		for j, c := range tr.FinalCentroids {
-			var acc float64
-			for t := range s {
-				d := s[t] - c[t]
-				acc += d * d
-			}
-			if acc < bestSq {
-				best, bestSq = j, acc
-			}
-		}
-		tr.Assignments[i] = best
-		inertia += bestSq
-	}
-	tr.Inertia = inertia
+	tr.Inertia = kmeans.AssignAll(data, tr.FinalCentroids, tr.Assignments)
 	tr.Privacy = budget.Report()
 	tr.Ops = suite.Counts()
 	for _, pt := range participants {

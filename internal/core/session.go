@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"chiaroscuro/internal/dp"
+	"chiaroscuro/internal/vecpool"
 )
 
 // session.go turns the one-shot run lifecycle into a resumable streaming
@@ -241,7 +242,7 @@ func (s *RunSession) Advance(newPoints [][]float64) (*WindowResult, error) {
 		res := &WindowResult{
 			Window:    s.window,
 			Skipped:   true,
-			Centroids: deepCopyMatrix(s.prev),
+			Centroids: vecpool.CloneRows(s.prev),
 			Drift:     s.drift,
 			Budget:    s.budget.Report(),
 		}
@@ -301,11 +302,11 @@ func (s *RunSession) Advance(newPoints [][]float64) (*WindowResult, error) {
 		EpsilonDrawn: dec.Epsilon,
 		WarmStarted:  warmed,
 		Trace:        tr,
-		Centroids:    deepCopyMatrix(tr.FinalCentroids),
+		Centroids:    vecpool.CloneRows(tr.FinalCentroids),
 		Drift:        drift,
 		Budget:       s.budget.Report(),
 	}
-	s.prev = deepCopyMatrix(tr.FinalCentroids)
+	s.prev = vecpool.CloneRows(tr.FinalCentroids)
 	s.drift = drift
 	s.window++
 	s.skips = 0

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"chiaroscuro/internal/dp"
+	"chiaroscuro/internal/vecpool"
 )
 
 // streamFeed builds a deterministic drifting population for streaming
@@ -250,7 +251,7 @@ func TestStreamWarmStartEquivalence(t *testing.T) {
 		if res.Trace.Privacy != oracle.Privacy {
 			t.Fatalf("window %d: privacy %+v vs %+v", w, res.Trace.Privacy, oracle.Privacy)
 		}
-		prevDisclosed = deepCopyMatrix(oracle.FinalCentroids)
+		prevDisclosed = vecpool.CloneRows(oracle.FinalCentroids)
 	}
 }
 

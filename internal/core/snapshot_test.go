@@ -539,3 +539,84 @@ func FuzzRestoreNode(f *testing.F) {
 		}
 	})
 }
+
+// TestLateSyncCheckpointRestores: a node that late-synchronizes onto a
+// newer iteration while asking for partials leaves its decrypt window
+// behind, so a checkpoint taken right after carries none — RestoreNode
+// refuses a window outside the decrypt phase — and the restored node
+// then steps exactly as the original does: the same sends, encoded to
+// the same bytes, and the same snapshot after every step.
+func TestLateSyncCheckpointRestores(t *testing.T) {
+	data, params := snapshotTestConfig()
+	nd, err := NewNode(data, params, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	pt := nd.pt
+	n := len(data)
+	env := &scriptedEnv{id: 0, n: n}
+	pt.stepAssign(env)
+	for pt.phase == phaseGossip {
+		env.peers, env.next = []p2p.NodeID{1}, 0
+		pt.stepGossip(env)
+	}
+	env.peers, env.next = []p2p.NodeID{1, 2, 3}, 0
+	pt.stepDecrypt(env, nil)
+	if pt.phase != phaseDecrypt || len(pt.asks) == 0 {
+		t.Fatalf("no ask wave: phase %d, %d asks", pt.phase, len(pt.asks))
+	}
+	q := pt.run.newParticipant(1)
+	q.iter = 1
+	q.stepAssign(env)
+	pt.handleGossips(env, []*gossipPayload{{Iter: 1, Centroids: q.diptych.Centroids, Msg: q.diptych.Means.Emit()}})
+	if pt.iter != 1 || pt.phase != phaseGossip {
+		t.Fatalf("late sync left iteration %d in phase %d", pt.iter, pt.phase)
+	}
+
+	snap, err := nd.AppendSnapshot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreNode(data, params, 0, snap)
+	if err != nil {
+		t.Fatalf("restore after a late sync: %v", err)
+	}
+	defer restored.Close()
+	for cycle := 0; !nd.Done() || !restored.Done(); cycle++ {
+		if cycle > nd.MaxCycles() {
+			t.Fatal("the nodes never finished")
+		}
+		var sent [2][][]byte
+		for i, node := range []*Node{nd, restored} {
+			e := &scriptedEnv{id: 0, n: n, cycle: cycle, peers: []p2p.NodeID{1, 2, 3, 2, 3, 1}}
+			node.Step(e)
+			for _, s := range e.sent {
+				b, err := node.EncodePayload(s.payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sent[i] = append(sent[i], append(binary.BigEndian.AppendUint32(nil, uint32(s.to)), b...))
+			}
+		}
+		if len(sent[0]) != len(sent[1]) {
+			t.Fatalf("cycle %d: %d sends vs %d restored", cycle, len(sent[0]), len(sent[1]))
+		}
+		for i := range sent[0] {
+			if !bytes.Equal(sent[0][i], sent[1][i]) {
+				t.Fatalf("cycle %d: send %d differs after the restore", cycle, i)
+			}
+		}
+		a, err := nd.AppendSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := restored.AppendSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("cycle %d: the restored node's state differs from the original's", cycle)
+		}
+	}
+}

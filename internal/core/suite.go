@@ -164,9 +164,9 @@ type CipherSuite interface {
 
 	// ValidateCipher rejects values that are not well-formed ciphertexts
 	// of the suite (nil, out-of-ring residues, out-of-range group
-	// elements) without touching any homomorphic state. Byzantine
-	// fault plans (internal/simnet) enable per-message validation of
-	// incoming gossip through it.
+	// elements) without touching any homomorphic state. It is the
+	// cipher half of runShared.checkShare, which a byzantine fault plan
+	// turns on for every incoming gossip message.
 	ValidateCipher(c Cipher) error
 
 	// The wire codec a networked run moves ciphers and partials with
