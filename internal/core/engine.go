@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"time"
 
 	"chiaroscuro/internal/p2p"
@@ -18,45 +19,77 @@ import (
 // networked daemon (internal/transport): it steps one Node per process
 // against its own Env and discloses the same trajectory.
 //
-// cycleDriver owns the simulated network of one bound run, steps it
-// until every alive participant has terminated, and assembles the
-// trace.
+// cycleDriver owns the simulated network of the run it is bound to,
+// steps it until every alive participant has terminated, and assembles
+// the trace. A one-shot run binds a new driver once; a RunSession keeps
+// one driver and binds it again for every window, over the same
+// network, participants and storage.
 type cycleDriver struct {
 	shared       *runShared
 	nw           *p2p.Network
 	participants []*participant
 }
 
-// newCycleDriver builds the simulated network around one participant per
-// series of the bound run, scheduled on r.params.Workers shard workers.
-// hint, when positive, preallocates the per-node message queues and
-// every participant's batch scratch for that many messages
-// (allocation-measurement harnesses only; ordinary runs pass 0).
+// newCycleDriver builds a driver bound to r (see bind).
 func newCycleDriver(r *runShared, hint int) (*cycleDriver, error) {
+	d := &cycleDriver{}
+	if err := d.bind(r, hint); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// bind binds the driver to the run r: one participant per series,
+// scheduled on r.params.Workers shard workers. The first bind lays out
+// the participants and builds the network around them; every bind
+// (re)binds each participant in place (runShared.bindParticipant), and
+// a later one resets the network to the run's seed (p2p.Network.Reset)
+// instead of building it, so it keeps the first bind's shard layout and
+// queue capacity. Either way the run steps exactly as on a new driver.
+// A driver is bound again only to a fault-free run over a population of
+// the same size, after a fault-free run. hint, when positive,
+// preallocates the per-node message queues and every participant's
+// batch scratch for that many messages (allocation-measurement
+// harnesses only; ordinary runs pass 0).
+func (d *cycleDriver) bind(r *runShared, hint int) error {
 	n := r.population
+	if d.nw != nil && (n != len(d.participants) || !r.params.Faults.Empty() || !d.shared.params.Faults.Empty()) {
+		return errors.New("core: a cycle driver is bound again only to a fault-free run over its own population")
+	}
 	r.batchHint = hint
-	participants := make([]*participant, n)
-	factory := func(id p2p.NodeID) p2p.Protocol {
-		pt := r.newParticipant(id)
-		participants[id] = pt
-		return r.adversary(pt)
+	if d.participants == nil {
+		slab := make([]participant, n)
+		d.participants = make([]*participant, n)
+		for i := range slab {
+			d.participants[i] = &slab[i]
+		}
 	}
-	opts := p2p.Options{
-		Seed:      r.params.Seed + 1,
-		Workers:   r.params.Workers,
-		QueueHint: hint,
+	for i, pt := range d.participants {
+		r.bindParticipant(pt, p2p.NodeID(i))
 	}
-	var err error
-	opts.Conditioner, opts.Faults, err = bindFaults(r.params, n)
-	if err != nil {
-		return nil, err
+	if d.nw != nil {
+		if err := d.nw.Reset(r.params.Seed + 1); err != nil {
+			return err
+		}
+	} else {
+		opts := p2p.Options{
+			Seed:      r.params.Seed + 1,
+			Workers:   r.params.Workers,
+			QueueHint: hint,
+		}
+		var err error
+		opts.Conditioner, opts.Faults, err = bindFaults(r.params, n)
+		if err != nil {
+			return err
+		}
+		factory := func(id p2p.NodeID) p2p.Protocol { return r.adversary(d.participants[id]) }
+		if d.nw, err = p2p.New(n, factory, opts); err != nil {
+			return err
+		}
 	}
-	nw, err := p2p.New(n, factory, opts)
-	if err != nil {
-		return nil, err
-	}
+	d.shared = r
 	r.provision(n)
-	return &cycleDriver{shared: r, nw: nw, participants: participants}, nil
+	return nil
 }
 
 // bindFaults binds the run's fault plan for a population of n,

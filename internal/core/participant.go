@@ -130,17 +130,10 @@ type participant struct {
 	assignment int
 	waitCycles int
 	pendingCT  []Cipher // perturbed ciphertexts awaiting decryption
-	// partials are the collected per-responder partial sets, ascending
-	// by share index: the order the combine path takes them in.
-	partials [][]Partial
-	// asks is the request window: every peer asked this window,
-	// ascending by id, with the remaining patience of its in-flight ask
-	// in decrypt activations. An ask leaves the flight when its response
-	// arrives (ttl 0: the peer stays asked, it is not asked again) or
-	// when its TTL runs out (the peer leaves the list and may be asked
-	// again).
-	asks        []ask
-	history     []IterationResult
+	// req is the request that carries the frozen opening (see
+	// freezeOpening); under runShared.parityEmits it is ownReq.
+	req         *decryptRequest
+	nKept       int // partial sets of kept in use this window
 	staleDrops  int
 	decryptFail int
 
@@ -151,14 +144,64 @@ type participant struct {
 
 	// The decrypt-service memo: the last (iteration, cipher-set) this
 	// participant computed partials for, keyed by the identity of the
-	// request's cipher slice. servedCiphers holds a strong reference to
-	// the cached request's slice so its address cannot be recycled while
-	// the entry lives — without it, a freed requester slice could alias a
-	// new same-iteration request and serve it stale partials.
+	// request's cipher slice (the partials are servedParts). servedCiphers
+	// holds a strong reference to the cached request's slice so its
+	// address cannot be recycled while the entry lives — without it, a
+	// freed requester slice could alias a new same-iteration request and
+	// serve it stale partials.
 	servedIter    int
 	servedCiphers []Cipher
-	servedParts   []Partial
 	servedHits    int64
+
+	// storage is every buffer the participant reuses, kept across the
+	// runs it is bound to (see runShared.bindParticipant).
+	storage
+}
+
+// storage is a participant's reusable buffers: what it lays out once
+// and then rewrites, iteration after iteration and — on a session's
+// kept cycle driver — window after window. Within a run some of it
+// carries protocol state (the decrypt window, the history); nothing of
+// it outlives the run, because rebound empties it all for the next.
+type storage struct {
+	// vals/noises are the per-iteration cleartext contribution and noise
+	// buffers; contrib is the owned cipher vector each iteration's
+	// push-sum state is rebuilt over; emitMsgs/emitPayloads are the two
+	// cycle-parity emission buffers (used when runShared.parityEmits).
+	vals, noises []float64
+	contrib      []Cipher
+	emitMsgs     [2]gossip.Message[Cipher]
+	emitPayloads [2]gossipPayload
+
+	// The decrypt phase's storage, reused across iterations.
+	//
+	// opening is the iteration's frozen ciphertexts, carried by ownReq
+	// (see freezeOpening). kept is the slab the partial sets collected in
+	// partials are copied into; partials are those sets, ascending by
+	// share index: the order the combine path takes them in. asks is the
+	// request window: every peer asked this window, ascending by id, with
+	// the remaining patience of its in-flight ask in decrypt activations.
+	// An ask leaves the flight when its response arrives (ttl 0: the peer
+	// stays asked, it is not asked again) or when its TTL runs out (the
+	// peer leaves the list and may be asked again). responses are the two
+	// cycle-parity response buffers serveDecrypt answers into (used when
+	// runShared.parityEmits), and servedParts the memoized partials of the
+	// decrypt service.
+	opening     []Cipher
+	ownReq      decryptRequest
+	kept        [][]Partial
+	partials    [][]Partial
+	asks        []ask
+	responses   [2]responseBuffers
+	servedParts []Partial
+
+	// history is the participant's disclosed records, one per finished
+	// iteration.
+	history []IterationResult
+
+	// meanRow holds one cluster's decoded mean on its way through the
+	// smoothing.
+	meanRow []float64
 
 	// absorbBatch is the reusable scratch for the batched gossip
 	// exchange: same-iteration messages drained from one inbox are
@@ -171,35 +214,62 @@ type participant struct {
 	// returns, so recycled capacity never pins dead payloads).
 	gossipScratch []*gossipPayload
 	respScratch   []*decryptResponse
+}
 
-	// vals/noises are the per-iteration cleartext contribution and noise
-	// buffers; contrib is the owned cipher vector each iteration's
-	// push-sum state is rebuilt over; emitMsgs/emitPayloads are the two
-	// cycle-parity emission buffers (used when runShared.parityEmits).
-	vals, noises []float64
-	contrib      []Cipher
-	emitMsgs     [2]gossip.Message[Cipher]
-	emitPayloads [2]gossipPayload
+// rebound empties the storage for a participant of run r: every slice
+// is truncated and every reference to a payload, a partial or a
+// disclosed record is dropped, while the capacity is kept. A buffer the
+// run writes at a fixed length — a cipher vector of r.sideCiphers
+// ciphertexts, the sideLen cleartext buffers, the dim-wide mean row — is
+// kept only when it has that length.
+func (s storage) rebound(r *runShared) storage {
+	fits := func(v []Cipher) []Cipher {
+		if len(v) != r.sideCiphers {
+			return nil
+		}
+		return v
+	}
+	if len(s.vals) != r.sideLen {
+		s.vals, s.noises = nil, nil
+	}
+	if len(s.meanRow) != r.dim {
+		s.meanRow = nil
+	}
+	s.contrib = fits(s.contrib)
+	for i := range s.emitMsgs {
+		s.emitMsgs[i] = gossip.Message[Cipher]{V: fits(s.emitMsgs[i].V)}
+		s.emitPayloads[i] = gossipPayload{}
+	}
+	s.opening = fits(s.opening)
+	s.ownReq = decryptRequest{}
+	for _, set := range s.kept {
+		clear(set)
+	}
+	s.partials = truncate(s.partials)
+	s.asks = s.asks[:0]
+	for i := range s.responses {
+		rb := &s.responses[i]
+		for _, resp := range rb.bufs {
+			clear(resp.Partials)
+			resp.Iter = 0
+		}
+		rb.cycle, rb.used = 0, 0
+	}
+	s.servedParts = truncate(s.servedParts)
+	s.history = truncate(s.history)
+	s.absorbBatch = truncate(s.absorbBatch)
+	s.gossipScratch = truncate(s.gossipScratch)
+	s.respScratch = truncate(s.respScratch)
+	return s
+}
 
-	// The decrypt phase's storage, reused across iterations.
-	//
-	// opening and req are the iteration's frozen ciphertexts and the
-	// request that carries them, built once per decrypt window (see
-	// freezeOpening); under runShared.parityEmits req is ownReq. kept is
-	// the slab the partial sets collected in pt.partials are copied into
-	// (nKept of them in use this window). responses are the two
-	// cycle-parity response buffers serveDecrypt answers into (used when
-	// runShared.parityEmits).
-	opening   []Cipher
-	req       *decryptRequest
-	ownReq    decryptRequest
-	kept      [][]Partial
-	nKept     int
-	responses [2]responseBuffers
-
-	// meanRow holds one cluster's decoded mean on its way through the
-	// smoothing.
-	meanRow []float64
+// truncate clears s up to its capacity — a buffer truncated in place
+// earlier still holds what it held beyond its length — and returns it
+// empty, its capacity kept.
+func truncate[T any](s []T) []T {
+	s = s[:cap(s)]
+	clear(s)
+	return s[:0]
 }
 
 // ask is one entry of the decrypt request window (participant.asks).
@@ -725,7 +795,9 @@ func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 // two cycles after this one's last ask at the earliest. A responder's
 // memo cannot confuse the two iterations' openings, which share an
 // address but not an iteration tag (Reset drops the opening, so a
-// redone iteration opens into new storage). Under any other fault plan
+// redone iteration opens into new storage; a session's next window
+// reuses it with the tags restarted, and every memo key is zeroed when
+// the window binds its participants). Under any other fault plan
 // a request may be held and read later, and every iteration gets fresh
 // storage. At steady state under parityEmits it allocates nothing.
 func (pt *participant) freezeOpening() {

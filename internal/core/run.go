@@ -6,11 +6,11 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 
 	"chiaroscuro/internal/compactrng"
 	"chiaroscuro/internal/dp"
 	"chiaroscuro/internal/fixedpoint"
-	"chiaroscuro/internal/gossip"
 	"chiaroscuro/internal/kmeans"
 	"chiaroscuro/internal/p2p"
 	"chiaroscuro/internal/vecpool"
@@ -268,33 +268,51 @@ func (r *runShared) provision(hosted int) {
 	r.suite.Provision(hosted * r.params.Iterations * (r.params.GossipRounds + 1) * r.sideCiphers)
 }
 
-// newParticipant builds one participant over the shared run state (its
-// series is the participant's row of the flat series arena), honest: a
-// simulated byzantine behaviour is put around it (adversary).
+// newParticipant builds a fresh participant id over the shared run
+// state (bindParticipant).
 func (r *runShared) newParticipant(id p2p.NodeID) *participant {
-	// A compact splitmix64 source: 16 bytes instead of the standard
-	// source's ~5 KB, which at large N made per-participant RNG state
-	// the single biggest heap consumer. Retained beside the rand.Rand
-	// so Snapshot can read it.
-	src := compactrng.New(r.params.Seed ^ (int64(id)+1)*0x5851F42D4C957F2D)
-	pt := &participant{
+	return r.bindParticipant(new(participant), id)
+}
+
+// bindParticipant binds pt to the run as participant id (its series is
+// the participant's row of the flat series arena), honest: a simulated
+// byzantine behaviour is put around it (adversary). Every protocol
+// field — the decrypt-service memo key included — starts from its zero
+// value, the storage keeps its capacity and nothing else
+// (storage.rebound), the RNG is reseeded in place, and the centroids
+// are the run's initial ones, shared: no centroid matrix is ever
+// written in place. A participant bound again is therefore the one a
+// fresh bind would build, short of the allocations.
+func (r *runShared) bindParticipant(pt *participant, id p2p.NodeID) *participant {
+	seed := r.params.Seed ^ (int64(id)+1)*0x5851F42D4C957F2D
+	rng, src := pt.rng, pt.rngSrc
+	if src == nil {
+		// A compact splitmix64 source: 16 bytes instead of the standard
+		// source's ~5 KB, which at large N made per-participant RNG state
+		// the single biggest heap consumer. Retained beside the rand.Rand
+		// so Snapshot can read it.
+		src = compactrng.New(seed)
+		rng = rand.New(src)
+	} else {
+		rng.Seed(seed)
+	}
+	*pt = participant{
 		id:          id,
 		series:      r.series.Row(int(id)),
 		run:         r,
-		rng:         rand.New(src),
+		rng:         rng,
 		rngSrc:      src,
 		noiseFactor: 1,
-		diptych: Diptych{
-			Centroids: vecpool.CloneRows(r.initial),
-		},
+		diptych:     Diptych{Centroids: r.initial},
+		storage:     pt.storage.rebound(r),
 	}
 	if h := r.batchHint; h > 0 {
 		// Allocation-measurement mode: pre-size the per-activation
 		// scratch so no in-degree spike can ever grow it (the per-
 		// iteration push-sum column is reserved in stepAssign).
-		pt.absorbBatch = make([]*gossip.Message[Cipher], 0, h)
-		pt.gossipScratch = make([]*gossipPayload, 0, h)
-		pt.respScratch = make([]*decryptResponse, 0, h)
+		pt.absorbBatch = slices.Grow(pt.absorbBatch, h)
+		pt.gossipScratch = slices.Grow(pt.gossipScratch, h)
+		pt.respScratch = slices.Grow(pt.respScratch, h)
 	}
 	return pt
 }

@@ -12,12 +12,14 @@ import (
 // session.go turns the one-shot run lifecycle into a resumable streaming
 // session: one RunSession opens the population once — its series arena
 // and cipher suite (key material, randomizer pool, operation counters)
-// — and keeps it, with the longitudinal privacy budget, across many
+// — and keeps it, with the longitudinal privacy budget and one cycle
+// driver (network, participants and their storage), across many
 // clustering windows instead of rebuilding all of it per Cluster() call.
 // Each window binds one full, independently seeded protocol run over
-// that population (population.bind), scheduled on Base.Workers exactly
-// as Run schedules it, so every per-window determinism contract of the
-// one-shot run carries over unchanged.
+// that population (population.bind) and rebinds the driver to it
+// (cycleDriver.bind), scheduled on Base.Workers exactly as Run schedules
+// it, so every per-window determinism contract of the one-shot run
+// carries over unchanged.
 
 // SessionParams configures a streaming RunSession.
 type SessionParams struct {
@@ -63,7 +65,9 @@ type WindowResult struct {
 	WarmStarted bool
 	// Trace is the full per-window run trace (nil when skipped). Its
 	// operation counts are per-window deltas even though the session
-	// reuses one suite across windows.
+	// reuses one suite across windows; they are a one-shot run's counts
+	// but for CombineCtxHits, which also counts the responder sets whose
+	// combine plans an earlier window's use of the same key left cached.
 	Trace *Trace
 	// Centroids are the window's disclosed final centroids.
 	Centroids [][]float64
@@ -77,9 +81,9 @@ type WindowResult struct {
 // RunSession is a resumable clustering session over an evolving
 // population: the core tentpole of the streaming refactor. It owns the
 // opened population (its flat series arena, advanced in place between
-// windows, and its cipher suite) and the longitudinal dp.Budget; each
-// Advance slides the window (optionally), draws budget, and executes one
-// full protocol run.
+// windows, and its cipher suite), the cycle driver every window rebinds
+// and the longitudinal dp.Budget; each Advance slides the window
+// (optionally), draws budget, and executes one full protocol run.
 //
 // Determinism: window w of a session is bit-identical to a one-shot run
 // over the same (slid) data with the same drawn epsilon, the derived
@@ -89,7 +93,10 @@ type WindowResult struct {
 type RunSession struct {
 	// pop.p is the defaulted Base with a placeholder epsilon: every
 	// window replaces it with its own draw.
-	pop     *population
+	pop *population
+	// driver is the session's one cycle driver: built by the first
+	// window that runs, bound again by every later one (cycleDriver.bind).
+	driver  *cycleDriver
 	planned int
 	warm    bool
 	spend   dp.SpendStrategy
@@ -166,13 +173,14 @@ func (s *RunSession) Window() int { return s.window }
 // Budget returns the session's longitudinal privacy budget.
 func (s *RunSession) Budget() *dp.Budget { return s.budget }
 
-// Close releases the session's suite resources. Further Advance calls
-// are refused.
+// Close releases the session's suite resources and its cycle driver.
+// Further Advance calls are refused.
 func (s *RunSession) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
+	s.driver = nil
 	s.pop.close()
 }
 
@@ -267,9 +275,10 @@ func (s *RunSession) Advance(newPoints [][]float64) (*WindowResult, error) {
 		warmed = true
 	}
 	// Snapshot the shared suite's cumulative counters so the window's
-	// trace reports per-window operation deltas — identical to what a
-	// one-shot run over the same window would count. Taken before the
-	// bind, so anything binding ever counts belongs to the window,
+	// trace reports per-window operation deltas — what a one-shot run
+	// over the same window would count, but for the combine plans the
+	// key kept from earlier windows (WindowResult.Trace). Taken before
+	// the bind, so anything binding ever counts belongs to the window,
 	// exactly as it does on a fresh suite.
 	opsBefore := s.pop.suite.Counts()
 	r, err := s.pop.bind(wp)
@@ -279,11 +288,13 @@ func (s *RunSession) Advance(newPoints [][]float64) (*WindowResult, error) {
 	if err := s.budget.Spend(s.window, dec.Epsilon); err != nil {
 		return nil, err
 	}
-	d, err := newCycleDriver(r, 0)
-	if err != nil {
+	if s.driver == nil {
+		s.driver = &cycleDriver{}
+	}
+	if err := s.driver.bind(r, 0); err != nil {
 		return nil, err
 	}
-	tr, err := d.run()
+	tr, err := s.driver.run()
 	if err != nil {
 		// The draw stays spent: a window that failed mid-run may
 		// already have disclosed iterations, so refunding would

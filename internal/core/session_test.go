@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -199,59 +200,96 @@ func TestStreamGoldenTrajectories(t *testing.T) {
 // same slid data whose only deviations from the session's base are the
 // derived window seed, the drawn epsilon, and the previous window's
 // disclosed centroids as the starting ones. Warm-start changes which
-// centroids iteration 0 starts from — nothing else — and the reused
-// session suite leaks no state into trajectories or accounting.
+// centroids iteration 0 starts from — nothing else — and neither the
+// reused session suite nor the session's one cycle driver, whose
+// network, participants and buffers every window rebinds, leaks state
+// into trajectories or accounting. The rows cover the sequential
+// scheduler, the two workers stream-warm runs on, and the Damgård–Jurik
+// backend, whose partial decryptions — unlike the accounted ones — are
+// computed from the ciphertext values, so a partial served from a memo
+// that survived a rebind would disclose wrong bits. The pair row is the
+// shape that would consult such a memo: one iteration per window and
+// two participants, each serving only the other, so a window's first
+// request to a participant carries the iteration tag and the (reused)
+// opening of the last request it served in the window before.
 func TestStreamWarmStartEquivalence(t *testing.T) {
-	const windows, slide, dim = 4, 2, 6
-	initial, steps, full := streamFeed(40, dim, windows, slide, 3)
-
-	s, err := NewRunSession(initial, SessionParams{
-		Base:            streamBase(),
-		LifetimeEpsilon: 80,
-		Windows:         windows,
-		WarmStart:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	dj := Params{K: 2, Iterations: 2, Seed: 29, GossipRounds: 8, DecryptThreshold: 3,
+		Backend: BackendDamgardJurik, ModulusBits: 128}
+	djPair := dj
+	djPair.Iterations, djPair.DecryptThreshold = 1, 1
+	sharded := streamBase()
+	sharded.Workers = 2
+	rows := []struct {
+		name                         string
+		n, dim, windows, slide, blob int
+		base                         Params
+		lifetime                     float64
+	}{
+		{"sequential", 40, 6, 4, 2, 3, streamBase(), 80},
+		{"workers=2", 40, 6, 4, 2, 3, sharded, 80},
+		{"dj128", 10, 4, 3, 1, 2, dj, 300},
+		{"dj128-pair", 2, 4, 3, 1, 2, djPair, 300},
 	}
-	defer s.Close()
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			initial, steps, full := streamFeed(row.n, row.dim, row.windows, row.slide, row.blob)
+			s, err := NewRunSession(initial, SessionParams{
+				Base:            row.base,
+				LifetimeEpsilon: row.lifetime,
+				Windows:         row.windows,
+				WarmStart:       true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
 
-	var prevDisclosed [][]float64
-	for w := 0; w < windows; w++ {
-		var pts [][]float64
-		if w > 0 {
-			pts = steps[w-1]
-		}
-		res, err := s.Advance(pts)
-		if err != nil {
-			t.Fatalf("window %d: %v", w, err)
-		}
+			var prevDisclosed [][]float64
+			for w := 0; w < row.windows; w++ {
+				var pts [][]float64
+				if w > 0 {
+					pts = steps[w-1]
+				}
+				res, err := s.Advance(pts)
+				if err != nil {
+					t.Fatalf("window %d: %v", w, err)
+				}
 
-		// The one-shot oracle: same slid data, derived seed, drawn
-		// epsilon; warm windows additionally start from the previous
-		// disclosure.
-		data := make([][]float64, len(full))
-		for i := range data {
-			data[i] = append([]float64(nil), full[i][w*slide:w*slide+dim]...)
-		}
-		wp := streamBase()
-		wp.Epsilon = res.EpsilonDrawn
-		wp.Seed = sessionWindowSeed(streamBase().Seed, w)
-		if w > 0 {
-			wp.InitialCentroids = prevDisclosed
-		}
-		oracle, err := Run(data, wp)
-		if err != nil {
-			t.Fatalf("oracle window %d: %v", w, err)
-		}
-		assertTracesBitIdentical(t, res.Trace, oracle, "window vs one-shot")
-		if res.Trace.Ops != oracle.Ops {
-			t.Fatalf("window %d: session ops %+v vs one-shot %+v (suite reuse leaked state)", w, res.Trace.Ops, oracle.Ops)
-		}
-		if res.Trace.Privacy != oracle.Privacy {
-			t.Fatalf("window %d: privacy %+v vs %+v", w, res.Trace.Privacy, oracle.Privacy)
-		}
-		prevDisclosed = vecpool.CloneRows(oracle.FinalCentroids)
+				// The one-shot oracle: same slid data, derived seed, drawn
+				// epsilon; warm windows additionally start from the previous
+				// disclosure.
+				data := make([][]float64, len(full))
+				for i := range data {
+					data[i] = append([]float64(nil), full[i][w*row.slide:w*row.slide+row.dim]...)
+				}
+				wp := row.base
+				wp.Epsilon = res.EpsilonDrawn
+				wp.Seed = sessionWindowSeed(row.base.Seed, w)
+				if w > 0 {
+					wp.InitialCentroids = prevDisclosed
+				}
+				oracle, err := Run(data, wp)
+				if err != nil {
+					t.Fatalf("oracle window %d: %v", w, err)
+				}
+				assertTracesBitIdentical(t, res.Trace, oracle, fmt.Sprintf("window %d vs one-shot", w))
+				// The session's one key keeps the combine plans it built
+				// (Damgård–Jurik): a responder set an earlier window saw
+				// is a cache hit here, never a miss the one-shot lacks.
+				ops := res.Trace.Ops
+				if ops.CombineCtxHits < oracle.Ops.CombineCtxHits {
+					t.Fatalf("window %d: session combine-plan hits %d below one-shot %d", w, ops.CombineCtxHits, oracle.Ops.CombineCtxHits)
+				}
+				ops.CombineCtxHits = oracle.Ops.CombineCtxHits
+				if ops != oracle.Ops {
+					t.Fatalf("window %d: session ops %+v vs one-shot %+v (session reuse leaked state)", w, res.Trace.Ops, oracle.Ops)
+				}
+				if res.Trace.Privacy != oracle.Privacy {
+					t.Fatalf("window %d: privacy %+v vs %+v", w, res.Trace.Privacy, oracle.Privacy)
+				}
+				prevDisclosed = vecpool.CloneRows(oracle.FinalCentroids)
+			}
+		})
 	}
 }
 

@@ -300,6 +300,57 @@ func New(n int, factory func(NodeID) Protocol, opts Options) (*Network, error) {
 	return nw, nil
 }
 
+// ErrResetFaulted refuses Reset on a network built with a Conditioner or
+// a FaultScheduler: their state is the run's, and a fault plan is bound
+// per run.
+var ErrResetFaulted = errors.New("p2p: a network with a conditioner or fault scheduler cannot be reset")
+
+// Reset returns the network to the state New left it in at seed, over
+// the same protocols: cycle 0, zero stats, every node alive and
+// unstalled, every node RNG reseeded in place to its (seed, id) stream.
+// Every queue and shard bucket is cleared and truncated, so no message
+// in flight at the reset is ever delivered or kept reachable, while the
+// capacity the queues grew is kept for the next run. The cycles that
+// follow are bit-identical to those of a network New builds at seed
+// over protocols in the same state. A network built with a Conditioner
+// or a FaultScheduler is refused with ErrResetFaulted.
+func (nw *Network) Reset(seed int64) error {
+	if nw.cond != nil || nw.sched != nil {
+		return ErrResetFaulted
+	}
+	nw.cycle = 0
+	nw.stats = Stats{}
+	nw.alive = len(nw.nodes)
+	for i := range nw.nodes {
+		slot := &nw.nodes[i]
+		slot.alive, slot.stalled = true, false
+		slot.rng.Seed(nodeSeed(seed, i))
+		slot.inbox, slot.pending = emptied(slot.inbox), emptied(slot.pending)
+		slot.delayed = emptied(slot.delayed)
+	}
+	for s := range nw.shards {
+		sh := &nw.shards[s]
+		for d := range sh.out {
+			sh.out[d] = emptied(sh.out[d])
+		}
+		for d := range sh.delayedOut {
+			sh.delayedOut[d] = emptied(sh.delayedOut[d])
+		}
+		sh.sent, sh.dropped, sh.bytes = 0, 0, 0
+		sh.faultDrops, sh.duplicates, sh.delayed = 0, 0, 0
+	}
+	return nil
+}
+
+// emptied clears q up to its capacity — a drained queue is truncated
+// with its delivered messages still in the backing array — and returns
+// it empty, its capacity kept.
+func emptied[T any](q []T) []T {
+	q = q[:cap(q)]
+	clear(q)
+	return q[:0]
+}
+
 // Cycle returns the number of completed cycles.
 func (nw *Network) Cycle() int { return nw.cycle }
 

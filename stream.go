@@ -2,9 +2,12 @@ package chiaroscuro
 
 // stream.go is the public face of the streaming tentpole: a Session is
 // a long-lived clustering stream over an evolving population, re-using
-// one set of protocol resources (series arena, cipher suite, key
-// material) across many windows while one longitudinal privacy budget
-// meters every disclosure against a lifetime epsilon.
+// one set of protocol resources across many windows — the series arena
+// (slid in place), the cipher suite and its key material, and the
+// simulated population: one network, one participant per series and
+// every participant's buffers, rebound to each window's run instead of
+// rebuilt — while one longitudinal privacy budget meters every
+// disclosure against a lifetime epsilon.
 //
 // Quick start:
 //
