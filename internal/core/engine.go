@@ -48,9 +48,9 @@ func newCycleDriver(r *runShared, hint int) (*cycleDriver, error) {
 // queue capacity. Either way the run steps exactly as on a new driver.
 // A driver is bound again only to a fault-free run over a population of
 // the same size, after a fault-free run. hint, when positive,
-// preallocates the per-node message queues and every participant's
-// batch scratch for that many messages (allocation-measurement
-// harnesses only; ordinary runs pass 0).
+// presizes the network's queues (p2p Options.QueueHint) and every
+// participant's batch scratch for that many messages per node
+// (allocation-measurement harnesses only; ordinary runs pass 0).
 func (d *cycleDriver) bind(r *runShared, hint int) error {
 	n := r.population
 	if d.nw != nil && (n != len(d.participants) || !r.params.Faults.Empty() || !d.shared.params.Faults.Empty()) {

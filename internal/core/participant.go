@@ -172,6 +172,10 @@ type storage struct {
 	contrib      []Cipher
 	emitMsgs     [2]gossip.Message[Cipher]
 	emitPayloads [2]gossipPayload
+	// means is the push-sum state diptych.Means points at from the
+	// participant's assignment step on: re-armed over each iteration's
+	// contribution instead of built anew.
+	means gossip.State[Cipher]
 
 	// The decrypt phase's storage, reused across iterations.
 	//
@@ -236,6 +240,8 @@ func (s storage) rebound(r *runShared) storage {
 		s.meanRow = nil
 	}
 	s.contrib = fits(s.contrib)
+	s.means.V = truncate(s.means.V)
+	s.means.W, s.means.H = 0, 0
 	for i := range s.emitMsgs {
 		s.emitMsgs[i] = gossip.Message[Cipher]{V: fits(s.emitMsgs[i].V)}
 		s.emitPayloads[i] = gossipPayload{}
@@ -492,29 +498,38 @@ func (pt *participant) stepAssign(ctx Env) {
 		// programming error worth failing loudly in simulation.
 		panic(err)
 	}
-	st, err := r.newMeans(values, 1)
-	if err != nil {
+	if err := r.armMeans(&pt.means, values, 1); err != nil {
 		panic(err)
 	}
-	pt.diptych.Means = st
+	pt.diptych.Means = &pt.means
 	pt.diptych.Iteration = pt.iter
 	pt.roundsDone = 0
 	pt.phase = phaseGossip
 }
 
-// newMeans builds a push-sum state of weight w (and halving exponent 0)
-// over cipher values it takes ownership of — a participant's fresh
-// contribution (encryptSide wrote it into the participant's own
-// vector) or a restored snapshot's freshly decoded vector.
-func (r *runShared) newMeans(values []Cipher, w float64) (*gossip.State[Cipher], error) {
-	st, err := gossip.NewState[Cipher](r.ring, values, w)
-	if err != nil {
-		return nil, err
+// armMeans re-arms st as a push-sum state of weight w (and halving
+// exponent 0) over cipher values it takes ownership of. stepAssign
+// re-arms the participant's kept state (storage.means) over its fresh
+// contribution, so the state and its batch column are laid out once per
+// participant: no payload reads a state (an emission copies its values
+// out), and a late synchronization folds the pending batch in before
+// re-arming. A restore builds a new state over its freshly decoded
+// vector (newMeans) and commits it only once the whole snapshot is
+// validated.
+func (r *runShared) armMeans(st *gossip.State[Cipher], values []Cipher, w float64) error {
+	if err := st.Reinit(r.ring, values, w); err != nil {
+		return err
 	}
 	if r.batchHint > 0 {
 		st.ReserveBatch(r.batchHint)
 	}
-	return st, nil
+	return nil
+}
+
+// newMeans is armMeans on a new state.
+func (r *runShared) newMeans(values []Cipher, w float64) (*gossip.State[Cipher], error) {
+	st := new(gossip.State[Cipher])
+	return st, r.armMeans(st, values, w)
 }
 
 // noiseScale returns the Laplace scale b_i = sensitivity / ε_i for the

@@ -100,6 +100,9 @@ func TestRebindEmptiesStorage(t *testing.T) {
 			!allZero(s.absorbBatch) || !allZero(s.gossipScratch) || !allZero(s.respScratch) {
 			t.Fatalf("participant %d: a truncated buffer still holds references", i)
 		}
+		if len(s.means.V) != 0 || !allZero(s.means.V) || s.means.W != 0 || s.means.H != 0 {
+			t.Fatalf("participant %d: the kept push-sum state survived the rebind", i)
+		}
 		if len(s.partials)+len(s.history)+len(s.servedParts)+len(s.asks) != 0 {
 			t.Fatalf("participant %d: storage not truncated", i)
 		}

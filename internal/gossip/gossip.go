@@ -100,16 +100,33 @@ type State[T any] struct {
 // the slice is copied, handle values are not — so the caller must not
 // read or write them afterwards.
 func NewState[T any](ring Ring[T], values []T, weight float64) (*State[T], error) {
+	s := &State[T]{}
+	if err := s.Reinit(ring, values, weight); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reinit re-arms s in place as the state NewState(ring, values, weight)
+// builds, under the same ownership rule: the value slice's storage and
+// the batch scratch are reused, so a state re-armed for every new
+// contribution allocates nothing once grown. The previous values are
+// dropped, not read. On error s is left as it was.
+func (s *State[T]) Reinit(ring Ring[T], values []T, weight float64) error {
 	if ring == nil {
-		return nil, errors.New("gossip: nil ring")
+		return errors.New("gossip: nil ring")
 	}
 	if len(values) == 0 {
-		return nil, errors.New("gossip: empty value vector")
+		return errors.New("gossip: empty value vector")
 	}
 	if weight < 0 {
-		return nil, fmt.Errorf("gossip: negative weight %v", weight)
+		return fmt.Errorf("gossip: negative weight %v", weight)
 	}
-	return &State[T]{ring: ring, V: append([]T(nil), values...), W: weight}, nil
+	clear(s.V) // pin none of the previous values beyond the new length
+	s.ring = ring
+	s.V = append(s.V[:0], values...)
+	s.W, s.H = weight, 0
+	return nil
 }
 
 // Emit halves the node's state and returns the outgoing half as a

@@ -23,6 +23,32 @@ func TestNewStateValidation(t *testing.T) {
 	}
 }
 
+// TestReinitRearmsInPlace: a used state re-armed over new values is the
+// state NewState builds over them, in the storage it already had; a
+// refused Reinit leaves it as it was.
+func TestReinitRearmsInPlace(t *testing.T) {
+	ring := FloatRing{}
+	st, _ := NewState[float64](ring, []float64{1, 2, 3}, 1)
+	_ = st.AbsorbAll([]*Message[float64]{st.Emit(), st.Emit()})
+	at := &st.V[0]
+	if err := st.Reinit(ring, []float64{5, 7, 9}, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := NewState[float64](ring, []float64{5, 7, 9}, 0.5)
+	if st.W != want.W || st.H != want.H || len(st.V) != 3 || st.V[0] != 5 || st.V[1] != 7 || st.V[2] != 9 {
+		t.Fatalf("re-armed state %+v, want %+v", st, want)
+	}
+	if &st.V[0] != at {
+		t.Fatal("Reinit reallocated the value slice")
+	}
+	if err := st.Reinit(ring, nil, 1); err == nil || st.W != 0.5 || st.V[0] != 5 {
+		t.Fatalf("refused Reinit: err %v, state %+v", err, st)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = st.Reinit(ring, []float64{1, 1, 1}, 1) }); allocs != 0 {
+		t.Fatalf("Reinit allocates %v objects", allocs)
+	}
+}
+
 // shares reads a float state's (or message's) represented shares
 // V·2^{-H}.
 func shares(v []float64, h uint) []float64 {

@@ -24,7 +24,8 @@
 //
 // The simulation is a bulk-synchronous-parallel system: messages sent
 // during cycle c become visible in the destination's inbox at cycle c+1
-// (the double-buffered pending/inbox discipline below). Within a cycle,
+// (they wait in the senders' shard buckets until the next cycle's
+// delivery builds the inboxes; see shard.go). Within a cycle,
 // activations therefore cannot observe each other; the only cross-node
 // effects are the order in which sent messages land in a destination's
 // queue and the consumption of randomness. The engine pins both down:
@@ -42,8 +43,9 @@
 // not by scheduling, the one scheduler (shard.go) gives the same result
 // at every worker count: it partitions the id space into contiguous
 // shards (one when Workers is 0 or 1), buffers sends in
-// per-(source,destination)-shard buckets, and merges them in stable
-// shard order after a barrier.
+// per-(source,destination)-shard buckets, and delivers them at the next
+// cycle's start in stable shard order, by a counting sort into one inbox
+// arena per destination shard.
 package p2p
 
 import (
@@ -55,14 +57,6 @@ import (
 
 	"chiaroscuro/internal/compactrng"
 )
-
-// clearMessages zeroes a message slice so recycled backing arrays do
-// not keep payloads reachable.
-func clearMessages(ms []Message) {
-	for i := range ms {
-		ms[i] = Message{}
-	}
-}
 
 // NodeID identifies a simulated node (dense, 0-based).
 type NodeID int
@@ -170,15 +164,16 @@ type Options struct {
 	// Faults, when non-nil, directs every node's lifecycle at cycle
 	// start.
 	Faults FaultScheduler
-	// QueueHint preallocates every node's inbox and pending queues, and
-	// each shard's outbox bucket for as many messages per destination
-	// node (0 grows them on demand). Ordinary runs leave it 0 — queues
+	// QueueHint presizes every shard's two inbox arenas and its outbox
+	// buckets for as many messages per destination node (0 grows them on
+	// demand). The queues are sized by a shard's message volume, not by
+	// any one node's in-degree, so ordinary runs leave it 0: they
 	// converge to their working capacity within a few cycles and stay
-	// there. Allocation-measurement harnesses set it to the population
-	// size so that no in-degree spike can ever grow a queue, making
-	// steady-state cycles provably allocation-free rather than
-	// amortized-allocation-free. The preallocation is
-	// O(workers·n·hint), which is why it is opt-in.
+	// there, however the in-degree moves between nodes. Allocation-
+	// measurement harnesses set it to the population size so that no
+	// volume spike can ever grow a queue, making steady-state cycles
+	// provably allocation-free rather than amortized-allocation-free.
+	// The preallocation is O(workers·n·hint), which is why it is opt-in.
 	QueueHint int
 }
 
@@ -200,19 +195,18 @@ type nodeSlot struct {
 	// the run seed and the node id), making random choices independent
 	// of scheduling.
 	rng *rand.Rand
-	// inbox holds the messages delivered for the current cycle; pending
-	// holds messages sent during the current cycle, which become visible
-	// in inbox at the start of the next cycle. This synchronous delivery
+	// inbox holds the messages delivered for the current cycle: a view
+	// of the node's run of its shard's arena (see shardRunner.arena),
+	// capped at that run. Messages sent during a cycle become visible
+	// only at the start of the next one. This synchronous delivery
 	// discipline bounds the number of gossip halvings a contribution can
 	// undergo per cycle to one, which is what lets the fixed-point
 	// pre-scaling budget equal the number of gossip rounds (see
-	// internal/gossip package docs). The two buffers are swapped, not
-	// reallocated, so a steady-state cycle performs no queue allocations.
-	inbox   []Message
-	pending []Message
+	// internal/gossip package docs).
+	inbox []Message
 	// delayed holds Conditioner-delayed messages with their delivery
 	// cycle; deliver moves due entries into the inbox. Queue order is
-	// ascending sender id (same discipline as pending), which keeps
+	// ascending sender id (the order of regular delivery), which keeps
 	// execution bit-identical at every shard count.
 	delayed []delayedMessage
 	// stalled marks a laggard for the current cycle: alive, receiving,
@@ -291,10 +285,6 @@ func New(n int, factory func(NodeID) Protocol, opts Options) (*Network, error) {
 			// queues it feeds.
 			rng: compactrng.NewRand(nodeSeed(opts.Seed, i)),
 		}
-		if opts.QueueHint > 0 {
-			nw.nodes[i].inbox = make([]Message, 0, opts.QueueHint)
-			nw.nodes[i].pending = make([]Message, 0, opts.QueueHint)
-		}
 	}
 	nw.shards = makeShards(n, min(max(1, opts.Workers), n, maxWorkers()), opts.QueueHint)
 	return nw, nil
@@ -308,9 +298,11 @@ var ErrResetFaulted = errors.New("p2p: a network with a conditioner or fault sch
 // Reset returns the network to the state New left it in at seed, over
 // the same protocols: cycle 0, zero stats, every node alive and
 // unstalled, every node RNG reseeded in place to its (seed, id) stream.
-// Every queue and shard bucket is cleared and truncated, so no message
-// in flight at the reset is ever delivered or kept reachable, while the
-// capacity the queues grew is kept for the next run. The cycles that
+// Every shard bucket, inbox arena and delayed queue is cleared up to its
+// capacity and truncated, and every inbox view is dropped, so no message
+// pending at the reset is ever delivered and no payload the network
+// carried is kept reachable, while the capacity the queues grew is kept
+// for the next run. The cycles that
 // follow are bit-identical to those of a network New builds at seed
 // over protocols in the same state. A network built with a Conditioner
 // or a FaultScheduler is refused with ErrResetFaulted.
@@ -325,7 +317,7 @@ func (nw *Network) Reset(seed int64) error {
 		slot := &nw.nodes[i]
 		slot.alive, slot.stalled = true, false
 		slot.rng.Seed(nodeSeed(seed, i))
-		slot.inbox, slot.pending = emptied(slot.inbox), emptied(slot.pending)
+		slot.inbox = nil
 		slot.delayed = emptied(slot.delayed)
 	}
 	for s := range nw.shards {
@@ -336,15 +328,16 @@ func (nw *Network) Reset(seed int64) error {
 		for d := range sh.delayedOut {
 			sh.delayedOut[d] = emptied(sh.delayedOut[d])
 		}
+		sh.arena, sh.spare = emptied(sh.arena), emptied(sh.spare)
 		sh.sent, sh.dropped, sh.bytes = 0, 0, 0
 		sh.faultDrops, sh.duplicates, sh.delayed = 0, 0, 0
 	}
 	return nil
 }
 
-// emptied clears q up to its capacity — a drained queue is truncated
-// with its delivered messages still in the backing array — and returns
-// it empty, its capacity kept.
+// emptied clears q up to its capacity — a truncated queue may still
+// hold messages in its backing array — and returns it empty, its
+// capacity kept.
 func emptied[T any](q []T) []T {
 	q = q[:cap(q)]
 	clear(q)
@@ -377,42 +370,6 @@ func (nw *Network) RunCycle() {
 	nw.stats.Cycles = nw.cycle
 }
 
-// deliver moves every node's pending queue into its inbox. The common
-// case (inbox fully drained last cycle) is a buffer swap; leftover
-// undrained messages are preserved by falling back to an append. The
-// slice a protocol obtained from Context.Inbox is invalidated here — it
-// must not be retained across activations.
-func (nw *Network) deliver() {
-	for i := range nw.nodes {
-		slot := &nw.nodes[i]
-		if len(slot.delayed) > 0 {
-			// Due delayed messages land before this cycle's pending batch;
-			// the queue keeps ascending-sender order for the survivors.
-			keep := slot.delayed[:0]
-			for _, dm := range slot.delayed {
-				if dm.due <= nw.cycle {
-					slot.inbox = append(slot.inbox, dm.msg)
-				} else {
-					keep = append(keep, dm)
-				}
-			}
-			for j := len(keep); j < len(slot.delayed); j++ {
-				slot.delayed[j] = delayedMessage{}
-			}
-			slot.delayed = keep
-		}
-		if len(slot.pending) == 0 {
-			continue
-		}
-		if len(slot.inbox) == 0 {
-			slot.inbox, slot.pending = slot.pending, slot.inbox[:0]
-		} else {
-			slot.inbox = append(slot.inbox, slot.pending...)
-			slot.pending = slot.pending[:0]
-		}
-	}
-}
-
 // Run advances the simulation by the given number of cycles.
 func (nw *Network) Run(cycles int) {
 	for i := 0; i < cycles; i++ {
@@ -421,18 +378,16 @@ func (nw *Network) Run(cycles int) {
 }
 
 // crashSlot takes a node down, dropping every queued and in-flight
-// message it holds (cleared before truncation so the recycled arrays do
-// not pin the dropped payloads for the rest of the run).
+// message it holds: its inbox, just delivered, is cleared in the arena
+// and its view dropped, and its delayed queue is cleared before
+// truncation, so no dropped payload stays pinned for the rest of the
+// run.
 func (nw *Network) crashSlot(slot *nodeSlot) {
 	slot.alive = false
 	slot.stalled = false
-	clearMessages(slot.inbox)
-	clearMessages(slot.pending)
-	slot.inbox = slot.inbox[:0]
-	slot.pending = slot.pending[:0]
-	for j := range slot.delayed {
-		slot.delayed[j] = delayedMessage{}
-	}
+	clear(slot.inbox)
+	slot.inbox = nil
+	clear(slot.delayed)
 	slot.delayed = slot.delayed[:0]
 	nw.stats.Crashes++
 	nw.alive--
@@ -466,8 +421,8 @@ func (nw *Network) applyLifecycle() {
 }
 
 // send validates a message and hands it to the sending shard's outbox;
-// it is merged into the destination's queue after the cycle barrier
-// (see shard.go).
+// the next cycle's deliver moves it into the destination's inbox (see
+// shard.go).
 func (nw *Network) send(sh *shardRunner, from, to NodeID, payload any, bytes int) error {
 	if to < 0 || int(to) >= len(nw.nodes) {
 		return fmt.Errorf("p2p: destination %d out of range", to)
@@ -510,9 +465,12 @@ func (c *Context) Cycle() int { return c.nw.cycle }
 // AliveCount returns the number of currently alive nodes.
 func (c *Context) AliveCount() int { return c.nw.alive }
 
-// Inbox drains and returns the node's pending messages. The returned
-// slice is only valid until the activation returns: the engine recycles
-// its backing array (copy out any messages that must outlive the call).
+// Inbox drains and returns the node's delivered messages. The returned
+// slice is only valid until the activation returns: it is a view of the
+// shard's inbox arena, which the engine clears and reuses (copy out any
+// messages that must outlive the call). Its capacity ends at the node's
+// last message, so appending to it reallocates instead of overwriting
+// another node's.
 func (c *Context) Inbox() []Message {
 	slot := &c.nw.nodes[c.id]
 	out := slot.inbox

@@ -1,21 +1,27 @@
 package p2p
 
+import "slices"
+
 // shard.go implements the cycle scheduler: the node id space is
 // partitioned into contiguous shards, shard 0 is activated on the
 // calling goroutine and every other shard on a worker goroutine, each
 // activating its alive nodes in ascending id order, and the messages
 // they send are buffered in per-(source shard, destination shard)
-// buckets. After the barrier, buckets are merged into the destination
-// pending queues in stable (source-shard, send-order) order — which,
-// because shards are contiguous and activations within a shard run in
-// id order, is the ascending-sender-id delivery order at every shard
-// count. Combined with the per-node RNGs (see the package determinism
-// contract in p2p.go), one shard and k shards run bit-identical cycles;
-// with one shard (Workers 0 or 1) no goroutine is started.
+// buckets. The buckets are the pending store: they hold a cycle's sends
+// until the next cycle's deliver, which builds each destination shard's
+// inbox arena by counting sort, reading the buckets in stable
+// (source-shard, send-order) order — which, because shards are
+// contiguous and activations within a shard run in id order, is the
+// ascending-sender-id delivery order at every shard count. Combined with
+// the per-node RNGs (see the package determinism contract in p2p.go),
+// one shard and k shards run bit-identical cycles; with one shard
+// (Workers 0 or 1) no goroutine is started.
 //
-// All buffers are retained and reused across cycles (truncated, never
-// reallocated), so a steady-state cycle allocates nothing on the
-// messaging path.
+// All buffers are retained and reused across cycles (cleared and
+// truncated, never reallocated once grown), and their sizes follow a
+// shard's total message volume, not any one node's in-degree, so a
+// cycle moving the same volume as an earlier one allocates nothing on
+// the messaging path.
 
 // routed is a buffered message together with its destination.
 type routed struct {
@@ -32,15 +38,25 @@ type delayedRouted struct {
 }
 
 // shardRunner is one worker's slice of the population plus its private
-// outbox buckets and cost counters for the cycle in flight.
+// outbox buckets, its inbox arenas and its cost counters for the cycle
+// in flight.
 type shardRunner struct {
 	lo, hi int // node id range [lo, hi)
 	// out[d] buffers the messages this shard's nodes sent to nodes of
-	// destination shard d during the current cycle, in send order.
+	// destination shard d, in send order, until the next deliver.
 	out [][]routed
 	// delayedOut[d] buffers Conditioner-delayed messages the same way;
-	// merged into the destinations' delayed queues at the barrier.
+	// deliver moves them into the destinations' delayed queues.
 	delayedOut [][]delayedRouted
+	// arena holds the inboxes of the shard's nodes for the cycle in
+	// flight, node by node in id order: each node's inbox is a view of
+	// its run of the arena. spare is the arena of the previous cycle,
+	// cleared, which deliver builds the next one in; the two swap every
+	// cycle.
+	arena, spare []Message
+	// ends is deliver's per-node counting-sort scratch: a node's message
+	// count, then its write cursor, and at last the end of its run.
+	ends []int
 	// Per-cycle cost counters, folded into Network.stats at the barrier.
 	sent       int
 	dropped    int
@@ -55,21 +71,29 @@ type shardRunner struct {
 }
 
 // makeShards partitions n nodes into p contiguous shards of near-equal
-// size. A positive hint preallocates every bucket for hint messages per
-// destination node (see Options.QueueHint).
+// size. A positive hint presizes every bucket and arena for hint
+// messages per destination node (see Options.QueueHint).
 func makeShards(n, p, hint int) []shardRunner {
 	q := (n + p - 1) / p
 	shards := make([]shardRunner, p)
 	for s := range shards {
 		lo := min(s*q, n)
 		hi := min(lo+q, n)
-		shards[s] = shardRunner{lo: lo, hi: hi, out: make([][]routed, p), delayedOut: make([][]delayedRouted, p)}
+		shards[s] = shardRunner{
+			lo: lo, hi: hi,
+			out:        make([][]routed, p),
+			delayedOut: make([][]delayedRouted, p),
+			ends:       make([]int, hi-lo),
+		}
 	}
 	if hint > 0 {
-		for s := range shards {
-			for d := range shards {
-				shards[s].out[d] = make([]routed, 0, hint*(shards[d].hi-shards[d].lo))
+		for d := range shards {
+			size := hint * (shards[d].hi - shards[d].lo)
+			for s := range shards {
+				shards[s].out[d] = make([]routed, 0, size)
 			}
+			shards[d].arena = make([]Message, 0, size)
+			shards[d].spare = make([]Message, 0, size)
 		}
 	}
 	return shards
@@ -91,7 +115,7 @@ func (nw *Network) shardOf(id NodeID) int {
 // send buffers a message in the shard's outbox. Destination validation
 // already happened in Network.send; liveness is stable for the whole
 // cycle (lifecycle directives apply only at cycle start), so dropping
-// here is equivalent to dropping at merge time.
+// here is equivalent to dropping at delivery.
 func (sh *shardRunner) send(nw *Network, from, to NodeID, payload any, bytes int) error {
 	sh.sent++
 	sh.bytes += int64(bytes)
@@ -116,9 +140,19 @@ func (sh *shardRunner) send(nw *Network, from, to NodeID, payload any, bytes int
 		}
 		return nil
 	}
-	d := nw.shardOf(to)
-	sh.out[d] = append(sh.out[d], routed{to: to, msg: m})
+	sh.push(nw.shardOf(to), routed{to: to, msg: m})
 	return nil
+}
+
+// push appends r to the bucket for destination shard d. A full bucket
+// doubles: past 256 entries append would grow it by ~1.25×, allocating
+// several times its final size on the way.
+func (sh *shardRunner) push(d int, r routed) {
+	b := sh.out[d]
+	if len(b) == cap(b) {
+		b = slices.Grow(b, len(b))
+	}
+	sh.out[d] = append(b, r)
 }
 
 // enqueue buffers one delivered copy in the regular or delayed bucket
@@ -126,7 +160,7 @@ func (sh *shardRunner) send(nw *Network, from, to NodeID, payload any, bytes int
 func (sh *shardRunner) enqueue(nw *Network, to NodeID, m Message, delay int) {
 	d := nw.shardOf(to)
 	if delay <= 0 {
-		sh.out[d] = append(sh.out[d], routed{to: to, msg: m})
+		sh.push(d, routed{to: to, msg: m})
 		return
 	}
 	sh.delayed++
@@ -134,9 +168,9 @@ func (sh *shardRunner) enqueue(nw *Network, to NodeID, m Message, delay int) {
 }
 
 // runCycleSharded activates all alive nodes, shard 0 on the calling
-// goroutine and the others on workers, and then performs the
-// deterministic reduction: stats and outboxes are folded in ascending
-// shard order.
+// goroutine and the others on workers, and then folds the shards' stats
+// in ascending shard order. The messages stay in the buckets until the
+// next cycle's deliver.
 func (nw *Network) runCycleSharded() {
 	for s := 1; s < len(nw.shards); s++ {
 		nw.wg.Add(1)
@@ -148,24 +182,6 @@ func (nw *Network) runCycleSharded() {
 	nw.activate(&nw.shards[0])
 	nw.wg.Wait()
 
-	// Deterministic merge. The destination loop can run in parallel
-	// (distinct d touch disjoint pending queues), but the source loop
-	// order is what defines the canonical ascending-sender-id delivery
-	// order and must stay ascending.
-	if len(nw.shards) >= 4 {
-		for d := range nw.shards {
-			nw.wg.Add(1)
-			go func(d int) {
-				defer nw.wg.Done()
-				nw.mergeInto(d)
-			}(d)
-		}
-		nw.wg.Wait()
-	} else {
-		for d := range nw.shards {
-			nw.mergeInto(d)
-		}
-	}
 	for s := range nw.shards {
 		sh := &nw.shards[s]
 		nw.stats.MessagesSent += sh.sent
@@ -195,33 +211,109 @@ func (nw *Network) activate(sh *shardRunner) {
 	}
 }
 
-// mergeInto appends, in ascending source-shard order, every message
-// destined to shard d onto its destination's pending (or delayed)
-// queue, then resets the buckets for reuse.
-func (nw *Network) mergeInto(d int) {
-	for s := range nw.shards {
-		bucket := nw.shards[s].out[d]
-		for i := range bucket {
-			r := &bucket[i]
-			slot := &nw.nodes[r.to]
-			slot.pending = append(slot.pending, r.msg)
+// deliver builds every shard's inbox arena for the cycle about to run.
+// Destination shards touch disjoint nodes, arenas and buckets, so with
+// four shards or more they are built in parallel; the order within each
+// is fixed by deliverInto alone.
+func (nw *Network) deliver() {
+	if len(nw.shards) < 4 {
+		for d := range nw.shards {
+			nw.deliverInto(d)
 		}
-		// Clear payload references so pooled buckets do not pin large
-		// gossip payloads across cycles, then truncate for reuse.
-		for i := range bucket {
-			bucket[i] = routed{}
-		}
-		nw.shards[s].out[d] = bucket[:0]
+		return
+	}
+	for d := range nw.shards {
+		nw.wg.Add(1)
+		go func(d int) {
+			defer nw.wg.Done()
+			nw.deliverInto(d)
+		}(d)
+	}
+	nw.wg.Wait()
+}
 
-		dBucket := nw.shards[s].delayedOut[d]
-		for i := range dBucket {
-			r := &dBucket[i]
+// deliverInto builds destination shard d's next arena by counting sort —
+// one pass counting each node's messages, one scattering them — and
+// makes every node's inbox the view of its run. A node's messages go in
+// this order: its undrained inbox (a stalled node, or a protocol that
+// did not drain it), its due delayed messages in delayed-queue order,
+// and the buckets' messages for it in ascending source shard, then send
+// order — the ascending-sender-id order. Each view is capped at its run,
+// so an append to an inbox cannot reach a neighbour's messages. The
+// previous arena is then cleared up to its used length and kept as the
+// spare, and the buckets are cleared and truncated.
+func (nw *Network) deliverInto(d int) {
+	sh := &nw.shards[d]
+	nodes := nw.nodes[sh.lo:sh.hi]
+	for s := range nw.shards {
+		db := nw.shards[s].delayedOut[d]
+		for i := range db {
+			r := &db[i]
 			slot := &nw.nodes[r.to]
 			slot.delayed = append(slot.delayed, delayedMessage{due: r.due, msg: r.msg})
 		}
-		for i := range dBucket {
-			dBucket[i] = delayedRouted{}
-		}
-		nw.shards[s].delayedOut[d] = dBucket[:0]
+		clear(db)
+		nw.shards[s].delayedOut[d] = db[:0]
 	}
+
+	ends := sh.ends
+	for k := range nodes {
+		slot := &nodes[k]
+		c := len(slot.inbox)
+		for _, dm := range slot.delayed {
+			if dm.due <= nw.cycle {
+				c++
+			}
+		}
+		ends[k] = c
+	}
+	for s := range nw.shards {
+		for _, r := range nw.shards[s].out[d] {
+			ends[int(r.to)-sh.lo]++
+		}
+	}
+	total := 0
+	for k, c := range ends {
+		ends[k] = total
+		total += c
+	}
+
+	next := slices.Grow(sh.spare[:0], total)[:total]
+	for k := range nodes {
+		slot := &nodes[k]
+		at := ends[k] + copy(next[ends[k]:], slot.inbox)
+		if len(slot.delayed) > 0 {
+			// The queue keeps ascending-sender order for the survivors.
+			keep := slot.delayed[:0]
+			for _, dm := range slot.delayed {
+				if dm.due <= nw.cycle {
+					next[at] = dm.msg
+					at++
+				} else {
+					keep = append(keep, dm)
+				}
+			}
+			clear(slot.delayed[len(keep):])
+			slot.delayed = keep
+		}
+		ends[k] = at
+	}
+	for s := range nw.shards {
+		b := nw.shards[s].out[d]
+		for i := range b {
+			k := int(b[i].to) - sh.lo
+			next[ends[k]] = b[i].msg
+			ends[k]++
+		}
+		clear(b)
+		nw.shards[s].out[d] = b[:0]
+	}
+
+	start := 0
+	for k, end := range ends {
+		nodes[k].inbox = next[start:end:end]
+		start = end
+	}
+	clear(sh.arena)
+	sh.arena, sh.spare = next, sh.arena[:0]
 }
