@@ -55,13 +55,13 @@ type byzantine struct {
 }
 
 // NextCycle implements p2p.Protocol.
-func (b *byzantine) NextCycle(ctx *p2p.Context) { b.step(ctx) }
+func (b *byzantine) NextCycle(ctx *p2p.Context) { b.step(ctx, &b.pt.run.blocks[ctx.Shard()]) }
 
 // step runs one activation of the participant against env, seen through
-// the rewriting Send.
-func (b *byzantine) step(env Env) {
+// the rewriting Send, in the scratch block sc.
+func (b *byzantine) step(env Env, sc *scratch) {
 	b.Env = env
-	b.pt.step(b)
+	b.pt.step(b, sc)
 	b.Env = nil
 }
 

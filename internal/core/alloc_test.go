@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chiaroscuro/internal/datasets"
+	"chiaroscuro/internal/p2p"
 )
 
 // allocTestParams is a configuration whose first iteration holds every
@@ -40,6 +41,26 @@ func allocTestSeries(t testing.TB, n, dim int) [][]float64 {
 	return d.Series
 }
 
+// idleCycleAllocs is what one cycle of an idle network of n nodes over
+// the given shard workers allocates — the launches of its worker
+// goroutines, nothing at one shard — measured as
+// p2p.TestMovingInDegreeAllocatesNothing measures its idle baseline. A
+// gate over that many workers holds a cycle to it plus its own ceiling.
+func idleCycleAllocs(t *testing.T, n, workers int) float64 {
+	t.Helper()
+	nw, err := p2p.New(n, func(p2p.NodeID) p2p.Protocol { return idleNode{} }, p2p.Options{Seed: 1, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Run(3)
+	return testing.AllocsPerRun(10, nw.RunCycle)
+}
+
+// idleNode drains its inbox and sends nothing.
+type idleNode struct{}
+
+func (idleNode) NextCycle(ctx *p2p.Context) { ctx.Inbox() }
+
 // TestGossipCycleZeroAlloc is the allocation gate of the gossip cycle:
 // a warmed steady-state cycle — all participants' halve-and-emit into
 // their parity buffers plus batched in-place absorbs, across the whole
@@ -54,7 +75,11 @@ func allocTestSeries(t testing.TB, n, dim int) [][]float64 {
 // 0 objects per cycle in 99 of 100 runs and 1 in the other (n=16,
 // 256-bit key, 64 refreshes per cycle), held at 0.05 per refresh. The run is deterministic (fixed seed), so
 // the buffer capacities the warm-up grows are the ones the measured
-// window needs. Under -race the Damgård–Jurik figure is logged but not
+// window needs: every scratch block sizes its gossip batch for the
+// population at once, and the rest follows the shards' volumes. Over
+// four shard workers a cycle is held to what an idle four-shard
+// network allocates (idleCycleAllocs): the scratch blocks add nothing.
+// Under -race the Damgård–Jurik figure is logged but not
 // held to its ceiling: the race detector makes sync.Pool drop Puts on
 // purpose, and the in-place products' scratch and the exponent draw are
 // pooled, so their temporaries then reach the heap. The accounted
@@ -66,19 +91,21 @@ func TestGossipCycleZeroAlloc(t *testing.T) {
 		backend          Backend
 		bits             int
 		allocsPerRefresh float64
+		workers          int
 	}{
-		{"plain", 48, 40, 40, BackendPlainAccounted, 0, 0},
-		{"dj256", 16, 8, 8, BackendDamgardJurik, 256, 0.05},
+		{"plain", 48, 40, 40, BackendPlainAccounted, 0, 0, 0},
+		{"dj256", 16, 8, 8, BackendDamgardJurik, 256, 0.05, 0},
+		{"plain-workers4", 48, 40, 40, BackendPlainAccounted, 0, 0, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := allocTestData(t, tc.n)
 			p := allocTestParams(tc.warm + tc.measure + 8)
-			p.Backend, p.ModulusBits = tc.backend, tc.bits
+			p.Backend, p.ModulusBits, p.Workers = tc.backend, tc.bits, tc.workers
 			r := openTestRun(t, data, p)
 			if !r.parityEmits {
 				t.Fatal("a fault-free cycle-driven run must emit into parity buffers")
 			}
-			d, err := newCycleDriver(r, len(data))
+			d, err := newCycleDriver(r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,8 +123,9 @@ func TestGossipCycleZeroAlloc(t *testing.T) {
 			})
 			// AllocsPerRun runs the cycle once more than it measures.
 			perCycle := float64(r.suite.Counts().Refreshes-before) / float64(tc.measure+1)
-			t.Logf("%.2f heap objects per cycle, %.0f refreshes per cycle", allocs, perCycle)
-			if ceiling := tc.allocsPerRefresh * perCycle; allocs > ceiling && !(raceEnabled && tc.backend == BackendDamgardJurik) {
+			idle := idleCycleAllocs(t, tc.n, tc.workers)
+			t.Logf("%.2f heap objects per cycle (an idle network: %.0f), %.0f refreshes per cycle", allocs, idle, perCycle)
+			if ceiling := tc.allocsPerRefresh*perCycle + idle; allocs > ceiling && !(raceEnabled && tc.backend == BackendDamgardJurik) {
 				t.Fatalf("steady-state gossip cycle allocates %.2f heap objects (network-wide, n=%d), ceiling %.0f", allocs, tc.n, ceiling)
 			}
 			for _, pt := range d.participants {
@@ -114,11 +142,14 @@ func TestGossipCycleZeroAlloc(t *testing.T) {
 // decrypt cycles per iteration in lockstep: every participant freezes
 // its opening and asks its quorum (ask), answers the requests it got
 // (serve), then combines, decodes and discloses (complete). Two
-// iterations warm every buffer, with the queues and batch scratch
-// presized as the gossip gate does; then each kind of cycle is measured
+// iterations warm every buffer — the network's queues and the scratch
+// blocks' response sets grow with their shard's volume, which a
+// fault-free iteration repeats — then each kind of cycle is measured
 // with testing.AllocsPerRun in an iteration of its own. On the accounted
 // backend the ask and serve cycles allocate nothing, and the complete
-// cycle allocates the disclosed record per completer and nothing else.
+// cycle allocates the disclosed record per completer and nothing else;
+// over four shard workers each cycle is held to that plus what an idle
+// four-shard network allocates (idleCycleAllocs).
 // On Damgård–Jurik a partial decryption and a combine allocate inside
 // the big-integer arithmetic, so the cycles are held under ceilings
 // recorded at 1.30× their measurement (n=16, 256-bit key): 25 objects
@@ -140,17 +171,19 @@ func TestDecryptCycleZeroAlloc(t *testing.T) {
 		// serve cycle and per combined ciphertext in a complete cycle
 		// (beyond the records).
 		perPartial, perCombine float64
+		workers                int
 	}{
-		{"plain", 48, BackendPlainAccounted, 0, 0, 0},
-		{"dj256", 16, BackendDamgardJurik, 256, 32.5, 410},
+		{"plain", 48, BackendPlainAccounted, 0, 0, 0, 0},
+		{"dj256", 16, BackendDamgardJurik, 256, 32.5, 410, 0},
+		{"plain-workers4", 48, BackendPlainAccounted, 0, 0, 0, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const rounds = 4
 			data := allocTestData(t, tc.n)
 			p := Params{K: 2, Epsilon: 50, Iterations: 6, Seed: 11, GossipRounds: rounds, DecryptThreshold: 3,
-				Backend: tc.backend, ModulusBits: tc.bits}
+				Backend: tc.backend, ModulusBits: tc.bits, Workers: tc.workers}
 			r := openTestRun(t, data, p)
-			d, err := newCycleDriver(r, len(data))
+			d, err := newCycleDriver(r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,18 +240,19 @@ func TestDecryptCycleZeroAlloc(t *testing.T) {
 			complete, completers, combined := measure("complete", 4, decrypting(1), func(pt *participant) bool {
 				return pt.phase == phaseAssign && pt.iter == 5
 			})
-			t.Logf("objects per cycle: ask %.0f, serve %.0f (%d partial decryptions), complete %.0f (%d completers, %d ciphers combined)",
-				ask, serve, served.PartialDecrypts, complete, completers, combined.Combines)
+			idle := idleCycleAllocs(t, tc.n, tc.workers)
+			t.Logf("objects per cycle: ask %.0f, serve %.0f (%d partial decryptions), complete %.0f (%d completers, %d ciphers combined); an idle network %.0f",
+				ask, serve, served.PartialDecrypts, complete, completers, combined.Combines, idle)
 			if askDone != 0 || serveDone != 0 || completers != tc.n {
 				t.Fatalf("%d and %d participants completed in the ask and serve cycles and %d in the complete cycle, want 0, 0 and %d",
 					askDone, serveDone, completers, tc.n)
 			}
 			held := tc.backend == BackendPlainAccounted || !raceEnabled
-			if held && (ask != 0 || serve > tc.perPartial*float64(served.PartialDecrypts)) {
-				t.Errorf("ask and serve cycles allocate %.0f and %.0f objects, ceilings 0 and %.0f",
-					ask, serve, tc.perPartial*float64(served.PartialDecrypts))
+			if serveCeiling := tc.perPartial*float64(served.PartialDecrypts) + idle; held && (ask > idle || serve > serveCeiling) {
+				t.Errorf("ask and serve cycles allocate %.0f and %.0f objects, ceilings %.0f and %.0f",
+					ask, serve, idle, serveCeiling)
 			}
-			ceiling := float64(completers*recordObjects) + tc.perCombine*float64(combined.Combines)
+			ceiling := float64(completers*recordObjects) + tc.perCombine*float64(combined.Combines) + idle
 			if complete > ceiling && !raceEnabled {
 				t.Errorf("complete cycle allocates %.0f objects for %d completers, ceiling %.0f", complete, completers, ceiling)
 			}
@@ -258,8 +292,10 @@ func TestMeasureGossipAllocs(t *testing.T) {
 // disclosed records (TestDecryptCycleZeroAlloc); what these two-iteration
 // runs average is mostly the first iteration laying out each
 // participant's decrypt storage — its opening, request window, partial
-// slab, response buffers and history — plus one record per completer
-// per iteration.
+// slab and history — and the shards' scratch blocks their response
+// sets, plus one record per completer per iteration. The ceilings were
+// recorded while every participant kept response buffers and inbox
+// scratch of its own, presized for the whole population.
 //
 // The two shapes keep the names they had when a run could leave its
 // sides unpacked; both now pack at encryption, so each opens one
@@ -267,22 +303,26 @@ func TestMeasureGossipAllocs(t *testing.T) {
 //
 //   - unpacked, the shape bench/ reports as core.decrypt_allocs_per_cycle
 //     (N=512, CER dim=4, K=2, ε=50, 2 iterations, 12 rounds, threshold
-//     8): 1,451 allocs/cycle on this data (1,622 while the next
+//     8): 1,200 allocs/cycle on this data (1,451 with per-participant
+//     scratch, the ceiling's figure, 1,622 while the next
 //     centroids were built in a spare matrix apart from the disclosed
 //     record, 7,606 when every iteration allocated its decrypt storage
 //     afresh, 15,244 when it opened packed
 //     sums of per-coordinate ciphertexts, 23,948 when it decoded through
 //     math/big temporaries);
 //   - packed, sim-deep's shape at a tier-1 size (N=128, CER dim=24, K=5,
-//     ε=1, 22 rounds, threshold 16, moving-average smoothing): 384
-//     allocs/cycle (427 with a spare centroid matrix, 4,032 with fresh
+//     ε=1, 22 rounds, threshold 16, moving-average smoothing): 304
+//     allocs/cycle (384 with per-participant scratch, the ceiling's
+//     figure, 427 with a spare centroid matrix, 4,032 with fresh
 //     decrypt storage per iteration, 8,518 with biased slots in a
 //     320-bit ring, 115,269 through math/big temporaries).
 //
-// Under -race, where sync.Pool drops a quarter of its Puts, each dropped
-// codec scratch block is minted again at the next decode, a larger share
-// of so small a figure: the rows are recorded there too, at the highest
-// of a few runs (unpacked 1,869–1,894 and packed 482–506 over six).
+// Under -race, where sync.Pool drops a quarter of its Puts, pooled
+// temporaries reach the heap, a larger share of so small a figure: the
+// rows are recorded there too, at the highest of a few runs (unpacked
+// 1,869–1,894 and packed 482–506 over six while the codec working
+// storage was pooled as well; 1,288 and 327 since it is the
+// scratch blocks').
 func TestMeasureDecryptAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name            string

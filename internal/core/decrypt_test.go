@@ -15,7 +15,8 @@ type scriptedEnv struct {
 	id    p2p.NodeID
 	n     int
 	cycle int
-	peers []p2p.NodeID // scripted RandomPeer draws, in order
+	inbox []p2p.Message // drained by Inbox
+	peers []p2p.NodeID  // scripted RandomPeer draws, in order
 	next  int
 	sent  []scriptedSend
 }
@@ -30,7 +31,9 @@ func (e *scriptedEnv) ID() p2p.NodeID  { return e.id }
 func (e *scriptedEnv) Cycle() int      { return e.cycle }
 func (e *scriptedEnv) AliveCount() int { return e.n }
 func (e *scriptedEnv) Inbox() []p2p.Message {
-	return nil
+	in := e.inbox
+	e.inbox = nil
+	return in
 }
 func (e *scriptedEnv) Send(to p2p.NodeID, payload any, bytes int) error {
 	e.sent = append(e.sent, scriptedSend{to: to, payload: payload, bytes: bytes})
@@ -172,14 +175,15 @@ func TestServeDecryptMemoizesPartials(t *testing.T) {
 	}
 	c1, c2 := cs[0], cs[1]
 	env := &scriptedEnv{id: 0, n: 12}
+	sc := r.newScratch()
 	req := &decryptRequest{Iter: 0, Ciphers: []Cipher{c1, c2}}
 
-	pt.serveDecrypt(env, 7, req)
+	pt.serveDecrypt(env, sc, 7, req)
 	if pt.servedHits != 0 {
 		t.Fatalf("first request hit the memo (%d hits)", pt.servedHits)
 	}
 	computed := r.suite.Counts().PartialDecrypts
-	pt.serveDecrypt(env, 8, req) // replay: same iteration, same cipher slice
+	pt.serveDecrypt(env, sc, 8, req) // replay: same iteration, same cipher slice
 	if pt.servedHits != 1 {
 		t.Fatalf("replay missed the memo (%d hits)", pt.servedHits)
 	}
@@ -196,13 +200,13 @@ func TestServeDecryptMemoizesPartials(t *testing.T) {
 	// key is the slice identity, the only cheap guarantee the partials
 	// belong to exactly these ciphertexts.
 	other := &decryptRequest{Iter: 0, Ciphers: []Cipher{c1, c2}}
-	pt.serveDecrypt(env, 9, other)
+	pt.serveDecrypt(env, sc, 9, other)
 	if pt.servedHits != 1 {
 		t.Fatalf("different slice must miss (%d hits)", pt.servedHits)
 	}
 	// A different iteration over the same slice misses too.
 	stale := &decryptRequest{Iter: 1, Ciphers: other.Ciphers}
-	pt.serveDecrypt(env, 9, stale)
+	pt.serveDecrypt(env, sc, 9, stale)
 	if pt.servedHits != 1 {
 		t.Fatalf("different iteration must miss (%d hits)", pt.servedHits)
 	}
@@ -219,13 +223,15 @@ func TestServeDecryptMemoizesPartials(t *testing.T) {
 	b := &decryptRequest{Iter: 2, Ciphers: []Cipher{c1, c2}}
 	c := &decryptRequest{Iter: 2, Ciphers: []Cipher{cs[3], c1}}
 	env.cycle = 4
-	pt.serveDecrypt(env, 9, c)
-	pt.serveDecrypt(env, 9, a)
+	sc.begin(r, env.cycle)
+	pt.serveDecrypt(env, sc, 9, c)
+	pt.serveDecrypt(env, sc, 9, a)
 	env.cycle = 6
+	sc.begin(r, env.cycle)
 	hits := pt.servedHits
 	first := len(env.sent)
 	for _, q := range []*decryptRequest{a, b, c} {
-		pt.serveDecrypt(env, 10, q)
+		pt.serveDecrypt(env, sc, 10, q)
 	}
 	if pt.servedHits != hits+1 {
 		t.Fatalf("%d memo hits after recycling, want 1 (the duplicate of the memoized request)", pt.servedHits-hits)
@@ -270,10 +276,10 @@ func TestLateSyncOpensAnEmptyWindow(t *testing.T) {
 	}
 
 	// Iteration 0: ask three peers, collect one set, one ask settled.
-	pt.stepAssign(env)
+	pt.stepAssign(env, pt.run.newScratch())
 	gossipRounds()
 	env.peers, env.next = peers, 0
-	pt.stepDecrypt(env, nil)
+	pt.stepDecrypt(env, pt.run.newScratch(), nil)
 	parts := make([]Partial, len(pt.pendingCT))
 	for i, c := range pt.pendingCT {
 		p, err := r.suite.PartialDecrypt(int(peers[0])+1, c)
@@ -282,7 +288,7 @@ func TestLateSyncOpensAnEmptyWindow(t *testing.T) {
 		}
 		parts[i] = p
 	}
-	pt.stepDecrypt(env, []*decryptResponse{{Iter: 0, Partials: parts}})
+	pt.stepDecrypt(env, pt.run.newScratch(), messages(&decryptResponse{Iter: 0, Partials: parts}))
 	if asked, inFlight := window(pt); len(pt.partials) != 1 || len(asked) != 3 || len(inFlight) != 2 {
 		t.Fatalf("iteration 0 window: %d sets, asked %v, in flight %v; want 1 set, 3 asked, 2 in flight", len(pt.partials), asked, inFlight)
 	}
@@ -290,8 +296,8 @@ func TestLateSyncOpensAnEmptyWindow(t *testing.T) {
 	// A gossip of iteration 1 arrives: late synchronization.
 	q := r.newParticipant(1)
 	q.iter = 1
-	q.stepAssign(env)
-	pt.handleGossips(env, []*gossipPayload{{Iter: 1, Centroids: q.diptych.Centroids, Msg: q.diptych.Means.Emit()}})
+	q.stepAssign(env, q.run.newScratch())
+	pt.handleGossips(env, pt.run.newScratch(), messages(&gossipPayload{Iter: 1, Centroids: q.diptych.Centroids, Msg: q.diptych.Means.Emit()}))
 	if pt.iter != 1 || pt.phase != phaseGossip {
 		t.Fatalf("late sync left iteration %d in phase %d, want iteration 1 in the gossip phase", pt.iter, pt.phase)
 	}
@@ -305,7 +311,7 @@ func TestLateSyncOpensAnEmptyWindow(t *testing.T) {
 	}
 	sent := len(env.sent)
 	env.peers, env.next = peers, 0
-	pt.stepDecrypt(env, nil)
+	pt.stepDecrypt(env, pt.run.newScratch(), nil)
 	var asked []p2p.NodeID
 	for _, s := range env.sent[sent:] {
 		req, ok := s.payload.(*decryptRequest)

@@ -23,17 +23,22 @@ import (
 // steps it until every alive participant has terminated, and assembles
 // the trace. A one-shot run binds a new driver once; a RunSession keeps
 // one driver and binds it again for every window, over the same
-// network, participants and storage.
+// network, participants, storage and scratch blocks.
 type cycleDriver struct {
 	shared       *runShared
 	nw           *p2p.Network
 	participants []*participant
+	// blocks are the shards' scratch blocks (runShared.blocks), one for
+	// each shard the network can have: max(1, Workers), capped at the
+	// population like the network's shard count (which may be capped
+	// lower; a surplus block is never bound and stays empty).
+	blocks []scratch
 }
 
 // newCycleDriver builds a driver bound to r (see bind).
-func newCycleDriver(r *runShared, hint int) (*cycleDriver, error) {
+func newCycleDriver(r *runShared) (*cycleDriver, error) {
 	d := &cycleDriver{}
-	if err := d.bind(r, hint); err != nil {
+	if err := d.bind(r); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -45,18 +50,22 @@ func newCycleDriver(r *runShared, hint int) (*cycleDriver, error) {
 // (re)binds each participant in place (runShared.bindParticipant), and
 // a later one resets the network to the run's seed (p2p.Network.Reset)
 // instead of building it, so it keeps the first bind's shard layout and
-// queue capacity. Either way the run steps exactly as on a new driver.
-// A driver is bound again only to a fault-free run over a population of
-// the same size, after a fault-free run. hint, when positive,
-// presizes the network's queues (p2p Options.QueueHint) and every
-// participant's batch scratch for that many messages per node
-// (allocation-measurement harnesses only; ordinary runs pass 0).
-func (d *cycleDriver) bind(r *runShared, hint int) error {
+// queue capacity, and it releases the scratch blocks, which bind to the
+// new run at their first activation. Either way the run steps exactly
+// as on a new driver. A driver is bound again only to a fault-free run
+// over a population of the same size, after a fault-free run.
+func (d *cycleDriver) bind(r *runShared) error {
 	n := r.population
 	if d.nw != nil && (n != len(d.participants) || !r.params.Faults.Empty() || !d.shared.params.Faults.Empty()) {
 		return errors.New("core: a cycle driver is bound again only to a fault-free run over its own population")
 	}
-	r.batchHint = hint
+	if d.blocks == nil {
+		d.blocks = make([]scratch, min(max(1, r.params.Workers), n))
+	}
+	for i := range d.blocks {
+		d.blocks[i].release()
+	}
+	r.blocks = d.blocks
 	if d.participants == nil {
 		slab := make([]participant, n)
 		d.participants = make([]*participant, n)
@@ -72,11 +81,7 @@ func (d *cycleDriver) bind(r *runShared, hint int) error {
 			return err
 		}
 	} else {
-		opts := p2p.Options{
-			Seed:      r.params.Seed + 1,
-			Workers:   r.params.Workers,
-			QueueHint: hint,
-		}
+		opts := p2p.Options{Seed: r.params.Seed + 1, Workers: r.params.Workers}
 		var err error
 		opts.Conditioner, opts.Faults, err = bindFaults(r.params, n)
 		if err != nil {

@@ -145,11 +145,11 @@ func (h *oracleHarness) contribute(n *oracleNode) {
 	noises[0] = -r.noiseBound // the extremes, always
 	noises[1] = r.noiseBound
 	n.eager = &oracleState{v: oracleEncrypt(h.t, r, vals, noises), w: 1}
-	values, err := n.pt.encryptSide(r.newCodecScratch(), vals, noises)
+	values, err := n.pt.encryptSide(r.newScratch(), vals, noises)
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	if n.lazy, err = r.newMeans(values, 1); err != nil {
+	if n.lazy, err = gossip.NewState[Cipher](r.ring, values, 1); err != nil {
 		h.t.Fatal(err)
 	}
 }
@@ -192,7 +192,7 @@ func (h *oracleHarness) deliver(to int, idx ...int) {
 		}
 	}
 	h.held[to] = keep
-	if err := n.lazy.AbsorbAll(ms); err != nil {
+	if _, err := n.lazy.AbsorbAll(ms, nil); err != nil {
 		h.t.Fatal(err)
 	}
 	n.eager.absorb(h.t, h.r.suite, es...)
@@ -217,12 +217,12 @@ func (h *oracleHarness) check(label string) {
 		if n.lazy.H > r.preScale {
 			h.t.Fatalf("%s node %d: exponent %d over the budget %d on an honest schedule", label, id, n.lazy.H, r.preScale)
 		}
-		got, err := r.signedAggregates(r.newCodecScratch(), h.open(n.lazy.Values()), n.lazy.H, n.lazy.W)
+		got, err := r.signedAggregates(r.newScratch(), h.open(n.lazy.Values()), n.lazy.H, n.lazy.W)
 		if err != nil {
 			h.t.Fatalf("%s node %d (h=%d): %v", label, id, n.lazy.H, err)
 		}
 		// The oracle's plaintexts are what they are: no shift left to do.
-		want, err := r.signedAggregates(r.newCodecScratch(), h.open(n.eager.v), r.preScale, n.eager.w)
+		want, err := r.signedAggregates(r.newScratch(), h.open(n.eager.v), r.preScale, n.eager.w)
 		if err != nil {
 			h.t.Fatalf("%s node %d: oracle: %v", label, id, err)
 		}
@@ -357,7 +357,7 @@ func TestHalvingBudgetBoundary(t *testing.T) {
 
 			// One more halving, forced past the guard.
 			n.lazy.Emit()
-			if _, err := r.signedAggregates(r.newCodecScratch(), h.open(n.lazy.Values()), n.lazy.H, n.lazy.W); !errors.Is(err, errHalvingBudget) {
+			if _, err := r.signedAggregates(r.newScratch(), h.open(n.lazy.Values()), n.lazy.H, n.lazy.W); !errors.Is(err, errHalvingBudget) {
 				t.Fatalf("h=T+1 decoded with %v, want errHalvingBudget", err)
 			}
 		})
@@ -371,7 +371,7 @@ func budgetParticipant(t *testing.T, params Params, h uint) (*runShared, *partic
 	r := openTestRun(t, blobs(8, 3, 2), params)
 	pt := r.newParticipant(0)
 	env := &scriptedEnv{id: 0, n: 8, peers: []p2p.NodeID{1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5, 6, 7}}
-	pt.stepAssign(env)
+	pt.stepAssign(env, pt.run.newScratch())
 	for pt.diptych.Means.H < h {
 		pt.diptych.Means.Emit()
 	}
@@ -389,8 +389,8 @@ func TestHalvingBudgetFailsTheIteration(t *testing.T) {
 			pt.diptych.Means.Emit()
 		}
 		pt.openWindow()
-		pt.stepDecrypt(env, nil) // step 2c: freezes pendingCT, asks
-		var responses []*decryptResponse
+		pt.stepDecrypt(env, pt.run.newScratch(), nil) // step 2c: freezes pendingCT, asks
+		var responses []p2p.Message
 		for share := 2; share < 2+r.suite.Threshold(); share++ {
 			parts := make([]Partial, len(pt.pendingCT))
 			for i, c := range pt.pendingCT {
@@ -400,10 +400,10 @@ func TestHalvingBudgetFailsTheIteration(t *testing.T) {
 				}
 				parts[i] = p
 			}
-			responses = append(responses, &decryptResponse{Iter: 0, Partials: parts})
+			responses = append(responses, p2p.Message{From: p2p.NodeID(share - 1), Payload: &decryptResponse{Iter: 0, Partials: parts}})
 		}
 		before := vecpool.CloneRows(pt.diptych.Centroids)
-		pt.stepDecrypt(env, responses)
+		pt.stepDecrypt(env, pt.run.newScratch(), responses)
 		if len(pt.history) != 1 {
 			t.Fatalf("h=T+%d: %d iterations recorded, want 1", over, len(pt.history))
 		}
@@ -456,10 +456,10 @@ func TestHalvingBudgetGuards(t *testing.T) {
 	over := *peer.diptych.Means.Emit()
 	over.H = T + 1
 	drops, h := pt.staleDrops, pt.diptych.Means.H
-	pt.handleGossips(env, []*gossipPayload{
-		{Iter: 0, Centroids: pt.diptych.Centroids, Msg: &over},
-		{Iter: 1, Centroids: pt.diptych.Centroids, Msg: &over},
-	})
+	pt.handleGossips(env, pt.run.newScratch(), messages(
+		&gossipPayload{Iter: 0, Centroids: pt.diptych.Centroids, Msg: &over},
+		&gossipPayload{Iter: 1, Centroids: pt.diptych.Centroids, Msg: &over},
+	))
 	if pt.staleDrops != drops+2 || pt.diptych.Means.H != h || pt.diptych.Means.W != w || pt.iter != 0 {
 		t.Fatalf("over-budget messages: %d drops, state (h=%d, w=%v), iter %d", pt.staleDrops-drops, pt.diptych.Means.H, pt.diptych.Means.W, pt.iter)
 	}

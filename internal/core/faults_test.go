@@ -284,7 +284,8 @@ func TestFaultPlanValidationSurfaces(t *testing.T) {
 // delayed or replayed message must still carry exactly the ciphers that
 // left its sender, however many emissions the sender has made since.
 type sentRecorder struct {
-	pt   interface{ step(Env) }
+	pt   interface{ step(Env, *scratch) }
+	sc   *scratch // the one shard's block
 	sent map[*gossipPayload][]*big.Int
 	late *int // deliveries two or more cycles after the first send
 	at   map[*gossipPayload]int
@@ -337,7 +338,7 @@ func (r *sentRecorder) compare(pl *gossipPayload, want []*big.Int, how string) {
 	}
 }
 
-func (r *sentRecorder) NextCycle(ctx *p2p.Context) { r.pt.step(recordingEnv{ctx, r}) }
+func (r *sentRecorder) NextCycle(ctx *p2p.Context) { r.pt.step(recordingEnv{ctx, r}, r.sc) }
 
 // TestFaultPlanEmissionsStayAsSent drives delayed and replayed gossip
 // (the fault plans under which a message outlives the next cycle) on
@@ -357,6 +358,7 @@ func TestFaultPlanEmissionsStayAsSent(t *testing.T) {
 		sent := map[*gossipPayload][]*big.Int{}
 		at := map[*gossipPayload]int{}
 		protocols := make([]p2p.Protocol, len(data))
+		sc := r.newScratch()
 		opts := p2p.Options{Seed: r.params.Seed + 1, Workers: 1}
 		var err error
 		if opts.Conditioner, opts.Faults, err = bindFaults(r.params, len(data)); err != nil {
@@ -364,7 +366,7 @@ func TestFaultPlanEmissionsStayAsSent(t *testing.T) {
 		}
 		nw, err := p2p.New(len(data), func(id p2p.NodeID) p2p.Protocol {
 			protocols[id] = r.adversary(r.newParticipant(id))
-			return &sentRecorder{pt: protocols[id].(interface{ step(Env) }), sent: sent, late: &late, at: at, t: t}
+			return &sentRecorder{pt: protocols[id].(interface{ step(Env, *scratch) }), sc: sc, sent: sent, late: &late, at: at, t: t}
 		}, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -28,7 +28,7 @@ func codecNodes(t testing.TB) map[string]*Node {
 			t.Fatalf("%s: %v", name, err)
 		}
 		t.Cleanup(nd.Close)
-		nd.pt.stepAssign(&scriptedEnv{id: 0, n: len(data)})
+		nd.pt.stepAssign(&scriptedEnv{id: 0, n: len(data)}, nd.sc)
 		out[name] = nd
 	}
 	return out

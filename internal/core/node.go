@@ -22,7 +22,8 @@ import (
 type Node struct {
 	pop *population // opened by NewNode, closed by Close
 	pt  *participant
-	fp  uint64 // Fingerprint, digested once: every snapshot carries it
+	sc  *scratch // the scratch block every Step works in
+	fp  uint64   // Fingerprint, digested once: every snapshot carries it
 
 	// vecHead and vecWidth size an encoded cipher vector (vectorShape).
 	vecHead, vecWidth int
@@ -70,7 +71,7 @@ func NewNode(data [][]float64, params Params, id int) (*Node, error) {
 		pop.close()
 		return nil, err
 	}
-	nd := &Node{pop: pop, pt: r.newParticipant(p2p.NodeID(id))}
+	nd := &Node{pop: pop, pt: r.newParticipant(p2p.NodeID(id)), sc: r.newScratch()}
 	nd.fp = fingerprint(r.params, r.population, r.dim, r.initial)
 	if nd.vecHead, nd.vecWidth, err = vectorShape(r.suite); err != nil {
 		pop.close()
@@ -90,7 +91,7 @@ func (nd *Node) Population() int { return nd.pt.run.population }
 // it returns, every gossip payload DecodePayload produced since the last
 // Step is spent: its receive slab is free for the next one.
 func (nd *Node) Step(env Env) {
-	nd.pt.step(env)
+	nd.pt.step(env, nd.sc)
 	nd.recycleSlabs()
 }
 
@@ -137,7 +138,7 @@ func fingerprint(p Params, population, dim int, initial [][]float64) uint64 {
 	fmt.Fprintf(h, "chiaroscuro|n=%d|dim=%d|k=%d|eps=%b|iters=%d|conv=%b|rounds=%d|thresh=%d|window=%d|backend=%d|modbits=%d|degree=%d|frac=%d|strategy=%T|smoothing=%+v|inertia=%t|istop=%b|seed=%d|max=%b|dkg=%t",
 		population, dim, p.K, p.Epsilon, p.Iterations,
 		p.ConvergeThreshold, p.GossipRounds, p.DecryptThreshold, p.DecryptWindow,
-		p.Backend, p.ModulusBits, p.Degree, p.FracBits, p.Strategy, p.Smoothing,
+		p.Backend, p.ModulusBits, p.Degree, fracBits, p.Strategy, p.Smoothing,
 		p.TrackInertia, p.InertiaStopThreshold, p.Seed, p.MaxValue, p.DKG)
 	for _, row := range initial {
 		for _, v := range row {
@@ -182,7 +183,7 @@ func RunSequentialHistories(data [][]float64, params Params) (*Trace, [][]Iterat
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err := newCycleDriver(r, 0)
+	d, err := newCycleDriver(r)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"chiaroscuro/internal/fixedpoint"
+	"chiaroscuro/internal/gossip"
 )
 
 // openingCase is one run shape whose openings are checked: the run's
@@ -154,7 +155,7 @@ func frozenOpening(t *testing.T, r *runShared, vals []Cipher, parity bool) []Cip
 	defer func() { r.parityEmits = saved }()
 	r.parityEmits = parity
 	pt := r.newParticipant(0)
-	means, err := r.newMeans(vals, 1)
+	means, err := gossip.NewState[Cipher](r.ring, vals, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestOpeningMatchesPerCoordinate(t *testing.T) {
 					for i, m := range opened {
 						plains[i] = new(big.Int).Set(m)
 					}
-					got, err := r.signedAggregates(r.newCodecScratch(), plains, h, w)
+					got, err := r.signedAggregates(r.newScratch(), plains, h, w)
 					if err != nil {
 						t.Fatalf("pattern %d, h=%d: %v", pattern, h, err)
 					}
@@ -322,7 +323,7 @@ func TestOpeningOutOfBudgetFails(t *testing.T) {
 			ys[0] = new(big.Int).Lsh(big.NewInt(1), width-1)
 			ys[0].Add(ys[0], big.NewInt(1))
 			plains := openAll(t, r, openingOf(packedVector(t, r, ys)))
-			if _, err := r.signedAggregates(r.newCodecScratch(), plains, 0, 1); !errors.Is(err, fixedpoint.ErrSlotOverflow) {
+			if _, err := r.signedAggregates(r.newScratch(), plains, 0, 1); !errors.Is(err, fixedpoint.ErrSlotOverflow) {
 				t.Fatalf("an out-of-budget sum decoded with error %v, want ErrSlotOverflow", err)
 			}
 		})
@@ -363,7 +364,7 @@ func TestOpeningRefusesInflatedWeight(t *testing.T) {
 				t.Fatalf("split of the inflated sum: error %v, neighbour %s (sum %s): the carry no longer goes unseen", err, split[1], ys[1])
 			}
 			heavy := float64(r.population) + 1
-			if _, err := r.signedAggregates(r.newCodecScratch(), plains, 0, heavy); !errors.Is(err, errOpeningWeight) {
+			if _, err := r.signedAggregates(r.newScratch(), plains, 0, heavy); !errors.Is(err, errOpeningWeight) {
 				t.Fatalf("a share of weight %g over a population of %d decoded with error %v, want errOpeningWeight", heavy, r.population, err)
 			}
 		})
@@ -546,13 +547,13 @@ func TestNoiseFoldMatchesTwoSided(t *testing.T) {
 						t.Fatalf("the run packs %d slots per ciphertext, want at least %d", r.layout.Slots(), slots)
 					}
 					coordBound, _ := r.params.noiseEnvelope(r.dim, r.epsSched)
-					l, err := slotLayout(slots*int(width), r.population, coordBound, r.noiseBound, r.params.FracBits, r.preScale)
+					l, err := slotLayout(slots*int(width), r.population, coordBound, r.noiseBound, fracBits, r.preScale)
 					if err != nil || l.Slots() != slots {
 						t.Fatalf("layout of %d slots at width %d: %v", slots, width, err)
 					}
 					swapLayout(r, l)
 					pt := r.newParticipant(0)
-					s := r.newCodecScratch()
+					s := r.newScratch()
 					for k, c := range foldContributions(r, coordBound, rng) {
 						got, err := pt.encryptSide(s, c[0], c[1])
 						if err != nil {

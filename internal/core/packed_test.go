@@ -45,7 +45,7 @@ func layoutRun(t *testing.T, data [][]float64, p Params, workers int, perCoord b
 	if perCoord {
 		swapPerCoordinate(t, r)
 	}
-	d, err := newCycleDriver(r, 0)
+	d, err := newCycleDriver(r)
 	if err != nil {
 		t.Fatal(err)
 	}

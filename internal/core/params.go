@@ -79,9 +79,6 @@ type Params struct {
 	// Degree is the Damgård–Jurik s. Default 1 (Paillier).
 	Degree int
 
-	// FracBits is the fixed-point fractional precision. Default 30.
-	FracBits uint
-
 	// Strategy distributes Epsilon across iterations. Default
 	// dp.Uniform{}.
 	Strategy dp.Strategy
@@ -204,9 +201,6 @@ func (p Params) withDefaults(n int) Params {
 	if p.Degree == 0 {
 		p.Degree = 1
 	}
-	if p.FracBits == 0 {
-		p.FracBits = 30
-	}
 	if p.Strategy == nil {
 		p.Strategy = dp.Uniform{}
 	}
@@ -315,6 +309,10 @@ func (p Params) validate(n, dim int) error {
 	return nil
 }
 
+// fracBits is the fixed-point fractional precision: a value x is encoded
+// as round(x·2^fracBits). The configuration fingerprint digests it.
+const fracBits = 30
+
 // preScaleBits is the halving budget T every contribution is provisioned
 // for: a push-sum share (c, h) decodes as Dec(c)·2^(T-h), an integer —
 // and exactly the rational intended — as long as no contribution it
@@ -381,7 +379,7 @@ func slotLayout(plainBits, n int, bound, noiseBound float64, fracBits, preScale 
 	worst := float64(n) * (bound + noiseBound)
 	need := int(math.Ceil(math.Log2(worst))) + 1 + int(fracBits) + int(preScale) + 2
 	if plainBits < need {
-		return nil, fmt.Errorf("core: plaintext space too small: need %d bits, modulus has %d — increase ModulusBits or Degree, or reduce GossipRounds/FracBits", need, plainBits)
+		return nil, fmt.Errorf("core: plaintext space too small: need %d bits, modulus has %d — increase ModulusBits or Degree, or reduce GossipRounds", need, plainBits)
 	}
 	mag := max(int(math.Ceil(math.Log2(bound+noiseBound)))+1+int(fracBits), 1)
 	return fixedpoint.NewSlotLayout(plainBits, uint(mag), uint(max(need-1-mag, 1)))
@@ -397,7 +395,7 @@ func PackedSlots(plainBits, n, dim int, params Params) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	l, err := slotLayout(plainBits, n, coordBound, noiseBound, p.FracBits, p.preScaleBits())
+	l, err := slotLayout(plainBits, n, coordBound, noiseBound, fracBits, p.preScaleBits())
 	if err != nil {
 		return 0, err
 	}

@@ -8,7 +8,6 @@ import (
 	"math/big"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"chiaroscuro/internal/compactrng"
 	"chiaroscuro/internal/dp"
@@ -158,17 +157,17 @@ type participant struct {
 	storage
 }
 
-// storage is a participant's reusable buffers: what it lays out once
-// and then rewrites, iteration after iteration and — on a session's
-// kept cycle driver — window after window. Within a run some of it
-// carries protocol state (the decrypt window, the history); nothing of
-// it outlives the run, because rebound empties it all for the next.
+// storage is a participant's reusable buffers: its protocol state and
+// its own emissions, laid out once and then rewritten, iteration after
+// iteration and — on a session's kept cycle driver — window after
+// window. What an activation or a cycle uses and drops is not here but
+// in the scratch block of the shard that runs it. Nothing of the
+// storage outlives the run, because rebound empties it all for the
+// next.
 type storage struct {
-	// vals/noises are the per-iteration cleartext contribution and noise
-	// buffers; contrib is the owned cipher vector each iteration's
-	// push-sum state is rebuilt over; emitMsgs/emitPayloads are the two
-	// cycle-parity emission buffers (used when runShared.parityEmits).
-	vals, noises []float64
+	// contrib is the owned cipher vector each iteration's push-sum state
+	// is rebuilt over; emitMsgs/emitPayloads are the two cycle-parity
+	// emission buffers (used when runShared.parityEmits).
 	contrib      []Cipher
 	emitMsgs     [2]gossip.Message[Cipher]
 	emitPayloads [2]gossipPayload
@@ -187,57 +186,31 @@ type storage struct {
 	// the remaining patience of its in-flight ask in decrypt activations.
 	// An ask leaves the flight when its response arrives (ttl 0: the peer
 	// stays asked, it is not asked again) or when its TTL runs out (the
-	// peer leaves the list and may be asked again). responses are the two
-	// cycle-parity response buffers serveDecrypt answers into (used when
-	// runShared.parityEmits), and servedParts the memoized partials of the
-	// decrypt service.
+	// peer leaves the list and may be asked again). servedParts are the
+	// memoized partials of the decrypt service.
 	opening     []Cipher
 	ownReq      decryptRequest
 	kept        [][]Partial
 	partials    [][]Partial
 	asks        []ask
-	responses   [2]responseBuffers
 	servedParts []Partial
 
 	// history is the participant's disclosed records, one per finished
 	// iteration.
 	history []IterationResult
-
-	// meanRow holds one cluster's decoded mean on its way through the
-	// smoothing.
-	meanRow []float64
-
-	// absorbBatch is the reusable scratch for the batched gossip
-	// exchange: same-iteration messages drained from one inbox are
-	// absorbed in a single AbsorbAll pass.
-	absorbBatch []*gossip.Message[Cipher]
-
-	// gossipScratch/respScratch are the inbox classification buffers,
-	// reused across activations so a steady-state cycle sorts its inbox
-	// without allocating (references are cleared before the activation
-	// returns, so recycled capacity never pins dead payloads).
-	gossipScratch []*gossipPayload
-	respScratch   []*decryptResponse
 }
 
 // rebound empties the storage for a participant of run r: every slice
 // is truncated and every reference to a payload, a partial or a
-// disclosed record is dropped, while the capacity is kept. A buffer the
-// run writes at a fixed length — a cipher vector of r.sideCiphers
-// ciphertexts, the sideLen cleartext buffers, the dim-wide mean row — is
-// kept only when it has that length.
+// disclosed record is dropped, while the capacity is kept. A cipher
+// vector the run writes at a fixed length of r.sideCiphers ciphertexts
+// is kept only when it has that length.
 func (s storage) rebound(r *runShared) storage {
 	fits := func(v []Cipher) []Cipher {
 		if len(v) != r.sideCiphers {
 			return nil
 		}
 		return v
-	}
-	if len(s.vals) != r.sideLen {
-		s.vals, s.noises = nil, nil
-	}
-	if len(s.meanRow) != r.dim {
-		s.meanRow = nil
 	}
 	s.contrib = fits(s.contrib)
 	s.means.V = truncate(s.means.V)
@@ -253,19 +226,8 @@ func (s storage) rebound(r *runShared) storage {
 	}
 	s.partials = truncate(s.partials)
 	s.asks = s.asks[:0]
-	for i := range s.responses {
-		rb := &s.responses[i]
-		for _, resp := range rb.bufs {
-			clear(resp.Partials)
-			resp.Iter = 0
-		}
-		rb.cycle, rb.used = 0, 0
-	}
 	s.servedParts = truncate(s.servedParts)
 	s.history = truncate(s.history)
-	s.absorbBatch = truncate(s.absorbBatch)
-	s.gossipScratch = truncate(s.gossipScratch)
-	s.respScratch = truncate(s.respScratch)
 	return s
 }
 
@@ -284,19 +246,9 @@ type ask struct {
 	ttl  int // 0 once the peer's response has arrived
 }
 
-// responseBuffers is one cycle parity's decrypt responses: used of bufs
-// have been sent at cycle. Under parityEmits a response sent at cycle c
-// is consumed by the end of c+1, so the buffers of c's parity are free
-// again at c+2.
-type responseBuffers struct {
-	cycle int
-	used  int
-	bufs  []*decryptResponse
-}
-
 // runShared is configuration and services shared by all participants of
-// one run (read-only after construction, except the thread-safe suite),
-// bound over an opened population (population.bind).
+// one run (read-only once its participants step, except the thread-safe
+// suite), bound over an opened population (population.bind).
 type runShared struct {
 	params        Params
 	dim           int
@@ -325,84 +277,41 @@ type runShared struct {
 	// parityEmits stores every emission in the sender's two cycle-parity
 	// buffers instead of fresh storage (see population.bind and emit).
 	parityEmits bool
-	// scratch pools the codecScratch blocks the encode and decode ends of
-	// an activation work in.
-	scratch sync.Pool
-	// batchHint, when positive, pre-sizes every participant's inbox
-	// classification and absorb-batch scratch (and the push-sum batch
-	// column) for that many messages, so no in-degree spike can ever
-	// grow a buffer. Zero (all ordinary runs) lets the scratch converge
-	// to its working capacity instead; only the allocation-measurement
-	// harnesses pay the O(population·hint) to make "zero allocations"
-	// provable rather than amortized.
-	batchHint int
-}
-
-// codecScratch is the fixed-point working storage of one activation's
-// encode (stepAssign) or decode (finishIteration): sideLen coordinate
-// integers, sideCiphers group integers and sideLen decoded floats. It
-// holds nothing across activations — it is taken from runShared.scratch
-// and returned before the step ends — so per-participant memory stays
-// flat in the population and snapshots never see it.
-type codecScratch struct {
-	coords  []*big.Int
-	groups  []*big.Int
-	decoded []float64
-}
-
-// newCodecScratch builds a block whose integers live in one arena wide
-// enough for an opened plaintext shifted by the whole halving budget, so
-// a block the pool mints after a collection costs a handful of
-// allocations, not two per integer.
-func (r *runShared) newCodecScratch() *codecScratch {
-	// The only error is a non-positive size, and both are positive.
-	arena, _ := vecpool.NewResidueArena(r.sideLen+r.sideCiphers, r.plainMod.BitLen()+int(r.preScale))
-	ints := make([]*big.Int, arena.Len())
-	for i := range ints {
-		ints[i] = arena.Int(i)
-	}
-	return &codecScratch{coords: ints[:r.sideLen], groups: ints[r.sideLen:], decoded: make([]float64, r.sideLen)}
+	// blocks are the scratch blocks of the cycle driver running the
+	// run, one per p2p shard (Context.Shard); a Node's run has none, its
+	// Node keeps its own.
+	blocks []scratch
 }
 
 // NextCycle implements p2p.Protocol — the entry point Peersim (here
 // internal/p2p) calls once per cycle, identical for all participants.
 func (pt *participant) NextCycle(ctx *p2p.Context) {
-	pt.step(ctx)
+	pt.step(ctx, &pt.run.blocks[ctx.Shard()])
 }
 
-// step runs one activation against any execution environment.
-func (pt *participant) step(ctx Env) {
-	// Serve and sort the inbox first: decryption service is stateless
-	// and always on; gossip drives the state machine. The classification
-	// buffers are participant-owned scratch, valid for this activation
-	// only.
-	gossips := pt.gossipScratch[:0]
-	responses := pt.respScratch[:0]
-	for _, m := range ctx.Inbox() {
-		switch pl := m.Payload.(type) {
-		case *gossipPayload:
-			gossips = append(gossips, pl)
-		case *decryptRequest:
-			pt.serveDecrypt(ctx, m.From, pl)
-		case *decryptResponse:
-			responses = append(responses, pl)
+// step runs one activation against any execution environment, in the
+// scratch block sc of the shard running it.
+func (pt *participant) step(ctx Env, sc *scratch) {
+	sc.begin(pt.run, ctx.Cycle())
+	// Serve first: decryption service is stateless and always on. Then
+	// gossip drives the state machine, and the decrypt phase reads the
+	// responses; each picks its own payloads out of the inbox.
+	inbox := ctx.Inbox()
+	for _, m := range inbox {
+		if req, ok := m.Payload.(*decryptRequest); ok {
+			pt.serveDecrypt(ctx, sc, m.From, req)
 		}
 	}
-	pt.handleGossips(ctx, gossips)
+	pt.handleGossips(ctx, sc, inbox)
 	switch pt.phase {
 	case phaseAssign:
-		pt.stepAssign(ctx)
+		pt.stepAssign(ctx, sc)
 	case phaseGossip:
 		pt.stepGossip(ctx)
 	case phaseDecrypt:
-		pt.stepDecrypt(ctx, responses)
+		pt.stepDecrypt(ctx, sc, inbox)
 	case phaseDone:
 	}
-	// Retain the grown capacity, release the payload references.
-	clear(gossips)
-	clear(responses)
-	pt.gossipScratch = gossips[:0]
-	pt.respScratch = responses[:0]
 }
 
 // Reset implements p2p.Resetter: a node rejoining after a permanent
@@ -427,7 +336,7 @@ func (pt *participant) Reset() {
 
 // --- Step 1: assignment (local) -------------------------------------------
 
-func (pt *participant) stepAssign(ctx Env) {
+func (pt *participant) stepAssign(ctx Env, sc *scratch) {
 	centroids := pt.diptych.Centroids
 	best, bestSq := 0, math.Inf(1)
 	for j, c := range centroids {
@@ -451,14 +360,10 @@ func (pt *participant) stepAssign(ctx Env) {
 	r := pt.run
 	k := r.params.K
 	per := r.dim + 1
-	// The cleartext buffers are reusable scratch: fill() writes every
-	// index (all k·per coordinates plus the optional inertia aggregate),
-	// so stale values can never leak between iterations.
-	if pt.vals == nil {
-		pt.vals = make([]float64, r.sideLen)
-		pt.noises = make([]float64, r.sideLen)
-	}
-	vals, noises := pt.vals, pt.noises
+	// The cleartext buffers are the block's: fill() writes every index
+	// (all k·per coordinates plus the optional inertia aggregate), so
+	// stale values can never leak between activations.
+	vals, noises := sc.vals, sc.noises
 	scale := pt.noiseScale()
 	nShares := ctx.AliveCount()
 	if nShares < 2 {
@@ -490,46 +395,23 @@ func (pt *participant) stepAssign(ctx Env) {
 	if r.params.TrackInertia {
 		fill(r.sideLen-1, bestSq)
 	}
-	s := r.scratch.Get().(*codecScratch)
-	values, err := pt.encryptSide(s, vals, noises)
-	r.scratch.Put(s)
+	values, err := pt.encryptSide(sc, vals, noises)
 	if err != nil {
 		// Headroom was validated up front; an error here is a
 		// programming error worth failing loudly in simulation.
 		panic(err)
 	}
-	if err := r.armMeans(&pt.means, values, 1); err != nil {
+	// The kept state (storage.means) is re-armed over the fresh
+	// contribution: no payload reads a state (an emission copies its
+	// values out), and a late synchronization folds the pending batch in
+	// before re-arming.
+	if err := pt.means.Reinit(r.ring, values, 1); err != nil {
 		panic(err)
 	}
 	pt.diptych.Means = &pt.means
 	pt.diptych.Iteration = pt.iter
 	pt.roundsDone = 0
 	pt.phase = phaseGossip
-}
-
-// armMeans re-arms st as a push-sum state of weight w (and halving
-// exponent 0) over cipher values it takes ownership of. stepAssign
-// re-arms the participant's kept state (storage.means) over its fresh
-// contribution, so the state and its batch column are laid out once per
-// participant: no payload reads a state (an emission copies its values
-// out), and a late synchronization folds the pending batch in before
-// re-arming. A restore builds a new state over its freshly decoded
-// vector (newMeans) and commits it only once the whole snapshot is
-// validated.
-func (r *runShared) armMeans(st *gossip.State[Cipher], values []Cipher, w float64) error {
-	if err := st.Reinit(r.ring, values, w); err != nil {
-		return err
-	}
-	if r.batchHint > 0 {
-		st.ReserveBatch(r.batchHint)
-	}
-	return nil
-}
-
-// newMeans is armMeans on a new state.
-func (r *runShared) newMeans(values []Cipher, w float64) (*gossip.State[Cipher], error) {
-	st := new(gossip.State[Cipher])
-	return st, r.armMeans(st, values, w)
 }
 
 // noiseScale returns the Laplace scale b_i = sensitivity / ε_i for the
@@ -553,7 +435,7 @@ func (pt *participant) noiseScale() float64 {
 // owes (signedAggregates shifts by whatever is left of it). The previous
 // iteration's state owned these ciphers, but it is dropped in the same
 // activation, and every emission carries copies, so overwriting is safe.
-func (pt *participant) encryptSide(s *codecScratch, vals, noises []float64) ([]Cipher, error) {
+func (pt *participant) encryptSide(s *scratch, vals, noises []float64) ([]Cipher, error) {
 	r := pt.run
 	if pt.contrib == nil {
 		v, err := r.suite.NewCipherVector(r.sideCiphers)
@@ -687,18 +569,20 @@ func (pt *participant) emit(ctx Env) *gossipPayload {
 // accounted ring turns into allocation-free accumulator folds); a
 // late-synchronization message flushes the run first, so the observable
 // behaviour — including staleDrops accounting — is identical to absorbing
-// the messages one by one in arrival order.
-func (pt *participant) handleGossips(ctx Env, gs []*gossipPayload) {
-	if len(gs) == 0 || pt.phase == phaseDone {
+// the messages one by one in arrival order. The batch and its column are
+// sc's, emptied before the call returns.
+func (pt *participant) handleGossips(ctx Env, sc *scratch, inbox []p2p.Message) {
+	if pt.phase == phaseDone {
 		return
 	}
 	r := pt.run
-	batch := pt.absorbBatch[:0]
+	batch := sc.batch[:0]
 	flush := func() {
 		if len(batch) == 0 {
 			return
 		}
-		if err := pt.diptych.Means.AbsorbAll(batch); err != nil {
+		var err error
+		if sc.col, err = pt.diptych.Means.AbsorbAll(batch, sc.col); err != nil {
 			// Unreachable: the batch is validated message by message
 			// below. Counted defensively rather than panicking.
 			pt.staleDrops += len(batch)
@@ -706,7 +590,11 @@ func (pt *participant) handleGossips(ctx Env, gs []*gossipPayload) {
 		clear(batch) // do not pin absorbed messages until next use
 		batch = batch[:0]
 	}
-	for _, g := range gs {
+	for _, m := range inbox {
+		g, ok := m.Payload.(*gossipPayload)
+		if !ok {
+			continue
+		}
 		// A message of the wrong length, halved past the budget or (under
 		// a byzantine plan) hostile is rejected whatever its iteration: it
 		// could neither be absorbed nor force a late synchronization, and
@@ -742,7 +630,7 @@ func (pt *participant) handleGossips(ctx Env, gs []*gossipPayload) {
 			pt.diptych.Centroids = vecpool.CloneRows(g.Centroids)
 			pt.clearWindow()
 			pt.phase = phaseAssign
-			pt.stepAssign(ctx)
+			pt.stepAssign(ctx, sc)
 			if err := pt.diptych.Means.Absorb(g.Msg); err != nil {
 				pt.staleDrops++
 			}
@@ -751,18 +639,19 @@ func (pt *participant) handleGossips(ctx Env, gs []*gossipPayload) {
 		}
 	}
 	flush()
-	pt.absorbBatch = batch[:0]
+	sc.batch = batch
 }
 
 // --- Step 2c/2d: opening + collaborative decryption -----------------------
 
-func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
+func (pt *participant) stepDecrypt(ctx Env, sc *scratch, inbox []p2p.Message) {
 	r := pt.run
 	if pt.pendingCT == nil {
 		pt.freezeOpening()
 	}
-	for _, resp := range responses {
-		if resp.Iter != pt.iter || len(resp.Partials) != len(pt.pendingCT) {
+	for _, m := range inbox {
+		resp, ok := m.Payload.(*decryptResponse)
+		if !ok || resp.Iter != pt.iter || len(resp.Partials) != len(pt.pendingCT) {
 			continue
 		}
 		if len(resp.Partials) == 0 {
@@ -776,7 +665,7 @@ func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 		pt.collect(resp.Partials)
 	}
 	if len(pt.partials) >= r.suite.Threshold() {
-		pt.finishIteration(ctx, false)
+		pt.finishIteration(ctx, sc, false)
 		return
 	}
 	// Step 2d: ask peers for partial decryptions, keeping only `missing`
@@ -789,7 +678,7 @@ func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 		// Could not assemble a quorum (heavy churn): degrade by keeping
 		// the current centroids and moving on.
 		pt.decryptFail++
-		pt.finishIteration(ctx, true)
+		pt.finishIteration(ctx, sc, true)
 	}
 }
 
@@ -839,8 +728,9 @@ func (pt *participant) freezeOpening() {
 // collect adds a responder's partial set to the window, in share-index
 // order, unless that index already has one (the first set is kept). The
 // set is copied into the participant's slab: the response's storage is
-// the responder's, and under parityEmits it is overwritten two cycles
-// after it was sent, while a window may collect for longer.
+// the responder's shard's scratch block's, and under parityEmits it is
+// overwritten two cycles after it was sent, while a window may collect
+// for longer.
 func (pt *participant) collect(parts []Partial) {
 	i, dup := slices.BinarySearchFunc(pt.partials, parts[0].Index, bySetIndex)
 	if dup {
@@ -947,17 +837,17 @@ func (pt *participant) topUpAsks(ctx Env, missing int, req *decryptRequest, byte
 // is the identity of the request's cipher slice — servedCiphers keeps
 // that slice alive, so a match guarantees the cached partials belong to
 // exactly these ciphertexts. The memo's partials are the participant's
-// own copy, and every response is a copy of them in response storage:
-// the memo never points at a response buffer, which is recycled. Under
-// parityEmits a warmed serve allocates nothing on the accounted backend
-// (TestDecryptCycleZeroAlloc).
-func (pt *participant) serveDecrypt(ctx Env, from p2p.NodeID, req *decryptRequest) {
+// own copy, and every response is a copy of them in sc's response
+// storage: the memo never points at a response buffer, which is
+// recycled. Under parityEmits a warmed serve allocates nothing on the
+// accounted backend (TestDecryptCycleZeroAlloc).
+func (pt *participant) serveDecrypt(ctx Env, sc *scratch, from p2p.NodeID, req *decryptRequest) {
 	r := pt.run
 	share := int(pt.id) + 1
 	if share > r.suite.Parties() {
 		return
 	}
-	resp := pt.response(ctx.Cycle(), len(req.Ciphers))
+	resp := sc.response(r, ctx.Cycle(), len(req.Ciphers))
 	if len(req.Ciphers) > 0 && pt.servedCiphers != nil &&
 		pt.servedIter == req.Iter &&
 		len(pt.servedCiphers) == len(req.Ciphers) &&
@@ -983,44 +873,13 @@ func (pt *participant) serveDecrypt(ctx Env, from p2p.NodeID, req *decryptReques
 	}
 }
 
-// response returns the storage of one response of n partials sent at
-// cycle. Under parityEmits it is the next buffer of the cycle's parity,
-// whose previous occupant was sent at cycle-2 and consumed by the end of
-// cycle-1 (see responseBuffers); otherwise a response may be held and
-// read later, and it gets fresh storage.
-func (pt *participant) response(cycle, n int) *decryptResponse {
-	if !pt.run.parityEmits {
-		return &decryptResponse{Partials: make([]Partial, n)}
-	}
-	rb := &pt.responses[cycle&1]
-	if rb.cycle != cycle {
-		rb.cycle, rb.used = cycle, 0
-	}
-	if rb.used == len(rb.bufs) {
-		// One chunk of buffers per growth; the first holds as many as a
-		// participant serves on average, one per asker of a quorum (or the
-		// batch hint's in-degree, see runShared.batchHint).
-		k, grow := pt.run.sideCiphers, max(pt.run.suite.Threshold(), len(rb.bufs), pt.run.batchHint)
-		resps, parts := make([]decryptResponse, grow), make([]Partial, grow*k)
-		rb.bufs = slices.Grow(rb.bufs, grow)
-		for i := range resps {
-			resps[i].Partials = parts[i*k : (i+1)*k : (i+1)*k]
-			rb.bufs = append(rb.bufs, &resps[i])
-		}
-	}
-	resp := rb.bufs[rb.used]
-	rb.used++
-	resp.Partials = slices.Grow(resp.Partials[:0], n)[:n]
-	return resp
-}
-
 // finishIteration completes Step 3 (convergence, local): decode the
 // perturbed means, apply smoothing, decide and either iterate or stop.
 // The next centroids are built in the disclosed IterationResult, which
 // becomes the participant's centroids: that record is all it allocates,
 // and no centroid matrix is ever overwritten, so a gossip payload may
 // hold the one it was sent with for as long as it likes.
-func (pt *participant) finishIteration(ctx Env, failed bool) {
+func (pt *participant) finishIteration(ctx Env, sc *scratch, failed bool) {
 	r := pt.run
 	k := r.params.K
 	per := r.dim + 1
@@ -1031,9 +890,7 @@ func (pt *participant) finishIteration(ctx Env, failed bool) {
 	inertia := math.NaN()
 
 	if !failed {
-		s := r.scratch.Get().(*codecScratch)
-		defer r.scratch.Put(s)
-		decoded, err := pt.decodeAll(s)
+		decoded, err := pt.decodeAll(sc)
 		if err != nil {
 			failed = true
 			pt.decryptFail++
@@ -1068,7 +925,7 @@ func (pt *participant) finishIteration(ctx Env, failed bool) {
 				if cnt < minCount {
 					continue
 				}
-				pt.smoothMean(newCentroids[j], decoded[j*per:j*per+r.dim], cnt)
+				pt.smoothMean(sc, newCentroids[j], decoded[j*per:j*per+r.dim], cnt)
 				if r.params.MaxValue > 0 {
 					timeseries.Clamp(newCentroids[j], 0, r.params.MaxValue)
 				}
@@ -1134,7 +991,7 @@ var errOpeningWeight = errors.New("core: push-sum weight exceeds the population 
 // and decodes the fixed-point plaintexts to floats, already divided by
 // the push-sum weight and the pre-scaling factor. It always returns
 // sideLen coordinates, in s's storage.
-func (pt *participant) decodeAll(s *codecScratch) ([]float64, error) {
+func (pt *participant) decodeAll(s *scratch) ([]float64, error) {
 	r := pt.run
 	st := pt.diptych.Means
 	// The partial sets are in ascending share-index order (collect), so
@@ -1170,7 +1027,7 @@ func (pt *participant) decodeAll(s *codecScratch) ([]float64, error) {
 // halving budget, T − h: that makes it the integer eager halving of
 // 2^T-pre-scaled contributions would have left in the ciphertexts, and
 // everything downstream is oblivious to the exponent.
-func (r *runShared) signedAggregates(s *codecScratch, plains []*big.Int, h uint, w float64) ([]*big.Int, error) {
+func (r *runShared) signedAggregates(s *scratch, plains []*big.Int, h uint, w float64) ([]*big.Int, error) {
 	if h > r.preScale {
 		return nil, errHalvingBudget
 	}
@@ -1203,15 +1060,12 @@ func (pt *participant) decodeSigned(signed *big.Int, denom float64, i int) (floa
 }
 
 // smoothMean writes the smoothed mean of one cluster, sums/cnt, into
-// dst.
-func (pt *participant) smoothMean(dst, sums []float64, cnt float64) {
+// dst, through sc's mean row when it smooths.
+func (pt *participant) smoothMean(sc *scratch, dst, sums []float64, cnt float64) {
 	spec := pt.run.params.Smoothing
 	mean := dst
 	if spec.Method == SmoothingMovingAverage || spec.Method == SmoothingExponential {
-		if pt.meanRow == nil {
-			pt.meanRow = make([]float64, len(sums))
-		}
-		mean = pt.meanRow
+		mean = sc.meanRow
 	}
 	for t, v := range sums {
 		mean[t] = v / cnt

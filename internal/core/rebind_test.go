@@ -24,11 +24,12 @@ func allZero[T any](s []T) bool {
 
 // TestRebindEmptiesStorage binds a cycle driver again in the middle of a
 // run — participants mid-decrypt, with asks in flight, a served memo, a
-// collected partial set and a finished iteration each — and checks what
-// cycleDriver.bind promises: every participant is field for field the
-// one a fresh bind builds, its buffers keep their capacity but hold no
-// reference to a payload, partial or record, and the rebound run is bit
-// for bit the one-shot run at the new seed.
+// collected partial set and a finished iteration each, and responses in
+// the scratch blocks — and checks what cycleDriver.bind promises: every
+// participant is field for field the one a fresh bind builds, its
+// buffers keep their capacity but hold no reference to a payload,
+// partial or record, every block is released, and the rebound run is
+// bit for bit the one-shot run at the new seed.
 func TestRebindEmptiesStorage(t *testing.T) {
 	data := blobs(16, 4, 2)
 	params := Params{K: 2, Epsilon: 50, Iterations: 2, Seed: 3, GossipRounds: 6, DecryptThreshold: 3}
@@ -41,7 +42,7 @@ func TestRebindEmptiesStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := newCycleDriver(r, 0)
+	d, err := newCycleDriver(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +54,24 @@ func TestRebindEmptiesStorage(t *testing.T) {
 		}
 		return nil
 	}
+	// served counts the decrypt responses the blocks hold.
+	served := func() (n int) {
+		for i := range d.blocks {
+			for _, rb := range d.blocks[i].responses {
+				n += rb.used
+			}
+		}
+		return n
+	}
 	var q *participant
 	for range r.params.maxCycles() {
 		d.nw.RunCycle()
-		if q = midWindow(); q != nil {
+		if q = midWindow(); q != nil && served() > 0 {
 			break
 		}
 	}
-	if q == nil {
-		t.Fatal("no participant ever sat in a second decrypt window")
+	if q == nil || served() == 0 {
+		t.Fatal("no participant ever sat in a second decrypt window while responses were in flight")
 	}
 	// A fault-free window collects its quorum in one activation, so no
 	// partial set is ever pending at a cycle boundary: put one there.
@@ -81,7 +91,7 @@ func TestRebindEmptiesStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	opsBefore := pop.suite.Counts()
-	if err := d.bind(r2, 0); err != nil {
+	if err := d.bind(r2); err != nil {
 		t.Fatal(err)
 	}
 	for i, pt := range d.participants {
@@ -96,8 +106,7 @@ func TestRebindEmptiesStorage(t *testing.T) {
 			t.Fatalf("participant %d: protocol state after rebind differs from a fresh bind:\n  got  %+v\n  want %+v", i, got, want)
 		}
 		s := pt.storage
-		if !allZero(s.partials) || !allZero(s.history) || !allZero(s.servedParts) ||
-			!allZero(s.absorbBatch) || !allZero(s.gossipScratch) || !allZero(s.respScratch) {
+		if !allZero(s.partials) || !allZero(s.history) || !allZero(s.servedParts) {
 			t.Fatalf("participant %d: a truncated buffer still holds references", i)
 		}
 		if len(s.means.V) != 0 || !allZero(s.means.V) || s.means.W != 0 || s.means.H != 0 {
@@ -111,16 +120,6 @@ func TestRebindEmptiesStorage(t *testing.T) {
 				t.Fatalf("participant %d: a kept partial set survived the rebind", i)
 			}
 		}
-		for _, rb := range s.responses {
-			for _, resp := range rb.bufs {
-				if resp.Iter != 0 || !allZero(resp.Partials) {
-					t.Fatalf("participant %d: a response buffer survived the rebind", i)
-				}
-			}
-			if rb.used != 0 {
-				t.Fatalf("participant %d: %d response buffers still in use", i, rb.used)
-			}
-		}
 		if s.ownReq.Ciphers != nil || !allZero(s.emitPayloads[:]) {
 			t.Fatalf("participant %d: a request or emission survived the rebind", i)
 		}
@@ -132,6 +131,22 @@ func TestRebindEmptiesStorage(t *testing.T) {
 	}
 	if &q.history[:1][0] != historyAt || &q.kept[0][:1][0] != keptAt {
 		t.Fatal("rebind reallocated storage it should have kept")
+	}
+	for i := range d.blocks {
+		b := &d.blocks[i]
+		if b.run != nil || !allZero(b.batch) || !allZero(b.col) {
+			t.Fatalf("block %d: still bound, or its gossip batch holds references", i)
+		}
+		for _, rb := range b.responses {
+			for _, resp := range rb.bufs {
+				if resp.Iter != 0 || !allZero(resp.Partials) {
+					t.Fatalf("block %d: a response buffer survived the rebind", i)
+				}
+			}
+			if rb.used != 0 || rb.cycle != 0 {
+				t.Fatalf("block %d: %d response buffers of cycle %d still in use", i, rb.used, rb.cycle)
+			}
+		}
 	}
 
 	tr, err := d.run()
@@ -166,11 +181,11 @@ func TestRebindRefusals(t *testing.T) {
 		{"other population", base, base, blobs(13, 3, 2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := newCycleDriver(openTestRun(t, data, tc.first), 0)
+			d, err := newCycleDriver(openTestRun(t, data, tc.first))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.bind(openTestRun(t, tc.nextData, tc.next), 0); err == nil || err.Error() != want {
+			if err := d.bind(openTestRun(t, tc.nextData, tc.next)); err == nil || err.Error() != want {
 				t.Fatalf("rebind: %v, want %q", err, want)
 			}
 		})

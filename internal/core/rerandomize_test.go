@@ -74,7 +74,7 @@ func TestRandomizersMatchSchedule(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p.Workers = workers
 		r := openTestRun(t, data, p)
-		d, err := newCycleDriver(r, 0)
+		d, err := newCycleDriver(r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
-	"slices"
 
 	"chiaroscuro/internal/compactrng"
 	"chiaroscuro/internal/dp"
@@ -205,14 +204,14 @@ func (pop *population) bind(p Params) (*runShared, error) {
 	// Fixed-point codec and the one packing of the encrypted side: it
 	// travels as ⌈sideLen/slots⌉ ciphertexts, its coordinates the
 	// headroom budget's width apart.
-	codec, err := fixedpoint.New(p.FracBits)
+	codec, err := fixedpoint.New(fracBits)
 	if err != nil {
 		return nil, err
 	}
 	preScale := p.preScaleBits()
 	coordBound, noiseBound := p.noiseEnvelope(dim, epsSched)
 	plainMod := pop.suite.PlainModulus()
-	layout, err := slotLayout(plainMod.BitLen()-1, n, coordBound, noiseBound, p.FracBits, preScale)
+	layout, err := slotLayout(plainMod.BitLen()-1, n, coordBound, noiseBound, fracBits, preScale)
 	if err != nil {
 		return nil, err
 	}
@@ -251,11 +250,11 @@ func (pop *population) bind(p Params) (*runShared, error) {
 		// fault plan every message is consumed by the end of the cycle
 		// after it was sent (no delayed queues, laggard stalls or
 		// replaying byzantines; churn is fine — crashes clear queues), so
-		// two cycle-parity buffers per participant suffice. Any other
-		// fault plan may hold a message arbitrarily long.
+		// two cycle-parity buffers per sender suffice: a participant's two
+		// emissions, a shard's two response sets. Any other fault plan
+		// may hold a message arbitrarily long.
 		parityEmits: p.Faults.Empty() || p.Faults.ChurnOnly(),
 	}
-	r.scratch.New = func() any { return r.newCodecScratch() }
 	return r, nil
 }
 
@@ -305,14 +304,6 @@ func (r *runShared) bindParticipant(pt *participant, id p2p.NodeID) *participant
 		noiseFactor: 1,
 		diptych:     Diptych{Centroids: r.initial},
 		storage:     pt.storage.rebound(r),
-	}
-	if h := r.batchHint; h > 0 {
-		// Allocation-measurement mode: pre-size the per-activation
-		// scratch so no in-degree spike can ever grow it (the per-
-		// iteration push-sum column is reserved in stepAssign).
-		pt.absorbBatch = slices.Grow(pt.absorbBatch, h)
-		pt.gossipScratch = slices.Grow(pt.gossipScratch, h)
-		pt.respScratch = slices.Grow(pt.respScratch, h)
 	}
 	return pt
 }

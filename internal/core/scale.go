@@ -120,8 +120,8 @@ func MeasureGossipAllocs(data [][]float64, params Params, warm, measure int) (*G
 		return nil, err
 	}
 	// Cycle 0 runs the assignment step; the warm cycles that follow let
-	// every amortized buffer (inboxes, batch scratch, emit arenas) reach
-	// its steady capacity.
+	// every amortized buffer (inbox arenas, scratch blocks, emit
+	// buffers) reach its steady capacity.
 	for i := 0; i < warm+1; i++ {
 		d.nw.RunCycle()
 	}
@@ -146,14 +146,11 @@ func MeasureGossipAllocs(data [][]float64, params Params, warm, measure int) (*G
 	}, nil
 }
 
-// newProbeDriver binds a measurement probe's one run over pop with
-// full-population queue and batch hints: no in-degree spike can grow a
-// buffer, so a measurement proves zero rather than amortized-zero (the
-// preallocation is O(n²) — measurement scales only).
+// newProbeDriver binds a measurement probe's one run over pop.
 func newProbeDriver(pop *population) (*cycleDriver, error) {
 	r, err := pop.bind(pop.p)
 	if err != nil {
 		return nil, err
 	}
-	return newCycleDriver(r, r.population)
+	return newCycleDriver(r)
 }

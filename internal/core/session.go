@@ -291,7 +291,7 @@ func (s *RunSession) Advance(newPoints [][]float64) (*WindowResult, error) {
 	if s.driver == nil {
 		s.driver = &cycleDriver{}
 	}
-	if err := s.driver.bind(r, 0); err != nil {
+	if err := s.driver.bind(r); err != nil {
 		return nil, err
 	}
 	tr, err := s.driver.run()

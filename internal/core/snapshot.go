@@ -27,9 +27,9 @@ import (
 // which cannot be re-derived because the ceremony entropy came from
 // crypto/rand and the mesh has moved past the ceremony.
 //
-// The hot-path scratch buffers (emit double-buffers, arena vectors,
-// inbox classification slices) are deliberately absent: they are
-// rebuilt lazily on the next activation and hold no trajectory state.
+// The hot-path buffers (emit double-buffers, arena vectors) and the
+// shards' scratch blocks are deliberately absent: they are rebuilt
+// lazily on the next activation and hold no trajectory state.
 
 const (
 	snapMagic uint32 = 0xC1A85A9B
@@ -392,9 +392,9 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if err := nd.pop.suite.UnmarshalCipherVectorInto(cs, cv); err != nil {
 			return snapErr("push-sum vector: %v", err)
 		}
-		// stepAssign's construction: the restored values are freshly
-		// decoded and exclusively owned.
-		means, err = r.newMeans(cs, w)
+		// A new state over the freshly decoded, exclusively owned
+		// values, committed only once the whole snapshot is validated.
+		means, err = gossip.NewState[Cipher](r.ring, cs, w)
 		if err != nil {
 			return snapErr("push-sum state: %v", err)
 		}

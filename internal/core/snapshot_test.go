@@ -556,20 +556,20 @@ func TestLateSyncCheckpointRestores(t *testing.T) {
 	pt := nd.pt
 	n := len(data)
 	env := &scriptedEnv{id: 0, n: n}
-	pt.stepAssign(env)
+	pt.stepAssign(env, pt.run.newScratch())
 	for pt.phase == phaseGossip {
 		env.peers, env.next = []p2p.NodeID{1}, 0
 		pt.stepGossip(env)
 	}
 	env.peers, env.next = []p2p.NodeID{1, 2, 3}, 0
-	pt.stepDecrypt(env, nil)
+	pt.stepDecrypt(env, pt.run.newScratch(), nil)
 	if pt.phase != phaseDecrypt || len(pt.asks) == 0 {
 		t.Fatalf("no ask wave: phase %d, %d asks", pt.phase, len(pt.asks))
 	}
 	q := pt.run.newParticipant(1)
 	q.iter = 1
-	q.stepAssign(env)
-	pt.handleGossips(env, []*gossipPayload{{Iter: 1, Centroids: q.diptych.Centroids, Msg: q.diptych.Means.Emit()}})
+	q.stepAssign(env, q.run.newScratch())
+	pt.handleGossips(env, pt.run.newScratch(), messages(&gossipPayload{Iter: 1, Centroids: q.diptych.Centroids, Msg: q.diptych.Means.Emit()}))
 	if pt.iter != 1 || pt.phase != phaseGossip {
 		t.Fatalf("late sync left iteration %d in phase %d", pt.iter, pt.phase)
 	}

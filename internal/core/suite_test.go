@@ -309,11 +309,11 @@ func TestMeansValuesAreCopies(t *testing.T) {
 			for i := range vals {
 				vals[i] = x
 			}
-			values, err := r.newParticipant(id).encryptSide(r.newCodecScratch(), vals, noises)
+			values, err := r.newParticipant(id).encryptSide(r.newScratch(), vals, noises)
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := r.newMeans(values, 1)
+			st, err := gossip.NewState[Cipher](r.ring, values, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -43,7 +43,7 @@ func TestAbsorbAllMatchesSequentialFloat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := bat.AbsorbAll(ms); err != nil {
+	if _, err := bat.AbsorbAll(ms, nil); err != nil {
 		t.Fatal(err)
 	}
 	if seq.W != bat.W || seq.H != bat.H {
@@ -100,7 +100,7 @@ func TestAbsorbAllMatchesSequentialMod(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := bat.AbsorbAll(ms); err != nil {
+	if _, err := bat.AbsorbAll(ms, nil); err != nil {
 		t.Fatal(err)
 	}
 	if seq.W != bat.W || seq.H != bat.H {
@@ -123,16 +123,16 @@ func TestAbsorbAllValidatesBeforeMutating(t *testing.T) {
 	}
 	good := &Message[float64]{V: []float64{1, 1, 1}, W: 0.5}
 	bad := &Message[float64]{V: []float64{1}, W: 0.5}
-	if err := st.AbsorbAll([]*Message[float64]{good, bad}); err == nil {
+	if _, err := st.AbsorbAll([]*Message[float64]{good, bad}, nil); err == nil {
 		t.Fatal("dimension mismatch not rejected")
 	}
 	if st.V[0] != 1 || st.W != 1 {
 		t.Fatalf("state mutated by rejected batch: %+v", st)
 	}
-	if err := st.AbsorbAll([]*Message[float64]{good, nil}); err == nil {
+	if _, err := st.AbsorbAll([]*Message[float64]{good, nil}, nil); err == nil {
 		t.Fatal("nil message not rejected")
 	}
-	if err := st.AbsorbAll(nil); err != nil {
+	if _, err := st.AbsorbAll(nil, nil); err != nil {
 		t.Fatalf("empty batch should be a no-op, got %v", err)
 	}
 }
@@ -159,5 +159,47 @@ func TestEmitIntoReusesBuffer(t *testing.T) {
 	}
 	if got2.V[0] != 8 || got2.H != 2 { // 8 -> emitted 4, kept 4 -> emitted 2 = 8·2^-2
 		t.Fatalf("second emission (%v, %d), want (8, 2)", got2.V[0], got2.H)
+	}
+}
+
+// TestAbsorbAllReturnsTheColumnEmptied: the column a caller lends
+// AbsorbAll comes back empty with its value references cleared — so it
+// pins no absorbed value — grown when it was shorter than the batch and
+// in the same storage when it was not.
+func TestAbsorbAllReturnsTheColumnEmptied(t *testing.T) {
+	ring, err := NewModRing(big.NewInt(1_000_003))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := NewState[*big.Int](ring, []*big.Int{big.NewInt(1), big.NewInt(2)}, 1)
+	batch := func(k int) []*Message[*big.Int] {
+		ms := make([]*Message[*big.Int], k)
+		for i := range ms {
+			other, _ := NewState[*big.Int](ring, []*big.Int{big.NewInt(int64(i)), big.NewInt(7)}, 1)
+			ms[i] = other.Emit()
+		}
+		return ms
+	}
+	emptied := func(col []*big.Int) bool {
+		for _, v := range col[:cap(col)] {
+			if v != nil {
+				return false
+			}
+		}
+		return len(col) == 0
+	}
+	col, err := st.AbsorbAll(batch(3), make([]*big.Int, 0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(col) < 3 || !emptied(col) {
+		t.Fatalf("column of cap %d after a batch of 3, emptied %v", cap(col), emptied(col))
+	}
+	at := &col[:1][0]
+	if col, err = st.AbsorbAll(batch(2), col); err != nil {
+		t.Fatal(err)
+	}
+	if &col[:1][0] != at || !emptied(col) {
+		t.Fatal("a column long enough for the batch was not reused, or came back holding values")
 	}
 }

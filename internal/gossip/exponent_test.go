@@ -104,7 +104,7 @@ func driveAgainstEager[T any](t *testing.T, rng *rand.Rand, ring Ring[T], initia
 				ms[k], es[k] = f.m, f.e
 			}
 			held[i] = nil
-			if err := states[i].AbsorbAll(ms); err != nil {
+			if _, err := states[i].AbsorbAll(ms, nil); err != nil {
 				t.Fatal(err)
 			}
 			refs[i].absorb(es...)

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Ring is the additive structure push-sum requires of its values, in
@@ -88,9 +89,6 @@ type State[T any] struct {
 	// H is the halving exponent: the maximum number of halvings any
 	// contribution held in V has undergone.
 	H uint
-	// col is the AbsorbAll column scratch, retained across batches so a
-	// steady-state cycle reuses it instead of allocating.
-	col []T
 }
 
 // NewState initializes a node's state with its own contribution and
@@ -108,10 +106,10 @@ func NewState[T any](ring Ring[T], values []T, weight float64) (*State[T], error
 }
 
 // Reinit re-arms s in place as the state NewState(ring, values, weight)
-// builds, under the same ownership rule: the value slice's storage and
-// the batch scratch are reused, so a state re-armed for every new
-// contribution allocates nothing once grown. The previous values are
-// dropped, not read. On error s is left as it was.
+// builds, under the same ownership rule: the value slice's storage is
+// reused, so a state re-armed for every new contribution allocates
+// nothing once grown. The previous values are dropped, not read. On
+// error s is left as it was.
 func (s *State[T]) Reinit(ring Ring[T], values []T, weight float64) error {
 	if ring == nil {
 		return errors.New("gossip: nil ring")
@@ -213,19 +211,24 @@ func (s *State[T]) Absorb(m *Message[T]) error {
 // batched exchange a shard worker performs when several same-iteration
 // messages are waiting in a node's inbox. The state is raised once to
 // the largest exponent in the batch and each coordinate is folded with a
-// single accumulator (Ring.AddAll). The result is bit-identical to
-// absorbing the messages one by one in order (doubling commutes exactly
-// with addition in every ring, float64 rounding included), and the whole
-// batch is validated before any state is touched (all-or-nothing on
-// malformed input).
-func (s *State[T]) AbsorbAll(ms []*Message[T]) error {
+// single accumulator (Ring.AddAll) over a column of the batch's values.
+// The result is bit-identical to absorbing the messages one by one in
+// order (doubling commutes exactly with addition in every ring, float64
+// rounding included), and the whole batch is validated before any state
+// is touched (all-or-nothing on malformed input).
+//
+// col is the caller's column storage: it is grown when shorter than the
+// batch and returned emptied — its value references cleared, so it pins
+// no absorbed value — for the next batch. A caller that keeps it
+// allocates nothing once it has held its largest batch.
+func (s *State[T]) AbsorbAll(ms []*Message[T], col []T) ([]T, error) {
 	top := s.H
 	for _, m := range ms {
 		if m == nil {
-			return errors.New("gossip: nil message")
+			return col, errors.New("gossip: nil message")
 		}
 		if len(m.V) != len(s.V) {
-			return fmt.Errorf("gossip: message dimension %d != state dimension %d", len(m.V), len(s.V))
+			return col, fmt.Errorf("gossip: message dimension %d != state dimension %d", len(m.V), len(s.V))
 		}
 		if m.H > top {
 			top = m.H
@@ -233,12 +236,12 @@ func (s *State[T]) AbsorbAll(ms []*Message[T]) error {
 	}
 	switch len(ms) {
 	case 0:
-		return nil
+		return col, nil
 	case 1:
-		return s.Absorb(ms[0])
+		return col, s.Absorb(ms[0])
 	}
 	s.raise(top)
-	col := s.column(ms)
+	col = slices.Grow(col[:0], len(ms))[:len(ms)]
 	for i := range s.V {
 		for j, m := range ms {
 			col[j] = m.V[i]
@@ -248,40 +251,11 @@ func (s *State[T]) AbsorbAll(ms []*Message[T]) error {
 		}
 		s.ring.AddAll(&s.V[i], col)
 	}
-	s.releaseColumn(col)
+	clear(col)
 	for _, m := range ms {
 		s.W += m.W
 	}
-	return nil
-}
-
-// ReserveBatch grows the batch scratch to hold n-message columns, so an
-// allocation-measurement harness can rule out scratch growth entirely
-// (ordinary runs let the scratch converge to its working capacity).
-func (s *State[T]) ReserveBatch(n int) {
-	if cap(s.col) < n {
-		s.col = make([]T, 0, n)
-	}
-}
-
-// column hands out the batch scratch sized for ms, reusing the retained
-// buffer when its capacity allows (a steady-state cycle then performs no
-// scratch allocation at all).
-func (s *State[T]) column(ms []*Message[T]) []T {
-	if cap(s.col) >= len(ms) {
-		return s.col[:len(ms)]
-	}
-	s.col = make([]T, len(ms))
-	return s.col
-}
-
-// releaseColumn zeroes the scratch's value references so the retained
-// buffer does not pin absorbed message values until the next batch.
-func (s *State[T]) releaseColumn(col []T) {
-	var zero T
-	for i := range col {
-		col[i] = zero
-	}
+	return col[:0], nil
 }
 
 // Weight returns the current push-sum weight.

@@ -29,7 +29,7 @@ func TestNewStateValidation(t *testing.T) {
 func TestReinitRearmsInPlace(t *testing.T) {
 	ring := FloatRing{}
 	st, _ := NewState[float64](ring, []float64{1, 2, 3}, 1)
-	_ = st.AbsorbAll([]*Message[float64]{st.Emit(), st.Emit()})
+	_, _ = st.AbsorbAll([]*Message[float64]{st.Emit(), st.Emit()}, nil)
 	at := &st.V[0]
 	if err := st.Reinit(ring, []float64{5, 7, 9}, 0.5); err != nil {
 		t.Fatal(err)

@@ -94,10 +94,10 @@ func TestMutStateBitIdentical(t *testing.T) {
 			for j := range batch {
 				batch[j] = randomMessage(rng, ring, len(heap.V))
 			}
-			if err := heap.AbsorbAll(batch); err != nil {
+			if _, err := heap.AbsorbAll(batch, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := arena.AbsorbAll(batch); err != nil {
+			if _, err := arena.AbsorbAll(batch, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -182,14 +182,16 @@ func TestMutStateZeroAllocCycle(t *testing.T) {
 	// preallocated storage.
 	in := &Message[*big.Int]{V: arenaVector(t, ring, 1, 2, 3, 4), W: 0.25}
 	batch := []*Message[*big.Int]{in, in}
+	var col []*big.Int
 	cycle := func() {
 		st.EmitInto(dst)
 		in.H = st.H
-		if err := st.AbsorbAll(batch); err != nil {
+		var err error
+		if col, err = st.AbsorbAll(batch, col); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cycle() // warm the column scratch and arena limb slabs
+	cycle() // warm the column and arena limb slabs
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("in-place gossip cycle allocates %.1f objects, want 0", allocs)
 	}

@@ -408,8 +408,8 @@ func TestDroppedPayloadsReleased(t *testing.T) {
 	}
 }
 
-// TestMovingInDegreeAllocatesNothing: once a network without a
-// QueueHint has delivered a cycle's volume into both of its arenas,
+// TestMovingInDegreeAllocatesNothing: once a network has delivered a
+// cycle's volume into both of its arenas,
 // cycles of the same total volume allocate nothing on the messaging
 // path, although all of it goes to a different node every cycle — one
 // per destination shard, so every bucket keeps its volume too. With

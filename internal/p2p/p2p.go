@@ -164,17 +164,6 @@ type Options struct {
 	// Faults, when non-nil, directs every node's lifecycle at cycle
 	// start.
 	Faults FaultScheduler
-	// QueueHint presizes every shard's two inbox arenas and its outbox
-	// buckets for as many messages per destination node (0 grows them on
-	// demand). The queues are sized by a shard's message volume, not by
-	// any one node's in-degree, so ordinary runs leave it 0: they
-	// converge to their working capacity within a few cycles and stay
-	// there, however the in-degree moves between nodes. Allocation-
-	// measurement harnesses set it to the population size so that no
-	// volume spike can ever grow a queue, making steady-state cycles
-	// provably allocation-free rather than amortized-allocation-free.
-	// The preallocation is O(workers·n·hint), which is why it is opt-in.
-	QueueHint int
 }
 
 // maxWorkers bounds the effective shard-worker count: beyond a few
@@ -263,9 +252,6 @@ func New(n int, factory func(NodeID) Protocol, opts Options) (*Network, error) {
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("p2p: negative worker count %d", opts.Workers)
 	}
-	if opts.QueueHint < 0 {
-		return nil, fmt.Errorf("p2p: negative queue hint %d", opts.QueueHint)
-	}
 	nw := &Network{
 		nodes: make([]nodeSlot, n),
 		cond:  opts.Conditioner,
@@ -286,7 +272,7 @@ func New(n int, factory func(NodeID) Protocol, opts Options) (*Network, error) {
 			rng: compactrng.NewRand(nodeSeed(opts.Seed, i)),
 		}
 	}
-	nw.shards = makeShards(n, min(max(1, opts.Workers), n, maxWorkers()), opts.QueueHint)
+	nw.shards = makeShards(n, min(max(1, opts.Workers), n, maxWorkers()))
 	return nw, nil
 }
 
@@ -484,6 +470,12 @@ func (c *Context) Inbox() []Message {
 func (c *Context) Send(to NodeID, payload any, bytes int) error {
 	return c.nw.send(c.shard, c.id, to, payload, bytes)
 }
+
+// Shard returns the index of the shard activating the node: below
+// max(1, Options.Workers) and below the population. The activations of
+// one shard run one after another on one goroutine, so a protocol may
+// keep working storage per shard and use it without locking.
+func (c *Context) Shard() int { return c.nw.shardOf(c.id) }
 
 // RandomPeer samples a uniform alive peer, excluding the node itself.
 func (c *Context) RandomPeer() (NodeID, bool) {

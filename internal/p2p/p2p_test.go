@@ -44,9 +44,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(3, func(NodeID) Protocol { return nil }, Options{}); err == nil {
 		t.Fatal("factory returning nil should error")
 	}
-	if _, err := New(3, func(NodeID) Protocol { return &echoProto{} }, Options{QueueHint: -1}); err == nil {
-		t.Fatal("negative queue hint should error")
-	}
 }
 
 func TestEveryAliveNodeActivatedOncePerCycle(t *testing.T) {
@@ -200,5 +197,48 @@ func TestWorkerValidationAndClamp(t *testing.T) {
 			t.Fatalf("workers=%d: %d shards, want %d", tc.workers, len(nw.shards), tc.shards)
 		}
 		nw.Run(3) // must not panic with more shards than messages
+	}
+}
+
+// TestContextShardOwnsItsActivations: Context.Shard names the shard
+// activating the node — fixed for the node, below the worker count, one
+// contiguous id range per shard — and the activations of one shard never
+// overlap, so a protocol can keep per-shard storage without locking.
+// The counters below are per shard and unsynchronized: under -race an
+// overlap would be reported.
+func TestContextShardOwnsItsActivations(t *testing.T) {
+	const n, workers = 23, 4
+	shardOf := make([]int, n)
+	var activations [workers]int
+	nw, err := New(n, func(id NodeID) Protocol {
+		shardOf[id] = -1
+		return protoFunc(func(ctx *Context) {
+			s := ctx.Shard()
+			if s < 0 || s >= workers {
+				t.Errorf("node %d activated by shard %d of %d", id, s, workers)
+				return
+			}
+			if shardOf[id] != -1 && shardOf[id] != s {
+				t.Errorf("node %d moved from shard %d to %d", id, shardOf[id], s)
+			}
+			shardOf[id] = s
+			activations[s]++
+		})
+	}, Options{Seed: 1, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Run(3)
+	for id := 1; id < n; id++ {
+		if shardOf[id] < shardOf[id-1] {
+			t.Fatalf("shards are not contiguous id ranges: %v", shardOf)
+		}
+	}
+	total := 0
+	for _, a := range activations {
+		total += a
+	}
+	if shardOf[0] != 0 || shardOf[n-1] != workers-1 || total != 3*n {
+		t.Fatalf("shards %v, %d activations, want shards 0..%d and %d activations", shardOf, total, workers-1, 3*n)
 	}
 }

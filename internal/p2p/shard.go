@@ -17,11 +17,13 @@ import "slices"
 // one shard and k shards run bit-identical cycles; with one shard
 // (Workers 0 or 1) no goroutine is started.
 //
-// All buffers are retained and reused across cycles (cleared and
-// truncated, never reallocated once grown), and their sizes follow a
-// shard's total message volume, not any one node's in-degree, so a
-// cycle moving the same volume as an earlier one allocates nothing on
-// the messaging path.
+// All buffers start empty and are retained and reused across cycles
+// (cleared and truncated, never reallocated once grown), and their
+// sizes follow a shard's total message volume, not any one node's
+// in-degree, so a cycle moving the same volume as an earlier one
+// allocates nothing on the messaging path. Nothing presizes them: a
+// volume is a sum over the shard's nodes, and it settles within a few
+// cycles however the traffic moves between them.
 
 // routed is a buffered message together with its destination.
 type routed struct {
@@ -71,9 +73,8 @@ type shardRunner struct {
 }
 
 // makeShards partitions n nodes into p contiguous shards of near-equal
-// size. A positive hint presizes every bucket and arena for hint
-// messages per destination node (see Options.QueueHint).
-func makeShards(n, p, hint int) []shardRunner {
+// size. Buckets and arenas start empty and grow with the shard's volume.
+func makeShards(n, p int) []shardRunner {
 	q := (n + p - 1) / p
 	shards := make([]shardRunner, p)
 	for s := range shards {
@@ -84,16 +85,6 @@ func makeShards(n, p, hint int) []shardRunner {
 			out:        make([][]routed, p),
 			delayedOut: make([][]delayedRouted, p),
 			ends:       make([]int, hi-lo),
-		}
-	}
-	if hint > 0 {
-		for d := range shards {
-			size := hint * (shards[d].hi - shards[d].lo)
-			for s := range shards {
-				shards[s].out[d] = make([]routed, 0, size)
-			}
-			shards[d].arena = make([]Message, 0, size)
-			shards[d].spare = make([]Message, 0, size)
 		}
 	}
 	return shards

@@ -46,7 +46,10 @@ type Config struct {
 	// others — how the loopback harness wires a mesh of :0 listeners.
 	AddrDir string
 	// EpochTimeout bounds how long a node waits at one epoch barrier
-	// for the slowest peer tick before declaring the mesh wedged.
+	// for the slowest peer tick before declaring the mesh wedged. It
+	// also bounds one write on a peer link (an epoch's frames for that
+	// peer go out together), so a dead peer with a full socket buffer
+	// cannot block the sender forever.
 	EpochTimeout time.Duration
 	// Logf, when non-nil, receives progress lines (epoch transitions,
 	// handshake results). Nil discards them.
@@ -61,11 +64,6 @@ type Config struct {
 	// barrier's extra patience (zero: none). It also lengthens the mesh
 	// formation deadline and the links' idle-read deadline.
 	Grace time.Duration
-	// WriteTimeout bounds one write on a peer link (an epoch's frames
-	// for that peer go out together), so a dead peer with a full socket
-	// buffer cannot block the sender forever. Zero defaults to
-	// EpochTimeout.
-	WriteTimeout time.Duration
 	// CheckpointDir, when non-empty, enables epoch checkpoints: the node
 	// durably writes its resumable state as of the last epoch it stepped
 	// (core snapshot, sampler RNG, per-link sequence numbers, the last
@@ -129,9 +127,6 @@ func (c *Config) Validate() error {
 	if c.Grace < 0 {
 		return errors.New("transport: grace must not be negative")
 	}
-	if c.WriteTimeout < 0 {
-		return errors.New("transport: write timeout must not be negative")
-	}
 	if c.CheckpointEvery < 0 {
 		return errors.New("transport: checkpoint interval must not be negative")
 	}
@@ -142,14 +137,6 @@ func (c *Config) Validate() error {
 		return errors.New("transport: resume requires a checkpoint dir")
 	}
 	return nil
-}
-
-// writeTimeout returns the effective deadline of one link write.
-func (c *Config) writeTimeout() time.Duration {
-	if c.WriteTimeout > 0 {
-		return c.WriteTimeout
-	}
-	return c.EpochTimeout
 }
 
 // formTimeout bounds mesh formation, rendezvous included: an epoch

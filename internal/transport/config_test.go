@@ -89,11 +89,6 @@ func TestTransportConfigErrors(t *testing.T) {
 			want:   "transport: grace must not be negative",
 		},
 		{
-			name:   "negative write timeout",
-			mutate: func(c *Config) { c.WriteTimeout = -time.Second },
-			want:   "transport: write timeout must not be negative",
-		},
-		{
 			name:   "negative checkpoint interval",
 			mutate: func(c *Config) { c.CheckpointEvery = -1 },
 			want:   "transport: checkpoint interval must not be negative",

@@ -154,7 +154,7 @@ func (l *link) send(epoch int, inner []byte) error {
 // and is reported so installConn does not read from the dead
 // connection.
 func (l *link) flushLocked() error {
-	l.conn.SetWriteDeadline(time.Now().Add(l.n.cfg.writeTimeout()))
+	l.conn.SetWriteDeadline(time.Now().Add(l.n.cfg.EpochTimeout))
 	_, err := l.conn.Write(*l.batch)
 	l.dropBatchLocked()
 	if err != nil && l.markDownLocked(err) {
@@ -503,7 +503,7 @@ func (l *link) handleResume(conn net.Conn, r resume) string {
 	}
 	lastSeq := l.inSeq
 	l.mu.Unlock()
-	conn.SetWriteDeadline(time.Now().Add(l.n.cfg.writeTimeout()))
+	conn.SetWriteDeadline(time.Now().Add(l.n.cfg.EpochTimeout))
 	if err := wire.WriteFrame(conn, marshalResumeOK(l.n.cfg.ID, lastSeq)); err != nil {
 		conn.Close()
 		return "" // handshake write failed; peer will redial
