@@ -59,7 +59,8 @@ func decryptTestParticipant(t *testing.T, n int) (*runShared, *participant) {
 	pt := r.newParticipant(0)
 	// The request window's state, as stepGossip leaves it on entry to
 	// the decrypt phase.
-	pt.openWindow()
+	pt.phase = phaseDecrypt
+	pt.window.open()
 	return r, pt
 }
 
@@ -67,7 +68,7 @@ func decryptTestParticipant(t *testing.T, n int) (*runShared, *participant) {
 // remaining TTL of each in-flight ask.
 func window(pt *participant) (asked map[p2p.NodeID]bool, inFlight map[p2p.NodeID]int) {
 	asked, inFlight = map[p2p.NodeID]bool{}, map[p2p.NodeID]int{}
-	for _, a := range pt.asks {
+	for _, a := range pt.window.asks {
 		asked[a.peer] = true
 		if a.ttl > 0 {
 			inFlight[a.peer] = a.ttl
@@ -82,10 +83,10 @@ func window(pt *participant) (asked map[p2p.NodeID]bool, inFlight map[p2p.NodeID
 // with fresh peers; the window must still reach `missing` asks.
 func TestTopUpAsksRedrawsPastAskedPeers(t *testing.T) {
 	_, pt := decryptTestParticipant(t, 12)
-	pt.asks = []ask{{peer: 1}, {peer: 2}} // asked and answered
+	pt.window.asks = []ask{{peer: 1}, {peer: 2}} // asked and answered
 	env := &scriptedEnv{id: 0, n: 12, peers: []p2p.NodeID{1, 2, 1, 3, 2, 2, 4, 5}}
 	req := &decryptRequest{Iter: 0}
-	pt.topUpAsks(env, 2, req, 10)
+	pt.window.topUpAsks(env, pt.run, 2, req, 10)
 	if len(env.sent) != 2 {
 		t.Fatalf("sent %d asks, want 2 (stale draws must be redrawn)", len(env.sent))
 	}
@@ -99,8 +100,8 @@ func TestTopUpAsksRedrawsPastAskedPeers(t *testing.T) {
 	if !asked[3] || !asked[4] {
 		t.Fatal("fresh asks must be recorded in asked")
 	}
-	if pt.decryptReqs != 2 || pt.decryptReqBytes != 20 {
-		t.Fatalf("request accounting = (%d, %d), want (2, 20)", pt.decryptReqs, pt.decryptReqBytes)
+	if pt.window.reqs != 2 || pt.window.reqBytes != 20 {
+		t.Fatalf("request accounting = (%d, %d), want (2, 20)", pt.window.reqs, pt.window.reqBytes)
 	}
 }
 
@@ -113,21 +114,21 @@ func TestTopUpAsksWindowDiscipline(t *testing.T) {
 
 	// First activation fills the window.
 	env := &scriptedEnv{id: 0, n: 12, peers: []p2p.NodeID{3, 4, 5, 6, 7, 8, 9, 10, 11}}
-	pt.topUpAsks(env, 2, req, 10)
+	pt.window.topUpAsks(env, pt.run, 2, req, 10)
 	if len(env.sent) != 2 {
 		t.Fatalf("initial fill sent %d, want 2", len(env.sent))
 	}
 	// Second and third activations: window full, only TTL aging.
-	pt.topUpAsks(env, 2, req, 10)
+	pt.window.topUpAsks(env, pt.run, 2, req, 10)
 	if len(env.sent) != 2 {
 		t.Fatalf("full window must not send; sent %d", len(env.sent))
 	}
 	if _, outstanding := window(pt); outstanding[3] != askTTL-1 || outstanding[4] != askTTL-1 {
 		t.Fatalf("TTLs not aged: %v", outstanding)
 	}
-	pt.topUpAsks(env, 2, req, 10)
+	pt.window.topUpAsks(env, pt.run, 2, req, 10)
 	// Fourth activation: both initial asks expire and are re-provisioned.
-	pt.topUpAsks(env, 2, req, 10)
+	pt.window.topUpAsks(env, pt.run, 2, req, 10)
 	if len(env.sent) != 4 {
 		t.Fatalf("expired asks must be re-provisioned; sent %d, want 4", len(env.sent))
 	}
@@ -137,10 +138,10 @@ func TestTopUpAsksWindowDiscipline(t *testing.T) {
 
 	// Escalation: with waitCycles at the TTL, the target is missing+1.
 	pt2 := pt
-	pt2.asks = pt2.asks[:0]
-	pt2.waitCycles = askTTL
+	pt2.window.end()
+	pt2.window.waitCycles = askTTL
 	env2 := &scriptedEnv{id: 0, n: 12, peers: []p2p.NodeID{1, 2, 3, 4, 5}}
-	pt2.topUpAsks(env2, 2, req, 10)
+	pt2.window.topUpAsks(env2, pt.run, 2, req, 10)
 	if len(env2.sent) != 3 {
 		t.Fatalf("slow quorum must over-provision by one; sent %d, want 3", len(env2.sent))
 	}
@@ -148,7 +149,7 @@ func TestTopUpAsksWindowDiscipline(t *testing.T) {
 	// Pool exhaustion terminates cleanly: every scripted draw is already
 	// asked, so nothing is sent and the loop ends with the pool.
 	env3 := &scriptedEnv{id: 0, n: 12, peers: []p2p.NodeID{1, 1, 1}}
-	pt2.topUpAsks(env3, 5, req, 10)
+	pt2.window.topUpAsks(env3, pt.run, 5, req, 10)
 	if got := len(env3.sent); got != 0 {
 		t.Fatalf("exhausted pool still sent %d asks", got)
 	}
@@ -178,14 +179,14 @@ func TestServeDecryptMemoizesPartials(t *testing.T) {
 	sc := r.newScratch()
 	req := &decryptRequest{Iter: 0, Ciphers: []Cipher{c1, c2}}
 
-	pt.serveDecrypt(env, sc, 7, req)
-	if pt.servedHits != 0 {
-		t.Fatalf("first request hit the memo (%d hits)", pt.servedHits)
+	pt.service.serve(env, sc, r, 1, 7, req)
+	if pt.service.hits != 0 {
+		t.Fatalf("first request hit the memo (%d hits)", pt.service.hits)
 	}
 	computed := r.suite.Counts().PartialDecrypts
-	pt.serveDecrypt(env, sc, 8, req) // replay: same iteration, same cipher slice
-	if pt.servedHits != 1 {
-		t.Fatalf("replay missed the memo (%d hits)", pt.servedHits)
+	pt.service.serve(env, sc, r, 1, 8, req) // replay: same iteration, same cipher slice
+	if pt.service.hits != 1 {
+		t.Fatalf("replay missed the memo (%d hits)", pt.service.hits)
 	}
 	if got := r.suite.Counts().PartialDecrypts; got != computed {
 		t.Fatalf("memo hit recomputed %d partial decryptions", got-computed)
@@ -200,17 +201,17 @@ func TestServeDecryptMemoizesPartials(t *testing.T) {
 	// key is the slice identity, the only cheap guarantee the partials
 	// belong to exactly these ciphertexts.
 	other := &decryptRequest{Iter: 0, Ciphers: []Cipher{c1, c2}}
-	pt.serveDecrypt(env, sc, 9, other)
-	if pt.servedHits != 1 {
-		t.Fatalf("different slice must miss (%d hits)", pt.servedHits)
+	pt.service.serve(env, sc, r, 1, 9, other)
+	if pt.service.hits != 1 {
+		t.Fatalf("different slice must miss (%d hits)", pt.service.hits)
 	}
 	// A different iteration over the same slice misses too.
 	stale := &decryptRequest{Iter: 1, Ciphers: other.Ciphers}
-	pt.serveDecrypt(env, sc, 9, stale)
-	if pt.servedHits != 1 {
-		t.Fatalf("different iteration must miss (%d hits)", pt.servedHits)
+	pt.service.serve(env, sc, r, 1, 9, stale)
+	if pt.service.hits != 1 {
+		t.Fatalf("different iteration must miss (%d hits)", pt.service.hits)
 	}
-	if pt.decryptRespBytes == 0 {
+	if pt.service.respBytes == 0 {
 		t.Fatal("response bytes not accounted")
 	}
 
@@ -224,17 +225,17 @@ func TestServeDecryptMemoizesPartials(t *testing.T) {
 	c := &decryptRequest{Iter: 2, Ciphers: []Cipher{cs[3], c1}}
 	env.cycle = 4
 	sc.begin(r, env.cycle)
-	pt.serveDecrypt(env, sc, 9, c)
-	pt.serveDecrypt(env, sc, 9, a)
+	pt.service.serve(env, sc, r, 1, 9, c)
+	pt.service.serve(env, sc, r, 1, 9, a)
 	env.cycle = 6
 	sc.begin(r, env.cycle)
-	hits := pt.servedHits
+	hits := pt.service.hits
 	first := len(env.sent)
 	for _, q := range []*decryptRequest{a, b, c} {
-		pt.serveDecrypt(env, sc, 10, q)
+		pt.service.serve(env, sc, r, 1, 10, q)
 	}
-	if pt.servedHits != hits+1 {
-		t.Fatalf("%d memo hits after recycling, want 1 (the duplicate of the memoized request)", pt.servedHits-hits)
+	if pt.service.hits != hits+1 {
+		t.Fatalf("%d memo hits after recycling, want 1 (the duplicate of the memoized request)", pt.service.hits-hits)
 	}
 	for i, q := range []*decryptRequest{a, b, c} {
 		got := env.sent[first+i].payload.(*decryptResponse)
@@ -280,8 +281,8 @@ func TestLateSyncOpensAnEmptyWindow(t *testing.T) {
 	gossipRounds()
 	env.peers, env.next = peers, 0
 	pt.stepDecrypt(env, pt.run.newScratch(), nil)
-	parts := make([]Partial, len(pt.pendingCT))
-	for i, c := range pt.pendingCT {
+	parts := make([]Partial, len(pt.window.req.Ciphers))
+	for i, c := range pt.window.req.Ciphers {
 		p, err := r.suite.PartialDecrypt(int(peers[0])+1, c)
 		if err != nil {
 			t.Fatal(err)
@@ -289,8 +290,8 @@ func TestLateSyncOpensAnEmptyWindow(t *testing.T) {
 		parts[i] = p
 	}
 	pt.stepDecrypt(env, pt.run.newScratch(), messages(&decryptResponse{Iter: 0, Partials: parts}))
-	if asked, inFlight := window(pt); len(pt.partials) != 1 || len(asked) != 3 || len(inFlight) != 2 {
-		t.Fatalf("iteration 0 window: %d sets, asked %v, in flight %v; want 1 set, 3 asked, 2 in flight", len(pt.partials), asked, inFlight)
+	if asked, inFlight := window(pt); len(pt.window.partials) != 1 || len(asked) != 3 || len(inFlight) != 2 {
+		t.Fatalf("iteration 0 window: %d sets, asked %v, in flight %v; want 1 set, 3 asked, 2 in flight", len(pt.window.partials), asked, inFlight)
 	}
 
 	// A gossip of iteration 1 arrives: late synchronization.
@@ -305,9 +306,9 @@ func TestLateSyncOpensAnEmptyWindow(t *testing.T) {
 	if pt.phase != phaseDecrypt {
 		t.Fatalf("phase %d after the gossip rounds, want the decrypt phase", pt.phase)
 	}
-	if len(pt.partials) != 0 || len(pt.asks) != 0 || pt.pendingCT != nil {
+	if len(pt.window.partials) != 0 || len(pt.window.asks) != 0 || pt.window.req != nil {
 		t.Fatalf("iteration 1 window opened with %d partial sets and %d asks left over (opening frozen: %v)",
-			len(pt.partials), len(pt.asks), pt.pendingCT != nil)
+			len(pt.window.partials), len(pt.window.asks), pt.window.req != nil)
 	}
 	sent := len(env.sent)
 	env.peers, env.next = peers, 0

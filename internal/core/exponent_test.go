@@ -234,8 +234,8 @@ func (h *oracleHarness) check(label string) {
 			if got[i].Cmp(want[i]) != 0 {
 				h.t.Fatalf("%s node %d coordinate %d (h=%d): %v, oracle %v", label, id, i, n.lazy.H, got[i], want[i])
 			}
-			g, gerr := n.pt.decodeSigned(got[i], denom, i)
-			w, werr := n.pt.decodeSigned(want[i], denom, i)
+			g, gerr := n.pt.run.decodeSigned(got[i], denom, i)
+			w, werr := n.pt.run.decodeSigned(want[i], denom, i)
 			if (gerr == nil) != (werr == nil) || math.Float64bits(g) != math.Float64bits(w) {
 				h.t.Fatalf("%s node %d coordinate %d: disclosed %v (%v), oracle %v (%v)", label, id, i, g, gerr, w, werr)
 			}
@@ -388,12 +388,13 @@ func TestHalvingBudgetFailsTheIteration(t *testing.T) {
 		for pt.diptych.Means.H < r.preScale+over {
 			pt.diptych.Means.Emit()
 		}
-		pt.openWindow()
-		pt.stepDecrypt(env, pt.run.newScratch(), nil) // step 2c: freezes pendingCT, asks
+		pt.phase = phaseDecrypt
+		pt.window.open()
+		pt.stepDecrypt(env, pt.run.newScratch(), nil) // step 2c: freezes the opening, asks
 		var responses []p2p.Message
 		for share := 2; share < 2+r.suite.Threshold(); share++ {
-			parts := make([]Partial, len(pt.pendingCT))
-			for i, c := range pt.pendingCT {
+			parts := make([]Partial, len(pt.window.req.Ciphers))
+			for i, c := range pt.window.req.Ciphers {
 				p, err := r.suite.PartialDecrypt(share, c)
 				if err != nil {
 					t.Fatal(err)

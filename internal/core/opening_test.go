@@ -133,7 +133,7 @@ func packedVector(t *testing.T, r *runShared, ys []*big.Int) []Cipher {
 }
 
 // openingOf is a copy of a frozen push-sum vector, for the tests that
-// open one without a participant (frozenOpening drives freezeOpening).
+// open one without a participant (frozenOpening drives requester.freeze).
 func openingOf(vals []Cipher) []Cipher {
 	cts := make([]Cipher, len(vals))
 	for i, v := range vals {
@@ -142,7 +142,7 @@ func openingOf(vals []Cipher) []Cipher {
 	return cts
 }
 
-// frozenOpening runs step 2c (freezeOpening) twice on a participant
+// frozenOpening runs step 2c (requester.freeze) twice on a participant
 // whose push-sum vector is vals, with r.parityEmits set to parity, and
 // returns the first opening. Each must be a copy of vals that aliases
 // none of its ciphertexts and costs no homomorphic operation, carried
@@ -164,11 +164,11 @@ func frozenOpening(t *testing.T, r *runShared, vals []Cipher, parity bool) []Cip
 	var firstReq *decryptRequest
 	for freeze := 0; freeze < 2; freeze++ {
 		before := r.suite.Counts()
-		pt.freezeOpening()
+		pt.window.freeze(r, pt.iter, pt.diptych.Means.V)
 		if ops := opCountsMinus(r.suite.Counts(), before); ops != (OpCounts{}) {
 			t.Fatalf("parity=%v freeze %d: opening cost %+v, want nothing", parity, freeze, ops)
 		}
-		opening := pt.pendingCT
+		opening := pt.window.req.Ciphers
 		if len(opening) != r.sideCiphers || &opening[0] == &vals[0] {
 			t.Fatalf("parity=%v freeze %d: opening of %d ciphertexts, want a copy of the %d", parity, freeze, len(opening), r.sideCiphers)
 		}
@@ -182,17 +182,17 @@ func frozenOpening(t *testing.T, r *runShared, vals []Cipher, parity bool) []Cip
 				t.Fatalf("parity=%v freeze %d: opening ciphertext %d differs from the push-sum vector", parity, freeze, g)
 			}
 		}
-		if pt.req == nil || pt.req.Iter != pt.iter || &pt.req.Ciphers[0] != &opening[0] {
+		if pt.window.req == nil || pt.window.req.Iter != pt.iter || &pt.window.req.Ciphers[0] != &opening[0] {
 			t.Fatalf("parity=%v freeze %d: the request does not carry the opening of iteration %d", parity, freeze, pt.iter)
 		}
-		if parity != (pt.req == &pt.ownReq) {
-			t.Fatalf("parity=%v freeze %d: request is the participant's own: %v", parity, freeze, pt.req == &pt.ownReq)
+		if parity != (pt.window.req == &pt.window.own) {
+			t.Fatalf("parity=%v freeze %d: request is the participant's own: %v", parity, freeze, pt.window.req == &pt.window.own)
 		}
 		if freeze == 0 {
-			first, firstReq = opening, pt.req
+			first, firstReq = opening, pt.window.req
 			continue
 		}
-		if parity != (&opening[0] == &first[0]) || parity != (opening[0] == first[0]) || parity != (pt.req == firstReq) {
+		if parity != (&opening[0] == &first[0]) || parity != (opening[0] == first[0]) || parity != (pt.window.req == firstReq) {
 			t.Fatalf("parity=%v: the second freeze reused the first's storage: %v, want %v", parity, &opening[0] == &first[0], parity)
 		}
 		if !parity && &firstReq.Ciphers[0] != &first[0] {
@@ -257,7 +257,7 @@ func perCoordinate(t *testing.T, r *runShared, ys []*big.Int) []*big.Int {
 // mixed sign patterns, and at every halving exponent h ∈ [0, T], the
 // packed vector's opening discloses the integers — and the Float64bits —
 // per-coordinate ciphertexts disclose, for no homomorphic operation at
-// all: freezeOpening copies the vector (see frozenOpening).
+// all: requester.freeze copies the vector (see frozenOpening).
 func TestOpeningMatchesPerCoordinate(t *testing.T) {
 	for _, tc := range openingCases(t) {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,13 +1,9 @@
 package core
 
 import (
-	"cmp"
-	"errors"
-	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
-	"slices"
 
 	"chiaroscuro/internal/compactrng"
 	"chiaroscuro/internal/dp"
@@ -39,20 +35,6 @@ type gossipPayload struct {
 	Iter      int
 	Centroids [][]float64
 	Msg       *gossip.Message[Cipher]
-}
-
-// decryptRequest asks a peer for partial decryptions of the requester's
-// perturbed-mean ciphertexts.
-type decryptRequest struct {
-	Iter    int
-	Ciphers []Cipher
-}
-
-// decryptResponse carries one partial decryption per requested cipher,
-// all under the responder's key-share index.
-type decryptResponse struct {
-	Iter     int
-	Partials []Partial
 }
 
 // Diptych is the twofold data structure of Sec. II.B: the cleartext but
@@ -122,35 +104,13 @@ type participant struct {
 	noiseFactor float64
 
 	// Mutable protocol state.
-	phase      phase
-	iter       int // current iteration, 0-based
-	roundsDone int // gossip rounds completed this iteration
-	diptych    Diptych
-	assignment int
-	waitCycles int
-	pendingCT  []Cipher // perturbed ciphertexts awaiting decryption
-	// req is the request that carries the frozen opening (see
-	// freezeOpening); under runShared.parityEmits it is ownReq.
-	req         *decryptRequest
-	nKept       int // partial sets of kept in use this window
+	phase       phase
+	iter        int // current iteration, 0-based
+	roundsDone  int // gossip rounds completed this iteration
+	diptych     Diptych
+	assignment  int
 	staleDrops  int
 	decryptFail int
-
-	// Decrypt-phase traffic accounting (summed into the trace).
-	decryptReqs      int
-	decryptReqBytes  int64
-	decryptRespBytes int64
-
-	// The decrypt-service memo: the last (iteration, cipher-set) this
-	// participant computed partials for, keyed by the identity of the
-	// request's cipher slice (the partials are servedParts). servedCiphers
-	// holds a strong reference to the cached request's slice so its
-	// address cannot be recycled while the entry lives — without it, a
-	// freed requester slice could alias a new same-iteration request and
-	// serve it stale partials.
-	servedIter    int
-	servedCiphers []Cipher
-	servedHits    int64
 
 	// storage is every buffer the participant reuses, kept across the
 	// runs it is bound to (see runShared.bindParticipant).
@@ -176,24 +136,10 @@ type storage struct {
 	// contribution instead of built anew.
 	means gossip.State[Cipher]
 
-	// The decrypt phase's storage, reused across iterations.
-	//
-	// opening is the iteration's frozen ciphertexts, carried by ownReq
-	// (see freezeOpening). kept is the slab the partial sets collected in
-	// partials are copied into; partials are those sets, ascending by
-	// share index: the order the combine path takes them in. asks is the
-	// request window: every peer asked this window, ascending by id, with
-	// the remaining patience of its in-flight ask in decrypt activations.
-	// An ask leaves the flight when its response arrives (ttl 0: the peer
-	// stays asked, it is not asked again) or when its TTL runs out (the
-	// peer leaves the list and may be asked again). servedParts are the
-	// memoized partials of the decrypt service.
-	opening     []Cipher
-	ownReq      decryptRequest
-	kept        [][]Partial
-	partials    [][]Partial
-	asks        []ask
-	servedParts []Partial
+	// window and service are the participant's sides of the decrypt
+	// phase (decrypt.go), their storage reused across iterations.
+	window  requester
+	service responder
 
 	// history is the participant's disclosed records, one per finished
 	// iteration.
@@ -219,14 +165,8 @@ func (s storage) rebound(r *runShared) storage {
 		s.emitMsgs[i] = gossip.Message[Cipher]{V: fits(s.emitMsgs[i].V)}
 		s.emitPayloads[i] = gossipPayload{}
 	}
-	s.opening = fits(s.opening)
-	s.ownReq = decryptRequest{}
-	for _, set := range s.kept {
-		clear(set)
-	}
-	s.partials = truncate(s.partials)
-	s.asks = s.asks[:0]
-	s.servedParts = truncate(s.servedParts)
+	s.window.forget(r)
+	s.service.forget(r)
 	s.history = truncate(s.history)
 	return s
 }
@@ -238,12 +178,6 @@ func truncate[T any](s []T) []T {
 	s = s[:cap(s)]
 	clear(s)
 	return s[:0]
-}
-
-// ask is one entry of the decrypt request window (participant.asks).
-type ask struct {
-	peer p2p.NodeID
-	ttl  int // 0 once the peer's response has arrived
 }
 
 // runShared is configuration and services shared by all participants of
@@ -299,7 +233,7 @@ func (pt *participant) step(ctx Env, sc *scratch) {
 	inbox := ctx.Inbox()
 	for _, m := range inbox {
 		if req, ok := m.Payload.(*decryptRequest); ok {
-			pt.serveDecrypt(ctx, sc, m.From, req)
+			pt.service.serve(ctx, sc, pt.run, int(pt.id)+1, m.From, req)
 		}
 	}
 	pt.handleGossips(ctx, sc, inbox)
@@ -326,12 +260,8 @@ func (pt *participant) Reset() {
 	pt.phase = phaseAssign
 	pt.roundsDone = 0
 	pt.diptych.Means = nil
-	pt.clearWindow()
-	pt.waitCycles = 0
-	pt.servedCiphers = nil
-	// The iteration may be redone with a different opening: it must not
-	// reuse the address responders memoized the old one's partials by.
-	pt.opening = nil
+	pt.window.forget(nil)
+	pt.service.forget(nil)
 }
 
 // --- Step 1: assignment (local) -------------------------------------------
@@ -490,7 +420,8 @@ func (pt *participant) stepGossip(ctx Env) {
 	}
 	pt.roundsDone++
 	if pt.roundsDone >= r.params.GossipRounds {
-		pt.openWindow()
+		pt.phase = phaseDecrypt
+		pt.window.open()
 	}
 }
 
@@ -500,28 +431,6 @@ func (pt *participant) stepGossip(ctx Env) {
 // wrapper rewrote, report true wire bytes.
 func (r *runShared) gossipBytes(pl *gossipPayload) int {
 	return len(pl.Msg.V)*r.suite.CipherBytes() + r.centroidBytes + 16
-}
-
-// openWindow enters the decrypt phase. Its window is empty: every way
-// out of the previous one — finishIteration, Reset, a late
-// synchronization — clears it, so no window outlives its decrypt phase
-// and a checkpoint taken outside one holds none.
-func (pt *participant) openWindow() {
-	pt.phase = phaseDecrypt
-	pt.waitCycles = 0
-}
-
-// clearWindow empties the decrypt window in place — the frozen opening,
-// the request window, the collected partial sets and the slab they were
-// copied into — keeping its storage for the next one.
-func (pt *participant) clearWindow() {
-	pt.pendingCT = nil
-	pt.partials = pt.partials[:0]
-	pt.asks = pt.asks[:0]
-	for _, set := range pt.kept[:pt.nKept] {
-		clear(set) // release the partial values
-	}
-	pt.nKept = 0
 }
 
 // emit halves the participant's share and returns the outgoing payload:
@@ -606,7 +515,7 @@ func (pt *participant) handleGossips(ctx Env, sc *scratch, inbox []p2p.Message) 
 		}
 		switch {
 		case g.Iter == pt.iter && (pt.phase == phaseGossip || pt.phase == phaseDecrypt):
-			if pt.phase == phaseDecrypt && pt.pendingCT != nil {
+			if pt.phase == phaseDecrypt && pt.window.req != nil {
 				// Our estimate is already frozen and under decryption;
 				// absorbing now would desynchronize value and weight.
 				pt.staleDrops++
@@ -628,7 +537,7 @@ func (pt *participant) handleGossips(ctx Env, sc *scratch, inbox []p2p.Message) 
 			flush()
 			pt.iter = g.Iter
 			pt.diptych.Centroids = vecpool.CloneRows(g.Centroids)
-			pt.clearWindow()
+			pt.window.end()
 			pt.phase = phaseAssign
 			pt.stepAssign(ctx, sc)
 			if err := pt.diptych.Means.Absorb(g.Msg); err != nil {
@@ -645,231 +554,14 @@ func (pt *participant) handleGossips(ctx Env, sc *scratch, inbox []p2p.Message) 
 // --- Step 2c/2d: opening + collaborative decryption -----------------------
 
 func (pt *participant) stepDecrypt(ctx Env, sc *scratch, inbox []p2p.Message) {
-	r := pt.run
-	if pt.pendingCT == nil {
-		pt.freezeOpening()
-	}
-	for _, m := range inbox {
-		resp, ok := m.Payload.(*decryptResponse)
-		if !ok || resp.Iter != pt.iter || len(resp.Partials) != len(pt.pendingCT) {
-			continue
-		}
-		if len(resp.Partials) == 0 {
-			continue
-		}
-		// The responder's node id is its share index - 1: its ask (if
-		// still in flight) is now settled.
-		if i, ok := pt.findAsk(p2p.NodeID(resp.Partials[0].Index - 1)); ok {
-			pt.asks[i].ttl = 0
-		}
-		pt.collect(resp.Partials)
-	}
-	if len(pt.partials) >= r.suite.Threshold() {
-		pt.finishIteration(ctx, sc, false)
-		return
-	}
-	// Step 2d: ask peers for partial decryptions, keeping only `missing`
-	// asks in flight.
-	missing := r.suite.Threshold() - len(pt.partials)
-	bytes := len(pt.pendingCT)*r.suite.CipherBytes() + 8
-	pt.topUpAsks(ctx, missing, pt.req, bytes)
-	pt.waitCycles++
-	if pt.waitCycles > r.params.DecryptWindow {
+	quorum, expired := pt.window.step(ctx, pt.run, pt.iter, pt.diptych.Means.V, inbox)
+	if expired {
 		// Could not assemble a quorum (heavy churn): degrade by keeping
 		// the current centroids and moving on.
 		pt.decryptFail++
-		pt.finishIteration(ctx, sc, true)
 	}
-}
-
-// freezeOpening runs step 2c on the frozen push-sum vector: the
-// sideCiphers ciphertexts the participant asks its quorum to open, and
-// the request that carries them, built once per iteration. Every
-// contribution was perturbed at encryption (see encryptSide), so the
-// aggregate is perturbed *before* anyone can decrypt it and the opening
-// is the vector itself. Each partial decryption serves a whole group,
-// and signedAggregates splits the opened plaintexts back into the very
-// integers per-coordinate openings would disclose.
-//
-// The opening is a copy, never the push-sum vector: a sharded responder
-// may still be reading a request while its sender's next stepAssign
-// rewrites that. Under parityEmits the copy goes into the participant's
-// own opening, rewritten each iteration: a request sent at cycle c is
-// consumed by the end of c+1, and the next window freezes its opening
-// two cycles after this one's last ask at the earliest. A responder's
-// memo cannot confuse the two iterations' openings, which share an
-// address but not an iteration tag (Reset drops the opening, so a
-// redone iteration opens into new storage; a session's next window
-// reuses it with the tags restarted, and every memo key is zeroed when
-// the window binds its participants). Under any other fault plan
-// a request may be held and read later, and every iteration gets fresh
-// storage. At steady state under parityEmits it allocates nothing.
-func (pt *participant) freezeOpening() {
-	r := pt.run
-	if pt.opening == nil || !r.parityEmits {
-		cts, err := r.suite.NewCipherVector(r.sideCiphers)
-		if err != nil {
-			panic(err) // vector sizing is validated at bind time
-		}
-		pt.opening = cts
-	}
-	for g, c := range pt.opening {
-		c.Set(pt.diptych.Means.V[g])
-	}
-	if r.parityEmits {
-		pt.req = &pt.ownReq
-	} else {
-		pt.req = &decryptRequest{}
-	}
-	pt.req.Iter, pt.req.Ciphers = pt.iter, pt.opening
-	pt.pendingCT = pt.opening
-}
-
-// collect adds a responder's partial set to the window, in share-index
-// order, unless that index already has one (the first set is kept). The
-// set is copied into the participant's slab: the response's storage is
-// the responder's shard's scratch block's, and under parityEmits it is
-// overwritten two cycles after it was sent, while a window may collect
-// for longer.
-func (pt *participant) collect(parts []Partial) {
-	i, dup := slices.BinarySearchFunc(pt.partials, parts[0].Index, bySetIndex)
-	if dup {
-		return
-	}
-	if pt.nKept == len(pt.kept) {
-		// One chunk of sets per growth; the first holds a quorum.
-		n, grow := pt.run.sideCiphers, max(pt.run.suite.Threshold(), len(pt.kept))
-		slab := make([]Partial, grow*n)
-		pt.kept = slices.Grow(pt.kept, grow)
-		for j := 0; j < grow; j++ {
-			pt.kept = append(pt.kept, slab[j*n:(j+1)*n:(j+1)*n])
-		}
-	}
-	set := append(pt.kept[pt.nKept][:0], parts...)
-	pt.kept[pt.nKept] = set
-	pt.nKept++
-	if pt.partials == nil {
-		pt.partials = make([][]Partial, 0, pt.run.suite.Threshold())
-	}
-	pt.partials = slices.Insert(pt.partials, i, set)
-}
-
-// findAsk locates peer in the request window.
-func (pt *participant) findAsk(peer p2p.NodeID) (int, bool) {
-	return slices.BinarySearchFunc(pt.asks, peer, byAskPeer)
-}
-
-// bySetIndex and byAskPeer order the decrypt window's partial sets and
-// asks for binary search.
-func bySetIndex(set []Partial, idx int) int { return cmp.Compare(set[0].Index, idx) }
-func byAskPeer(a ask, peer p2p.NodeID) int  { return cmp.Compare(a.peer, peer) }
-
-// askTTL is the patience of one in-flight decrypt ask, in decrypt
-// activations. Fault-free, a request sent at cycle c is answered by the
-// response processed at c+2; one spare activation absorbs drop/laggard
-// jitter before the window re-provisions the ask elsewhere.
-const askTTL = 3
-
-// topUpAsks is the outstanding-request window: it ages out expired
-// in-flight asks, then draws fresh un-asked peers — with replacement
-// redraws, so already-asked draws don't silently shrink the wave — until
-// the window again holds `missing` asks (progressively more as the
-// quorum drags) or the candidate pool is exhausted.
-func (pt *participant) topUpAsks(ctx Env, missing int, req *decryptRequest, bytes int) {
-	inFlight := 0
-	asks := pt.asks[:0]
-	for _, a := range pt.asks {
-		switch a.ttl {
-		case 0: // answered
-		case 1:
-			// Expired unanswered: the peer may have crashed, rejoined, or
-			// the messages may have dropped. Release it for re-asking —
-			// duplicate responses are idempotent (collect keeps the
-			// first) — so a small pool under churn keeps its liveness
-			// instead of exhausting permanently.
-			continue
-		default:
-			a.ttl--
-			inFlight++
-		}
-		asks = append(asks, a)
-	}
-	pt.asks = asks
-	// Progressive escalation: each elapsed TTL without a settled quorum
-	// widens the window by one, so dead or slow responders cannot
-	// serialize the remaining waves, and a window burning toward its
-	// deadline grows redundant instead of failing lean.
-	target := missing + pt.waitCycles/askTTL
-	need := target - inFlight
-	if need <= 0 {
-		return
-	}
-	if pt.asks == nil {
-		pt.asks = make([]ask, 0, 2*pt.run.suite.Threshold())
-	}
-	// Redraw budget: generous enough to find `need` fresh peers even when
-	// most draws land on already-asked ones (small populations, long
-	// waits), finite so an exhausted pool cannot loop forever.
-	budget := 16*(need+1) + 8*len(pt.asks)
-	for need > 0 && budget > 0 {
-		budget--
-		peer, ok := ctx.RandomPeer()
-		if !ok {
-			return
-		}
-		i, asked := pt.findAsk(peer)
-		if asked {
-			continue
-		}
-		pt.asks = slices.Insert(pt.asks, i, ask{peer: peer, ttl: askTTL})
-		pt.decryptReqs++
-		pt.decryptReqBytes += int64(bytes)
-		_ = ctx.Send(peer, req, bytes)
-		need--
-	}
-}
-
-// serveDecrypt is the always-on decryption service: any alive participant
-// contributes its partial decryptions on request. The partials of the
-// last served (iteration, cipher-set) are memoized, so duplicate
-// requests for the same ciphertexts (replays, retransmissions) are
-// answered without redoing the per-cipher exponentiations. The memo key
-// is the identity of the request's cipher slice — servedCiphers keeps
-// that slice alive, so a match guarantees the cached partials belong to
-// exactly these ciphertexts. The memo's partials are the participant's
-// own copy, and every response is a copy of them in sc's response
-// storage: the memo never points at a response buffer, which is
-// recycled. Under parityEmits a warmed serve allocates nothing on the
-// accounted backend (TestDecryptCycleZeroAlloc).
-func (pt *participant) serveDecrypt(ctx Env, sc *scratch, from p2p.NodeID, req *decryptRequest) {
-	r := pt.run
-	share := int(pt.id) + 1
-	if share > r.suite.Parties() {
-		return
-	}
-	resp := sc.response(r, ctx.Cycle(), len(req.Ciphers))
-	if len(req.Ciphers) > 0 && pt.servedCiphers != nil &&
-		pt.servedIter == req.Iter &&
-		len(pt.servedCiphers) == len(req.Ciphers) &&
-		&pt.servedCiphers[0] == &req.Ciphers[0] {
-		pt.servedHits++
-		copy(resp.Partials, pt.servedParts)
-	} else {
-		for i, c := range req.Ciphers {
-			p, err := r.suite.PartialDecrypt(share, c)
-			if err != nil {
-				return
-			}
-			resp.Partials[i] = p
-		}
-		pt.servedIter = req.Iter
-		pt.servedCiphers = req.Ciphers
-		pt.servedParts = append(pt.servedParts[:0], resp.Partials...)
-	}
-	resp.Iter = req.Iter
-	respBytes := len(resp.Partials)*r.suite.CipherBytes() + 8
-	if ctx.Send(from, resp, respBytes) == nil {
-		pt.decryptRespBytes += int64(respBytes)
+	if quorum || expired {
+		pt.finishIteration(ctx, sc, expired)
 	}
 }
 
@@ -890,7 +582,7 @@ func (pt *participant) finishIteration(ctx Env, sc *scratch, failed bool) {
 	inertia := math.NaN()
 
 	if !failed {
-		decoded, err := pt.decodeAll(sc)
+		decoded, err := pt.window.decodeAll(r, sc, pt.diptych.Means)
 		if err != nil {
 			failed = true
 			pt.decryptFail++
@@ -954,7 +646,7 @@ func (pt *participant) finishIteration(ctx Env, sc *scratch, failed bool) {
 	})
 
 	pt.diptych.Centroids = newCentroids
-	pt.clearWindow()
+	pt.window.end()
 
 	converged := r.params.ConvergeThreshold > 0 && disp <= r.params.ConvergeThreshold && !failed
 	// Footnote-2 criterion: stop when the tracked quality plateaus.
@@ -969,94 +661,6 @@ func (pt *participant) finishIteration(ctx Env, sc *scratch, failed bool) {
 	}
 	pt.iter++
 	pt.phase = phaseAssign
-}
-
-// errHalvingBudget reports a share whose halving exponent overran the
-// pre-scale budget T: Dec(c)·2^(T-h) is then not an integer, so there is
-// no exact value to disclose and the iteration is recorded as a failed
-// decryption.
-var errHalvingBudget = errors.New("core: push-sum share halved beyond the pre-scale budget")
-
-// errOpeningWeight reports a share whose push-sum weight exceeds the
-// population while the run packs several slots to a plaintext. The slot
-// width B is sized for at most all n contributions on one holder,
-// |v| ≤ 2^(B−3) when w ≤ n; mass inflated past that by duplicated or
-// replayed gossip could carry a slot into its neighbour undetected, so
-// the share is recorded as a failed decryption instead of being split.
-// A one-slot plaintext has no neighbour: UnpackInto refuses its overrun
-// on its own.
-var errOpeningWeight = errors.New("core: push-sum weight exceeds the population the opening is sized for")
-
-// decodeAll combines the collected partials for every pending ciphertext
-// and decodes the fixed-point plaintexts to floats, already divided by
-// the push-sum weight and the pre-scaling factor. It always returns
-// sideLen coordinates, in s's storage.
-func (pt *participant) decodeAll(s *scratch) ([]float64, error) {
-	r := pt.run
-	st := pt.diptych.Means
-	// The partial sets are in ascending share-index order (collect), so
-	// the responder-set cache keys and OpCounts profiles are
-	// deterministic; the set is resolved once for the whole pending
-	// vector, which opens into s's group integers.
-	plains := s.groups[:len(pt.pendingCT)]
-	if err := r.suite.CombineColumnsInto(plains, pt.partials); err != nil {
-		return nil, err
-	}
-	signed, err := r.signedAggregates(s, plains, st.H, st.W)
-	if err != nil {
-		return nil, err
-	}
-	denom := st.W * math.Ldexp(1, int(r.preScale))
-	out := s.decoded[:len(signed)]
-	for i, v := range signed {
-		if out[i], err = pt.decodeSigned(v, denom, i); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// signedAggregates turns the opened plaintexts of a perturbed share with
-// halving exponent h and push-sum weight w into the exact signed
-// fixed-point aggregates, one per coordinate (sideLen of them), written
-// into s's coordinates; plains may be mutated. A share heavier than the
-// population is refused first when a plaintext packs several slots (see
-// errOpeningWeight). The plaintexts are sign-unwrapped against the
-// cached M/2 and split into their balanced digits (a digit out of budget
-// fails the decode), and every digit is shifted by what is left of the
-// halving budget, T − h: that makes it the integer eager halving of
-// 2^T-pre-scaled contributions would have left in the ciphertexts, and
-// everything downstream is oblivious to the exponent.
-func (r *runShared) signedAggregates(s *scratch, plains []*big.Int, h uint, w float64) ([]*big.Int, error) {
-	if h > r.preScale {
-		return nil, errHalvingBudget
-	}
-	if w > float64(r.population) && r.layout.Slots() > 1 {
-		return nil, errOpeningWeight
-	}
-	for _, m := range plains {
-		if err := fixedpoint.UnwrapSignedInPlace(m, r.plainMod, r.halfMod); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.layout.UnpackInto(s.coords, plains); err != nil {
-		return nil, err
-	}
-	for _, f := range s.coords {
-		f.Lsh(f, r.preScale-h)
-	}
-	return s.coords, nil
-}
-
-// decodeSigned converts an exact signed aggregate to its float64 mean
-// estimate and applies the plausibility bound.
-func (pt *participant) decodeSigned(signed *big.Int, denom float64, i int) (float64, error) {
-	r := pt.run
-	v := r.codec.Decode(signed) / denom
-	if math.Abs(v) > r.decodeBound || math.IsNaN(v) {
-		return 0, fmt.Errorf("core: decoded coordinate %d implausible (%g) — gossip invariant violated", i, v)
-	}
-	return v, nil
 }
 
 // smoothMean writes the smoothed mean of one cluster, sums/cnt, into

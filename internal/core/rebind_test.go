@@ -48,7 +48,7 @@ func TestRebindEmptiesStorage(t *testing.T) {
 	}
 	midWindow := func() *participant {
 		for _, pt := range d.participants {
-			if pt.phase == phaseDecrypt && len(pt.history) > 0 && len(pt.asks) > 0 && pt.servedCiphers != nil {
+			if pt.phase == phaseDecrypt && len(pt.history) > 0 && len(pt.window.asks) > 0 && pt.service.ciphers != nil {
 				return pt
 			}
 		}
@@ -79,8 +79,8 @@ func TestRebindEmptiesStorage(t *testing.T) {
 	for i := range parts {
 		parts[i] = Partial{Index: 2, Value: big.NewInt(5)}
 	}
-	q.collect(parts)
-	historyAt, keptAt := &q.history[0], &q.kept[0][0]
+	q.window.collect(r, parts)
+	historyAt, keptAt := &q.history[0], &q.window.kept[0][0]
 
 	again := params
 	again.Seed = 77
@@ -106,22 +106,33 @@ func TestRebindEmptiesStorage(t *testing.T) {
 			t.Fatalf("participant %d: protocol state after rebind differs from a fresh bind:\n  got  %+v\n  want %+v", i, got, want)
 		}
 		s := pt.storage
-		if !allZero(s.partials) || !allZero(s.history) || !allZero(s.servedParts) {
+		if !allZero(s.window.partials) || !allZero(s.history) || !allZero(s.service.parts) {
 			t.Fatalf("participant %d: a truncated buffer still holds references", i)
 		}
 		if len(s.means.V) != 0 || !allZero(s.means.V) || s.means.W != 0 || s.means.H != 0 {
 			t.Fatalf("participant %d: the kept push-sum state survived the rebind", i)
 		}
-		if len(s.partials)+len(s.history)+len(s.servedParts)+len(s.asks) != 0 {
+		if len(s.window.partials)+len(s.history)+len(s.service.parts)+len(s.window.asks) != 0 {
 			t.Fatalf("participant %d: storage not truncated", i)
 		}
-		for _, set := range s.kept {
+		for _, set := range s.window.kept {
 			if !allZero(set) {
 				t.Fatalf("participant %d: a kept partial set survived the rebind", i)
 			}
 		}
-		if s.ownReq.Ciphers != nil || !allZero(s.emitPayloads[:]) {
-			t.Fatalf("participant %d: a request or emission survived the rebind", i)
+		if !allZero(s.emitPayloads[:]) {
+			t.Fatalf("participant %d: an emission survived the rebind", i)
+		}
+		// Beside their buffers, the decrypt window and service hold what a
+		// fresh bind gives them: no request, memo key or counter, and an
+		// opening only of the new run's width.
+		w, sv := s.window, s.service
+		if len(w.own.Ciphers) == r2.sideCiphers {
+			w.own.Ciphers = nil
+		}
+		w.kept, w.partials, w.asks, sv.parts = nil, nil, nil, nil
+		if !reflect.DeepEqual(w, requester{}) || !reflect.DeepEqual(sv, responder{}) {
+			t.Fatalf("participant %d: the decrypt state survived the rebind:\n  window  %+v\n  service %+v", i, w, sv)
 		}
 		for _, m := range s.emitMsgs {
 			if m.W != 0 || m.H != 0 || (m.V != nil && len(m.V) != r2.sideCiphers) {
@@ -129,7 +140,7 @@ func TestRebindEmptiesStorage(t *testing.T) {
 			}
 		}
 	}
-	if &q.history[:1][0] != historyAt || &q.kept[0][:1][0] != keptAt {
+	if &q.history[:1][0] != historyAt || &q.window.kept[0][:1][0] != keptAt {
 		t.Fatal("rebind reallocated storage it should have kept")
 	}
 	for i := range d.blocks {

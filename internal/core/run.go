@@ -465,9 +465,9 @@ func buildTrace(data [][]float64, p Params, participants []*participant, cycles 
 	for _, pt := range participants {
 		tr.DecryptFailures += pt.decryptFail
 		tr.StaleDrops += pt.staleDrops
-		tr.Ops.PartialCacheHits += pt.servedHits
-		tr.DecryptRequests += pt.decryptReqs
-		tr.DecryptBytes += pt.decryptReqBytes + pt.decryptRespBytes
+		tr.Ops.PartialCacheHits += pt.service.hits
+		tr.DecryptRequests += pt.window.reqs
+		tr.DecryptBytes += pt.window.reqBytes + pt.service.respBytes
 		if pt.phase == phaseDone {
 			tr.Completed++
 		}

@@ -6,10 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"chiaroscuro/internal/gossip"
-	"chiaroscuro/internal/p2p"
 	"chiaroscuro/internal/wire"
 )
 
@@ -94,7 +92,7 @@ func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 	buf = wire.AppendUint32(buf, uint32(p.iter))
 	buf = wire.AppendUint32(buf, uint32(p.roundsDone))
 	buf = wire.AppendUint32(buf, uint32(p.assignment))
-	buf = wire.AppendUint32(buf, uint32(p.waitCycles))
+	buf = wire.AppendUint32(buf, uint32(p.window.waitCycles))
 	buf = wire.AppendUint32(buf, uint32(p.staleDrops))
 	buf = wire.AppendUint32(buf, uint32(p.decryptFail))
 	buf = wire.AppendUint32(buf, uint32(p.diptych.Iteration))
@@ -103,11 +101,11 @@ func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 	// The encrypted push-sum state only matters in the phases that read
 	// it before stepAssign rebuilds it (gossip and decrypt); elsewhere a
 	// stale Means is dead weight, so it is dropped.
+	var err error
 	if p.diptych.Means != nil && (p.phase == phaseGossip || p.phase == phaseDecrypt) {
 		buf = wire.AppendUint32(buf, 1)
 		buf = wire.AppendUint64(buf, math.Float64bits(p.diptych.Means.Weight()))
 		buf = wire.AppendUint32(buf, uint32(p.diptych.Means.H))
-		var err error
 		if buf, err = appendVectorField(buf, p.diptych.Means.V, nd.pop.suite.AppendCipherVector); err != nil {
 			return nil, fmt.Errorf("core: snapshot push-sum state: %w", err)
 		}
@@ -115,46 +113,8 @@ func (nd *Node) AppendSnapshot(buf []byte) ([]byte, error) {
 		buf = wire.AppendUint32(buf, 0)
 	}
 
-	// pendingCT's nil-ness is protocol state: stepDecrypt runs step 2c
-	// exactly when it is nil, so the flag must round-trip even though an
-	// empty vector never occurs.
-	if p.pendingCT != nil {
-		buf = wire.AppendUint32(buf, 1)
-		var err error
-		if buf, err = appendVectorField(buf, p.pendingCT, nd.pop.suite.AppendCipherVector); err != nil {
-			return nil, fmt.Errorf("core: snapshot pending ciphertexts: %w", err)
-		}
-	} else {
-		buf = wire.AppendUint32(buf, 0)
-	}
-
-	// The partial sets by share index, the asked peers by id, then the
-	// in-flight asks (peer, ttl) by id: the window keeps all three in
-	// ascending order, so the bytes are deterministic.
-	buf = wire.AppendUint32(buf, uint32(len(p.partials)))
-	for _, set := range p.partials {
-		buf = wire.AppendUint32(buf, uint32(set[0].Index))
-		var err error
-		if buf, err = appendVectorField(buf, set, nd.pop.suite.AppendPartialValues); err != nil {
-			return nil, fmt.Errorf("core: snapshot partials: %w", err)
-		}
-	}
-	buf = wire.AppendUint32(buf, uint32(len(p.asks)))
-	for _, a := range p.asks {
-		buf = wire.AppendUint32(buf, uint32(a.peer))
-	}
-	inFlight := 0
-	for _, a := range p.asks {
-		if a.ttl > 0 {
-			inFlight++
-		}
-	}
-	buf = wire.AppendUint32(buf, uint32(inFlight))
-	for _, a := range p.asks {
-		if a.ttl > 0 {
-			buf = wire.AppendUint32(buf, uint32(a.peer))
-			buf = wire.AppendUint32(buf, uint32(a.ttl))
-		}
+	if buf, err = p.window.appendWindow(buf, nd.pop.suite); err != nil {
+		return nil, err
 	}
 
 	buf = wire.AppendUint32(buf, uint32(len(p.history)))
@@ -288,22 +248,26 @@ func RestoreNode(data [][]float64, params Params, id int, snap []byte) (*Node, e
 	return nd, nil
 }
 
+// readU32 reads a snapshot's uint32 field name.
+func readU32(fr *wire.FieldReader, name string) (int, error) {
+	v, err := fr.Uint32()
+	if err != nil {
+		return 0, snapErr("%s: %v", name, err)
+	}
+	return int(v), nil
+}
+
 // restoreState decodes the participant state blob into the freshly
 // constructed node, validating every field against the run
 // configuration so a corrupted checkpoint is rejected instead of
-// desynchronizing (or crashing) the participant.
+// desynchronizing (or crashing) the participant. It decodes in place:
+// a node whose snapshot fails to restore is closed, never stepped.
 func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 	p := nd.pt
 	r := p.run
 	fr := wire.NewFieldReader(st)
 
-	u32 := func(name string) (int, error) {
-		v, err := fr.Uint32()
-		if err != nil {
-			return 0, snapErr("%s: %v", name, err)
-		}
-		return int(v), nil
-	}
+	u32 := func(name string) (int, error) { return readU32(fr, name) }
 	f64 := func(name string) (float64, error) {
 		v, err := fr.Uint64()
 		if err != nil {
@@ -311,6 +275,7 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		}
 		return math.Float64frombits(v), nil
 	}
+	p.rngSrc.SetState(h.rngState)
 	phaseV, err := u32("phase")
 	if err != nil {
 		return err
@@ -318,42 +283,36 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 	if phaseV > int(phaseDone) {
 		return snapErr("phase %d out of range", phaseV)
 	}
-	iter, err := u32("iter")
-	if err != nil {
+	p.phase = phase(phaseV)
+	if p.iter, err = u32("iter"); err != nil {
 		return err
 	}
-	if iter >= len(r.epsSched) {
-		return snapErr("iteration %d outside schedule of %d", iter, len(r.epsSched))
+	if p.iter >= len(r.epsSched) {
+		return snapErr("iteration %d outside schedule of %d", p.iter, len(r.epsSched))
 	}
-	roundsDone, err := u32("roundsDone")
-	if err != nil {
+	if p.roundsDone, err = u32("roundsDone"); err != nil {
 		return err
 	}
-	assignment, err := u32("assignment")
-	if err != nil {
+	if p.assignment, err = u32("assignment"); err != nil {
 		return err
 	}
-	if assignment >= r.params.K {
-		return snapErr("assignment %d outside K=%d", assignment, r.params.K)
+	if p.assignment >= r.params.K {
+		return snapErr("assignment %d outside K=%d", p.assignment, r.params.K)
 	}
 	waitCycles, err := u32("waitCycles")
 	if err != nil {
 		return err
 	}
-	staleDrops, err := u32("staleDrops")
-	if err != nil {
+	if p.staleDrops, err = u32("staleDrops"); err != nil {
 		return err
 	}
-	decryptFail, err := u32("decryptFail")
-	if err != nil {
+	if p.decryptFail, err = u32("decryptFail"); err != nil {
 		return err
 	}
-	dipIter, err := u32("diptych iteration")
-	if err != nil {
+	if p.diptych.Iteration, err = u32("diptych iteration"); err != nil {
 		return err
 	}
-	centroids, err := readFloats(fr, r.params.K, r.dim)
-	if err != nil {
+	if p.diptych.Centroids, err = readFloats(fr, r.params.K, r.dim); err != nil {
 		return snapErr("centroids: %v", err)
 	}
 
@@ -361,9 +320,12 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 	if err != nil {
 		return err
 	}
-	var means *gossip.State[Cipher]
 	switch hasMeans {
 	case 0:
+		// Every step of the gossip and decrypt phases reads the state.
+		if p.phase == phaseGossip || p.phase == phaseDecrypt {
+			return snapErr("phase %d without push-sum state", phaseV)
+		}
 	case 1:
 		w, err := f64("push-sum weight")
 		if err != nil {
@@ -392,138 +354,17 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if err := nd.pop.suite.UnmarshalCipherVectorInto(cs, cv); err != nil {
 			return snapErr("push-sum vector: %v", err)
 		}
-		// A new state over the freshly decoded, exclusively owned
-		// values, committed only once the whole snapshot is validated.
-		means, err = gossip.NewState[Cipher](r.ring, cs, w)
-		if err != nil {
+		// A new state over the freshly decoded, exclusively owned values.
+		if p.diptych.Means, err = gossip.NewState[Cipher](r.ring, cs, w); err != nil {
 			return snapErr("push-sum state: %v", err)
 		}
-		means.H = uint(h)
+		p.diptych.Means.H = uint(h)
 	default:
 		return snapErr("means flag %d", hasMeans)
 	}
 
-	hasPending, err := u32("pending flag")
-	if err != nil {
+	if err := p.window.readWindow(fr, r, p.iter, waitCycles, p.phase == phaseDecrypt); err != nil {
 		return err
-	}
-	var pendingCT []Cipher
-	switch hasPending {
-	case 0:
-	case 1:
-		cv, err := fr.Bytes()
-		if err != nil {
-			return snapErr("pending ciphertexts: %v", err)
-		}
-		cs, err := nd.pop.suite.NewCipherVector(r.sideCiphers)
-		if err != nil {
-			return err
-		}
-		if err := nd.pop.suite.UnmarshalCipherVectorInto(cs, cv); err != nil {
-			return snapErr("pending ciphertexts: %v", err)
-		}
-		pendingCT = cs
-	default:
-		return snapErr("pending flag %d", hasPending)
-	}
-	if pendingCT != nil && means == nil {
-		return snapErr("pending ciphertexts without push-sum state")
-	}
-
-	nPartials, err := u32("partials count")
-	if err != nil {
-		return err
-	}
-	if nPartials > nd.pop.suite.Parties() {
-		return snapErr("%d partial sets for %d parties", nPartials, nd.pop.suite.Parties())
-	}
-	if phase(phaseV) != phaseDecrypt && nPartials > 0 {
-		return snapErr("partials outside decrypt phase")
-	}
-	var partials [][]Partial
-	for i := 0; i < nPartials; i++ {
-		idx, err := u32("partial index")
-		if err != nil {
-			return err
-		}
-		if idx < 1 || idx > nd.pop.suite.Parties() {
-			return snapErr("partial index %d outside [1, %d]", idx, nd.pop.suite.Parties())
-		}
-		pv, err := fr.Bytes()
-		if err != nil {
-			return snapErr("partial values: %v", err)
-		}
-		ps, err := nd.pop.suite.UnmarshalPartialValues(idx, pv)
-		if err != nil {
-			return snapErr("partial values: %v", err)
-		}
-		if len(ps) != r.sideCiphers {
-			return snapErr("partial set of %d values, want %d", len(ps), r.sideCiphers)
-		}
-		at, dup := slices.BinarySearchFunc(partials, idx, bySetIndex)
-		if dup {
-			return snapErr("duplicate partial index %d", idx)
-		}
-		partials = slices.Insert(partials, at, ps)
-	}
-
-	nAsked, err := u32("asked count")
-	if err != nil {
-		return err
-	}
-	if nAsked > r.population {
-		return snapErr("%d asked peers in population %d", nAsked, r.population)
-	}
-	if phase(phaseV) != phaseDecrypt && nAsked > 0 {
-		return snapErr("asked peers outside decrypt phase")
-	}
-	var asks []ask
-	for i := 0; i < nAsked; i++ {
-		id, err := u32("asked id")
-		if err != nil {
-			return err
-		}
-		if id >= r.population {
-			return snapErr("asked id %d outside population %d", id, r.population)
-		}
-		if at, dup := slices.BinarySearchFunc(asks, p2p.NodeID(id), byAskPeer); !dup {
-			asks = slices.Insert(asks, at, ask{peer: p2p.NodeID(id)})
-		}
-	}
-
-	nOut, err := u32("outstanding count")
-	if err != nil {
-		return err
-	}
-	if nOut > nAsked {
-		return snapErr("%d outstanding asks for %d asked peers", nOut, nAsked)
-	}
-	if phase(phaseV) != phaseDecrypt && nOut > 0 {
-		return snapErr("outstanding asks outside decrypt phase")
-	}
-	for i := 0; i < nOut; i++ {
-		id, err := u32("outstanding id")
-		if err != nil {
-			return err
-		}
-		if id >= r.population {
-			return snapErr("outstanding id %d outside population %d", id, r.population)
-		}
-		ttl, err := u32("outstanding ttl")
-		if err != nil {
-			return err
-		}
-		if ttl < 1 || ttl > askTTL {
-			return snapErr("outstanding ttl %d outside [1, %d]", ttl, askTTL)
-		}
-		at, asked := slices.BinarySearchFunc(asks, p2p.NodeID(id), byAskPeer)
-		if !asked {
-			return snapErr("outstanding ask for un-asked peer %d", id)
-		}
-		if asks[at].ttl > 0 {
-			return snapErr("duplicate outstanding id %d", id)
-		}
-		asks[at].ttl = ttl
 	}
 
 	nHistory, err := u32("history count")
@@ -533,7 +374,7 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 	if nHistory > r.params.Iterations {
 		return snapErr("%d history entries for %d iterations", nHistory, r.params.Iterations)
 	}
-	history := make([]IterationResult, 0, r.params.Iterations)
+	p.history = make([]IterationResult, 0, r.params.Iterations)
 	for i := 0; i < nHistory; i++ {
 		var rec IterationResult
 		if rec.Iteration, err = u32("history iteration"); err != nil {
@@ -573,33 +414,10 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		if rec.CompletedAtCycle, err = u32("history cycle"); err != nil {
 			return err
 		}
-		history = append(history, rec)
+		p.history = append(p.history, rec)
 	}
 	if err := fr.Done(); err != nil {
 		return snapErr("trailing state bytes: %v", err)
 	}
-
-	// Everything validated — commit.
-	p.rngSrc.SetState(h.rngState)
-	p.phase = phase(phaseV)
-	p.iter = iter
-	p.roundsDone = roundsDone
-	p.assignment = assignment
-	p.waitCycles = waitCycles
-	p.staleDrops = staleDrops
-	p.decryptFail = decryptFail
-	p.diptych.Iteration = dipIter
-	p.diptych.Centroids = centroids
-	p.diptych.Means = means
-	p.pendingCT = pendingCT
-	if pendingCT != nil {
-		// The restored opening is the participant's own, and so is the
-		// request stepDecrypt keeps asking with (see freezeOpening).
-		p.opening, p.req = pendingCT, &p.ownReq
-		p.ownReq = decryptRequest{Iter: iter, Ciphers: pendingCT}
-	}
-	p.partials = partials
-	p.asks = asks
-	p.history = history
 	return nil
 }

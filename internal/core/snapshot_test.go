@@ -287,6 +287,55 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsUnreachableStates: honest execution freezes an
+// opening only in the decrypt phase, collects partial sets and asks
+// peers only once it has, and holds a push-sum state throughout the
+// gossip and decrypt phases. A snapshot of any other state is refused —
+// a node restored with an opening outside the decrypt phase would skip
+// step 2c at its next window and open a stale vector, and one without
+// a push-sum state would crash at its next step.
+func TestSnapshotRejectsUnreachableStates(t *testing.T) {
+	data, params, m := midGossipMesh(t)
+	defer m.close()
+	for id, tc := range []struct {
+		name  string
+		stray func(p *participant)
+		want  string
+	}{
+		{"an opening mid-gossip", func(p *participant) {
+			p.window.freeze(p.run, p.iter, p.diptych.Means.V)
+		}, "pending ciphertexts outside decrypt phase"},
+		{"a partial set without an opening", func(p *participant) {
+			p.phase = phaseDecrypt
+			ps := make([]Partial, len(p.diptych.Means.V))
+			for i, c := range p.diptych.Means.V {
+				var err error
+				if ps[i], err = p.run.suite.PartialDecrypt(2, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.window.collect(p.run, ps)
+		}, "partials without pending ciphertexts"},
+		{"an ask without an opening", func(p *participant) {
+			p.phase = phaseDecrypt
+			p.window.topUpAsks(&scriptedEnv{n: len(data), peers: []p2p.NodeID{3}}, p.run, 1, &decryptRequest{}, 0)
+		}, "asked peers without pending ciphertexts"},
+		{"no push-sum state mid-gossip", func(p *participant) {
+			p.diptych.Means = nil
+		}, "phase 1 without push-sum state"},
+	} {
+		nd := m.nodes[id]
+		tc.stray(nd.pt)
+		snap, err := nd.AppendSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RestoreNode(data, params, id, snap); !errors.Is(err, errSnapshot) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("restore of %s: %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // midGossipMesh runs the snapshot configuration's mesh into the gossip
 // phase of its first iteration, where every node's push-sum state has a
 // halving exponent above zero.
@@ -380,19 +429,19 @@ func midDecryptNode(t testing.TB, m *memMesh) *Node {
 	}
 	nd := m.nodes[0]
 	p := nd.pt
-	if p.phase != phaseDecrypt || p.pendingCT == nil || len(p.asks) == 0 || len(p.history) == 0 {
+	if p.phase != phaseDecrypt || p.window.req == nil || len(p.window.asks) == 0 || len(p.history) == 0 {
 		t.Fatalf("node 0 at epoch 30: phase %d, pending %v, %d asked, %d disclosed; want mid-decrypt of iteration 2",
-			p.phase, p.pendingCT != nil, len(p.asks), len(p.history))
+			p.phase, p.window.req != nil, len(p.window.asks), len(p.history))
 	}
 	for _, party := range []int{3, 1} {
-		ps := make([]Partial, len(p.pendingCT))
-		for i, c := range p.pendingCT {
+		ps := make([]Partial, len(p.window.req.Ciphers))
+		for i, c := range p.window.req.Ciphers {
 			var err error
 			if ps[i], err = p.run.suite.PartialDecrypt(party, c); err != nil {
 				t.Fatal(err)
 			}
 		}
-		p.collect(ps)
+		p.window.collect(p.run, ps)
 	}
 	return nd
 }
@@ -466,9 +515,10 @@ func TestSnapshotBytesUnchanged(t *testing.T) {
 }
 
 // TestAppendSnapshotAllocations: into a buffer that is big enough, a
-// snapshot costs nothing, between iterations and while the node holds a
-// push-sum state alike — the two nested blobs, the float fields and the
-// cipher vectors are all written in place.
+// snapshot costs nothing, between iterations, while the node holds a
+// push-sum state and while it holds a decrypt window alike — the two
+// nested blobs, the float fields, the cipher vectors and the partial
+// sets are all written in place.
 func TestAppendSnapshotAllocations(t *testing.T) {
 	data, params := snapshotTestConfig()
 	fresh, err := NewNode(data, params, 0)
@@ -478,6 +528,8 @@ func TestAppendSnapshotAllocations(t *testing.T) {
 	defer fresh.Close()
 	_, _, m := midGossipMesh(t)
 	defer m.close()
+	_, _, dm := midGossipMesh(t)
+	defer dm.close()
 	for _, c := range []struct {
 		name string
 		nd   *Node
@@ -485,6 +537,7 @@ func TestAppendSnapshotAllocations(t *testing.T) {
 	}{
 		{"between iterations", fresh, 0},
 		{"mid-gossip", m.nodes[0], 0},
+		{"mid-decrypt", midDecryptNode(t, dm), 0},
 	} {
 		buf, err := c.nd.AppendSnapshot(nil)
 		if err != nil {
@@ -531,8 +584,17 @@ func FuzzRestoreNode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// A mid-decrypt state: an opening, partial sets, asked peers and
+	// in-flight asks.
+	_, _, dm := midGossipMesh(f)
+	dec, err := midDecryptNode(f, dm).AppendSnapshot(nil)
+	dm.close()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(mid)
 	f.Add(over)
+	f.Add(dec)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if nd, err := RestoreNode(data, params, 0, b); err == nil {
 			nd.Close()
@@ -563,8 +625,8 @@ func TestLateSyncCheckpointRestores(t *testing.T) {
 	}
 	env.peers, env.next = []p2p.NodeID{1, 2, 3}, 0
 	pt.stepDecrypt(env, pt.run.newScratch(), nil)
-	if pt.phase != phaseDecrypt || len(pt.asks) == 0 {
-		t.Fatalf("no ask wave: phase %d, %d asks", pt.phase, len(pt.asks))
+	if pt.phase != phaseDecrypt || len(pt.window.asks) == 0 {
+		t.Fatalf("no ask wave: phase %d, %d asks", pt.phase, len(pt.window.asks))
 	}
 	q := pt.run.newParticipant(1)
 	q.iter = 1
