@@ -81,22 +81,16 @@ func (q *requester) end() {
 	q.nKept = 0
 }
 
-// forget empties the window of a participant that starts over: one
-// bound to run next (storage.rebound) keeps nothing of the run before
-// but capacity, and its opening's storage only when it is next's width;
-// one reset mid-run (next nil, participant.Reset) keeps its counters and
-// drops its opening, which a redone iteration may open differently at an
-// address responders memoized the old one's partials by.
+// forget empties the window of a participant bound to run next
+// (storage.rebound): it keeps nothing of the run before but capacity,
+// and its opening's storage only when it is next's width.
 func (q *requester) forget(next *runShared) {
 	own := q.own.Ciphers
-	if next == nil || len(own) != next.sideCiphers {
+	if len(own) != next.sideCiphers {
 		own = nil
 	}
 	q.end()
-	if next != nil {
-		*q = requester{kept: q.kept, partials: truncate(q.partials), asks: q.asks}
-	}
-	q.own = decryptRequest{Ciphers: own}
+	*q = requester{kept: q.kept, partials: truncate(q.partials), asks: q.asks, own: decryptRequest{Ciphers: own}}
 }
 
 // step runs one decrypt activation of iteration iter over the push-sum

@@ -253,6 +253,9 @@ func (pt *participant) step(ctx Env, sc *scratch) {
 // message it receives. A participant that had already terminated stays
 // terminated — its result is final and must not be recomputed (and
 // re-spending the privacy budget on a re-disclosure would be unsound).
+// Ending the window is enough to empty it: a reset comes at the end of
+// an outage, and a fault plan with one turns parityEmits off, so no
+// window's request was own (see requester.freeze).
 func (pt *participant) Reset() {
 	if pt.phase == phaseDone {
 		return
@@ -260,7 +263,7 @@ func (pt *participant) Reset() {
 	pt.phase = phaseAssign
 	pt.roundsDone = 0
 	pt.diptych.Means = nil
-	pt.window.forget(nil)
+	pt.window.end()
 	pt.service.forget(nil)
 }
 

@@ -248,7 +248,7 @@ func (pop *population) bind(p Params) (*runShared, error) {
 		validate:      p.Faults.HasByzantine(),
 		// Where emissions are stored (see participant.emit): without a
 		// fault plan every message is consumed by the end of the cycle
-		// after it was sent (no delayed queues, laggard stalls or
+		// after it was sent (no delayed copies, laggard stalls or
 		// replaying byzantines; churn is fine — crashes clear queues), so
 		// two cycle-parity buffers per sender suffice: a participant's two
 		// emissions, a shard's two response sets. Any other fault plan

@@ -87,13 +87,20 @@ func newOrderProtos(n int, seed int64) []*orderProto {
 	return protos
 }
 
+// refDelayed is a delayed message in the reference model's per-node
+// queue, with the cycle it becomes visible at.
+type refDelayed struct {
+	due int
+	msg Message
+}
+
 // refNet is the reference model of a Network.
 type refNet struct {
 	n, cycle, alive int
 	up, stalled     []bool
 	rngs            []*rand.Rand
 	inbox, pending  [][]Message
-	delayed         [][]delayedMessage
+	delayed         [][]refDelayed
 	protos          []*orderProto
 	cond            Conditioner
 	sched           FaultScheduler
@@ -107,7 +114,7 @@ func newRefNet(protos []*orderProto, seed int64, cond Conditioner, sched FaultSc
 		up: make([]bool, n), stalled: make([]bool, n),
 		rngs:  make([]*rand.Rand, n),
 		inbox: make([][]Message, n), pending: make([][]Message, n),
-		delayed: make([][]delayedMessage, n),
+		delayed: make([][]refDelayed, n),
 		protos:  protos, cond: cond, sched: sched,
 	}
 	for i := range n {
@@ -119,7 +126,7 @@ func newRefNet(protos []*orderProto, seed int64, cond Conditioner, sched FaultSc
 
 func (r *refNet) runCycle() {
 	for i := range r.n {
-		var keep []delayedMessage
+		var keep []refDelayed
 		for _, dm := range r.delayed[i] {
 			if dm.due <= r.cycle {
 				r.inbox[i] = append(r.inbox[i], dm.msg)
@@ -166,7 +173,7 @@ func (r *refNet) queue(to NodeID, m Message, delay int) {
 		return
 	}
 	r.stats.Delayed++
-	r.delayed[to] = append(r.delayed[to], delayedMessage{due: r.cycle + 1 + delay, msg: m})
+	r.delayed[to] = append(r.delayed[to], refDelayed{due: r.cycle + 1 + delay, msg: m})
 }
 
 // refCtx is one activation of the reference model.
@@ -368,18 +375,26 @@ func TestInboxAppendStaysInItsRun(t *testing.T) {
 
 // TestDroppedPayloadsReleased: the network keeps no payload reachable
 // once it is done with it, however little traffic follows — a drained
-// inbox's arena is cleared at the next delivery, and a crash clears the
-// inbox it drops at once.
+// inbox's arena is cleared at the next delivery, a delivered held copy
+// leaves the held list's storage, and a crash clears the inbox and the
+// held copies it drops at once.
 func TestDroppedPayloadsReleased(t *testing.T) {
 	crash := scriptSched{make([]NodeDirective, 4), make([]NodeDirective, 4)}
 	crash[1][0].Down = true
+	delay := func(d int) Conditioner {
+		v := Verdict{Delay: d}
+		return &scriptCond{verdicts: map[NodeID][]Verdict{1: {v}, 2: {v}, 3: {v}}}
+	}
 	for _, tc := range []struct {
 		name   string
+		cond   Conditioner
 		sched  FaultScheduler
 		cycles int
 	}{
-		{"drained", nil, 3}, // delivered and drained at cycle 1, released at cycle 2
-		{"crashed", crash, 2},
+		{"drained", nil, nil, 3}, // delivered and drained at cycle 1, released at cycle 2
+		{"crashed", nil, crash, 2},
+		{"delayed", delay(1), nil, 4},           // held at cycle 1, delivered and drained at cycle 2
+		{"delayed crashed", delay(5), crash, 2}, // held at cycle 1, due at 6, dropped by the crash at 1
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var sent []weak.Pointer[[64]byte]
@@ -392,7 +407,7 @@ func TestDroppedPayloadsReleased(t *testing.T) {
 						_ = ctx.Send(0, payload, len(payload))
 					}
 				})
-			}, Options{Seed: 1, Faults: tc.sched})
+			}, Options{Seed: 1, Conditioner: tc.cond, Faults: tc.sched})
 			if err != nil {
 				t.Fatal(err)
 			}

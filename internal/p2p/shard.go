@@ -1,21 +1,26 @@
 package p2p
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // shard.go implements the cycle scheduler: the node id space is
 // partitioned into contiguous shards, shard 0 is activated on the
 // calling goroutine and every other shard on a worker goroutine, each
-// activating its alive nodes in ascending id order, and the messages
-// they send are buffered in per-(source shard, destination shard)
-// buckets. The buckets are the pending store: they hold a cycle's sends
-// until the next cycle's deliver, which builds each destination shard's
-// inbox arena by counting sort, reading the buckets in stable
-// (source-shard, send-order) order — which, because shards are
-// contiguous and activations within a shard run in id order, is the
-// ascending-sender-id delivery order at every shard count. Combined with
-// the per-node RNGs (see the package determinism contract in p2p.go),
-// one shard and k shards run bit-identical cycles; with one shard
-// (Workers 0 or 1) no goroutine is started.
+// activating its alive nodes in ascending id order, and every copy they
+// send, delayed or not, is buffered in a per-(source shard, destination
+// shard) bucket with the cycle it becomes visible at. The next cycle's
+// deliver builds each destination shard's inbox arena by counting sort,
+// reading the buckets in stable (source-shard, send-order) order —
+// which, because shards are contiguous and activations within a shard
+// run in id order, is the ascending-sender-id delivery order at every
+// shard count — and moves each copy not due yet onto the shard's held
+// list, in that order, where a node's entries form the FIFO queue its
+// delayed messages wait in. Combined with the per-node RNGs (see the
+// package determinism contract in p2p.go), one shard and k shards run
+// bit-identical cycles; with one shard (Workers 0 or 1) no goroutine is
+// started.
 //
 // All buffers start empty and are retained and reused across cycles
 // (cleared and truncated, never reallocated once grown), and their
@@ -25,31 +30,26 @@ import "slices"
 // volume is a sum over the shard's nodes, and it settles within a few
 // cycles however the traffic moves between them.
 
-// routed is a buffered message together with its destination.
+// routed is a buffered message together with its destination and the
+// cycle it becomes visible at. Ids and cycles fit 32 bits, which keeps
+// an entry at 40 bytes.
 type routed struct {
-	to  NodeID
-	msg Message
-}
-
-// delayedRouted is a Conditioner-delayed buffered message together with
-// its destination and delivery cycle.
-type delayedRouted struct {
-	to  NodeID
-	due int
-	msg Message
+	to, due int32
+	msg     Message
 }
 
 // shardRunner is one worker's slice of the population plus its private
-// outbox buckets, its inbox arenas and its cost counters for the cycle
-// in flight.
+// outbox buckets, its held list, its inbox arenas and its cost counters
+// for the cycle in flight.
 type shardRunner struct {
 	lo, hi int // node id range [lo, hi)
-	// out[d] buffers the messages this shard's nodes sent to nodes of
+	// out[d] buffers the copies this shard's nodes sent to nodes of
 	// destination shard d, in send order, until the next deliver.
 	out [][]routed
-	// delayedOut[d] buffers Conditioner-delayed messages the same way;
-	// deliver moves them into the destinations' delayed queues.
-	delayedOut [][]delayedRouted
+	// held keeps the copies to this shard's nodes that a deliver found
+	// not due yet (Conditioner-delayed ones), in the order deliver met
+	// them, until the deliver of their due cycle.
+	held []routed
 	// arena holds the inboxes of the shard's nodes for the cycle in
 	// flight, node by node in id order: each node's inbox is a view of
 	// its run of the arena. spare is the arena of the previous cycle,
@@ -82,9 +82,8 @@ func makeShards(n, p int) []shardRunner {
 		hi := min(lo+q, n)
 		shards[s] = shardRunner{
 			lo: lo, hi: hi,
-			out:        make([][]routed, p),
-			delayedOut: make([][]delayedRouted, p),
-			ends:       make([]int, hi-lo),
+			out:  make([][]routed, p),
+			ends: make([]int, hi-lo),
 		}
 	}
 	return shards
@@ -124,38 +123,33 @@ func (sh *shardRunner) send(nw *Network, from, to NodeID, payload any, bytes int
 			sh.dropped++
 			return nil
 		}
-		sh.enqueue(nw, to, m, v.Delay)
+		sh.push(nw, to, m, v.Delay)
 		if v.Duplicate {
 			sh.duplicates++
-			sh.enqueue(nw, to, m, v.DupDelay)
+			sh.push(nw, to, m, v.DupDelay)
 		}
 		return nil
 	}
-	sh.push(nw.shardOf(to), routed{to: to, msg: m})
+	sh.push(nw, to, m, 0)
 	return nil
 }
 
-// push appends r to the bucket for destination shard d. A full bucket
-// doubles: past 256 entries append would grow it by ~1.25×, allocating
-// several times its final size on the way.
-func (sh *shardRunner) push(d int, r routed) {
+// push appends one copy of m for to to the bucket of its destination
+// shard, visible delay cycles after the next one (a delay of 0 or less
+// is none; a due cycle past the 32-bit range is clamped to its end). A
+// full bucket doubles: past 256 entries append would grow it by ~1.25×,
+// allocating several times its final size on the way.
+func (sh *shardRunner) push(nw *Network, to NodeID, m Message, delay int) {
+	if delay > 0 {
+		sh.delayed++
+	}
+	d := nw.shardOf(to)
 	b := sh.out[d]
 	if len(b) == cap(b) {
 		b = slices.Grow(b, len(b))
 	}
-	sh.out[d] = append(b, r)
-}
-
-// enqueue buffers one delivered copy in the regular or delayed bucket
-// for its destination shard.
-func (sh *shardRunner) enqueue(nw *Network, to NodeID, m Message, delay int) {
-	d := nw.shardOf(to)
-	if delay <= 0 {
-		sh.push(d, routed{to: to, msg: m})
-		return
-	}
-	sh.delayed++
-	sh.delayedOut[d] = append(sh.delayedOut[d], delayedRouted{to: to, due: nw.cycle + 1 + delay, msg: m})
+	due := min(nw.cycle+1+max(delay, 0), math.MaxInt32)
+	sh.out[d] = append(b, routed{to: int32(to), due: int32(due), msg: m})
 }
 
 // runCycleSharded activates all alive nodes, shard 0 on the calling
@@ -225,42 +219,39 @@ func (nw *Network) deliver() {
 
 // deliverInto builds destination shard d's next arena by counting sort —
 // one pass counting each node's messages, one scattering them — and
-// makes every node's inbox the view of its run. A node's messages go in
-// this order: its undrained inbox (a stalled node, or a protocol that
-// did not drain it), its due delayed messages in delayed-queue order,
-// and the buckets' messages for it in ascending source shard, then send
-// order — the ascending-sender-id order. Each view is capped at its run,
-// so an append to an inbox cannot reach a neighbour's messages. The
-// previous arena is then cleared up to its used length and kept as the
-// spare, and the buckets are cleared and truncated.
+// makes every node's inbox the view of its run. The counting pass moves
+// every bucket entry not due yet onto the shard's held list, after the
+// entries it already holds. A node's messages go in this order: its
+// undrained inbox (a stalled node, or a protocol that did not drain
+// it), its due held entries in held-list order, and its due bucket
+// entries in ascending source shard, then send order — the
+// ascending-sender-id order. Each view is capped at its run, so an
+// append to an inbox cannot reach a neighbour's messages. The previous
+// arena is then cleared up to its used length and kept as the spare,
+// the held list's delivered entries are cleared behind the ones it
+// keeps, and the buckets are cleared and truncated.
 func (nw *Network) deliverInto(d int) {
 	sh := &nw.shards[d]
 	nodes := nw.nodes[sh.lo:sh.hi]
-	for s := range nw.shards {
-		db := nw.shards[s].delayedOut[d]
-		for i := range db {
-			r := &db[i]
-			slot := &nw.nodes[r.to]
-			slot.delayed = append(slot.delayed, delayedMessage{due: r.due, msg: r.msg})
-		}
-		clear(db)
-		nw.shards[s].delayedOut[d] = db[:0]
-	}
+	cycle := int32(nw.cycle)
 
 	ends := sh.ends
 	for k := range nodes {
-		slot := &nodes[k]
-		c := len(slot.inbox)
-		for _, dm := range slot.delayed {
-			if dm.due <= nw.cycle {
-				c++
-			}
+		ends[k] = len(nodes[k].inbox)
+	}
+	for i := range sh.held {
+		if sh.held[i].due <= cycle {
+			ends[int(sh.held[i].to)-sh.lo]++
 		}
-		ends[k] = c
 	}
 	for s := range nw.shards {
-		for _, r := range nw.shards[s].out[d] {
-			ends[int(r.to)-sh.lo]++
+		b := nw.shards[s].out[d]
+		for i := range b {
+			if b[i].due > cycle {
+				sh.held = append(sh.held, b[i])
+			} else {
+				ends[int(b[i].to)-sh.lo]++
+			}
 		}
 	}
 	total := 0
@@ -271,30 +262,28 @@ func (nw *Network) deliverInto(d int) {
 
 	next := slices.Grow(sh.spare[:0], total)[:total]
 	for k := range nodes {
-		slot := &nodes[k]
-		at := ends[k] + copy(next[ends[k]:], slot.inbox)
-		if len(slot.delayed) > 0 {
-			// The queue keeps ascending-sender order for the survivors.
-			keep := slot.delayed[:0]
-			for _, dm := range slot.delayed {
-				if dm.due <= nw.cycle {
-					next[at] = dm.msg
-					at++
-				} else {
-					keep = append(keep, dm)
-				}
-			}
-			clear(slot.delayed[len(keep):])
-			slot.delayed = keep
-		}
-		ends[k] = at
+		ends[k] += copy(next[ends[k]:], nodes[k].inbox)
 	}
+	keep := sh.held[:0]
+	for _, r := range sh.held {
+		if r.due <= cycle {
+			k := int(r.to) - sh.lo
+			next[ends[k]] = r.msg
+			ends[k]++
+		} else {
+			keep = append(keep, r)
+		}
+	}
+	clear(sh.held[len(keep):])
+	sh.held = keep
 	for s := range nw.shards {
 		b := nw.shards[s].out[d]
 		for i := range b {
-			k := int(b[i].to) - sh.lo
-			next[ends[k]] = b[i].msg
-			ends[k]++
+			if b[i].due <= cycle {
+				k := int(b[i].to) - sh.lo
+				next[ends[k]] = b[i].msg
+				ends[k]++
+			}
 		}
 		clear(b)
 		nw.shards[s].out[d] = b[:0]

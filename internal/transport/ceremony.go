@@ -76,9 +76,12 @@ func (n *node) runCeremony(population int, params core.Params) (*core.DJKeyMater
 			return nil, fmt.Errorf("transport: deal to peer %d: %w", j, err)
 		}
 	}
-	if err := n.collectKeyRound(keyRoundDeal, population-1, func(payload []byte) error {
+	if err := n.collectKeyRound(keyRoundDeal, population-1, func(from int, payload []byte) error {
 		d, err := dkg.UnmarshalDeal(payload)
 		if err != nil {
+			return err
+		}
+		if err := authored(from, d.Dealer); err != nil {
 			return err
 		}
 		return dn.HandleDeal(d)
@@ -92,9 +95,12 @@ func (n *node) runCeremony(population int, params core.Params) (*core.DJKeyMater
 	}); err != nil {
 		return nil, err
 	}
-	if err := n.collectKeyRound(keyRoundResponse, population-1, func(payload []byte) error {
+	if err := n.collectKeyRound(keyRoundResponse, population-1, func(from int, payload []byte) error {
 		r, err := dkg.UnmarshalResponse(payload)
 		if err != nil {
+			return err
+		}
+		if err := authored(from, r.From); err != nil {
 			return err
 		}
 		return dn.HandleResponse(r)
@@ -116,10 +122,15 @@ func (n *node) runCeremony(population int, params core.Params) (*core.DJKeyMater
 	}); err != nil {
 		return nil, err
 	}
-	if err := n.collectKeyRound(keyRoundJustification, population-1, func(payload []byte) error {
+	if err := n.collectKeyRound(keyRoundJustification, population-1, func(from int, payload []byte) error {
 		j, err := dkg.UnmarshalJustification(payload)
 		if err != nil {
 			return err
+		}
+		if j.Dealer != 0 { // an empty one is every non-dealer's filler
+			if err := authored(from, j.Dealer); err != nil {
+				return err
+			}
 		}
 		return dn.HandleJustification(j)
 	}); err != nil {
@@ -132,6 +143,18 @@ func (n *node) runCeremony(population int, params core.Params) (*core.DJKeyMater
 	}
 	n.cfg.logf("node %d holds key share %d (qualified dealers: %v)", n.cfg.ID, n.cfg.ID+1, res.Qualified)
 	return core.DJMaterialFromResult(res)
+}
+
+// authored refuses a ceremony artifact whose author is not the peer
+// whose link carried it (party index = peer id + 1): dkg refuses a
+// second artifact by its claimed author, so a peer could otherwise file
+// one in another party's name and have the ceremony fail blaming that
+// party.
+func authored(from, author int) error {
+	if author != from+1 {
+		return fmt.Errorf("artifact authored by party %d, not by its sender's party %d", author, from+1)
+	}
+	return nil
 }
 
 // broadcastKey marshals one ceremony artifact and writes it to every
@@ -153,16 +176,18 @@ func (n *node) broadcastKey(round int, marshal func() ([]byte, error)) error {
 	return nil
 }
 
-// collectKeyRound gathers `want` artifacts of the given ceremony round:
-// parked payloads first, then the shared inbox. Frames from later
-// rounds are parked for their own collection pass; epoch traffic from
-// peers already past the ceremony goes to the backlog (preserving
-// per-sender FIFO order for awaitBarrier); a bye takes its link down;
-// a replayed earlier round fails the ceremony.
-func (n *node) collectKeyRound(round, want int, handle func([]byte) error) error {
-	for _, payload := range n.keyPending[round] {
-		if err := handle(payload); err != nil {
-			return fmt.Errorf("transport: key-ceremony round %d: %w", round, err)
+// collectKeyRound gathers `want` artifacts of the given ceremony round,
+// handing each to handle with its sender: parked frames first, then the
+// shared inbox. Frames from later rounds are parked for their own
+// collection pass; epoch traffic from peers already past the ceremony
+// goes to the backlog (preserving per-sender FIFO order for
+// awaitBarrier) unless it is too far ahead of barrier 0 (refuseAhead);
+// a bye takes its link down; a replayed earlier round fails the
+// ceremony.
+func (n *node) collectKeyRound(round, want int, handle func(from int, payload []byte) error) error {
+	for _, m := range n.keyPending[round] {
+		if err := handle(m.from, m.payload); err != nil {
+			return fmt.Errorf("transport: peer %d key-ceremony round %d: %w", m.from, round, err)
 		}
 		want--
 	}
@@ -188,16 +213,19 @@ func (n *node) collectKeyRound(round, want int, handle func([]byte) error) error
 			n.consumed[m.from] = m.seq
 			switch {
 			case m.epoch == round: // epoch slot carries the round tag
-				if err := handle(m.payload); err != nil {
+				if err := handle(m.from, m.payload); err != nil {
 					return fmt.Errorf("transport: peer %d key-ceremony round %d: %w", m.from, round, err)
 				}
 				want--
 			case m.epoch > round:
-				n.keyPending[m.epoch] = append(n.keyPending[m.epoch], m.payload)
+				n.keyPending[m.epoch] = append(n.keyPending[m.epoch], m)
 			default:
 				return fmt.Errorf("transport: peer %d replayed key-ceremony round %d", m.from, m.epoch)
 			}
 		case mtTick, mtData:
+			if err := n.refuseAhead(m, 0); err != nil {
+				return err
+			}
 			n.backlog = append(n.backlog, m)
 		case mtBye:
 			// Only an interrupted peer says bye this early, and it is
